@@ -95,17 +95,15 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Discovery fan-out
     # ------------------------------------------------------------------
-    def shards_for(self, query: "DiscoveryQuery", radius_km: float) -> Tuple[int, ...]:
-        """Shards whose ranges the query's covering cells intersect."""
-        cells = gh.covering_cells(query.point, radius_km)
-        return self.shard_map.owners_for_cells(cells)
-
     def plan(self, query: "DiscoveryQuery") -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(local-phase shards, wide-phase shards) for ``query``."""
+        """(local-phase shards, wide-phase shards) for ``query``: the
+        shards whose ranges the phase's covering cells intersect."""
         geo = self.policy.geo_filter
+        point = query.point  # a validated GeoPoint per access: build it once
+        owners = self.shard_map.owners_for_cells
         return (
-            self.shards_for(query, geo.radius_km),
-            self.shards_for(query, geo.wide_radius_km),
+            owners(gh.covering_cells(point, geo.radius_km)),
+            owners(gh.covering_cells(point, geo.wide_radius_km)),
         )
 
     def needs_widening(self, query: "DiscoveryQuery", local: Sequence[PartialSelection]) -> bool:

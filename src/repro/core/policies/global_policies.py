@@ -17,10 +17,17 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.messages import DiscoveryQuery, NodeStatus
 from repro.geo import geohash as gh
 from repro.geo.point import GeoPoint, haversine_km_coords
-from repro.geo.spatial_index import GeohashSpatialIndex
+from repro.geo.spatial_index import (
+    FloatArray,
+    GeohashSpatialIndex,
+    SlotArray,
+    distance_guard_km,
+)
 
 
 @dataclass(frozen=True)
@@ -69,51 +76,65 @@ class GeoProximityFilter:
     def apply_indexed(
         self,
         user_point: GeoPoint,
-        index: GeohashSpatialIndex,
+        index: GeohashSpatialIndex[NodeStatus],
         min_candidates: Optional[int] = None,
         *,
         exclude: Sequence[str] = (),
         predicate: Optional[Callable[[NodeStatus], bool]] = None,
-    ) -> Tuple[List[NodeStatus], bool]:
+    ) -> Tuple[SlotArray, FloatArray, bool]:
         """Index-backed :meth:`apply`: cell-prefix lookups, no registry scan.
 
+        Returns ``(slots, dist_km, widened?)``: the index slots of
+        exactly the nodes :meth:`apply` would return for the same
+        registry contents, with their (vector, approximate) distances.
         ``exclude``/``predicate`` are applied here (rather than by the
         caller pre-filtering a node list) because with an index there is
-        no materialized pool to pre-filter — only the per-cell
-        candidates ever get touched. Returns exactly what :meth:`apply`
-        would for the same registry contents: the prefilter differs only
-        in how cells are intersected with the registry, and the exact
-        haversine cut below makes the outcome identical.
+        no materialized pool to pre-filter.
         """
         needed = self.min_candidates if min_candidates is None else min_candidates
-        local = self._within_indexed(
-            user_point, index, self.radius_km, exclude, predicate
+        local = self.within_indexed(
+            user_point, index, self.radius_km, exclude=exclude, predicate=predicate
         )
-        if len(local) >= needed:
-            return local, False
-        wide = self._within_indexed(
-            user_point, index, self.wide_radius_km, exclude, predicate
+        if len(local[0]) >= needed:
+            return (*local, False)
+        wide = self.within_indexed(
+            user_point, index, self.wide_radius_km, exclude=exclude, predicate=predicate
         )
-        if len(wide) > len(local):
-            return wide, True
-        return local, False
+        if len(wide[0]) > len(local[0]):
+            return (*wide, True)
+        return (*local, False)
 
     def within_indexed(
         self,
         user_point: GeoPoint,
-        index: GeohashSpatialIndex,
+        index: GeohashSpatialIndex[NodeStatus],
         radius_km: float,
         *,
         exclude: Sequence[str] = (),
         predicate: Optional[Callable[[NodeStatus], bool]] = None,
-    ) -> List[NodeStatus]:
+    ) -> Tuple[SlotArray, FloatArray]:
         """One fixed-radius phase of :meth:`apply_indexed` (no widening).
 
         The control-plane router composes this shard-locally: each shard
         evaluates one radius against its own index and the router makes
-        the widening decision from the summed counts.
+        the widening decision from the summed counts. The exact
+        haversine cut is the index's (:meth:`GeohashSpatialIndex.within`).
         """
-        return self._within_indexed(user_point, index, radius_km, exclude, predicate)
+        cells = gh.covering_cells(user_point, radius_km)
+        slots, dist_km = index.within(
+            user_point.lat, user_point.lon, radius_km, cells
+        )
+        if exclude or predicate is not None:
+            keep = np.ones(slots.size, dtype=np.bool_)
+            for node_id in exclude:
+                slot = index.slot_of(node_id)
+                if slot is not None:
+                    keep &= slots != slot
+            if predicate is not None:
+                for i in np.flatnonzero(keep).tolist():
+                    keep[i] = predicate(index.status_at(slots[i]))
+            slots, dist_km = slots[keep], dist_km[keep]
+        return slots, dist_km
 
     def _within(
         self, user_point: GeoPoint, nodes: Sequence[NodeStatus], radius_km: float
@@ -132,32 +153,15 @@ class GeoProximityFilter:
             if haversine_km_coords(ulat, ulon, n.lat, n.lon) <= radius_km
         ]
 
-    def _within_indexed(
-        self,
-        user_point: GeoPoint,
-        index: GeohashSpatialIndex,
-        radius_km: float,
-        exclude: Sequence[str],
-        predicate: Optional[Callable[[NodeStatus], bool]],
-    ) -> List[NodeStatus]:
-        cells = gh.covering_cells(user_point, radius_km)
-        ulat, ulon = user_point.lat, user_point.lon
-        out: List[NodeStatus] = []
-        for status in index.query_cells(cells):
-            if status.node_id in exclude:
-                continue
-            if predicate is not None and not predicate(status):
-                continue
-            if haversine_km_coords(ulat, ulon, status.lat, status.lon) <= radius_km:
-                out.append(status)
-        return out
-
 
 #: Score bonus (in free-core units) for sharing the user's ISP tag.
 AFFILIATION_BONUS = 2.0
 #: Score penalty per km of distance (free-core units). Small by design:
 #: the manager nudges toward nearby nodes but lets availability dominate.
 DISTANCE_PENALTY_PER_KM = 0.02
+#: Relative bound on the rounding error of an approximate score (a few
+#: float64 operations: ~1e-15; nine digits of slack).
+SCORE_ROUNDING = 1e-9
 
 
 def availability_sort_key(
@@ -216,18 +220,19 @@ class GlobalSelectionPolicy:
         query: DiscoveryQuery,
         nodes: Optional[Sequence[NodeStatus]] = None,
         *,
-        index: Optional[GeohashSpatialIndex] = None,
+        index: Optional[GeohashSpatialIndex[NodeStatus]] = None,
     ) -> Tuple[List[str], bool]:
         """Produce the TopN candidate node ids for ``query``.
 
         Candidates come either from ``nodes`` (a materialized status
         list, linearly scanned — the seed behaviour, still used by
-        baselines and parity tests) or from ``index`` (the manager's
-        spatial index; the metro-scale fast path). Exactly one source
-        must be given. Both sources produce bit-identical results for
-        the same registry contents: the geo prefilters differ, but the
-        exact haversine cut and the total-order sort key (which breaks
-        ties by node id) do not.
+        baselines and as the parity reference) or from ``index`` (the
+        manager's spatial index; the metro-scale fast path). Exactly one
+        source must be given. Both sources produce bit-identical results
+        for the same registry contents: the indexed path only *proposes*
+        with vector arithmetic — membership and order are decided by the
+        same scalar haversine cut and the same total-order sort key
+        (which breaks ties by node id).
 
         Returns:
             (node id list, widened flag). The list may be shorter than
@@ -236,20 +241,29 @@ class GlobalSelectionPolicy:
         if (nodes is None) == (index is None):
             raise TypeError("select() needs exactly one of `nodes` or `index`")
         if index is not None:
-            candidates, widened = self.geo_filter.apply_indexed(
+            geo = self.geo_filter
+            slots, dist_km, widened = geo.apply_indexed(
                 query.point,
                 index,
                 min_candidates=query.top_n,
                 exclude=query.exclude,
                 predicate=self.node_predicate,
             )
-        else:
-            pool = [n for n in nodes if n.node_id not in query.exclude]
-            if self.node_predicate is not None:
-                pool = [n for n in pool if self.node_predicate(n)]
-            candidates, widened = self.geo_filter.apply(
-                query.point, pool, min_candidates=query.top_n
+            best = self._rank(
+                query,
+                index,
+                slots,
+                dist_km,
+                geo.wide_radius_km if widened else geo.radius_km,
             )
+            return [n.node_id for n in best], widened
+        assert nodes is not None
+        pool = [n for n in nodes if n.node_id not in query.exclude]
+        if self.node_predicate is not None:
+            pool = [n for n in pool if self.node_predicate(n)]
+        candidates, widened = self.geo_filter.apply(
+            query.point, pool, min_candidates=query.top_n
+        )
         # nsmallest(k) is documented to equal sorted(...)[:k]; with the
         # node-id tie-breaker in the key the TopN is deterministic and
         # independent of candidate order, at O(C log k) instead of a
@@ -263,7 +277,7 @@ class GlobalSelectionPolicy:
         self,
         query: DiscoveryQuery,
         *,
-        index: GeohashSpatialIndex,
+        index: GeohashSpatialIndex[NodeStatus],
         radius_km: float,
     ) -> Tuple[int, List[NodeStatus]]:
         """One shard's answer to one fixed-radius discovery phase.
@@ -276,14 +290,59 @@ class GlobalSelectionPolicy:
         fewer than TopN candidates globally — hence by fewer than TopN
         within its own shard — so it appears in its shard's local TopN.
         """
-        candidates = self.geo_filter.within_indexed(
+        slots, dist_km = self.geo_filter.within_indexed(
             query.point,
             index,
             radius_km,
             exclude=query.exclude,
             predicate=self.node_predicate,
         )
-        best = heapq.nsmallest(
-            query.top_n, candidates, key=self.sort_key_factory(query)
+        return len(slots), self._rank(query, index, slots, dist_km, radius_km)
+
+    def _rank(
+        self,
+        query: DiscoveryQuery,
+        index: GeohashSpatialIndex[NodeStatus],
+        slots: SlotArray,
+        dist_km: FloatArray,
+        radius_km: float,
+    ) -> List[NodeStatus]:
+        """The TopN of the in-radius ``slots``, by the exact sort key.
+
+        The order is whatever ``sort_key_factory(query)`` and
+        ``heapq.nsmallest`` say; vector arithmetic only shrinks the set
+        they look at. For :func:`availability_sort_key` the approximate
+        score ``a = availability − DISTANCE_PENALTY_PER_KM·dist_km``
+        (same-ISP bonus left out) lies within ``δ`` below and
+        ``δ + bonus`` above the exact score ``e``, and the shortlist is
+        every candidate with ``a ≥ A − 2δ − bonus``, ``A`` being the
+        N-th largest ``a``. It contains the exact TopN:
+
+        1. at least N candidates have ``a ≥ A``, hence ``e ≥ A − δ``, so
+           the N-th largest exact score ``E`` is at least ``A − δ``;
+        2. a TopN member has ``e ≥ E`` (ties are broken by id, below it);
+        3. so its ``a ≥ e − δ − bonus ≥ A − 2δ − bonus``.
+
+        ``δ`` covers the vector/scalar distance difference (bounded by
+        the index's guard band) plus rounding in the score arithmetic.
+        ``bonus`` is 0 for a query without an ISP. Any other key factory
+        has no vector form and ranks the full in-radius set.
+        """
+        top_n = query.top_n
+        if self.sort_key_factory is availability_sort_key and slots.size > top_n > 0:
+            approx = (
+                index.column("availability_score")[slots]
+                - DISTANCE_PENALTY_PER_KM * dist_km
+            )
+            delta = (
+                DISTANCE_PENALTY_PER_KM * distance_guard_km(radius_km)
+                + SCORE_ROUNDING * max(1.0, float(np.abs(approx).max()))
+            )
+            slack = 2.0 * delta + (AFFILIATION_BONUS if query.isp is not None else 0.0)
+            nth_best = np.partition(approx, slots.size - top_n)[slots.size - top_n]
+            slots = slots[approx >= nth_best - slack]
+        return heapq.nsmallest(
+            top_n,
+            [index.status_at(slot) for slot in slots.tolist()],
+            key=self.sort_key_factory(query),
         )
-        return len(candidates), best

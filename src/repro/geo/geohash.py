@@ -19,6 +19,7 @@ mapping a search radius to the coarsest adequate precision).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.geo.point import GeoPoint
@@ -219,11 +220,14 @@ _CELL_KM: Dict[int, Tuple[float, float]] = {
 }
 
 
+@lru_cache(maxsize=256)
 def precision_for_radius_km(radius_km: float) -> int:
     """Coarsest precision whose cell still covers ``radius_km``.
 
-    Used by the geo-proximity filter: a query at this precision plus its
-    8 neighbors is guaranteed to contain every point within the radius.
+    Used by the geo-proximity filter to pick the cell size of
+    :func:`covering_cells`. Memoised: a deployment queries with a
+    handful of radii (the filter's local and wide one), millions of
+    times.
     """
     if radius_km <= 0:
         raise ValueError(f"radius must be positive, got {radius_km}")

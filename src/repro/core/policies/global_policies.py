@@ -34,8 +34,9 @@ from repro.geo.spatial_index import (
 class GeoProximityFilter:
     """GeoHash-backed proximity filter with a widened fallback.
 
-    Nodes are first matched against the 3x3 GeoHash cell block covering
-    ``radius_km`` around the user. If fewer than ``min_candidates``
+    Nodes are first matched against the GeoHash cells covering the disc
+    of ``radius_km`` around the user (:func:`repro.geo.geohash.covering_cells`),
+    then cut exactly by haversine distance. If fewer than ``min_candidates``
     survive, the search widens to ``wide_radius_km`` — the paper's
     "remote nodes ... useful as a last resort".
     """

@@ -8,8 +8,8 @@ base-32 alphabet. Two properties make it useful for edge discovery:
    the cell named ``p``; truncating a hash widens the search area.
 2. **Locality (mostly)** — nearby points usually share long prefixes.
    The exception is cell-boundary effects, which is why proximity search
-   must also include the 8 neighbors of the query cell
-   (:func:`neighbors`); the Central Manager does exactly that.
+   must also include the cells around the query cell
+   (:func:`covering_cells`); the Central Manager does exactly that.
 
 Implemented from the specification (encode, decode with error bounds,
 bounding box, adjacency in all 4 directions, 8-neighborhood, and a helper
@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from repro.geo.point import GeoPoint
+from repro.geo.point import EARTH_RADIUS_KM, GeoPoint
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_TO_VALUE: Dict[str, int] = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
@@ -61,6 +61,14 @@ def encode(lat: float, lon: float, precision: int = 9) -> str:
     Raises:
         ValueError: for out-of-range coordinates or non-positive precision.
     """
+    return _encode_cell(lat, lon, precision)[0]
+
+
+def _encode_cell(
+    lat: float, lon: float, precision: int
+) -> Tuple[str, float, float, float, float]:
+    """:func:`encode` plus the cell it bisected down to:
+    ``(geohash, lat_lo, lat_hi, lon_lo, lon_hi)``."""
     if not -90.0 <= lat <= 90.0:
         raise ValueError(f"latitude out of range: {lat}")
     if not -180.0 <= lon <= 180.0:
@@ -98,7 +106,7 @@ def encode(lat: float, lon: float, precision: int = 9) -> str:
             chars.append(GEOHASH_ALPHABET[value])
             bits = 0
             value = 0
-    return "".join(chars)
+    return "".join(chars), lat_lo, lat_hi, lon_lo, lon_hi
 
 
 def encode_point(point: GeoPoint, precision: int = 9) -> str:
@@ -185,7 +193,7 @@ def neighbors(geohash: str) -> List[str]:
     """The 8 surrounding cells, clockwise from north.
 
     Together with the cell itself these cover every point within one cell
-    width — the set the Central Manager scans for local candidates.
+    width (see :func:`covering_cells` for the cells covering a radius).
     """
     n = adjacent(geohash, "n")
     s = adjacent(geohash, "s")
@@ -201,9 +209,12 @@ def neighbors(geohash: str) -> List[str]:
     ]
 
 
-#: Approximate worst-case cell dimensions (km) per precision, at the
-#: equator: (height, width). Width shrinks with latitude; using the
-#: equatorial value keeps the radius->precision mapping conservative.
+#: Approximate cell dimensions (km) per precision, at the equator:
+#: (height, width). Width shrinks with cos(latitude), so these are the
+#: *largest* a cell gets: away from the equator a cell picked by
+#: :func:`precision_for_radius_km` can be narrower than the radius, which
+#: is why :func:`covering_cells` counts columns from the disc's bounding
+#: box instead of assuming one neighbor each side is enough.
 _CELL_KM: Dict[int, Tuple[float, float]] = {
     1: (5003.7, 5003.7),
     2: (1251.0, 625.5),
@@ -238,16 +249,83 @@ def precision_for_radius_km(radius_km: float) -> int:
     return 1
 
 
-def covering_cells(point: GeoPoint, radius_km: float) -> List[str]:
-    """Geohash cells (query cell + 8 neighbors) covering a disc.
+#: Above ~80 degrees of latitude a disc spans more and more (ever
+#: narrower) columns, all of them once it contains a pole. Past this many
+#: columns :func:`covering_cells` steps to coarser cells instead.
+_MAX_COVER_COLUMNS = 16
+#: Relative padding of the disc's bounding box: absorbs the rounding of
+#: the box arithmetic and of the haversine cut the cells are a prefilter
+#: for (both ~1e-15).
+_COVER_PAD = 1.0 + 1e-9
 
-    The returned precision is chosen via :func:`precision_for_radius_km`,
-    so the 3x3 block of cells is a superset of the disc of ``radius_km``
-    around ``point``.
+
+def covering_cells(point: GeoPoint, radius_km: float) -> List[str]:
+    """Same-precision geohash cells covering a disc, centre cell first.
+
+    Every point within ``radius_km`` (haversine) of ``point`` lies in
+    one of the returned cells. They are the cells that intersect the
+    disc's latitude/longitude bounding box — ``lat ± r/R`` and
+    ``lon ± asin(sin(r/R) / cos(lat))``, every longitude once the disc
+    touches a pole — found by walking :func:`adjacent` from the centre
+    cell, which wraps at the antimeridian. The precision is
+    :func:`precision_for_radius_km`'s, so near the equator this is the
+    familiar 3x3 block or less; cells narrow with cos(latitude), so at
+    mid latitudes a row can need a fourth column. Only where a row would
+    exceed ``_MAX_COVER_COLUMNS`` (beyond ~80 degrees) is a coarser
+    precision used.
     """
     precision = precision_for_radius_km(radius_km)
-    centre = encode(point.lat, point.lon, precision)
-    return [centre] + neighbors(centre)
+    lat, lon = point.lat, point.lon
+    angle = radius_km / EARTH_RADIUS_KM * _COVER_PAD
+    dlat = math.degrees(angle)
+    lat_min, lat_max = lat - dlat, lat + dlat
+    dlon = 180.0
+    if -90.0 < lat_min and lat_max < 90.0:
+        reach = math.sin(angle) / math.cos(math.radians(lat))
+        if reach < 1.0:
+            dlon = math.degrees(math.asin(reach)) * _COVER_PAD
+    columns = 1 << _bit_split(precision)[1]
+    while precision > 1 and 2.0 * dlon * columns / 360.0 + 2.0 > _MAX_COVER_COLUMNS:
+        precision -= 1
+        columns = 1 << _bit_split(precision)[1]
+
+    centre, lat_lo, lat_hi, lon_lo, lon_hi = _encode_cell(lat, lon, precision)
+    height, width = lat_hi - lat_lo, lon_hi - lon_lo
+    # Cell edges are exact binary fractions, so these comparisons place a
+    # coordinate in the same cell encode()'s bisection does: [lo, hi).
+    north = south = east = west = 0
+    edge = lat_hi
+    while edge <= lat_max and edge < 90.0:
+        north += 1
+        edge += height
+    edge = lat_lo
+    while edge > lat_min and edge > -90.0:
+        south += 1
+        edge -= height
+    edge = lon_hi
+    while edge <= lon + dlon:
+        east += 1
+        edge += width
+    edge = lon_lo
+    while edge > lon - dlon:
+        west += 1
+        edge -= width
+    if 1 + east + west >= columns:  # the whole parallel
+        east, west = columns - 1, 0
+
+    row = [centre]
+    for direction, steps in (("e", east), ("w", west)):
+        cell = centre
+        for _ in range(steps):
+            cell = adjacent(cell, direction)
+            row.append(cell)
+    cells = list(row)
+    for direction, steps in (("n", north), ("s", south)):
+        layer = row
+        for _ in range(steps):
+            layer = [adjacent(cell, direction) for cell in layer]
+            cells.extend(layer)
+    return cells
 
 
 def common_prefix_length(a: str, b: str) -> int:
@@ -437,6 +515,3 @@ def cell_parent(cell: int, levels: int = 1) -> int:
         raise ValueError(f"levels must be >= 0, got {levels}")
     return int(cell) >> (5 * levels)
 
-
-# math is used by callers via precision math in docs; keep the import honest.
-_ = math

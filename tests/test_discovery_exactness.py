@@ -436,3 +436,27 @@ def test_insert_rejects_a_geohash_coarser_than_the_index():
     # Exactly max_precision characters is a position at index resolution.
     index.insert(replace(ok, node_id="six", geohash=ok.geohash[:6]))
     assert len(index.query_cells([ok.geohash[:6]])) == 2
+
+
+# ----------------------------------------------------------------------
+# The cells are a superset of the disc (all three paths share them)
+# ----------------------------------------------------------------------
+def test_every_path_counts_the_whole_disc_at_mid_latitude():
+    """At 45 N a 4 km radius is wider than a precision-5 cell; the old
+    3x3 block dropped ~1% of in-radius nodes from the linear, indexed
+    and sharded paths alike. ``linear_partial`` uses no cells at all."""
+    rng = random.Random(45)
+    nodes = [random_status(f"n{i:04d}", rng) for i in range(3000)]
+    index: GeohashSpatialIndex[NodeStatus] = GeohashSpatialIndex()
+    for status in nodes:
+        index.insert(status)
+    geo = GeoProximityFilter(radius_km=4.0, wide_radius_km=60.0)
+    policy = GlobalSelectionPolicy(geo_filter=geo)
+    for i in range(150):
+        point = random_point(rng, 25.0)
+        query = DiscoveryQuery(user_id=f"u{i}", lat=point.lat, lon=point.lon, top_n=3)
+        count, best = linear_partial(policy, query, nodes, geo.radius_km)
+        assert policy.select_partial(
+            query, index=index, radius_km=geo.radius_km
+        ) == (count, best)
+        assert len(geo.apply(query.point, nodes, min_candidates=0)[0]) == count

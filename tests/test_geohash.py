@@ -168,6 +168,81 @@ def test_covering_cells_cover_points_within_radius():
         assert gh.encode(point.lat, point.lon, precision) in cells
 
 
+def _destination(lat, lon, distance_km, bearing):
+    """Point ``distance_km`` from (lat, lon) along ``bearing`` (great circle)."""
+    import math
+
+    from repro.geo.point import EARTH_RADIUS_KM
+
+    phi, lam, arc = math.radians(lat), math.radians(lon), distance_km / EARTH_RADIUS_KM
+    sin_phi2 = math.sin(phi) * math.cos(arc) + math.cos(phi) * math.sin(arc) * math.cos(bearing)
+    phi2 = math.asin(max(-1.0, min(1.0, sin_phi2)))
+    lam2 = lam + math.atan2(
+        math.sin(bearing) * math.sin(arc) * math.cos(phi),
+        math.cos(arc) - math.sin(phi) * math.sin(phi2),
+    )
+    return math.degrees(phi2), (math.degrees(lam2) + 540.0) % 360.0 - 180.0
+
+
+@given(
+    st.floats(min_value=-90.0, max_value=90.0),
+    st.one_of(
+        st.floats(min_value=-180.0, max_value=180.0),
+        st.sampled_from([180.0, -180.0, 179.9999, -179.9999]),
+    ),
+    st.sampled_from([0.05, 0.5, 0.61, 4.0, 4.9, 8.0, 19.5, 80.0, 156.4, 400.0, 2500.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=6.283185307179586),
+)
+def test_property_covering_cells_contain_every_point_within_radius(
+    lat, lon, radius_km, fraction, bearing
+):
+    """The docstring's promise, everywhere: mid latitudes (where cells
+    are narrower than the radius-to-precision table assumes — the 3x3
+    block used to miss ~1% of in-radius points at 45 degrees north / 4 km),
+    the antimeridian and both poles."""
+    from hypothesis import assume
+
+    from repro.geo.point import haversine_km_coords
+
+    cells = gh.covering_cells(GeoPoint(lat, lon), radius_km)
+    precision = len(cells[0])
+    assert cells[0] == gh.encode(lat, lon, precision)
+    assert {len(cell) for cell in cells} == {precision}
+    assert len(set(cells)) == len(cells) <= 3 * 16
+    # Mostly points near the rim: that is where a short cover shows.
+    distance = radius_km * (1.0 - 0.05 * fraction * fraction)
+    plat, plon = _destination(lat, lon, distance, bearing)
+    assume(haversine_km_coords(lat, lon, plat, plon) <= radius_km)
+    assert gh.encode(plat, plon, precision) in cells
+
+
+def test_covering_cells_regression_45_north_4km():
+    """The measured miss: a user just inside its cell's east edge at
+    45 N, where precision-5 cells are 3.46 km wide — a node 3.5-4 km to
+    the east lies two columns over, outside the old 3x3 block."""
+    from repro.geo.point import haversine_km_coords
+
+    _, _, _, lon_hi = gh.bounding_box(gh.encode(44.9778, -93.2650, 5))
+    user = GeoPoint(44.9778, lon_hi - 1e-4)
+    cells = gh.covering_cells(user, 4.0)
+    assert len(cells[0]) == 5
+    for i in range(400):
+        plat, plon = _destination(user.lat, user.lon, 3.999, i * 0.0157)
+        assert haversine_km_coords(user.lat, user.lon, plat, plon) <= 4.0
+        assert gh.encode(plat, plon, 5) in cells
+    beyond_the_old_block = gh.adjacent(gh.adjacent(cells[0], "e"), "e")
+    assert beyond_the_old_block in cells
+
+
+def test_covering_cells_keep_precision_below_80_degrees():
+    # The fix is more columns, not coarser cells (~30x the candidates).
+    for lat in (0.0, 30.0, 45.0, 60.0, 75.0, -75.0):
+        for radius_km in (0.5, 4.0, 8.0, 80.0, 400.0):
+            cells = gh.covering_cells(GeoPoint(lat, 10.0), radius_km)
+            assert len(cells[0]) == gh.precision_for_radius_km(radius_km)
+
+
 def test_cell_size_km_known_precision_5():
     height, width = gh.cell_size_km(5)
     assert height == pytest.approx(4.9, rel=0.05)

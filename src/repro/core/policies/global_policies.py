@@ -313,11 +313,11 @@ class GlobalSelectionPolicy:
         The order is whatever ``sort_key_factory(query)`` and
         ``heapq.nsmallest`` say; vector arithmetic only shrinks the set
         they look at. For :func:`availability_sort_key` the approximate
-        score ``a = availability − DISTANCE_PENALTY_PER_KM·dist_km``
-        (same-ISP bonus left out) lies within ``δ`` below and
-        ``δ + bonus`` above the exact score ``e``, and the shortlist is
-        every candidate with ``a ≥ A − 2δ − bonus``, ``A`` being the
-        N-th largest ``a``. It contains the exact TopN:
+        score is ``a = availability − DISTANCE_PENALTY_PER_KM·dist_km``
+        (same-ISP bonus left out), so the exact score ``e`` lies in
+        ``[a − δ, a + bonus + δ]``, and the shortlist is every candidate
+        with ``a ≥ A − 2δ − bonus``, ``A`` being the N-th largest ``a``.
+        It contains the exact TopN:
 
         1. at least N candidates have ``a ≥ A``, hence ``e ≥ A − δ``, so
            the N-th largest exact score ``E`` is at least ``A − δ``;

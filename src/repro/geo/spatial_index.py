@@ -65,10 +65,18 @@ class Located(Protocol):
     the core message vocabulary).
     """
 
-    node_id: str
-    geohash: str
-    lat: float
-    lon: float
+    # Read-only members: frozen dataclasses (NodeStatus) qualify.
+    @property
+    def node_id(self) -> str: ...
+
+    @property
+    def geohash(self) -> str: ...
+
+    @property
+    def lat(self) -> float: ...
+
+    @property
+    def lon(self) -> float: ...
 
 
 S = TypeVar("S", bound=Located)

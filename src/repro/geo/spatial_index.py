@@ -16,8 +16,8 @@ O(``max_precision``), so the index is maintained incrementally on every
 heartbeat and expiry instead of being rebuilt.
 
 Storage is columnar. Every node owns a *slot*; ``slot -> status`` is a
-list, buckets hold slots, each bucket caches its members as an integer
-array (dropped only when that bucket's membership changes — a same-cell
+list, each bucket caches its members' slots as an integer array
+(dropped only when that bucket's membership changes — a same-cell
 heartbeat refresh touches no bucket), and per-slot float64 columns hold
 the haversine operands (``lat_rad``, ``lon_rad``, ``cos_lat``) plus any
 status attribute a ranking policy asks for through :meth:`column`.

@@ -16,8 +16,9 @@ Two pieces:
   ``shards x replicas`` real :class:`ManagerServer` processes plus one
   RouterServer, with kill/restart primitives for the chaos tests.
 
-Failure model: the router has no heartbeat channel to the managers —
-failure detection *is* the failed RPC. A ``discover_partial`` (or
+Failure model: the router keeps one standing link per replica but no
+heartbeat channel to the managers — failure detection *is* the failed
+RPC on that link. A ``discover_partial`` (or
 forwarded heartbeat) that errors marks the replica down; if it was the
 shard's primary the lowest alive standby is promoted immediately
 (``manager_promote``, reason ``unreachable``) and the fetch retries on
@@ -82,6 +83,10 @@ class RouterServer:
         #: node id -> serving address, refreshed from heartbeats.
         self._addresses: Dict[str, Address] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        self._open_writers: Set[asyncio.StreamWriter] = set()
+        #: Standing router->replica links: a routed request pays the
+        #: client's handshake only.
+        self._links = protocol.ConnectionPool()
         self.queries_served = 0
         self.heartbeats_received = 0
         self.promotions = 0
@@ -91,15 +96,16 @@ class RouterServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            lambda r, w: protocol.serve_connection(r, w, self._dispatch, self._open_writers),
+            self.host,
+            self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await protocol.stop_serving(self._server, self._open_writers)
+        self._server = None
+        await self._links.close()
 
     # ------------------------------------------------------------------
     # Replica bookkeeping
@@ -111,9 +117,13 @@ class RouterServer:
 
     def mark_down(self, shard: int, replica: int) -> None:
         self._down[shard].add(replica)
+        self._links.discard(*self._replicas[shard][replica])
 
     def mark_up(self, shard: int, replica: int) -> None:
+        """A rejoined replica gets a fresh link: a socket to the process
+        that died on this port would only mark it down again."""
         self._down[shard].discard(replica)
+        self._links.discard(*self._replicas[shard][replica])
 
     def _promote(self, shard: int, reason: str) -> Optional[int]:
         """Promote the lowest alive standby; None when all are down."""
@@ -132,6 +142,12 @@ class RouterServer:
             )
         )
         return alive[0]
+
+    async def _rpc(self, address: Address, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """One exchange with a replica, over its standing link."""
+        return await protocol.request(
+            *address, op, payload, timeout=self.request_timeout_s, pool=self._links
+        )
 
     async def _fetch_partial(
         self, query: DiscoveryQuery, shard: int, radius_km: float
@@ -152,14 +168,11 @@ class RouterServer:
                 if replica_or_none is None:
                     raise ControlPlaneUnavailable(shard)
                 replica = replica_or_none
-            host, port = self._replicas[shard][replica]
             try:
-                reply = await protocol.request(
-                    host,
-                    port,
+                reply = await self._rpc(
+                    self._replicas[shard][replica],
                     "discover_partial",
                     {"query": to_wire(query), "radius_km": radius_km},
-                    timeout=self.request_timeout_s,
                 )
             except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
                 self.mark_down(shard, replica)
@@ -174,35 +187,6 @@ class RouterServer:
     # ------------------------------------------------------------------
     # Wire surface (manager-compatible)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                frame = await protocol.read_frame(reader)
-                if frame is None:
-                    break
-                reply = await self._dispatch(frame)
-                if reply is None:
-                    # Unavailable shard: hang up instead of answering —
-                    # the client's request errors and its machine takes
-                    # the DiscoveryFailed / degraded-fallback path.
-                    break
-                writer.write(protocol.encode_frame("reply", reply))
-                await writer.drain()
-        except (protocol.ProtocolError, ConnectionResetError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                # CancelledError: server teardown raced the hang-up —
-                # the socket is gone either way, so end the task clean.
-                pass
-
     async def _dispatch(self, frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         op = frame["op"]
         payload = frame["payload"]
@@ -229,13 +213,11 @@ class RouterServer:
         self._addresses[status.node_id] = (payload["host"], payload["port"])
         shard = self.router.owner_of(status)
         delivered = 0
-        for replica, (host, port) in enumerate(self._replicas[shard]):
+        for replica, address in enumerate(self._replicas[shard]):
             if replica in self._down[shard]:
                 continue
             try:
-                await protocol.request(
-                    host, port, "heartbeat", payload, timeout=self.request_timeout_s
-                )
+                await self._rpc(address, "heartbeat", payload)
                 delivered += 1
             except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
                 self.mark_down(shard, replica)
@@ -248,19 +230,21 @@ class RouterServer:
         assert isinstance(query, DiscoveryQuery)
         self.queries_served += 1
         geo = self.router.policy.geo_filter
-        local_shards, wide_shards = self.router.plan(query)
         try:
             local = [
                 await self._fetch_partial(query, shard, geo.radius_km)
-                for shard in local_shards
+                for shard in self.router.plan(query, geo.radius_km)
             ]
             wide: Optional[List[PartialSelection]] = None
             if self.router.needs_widening(query, local):
                 wide = [
                     await self._fetch_partial(query, shard, geo.wide_radius_km)
-                    for shard in wide_shards
+                    for shard in self.router.plan(query, geo.wide_radius_km)
                 ]
         except ControlPlaneUnavailable:
+            # Hang up instead of answering: the client's request errors
+            # and its machine takes the DiscoveryFailed / degraded-
+            # fallback path.
             return None
         routed = self.router.merge(query, local, wide)
         if self.tracer.enabled:

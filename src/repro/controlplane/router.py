@@ -95,15 +95,11 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Discovery fan-out
     # ------------------------------------------------------------------
-    def plan(self, query: "DiscoveryQuery") -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(local-phase shards, wide-phase shards) for ``query``: the
-        shards whose ranges the phase's covering cells intersect."""
-        geo = self.policy.geo_filter
-        point = query.point  # a validated GeoPoint per access: build it once
-        owners = self.shard_map.owners_for_cells
-        return (
-            owners(gh.covering_cells(point, geo.radius_km)),
-            owners(gh.covering_cells(point, geo.wide_radius_km)),
+    def plan(self, query: "DiscoveryQuery", radius_km: float) -> Tuple[int, ...]:
+        """The shards one phase of ``query`` must ask: those whose
+        ranges the cells covering the ``radius_km`` disc intersect."""
+        return self.shard_map.owners_for_cells(
+            gh.covering_cells(query.point, radius_km)
         )
 
     def needs_widening(self, query: "DiscoveryQuery", local: Sequence[PartialSelection]) -> bool:
@@ -149,9 +145,13 @@ class ShardRouter:
     def select(self, query: "DiscoveryQuery", fetch: Fetch) -> RoutedSelection:
         """Full two-phase routed selection over a synchronous transport."""
         geo = self.policy.geo_filter
-        local_shards, wide_shards = self.plan(query)
-        local = [fetch(shard, geo.radius_km) for shard in local_shards]
+        local = [
+            fetch(shard, geo.radius_km) for shard in self.plan(query, geo.radius_km)
+        ]
         if not self.needs_widening(query, local):
             return self.merge(query, local)
-        wide = [fetch(shard, geo.wide_radius_km) for shard in wide_shards]
+        wide = [
+            fetch(shard, geo.wide_radius_km)
+            for shard in self.plan(query, geo.wide_radius_km)
+        ]
         return self.merge(query, local, wide)

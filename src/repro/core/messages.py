@@ -9,7 +9,7 @@ a second implementation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.geo.point import GeoPoint
@@ -139,17 +139,25 @@ _MESSAGE_TYPES = {
 }
 
 
+#: Messages are flat and frozen: encoding reads each field, where
+#: ``dataclasses.asdict`` would deep-copy it.
+_WIRE_FIELDS = {
+    cls: tuple(f.name for f in fields(cls)) for cls in _MESSAGE_TYPES.values()
+}
+
+
 def to_wire(message: Any) -> Dict[str, Any]:
     """Encode a message dataclass as a JSON-ready dict with a type tag."""
-    type_name = type(message).__name__
-    if type_name not in _MESSAGE_TYPES:
-        raise TypeError(f"not a wire message type: {type_name}")
-    payload = asdict(message)
-    # Tuples JSON-ify to lists; normalise here so round-trips are stable.
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(value)
-    return {"type": type_name, "payload": payload}
+    cls = type(message)
+    names = _WIRE_FIELDS.get(cls)
+    if names is None:
+        raise TypeError(f"not a wire message type: {cls.__name__}")
+    payload = {}
+    for name in names:
+        value = getattr(message, name)
+        # Tuples JSON-ify to lists; normalise here so round-trips are stable.
+        payload[name] = list(value) if isinstance(value, tuple) else value
+    return {"type": cls.__name__, "payload": payload}
 
 
 def from_wire(data: Dict[str, Any]) -> Any:

@@ -206,13 +206,8 @@ class LiveEdgeServer:
         if self._lease_task is not None:
             self._lease_task.cancel()
             self._lease_task = None
-        for writer in list(self._open_writers):
-            writer.close()
-        self._open_writers.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await protocol.stop_serving(self._server, self._open_writers)
+        self._server = None
 
     # ------------------------------------------------------------------
     # Effect execution
@@ -445,30 +440,14 @@ class LiveEdgeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._open_writers.add(writer)
-        try:
-            while not self._dead:
-                frame = await protocol.read_frame(reader)
-                if frame is None or self._dead:
-                    break
-                reply = await self._dispatch(frame)
-                if self._dead:
-                    break
-                writer.write(protocol.encode_frame("reply", reply))
-                await writer.drain()
-        except (protocol.ProtocolError, ConnectionResetError):
-            pass
-        except asyncio.CancelledError:
-            # Server teardown cancels in-flight handlers; ending the
-            # task cleanly avoids spurious loop-callback logging.
-            pass
-        finally:
-            self._open_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+        async def dispatch(frame: dict) -> Optional[dict]:
+            # a dead node neither starts nor finishes a conversation
+            if self._dead:
+                return None
+            reply = await self._dispatch(frame)
+            return None if self._dead else reply
+
+        await protocol.serve_connection(reader, writer, dispatch, self._open_writers)
 
     async def _dispatch(self, frame: dict) -> dict:
         op = frame["op"]

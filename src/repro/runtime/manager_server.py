@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
 from repro.core.policies.global_policies import GlobalSelectionPolicy
@@ -80,8 +80,10 @@ class ManagerServer:
         )
         self._addresses: Dict[str, tuple] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        self._open_writers: Set[asyncio.StreamWriter] = set()
         self.queries_served = 0
         self.heartbeats_received = 0
+        self.connections_accepted = 0
 
     # ------------------------------------------------------------------
     # Protocol-core state, exposed on the driver for tests/operators.
@@ -106,10 +108,10 @@ class ManagerServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Hard stop: open connections are severed, not drained — a
+        killed manager must not answer on a peer's standing link."""
+        await protocol.stop_serving(self._server, self._open_writers)
+        self._server = None
 
     # ------------------------------------------------------------------
     def _run_effects(self, effects: List[Effect]) -> Optional[Effect]:
@@ -146,34 +148,12 @@ class ManagerServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            while True:
-                frame = await protocol.read_frame(reader)
-                if frame is None:
-                    break
-                reply = self._dispatch(frame)
-                writer.write(protocol.encode_frame("reply", reply))
-                await writer.drain()
-        except (protocol.ProtocolError, ConnectionResetError):
-            pass
-        except asyncio.CancelledError:
-            # Server teardown cancels in-flight handlers; ending the
-            # task cleanly avoids spurious loop-callback logging.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (  # pragma: no cover - teardown races
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):
-                # CancelledError: server teardown raced the hang-up —
-                # the socket is gone either way, so end the task clean.
-                pass
+        self.connections_accepted += 1
+        await protocol.serve_connection(
+            reader, writer, self._dispatch, self._open_writers
+        )
 
-    def _dispatch(self, frame: dict) -> dict:
+    async def _dispatch(self, frame: dict) -> dict:
         op = frame["op"]
         payload = frame["payload"]
         if op == "heartbeat":
@@ -268,5 +248,6 @@ class ManagerServer:
                 "nodes": sorted(self._machine.registry),
                 "queries_served": self.queries_served,
                 "heartbeats_received": self.heartbeats_received,
+                "connections_accepted": self.connections_accepted,
             }
         return {"ok": False, "error": f"unknown op: {op!r}"}

@@ -9,6 +9,12 @@ the simulation's method calls one-to-one (``discover``, ``heartbeat``,
 ``rtt_probe``, ``process_probe``, ``join``, ``unexpected_join``,
 ``leave``, ``frame``, ``status``). Dataclass payloads go through
 :func:`repro.core.messages.to_wire` / ``from_wire``.
+
+There is one client-side exchange (:meth:`PersistentConnection.request`)
+and one server-side loop (:func:`serve_connection`). :func:`request` is
+that exchange over a connection of its own or, given a
+:class:`ConnectionPool`, over a kept-alive link; no connection outlives
+the object that the caller created to hold it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Optional
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 #: Maximum accepted frame size — prevents a garbage peer from ballooning
 #: memory with an unterminated line.
@@ -85,30 +91,76 @@ async def request(
     op: str,
     payload: Optional[Dict[str, Any]] = None,
     timeout: float = 5.0,
+    *,
+    pool: Optional["ConnectionPool"] = None,
 ) -> Dict[str, Any]:
-    """One-shot request/response over a fresh connection.
+    """One request/response exchange: over a connection of its own, or
+    over ``pool``'s standing link to the peer (connected on first use;
+    the pool's creator closes it).
 
     Raises:
         ProtocolError / OSError / asyncio.TimeoutError on failure — the
         caller decides whether a dead peer is an error or just a dead
-        volunteer node.
+        volunteer node. A failed exchange always closes its socket.
     """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
+    link = PersistentConnection(host, port) if pool is None else pool.link(host, port)
     try:
-        writer.write(encode_frame(op, payload))
-        await writer.drain()
-        reply = await asyncio.wait_for(read_frame(reader), timeout)
+        return await link.request(op, payload, timeout)
     finally:
+        # Also true for a link its pool dropped (or closed) mid-exchange.
+        if pool is None or not pool.owns(link):
+            await link.close()
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    dispatch: Callable[[Dict[str, Any]], Awaitable[Optional[Dict[str, Any]]]],
+    open_writers: Set[asyncio.StreamWriter],
+) -> None:
+    """Serve one connection: read a frame, ``dispatch`` it, write the
+    reply; until EOF, or a ``None`` reply, which hangs up without
+    answering. The writer sits in ``open_writers`` meanwhile so that
+    :func:`stop_serving` can sever it.
+    """
+    open_writers.add(writer)
+    try:
+        while True:
+            frame = await read_frame(reader)
+            if frame is None:
+                break
+            reply = await dispatch(frame)
+            if reply is None:
+                break
+            writer.write(encode_frame("reply", reply))
+            await writer.drain()
+    except (ProtocolError, ConnectionResetError, asyncio.CancelledError):
+        # CancelledError: server teardown cancels in-flight handlers;
+        # ending the task cleanly avoids spurious loop-callback logging.
+        pass
+    finally:
+        open_writers.discard(writer)
         writer.close()
         try:
             await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+            # teardown raced the hang-up: the socket is gone either way
             pass
-    if reply is None:
-        raise ProtocolError(f"peer closed connection during {op!r}")
-    return reply["payload"]
+
+
+async def stop_serving(
+    server: Optional[asyncio.AbstractServer],
+    open_writers: Set[asyncio.StreamWriter],
+) -> None:
+    """Hard stop: sever the open connections, then stop listening. A
+    stopped server would otherwise keep answering on them (before 3.12),
+    or ``Server.wait_closed()`` would wait for them (from 3.12)."""
+    for writer in list(open_writers):
+        writer.close()
+    open_writers.clear()
+    if server is not None:
+        server.close()
+        await server.wait_closed()
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +325,11 @@ class PersistentConnection:
     transport level: the TCP handshake is paid once, and a failover
     request rides an already-open socket.
 
+    Concurrent callers share the link one exchange at a time, and an
+    exchange that fails in any way (timeout, EOF, cancellation) closes
+    the socket, so a reply is only ever read by the request it answers;
+    the next request reconnects.
+
     Robustness (opt-in, both default-compatible):
 
     - ``max_reconnect_attempts`` bounds *consecutive* failed
@@ -306,15 +363,17 @@ class PersistentConnection:
         self._connect_failures = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._lock = asyncio.Lock()
 
     @property
     def connected(self) -> bool:
         return self._writer is not None and not self._writer.is_closing()
 
-    async def connect(self) -> None:
+    async def connect(self, timeout: Optional[float] = None) -> None:
         try:
             self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port), self.timeout
+                asyncio.open_connection(self.host, self.port),
+                self.timeout if timeout is None else timeout,
             )
         except (OSError, asyncio.TimeoutError):
             self._connect_failures += 1
@@ -322,9 +381,13 @@ class PersistentConnection:
         self._connect_failures = 0
 
     async def request(
-        self, op: str, payload: Optional[Dict[str, Any]] = None
+        self,
+        op: str,
+        payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Send one request on the standing connection.
+        """One exchange on the standing connection (``timeout``
+        overrides the connection's own for this exchange).
 
         Raises:
             EdgeUnreachableError: breaker open or reconnect cap hit —
@@ -335,21 +398,27 @@ class PersistentConnection:
             raise EdgeUnreachableError(
                 f"{self.host}:{self.port} breaker open, refusing {op!r}"
             )
+        if timeout is None:
+            timeout = self.timeout
         try:
-            if not self.connected:
-                if self._connect_failures >= self.max_reconnect_attempts:
-                    raise EdgeUnreachableError(
-                        f"{self.host}:{self.port} unreachable after "
-                        f"{self._connect_failures} connect attempts"
-                    )
-                await self.connect()
-            assert self._writer is not None and self._reader is not None
-            self._writer.write(encode_frame(op, payload))
-            await self._writer.drain()
-            reply = await asyncio.wait_for(read_frame(self._reader), self.timeout)
-            if reply is None:
-                await self.close()
-                raise ProtocolError(f"peer closed connection during {op!r}")
+            async with self._lock:
+                if not self.connected:
+                    if self._connect_failures >= self.max_reconnect_attempts:
+                        raise EdgeUnreachableError(
+                            f"{self.host}:{self.port} unreachable after "
+                            f"{self._connect_failures} connect attempts"
+                        )
+                    await self.connect(timeout)
+                assert self._writer is not None and self._reader is not None
+                try:
+                    self._writer.write(encode_frame(op, payload))
+                    await self._writer.drain()
+                    reply = await asyncio.wait_for(read_frame(self._reader), timeout)
+                    if reply is None:
+                        raise ProtocolError(f"peer closed connection during {op!r}")
+                except BaseException:
+                    self.drop()
+                    raise
         except (OSError, ProtocolError, asyncio.TimeoutError):
             if self.breaker is not None:
                 self.breaker.record_failure()
@@ -358,12 +427,53 @@ class PersistentConnection:
             self.breaker.record_success()
         return reply["payload"]
 
+    def drop(self) -> Optional[asyncio.StreamWriter]:
+        """Close the socket now, without waiting for the close to
+        complete; the next request reconnects."""
+        writer, self._writer, self._reader = self._writer, None, None
+        if writer is not None:
+            writer.close()
+        return writer
+
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
+        writer = self.drop()
+        if writer is not None:
             try:
-                await self._writer.wait_closed()
+                await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
-            self._writer = None
-            self._reader = None
+
+
+class ConnectionPool:
+    """Standing links to peers, one per ``(host, port)``, for
+    :func:`request`. Whoever creates the pool closes it."""
+
+    def __init__(self) -> None:
+        self._links: Dict[Tuple[str, int], PersistentConnection] = {}
+        self._closed = False
+
+    def link(self, host: str, port: int) -> PersistentConnection:
+        """The standing link to a peer, created unconnected. A closed
+        pool keeps nothing: the caller closes what it gets (:func:`request`
+        does)."""
+        link = self._links.get((host, port))
+        if link is None:
+            link = PersistentConnection(host, port)
+            if not self._closed:
+                self._links[(host, port)] = link
+        return link
+
+    def owns(self, link: PersistentConnection) -> bool:
+        return self._links.get((link.host, link.port)) is link
+
+    def discard(self, host: str, port: int) -> None:
+        """Drop the link to a peer; the next exchange gets a fresh one."""
+        link = self._links.pop((host, port), None)
+        if link is not None:
+            link.drop()
+
+    async def close(self) -> None:
+        self._closed = True
+        links, self._links = list(self._links.values()), {}
+        for link in links:
+            await link.close()

@@ -57,9 +57,14 @@ async def heartbeat_all(host: str, port: int) -> None:
         )
 
 
-async def discover(host: str, port: int, user_id: str = "u"):
-    query = DiscoveryQuery(user_id=user_id, lat=CENTER.lat, lon=CENTER.lon, top_n=3)
+async def discover(host: str, port: int, user_id: str = "u", point: GeoPoint = CENTER):
+    query = DiscoveryQuery(user_id=user_id, lat=point.lat, lon=point.lon, top_n=3)
     return await protocol.request(host, port, "discover", {"query": to_wire(query)})
+
+
+def accepted(cluster: ControlPlaneCluster) -> int:
+    """TCP connections the shard managers have accepted so far."""
+    return sum(m.connections_accepted for ms in cluster.managers for m in ms if m)
 
 
 def test_router_answers_like_a_single_manager():
@@ -85,6 +90,72 @@ def test_router_answers_like_a_single_manager():
     assert got["candidates"]["payload"]["node_ids"] == want["candidates"]["payload"]["node_ids"]
     assert got["candidates"]["payload"]["widened"] == want["candidates"]["payload"]["widened"]
     assert got["addresses"] == want["addresses"]
+
+
+def test_concurrent_discovers_each_get_their_own_answer():
+    """Handlers of concurrent clients share the router's standing
+    links; every reply must still be the one to its own query."""
+
+    async def scenario():
+        single = ManagerServer(tracer=Tracer.disabled())
+        await single.start()
+        cluster = ControlPlaneCluster(shards=2, replicas=2)
+        await cluster.start()
+        try:
+            await heartbeat_all(single.host, single.port)
+            await heartbeat_all(*cluster.address)
+            points = [
+                CENTER.offset_km(dx * (k + 1) / 2, dy * (k + 1) / 2)
+                for k in range(2)
+                for dx, dy in NODE_OFFSETS
+            ]
+            want = [
+                await discover(single.host, single.port, f"u{i}", point)
+                for i, point in enumerate(points)
+            ]
+            got = await asyncio.gather(
+                *(
+                    discover(*cluster.address, f"u{i}", point)
+                    for i, point in enumerate(points)
+                )
+            )
+            return want, got
+        finally:
+            await cluster.stop()
+            await single.stop()
+
+    want, got = run(scenario())
+    assert len(got) >= 8
+    assert got == want
+    assert len({tuple(r["candidates"]["payload"]["node_ids"]) for r in want}) > 1
+
+
+def test_routed_requests_ride_standing_links():
+    """After warm-up a routed discover or heartbeat costs one TCP accept
+    in the whole cluster — the client's, at the router — and none at the
+    shard managers; a stopped router leaves no link behind."""
+
+    async def scenario():
+        cluster = ControlPlaneCluster(shards=2, replicas=2)
+        await cluster.start()
+        try:
+            await heartbeat_all(*cluster.address)
+            for index in range(len(NODE_OFFSETS)):
+                await discover(*cluster.address, point=node_status(index).point)
+            warm = accepted(cluster)
+            assert 0 < warm <= 2 * 2  # at most one link per replica, ever
+            await heartbeat_all(*cluster.address)
+            for index in range(len(NODE_OFFSETS)):
+                await discover(*cluster.address, point=node_status(index).point)
+            assert accepted(cluster) == warm
+            assert cluster.router is not None
+            await cluster.router.stop()
+            await asyncio.sleep(0.05)  # let the managers see the hang-ups
+            return [len(m._open_writers) for ms in cluster.managers for m in ms if m]
+        finally:
+            await cluster.stop()
+
+    assert run(scenario()) == [0, 0, 0, 0]
 
 
 def test_kill_primary_promotes_standby_and_answers_identically():
@@ -146,6 +217,33 @@ def test_restart_replica_rejoins_with_registry_handoff():
     assert handoffs[0]["entries"] == len(replica_status["nodes"])
     assert replica_status["nodes"]  # non-empty: the snapshot travelled
     assert replica_status["heartbeats_received"] == 0
+
+
+def test_rejoined_replica_gets_a_fresh_link():
+    """Killed and restarted on its old port before the router noticed:
+    the router's standing link belongs to the dead process. The first
+    RPC after the rejoin must ride a new socket — not fail on the stale
+    one and mark a healthy replica down."""
+
+    async def scenario():
+        cluster = ControlPlaneCluster(shards=2, replicas=2)
+        await cluster.start()
+        try:
+            await heartbeat_all(*cluster.address)  # warms every link
+            victim = await cluster.kill_primary(0)
+            await cluster.restart_replica(0, victim)
+            await heartbeat_all(*cluster.address)
+            status = await protocol.request(*cluster.address, "status")
+            rejoined = cluster.managers[0][victim]
+            assert rejoined is not None
+            return status, rejoined.heartbeats_received
+        finally:
+            await cluster.stop()
+
+    status, heartbeats = run(scenario())
+    assert status["down"] == [[], []]
+    assert status["promotions"] == 0
+    assert heartbeats > 0
 
 
 def test_unavailable_shard_hangs_up_instead_of_replying():

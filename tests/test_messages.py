@@ -1,9 +1,12 @@
 """Unit and property tests for protocol messages and wire encoding."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.messages import (
+    _MESSAGE_TYPES,
     CandidateList,
     DiscoveryQuery,
     JoinReply,
@@ -55,19 +58,31 @@ def test_candidate_list_len():
 # ----------------------------------------------------------------------
 # Wire round trips
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "message",
-    [
-        make_status(isp="comcast", dedicated=True),
-        DiscoveryQuery("u1", 44.0, -93.0, top_n=3, exclude=("dead-1",)),
-        CandidateList("u1", ("a", "b", "c"), generated_at_ms=12.0, widened=True),
-        ProbeReply("V1", 35.0, 7, 3, 31.0, stay_ms=33.0),
-        JoinReply("V1", True, 8),
-        LeaveNotice("u1", "V1", reason="finish"),
-    ],
-)
+WIRE_CASES = [
+    make_status(isp="comcast", dedicated=True),
+    DiscoveryQuery("u1", 44.0, -93.0, top_n=3, exclude=("dead-1",)),
+    CandidateList("u1", ("a", "b", "c"), generated_at_ms=12.0, widened=True),
+    ProbeReply("V1", 35.0, 7, 3, 31.0, stay_ms=33.0),
+    JoinReply("V1", True, 8),
+    LeaveNotice("u1", "V1", reason="finish"),
+]
+
+
+def test_wire_cases_cover_every_wire_type():
+    assert {type(m) for m in WIRE_CASES} == set(_MESSAGE_TYPES.values())
+
+
+@pytest.mark.parametrize("message", WIRE_CASES)
 def test_wire_roundtrip(message):
     assert from_wire(to_wire(message)) == message
+    # the encoder reads fields directly; the result is still the
+    # ``asdict`` form with tuples as JSON lists
+    reference = {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(message).items()
+    }
+    assert to_wire(message) == {"type": type(message).__name__, "payload": reference}
+    assert list(to_wire(message)["payload"]) == list(reference)  # field order too
 
 
 def test_to_wire_rejects_non_message():

@@ -18,6 +18,8 @@ from repro.runtime.protocol import (
     ProtocolError,
     RetryPolicy,
     call_with_retry,
+    serve_connection,
+    stop_serving,
 )
 
 
@@ -341,3 +343,61 @@ def test_connection_live_edge_round_trip_closes_breaker():
     state, ok = run(scenario())
     assert state == "closed"
     assert ok is True
+
+
+# ----------------------------------------------------------------------
+# One reply per request, whatever the timing
+# ----------------------------------------------------------------------
+async def _echo_server(delay_s):
+    """Replies ``{"echo": i}`` to ``{"i": i}`` after ``delay_s(i)``."""
+    writers = set()
+
+    async def dispatch(frame):
+        i = frame["payload"]["i"]
+        await asyncio.sleep(delay_s(i))
+        return {"echo": i}
+
+    server = await asyncio.start_server(
+        lambda r, w: serve_connection(r, w, dispatch, writers), "127.0.0.1", 0
+    )
+    return server, writers, server.sockets[0].getsockname()[1]
+
+
+def test_connection_timeout_never_desyncs_replies():
+    """Reply 0 arrives after its request timed out. It must die with
+    the socket — not be read as the answer to request 1, shifting every
+    later reply by one."""
+
+    async def scenario():
+        server, writers, port = await _echo_server(lambda i: 0.3 if i == 0 else 0.0)
+        conn = PersistentConnection("127.0.0.1", port, timeout=0.1)
+        outcomes = []
+        for i in range(3):
+            try:
+                outcomes.append((await conn.request("echo", {"i": i}))["echo"])
+            except asyncio.TimeoutError:
+                outcomes.append("timeout")
+                assert not conn.connected
+        await conn.close()
+        await stop_serving(server, writers)
+        return outcomes
+
+    assert run(scenario()) == ["timeout", 1, 2]
+
+
+def test_connection_serialises_concurrent_callers():
+    """Many tasks share one link (the router's handlers do): each gets
+    the reply to its own request, although the server answers the early
+    ones slowest."""
+
+    async def scenario():
+        server, writers, port = await _echo_server(lambda i: 0.002 * (16 - i))
+        conn = PersistentConnection("127.0.0.1", port, timeout=2.0)
+        replies = await asyncio.gather(
+            *(conn.request("echo", {"i": i}) for i in range(16))
+        )
+        await conn.close()
+        await stop_serving(server, writers)
+        return [reply["echo"] for reply in replies]
+
+    assert run(scenario()) == list(range(16))

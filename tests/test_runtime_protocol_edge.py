@@ -1,6 +1,8 @@
 """Edge cases for the live runtime's protocol layer."""
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
@@ -8,7 +10,8 @@ from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
 from repro.runtime import protocol
 from repro.runtime.edge_server import LiveEdgeServer
-from repro.runtime.protocol import PersistentConnection
+from repro.runtime.manager_server import ManagerServer
+from repro.runtime.protocol import ConnectionPool, PersistentConnection
 
 
 def run(coro):
@@ -77,6 +80,60 @@ def test_persistent_connection_detects_peer_death():
         with pytest.raises((protocol.ProtocolError, OSError, asyncio.TimeoutError)):
             await connection.request("rtt_probe")
         await connection.close()
+
+    run(scenario())
+
+
+def test_stopped_manager_severs_standing_connections():
+    """A stopped manager is a dead manager: ``stop()`` must neither
+    wait for a peer's kept-alive link (3.12 would, forever) nor keep
+    answering on it (3.10/3.11 would)."""
+
+    async def scenario():
+        manager = ManagerServer()
+        await manager.start()
+        connection = PersistentConnection(manager.host, manager.port, timeout=2.0)
+        assert (await connection.request("status"))["ok"]
+        await asyncio.wait_for(manager.stop(), 1.0)
+        with pytest.raises((protocol.ProtocolError, OSError)):
+            await connection.request("status")
+        assert not connection.connected  # the failed exchange closed it
+        await connection.close()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(scenario())
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_request_rides_the_pool_link_when_given_one():
+    async def scenario():
+        manager = ManagerServer()
+        await manager.start()
+        address = (manager.host, manager.port)
+        pool = ConnectionPool()
+        for _ in range(5):
+            assert (await protocol.request(*address, "status", pool=pool))["ok"]
+        assert manager.connections_accepted == 1
+        # a discarded link is closed; the next exchange gets a fresh one
+        stale = pool.link(*address)
+        pool.discard(*address)
+        assert not stale.connected
+        reply = await protocol.request(*address, "status", pool=pool)
+        assert reply["connections_accepted"] == manager.connections_accepted == 2
+        # without a pool: a connection of its own, closed afterwards
+        await protocol.request(*address, "status")
+        assert manager.connections_accepted == 3
+        kept = pool.link(*address)
+        await pool.close()
+        assert not kept.connected
+        # a closed pool keeps nothing: the exchange works, its link is closed
+        assert (await protocol.request(*address, "status", pool=pool))["ok"]
+        assert not pool.link(*address).connected
+        await asyncio.sleep(0.05)  # let the server see the hang-ups
+        assert not manager._open_writers
+        await manager.stop()
 
     run(scenario())
 

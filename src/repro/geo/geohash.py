@@ -420,40 +420,59 @@ def _bisect_axis(np, values, lo: float, hi: float, bits: int):
     return q
 
 
+#: ``_RUN_MASK[w]``: alternating runs of ``w`` set and ``w`` clear bits.
+#: Step ``w`` of the mask-and-shift spread leaves every run of ``w``
+#: source bits in its own field of width ``2w``; the squeeze undoes it.
+_RUN_MASK: Dict[int, int] = {
+    32: 0x00000000FFFFFFFF,
+    16: 0x0000FFFF0000FFFF,
+    8: 0x00FF00FF00FF00FF,
+    4: 0x0F0F0F0F0F0F0F0F,
+    2: 0x3333333333333333,
+    1: 0x5555555555555555,
+}
+
+
+def _spread_bits(np, axis_q, bits: int):
+    """Move bit ``j`` of each ``bits``-wide value to bit ``2j``."""
+    x = np.asarray(axis_q, dtype=np.uint64) & np.uint64((1 << bits) - 1)
+    for width in (16, 8, 4, 2, 1):
+        x = (x | (x << np.uint64(width))) & np.uint64(_RUN_MASK[width])
+    return x
+
+
+def _squeeze_bits(np, x):
+    """Inverse of :func:`_spread_bits`: gather the even bits of ``x``."""
+    x = x & np.uint64(_RUN_MASK[1])
+    for width in (1, 2, 4, 8, 16):
+        x = (x | (x >> np.uint64(width))) & np.uint64(_RUN_MASK[2 * width])
+    return x
+
+
 def interleave_cells(lat_q, lon_q, precision: int):
-    """Interleave quantized (lat, lon) axes into cell ids (vectorized)."""
+    """Interleave quantized (lat, lon) axes into cell ids (vectorized).
+
+    The last cell bit is a longitude bit when ``5 * precision`` is odd
+    and a latitude bit otherwise, so that axis takes the even bits.
+    """
     import numpy as np
 
     total, lon_bits = _bit_split(precision)
-    lat_bits = total - lon_bits
+    lat = _spread_bits(np, lat_q, total - lon_bits)
+    lon = _spread_bits(np, lon_q, lon_bits)
     one = np.uint64(1)
-    cell = np.zeros(np.broadcast(lat_q, lon_q).shape, dtype=np.uint64)
-    for i in range(lon_bits):  # lon bit i (MSB-first) -> cell bit total-1-2i
-        bit = (np.asarray(lon_q, dtype=np.uint64) >> np.uint64(lon_bits - 1 - i)) & one
-        cell |= bit << np.uint64(total - 1 - 2 * i)
-    for i in range(lat_bits):  # lat bit i (MSB-first) -> cell bit total-2-2i
-        bit = (np.asarray(lat_q, dtype=np.uint64) >> np.uint64(lat_bits - 1 - i)) & one
-        cell |= bit << np.uint64(total - 2 - 2 * i)
-    return cell
+    return lon | (lat << one) if total % 2 else lat | (lon << one)
 
 
 def split_cells(cells, precision: int):
     """De-interleave cell ids back into quantized (lat_q, lon_q) axes."""
     import numpy as np
 
-    total, lon_bits = _bit_split(precision)
-    lat_bits = total - lon_bits
-    one = np.uint64(1)
-    cells_arr = np.asarray(cells, dtype=np.uint64)
-    lat_q = np.zeros(cells_arr.shape, dtype=np.uint64)
-    lon_q = np.zeros(cells_arr.shape, dtype=np.uint64)
-    for i in range(lon_bits):
-        bit = (cells_arr >> np.uint64(total - 1 - 2 * i)) & one
-        lon_q |= bit << np.uint64(lon_bits - 1 - i)
-    for i in range(lat_bits):
-        bit = (cells_arr >> np.uint64(total - 2 - 2 * i)) & one
-        lat_q |= bit << np.uint64(lat_bits - 1 - i)
-    return lat_q, lon_q
+    total, _ = _bit_split(precision)
+    cells_arr = np.asarray(cells, dtype=np.uint64) & np.uint64((1 << total) - 1)
+    even = _squeeze_bits(np, cells_arr)
+    odd = _squeeze_bits(np, cells_arr >> np.uint64(1))
+    return (odd, even) if total % 2 else (even, odd)
 
 
 def cell_neighborhood(cells, precision: int):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +76,10 @@ _TIER_MS = 2.0 * TIER_INFLATION_MS[NetworkTier.HOME_WIFI]
 _RHO_CAP = 0.95
 
 _EARTH_RADIUS_KM = 6371.0088
+#: Cap on the (user, candidate) pairs whose base latency one flat
+#: ``_base_vec`` pass scores; bounds the scorer's temporaries (~0.5 MB
+#: each) where a 3x3 neighbourhood holds thousands of candidates.
+_SCORE_CHUNK_PAIRS = 1 << 16
 
 
 def _haversine_km(
@@ -208,10 +212,10 @@ class MetroKernel:
         ghost_shards = list(ghost_shards or [])
         if len(ghost_shards) != ghost_gids.size:
             raise ValueError("ghost_shards must parallel ghost_gids")
-        self._export_gids = (
-            np.asarray(export_gids, dtype=np.int64)
+        self._export_gids: List[int] = (
+            np.asarray(export_gids, dtype=np.int64).tolist()
             if export_gids is not None
-            else np.empty(0, dtype=np.int64)
+            else []
         )
 
         # --- node table: owned nodes first, then ghosts --------------
@@ -231,6 +235,9 @@ class MetroKernel:
         self._node_local: Dict[int, int] = {
             int(g): i for i, g in enumerate(self.n_gid)
         }
+        self._export_local = np.array(
+            [self._node_local[g] for g in self._export_gids], dtype=np.int64
+        )
         n_cell = population.node_cell[self.n_gid]
         #: cell id -> ascending local node indices hosted in that cell.
         self._cell_nodes: Dict[int, np.ndarray] = {}
@@ -270,6 +277,8 @@ class MetroKernel:
         self._detect_ticks = quantize_ticks(config.failure_detection_ms, self.tick_ms)
         self._period_ticks = quantize_ticks(config.probing_period_ms, self.tick_ms)
         self._dwell_ticks = int(ceil(config.min_dwell_ms / self.tick_ms - 1e-9))
+        #: The tick (mod the probing period) each user re-selects on.
+        self.u_slot = self.u_gid % self._period_ticks
         self._agenda: Dict[int, List[Tuple[str, int]]] = {}
         self._pending_handoffs: List[int] = []
 
@@ -335,10 +344,11 @@ class MetroKernel:
     # ------------------------------------------------------------------
     def finish_epoch(self) -> ShardOutbox:
         """Publish exports + migrations decided during the past epoch."""
-        out = ShardOutbox(shard_id=self.shard_id)
-        for gid in self._export_gids:
-            local = self._node_local[int(gid)]
-            out.exports[int(gid)] = (float(self.n_load[local]), bool(self.n_alive[local]))
+        exported = self._export_local
+        state = zip(self.n_load[exported].tolist(), self.n_alive[exported].tolist())
+        out = ShardOutbox(
+            shard_id=self.shard_id, exports=dict(zip(self._export_gids, state))
+        )
         for u in sorted(self._pending_handoffs, key=lambda i: int(self.u_gid[i])):
             ghost_local = int(self.u_pending[u])
             record = MigrationRecord(
@@ -393,6 +403,7 @@ class MetroKernel:
         lats = np.array([r.lat for r in records])
         lons = np.array([r.lon for r in records])
         self.u_gid = np.concatenate([self.u_gid, gids])
+        self.u_slot = np.concatenate([self.u_slot, gids % self._period_ticks])
         self.u_lat = np.concatenate([self.u_lat, lats])
         self.u_lon = np.concatenate([self.u_lon, lons])
         self.u_phase = np.concatenate(
@@ -434,21 +445,19 @@ class MetroKernel:
         """Attach an arriving user to its handoff target (or re-select
         locally if the target died in transit)."""
         self.control_ops += 1
+        me = np.array([u], dtype=np.int64)
         target = self._node_local.get(record.target_gid)
         if target is not None and self.n_alive[target] and not self.n_ghost[target]:
-            self._attach(u, target)
-            if self.trace.enabled:
-                self.trace.emit(
-                    JoinAccept(self.now_ms, self._user_name(u), self._node_name(target))
-                )
-            return
-        # Target gone: fall back to a local re-selection round.
-        best = self._best_candidate(u, exclude=-1, include_ghosts=False)
-        if best < 0:
-            self.uncovered_failures += 1
-            self.trace.emit(UncoveredFailure(self.now_ms, self._user_name(u)))
-            return
-        self._attach(u, best)
+            best = target
+            base = self._base_vec(me, np.array([target], dtype=np.int64))[0]
+        else:
+            # Target gone: fall back to a local re-selection round.
+            _, best, base, _ = next(self._scored(me, include_ghosts=False))
+            if best < 0:
+                self.uncovered_failures += 1
+                self.trace.emit(UncoveredFailure(self.now_ms, self._user_name(u)))
+                return
+        self._attach(u, best, base)
         if self.trace.enabled:
             self.trace.emit(
                 JoinAccept(self.now_ms, self._user_name(u), self._node_name(best))
@@ -483,70 +492,57 @@ class MetroKernel:
     def _detect_failure(self, n: int, t: float) -> None:
         """Clients of a dead node notice at the quantized detection tick
         and walk to a live candidate (the per-client fallback path)."""
-        for u in np.flatnonzero(self.u_node == n):
+        orphans = np.flatnonzero(self.u_node == n)
+        for u, best, base, _ in self._scored(orphans, include_ghosts=False):
             self.control_ops += 1
-            best = self._best_candidate(int(u), exclude=n, include_ghosts=False)
             if best < 0:
                 self.u_node[u] = -1
                 self.uncovered_failures += 1
-                self.trace.emit(UncoveredFailure(t, self._user_name(int(u))))
+                self.trace.emit(UncoveredFailure(t, self._user_name(u)))
                 continue
             self.covered_failovers += 1
-            self.trace.emit(
-                CoveredFailover(t, self._user_name(int(u)), self._node_name(n))
-            )
+            self.trace.emit(CoveredFailover(t, self._user_name(u), self._node_name(n)))
             # The dead node's bookkeeping load is irrelevant; just move.
-            self.u_node[u] = -1
-            self._attach(int(u), best)
+            self._attach(u, best, base)
 
     def _selection_round(self, k: int, t: float) -> None:
-        phase = k % self._period_ticks
-        due = np.flatnonzero(
-            self.u_active
-            & (self.u_node >= 0)
-            & (self.u_pending < 0)
-            & (self.u_gid % self._period_ticks == phase)
-        )
-        for u in due:
-            if k - self.u_join_tick[u] < self._dwell_ticks:
+        due = np.flatnonzero(self.u_slot == k % self._period_ticks)
+        due = due[
+            self.u_active[due]
+            & (self.u_node[due] >= 0)
+            & (self.u_pending[due] < 0)
+            & (k - self.u_join_tick[due] >= self._dwell_ticks)
+        ]
+        for u, best, base, wait in self._scored(due, include_ghosts=True):
+            self.control_ops += 1
+            cur = int(self.u_node[u])
+            if best < 0 or best == cur:
                 continue
-            self._reselect(int(u), k, t)
-
-    def _reselect(self, u: int, k: int, t: float) -> None:
-        self.control_ops += 1
-        cur = int(self.u_node[u])
-        best = self._best_candidate(u, exclude=-1, include_ghosts=True)
-        if best < 0 or best == cur:
-            return
-        wait = self._node_wait()
-        cand_score = self._base_to(u, best) + wait[best]
-        cur_score = self.u_base[u] + wait[cur]
-        # Hysteresis: absolute + relative margin, as in SelectionMachine.
-        threshold = cur_score * (1.0 - self.config.switch_penalty_fraction)
-        if cand_score >= min(threshold, cur_score - self.config.switch_penalty_ms):
-            return
-        if self.n_ghost[best]:
-            to_shard = self._ghost_shard[best]
-            self.u_pending[u] = best
-            self._pending_handoffs.append(u)
-            self.trace.emit(
-                ShardHandoff(
-                    t,
-                    self._user_name(u),
-                    self.shard_id,
-                    to_shard,
-                    self._node_name(best),
+            cand_score = base + wait[best]
+            cur_score = self.u_base[u] + wait[cur]
+            # Hysteresis: absolute + relative margin, as in SelectionMachine.
+            threshold = cur_score * (1.0 - self.config.switch_penalty_fraction)
+            if cand_score >= min(threshold, cur_score - self.config.switch_penalty_ms):
+                continue
+            if self.n_ghost[best]:
+                self.u_pending[u] = best
+                self._pending_handoffs.append(u)
+                self.trace.emit(
+                    ShardHandoff(
+                        t,
+                        self._user_name(u),
+                        self.shard_id,
+                        self._ghost_shard[best],
+                        self._node_name(best),
+                    )
                 )
+                continue
+            self.switches += 1
+            self.trace.emit(
+                Switch(t, self._user_name(u), self._node_name(cur), self._node_name(best))
             )
-            return
-        self.switches += 1
-        self.trace.emit(
-            Switch(t, self._user_name(u), self._node_name(cur), self._node_name(best))
-        )
-        self.n_load[cur] -= self.fps
-        self.u_node[u] = -1
-        self._attach(u, best)
-        self.u_join_tick[u] = k
+            self.n_load[cur] -= self.fps
+            self._attach(u, best, base)
 
     # ------------------------------------------------------------------
     # Attachment & candidate machinery
@@ -558,12 +554,13 @@ class MetroKernel:
         if self.u_gid.size == 0:
             return
         cells, inverse = np.unique(self.u_cell, return_inverse=True)
+        self._fill_cell_cands(cells)
         order = np.argsort(inverse, kind="stable")
         bounds = np.searchsorted(inverse[order], np.arange(cells.size + 1))
-        for ci in range(cells.size):
+        for ci, cell in enumerate(cells.tolist()):
             users = order[bounds[ci] : bounds[ci + 1]]
             self.control_ops += len(users)
-            cand = self._candidates(int(cells[ci]))
+            cand = self._cell_cands[cell]
             cand = cand[self.n_alive[cand] & ~self.n_ghost[cand]]
             if cand.size == 0:
                 self.unattached_initial += len(users)
@@ -573,13 +570,12 @@ class MetroKernel:
             clat = float(np.mean(self.u_lat[users]))
             clon = float(np.mean(self.u_lon[users]))
             dist = _haversine_km(clat, clon, self.n_lat[cand], self.n_lon[cand])
-            wait = self._node_wait()
             score = (
                 _RTT_FLOOR_MS
                 + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
                 + _TIER_MS
                 + self.n_service[cand]
-                + wait[cand]
+                + self._node_wait(cand)
             )
             ranked_all = cand[np.argsort(score, kind="stable")]
             # Deal over enough of the ranking to carry the cohort's
@@ -606,9 +602,10 @@ class MetroKernel:
                         )
                     )
 
-    def _attach(self, u: int, n: int) -> None:
+    def _attach(self, u: int, n: int, base: float) -> None:
+        """Attach ``u`` to ``n``; ``base`` is the latency it was scored with."""
         self.u_node[u] = n
-        self.u_base[u] = self._base_to(u, n)
+        self.u_base[u] = base
         self.n_load[n] += self.fps
         self.u_join_tick[u] = self._tick_index
 
@@ -625,55 +622,75 @@ class MetroKernel:
             + self.n_service[nodes]
         )
 
-    def _base_to(self, u: int, n: int) -> float:
-        return float(
-            self._base_vec(
-                np.array([u], dtype=np.int64), np.array([n], dtype=np.int64)
-            )[0]
-        )
-
     def _candidates(self, cell: int) -> np.ndarray:
         """Ascending local node indices in the 3x3 cell neighborhood."""
-        cached = self._cell_cands.get(cell)
-        if cached is not None:
-            return cached
-        block = geohash.cell_neighborhood(
-            np.array([cell], dtype=np.uint64), self.spec.effective_cell_precision
-        )[0]
-        parts = [
-            self._cell_nodes[int(c)]
-            for c in sorted(set(int(c) for c in block))
-            if int(c) in self._cell_nodes
-        ]
-        if parts:
-            cand = np.sort(np.concatenate(parts))
-        else:
-            cand = np.empty(0, dtype=np.int64)
-        self._cell_cands[cell] = cand
-        return cand
+        if cell not in self._cell_cands:
+            self._fill_cell_cands(np.array([cell], dtype=np.uint64))
+        return self._cell_cands[cell]
 
-    def _best_candidate(self, u: int, exclude: int, include_ghosts: bool) -> int:
-        """Lowest-predicted-latency live candidate for user ``u``
-        (stable tie-break on ascending local index), or -1."""
-        cand = self._candidates(int(self.u_cell[u]))
-        if cand.size == 0:
-            return -1
-        mask = self.n_alive[cand]
-        if exclude >= 0:
-            mask &= cand != exclude
-        if not include_ghosts:
-            mask = mask & ~self.n_ghost[cand]
-        cand = cand[mask]
-        if cand.size == 0:
-            return -1
+    def _fill_cell_cands(self, cells: np.ndarray) -> None:
+        """Resolve the candidates of ``cells`` with one neighborhood call."""
+        blocks = geohash.cell_neighborhood(cells, self.spec.effective_cell_precision)
+        for cell, block in zip(cells.tolist(), blocks.tolist()):
+            parts = [self._cell_nodes[c] for c in set(block) if c in self._cell_nodes]
+            self._cell_cands[cell] = (
+                np.sort(np.concatenate(parts))
+                if parts
+                else np.empty(0, dtype=np.int64)
+            )
+
+    def _scored(
+        self, users: np.ndarray, include_ghosts: bool
+    ) -> Iterator[Tuple[int, int, float, np.ndarray]]:
+        """Yield ``(u, best, base, wait)`` for each of ``users`` in order:
+        its lowest-predicted-latency live candidate (ties go to the lower
+        local index; -1 if there is none), the base latency that candidate
+        was scored with, and the whole-fleet wait the scores were read from.
+
+        The load-independent base of every (user, candidate) pair comes
+        from flat ``_base_vec`` passes; the load-dependent wait is added
+        per user, in order, and refreshed when the caller moved the user
+        it was handed — so each user sees the load its predecessors left.
+        """
+        if users.size == 0:
+            return
+        usable = self.n_alive if include_ghosts else self.n_alive & ~self.n_ghost
         wait = self._node_wait()
-        score = self._base_vec(np.full(cand.size, u, dtype=np.int64), cand) + wait[cand]
-        return int(cand[int(np.argmin(score))])
+        cands = [self._candidates(c) for c in self.u_cell[users].tolist()]
+        starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
+        lo = 0
+        while lo < users.size:
+            # Whole users only, at least one, up to the pair cap.
+            cap = starts[lo] + _SCORE_CHUNK_PAIRS
+            hi = max(lo + 1, int(np.searchsorted(starts, cap, side="right")) - 1)
+            nodes = np.concatenate(cands[lo:hi])
+            owners = np.repeat(users[lo:hi], np.diff(starts[lo : hi + 1]))
+            keep = usable[nodes]
+            nodes = nodes[keep]
+            base = self._base_vec(owners[keep], nodes)
+            offsets = starts[lo : hi + 1] - starts[lo]
+            ends = np.concatenate(([0], np.cumsum(keep)))[offsets].tolist()
+            for i, u in enumerate(users[lo:hi].tolist()):
+                a, b = ends[i], ends[i + 1]
+                if a == b:
+                    yield u, -1, 0.0, wait
+                    continue
+                j = a + int((base[a:b] + wait[nodes[a:b]]).argmin())
+                cur, best = int(self.u_node[u]), int(nodes[j])
+                yield u, best, base[j], wait
+                if self.u_node[u] != cur:
+                    moved = np.array([best] if cur < 0 else [cur, best])
+                    wait[moved] = self._node_wait(moved)
+            lo = hi
 
-    def _node_wait(self) -> np.ndarray:
-        """Analytic M/D/1 mean queue wait per node at current load."""
-        rho = np.clip(self.n_load * self.n_service / 1000.0, 0.0, _RHO_CAP)
-        return self.n_service * rho / (2.0 * (1.0 - rho))
+    def _node_wait(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Analytic M/D/1 mean queue wait at current load, of ``nodes``
+        (every node when None)."""
+        load, service = self.n_load, self.n_service
+        if nodes is not None:
+            load, service = load[nodes], service[nodes]
+        rho = np.clip(load * service / 1000.0, 0.0, _RHO_CAP)
+        return service * rho / (2.0 * (1.0 - rho))
 
     # ------------------------------------------------------------------
     # Frame advancement — the only mode-dependent code

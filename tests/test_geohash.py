@@ -293,9 +293,55 @@ def test_cell_parent_is_prefix_truncation():
 
 
 @given(
+    st.integers(min_value=1, max_value=12),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-90.0, max_value=90.0),
+            st.floats(min_value=-180.0, max_value=180.0),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_interleave_split_round_trip_and_match_string_bits(precision, coords):
+    """The mask-and-shift spread/squeeze against the string API: the two
+    axes are the geohash's bit string de-interleaved by hand (longitude
+    first), and interleaving them again gives the cell back."""
+    import numpy as np
+
+    lats, lons = (np.array(axis) for axis in zip(*coords))
+    cells = gh.encode_cells(lats, lons, precision)
+    lat_q, lon_q = gh.split_cells(cells, precision)
+    assert lat_q.dtype == lon_q.dtype == np.uint64
+    assert np.array_equal(gh.interleave_cells(lat_q, lon_q, precision), cells)
+    for i, (lat, lon) in enumerate(coords):
+        bits = format(gh.geohash_to_cell(gh.encode(lat, lon, precision)),
+                      f"0{5 * precision}b")
+        assert int(lon_q[i]) == int(bits[0::2], 2)
+        assert int(lat_q[i]) == int(bits[1::2], 2)
+        # One-element arrays take the same path as the batch.
+        assert gh.split_cells(cells[i : i + 1], precision)[1][0] == lon_q[i]
+
+
+def test_interleave_ignores_bits_beyond_the_axis_width():
+    """Only an axis's own bits reach the cell, as with the per-bit loop."""
+    import numpy as np
+
+    for precision in range(1, 13):
+        total = 5 * precision
+        lon_bits = (total + 1) // 2
+        full = np.array([2**63 + 2**40 + 5], dtype=np.uint64)
+        cell = gh.interleave_cells(full, full, precision)
+        assert int(cell[0]) < 2**total
+        lat_q, lon_q = gh.split_cells(cell | np.uint64(2**62), precision)
+        assert int(lon_q[0]) == int(full[0]) % 2**lon_bits
+        assert int(lat_q[0]) == int(full[0]) % 2 ** (total - lon_bits)
+
+
+@given(
     st.floats(min_value=-80.0, max_value=80.0),
     st.floats(min_value=-179.9, max_value=179.9),
-    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=2, max_value=12),
 )
 def test_cell_neighborhood_matches_string_neighbors(lat, lon, precision):
     import numpy as np

@@ -1,0 +1,112 @@
+"""Golden metro digests: the kernel's results pinned across commits.
+
+The perf ledger's ``sim_digest`` only compares rounds inside one run,
+and the determinism tests compare a run with itself; nothing compared
+the metro kernel with *yesterday's* metro kernel. These two scenarios
+pin every ``MetroReport`` counter, the float reprs and a crc32 over the
+ordered trace, so a control-path rewrite that is meant to be
+bit-identical has to prove it.
+
+The expected values were recorded on commit d47b25e (before the control
+path went array-form). Re-record them only for a change that is *meant*
+to move results, and say so in CHANGES.md::
+
+    PYTHONPATH=src python tests/test_metro_golden.py
+"""
+
+import json
+import random
+import zlib
+
+import pytest
+
+from repro.core.config import SystemConfig
+from repro.metro import MetroSimulation, MetroSpec, ShardSpec
+
+COUNTERS = (
+    "frames_done", "frames_lost", "switches", "covered_failovers",
+    "uncovered_failures", "handoffs", "unattached_initial",
+    "frames_advanced", "control_ops", "pool_acquired", "pool_recycled",
+)
+
+
+def snapshot(report):
+    crc = 0
+    for event in report.trace_events:
+        line = json.dumps(event.to_dict(), sort_keys=True)
+        crc = zlib.crc32(line.encode(), crc)
+    out = {name: getattr(report, name) for name in COUNTERS}
+    out["latency_sum_ms"] = repr(report.latency_sum_ms)
+    out["latency_max_ms"] = repr(report.latency_max_ms)
+    out["mean_latency_ms"] = repr(report.mean_latency_ms)
+    out["trace_events"] = len(report.trace_events)
+    out["trace_crc32"] = crc
+    return out
+
+
+def run_reselect():
+    """4 shards, 5 s probing, 30 of 200 nodes fail: switches, boundary
+    handoffs, covered and uncovered failovers, and migrants whose target
+    died in transit (some of them left uncovered) all occur."""
+    seed, nodes, sim_seconds = 12, 200, 12.0
+    spec = MetroSpec(nodes=nodes, users=1_500, region_km=30.0, fps=4.0,
+                     shard=ShardSpec(count=4))
+    config = SystemConfig(seed=seed, probing_period_ms=5_000.0)
+    sim = MetroSimulation(spec, config, capture_trace=True)
+    rng = random.Random(seed)
+    for gid in rng.sample(range(nodes), 30):
+        sim.schedule_node_fail(
+            gid, rng.uniform(1_000.0, sim_seconds * 1000.0 - 1_000.0)
+        )
+    return sim.run(sim_seconds)
+
+
+def run_cohort():
+    """One shard, probing off: the t=0 attach and nothing but cohort
+    advancement after it."""
+    spec = MetroSpec(nodes=300, users=3_000, fps=4.0)
+    config = SystemConfig(seed=42, probing_period_ms=3.6e6)
+    return MetroSimulation(spec, config, capture_trace=True).run(3.0)
+
+
+SCENARIOS = {"reselect": run_reselect, "cohort": run_cohort}
+
+GOLDEN = {
+    "cohort": {
+        "frames_done": 36000, "frames_lost": 0, "switches": 0,
+        "covered_failovers": 0, "uncovered_failures": 0, "handoffs": 0,
+        "unattached_initial": 0, "frames_advanced": 36000,
+        "control_ops": 3000, "pool_acquired": 0, "pool_recycled": 0,
+        "latency_sum_ms": "4670488.293466863",
+        "latency_max_ms": "530.7386901995575",
+        "mean_latency_ms": "129.73578592963509",
+        "trace_events": 39000, "trace_crc32": 3020826977,
+    },
+    "reselect": {
+        "frames_done": 71418, "frames_lost": 582, "switches": 406,
+        "covered_failovers": 234, "uncovered_failures": 15, "handoffs": 283,
+        "unattached_initial": 3, "frames_advanced": 72000,
+        "control_ops": 3901, "pool_acquired": 0, "pool_recycled": 0,
+        "latency_sum_ms": "5961782.896301106",
+        "latency_max_ms": "530.698664937811",
+        "mean_latency_ms": "83.47731519086372",
+        "trace_events": 74163, "trace_crc32": 2684349117,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_metro_run_matches_golden(name):
+    assert snapshot(SCENARIOS[name]()) == GOLDEN[name]
+
+
+def test_reselect_scenario_exercises_every_control_path():
+    golden = GOLDEN["reselect"]
+    for counter in ("switches", "covered_failovers", "uncovered_failures",
+                    "handoffs", "unattached_initial", "frames_lost"):
+        assert golden[counter] > 0, counter
+
+
+if __name__ == "__main__":
+    for scenario in sorted(SCENARIOS):
+        print(f'    "{scenario}": {snapshot(SCENARIOS[scenario]())!r},')

@@ -3,11 +3,13 @@
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.metro.kernel import MetroKernel
-from repro.metro.spec import MetroSpec, build_population
+from repro.geo import geohash
+from repro.metro.kernel import MetroKernel, _haversine_km
+from repro.metro.spec import MetroPopulation, MetroSpec, build_population
 from repro.obs.tracer import Tracer
 
 
@@ -133,3 +135,120 @@ def test_frame_accounting_matches_fps():
     config = config_for_tests()
     report = make_kernel(config, nodes=80, users=200, fps=4.0).run(10.0)
     assert report.frames_done + report.frames_lost == 200 * 4 * 10
+
+
+# ----------------------------------------------------------------------
+# The array-form control path: what batch scoring relies on
+# ----------------------------------------------------------------------
+def test_base_vec_over_pairs_equals_one_pair_calls_bitwise():
+    """Scoring (user, node) pairs in one flat pass must give each pair
+    the float64 a one-pair call gives it — whatever the batch length
+    (SIMD body vs. tail) and wherever the pair sits in the batch."""
+    kernel = make_kernel()
+    rng = np.random.default_rng(3)
+    users = rng.integers(0, kernel.u_gid.size, 72)
+    nodes = rng.integers(0, kernel.n_gid.size, 72)
+    single = np.array(
+        [kernel._base_vec(users[i : i + 1], nodes[i : i + 1])[0] for i in range(72)]
+    )
+    for length in range(1, 68):
+        for offset in (0, 1, 5):
+            window = slice(offset, offset + length)
+            batch = kernel._base_vec(users[window], nodes[window])
+            assert (batch == single[window]).all(), (length, offset)
+    # Views that do not start on the allocation's alignment.
+    u_lat, u_lon = kernel.u_lat[users], kernel.u_lon[users]
+    n_lat, n_lon = kernel.n_lat[nodes], kernel.n_lon[nodes]
+    whole = _haversine_km(u_lat, u_lon, n_lat, n_lon)
+    for offset in (1, 2, 3, 7):
+        for length in (1, 2, 9, 33, 64):
+            window = slice(offset, offset + length)
+            view = _haversine_km(u_lat[window], u_lon[window], n_lat[window], n_lon[window])
+            assert (view == whole[window]).all(), (length, offset)
+
+
+def test_node_wait_of_a_subset_equals_the_whole_fleet_entries():
+    kernel = make_kernel()
+    kernel.step_to(1_000.0)  # loads are in place
+    whole = kernel._node_wait()
+    assert whole.max() > 0.0
+    for subset in (np.array([7]), np.array([149, 0, 33]), np.arange(1, 68)):
+        assert (kernel._node_wait(subset) == whole[subset]).all()
+
+
+def explicit_kernel(node_points, user_points, precision=5):
+    """A kernel over hand-placed endpoints (lat, lon)."""
+    node_lat, node_lon = (np.array(x, dtype=float) for x in zip(*node_points))
+    user_lat, user_lon = (np.array(x, dtype=float) for x in zip(*user_points))
+    population = MetroPopulation(
+        node_lat=node_lat, node_lon=node_lon,
+        node_service_ms=np.full(node_lat.size, 25.0),
+        node_capacity_fps=np.full(node_lat.size, 40.0),
+        user_lat=user_lat, user_lon=user_lon,
+        user_phase_ms=np.zeros(user_lat.size),
+        node_cell=geohash.encode_cells(node_lat, node_lon, precision),
+        user_cell=geohash.encode_cells(user_lat, user_lon, precision),
+        cell_precision=precision,
+    )
+    spec = MetroSpec(nodes=node_lat.size, users=user_lat.size, cell_precision=precision)
+    return MetroKernel(SystemConfig(seed=5), spec, population)
+
+
+def test_table_filled_candidates_equal_per_cell_lookups():
+    """One neighbourhood call over all cells fills the same table as one
+    call per cell — on a metro, across the antimeridian, at a pole and
+    for a cell with no node near it."""
+    edge_nodes = [(0.01, 179.99), (0.01, -179.99), (-0.02, 179.97),
+                  (89.99, 11.01), (89.99, -169.0), (89.94, 11.0), (44.98, -93.27)]
+    edge_users = [(0.0, 179.98), (0.0, -179.98), (89.98, 11.0), (10.0, 10.0),
+                  (44.97, -93.26)]
+    for build in (make_kernel, lambda: explicit_kernel(edge_nodes, edge_users)):
+        table, single = build(), build()
+        cells = np.unique(table.u_cell)
+        table._fill_cell_cands(cells)
+        for cell in cells.tolist():
+            assert np.array_equal(table._cell_cands[cell], single._candidates(cell))
+        assert sorted(single._cell_cands) == cells.tolist()
+    # The hand-placed cases really are the edge cases they claim to be.
+    by_user = [single._candidates(c).tolist() for c in single.u_cell.tolist()]
+    assert by_user[0] == by_user[1] == [0, 1, 2]  # both sides of lon 180
+    assert by_user[2] == [3, 5]  # top row: clamped, not wrapped to n4
+    assert by_user[3] == []  # nobody near (10, 10)
+    assert by_user[4] == [6]
+
+
+@pytest.mark.parametrize("region_km", [8.0, 40.0])
+def test_neighbourhoods_are_resolved_in_one_call_per_run(monkeypatch, region_km):
+    """O(1) ``cell_neighborhood`` calls however many cells are occupied:
+    a call per occupied cell costs more than the rest of a metro round."""
+    sizes = []
+    real = geohash.cell_neighborhood
+
+    def counted(cells, precision):
+        sizes.append(len(cells))
+        return real(cells, precision)
+
+    monkeypatch.setattr(geohash, "cell_neighborhood", counted)
+    spec = MetroSpec(nodes=300, users=3_000, region_km=region_km, fps=4.0)
+    config = config_for_tests(probing_period_ms=1_000.0)
+    kernel = MetroKernel(config, spec, build_population(spec, config.seed))
+    report = kernel.run(3.0)
+    assert report.control_ops > 3_000  # re-selection rounds did run
+    assert len(sizes) <= 2
+    assert sizes[0] == np.unique(kernel.u_cell).size
+
+
+def test_initial_attach_reads_wait_of_candidates_only(monkeypatch):
+    """The t=0 attach never derives the whole fleet's wait: per occupied
+    cell that is O(cells x nodes)."""
+    kernel = make_kernel()
+    asked = []
+    real = kernel._node_wait
+
+    def recorded(nodes=None):
+        asked.append(nodes)
+        return real(nodes)
+
+    monkeypatch.setattr(kernel, "_node_wait", recorded)
+    kernel._initial_attach()
+    assert asked and all(nodes is not None for nodes in asked)

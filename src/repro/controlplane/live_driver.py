@@ -99,6 +99,7 @@ class RouterServer:
             lambda r, w: protocol.serve_connection(r, w, self._dispatch, self._open_writers),
             self.host,
             self.port,
+            limit=protocol.MAX_FRAME_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 

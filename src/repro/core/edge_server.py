@@ -24,11 +24,12 @@ sim method calls and machine events/effects:
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.messages import JoinReply, NodeStatus, ProbeReply
 from repro.geo import geohash as gh
+from repro.geo.point import GeoPoint
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.host_workload import HostWorkloadSchedule
 from repro.nodes.processing import CompletedFrame, FrameProcessor, analytic_sojourn_ms
@@ -118,6 +119,8 @@ class EdgeServer:
         self._monitor_timer: Optional[TimerHandle] = None
         self._lease_timer: Optional[TimerHandle] = None
         self._test_pending = False
+        #: (point, its geohash): re-encoded when the endpoint is replaced
+        self._geohash: Optional[Tuple[GeoPoint, str]] = None
         #: Last time each attached user showed signs of life (join
         #: grant or frame arrival) — drives the attachment lease.
         self._last_seen_ms: Dict[str, float] = {}
@@ -467,11 +470,14 @@ class EdgeServer:
         """Current status snapshot (what a heartbeat carries)."""
         endpoint = self.system.topology.endpoint(self.node_id)
         now = self.system.sim.now
+        point = endpoint.point
+        if self._geohash is None or self._geohash[0] is not point:
+            self._geohash = (point, gh.encode_point(point, 9))
         return NodeStatus(
             node_id=self.node_id,
-            lat=endpoint.point.lat,
-            lon=endpoint.point.lon,
-            geohash=gh.encode(endpoint.point.lat, endpoint.point.lon, 9),
+            lat=point.lat,
+            lon=point.lon,
+            geohash=self._geohash[1],
             cores=self.profile.cores,
             capacity_fps=self.profile.capacity_fps,
             attached_users=len(self.attached),

@@ -159,7 +159,6 @@ class LiveClient:
 
         self.addresses: Dict[str, Tuple[str, int]] = {}
         self.connections: Dict[str, PersistentConnection] = {}
-        self.latencies_ms: List[float] = []
         self.probes_sent = 0
         self.joins_rejected = 0
         self.failovers = 0
@@ -393,6 +392,13 @@ class LiveClient:
             self.connections[node_id] = connection
         return connection
 
+    def _forget(self, node_id: str) -> None:
+        """Give up on a node: its link may still be open (an injected
+        fault fails an exchange before it touches the socket)."""
+        connection = self.connections.pop(node_id, None)
+        if connection is not None:
+            connection.drop()
+
     async def probe(self, node_id: str) -> Optional[ProbeOutcome]:
         """``RTT_probe`` + ``Process_probe`` one candidate; None if dead."""
         self.probes_sent += 1
@@ -405,7 +411,7 @@ class LiveClient:
             rtt_ms = (time.monotonic() - start) * 1000.0
             reply = await connection.request("process_probe")
         except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
-            self.connections.pop(node_id, None)
+            self._forget(node_id)
             return None
         probe = from_wire(reply["probe"])
         if self.tracer.enabled:
@@ -538,7 +544,6 @@ class LiveClient:
             )
             return None  # overloaded node shed the frame
         latency_ms = (time.monotonic() - start) * 1000.0
-        self.latencies_ms.append(latency_ms)
         if tracer.enabled:
             now = tracer.now()
             # Decompose the measured latency with the node's wall-clock
@@ -567,7 +572,7 @@ class LiveClient:
         :meth:`select_and_join`.
         """
         failed_edge = self.current_edge
-        self.connections.pop(failed_edge or "", None)
+        self._forget(failed_edge or "")
         self.failovers += 1
         if failed_edge is None:
             return

@@ -3,7 +3,9 @@
 Processing is a real ``asyncio`` sleep of the profile's per-frame time
 scaled by ``time_scale`` (default 0.1: a 30 ms frame sleeps 3 ms, so
 tests run fast while contention behaviour — a worker pool of size
-``parallelism`` with a bounded queue — stays real).
+``parallelism`` with a bounded queue — stays real). Below about 0.03
+the sleep is shorter than the selector's 1 ms resolution: an idle loop
+stretches it and ``proc_ms`` (wall time / ``time_scale``) inflates.
 
 The what-if cache rules, the test-workload triggers and the ``seqNum``
 join protocol are NOT re-implemented here: this driver executes the
@@ -125,6 +127,8 @@ class LiveEdgeServer:
         self.test_workload_invocations = 0
         self.frames_processed = 0
         self._completions: List[Tuple[float, float]] = []  # (monotonic, sojourn_ms)
+        #: (point, its geohash): re-encoded when ``point`` is replaced
+        self._geohash: Optional[Tuple[GeoPoint, str]] = None
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._semaphore = asyncio.Semaphore(profile.parallelism)
@@ -174,7 +178,8 @@ class LiveEdgeServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=protocol.MAX_FRAME_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.tracer.enabled:
@@ -372,11 +377,14 @@ class LiveEdgeServer:
     # Heartbeats
     # ------------------------------------------------------------------
     def status(self) -> NodeStatus:
+        point = self.point
+        if self._geohash is None or self._geohash[0] is not point:
+            self._geohash = (point, gh.encode_point(point, 9))
         return NodeStatus(
             node_id=self.node_id,
-            lat=self.point.lat,
-            lon=self.point.lon,
-            geohash=gh.encode(self.point.lat, self.point.lon, 9),
+            lat=point.lat,
+            lon=point.lon,
+            geohash=self._geohash[1],
             cores=self.profile.cores,
             capacity_fps=self.profile.capacity_fps,
             attached_users=len(self.attached),

@@ -29,6 +29,10 @@ class LocalCluster:
                 await client.offload_frame()
         finally:
             await cluster.stop()
+
+    Below a ``time_scale`` of about 0.03 a frame's service sleep is
+    shorter than the selector's 1 ms resolution: an idle loop stretches
+    it, and ``proc_ms`` (wall time / ``time_scale``) inflates.
     """
 
     def __init__(

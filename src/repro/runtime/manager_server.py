@@ -103,7 +103,8 @@ class ManagerServer:
     async def start(self) -> None:
         """Bind and start serving; resolves the actual port when 0."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=protocol.MAX_FRAME_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 

@@ -15,6 +15,10 @@ and one server-side loop (:func:`serve_connection`). :func:`request` is
 that exchange over a connection of its own or, given a
 :class:`ConnectionPool`, over a kept-alive link; no connection outlives
 the object that the caller created to hold it.
+
+An exchange is a write, a read and one timer handle on the caller's own
+task; no task is created per request. A timeout means the socket is
+dead: the timer aborts the transport, which ends the pending read.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 #: Maximum accepted frame size — prevents a garbage peer from ballooning
-#: memory with an unterminated line.
+#: memory with an unterminated line. Every stream's reader ``limit``.
 MAX_FRAME_BYTES = 1 << 20
 
 
@@ -72,16 +76,17 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     """Read one frame; None on clean EOF.
 
     Raises:
-        ProtocolError: on oversized or malformed frames.
+        ProtocolError: on malformed frames and on lines past the
+            reader's limit (``MAX_FRAME_BYTES`` on the runtime's streams).
     """
     try:
         line = await reader.readline()
     except (ConnectionResetError, BrokenPipeError):
         return None
+    except ValueError as exc:
+        raise ProtocolError(f"frame too large: {exc}") from exc
     if not line:
         return None
-    if len(line) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame too large: {len(line)} bytes")
     return decode_frame(line)
 
 
@@ -361,6 +366,7 @@ class PersistentConnection:
         self.max_reconnect_attempts = max_reconnect_attempts
         self.breaker = breaker
         self._connect_failures = 0
+        self._expired = False  # set by the current exchange's timer
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -369,15 +375,39 @@ class PersistentConnection:
     def connected(self) -> bool:
         return self._writer is not None and not self._writer.is_closing()
 
+    def _expire(self, kill: Callable[[], object]) -> None:
+        """Timer callback: ``kill`` ends the caller's pending await; the
+        flag turns the failure that follows into a timeout."""
+        self._expired = True
+        kill()
+
     async def connect(self, timeout: Optional[float] = None) -> None:
+        """Open the socket (for :meth:`request`, under its lock). There
+        is no transport to abort yet, so the timer cancels this task's
+        own await; a cancellation nobody else asked for is the timeout."""
+        task = asyncio.current_task()
+        assert task is not None
+        self._expired = False
+        handle = asyncio.get_running_loop().call_later(
+            self.timeout if timeout is None else timeout, self._expire, task.cancel
+        )
         try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                self.timeout if timeout is None else timeout,
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port, limit=MAX_FRAME_BYTES
             )
-        except (OSError, asyncio.TimeoutError):
+        except asyncio.CancelledError:
+            # 3.11+ counts cancel requests: what is left after taking ours
+            # back is the caller's. 3.10 cannot tell when both land in one
+            # loop iteration, and reports the timeout.
+            if not self._expired or (hasattr(task, "uncancel") and task.uncancel() > 0):
+                raise
+            self._connect_failures += 1
+            raise asyncio.TimeoutError(f"connect to {self.host}:{self.port}") from None
+        except OSError:
             self._connect_failures += 1
             raise
+        finally:
+            handle.cancel()
         self._connect_failures = 0
 
     async def request(
@@ -387,12 +417,16 @@ class PersistentConnection:
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         """One exchange on the standing connection (``timeout``
-        overrides the connection's own for this exchange).
+        overrides the connection's own for this exchange): a write, a
+        read and one timer handle over both, on the caller's task.
 
         Raises:
             EdgeUnreachableError: breaker open or reconnect cap hit —
                 the peer is considered down; fail fast.
             ProtocolError: when the peer vanished mid-exchange.
+            asyncio.TimeoutError: no reply in time — the timer aborted
+                the transport, and the reset/EOF that ended the pending
+                ``drain()``/``readline()`` is reported as this.
         """
         if self.breaker is not None and not self.breaker.allow():
             raise EdgeUnreachableError(
@@ -400,6 +434,7 @@ class PersistentConnection:
             )
         if timeout is None:
             timeout = self.timeout
+        loop = asyncio.get_running_loop()
         try:
             async with self._lock:
                 if not self.connected:
@@ -410,15 +445,22 @@ class PersistentConnection:
                         )
                     await self.connect(timeout)
                 assert self._writer is not None and self._reader is not None
+                self._expired = False
+                abort = self._writer.transport.abort
+                handle = loop.call_later(timeout, self._expire, abort)
                 try:
                     self._writer.write(encode_frame(op, payload))
                     await self._writer.drain()
-                    reply = await asyncio.wait_for(read_frame(self._reader), timeout)
+                    reply = await read_frame(self._reader)
                     if reply is None:
                         raise ProtocolError(f"peer closed connection during {op!r}")
-                except BaseException:
+                except BaseException as exc:
                     self.drop()
+                    if self._expired and isinstance(exc, (OSError, ProtocolError)):
+                        raise asyncio.TimeoutError(f"{op!r} timed out") from exc
                     raise
+                finally:
+                    handle.cancel()
         except (OSError, ProtocolError, asyncio.TimeoutError):
             if self.breaker is not None:
                 self.breaker.record_failure()

@@ -1,6 +1,6 @@
 """Timestamped events and the stable event queue.
 
-The queue is a binary heap ordered by ``(time, sequence)``. The sequence
+The queue is a binary heap of ``(time, sequence, event)`` tuples. The sequence
 number makes ordering *stable*: two events scheduled for the same instant
 fire in the order they were scheduled, which keeps simulations
 deterministic across runs and platforms.
@@ -118,12 +118,14 @@ class EventPool:
 
 
 class EventQueue:
-    """A stable min-heap of :class:`Event` objects."""
+    """A stable min-heap of :class:`Event` objects, kept as ``(time, seq,
+    event)`` tuples: ``seq`` is unique, so ``heapq`` compares in C and
+    never calls ``Event.__lt__``."""
 
     __slots__ = ("_heap", "_counter")
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -134,8 +136,9 @@ class EventQueue:
 
     def push(self, time: float, callback: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``callback`` at absolute time ``time`` and return the event."""
-        event = Event(time, next(self._counter), callback, label)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, label)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def push_pooled(
@@ -146,8 +149,9 @@ class EventQueue:
         label: str = "",
     ) -> Event:
         """Schedule via ``pool.acquire`` instead of allocating a new event."""
-        event = pool.acquire(time, next(self._counter), callback, label)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = pool.acquire(time, seq, callback, label)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Optional[Event]:
@@ -156,7 +160,7 @@ class EventQueue:
         Cancelled events encountered on the way are discarded silently.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         return None
@@ -170,9 +174,9 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            if heap[0].time > limit:
+            if heap[0][0] > limit:
                 return None
-            event = heapq.heappop(heap)
+            event = heapq.heappop(heap)[2]
             if not event.cancelled:
                 return event
         return None
@@ -183,15 +187,15 @@ class EventQueue:
         Skips over (and permanently discards) cancelled events at the top
         of the heap.
         """
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def clear(self) -> None:
         self._heap.clear()
 
     def pending(self) -> Tuple[Event, ...]:
         """Snapshot of non-cancelled events in fire order (for debugging)."""
-        return tuple(sorted(e for e in self._heap if not e.cancelled))
+        return tuple(e for _, _, e in sorted(self._heap) if not e.cancelled)

@@ -92,6 +92,28 @@ def test_router_answers_like_a_single_manager():
     assert got["addresses"] == want["addresses"]
 
 
+def test_router_accepts_frames_up_to_the_protocol_cap(caplog):
+    """The router's readers take ``MAX_FRAME_BYTES`` like every other
+    stream: 70 000 bytes pass, a line over the cap is a quiet hang-up."""
+
+    async def scenario():
+        cluster = ControlPlaneCluster(shards=2, replicas=1)
+        await cluster.start()
+        try:
+            ok = await protocol.request(*cluster.address, "status", {"pad": "x" * 70_000})
+            with pytest.raises((protocol.ProtocolError, OSError)):
+                await protocol.request(
+                    *cluster.address, "status", {"pad": "x" * (protocol.MAX_FRAME_BYTES + 10)}
+                )
+            return ok
+        finally:
+            await cluster.stop()
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        assert run(scenario())["ok"]
+    assert caplog.records == []
+
+
 def test_concurrent_discovers_each_get_their_own_answer():
     """Handlers of concurrent clients share the router's standing
     links; every reply must still be the one to its own query."""

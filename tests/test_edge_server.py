@@ -1,10 +1,13 @@
 """Unit tests for the edge node server: probing APIs, seqNum join
 protocol, what-if cache triggers, performance monitor, failure."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
+from repro.geo import geohash
 from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
 from repro.nodes.host_workload import HostWorkload, HostWorkloadSchedule
@@ -206,4 +209,13 @@ def test_status_snapshot_fields(system, node):
     assert status.node_id == "V1"
     assert status.cores == 8
     assert status.capacity_fps == pytest.approx(node.profile.capacity_fps)
-    assert len(status.geohash) == 9
+    assert status.geohash == geohash.encode(44.98, -93.26, 9)
+    assert node.status().geohash is status.geohash  # not re-encoded in place
+    # a replaced endpoint is a moved node: its next status re-encodes
+    moved = GeoPoint(44.90, -93.10)
+    system.topology.add_endpoint(
+        dataclasses.replace(system.topology.endpoint("V1"), point=moved), replace=True
+    )
+    status = node.status()
+    assert (status.lat, status.lon) == (moved.lat, moved.lon)
+    assert status.geohash == geohash.encode(moved.lat, moved.lon, 9)

@@ -11,6 +11,7 @@ import pytest
 from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
 from repro.runtime import LiveEdgeServer
+from repro.runtime import protocol
 from repro.runtime.protocol import (
     CircuitBreaker,
     EdgeUnreachableError,
@@ -348,14 +349,15 @@ def test_connection_live_edge_round_trip_closes_breaker():
 # ----------------------------------------------------------------------
 # One reply per request, whatever the timing
 # ----------------------------------------------------------------------
-async def _echo_server(delay_s):
-    """Replies ``{"echo": i}`` to ``{"i": i}`` after ``delay_s(i)``."""
+async def _echo_server(delay_s, hang_up_on=()):
+    """Replies ``{"echo": i}`` to ``{"i": i}`` after ``delay_s(i)``;
+    hangs up instead, after the same delay, for ``i`` in ``hang_up_on``."""
     writers = set()
 
     async def dispatch(frame):
         i = frame["payload"]["i"]
         await asyncio.sleep(delay_s(i))
-        return {"echo": i}
+        return None if i in hang_up_on else {"echo": i}
 
     server = await asyncio.start_server(
         lambda r, w: serve_connection(r, w, dispatch, writers), "127.0.0.1", 0
@@ -401,3 +403,205 @@ def test_connection_serialises_concurrent_callers():
         return [reply["echo"] for reply in replies]
 
     assert run(scenario()) == list(range(16))
+
+
+# ----------------------------------------------------------------------
+# The exchange is a write, a read and one timer: no task, and a timeout
+# is a dead socket
+# ----------------------------------------------------------------------
+#: Tasks the *server* side of a loopback exchange creates per connection.
+_SERVER_TASKS = {"BaseSelectorEventLoop._accept_connection2", "serve_connection"}
+
+
+def _count_tasks(created):
+    """Install a task factory that records what each new task runs."""
+
+    def factory(loop, coro, **kwargs):
+        created.append(coro.__qualname__)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    asyncio.get_running_loop().set_task_factory(factory)
+
+
+def test_exchange_creates_no_task():
+    async def scenario():
+        server, writers, port = await _echo_server(lambda i: 0.0)
+        conn = PersistentConnection("127.0.0.1", port, timeout=2.0)
+        await conn.request("echo", {"i": 0})  # connects; the handler task exists now
+        created = []
+        _count_tasks(created)
+        for i in range(200):
+            assert (await conn.request("echo", {"i": i}))["echo"] == i
+        standing = list(created)
+        for i in range(20):
+            reply = await protocol.request("127.0.0.1", port, "echo", {"i": i})
+            assert reply["echo"] == i
+        await conn.close()
+        await stop_serving(server, writers)
+        return standing, list(created)  # before asyncio.run's own shutdown tasks
+
+    standing, created = run(scenario())
+    assert standing == []
+    assert [name for name in created if name not in _SERVER_TASKS] == []
+    assert created.count("serve_connection") == 20
+
+
+def test_connection_timeout_on_a_silent_peer():
+    """No reply: ``TimeoutError`` after about the timeout, on a dropped
+    socket, counted once by the breaker; the next request reconnects
+    and reads its own reply."""
+
+    async def scenario():
+        server, writers, port = await _echo_server(lambda i: 0.5 if i == 0 else 0.0)
+        failures = []
+        breaker = CircuitBreaker(5)
+        record = breaker.record_failure
+        breaker.record_failure = lambda: (failures.append(1), record())
+        conn = PersistentConnection("127.0.0.1", port, timeout=0.1, breaker=breaker)
+        start = time.monotonic()
+        with pytest.raises(asyncio.TimeoutError):
+            await conn.request("echo", {"i": 0})
+        took = time.monotonic() - start
+        assert not conn.connected
+        reply = await conn.request("echo", {"i": 1})
+        await conn.close()
+        await stop_serving(server, writers)
+        return took, len(failures), reply["echo"], breaker.state
+
+    took, failures, echo, state = run(scenario())
+    assert 0.09 <= took < 0.4
+    assert (failures, echo, state) == (1, 1, "closed")
+
+
+def test_cancelled_caller_sees_cancellation_and_leaves_no_timer():
+    """A caller cancelled mid-exchange gets ``CancelledError`` (not a
+    timeout) on a dropped link, and its timer goes with it: were it
+    still armed it would fire during the next exchange, whose hang-up
+    would then be reported as a timeout."""
+
+    async def scenario():
+        server, writers, port = await _echo_server(
+            lambda i: 5.0 if i == 0 else 0.4, hang_up_on={1}
+        )
+        conn = PersistentConnection("127.0.0.1", port)
+        first = asyncio.ensure_future(conn.request("echo", {"i": 0}, timeout=0.2))
+        await asyncio.sleep(0.05)
+        first.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await first
+        assert not conn.connected
+        with pytest.raises(ProtocolError, match="peer closed"):
+            await conn.request("echo", {"i": 1}, timeout=2.0)
+        await conn.close()
+        await stop_serving(server, writers)
+
+    run(scenario())
+
+
+def test_connection_timeout_covers_a_blocked_drain():
+    """The peer stopped reading, so ``drain()`` never returns: the
+    exchange's one timer covers the write as well as the read."""
+    import socket
+
+    async def scenario():
+        async def deaf(reader, writer):
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                pass
+            finally:
+                writer.close()
+
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.bind(("127.0.0.1", 0))
+        server = await asyncio.start_server(deaf, sock=sock)
+        conn = PersistentConnection("127.0.0.1", sock.getsockname()[1], timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(asyncio.TimeoutError):
+            # the outer bound only keeps a regression from hanging the suite
+            await asyncio.wait_for(conn.request("echo", {"blob": "x" * (8 << 20)}), 5.0)
+        took = time.monotonic() - start
+        assert not conn.connected
+        await conn.close()
+        server.close()
+        await server.wait_closed()
+        return took
+
+    assert run(scenario()) < 1.0
+
+
+def test_connect_timeout_is_a_timeout_and_cancellation_stays_cancellation():
+    """``connect()`` has no transport to abort, so its timer cancels the
+    connecting task's own await: that surfaces as ``TimeoutError`` and
+    counts towards the reconnect cap, while a caller cancelled during a
+    connect still sees ``CancelledError``. Neither creates a task."""
+    import socket
+
+    async def scenario():
+        # A listener that never accepts, with its backlog already full:
+        # Linux drops further SYNs, so a connect just hangs.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        address = listener.getsockname()
+        fillers = []
+        for _ in range(4):
+            filler = socket.socket()
+            filler.setblocking(False)
+            filler.connect_ex(address)
+            fillers.append(filler)
+        try:
+            created = []
+            _count_tasks(created)
+            conn = PersistentConnection(*address, timeout=0.2, max_reconnect_attempts=1)
+            start = time.monotonic()
+            with pytest.raises(asyncio.TimeoutError):
+                await conn.request("status")
+            took = time.monotonic() - start
+            with pytest.raises(EdgeUnreachableError):  # the timeout counted
+                await conn.request("status")
+            assert created == []
+
+            other = PersistentConnection(*address, timeout=5.0)
+            pending = asyncio.ensure_future(other.request("status"))
+            await asyncio.sleep(0.05)
+            pending.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await pending
+            assert not other.connected
+            return took
+        finally:
+            for sock in fillers + [listener]:
+                sock.close()
+
+    assert 0.19 <= run(scenario()) < 1.0
+
+
+def test_client_closes_the_link_to_a_node_it_gives_up_on():
+    """An injected drop fails a probe before it touches the socket; the
+    link the client then forgets must not be left open behind it."""
+    from types import SimpleNamespace
+
+    from repro.runtime import LiveClient
+
+    async def scenario():
+        edge = LiveEdgeServer(
+            "e1", profile_by_name("V1"), GeoPoint(44.98, -93.26), time_scale=0.01
+        )
+        await edge.start()
+        client = LiveClient("u1", GeoPoint(44.97, -93.25), "127.0.0.1", 1)
+        client.addresses["e1"] = (edge.host, edge.port)
+        try:
+            assert await client.probe("e1") is not None
+            link = client.connections["e1"]
+            assert link.connected
+            dropped = SimpleNamespace(deliver=False, kind="drop", rule_id="r", extra_delay_ms=0.0)
+            client.faults = SimpleNamespace(decide=lambda *args: dropped)
+            assert await client.probe("e1") is None
+            return "e1" in client.connections, link.connected
+        finally:
+            await client.close()
+            await edge.stop()
+
+    assert run(scenario()) == (False, False)

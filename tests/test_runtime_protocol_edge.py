@@ -23,10 +23,70 @@ def test_oversized_frame_rejected():
         reader = asyncio.StreamReader()
         reader.feed_data(b"x" * (protocol.MAX_FRAME_BYTES + 10) + b"\n")
         reader.feed_eof()
-        with pytest.raises((protocol.ProtocolError, ValueError, LookupError)):
+        with pytest.raises(protocol.ProtocolError):
             await protocol.read_frame(reader)
 
     run(scenario())
+
+
+async def _blob_server():
+    """Replies with ``n`` bytes of payload to ``{"n": n}``, whatever else
+    the request carried; its reader has the runtime's frame cap."""
+    writers = set()
+
+    async def dispatch(frame):
+        return {"blob": "y" * frame["payload"]["n"]}
+
+    server = await asyncio.start_server(
+        lambda r, w: protocol.serve_connection(r, w, dispatch, writers),
+        "127.0.0.1", 0, limit=protocol.MAX_FRAME_BYTES,
+    )
+    return server, writers, server.sockets[0].getsockname()[1]
+
+
+def test_frames_up_to_the_cap_pass_and_beyond_it_are_protocol_errors(caplog):
+    """``MAX_FRAME_BYTES`` is the one cap: a 70 000-byte frame (past
+    asyncio's default 64 KiB reader limit) passes each way, and a line
+    over the cap is a ``ProtocolError`` on the side that reads it — a
+    closed connection, not an exception escaping into the loop."""
+
+    async def scenario():
+        server, writers, port = await _blob_server()
+        edge = LiveEdgeServer(
+            "e1", profile_by_name("V1"), GeoPoint(44.98, -93.26), time_scale=0.01
+        )
+        manager = ManagerServer()
+        await edge.start()
+        await manager.start()
+        big, too_big = "x" * 70_000, "x" * (protocol.MAX_FRAME_BYTES + 10)
+        try:
+            conn = PersistentConnection("127.0.0.1", port, timeout=2.0)
+            reply = await conn.request("blob", {"n": 70_000, "pad": big})
+            assert len(reply["blob"]) == 70_000
+            # the client reads an oversized reply
+            with pytest.raises(protocol.ProtocolError, match="too large"):
+                await conn.request("blob", {"n": protocol.MAX_FRAME_BYTES + 10})
+            assert not conn.connected
+            await conn.close()
+            for live in (edge, manager):
+                link = PersistentConnection(live.host, live.port, timeout=2.0)
+                assert (await link.request("status", {"pad": big}))["ok"]
+                # the server reads an oversized request and hangs up
+                with pytest.raises((protocol.ProtocolError, OSError)):
+                    await link.request("status", {"pad": too_big})
+                assert not link.connected
+                assert (await link.request("status"))["ok"]
+                await link.close()
+            await asyncio.sleep(0.05)  # let the servers see the hang-ups
+            assert not edge._open_writers and not manager._open_writers
+        finally:
+            await protocol.stop_serving(server, writers)
+            await edge.stop()
+            await manager.stop()
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        run(scenario())
+    assert caplog.records == []  # e.g. "Unhandled exception in client_connected_cb"
 
 
 def test_read_frame_eof_returns_none():
@@ -183,3 +243,14 @@ def test_frame_shedding_under_queue_pressure():
     assert served, "everything was shed"
     for r in shed:
         assert r["error"] == "overloaded"
+
+
+def test_status_geohash_follows_a_replaced_point():
+    from repro.geo import geohash
+
+    edge = LiveEdgeServer("e1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
+    first = edge.status().geohash
+    assert first == geohash.encode(44.98, -93.26, 9)
+    assert edge.status().geohash is first  # encoded once while the node stays put
+    edge.point = GeoPoint(44.90, -93.10)
+    assert edge.status().geohash == geohash.encode(44.90, -93.10, 9)

@@ -37,12 +37,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.router import PartialSelection, ShardRouter
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
-from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
+from repro.core.messages import CandidateList, DiscoveryQuery, from_wire, to_wire
 from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.obs.events import ManagerPromote, RegistryHandoff, ShardMerge, ShardRoute
 from repro.obs.tracer import Tracer
 from repro.runtime import protocol
-from repro.runtime.manager_server import ManagerServer
+from repro.runtime.manager_server import ManagerServer, query_from_wire, status_from_wire
 
 __all__ = ["RouterServer", "ControlPlaneCluster"]
 
@@ -191,10 +191,16 @@ class RouterServer:
     async def _dispatch(self, frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         op = frame["op"]
         payload = frame["payload"]
-        if op == "heartbeat":
-            return await self._on_heartbeat(payload)
-        if op == "discover":
-            return await self._on_discover(payload)
+        try:
+            if op == "heartbeat":
+                return await self._on_heartbeat(payload)
+            if op == "discover":
+                return await self._on_discover(payload)
+        except ValueError as exc:
+            # A status with no owner or a query with no cover (or not a
+            # message at all): refused as a manager refuses it, before
+            # any shard was asked.
+            return {"ok": False, "error": str(exc)}
         if op == "status":
             return {
                 "ok": True,
@@ -208,27 +214,31 @@ class RouterServer:
         return {"ok": False, "error": f"unknown op: {op!r}"}
 
     async def _on_heartbeat(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        status = from_wire(payload["status"])
-        assert isinstance(status, NodeStatus)
-        self.heartbeats_received += 1
-        self._addresses[status.node_id] = (payload["host"], payload["port"])
+        status = status_from_wire(payload["status"])
         shard = self.router.owner_of(status)
+        self.heartbeats_received += 1
         delivered = 0
         for replica, address in enumerate(self._replicas[shard]):
             if replica in self._down[shard]:
                 continue
             try:
-                await self._rpc(address, "heartbeat", payload)
-                delivered += 1
+                reply = await self._rpc(address, "heartbeat", payload)
             except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
                 self.mark_down(shard, replica)
+                continue
+            if not reply.get("ok"):
+                # The owner refused the status (its index wants a finer
+                # geohash than the shard map does); so would its
+                # standbys. The node stays unknown here too.
+                return reply
+            delivered += 1
+        self._addresses[status.node_id] = (payload["host"], payload["port"])
         if self.serving_primary(shard) is None:
             self._promote(shard, reason="unreachable")
         return {"ok": True, "delivered": delivered}
 
     async def _on_discover(self, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        query = from_wire(payload["query"])
-        assert isinstance(query, DiscoveryQuery)
+        query = query_from_wire(payload["query"])
         self.queries_served += 1
         geo = self.router.policy.geo_filter
         try:

@@ -8,8 +8,9 @@ fixed-radius phases the shards can answer independently:
 2. if the summed exact in-radius counts reach ``top_n``, merge; else
 3. fan out at ``wide_radius_km`` and keep the wide result only when it
    is strictly larger (the single-manager widening rule, verbatim);
-4. cut the global TopN from the concatenated per-shard TopNs with the
-   same ``heapq.nsmallest`` + total-order key.
+4. cut the global TopN from the per-shard TopNs — each already in key
+   order — by merging them under the same total-order key (one shard's
+   TopN is the answer as it stands).
 
 Bit-identity argument: the shards partition the registry, a node within
 radius lies in a covering cell so its owner shard is queried, any
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, cast
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Tuple, cast
 
 from repro.controlplane.sharding import ShardMap
 from repro.geo import geohash as gh
@@ -46,7 +48,8 @@ __all__ = ["PartialSelection", "RoutedSelection", "ShardRouter"]
 @dataclass(frozen=True)
 class PartialSelection:
     """One shard's answer to one fixed-radius phase: its exact in-radius
-    count plus its local TopN statuses."""
+    count plus its local TopN statuses, best first (in the order of the
+    policy's sort key, which is how ``select_partial`` returns them)."""
 
     shard: int
     count: int
@@ -98,8 +101,8 @@ class ShardRouter:
     def plan(self, query: "DiscoveryQuery", radius_km: float) -> Tuple[int, ...]:
         """The shards one phase of ``query`` must ask: those whose
         ranges the cells covering the ``radius_km`` disc intersect."""
-        return self.shard_map.owners_for_cells(
-            gh.covering_cells(query.point, radius_km)
+        return self.shard_map.owners_of_cells(
+            *gh.cover(query.lat, query.lon, radius_km)
         )
 
     def needs_widening(self, query: "DiscoveryQuery", local: Sequence[PartialSelection]) -> bool:
@@ -125,21 +128,29 @@ class ShardRouter:
             if wide_total > local_total:
                 widened = True
                 chosen = wide
-        pool: List["NodeStatus"] = [s for p in chosen for s in p.statuses]
-        # The factory is declared as returning an opaque ``object`` key
-        # (policies compose tuples of mixed comparables); cast for the
-        # nsmallest stub, which wants SupportsRichComparison.
-        sort_key = cast(
-            "Callable[[NodeStatus], Any]", self.policy.sort_key_factory(query)
-        )
-        best = heapq.nsmallest(query.top_n, pool, key=sort_key)
+        # Each partial is a run already in key order, so the first TopN
+        # of their stable merge is ``nsmallest`` over the pooled
+        # statuses, ties included. A lone run is its own merge: nothing
+        # is scored again.
+        runs = [p.statuses for p in chosen]
+        top_n = max(query.top_n, 0)
+        if len(runs) == 1:
+            best: Sequence["NodeStatus"] = runs[0][:top_n]
+        else:
+            # The factory is declared as returning an opaque ``object``
+            # key (policies compose tuples of mixed comparables); cast
+            # for the merge stub, which wants SupportsRichComparison.
+            sort_key = cast(
+                "Callable[[NodeStatus], Any]", self.policy.sort_key_factory(query)
+            )
+            best = list(islice(heapq.merge(*runs, key=sort_key), top_n))
         return RoutedSelection(
             node_ids=tuple(n.node_id for n in best),
             widened=widened,
             epoch=self.shard_map.epoch,
             local_shards=tuple(p.shard for p in local),
             wide_shards=tuple(p.shard for p in wide) if wide is not None else (),
-            pool=len(pool),
+            pool=sum(map(len, runs)),
         )
 
     def select(self, query: "DiscoveryQuery", fetch: Fetch) -> RoutedSelection:

@@ -4,8 +4,9 @@ A :class:`ShardMap` partitions the ``5 * precision``-bit integer cell
 space of :mod:`repro.geo.geohash` into ``count`` contiguous ranges.
 Every node's geohash (precision 9 on both backends) truncates to a
 ``precision``-character prefix whose uint64 cell id picks exactly one
-owning shard; discovery covering cells map to the (usually one, near a
-boundary several) shards whose ranges they intersect.
+owning shard; discovery covering cells — integer ids too — map by a
+shift and a ``bisect`` to the (usually one, near a boundary several)
+shards whose ranges they intersect.
 
 Range partitioning over the interleaved cell id is deliberately simple:
 ownership is a pure function of the map (no directory service), a map
@@ -91,29 +92,26 @@ class ShardMap:
             )
         return self.owner_of_cell(gh.geohash_to_cell(geohash[: self.precision]))
 
-    def owners_of_cell_str(self, cell: str) -> Tuple[int, ...]:
-        """All shards intersecting one covering cell (a geohash string).
+    def owners_of_cells(self, precision: int, cells: Iterable[int]) -> Tuple[int, ...]:
+        """Sorted, deduplicated shard fan-out for covering cells.
 
-        A cell finer than (or equal to) the shard precision has exactly
-        one owner; a coarser cell spans the contiguous range of its
-        descendants and may touch several shards.
+        ``cells`` are integer cell ids at ``precision`` (what
+        :func:`repro.geo.geohash.cover` returns). A cell finer than (or
+        equal to) the shard precision has exactly one owner, that of its
+        ancestor ``cell >> 5 * levels``; a coarser cell spans the
+        contiguous range of its descendants and may touch several shards.
         """
-        length = len(cell)
-        if length >= self.precision:
-            return (self.owner_of_cell(gh.geohash_to_cell(cell[: self.precision])),)
-        value = gh.geohash_to_cell(cell)
-        shift = 5 * (self.precision - length)
-        lo = value << shift
-        hi = ((value + 1) << shift) - 1
-        first = self.owner_of_cell(lo)
-        last = self.owner_of_cell(hi)
-        return tuple(range(first, last + 1))
-
-    def owners_for_cells(self, cells: Iterable[str]) -> Tuple[int, ...]:
-        """Sorted, deduplicated shard fan-out for a set of covering cells."""
+        shift = 5 * (precision - self.precision)
+        if shift >= 0:
+            return tuple(sorted({
+                self.owner_of_cell(ancestor)
+                for ancestor in {cell >> shift for cell in cells}
+            }))
         owners = set()
         for cell in cells:
-            owners.update(self.owners_of_cell_str(cell))
+            first = self.owner_of_cell(cell << -shift)
+            last = self.owner_of_cell(((cell + 1) << -shift) - 1)
+            owners.update(range(first, last + 1))
         return tuple(sorted(owners))
 
     def shard_range(self, shard: int) -> Tuple[int, int]:

@@ -35,7 +35,7 @@ class GeoProximityFilter:
     """GeoHash-backed proximity filter with a widened fallback.
 
     Nodes are first matched against the GeoHash cells covering the disc
-    of ``radius_km`` around the user (:func:`repro.geo.geohash.covering_cells`),
+    of ``radius_km`` around the user (:func:`repro.geo.geohash.cover`),
     then cut exactly by haversine distance. If fewer than ``min_candidates``
     survive, the search widens to ``wide_radius_km`` — the paper's
     "remote nodes ... useful as a last resort".
@@ -119,11 +119,12 @@ class GeoProximityFilter:
         The control-plane router composes this shard-locally: each shard
         evaluates one radius against its own index and the router makes
         the widening decision from the summed counts. The exact
-        haversine cut is the index's (:meth:`GeohashSpatialIndex.within`).
+        haversine cut is the index's
+        (:meth:`GeohashSpatialIndex.within_cover`).
         """
-        cells = gh.covering_cells(user_point, radius_km)
-        slots, dist_km = index.within(
-            user_point.lat, user_point.lon, radius_km, cells
+        lat, lon = user_point.lat, user_point.lon
+        slots, dist_km = index.within_cover(
+            lat, lon, radius_km, *gh.cover(lat, lon, radius_km)
         )
         if exclude or predicate is not None:
             keep = np.ones(slots.size, dtype=np.bool_)

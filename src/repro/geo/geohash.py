@@ -14,6 +14,20 @@ base-32 alphabet. Two properties make it useful for edge discovery:
 Implemented from the specification (encode, decode with error bounds,
 bounding box, adjacency in all 4 directions, 8-neighborhood, and a helper
 mapping a search radius to the coarsest adequate precision).
+
+**Cells by arithmetic.** A geohash of ``p`` characters is ``5p``
+interleaved bits of two quantised axes, so a cell is a pair of integers
+``(lat_q, lon_q)`` and everything the query path needs is arithmetic on
+them: :func:`encode`, :func:`encode_cells` and :func:`cover` share one
+exact quantiser (:func:`_quantise`) — a floor estimate corrected against
+the cell's own edges, which are exact binary fractions at every
+precision up to 12, so the result *is* the cell the specification's
+bisection reaches — and the cover of a disc is the block of cells
+``(lat_q + i, (lon_q + j) mod columns)``, as integer cell ids.
+The base-32 strings are a rendering (:func:`cell_to_geohash`,
+:func:`covering_cells`); the bisection and the :func:`adjacent` walk
+survive in ``tests/test_geohash_arithmetic.py`` as the references the
+arithmetic is held to.
 """
 
 from __future__ import annotations
@@ -59,54 +73,91 @@ def encode(lat: float, lon: float, precision: int = 9) -> str:
     """Encode a latitude/longitude to a geohash of ``precision`` characters.
 
     Raises:
-        ValueError: for out-of-range coordinates or non-positive precision.
+        ValueError: for out-of-range (or NaN) coordinates, or a precision
+            outside 1..12.
     """
-    return _encode_cell(lat, lon, precision)[0]
+    total, lon_bits = _bit_split(precision)
+    lat_q, lon_q = _quantise_point(lat, lon, precision)
+    # The axis owning the last bit (longitude, when it has the extra
+    # one) takes the even positions, as in :func:`interleave_cells`.
+    lat_shift = 2 * lon_bits - total
+    cell = _spread(lat_q) << lat_shift | _spread(lon_q) << (1 - lat_shift)
+    return cell_to_geohash(cell, precision)
 
 
-def _encode_cell(
-    lat: float, lon: float, precision: int
-) -> Tuple[str, float, float, float, float]:
-    """:func:`encode` plus the cell it bisected down to:
-    ``(geohash, lat_lo, lat_hi, lon_lo, lon_hi)``."""
+def _quantise(x: float, lo: float, size: float) -> int:
+    """Index ``q`` of the cell ``[lo + q*size, lo + (q+1)*size)`` holding ``x``.
+
+    The floor estimate is off by at most one (its subtraction and
+    division round, by far less than a cell), and one comparison against
+    the cell's own edges settles it. For ``size = span / 2**bits`` with
+    ``bits <= 30`` the edges ``lo + q*size`` are multiples of ``2**-28``
+    smaller than ``2**10`` — exact in float64 — so the answer is
+    the cell whose edges bracket ``x``, the one midpoint bisection
+    narrows down to. The grid is unbounded: ``x`` beyond the axis gets
+    the index it would have if the cells went on (the cover's
+    ``lon +- dlon``), and callers clamp where the axis ends.
+    """
+    q = math.floor((x - lo) / size)
+    if x < lo + q * size:
+        return q - 1
+    if x >= lo + (q + 1) * size:
+        return q + 1
+    return q
+
+
+def _quantise_point(lat: float, lon: float, precision: int) -> Tuple[int, int]:
+    """``(lat_q, lon_q)`` of a validated point; +90 / +180 belong to the
+    last cell, as in the bisection (every comparison says "upper half")."""
     if not -90.0 <= lat <= 90.0:
         raise ValueError(f"latitude out of range: {lat}")
     if not -180.0 <= lon <= 180.0:
         raise ValueError(f"longitude out of range: {lon}")
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
+    lat_bits, lon_bits, height, width, _, _ = _GRID[precision]
+    return (
+        min(_quantise(lat, -90.0, height), (1 << lat_bits) - 1),
+        min(_quantise(lon, -180.0, width), (1 << lon_bits) - 1),
+    )
 
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -180.0, 180.0
-    chars: List[str] = []
-    bits = 0
-    value = 0
-    even_bit = True  # even bit positions refine longitude
 
-    while len(chars) < precision:
-        if even_bit:
-            mid = (lon_lo + lon_hi) / 2.0
-            if lon >= mid:
-                value = (value << 1) | 1
-                lon_lo = mid
-            else:
-                value <<= 1
-                lon_hi = mid
-        else:
-            mid = (lat_lo + lat_hi) / 2.0
-            if lat >= mid:
-                value = (value << 1) | 1
-                lat_lo = mid
-            else:
-                value <<= 1
-                lat_hi = mid
-        even_bit = not even_bit
-        bits += 1
-        if bits == 5:
-            chars.append(GEOHASH_ALPHABET[value])
-            bits = 0
-            value = 0
-    return "".join(chars), lat_lo, lat_hi, lon_lo, lon_hi
+#: ``_SPREAD_BYTE[b]``: the bits of byte ``b`` moved to the even positions.
+_SPREAD_BYTE: Tuple[int, ...] = tuple(
+    sum(((b >> j) & 1) << (2 * j) for j in range(8)) for b in range(256)
+)
+
+
+def _spread(q: int) -> int:
+    """Move bit ``j`` of ``q`` (< 2**32) to bit ``2j``, a byte per lookup."""
+    table = _SPREAD_BYTE
+    return (
+        table[q & 255]
+        | table[(q >> 8) & 255] << 16
+        | table[(q >> 16) & 255] << 32
+        | table[q >> 24] << 48
+    )
+
+
+def _grid_row(precision: int) -> Tuple[int, int, float, float, int, int]:
+    lat_bits, lon_bits = 5 * precision // 2, (5 * precision + 1) // 2
+    lat_shift = lon_bits - lat_bits
+    return (
+        lat_bits,
+        lon_bits,
+        180.0 / (1 << lat_bits),
+        360.0 / (1 << lon_bits),
+        _spread((1 << lat_bits) - 1) << lat_shift,
+        _spread((1 << lon_bits) - 1) << (1 - lat_shift),
+    )
+
+
+#: precision -> (lat_bits, lon_bits, cell height, cell width in degrees,
+#: latitude's bit positions in a cell id, longitude's). Interleaving
+#: starts with a longitude bit, so longitude owns the extra bit at odd
+#: precisions — and whichever axis owns the *last* bit sits on the even
+#: positions. Both sizes are ``45 * 2**k``: exact.
+_GRID: Dict[int, Tuple[int, int, float, float, int, int]] = {
+    precision: _grid_row(precision) for precision in range(1, 13)
+}
 
 
 def encode_point(point: GeoPoint, precision: int = 9) -> str:
@@ -240,7 +291,7 @@ def precision_for_radius_km(radius_km: float) -> int:
     handful of radii (the filter's local and wide one), millions of
     times.
     """
-    if radius_km <= 0:
+    if not radius_km > 0:  # NaN too
         raise ValueError(f"radius must be positive, got {radius_km}")
     for precision in range(12, 0, -1):
         height, width = _CELL_KM[precision]
@@ -259,23 +310,30 @@ _MAX_COVER_COLUMNS = 16
 _COVER_PAD = 1.0 + 1e-9
 
 
-def covering_cells(point: GeoPoint, radius_km: float) -> List[str]:
-    """Same-precision geohash cells covering a disc, centre cell first.
+def cover(lat: float, lon: float, radius_km: float) -> Tuple[int, List[int]]:
+    """``(precision, cell ids)`` of the cells covering a disc, centre first.
 
-    Every point within ``radius_km`` (haversine) of ``point`` lies in
-    one of the returned cells. They are the cells that intersect the
-    disc's latitude/longitude bounding box — ``lat ± r/R`` and
-    ``lon ± asin(sin(r/R) / cos(lat))``, every longitude once the disc
-    touches a pole — found by walking :func:`adjacent` from the centre
-    cell, which wraps at the antimeridian. The precision is
-    :func:`precision_for_radius_km`'s, so near the equator this is the
-    familiar 3x3 block or less; cells narrow with cos(latitude), so at
-    mid latitudes a row can need a fourth column. Only where a row would
-    exceed ``_MAX_COVER_COLUMNS`` (beyond ~80 degrees) is a coarser
-    precision used.
+    Every point within ``radius_km`` (haversine) of ``(lat, lon)`` lies
+    in one of the returned same-precision cells. They are the cells that
+    intersect the disc's latitude/longitude bounding box — ``lat ± r/R``
+    and ``lon ± asin(sin(r/R) / cos(lat))``, every longitude once the
+    disc touches a pole. The box corners go through the same quantiser
+    as the centre, which makes the block ``(lat_q + i, (lon_q + j) mod
+    columns)``: rows stop at the poles, columns wrap at the antimeridian.
+    The precision is :func:`precision_for_radius_km`'s, so near the
+    equator this is the familiar 3x3 block or less; cells narrow with
+    cos(latitude), so at mid latitudes a row can need a fourth column.
+    Only where a row would exceed ``_MAX_COVER_COLUMNS`` (beyond ~80
+    degrees) is a coarser precision used.
+
+    Order: the centre's row — centre, eastwards, then westwards — then
+    the same row shifted north one step at a time, then south.
+
+    Raises:
+        ValueError: for out-of-range (or NaN) coordinates or a
+            non-positive radius.
     """
     precision = precision_for_radius_km(radius_km)
-    lat, lon = point.lat, point.lon
     angle = radius_km / EARTH_RADIUS_KM * _COVER_PAD
     dlat = math.degrees(angle)
     lat_min, lat_max = lat - dlat, lat + dlat
@@ -284,48 +342,56 @@ def covering_cells(point: GeoPoint, radius_km: float) -> List[str]:
         reach = math.sin(angle) / math.cos(math.radians(lat))
         if reach < 1.0:
             dlon = math.degrees(math.asin(reach)) * _COVER_PAD
-    columns = 1 << _bit_split(precision)[1]
-    while precision > 1 and 2.0 * dlon * columns / 360.0 + 2.0 > _MAX_COVER_COLUMNS:
+    while (
+        precision > 1
+        and 2.0 * dlon * (1 << _GRID[precision][1]) / 360.0 + 2.0 > _MAX_COVER_COLUMNS
+    ):
         precision -= 1
-        columns = 1 << _bit_split(precision)[1]
+    lat_bits, lon_bits, height, width, lat_mask, lon_mask = _GRID[precision]
+    columns = 1 << lon_bits
 
-    centre, lat_lo, lat_hi, lon_lo, lon_hi = _encode_cell(lat, lon, precision)
-    height, width = lat_hi - lat_lo, lon_hi - lon_lo
-    # Cell edges are exact binary fractions, so these comparisons place a
-    # coordinate in the same cell encode()'s bisection does: [lo, hi).
-    north = south = east = west = 0
-    edge = lat_hi
-    while edge <= lat_max and edge < 90.0:
-        north += 1
-        edge += height
-    edge = lat_lo
-    while edge > lat_min and edge > -90.0:
-        south += 1
-        edge -= height
-    edge = lon_hi
-    while edge <= lon + dlon:
-        east += 1
-        edge += width
-    edge = lon_lo
-    while edge > lon - dlon:
-        west += 1
-        edge -= width
+    lat_q, lon_q = _quantise_point(lat, lon, precision)
+    # A box corner shares the centre's [lo, hi) cell convention, so the
+    # block ends exactly where a walk comparing cell edges would stop.
+    north = (_quantise(lat_max, -90.0, height) if lat_max < 90.0 else (1 << lat_bits) - 1) - lat_q
+    south = lat_q - (_quantise(lat_min, -90.0, height) if lat_min > -90.0 else 0)
+    east = _quantise(lon + dlon, -180.0, width) - lon_q
+    west = lon_q - _quantise(lon - dlon, -180.0, width)
     if 1 + east + west >= columns:  # the whole parallel
         east, west = columns - 1, 0
 
-    row = [centre]
-    for direction, steps in (("e", east), ("w", west)):
-        cell = centre
-        for _ in range(steps):
-            cell = adjacent(cell, direction)
-            row.append(cell)
-    cells = list(row)
-    for direction, steps in (("n", north), ("s", south)):
-        layer = row
-        for _ in range(steps):
-            layer = [adjacent(cell, direction) for cell in layer]
-            cells.extend(layer)
+    lat_shift = lon_bits - lat_bits
+    row = _walk(_spread(lon_q) << (1 - lat_shift), east, west, lat_mask, lon_mask)
+    rows = _walk(_spread(lat_q) << lat_shift, north, south, lon_mask, lat_mask)
+    return precision, [lat_part | cell for lat_part in rows for cell in row]
+
+
+def _walk(centre: int, ahead: int, back: int, fill: int, mask: int) -> List[int]:
+    """``centre``, then ``ahead`` cells up its axis, then ``back`` down.
+
+    Steps are taken on the interleaved bits themselves (``mask``: the
+    axis's positions, ``fill``: the other axis's): with the other
+    positions filled a carry runs straight through them (a borrow needs
+    no help), and the mask drops what overflows — which is the wrap at
+    the antimeridian.
+    """
+    cells = [centre]
+    cell = centre
+    for _ in range(ahead):
+        cell = ((cell | fill) + 1) & mask
+        cells.append(cell)
+    cell = centre
+    for _ in range(back):
+        cell = (cell - 1) & mask
+        cells.append(cell)
     return cells
+
+
+def covering_cells(point: GeoPoint, radius_km: float) -> List[str]:
+    """:func:`cover` rendered as geohash strings (same cells, same
+    order): what the linear reference filter matches prefixes against."""
+    precision, cells = cover(point.lat, point.lon, radius_km)
+    return [cell_to_geohash(cell, precision) for cell in cells]
 
 
 def common_prefix_length(a: str, b: str) -> int:
@@ -387,37 +453,34 @@ def encode_cells(lats, lons, precision: int):
     Bit-compatible with :func:`encode`: the returned integer is the
     geohash's 5*precision-bit string (see :func:`cell_to_geohash`).
     Accepts numpy arrays (or anything ``np.asarray`` takes) and returns
-    a ``uint64`` array of the same shape.
+    a ``uint64`` array of the same shape. Coordinates are not validated:
+    one beyond its axis lands in the first or last cell and NaN in the
+    first, where the bisection's comparisons would leave them.
     """
     import numpy as np
 
-    total, lon_bits = _bit_split(precision)
-    lat_bits = total - lon_bits
+    _bit_split(precision)  # validates
+    lat_bits, lon_bits, height, width, _, _ = _GRID[precision]
     lat_arr = np.asarray(lats, dtype=np.float64)
     lon_arr = np.asarray(lons, dtype=np.float64)
-    # Vectorized form of encode()'s binary-search refinement. A closed
-    # quantization formula (floor((x - lo)/span * 2^bits)) is NOT
-    # equivalent: its additions round differently right at cell
-    # boundaries (e.g. lon = -1e-87), so each axis replays the same
-    # IEEE compare-against-midpoint sequence the scalar path runs.
-    lat_q = _bisect_axis(np, lat_arr, -90.0, 90.0, lat_bits)
-    lon_q = _bisect_axis(np, lon_arr, -180.0, 180.0, lon_bits)
+    lat_q = _quantise_axis(np, lat_arr, -90.0, height, lat_bits)
+    lon_q = _quantise_axis(np, lon_arr, -180.0, width, lon_bits)
     return interleave_cells(lat_q, lon_q, precision)
 
 
-def _bisect_axis(np, values, lo: float, hi: float, bits: int):
-    """Quantize one axis by ``bits`` rounds of midpoint bisection."""
-    q = np.zeros(values.shape, dtype=np.uint64)
-    lo_arr = np.full(values.shape, lo, dtype=np.float64)
-    hi_arr = np.full(values.shape, hi, dtype=np.float64)
-    one = np.uint64(1)
-    for _ in range(bits):
-        mid = (lo_arr + hi_arr) / 2.0
-        ge = values >= mid
-        q = (q << one) | ge.astype(np.uint64)
-        lo_arr = np.where(ge, mid, lo_arr)
-        hi_arr = np.where(ge, hi_arr, mid)
-    return q
+def _quantise_axis(np, values, lo: float, size: float, bits: int):
+    """:func:`_quantise` over an array, clamped to the axis's ``2**bits``
+    cells: the floor estimate, then one step against the exact cell
+    edges. (The estimate alone is not the bisection's cell: its
+    subtraction rounds right at cell boundaries, e.g. lon = -1e-87.)"""
+    top = (1 << bits) - 1
+    # fmax/fmin drop NaN, so the integer cast only sees 0..top.
+    estimate = np.fmin(np.fmax((values - lo) / size, 0.0), float(top))
+    q = estimate.astype(np.int64)
+    edge = lo + q * size
+    q += values >= edge + size
+    q -= values < edge
+    return np.clip(q, 0, top).astype(np.uint64)
 
 
 #: ``_RUN_MASK[w]``: alternating runs of ``w`` set and ``w`` clear bits.
@@ -508,11 +571,10 @@ def cell_neighborhood(cells, precision: int):
 def cell_to_geohash(cell: int, precision: int) -> str:
     """Render an integer cell id as its base-32 geohash string."""
     total, _ = _bit_split(precision)
-    chars = []
-    for i in range(precision):
-        shift = total - 5 * (i + 1)
-        chars.append(GEOHASH_ALPHABET[(int(cell) >> shift) & 0b11111])
-    return "".join(chars)
+    cell = int(cell)
+    return "".join(
+        [GEOHASH_ALPHABET[(cell >> shift) & 0b11111] for shift in range(total - 5, -1, -5)]
+    )
 
 
 def geohash_to_cell(geohash: str) -> int:

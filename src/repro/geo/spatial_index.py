@@ -15,19 +15,27 @@ inside those cells. Inserts, updates and removals are
 O(``max_precision``), so the index is maintained incrementally on every
 heartbeat and expiry instead of being rebuilt.
 
+Buckets are keyed by integer: the cell id of :mod:`repro.geo.geohash`
+under a sentinel bit that carries the depth, ``(1 << 5*depth) | cell``,
+so a parent's key is ``key >> 5`` and the cover of a query disc
+(:func:`~repro.geo.geohash.cover`, integer cell ids) reaches its buckets
+by a shift and an OR. Geohash *strings* are parsed where they enter:
+once per :meth:`insert` that changes a node's hash, and in the string
+renderings of the query API (:meth:`query_cells`, :meth:`within`).
+
 Storage is columnar. Every node owns a *slot*; ``slot -> status`` is a
 list, each bucket caches its members' slots as an integer array
 (dropped only when that bucket's membership changes — a same-cell
 heartbeat refresh touches no bucket), and per-slot float64 columns hold
 the haversine operands (``lat_rad``, ``lon_rad``, ``cos_lat``) plus any
 status attribute a ranking policy asks for through :meth:`column`.
-:meth:`within` cuts all cell candidates against the query disc in one
-numpy pass instead of one Python ``haversine`` call per candidate.
+:meth:`within_cover` cuts all cell candidates against the query disc in
+one numpy pass instead of one Python ``haversine`` call per candidate.
 
 **Propose / decide.** numpy's ``sin``/``arcsin`` may differ from
 ``math``'s by an ulp, so a vector distance never decides membership on
-its own: :meth:`within` trusts it only outside a guard band around the
-radius and re-decides everything inside the band with the scalar
+its own: :meth:`within_cover` trusts it only outside a guard band
+around the radius and re-decides everything inside the band with the scalar
 :func:`~repro.geo.point.haversine_km_coords`. The returned set is
 therefore exactly the set a linear scan with the scalar cut returns (a
 property the test suite checks on randomized registries and on nodes
@@ -53,6 +61,7 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
+from repro.geo import geohash as gh
 from repro.geo.point import EARTH_RADIUS_KM, haversine_km_coords
 
 
@@ -141,17 +150,17 @@ class GeohashSpatialIndex(Generic[S]):
         #: the columns stay as long as the registry's high-water mark.
         self._slot_of: Dict[str, int] = {}
         #: slot -> latest status (``None`` while the slot is free). A
-        #: node's bucketed cell is ``status.geohash[:max_precision]``.
+        #: node's bucketed cell is ``_bucket_key(status.geohash)``.
         self._status_at: List[Optional[S]] = []
         self._free: List[int] = []
-        #: geohash prefix (len 1..max_precision) -> ids inside that cell.
+        #: bucket key (depth 1..max_precision) -> ids inside that cell.
         #: Dict-as-ordered-set: iteration follows insertion order, so
         #: query results are deterministic across processes (a plain
         #: set of strings would not be, under hash randomization).
-        self._buckets: Dict[str, Dict[str, None]] = {}
-        #: prefix -> its bucket's slots as an array, built by the first
+        self._buckets: Dict[int, Dict[str, None]] = {}
+        #: key -> its bucket's slots as an array, built by the first
         #: query after the bucket's membership changed.
-        self._bucket_slots: Dict[str, SlotArray] = {}
+        self._bucket_slots: Dict[int, SlotArray] = {}
         #: Column bookkeeping. ``insert`` does no numeric work (filling
         #: a registry costs what it did without columns); the next query
         #: brings the columns up to date (see :meth:`_sync`): slots from
@@ -168,53 +177,76 @@ class GeohashSpatialIndex(Generic[S]):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def _bucket_key(self, geohash: str) -> int:
+        """The deepest bucket a geohash (of any length >= 1) falls in."""
+        depth = min(len(geohash), self.max_precision)
+        return 1 << 5 * depth | gh.geohash_to_cell(geohash[:depth])
+
+    def _position_key(self, status: S) -> int:
+        """The ``max_precision`` bucket of a status that has one."""
+        geohash = status.geohash
+        if len(geohash) < self.max_precision:
+            raise ValueError(
+                f"geohash {geohash!r} of {status.node_id!r} is coarser than "
+                f"index precision {self.max_precision}; it has no single cell"
+            )
+        if geohash != geohash.lower():
+            # The linear reference compares prefixes with the cover's
+            # lower-case cells and would never match it; nor may the
+            # index, which parses letters in either case.
+            raise ValueError(
+                f"geohash {geohash!r} of {status.node_id!r} is not lower-case"
+            )
+        return self._bucket_key(geohash)
+
     def insert(self, status: S) -> None:
         """Insert or refresh a node's status (handles cell changes).
 
         Raises:
             ValueError: for a geohash shorter than ``max_precision`` —
                 it names an area, not a position, and finer queries
-                could never find it.
+                could never find it — or one that is not a canonical
+                geohash (a character outside the alphabet, an
+                upper-case letter). The index is left as it was.
         """
         node_id = status.node_id
-        cell = status.geohash[: self.max_precision]
         slot = self._slot_of.get(node_id)
         if slot is not None:
             old = self._status_at[slot]
             assert old is not None
-            old_cell = old.geohash[: self.max_precision]
-            if old_cell == cell:
-                self._status_at[slot] = status
-                self._stale.add(slot)
-                return
-        if len(cell) < self.max_precision:
-            raise ValueError(
-                f"geohash {status.geohash!r} of {node_id!r} is coarser than "
-                f"index precision {self.max_precision}; it has no single cell"
-            )
-        if slot is not None:
-            self._unbucket(node_id, old_cell)
+            # The usual refresh repeats the hash: nothing to parse.
+            if old.geohash != status.geohash:
+                key = self._position_key(status)
+                old_key = self._bucket_key(old.geohash)
+                if key != old_key:
+                    self._unbucket(node_id, old_key)
+                    self._bucket(node_id, key)
+            self._status_at[slot] = status
             self._stale.add(slot)
-        elif self._free:
+            return
+        key = self._position_key(status)
+        if self._free:
             slot = self._free.pop()
-            self._slot_of[node_id] = slot
             self._stale.add(slot)
         else:
             slot = len(self._status_at)
             self._status_at.append(None)
-            self._slot_of[node_id] = slot
+        self._slot_of[node_id] = slot
         self._status_at[slot] = status
+        self._bucket(node_id, key)
+
+    def _bucket(self, node_id: str, key: int) -> None:
+        """Enter ``node_id`` under ``key`` and every ancestor of it."""
         buckets = self._buckets
         cached = self._bucket_slots
-        for depth in range(1, len(cell) + 1):
-            prefix = cell[:depth]
-            members = buckets.get(prefix)
+        while key > 1:
+            members = buckets.get(key)
             if members is None:
-                buckets[prefix] = {node_id: None}
+                buckets[key] = {node_id: None}
             else:
                 members[node_id] = None
-                if prefix in cached:
-                    del cached[prefix]
+                cached.pop(key, None)
+            key >>= 5
 
     def remove(self, node_id: str) -> None:
         """Remove a node; a no-op for unknown ids."""
@@ -223,20 +255,20 @@ class GeohashSpatialIndex(Generic[S]):
             return
         status = self._status_at[slot]
         assert status is not None
-        self._unbucket(node_id, status.geohash[: self.max_precision])
+        self._unbucket(node_id, self._bucket_key(status.geohash))
         self._status_at[slot] = None
         self._free.append(slot)
 
-    def _unbucket(self, node_id: str, cell: str) -> None:
+    def _unbucket(self, node_id: str, key: int) -> None:
         buckets = self._buckets
         cached = self._bucket_slots
-        for depth in range(1, len(cell) + 1):
-            prefix = cell[:depth]
-            members = buckets[prefix]
+        while key > 1:
+            members = buckets[key]
             del members[node_id]
             if not members:
-                del buckets[prefix]
-            cached.pop(prefix, None)
+                del buckets[key]
+            cached.pop(key, None)
+            key >>= 5
 
     def clear(self) -> None:
         self._slot_of.clear()
@@ -288,7 +320,7 @@ class GeohashSpatialIndex(Generic[S]):
     def column(self, name: str) -> FloatArray:
         """Per-slot float64 column of the status attribute ``name``.
 
-        Index it with the slots :meth:`within` returns. Built on first
+        Index it with the slots :meth:`within_cover` returns. Built on first
         request, then kept current like the geometry columns; the array
         is only valid until the next ``insert``/``remove``/``clear``.
         """
@@ -304,21 +336,20 @@ class GeohashSpatialIndex(Generic[S]):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _cell_prefixes(self, cells: Sequence[str]) -> List[str]:
-        """Distinct occupied bucket prefixes for same-precision cells."""
+    def _occupied(self, keys: Iterable[int]) -> List[int]:
+        """The distinct occupied buckets among ``keys``, in their order."""
         buckets = self._buckets
-        seen: Set[str] = set()
-        out: List[str] = []
-        for cell in cells:
-            prefix = cell[: self.max_precision]
-            if prefix not in seen:
-                seen.add(prefix)
-                if prefix in buckets:
-                    out.append(prefix)
+        seen: Set[int] = set()
+        out: List[int] = []
+        for key in keys:
+            if key not in seen:
+                seen.add(key)
+                if key in buckets:
+                    out.append(key)
         return out
 
     def query_cells(self, cells: Sequence[str]) -> List[S]:
-        """Statuses of every node inside the given same-precision cells.
+        """Statuses of every node inside the given geohash cells.
 
         Cells deeper than ``max_precision`` are truncated to it; since a
         parent cell contains all its children this only widens the
@@ -328,8 +359,8 @@ class GeohashSpatialIndex(Generic[S]):
         slot_of = self._slot_of
         status_at = self._status_at
         out: List[S] = []
-        for prefix in self._cell_prefixes(cells):
-            for node_id in self._buckets[prefix]:
+        for key in self._occupied(map(self._bucket_key, cells)):
+            for node_id in self._buckets[key]:
                 status = status_at[slot_of[node_id]]
                 assert status is not None
                 out.append(status)
@@ -338,8 +369,22 @@ class GeohashSpatialIndex(Generic[S]):
     def within(
         self, lat: float, lon: float, radius_km: float, cells: Sequence[str]
     ) -> Tuple[SlotArray, FloatArray]:
+        """:meth:`within_cover` for cells given as geohash strings."""
+        return self._cut(lat, lon, radius_km, map(self._bucket_key, cells))
+
+    def within_cover(
+        self,
+        lat: float,
+        lon: float,
+        radius_km: float,
+        precision: int,
+        cells: Iterable[int],
+    ) -> Tuple[SlotArray, FloatArray]:
         """Slots (and distances) of the nodes in ``cells`` within the disc.
 
+        ``cells`` are integer cell ids at ``precision``, as
+        :func:`repro.geo.geohash.cover` returns them; deeper than
+        ``max_precision`` they are truncated to it (a superset).
         Membership is exactly ``haversine_km_coords(lat, lon, node.lat,
         node.lon) <= radius_km`` for every node in ``cells`` (which must
         cover the disc for the answer to be the whole disc): one numpy
@@ -349,14 +394,25 @@ class GeohashSpatialIndex(Generic[S]):
         distances — within the guard of the scalar ones, good for
         shortlisting, never for a final order.
         """
+        depth = min(precision, self.max_precision)
+        shift = 5 * (precision - depth)
+        tag = 1 << 5 * depth
+        return self._cut(
+            lat, lon, radius_km, [tag | cell >> shift for cell in cells]
+        )
+
+    def _cut(
+        self, lat: float, lon: float, radius_km: float, keys: Iterable[int]
+    ) -> Tuple[SlotArray, FloatArray]:
+        """:meth:`within_cover` once the cells are bucket keys."""
         self._sync()
         cached = self._bucket_slots
         parts: List[SlotArray] = []
-        for prefix in self._cell_prefixes(cells):
-            part = cached.get(prefix)
+        for key in self._occupied(keys):
+            part = cached.get(key)
             if part is None:
-                members = self._buckets[prefix]
-                part = cached[prefix] = np.fromiter(
+                members = self._buckets[key]
+                part = cached[key] = np.fromiter(
                     map(self._slot_of.__getitem__, members),
                     dtype=np.intp,
                     count=len(members),
@@ -373,11 +429,19 @@ class GeohashSpatialIndex(Generic[S]):
             np.sin(dlat / 2.0) ** 2
             + math.cos(lat1) * self._cos_lat[slots] * np.sin(dlon / 2.0) ** 2
         )
-        dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
         guard = distance_guard_km(radius_km)
-        # NaN coordinates compare False here exactly as in the scalar cut.
-        keep = dist <= radius_km + guard
-        slots, dist = slots[keep], dist[keep]
+        # Two thirds of the cell candidates lie beyond the disc: drop
+        # them on ``h``, which grows with the distance, before paying
+        # for sqrt and arcsin. The cut sits two guards out, so it keeps
+        # every node whose vector distance is within one guard of the
+        # radius or closer (a guard is ~1e9 times the rounding of the
+        # three functions); the few it keeps beyond that are "unsure"
+        # below and go to the scalar cut. NaN coordinates compare False,
+        # as in the scalar cut.
+        reach = (radius_km + 2.0 * guard) / (2.0 * EARTH_RADIUS_KM)
+        near = h <= (math.sin(reach) ** 2 if reach < math.pi / 2.0 else math.inf)
+        slots, h = slots[near], h[near]
+        dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
         unsure = np.flatnonzero(dist > radius_km - guard)
         if unsure.size:
             status_at = self._status_at
@@ -393,7 +457,7 @@ class GeohashSpatialIndex(Generic[S]):
         return slots, dist
 
     def status_at(self, slot: int) -> S:
-        """The status occupying ``slot`` (as returned by :meth:`within`)."""
+        """The status occupying ``slot`` (as returned by :meth:`within_cover`)."""
         status = self._status_at[slot]
         assert status is not None
         return status

@@ -129,10 +129,19 @@ class GlobalSelectionMachine:
     # Registry maintenance
     # ------------------------------------------------------------------
     def _on_heartbeat(self, event: HeartbeatReceived) -> List[Effect]:
+        """Register or refresh a node.
+
+        Raises:
+            ValueError: the index cannot key the status's geohash (too
+                short for a position, or not a geohash). Nothing has
+                changed then: the index refuses before it writes, and it
+                goes first — an entry in the registry alone would have
+                no stamp to expire by and no cell to be found in.
+        """
         node_id = event.status.node_id
+        self.spatial_index.insert(event.status)
         new = node_id not in self.registry
         self.registry[node_id] = event.status
-        self.spatial_index.insert(event.status)
         self._stamps[node_id] = event.stamp
         heapq.heappush(self._expiry_heap, (event.stamp, node_id))
         return [NodeOnline(node_id, new=new)]
@@ -244,8 +253,8 @@ class GlobalSelectionMachine:
         self._wrr_current.clear()
         self._expiry_heap.clear()
         for status in snapshot.statuses:
-            self.registry[status.node_id] = status
             self.spatial_index.insert(status)
+            self.registry[status.node_id] = status
         self._stamps.update(snapshot.stamps)
         self._wrr_current.update(snapshot.wrr_current)
         self._expiry_heap.extend(

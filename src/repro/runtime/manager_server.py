@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Type, TypeVar
 
 from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
 from repro.core.policies.global_policies import GlobalSelectionPolicy
+from repro.geo.point import GeoPoint
 from repro.obs.events import PopulationChanged
 from repro.obs.tracer import Tracer
 from repro.protocol.effects import (
@@ -36,6 +37,39 @@ from repro.protocol.events import (
 )
 from repro.protocol.global_select import GlobalSelectionMachine, RegistrySnapshot
 from repro.runtime import protocol
+
+M = TypeVar("M")
+
+
+def _decoded(data: Dict[str, Any], expected: Type[M]) -> M:
+    message = from_wire(data)
+    if not isinstance(message, expected):
+        raise ValueError(
+            f"expected a {expected.__name__}, got {type(message).__name__}"
+        )
+    return message
+
+
+def status_from_wire(data: Dict[str, Any]) -> NodeStatus:
+    """A peer's heartbeat status.
+
+    Raises:
+        ValueError: malformed, or some other message type.
+    """
+    return _decoded(data, NodeStatus)
+
+
+def query_from_wire(data: Dict[str, Any]) -> DiscoveryQuery:
+    """A peer's discovery query, refused while nothing has been touched.
+
+    Raises:
+        ValueError: malformed, some other message type, or coordinates
+            off the globe (NaN included) — which selection could only
+            trip over after the registry has been pruned for it.
+    """
+    query = _decoded(data, DiscoveryQuery)
+    GeoPoint(query.lat, query.lon)
+    return query
 
 
 class ManagerServer:
@@ -58,6 +92,11 @@ class ManagerServer:
           only transfer between processes sharing a clock — the
           loopback cluster's case).
         - ``status`` — introspection for tests/operators.
+
+    A status or query the manager cannot use — malformed, a geohash the
+    index cannot key, coordinates off the globe — is answered with
+    ``{"ok": false, "error": ...}`` and changes nothing; the connection
+    stays up.
     """
 
     def __init__(
@@ -155,10 +194,16 @@ class ManagerServer:
         )
 
     async def _dispatch(self, frame: dict) -> dict:
+        try:
+            return self._answer(frame)
+        except ValueError as exc:
+            return {"ok": False, "error": str(exc)}
+
+    def _answer(self, frame: dict) -> dict:
         op = frame["op"]
         payload = frame["payload"]
         if op == "heartbeat":
-            status: NodeStatus = from_wire(payload["status"])
+            status = status_from_wire(payload["status"])
             self.heartbeats_received += 1
             self._run_effects(
                 self._machine.handle(
@@ -168,7 +213,7 @@ class ManagerServer:
             self._addresses[status.node_id] = (payload["host"], payload["port"])
             return {"ok": True}
         if op == "discover":
-            query: DiscoveryQuery = from_wire(payload["query"])
+            query = query_from_wire(payload["query"])
             self.queries_served += 1
             reply = self._run_effects(
                 self._machine.handle(
@@ -193,8 +238,7 @@ class ManagerServer:
                 },
             }
         if op == "discover_partial":
-            query = from_wire(payload["query"])
-            assert isinstance(query, DiscoveryQuery)
+            query = query_from_wire(payload["query"])
             self.queries_served += 1
             reply = self._run_effects(
                 self._machine.handle(

@@ -1,0 +1,45 @@
+"""CI jobs install what the tests they run import.
+
+The ``test`` matrix job ran the whole tier-1 suite with ``numpy pytest``
+installed, while a good dozen tier-1 modules import ``hypothesis`` at
+module top: ``pytest -x`` stopped at collection. Read straight off the
+workflow text (no YAML parser in the image that job builds).
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+from typing import Dict
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def jobs() -> Dict[str, str]:
+    """Job name -> the text of its block."""
+    body = WORKFLOW.read_text().split("\njobs:\n", 1)[1]
+    parts = re.split(r"(?m)^  ([\w-]+):\n", body)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def imports_hypothesis(path: Path) -> bool:
+    return re.search(r"(?m)^(from|import) hypothesis\b", path.read_text()) is not None
+
+
+def runs_hypothesis_tests(job: str) -> bool:
+    if re.search(r"(?m)run: python -m pytest -x -q$", job):  # no paths: all of tests/
+        return any(imports_hypothesis(path) for path in (ROOT / "tests").glob("test_*.py"))
+    return any(imports_hypothesis(ROOT / name) for name in re.findall(r"tests/test_\w+\.py", job))
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_jobs_that_run_hypothesis_tests_install_hypothesis():
+    found = jobs()
+    assert "test" in found and runs_hypothesis_tests(found["test"])
+    for name, job in found.items():
+        if runs_hypothesis_tests(job):
+            (install,) = re.findall(r"pip install (.*)", job)
+            assert "hypothesis" in install.split(), f"job {name!r} installs only: {install}"

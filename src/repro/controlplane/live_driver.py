@@ -42,7 +42,7 @@ from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.obs.events import ManagerPromote, RegistryHandoff, ShardMerge, ShardRoute
 from repro.obs.tracer import Tracer
 from repro.runtime import protocol
-from repro.runtime.manager_server import ManagerServer, query_from_wire, status_from_wire
+from repro.runtime.manager_server import ManagerServer, heartbeat_from_wire, query_from_wire
 
 __all__ = ["RouterServer", "ControlPlaneCluster"]
 
@@ -214,9 +214,8 @@ class RouterServer:
         return {"ok": False, "error": f"unknown op: {op!r}"}
 
     async def _on_heartbeat(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        status = status_from_wire(payload["status"])
+        status, node_address = heartbeat_from_wire(payload)
         shard = self.router.owner_of(status)
-        self.heartbeats_received += 1
         delivered = 0
         for replica, address in enumerate(self._replicas[shard]):
             if replica in self._down[shard]:
@@ -232,13 +231,14 @@ class RouterServer:
                 # standbys. The node stays unknown here too.
                 return reply
             delivered += 1
-        self._addresses[status.node_id] = (payload["host"], payload["port"])
+        self.heartbeats_received += 1
+        self._addresses[status.node_id] = node_address
         if self.serving_primary(shard) is None:
             self._promote(shard, reason="unreachable")
         return {"ok": True, "delivered": delivered}
 
     async def _on_discover(self, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        query = query_from_wire(payload["query"])
+        query = query_from_wire(payload)
         self.queries_served += 1
         geo = self.router.policy.geo_filter
         try:

@@ -8,9 +8,9 @@ fixed-radius phases the shards can answer independently:
 2. if the summed exact in-radius counts reach ``top_n``, merge; else
 3. fan out at ``wide_radius_km`` and keep the wide result only when it
    is strictly larger (the single-manager widening rule, verbatim);
-4. cut the global TopN from the per-shard TopNs — each already in key
-   order — by merging them under the same total-order key (one shard's
-   TopN is the answer as it stands).
+4. cut the global TopN from the concatenated per-shard TopNs with the
+   same ``heapq.nsmallest`` + total-order key (one shard's TopN, already
+   in key order, is the answer as it stands).
 
 Bit-identity argument: the shards partition the registry, a node within
 radius lies in a covering cell so its owner shard is queried, any
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Tuple, cast
 
 from repro.controlplane.sharding import ShardMap
@@ -128,29 +127,29 @@ class ShardRouter:
             if wide_total > local_total:
                 widened = True
                 chosen = wide
-        # Each partial is a run already in key order, so the first TopN
-        # of their stable merge is ``nsmallest`` over the pooled
-        # statuses, ties included. A lone run is its own merge: nothing
-        # is scored again.
-        runs = [p.statuses for p in chosen]
-        top_n = max(query.top_n, 0)
-        if len(runs) == 1:
-            best: Sequence["NodeStatus"] = runs[0][:top_n]
+        # A lone partial is its shard's TopN, already in key order: the
+        # answer as it stands, nothing scored again.
+        pool: Sequence["NodeStatus"]
+        best: Sequence["NodeStatus"]
+        if len(chosen) == 1:
+            pool = chosen[0].statuses
+            best = pool[: max(query.top_n, 0)]
         else:
+            pool = [s for p in chosen for s in p.statuses]
             # The factory is declared as returning an opaque ``object``
             # key (policies compose tuples of mixed comparables); cast
-            # for the merge stub, which wants SupportsRichComparison.
+            # for the nsmallest stub, which wants SupportsRichComparison.
             sort_key = cast(
                 "Callable[[NodeStatus], Any]", self.policy.sort_key_factory(query)
             )
-            best = list(islice(heapq.merge(*runs, key=sort_key), top_n))
+            best = heapq.nsmallest(query.top_n, pool, key=sort_key)
         return RoutedSelection(
             node_ids=tuple(n.node_id for n in best),
             widened=widened,
             epoch=self.shard_map.epoch,
             local_shards=tuple(p.shard for p in local),
             wide_shards=tuple(p.shard for p in wide) if wide is not None else (),
-            pool=sum(map(len, runs)),
+            pool=len(pool),
         )
 
     def select(self, query: "DiscoveryQuery", fetch: Fetch) -> RoutedSelection:

@@ -76,13 +76,9 @@ def encode(lat: float, lon: float, precision: int = 9) -> str:
         ValueError: for out-of-range (or NaN) coordinates, or a precision
             outside 1..12.
     """
-    total, lon_bits = _bit_split(precision)
-    lat_q, lon_q = _quantise_point(lat, lon, precision)
-    # The axis owning the last bit (longitude, when it has the extra
-    # one) takes the even positions, as in :func:`interleave_cells`.
-    lat_shift = 2 * lon_bits - total
-    cell = _spread(lat_q) << lat_shift | _spread(lon_q) << (1 - lat_shift)
-    return cell_to_geohash(cell, precision)
+    _bit_split(precision)  # validates
+    lat_part, lon_part = _axis_parts(*_quantise_point(lat, lon, precision), precision)
+    return cell_to_geohash(lat_part | lon_part, precision)
 
 
 def _quantise(x: float, lo: float, size: float) -> int:
@@ -113,7 +109,7 @@ def _quantise_point(lat: float, lon: float, precision: int) -> Tuple[int, int]:
         raise ValueError(f"latitude out of range: {lat}")
     if not -180.0 <= lon <= 180.0:
         raise ValueError(f"longitude out of range: {lon}")
-    lat_bits, lon_bits, height, width, _, _ = _GRID[precision]
+    lat_bits, lon_bits, height, width, _, _, _ = _GRID[precision]
     return (
         min(_quantise(lat, -90.0, height), (1 << lat_bits) - 1),
         min(_quantise(lon, -180.0, width), (1 << lon_bits) - 1),
@@ -137,27 +133,47 @@ def _spread(q: int) -> int:
     )
 
 
-def _grid_row(precision: int) -> Tuple[int, int, float, float, int, int]:
-    lat_bits, lon_bits = 5 * precision // 2, (5 * precision + 1) // 2
+def _bit_split(precision: int) -> Tuple[int, int]:
+    """(total_bits, lon_bits) of a cell at ``precision``; lat gets the rest.
+
+    Geohash interleaving starts with a longitude bit, so longitude owns
+    the extra bit at odd precisions.
+    """
+    if not 1 <= precision <= 12:
+        raise ValueError(f"precision must be in 1..12, got {precision}")
+    total = 5 * precision
+    return total, (total + 1) // 2
+
+
+def _grid_row(precision: int) -> Tuple[int, int, float, float, int, int, int]:
+    total, lon_bits = _bit_split(precision)
+    lat_bits = total - lon_bits
+    # Whichever axis owns the *last* bit sits on the even positions:
+    # longitude when it has the extra one, pushing latitude up by one.
     lat_shift = lon_bits - lat_bits
     return (
         lat_bits,
         lon_bits,
         180.0 / (1 << lat_bits),
         360.0 / (1 << lon_bits),
+        lat_shift,
         _spread((1 << lat_bits) - 1) << lat_shift,
         _spread((1 << lon_bits) - 1) << (1 - lat_shift),
     )
 
 
 #: precision -> (lat_bits, lon_bits, cell height, cell width in degrees,
-#: latitude's bit positions in a cell id, longitude's). Interleaving
-#: starts with a longitude bit, so longitude owns the extra bit at odd
-#: precisions — and whichever axis owns the *last* bit sits on the even
-#: positions. Both sizes are ``45 * 2**k``: exact.
-_GRID: Dict[int, Tuple[int, int, float, float, int, int]] = {
+#: latitude's shift in a cell id, latitude's bit positions, longitude's).
+#: Both sizes are ``45 * 2**k``: exact.
+_GRID: Dict[int, Tuple[int, int, float, float, int, int, int]] = {
     precision: _grid_row(precision) for precision in range(1, 13)
 }
+
+
+def _axis_parts(lat_q: int, lon_q: int, precision: int) -> Tuple[int, int]:
+    """Each axis's bits at their positions in a cell id (OR them for the cell)."""
+    lat_shift = _GRID[precision][4]
+    return _spread(lat_q) << lat_shift, _spread(lon_q) << (1 - lat_shift)
 
 
 def encode_point(point: GeoPoint, precision: int = 9) -> str:
@@ -347,7 +363,7 @@ def cover(lat: float, lon: float, radius_km: float) -> Tuple[int, List[int]]:
         and 2.0 * dlon * (1 << _GRID[precision][1]) / 360.0 + 2.0 > _MAX_COVER_COLUMNS
     ):
         precision -= 1
-    lat_bits, lon_bits, height, width, lat_mask, lon_mask = _GRID[precision]
+    lat_bits, lon_bits, height, width, _, lat_mask, lon_mask = _GRID[precision]
     columns = 1 << lon_bits
 
     lat_q, lon_q = _quantise_point(lat, lon, precision)
@@ -360,10 +376,10 @@ def cover(lat: float, lon: float, radius_km: float) -> Tuple[int, List[int]]:
     if 1 + east + west >= columns:  # the whole parallel
         east, west = columns - 1, 0
 
-    lat_shift = lon_bits - lat_bits
-    row = _walk(_spread(lon_q) << (1 - lat_shift), east, west, lat_mask, lon_mask)
-    rows = _walk(_spread(lat_q) << lat_shift, north, south, lon_mask, lat_mask)
-    return precision, [lat_part | cell for lat_part in rows for cell in row]
+    lat_part, lon_part = _axis_parts(lat_q, lon_q, precision)
+    row = _walk(lon_part, east, west, lat_mask, lon_mask)
+    rows = _walk(lat_part, north, south, lon_mask, lat_mask)
+    return precision, [above | cell for above in rows for cell in row]
 
 
 def _walk(centre: int, ahead: int, back: int, fill: int, mask: int) -> List[int]:
@@ -435,18 +451,6 @@ _check_tables()
 # representations are the same encoding (see tests).
 
 
-def _bit_split(precision: int) -> Tuple[int, int]:
-    """(total_bits, lon_bits) of a cell at ``precision``; lat gets the rest.
-
-    Geohash interleaving starts with a longitude bit, so longitude owns
-    the extra bit at odd precisions.
-    """
-    if not 1 <= precision <= 12:
-        raise ValueError(f"precision must be in 1..12, got {precision}")
-    total = 5 * precision
-    return total, (total + 1) // 2
-
-
 def encode_cells(lats, lons, precision: int):
     """Vectorized geohash of coordinate arrays as ``uint64`` cell ids.
 
@@ -460,7 +464,7 @@ def encode_cells(lats, lons, precision: int):
     import numpy as np
 
     _bit_split(precision)  # validates
-    lat_bits, lon_bits, height, width, _, _ = _GRID[precision]
+    lat_bits, lon_bits, height, width, _, _, _ = _GRID[precision]
     lat_arr = np.asarray(lats, dtype=np.float64)
     lon_arr = np.asarray(lons, dtype=np.float64)
     lat_q = _quantise_axis(np, lat_arr, -90.0, height, lat_bits)

@@ -429,19 +429,11 @@ class GeohashSpatialIndex(Generic[S]):
             np.sin(dlat / 2.0) ** 2
             + math.cos(lat1) * self._cos_lat[slots] * np.sin(dlon / 2.0) ** 2
         )
-        guard = distance_guard_km(radius_km)
-        # Two thirds of the cell candidates lie beyond the disc: drop
-        # them on ``h``, which grows with the distance, before paying
-        # for sqrt and arcsin. The cut sits two guards out, so it keeps
-        # every node whose vector distance is within one guard of the
-        # radius or closer (a guard is ~1e9 times the rounding of the
-        # three functions); the few it keeps beyond that are "unsure"
-        # below and go to the scalar cut. NaN coordinates compare False,
-        # as in the scalar cut.
-        reach = (radius_km + 2.0 * guard) / (2.0 * EARTH_RADIUS_KM)
-        near = h <= (math.sin(reach) ** 2 if reach < math.pi / 2.0 else math.inf)
-        slots, h = slots[near], h[near]
         dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+        guard = distance_guard_km(radius_km)
+        # NaN coordinates compare False here exactly as in the scalar cut.
+        keep = dist <= radius_km + guard
+        slots, dist = slots[keep], dist[keep]
         unsure = np.flatnonzero(dist > radius_km - guard)
         if unsure.size:
             status_at = self._status_at

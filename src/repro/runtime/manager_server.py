@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Set, Type, TypeVar
+from typing import Any, Dict, List, Optional, Set, Tuple, Type, TypeVar
 
 from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
 from repro.core.policies.global_policies import GlobalSelectionPolicy
@@ -41,8 +41,13 @@ from repro.runtime import protocol
 M = TypeVar("M")
 
 
-def _decoded(data: Dict[str, Any], expected: Type[M]) -> M:
-    message = from_wire(data)
+def _decoded(payload: Dict[str, Any], key: str, expected: Type[M]) -> M:
+    try:
+        message = from_wire(payload[key])
+    except (KeyError, TypeError) as exc:
+        # No such entry in the request, or fields the message type does
+        # not have (or lacks): ``cls(**fields)`` says so with TypeError.
+        raise ValueError(f"malformed {key}: {exc!r}") from None
     if not isinstance(message, expected):
         raise ValueError(
             f"expected a {expected.__name__}, got {type(message).__name__}"
@@ -50,25 +55,43 @@ def _decoded(data: Dict[str, Any], expected: Type[M]) -> M:
     return message
 
 
-def status_from_wire(data: Dict[str, Any]) -> NodeStatus:
-    """A peer's heartbeat status.
+def _on_globe(lat: Any, lon: Any) -> None:
+    try:
+        GeoPoint(lat, lon)
+    except TypeError:
+        raise ValueError(f"coordinates are not numbers: {lat!r}, {lon!r}") from None
+
+
+def heartbeat_from_wire(payload: Dict[str, Any]) -> Tuple[NodeStatus, Tuple[Any, Any]]:
+    """A peer's heartbeat: its status and the address it serves on.
 
     Raises:
-        ValueError: malformed, or some other message type.
+        ValueError: malformed, some other message type, a geohash that
+            is not a string, or coordinates off the globe (NaN and
+            non-numbers included; a non-number the index would accept
+            now and every later query trip over).
     """
-    return _decoded(data, NodeStatus)
+    status = _decoded(payload, "status", NodeStatus)
+    if not isinstance(status.geohash, str):
+        raise ValueError(f"geohash is not a string: {status.geohash!r}")
+    _on_globe(status.lat, status.lon)
+    try:
+        return status, (payload["host"], payload["port"])
+    except KeyError as exc:
+        raise ValueError(f"heartbeat without {exc}") from None
 
 
-def query_from_wire(data: Dict[str, Any]) -> DiscoveryQuery:
+def query_from_wire(payload: Dict[str, Any]) -> DiscoveryQuery:
     """A peer's discovery query, refused while nothing has been touched.
 
     Raises:
         ValueError: malformed, some other message type, or coordinates
-            off the globe (NaN included) — which selection could only
-            trip over after the registry has been pruned for it.
+            off the globe (NaN and non-numbers included) — which
+            selection could only trip over after the registry has been
+            pruned for it.
     """
-    query = _decoded(data, DiscoveryQuery)
-    GeoPoint(query.lat, query.lon)
+    query = _decoded(payload, "query", DiscoveryQuery)
+    _on_globe(query.lat, query.lon)
     return query
 
 
@@ -203,17 +226,17 @@ class ManagerServer:
         op = frame["op"]
         payload = frame["payload"]
         if op == "heartbeat":
-            status = status_from_wire(payload["status"])
-            self.heartbeats_received += 1
+            status, address = heartbeat_from_wire(payload)
             self._run_effects(
                 self._machine.handle(
                     HeartbeatReceived(stamp=time.monotonic(), status=status)
                 )
             )
-            self._addresses[status.node_id] = (payload["host"], payload["port"])
+            self.heartbeats_received += 1
+            self._addresses[status.node_id] = address
             return {"ok": True}
         if op == "discover":
-            query = query_from_wire(payload["query"])
+            query = query_from_wire(payload)
             self.queries_served += 1
             reply = self._run_effects(
                 self._machine.handle(
@@ -238,7 +261,7 @@ class ManagerServer:
                 },
             }
         if op == "discover_partial":
-            query = query_from_wire(payload["query"])
+            query = query_from_wire(payload)
             self.queries_served += 1
             reply = self._run_effects(
                 self._machine.handle(

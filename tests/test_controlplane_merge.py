@@ -1,11 +1,12 @@
-"""``ShardRouter.merge`` reads the partials as key-ordered runs.
+"""``ShardRouter.merge``: ``nsmallest`` over the pool, a lone partial as it is.
 
-Each shard answers with its local TopN *in key order*; the router takes
-the first TopN of their stable merge. That has to be what the pooled
-``heapq.nsmallest`` it replaced would return — for any key factory, not
-only the default one, for ties the key does not break, and for any
-number of partials — and a lone partial, already the answer, has to
-come back without being scored again.
+Each shard answers with its local TopN *in key order*, so when only one
+shard answered (the usual discovery) its partial is the answer and the
+router returns it without scoring anything again; two or more are
+pooled and cut with ``heapq.nsmallest``. Both have to be what
+``nsmallest`` over the pooled statuses returns — for any key factory,
+not only the default one, for ties the key does not break, and for any
+number of partials.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ def test_merge_is_nsmallest_over_the_pooled_statuses(parts, factory_name, isp):
     st.integers(min_value=0, max_value=8),
 )
 def test_property_merge_of_sorted_runs_keeps_nsmallest_tie_order(runs, top_n):
-    """Scores only, many equal: the merge must order equal keys the way
-    ``nsmallest`` over the concatenation does — earlier partial first,
-    then position within the partial."""
+    """Scores only, many equal: the merge (the lone-partial shortcut
+    included) must order equal keys the way ``nsmallest`` over the
+    concatenation does — earlier partial first, then position within
+    the partial."""
     rng = random.Random(0)
     template = node(0, rng)
     scores = {}
@@ -171,10 +173,11 @@ def test_one_shard_answer_is_not_scored_again():
     assert calls == []
 
 
+@pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("top_n", [0, -1])
-def test_nothing_asked_for_is_nothing_merged(top_n):
+def test_nothing_asked_for_is_nothing_merged(top_n, parts):
     rng = random.Random(2)
     nodes = [node(i, rng) for i in range(5)]
     query = DiscoveryQuery(user_id="u", lat=LAT, lon=LON, top_n=top_n)
-    local = partials_of(nodes, 2, 3, availability_sort_key(query))
+    local = partials_of(nodes, parts, 3, availability_sort_key(query))
     assert ShardRouter(ShardMap(count=2), GlobalSelectionPolicy()).merge(query, local).node_ids == ()

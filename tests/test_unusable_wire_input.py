@@ -123,7 +123,39 @@ def query_payload(lat: float, lon: float) -> dict:
     return {"query": wire}
 
 
-UNUSABLE_QUERIES = [(math.nan, LON), (LAT, math.nan), (91.0, LON), (LAT, -180.5), (math.inf, LON)]
+UNUSABLE_QUERIES = [(math.nan, LON), (LAT, math.nan), (91.0, LON), (LAT, -180.5), (math.inf, LON), ("44.97", LON)]
+
+
+def edited(wire: dict, drop: str = "", **fields) -> dict:
+    """A wire message with payload fields overwritten, added or dropped
+    — the dataclass itself would not hold some of these."""
+    payload = {**wire["payload"], **fields}
+    payload.pop(drop, None)
+    return {"type": wire["type"], "payload": payload}
+
+
+#: Heartbeats that are not a status with a position and an address: a
+#: field missing or unknown, a geohash or a coordinate of the wrong
+#: type (the index would key None never, and "44.97" only until the
+#: next query computes with it), NaN, no status, no address.
+UNUSABLE_HEARTBEATS = [
+    {**heartbeat_payload(status("bad")), "status": wire}
+    for wire in (
+        edited(to_wire(status("bad")), drop="cores"),
+        edited(to_wire(status("bad")), colour="red"),
+        edited(to_wire(status("bad")), geohash=None),
+        edited(to_wire(status("bad")), geohash=9),
+        edited(to_wire(status("bad")), lat="44.97"),
+        edited(to_wire(status("bad")), lon=None),
+        edited(to_wire(status("bad")), lat=math.nan),
+        {"type": ["NodeStatus"], "payload": {}},
+        None,
+    )
+] + [
+    {"host": "127.0.0.1", "port": 9000},
+    {"status": to_wire(status("bad")), "port": 9000},
+    {"status": to_wire(status("bad")), "host": "127.0.0.1"},
+]
 
 
 async def exercise(host: str, port: int) -> None:
@@ -134,8 +166,11 @@ async def exercise(host: str, port: int) -> None:
         for geohash in BAD_GEOHASHES:
             reply = await link.request("heartbeat", heartbeat_payload(status("bad", geohash=geohash)), 2.0)
             assert reply["ok"] is False and reply["error"]
+        for payload in UNUSABLE_HEARTBEATS:
+            reply = await link.request("heartbeat", payload, 2.0)
+            assert reply["ok"] is False and reply["error"]
         listing = await link.request("status", {}, 2.0)
-        assert listing["nodes"] == []
+        assert listing["nodes"] == [] and listing["heartbeats_received"] == 0
 
         assert (await link.request("heartbeat", heartbeat_payload(status()), 2.0))["ok"] is True
         # A known node that starts talking nonsense stays where it was.
@@ -146,7 +181,13 @@ async def exercise(host: str, port: int) -> None:
         for lat, lon in UNUSABLE_QUERIES:
             reply = await link.request("discover", query_payload(lat, lon), 2.0)
             assert reply["ok"] is False and reply["error"]
-        for payload in ({"query": to_wire(status())}, {"query": {"type": "Nope", "payload": {}}}):
+        for payload in (
+            {"query": to_wire(status())},
+            {"query": {"type": "Nope", "payload": {}}},
+            {"query": edited(to_wire(query()), drop="top_n")},
+            {"query": edited(to_wire(query()), colour="red")},
+            {},
+        ):
             assert (await link.request("discover", payload, 2.0))["ok"] is False
         assert (await link.request("heartbeat", {"status": to_wire(query())}, 2.0))["ok"] is False
 

@@ -37,6 +37,7 @@ The old keyword-heavy methods survive as deprecated thin wrappers on
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -418,6 +419,11 @@ class ScenarioBuilder:
     # ------------------------------------------------------------------
     def build_scenario(self) -> BuiltScenario:
         """Wire everything and return the system plus created ids."""
+        # A dropped EdgeSystem is cyclic garbage (clients and nodes point
+        # back at their system) that only a full collection reclaims;
+        # take the previous world down before allocating the next, or a
+        # loop of builds holds several dead ones.
+        gc.collect()
         tracer: Optional[Tracer] = None
         if self._observe_trace or self._observe_sink is not None:
             tracer = Tracer(

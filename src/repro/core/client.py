@@ -47,6 +47,7 @@ from repro.core.policies.local_policies import LocalSelectionPolicy
 from repro.policy.base import SelectionPolicy
 from repro.core.probing import ProbeOutcome
 from repro.net.link import CONNECTION_SETUP_RTTS, Link
+from repro.nodes.processing import CompletedFrame
 from repro.obs.events import (
     FrameDone,
     FrameStart,
@@ -86,6 +87,7 @@ from repro.workload.ar import ARApplication
 from repro.workload.frames import Frame, FrameSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.edge_server import EdgeServer
     from repro.core.system import EdgeSystem
     from repro.faults.injector import MessageDecision
 
@@ -143,6 +145,111 @@ class ClientLike(Protocol):
     def on_edge_failure(self, node_id: str) -> None:
         """Deliver a broken-connection notification for ``node_id``."""
         ...
+
+
+class _InFlightFrame:
+    """One frame between send and response: the state its two kernel
+    callbacks share, and the per-hop timings the latency phase spans
+    are cut from.
+
+    Slotted and built once per frame — a closure pair here cost two
+    functions, two closure tuples and ten cells per frame, enough
+    GC-tracked garbage to wake the cycle collector every ~57 frames.
+
+    Attributes:
+        uplink_delay: one-way delay plus payload transfer (plus any
+            injected delay) from client to node.
+        backlog_ms: time the frame spent in the client-side backlog
+            before leaving (0 for frames sent the moment they were
+            captured) — part of the queue phase of the latency
+            decomposition.
+        completed: the node's completion record — unset until arrival.
+        downlink: the response's one-way delay — unset until arrival.
+    """
+
+    __slots__ = (
+        "client", "frame", "edge_id", "node", "uplink_delay", "backlog_ms",
+        "completed", "downlink",
+    )
+    completed: CompletedFrame
+    downlink: float
+
+    def __init__(
+        self,
+        client: "EdgeClient",
+        frame: Frame,
+        edge_id: str,
+        node: "EdgeServer",
+        uplink_delay: float,
+        backlog_ms: float,
+    ) -> None:
+        self.client = client
+        self.frame = frame
+        self.edge_id = edge_id
+        self.node = node
+        self.uplink_delay = uplink_delay
+        self.backlog_ms = backlog_ms
+
+    def arrive(self) -> None:
+        """The uplink delivered the frame: queue it, schedule the response."""
+        client = self.client
+        system = client.system
+        completed = self.node.receive_frame(self.frame, system.sim.now)
+        if completed is None:
+            client._record_lost(self.frame, self.edge_id)
+            return
+        self.completed = completed
+        self.downlink = downlink = system.topology.one_way_ms(
+            self.edge_id, client.user_id
+        )
+        system.sim.schedule_at(
+            completed.completion_ms + downlink,
+            self.respond,
+            label=client._lbl_resp,
+        )
+
+    def arrive_duplicate(self) -> None:
+        """An injected duplicate reached the node (no response follows)."""
+        self.node.receive_frame(self.frame, self.client.system.sim.now)
+
+    def respond(self) -> None:
+        """The downlink delivered the result (unless the node died first)."""
+        client = self.client
+        frame = self.frame
+        node = self.node
+        completed = self.completed
+        if node.failed_at_ms is not None and not node.alive and (
+            node.failed_at_ms < completed.completion_ms
+        ):
+            # The node died while the frame was queued/processing.
+            client._record_lost(frame, self.edge_id)
+            return
+        trace = client.system.trace
+        now = client.system.sim.now
+        latency = now - frame.created_ms
+        stats = client.stats
+        stats.frames_completed += 1
+        stats.latencies_ms.append(latency)
+        if trace.enabled:
+            # The three spans sum exactly to `latency`:
+            # latency = backlog + uplink + wait + service + downlink.
+            trace.emit(
+                PhaseSpan(now, client.user_id, frame.frame_id, "rtt",
+                          self.uplink_delay + self.downlink)
+            )
+            trace.emit(
+                PhaseSpan(now, client.user_id, frame.frame_id, "queue",
+                          self.backlog_ms + completed.wait_ms)
+            )
+            trace.emit(
+                PhaseSpan(now, client.user_id, frame.frame_id, "process",
+                          completed.service_ms)
+            )
+        trace.emit(
+            FrameDone(now, client.user_id, self.edge_id, frame.frame_id,
+                      frame.created_ms, latency)
+        )
+        client.controller.observe(latency)
 
 
 class EdgeClient:
@@ -674,7 +781,7 @@ class EdgeClient:
         if self._stopped:
             return
         frame = self.frame_source.next_frame(self.system.sim.now)
-        if self.attached:
+        if self._machine.current_edge is not None:
             self._send_frame(frame)
         else:
             self._backlog.append(frame)
@@ -700,11 +807,12 @@ class EdgeClient:
             self._send_frame(frame)
 
     def _send_frame(self, frame: Frame) -> None:
-        edge_id = self.current_edge
+        edge_id = self._machine.current_edge
         assert edge_id is not None
-        node = self.system.nodes.get(edge_id)
-        topology = self.system.topology
-        trace = self.system.trace
+        system = self.system
+        node = system.nodes.get(edge_id)
+        topology = system.topology
+        trace = system.trace
         self.stats.frames_sent += 1
         if node is None or not topology.has_endpoint(edge_id):
             self._record_lost(frame, edge_id)
@@ -713,75 +821,25 @@ class EdgeClient:
         if verdict is not None and not verdict.deliver:
             self._record_lost(frame, edge_id)
             return
+        now = system.sim.now
         if trace.enabled:
-            trace.emit(
-                FrameStart(self.system.sim.now, self.user_id, edge_id,
-                           frame.frame_id)
-            )
+            trace.emit(FrameStart(now, self.user_id, edge_id, frame.frame_id))
         transfer = topology.transfer_ms(self.user_id, edge_id, frame.size_bytes)
         uplink_delay = topology.one_way_ms(self.user_id, edge_id) + transfer
         if verdict is not None:
             uplink_delay += verdict.extra_delay_ms
+        in_flight = _InFlightFrame(
+            self, frame, edge_id, node, uplink_delay, now - frame.created_ms
+        )
+        arrival = now + uplink_delay
+        if verdict is not None:
             for _ in range(verdict.copies - 1):
                 # Duplicated frames still load the server's queue; the
                 # client ignores the redundant response.
-                self.system.sim.schedule_at(
-                    self.system.sim.now + uplink_delay,
-                    lambda: node.receive_frame(frame, self.system.sim.now),
-                    label=self._lbl_dup,
+                system.sim.schedule_at(
+                    arrival, in_flight.arrive_duplicate, label=self._lbl_dup
                 )
-        # Time the frame spent in the client-side backlog before leaving
-        # (0 for frames sent the moment they were captured) — part of the
-        # queue phase of the latency decomposition.
-        backlog_ms = self.system.sim.now - frame.created_ms
-        arrival = self.system.sim.now + uplink_delay
-
-        def arrive() -> None:
-            completed = node.receive_frame(frame, self.system.sim.now)
-            if completed is None:
-                self._record_lost(frame, edge_id)
-                return
-            downlink = topology.one_way_ms(edge_id, self.user_id)
-
-            def respond() -> None:
-                if not node.alive and node.failed_at_ms is not None and (
-                    node.failed_at_ms < completed.completion_ms
-                ):
-                    # The node died while the frame was queued/processing.
-                    self._record_lost(frame, edge_id)
-                    return
-                now = self.system.sim.now
-                latency = now - frame.created_ms
-                self.stats.frames_completed += 1
-                self.stats.latencies_ms.append(latency)
-                if trace.enabled:
-                    # The three spans sum exactly to `latency`:
-                    # latency = backlog + uplink + wait + service + downlink.
-                    trace.emit(
-                        PhaseSpan(now, self.user_id, frame.frame_id, "rtt",
-                                  uplink_delay + downlink)
-                    )
-                    trace.emit(
-                        PhaseSpan(now, self.user_id, frame.frame_id, "queue",
-                                  backlog_ms + completed.wait_ms)
-                    )
-                    trace.emit(
-                        PhaseSpan(now, self.user_id, frame.frame_id, "process",
-                                  completed.service_ms)
-                    )
-                trace.emit(
-                    FrameDone(now, self.user_id, edge_id, frame.frame_id,
-                              frame.created_ms, latency)
-                )
-                self.controller.observe(latency)
-
-            self.system.sim.schedule_at(
-                completed.completion_ms + downlink,
-                respond,
-                label=self._lbl_resp,
-            )
-
-        self.system.sim.schedule_at(arrival, arrive, label=self._lbl_uplink)
+        system.sim.schedule_at(arrival, in_flight.arrive, label=self._lbl_uplink)
 
     def _record_lost(self, frame: Frame, edge_id: str) -> None:
         self.stats.frames_lost += 1

@@ -24,6 +24,7 @@ sim method calls and machine events/effects:
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
@@ -124,6 +125,10 @@ class EdgeServer:
         #: Last time each attached user showed signs of life (join
         #: grant or frame arrival) — drives the attachment lease.
         self._last_seen_ms: Dict[str, float] = {}
+        # Per-beat event labels, built once (see EdgeClient._lbl_*).
+        self._lbl_hb = node_id + ".hb"
+        self._lbl_cache = node_id + ".cache"
+        self._lbl_testwl = node_id + ".testwl"
 
     def _project_sojourn(self, offered_fps: float, slowdown: float) -> float:
         """The machine's analytic sojourn projection, closed over this
@@ -247,7 +252,7 @@ class EdgeServer:
                     self.system.sim.schedule(
                         2.0 * self.config.common_rtt_ms,
                         self._invoke_test_workload,
-                        label=f"{self.node_id}.testwl",
+                        label=self._lbl_testwl,
                     )
                 else:
                     self._invoke_test_workload()
@@ -392,21 +397,23 @@ class EdgeServer:
         self.test_workload_invocations += 1
         self.system.trace.emit(TestWorkloadInvoked(now, self.node_id))
         self._test_pending = True
+        self.system.sim.schedule_at(
+            completed.completion_ms,
+            partial(self._report_test_workload, completed.sojourn_ms),
+            label=self._lbl_cache,
+        )
 
-        def report() -> None:
-            self._test_pending = False
-            self._run_effects(
-                self._machine.handle(
-                    TestWorkloadCompleted(
-                        self.system.sim.now,
-                        completed.sojourn_ms,
-                        slowdown_factor=self.processor.slowdown_factor,
-                    )
+    def _report_test_workload(self, sojourn_ms: float) -> None:
+        """The synthetic frame left the queue: feed its sojourn back."""
+        self._test_pending = False
+        self._run_effects(
+            self._machine.handle(
+                TestWorkloadCompleted(
+                    self.system.sim.now,
+                    sojourn_ms,
+                    slowdown_factor=self.processor.slowdown_factor,
                 )
             )
-
-        self.system.sim.schedule_at(
-            completed.completion_ms, report, label=f"{self.node_id}.cache"
         )
 
     def _performance_monitor_tick(self) -> None:
@@ -501,10 +508,13 @@ class EdgeServer:
                 return  # lost in transit; the manager ages us out
             delay += verdict.extra_delay_ms
         self.system.sim.schedule(
-            delay,
-            lambda: self.system.manager.receive_heartbeat(status),
-            label=f"{self.node_id}.hb",
+            delay, partial(self._deliver_heartbeat, status), label=self._lbl_hb
         )
+
+    def _deliver_heartbeat(self, status: NodeStatus) -> None:
+        # Resolved on delivery, not at send: ``system.manager`` can be
+        # replaced while a beat is in flight.
+        self.system.manager.receive_heartbeat(status)
 
     def __repr__(self) -> str:
         return (

@@ -366,12 +366,6 @@ class GeohashSpatialIndex(Generic[S]):
                 out.append(status)
         return out
 
-    def within(
-        self, lat: float, lon: float, radius_km: float, cells: Sequence[str]
-    ) -> Tuple[SlotArray, FloatArray]:
-        """:meth:`within_cover` for cells given as geohash strings."""
-        return self._cut(lat, lon, radius_km, map(self._bucket_key, cells))
-
     def within_cover(
         self,
         lat: float,
@@ -397,18 +391,10 @@ class GeohashSpatialIndex(Generic[S]):
         depth = min(precision, self.max_precision)
         shift = 5 * (precision - depth)
         tag = 1 << 5 * depth
-        return self._cut(
-            lat, lon, radius_km, [tag | cell >> shift for cell in cells]
-        )
-
-    def _cut(
-        self, lat: float, lon: float, radius_km: float, keys: Iterable[int]
-    ) -> Tuple[SlotArray, FloatArray]:
-        """:meth:`within_cover` once the cells are bucket keys."""
         self._sync()
         cached = self._bucket_slots
         parts: List[SlotArray] = []
-        for key in self._occupied(keys):
+        for key in self._occupied([tag | cell >> shift for cell in cells]):
             part = cached.get(key)
             if part is None:
                 members = self._buckets[key]

@@ -27,9 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import TraceEvent
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrameRecord:
-    """One completed (or lost) offloading request."""
+    """One completed (or lost) offloading request.
+
+    Slotted, not frozen: one is appended per resolved frame, and a frozen
+    dataclass pays an ``object.__setattr__`` per field.
+    """
 
     user_id: str
     edge_id: str

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import exp
 from typing import Optional
 
 
@@ -82,9 +83,16 @@ class BandwidthModel:
         downlink_mbps: Optional[float] = None,
     ) -> float:
         """One transfer-delay sample with cross-traffic noise."""
-        base = self.expected_transfer_ms(size_bytes, uplink_mbps, downlink_mbps)
+        # bottleneck_mbps() inline: this runs once per offloaded frame.
+        up = uplink_mbps if uplink_mbps is not None else self.default_uplink_mbps
+        down = (
+            downlink_mbps if downlink_mbps is not None else self.default_downlink_mbps
+        )
+        base = transfer_ms(size_bytes, down if down < up else up)
         if self.contention_sigma <= 0:
             return base
         # Effective bandwidth dips under cross-traffic -> delay inflates.
-        factor = rng.lognormvariate(0.0, self.contention_sigma)
+        # exp(normalvariate) is what lognormvariate is (3.10-3.12); see
+        # JitterModel.apply.
+        factor = exp(rng.normalvariate(0.0, self.contention_sigma))
         return base * max(factor, 0.5)

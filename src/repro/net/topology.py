@@ -95,6 +95,10 @@ class EndpointSpec:
         )
 
 
+def _unknown_endpoint(endpoint_id: str) -> KeyError:
+    return KeyError(f"unknown endpoint: {endpoint_id!r}")
+
+
 class NetworkTopology:
     """Registry of endpoints plus the latency/bandwidth models.
 
@@ -192,7 +196,7 @@ class NetworkTopology:
         try:
             return self._endpoints[endpoint_id]
         except KeyError:
-            raise KeyError(f"unknown endpoint: {endpoint_id!r}") from None
+            raise _unknown_endpoint(endpoint_id) from None
 
     def has_endpoint(self, endpoint_id: str) -> bool:
         return endpoint_id in self._endpoints
@@ -225,7 +229,13 @@ class NetworkTopology:
         """
         model = self._rtt_model
         if getattr(model, "jitter_decomposable", False):
-            return model.jitter.apply(self.expected_rtt_ms(a, b), self.rng)
+            # The cache only ever holds what expected_rtt_ms() put there,
+            # so a miss (first use, churned endpoint, non-cacheable
+            # model) takes the long way round and a hit skips the call.
+            expected = self._expected_cache.get((a, b))
+            if expected is None:
+                expected = self.expected_rtt_ms(a, b)
+            return model.jitter.apply(expected, self.rng)
         return model.sample_rtt_ms(self._info(a), self._info(b), self.rng)
 
     def expected_rtt_ms(self, a: str, b: str) -> float:
@@ -249,13 +259,17 @@ class NetworkTopology:
 
     def transfer_ms(self, src: str, dst: str, size_bytes: float) -> float:
         """Sampled payload transfer delay from ``src`` to ``dst``."""
-        source = self.endpoint(src)
-        destination = self.endpoint(dst)
+        endpoints = self._endpoints
+        try:
+            uplink_mbps = endpoints[src].uplink_mbps
+            downlink_mbps = endpoints[dst].downlink_mbps
+        except KeyError as exc:
+            raise _unknown_endpoint(exc.args[0]) from None
         return self.bandwidth_model.sample_transfer_ms(
             size_bytes,
             self.rng,
-            uplink_mbps=source.uplink_mbps,
-            downlink_mbps=destination.downlink_mbps,
+            uplink_mbps=uplink_mbps,
+            downlink_mbps=downlink_mbps,
         )
 
     def expected_transfer_ms(self, src: str, dst: str, size_bytes: float) -> float:

@@ -10,9 +10,12 @@ from typing import Optional
 from repro.workload.ar import ARApplication
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     """One offloading request: a single encoded video frame.
+
+    Slotted, not frozen: one is built per offloaded frame, and a frozen
+    dataclass pays an ``object.__setattr__`` per field.
 
     Attributes:
         frame_id: globally unique id (for tracing and response matching).
@@ -64,9 +67,4 @@ class FrameSource:
         if self.size_jitter > 0:
             size *= 1.0 + self.rng.uniform(-self.size_jitter, self.size_jitter)
         self.frames_created += 1
-        return Frame(
-            frame_id=next(self._ids),
-            user_id=self.user_id,
-            created_ms=now_ms,
-            size_bytes=size,
-        )
+        return Frame(next(self._ids), self.user_id, now_ms, size)

@@ -1,6 +1,8 @@
 """Tests for the fluent scenario-building API (repro.api)."""
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -122,6 +124,28 @@ def test_builder_run_matches_manual_construction():
         return system.clients["alice"].stats.latencies_ms
 
     assert manual() == built()
+
+
+def test_building_again_reclaims_the_previous_world():
+    """A dropped system is cyclic garbage; a loop of builds must not
+    pile dead worlds up until a full collection happens to run."""
+    builder = (
+        ScenarioBuilder(SystemConfig(top_n=2, seed=7))
+        .node("V1", profile_by_name("V1"), point=GeoPoint(44.98, -93.26))
+        .client("alice", point=GeoPoint(44.97, -93.25))
+    )
+    gc.disable()  # no lucky automatic pass: only the build's own collect
+    try:
+        first = builder.build()
+        first.run_for(1_000.0)
+        first_ref = weakref.ref(first)
+        del first
+        assert first_ref() is not None  # cyclic: refcounts alone keep it
+        second = builder.build()
+        assert first_ref() is None
+        assert second.alive_node_count() == 1
+    finally:
+        gc.enable()
 
 
 def test_deprecated_wrappers_still_work_and_warn():

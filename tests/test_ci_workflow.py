@@ -29,8 +29,13 @@ def imports_hypothesis(path: Path) -> bool:
     return re.search(r"(?m)^(from|import) hypothesis\b", path.read_text()) is not None
 
 
+def runs_all_of_tests(job: str) -> bool:
+    """A pytest step with options only (``-x -q --durations=15``), no paths."""
+    return re.search(r"(?m)run: python -m pytest( -\S+)*$", job) is not None
+
+
 def runs_hypothesis_tests(job: str) -> bool:
-    if re.search(r"(?m)run: python -m pytest -x -q$", job):  # no paths: all of tests/
+    if runs_all_of_tests(job):
         return any(imports_hypothesis(path) for path in (ROOT / "tests").glob("test_*.py"))
     return any(imports_hypothesis(ROOT / name) for name in re.findall(r"tests/test_\w+\.py", job))
 
@@ -38,7 +43,8 @@ def runs_hypothesis_tests(job: str) -> bool:
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_jobs_that_run_hypothesis_tests_install_hypothesis():
     found = jobs()
-    assert "test" in found and runs_hypothesis_tests(found["test"])
+    assert "test" in found and runs_all_of_tests(found["test"])
+    assert runs_hypothesis_tests(found["test"])
     for name, job in found.items():
         if runs_hypothesis_tests(job):
             (install,) = re.findall(r"pip install (.*)", job)

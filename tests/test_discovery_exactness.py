@@ -30,6 +30,7 @@ from repro.core.policies.global_policies import (
     GlobalSelectionPolicy,
 )
 from repro.core.policies.reputation import ReputationTracker, reputation_sort_key
+from repro.geo import geohash as gh
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint, haversine_km_coords
 from repro.geo.region import MSP_CENTER
@@ -297,8 +298,9 @@ def test_guard_band_hands_the_decision_to_the_scalar_cut(vector_sin):
         lat = latitude_north_at(user, radius_km + offset * guard)
         nodes.append(status_at(f"g{i}", lat, user.lon))
         index.insert(nodes[-1])
-    cells = sorted({n.geohash[:5] for n in nodes})
-    slots, _ = index.within(user.lat, user.lon, radius_km, cells)
+    slots, _ = index.within_cover(
+        user.lat, user.lon, radius_km, *gh.cover(user.lat, user.lon, radius_km)
+    )
     got = {index.status_at(slot).node_id for slot in slots.tolist()}
     want = {
         n.node_id

@@ -57,6 +57,41 @@ def test_sampled_transfer_centers_on_expected():
     assert sum(samples) / len(samples) == pytest.approx(expected, rel=0.05)
 
 
+def test_sampled_transfer_is_bit_equal_to_the_lognormvariate_formulation():
+    """``sample_transfer_ms`` inlines the bottleneck and draws
+    ``exp(normalvariate)``; the reference goes through
+    ``expected_transfer_ms`` and ``rng.lognormvariate`` as it first did."""
+    model = BandwidthModel(contention_sigma=0.10)
+    rng, reference_rng = random.Random(7), random.Random(7)
+    caps = [(None, None), (40.0, 300.0), (400.0, 25.0), (None, 5.0), (20.0, 20.0)]
+    floored = 0
+    for i in range(10_000):
+        size = 20_000.0 + 13.0 * (i % 211)
+        up, down = caps[i % len(caps)]
+        base = model.expected_transfer_ms(size, up, down)
+        factor = reference_rng.lognormvariate(0.0, model.contention_sigma)
+        want = base * max(factor, 0.5)
+        assert model.sample_transfer_ms(size, rng, up, down) == want
+        floored += factor < 0.5
+    assert rng.getstate() == reference_rng.getstate()
+    assert floored == 0  # sigma 0.10 never reaches the 0.5 floor...
+    wild = BandwidthModel(contention_sigma=1.0)  # ...sigma 1.0 does
+    for _ in range(1_000):
+        base = wild.expected_transfer_ms(20_000.0)
+        factor = reference_rng.lognormvariate(0.0, 1.0)
+        assert wild.sample_transfer_ms(20_000.0, rng) == base * max(factor, 0.5)
+        floored += factor < 0.5
+    assert floored > 100 and rng.getstate() == reference_rng.getstate()
+
+
+def test_sampled_transfer_validates_like_transfer_ms():
+    model = BandwidthModel()
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        model.sample_transfer_ms(-1.0, random.Random(1))
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        model.sample_transfer_ms(1.0, random.Random(1), uplink_mbps=0.0)
+
+
 def test_sampled_transfer_without_noise_is_deterministic():
     model = BandwidthModel(contention_sigma=0.0)
     rng = random.Random(2)

@@ -42,6 +42,43 @@ def test_jitter_spikes_add_latency():
     assert sum(samples) / len(samples) == pytest.approx(40.0, rel=0.1)
 
 
+def lognormvariate_apply(jitter, base_ms, rng):
+    """``JitterModel.apply`` as first written, on ``rng.lognormvariate``:
+    the reference its ``exp(normalvariate)`` form must equal bit for bit.
+    This is the test that notices a Python release changing what
+    ``lognormvariate`` does."""
+    value = base_ms
+    if jitter.sigma > 0:
+        value *= rng.lognormvariate(0.0, jitter.sigma) * jitter._mean_correction
+    if jitter.spike_probability > 0 and rng.random() < jitter.spike_probability:
+        value += rng.expovariate(1.0 / jitter.spike_ms)
+    return value
+
+
+@pytest.mark.parametrize(
+    "jitter",
+    [
+        JitterModel(),  # the DistanceRttModel default: ~1 % spikes
+        JitterModel(sigma=0.08, spike_probability=0.25),
+        JitterModel(sigma=0.0, spike_probability=0.5),  # spike branch alone
+        JitterModel(sigma=0.3, spike_probability=0.0),
+    ],
+    ids=["default", "spiky", "spikes-only", "lognormal-only"],
+)
+def test_jitter_apply_is_bit_equal_to_the_lognormvariate_formulation(jitter):
+    rng, reference_rng = random.Random(2022), random.Random(2022)
+    spikes = 0
+    for i in range(10_000):
+        base_ms = 4.0 + (i % 97) * 0.83
+        got = jitter.apply(base_ms, rng)
+        assert got == lognormvariate_apply(jitter, base_ms, reference_rng)
+        if jitter.sigma == 0 and got != base_ms:
+            spikes += 1
+    assert rng.getstate() == reference_rng.getstate()
+    if jitter.sigma == 0:
+        assert 4_000 < spikes < 6_000  # the spike branch really ran
+
+
 def test_jitter_validates_parameters():
     with pytest.raises(ValueError):
         JitterModel(sigma=-0.1)

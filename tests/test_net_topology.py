@@ -8,6 +8,7 @@ from repro.geo.point import GeoPoint
 from repro.net.latency import (
     JitterModel,
     DistanceRttModel,
+    HashedPairRttModel,
     MatrixRttModel,
     NetworkTier,
 )
@@ -162,6 +163,62 @@ def test_memoized_samples_match_unmemoized_stream():
         for _ in range(50)
     ]
     assert via_cache == direct
+
+
+def test_rtt_ms_follows_every_invalidation_path():
+    """``rtt_ms`` reads the expected-RTT cache directly; after each way
+    the cache can go stale it must still return what the installed model
+    samples, uncached, from the same RNG state."""
+    topo = NetworkTopology(
+        rtt_model=DistanceRttModel(jitter=JitterModel(sigma=0.2)),
+        rng=random.Random(11),
+    )
+    topo.add_endpoint(NetworkEndpoint("user", GeoPoint(44.97, -93.25)))
+    topo.add_endpoint(NetworkEndpoint("edge", GeoPoint(44.95, -93.20)))
+
+    def check() -> float:
+        """One sample by the cached route against the model's own;
+        returns the expected RTT now in force."""
+        reference_rng = random.Random()
+        reference_rng.setstate(topo.rng.getstate())
+        want = topo.rtt_model.sample_rtt_ms(
+            topo.endpoint("user").info(), topo.endpoint("edge").info(), reference_rng
+        )
+        assert topo.rtt_ms("user", "edge") == want
+        assert topo.rng.getstate() == reference_rng.getstate()
+        return topo.expected_rtt_ms("user", "edge")
+
+    near = check()  # miss: fills the cache
+    assert check() == near and ("user", "edge") in topo._expected_cache  # hit
+    topo.remove_endpoint("edge")
+    topo.add_endpoint(NetworkEndpoint("edge", GeoPoint(45.5, -94.0)))
+    far = check()
+    assert far > near  # a stale hit would still say `near`
+    topo.add_endpoint(NetworkEndpoint("edge", GeoPoint(44.95, -93.20)), replace=True)
+    assert check() == near
+    topo.rtt_model = HashedPairRttModel(seed=3)
+    hashed = check()
+    assert hashed != near and check() == hashed
+    topo.rtt_model = matrix = MatrixRttModel(default_ms=30.0)
+    assert check() == 30.0
+    matrix.set_rtt("user", "edge", 55.0)  # never cached: seen at once
+    assert check() == 55.0 and topo._expected_cache == {}
+
+
+def test_unknown_endpoint_raises_the_same_error_from_samples(topology):
+    topology.rtt_ms("user", "edge")  # a warm cache must not answer for...
+    topology.remove_endpoint("edge")  # ...an endpoint that has left
+    for sample in (
+        lambda: topology.rtt_ms("user", "edge"),
+        lambda: topology.rtt_ms("edge", "user"),
+        lambda: topology.one_way_ms("user", "edge"),
+        lambda: topology.transfer_ms("user", "edge", 20_000.0),
+        lambda: topology.transfer_ms("edge", "user", 20_000.0),
+    ):
+        with pytest.raises(KeyError) as caught:
+            sample()
+        assert caught.value.args == ("unknown endpoint: 'edge'",)
+        assert caught.value.__suppress_context__  # `from None`, as endpoint()
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nodes.hardware import HardwareProfile, profile_by_name
 from repro.nodes.processing import (
+    CompletedFrame,
     FrameProcessor,
     analytic_sojourn_ms,
     offered_load,
@@ -167,6 +168,116 @@ def test_property_completions_nondecreasing_per_server(arrivals):
     proc = make_processor(base_ms=10.0, max_queue_depth=1_000)
     completions = [proc.submit(t).completion_ms for t in sorted(arrivals)]
     assert completions == sorted(completions)
+
+
+# ----------------------------------------------------------------------
+# One-pass submit == the two-scan formulation it replaced
+# ----------------------------------------------------------------------
+def submit_two_scan(proc, arrival_ms, *, synthetic=False, service_ms=None):
+    """``FrameProcessor.submit`` as first written — admission through
+    ``queue_depth()``, then ``min()`` over the servers — kept here as the
+    reference the one-pass version must equal, state for state."""
+    if proc.queue_depth(arrival_ms) >= proc.max_queue_depth:
+        return None
+    if not synthetic:
+        proc._arrivals.append(arrival_ms)
+    if service_ms is not None:
+        if service_ms <= 0:
+            raise ValueError(f"service_ms must be positive: {service_ms}")
+        service = service_ms * proc.slowdown_factor
+    else:
+        service = proc.effective_service_ms
+    index = min(range(len(proc._free_at)), key=lambda i: proc._free_at[i])
+    start = max(arrival_ms, proc._free_at[index])
+    completion = start + service
+    proc._free_at[index] = completion
+    proc.frames_processed += 1
+    if synthetic:
+        proc.synthetic_frames_processed += 1
+    proc.total_busy_ms += service
+    frame = CompletedFrame(arrival_ms, start, completion, service, synthetic)
+    if not synthetic:
+        proc._last_sojourns.append((completion, frame.sojourn_ms))
+        if len(proc._last_sojourns) > proc._sojourn_window:
+            del proc._last_sojourns[: -proc._sojourn_window]
+    return frame
+
+
+def queue_state(proc):
+    return (
+        proc._free_at,
+        proc._arrivals,
+        proc._last_sojourns,
+        proc.frames_processed,
+        proc.synthetic_frames_processed,
+        proc.total_busy_ms,
+    )
+
+
+#: One submission: (step to the next arrival, synthetic?, service_ms
+#: override, slowdown set just before). Steps of 0 make arrivals tie with
+#: each other and with ``_free_at`` entries (whole-millisecond services
+#: keep those ties exact); negative steps are the probe that races a
+#: frame by one timestamp.
+_SUBMISSIONS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.0, 1.0, 7.5, 24.0, 30.0, 33.3, -0.5, -24.0]),
+        st.booleans(),
+        st.sampled_from([None, None, None, 12.0, 45.5]),
+        st.sampled_from([None, None, None, 1.0, 1.7, 2.0]),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@given(
+    parallelism=st.integers(min_value=1, max_value=4),
+    max_queue_depth=st.integers(min_value=1, max_value=6),
+    base_ms=st.sampled_from([24.0, 30.0, 31.7]),
+    submissions=_SUBMISSIONS,
+)
+@settings(max_examples=200, deadline=None)
+def test_property_one_pass_submit_equals_two_scan(
+    parallelism, max_queue_depth, base_ms, submissions
+):
+    one_pass, two_scan = (
+        make_processor(
+            base_ms, parallelism, max_queue_depth=max_queue_depth, _sojourn_window=4
+        )
+        for _ in range(2)
+    )
+    now = 100.0
+    for step, synthetic, service_ms, slowdown in submissions:
+        now += step
+        if slowdown is not None:
+            one_pass.set_slowdown(slowdown)
+            two_scan.set_slowdown(slowdown)
+        got = one_pass.submit(now, synthetic=synthetic, service_ms=service_ms)
+        want = submit_two_scan(
+            two_scan, now, synthetic=synthetic, service_ms=service_ms
+        )
+        assert got == want  # the drop decision, or the whole record
+        assert queue_state(one_pass) == queue_state(two_scan)
+        assert one_pass.queue_depth(now) == two_scan.queue_depth(now)
+
+
+def test_one_pass_submit_on_ties_and_a_full_queue():
+    """The two cases the property must not miss by chance: equal
+    ``_free_at`` entries go to the first server, a full queue drops."""
+    one_pass, two_scan = (
+        make_processor(30.0, 3, max_queue_depth=4) for _ in range(2)
+    )
+    outcomes = []
+    for _ in range(8):
+        got = one_pass.submit(0.0)
+        assert got == submit_two_scan(two_scan, 0.0)
+        assert one_pass._free_at == two_scan._free_at
+        outcomes.append(got is not None)
+    # Three idle servers tie -> 0, 1, 2; all free at 30 tie again -> 0;
+    # then the backlog is 120 ms = 4 services deep and the queue is full.
+    assert outcomes == [True] * 4 + [False] * 4
+    assert one_pass._free_at == [60.0, 30.0, 30.0]
 
 
 # ----------------------------------------------------------------------

@@ -77,9 +77,20 @@ _RHO_CAP = 0.95
 
 _EARTH_RADIUS_KM = 6371.0088
 #: Cap on the (user, candidate) pairs whose base latency one flat
-#: ``_base_vec`` pass scores; bounds the scorer's temporaries (~0.5 MB
+#: ``_base_vec`` pass scores; bounds the scorer's temporaries (~0.1 MB
 #: each) where a 3x3 neighbourhood holds thousands of candidates.
-_SCORE_CHUNK_PAIRS = 1 << 16
+_SCORE_CHUNK_PAIRS = 1 << 14
+
+
+def _pair_chunks(starts: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Cut rows holding ``starts[i]:starts[i + 1]`` of a flat pair list
+    into ``[lo, hi)`` runs: whole rows only, at least one, up to the cap."""
+    lo = 0
+    while lo < starts.size - 1:
+        cap = starts[lo] + _SCORE_CHUNK_PAIRS
+        hi = max(lo + 1, int(np.searchsorted(starts, cap, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _haversine_km(
@@ -222,9 +233,9 @@ class MetroKernel:
         own = np.asarray(node_gids, dtype=np.int64)
         gho = np.asarray(ghost_gids, dtype=np.int64)
         self.n_gid = np.concatenate([own, gho])
-        self.n_lat = population.node_lat[self.n_gid].copy()
-        self.n_lon = population.node_lon[self.n_gid].copy()
-        self.n_service = population.node_service_ms[self.n_gid].copy()
+        self.n_lat = population.node_lat[self.n_gid]
+        self.n_lon = population.node_lon[self.n_gid]
+        self.n_service = population.node_service_ms[self.n_gid]
         self.n_alive = np.ones(self.n_gid.size, dtype=bool)
         self.n_load = np.zeros(self.n_gid.size, dtype=np.float64)
         self.n_ghost = np.zeros(self.n_gid.size, dtype=bool)
@@ -232,9 +243,9 @@ class MetroKernel:
         self._ghost_shard: Dict[int, str] = {
             int(own.size + i): ghost_shards[i] for i in range(gho.size)
         }
-        self._node_local: Dict[int, int] = {
-            int(g): i for i, g in enumerate(self.n_gid)
-        }
+        self._node_local: Dict[int, int] = dict(
+            zip(self.n_gid.tolist(), range(self.n_gid.size))
+        )
         self._export_local = np.array(
             [self._node_local[g] for g in self._export_gids], dtype=np.int64
         )
@@ -243,22 +254,20 @@ class MetroKernel:
         self._cell_nodes: Dict[int, np.ndarray] = {}
         order = np.argsort(n_cell, kind="stable")
         sorted_cells = n_cell[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
-        )
-        bounds = np.r_[starts, sorted_cells.size]
-        for i, s in enumerate(starts):
-            members = np.sort(order[s : bounds[i + 1]])
-            self._cell_nodes[int(sorted_cells[s])] = members
+        # No cell, no entry: a shard may own users but not a single node.
+        hosting, starts = np.unique(sorted_cells, return_index=True)
+        bounds = np.r_[starts, sorted_cells.size].tolist()
+        for i, cell in enumerate(hosting.tolist()):
+            self._cell_nodes[cell] = np.sort(order[bounds[i] : bounds[i + 1]])
         self._cell_cands: Dict[int, np.ndarray] = {}
 
         # --- user table ----------------------------------------------
         ug = np.asarray(user_gids, dtype=np.int64)
         self.u_gid = ug.copy()
-        self.u_lat = population.user_lat[ug].copy()
-        self.u_lon = population.user_lon[ug].copy()
-        self.u_phase = population.user_phase_ms[ug].copy()
-        self.u_cell = population.user_cell[ug].copy()
+        self.u_lat = population.user_lat[ug]
+        self.u_lon = population.user_lon[ug]
+        self.u_phase = population.user_phase_ms[ug]
+        self.u_cell = population.user_cell[ug]
         self.u_node = np.full(ug.size, -1, dtype=np.int64)
         self.u_base = np.zeros(ug.size, dtype=np.float64)
         self.u_active = np.ones(ug.size, dtype=bool)
@@ -550,57 +559,76 @@ class MetroKernel:
     def _initial_attach(self) -> None:
         """Vectorized t=0 attach: per selection cell, rank the local
         candidates once and deal the cell's users across the TopN
-        round-robin (a WRR-flavoured spread)."""
+        round-robin (a WRR-flavoured spread).
+
+        Only the deal is sequential: neighbouring cells share candidates
+        through the 3x3 block, so the load one cell deals is the wait the
+        next one ranks against. Centroids, distances, the score's base and
+        ``u_base`` read no load: they are flat passes around the cell loop."""
         if self.u_gid.size == 0:
             return
         cells, inverse = np.unique(self.u_cell, return_inverse=True)
         self._fill_cell_cands(cells)
+        # The narrowest dtype: a stable sort of <= 16-bit keys is a radix sort.
+        inverse = inverse.astype(np.min_scalar_type(cells.size))
         order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(cells.size + 1))
-        for ci, cell in enumerate(cells.tolist()):
-            users = order[bounds[ci] : bounds[ci + 1]]
-            self.control_ops += len(users)
-            cand = self._cell_cands[cell]
-            cand = cand[self.n_alive[cand] & ~self.n_ghost[cand]]
-            if cand.size == 0:
-                self.unattached_initial += len(users)
-                continue
-            # Rank candidates by predicted latency from the cohort's
-            # centroid; deal users over the best TopN.
-            clat = float(np.mean(self.u_lat[users]))
-            clon = float(np.mean(self.u_lon[users]))
-            dist = _haversine_km(clat, clon, self.n_lat[cand], self.n_lon[cand])
-            score = (
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse)))).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        self.control_ops += order.size
+        # A cohort's centroid is np.mean of its users exactly: a segmented
+        # sum (np.add.reduceat) adds in another order and moves the last bit.
+        lat, lon = self.u_lat[order], self.u_lon[order]
+        clat = np.array([np.mean(lat[a:b]) for a, b in spans])
+        clon = np.array([np.mean(lon[a:b]) for a, b in spans])
+        del inverse, lat, lon  # whole-user temporaries, before the flat passes
+        usable = self.n_alive & ~self.n_ghost
+        capacity = 1000.0 / self.n_service
+        cands = [self._cell_cands[cell] for cell in cells.tolist()]
+        starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
+        for lo, hi in _pair_chunks(starts):
+            nodes = np.concatenate(cands[lo:hi])
+            keep = usable[nodes]
+            nodes = nodes[keep]
+            offsets = starts[lo : hi + 1] - starts[lo]
+            ends = np.concatenate(([0], np.cumsum(keep)))[offsets]
+            live = np.diff(ends)
+            rlat, rlon = np.repeat(clat[lo:hi], live), np.repeat(clon[lo:hi], live)
+            dist = _haversine_km(rlat, rlon, self.n_lat[nodes], self.n_lon[nodes])
+            pre = (
                 _RTT_FLOOR_MS
                 + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
                 + _TIER_MS
-                + self.n_service[cand]
-                + self._node_wait(cand)
+                + self.n_service[nodes]
             )
-            ranked_all = cand[np.argsort(score, kind="stable")]
-            # Deal over enough of the ranking to carry the cohort's
-            # offered load with ~25% headroom (each user individually
-            # only ever sees a TopN, but a cohort of same-cell users
-            # collectively spreads exactly like the manager's WRR would
-            # spread them) — never fewer than TopN nodes.
-            capacity = 1000.0 / self.n_service[ranked_all]
-            demand = users.size * self.fps
-            need = int(np.searchsorted(np.cumsum(capacity), demand * 1.25)) + 1
-            width = max(self.config.top_n, min(need, ranked_all.size))
-            ranked = ranked_all[: min(width, ranked_all.size)]
-            chosen = ranked[np.arange(users.size) % ranked.size]
-            self.u_node[users] = chosen
-            self.u_base[users] = self._base_vec(users, chosen)
-            np.add.at(self.n_load, chosen, self.fps)
-            if self.trace.enabled:
-                for idx, u in enumerate(users):
-                    self.trace.emit(
-                        JoinAccept(
-                            0.0,
-                            self._user_name(int(u)),
-                            self._node_name(int(chosen[idx])),
-                        )
-                    )
+            for (ua, ub), a, b in zip(spans[lo:hi], ends.tolist(), ends[1:].tolist()):
+                if a == b:
+                    self.unattached_initial += ub - ua
+                    continue
+                # Rank candidates by predicted latency from the cohort's
+                # centroid; deal users over the best TopN.
+                cand = nodes[a:b]
+                score = pre[a:b] + self._node_wait(cand)
+                ranked_all = cand[np.argsort(score, kind="stable")]
+                # Deal over enough of the ranking to carry the cohort's
+                # offered load with ~25% headroom (each user individually
+                # only ever sees a TopN, but a cohort of same-cell users
+                # collectively spreads exactly like the manager's WRR would
+                # spread them) — never fewer than TopN nodes.
+                supply = np.cumsum(capacity[ranked_all])
+                need = int(np.searchsorted(supply, (ub - ua) * self.fps * 1.25)) + 1
+                width = max(self.config.top_n, min(need, ranked_all.size))
+                ranked = ranked_all[: min(width, ranked_all.size)]
+                chosen = ranked[np.arange(ub - ua) % ranked.size]
+                self.u_node[order[ua:ub]] = chosen
+                # Before the next cell ranks: it may share these nodes.
+                np.add.at(self.n_load, chosen, self.fps)
+        users = order[self.u_node[order] >= 0]
+        for lo in range(0, users.size, _SCORE_CHUNK_PAIRS):
+            part = users[lo : lo + _SCORE_CHUNK_PAIRS]
+            self.u_base[part] = self._base_vec(part, self.u_node[part])
+        if self.trace.enabled:
+            for u, n in zip(users.tolist(), self.u_node[users].tolist()):
+                self.trace.emit(JoinAccept(0.0, self._user_name(u), self._node_name(n)))
 
     def _attach(self, u: int, n: int, base: float) -> None:
         """Attach ``u`` to ``n``; ``base`` is the latency it was scored with."""
@@ -658,11 +686,7 @@ class MetroKernel:
         wait = self._node_wait()
         cands = [self._candidates(c) for c in self.u_cell[users].tolist()]
         starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
-        lo = 0
-        while lo < users.size:
-            # Whole users only, at least one, up to the pair cap.
-            cap = starts[lo] + _SCORE_CHUNK_PAIRS
-            hi = max(lo + 1, int(np.searchsorted(starts, cap, side="right")) - 1)
+        for lo, hi in _pair_chunks(starts):
             nodes = np.concatenate(cands[lo:hi])
             owners = np.repeat(users[lo:hi], np.diff(starts[lo : hi + 1]))
             keep = usable[nodes]
@@ -681,7 +705,6 @@ class MetroKernel:
                 if self.u_node[u] != cur:
                     moved = np.array([best] if cur < 0 else [cur, best])
                     wait[moved] = self._node_wait(moved)
-            lo = hi
 
     def _node_wait(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
         """Analytic M/D/1 mean queue wait at current load, of ``nodes``
@@ -716,28 +739,25 @@ class MetroKernel:
             self._advance_per_client(t0, t1, wait)
 
     def _advance_batched(self, t0: float, t1: float, wait: np.ndarray) -> None:
-        """The cohort fast path: whole-population array arithmetic."""
-        m_lo, counts = self._frame_counts(t0, t1)
+        """The cohort fast path: whole-population array arithmetic, in
+        mask form — no index arrays, every user's row is touched."""
+        _, counts = self._frame_counts(t0, t1)
         counts = np.where(self.u_active, counts, 0)
         self.frames_advanced += int(counts.sum())
-        att = counts > 0
-        attached = att & (self.u_node >= 0)
-        # Unattached users lose their due frames.
-        lost_unatt = att & (self.u_node < 0)
-        self.u_lost[lost_unatt] += counts[lost_unatt]
-        if not attached.any():
+        if self.n_gid.size == 0:  # nothing to gather from: all due frames lost
+            self.u_lost += counts
             return
-        idx = np.flatnonzero(attached)
-        nodes = self.u_node[idx]
-        alive = self.n_alive[nodes]
-        lat = self.u_base[idx] + wait[nodes]
-        kcnt = counts[idx]
-        done = idx[alive]
-        self.u_frames[done] += kcnt[alive]
-        self.u_lat_sum[done] += kcnt[alive] * lat[alive]
-        self.u_lat_max[done] = np.maximum(self.u_lat_max[done], lat[alive])
-        dead = idx[~alive]
-        self.u_lost[dead] += kcnt[~alive]
+        node = np.maximum(self.u_node, 0)  # unattached users read row 0, masked
+        ok = (self.u_node >= 0) & self.n_alive[node]
+        lat = self.u_base + wait[node]
+        good = np.where(ok, counts, 0)
+        self.u_frames += good
+        # ``lat`` is finite (rho is capped), so ``0 * lat`` adds exactly 0.0.
+        self.u_lat_sum += good * lat
+        # A user who completed nothing must not have ``lat`` reach its max.
+        np.maximum(self.u_lat_max, lat, out=self.u_lat_max, where=good > 0)
+        # Unattached users and users on a dead node lose their due frames.
+        self.u_lost += counts - good
 
     def _advance_batched_traced(
         self, t0: float, t1: float, wait: np.ndarray

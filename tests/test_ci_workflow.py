@@ -2,15 +2,17 @@
 
 The ``test`` matrix job ran the whole tier-1 suite with ``numpy pytest``
 installed, while a good dozen tier-1 modules import ``hypothesis`` at
-module top: ``pytest -x`` stopped at collection. Read straight off the
-workflow text (no YAML parser in the image that job builds).
+module top: ``pytest -x`` stopped at collection. And ``metro-smoke``
+listed its test files by name, so a new ``tests/test_metro_*.py`` was
+silently not run there. Read straight off the workflow text (no YAML
+parser in the image that job builds).
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Set
 
 import pytest
 
@@ -34,10 +36,19 @@ def runs_all_of_tests(job: str) -> bool:
     return re.search(r"(?m)run: python -m pytest( -\S+)*$", job) is not None
 
 
+def named_tests(job: str) -> Set[Path]:
+    """The test files a job names, shell globs expanded as its runner would."""
+    return {
+        path
+        for pattern in re.findall(r"tests/test_[\w*]+\.py", job)
+        for path in ROOT.glob(pattern)
+    }
+
+
 def runs_hypothesis_tests(job: str) -> bool:
     if runs_all_of_tests(job):
         return any(imports_hypothesis(path) for path in (ROOT / "tests").glob("test_*.py"))
-    return any(imports_hypothesis(ROOT / name) for name in re.findall(r"tests/test_\w+\.py", job))
+    return any(imports_hypothesis(path) for path in named_tests(job))
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
@@ -49,3 +60,13 @@ def test_jobs_that_run_hypothesis_tests_install_hypothesis():
         if runs_hypothesis_tests(job):
             (install,) = re.findall(r"pip install (.*)", job)
             assert "hypothesis" in install.split(), f"job {name!r} installs only: {install}"
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_metro_smoke_runs_every_metro_test_file():
+    job = jobs()["metro-smoke"]
+    on_disk = set((ROOT / "tests").glob("test_metro_*.py"))
+    assert len(on_disk) >= 6
+    assert on_disk <= named_tests(job), sorted(p.name for p in on_disk - named_tests(job))
+    # By glob, not by name: the next metro test file is covered unasked.
+    assert "tests/test_metro_*.py" in job

@@ -5,7 +5,9 @@ and the determinism tests compare a run with itself; nothing compared
 the metro kernel with *yesterday's* metro kernel. These two scenarios
 pin every ``MetroReport`` counter, the float reprs and a crc32 over the
 ordered trace, so a control-path rewrite that is meant to be
-bit-identical has to prove it.
+bit-identical has to prove it. Each runs traced and untraced: capture
+swaps ``_advance_batched`` for ``_advance_batched_traced``, and the
+untraced array path is the one every benchmark times.
 
 The expected values were recorded on commit d47b25e (before the control
 path went array-form). Re-record them only for a change that is *meant*
@@ -44,7 +46,7 @@ def snapshot(report):
     return out
 
 
-def run_reselect():
+def run_reselect(capture_trace=True):
     """4 shards, 5 s probing, 30 of 200 nodes fail: switches, boundary
     handoffs, covered and uncovered failovers, and migrants whose target
     died in transit (some of them left uncovered) all occur."""
@@ -52,7 +54,7 @@ def run_reselect():
     spec = MetroSpec(nodes=nodes, users=1_500, region_km=30.0, fps=4.0,
                      shard=ShardSpec(count=4))
     config = SystemConfig(seed=seed, probing_period_ms=5_000.0)
-    sim = MetroSimulation(spec, config, capture_trace=True)
+    sim = MetroSimulation(spec, config, capture_trace=capture_trace)
     rng = random.Random(seed)
     for gid in rng.sample(range(nodes), 30):
         sim.schedule_node_fail(
@@ -61,12 +63,12 @@ def run_reselect():
     return sim.run(sim_seconds)
 
 
-def run_cohort():
+def run_cohort(capture_trace=True):
     """One shard, probing off: the t=0 attach and nothing but cohort
     advancement after it."""
     spec = MetroSpec(nodes=300, users=3_000, fps=4.0)
     config = SystemConfig(seed=42, probing_period_ms=3.6e6)
-    return MetroSimulation(spec, config, capture_trace=True).run(3.0)
+    return MetroSimulation(spec, config, capture_trace=capture_trace).run(3.0)
 
 
 SCENARIOS = {"reselect": run_reselect, "cohort": run_cohort}
@@ -95,9 +97,25 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_metro_run_matches_golden(name):
-    assert snapshot(SCENARIOS[name]()) == GOLDEN[name]
+TRACE_ONLY = ("trace_events", "trace_crc32")
+
+
+@pytest.mark.parametrize(
+    "name, capture_trace",
+    [
+        pytest.param(name, traced, id=name if traced else f"{name}-untraced")
+        for traced in (True, False)
+        for name in sorted(SCENARIOS)
+    ],
+)
+def test_metro_run_matches_golden(name, capture_trace):
+    got = snapshot(SCENARIOS[name](capture_trace))
+    expected = dict(GOLDEN[name])
+    if not capture_trace:
+        assert got["trace_events"] == 0
+        for field in TRACE_ONLY:
+            del got[field], expected[field]
+    assert got == expected
 
 
 def test_reselect_scenario_exercises_every_control_path():

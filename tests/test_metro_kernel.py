@@ -1,15 +1,28 @@
 """The unsharded metro kernel: determinism, counters, stepping modes."""
 
+import copy
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SystemConfig
 from repro.geo import geohash
-from repro.metro.kernel import MetroKernel, _haversine_km
-from repro.metro.spec import MetroPopulation, MetroSpec, build_population
+from repro.metro import kernel as kernel_module
+from repro.metro.kernel import (
+    _MS_PER_KM,
+    _PATH_STRETCH,
+    _RTT_FLOOR_MS,
+    _TIER_MS,
+    MetroKernel,
+    _haversine_km,
+)
+from repro.metro.runner import MetroSimulation
+from repro.metro.spec import MetroPopulation, MetroSpec, ShardSpec, build_population
+from repro.obs.events import JoinAccept
 from repro.obs.tracer import Tracer
 
 
@@ -252,3 +265,255 @@ def test_initial_attach_reads_wait_of_candidates_only(monkeypatch):
     monkeypatch.setattr(kernel, "_node_wait", recorded)
     kernel._initial_attach()
     assert asked and all(nodes is not None for nodes in asked)
+
+
+# ----------------------------------------------------------------------
+# Build: the kernel owns its columns
+# ----------------------------------------------------------------------
+def test_kernel_columns_share_no_memory_with_the_population():
+    """Fancy indexing already copies, so the constructor adds no
+    ``.copy()`` — and "population: shared, never mutated" still holds."""
+    config = SystemConfig(seed=5)
+    spec = MetroSpec(nodes=150, users=600, region_km=20.0)
+    population = build_population(spec, config.seed)
+    before = {name: np.array(column) for name, column in vars(population).items()
+              if isinstance(column, np.ndarray)}
+    kernel = MetroKernel(config, spec, population)
+    columns = [c for c in vars(kernel).values() if isinstance(c, np.ndarray)]
+    assert len(columns) >= 20
+    for column in columns:
+        for name in before:
+            assert not np.shares_memory(column, getattr(population, name)), name
+    for column in columns:
+        column[...] = 1  # every dtype in the table takes it
+    for name, values in before.items():
+        assert np.array_equal(getattr(population, name), values), name
+
+
+# ----------------------------------------------------------------------
+# The cohort path in whole-population form, held to the forms it replaced
+# ----------------------------------------------------------------------
+def initial_attach_per_cell(self):
+    """Reference: the t=0 attach one occupied cell at a time — filter,
+    centroid, distance, score, deal and ``u_base`` all inside the loop
+    (the kernel's form until the load-independent work was hoisted)."""
+    if self.u_gid.size == 0:
+        return
+    cells, inverse = np.unique(self.u_cell, return_inverse=True)
+    self._fill_cell_cands(cells)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.searchsorted(inverse[order], np.arange(cells.size + 1))
+    for ci, cell in enumerate(cells.tolist()):
+        users = order[bounds[ci] : bounds[ci + 1]]
+        self.control_ops += len(users)
+        cand = self._cell_cands[cell]
+        cand = cand[self.n_alive[cand] & ~self.n_ghost[cand]]
+        if cand.size == 0:
+            self.unattached_initial += len(users)
+            continue
+        clat = float(np.mean(self.u_lat[users]))
+        clon = float(np.mean(self.u_lon[users]))
+        dist = _haversine_km(clat, clon, self.n_lat[cand], self.n_lon[cand])
+        score = (
+            _RTT_FLOOR_MS
+            + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
+            + _TIER_MS
+            + self.n_service[cand]
+            + self._node_wait(cand)
+        )
+        ranked_all = cand[np.argsort(score, kind="stable")]
+        capacity = 1000.0 / self.n_service[ranked_all]
+        demand = users.size * self.fps
+        need = int(np.searchsorted(np.cumsum(capacity), demand * 1.25)) + 1
+        width = max(self.config.top_n, min(need, ranked_all.size))
+        ranked = ranked_all[: min(width, ranked_all.size)]
+        chosen = ranked[np.arange(users.size) % ranked.size]
+        self.u_node[users] = chosen
+        self.u_base[users] = self._base_vec(users, chosen)
+        np.add.at(self.n_load, chosen, self.fps)
+        if self.trace.enabled:
+            for idx, u in enumerate(users):
+                self.trace.emit(
+                    JoinAccept(
+                        0.0,
+                        self._user_name(int(u)),
+                        self._node_name(int(chosen[idx])),
+                    )
+                )
+
+
+def advance_indexed(self, t0, t1, wait):
+    """Reference: cohort advancement through ``flatnonzero`` index
+    arrays — gather the attached users' rows, scatter the stats back."""
+    m_lo, counts = self._frame_counts(t0, t1)
+    counts = np.where(self.u_active, counts, 0)
+    self.frames_advanced += int(counts.sum())
+    att = counts > 0
+    attached = att & (self.u_node >= 0)
+    lost_unatt = att & (self.u_node < 0)
+    self.u_lost[lost_unatt] += counts[lost_unatt]
+    if not attached.any():
+        return
+    idx = np.flatnonzero(attached)
+    nodes = self.u_node[idx]
+    alive = self.n_alive[nodes]
+    lat = self.u_base[idx] + wait[nodes]
+    kcnt = counts[idx]
+    done = idx[alive]
+    self.u_frames[done] += kcnt[alive]
+    self.u_lat_sum[done] += kcnt[alive] * lat[alive]
+    self.u_lat_max[done] = np.maximum(self.u_lat_max[done], lat[alive])
+    dead = idx[~alive]
+    self.u_lost[dead] += kcnt[~alive]
+
+
+def shard_kernels(seed, nodes, users, region_km, top_n, shards, fps=4.0):
+    """One traced kernel per shard, as ``MetroSimulation`` builds them."""
+    spec = MetroSpec(nodes=nodes, users=users, region_km=region_km, fps=fps,
+                     shard=ShardSpec(count=shards))
+    config = SystemConfig(seed=seed, top_n=top_n)
+    return MetroSimulation(spec, config, capture_trace=True).build_kernels()[1]
+
+
+def joins(kernel):
+    return [(e.user_id, e.node_id) for e in kernel.trace.events("join_accept")]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    nodes=st.integers(min_value=1, max_value=160),
+    users=st.integers(min_value=1, max_value=900),
+    region_km=st.sampled_from([2.0, 8.0, 25.0, 60.0]),
+    top_n=st.integers(min_value=1, max_value=5),
+    shards=st.sampled_from([1, 4]),
+    dead_share=st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+    pair_cap=st.sampled_from([1, 7, 200, 1 << 14]),
+)
+def test_initial_attach_equals_the_per_cell_reference(
+    seed, nodes, users, region_km, top_n, shards, dead_share, pair_cap
+):
+    """Same attachments, same base latencies, same loads, same counters
+    and the same JoinAccept sequence — with ``==``, chunked however."""
+    args = (seed, nodes, users, region_km, top_n, shards)
+    kill = np.random.default_rng(seed)
+    for kernel, reference in zip(shard_kernels(*args), shard_kernels(*args)):
+        dead = kill.random(kernel.n_gid.size) < dead_share
+        kernel.n_alive[dead] = reference.n_alive[dead] = False
+        with mock.patch.object(kernel_module, "_SCORE_CHUNK_PAIRS", pair_cap):
+            kernel._initial_attach()
+        initial_attach_per_cell(reference)
+        assert (kernel.u_node == reference.u_node).all()
+        assert (kernel.u_base == reference.u_base).all()
+        assert (kernel.n_load == reference.n_load).all()
+        assert kernel.control_ops == reference.control_ops == kernel.u_gid.size
+        assert kernel.unattached_initial == reference.unattached_initial
+        assert joins(kernel) == joins(reference)
+        assert len(joins(kernel)) == int((kernel.u_node >= 0).sum())
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    nodes=st.integers(min_value=0, max_value=60),
+    users=st.integers(min_value=1, max_value=500),
+    fps=st.sampled_from([0.5, 3.0, 4.0, 10.0]),
+    inactive=st.sampled_from([0.0, 0.2]),
+    unattached=st.sampled_from([0.0, 0.2, 1.0]),
+    dead=st.sampled_from([0.0, 0.3, 1.0]),
+    pending=st.sampled_from([0.0, 0.2]),
+)
+def test_mask_form_advance_equals_the_indexed_reference(
+    seed, nodes, users, fps, inactive, unattached, dead, pending
+):
+    """Tick after tick from the same state — inactive users, unattached
+    users, users on a dead node, users waiting on a handoff, ticks in
+    which most users have no frame due (fps 0.5), no node at all."""
+    config = SystemConfig(seed=seed)
+    spec = MetroSpec(nodes=max(nodes, 1), users=users, region_km=10.0, fps=fps)
+    population = build_population(spec, seed)
+    kernel = MetroKernel(config, spec, population,
+                         node_gids=np.arange(nodes, dtype=np.int64))
+    kernel._initial_attach()
+    rng = np.random.default_rng(seed)
+    kernel.u_active[rng.random(users) < inactive] = False
+    kernel.u_node[rng.random(users) < unattached] = -1
+    kernel.u_pending[rng.random(users) < pending] = 0
+    kernel.n_alive[rng.random(nodes) < dead] = False
+    reference = copy.deepcopy(kernel)
+    for k in range(6):
+        if nodes:  # the wait moves between ticks, so the max has to be kept
+            kernel.n_load[:] = reference.n_load[:] = rng.random(nodes) * 40.0
+        wait = kernel._node_wait()
+        kernel._advance_batched(k * 250.0, (k + 1) * 250.0, wait)
+        advance_indexed(reference, k * 250.0, (k + 1) * 250.0, wait)
+        for column in ("u_frames", "u_lost", "u_lat_sum", "u_lat_max"):
+            assert (getattr(kernel, column) == getattr(reference, column)).all(), column
+        assert kernel.frames_advanced == reference.frames_advanced
+    report, expected = kernel.report(), reference.report()
+    assert report.frames_done + report.frames_lost == report.frames_advanced
+    assert (report.frames_done, report.frames_lost) == (
+        expected.frames_done, expected.frames_lost)
+    assert report.latency_sum_ms == expected.latency_sum_ms
+    assert report.latency_max_ms == expected.latency_max_ms
+
+
+def test_flat_centroid_distance_pass_equals_per_cell_calls_bitwise():
+    """The attach measures centroid -> candidate for many cells in one
+    pass, centroids repeated per pair; the form it replaced made one call
+    per cell with the centroid as two Python floats. Same float64 per
+    pair, for every batch length 1..67 and past the pair cap."""
+    rng = np.random.default_rng(11)
+    n_lat = 44.98 + rng.uniform(-0.4, 0.4, 500)
+    n_lon = -93.27 + rng.uniform(-0.5, 0.5, 500)
+    for total in list(range(1, 68)) + [kernel_module._SCORE_CHUNK_PAIRS + 37]:
+        cuts = np.sort(rng.integers(0, total + 1, rng.integers(0, 6)))
+        sizes = np.diff(np.concatenate(([0], cuts, [total])))  # some cells empty
+        clat = 44.98 + rng.uniform(-0.4, 0.4, sizes.size)
+        clon = -93.27 + rng.uniform(-0.5, 0.5, sizes.size)
+        nodes = rng.integers(0, 500, total)
+        flat = _haversine_km(
+            np.repeat(clat, sizes), np.repeat(clon, sizes), n_lat[nodes], n_lon[nodes]
+        )
+        ends = np.concatenate(([0], np.cumsum(sizes)))
+        for i, (a, b) in enumerate(zip(ends, ends[1:])):
+            cand = nodes[a:b]
+            one = _haversine_km(float(clat[i]), float(clon[i]), n_lat[cand], n_lon[cand])
+            assert (flat[a:b] == one).all(), (total, i)
+
+
+def test_attach_centroid_is_np_mean_of_the_cells_users_exactly(monkeypatch):
+    """Every centroid the attach measures from is ``np.mean`` over the
+    cell's users, to the bit. A segmented sum is *not*: ``reduceat`` adds
+    sequentially where ``mean`` adds pairwise, and the last bit moves."""
+    kernel = make_kernel(nodes=150, users=6_000)
+    measured_from = []
+    real = kernel_module._haversine_km
+
+    def recorded(lat1, lon1, lat2, lon2):
+        measured_from.append((lat1, lon1))
+        return real(lat1, lon1, lat2, lon2)
+
+    monkeypatch.setattr(kernel_module, "_haversine_km", recorded)
+    # The closing u_base pass measures from users, not centroids: keep it out.
+    monkeypatch.setattr(kernel, "_base_vec", lambda users, nodes: np.zeros(users.size))
+    kernel._initial_attach()
+    got_lat = np.concatenate([lat for lat, _ in measured_from])
+    got_lon = np.concatenate([lon for _, lon in measured_from])
+
+    cells = np.unique(kernel.u_cell).tolist()
+    members = [np.flatnonzero(kernel.u_cell == cell) for cell in cells]
+    pairs = [kernel._cell_cands[cell].size for cell in cells]
+    mean_lat = np.array([np.mean(kernel.u_lat[users]) for users in members])
+    mean_lon = np.array([np.mean(kernel.u_lon[users]) for users in members])
+    assert min(pairs) > 0 and len(cells) > 20
+    assert (got_lat == np.repeat(mean_lat, pairs)).all()
+    assert (got_lon == np.repeat(mean_lon, pairs)).all()
+
+    order = np.concatenate(members)
+    starts = np.concatenate(([0], np.cumsum([m.size for m in members])[:-1]))
+    segmented = np.add.reduceat(kernel.u_lat[order], starts) / [m.size for m in members]
+    assert (segmented != mean_lat).any()
+    assert np.allclose(segmented, mean_lat, rtol=1e-14, atol=0.0)

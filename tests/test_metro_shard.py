@@ -162,6 +162,31 @@ def test_failure_under_sharding_is_conservative_and_deterministic():
     )
 
 
+@pytest.mark.parametrize("capture_trace", [False, True])
+@pytest.mark.parametrize("nodes", [1, 2, 3, 5])
+def test_shard_that_owns_users_but_no_node_builds_and_runs(nodes, capture_trace):
+    """Fewer nodes than shards: some shard gets users and an empty node
+    table (nodes=5: one holding a ghost only). It must build; its users
+    stay unattached and lose every due frame, and the report adds up."""
+    spec = MetroSpec(nodes=nodes, users=400, region_km=40.0, fps=4.0,
+                     shard=ShardSpec(count=4))
+    sim = MetroSimulation(spec, SystemConfig(seed=3), capture_trace=capture_trace)
+    _, kernels = sim.build_kernels()
+    nodeless = [g for g, k in enumerate(kernels) if k.u_gid.size and k.n_ghost.all()]
+    # One of them without even a ghost: nothing for the advance to gather from.
+    assert any(kernels[g].n_gid.size == 0 for g in nodeless)
+
+    report = sim.run(3.0)
+    assert report.frames_done + report.frames_lost == 400 * 4 * 3
+    assert report.frames_done > 0
+    for g in nodeless:
+        shard = report.shard_reports[g]
+        assert shard.users == kernels[g].u_gid.size
+        assert shard.unattached_initial == shard.users
+        assert shard.frames_done == 0
+        assert shard.frames_lost == shard.frames_advanced == shard.users * 4 * 3
+
+
 # ----------------------------------------------------------------------
 # Worker processes are a pure wall-clock optimization
 # ----------------------------------------------------------------------

@@ -83,7 +83,7 @@ class RouterServer:
         #: node id -> serving address, refreshed from heartbeats.
         self._addresses: Dict[str, Address] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._open_writers: Set[asyncio.StreamWriter] = set()
+        self._open_writers = protocol.OpenConnections()
         #: Standing router->replica links: a routed request pays the
         #: client's handshake only.
         self._links = protocol.ConnectionPool()
@@ -95,6 +95,7 @@ class RouterServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        self._open_writers.stopped = False
         self._server = await asyncio.start_server(
             lambda r, w: protocol.serve_connection(r, w, self._dispatch, self._open_writers),
             self.host,

@@ -142,6 +142,8 @@ class EdgeSystem:
             self.manager = CentralManager(self, policy)
 
         self.nodes: Dict[str, EdgeServer] = {}
+        #: Alive entries of ``nodes`` (a recount per add made a build quadratic).
+        self._alive_nodes = 0
         self.clients: Dict[str, ClientLike] = {}
         #: Construction arguments remembered per node id so a crashed
         #: node can be restarted *as the same identity* (fault plans and
@@ -226,6 +228,7 @@ class EdgeSystem:
             host_schedule=host_schedule,
         )
         self.nodes[node_id] = node
+        self._alive_nodes += 1
         if start:
             node.start()
         self._record_population()
@@ -283,6 +286,7 @@ class EdgeSystem:
         if node is None or not node.alive:
             return
         node.fail()
+        self._alive_nodes -= 1
         self.trace.emit(NodeFail(self.sim.now, node_id))
         self._record_population()
         detection = self.config.failure_detection_ms
@@ -418,10 +422,10 @@ class EdgeSystem:
         return [node_id for node_id, node in self.nodes.items() if node.alive]
 
     def alive_node_count(self) -> int:
-        return len(self.alive_node_ids())
+        return self._alive_nodes
 
     def _record_population(self) -> None:
-        self.trace.emit(PopulationChanged(self.sim.now, self.alive_node_count()))
+        self.trace.emit(PopulationChanged(self.sim.now, self._alive_nodes))
 
     # ------------------------------------------------------------------
     # Client lifecycle

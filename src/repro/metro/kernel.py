@@ -355,122 +355,101 @@ class MetroKernel:
         """Publish exports + migrations decided during the past epoch."""
         exported = self._export_local
         state = zip(self.n_load[exported].tolist(), self.n_alive[exported].tolist())
-        out = ShardOutbox(
-            shard_id=self.shard_id, exports=dict(zip(self._export_gids, state))
-        )
-        for u in sorted(self._pending_handoffs, key=lambda i: int(self.u_gid[i])):
-            ghost_local = int(self.u_pending[u])
-            record = MigrationRecord(
-                user_gid=int(self.u_gid[u]),
-                target_gid=int(self.n_gid[ghost_local]),
-                from_shard=self.shard_id,
-                lat=float(self.u_lat[u]),
-                lon=float(self.u_lon[u]),
-                phase_ms=float(self.u_phase[u]),
-                frames_done=int(self.u_frames[u]),
-                frames_lost=int(self.u_lost[u]),
-                latency_sum_ms=float(self.u_lat_sum[u]),
-                latency_max_ms=float(self.u_lat_max[u]),
+        exports = dict(zip(self._export_gids, state))
+        pending = np.array(self._pending_handoffs, dtype=np.int64)
+        users = pending[np.argsort(self.u_gid[pending])]
+        stats = (self.u_frames, self.u_lost, self.u_lat_sum, self.u_lat_max)
+        carried = (self.u_lat, self.u_lon, self.u_phase, *stats)
+        migrations = [
+            MigrationRecord(user, target, self.shard_id, *rest)
+            for user, target, *rest in zip(
+                self.u_gid[users].tolist(),
+                self.n_gid[self.u_pending[users]].tolist(),
+                *(column[users].tolist() for column in carried),
             )
-            out.migrations.append(record)
-            # Detach locally: the user's stats travel with the record,
-            # so zero them here to avoid double counting in reports.
-            cur = int(self.u_node[u])
-            if cur >= 0:
-                self.n_load[cur] -= self.fps
-            self.u_node[u] = -1
-            self.u_active[u] = False
-            self.u_pending[u] = -1
-            self.u_frames[u] = 0
-            self.u_lost[u] = 0
-            self.u_lat_sum[u] = 0.0
-            self.u_lat_max[u] = 0.0
-            self.handoffs_out += 1
+        ]
+        # Detach locally: the users' stats travel with the records, so
+        # zero them here to avoid double counting in reports.
+        cur = self.u_node[users]
+        np.subtract.at(self.n_load, cur[cur >= 0], self.fps)
+        self.u_node[users] = self.u_pending[users] = -1
+        self.u_active[users] = False
+        for column in stats:
+            column[users] = 0
+        self.handoffs_out += users.size
         self._pending_handoffs.clear()
-        return out
+        return ShardOutbox(self.shard_id, exports, migrations)
 
     def apply_inbox(self, inbox: ShardInbox) -> None:
         """Apply ghost refreshes + arriving users (start of an epoch)."""
-        for gid in sorted(inbox.ghost_updates):
+        for gid, state in sorted(inbox.ghost_updates.items()):
             local = self._node_local.get(gid)
-            if local is None or not self.n_ghost[local]:
-                continue
-            load, alive = inbox.ghost_updates[gid]
-            self.n_load[local] = load
-            self.n_alive[local] = alive
+            if local is not None and self.n_ghost[local]:
+                self.n_load[local], self.n_alive[local] = state
         if not inbox.migrations:
             return
         arrivals = sorted(inbox.migrations, key=lambda r: r.user_gid)
-        base = self.u_gid.size
+        first = self.u_gid.size
         self._append_users(arrivals)
-        for i, record in enumerate(arrivals):
-            self._admit_migrant(base + i, record)
-            self.handoffs_in += 1
+        self.handoffs_in += len(arrivals)
+        self.control_ops += len(arrivals)
+        # An arrival whose handoff target is alive and local attaches to
+        # it; that base reads no load, so one flat pass scores them all.
+        # Loads go up in gid order: a fallback in between must see them.
+        target = np.array([self._node_local.get(r.target_gid, -1) for r in arrivals])
+        direct = (target >= 0) & self.n_alive[target] & ~self.n_ghost[target]
+        users, nodes = first + np.flatnonzero(direct), target[direct]
+        self.u_node[users] = nodes
+        self.u_base[users] = self._base_vec(users, nodes)
+        for u, n in enumerate(np.where(direct, target, -1).tolist(), first):
+            if n < 0:
+                n = self._admit_migrant(u)
+            else:
+                self.n_load[n] += self.fps
+            if n >= 0 and self.trace.enabled:
+                self.trace.emit(
+                    JoinAccept(self.now_ms, self._user_name(u), self._node_name(n))
+                )
 
     def _append_users(self, records: List[MigrationRecord]) -> None:
-        gids = np.array([r.user_gid for r in records], dtype=np.int64)
-        lats = np.array([r.lat for r in records])
-        lons = np.array([r.lon for r in records])
-        self.u_gid = np.concatenate([self.u_gid, gids])
-        self.u_slot = np.concatenate([self.u_slot, gids % self._period_ticks])
-        self.u_lat = np.concatenate([self.u_lat, lats])
-        self.u_lon = np.concatenate([self.u_lon, lons])
-        self.u_phase = np.concatenate(
-            [self.u_phase, np.array([r.phase_ms for r in records])]
-        )
-        self.u_cell = np.concatenate(
-            [
-                self.u_cell,
-                geohash.encode_cells(lats, lons, self.spec.effective_cell_precision),
-            ]
-        )
-        self.u_node = np.concatenate(
-            [self.u_node, np.full(len(records), -1, dtype=np.int64)]
-        )
-        self.u_base = np.concatenate([self.u_base, np.zeros(len(records))])
-        self.u_active = np.concatenate(
-            [self.u_active, np.ones(len(records), dtype=bool)]
-        )
-        self.u_join_tick = np.concatenate(
-            [self.u_join_tick, np.full(len(records), self._tick_index, dtype=np.int64)]
-        )
-        self.u_pending = np.concatenate(
-            [self.u_pending, np.full(len(records), -1, dtype=np.int64)]
-        )
-        self.u_frames = np.concatenate(
-            [self.u_frames, np.array([r.frames_done for r in records], dtype=np.int64)]
-        )
-        self.u_lost = np.concatenate(
-            [self.u_lost, np.array([r.frames_lost for r in records], dtype=np.int64)]
-        )
-        self.u_lat_sum = np.concatenate(
-            [self.u_lat_sum, np.array([r.latency_sum_ms for r in records])]
-        )
-        self.u_lat_max = np.concatenate(
-            [self.u_lat_max, np.array([r.latency_max_ms for r in records])]
-        )
+        """Grow every user column by one row per record."""
 
-    def _admit_migrant(self, u: int, record: MigrationRecord) -> None:
-        """Attach an arriving user to its handoff target (or re-select
-        locally if the target died in transit)."""
-        self.control_ops += 1
-        me = np.array([u], dtype=np.int64)
-        target = self._node_local.get(record.target_gid)
-        if target is not None and self.n_alive[target] and not self.n_ghost[target]:
-            best = target
-            base = self._base_vec(me, np.array([target], dtype=np.int64))[0]
-        else:
-            # Target gone: fall back to a local re-selection round.
-            _, best, base, _ = next(self._scored(me, include_ghosts=False))
-            if best < 0:
-                self.uncovered_failures += 1
+        def column(name: str, dtype: type = np.float64) -> np.ndarray:
+            return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+        gids, lats, lons = column("user_gid", np.int64), column("lat"), column("lon")
+        precision = self.spec.effective_cell_precision
+        rows = {
+            "u_gid": gids,
+            "u_slot": gids % self._period_ticks,
+            "u_lat": lats,
+            "u_lon": lons,
+            "u_phase": column("phase_ms"),
+            "u_cell": geohash.encode_cells(lats, lons, precision),
+            "u_node": np.full_like(gids, -1),
+            "u_base": np.zeros_like(lats),
+            "u_active": np.ones_like(gids, dtype=bool),
+            "u_join_tick": np.full_like(gids, self._tick_index),
+            "u_pending": np.full_like(gids, -1),
+            "u_frames": column("frames_done", np.int64),
+            "u_lost": column("frames_lost", np.int64),
+            "u_lat_sum": column("latency_sum_ms"),
+            "u_lat_max": column("latency_max_ms"),
+        }
+        for name, tail in rows.items():
+            setattr(self, name, np.concatenate([getattr(self, name), tail]))
+
+    def _admit_migrant(self, u: int) -> int:
+        """An arrival whose handoff target died in transit re-selects
+        locally; the node it attached to, -1 if none is left."""
+        _, best, base, _ = next(self._scored(np.array([u]), include_ghosts=False))
+        if best < 0:
+            self.uncovered_failures += 1
+            if self.trace.listening:
                 self.trace.emit(UncoveredFailure(self.now_ms, self._user_name(u)))
-                return
-        self._attach(u, best, base)
-        if self.trace.enabled:
-            self.trace.emit(
-                JoinAccept(self.now_ms, self._user_name(u), self._node_name(best))
-            )
+        else:
+            self._attach(u, best, base)
+        return best
 
     # ------------------------------------------------------------------
     # Control plane (shared by both stepping modes)
@@ -495,22 +474,26 @@ class MetroKernel:
             return
         self.control_ops += 1
         self.n_alive[n] = False
-        self.trace.emit(NodeFail(t, self._node_name(n)))
+        if self.trace.listening:
+            self.trace.emit(NodeFail(t, self._node_name(n)))
         self._agenda.setdefault(k + self._detect_ticks, []).append(("detect", n))
 
     def _detect_failure(self, n: int, t: float) -> None:
         """Clients of a dead node notice at the quantized detection tick
         and walk to a live candidate (the per-client fallback path)."""
         orphans = np.flatnonzero(self.u_node == n)
+        self.control_ops += orphans.size
+        emit = self.trace.emit if self.trace.listening else None
         for u, best, base, _ in self._scored(orphans, include_ghosts=False):
-            self.control_ops += 1
             if best < 0:
                 self.u_node[u] = -1
                 self.uncovered_failures += 1
-                self.trace.emit(UncoveredFailure(t, self._user_name(u)))
+                if emit:
+                    emit(UncoveredFailure(t, self._user_name(u)))
                 continue
             self.covered_failovers += 1
-            self.trace.emit(CoveredFailover(t, self._user_name(u), self._node_name(n)))
+            if emit:
+                emit(CoveredFailover(t, self._user_name(u), self._node_name(n)))
             # The dead node's bookkeeping load is irrelevant; just move.
             self._attach(u, best, base)
 
@@ -522,34 +505,30 @@ class MetroKernel:
             & (self.u_pending[due] < 0)
             & (k - self.u_join_tick[due] >= self._dwell_ticks)
         ]
+        self.control_ops += due.size
+        emit = self.trace.emit if self.trace.listening else None
+        node_of, base_of = self.u_node.item, self.u_base.item
+        keep = 1.0 - self.config.switch_penalty_fraction
+        penalty_ms = self.config.switch_penalty_ms
         for u, best, base, wait in self._scored(due, include_ghosts=True):
-            self.control_ops += 1
-            cur = int(self.u_node[u])
+            cur = node_of(u)
             if best < 0 or best == cur:
                 continue
-            cand_score = base + wait[best]
-            cur_score = self.u_base[u] + wait[cur]
             # Hysteresis: absolute + relative margin, as in SelectionMachine.
-            threshold = cur_score * (1.0 - self.config.switch_penalty_fraction)
-            if cand_score >= min(threshold, cur_score - self.config.switch_penalty_ms):
+            cur_score = base_of(u) + wait.item(cur)
+            if base + wait.item(best) >= min(cur_score * keep, cur_score - penalty_ms):
                 continue
             if self.n_ghost[best]:
                 self.u_pending[u] = best
                 self._pending_handoffs.append(u)
-                self.trace.emit(
-                    ShardHandoff(
-                        t,
-                        self._user_name(u),
-                        self.shard_id,
-                        self._ghost_shard[best],
-                        self._node_name(best),
-                    )
-                )
+                if emit:
+                    owner, to = self._ghost_shard[best], self._node_name(best)
+                    emit(ShardHandoff(t, self._user_name(u), self.shard_id, owner, to))
                 continue
             self.switches += 1
-            self.trace.emit(
-                Switch(t, self._user_name(u), self._node_name(cur), self._node_name(best))
-            )
+            if emit:
+                was, to = self._node_name(cur), self._node_name(best)
+                emit(Switch(t, self._user_name(u), was, to))
             self.n_load[cur] -= self.fps
             self._attach(u, best, base)
 
@@ -650,12 +629,6 @@ class MetroKernel:
             + self.n_service[nodes]
         )
 
-    def _candidates(self, cell: int) -> np.ndarray:
-        """Ascending local node indices in the 3x3 cell neighborhood."""
-        if cell not in self._cell_cands:
-            self._fill_cell_cands(np.array([cell], dtype=np.uint64))
-        return self._cell_cands[cell]
-
     def _fill_cell_cands(self, cells: np.ndarray) -> None:
         """Resolve the candidates of ``cells`` with one neighborhood call."""
         blocks = geohash.cell_neighborhood(cells, self.spec.effective_cell_precision)
@@ -684,8 +657,13 @@ class MetroKernel:
             return
         usable = self.n_alive if include_ghosts else self.n_alive & ~self.n_ghost
         wait = self._node_wait()
-        cands = [self._candidates(c) for c in self.u_cell[users].tolist()]
+        cells = self.u_cell[users].tolist()
+        unseen = set(cells).difference(self._cell_cands)  # arrivals' cells
+        if unseen:
+            self._fill_cell_cands(np.array(sorted(unseen), dtype=np.uint64))
+        cands = [self._cell_cands[c] for c in cells]
         starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
+        node_of = self.u_node.item
         for lo, hi in _pair_chunks(starts):
             nodes = np.concatenate(cands[lo:hi])
             owners = np.repeat(users[lo:hi], np.diff(starts[lo : hi + 1]))
@@ -700,11 +678,12 @@ class MetroKernel:
                     yield u, -1, 0.0, wait
                     continue
                 j = a + int((base[a:b] + wait[nodes[a:b]]).argmin())
-                cur, best = int(self.u_node[u]), int(nodes[j])
-                yield u, best, base[j], wait
-                if self.u_node[u] != cur:
-                    moved = np.array([best] if cur < 0 else [cur, best])
-                    wait[moved] = self._node_wait(moved)
+                cur, best = node_of(u), nodes.item(j)
+                yield u, best, base.item(j), wait
+                if node_of(u) != cur:
+                    wait[best] = self._wait_at(best)
+                    if cur >= 0:
+                        wait[cur] = self._wait_at(cur)
 
     def _node_wait(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
         """Analytic M/D/1 mean queue wait at current load, of ``nodes``
@@ -713,6 +692,13 @@ class MetroKernel:
         if nodes is not None:
             load, service = load[nodes], service[nodes]
         rho = np.clip(load * service / 1000.0, 0.0, _RHO_CAP)
+        return service * rho / (2.0 * (1.0 - rho))
+
+    def _wait_at(self, n: int) -> float:
+        """``_node_wait`` of one node in scalar arithmetic: the same IEEE
+        operations in the same order, so the same bits."""
+        service: float = self.n_service.item(n)
+        rho: float = min(max(self.n_load.item(n) * service / 1000.0, 0.0), _RHO_CAP)
         return service * rho / (2.0 * (1.0 - rho))
 
     # ------------------------------------------------------------------

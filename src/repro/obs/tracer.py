@@ -134,6 +134,11 @@ class Tracer:
         detail events with a bare ``if tracer:``."""
         return self.enabled
 
+    @property
+    def listening(self) -> bool:
+        """An event emitted now would reach a reducer or the capture ring."""
+        return self.enabled or bool(self._subscribers)
+
     def now(self) -> float:
         """Wall-clock ms since this tracer's creation (live runtime)."""
         return (time.monotonic() - self._epoch) * 1000.0

@@ -138,7 +138,7 @@ class LiveEdgeServer:
         self._queue_depth = 0
         self.max_queue_depth = 64
         self._dead = False
-        self._open_writers: set = set()
+        self._open_writers = protocol.OpenConnections()
 
     # ------------------------------------------------------------------
     # Protocol-core state, exposed on the driver for tests/status.
@@ -177,6 +177,7 @@ class LiveEdgeServer:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        self._open_writers.stopped = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
             limit=protocol.MAX_FRAME_BYTES,

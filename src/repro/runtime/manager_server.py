@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple, Type, TypeVar
+from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar
 
 from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
 from repro.core.policies.global_policies import GlobalSelectionPolicy
@@ -142,7 +142,7 @@ class ManagerServer:
         )
         self._addresses: Dict[str, tuple] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._open_writers: Set[asyncio.StreamWriter] = set()
+        self._open_writers = protocol.OpenConnections()
         self.queries_served = 0
         self.heartbeats_received = 0
         self.connections_accepted = 0
@@ -164,6 +164,7 @@ class ManagerServer:
 
     async def start(self) -> None:
         """Bind and start serving; resolves the actual port when 0."""
+        self._open_writers.stopped = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
             limit=protocol.MAX_FRAME_BYTES,

@@ -117,11 +117,19 @@ async def request(
             await link.close()
 
 
+class OpenConnections(Set[asyncio.StreamWriter]):
+    """The connections one listener is serving. :func:`stop_serving` sets
+    ``stopped`` (a restart clears it): a connection accepted while it ran
+    reaches :func:`serve_connection` after the sweep and must hang up."""
+
+    stopped = False
+
+
 async def serve_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     dispatch: Callable[[Dict[str, Any]], Awaitable[Optional[Dict[str, Any]]]],
-    open_writers: Set[asyncio.StreamWriter],
+    open_writers: OpenConnections,
 ) -> None:
     """Serve one connection: read a frame, ``dispatch`` it, write the
     reply; until EOF, or a ``None`` reply, which hangs up without
@@ -130,7 +138,7 @@ async def serve_connection(
     """
     open_writers.add(writer)
     try:
-        while True:
+        while not open_writers.stopped:
             frame = await read_frame(reader)
             if frame is None:
                 break
@@ -155,11 +163,12 @@ async def serve_connection(
 
 async def stop_serving(
     server: Optional[asyncio.AbstractServer],
-    open_writers: Set[asyncio.StreamWriter],
+    open_writers: OpenConnections,
 ) -> None:
     """Hard stop: sever the open connections, then stop listening. A
     stopped server would otherwise keep answering on them (before 3.12),
     or ``Server.wait_closed()`` would wait for them (from 3.12)."""
+    open_writers.stopped = True
     for writer in list(open_writers):
         writer.close()
     open_writers.clear()

@@ -70,3 +70,32 @@ def test_metro_smoke_runs_every_metro_test_file():
     assert on_disk <= named_tests(job), sorted(p.name for p in on_disk - named_tests(job))
     # By glob, not by name: the next metro test file is covered unasked.
     assert "tests/test_metro_*.py" in job
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_a_job_runs_the_paper_figure_harness():
+    """``benchmarks/test_*.py`` regenerates every figure EXPERIMENTS.md
+    quotes; tier-1 does not collect it, so a CI job has to name it — by
+    glob, and with the plugin its ``benchmark`` fixture comes from."""
+    harness = sorted((ROOT / "benchmarks").glob("test_*.py"))
+    assert len(harness) >= 17
+    command = "run: python -m pytest benchmarks/test_*.py --benchmark-disable"
+    (job,) = [job for job in jobs().values() if command in job]
+    (install,) = re.findall(r"pip install (.*)", job)
+    assert {"numpy", "pytest", "pytest-benchmark"} <= set(install.split())
+    assert not any(imports_hypothesis(path) for path in harness) or "hypothesis" in install
+    assert 'PYTHONPATH: src' in job
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_stop_race_test_runs_under_the_leak_flags():
+    """A connection that outlives ``stop_serving`` shows as an unclosed
+    socket at collection time: the file holding its regression test must
+    sit in a step that runs ``-X dev`` with ResourceWarning an error."""
+    name = "test_connection_accepted_while_stopping_is_hung_up_not_served"
+    (home,) = [p for p in (ROOT / "tests").glob("test_*.py") if f"def {name}(" in p.read_text()]
+    steps = re.split(r"(?m)^      - name: ", WORKFLOW.read_text())
+    strict = [s for s in steps if "python -X dev -m pytest" in s
+              and "-W error::ResourceWarning" in s and f"tests/{home.name}" in s]
+    assert strict, f"tests/{home.name} is in no -W error::ResourceWarning step"
+

@@ -1,6 +1,6 @@
 """Unit tests for the failure monitor's backup bookkeeping."""
 
-from repro.core.failure_monitor import FailureMonitor
+from repro.protocol.failure_monitor import FailureMonitor
 
 
 def test_starts_empty():

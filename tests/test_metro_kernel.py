@@ -219,11 +219,12 @@ def test_table_filled_candidates_equal_per_cell_lookups():
         table, single = build(), build()
         cells = np.unique(table.u_cell)
         table._fill_cell_cands(cells)
-        for cell in cells.tolist():
-            assert np.array_equal(table._cell_cands[cell], single._candidates(cell))
+        for cell in cells:
+            single._fill_cell_cands(np.array([cell]))
+            assert np.array_equal(table._cell_cands[int(cell)], single._cell_cands[int(cell)])
         assert sorted(single._cell_cands) == cells.tolist()
     # The hand-placed cases really are the edge cases they claim to be.
-    by_user = [single._candidates(c).tolist() for c in single.u_cell.tolist()]
+    by_user = [single._cell_cands[c].tolist() for c in single.u_cell.tolist()]
     assert by_user[0] == by_user[1] == [0, 1, 2]  # both sides of lon 180
     assert by_user[2] == [3, 5]  # top row: clamped, not wrapped to n4
     assert by_user[3] == []  # nobody near (10, 10)

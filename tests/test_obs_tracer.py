@@ -74,15 +74,17 @@ def test_tracer_ring_drops_oldest():
 
 def test_disabled_tracer_still_feeds_subscribers():
     tracer = Tracer.disabled()
+    assert not tracer.listening  # an event built now would reach nobody
     seen = []
     tracer.subscribe(seen.append)
     tracer.emit(ProbeSent(1.0, "u1", "V1"))
-    assert not tracer.enabled and not tracer
+    assert not tracer.enabled and not tracer and tracer.listening
     assert len(tracer) == 0  # no capture...
     assert len(seen) == 1  # ...but reduction saw the event
     tracer.unsubscribe(seen.append)
     tracer.emit(ProbeSent(2.0, "u1", "V1"))
     assert len(seen) == 1
+    assert not tracer.listening and Tracer().listening
 
 
 def test_jsonl_sink_roundtrip(tmp_path):

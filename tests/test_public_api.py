@@ -86,3 +86,11 @@ def test_every_docstringed_public_module():
         if not stripped.startswith(('"""', "'''", 'r"""')):
             missing.append(str(path.relative_to(src_root)))
     assert missing == [], f"modules without docstrings: {missing}"
+
+
+def test_core_failure_monitor_reexport_stays_deleted():
+    """The failure monitor lives in ``repro.protocol``; the ``core``
+    re-export was dead (ROADMAP item 3) and nothing may grow it back."""
+    from importlib.util import find_spec
+
+    assert find_spec("repro.core.failure_monitor") is None

@@ -352,7 +352,7 @@ def test_connection_live_edge_round_trip_closes_breaker():
 async def _echo_server(delay_s, hang_up_on=()):
     """Replies ``{"echo": i}`` to ``{"i": i}`` after ``delay_s(i)``;
     hangs up instead, after the same delay, for ``i`` in ``hang_up_on``."""
-    writers = set()
+    writers = protocol.OpenConnections()
 
     async def dispatch(frame):
         i = frame["payload"]["i"]

@@ -32,7 +32,7 @@ def test_oversized_frame_rejected():
 async def _blob_server():
     """Replies with ``n`` bytes of payload to ``{"n": n}``, whatever else
     the request carried; its reader has the runtime's frame cap."""
-    writers = set()
+    writers = protocol.OpenConnections()
 
     async def dispatch(frame):
         return {"blob": "y" * frame["payload"]["n"]}
@@ -254,3 +254,45 @@ def test_status_geohash_follows_a_replaced_point():
     assert edge.status().geohash is first  # encoded once while the node stays put
     edge.point = GeoPoint(44.90, -93.10)
     assert edge.status().geohash == geohash.encode(44.90, -93.10, 9)
+
+
+def test_connection_accepted_while_stopping_is_hung_up_not_served():
+    """Regression: ``stop_serving`` swept ``open_writers`` once, so a
+    connection asyncio had accepted but whose handler first ran after
+    the sweep registered itself too late, was served for as long as the
+    peer liked and its socket outlived the server (the ~1-in-15 leak in
+    ``test_cluster_manager_outage_degrades_gracefully``). Stop is final:
+    the late arrival sees it and hangs up."""
+
+    async def scenario():
+        writers = protocol.OpenConnections()
+        accepted, held = [], asyncio.Event()
+
+        async def dispatch(frame):
+            return {"ok": True}
+
+        async def handler(reader, writer):
+            accepted.append(writer)
+            await held.wait()  # accepted; serve_connection is yet to run
+            await protocol.serve_connection(reader, writer, dispatch, writers)
+
+        server = await asyncio.start_server(handler, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            while not accepted:
+                await asyncio.sleep(0)
+            # No yield from here to the sweep: the handler resumes after it.
+            asyncio.get_running_loop().call_soon(held.set)
+            await protocol.stop_serving(server, writers)
+            writer.write(protocol.encode_frame("status", {}))
+            # EOF with nothing answered; a server still serving would
+            # reply and hold the line, and this read would time out.
+            assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+            assert accepted[0].transport.is_closing() and not writers
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    run(scenario())
+    gc.collect()  # under -W error::ResourceWarning a leaked transport fails here

@@ -81,6 +81,59 @@ def test_fail_node_records_population_step():
     assert system.metrics.alive_nodes.values[-1] == 1.0
 
 
+def test_alive_counter_equals_a_recount_under_random_churn():
+    """The counter kept at add/fail/restart is what a recount says, and
+    what every PopulationChanged carried."""
+    import random
+
+    from repro.net.topology import EndpointSpec
+
+    rng = random.Random(11)
+    system = EdgeSystem(SystemConfig(seed=1))
+    spec, profile = EndpointSpec(GeoPoint(44.98, -93.26)), profile_by_name("V1")
+    recounts = []
+    for step in range(300):
+        node_id = f"V{rng.randrange(25)}"
+        node = system.nodes.get(node_id)
+        if node is None:
+            system.add_node(node_id, profile, spec, start=False)
+        elif node.alive:
+            system.fail_node(node_id)
+            system.fail_node(node_id)  # dead already: not a transition
+        elif rng.random() < 0.5:
+            system.restart_node(node_id)
+        else:
+            system.add_node(node_id, profile, spec, start=False)
+        recounts.append(len(system.alive_node_ids()))
+        assert system.alive_node_count() == recounts[-1], step
+    assert system.metrics.alive_nodes.values == [float(n) for n in recounts]
+    assert 0 < min(recounts) < max(recounts)
+
+
+def test_build_reads_alive_a_linear_number_of_times(monkeypatch):
+    """Regression: every add_node recounted the fleet, so a 1 000-node
+    build made 500 000 ``EdgeServer.alive`` reads (4.5 M at 3 000)."""
+    from repro.core.edge_server import EdgeServer
+    from repro.net.topology import EndpointSpec
+
+    reads = []
+    real = EdgeServer.alive.fget
+
+    def counted(node):
+        reads.append(node.node_id)
+        return real(node)
+
+    monkeypatch.setattr(EdgeServer, "alive", property(counted))
+    system = EdgeSystem(SystemConfig(seed=1))
+    spec, profile = EndpointSpec(GeoPoint(44.98, -93.26)), profile_by_name("V1")
+    for i in range(1_000):
+        system.add_node(f"V{i}", profile, spec, start=False)
+    system.fail_node("V7")
+    system.restart_node("V7")
+    assert system.alive_node_count() == 1_000
+    assert len(reads) <= 1_000
+
+
 def test_fail_unknown_node_is_noop():
     system = EdgeSystem(SystemConfig(seed=1))
     system.fail_node("ghost")  # no exception

@@ -27,16 +27,16 @@ from pathlib import Path
 from typing import List
 
 from repro.core.config import SystemConfig
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
-    GeoProximityFilter,
-    GlobalSelectionPolicy,
-)
 from repro.core.system import EdgeSystem
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
 from repro.geo.region import MSP_CENTER
+from repro.messages import DiscoveryQuery, NodeStatus
 from repro.metrics.bench import record_bench_section
+from repro.policy.global_policy import (
+    GeoProximityFilter,
+    GlobalSelectionPolicy,
+)
 
 
 def random_point(rng: random.Random, center: GeoPoint, radius_km: float) -> GeoPoint:

@@ -31,15 +31,15 @@ from typing import Dict, List, Tuple
 
 from repro.controlplane.router import PartialSelection, ShardRouter
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
-    GeoProximityFilter,
-    GlobalSelectionPolicy,
-)
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
 from repro.geo.region import MSP_CENTER
+from repro.messages import DiscoveryQuery, NodeStatus
 from repro.metrics.bench import record_bench_section
+from repro.policy.global_policy import (
+    GeoProximityFilter,
+    GlobalSelectionPolicy,
+)
 from repro.protocol.effects import ReplyPartialCandidates
 from repro.protocol.events import (
     DiscoveryRequested,

@@ -32,11 +32,11 @@ from repro.core.config import SystemConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.manager import CentralManager
 from repro.core.multiapp import ApplicationSpec, MultiAppDeployment
-from repro.core.policies.reputation import ReputationTracker
 from repro.core.system import EdgeSystem
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import EndpointSpec
 from repro.obs import TraceAnalyzer, Tracer
+from repro.policy.reputation import ReputationTracker
 
 __version__ = "1.0.0"
 

@@ -1,8 +1,7 @@
 """The typed scenario-building API.
 
 This module is the recommended front door for constructing simulated
-deployments. It replaces the seven-keyword ``spawn_node(...)`` /
-``register_client_endpoint(...)`` calls of the seed API with two ideas:
+deployments, built on two ideas:
 
 - :class:`EndpointSpec` — one frozen value object carrying a
   participant's entire network identity (position, tier, ISP, bandwidth
@@ -43,7 +42,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.client import ClientLike, EdgeClient
 from repro.core.config import SystemConfig
-from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
 from repro.metro.spec import MetroSpec, ShardSpec
@@ -52,6 +50,7 @@ from repro.nodes.hardware import HardwareProfile
 from repro.nodes.host_workload import HostWorkloadSchedule
 from repro.obs.profile import KernelProfiler
 from repro.obs.tracer import Tracer, as_sink
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.workload.ar import ARApplication, DEFAULT_AR_APP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle-free typing only

@@ -15,8 +15,8 @@ workload".
 
 from __future__ import annotations
 
-from repro.core.messages import NodeStatus
-from repro.core.policies.global_policies import (
+from repro.messages import NodeStatus
+from repro.policy.global_policy import (
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )

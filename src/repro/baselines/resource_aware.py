@@ -16,7 +16,7 @@ available but badly-connected node, the gap Figs. 6-7 show.
 from __future__ import annotations
 
 from repro.core.client import EdgeClient
-from repro.core.messages import DiscoveryQuery
+from repro.messages import DiscoveryQuery
 from repro.obs.events import DiscoveryIssued, UncoveredFailure
 
 

@@ -37,10 +37,10 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.router import PartialSelection, ShardRouter
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
-from repro.core.messages import CandidateList, DiscoveryQuery, from_wire, to_wire
-from repro.core.policies.global_policies import GlobalSelectionPolicy
+from repro.messages import CandidateList, DiscoveryQuery, from_wire, to_wire
 from repro.obs.events import ManagerPromote, RegistryHandoff, ShardMerge, ShardRoute
 from repro.obs.tracer import Tracer
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.runtime import protocol
 from repro.runtime.manager_server import ManagerServer, heartbeat_from_wire, query_from_wire
 

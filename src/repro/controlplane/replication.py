@@ -27,14 +27,12 @@ transports say so.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
+from repro.messages import NodeStatus
+from repro.protocol.effects import Effect
 from repro.protocol.events import HeartbeatReceived, PruneTick
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.messages import NodeStatus
-    from repro.protocol.effects import Effect
-    from repro.protocol.global_select import GlobalSelectionMachine
+from repro.protocol.global_select import GlobalSelectionMachine
 
 __all__ = ["ReplicatedShard"]
 
@@ -43,12 +41,12 @@ class ReplicatedShard:
     """One shard's replica set: a primary plus warm standbys."""
 
     def __init__(
-        self, shard_index: int, machines: Sequence["GlobalSelectionMachine"]
+        self, shard_index: int, machines: Sequence[GlobalSelectionMachine]
     ) -> None:
         if not machines:
             raise ValueError("a shard needs at least one replica")
         self.shard_index = shard_index
-        self.machines: List["GlobalSelectionMachine"] = list(machines)
+        self.machines: List[GlobalSelectionMachine] = list(machines)
         self.primary = 0
         self._down: Set[int] = set()
 
@@ -74,7 +72,7 @@ class ReplicatedShard:
         """
         return None if self.primary in self._down else self.primary
 
-    def serving_machine(self) -> Optional["GlobalSelectionMachine"]:
+    def serving_machine(self) -> Optional[GlobalSelectionMachine]:
         index = self.serving_index()
         return None if index is None else self.machines[index]
 
@@ -102,7 +100,7 @@ class ReplicatedShard:
     # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
-    def apply_heartbeat(self, stamp: float, status: "NodeStatus") -> List["Effect"]:
+    def apply_heartbeat(self, stamp: float, status: NodeStatus) -> List[Effect]:
         """Apply one heartbeat to every alive replica (delta replication).
 
         Returns the serving replica's effects (for reputation/obs
@@ -111,7 +109,7 @@ class ReplicatedShard:
         standbys, but nothing is reported — the shard is not serving.
         """
         serving = self.serving_index()
-        out: List["Effect"] = []
+        out: List[Effect] = []
         for index in self.alive_replicas():
             effects = self.machines[index].handle(
                 HeartbeatReceived(stamp=stamp, status=status)
@@ -120,11 +118,11 @@ class ReplicatedShard:
                 out = effects
         return out
 
-    def prune(self, stamp: float) -> List["Effect"]:
+    def prune(self, stamp: float) -> List[Effect]:
         """Expire stale entries on every alive replica (same contract as
         :meth:`apply_heartbeat`: the serving replica's effects)."""
         serving = self.serving_index()
-        out: List["Effect"] = []
+        out: List[Effect] = []
         for index in self.alive_replicas():
             effects = self.machines[index].handle(PruneTick(stamp=stamp))
             if index == serving:

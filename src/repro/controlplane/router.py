@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Optional, Sequence, Tuple, cast
 
 from repro.controlplane.sharding import ShardMap
 from repro.geo import geohash as gh
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.messages import DiscoveryQuery, NodeStatus
-    from repro.core.policies.global_policies import GlobalSelectionPolicy
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import GlobalSelectionPolicy
 
 __all__ = ["PartialSelection", "RoutedSelection", "ShardRouter"]
 
@@ -52,7 +50,7 @@ class PartialSelection:
 
     shard: int
     count: int
-    statuses: Tuple["NodeStatus", ...]
+    statuses: Tuple[NodeStatus, ...]
 
 
 @dataclass(frozen=True)
@@ -83,34 +81,34 @@ Fetch = Callable[[int, float], PartialSelection]
 class ShardRouter:
     """Routes heartbeats to owners and discovery to covering shards."""
 
-    def __init__(self, shard_map: ShardMap, policy: "GlobalSelectionPolicy") -> None:
+    def __init__(self, shard_map: ShardMap, policy: GlobalSelectionPolicy) -> None:
         self.shard_map = shard_map
         self.policy = policy
 
     # ------------------------------------------------------------------
     # Heartbeat / registration routing
     # ------------------------------------------------------------------
-    def owner_of(self, status: "NodeStatus") -> int:
+    def owner_of(self, status: NodeStatus) -> int:
         """The shard owning a node's registry entry (by its geohash)."""
         return self.shard_map.owner_of_geohash(status.geohash)
 
     # ------------------------------------------------------------------
     # Discovery fan-out
     # ------------------------------------------------------------------
-    def plan(self, query: "DiscoveryQuery", radius_km: float) -> Tuple[int, ...]:
+    def plan(self, query: DiscoveryQuery, radius_km: float) -> Tuple[int, ...]:
         """The shards one phase of ``query`` must ask: those whose
         ranges the cells covering the ``radius_km`` disc intersect."""
         return self.shard_map.owners_of_cells(
             *gh.cover(query.lat, query.lon, radius_km)
         )
 
-    def needs_widening(self, query: "DiscoveryQuery", local: Sequence[PartialSelection]) -> bool:
+    def needs_widening(self, query: DiscoveryQuery, local: Sequence[PartialSelection]) -> bool:
         """Whether the single-manager rule would try the wide radius."""
         return sum(p.count for p in local) < query.top_n
 
     def merge(
         self,
-        query: "DiscoveryQuery",
+        query: DiscoveryQuery,
         local: Sequence[PartialSelection],
         wide: Optional[Sequence[PartialSelection]] = None,
     ) -> RoutedSelection:
@@ -129,8 +127,8 @@ class ShardRouter:
                 chosen = wide
         # A lone partial is its shard's TopN, already in key order: the
         # answer as it stands, nothing scored again.
-        pool: Sequence["NodeStatus"]
-        best: Sequence["NodeStatus"]
+        pool: Sequence[NodeStatus]
+        best: Sequence[NodeStatus]
         if len(chosen) == 1:
             pool = chosen[0].statuses
             best = pool[: max(query.top_n, 0)]
@@ -152,7 +150,7 @@ class ShardRouter:
             pool=len(pool),
         )
 
-    def select(self, query: "DiscoveryQuery", fetch: Fetch) -> RoutedSelection:
+    def select(self, query: DiscoveryQuery, fetch: Fetch) -> RoutedSelection:
         """Full two-phase routed selection over a synchronous transport."""
         geo = self.policy.geo_filter
         local = [

@@ -34,9 +34,9 @@ from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.replication import ReplicatedShard
 from repro.controlplane.router import PartialSelection, ShardRouter
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
-from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import GlobalSelectionPolicy
+from repro.messages import CandidateList, DiscoveryQuery, NodeStatus
 from repro.obs.events import ManagerPromote, RegistryHandoff, ShardMerge, ShardRoute
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import (
     Effect,
     NodeExpired,
@@ -47,7 +47,7 @@ from repro.protocol.events import HeartbeatReceived, NodeForgotten, PartialDisco
 from repro.protocol.global_select import GlobalSelectionMachine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.policies.reputation import ReputationTracker
+    from repro.policy.reputation import ReputationTracker
     from repro.core.system import EdgeSystem
 
 __all__ = ["ShardedCentralManager"]

@@ -42,10 +42,9 @@ from typing import (
 
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.core.config import SystemConfig
-from repro.core.messages import CandidateList, DiscoveryQuery
-from repro.core.policies.local_policies import LocalSelectionPolicy
+from repro.messages import CandidateList, DiscoveryQuery, ProbeOutcome
 from repro.policy.base import SelectionPolicy
-from repro.core.probing import ProbeOutcome
+from repro.policy.baselines import RankingCallable
 from repro.net.link import CONNECTION_SETUP_RTTS, Link
 from repro.nodes.processing import CompletedFrame
 from repro.obs.events import (
@@ -275,7 +274,7 @@ class EdgeClient:
         user_id: str,
         *,
         app: Optional[ARApplication] = None,
-        local_policy: "Optional[SelectionPolicy | LocalSelectionPolicy]" = None,
+        local_policy: "Optional[SelectionPolicy | RankingCallable]" = None,
         proactive_connections: bool = True,
         backlog_limit: int = 64,
     ) -> None:
@@ -343,7 +342,7 @@ class EdgeClient:
 
     @local_policy.setter
     def local_policy(
-        self, policy: "SelectionPolicy | LocalSelectionPolicy"
+        self, policy: "SelectionPolicy | RankingCallable"
     ) -> None:
         self._machine.policy = policy
 

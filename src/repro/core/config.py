@@ -15,7 +15,6 @@ described behaviour.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,13 +56,9 @@ class SystemConfig:
             send several ICMP/UDP pings; averaging tames jitter).
         policy_spec: name of the client selection policy in the
             :mod:`repro.policy` registry (``"go"``, ``"lo"``,
-            ``"ewma"``, ``"reliability"``, ``"churn"``, ...). None means
-            the paper's default, GO. QoS filtering composes on top via
-            ``qos_latency_ms``.
-        use_global_overhead: **deprecated** — the old boolean form of
-            ``policy_spec`` (True → ``"go"``, False → ``"lo"``).
-            Setting it warns and still works for one release; setting
-            both it and ``policy_spec`` is an error.
+            ``"ewma"``, ``"reliability"``, ``"churn"``, ...); the
+            default is the paper's, GO. QoS filtering composes on top
+            via ``qos_latency_ms``.
         join_synchronization: enforce the ``seqNum`` check in ``Join()``
             (Algorithm 1). False is an ablation: joins always accept, so
             simultaneous selections collide on stale what-if values.
@@ -125,7 +120,6 @@ class SystemConfig:
     switch_penalty_fraction: float = 0.15
     min_dwell_ms: float = 5_000.0
     rtt_probe_samples: int = 3
-    use_global_overhead: Optional[bool] = None
     join_synchronization: bool = True
     qos_latency_ms: Optional[float] = None
     common_rtt_ms: float = 20.0
@@ -134,7 +128,7 @@ class SystemConfig:
     max_discovery_retries: int = 3
     attachment_lease_ms: Optional[float] = None
     seed: int = 42
-    policy_spec: Optional[str] = None
+    policy_spec: str = "go"
     # Metro-kernel knobs (PR 7). Keyword-only: they are new surface and
     # must never be reachable by positional construction.
     cohort_batching: bool = field(default=True, kw_only=True)
@@ -147,18 +141,6 @@ class SystemConfig:
     control_plane_replicas: int = field(default=1, kw_only=True)
 
     def __post_init__(self) -> None:
-        if self.use_global_overhead is not None:
-            if self.policy_spec is not None:
-                raise ValueError(
-                    "give policy_spec or the deprecated use_global_overhead, "
-                    "not both"
-                )
-            warnings.warn(
-                "SystemConfig.use_global_overhead is deprecated; use "
-                "policy_spec='go' / policy_spec='lo' instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if self.top_n < 1:
             raise ValueError(f"top_n must be >= 1: {self.top_n}")
         if self.probing_period_ms <= 0:
@@ -222,31 +204,6 @@ class SystemConfig:
     def backup_count(self) -> int:
         """Size of the backup edge list (``TopN - 1``)."""
         return self.top_n - 1
-
-    @property
-    def selection_policy_spec(self) -> str:
-        """The effective policy name: ``policy_spec``, else the
-        deprecated boolean mapped to ``"go"``/``"lo"``, else the
-        paper's default GO."""
-        if self.policy_spec is not None:
-            return self.policy_spec
-        if self.use_global_overhead is not None:
-            return "go" if self.use_global_overhead else "lo"
-        return "go"
-
-    def with_top_n(self, top_n: int) -> "SystemConfig":
-        """**Deprecated** — use ``with_(top_n=...)``.
-
-        Kept for one release as a warning shim; the single-field helper
-        predates the general :meth:`with_` copier.
-        """
-        warnings.warn(
-            "SystemConfig.with_top_n() is deprecated; use "
-            "config.with_(top_n=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return replace(self, top_n=top_n)
 
     def with_(self, **changes: object) -> "SystemConfig":
         """Copy with arbitrary field changes (validated)."""

@@ -28,9 +28,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
-from repro.core.messages import JoinReply, NodeStatus, ProbeReply
 from repro.geo import geohash as gh
 from repro.geo.point import GeoPoint
+from repro.messages import JoinReply, NodeStatus, ProbeReply
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.host_workload import HostWorkloadSchedule
 from repro.nodes.processing import CompletedFrame, FrameProcessor, analytic_sojourn_ms

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.geo.spatial_index import GeohashSpatialIndex
+from repro.messages import CandidateList, DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import (
     Effect,
     NodeExpired,
@@ -38,7 +38,7 @@ from repro.protocol.events import (
 from repro.protocol.global_select import GlobalSelectionMachine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.policies.reputation import ReputationTracker
+    from repro.policy.reputation import ReputationTracker
     from repro.core.system import EdgeSystem
 
 

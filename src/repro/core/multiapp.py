@@ -35,10 +35,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.core.config import SystemConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.manager import CentralManager
-from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.geo.point import GeoPoint
 from repro.net.latency import NetworkTier
 from repro.nodes.hardware import HardwareProfile
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.workload.ar import ARApplication
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

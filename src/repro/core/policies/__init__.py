@@ -1,29 +1,5 @@
-"""Selection policies.
+"""Empty: the selection policies, both steps, live in :mod:`repro.policy`.
 
-- :mod:`~repro.core.policies.global_policies` — manager-side filters and
-  sorters that produce the coarse TopN candidate list (step 1).
-- :mod:`~repro.core.policies.local_policies` — client-side rankings over
-  probe outcomes: LO, GO, and QoS-constrained GO (step 2, §IV-D).
+This package exists only to hold ``global_policies.py``, a re-export
+stub pinned by ``benchmarks/ledger`` until ROADMAP item 2 deletes both.
 """
-
-from repro.core.policies.global_policies import (
-    GeoProximityFilter,
-    GlobalSelectionPolicy,
-    availability_sort_key,
-)
-from repro.core.policies.local_policies import (
-    LocalSelectionPolicy,
-    sort_by_global_overhead,
-    sort_by_local_overhead,
-    sort_with_qos,
-)
-
-__all__ = [
-    "GlobalSelectionPolicy",
-    "GeoProximityFilter",
-    "availability_sort_key",
-    "LocalSelectionPolicy",
-    "sort_by_local_overhead",
-    "sort_by_global_overhead",
-    "sort_with_qos",
-]

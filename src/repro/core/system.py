@@ -11,7 +11,7 @@ dynamics need:
   the node object dies instantly; every client holding a connection to
   it learns ``failure_detection_ms`` later (broken TCP connection /
   missed keepalive); the manager learns implicitly when heartbeats stop.
-- ``spawn_node()`` — a volunteer joins: endpoint registration, server
+- ``add_node()`` — a volunteer joins: endpoint registration, server
   start, first heartbeat; clients discover it at their next probing
   round, which is exactly why Fig. 8's latency drops "within seconds"
   of upward population steps.
@@ -19,19 +19,18 @@ dynamics need:
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.client import ClientLike
 from repro.core.config import SystemConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.manager import CentralManager
-from repro.core.policies.global_policies import GeoProximityFilter, GlobalSelectionPolicy
 from repro.geo.point import GeoPoint
 from repro.metrics.collector import MetricsCollector
 from repro.net.latency import NetworkTier
 from repro.obs.events import FaultInjected, NodeFail, NodeRestart, PopulationChanged
 from repro.obs.tracer import Tracer
+from repro.policy.global_policy import GeoProximityFilter, GlobalSelectionPolicy
 from repro.net.topology import EndpointSpec, NetworkEndpoint, NetworkTopology
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.host_workload import HostWorkloadSchedule
@@ -164,11 +163,10 @@ class EdgeSystem:
         """A fresh, per-client selection policy instance.
 
         Resolution order: the system's ``selection_policy`` argument,
-        else ``config.policy_spec`` (with the deprecated
-        ``use_global_overhead`` mapped through), else GO. QoS admission
-        (``config.qos_latency_ms``) wraps whatever was resolved, and
-        the policy's private randomness is seeded deterministically from
-        the config seed and the user id.
+        else ``config.policy_spec``. QoS admission
+        (``config.qos_latency_ms``) wraps whatever was resolved, and the
+        policy's private randomness is seeded deterministically from the
+        config seed and the user id.
         """
         from repro.policy import build_policy
         from repro.sim.random import derive_seed
@@ -176,7 +174,7 @@ class EdgeSystem:
         spec = (
             self.selection_policy
             if self.selection_policy is not None
-            else self.config.selection_policy_spec
+            else self.config.policy_spec
         )
         return build_policy(
             spec,  # type: ignore[arg-type]
@@ -233,47 +231,6 @@ class EdgeSystem:
             node.start()
         self._record_population()
         return node
-
-    def spawn_node(
-        self,
-        node_id: str,
-        profile: HardwareProfile,
-        point: GeoPoint,
-        *,
-        tier: NetworkTier = NetworkTier.HOME_WIFI,
-        isp: Optional[str] = None,
-        uplink_mbps: Optional[float] = None,
-        downlink_mbps: Optional[float] = None,
-        access_extra_ms: float = 0.0,
-        dedicated: bool = False,
-        host_schedule: Optional[HostWorkloadSchedule] = None,
-        start: bool = True,
-    ) -> EdgeServer:
-        """Deprecated: use :meth:`add_node` with an
-        :class:`~repro.net.topology.EndpointSpec` (or
-        :class:`~repro.api.ScenarioBuilder`) instead of seven unpacked
-        network keywords. Thin wrapper; behaviour is identical."""
-        warnings.warn(
-            "EdgeSystem.spawn_node is deprecated; use add_node(node_id, "
-            "profile, EndpointSpec(...)) or repro.api.ScenarioBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.add_node(
-            node_id,
-            profile,
-            EndpointSpec(
-                point,
-                tier=tier,
-                isp=isp,
-                uplink_mbps=uplink_mbps,
-                downlink_mbps=downlink_mbps,
-                access_extra_ms=access_extra_ms,
-            ),
-            dedicated=dedicated,
-            host_schedule=host_schedule,
-            start=start,
-        )
 
     def fail_node(self, node_id: str) -> None:
         """Kill a node without notification (crash / volunteer leaves).
@@ -433,38 +390,6 @@ class EdgeSystem:
     def add_client_endpoint(self, user_id: str, spec: EndpointSpec) -> None:
         """Register a user device's network endpoint from a spec."""
         self.topology.add_endpoint(spec.endpoint(user_id))
-
-    def register_client_endpoint(
-        self,
-        user_id: str,
-        point: GeoPoint,
-        *,
-        tier: NetworkTier = NetworkTier.HOME_WIFI,
-        isp: Optional[str] = None,
-        uplink_mbps: Optional[float] = None,
-        downlink_mbps: Optional[float] = None,
-        access_extra_ms: float = 0.0,
-    ) -> None:
-        """Deprecated: use :meth:`add_client_endpoint` with an
-        :class:`~repro.net.topology.EndpointSpec`. Thin wrapper."""
-        warnings.warn(
-            "EdgeSystem.register_client_endpoint is deprecated; use "
-            "add_client_endpoint(user_id, EndpointSpec(...)) or "
-            "repro.api.ScenarioBuilder",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.add_client_endpoint(
-            user_id,
-            EndpointSpec(
-                point,
-                tier=tier,
-                isp=isp,
-                uplink_mbps=uplink_mbps,
-                downlink_mbps=downlink_mbps,
-                access_extra_ms=access_extra_ms,
-            ),
-        )
 
     def add_client(self, client: ClientLike, *, start: bool = True) -> None:
         """Register (and by default start) a client.

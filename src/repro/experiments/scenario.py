@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.config import SystemConfig
-from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
 from repro.geo.region import MSP_CENTER, MetroArea, PlacementStyle
@@ -35,6 +34,7 @@ from repro.nodes.hardware import (
     HardwareProfile,
     VOLUNTEER_PROFILES,
 )
+from repro.policy.global_policy import GlobalSelectionPolicy
 
 #: Where the Local Zone instances sit (a downtown data-center location).
 LOCAL_ZONE_POINT = GeoPoint(44.9730, -93.2570)

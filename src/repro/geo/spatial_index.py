@@ -69,7 +69,7 @@ class Located(Protocol):
     """Anything placeable in the index: an id, a geohash and coordinates.
 
     The Central Manager indexes
-    :class:`~repro.core.messages.NodeStatus` objects; the index itself
+    :class:`~repro.messages.NodeStatus` objects; the index itself
     only reads these fields (keeping :mod:`repro.geo` independent of
     the core message vocabulary).
     """

@@ -1,11 +1,15 @@
-"""Pluggable client selection policies (``repro.policy``).
+"""Both steps of the paper's 2-step edge selection (``repro.policy``).
 
-The subsystem behind the :class:`~repro.protocol.selection.SelectionMachine`'s
-ranking and backup-ordering decisions. See :mod:`repro.policy.base` for
-the contract, :mod:`repro.policy.baselines` for the paper's LO/GO/QoS
-extracted bit-identically, :mod:`repro.policy.predictive` for the
-history-aware policies, and :mod:`repro.policy.registry` for resolving
-string specs (``SystemConfig.policy_spec``, sweeps, the CLI).
+Step 1, manager side: :mod:`repro.policy.global_policy` filters by
+geo-proximity and sorts by availability into the TopN candidate list
+(:mod:`repro.policy.reputation` is a drop-in sort key that discounts
+flaky volunteers). Step 2, client side: the pluggable policies behind
+the :class:`~repro.protocol.selection.SelectionMachine`'s ranking and
+backup-ordering decisions. See :mod:`repro.policy.base` for their
+contract, :mod:`repro.policy.baselines` for the paper's LO/GO/QoS,
+:mod:`repro.policy.predictive` for the history-aware policies, and
+:mod:`repro.policy.registry` for resolving string specs
+(``SystemConfig.policy_spec``, sweeps, the CLI).
 
 Quickstart::
 
@@ -36,6 +40,11 @@ from repro.policy.baselines import (
     QosGatedPolicy,
     as_policy,
 )
+from repro.policy.global_policy import (
+    GeoProximityFilter,
+    GlobalSelectionPolicy,
+    availability_sort_key,
+)
 from repro.policy.predictive import (
     ChurnAwarePolicy,
     EwmaRttPolicy,
@@ -50,6 +59,7 @@ from repro.policy.registry import (
     policy_names,
     register,
 )
+from repro.policy.reputation import ReputationTracker
 
 __all__ = [
     "AttachmentObserved",
@@ -59,7 +69,9 @@ __all__ = [
     "DegradedDiscovery",
     "EwmaRttPolicy",
     "FailoverObserved",
+    "GeoProximityFilter",
     "GlobalOverheadPolicy",
+    "GlobalSelectionPolicy",
     "LocalOverheadPolicy",
     "NodeFailureObserved",
     "PolicyObservation",
@@ -70,8 +82,10 @@ __all__ = [
     "Ranking",
     "RankingContext",
     "ReliabilityPolicy",
+    "ReputationTracker",
     "SelectionPolicy",
     "as_policy",
+    "availability_sort_key",
     "build_policy",
     "describe",
     "get",

@@ -36,7 +36,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.probing import ProbeOutcome
+from repro.messages import ProbeOutcome
 
 __all__ = [
     "AttachmentObserved",

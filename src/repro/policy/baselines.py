@@ -1,18 +1,19 @@
-"""The paper's baseline policies, extracted behind the policy API.
+"""The paper's baseline policies (§IV-D) behind the policy API.
 
-These reproduce :mod:`repro.core.policies.local_policies` exactly —
-same scores, same ``(score, node_id)`` tie-break, same QoS admission
-filter — so swapping the machine's ranking callable for a policy object
-is bit-identical (pinned by the golden-trace parity test). They carry
-no state: :meth:`~repro.policy.base.SelectionPolicy.observe` is a
-no-op, which also keeps the hot path free when history is not wanted.
+LO and GO rank by ``(score, node_id)`` — the paper's sorts with a
+deterministic tie-break — and the QoS gate filters on LO first, so a
+policy object ranks exactly as the plain ``sorted(...)`` reference does
+(pinned by the golden-trace parity test, which hands the machine that
+reference through :class:`CallableRankingPolicy`). They carry no state:
+:meth:`~repro.policy.base.SelectionPolicy.observe` is a no-op, which
+also keeps the hot path free when history is not wanted.
 """
 
 from __future__ import annotations
 
 from typing import Callable, ClassVar, Dict, List, Sequence, Tuple
 
-from repro.core.probing import ProbeOutcome
+from repro.messages import ProbeOutcome
 from repro.policy.base import RankingContext, Ranking, SelectionPolicy
 
 __all__ = [
@@ -24,7 +25,8 @@ __all__ = [
     "as_policy",
 ]
 
-#: The legacy ranking-callable shape (``repro.core.policies``).
+#: A ranking as a plain function: probe outcomes in, best-first list out
+#: (possibly filtered, e.g. a QoS cut).
 RankingCallable = Callable[[Sequence[ProbeOutcome]], List[ProbeOutcome]]
 
 

@@ -1,0 +1,350 @@
+"""Manager-side global edge selection (step 1 of the 2-step approach).
+
+"We first apply a geo-proximity filter to rule out unqualified nodes, and
+then prioritize the local candidates based on resource availability,
+network affiliation and user preferences. Specifically in geo-proximity
+search, we use GeoHash to identify a wider-range geographical area to
+include remote nodes which may be useful as a last resort" (§IV-B).
+
+The policy is deliberately coarse: "the global edge selection of our
+2-step approach is coarse-grained with high tolerance to edge selection
+inaccuracy and mismatch" — final accuracy comes from client probing.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.geo import geohash as gh
+from repro.geo.point import GeoPoint, haversine_km_coords
+from repro.geo.spatial_index import (
+    FloatArray,
+    GeohashSpatialIndex,
+    SlotArray,
+    distance_guard_km,
+)
+from repro.messages import DiscoveryQuery, NodeStatus
+
+
+@dataclass(frozen=True)
+class GeoProximityFilter:
+    """GeoHash-backed proximity filter with a widened fallback.
+
+    Nodes are first matched against the GeoHash cells covering the disc
+    of ``radius_km`` around the user (:func:`repro.geo.geohash.cover`),
+    then cut exactly by haversine distance. If fewer than ``min_candidates``
+    survive, the search widens to ``wide_radius_km`` — the paper's
+    "remote nodes ... useful as a last resort".
+    """
+
+    radius_km: float = 80.0
+    wide_radius_km: float = 400.0
+    min_candidates: int = 1
+
+    def __post_init__(self) -> None:
+        if self.radius_km <= 0 or self.wide_radius_km < self.radius_km:
+            raise ValueError("need 0 < radius_km <= wide_radius_km")
+        if self.min_candidates < 0:
+            raise ValueError("min_candidates must be >= 0")
+
+    def apply(
+        self,
+        user_point: GeoPoint,
+        nodes: Sequence[NodeStatus],
+        min_candidates: Optional[int] = None,
+    ) -> Tuple[List[NodeStatus], bool]:
+        """Return (surviving nodes, widened?).
+
+        ``min_candidates`` (defaulting to the filter's own) is normally
+        the query's TopN: a candidate list shorter than TopN silently
+        strips the user of backup nodes, so remote nodes — "useful as a
+        last resort" — are pulled in whenever the local area cannot
+        fill the list.
+        """
+        needed = self.min_candidates if min_candidates is None else min_candidates
+        local = self._within(user_point, nodes, self.radius_km)
+        if len(local) >= needed:
+            return local, False
+        wide = self._within(user_point, nodes, self.wide_radius_km)
+        if len(wide) > len(local):
+            return wide, True
+        return local, False
+
+    def apply_indexed(
+        self,
+        user_point: GeoPoint,
+        index: GeohashSpatialIndex[NodeStatus],
+        min_candidates: Optional[int] = None,
+        *,
+        exclude: Sequence[str] = (),
+        predicate: Optional[Callable[[NodeStatus], bool]] = None,
+    ) -> Tuple[SlotArray, FloatArray, bool]:
+        """Index-backed :meth:`apply`: cell-prefix lookups, no registry scan.
+
+        Returns ``(slots, dist_km, widened?)``: the index slots of
+        exactly the nodes :meth:`apply` would return for the same
+        registry contents, with their (vector, approximate) distances.
+        ``exclude``/``predicate`` are applied here (rather than by the
+        caller pre-filtering a node list) because with an index there is
+        no materialized pool to pre-filter.
+        """
+        needed = self.min_candidates if min_candidates is None else min_candidates
+        local = self.within_indexed(
+            user_point, index, self.radius_km, exclude=exclude, predicate=predicate
+        )
+        if len(local[0]) >= needed:
+            return (*local, False)
+        wide = self.within_indexed(
+            user_point, index, self.wide_radius_km, exclude=exclude, predicate=predicate
+        )
+        if len(wide[0]) > len(local[0]):
+            return (*wide, True)
+        return (*local, False)
+
+    def within_indexed(
+        self,
+        user_point: GeoPoint,
+        index: GeohashSpatialIndex[NodeStatus],
+        radius_km: float,
+        *,
+        exclude: Sequence[str] = (),
+        predicate: Optional[Callable[[NodeStatus], bool]] = None,
+    ) -> Tuple[SlotArray, FloatArray]:
+        """One fixed-radius phase of :meth:`apply_indexed` (no widening).
+
+        The control-plane router composes this shard-locally: each shard
+        evaluates one radius against its own index and the router makes
+        the widening decision from the summed counts. The exact
+        haversine cut is the index's
+        (:meth:`GeohashSpatialIndex.within_cover`).
+        """
+        lat, lon = user_point.lat, user_point.lon
+        slots, dist_km = index.within_cover(
+            lat, lon, radius_km, *gh.cover(lat, lon, radius_km)
+        )
+        if exclude or predicate is not None:
+            keep = np.ones(slots.size, dtype=np.bool_)
+            for node_id in exclude:
+                slot = index.slot_of(node_id)
+                if slot is not None:
+                    keep &= slots != slot
+            if predicate is not None:
+                for i in np.flatnonzero(keep).tolist():
+                    keep[i] = predicate(index.status_at(int(slots[i])))
+            slots, dist_km = slots[keep], dist_km[keep]
+        return slots, dist_km
+
+    def _within(
+        self, user_point: GeoPoint, nodes: Sequence[NodeStatus], radius_km: float
+    ) -> List[NodeStatus]:
+        # GeoHash pre-filter: candidate cells covering the radius...
+        cells = set(gh.covering_cells(user_point, radius_km))
+        precision = len(next(iter(cells)))
+        prefiltered = [
+            n for n in nodes if n.geohash[:precision] in cells
+        ]
+        # ... then an exact haversine cut (cells overshoot the disc).
+        ulat, ulon = user_point.lat, user_point.lon
+        return [
+            n
+            for n in prefiltered
+            if haversine_km_coords(ulat, ulon, n.lat, n.lon) <= radius_km
+        ]
+
+
+#: Score bonus (in free-core units) for sharing the user's ISP tag.
+AFFILIATION_BONUS = 2.0
+#: Score penalty per km of distance (free-core units). Small by design:
+#: the manager nudges toward nearby nodes but lets availability dominate.
+DISTANCE_PENALTY_PER_KM = 0.02
+#: Relative bound on the rounding error of an approximate score (a few
+#: float64 operations: ~1e-15; nine digits of slack).
+SCORE_ROUNDING = 1e-9
+
+
+def availability_sort_key(
+    query: DiscoveryQuery,
+) -> Callable[[NodeStatus], Tuple[float, str]]:
+    """Weighted-score sort key prioritizing candidates for a user.
+
+    Combines the paper's three global-selection signals — resource
+    availability, network affiliation, geo-proximity — into one score
+    (higher is better)::
+
+        score = free_cores + AFFILIATION_BONUS·same_isp
+                − DISTANCE_PENALTY_PER_KM·distance
+
+    A *weighted* blend matters: a lexicographic affiliation-first order
+    would hand every user a candidate list of only its same-ISP
+    volunteers, hiding well-provisioned dedicated nodes entirely once
+    ``TopN`` is small. Coarse mis-scoring is fine (clients probe), but
+    systematically excluding a node class is not. Node id breaks ties so
+    the ordering is deterministic.
+    """
+
+    ulat, ulon = query.lat, query.lon
+    user_isp = query.isp
+
+    def key(node: NodeStatus) -> Tuple[float, str]:
+        score = node.availability_score
+        if user_isp is not None and node.isp == user_isp:
+            score += AFFILIATION_BONUS
+        score -= DISTANCE_PENALTY_PER_KM * haversine_km_coords(
+            ulat, ulon, node.lat, node.lon
+        )
+        return (-score, node.node_id)
+
+    return key
+
+
+@dataclass
+class GlobalSelectionPolicy:
+    """The composed manager-side policy: filter, sort, truncate to TopN.
+
+    Filters and the sort key are injectable so applications can "flexibly
+    combine/modify [policies] to prioritize available edge nodes towards
+    different application requirements" (§IV-B).
+    """
+
+    geo_filter: GeoProximityFilter = GeoProximityFilter()
+    sort_key_factory: Callable[
+        [DiscoveryQuery], Callable[[NodeStatus], Any]
+    ] = availability_sort_key
+    #: Optional extra predicate, e.g. "dedicated nodes only".
+    node_predicate: Optional[Callable[[NodeStatus], bool]] = None
+
+    def select(
+        self,
+        query: DiscoveryQuery,
+        nodes: Optional[Sequence[NodeStatus]] = None,
+        *,
+        index: Optional[GeohashSpatialIndex[NodeStatus]] = None,
+    ) -> Tuple[List[str], bool]:
+        """Produce the TopN candidate node ids for ``query``.
+
+        Candidates come either from ``nodes`` (a materialized status
+        list, linearly scanned — the seed behaviour, still used by
+        baselines and as the parity reference) or from ``index`` (the
+        manager's spatial index; the metro-scale fast path). Exactly one
+        source must be given. Both sources produce bit-identical results
+        for the same registry contents: the indexed path only *proposes*
+        with vector arithmetic — membership and order are decided by the
+        same scalar haversine cut and the same total-order sort key
+        (which breaks ties by node id).
+
+        Returns:
+            (node id list, widened flag). The list may be shorter than
+            TopN when the system simply has fewer nodes.
+        """
+        if (nodes is None) == (index is None):
+            raise TypeError("select() needs exactly one of `nodes` or `index`")
+        if index is not None:
+            geo = self.geo_filter
+            slots, dist_km, widened = geo.apply_indexed(
+                query.point,
+                index,
+                min_candidates=query.top_n,
+                exclude=query.exclude,
+                predicate=self.node_predicate,
+            )
+            best = self._rank(
+                query,
+                index,
+                slots,
+                dist_km,
+                geo.wide_radius_km if widened else geo.radius_km,
+            )
+            return [n.node_id for n in best], widened
+        assert nodes is not None
+        pool = [n for n in nodes if n.node_id not in query.exclude]
+        if self.node_predicate is not None:
+            pool = [n for n in pool if self.node_predicate(n)]
+        candidates, widened = self.geo_filter.apply(
+            query.point, pool, min_candidates=query.top_n
+        )
+        # nsmallest(k) is documented to equal sorted(...)[:k]; with the
+        # node-id tie-breaker in the key the TopN is deterministic and
+        # independent of candidate order, at O(C log k) instead of a
+        # full O(C log C) sort.
+        best = heapq.nsmallest(
+            query.top_n, candidates, key=self.sort_key_factory(query)
+        )
+        return [n.node_id for n in best], widened
+
+    def select_partial(
+        self,
+        query: DiscoveryQuery,
+        *,
+        index: GeohashSpatialIndex[NodeStatus],
+        radius_km: float,
+    ) -> Tuple[int, List[NodeStatus]]:
+        """One shard's answer to one fixed-radius discovery phase.
+
+        Returns ``(count, local TopN statuses)`` where ``count`` is the
+        exact number of in-radius candidates. The cross-shard merge in
+        ``repro.controlplane.router`` is bit-identical to :meth:`select`
+        because (a) summed counts replay the widening comparisons
+        exactly, and (b) any member of the global TopN is beaten by
+        fewer than TopN candidates globally — hence by fewer than TopN
+        within its own shard — so it appears in its shard's local TopN.
+        """
+        slots, dist_km = self.geo_filter.within_indexed(
+            query.point,
+            index,
+            radius_km,
+            exclude=query.exclude,
+            predicate=self.node_predicate,
+        )
+        return len(slots), self._rank(query, index, slots, dist_km, radius_km)
+
+    def _rank(
+        self,
+        query: DiscoveryQuery,
+        index: GeohashSpatialIndex[NodeStatus],
+        slots: SlotArray,
+        dist_km: FloatArray,
+        radius_km: float,
+    ) -> List[NodeStatus]:
+        """The TopN of the in-radius ``slots``, by the exact sort key.
+
+        The order is whatever ``sort_key_factory(query)`` and
+        ``heapq.nsmallest`` say; vector arithmetic only shrinks the set
+        they look at. For :func:`availability_sort_key` the approximate
+        score is ``a = availability − DISTANCE_PENALTY_PER_KM·dist_km``
+        (same-ISP bonus left out), so the exact score ``e`` lies in
+        ``[a − δ, a + bonus + δ]``, and the shortlist is every candidate
+        with ``a ≥ A − 2δ − bonus``, ``A`` being the N-th largest ``a``.
+        It contains the exact TopN:
+
+        1. at least N candidates have ``a ≥ A``, hence ``e ≥ A − δ``, so
+           the N-th largest exact score ``E`` is at least ``A − δ``;
+        2. a TopN member has ``e ≥ E`` (ties are broken by id, below it);
+        3. so its ``a ≥ e − δ − bonus ≥ A − 2δ − bonus``.
+
+        ``δ`` covers the vector/scalar distance difference (bounded by
+        the index's guard band) plus rounding in the score arithmetic.
+        ``bonus`` is 0 for a query without an ISP. Any other key factory
+        has no vector form and ranks the full in-radius set.
+        """
+        top_n = query.top_n
+        if self.sort_key_factory is availability_sort_key and slots.size > top_n > 0:
+            approx = (
+                index.column("availability_score")[slots]
+                - DISTANCE_PENALTY_PER_KM * dist_km
+            )
+            delta = (
+                DISTANCE_PENALTY_PER_KM * distance_guard_km(radius_km)
+                + SCORE_ROUNDING * max(1.0, float(np.abs(approx).max()))
+            )
+            slack = 2.0 * delta + (AFFILIATION_BONUS if query.isp is not None else 0.0)
+            nth_best = np.partition(approx, slots.size - top_n)[slots.size - top_n]
+            slots = slots[approx >= nth_best - slack]
+        return heapq.nsmallest(
+            top_n,
+            [index.status_at(slot) for slot in slots.tolist()],
+            key=self.sort_key_factory(query),
+        )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.probing import ProbeOutcome
+from repro.messages import ProbeOutcome
 from repro.policy.base import (
     CandidateChurn,
     FailoverObserved,

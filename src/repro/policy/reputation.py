@@ -19,11 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
-    AFFILIATION_BONUS,
-    DISTANCE_PENALTY_PER_KM,
-)
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import AFFILIATION_BONUS, DISTANCE_PENALTY_PER_KM
 
 
 @dataclass
@@ -102,7 +99,7 @@ def reputation_sort_key(
     proven one.
     """
 
-    def factory(query: DiscoveryQuery):
+    def factory(query: DiscoveryQuery) -> Callable[[NodeStatus], Tuple[float, str]]:
         user_point = query.point
         now_ms = clock()
 

@@ -22,9 +22,12 @@ thin drivers: they translate kernel callbacks / awaited messages into
 input events and execute the returned effects in order.
 
 This package is fully typed (checked with ``mypy --strict`` in CI) and
-imports nothing from ``repro.core`` at runtime, so either backend can
-import it freely. See DESIGN.md §8 for the event/effect tables and a
-sequence diagram of one selection round.
+imports nothing from ``repro.core``, ``repro.runtime`` or ``repro.sim``
+— the messages it carries are :mod:`repro.messages`, the policies it
+consults :mod:`repro.policy`, both below it — so either backend can
+import it freely (held by ``tests/test_layering.py``). See DESIGN.md §8
+for the event/effect tables and a sequence diagram of one selection
+round.
 """
 
 from repro.protocol.effects import (
@@ -69,11 +72,7 @@ from repro.protocol.events import (
     WrrAssignRequested,
 )
 from repro.protocol.failure_monitor import FailureMonitor
-from repro.protocol.selection import (
-    LocalRanking,
-    SelectionConfig,
-    SelectionMachine,
-)
+from repro.protocol.selection import SelectionConfig, SelectionMachine
 from repro.protocol.admission import AdmissionConfig, AdmissionMachine
 from repro.protocol.global_select import GlobalSelectionMachine
 
@@ -81,7 +80,6 @@ __all__ = [
     # machines
     "SelectionMachine",
     "SelectionConfig",
-    "LocalRanking",
     "AdmissionMachine",
     "AdmissionConfig",
     "GlobalSelectionMachine",

@@ -9,20 +9,16 @@ switch, backup adoption before backlog flush).
 
 Wire-message construction stays in the drivers: effects carry plain
 fields and the transport builds its ``ProbeReply``/``JoinReply``/
-``CandidateList`` (or JSON payload) from them. That keeps this module
-free of ``repro.core`` runtime imports (annotations only).
+``CandidateList`` (or JSON payload) from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
+from repro.messages import NodeStatus, ProbeOutcome
 from repro.obs.events import TraceEvent
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.messages import NodeStatus
-    from repro.core.probing import ProbeOutcome
 
 __all__ = [
     "Effect",
@@ -95,7 +91,7 @@ class SendJoin(Effect):
     """``Join()`` the chosen candidate, echoing its probed ``seq_num``;
     feed the verdict back as :class:`~repro.protocol.events.JoinResult`."""
 
-    outcome: "ProbeOutcome"
+    outcome: ProbeOutcome
 
 
 @dataclass(slots=True)
@@ -135,7 +131,7 @@ class UpdateBackups(Effect):
     candidates, truncated to TopN−1. The driver warms proactive
     connections and closes connections to dropped nodes."""
 
-    outcomes: Tuple["ProbeOutcome", ...]
+    outcomes: Tuple[ProbeOutcome, ...]
 
 
 @dataclass(slots=True)
@@ -212,7 +208,7 @@ class ReplyPartialCandidates(Effect):
     """
 
     count: int
-    statuses: Tuple["NodeStatus", ...]
+    statuses: Tuple[NodeStatus, ...]
     radius_km: float
     generated_at_ms: float
 

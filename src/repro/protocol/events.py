@@ -10,19 +10,16 @@ The classes are deliberately mutable ``slots=True`` dataclasses: they
 are allocated on hot paths (one per probe round / heartbeat), matching
 the :mod:`repro.obs.events` precedent.
 
-Nothing here imports ``repro.core`` at runtime — type names from it
-appear only in annotations (``TYPE_CHECKING``), which keeps the
-protocol package import-cycle-free while both backends import it.
+The message types the events carry come from :mod:`repro.messages`,
+the leaf below both this package and :mod:`repro.policy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.messages import DiscoveryQuery, NodeStatus
-    from repro.core.probing import ProbeOutcome
+from repro.messages import DiscoveryQuery, NodeStatus, ProbeOutcome
 
 __all__ = [
     "ProtocolEvent",
@@ -100,7 +97,7 @@ class ProbesCompleted(ProtocolEvent):
     """
 
     now: float
-    outcomes: Tuple["ProbeOutcome", ...]
+    outcomes: Tuple[ProbeOutcome, ...]
 
 
 @dataclass(slots=True)
@@ -217,7 +214,7 @@ class HeartbeatReceived(ProtocolEvent):
     — the machine only ever compares stamps against each other."""
 
     stamp: float
-    status: "NodeStatus"
+    status: NodeStatus
 
 
 @dataclass(slots=True)
@@ -227,7 +224,7 @@ class DiscoveryRequested(ProtocolEvent):
 
     now: float
     stamp: float
-    query: "DiscoveryQuery"
+    query: DiscoveryQuery
 
 
 @dataclass(slots=True)
@@ -243,7 +240,7 @@ class PartialDiscoveryRequested(ProtocolEvent):
 
     now: float
     stamp: float
-    query: "DiscoveryQuery"
+    query: DiscoveryQuery
     radius_km: float
 
 

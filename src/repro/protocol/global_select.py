@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.geo.spatial_index import GeohashSpatialIndex
+from repro.messages import NodeStatus
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import (
     Effect,
     NodeExpired,
@@ -39,10 +41,6 @@ from repro.protocol.events import (
     PruneTick,
     WrrAssignRequested,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.messages import NodeStatus
-    from repro.core.policies.global_policies import GlobalSelectionPolicy
 
 __all__ = ["GlobalSelectionMachine", "RegistrySnapshot"]
 
@@ -63,7 +61,7 @@ class RegistrySnapshot:
     from ``stamps`` instead.
     """
 
-    statuses: Tuple["NodeStatus", ...]
+    statuses: Tuple[NodeStatus, ...]
     stamps: Dict[str, float]
     wrr_current: Dict[str, float]
 
@@ -87,15 +85,15 @@ class GlobalSelectionMachine:
     """
 
     def __init__(
-        self, policy: "GlobalSelectionPolicy", heartbeat_timeout: float
+        self, policy: GlobalSelectionPolicy, heartbeat_timeout: float
     ) -> None:
         self.policy = policy
         self.heartbeat_timeout = heartbeat_timeout
-        self.registry: Dict[str, "NodeStatus"] = {}
+        self.registry: Dict[str, NodeStatus] = {}
         #: Geohash-bucketed spatial index over the registry, maintained
         #: incrementally on heartbeat/expiry so discovery never scans the
         #: full registry (the metro-scale fast path).
-        self.spatial_index: GeohashSpatialIndex["NodeStatus"] = GeohashSpatialIndex()
+        self.spatial_index: GeohashSpatialIndex[NodeStatus] = GeohashSpatialIndex()
         #: Min-heap of (stamp, node_id): the oldest heartbeat is always
         #: on top, so expiring stale nodes pops only actually-stale
         #: entries (amortized O(1) per query) instead of scanning all N.

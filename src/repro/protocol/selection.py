@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -51,6 +50,7 @@ from typing import (
     Tuple,
 )
 
+from repro.messages import ProbeOutcome
 from repro.obs.events import (
     CoveredFailover,
     DegradedFallback,
@@ -75,7 +75,7 @@ from repro.policy.base import (
     RankingContext,
     SelectionPolicy,
 )
-from repro.policy.baselines import as_policy
+from repro.policy.baselines import RankingCallable, as_policy
 from repro.protocol.effects import (
     Attached,
     Effect,
@@ -101,15 +101,7 @@ from repro.protocol.events import (
 )
 from repro.protocol.failure_monitor import FailureMonitor
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.probing import ProbeOutcome
-
-__all__ = ["SelectionConfig", "SelectionMachine", "LocalRanking"]
-
-#: A local selection policy: rank probe outcomes best-first (possibly
-#: filtering, e.g. a QoS cut). Structurally identical to
-#: ``repro.core.policies.local_policies.LocalSelectionPolicy``.
-LocalRanking = Callable[[Sequence["ProbeOutcome"]], List["ProbeOutcome"]]
+__all__ = ["SelectionConfig", "SelectionMachine"]
 
 
 def _never() -> bool:
@@ -152,7 +144,7 @@ class SelectionMachine:
     def __init__(
         self,
         user_id: str,
-        policy: "SelectionPolicy | LocalRanking",
+        policy: "SelectionPolicy | RankingCallable",
         config: SelectionConfig,
         *,
         detail_guard: Callable[[], bool] = _never,
@@ -170,7 +162,7 @@ class SelectionMachine:
         self.round_in_progress = False
         self.last_join_ms = float("-inf")
         self._retries = 0
-        self._ranked: List["ProbeOutcome"] = []
+        self._ranked: List[ProbeOutcome] = []
         #: Nodes the current round asked to probe — whoever does not
         #: answer is reported to the policy as a probe timeout.
         self._probe_targets: Tuple[str, ...] = ()
@@ -188,7 +180,7 @@ class SelectionMachine:
         return self._policy
 
     @policy.setter
-    def policy(self, policy: "SelectionPolicy | LocalRanking") -> None:
+    def policy(self, policy: "SelectionPolicy | RankingCallable") -> None:
         self._policy = as_policy(policy)
 
     # ------------------------------------------------------------------
@@ -325,7 +317,7 @@ class SelectionMachine:
     # Ranking, dwell, hysteresis, join
     # ------------------------------------------------------------------
     def _on_probes_completed(self, event: ProbesCompleted) -> List[Effect]:
-        outcomes: List["ProbeOutcome"] = list(event.outcomes)
+        outcomes: List[ProbeOutcome] = list(event.outcomes)
         # Feed the policy the raw measurements (pre stay-substitution)
         # plus the silence of whoever was probed and never answered.
         answered = set()
@@ -474,7 +466,7 @@ class SelectionMachine:
     # Backups (Algorithm 2 line 20)
     # ------------------------------------------------------------------
     def _adopt_backups(
-        self, ranked_rest: Sequence["ProbeOutcome"], ctx: RankingContext
+        self, ranked_rest: Sequence[ProbeOutcome], ctx: RankingContext
     ) -> List[Effect]:
         backup_count = max(0, self.top_n - 1)
         ordered = self._policy.order_backups(tuple(ranked_rest), ctx)
@@ -483,7 +475,7 @@ class SelectionMachine:
         return [UpdateBackups(tuple(adopted))]
 
     def _adopt_non_current(
-        self, ranked: Sequence["ProbeOutcome"], ctx: RankingContext
+        self, ranked: Sequence[ProbeOutcome], ctx: RankingContext
     ) -> List[Effect]:
         return self._adopt_backups(
             [o for o in ranked if o.node_id != self.current_edge], ctx

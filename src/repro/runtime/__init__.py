@@ -5,7 +5,7 @@ package demonstrates that the protocol itself — discovery, probing with
 ``seqNum`` synchronization, join/leave, what-if caching, heartbeats,
 failover — runs unchanged over a real transport. It is a faithful port,
 not a second implementation: messages are the dataclasses of
-:mod:`repro.core.messages` serialized with ``to_wire``/``from_wire`` as
+:mod:`repro.messages` serialized with ``to_wire``/``from_wire`` as
 newline-delimited JSON.
 
 - :mod:`~repro.runtime.protocol` — framing + request/response helpers.

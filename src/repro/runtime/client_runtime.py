@@ -22,11 +22,9 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.messages import DiscoveryQuery, from_wire, to_wire
+from repro.messages import DiscoveryQuery, ProbeOutcome, from_wire, to_wire
 from repro.faults.injector import MANAGER_ID
-from repro.core.policies.local_policies import LocalSelectionPolicy
-from repro.core.probing import ProbeOutcome
-from repro.policy import SelectionPolicy, build_policy
+from repro.policy import PolicySpec, SelectionPolicy, build_policy
 from repro.sim.random import derive_seed
 from repro.geo.point import GeoPoint
 from repro.obs.events import (
@@ -104,7 +102,7 @@ class LiveClient:
         manager_port: int,
         *,
         top_n: int = 3,
-        policy: "Optional[str | SelectionPolicy | LocalSelectionPolicy]" = None,
+        policy: Optional[PolicySpec] = None,
         request_timeout: float = 5.0,
         tracer: Optional[Tracer] = None,
         selection_config: Optional[SelectionConfig] = None,
@@ -187,9 +185,7 @@ class LiveClient:
         return self._machine.policy
 
     @policy.setter
-    def policy(
-        self, policy: "str | SelectionPolicy | LocalSelectionPolicy"
-    ) -> None:
+    def policy(self, policy: PolicySpec) -> None:
         if isinstance(policy, str):
             policy = build_policy(
                 policy, seed=derive_seed(0, f"live-policy.{self.user_id}")

@@ -22,9 +22,9 @@ import random
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.core.messages import NodeStatus, ProbeReply, to_wire
 from repro.geo import geohash as gh
 from repro.geo.point import GeoPoint
+from repro.messages import NodeStatus, ProbeReply, to_wire
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.processing import analytic_sojourn_ms
 from repro.obs.events import (

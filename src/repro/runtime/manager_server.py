@@ -17,11 +17,11 @@ import asyncio
 import time
 from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar
 
-from repro.core.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
-from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.geo.point import GeoPoint
+from repro.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
 from repro.obs.events import PopulationChanged
 from repro.obs.tracer import Tracer
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import (
     Effect,
     NodeExpired,
@@ -85,13 +85,21 @@ def query_from_wire(payload: Dict[str, Any]) -> DiscoveryQuery:
     """A peer's discovery query, refused while nothing has been touched.
 
     Raises:
-        ValueError: malformed, some other message type, or coordinates
-            off the globe (NaN and non-numbers included) — which
-            selection could only trip over after the registry has been
-            pruned for it.
+        ValueError: malformed, some other message type, coordinates
+            off the globe (NaN and non-numbers included), a ``top_n``
+            that is not an integer of at least 1, or an ``exclude`` that
+            is not a list of node ids — which selection could only trip
+            over (or answer with an empty list) after the registry has
+            been pruned for it.
     """
     query = _decoded(payload, "query", DiscoveryQuery)
     _on_globe(query.lat, query.lon)
+    top_n = query.top_n
+    if not isinstance(top_n, int) or isinstance(top_n, bool) or top_n < 1:
+        raise ValueError(f"top_n is not an integer >= 1: {top_n!r}")
+    exclude = query.exclude
+    if not isinstance(exclude, tuple) or not all(isinstance(n, str) for n in exclude):
+        raise ValueError(f"exclude is not a list of node ids: {exclude!r}")
     return query
 
 

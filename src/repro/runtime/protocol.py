@@ -8,7 +8,7 @@ and every request gets exactly one response frame. Operations mirror
 the simulation's method calls one-to-one (``discover``, ``heartbeat``,
 ``rtt_probe``, ``process_probe``, ``join``, ``unexpected_join``,
 ``leave``, ``frame``, ``status``). Dataclass payloads go through
-:func:`repro.core.messages.to_wire` / ``from_wire``.
+:func:`repro.messages.to_wire` / ``from_wire``.
 
 There is one client-side exchange (:meth:`PersistentConnection.request`)
 and one server-side loop (:func:`serve_connection`). :func:`request` is

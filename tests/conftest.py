@@ -10,6 +10,7 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 from repro.sim.kernel import Simulator
 
@@ -41,11 +42,11 @@ def config() -> SystemConfig:
 def small_system(config: SystemConfig) -> EdgeSystem:
     """Three heterogeneous volunteers + two user endpoints, not started."""
     system = EdgeSystem(config)
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-    system.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
-    system.spawn_node("V5", profile_by_name("V5"), GeoPoint(44.90, -93.10))
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
-    system.register_client_endpoint("bob", GeoPoint(44.93, -93.18))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    system.add_node("V2", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20)))
+    system.add_node("V5", profile_by_name("V5"), EndpointSpec(GeoPoint(44.90, -93.10)))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
+    system.add_client_endpoint("bob", EndpointSpec(GeoPoint(44.93, -93.18)))
     return system
 
 

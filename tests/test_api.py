@@ -1,7 +1,6 @@
 """Tests for the fluent scenario-building API (repro.api)."""
 
 import gc
-import warnings
 import weakref
 
 import pytest
@@ -146,17 +145,6 @@ def test_building_again_reclaims_the_previous_world():
         assert second.alive_node_count() == 1
     finally:
         gc.enable()
-
-
-def test_deprecated_wrappers_still_work_and_warn():
-    system = EdgeSystem(SystemConfig(seed=1))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-        system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
-    assert [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert system.topology.has_endpoint("V1")
-    assert system.topology.has_endpoint("alice")
 
 
 # ----------------------------------------------------------------------

@@ -11,20 +11,29 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 
 
 def build_system(config=None):
     system = EdgeSystem(config or SystemConfig(seed=21, top_n=2))
-    system.spawn_node("near-slow", profile_by_name("V5"), GeoPoint(44.971, -93.251))
-    system.spawn_node("far-fast", profile_by_name("V1"), GeoPoint(44.90, -93.05))
-    system.spawn_node(
+    system.add_node(
+        "near-slow",
+        profile_by_name("V5"),
+        EndpointSpec(GeoPoint(44.971, -93.251)),
+    )
+    system.add_node(
+        "far-fast",
+        profile_by_name("V1"),
+        EndpointSpec(GeoPoint(44.90, -93.05)),
+    )
+    system.add_node(
         "dedicated",
         profile_by_name("D6"),
-        GeoPoint(44.973, -93.257),
+        EndpointSpec(GeoPoint(44.973, -93.257)),
         dedicated=True,
     )
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     return system
 
 
@@ -115,7 +124,11 @@ def test_pin_client_retries_until_target_exists():
     system.add_client(client)
     system.run_for(2_000.0)
     assert not client.attached
-    system.spawn_node("far-fast", profile_by_name("V1"), GeoPoint(44.90, -93.05))
+    system.add_node(
+        "far-fast",
+        profile_by_name("V1"),
+        EndpointSpec(GeoPoint(44.90, -93.05)),
+    )
     system.run_for(3_000.0)
     assert client.current_edge == "far-fast"
 
@@ -156,11 +169,14 @@ def test_is_dedicated_predicate():
 def test_dedicated_only_policy_restricts_pool():
     config = SystemConfig(seed=21, top_n=3)
     system = EdgeSystem(config, global_policy=dedicated_only_policy())
-    system.spawn_node("vol", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-    system.spawn_node(
-        "ded", profile_by_name("D6"), GeoPoint(44.97, -93.26), dedicated=True
+    system.add_node("vol", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    system.add_node(
+        "ded",
+        profile_by_name("D6"),
+        EndpointSpec(GeoPoint(44.97, -93.26)),
+        dedicated=True,
     )
-    system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+    system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
     client = EdgeClient(system, "alice")
     system.add_client(client)
     system.run_for(3_000.0)
@@ -173,10 +189,22 @@ def test_client_centric_beats_random_on_average():
     def mean_latency(client_cls, **kwargs):
         config = SystemConfig(seed=77, top_n=3)
         system = EdgeSystem(config)
-        system.spawn_node("fast", profile_by_name("V1"), GeoPoint(44.975, -93.255))
-        system.spawn_node("slow", profile_by_name("V5"), GeoPoint(44.972, -93.252))
-        system.spawn_node("slow2", profile_by_name("V4"), GeoPoint(44.973, -93.256))
-        system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
+        system.add_node(
+            "fast",
+            profile_by_name("V1"),
+            EndpointSpec(GeoPoint(44.975, -93.255)),
+        )
+        system.add_node(
+            "slow",
+            profile_by_name("V5"),
+            EndpointSpec(GeoPoint(44.972, -93.252)),
+        )
+        system.add_node(
+            "slow2",
+            profile_by_name("V4"),
+            EndpointSpec(GeoPoint(44.973, -93.256)),
+        )
+        system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
         client = client_cls(system, "alice", **kwargs)
         system.add_client(client)
         system.run_for(20_000.0)

@@ -12,6 +12,7 @@ from repro.churn.trace import ChurnTrace, NodeEpisode, generate_trace
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.region import MSP_CENTER
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 
 
@@ -173,7 +174,7 @@ def test_injector_replays_trace_population():
 
 def test_injector_rejects_id_collision():
     system = EdgeSystem(SystemConfig(seed=12))
-    system.spawn_node("vol-a", profile_by_name("V1"), MSP_CENTER)
+    system.add_node("vol-a", profile_by_name("V1"), EndpointSpec(MSP_CENTER))
     injector = ChurnInjector(system, [profile_by_name("V1")], center=MSP_CENTER)
     trace = ChurnTrace([NodeEpisode("vol-a", 1_000.0, 5_000.0)], 10_000.0)
     with pytest.raises(ValueError, match="collides"):

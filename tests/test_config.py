@@ -10,14 +10,12 @@ def test_defaults_are_paper_shaped():
     assert config.top_n == 3
     assert config.backup_count == 2
     # The paper's default ranking is GO (average-optimizing).
-    assert config.policy_spec is None
-    assert config.selection_policy_spec == "go"
+    assert config.policy_spec == "go"
 
 
-def test_with_top_n_copies():
+def test_with_copies():
     base = SystemConfig()
-    with pytest.warns(DeprecationWarning, match="with_top_n"):
-        varied = base.with_top_n(5)
+    varied = base.with_(top_n=5)
     assert varied.top_n == 5
     assert base.top_n == 3
     assert varied.probing_period_ms == base.probing_period_ms

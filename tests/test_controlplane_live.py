@@ -15,9 +15,9 @@ import asyncio
 import pytest
 
 from repro.controlplane.live_driver import ControlPlaneCluster
-from repro.core.messages import DiscoveryQuery, NodeStatus, to_wire
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
+from repro.messages import DiscoveryQuery, NodeStatus, to_wire
 from repro.obs.tracer import Tracer
 from repro.runtime import ManagerServer, protocol
 

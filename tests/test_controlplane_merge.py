@@ -22,13 +22,13 @@ from hypothesis import strategies as st
 
 from repro.controlplane.router import PartialSelection, ShardRouter
 from repro.controlplane.sharding import ShardMap
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
+from repro.geo.geohash import encode
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import (
     GlobalSelectionPolicy,
     availability_sort_key,
 )
-from repro.core.policies.reputation import ReputationTracker, reputation_sort_key
-from repro.geo.geohash import encode
+from repro.policy.reputation import ReputationTracker, reputation_sort_key
 
 LAT, LON = 44.97, -93.25
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.controlplane.replication import ReplicatedShard
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import GlobalSelectionPolicy
 from repro.geo.geohash import encode
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import NodeExpired, ReplyPartialCandidates
 from repro.protocol.events import HeartbeatReceived, PartialDiscoveryRequested, PruneTick
 from repro.protocol.global_select import GlobalSelectionMachine, RegistrySnapshot

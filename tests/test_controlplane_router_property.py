@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.controlplane.router import PartialSelection, ShardRouter
 from repro.controlplane.sharding import ShardMap
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
+from repro.geo.geohash import encode
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import (
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )
-from repro.geo.geohash import encode
 from repro.protocol.effects import ReplyCandidates, ReplyPartialCandidates
 from repro.protocol.events import (
     DiscoveryRequested,

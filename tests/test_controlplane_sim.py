@@ -18,10 +18,10 @@ from repro.controlplane.sim_driver import ShardedCentralManager
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.manager import CentralManager
-from repro.core.messages import DiscoveryQuery
 from repro.core.system import EdgeSystem
 from repro.faults.scenarios import run_sim_controlplane_chaos
 from repro.geo.point import GeoPoint
+from repro.messages import DiscoveryQuery
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 from repro.obs.tracer import Tracer

@@ -1,10 +1,12 @@
 """Formal coverage for the deprecation surface.
 
 Policy: a shim ships for one release with a :class:`DeprecationWarning`,
-then is removed. The PR 1 system-construction shims
-(``spawn_node``/``register_client_endpoint``) are in their warning
-release and must keep working; the PR 2 metrics mutators
-(``record_*``) have completed the cycle and must be gone.
+then is removed. Nothing is in its warning release today: the PR 2
+metrics mutators (``record_*``) and the PR 1 construction/config shims
+(``spawn_node``, ``register_client_endpoint``, ``with_top_n``,
+``use_global_overhead``) have completed the cycle and must be gone, and
+``pyproject.toml`` turns any ``DeprecationWarning`` raised from a
+``repro`` module into a tier-1 failure.
 """
 
 import warnings
@@ -22,26 +24,6 @@ def make_system() -> EdgeSystem:
     return EdgeSystem(SystemConfig(seed=3))
 
 
-def test_spawn_node_warns_and_still_works():
-    system = make_system()
-    with pytest.warns(DeprecationWarning, match="spawn_node is deprecated"):
-        node = system.spawn_node(
-            "V1", profile_by_name("V1"), GeoPoint(44.98, -93.26)
-        )
-    assert node is system.nodes["V1"]
-    assert system.topology.has_endpoint("V1")
-    assert node.alive
-
-
-def test_register_client_endpoint_warns_and_still_works():
-    system = make_system()
-    with pytest.warns(
-        DeprecationWarning, match="register_client_endpoint is deprecated"
-    ):
-        system.register_client_endpoint("alice", GeoPoint(44.97, -93.25))
-    assert system.topology.has_endpoint("alice")
-
-
 def test_modern_construction_api_does_not_warn():
     from repro.net.topology import EndpointSpec
 
@@ -54,30 +36,28 @@ def test_modern_construction_api_does_not_warn():
         system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
 
 
-def test_use_global_overhead_warns_and_maps_to_policy_spec():
-    with pytest.warns(
-        DeprecationWarning, match="use_global_overhead is deprecated"
-    ):
-        legacy_go = SystemConfig(use_global_overhead=True)
-    assert legacy_go.selection_policy_spec == "go"
-    with pytest.warns(DeprecationWarning):
-        legacy_lo = SystemConfig(use_global_overhead=False)
-    assert legacy_lo.selection_policy_spec == "lo"
-
-
 def test_policy_spec_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         config = SystemConfig(policy_spec="reliability")
-    assert config.selection_policy_spec == "reliability"
-    assert SystemConfig().selection_policy_spec == "go"
+    assert config.policy_spec == "reliability"
+    assert SystemConfig().policy_spec == "go"
 
 
 def test_policy_spec_and_legacy_flag_together_rejected():
-    with pytest.raises(ValueError, match="not both"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            SystemConfig(policy_spec="lo", use_global_overhead=True)
+    with pytest.raises(TypeError, match="use_global_overhead"):
+        SystemConfig(policy_spec="lo", use_global_overhead=True)
+
+
+def test_construction_and_config_shims_are_removed():
+    system = make_system()
+    for name in ("spawn_node", "register_client_endpoint"):
+        assert not hasattr(system, name), name
+    config = SystemConfig()
+    for name in ("with_top_n", "use_global_overhead", "selection_policy_spec"):
+        assert not hasattr(config, name), name
+    with pytest.raises(TypeError, match="use_global_overhead"):
+        SystemConfig(use_global_overhead=True)
 
 
 def test_metrics_record_shims_are_removed():
@@ -94,13 +74,6 @@ def test_metrics_record_shims_are_removed():
         "record_alive_nodes",
     ):
         assert not hasattr(collector, name), name
-
-
-def test_with_top_n_warns_and_still_works():
-    with pytest.warns(DeprecationWarning, match="with_top_n"):
-        varied = SystemConfig().with_top_n(5)
-    assert varied.top_n == 5
-    assert varied.backup_count == 4
 
 
 def test_with_does_not_warn():

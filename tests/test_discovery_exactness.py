@@ -24,17 +24,17 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
-    GeoProximityFilter,
-    GlobalSelectionPolicy,
-)
-from repro.core.policies.reputation import ReputationTracker, reputation_sort_key
 from repro.geo import geohash as gh
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint, haversine_km_coords
 from repro.geo.region import MSP_CENTER
 from repro.geo.spatial_index import GeohashSpatialIndex, distance_guard_km
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import (
+    GeoProximityFilter,
+    GlobalSelectionPolicy,
+)
+from repro.policy.reputation import ReputationTracker, reputation_sort_key
 from repro.protocol.events import HeartbeatReceived, NodeForgotten
 from repro.protocol.global_select import GlobalSelectionMachine, RegistrySnapshot
 

@@ -25,14 +25,14 @@ import pytest
 
 from repro.controlplane.router import PartialSelection, ShardRouter
 from repro.controlplane.sharding import ShardMap
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
+from repro.geo.geohash import encode
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import (
     AFFILIATION_BONUS,
     DISTANCE_PENALTY_PER_KM,
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )
-from repro.geo.geohash import encode
 from repro.protocol.events import HeartbeatReceived, PartialDiscoveryRequested
 from repro.protocol.global_select import GlobalSelectionMachine
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
+from repro.geo import geohash as gh
+from repro.geo.point import GeoPoint
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import (
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )
-from repro.geo import geohash as gh
-from repro.geo.point import GeoPoint
 
 USER_POINT = GeoPoint(44.97, -93.25)
 

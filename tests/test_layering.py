@@ -1,0 +1,141 @@
+"""The layer diagram of DESIGN §8, held statically.
+
+``repro.geo``, ``repro.messages``, ``repro.policy``, ``repro.protocol``
+and the transport-free control-plane modules sit *below* the backends:
+they import nothing from ``repro.core``, ``repro.runtime``, ``repro.sim``
+or the two control-plane drivers, ``if TYPE_CHECKING:`` blocks included.
+The check walks the AST rather than ``sys.modules``: ``import repro``
+loads every subpackage, so a runtime check would see nothing.
+"""
+
+from __future__ import annotations
+
+import ast
+from importlib.util import find_spec
+from pathlib import Path
+from typing import Iterator, List, Tuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: Packages and modules that must stay below the backends.
+LOWER = [
+    "repro/geo",
+    "repro/messages.py",
+    "repro/policy",
+    "repro/protocol",
+    "repro/controlplane/errors.py",
+    "repro/controlplane/sharding.py",
+    "repro/controlplane/router.py",
+    "repro/controlplane/replication.py",
+]
+#: What they may not import (a prefix match on the dotted name).
+UPPER = (
+    "repro.core",
+    "repro.runtime",
+    "repro.sim",
+    "repro.controlplane.sim_driver",
+    "repro.controlplane.live_driver",
+)
+#: Two re-export stubs pinned by ``benchmarks/ledger`` (only a benchmark
+#: PR may edit it); nothing else may import through them.
+LEDGER_ONLY = ("repro.core.messages", "repro.core.policies")
+
+
+def python_files(path: Path) -> List[Path]:
+    return [path] if path.is_file() else sorted(path.rglob("*.py"))
+
+
+def imported_names(path: Path, src: Path = SRC) -> Iterator[Tuple[int, str]]:
+    """Every module a file imports, anywhere in it, as ``(line, dotted name)``.
+
+    ``from a.b import c`` yields ``a.b.c`` (which has ``a.b`` as a
+    prefix, and names the submodule when ``c`` is one); relative imports
+    are resolved against the file's own package.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = list(path.parent.relative_to(src).parts)
+                package = package[: len(package) - (node.level - 1)]
+                base = ".".join(package + ([base] if base else []))
+            for alias in node.names:
+                yield node.lineno, f"{base}.{alias.name}"
+
+
+def hits(name: str, forbidden: Tuple[str, ...]) -> bool:
+    return any(name == f or name.startswith(f + ".") for f in forbidden)
+
+
+def violations(files: List[Path], forbidden: Tuple[str, ...]) -> List[str]:
+    return [
+        f"{path.relative_to(ROOT)}:{line} imports {name}"
+        for path in files
+        for line, name in imported_names(path)
+        if hits(name, forbidden)
+    ]
+
+
+@pytest.mark.parametrize("lower", LOWER)
+def test_lower_layers_import_nothing_from_the_backends(lower):
+    files = python_files(SRC / lower)
+    assert files, lower
+    assert violations(files, UPPER) == []
+
+
+def test_only_the_ledger_imports_through_the_two_stubs():
+    ledger = ROOT / "benchmarks" / "ledger"
+    files = [
+        path
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in python_files(ROOT / top)
+        if ledger not in path.parents
+    ]
+    assert violations(files, LEDGER_ONLY) == []
+    # The stubs re-export and do nothing else.
+    for stub in ("repro/core/messages.py", "repro/core/policies/global_policies.py"):
+        assert len((SRC / stub).read_text().splitlines()) <= 6, stub
+    assert ast.parse((SRC / "repro/core/policies/__init__.py").read_text()).body[1:] == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "repro.core.probing",
+        "repro.core.policies.local_policies",
+        "repro.core.policies.reputation",
+    ],
+)
+def test_deleted_modules_stay_deleted(name):
+    assert find_spec(name) is None
+
+
+def test_the_check_sees_type_checking_blocks_and_relative_imports(tmp_path):
+    """The walker is what the guarantees above rest on: show that it
+    finds an import inside ``if TYPE_CHECKING:``, inside a function, and
+    a relative one, and that prefix matching stops at a dot."""
+    package = tmp_path / "src" / "repro" / "protocol"
+    package.mkdir(parents=True)
+    probe = package / "probe.py"
+    probe.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.core.client import EdgeClient\n"
+        "def late():\n"
+        "    import repro.sim.kernel\n"
+        "from ..core import config\n"
+        "from repro import corelib\n"
+    )
+    found = sorted(imported_names(probe, tmp_path / "src"))
+    assert [name for _, name in found if hits(name, UPPER)] == [
+        "repro.core.client.EdgeClient",
+        "repro.sim.kernel",
+        "repro.core.config",
+    ]

@@ -3,18 +3,19 @@
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.messages import DiscoveryQuery
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.messages import DiscoveryQuery
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 
 
 @pytest.fixture
 def system():
     system = EdgeSystem(SystemConfig(seed=2, top_n=3))
-    system.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
-    system.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
-    system.spawn_node("V5", profile_by_name("V5"), GeoPoint(44.90, -93.10))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    system.add_node("V2", profile_by_name("V2"), EndpointSpec(GeoPoint(44.95, -93.20)))
+    system.add_node("V5", profile_by_name("V5"), EndpointSpec(GeoPoint(44.90, -93.10)))
     system.run_for(200.0)  # let first heartbeats land
     return system
 

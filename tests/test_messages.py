@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.messages import (
+from repro.messages import (
     _MESSAGE_TYPES,
     CandidateList,
     DiscoveryQuery,

@@ -6,6 +6,7 @@ from repro.core.config import SystemConfig
 from repro.core.multiapp import ApplicationSpec, MultiAppDeployment
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 from repro.workload.ar import ARApplication
 
@@ -22,8 +23,8 @@ def deployment():
     dep = MultiAppDeployment(system, [AR, OCR])
     dep.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
     dep.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
-    system.register_client_endpoint("a1", GeoPoint(44.97, -93.25))
-    system.register_client_endpoint("o1", GeoPoint(44.96, -93.24))
+    system.add_client_endpoint("a1", EndpointSpec(GeoPoint(44.97, -93.25)))
+    system.add_client_endpoint("o1", EndpointSpec(GeoPoint(44.96, -93.24)))
     return dep
 
 
@@ -93,7 +94,7 @@ def test_app_hosting_can_be_restricted():
     dep = MultiAppDeployment(system, [AR, OCR])
     dep.spawn_node("ar-only", profile_by_name("V1"), GeoPoint(44.98, -93.26), apps=["ar"])
     dep.spawn_node("both", profile_by_name("V2"), GeoPoint(44.95, -93.20))
-    system.register_client_endpoint("o1", GeoPoint(44.96, -93.24))
+    system.add_client_endpoint("o1", EndpointSpec(GeoPoint(44.96, -93.24)))
     ocr_client = dep.make_client("o1", "ocr")
     ocr_client.start()
     system.run_for(10_000.0)

@@ -13,9 +13,8 @@ import pytest
 from repro.api import ScenarioBuilder
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.core.policies.local_policies import sort_by_local_overhead
-from repro.core.probing import ProbeOutcome
 from repro.geo.point import GeoPoint
+from repro.messages import ProbeOutcome
 from repro.nodes.hardware import profile_by_name
 from repro.policy import (
     CallableRankingPolicy,
@@ -41,6 +40,14 @@ from repro.protocol.events import (
     RoundStarted,
 )
 from repro.protocol.selection import SelectionConfig, SelectionMachine
+
+
+def sort_by_local_overhead(outcomes):
+    return sorted(outcomes, key=lambda o: (o.local_overhead_ms, o.node_id))
+
+
+def sort_by_global_overhead(outcomes):
+    return sorted(outcomes, key=lambda o: (o.global_overhead_ms, o.node_id))
 
 
 def outcome(node_id, d_prop, d_proc, users=0, current=None, stay=None):
@@ -195,8 +202,6 @@ def test_legacy_callable_keeps_lo_hysteresis():
     """A wrapped legacy callable reports LO scores, so its hysteresis is
     exactly the pre-refactor behaviour even when the callable ranks by
     GO — that bit-identity is what the adapter exists for."""
-    from repro.core.policies.local_policies import sort_by_global_overhead
-
     machine, effects = _hysteresis_round(
         CallableRankingPolicy(sort_by_global_overhead)
     )

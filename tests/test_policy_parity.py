@@ -2,16 +2,17 @@
 
 ``tests/golden/lo_policy_trace.jsonl`` was recorded before
 ``SelectionMachine`` learned about :class:`repro.policy.SelectionPolicy`
-objects, with the legacy ``use_global_overhead=False`` (LO) ranking.
+objects, with the LO ranking as a plain sort function.
 Replaying the identical scenario through the policy subsystem must
 reproduce that trace byte-for-byte — the only new output allowed is the
 ``policy_decision`` detail event, which we filter out before comparing
 (and separately assert is present).
 
-A second family of tests pins policy objects against the legacy ranking
+A second family of tests pins policy objects against the ranking
 callables they replaced: wiring ``LocalOverheadPolicy`` /
-``GlobalOverheadPolicy`` must produce the same trace as wiring
-``sort_by_local_overhead`` / ``sort_by_global_overhead`` directly.
+``GlobalOverheadPolicy`` must produce the same trace as wiring the two
+reference sorts below — the paper's §IV-D definitions, ``LO_j`` / ``GO_j``
+ascending with the node id as tie-break — directly.
 """
 
 import json
@@ -20,10 +21,6 @@ from pathlib import Path
 from repro.api import ScenarioBuilder
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.core.policies.local_policies import (
-    sort_by_global_overhead,
-    sort_by_local_overhead,
-)
 from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
 from repro.policy import GlobalOverheadPolicy, LocalOverheadPolicy
@@ -42,6 +39,14 @@ CLIENTS = [
     ("u2", GeoPoint(44.940, -93.180)),
     ("u3", GeoPoint(44.910, -93.120)),
 ]
+
+
+def sort_by_local_overhead(outcomes):
+    return sorted(outcomes, key=lambda o: (o.local_overhead_ms, o.node_id))
+
+
+def sort_by_global_overhead(outcomes):
+    return sorted(outcomes, key=lambda o: (o.global_overhead_ms, o.node_id))
 
 
 def _run_scenario(config, policy=None):

@@ -19,7 +19,7 @@ from typing import List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.probing import ProbeOutcome
+from repro.messages import ProbeOutcome
 from repro.policy import (
     ChurnAwarePolicy,
     EwmaRttPolicy,

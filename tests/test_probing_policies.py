@@ -3,13 +3,28 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.probing import ProbeOutcome
-from repro.core.policies.local_policies import (
-    policy_for,
-    sort_by_global_overhead,
-    sort_by_local_overhead,
-    sort_with_qos,
+from repro.messages import ProbeOutcome
+from repro.policy import (
+    GlobalOverheadPolicy,
+    LocalOverheadPolicy,
+    QosGatedPolicy,
+    RankingContext,
+    build_policy,
 )
+
+CTX = RankingContext(now=0.0)
+
+
+def ranked_by(policy, outcomes):
+    return list(policy.rank(outcomes, CTX).ranked)
+
+
+def by_lo(outcomes):
+    return ranked_by(LocalOverheadPolicy(), outcomes)
+
+
+def by_go(outcomes):
+    return ranked_by(GlobalOverheadPolicy(), outcomes)
 
 
 def outcome(node_id="n", d_prop=10.0, d_proc=30.0, n=0, current=30.0, seq=0):
@@ -71,71 +86,71 @@ def test_property_go_at_least_lo(d_prop, d_proc, n, current):
 def test_lo_policy_picks_lowest_latency():
     fast = outcome("fast", d_prop=5.0, d_proc=20.0)
     slow = outcome("slow", d_prop=20.0, d_proc=50.0)
-    assert sort_by_local_overhead([slow, fast])[0] is fast
+    assert by_lo([slow, fast])[0] is fast
 
 
 def test_lo_ignores_existing_users():
     crowded = outcome("crowded", d_prop=5.0, d_proc=30.0, n=10, current=20.0)
     idle = outcome("idle", d_prop=10.0, d_proc=30.0, n=0)
-    assert sort_by_local_overhead([idle, crowded])[0] is crowded
+    assert by_lo([idle, crowded])[0] is crowded
 
 
 def test_go_policy_penalizes_inflicted_degradation():
     # identical LO, but joining 'crowded' would slow 10 existing users
     crowded = outcome("crowded", d_prop=5.0, d_proc=30.0, n=10, current=20.0)
     idle = outcome("idle", d_prop=5.0, d_proc=30.0, n=0)
-    assert sort_by_global_overhead([crowded, idle])[0] is idle
+    assert by_go([crowded, idle])[0] is idle
 
 
 def test_policies_deterministic_tiebreak_by_node_id():
     a = outcome("a")
     b = outcome("b")
-    assert [o.node_id for o in sort_by_local_overhead([b, a])] == ["a", "b"]
+    assert [o.node_id for o in by_lo([b, a])] == ["a", "b"]
 
 
 def test_policies_do_not_mutate_input():
     items = [outcome("b"), outcome("a")]
-    sort_by_local_overhead(items)
+    by_lo(items)
     assert [o.node_id for o in items] == ["b", "a"]
 
 
 def test_empty_input_gives_empty_ranking():
-    assert sort_by_local_overhead([]) == []
-    assert sort_by_global_overhead([]) == []
+    assert by_lo([]) == []
+    assert by_go([]) == []
 
 
 def test_qos_filters_violating_candidates():
     ok = outcome("ok", d_prop=10.0, d_proc=30.0)  # LO 40
     bad = outcome("bad", d_prop=100.0, d_proc=100.0)  # LO 200
-    policy = sort_with_qos(100.0)
-    ranked = policy([bad, ok])
+    ranked = ranked_by(QosGatedPolicy(GlobalOverheadPolicy(), 100.0), [bad, ok])
     assert [o.node_id for o in ranked] == ["ok"]
 
 
 def test_qos_can_reject_everyone():
     bad = outcome("bad", d_prop=100.0, d_proc=100.0)
-    assert sort_with_qos(50.0)([bad]) == []
+    assert ranked_by(QosGatedPolicy(GlobalOverheadPolicy(), 50.0), [bad]) == []
 
 
 def test_qos_validates_bound():
     with pytest.raises(ValueError):
-        sort_with_qos(0.0)
+        QosGatedPolicy(GlobalOverheadPolicy(), 0.0)
 
 
 def test_qos_base_policy_override():
     crowded = outcome("crowded", d_prop=5.0, d_proc=30.0, n=10, current=20.0)
     idle = outcome("idle", d_prop=5.0, d_proc=30.0, n=0)
-    by_lo = sort_with_qos(1_000.0, base_policy=sort_by_local_overhead)
-    assert by_lo([crowded, idle])[0].node_id == "crowded"
+    gated_lo = QosGatedPolicy(LocalOverheadPolicy(), 1_000.0)
+    assert ranked_by(gated_lo, [crowded, idle])[0].node_id == "crowded"
 
 
 def test_policy_for_resolves_config_flags():
     crowded = outcome("crowded", d_prop=5.0, d_proc=30.0, n=10, current=20.0)
     idle = outcome("idle", d_prop=5.0, d_proc=30.0, n=0)
-    assert policy_for(True)([crowded, idle])[0].node_id == "idle"
-    assert policy_for(False)([crowded, idle])[0].node_id == "crowded"
-    qos = policy_for(True, qos_latency_ms=10.0)
-    assert qos([crowded, idle]) == []
+    # SystemConfig.policy_spec / qos_latency_ms, as EdgeSystem resolves them.
+    assert ranked_by(build_policy("go"), [crowded, idle])[0].node_id == "idle"
+    assert ranked_by(build_policy("lo"), [crowded, idle])[0].node_id == "crowded"
+    qos = build_policy("go", qos_latency_ms=10.0)
+    assert ranked_by(qos, [crowded, idle]) == []
 
 
 @given(
@@ -155,8 +170,8 @@ def test_property_rankings_are_permutations_and_sorted(raw):
         for i, (p, q, n) in enumerate(raw)
     ]
     for policy, key in (
-        (sort_by_local_overhead, lambda o: o.local_overhead_ms),
-        (sort_by_global_overhead, lambda o: o.global_overhead_ms),
+        (by_lo, lambda o: o.local_overhead_ms),
+        (by_go, lambda o: o.global_overhead_ms),
     ):
         ranked = policy(outcomes)
         assert sorted(o.node_id for o in ranked) == sorted(o.node_id for o in outcomes)

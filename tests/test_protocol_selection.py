@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies.local_policies import sort_by_global_overhead
-from repro.core.probing import ProbeOutcome
+from repro.messages import ProbeOutcome
 from repro.protocol.effects import (
     Attached,
     EmitTrace,
@@ -34,6 +33,12 @@ from repro.protocol.events import (
     RoundStarted,
 )
 from repro.protocol.selection import SelectionConfig, SelectionMachine
+
+
+def sort_by_global_overhead(outcomes):
+    """The paper's GO ranking as a plain function (the reference)."""
+    return sorted(outcomes, key=lambda o: (o.global_overhead_ms, o.node_id))
+
 
 # ----------------------------------------------------------------------
 # Hypothesis strategies

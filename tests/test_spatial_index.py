@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.core.messages import DiscoveryQuery, NodeStatus
-from repro.core.policies.global_policies import (
+from repro.messages import DiscoveryQuery, NodeStatus
+from repro.policy.global_policy import (
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )

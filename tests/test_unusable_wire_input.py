@@ -22,9 +22,9 @@ from dataclasses import replace
 import pytest
 
 from repro.controlplane.live_driver import ControlPlaneCluster
-from repro.core.messages import DiscoveryQuery, NodeStatus, to_wire
-from repro.core.policies.global_policies import GeoProximityFilter, GlobalSelectionPolicy
 from repro.geo.geohash import encode
+from repro.messages import DiscoveryQuery, NodeStatus, to_wire
+from repro.policy.global_policy import GeoProximityFilter, GlobalSelectionPolicy
 from repro.protocol.events import DiscoveryRequested, HeartbeatReceived, PruneTick
 from repro.protocol.global_select import GlobalSelectionMachine
 from repro.runtime import ManagerServer, protocol
@@ -125,6 +125,12 @@ def query_payload(lat: float, lon: float) -> dict:
 
 UNUSABLE_QUERIES = [(math.nan, LON), (LAT, math.nan), (91.0, LON), (LAT, -180.5), (math.inf, LON), ("44.97", LON)]
 
+#: A TopN that is not a count of at least one (ranking compares it with
+#: an array size; 0 and -1 would be answered with an empty list), and an
+#: exclude list that is not a list of node ids.
+UNUSABLE_TOP_N = ["3", 2.5, None, True, 0, -1]
+UNUSABLE_EXCLUDES = [5, None, "edge-0", [["edge-0"]], [7]]
+
 
 def edited(wire: dict, drop: str = "", **fields) -> dict:
     """A wire message with payload fields overwritten, added or dropped
@@ -187,6 +193,8 @@ async def exercise(host: str, port: int) -> None:
             {"query": edited(to_wire(query()), drop="top_n")},
             {"query": edited(to_wire(query()), colour="red")},
             {},
+            *({"query": edited(to_wire(query()), top_n=top_n)} for top_n in UNUSABLE_TOP_N),
+            *({"query": edited(to_wire(query()), exclude=exclude)} for exclude in UNUSABLE_EXCLUDES),
         ):
             assert (await link.request("discover", payload, 2.0))["ok"] is False
         assert (await link.request("heartbeat", {"status": to_wire(query())}, 2.0))["ok"] is False

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.metrics.report import Table, render
 
 #: One seed for the whole harness so EXPERIMENTS.md numbers reproduce.
 BENCH_SEED = 42
@@ -24,6 +25,14 @@ BENCH_SEED = 42
 @pytest.fixture
 def bench_config() -> SystemConfig:
     return SystemConfig(seed=BENCH_SEED)
+
+
+def show(table: Table):
+    """Print a result's table — the one ``python -m repro <artifact>``
+    prints — and return its rows."""
+    print()
+    print(render(table))
+    return table[2]
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -6,10 +6,9 @@ and protects the admitted population's latency, whereas open-door
 admission spreads violations across everyone.
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.qos_admission import run_qos_admission
-from repro.metrics.report import format_table
 
 USER_COUNTS = [5, 10, 15, 20]
 QOS_MS = 90.0
@@ -24,28 +23,7 @@ def test_ext_qos_admission(benchmark, bench_config):
         user_counts=USER_COUNTS,
     )
 
-    rows = []
-    for n in USER_COUNTS:
-        w, wo = result.with_qos[n], result.without_qos[n]
-        rows.append(
-            [
-                n,
-                f"{w.admitted}/{n}",
-                f"{w.violation_rate:.1%}",
-                f"{w.admitted_mean_ms:.0f}" if w.admitted_mean_ms else "-",
-                f"{wo.violation_rate:.1%}",
-                f"{wo.admitted_mean_ms:.0f}" if wo.admitted_mean_ms else "-",
-            ]
-        )
-    print()
-    print(
-        format_table(
-            ["users", "admitted (QoS)", "violations (QoS)", "mean ms (QoS)",
-             "violations (open)", "mean ms (open)"],
-            rows,
-            title=f"Extension — admission control at QoS = {QOS_MS:.0f} ms",
-        )
-    )
+    show(result.table())
 
     # Light load: everyone admitted either way.
     assert result.with_qos[5].rejected == 0

@@ -6,35 +6,16 @@ can dramatically reduce the number of failures ... Starting at TopN=3,
 the number of failures can be reduced to 0."
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.churn_experiment import run_fault_tolerance
-from repro.metrics.report import format_table
 
 
 def test_fig10_fault_tolerance(benchmark, bench_config):
     result = run_once(benchmark, run_fault_tolerance, bench_config)
 
-    print()
-    print(
-        format_table(
-            ["approach", "mean recovery downtime ms", "events"],
-            [
-                ["proactive switch (ours)", result.proactive_recovery_ms,
-                 result.proactive_events],
-                ["reactive re-connect", result.reactive_recovery_ms,
-                 result.reactive_events],
-            ],
-            title="Fig. 10(a) — service downtime per failover",
-        )
-    )
-    print(
-        format_table(
-            ["TopN", "uncovered failures"],
-            [[n, result.failures_by_topn[n]] for n in sorted(result.failures_by_topn)],
-            title="Fig. 10(b) — failures experienced by all users",
-        )
-    )
+    show(result.downtime_table())
+    show(result.failures_table())
     print(f"  reactive/proactive downtime ratio: {result.downtime_ratio:.1f}x")
 
     # (a) reactive recovery costs a multiple of the proactive switch.

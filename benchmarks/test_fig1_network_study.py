@@ -4,10 +4,9 @@ Paper: volunteer edge nodes in the same metro deliver lower RTT than the
 AWS Local Zone, and both sit far below the closest cloud region.
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.network_study import run_network_study
-from repro.metrics.report import format_table
 
 
 def test_fig1_network_study(benchmark, bench_config):
@@ -15,19 +14,7 @@ def test_fig1_network_study(benchmark, bench_config):
         benchmark, run_network_study, bench_config, n_users=15, probes_per_pair=20
     )
     summaries = result.summaries()
-
-    rows = [
-        [name, s.mean_ms, s.p50_ms, s.p90_ms, s.min_ms, s.max_ms]
-        for name, s in summaries.items()
-    ]
-    print()
-    print(
-        format_table(
-            ["target class", "mean", "p50", "p90", "min", "max"],
-            rows,
-            title="Fig. 1 — RTT (ms) from 15 metro users",
-        )
-    )
+    show(result.table())
 
     volunteer = summaries["volunteer"]
     local_zone = summaries["local_zone"]

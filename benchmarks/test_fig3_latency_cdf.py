@@ -5,10 +5,9 @@ latency than the dedicated Local Zone instance (D6), because their
 network proximity outweighs D6's hardware; the slow V4 trails.
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.realworld import run_single_user_cdf
-from repro.metrics.report import format_cdf, format_table
 
 
 def test_fig3_latency_cdf(benchmark, bench_config):
@@ -21,16 +20,8 @@ def test_fig3_latency_cdf(benchmark, bench_config):
     )
 
     means = result.means()
-    print()
-    print(
-        format_table(
-            ["edge server", "mean e2e ms"],
-            [[node, means[node]] for node in ("V1", "V2", "V4", "D6")],
-            title=f"Fig. 3 — user {result.user_id} vs 4 edge servers",
-        )
-    )
-    for node, points in result.cdfs().items():
-        print(format_cdf(points, label=f"{node} e2e latency (ms)"))
+    show(result.table())
+    show(result.cdf_table())
 
     # Shape (the paper's claim): well-connected volunteers "can deliver
     # better performance compared to dedicated nodes" — the best

@@ -6,10 +6,9 @@ approach "can immediately switch to a backup edge node maintaining the
 continuous service".
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.realworld import run_failover_trace
-from repro.metrics.report import format_table
 
 
 def test_fig4_failover_trace(benchmark, bench_config):
@@ -21,17 +20,7 @@ def test_fig4_failover_trace(benchmark, bench_config):
         duration_ms=20_000.0,
     )
 
-    print()
-    print(
-        format_table(
-            ["approach", "peak latency after failure (ms)", "frames completed"],
-            [
-                ["proactive switch (ours)", result.proactive_peak_ms, len(result.proactive)],
-                ["re-connect", result.reactive_peak_ms, len(result.reactive)],
-            ],
-            title=f"Fig. 4 — node killed at t={result.fail_at_ms / 1000:.0f}s",
-        )
-    )
+    show(result.table())
     # Print the latency trace around the failure for both approaches.
     for label, trace in (("proactive", result.proactive), ("reactive", result.reactive)):
         around = [

@@ -6,10 +6,9 @@ locality-based and dedicated-edge-only approaches under high user
 demand"; dedicated-only degrades to worse-than-cloud at 15 users.
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.realworld import STRATEGIES, run_elasticity_sweep
-from repro.metrics.report import format_table
 
 USER_COUNTS = [1, 3, 5, 7, 9, 11, 13, 15]
 
@@ -19,18 +18,7 @@ def test_fig5_elasticity(benchmark, bench_config):
         benchmark, run_elasticity_sweep, bench_config, user_counts=USER_COUNTS
     )
 
-    rows = [
-        [strategy] + [f"{v:.0f}" for v in result.series(strategy)]
-        for strategy in STRATEGIES
-    ]
-    print()
-    print(
-        format_table(
-            ["strategy"] + [str(n) for n in USER_COUNTS],
-            rows,
-            title="Fig. 5 — average e2e latency (ms) by user count",
-        )
-    )
+    show(result.table())
     ours_at_15 = result.series("client_centric")[-1]
     for strategy in STRATEGIES:
         if strategy != "client_centric":

@@ -7,39 +7,15 @@ heterogeneity; client-centric assigns every user a low-latency node and
 rebalances dynamically via the proactive multi-node connections.
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.emulation import run_user_traces
-from repro.metrics.report import format_table
-from repro.metrics.stats import mean
 
 
 def test_fig6_user_traces(benchmark, bench_config):
     result = run_once(benchmark, run_user_traces, bench_config)
 
-    rows = []
-    for method in result.methods:
-        traces = result.traces[method]
-        all_values = [v for trace in traces.values() for _, v in trace]
-        tail = [
-            v for trace in traces.values() for t, v in trace if t >= 150_000.0
-        ]
-        rows.append(
-            [
-                method,
-                mean(all_values),
-                mean(tail),
-                result.over_150_users[method],
-            ]
-        )
-    print()
-    print(
-        format_table(
-            ["method", "trace mean ms", "steady mean ms", "users ever >150ms"],
-            rows,
-            title="Fig. 6 — per-user traces, 15 users joining every 10 s",
-        )
-    )
+    rows = show(result.table())
     # Show one example user trace per method (the figure's content).
     for method in result.methods:
         trace = result.traces[method]["u01"]

@@ -5,39 +5,15 @@ compared to 102% and 51% higher respectively for the locality-based and
 resource-aware selection approaches."
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.emulation import run_vs_optimal
-from repro.metrics.report import format_table
-
-PAPER_OVERHEADS = {
-    "client_centric": 12.0,
-    "resource_aware": 51.0,
-    "geo_proximity": 102.0,
-}
 
 
 def test_fig7_vs_optimal(benchmark, bench_config):
     result = run_once(benchmark, run_vs_optimal, bench_config)
 
-    rows = [["optimal (offline solver)", result.optimal_ms, "0%", "0%"]]
-    for method in ("client_centric", "resource_aware", "geo_proximity"):
-        rows.append(
-            [
-                method,
-                result.averages_ms[method],
-                f"{result.overhead_pct(method):+.0f}%",
-                f"+{PAPER_OVERHEADS[method]:.0f}%",
-            ]
-        )
-    print()
-    print(
-        format_table(
-            ["method", "avg latency ms", "vs optimal", "paper"],
-            rows,
-            title="Fig. 7 — average latency after all 15 users joined",
-        )
-    )
+    show(result.table())
 
     ours = result.overhead_pct("client_centric")
     wrr = result.overhead_pct("resource_aware")

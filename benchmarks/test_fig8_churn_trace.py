@@ -7,25 +7,16 @@ nodes leave the system (downward steps), the average latency does
 increase but there is no service disruption."
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.churn_experiment import run_churn_trace
-from repro.metrics.report import format_table
 
 
 def test_fig8_churn_trace(benchmark, bench_config):
     result = run_once(benchmark, run_churn_trace, bench_config)
 
-    print()
-    print(f"Fig. 8 — {result.total_nodes} volunteer episodes over 3 minutes")
-    print("  population steps:", [
-        f"{t/1000:.0f}s:{c}" for t, c in result.population_steps
-    ])
-    rows = [
-        [f"{t / 1000:.0f}-{t / 1000 + 5:.0f}s", v]
-        for t, v in result.latency_trace
-    ]
-    print(format_table(["window", "avg latency ms"], rows))
+    show(result.population_table())
+    show(result.latency_table())
 
     assert result.total_nodes == 18  # the paper's selected configuration
 

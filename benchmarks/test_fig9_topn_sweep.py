@@ -8,35 +8,15 @@ Paper:
   (d) larger TopN improves fairness (lower std-dev across users).
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.churn_experiment import run_topn_sweep
-from repro.metrics.report import format_table
 
 
 def test_fig9_topn_sweep(benchmark, bench_config):
     result = run_once(benchmark, run_topn_sweep, bench_config)
 
-    rows = [
-        [
-            top_n,
-            result.probes[top_n],
-            result.test_invocations[top_n],
-            result.avg_latency_ms[top_n],
-            result.fairness_std_ms[top_n],
-            result.uncovered_failures[top_n],
-        ]
-        for top_n in result.top_ns
-    ]
-    print()
-    print(
-        format_table(
-            ["TopN", "(a) probes", "(b) test invocations", "(c) avg ms 60-120s",
-             "(d) fairness std", "failures"],
-            rows,
-            title="Fig. 9 — TopN sweep over the same churn trace",
-        )
-    )
+    show(result.table())
 
     probes = [result.probes[n] for n in result.top_ns]
     invocations = [result.test_invocations[n] for n in result.top_ns]

@@ -5,10 +5,9 @@ profile's single-frame processing time on an idle simulated node and
 checks it reproduces the table exactly.
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
-from repro.metrics.report import format_table
-from repro.nodes.hardware import CLOUD_NODE, DEDICATED_PROFILES, VOLUNTEER_PROFILES
+from repro.experiments.realworld import TABLE2_PROFILES, hardware_table
 from repro.nodes.processing import FrameProcessor
 
 PAPER_TABLE2 = {
@@ -27,7 +26,7 @@ PAPER_TABLE2 = {
 
 def measure_all():
     measured = {}
-    for profile in [*VOLUNTEER_PROFILES, *DEDICATED_PROFILES, CLOUD_NODE]:
+    for profile in TABLE2_PROFILES:
         processor = FrameProcessor(profile)
         frame = processor.submit(0.0)
         measured[profile.name] = (profile, frame.sojourn_ms)
@@ -37,18 +36,7 @@ def measure_all():
 def test_table2_hardware(benchmark):
     measured = run_once(benchmark, measure_all)
 
-    rows = [
-        [name, profile.processor, profile.cores, sojourn, PAPER_TABLE2[name]]
-        for name, (profile, sojourn) in measured.items()
-    ]
-    print()
-    print(
-        format_table(
-            ["node", "processor", "cores", "measured ms", "paper ms"],
-            rows,
-            title="Table II — idle per-frame processing time",
-        )
-    )
+    show(hardware_table())
 
     for name, (_, sojourn) in measured.items():
         assert sojourn == PAPER_TABLE2[name], f"{name} deviates from Table II"

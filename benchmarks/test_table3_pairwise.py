@@ -6,31 +6,15 @@ Paper: "Best-performing nodes are accurately selected for 3 users,
 addressing the networking and processing heterogeneity."
 """
 
-from conftest import run_once
+from conftest import run_once, show
 
 from repro.experiments.realworld import run_pairwise_selection
-from repro.metrics.report import format_table
 
 
 def test_table3_pairwise_selection(benchmark, bench_config):
     result = run_once(benchmark, run_pairwise_selection, bench_config)
 
-    rows = []
-    for user in result.user_ids:
-        cells = []
-        for node in result.node_ids:
-            value = result.pairwise_ms[(user, node)]
-            marker = "*" if result.selected[user] == node else " "
-            cells.append(f"{value:5.0f}{marker}")
-        rows.append([user] + cells)
-    print()
-    print(
-        format_table(
-            ["user"] + list(result.node_ids),
-            rows,
-            title="Table III — pairwise e2e latency (ms); * = selected (TopN=6)",
-        )
-    )
+    show(result.table())
 
     for user in result.user_ids:
         row = {node: result.pairwise_ms[(user, node)] for node in result.node_ids}

@@ -29,9 +29,6 @@ Quickstart::
         .build()
     )
     scenario.run_for(30_000)
-
-The old keyword-heavy methods survive as deprecated thin wrappers on
-:class:`~repro.core.system.EdgeSystem`.
 """
 
 from __future__ import annotations

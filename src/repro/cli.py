@@ -8,6 +8,8 @@ Usage::
     python -m repro table3
     python -m repro qos --qos-ms 80
     python -m repro chaos --run sim --seed 0 --out chaos.jsonl
+    python -m repro chaos --plan controlplane --shards 2 --replicas 2
+    python -m repro controlplane         # alias: chaos --plan controlplane
     python -m repro chaos hunt --scenario controlplane --config failure_detection_ms=4000 --out repro.json
     python -m repro chaos replay repro.json
     python -m repro chaos check chaos.jsonl
@@ -15,252 +17,36 @@ Usage::
     python -m repro sweep status --store .sweeps/fig9_topn
     python -m repro sweep report --store .sweeps/fig9_topn
 
-Every command prints the same tables the benchmark harness does; seeds
-make runs reproducible. This is deliberately thin plumbing over
-:mod:`repro.experiments` — anything the CLI prints, library users can
-compute programmatically.
+The paper-artifact commands are one handler over
+:data:`repro.experiments.ARTIFACTS`: each prints the tables its result
+type defines, the same ones the benchmark harness prints; seeds make
+runs reproducible. This is deliberately thin plumbing — anything the
+CLI prints, library users can compute programmatically.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SystemConfig
-from repro.metrics.report import format_cdf, format_table
+from repro.experiments import ARTIFACTS
+from repro.metrics.report import format_table, render
 
 
-def _config(args: argparse.Namespace) -> SystemConfig:
-    return SystemConfig(seed=args.seed)
-
-
-# ----------------------------------------------------------------------
-# Command implementations
-# ----------------------------------------------------------------------
-def cmd_fig1(args: argparse.Namespace) -> None:
-    from repro.experiments.network_study import run_network_study
-
-    result = run_network_study(_config(args), probes_per_pair=args.probes)
-    rows = [
-        [name, s.mean_ms, s.p50_ms, s.p90_ms, s.min_ms, s.max_ms]
-        for name, s in result.summaries().items()
-    ]
-    print(
-        format_table(
-            ["target class", "mean", "p50", "p90", "min", "max"],
-            rows,
-            title="Fig. 1 — RTT (ms) from metro users",
-        )
+def cmd_artifact(args: argparse.Namespace) -> None:
+    artifact = ARTIFACTS[args.command]
+    result = artifact.run(
+        SystemConfig(seed=args.seed),
+        **{keyword: getattr(args, keyword) for _, keyword, _ in artifact.options},
     )
-
-
-def cmd_table2(args: argparse.Namespace) -> None:
-    from repro.nodes.hardware import CLOUD_NODE, DEDICATED_PROFILES, VOLUNTEER_PROFILES
-
-    rows = [
-        [p.name, p.processor, p.cores, p.base_frame_ms, p.capacity_fps]
-        for p in [*VOLUNTEER_PROFILES, *DEDICATED_PROFILES, CLOUD_NODE]
-    ]
-    print(
-        format_table(
-            ["node", "processor", "cores", "frame ms", "capacity fps"],
-            rows,
-            title="Table II — hardware catalog",
-        )
+    tables = artifact.tables + tuple(
+        table for name, _, table in artifact.switches if getattr(args, name)
     )
-
-
-def cmd_fig3(args: argparse.Namespace) -> None:
-    from repro.experiments.realworld import run_single_user_cdf
-
-    result = run_single_user_cdf(_config(args))
-    means = result.means()
-    print(
-        format_table(
-            ["edge server", "mean e2e ms"],
-            [[node, means[node]] for node in result.latencies],
-            title=f"Fig. 3 — user {result.user_id} vs edge servers",
-        )
-    )
-    if args.cdf:
-        for node, points in result.cdfs().items():
-            print(format_cdf(points, label=f"{node} e2e (ms)"))
-
-
-def cmd_table3(args: argparse.Namespace) -> None:
-    from repro.experiments.realworld import run_pairwise_selection
-
-    result = run_pairwise_selection(_config(args))
-    rows = []
-    for user in result.user_ids:
-        cells = [
-            f"{result.pairwise_ms[(user, node)]:5.0f}"
-            + ("*" if result.selected[user] == node else " ")
-            for node in result.node_ids
-        ]
-        rows.append([user] + cells)
-    print(
-        format_table(
-            ["user"] + list(result.node_ids),
-            rows,
-            title="Table III — pairwise e2e latency (ms); * = selected",
-        )
-    )
-
-
-def cmd_fig4(args: argparse.Namespace) -> None:
-    from repro.experiments.realworld import run_failover_trace
-
-    result = run_failover_trace(_config(args))
-    print(
-        format_table(
-            ["approach", "peak latency after failure (ms)"],
-            [
-                ["proactive switch (ours)", result.proactive_peak_ms],
-                ["re-connect", result.reactive_peak_ms],
-            ],
-            title=f"Fig. 4 — node killed at t={result.fail_at_ms / 1000:.0f}s",
-        )
-    )
-
-
-def cmd_fig5(args: argparse.Namespace) -> None:
-    from repro.experiments.realworld import STRATEGIES, run_elasticity_sweep
-
-    counts = args.users or [1, 3, 5, 7, 9, 11, 13, 15]
-    result = run_elasticity_sweep(_config(args), user_counts=counts)
-    rows = [
-        [strategy] + [f"{v:.0f}" for v in result.series(strategy)]
-        for strategy in STRATEGIES
-    ]
-    print(
-        format_table(
-            ["strategy"] + [str(n) for n in counts],
-            rows,
-            title="Fig. 5 — average e2e latency (ms) by user count",
-        )
-    )
-
-
-def cmd_fig6(args: argparse.Namespace) -> None:
-    from repro.experiments.emulation import run_user_traces
-    from repro.metrics.stats import mean
-
-    result = run_user_traces(_config(args))
-    rows = []
-    for method in result.methods:
-        values = [v for trace in result.traces[method].values() for _, v in trace]
-        rows.append([method, mean(values), result.over_150_users[method]])
-    print(
-        format_table(
-            ["method", "trace mean ms", "users ever >150ms"],
-            rows,
-            title="Fig. 6 — per-user traces (emulation)",
-        )
-    )
-
-
-def cmd_fig7(args: argparse.Namespace) -> None:
-    from repro.experiments.emulation import run_vs_optimal
-
-    result = run_vs_optimal(_config(args))
-    rows = [["optimal (offline)", result.optimal_ms, "0%"]]
-    for method, value in result.averages_ms.items():
-        rows.append([method, value, f"{result.overhead_pct(method):+.0f}%"])
-    print(
-        format_table(
-            ["method", "avg latency ms", "vs optimal"],
-            rows,
-            title="Fig. 7 — settled average vs optimal assignment",
-        )
-    )
-
-
-def cmd_fig8(args: argparse.Namespace) -> None:
-    from repro.experiments.churn_experiment import run_churn_trace
-
-    result = run_churn_trace(_config(args))
-    print(f"Fig. 8 — {result.total_nodes} volunteer episodes over 3 minutes")
-    print(
-        "population:",
-        " ".join(f"{t / 1000:.0f}s:{c}" for t, c in result.population_steps),
-    )
-    print(
-        format_table(
-            ["window", "avg latency ms"],
-            [[f"{t / 1000:.0f}s", v] for t, v in result.latency_trace],
-        )
-    )
-
-
-def cmd_fig9(args: argparse.Namespace) -> None:
-    from repro.experiments.churn_experiment import run_topn_sweep
-
-    top_ns = tuple(args.top_n or (1, 2, 3, 4, 5))
-    result = run_topn_sweep(_config(args), top_ns=top_ns)
-    rows = [
-        [
-            n,
-            result.probes[n],
-            result.test_invocations[n],
-            result.avg_latency_ms[n],
-            result.fairness_std_ms[n],
-            result.uncovered_failures[n],
-        ]
-        for n in result.top_ns
-    ]
-    print(
-        format_table(
-            ["TopN", "probes", "test invocations", "avg ms", "fairness std",
-             "failures"],
-            rows,
-            title="Fig. 9 — TopN sweep",
-        )
-    )
-
-
-def cmd_fig10(args: argparse.Namespace) -> None:
-    from repro.experiments.churn_experiment import run_fault_tolerance
-
-    result = run_fault_tolerance(_config(args))
-    print(
-        format_table(
-            ["approach", "mean recovery downtime ms"],
-            [
-                ["proactive (ours)", result.proactive_recovery_ms],
-                ["reactive re-connect", result.reactive_recovery_ms],
-            ],
-            title="Fig. 10(a) — failover downtime",
-        )
-    )
-    print(
-        format_table(
-            ["TopN", "uncovered failures"],
-            [[n, result.failures_by_topn[n]] for n in sorted(result.failures_by_topn)],
-            title="Fig. 10(b) — failures by TopN",
-        )
-    )
-
-
-def cmd_qos(args: argparse.Namespace) -> None:
-    from repro.experiments.qos_admission import run_qos_admission
-
-    result = run_qos_admission(_config(args), qos_latency_ms=args.qos_ms)
-    rows = []
-    for n in result.user_counts:
-        w, wo = result.with_qos[n], result.without_qos[n]
-        rows.append(
-            [n, f"{w.admitted}/{n}", f"{w.violation_rate:.1%}",
-             f"{wo.violation_rate:.1%}"]
-        )
-    print(
-        format_table(
-            ["users", "admitted (QoS on)", "violations (on)", "violations (off)"],
-            rows,
-            title=f"QoS admission control at {args.qos_ms:.0f} ms",
-        )
-    )
+    for table in tables:
+        print(render(table(result)))
 
 
 def _write_trace(events: Sequence[object], path: str) -> None:
@@ -288,56 +74,31 @@ def _parse_config_overrides(pairs: Sequence[str]) -> Dict[str, object]:
         if "=" not in pair:
             raise SystemExit(f"--config expects KEY=VALUE, got {pair!r}")
         key, raw = pair.split("=", 1)
-        value: object
         if raw.lower() in ("true", "false"):
-            value = raw.lower() == "true"
+            overrides[key] = raw.lower() == "true"
         else:
-            try:
-                value = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-        overrides[key] = value
+            overrides[key] = _parse_param_value(raw)
     return overrides
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    command = getattr(args, "chaos_command", None)
-    if command == "hunt":
-        return _cmd_chaos_hunt(args)
-    if command == "replay":
-        return _cmd_chaos_replay(args)
-    if command == "check":
-        return _cmd_chaos_check(args)
-    return _cmd_chaos_run(args)
+def cmd_group(args: argparse.Namespace) -> Optional[int]:
+    """``chaos``, ``sweep``, ``bench`` and ``policy`` are groups: each
+    (sub)parser names its own handler."""
+    return args.handler(args)
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from repro.faults.scenarios import (
-        run_live_chaos,
-        run_sim_chaos,
-        run_sim_controlplane_chaos,
-    )
+    from repro.faults.scenarios import SCENARIOS, run_chaos
 
-    if args.plan == "controlplane":
-        if args.run == "live":
-            raise SystemExit(
-                "--plan controlplane runs on the sim backend only "
-                "(use the `controlplane` command's defaults)"
-            )
-        report, events = run_sim_controlplane_chaos(
-            args.seed, horizon_ms=args.horizon_ms
+    try:
+        report, events = run_chaos(
+            SCENARIOS[args.plan](args.shards, args.replicas),
+            backend=args.run,
+            seed=args.seed,
+            horizon_ms=args.horizon_ms,
         )
-    elif args.run == "live":
-        import asyncio
-
-        report, events = asyncio.run(
-            run_live_chaos(args.seed, horizon_ms=args.horizon_ms)
-        )
-    else:
-        report, events = run_sim_chaos(args.seed, horizon_ms=args.horizon_ms)
+    except ValueError as refused:  # a plan the backend cannot honour
+        raise SystemExit(str(refused)) from None
     if args.out:
         _write_trace(events, args.out)
     for line in report.summary_lines():
@@ -394,9 +155,8 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
     if args.out:
         _write_trace(events, args.out)
     print(f"expected: {artifact.violation}")
-    violations = getattr(report, "violations", [])
-    if violations:
-        _print_violations(violations)
+    if report.violations:
+        _print_violations(report.violations)
     if reproduced:
         print("reproduced: identical violation")
         return 0
@@ -424,43 +184,6 @@ def _cmd_chaos_check(args: argparse.Namespace) -> int:
         return 1
     print("all streaming invariants hold")
     return 0
-
-
-def cmd_controlplane(args: argparse.Namespace) -> None:
-    from repro.faults.scenarios import run_sim_controlplane_chaos
-
-    report, events = run_sim_controlplane_chaos(
-        args.seed,
-        shards=args.shards,
-        replicas=args.replicas,
-        horizon_ms=args.horizon_ms,
-    )
-    if args.out:
-        from repro.obs.tracer import JsonlSink
-
-        sink = JsonlSink(args.out)
-        try:
-            for event in events:
-                sink.write(event)
-        finally:
-            sink.close()
-        print(f"trace: {len(events)} events -> {args.out}")
-    for line in report.summary_lines():
-        print(line)
-    print(
-        "control plane: "
-        + ", ".join(
-            f"{kind}={report.event_counts.get(kind, 0)}"
-            for kind in (
-                "shard_route",
-                "shard_merge",
-                "manager_promote",
-                "registry_handoff",
-            )
-        )
-    )
-    if not report.ok:
-        raise SystemExit(1)
 
 
 def cmd_trace(args: argparse.Namespace) -> None:
@@ -539,7 +262,8 @@ def cmd_trace(args: argparse.Namespace) -> None:
 # Sweep engine (repro.sweep)
 # ----------------------------------------------------------------------
 def _parse_param_value(raw: str):
-    """``--param`` value coercion: int, then float, then bare string."""
+    """``--param`` / ``--config`` value coercion: int, then float, then
+    bare string."""
     for cast in (int, float):
         try:
             return cast(raw)
@@ -756,18 +480,6 @@ def cmd_sweep_list(args: argparse.Namespace) -> None:
             print(f"    {param.ljust(width)}  {exp.param_help[param]}")
 
 
-_SWEEP_SUBCOMMANDS = {
-    "run": cmd_sweep_run,
-    "status": cmd_sweep_status,
-    "report": cmd_sweep_report,
-    "list": cmd_sweep_list,
-}
-
-
-def cmd_sweep(args: argparse.Namespace) -> None:
-    _SWEEP_SUBCOMMANDS[args.sweep_command](args)
-
-
 # ----------------------------------------------------------------------
 # Perf benchmarks (benchmarks/perf via repro.metrics.bench)
 # ----------------------------------------------------------------------
@@ -806,16 +518,6 @@ def cmd_bench_run(args: argparse.Namespace) -> None:
         raise SystemExit(rc)
 
 
-_BENCH_SUBCOMMANDS = {
-    "run": cmd_bench_run,
-    "list": cmd_bench_list,
-}
-
-
-def cmd_bench(args: argparse.Namespace) -> None:
-    _BENCH_SUBCOMMANDS[args.bench_command](args)
-
-
 # ----------------------------------------------------------------------
 # Selection policies (repro.policy)
 # ----------------------------------------------------------------------
@@ -831,36 +533,16 @@ def cmd_policy_list(args: argparse.Namespace) -> None:
     )
 
 
-_POLICY_SUBCOMMANDS = {
-    "list": cmd_policy_list,
-}
-
-
-def cmd_policy(args: argparse.Namespace) -> None:
-    _POLICY_SUBCOMMANDS[args.policy_command](args)
-
-
 COMMANDS = {
-    "fig1": (cmd_fig1, "Fig. 1 network study"),
-    "table2": (cmd_table2, "Table II hardware catalog"),
-    "fig3": (cmd_fig3, "Fig. 3 single-user latency CDFs"),
-    "table3": (cmd_table3, "Table III pairwise latency + selection"),
-    "fig4": (cmd_fig4, "Fig. 4 failover trace"),
-    "fig5": (cmd_fig5, "Fig. 5 elasticity sweep"),
-    "fig6": (cmd_fig6, "Fig. 6 per-user traces"),
-    "fig7": (cmd_fig7, "Fig. 7 vs optimal assignment"),
-    "fig8": (cmd_fig8, "Fig. 8 churn trace"),
-    "fig9": (cmd_fig9, "Fig. 9 TopN sweep"),
-    "fig10": (cmd_fig10, "Fig. 10 fault tolerance"),
-    "qos": (cmd_qos, "QoS admission extension"),
-    "chaos": (cmd_chaos, "seeded fault-injection run with recovery checks"),
-    "controlplane": (cmd_controlplane,
-                     "sharded control-plane chaos: kill shard primaries, "
-                     "check promotion + recovery"),
+    **{name: (cmd_artifact, a.help) for name, a in ARTIFACTS.items()},
+    "chaos": (cmd_group, "seeded fault-injection run with recovery checks"),
+    "controlplane": (cmd_group,
+                     "alias of `chaos --plan controlplane`: kill shard "
+                     "primaries, check promotion + recovery"),
     "trace": (cmd_trace, "capture/summarize a structured trace"),
-    "sweep": (cmd_sweep, "parallel, resumable experiment sweeps"),
-    "policy": (cmd_policy, "inspect the selection-policy registry"),
-    "bench": (cmd_bench, "run the registered perf benchmarks"),
+    "sweep": (cmd_group, "parallel, resumable experiment sweeps"),
+    "policy": (cmd_group, "inspect the selection-policy registry"),
+    "bench": (cmd_group, "run the registered perf benchmarks"),
 }
 
 
@@ -868,6 +550,7 @@ def _add_bench_subparsers(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="bench_command", required=True)
 
     run = sub.add_parser("run", help="run one registered benchmark")
+    run.set_defaults(handler=cmd_bench_run)
     run.add_argument("bench_name", metavar="NAME",
                      help="benchmark name (see `bench list`)")
     run.add_argument(
@@ -881,13 +564,16 @@ def _add_bench_subparsers(parser: argparse.ArgumentParser) -> None:
              "(prefix with `--`)",
     )
 
-    sub.add_parser("list", help="list registered perf benchmarks")
+    sub.add_parser("list", help="list registered perf benchmarks").set_defaults(
+        handler=cmd_bench_list
+    )
 
 
 def _add_sweep_subparsers(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="sweep_command", required=True)
 
     run = sub.add_parser("run", help="execute (or resume) a sweep")
+    run.set_defaults(handler=cmd_sweep_run)
     run.add_argument("--experiment", required=True,
                      help="registered experiment name (see `sweep list`)")
     run.add_argument(
@@ -929,9 +615,11 @@ def _add_sweep_subparsers(parser: argparse.ArgumentParser) -> None:
                      help="JSONL sink for sweep lifecycle trace events")
 
     status = sub.add_parser("status", help="completed/failed/pending counts")
+    status.set_defaults(handler=cmd_sweep_status)
     status.add_argument("--store", required=True, metavar="DIR")
 
     report = sub.add_parser("report", help="cross-seed aggregate tables")
+    report.set_defaults(handler=cmd_sweep_report)
     report.add_argument("--store", required=True, metavar="DIR")
     report.add_argument("--metric", default=None,
                         help="report one metric (default: all)")
@@ -957,21 +645,37 @@ def _add_sweep_subparsers(parser: argparse.ArgumentParser) -> None:
              "byte-identical; exit non-zero if stale (CI gate)",
     )
 
-    sub.add_parser("list", help="list sweepable experiments")
+    sub.add_parser("list", help="list sweepable experiments").set_defaults(
+        handler=cmd_sweep_list
+    )
 
 
-def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
-    # Legacy single-run flags live on the parent parser; the hunt /
-    # replay / check subcommands are optional, so a bare
-    # `repro chaos --seed 0` still means "run the canonical plan once".
+def _add_chaos_arguments(parser: argparse.ArgumentParser, *, plan: str) -> None:
+    """``repro chaos`` and its alias ``repro controlplane`` (which only
+    defaults ``--plan`` differently)."""
+    from repro.faults.scenarios import SCENARIOS
+
+    # Single-run flags live on the parent parser; the hunt / replay /
+    # check subcommands are optional, so a bare `repro chaos --seed 0`
+    # still means "run the canonical plan once".
+    parser.set_defaults(handler=_cmd_chaos_run)
+    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--run", choices=("sim", "live"), default="sim",
         help="which backend to drive through the plan",
     )
     parser.add_argument(
-        "--plan", choices=("canonical", "controlplane"), default="canonical",
-        help="which canonical schedule to replay: the all-families plan "
+        "--plan", choices=tuple(SCENARIOS), default=plan,
+        help="which scenario's schedule to replay: the all-families plan "
              "or the shard-targeted control-plane plan (sim only)",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=2,
+        help="control-plane shard count (controlplane plan)",
+    )
+    parser.add_argument(
+        "--replicas", type=int, default=2,
+        help="replicas per shard (controlplane plan; 2+ exercises promotion)",
     )
     parser.add_argument(
         "--horizon-ms", type=float, default=20_000.0,
@@ -988,9 +692,10 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
         help="search seeded fault schedules for invariant violations "
              "and shrink the first find to a minimal reproducer",
     )
+    hunt.set_defaults(handler=_cmd_chaos_hunt)
     hunt.add_argument("--seed", type=int, default=0, help="hunt seed")
     hunt.add_argument(
-        "--scenario", choices=("canonical", "controlplane"),
+        "--scenario", choices=tuple(SCENARIOS),
         default="canonical", help="scenario family to replay plans on",
     )
     hunt.add_argument("--attempts", type=int, default=25,
@@ -1015,6 +720,7 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
     replay = sub.add_parser(
         "replay", help="re-execute a repro artifact bit-identically"
     )
+    replay.set_defaults(handler=_cmd_chaos_replay)
     replay.add_argument("artifact", metavar="ARTIFACT.json",
                         help="artifact written by `chaos hunt --out`")
     replay.add_argument("--out", default=None, metavar="PATH",
@@ -1023,6 +729,7 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
     check = sub.add_parser(
         "check", help="run the streaming invariant suite over a trace JSONL"
     )
+    check.set_defaults(handler=_cmd_chaos_check)
     check.add_argument("trace", metavar="TRACE.jsonl",
                        help="obs trace from either backend")
     check.add_argument(
@@ -1037,6 +744,48 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_policy_subparsers(parser: argparse.ArgumentParser) -> None:
+    sub = parser.add_subparsers(dest="policy_command", required=True)
+    sub.add_parser("list", help="list registered selection policies").set_defaults(
+        handler=cmd_policy_list
+    )
+
+
+def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument(
+        "--run", choices=("sim", "live"), default="sim",
+        help="which backend to capture from",
+    )
+    parser.add_argument(
+        "--out", default="trace.jsonl",
+        help="JSONL sink path for a fresh capture",
+    )
+    parser.add_argument(
+        "--summary", default=None, metavar="PATH",
+        help="summarize an existing JSONL trace instead of running",
+    )
+    parser.add_argument(
+        "--timeline", default=None, metavar="USER",
+        help="also print one user's event timeline",
+    )
+    parser.add_argument("--limit", type=int, default=40,
+                        help="max timeline rows")
+    parser.add_argument("--bin-ms", type=float, default=100.0,
+                        help="failover-gap histogram bin width")
+
+
+#: Commands that are not paper artifacts bring their own arguments.
+_ARGUMENTS = {
+    "chaos": partial(_add_chaos_arguments, plan="canonical"),
+    "controlplane": partial(_add_chaos_arguments, plan="controlplane"),
+    "trace": _add_trace_arguments,
+    "sweep": _add_sweep_subparsers,
+    "policy": _add_policy_subparsers,
+    "bench": _add_bench_subparsers,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1048,71 +797,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (_, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        if name == "sweep":
-            _add_sweep_subparsers(sub)
-            continue
-        if name == "bench":
-            _add_bench_subparsers(sub)
-            continue
-        if name == "policy":
-            policy_sub = sub.add_subparsers(
-                dest="policy_command", required=True
-            )
-            policy_sub.add_parser(
-                "list", help="list registered selection policies"
-            )
+        if name in _ARGUMENTS:
+            _ARGUMENTS[name](sub)
             continue
         sub.add_argument("--seed", type=int, default=42)
-        if name == "fig1":
-            sub.add_argument("--probes", type=int, default=20)
-        if name == "fig3":
-            sub.add_argument("--cdf", action="store_true", help="print full CDFs")
-        if name == "fig5":
-            sub.add_argument("--users", type=int, nargs="+", default=None)
-        if name == "fig9":
-            sub.add_argument("--top-n", type=int, nargs="+", default=None)
-        if name == "qos":
-            sub.add_argument("--qos-ms", type=float, default=90.0)
-        if name == "chaos":
-            _add_chaos_arguments(sub)
-        if name == "controlplane":
-            sub.add_argument(
-                "--shards", type=int, default=2,
-                help="control-plane shard count",
-            )
-            sub.add_argument(
-                "--replicas", type=int, default=2,
-                help="replicas per shard (2+ exercises promotion)",
-            )
-            sub.add_argument(
-                "--horizon-ms", type=float, default=20_000.0,
-                help="scenario length in application milliseconds",
-            )
-            sub.add_argument(
-                "--out", default=None, metavar="PATH",
-                help="also dump the full trace as JSONL",
-            )
-        if name == "trace":
-            sub.add_argument(
-                "--run", choices=("sim", "live"), default="sim",
-                help="which backend to capture from",
-            )
-            sub.add_argument(
-                "--out", default="trace.jsonl",
-                help="JSONL sink path for a fresh capture",
-            )
-            sub.add_argument(
-                "--summary", default=None, metavar="PATH",
-                help="summarize an existing JSONL trace instead of running",
-            )
-            sub.add_argument(
-                "--timeline", default=None, metavar="USER",
-                help="also print one user's event timeline",
-            )
-            sub.add_argument("--limit", type=int, default=40,
-                             help="max timeline rows")
-            sub.add_argument("--bin-ms", type=float, default=100.0,
-                             help="failover-gap histogram bin width")
+        for flag, keyword, kwargs in ARTIFACTS[name].options:
+            sub.add_argument(flag, dest=keyword, **kwargs)
+        for switch, help_text, _ in ARTIFACTS[name].switches:
+            sub.add_argument(f"--{switch}", action="store_true", help=help_text)
     return parser
 
 

@@ -32,13 +32,14 @@ whole-manager outage would.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.controlplane.errors import ControlPlaneUnavailable
-from repro.controlplane.router import PartialSelection, ShardRouter
+from repro.controlplane.replication import ReplicaSet
+from repro.controlplane.router import PartialSelection, ShardRouter, emit_routing
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
 from repro.messages import CandidateList, DiscoveryQuery, from_wire, to_wire
-from repro.obs.events import ManagerPromote, RegistryHandoff, ShardMerge, ShardRoute
+from repro.obs.events import ManagerPromote, RegistryHandoff
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.runtime import protocol
@@ -78,8 +79,10 @@ class RouterServer:
         self._replicas: List[List[Address]] = [
             list(addresses) for addresses in replica_addresses
         ]
-        self._primary: List[int] = [0] * shard_map.count
-        self._down: List[Set[int]] = [set() for _ in range(shard_map.count)]
+        #: Per shard: which replicas are up and which one serves.
+        self.members: List[ReplicaSet] = [
+            ReplicaSet(len(addresses)) for addresses in self._replicas
+        ]
         #: node id -> serving address, refreshed from heartbeats.
         self._addresses: Dict[str, Address] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -112,38 +115,27 @@ class RouterServer:
     # ------------------------------------------------------------------
     # Replica bookkeeping
     # ------------------------------------------------------------------
-    def serving_primary(self, shard: int) -> Optional[int]:
-        """The replica currently serving ``shard`` (None = unavailable)."""
-        primary = self._primary[shard]
-        return None if primary in self._down[shard] else primary
-
     def mark_down(self, shard: int, replica: int) -> None:
-        self._down[shard].add(replica)
+        self.members[shard].mark_down(replica)
         self._links.discard(*self._replicas[shard][replica])
 
     def mark_up(self, shard: int, replica: int) -> None:
         """A rejoined replica gets a fresh link: a socket to the process
         that died on this port would only mark it down again."""
-        self._down[shard].discard(replica)
+        self.members[shard].mark_up(replica)
         self._links.discard(*self._replicas[shard][replica])
 
     def _promote(self, shard: int, reason: str) -> Optional[int]:
         """Promote the lowest alive standby; None when all are down."""
-        alive = [
-            index
-            for index in range(len(self._replicas[shard]))
-            if index not in self._down[shard]
-        ]
-        if not alive:
-            return None
-        self._primary[shard] = alive[0]
-        self.promotions += 1
-        self.tracer.emit(
-            ManagerPromote(
-                self.tracer.now(), shard=shard, replica=alive[0], reason=reason
+        replica = self.members[shard].promote()
+        if replica is not None:
+            self.promotions += 1
+            self.tracer.emit(
+                ManagerPromote(
+                    self.tracer.now(), shard=shard, replica=replica, reason=reason
+                )
             )
-        )
-        return alive[0]
+        return replica
 
     async def _rpc(self, address: Address, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One exchange with a replica, over its standing link."""
@@ -164,12 +156,11 @@ class RouterServer:
             ControlPlaneUnavailable: every replica of the shard is down.
         """
         while True:
-            replica = self.serving_primary(shard)
+            replica = self.members[shard].serving_index()
             if replica is None:
-                replica_or_none = self._promote(shard, reason="unreachable")
-                if replica_or_none is None:
+                replica = self._promote(shard, reason="unreachable")
+                if replica is None:
                     raise ControlPlaneUnavailable(shard)
-                replica = replica_or_none
             try:
                 reply = await self._rpc(
                     self._replicas[shard][replica],
@@ -209,8 +200,11 @@ class RouterServer:
                 "queries_served": self.queries_served,
                 "heartbeats_received": self.heartbeats_received,
                 "promotions": self.promotions,
-                "primaries": list(self._primary),
-                "down": [sorted(d) for d in self._down],
+                "primaries": [m.primary for m in self.members],
+                "down": [
+                    [r for r in range(m.replicas) if m.is_down(r)]
+                    for m in self.members
+                ],
             }
         return {"ok": False, "error": f"unknown op: {op!r}"}
 
@@ -219,7 +213,7 @@ class RouterServer:
         shard = self.router.owner_of(status)
         delivered = 0
         for replica, address in enumerate(self._replicas[shard]):
-            if replica in self._down[shard]:
+            if self.members[shard].is_down(replica):
                 continue
             try:
                 reply = await self._rpc(address, "heartbeat", payload)
@@ -234,7 +228,7 @@ class RouterServer:
             delivered += 1
         self.heartbeats_received += 1
         self._addresses[status.node_id] = node_address
-        if self.serving_primary(shard) is None:
+        if self.members[shard].serving_index() is None:
             self._promote(shard, reason="unreachable")
         return {"ok": True, "delivered": delivered}
 
@@ -260,26 +254,7 @@ class RouterServer:
             return None
         routed = self.router.merge(query, local, wide)
         if self.tracer.enabled:
-            now = self.tracer.now()
-            self.tracer.emit(
-                ShardRoute(
-                    now,
-                    user_id=query.user_id,
-                    shards=routed.shards_queried,
-                    epoch=self.shard_map.epoch,
-                    cross_shard=routed.cross_shard,
-                )
-            )
-            if routed.cross_shard:
-                self.tracer.emit(
-                    ShardMerge(
-                        now,
-                        user_id=query.user_id,
-                        shards=len(routed.shards_queried),
-                        pool=routed.pool,
-                        widened=routed.widened,
-                    )
-                )
+            emit_routing(self.tracer, self.tracer.now(), query.user_id, routed)
         candidates = CandidateList(
             user_id=query.user_id,
             node_ids=routed.node_ids,
@@ -337,17 +312,23 @@ class ControlPlaneCluster:
         assert self.router is not None
         return (self.router.host, self.router.port)
 
+    async def _start_manager(self, shard: int, replica: int) -> ManagerServer:
+        """Boot one replica — on its old port, if it had one."""
+        server = ManagerServer(
+            port=self._ports[shard][replica],
+            policy=self.policy,
+            heartbeat_timeout_s=self.heartbeat_timeout_s,
+            tracer=Tracer.disabled(),
+        )
+        await server.start()
+        self.managers[shard][replica] = server
+        self._ports[shard][replica] = server.port
+        return server
+
     async def start(self) -> None:
         for shard in range(self.shard_map.count):
             for replica in range(len(self.managers[shard])):
-                server = ManagerServer(
-                    policy=self.policy,
-                    heartbeat_timeout_s=self.heartbeat_timeout_s,
-                    tracer=Tracer.disabled(),
-                )
-                await server.start()
-                self.managers[shard][replica] = server
-                self._ports[shard][replica] = server.port
+                await self._start_manager(shard, replica)
         self.router = RouterServer(
             shard_map=self.shard_map,
             replica_addresses=[
@@ -375,7 +356,7 @@ class ControlPlaneCluster:
     async def kill_primary(self, shard: int) -> int:
         """Stop the shard's serving manager; returns the replica index."""
         assert self.router is not None
-        replica = self.router.serving_primary(shard)
+        replica = self.router.members[shard].serving_index()
         if replica is None:
             raise RuntimeError(f"shard {shard} has no serving primary to kill")
         server = self.managers[shard][replica]
@@ -395,16 +376,9 @@ class ControlPlaneCluster:
         assert self.router is not None
         if self.managers[shard][replica] is not None:
             raise RuntimeError(f"shard {shard} replica {replica} is running")
-        server = ManagerServer(
-            port=self._ports[shard][replica],
-            policy=self.policy,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            tracer=Tracer.disabled(),
-        )
-        await server.start()
-        self.managers[shard][replica] = server
+        server = await self._start_manager(shard, replica)
         entries = 0
-        serving = self.router.serving_primary(shard)
+        serving = self.router.members[shard].serving_index()
         if serving is not None and serving != replica:
             host, port = ("127.0.0.1", self._ports[shard][serving])
             snapshot = await protocol.request(

@@ -21,8 +21,9 @@ unavailable for the detection window — clients ride the existing
 story the chaos scenarios assert.
 
 Drivers own failure detection and timing: they call
-:meth:`mark_down`/:meth:`promote`/:meth:`mark_up` when their clocks or
-transports say so.
+:meth:`mark_down`/:meth:`promote`/:meth:`mark_up` — the
+:class:`ReplicaSet` half, which the live router holds on its own — when
+their clocks or transports say so.
 """
 
 from __future__ import annotations
@@ -31,37 +32,33 @@ from typing import List, Optional, Sequence, Set
 
 from repro.messages import NodeStatus
 from repro.protocol.effects import Effect
-from repro.protocol.events import HeartbeatReceived, PruneTick
+from repro.protocol.events import HeartbeatReceived, ProtocolEvent, PruneTick
 from repro.protocol.global_select import GlobalSelectionMachine
 
-__all__ = ["ReplicatedShard"]
+__all__ = ["ReplicaSet", "ReplicatedShard"]
 
 
-class ReplicatedShard:
-    """One shard's replica set: a primary plus warm standbys."""
+class ReplicaSet:
+    """Which of a shard's replicas are up and which one serves.
 
-    def __init__(
-        self, shard_index: int, machines: Sequence[GlobalSelectionMachine]
-    ) -> None:
-        if not machines:
+    The membership half of a shard, with no registry attached: the sim
+    driver holds it through :class:`ReplicatedShard`, the live router
+    holds it bare (its replicas are processes behind sockets). Either
+    way "at most one serving primary" is this class's invariant.
+    """
+
+    def __init__(self, replicas: int) -> None:
+        if replicas < 1:
             raise ValueError("a shard needs at least one replica")
-        self.shard_index = shard_index
-        self.machines: List[GlobalSelectionMachine] = list(machines)
+        self.replicas = replicas
         self.primary = 0
         self._down: Set[int] = set()
-
-    # ------------------------------------------------------------------
-    # Liveness bookkeeping (driven by the owning driver)
-    # ------------------------------------------------------------------
-    @property
-    def replicas(self) -> int:
-        return len(self.machines)
 
     def is_down(self, replica: int) -> bool:
         return replica in self._down
 
     def alive_replicas(self) -> List[int]:
-        return [i for i in range(len(self.machines)) if i not in self._down]
+        return [i for i in range(self.replicas) if i not in self._down]
 
     def serving_index(self) -> Optional[int]:
         """The replica currently allowed to answer queries, or None.
@@ -72,12 +69,8 @@ class ReplicatedShard:
         """
         return None if self.primary in self._down else self.primary
 
-    def serving_machine(self) -> Optional[GlobalSelectionMachine]:
-        index = self.serving_index()
-        return None if index is None else self.machines[index]
-
     def mark_down(self, replica: int) -> None:
-        if not 0 <= replica < len(self.machines):
+        if not 0 <= replica < self.replicas:
             raise ValueError(f"replica {replica} out of range")
         self._down.add(replica)
 
@@ -97,9 +90,34 @@ class ReplicatedShard:
         self.primary = alive[0]
         return self.primary
 
+
+class ReplicatedShard(ReplicaSet):
+    """One shard's replica set: a primary plus warm standbys."""
+
+    def __init__(
+        self, shard_index: int, machines: Sequence[GlobalSelectionMachine]
+    ) -> None:
+        super().__init__(len(machines))
+        self.shard_index = shard_index
+        self.machines: List[GlobalSelectionMachine] = list(machines)
+
+    def serving_machine(self) -> Optional[GlobalSelectionMachine]:
+        index = self.serving_index()
+        return None if index is None else self.machines[index]
+
     # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
+    def _replicate(self, event: ProtocolEvent) -> List[Effect]:
+        """Step every alive replica; return the serving one's effects."""
+        serving = self.serving_index()
+        out: List[Effect] = []
+        for index in self.alive_replicas():
+            effects = self.machines[index].handle(event)
+            if index == serving:
+                out = effects
+        return out
+
     def apply_heartbeat(self, stamp: float, status: NodeStatus) -> List[Effect]:
         """Apply one heartbeat to every alive replica (delta replication).
 
@@ -108,26 +126,12 @@ class ReplicatedShard:
         dropped. With the primary down the deltas still warm the
         standbys, but nothing is reported — the shard is not serving.
         """
-        serving = self.serving_index()
-        out: List[Effect] = []
-        for index in self.alive_replicas():
-            effects = self.machines[index].handle(
-                HeartbeatReceived(stamp=stamp, status=status)
-            )
-            if index == serving:
-                out = effects
-        return out
+        return self._replicate(HeartbeatReceived(stamp=stamp, status=status))
 
     def prune(self, stamp: float) -> List[Effect]:
         """Expire stale entries on every alive replica (same contract as
         :meth:`apply_heartbeat`: the serving replica's effects)."""
-        serving = self.serving_index()
-        out: List[Effect] = []
-        for index in self.alive_replicas():
-            effects = self.machines[index].handle(PruneTick(stamp=stamp))
-            if index == serving:
-                out = effects
-        return out
+        return self._replicate(PruneTick(stamp=stamp))
 
     def sync_standby(self, replica: int) -> int:
         """Re-seed one standby from the primary's deduped snapshot.

@@ -37,9 +37,11 @@ from typing import Any, Callable, Optional, Sequence, Tuple, cast
 from repro.controlplane.sharding import ShardMap
 from repro.geo import geohash as gh
 from repro.messages import DiscoveryQuery, NodeStatus
+from repro.obs.events import ShardMerge, ShardRoute
+from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GlobalSelectionPolicy
 
-__all__ = ["PartialSelection", "RoutedSelection", "ShardRouter"]
+__all__ = ["PartialSelection", "RoutedSelection", "ShardRouter", "emit_routing"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,32 @@ class RoutedSelection:
     @property
     def cross_shard(self) -> bool:
         return len(self.shards_queried) > 1
+
+
+def emit_routing(
+    tracer: Tracer, now: float, user_id: str, routed: RoutedSelection
+) -> None:
+    """Trace one routed discovery: a ``shard_route``, and a
+    ``shard_merge`` when more than one shard answered."""
+    tracer.emit(
+        ShardRoute(
+            now,
+            user_id=user_id,
+            shards=routed.shards_queried,
+            epoch=routed.epoch,
+            cross_shard=routed.cross_shard,
+        )
+    )
+    if routed.cross_shard:
+        tracer.emit(
+            ShardMerge(
+                now,
+                user_id=user_id,
+                shards=len(routed.shards_queried),
+                pool=routed.pool,
+                widened=routed.widened,
+            )
+        )
 
 
 #: Driver-supplied transport: answer one (shard, radius) phase. Raises

@@ -32,10 +32,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.replication import ReplicatedShard
-from repro.controlplane.router import PartialSelection, ShardRouter
+from repro.controlplane.router import PartialSelection, ShardRouter, emit_routing
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
 from repro.messages import CandidateList, DiscoveryQuery, NodeStatus
-from repro.obs.events import ManagerPromote, RegistryHandoff, ShardMerge, ShardRoute
+from repro.obs.events import ManagerPromote, RegistryHandoff
 from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import (
     Effect,
@@ -44,7 +44,7 @@ from repro.protocol.effects import (
     ReplyPartialCandidates,
 )
 from repro.protocol.events import HeartbeatReceived, NodeForgotten, PartialDiscoveryRequested
-from repro.protocol.global_select import GlobalSelectionMachine
+from repro.protocol.global_select import GlobalSelectionMachine, smooth_wrr_pick
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.policy.reputation import ReputationTracker
@@ -76,17 +76,7 @@ class ShardedCentralManager:
         self._policy = policy or GlobalSelectionPolicy()
         self.shard_map = ShardMap(count=shards, precision=shard_precision)
         self.router = ShardRouter(self.shard_map, self._policy)
-        timeout = system.config.heartbeat_timeout_ms
-        self.shards: List[ReplicatedShard] = [
-            ReplicatedShard(
-                index,
-                [
-                    GlobalSelectionMachine(self._policy, heartbeat_timeout=timeout)
-                    for _ in range(replicas)
-                ],
-            )
-            for index in range(shards)
-        ]
+        self.shards = self._empty_shards(shards, replicas)
         self.reputation = reputation
         self.queries_served = 0
         self.heartbeats_received = 0
@@ -104,6 +94,19 @@ class ShardedCentralManager:
         # robin is global across shards, so no single machine can own it.
         self._wrr_current: Dict[str, float] = {}
         self._last_snapshot_sync = 0.0
+
+    def _empty_shards(self, shards: int, replicas: int) -> List[ReplicatedShard]:
+        timeout = self.system.config.heartbeat_timeout_ms
+        return [
+            ReplicatedShard(
+                index,
+                [
+                    GlobalSelectionMachine(self._policy, heartbeat_timeout=timeout)
+                    for _ in range(replicas)
+                ],
+            )
+            for index in range(shards)
+        ]
 
     # ------------------------------------------------------------------
     # CentralManager-compatible surface
@@ -227,27 +230,8 @@ class ShardedCentralManager:
             )
 
         routed = self.router.select(query, fetch)
-        trace = self.system.trace
-        if trace.enabled:
-            trace.emit(
-                ShardRoute(
-                    now,
-                    user_id=query.user_id,
-                    shards=routed.shards_queried,
-                    epoch=self.shard_map.epoch,
-                    cross_shard=routed.cross_shard,
-                )
-            )
-            if routed.cross_shard:
-                trace.emit(
-                    ShardMerge(
-                        now,
-                        user_id=query.user_id,
-                        shards=len(routed.shards_queried),
-                        pool=routed.pool,
-                        widened=routed.widened,
-                    )
-                )
+        if self.system.trace.enabled:
+            emit_routing(self.system.trace, now, query.user_id, routed)
         return CandidateList(
             user_id=query.user_id,
             node_ids=routed.node_ids,
@@ -261,8 +245,8 @@ class ShardedCentralManager:
     def wrr_assign(self, query: DiscoveryQuery) -> Optional[str]:
         """Smooth WRR over the merged alive population.
 
-        Same algorithm as the single manager's machine, hosted in the
-        driver because the round-robin ledger is global across shards.
+        The single manager's machine runs the same round; the ledger
+        lives in the driver because it is global across shards.
         """
         statuses = [
             s for s in self.alive_statuses() if s.node_id not in query.exclude
@@ -270,38 +254,21 @@ class ShardedCentralManager:
         if self._policy.node_predicate is not None:
             predicate = self._policy.node_predicate
             statuses = [s for s in statuses if predicate(s)]
-        if not statuses:
-            return None
-        total = 0.0
-        weights: Dict[str, float] = {}
-        for status in statuses:
-            weight = max(status.availability_score, 0.01)
-            weights[status.node_id] = weight
-            total += weight
-        best_id: Optional[str] = None
-        best_value = float("-inf")
-        for node_id, weight in weights.items():
-            current = self._wrr_current.get(node_id, 0.0) + weight
-            self._wrr_current[node_id] = current
-            if current > best_value:
-                best_value = current
-                best_id = node_id
-        assert best_id is not None
-        self._wrr_current[best_id] -= total
-        return best_id
+        return smooth_wrr_pick(statuses, self._wrr_current)
 
     # ------------------------------------------------------------------
     # Failover (wired from shard-targeted fault actions)
     # ------------------------------------------------------------------
-    def on_shard_outage_start(self, shard_index: int, rule_id: str = "") -> None:
+    def on_shard_outage_start(self, shard_index: int) -> bool:
         """A shard-targeted outage began: its primary goes dark.
 
         Promotion is scheduled after the detection window; until then
         the shard is unavailable and clients degrade gracefully.
+        Returns whether the call took a replica down.
         """
         shard = self.shards[shard_index]
         if shard_index in self._outage_victim:
-            return  # overlapping outage rules: first victim stands
+            return False  # overlapping outage rules: first victim stands
         victim = shard.primary
         shard.mark_down(victim)
         self._outage_victim[shard_index] = victim
@@ -311,6 +278,7 @@ class ShardedCentralManager:
                 lambda: self._promote(shard_index),
                 label=f"controlplane.promote.s{shard_index}",
             )
+        return True
 
     def _promote(self, shard_index: int) -> None:
         shard = self.shards[shard_index]
@@ -329,21 +297,22 @@ class ShardedCentralManager:
             )
         )
 
-    def on_shard_outage_end(self, shard_index: int, rule_id: str = "") -> None:
+    def on_shard_outage_end(self, shard_index: int) -> bool:
         """The outage lifted: the victim replica comes back.
 
         If a standby was promoted meanwhile the returnee rejoins as a
         standby, re-seeded from the new primary's deduped snapshot (a
         ``registry_handoff``); with no promotion (replicas=1) the old
-        primary simply resumes with its registry intact.
+        primary simply resumes with its registry intact. Returns whether
+        a replica came back (False: no outage was active on the shard).
         """
         victim = self._outage_victim.pop(shard_index, None)
         if victim is None:
-            return
+            return False
         shard = self.shards[shard_index]
         shard.mark_up(victim)
         if shard.primary == victim:
-            return  # no promotion happened; the old primary resumes
+            return True  # no promotion happened; the old primary resumes
         entries = shard.sync_standby(victim)
         self.system.trace.emit(
             RegistryHandoff(
@@ -355,6 +324,7 @@ class ShardedCentralManager:
                 reason="rejoin",
             )
         )
+        return True
 
     # ------------------------------------------------------------------
     # Shard-map epoch change (registry handoff)
@@ -371,18 +341,7 @@ class ShardedCentralManager:
                 f"new map epoch {new_map.epoch} must exceed "
                 f"current {self.shard_map.epoch}"
             )
-        timeout = self.system.config.heartbeat_timeout_ms
-        replicas = self.shards[0].replicas
-        new_shards = [
-            ReplicatedShard(
-                index,
-                [
-                    GlobalSelectionMachine(self._policy, heartbeat_timeout=timeout)
-                    for _ in range(replicas)
-                ],
-            )
-            for index in range(new_map.count)
-        ]
+        new_shards = self._empty_shards(new_map.count, self.shards[0].replicas)
         now = self.system.sim.now
         moved: Dict[Tuple[int, int], int] = {}
         for old_shard in self.shards:

@@ -19,7 +19,7 @@ dynamics need:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, cast
 
 from repro.core.client import ClientLike
 from repro.core.config import SystemConfig
@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from typing import Union
 
     from repro.controlplane.sim_driver import ShardedCentralManager
-    from repro.faults.injector import FaultInjector
+    from repro.faults.injector import FaultInjector, NodeAction
 
     ManagerLike = Union[CentralManager, ShardedCentralManager]
 
@@ -124,11 +124,14 @@ class EdgeSystem:
         if (
             self.config.control_plane_shards > 1
             or self.config.control_plane_replicas > 1
+            or (faults is not None and faults.plan.shard_targets())
         ):
             # Deferred import: the control plane layers on core, not
             # under it. With shards=1, replicas=1 (the default) the
             # plain single manager runs — structurally bit-identical to
-            # the seed, not merely behaviourally.
+            # the seed, not merely behaviourally — unless the fault plan
+            # takes a shard down: only the sharded manager has a shard
+            # to lose.
             from repro.controlplane.sim_driver import ShardedCentralManager
 
             self.manager = ShardedCentralManager(
@@ -308,10 +311,9 @@ class EdgeSystem:
                 label=f"fault.{action.rule_id}.{action.kind}",
             )
 
-    def _apply_fault_action(self, action: "object") -> None:
-        from repro.faults.injector import NodeAction
-
-        assert isinstance(action, NodeAction)
+    def _apply_fault_action(self, action: "NodeAction") -> None:
+        assert self.faults is not None  # actions only come from its plan
+        injected = self.faults.injected
         if action.kind == "crash":
             node = self.nodes.get(action.node_id)
             if node is None or not node.alive:
@@ -321,8 +323,7 @@ class EdgeSystem:
                     self.sim.now, action.rule_id, "crash", dst=action.node_id
                 )
             )
-            if self.faults is not None:
-                self.faults.injected["crash"] += 1
+            injected["crash"] += 1
             self.fail_node(action.node_id)
         elif action.kind == "restart":
             existing = self.nodes.get(action.node_id)
@@ -339,8 +340,7 @@ class EdgeSystem:
             self.trace.emit(
                 FaultInjected(self.sim.now, action.rule_id, kind, dst=action.node_id)
             )
-            if self.faults is not None:
-                self.faults.injected[kind] += 1
+            injected[kind] += 1
             if kind == "gray_start":
                 node.processor.set_slowdown(
                     max(node.processor.slowdown_factor, action.factor)
@@ -363,17 +363,14 @@ class EdgeSystem:
                 )
             )
             if action.shard is not None:
-                if self.faults is not None:
-                    self.faults.injected[action.kind] += 1
-                manager = self.manager
-                if action.kind == "outage_start" and hasattr(
-                    manager, "on_shard_outage_start"
-                ):
-                    manager.on_shard_outage_start(action.shard, action.rule_id)
-                elif action.kind == "outage_end" and hasattr(
-                    manager, "on_shard_outage_end"
-                ):
-                    manager.on_shard_outage_end(action.shard, action.rule_id)
+                # The constructor built a sharded manager for this plan.
+                manager = cast("ShardedCentralManager", self.manager)
+                if action.kind == "outage_start":
+                    took_effect = manager.on_shard_outage_start(action.shard)
+                else:
+                    took_effect = manager.on_shard_outage_end(action.shard)
+                if took_effect:
+                    injected[action.kind] += 1
 
     def alive_node_ids(self) -> List[str]:
         return [node_id for node_id, node in self.nodes.items() if node.alive]

@@ -25,6 +25,7 @@ from repro.experiments.scenario import (
 )
 from repro.geo.region import MSP_CENTER
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.report import Table
 from repro.metrics.stats import mean, stddev
 from repro.metrics.timeseries import bin_series
 
@@ -144,6 +145,20 @@ class ChurnTraceResult:
     population_steps: List[Tuple[float, int]]  # (time_ms, alive count)
     total_nodes: int
 
+    def population_table(self) -> Table:
+        return (
+            f"Fig. 8 — {self.total_nodes} volunteer episodes over 3 minutes",
+            ["t", "alive nodes"],
+            [[f"{t / 1000:.0f}s", count] for t, count in self.population_steps],
+        )
+
+    def latency_table(self) -> Table:
+        return (
+            "Fig. 8 — average latency per window",
+            ["window start", "avg latency ms"],
+            [[f"{t / 1000:.0f}s", value] for t, value in self.latency_trace],
+        )
+
 
 def run_churn_trace(
     config: Optional[SystemConfig] = None,
@@ -179,6 +194,20 @@ class TopNSweepResult:
     avg_latency_ms: Dict[int, float] = field(default_factory=dict)  # (c)
     fairness_std_ms: Dict[int, float] = field(default_factory=dict)  # (d)
     uncovered_failures: Dict[int, int] = field(default_factory=dict)  # Fig. 10b
+
+    def table(self) -> Table:
+        columns = {
+            "(a) probes": self.probes,
+            "(b) test invocations": self.test_invocations,
+            "(c) avg ms 60-120s": self.avg_latency_ms,
+            "(d) fairness std": self.fairness_std_ms,
+            "failures": self.uncovered_failures,
+        }
+        return (
+            "Fig. 9 — TopN sweep over the same churn trace",
+            ["TopN", *columns],
+            [[n, *(column[n] for column in columns.values())] for n in self.top_ns],
+        )
 
 
 def run_topn_sweep(
@@ -223,6 +252,25 @@ class FaultToleranceResult:
         if self.proactive_recovery_ms <= 0:
             return float("inf")
         return self.reactive_recovery_ms / self.proactive_recovery_ms
+
+    def downtime_table(self) -> Table:
+        return (
+            "Fig. 10(a) — service downtime per failover",
+            ["approach", "mean recovery downtime ms", "events"],
+            [
+                ["proactive switch (ours)", self.proactive_recovery_ms,
+                 self.proactive_events],
+                ["reactive re-connect", self.reactive_recovery_ms,
+                 self.reactive_events],
+            ],
+        )
+
+    def failures_table(self) -> Table:
+        return (
+            "Fig. 10(b) — failures experienced by all users",
+            ["TopN", "uncovered failures"],
+            [[n, self.failures_by_topn[n]] for n in sorted(self.failures_by_topn)],
+        )
 
 
 def _recovery_downtimes(metrics: MetricsCollector) -> List[float]:

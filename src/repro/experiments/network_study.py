@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.core.config import SystemConfig
 from repro.experiments.scenario import build_real_world_system
+from repro.metrics.report import Table
 from repro.metrics.stats import Summary, summarize
 
 
@@ -26,6 +27,16 @@ class NetworkStudyResult:
 
     def summaries(self) -> Dict[str, Summary]:
         return {name: summarize(values) for name, values in self.samples.items()}
+
+    def table(self) -> Table:
+        return (
+            "Fig. 1 — RTT (ms) from metro users",
+            ["target class", "mean", "p50", "p90", "min", "max"],
+            [
+                [name, s.mean_ms, s.p50_ms, s.p90_ms, s.min_ms, s.max_ms]
+                for name, s in self.summaries().items()
+            ],
+        )
 
 
 def run_network_study(

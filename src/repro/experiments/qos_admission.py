@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.experiments.realworld import build_real_world_system
+from repro.metrics.report import Table
 from repro.metrics.stats import mean
 
 
@@ -43,6 +44,23 @@ class QosAdmissionResult:
     qos_latency_ms: float
     with_qos: Dict[int, QosCell] = field(default_factory=dict)
     without_qos: Dict[int, QosCell] = field(default_factory=dict)
+
+    def table(self) -> Table:
+        rows = []
+        for n in self.user_counts:
+            row: List[object] = [n, f"{self.with_qos[n].admitted}/{n}"]
+            for cell in (self.with_qos[n], self.without_qos[n]):
+                row.append(f"{cell.violation_rate:.1%}")
+                row.append(
+                    f"{cell.admitted_mean_ms:.0f}" if cell.admitted_mean_ms else "-"
+                )
+            rows.append(row)
+        return (
+            f"Extension — admission control at QoS = {self.qos_latency_ms:.0f} ms",
+            ["users", "admitted (QoS)", "violations (QoS)", "mean ms (QoS)",
+             "violations (open)", "mean ms (open)"],
+            rows,
+        )
 
 
 def _run_cell(

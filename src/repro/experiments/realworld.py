@@ -18,7 +18,28 @@ from repro.baselines.static_pin import StaticPinClient
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.experiments.scenario import RealWorldScenario, build_real_world_system
+from repro.metrics.report import CDF_FRACTIONS, Table, cdf_quantiles
 from repro.metrics.stats import cdf_points, mean
+from repro.nodes.hardware import (
+    CLOUD_NODE,
+    DEDICATED_PROFILES,
+    VOLUNTEER_PROFILES,
+    HardwareProfile,
+)
+
+#: Table II's rows: the ten machines of the real-world deployment.
+TABLE2_PROFILES = (*VOLUNTEER_PROFILES, *DEDICATED_PROFILES, CLOUD_NODE)
+
+
+def hardware_table(profiles: Tuple[HardwareProfile, ...] = TABLE2_PROFILES) -> Table:
+    return (
+        "Table II — hardware catalog",
+        ["node", "processor", "cores", "frame ms", "capacity fps"],
+        [
+            [p.name, p.processor, p.cores, p.base_frame_ms, p.capacity_fps]
+            for p in profiles
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -36,6 +57,20 @@ class SingleUserCdfResult:
 
     def means(self) -> Dict[str, float]:
         return {node: mean(samples) for node, samples in self.latencies.items()}
+
+    def table(self) -> Table:
+        return (
+            f"Fig. 3 — user {self.user_id} vs {len(self.latencies)} edge servers",
+            ["edge server", "mean e2e ms"],
+            [[node, value] for node, value in self.means().items()],
+        )
+
+    def cdf_table(self) -> Table:
+        return (
+            "Fig. 3 — CDF of e2e latency (ms)",
+            ["edge server"] + [f"p{int(f * 100):02d}" for f in CDF_FRACTIONS],
+            [[node] + cdf_quantiles(points) for node, points in self.cdfs().items()],
+        )
 
 
 def run_single_user_cdf(
@@ -80,6 +115,21 @@ class PairwiseSelectionResult:
 
     def row(self, user_id: str) -> List[float]:
         return [self.pairwise_ms[(user_id, n)] for n in self.node_ids]
+
+    def table(self) -> Table:
+        return (
+            "Table III — pairwise e2e latency (ms); * = selected",
+            ["user"] + list(self.node_ids),
+            [
+                [user]
+                + [
+                    f"{self.pairwise_ms[(user, node)]:5.0f}"
+                    + ("*" if self.selected[user] == node else " ")
+                    for node in self.node_ids
+                ]
+                for user in self.user_ids
+            ],
+        )
 
 
 def run_pairwise_selection(
@@ -146,6 +196,16 @@ class FailoverTraceResult:
     fail_at_ms: float
     proactive: List[Tuple[float, float]]  # (created_ms, latency_ms)
     reactive: List[Tuple[float, float]]
+
+    def table(self) -> Table:
+        return (
+            f"Fig. 4 — node killed at t={self.fail_at_ms / 1000:.0f}s",
+            ["approach", "peak latency after failure (ms)", "frames completed"],
+            [
+                ["proactive switch (ours)", self.proactive_peak_ms, len(self.proactive)],
+                ["re-connect", self.reactive_peak_ms, len(self.reactive)],
+            ],
+        )
 
     def peak_latency(self, trace: List[Tuple[float, float]]) -> float:
         return max(latency for _, latency in trace)
@@ -223,6 +283,16 @@ class ElasticityResult:
 
     def series(self, strategy: str) -> List[float]:
         return self.averages_ms[strategy]
+
+    def table(self) -> Table:
+        return (
+            "Fig. 5 — average e2e latency (ms) by user count",
+            ["strategy"] + [str(n) for n in self.user_counts],
+            [
+                [strategy] + [f"{v:.0f}" for v in series]
+                for strategy, series in self.averages_ms.items()
+            ],
+        )
 
 
 def _build_for_strategy(

@@ -10,6 +10,11 @@ it to a seed in a :class:`FaultInjector`, and hand it to either backend:
   :mod:`repro.faults.scenarios` drives the same plan against a loopback
   cluster on the wall clock.
 
+:func:`repro.faults.scenarios.run_chaos` does either over a
+:class:`~repro.faults.scenarios.ChaosScenario` and checks the recovery
+invariants (refusing, before anything boots, a plan the backend cannot
+honour); :mod:`repro.faults.search` hunts the schedule space through it.
+
 Every injected fault emits a typed
 :class:`~repro.obs.events.FaultInjected` trace event; every recovery
 action the system takes in response already has its own event

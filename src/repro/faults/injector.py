@@ -210,15 +210,9 @@ class FaultInjector:
     def manager_down(self, now_ms: float) -> bool:
         """Whole-manager outage in effect? Shard-targeted outages do not
         black-hole messages — they drive the sharded manager's replica
-        state instead (see :meth:`shard_down`)."""
+        state instead (``EdgeSystem._apply_fault_action``)."""
         return any(
             o.shard is None and o.active(now_ms) for o in self.plan.outages
-        )
-
-    def shard_down(self, shard: int, now_ms: float) -> bool:
-        """A shard-targeted outage covering ``shard`` in effect?"""
-        return any(
-            o.shard == shard and o.active(now_ms) for o in self.plan.outages
         )
 
     def gray_factor(self, node_id: str, now_ms: float) -> float:

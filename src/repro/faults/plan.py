@@ -33,7 +33,7 @@ Rule families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -240,6 +240,14 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.all_rules())
 
+    def shard_targets(self) -> List[int]:
+        """The control-plane shards this plan takes down, sorted.
+
+        Non-empty means the plan needs a manager with shard state (and
+        that the control-plane recovery checks apply to the run).
+        """
+        return sorted({o.shard for o in self.outages if o.shard is not None})
+
     def describe(self) -> List[str]:
         """One human-readable line per rule (CLI summaries)."""
         lines: List[str] = []
@@ -306,115 +314,52 @@ def _window_from_dict(data: Dict[str, Any]) -> Window:
     )
 
 
+#: ``FaultPlan`` field -> the rule type it holds.
+_RULE_TYPES = {
+    "message_faults": MessageFault,
+    "partitions": Partition,
+    "crashes": NodeCrash,
+    "outages": ManagerOutage,
+    "gray_nodes": GrayNode,
+}
+
+
+def _rule_to_dict(rule: Any) -> Dict[str, Any]:
+    out: Dict[str, Any] = {}
+    for f in fields(rule):
+        value = getattr(rule, f.name)
+        if isinstance(value, Window):
+            value = _window_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
+def _rule_from_dict(rule_type: Any, data: Dict[str, Any]) -> Any:
+    """Absent keys take the rule type's own defaults (an absent window
+    is the always-active one)."""
+    kwargs = dict(data)
+    if "ops" in kwargs:
+        kwargs["ops"] = tuple(kwargs["ops"])
+    if "window" in rule_type.__dataclass_fields__:
+        kwargs["window"] = _window_from_dict(kwargs.get("window", {}))
+    return rule_type(**kwargs)
+
+
 def plan_to_dict(plan: FaultPlan) -> Dict[str, Any]:
     """A JSON-safe dict that :func:`plan_from_dict` round-trips exactly."""
     return {
-        "message_faults": [
-            {
-                "rule_id": mf.rule_id,
-                "window": _window_to_dict(mf.window),
-                "src": mf.src,
-                "dst": mf.dst,
-                "ops": list(mf.ops),
-                "drop_p": mf.drop_p,
-                "delay_ms": mf.delay_ms,
-                "delay_jitter_ms": mf.delay_jitter_ms,
-                "delay_p": mf.delay_p,
-                "duplicate_p": mf.duplicate_p,
-            }
-            for mf in plan.message_faults
-        ],
-        "partitions": [
-            {
-                "rule_id": p.rule_id,
-                "a": p.a,
-                "b": p.b,
-                "window": _window_to_dict(p.window),
-                "symmetric": p.symmetric,
-            }
-            for p in plan.partitions
-        ],
-        "crashes": [
-            {
-                "rule_id": c.rule_id,
-                "node_id": c.node_id,
-                "at_ms": c.at_ms,
-                "restart_at_ms": c.restart_at_ms,
-            }
-            for c in plan.crashes
-        ],
-        "outages": [
-            {
-                "rule_id": o.rule_id,
-                "window": _window_to_dict(o.window),
-                "shard": o.shard,
-            }
-            for o in plan.outages
-        ],
-        "gray_nodes": [
-            {
-                "rule_id": g.rule_id,
-                "node_id": g.node_id,
-                "window": _window_to_dict(g.window),
-                "slowdown": g.slowdown,
-            }
-            for g in plan.gray_nodes
-        ],
+        family: [_rule_to_dict(rule) for rule in getattr(plan, family)]
+        for family in _RULE_TYPES
     }
 
 
 def plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
     """Rebuild a :class:`FaultPlan` from :func:`plan_to_dict` output."""
     return FaultPlan(
-        message_faults=tuple(
-            MessageFault(
-                rule_id=mf["rule_id"],
-                window=_window_from_dict(mf.get("window", {})),
-                src=mf.get("src", "*"),
-                dst=mf.get("dst", "*"),
-                ops=tuple(mf.get("ops", ())),
-                drop_p=mf.get("drop_p", 0.0),
-                delay_ms=mf.get("delay_ms", 0.0),
-                delay_jitter_ms=mf.get("delay_jitter_ms", 0.0),
-                delay_p=mf.get("delay_p", 1.0),
-                duplicate_p=mf.get("duplicate_p", 0.0),
-            )
-            for mf in data.get("message_faults", ())
-        ),
-        partitions=tuple(
-            Partition(
-                rule_id=p["rule_id"],
-                a=p["a"],
-                b=p["b"],
-                window=_window_from_dict(p.get("window", {})),
-                symmetric=p.get("symmetric", True),
-            )
-            for p in data.get("partitions", ())
-        ),
-        crashes=tuple(
-            NodeCrash(
-                rule_id=c["rule_id"],
-                node_id=c["node_id"],
-                at_ms=c["at_ms"],
-                restart_at_ms=c.get("restart_at_ms"),
-            )
-            for c in data.get("crashes", ())
-        ),
-        outages=tuple(
-            ManagerOutage(
-                rule_id=o["rule_id"],
-                window=_window_from_dict(o.get("window", {})),
-                shard=o.get("shard"),
-            )
-            for o in data.get("outages", ())
-        ),
-        gray_nodes=tuple(
-            GrayNode(
-                rule_id=g["rule_id"],
-                node_id=g["node_id"],
-                window=_window_from_dict(g.get("window", {})),
-                slowdown=g.get("slowdown", 10.0),
-            )
-            for g in data.get("gray_nodes", ())
-        ),
+        **{
+            family: tuple(_rule_from_dict(rule_type, r) for r in data.get(family, ()))
+            for family, rule_type in _RULE_TYPES.items()
+        }
     )

@@ -1,23 +1,33 @@
-"""Canonical chaos scenarios and the controllers that drive them.
+"""Chaos scenarios and the one runner that drives them.
 
-One seeded :func:`chaos_plan` exercises every fault family the paper's
-environment can throw at the protocol — message loss/lag, an asymmetric
-partition, a crash *with restart*, a Central Manager outage and a gray
-node — and both backends replay it:
+A :class:`ChaosScenario` is a frozen description of a chaos world: where
+the edge nodes and clients sit, how many manager shards and replicas
+stand behind them, which shards a plan may take down, and the default
+seeded plan for a horizon. There are exactly two — :data:`CANONICAL`
+(every fault family the paper's environment can throw at the protocol:
+message loss/lag, an asymmetric partition, a crash *with restart*, a
+Central Manager outage and a gray node) and :func:`controlplane`
+(shard-targeted primary outages over a metro-scale spread) — keyed in
+:data:`SCENARIOS` by the names a ``ReproArtifact`` stores.
 
-- :func:`run_sim_chaos` on the simulator (deterministic: the same seed
-  produces the identical trace-event sequence);
-- :func:`run_live_chaos` against a loopback :class:`LocalCluster`,
-  where a :class:`ChaosController` executes the node-level actions on a
-  scaled wall clock and the message-level rules gate real socket I/O.
+:func:`run_chaos` replays a scenario's plan (or any other
+:class:`FaultPlan`) on one of two backends:
 
-Both return a :class:`ChaosReport` whose :meth:`ChaosReport.problems`
-list is empty exactly when the recovery invariants hold: every client
-re-attached to an alive node by the end of the (fault-free) tail
-window, covered failovers used the backup list, and no admission state
-is stranded (no node believes a user is attached who has moved on, and
-vice versa). The chaos-parity test asserts both backends produce a
-clean report from the same plan.
+- ``"sim"`` — the simulator; deterministic: the same seed produces the
+  identical trace-event sequence;
+- ``"live"`` — a loopback :class:`LocalCluster`, where a
+  :class:`ChaosController` executes the node-level actions on a scaled
+  wall clock and the message-level rules gate real socket I/O.
+
+Either way it returns a :class:`ChaosReport` whose
+:attr:`ChaosReport.problems` list is empty exactly when the recovery
+invariants hold: every client re-attached to an alive node by the end
+of the (fault-free) tail window, covered failovers used the backup
+list, and no admission state is stranded (no node believes a user is
+attached who has moved on, and vice versa). A plan that takes shards
+down additionally owes a standby promotion inside the failure-detection
+budget. The chaos-parity test asserts both backends produce a clean
+report from the same plan.
 """
 
 from __future__ import annotations
@@ -26,8 +36,9 @@ import asyncio
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
@@ -38,15 +49,27 @@ from repro.faults.plan import (
     Partition,
     Window,
 )
+from repro.geo.geohash import encode_point
+from repro.geo.point import GeoPoint
+from repro.nodes.hardware import VOLUNTEER_PROFILES, HardwareProfile
+from repro.obs.events import FaultInjected, ManagerPromote, TraceEvent
+from repro.verify import (
+    AttachmentView,
+    Violation,
+    check_attachment_view,
+    check_events,
+)
 
 __all__ = [
     "ChaosReport",
     "ChaosController",
+    "ChaosScenario",
+    "CANONICAL",
+    "SCENARIOS",
     "chaos_plan",
+    "controlplane",
     "controlplane_chaos_plan",
-    "run_sim_chaos",
-    "run_sim_controlplane_chaos",
-    "run_live_chaos",
+    "run_chaos",
 ]
 
 
@@ -105,6 +128,7 @@ def chaos_plan(
 class ChaosReport:
     """What one chaos run did and whether the system recovered."""
 
+    scenario: str
     backend: str
     seed: int
     injected: Dict[str, int] = field(default_factory=dict)
@@ -117,11 +141,10 @@ class ChaosReport:
     #: backend only) — non-empty fails the CI chaos smoke.
     task_errors: List[str] = field(default_factory=list)
     #: Streaming-invariant violations from :func:`repro.verify.check_events`
-    #: over the run's trace (typed :class:`~repro.verify.Violation`
-    #: objects). Kept separate from ``problems`` so :attr:`ok` — and
-    #: every metric built on it — keeps its original end-state meaning;
-    #: the chaos CLI fails the run on either.
-    violations: List[object] = field(default_factory=list)
+    #: over the run's trace. Kept separate from ``problems`` so
+    #: :attr:`ok` — and every metric built on it — keeps its original
+    #: end-state meaning; the chaos CLI fails the run on either.
+    violations: List[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -129,7 +152,7 @@ class ChaosReport:
 
     def summary_lines(self) -> List[str]:
         lines = [
-            f"backend={self.backend} seed={self.seed} "
+            f"scenario={self.scenario} backend={self.backend} seed={self.seed} "
             f"frames={self.frames_completed} lost={self.frames_lost}",
             "injected: "
             + (
@@ -149,6 +172,12 @@ class ChaosReport:
                 )
             ),
         ]
+        control = ("shard_route", "shard_merge", "manager_promote", "registry_handoff")
+        if any(k in self.event_counts for k in control):
+            lines.append(
+                "control plane: "
+                + ", ".join(f"{k}={self.event_counts.get(k, 0)}" for k in control)
+            )
         if self.problems:
             lines.append("PROBLEMS: " + "; ".join(self.problems))
         if self.task_errors:
@@ -161,128 +190,6 @@ class ChaosReport:
         if self.ok and not self.violations:
             lines.append("all recovery invariants hold")
         return lines
-
-
-def _count_events(events: Sequence[object]) -> Dict[str, int]:
-    return dict(Counter(getattr(e, "type", "?") for e in events))
-
-
-# ----------------------------------------------------------------------
-# Simulated backend
-# ----------------------------------------------------------------------
-def run_sim_chaos(
-    seed: int = 0,
-    *,
-    horizon_ms: float = 20_000.0,
-    n_clients: int = 2,
-    plan: Optional[FaultPlan] = None,
-    top_n: int = 3,
-    config_overrides: Optional[Dict[str, object]] = None,
-) -> Tuple[ChaosReport, List[object]]:
-    """Drive the canonical plan through the simulator.
-
-    Returns the report plus the full trace-event list (the parity test
-    compares sequences across runs for determinism). ``top_n`` is the
-    selection policy's backup breadth — the knob the chaos_matrix sweep
-    crosses against fault families (more backups = more covered
-    failovers under crash/partition faults, per Fig. 10(b)).
-    ``config_overrides`` patches arbitrary :class:`SystemConfig` fields
-    on top of the scenario defaults — the schedule search uses it to
-    hunt against deliberately weakened configurations (e.g. a huge
-    ``failure_detection_ms``) while still replaying bit-identically.
-    """
-    from repro.core.client import EdgeClient
-    from repro.core.config import SystemConfig
-    from repro.core.system import EdgeSystem
-    from repro.geo.point import GeoPoint
-    from repro.net.topology import EndpointSpec
-    from repro.nodes.hardware import VOLUNTEER_PROFILES
-    from repro.obs.tracer import Tracer
-
-    edge_ids = ["edge-a", "edge-b", "edge-c"]
-    plan = plan if plan is not None else chaos_plan(edge_ids, horizon_ms)
-    injector = FaultInjector(plan, seed=seed)
-    tracer = Tracer()
-    config = SystemConfig(
-        seed=seed,
-        top_n=top_n,
-        probing_period_ms=3_000.0,
-        # Longer than the plan's worst silent window (the 4 s
-        # partition), so only genuinely stranded users expire.
-        attachment_lease_ms=6_000.0,
-    )
-    if config_overrides:
-        config = replace(config, **config_overrides)  # type: ignore[arg-type]
-    system = EdgeSystem(config, trace=tracer, faults=injector)
-    center = GeoPoint(44.97, -93.25)
-    for i, edge_id in enumerate(edge_ids):
-        system.add_node(
-            edge_id,
-            VOLUNTEER_PROFILES[i % len(VOLUNTEER_PROFILES)],
-            EndpointSpec(center.offset_km(1.0 + i, -1.0 + i)),
-        )
-    clients: List[EdgeClient] = []
-    for i in range(n_clients):
-        user_id = f"user-{i + 1:02d}"
-        system.add_client_endpoint(
-            user_id, EndpointSpec(center.offset_km(-0.5 * i, 0.5 * i))
-        )
-        client = EdgeClient(system, user_id)
-        system.add_client(client)
-        clients.append(client)
-
-    system.run_for(horizon_ms)
-
-    report = ChaosReport(backend="sim", seed=seed)
-    report.injected = dict(injector.injected)
-    events = list(tracer.events())
-    report.event_counts = _count_events(events)
-    report.frames_completed = sum(c.stats.frames_completed for c in clients)
-    report.frames_lost = sum(c.stats.frames_lost for c in clients)
-    report.problems = _check_sim_invariants(system)
-    report.violations = _streaming_violations(events)
-    return report, events
-
-
-def _streaming_violations(
-    events: Sequence[object],
-    *,
-    time_scale: float = 1.0,
-    expect_promotion: Optional[bool] = None,
-) -> List[object]:
-    """Run the streaming-invariant suite over one run's trace."""
-    from repro.verify import check_events
-
-    return list(
-        check_events(
-            events, time_scale=time_scale, expect_promotion=expect_promotion
-        )
-    )
-
-
-def _check_sim_invariants(system: object) -> List[str]:
-    """The recovery invariants, on the simulator's final state.
-
-    Re-expressed on :func:`repro.verify.check_attachment_view` — the
-    sim just snapshots its node/client objects into the backend-neutral
-    view; the checks (and problem strings) live in one place now.
-    """
-    from repro.verify import AttachmentView, check_attachment_view
-
-    nodes = system.nodes  # type: ignore[attr-defined]
-    clients = system.clients  # type: ignore[attr-defined]
-    return check_attachment_view(
-        AttachmentView(
-            client_edges={
-                user_id: client.current_edge
-                for user_id, client in clients.items()
-            },
-            node_alive={node_id: node.alive for node_id, node in nodes.items()},
-            node_attached={
-                node_id: set(node.attached) for node_id, node in nodes.items()
-            },
-        )
-    )
 
 
 # ----------------------------------------------------------------------
@@ -343,159 +250,109 @@ def controlplane_chaos_plan(
     )
 
 
-def _controlplane_layout(
-    shards: int,
-) -> Tuple[object, List[str], List[object], List[int]]:
-    """The fixed metro layout the control-plane chaos scenario uses.
+# ----------------------------------------------------------------------
+# The scenarios
+# ----------------------------------------------------------------------
+_CENTER = GeoPoint(44.97, -93.25)
+_EDGE_IDS = ("edge-a", "edge-b", "edge-c", "edge-d", "edge-e")
 
-    Returns ``(center, edge_ids, points, targets)`` where ``targets``
-    are the control-plane shards that actually own at least one edge
-    node. Shard ownership is a pure function of node geohash and shard
-    map, so the targets are derivable before any system exists — which
-    is what lets the schedule search sample shard-targeted outages that
-    are guaranteed to hit a populated shard.
-    """
-    from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
-    from repro.geo.geohash import encode_point
-    from repro.geo.point import GeoPoint
 
-    center = GeoPoint(44.97, -93.25)
-    # A metro-scale spread (tens of km) so the population can straddle
-    # precision-4 shard cells; whether it does is seed-independent.
-    node_offsets = [
-        (-24.0, -18.0),
-        (-10.0, 6.0),
-        (0.0, 0.0),
-        (12.0, -8.0),
-        (24.0, 16.0),
-    ]
-    edge_ids = [f"edge-{chr(ord('a') + i)}" for i in range(len(node_offsets))]
-    points = [center.offset_km(dy, dx) for dy, dx in node_offsets]
-    shard_map = ShardMap(count=shards, precision=DEFAULT_SHARD_PRECISION)
-    targets = sorted(
-        {
-            shard_map.owner_of_geohash(
-                encode_point(p, precision=DEFAULT_SHARD_PRECISION)
+@dataclass(frozen=True)
+class ChaosScenario:
+    """One chaos world: its layout, its control plane, its default plan."""
+
+    #: The key a ``ReproArtifact`` stores (see :data:`SCENARIOS`).
+    name: str
+    #: Edge nodes as (north, east) km offsets from the metro center;
+    #: node ``i`` is ``edge-a``, ``edge-b``, ... running volunteer
+    #: profile ``i``.
+    node_offsets_km: Tuple[Tuple[float, float], ...]
+    n_clients: int
+    shards: int = 1
+    replicas: int = 1
+    #: Shards a plan may take down: those owning at least one edge node
+    #: (ownership is a pure function of node geohash and shard map, so
+    #: known before any system exists). Empty: whole-manager outages only.
+    shard_targets: Tuple[int, ...] = ()
+
+    @property
+    def edge_ids(self) -> Tuple[str, ...]:
+        return _EDGE_IDS[: len(self.node_offsets_km)]
+
+    def nodes(self) -> List[Tuple[str, HardwareProfile, GeoPoint]]:
+        """``(node id, profile, position)`` per edge node."""
+        return [
+            (
+                _EDGE_IDS[i],
+                VOLUNTEER_PROFILES[i % len(VOLUNTEER_PROFILES)],
+                _CENTER.offset_km(north, east),
             )
-            for p in points
-        }
+            for i, (north, east) in enumerate(self.node_offsets_km)
+        ]
+
+    def clients(self, n_clients: int) -> List[Tuple[str, GeoPoint]]:
+        """``(user id, position)`` of the first ``n_clients`` users."""
+        return [
+            (f"user-{i + 1:02d}", _CENTER.offset_km(-0.5 * i, 0.5 * i))
+            for i in range(n_clients)
+        ]
+
+    def default_plan(
+        self, horizon_ms: float, edge_ids: Optional[Sequence[str]] = None
+    ) -> FaultPlan:
+        """The scenario's canonical schedule (over a backend's own edge
+        ids when it names its nodes itself)."""
+        edge_ids = self.edge_ids if edge_ids is None else edge_ids
+        if self.shard_targets:
+            return controlplane_chaos_plan(self.shard_targets, edge_ids, horizon_ms)
+        return chaos_plan(edge_ids, horizon_ms)
+
+
+CANONICAL = ChaosScenario(
+    "canonical", node_offsets_km=((1.0, -1.0), (2.0, 0.0), (3.0, 1.0)), n_clients=2
+)
+
+
+def controlplane(shards: int = 2, replicas: int = 2) -> ChaosScenario:
+    """A ``shards x replicas`` control plane over a metro-scale spread
+    (tens of km, so the population can straddle precision-4 shard
+    cells; whether it does is seed-independent)."""
+    offsets = ((-24.0, -18.0), (-10.0, 6.0), (0.0, 0.0), (12.0, -8.0), (24.0, 16.0))
+    scenario = ChaosScenario(
+        "controlplane", offsets, n_clients=3, shards=shards, replicas=replicas
     )
-    return center, edge_ids, points, targets
+    shard_map = ShardMap(count=shards, precision=DEFAULT_SHARD_PRECISION)
+    owners = {
+        shard_map.owner_of_geohash(encode_point(p, precision=DEFAULT_SHARD_PRECISION))
+        for _, _, p in scenario.nodes()
+    }
+    return replace(scenario, shard_targets=tuple(sorted(owners)))
 
 
-def run_sim_controlplane_chaos(
-    seed: int = 0,
-    *,
-    shards: int = 2,
-    replicas: int = 2,
-    horizon_ms: float = 20_000.0,
-    n_clients: int = 3,
-    top_n: int = 3,
-    plan: Optional[FaultPlan] = None,
-    config_overrides: Optional[Dict[str, object]] = None,
-) -> Tuple[ChaosReport, List[object]]:
-    """Kill control-plane shard primaries mid-churn and check recovery.
-
-    Spreads edge nodes across a metro region, computes which shards
-    actually own them (shard ownership is a pure function of the node
-    geohash and the shard map, so the targets are derivable before the
-    system exists), then runs a :func:`controlplane_chaos_plan` that
-    takes each owning shard's primary down in turn. On top of the
-    standard recovery invariants the report checks the control-plane
-    ones: every targeted shard promoted a standby within the
-    failure-detection budget, and no attached client was stalled beyond
-    the degraded-fallback window (every client re-attached and
-    streaming by the end of the fault-free tail).
-    """
-    from repro.core.client import EdgeClient
-    from repro.core.config import SystemConfig
-    from repro.core.system import EdgeSystem
-    from repro.net.topology import EndpointSpec
-    from repro.nodes.hardware import VOLUNTEER_PROFILES
-    from repro.obs.tracer import Tracer
-
-    center, edge_ids, points, targets = _controlplane_layout(shards)
-    plan = (
-        plan
-        if plan is not None
-        else controlplane_chaos_plan(targets, edge_ids, horizon_ms)
-    )
-    injector = FaultInjector(plan, seed=seed)
-    tracer = Tracer()
-    config = SystemConfig(
-        seed=seed,
-        top_n=top_n,
-        probing_period_ms=3_000.0,
-        attachment_lease_ms=6_000.0,
-        control_plane_shards=shards,
-        control_plane_replicas=replicas,
-    )
-    if config_overrides:
-        config = replace(config, **config_overrides)  # type: ignore[arg-type]
-    system = EdgeSystem(config, trace=tracer, faults=injector)
-    for edge_id, point, profile_index in zip(
-        edge_ids, points, range(len(edge_ids))
-    ):
-        system.add_node(
-            edge_id,
-            VOLUNTEER_PROFILES[profile_index % len(VOLUNTEER_PROFILES)],
-            EndpointSpec(point),
-        )
-    clients: List[EdgeClient] = []
-    for i in range(n_clients):
-        user_id = f"user-{i + 1:02d}"
-        system.add_client_endpoint(
-            user_id, EndpointSpec(center.offset_km(-0.5 * i, 0.5 * i))
-        )
-        client = EdgeClient(system, user_id)
-        system.add_client(client)
-        clients.append(client)
-
-    system.run_for(horizon_ms)
-
-    report = ChaosReport(backend="sim-controlplane", seed=seed)
-    report.injected = dict(injector.injected)
-    events = list(tracer.events())
-    report.event_counts = _count_events(events)
-    report.frames_completed = sum(c.stats.frames_completed for c in clients)
-    report.frames_lost = sum(c.stats.frames_lost for c in clients)
-    report.problems = _check_sim_invariants(system)
-    # Check promotion for the shards this plan actually targeted (for
-    # the canonical plan that is every populated shard; a searched plan
-    # may target fewer).
-    plan_targets = sorted({o.shard for o in plan.outages if o.shard is not None})
-    report.problems += _check_controlplane_invariants(system, events, plan_targets)
-    if report.frames_completed == 0:
-        report.problems.append("no client completed a single frame")
-    report.violations = _streaming_violations(
-        events, expect_promotion=replicas >= 2 if plan_targets else None
-    )
-    return report, events
+#: Scenario name -> ``factory(shards, replicas)``.
+SCENARIOS: Dict[str, Callable[[int, int], ChaosScenario]] = {
+    "canonical": lambda shards, replicas: CANONICAL,
+    "controlplane": controlplane,
+}
 
 
 def _check_controlplane_invariants(
-    system: object, events: Sequence[object], targets: Sequence[int]
+    events: Sequence[TraceEvent], targets: Sequence[int], replicas: int, budget_ms: float
 ) -> List[str]:
-    """Promotion happened, per targeted shard, inside the budget."""
+    """Every targeted shard went down and — where it has a standby —
+    promoted one inside the failure-detection budget."""
     problems: List[str] = []
-    manager = system.manager  # type: ignore[attr-defined]
-    budget_ms = getattr(manager, "promotion_delay_ms", None)
-    if budget_ms is None:
-        return ["manager is not a sharded control plane"]
-    replicas = manager.shards[0].replicas if manager.shards else 1
     starts: Dict[int, float] = {}
     promotes: Dict[int, float] = {}
     for event in events:
-        kind = getattr(event, "type", "")
-        if (
-            kind == "fault_injected"
-            and getattr(event, "kind", "") == "outage_start"
-            and str(getattr(event, "dst", "")).startswith("shard:")
+        if isinstance(event, ManagerPromote):
+            promotes.setdefault(event.shard, event.t_ms)
+        elif (
+            isinstance(event, FaultInjected)
+            and event.kind == "outage_start"
+            and event.dst.startswith("shard:")
         ):
-            shard = int(str(event.dst).split(":", 1)[1])  # type: ignore[attr-defined]
-            starts.setdefault(shard, event.t_ms)  # type: ignore[attr-defined]
-        elif kind == "manager_promote":
-            promotes.setdefault(event.shard, event.t_ms)  # type: ignore[attr-defined]
+            starts.setdefault(int(event.dst.split(":", 1)[1]), event.t_ms)
     for shard in targets:
         t0 = starts.get(shard)
         if t0 is None:
@@ -565,15 +422,6 @@ class ChaosController:
             self._wire(edge)
         self._task = asyncio.ensure_future(self._run_actions())
 
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-
     async def wait(self) -> None:
         """Block until every scheduled node action has run."""
         if self._task is not None:
@@ -591,6 +439,8 @@ class ChaosController:
             if delay > 0:
                 await asyncio.sleep(delay)
             kind = action.kind
+            # run_chaos refuses shard-targeted plans on this backend.
+            assert action.shard is None, action
             tracer.emit(
                 FaultInjected(
                     tracer.now(), action.rule_id, kind, dst=action.node_id
@@ -614,25 +464,99 @@ class ChaosController:
                 await self.cluster.restart_manager()  # type: ignore[attr-defined]
 
 
-async def run_live_chaos(
-    seed: int = 0,
-    *,
-    horizon_ms: float = 20_000.0,
-    plan_ms_per_s: float = 5_000.0,
-    n_clients: int = 2,
-    time_scale: float = 0.05,
-    plan: Optional[FaultPlan] = None,
-) -> Tuple[ChaosReport, List[object]]:
-    """Drive the canonical plan against a loopback cluster.
 
-    Every unretrieved task exception and loop error is captured into
-    ``report.task_errors`` — the hardened runtime must absorb chaos
-    without leaking exceptions into the event loop. A custom ``plan``
-    (plan-time milliseconds, like the sim's) replaces the canonical
-    schedule; actions scheduled past ``horizon_ms`` still run — the
-    controller drains the full action script before teardown.
-    """
-    from repro.nodes.hardware import VOLUNTEER_PROFILES
+# Live plan time runs at 5 000 plan-ms per wall second (a 20 s plan in
+# 4 s) against a cluster whose application clock is scaled by 0.05.
+_LIVE_PLAN_MS_PER_S = 5_000.0
+_LIVE_TIME_SCALE = 0.05
+
+
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+@dataclass
+class _Run:
+    """What an executor hands the report tail."""
+
+    events: List[TraceEvent]
+    injected: Dict[str, int]
+    #: ``(completed, lost)`` per client.
+    frames: List[Tuple[int, int]]
+    view: AttachmentView
+    #: Detection window a shard promotion must fit in (plan-time ms).
+    promotion_budget_ms: float = 0.0
+    task_errors: List[str] = field(default_factory=list)
+
+
+def _run_sim(
+    scenario: ChaosScenario,
+    plan: Optional[FaultPlan],
+    seed: int,
+    horizon_ms: float,
+    n_clients: int,
+    top_n: int,
+    config_overrides: Optional[Dict[str, object]],
+) -> _Run:
+    from repro.core.client import EdgeClient
+    from repro.core.config import SystemConfig
+    from repro.core.system import EdgeSystem
+    from repro.net.topology import EndpointSpec
+    from repro.obs.tracer import Tracer
+
+    injector = FaultInjector(
+        plan if plan is not None else scenario.default_plan(horizon_ms), seed=seed
+    )
+    tracer = Tracer()
+    config = SystemConfig(
+        seed=seed,
+        top_n=top_n,
+        probing_period_ms=3_000.0,
+        # Longer than the plans' worst silent window (the 4 s
+        # partition), so only genuinely stranded users expire.
+        attachment_lease_ms=6_000.0,
+        control_plane_shards=scenario.shards,
+        control_plane_replicas=scenario.replicas,
+    )
+    if config_overrides:
+        config = replace(config, **config_overrides)  # type: ignore[arg-type]
+    system = EdgeSystem(config, trace=tracer, faults=injector)
+    for edge_id, profile, point in scenario.nodes():
+        system.add_node(edge_id, profile, EndpointSpec(point))
+    clients: List[EdgeClient] = []
+    for user_id, point in scenario.clients(n_clients):
+        system.add_client_endpoint(user_id, EndpointSpec(point))
+        client = EdgeClient(system, user_id)
+        system.add_client(client)
+        clients.append(client)
+
+    system.run_for(horizon_ms)
+
+    return _Run(
+        events=list(tracer.events()),
+        injected=dict(injector.injected),
+        frames=[(c.stats.frames_completed, c.stats.frames_lost) for c in clients],
+        view=AttachmentView(
+            client_edges={c.user_id: c.current_edge for c in clients},
+            node_alive={n: node.alive for n, node in system.nodes.items()},
+            node_attached={n: set(node.attached) for n, node in system.nodes.items()},
+        ),
+        promotion_budget_ms=config.failure_detection_ms,
+    )
+
+
+async def _run_live(
+    scenario: ChaosScenario,
+    plan: Optional[FaultPlan],
+    seed: int,
+    horizon_ms: float,
+    n_clients: int,
+    top_n: int,
+) -> _Run:
+    """Every unretrieved task exception and loop error is captured into
+    ``task_errors`` — the hardened runtime must absorb chaos without
+    leaking exceptions into the event loop. Actions scheduled past
+    ``horizon_ms`` still run: the controller drains the full action
+    script before teardown."""
     from repro.obs.tracer import Tracer
     from repro.runtime.launcher import LocalCluster
     from repro.runtime.protocol import RetryPolicy
@@ -648,17 +572,16 @@ async def run_live_chaos(
 
     tracer = Tracer()
     cluster = LocalCluster(
-        VOLUNTEER_PROFILES[:3],
+        [profile for _, profile, _ in scenario.nodes()],
         n_clients=n_clients,
         seed=seed,
-        time_scale=time_scale,
+        time_scale=_LIVE_TIME_SCALE,
         heartbeat_period_s=0.1,
+        top_n=top_n,
         tracer=tracer,
         monitor_period_s=0.25,
         attachment_lease_s=0.8,
     )
-    report = ChaosReport(backend="live", seed=seed)
-    events: List[object] = []
     try:
         await cluster.start()
         for client in cluster.clients:
@@ -669,11 +592,13 @@ async def run_live_chaos(
                 max_attempts=3, budget_s=0.6, base_delay_s=0.02, max_delay_s=0.1
             )
             client.breaker_reset_s = 0.4
-        edge_ids = [e.node_id for e in cluster.edges]
-        plan = plan if plan is not None else chaos_plan(edge_ids, horizon_ms)
+        if plan is None:
+            plan = scenario.default_plan(
+                horizon_ms, [e.node_id for e in cluster.edges]
+            )
         injector = FaultInjector(plan, seed=seed, tracer=tracer)
         controller = ChaosController(
-            cluster, injector, plan_ms_per_s=plan_ms_per_s
+            cluster, injector, plan_ms_per_s=_LIVE_PLAN_MS_PER_S
         )
         controller.start()
 
@@ -704,9 +629,7 @@ async def run_live_chaos(
                 await asyncio.sleep(0.03)
             return completed, lost
 
-        results = await asyncio.gather(
-            *(client_loop(c) for c in cluster.clients)
-        )
+        frames = await asyncio.gather(*(client_loop(c) for c in cluster.clients))
         await controller.wait()
         # Re-attach anyone chaos left dangling — the live equivalent of
         # the sim's fault-free settle window.
@@ -716,16 +639,16 @@ async def run_live_chaos(
                     await client.select_and_join()
                 except RuntimeError:
                     pass
-        report.frames_completed = sum(r[0] for r in results)
-        report.frames_lost = sum(r[1] for r in results)
-        report.injected = dict(injector.injected)
-        events = list(tracer.events())
-        report.event_counts = _count_events(events)
-        report.problems = _check_live_invariants(cluster)
-        # Live traces are wall-clock: plan-time budgets shrink by the
-        # replay speed-up before the streaming suite sees them.
-        report.violations = _streaming_violations(
-            events, time_scale=1_000.0 / plan_ms_per_s
+        run = _Run(
+            events=list(tracer.events()),
+            injected=dict(injector.injected),
+            frames=list(frames),
+            view=AttachmentView(
+                client_edges={c.user_id: c.current_edge for c in cluster.clients},
+                node_alive={e.node_id: not e._dead for e in cluster.edges},
+                node_attached={e.node_id: set(e.attached) for e in cluster.edges},
+            ),
+            task_errors=task_errors,
         )
     finally:
         try:
@@ -734,27 +657,94 @@ async def run_live_chaos(
             loop.set_exception_handler(previous_handler)
     # Give cancelled tasks a beat to finalize before draining errors.
     await asyncio.sleep(0)
-    report.task_errors = task_errors
-    return report, events
+    return run
 
 
-def _check_live_invariants(cluster: object) -> List[str]:
-    """The same recovery invariants, on the cluster's final state."""
-    from repro.verify import AttachmentView, check_attachment_view
+def run_chaos(
+    scenario: ChaosScenario,
+    *,
+    backend: str = "sim",
+    seed: int = 0,
+    horizon_ms: float = 20_000.0,
+    plan: Optional[FaultPlan] = None,
+    n_clients: Optional[int] = None,
+    top_n: int = 3,
+    config_overrides: Optional[Dict[str, object]] = None,
+) -> Tuple[ChaosReport, List[TraceEvent]]:
+    """Replay ``plan`` (default: the scenario's own) on one backend.
 
-    edges = {e.node_id: e for e in cluster.edges}  # type: ignore[attr-defined]
-    clients = {c.user_id: c for c in cluster.clients}  # type: ignore[attr-defined]
-    return check_attachment_view(
-        AttachmentView(
-            client_edges={
-                user_id: client.current_edge
-                for user_id, client in clients.items()
-            },
-            node_alive={
-                node_id: not edge._dead for node_id, edge in edges.items()
-            },
-            node_attached={
-                node_id: set(edge.attached) for node_id, edge in edges.items()
-            },
+    Returns the report plus the full trace-event list (the parity tests
+    compare sequences across runs for determinism). ``n_clients``
+    defaults to the scenario's population. ``top_n`` is the selection
+    policy's backup breadth — the knob the chaos_matrix sweep crosses
+    against fault families (more backups = more covered failovers under
+    crash/partition faults, per Fig. 10(b)). ``config_overrides``
+    patches arbitrary :class:`SystemConfig` fields on top of the
+    scenario defaults — the schedule search uses it to hunt against
+    deliberately weakened configurations (e.g. a huge
+    ``failure_detection_ms``) while still replaying bit-identically.
+
+    Raises:
+        ValueError: before anything boots, for a combination no
+            executor can honour — an unknown backend, an outage of a
+            shard the scenario does not have, the live backend with a
+            shard-targeted outage (its cluster runs one manager) or
+            with ``SystemConfig`` overrides (it has no such config).
+    """
+    targets = list(scenario.shard_targets) if plan is None else plan.shard_targets()
+    if backend not in ("sim", "live"):
+        raise ValueError(f"unknown backend: {backend!r}")
+    if backend == "live" and targets:
+        raise ValueError(
+            "shard-targeted outages run on the sim backend only: the live "
+            "cluster runs one manager, with no shard to take down"
+        )
+    if targets and targets[-1] >= scenario.shards:
+        raise ValueError(
+            f"plan targets shard {targets[-1]} of a {scenario.shards}-shard scenario"
+        )
+    if backend == "live" and config_overrides:
+        raise ValueError("config_overrides patch SystemConfig: sim backend only")
+    if n_clients is None:
+        n_clients = scenario.n_clients
+    if backend == "sim":
+        run = _run_sim(
+            scenario, plan, seed, horizon_ms, n_clients, top_n, config_overrides
+        )
+        # Sim traces are already in plan time.
+        time_scale = 1.0
+    else:
+        run = asyncio.run(
+            _run_live(scenario, plan, seed, horizon_ms, n_clients, top_n)
+        )
+        # Live traces are wall-clock: plan-time budgets shrink by the
+        # replay speed-up before the streaming suite sees them.
+        time_scale = 1_000.0 / _LIVE_PLAN_MS_PER_S
+
+    report = ChaosReport(
+        scenario=scenario.name,
+        backend=backend,
+        seed=seed,
+        injected=run.injected,
+        event_counts=dict(Counter(e.type for e in run.events)),
+        frames_completed=sum(completed for completed, _ in run.frames),
+        frames_lost=sum(lost for _, lost in run.frames),
+        problems=check_attachment_view(run.view),
+        task_errors=run.task_errors,
+    )
+    expect_promotion: Optional[bool] = None
+    if targets:
+        # The control-plane checks apply because the plan takes shards
+        # down, whichever scenario it runs over.
+        report.problems += _check_controlplane_invariants(
+            run.events, targets, scenario.replicas, run.promotion_budget_ms
+        )
+        if report.frames_completed == 0:
+            report.problems.append("no client completed a single frame")
+        expect_promotion = scenario.replicas >= 2
+    report.violations = list(
+        check_events(
+            run.events, time_scale=time_scale, expect_promotion=expect_promotion
         )
     )
+    return report, run.events

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from dataclasses import replace as dc_replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import (
     FaultPlan,
@@ -46,6 +47,14 @@ from repro.faults.plan import (
     plan_from_dict,
     plan_to_dict,
 )
+from repro.faults.scenarios import (
+    CANONICAL,
+    SCENARIOS,
+    ChaosReport,
+    ChaosScenario,
+    run_chaos,
+)
+from repro.obs.events import TraceEvent
 from repro.verify import Violation
 
 __all__ = [
@@ -82,7 +91,7 @@ class FaultSpace:
     """
 
     horizon_ms: float = 20_000.0
-    edge_ids: Tuple[str, ...] = ("edge-a", "edge-b", "edge-c")
+    edge_ids: Tuple[str, ...] = CANONICAL.edge_ids
     user_pattern: str = "user-*"
     #: Control-plane shards eligible for targeted primary outages;
     #: empty = only whole-manager outages are sampled.
@@ -215,68 +224,48 @@ class HuntConfig:
     shrink_budget: int = 64
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("canonical", "controlplane"):
+        if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario: {self.scenario!r}")
 
     @property
     def overrides_dict(self) -> Dict[str, Any]:
         return dict(self.config_overrides)
 
-    def space(self) -> FaultSpace:
-        """The fault space this configuration implies."""
-        if self.scenario == "controlplane":
-            from repro.faults.scenarios import _controlplane_layout
+    def chaos_scenario(self) -> ChaosScenario:
+        return SCENARIOS[self.scenario](self.shards, self.replicas)
 
-            _, edge_ids, _, targets = _controlplane_layout(self.shards)
-            return FaultSpace(
-                horizon_ms=self.horizon_ms,
-                edge_ids=tuple(edge_ids),
-                shard_targets=tuple(targets),
-                max_rules=self.max_rules,
-            )
+    def space(self) -> FaultSpace:
+        """The fault space this configuration implies: the scenario's
+        edges, and shard-targeted outages on its populated shards only."""
+        scenario = self.chaos_scenario()
         return FaultSpace(
             horizon_ms=self.horizon_ms,
-            edge_ids=("edge-a", "edge-b", "edge-c"),
+            edge_ids=scenario.edge_ids,
+            shard_targets=scenario.shard_targets,
             max_rules=self.max_rules,
         )
 
 
 def run_plan(
     plan: FaultPlan, seed: int, config: HuntConfig
-) -> Tuple[object, List[object]]:
+) -> Tuple[ChaosReport, List[TraceEvent]]:
     """Replay one schedule on the deterministic sim backend.
 
-    Returns the :class:`~repro.faults.scenarios.ChaosReport` (whose
-    ``violations`` field carries the streaming-invariant verdict) and
-    the trace events. Same ``(plan, seed, config)`` → bit-identical
-    trace; this is the primitive the hunt, the shrinker and artifact
-    replay all share.
+    Returns the report (whose ``violations`` field carries the
+    streaming-invariant verdict) and the trace events. Same ``(plan,
+    seed, config)`` → bit-identical trace; this is the primitive the
+    hunt, the shrinker and artifact replay all share.
     """
-    from repro.faults import scenarios
-
-    if config.scenario == "controlplane":
-        return scenarios.run_sim_controlplane_chaos(
-            seed,
-            shards=config.shards,
-            replicas=config.replicas,
-            horizon_ms=config.horizon_ms,
-            n_clients=config.n_clients,
-            top_n=config.top_n,
-            plan=plan,
-            config_overrides=config.overrides_dict or None,
-        )
-    return scenarios.run_sim_chaos(
-        seed,
+    return run_chaos(
+        config.chaos_scenario(),
+        backend="sim",
+        seed=seed,
         horizon_ms=config.horizon_ms,
-        n_clients=config.n_clients,
         plan=plan,
+        n_clients=config.n_clients,
         top_n=config.top_n,
         config_overrides=config.overrides_dict or None,
     )
-
-
-def _violations(report: object) -> List[Violation]:
-    return [v for v in getattr(report, "violations", []) if isinstance(v, Violation)]
 
 
 def _reproduces(violations: Sequence[Violation], signature: str) -> bool:
@@ -286,39 +275,28 @@ def _reproduces(violations: Sequence[Violation], signature: str) -> bool:
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
-def _without_rule(plan: FaultPlan, rule_id: str) -> FaultPlan:
+def _map_rules(
+    plan: FaultPlan, rewrite: Callable[[Tuple[Any, ...]], Iterable[Any]]
+) -> FaultPlan:
+    """The plan with every family's rule tuple passed through ``rewrite``."""
     return FaultPlan(
-        message_faults=tuple(
-            r for r in plan.message_faults if r.rule_id != rule_id
-        ),
-        partitions=tuple(r for r in plan.partitions if r.rule_id != rule_id),
-        crashes=tuple(r for r in plan.crashes if r.rule_id != rule_id),
-        outages=tuple(r for r in plan.outages if r.rule_id != rule_id),
-        gray_nodes=tuple(r for r in plan.gray_nodes if r.rule_id != rule_id),
+        **{f.name: tuple(rewrite(getattr(plan, f.name))) for f in fields(plan)}
     )
 
 
-def _replace_rule(plan: FaultPlan, rule: object) -> FaultPlan:
+def _without_rule(plan: FaultPlan, rule_id: str) -> FaultPlan:
+    return _map_rules(plan, lambda rules: (r for r in rules if r.rule_id != rule_id))
+
+
+def _replace_rule(plan: FaultPlan, rule: Any) -> FaultPlan:
     """Swap in a mutated rule, keyed by its (unchanged) rule id."""
-
-    def swap(rules: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        return tuple(
-            rule if r.rule_id == getattr(rule, "rule_id") else r for r in rules
-        )
-
-    return FaultPlan(
-        message_faults=swap(plan.message_faults),
-        partitions=swap(plan.partitions),
-        crashes=swap(plan.crashes),
-        outages=swap(plan.outages),
-        gray_nodes=swap(plan.gray_nodes),
+    return _map_rules(
+        plan, lambda rules: (rule if r.rule_id == rule.rule_id else r for r in rules)
     )
 
 
 def _narrowed_variants(rule: object) -> List[object]:
     """Cheaper variants of one rule: halved window, or concrete targets."""
-    from dataclasses import replace as dc_replace
-
     variants: List[object] = []
     window = getattr(rule, "window", None)
     if window is not None and window.end_ms != float("inf"):
@@ -342,8 +320,6 @@ def _narrowed_variants(rule: object) -> List[object]:
 
 def _target_variants(rule: object, concrete_users: Sequence[str]) -> List[object]:
     """Glob targets narrowed to single concrete ids (``user-*`` → one user)."""
-    from dataclasses import replace as dc_replace
-
     variants: List[object] = []
     if isinstance(rule, MessageFault) and rule.src.endswith("*"):
         variants.extend(dc_replace(rule, src=u) for u in concrete_users)
@@ -383,7 +359,7 @@ def shrink(
         nonlocal runs
         runs += 1
         report, _ = run_plan(candidate, seed, config)
-        return _reproduces(_violations(report), signature)
+        return _reproduces(report.violations, signature)
 
     def budget_left() -> bool:
         return runs < config.shrink_budget
@@ -423,7 +399,9 @@ def shrink(
                     break
 
     # Phase 3: concrete targets.
-    concrete_users = [f"user-{i + 1:02d}" for i in range(config.n_clients)]
+    concrete_users = [
+        user_id for user_id, _ in config.chaos_scenario().clients(config.n_clients)
+    ]
     for rule in list(plan.all_rules()):
         if not budget_left():
             break
@@ -479,37 +457,19 @@ class ReproArtifact:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "plan": plan_to_dict(self.plan),
-            "violation": self.violation.to_dict(),
-            "config_overrides": dict(self.config_overrides),
-            "horizon_ms": self.horizon_ms,
-            "n_clients": self.n_clients,
-            "top_n": self.top_n,
-            "shards": self.shards,
-            "replicas": self.replicas,
-            "hunt_seed": self.hunt_seed,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["plan"] = plan_to_dict(self.plan)
+        data["violation"] = self.violation.to_dict()
+        data["config_overrides"] = dict(self.config_overrides)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReproArtifact":
-        return cls(
-            scenario=data["scenario"],
-            seed=data["seed"],
-            plan=plan_from_dict(data["plan"]),
-            violation=Violation.from_dict(data["violation"]),
-            config_overrides=dict(data.get("config_overrides", {})),
-            horizon_ms=data.get("horizon_ms", 20_000.0),
-            n_clients=data.get("n_clients", 2),
-            top_n=data.get("top_n", 3),
-            shards=data.get("shards", 2),
-            replicas=data.get("replicas", 2),
-            hunt_seed=data.get("hunt_seed"),
-            version=data.get("version", ARTIFACT_VERSION),
-        )
+        """Absent keys take the field defaults above."""
+        data = dict(data)
+        data["plan"] = plan_from_dict(data["plan"])
+        data["violation"] = Violation.from_dict(data["violation"])
+        return cls(**data)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -524,7 +484,7 @@ class ReproArtifact:
 
 def replay_artifact(
     artifact: ReproArtifact,
-) -> Tuple[object, List[object], bool]:
+) -> Tuple[ChaosReport, List[TraceEvent], bool]:
     """Re-execute a reproducer and check it reproduced the same bug.
 
     Returns ``(report, events, reproduced)`` where ``reproduced`` is
@@ -534,7 +494,7 @@ def replay_artifact(
     """
     report, events = run_plan(artifact.plan, artifact.seed, artifact.hunt_config())
     expected = artifact.violation
-    reproduced = any(v == expected for v in _violations(report))
+    reproduced = any(v == expected for v in report.violations)
     return report, events, reproduced
 
 
@@ -597,7 +557,7 @@ def hunt(
         plan = sample_plan(space, rng)
         run_seed = hunt_seed + attempt
         report, _ = run_plan(plan, run_seed, config)
-        violations = _violations(report)
+        violations = report.violations
         emit(
             HuntAttempt(
                 float(attempt),
@@ -632,7 +592,7 @@ def hunt(
         )
         # Pin the expected violation to the shrunk plan's own replay.
         final_report, _ = run_plan(shrunk, run_seed, config)
-        final_violations = _violations(final_report)
+        final_violations = final_report.violations
         expected = next(
             (v for v in final_violations if v.invariant == signature),
             final_violations[0] if final_violations else first,

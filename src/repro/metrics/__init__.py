@@ -19,7 +19,7 @@ from repro.metrics.stats import (
     summarize,
 )
 from repro.metrics.timeseries import TimeSeries, bin_series
-from repro.metrics.report import format_table, format_cdf
+from repro.metrics.report import Table, cdf_quantiles, format_table, render
 
 __all__ = [
     "MetricsCollector",
@@ -32,6 +32,8 @@ __all__ = [
     "summarize",
     "TimeSeries",
     "bin_series",
+    "Table",
     "format_table",
-    "format_cdf",
+    "render",
+    "cdf_quantiles",
 ]

@@ -1,13 +1,23 @@
-"""Plain-text rendering of tables and CDFs for benchmark output.
+"""Plain-text rendering of result tables for CLI and benchmark output.
 
 The benchmark harness "prints the same rows/series the paper reports";
-these helpers produce aligned ASCII tables and coarse CDF listings that
-read well in pytest output.
+these helpers produce aligned ASCII tables (and pick the quantiles a
+CDF is tabulated at) that read well in pytest output.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
+
+#: A printable result table: ``(title, headers, rows)``. Every paper
+#: artifact's result type returns these from its ``*table()`` methods;
+#: the CLI, the benchmark harness and the docs all print the same one.
+Table = Tuple[str, Sequence[str], Sequence[Sequence[object]]]
+
+
+def render(table: Table) -> str:
+    title, headers, rows = table
+    return format_table(headers, rows, title=title)
 
 
 def format_table(
@@ -50,20 +60,23 @@ def format_table(
     return "\n".join(parts)
 
 
-def format_cdf(
+#: The quantiles a CDF is summarised at.
+CDF_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+
+
+def cdf_quantiles(
     points: Sequence[Tuple[float, float]],
-    fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99),
-    label: str = "latency (ms)",
-) -> str:
-    """Render selected quantiles of a CDF point list from ``cdf_points``."""
+    fractions: Sequence[float] = CDF_FRACTIONS,
+) -> List[float]:
+    """The value at each fraction of a CDF point list from ``cdf_points``."""
     if not points:
         raise ValueError("empty CDF")
-    lines = [f"CDF of {label}:"]
+    values: List[float] = []
     for target in fractions:
         value = points[-1][0]
         for v, frac in points:
             if frac >= target:
                 value = v
                 break
-        lines.append(f"  p{int(target * 100):02d} = {value:.1f}")
-    return "\n".join(lines)
+        values.append(value)
+    return values

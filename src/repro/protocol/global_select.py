@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.spatial_index import GeohashSpatialIndex
 from repro.messages import NodeStatus
@@ -42,7 +42,7 @@ from repro.protocol.events import (
     WrrAssignRequested,
 )
 
-__all__ = ["GlobalSelectionMachine", "RegistrySnapshot"]
+__all__ = ["GlobalSelectionMachine", "RegistrySnapshot", "smooth_wrr_pick"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,36 @@ class RegistrySnapshot:
             raise ValueError(
                 "snapshot must carry exactly one status+stamp per node id"
             )
+
+
+def smooth_wrr_pick(
+    statuses: Sequence[NodeStatus], ledger: Dict[str, float]
+) -> Optional[str]:
+    """One round of smooth (nginx-style) weighted round robin.
+
+    Every candidate gains its weight — its availability score — in
+    ``ledger``; the richest is picked and pays back the total. None
+    when there is no candidate.
+    """
+    if not statuses:
+        return None
+    total = 0.0
+    weights: Dict[str, float] = {}
+    for status in statuses:
+        weight = max(status.availability_score, 0.01)
+        weights[status.node_id] = weight
+        total += weight
+    best_id: Optional[str] = None
+    best_value = float("-inf")
+    for node_id, weight in weights.items():
+        current = ledger.get(node_id, 0.0) + weight
+        ledger[node_id] = current
+        if current > best_value:
+            best_value = current
+            best_id = node_id
+    assert best_id is not None
+    ledger[best_id] -= total
+    return best_id
 
 
 class GlobalSelectionMachine:
@@ -281,26 +311,7 @@ class GlobalSelectionMachine:
         ]
         if self.policy.node_predicate is not None:
             statuses = [s for s in statuses if self.policy.node_predicate(s)]
-        if not statuses:
-            effects.append(ReplyAssignment(None))
-            return effects
-        total = 0.0
-        weights: Dict[str, float] = {}
-        for status in statuses:
-            weight = max(status.availability_score, 0.01)
-            weights[status.node_id] = weight
-            total += weight
-        best_id: Optional[str] = None
-        best_value = float("-inf")
-        for node_id, weight in weights.items():
-            current = self._wrr_current.get(node_id, 0.0) + weight
-            self._wrr_current[node_id] = current
-            if current > best_value:
-                best_value = current
-                best_id = node_id
-        assert best_id is not None
-        self._wrr_current[best_id] -= total
-        effects.append(ReplyAssignment(best_id))
+        effects.append(ReplyAssignment(smooth_wrr_pick(statuses, self._wrr_current)))
         return effects
 
     def __repr__(self) -> str:

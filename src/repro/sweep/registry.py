@@ -39,7 +39,10 @@ Built-ins wrap the repo's paper experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover - experiment imports stay lazy
+    from repro.faults.scenarios import ChaosReport
 
 __all__ = [
     "SweepableExperiment",
@@ -188,13 +191,31 @@ def _qos_admission(params: Dict[str, Any], root_seed: int) -> MetricsDict:
     }
 
 
+def _chaos_metrics(report: "ChaosReport") -> MetricsDict:
+    """The recovery metrics every chaos experiment reports."""
+    total = report.frames_completed + report.frames_lost
+    return {
+        "frames_completed": float(report.frames_completed),
+        "frames_lost": float(report.frames_lost),
+        "loss_rate": report.frames_lost / total if total else 0.0,
+        "faults_injected": float(sum(report.injected.values())),
+        "covered_failovers": float(
+            report.event_counts.get("covered_failover", 0)
+        ),
+        "uncovered_failures": float(
+            report.event_counts.get("uncovered_failure", 0)
+        ),
+        "invariant_violations": float(len(report.problems)),
+    }
+
+
 def _chaos_matrix(params: Dict[str, Any], root_seed: int) -> MetricsDict:
     from repro.faults import FaultPlan
-    from repro.faults.scenarios import chaos_plan, run_sim_chaos
+    from repro.faults.scenarios import CANONICAL, run_chaos
 
     family = str(params.get("fault_family", "all"))
     horizon_ms = float(params.get("horizon_ms", 20_000.0))
-    full = chaos_plan(["edge-a", "edge-b", "edge-c"], horizon_ms=horizon_ms)
+    full = CANONICAL.default_plan(horizon_ms)
     families = {
         "none": FaultPlan(),
         "messages": FaultPlan(message_faults=full.message_faults),
@@ -208,28 +229,18 @@ def _chaos_matrix(params: Dict[str, Any], root_seed: int) -> MetricsDict:
         raise ValueError(
             f"unknown fault_family {family!r}; known: {sorted(families)}"
         )
-    report, _ = run_sim_chaos(
-        root_seed,
+    report, _ = run_chaos(
+        CANONICAL,
+        seed=root_seed,
         horizon_ms=horizon_ms,
         plan=families[family],
         top_n=int(params.get("top_n", 3)),
     )
-    total = report.frames_completed + report.frames_lost
     return {
-        "frames_completed": float(report.frames_completed),
-        "frames_lost": float(report.frames_lost),
-        "loss_rate": report.frames_lost / total if total else 0.0,
-        "faults_injected": float(sum(report.injected.values())),
-        "covered_failovers": float(
-            report.event_counts.get("covered_failover", 0)
-        ),
-        "uncovered_failures": float(
-            report.event_counts.get("uncovered_failure", 0)
-        ),
+        **_chaos_metrics(report),
         "degraded_fallbacks": float(
             report.event_counts.get("degraded_fallback", 0)
         ),
-        "invariant_violations": float(len(report.problems)),
     }
 
 
@@ -249,29 +260,20 @@ def _policy_matrix(params: Dict[str, Any], root_seed: int) -> MetricsDict:
 
 
 def _controlplane_chaos(params: Dict[str, Any], root_seed: int) -> MetricsDict:
-    from repro.faults.scenarios import run_sim_controlplane_chaos
+    from repro.faults.scenarios import controlplane, run_chaos
 
-    report, _ = run_sim_controlplane_chaos(
-        root_seed,
-        shards=int(params.get("shards", 2)),
-        replicas=int(params.get("replicas", 2)),
+    scenario = controlplane(
+        int(params.get("shards", 2)), int(params.get("replicas", 2))
+    )
+    report, _ = run_chaos(
+        scenario,
+        seed=root_seed,
         horizon_ms=float(params.get("horizon_ms", 20_000.0)),
-        n_clients=int(params.get("n_clients", 3)),
+        n_clients=int(params.get("n_clients", scenario.n_clients)),
         top_n=int(params.get("top_n", 3)),
     )
-    total = report.frames_completed + report.frames_lost
     return {
-        "frames_completed": float(report.frames_completed),
-        "frames_lost": float(report.frames_lost),
-        "loss_rate": report.frames_lost / total if total else 0.0,
-        "faults_injected": float(sum(report.injected.values())),
-        "covered_failovers": float(
-            report.event_counts.get("covered_failover", 0)
-        ),
-        "uncovered_failures": float(
-            report.event_counts.get("uncovered_failure", 0)
-        ),
-        "invariant_violations": float(len(report.problems)),
+        **_chaos_metrics(report),
         "task_errors": float(len(report.task_errors)),
     }
 

@@ -7,15 +7,13 @@ an *empty* plan must leave the simulation bit-identical to running
 with no injector at all (fault hooks are zero-cost when idle).
 """
 
-import asyncio
-
 import pytest
 
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
-from repro.faults import FaultInjector, FaultPlan
-from repro.faults.scenarios import chaos_plan, run_live_chaos, run_sim_chaos
+from repro.faults import FaultInjector, FaultPlan, ManagerOutage, Window
+from repro.faults.scenarios import CANONICAL, chaos_plan, run_chaos
 from repro.geo.point import GeoPoint
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
@@ -26,16 +24,16 @@ from repro.obs.tracer import Tracer
 # Determinism
 # ----------------------------------------------------------------------
 def test_sim_chaos_same_seed_identical_trace():
-    report_a, events_a = run_sim_chaos(7)
-    report_b, events_b = run_sim_chaos(7)
+    report_a, events_a = run_chaos(CANONICAL, seed=7)
+    report_b, events_b = run_chaos(CANONICAL, seed=7)
     assert report_a.ok and report_b.ok
     assert [e.to_dict() for e in events_a] == [e.to_dict() for e in events_b]
     assert report_a.injected == report_b.injected
 
 
 def test_sim_chaos_seed_changes_trace():
-    _, events_a = run_sim_chaos(7)
-    _, events_b = run_sim_chaos(8)
+    _, events_a = run_chaos(CANONICAL, seed=7)
+    _, events_b = run_chaos(CANONICAL, seed=8)
     assert [e.to_dict() for e in events_a] != [e.to_dict() for e in events_b]
 
 
@@ -71,7 +69,7 @@ def test_empty_plan_is_bit_identical_to_no_injector():
 # Chaos recovery, per backend
 # ----------------------------------------------------------------------
 def test_sim_chaos_recovers_with_canonical_plan():
-    report, events = run_sim_chaos(0)
+    report, events = run_chaos(CANONICAL, seed=0)
     assert report.ok, report.problems
     # every fault family of the canonical plan actually fired
     assert report.injected.get("drop", 0) > 0
@@ -88,7 +86,7 @@ def test_sim_chaos_recovers_with_canonical_plan():
 
 @pytest.mark.slow
 def test_live_chaos_recovers_with_canonical_plan():
-    report, _ = asyncio.run(run_live_chaos(0))
+    report, _ = run_chaos(CANONICAL, backend="live", seed=0)
     assert report.ok, (report.problems, report.task_errors)
     assert report.task_errors == []
     assert report.injected.get("crash", 0) == 1
@@ -101,8 +99,8 @@ def test_live_chaos_recovers_with_canonical_plan():
 @pytest.mark.slow
 def test_chaos_parity_shared_invariants():
     """The differential check: one plan, two runtimes, same contract."""
-    sim_report, sim_events = run_sim_chaos(1)
-    live_report, _ = asyncio.run(run_live_chaos(1))
+    sim_report, sim_events = run_chaos(CANONICAL, seed=1)
+    live_report, _ = run_chaos(CANONICAL, backend="live", seed=1)
     for report in (sim_report, live_report):
         assert report.ok, (report.backend, report.problems)
         assert report.frames_completed > 0
@@ -134,8 +132,8 @@ def test_live_chaos_drains_crash_window_past_horizon():
             ),
         )
     )
-    report, events = asyncio.run(
-        run_live_chaos(3, horizon_ms=horizon, plan=plan)
+    report, events = run_chaos(
+        CANONICAL, backend="live", seed=3, horizon_ms=horizon, plan=plan
     )
     assert report.task_errors == []
     # both halves of the crash window ran, even the post-horizon restart
@@ -147,11 +145,37 @@ def test_live_chaos_drains_crash_window_past_horizon():
     assert report.problems == []
 
 
+def test_live_backend_refuses_a_shard_outage_before_anything_boots(monkeypatch):
+    """A LocalCluster runs one manager: the runner refuses the
+    combination instead of executing a whole-manager stop in its place."""
+    from repro.runtime.launcher import LocalCluster
+
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a LocalCluster was built")
+
+    monkeypatch.setattr(LocalCluster, "__init__", no_cluster)
+    plan = FaultPlan(
+        outages=(ManagerOutage("shard-down", Window(1_000.0, 2_000.0), shard=0),)
+    )
+    with pytest.raises(ValueError, match="sim backend only"):
+        run_chaos(CANONICAL, backend="live", plan=plan)
+    with pytest.raises(ValueError, match="sim backend only"):
+        run_chaos(CANONICAL, backend="live", config_overrides={"top_n": 1})
+    with pytest.raises(ValueError, match="unknown backend"):
+        run_chaos(CANONICAL, backend="metro")
+    wide = FaultPlan(
+        outages=(ManagerOutage("shard-down", Window(1_000.0, 2_000.0), shard=3),)
+    )
+    with pytest.raises(ValueError, match="targets shard 3 of a 1-shard"):
+        run_chaos(CANONICAL, plan=wide)
+
+
 # ----------------------------------------------------------------------
 # The canonical plan itself
 # ----------------------------------------------------------------------
 def test_chaos_plan_covers_every_fault_family():
     plan = chaos_plan(["edge-a", "edge-b", "edge-c"], horizon_ms=20_000.0)
+    assert plan == CANONICAL.default_plan(20_000.0)
     assert plan.message_faults
     assert plan.partitions
     assert plan.crashes and plan.crashes[0].restart_at_ms is not None

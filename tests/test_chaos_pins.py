@@ -1,0 +1,74 @@
+"""The chaos stack's outputs, pinned as they were before the three
+per-backend, per-plan runners became one ``run_chaos(scenario,
+backend=...)``.
+
+Every hash below was recorded at the parent commit (8f35efd) with the
+old functions: the sha256 of the JSONL trace dump (what ``repro chaos
+--out`` writes) and of the sweep engine's ``store_digest`` for the two
+chaos experiments (default grids, 3 seeds, base seed 42, inline
+platform). One cell is excepted by name: ``controlplane_chaos`` at
+shards=1, replicas=1, where the parent built a plain ``CentralManager``,
+dropped the shard outage through a ``hasattr`` guard, counted it anyway
+and reported "manager is not a sharded control plane" on every seed.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.faults.scenarios import CANONICAL, controlplane, run_chaos
+from repro.obs.tracer import JsonlSink
+from repro.sweep import RunStore, SweepSpec, get_experiment, run_sweep, store_digest
+
+TRACE_SHA256 = {
+    ("canonical", 0): "310ac1937cb24fe6769688f81fcff363324fce87c52dcc9f35ac54fa34bccd70",
+    ("controlplane", 0): "64be9f26699d01ae81c3636df68839ef145f27a968b39ed08038f1b6e53630c2",
+    ("controlplane", 5): "60a12b040f1af7d76044d16aece83af10dd35ba7dd089975193e80a3c87387a7",
+}
+DIGEST_SHA256 = {
+    "chaos_matrix": "658734e8e0109234854f557a9b06bc75f010b4faacced30e5159d183d150e43e",
+    # Every cell but the excepted one; with it the parent's digest was
+    # 4dcaa42c564d00eab1c71409c35b3377af0b8c46389f818a0ea889bfc6c7d7f2.
+    "controlplane_chaos": "b761a228457c6fe08f18646231f1b9a124e98c7958f2f9c472262d0f19aa1c0b",
+}
+#: Cells whose parent-commit numbers were wrong, left out of the digest.
+EXCEPTED_CELLS = {"controlplane_chaos": [{"shards": 1, "replicas": 1}]}
+
+
+@pytest.mark.parametrize("name,seed", sorted(TRACE_SHA256))
+def test_trace_is_byte_identical_to_the_parent_runner(name, seed, tmp_path):
+    scenario = CANONICAL if name == "canonical" else controlplane(2, 2)
+    _, events = run_chaos(scenario, seed=seed)
+    path = tmp_path / "trace.jsonl"
+    sink = JsonlSink(str(path))
+    for event in events:
+        sink.write(event)
+    sink.close()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name, seed]
+
+
+@pytest.fixture(scope="module", params=sorted(DIGEST_SHA256))
+def sweep_records(request, tmp_path_factory):
+    experiment = get_experiment(request.param)
+    spec = SweepSpec.build(
+        experiment.name, dict(experiment.default_grid), n_seeds=3, base_seed=42
+    )
+    store = RunStore(str(tmp_path_factory.mktemp(experiment.name)))
+    result = run_sweep(spec, store, platform="inline")
+    assert result.failed == 0
+    return experiment.name, list(store.records())
+
+
+def test_sweep_digest_is_identical_to_the_parent_runner(sweep_records):
+    name, records = sweep_records
+    kept = [r for r in records if r.params not in EXCEPTED_CELLS.get(name, [])]
+    assert len(records) - len(kept) == 3 * len(EXCEPTED_CELLS.get(name, []))
+    digest = hashlib.sha256(store_digest(kept).encode()).hexdigest()
+    assert digest == DIGEST_SHA256[name]
+
+
+def test_every_default_cell_holds_its_recovery_invariants(sweep_records):
+    """Red at the parent: the 1x1 ``controlplane_chaos`` cell read 1.0."""
+    _, records = sweep_records
+    red = [(r.params, r.seed_index) for r in records if r.metrics["invariant_violations"]]
+    assert red == []

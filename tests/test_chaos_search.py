@@ -87,16 +87,18 @@ def test_hunt_config_rejects_unknown_scenario():
 
 
 def test_controlplane_space_targets_populated_shards():
-    from repro.faults.scenarios import _controlplane_layout
+    from repro.faults.scenarios import CANONICAL, controlplane
 
     space = HuntConfig(scenario="controlplane", shards=2).space()
-    _, _, _, targets = _controlplane_layout(2)
     # Exactly the shards that own at least one edge node: a sampled
     # shard-targeted outage is guaranteed to hit a populated shard.
-    assert space.shard_targets == tuple(targets)
+    assert space.shard_targets == controlplane(2).shard_targets
+    assert space.edge_ids == controlplane(2).edge_ids
     assert space.shard_targets
     assert all(0 <= s < 2 for s in space.shard_targets)
-    assert HuntConfig(scenario="canonical").space().shard_targets == ()
+    canonical = HuntConfig(scenario="canonical").space()
+    assert canonical.shard_targets == ()
+    assert canonical.edge_ids == CANONICAL.edge_ids == FaultSpace().edge_ids
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +190,13 @@ def test_shrunk_plan_is_one_minimal(weakened_find):
     config = artifact.hunt_config()
     signature = artifact.violation.invariant
     for rule in artifact.plan.all_rules():
-        from repro.faults.search import _reproduces, _violations, _without_rule
+        from repro.faults.search import _reproduces, _without_rule
 
         reduced = _without_rule(artifact.plan, rule.rule_id)
         if len(reduced) == 0:
             continue  # a 1-rule reproducer has nothing left to drop
         report, _ = run_plan(reduced, artifact.seed, config)
-        assert not _reproduces(_violations(report), signature)
+        assert not _reproduces(report.violations, signature)
 
 
 def test_hunt_with_zero_attempts_reports_not_found():

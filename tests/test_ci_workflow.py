@@ -99,3 +99,25 @@ def test_the_stop_race_test_runs_under_the_leak_flags():
               and "-W error::ResourceWarning" in s and f"tests/{home.name}" in s]
     assert strict, f"tests/{home.name} is in no -W error::ResourceWarning step"
 
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_controlplane_smoke_gates_the_sweep_on_invariant_violations():
+    """The 1x1 ``controlplane_chaos`` cell reported a violation on every
+    seed for as long as nothing looked: one step sweeps the default grid
+    and fails on any non-zero ``invariant_violations``. The job calls the
+    canonical spelling of the chaos run, and the alias exactly once."""
+    job = jobs()["controlplane-smoke"]
+    sweep = (
+        "python -m repro sweep run --experiment controlplane_chaos --seeds 1 \\\n"
+        '            --platform inline --store "$store"'
+    )
+    assert sweep in job
+    (step,) = [s for s in re.split(r"(?m)^      - name: ", job) if sweep in s]
+    assert 'r["metrics"]["invariant_violations"] != 0' in step
+    assert "assert not red" in step
+    assert "-m repro chaos --plan controlplane" in job
+    assert len(re.findall(r"-m repro controlplane\b", job)) == 1
+    hunt = jobs()["chaos-hunt-smoke"]
+    assert "-m repro chaos --plan controlplane" in hunt
+    assert not re.search(r"-m repro controlplane\b", hunt)

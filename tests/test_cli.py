@@ -174,7 +174,7 @@ def test_chaos_command_runs_sim_and_dumps_trace(tmp_path, capsys):
     out_path = tmp_path / "chaos.jsonl"
     assert main(["chaos", "--seed", "0", "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
-    assert "backend=sim seed=0" in out
+    assert "scenario=canonical backend=sim seed=0" in out
     assert "all recovery invariants hold" in out
     assert f"-> {out_path}" in out
     lines = out_path.read_text().splitlines()
@@ -182,6 +182,56 @@ def test_chaos_command_runs_sim_and_dumps_trace(tmp_path, capsys):
     import json
 
     assert all("type" in json.loads(line) for line in lines[:10])
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [["--seed", "0"], ["--seed", "0", "--shards", "1", "--replicas", "1"]],
+)
+def test_controlplane_is_an_alias_of_chaos_plan_controlplane(
+    arguments, tmp_path, capsys
+):
+    outputs = []
+    for spelling in (["controlplane"], ["chaos", "--plan", "controlplane"]):
+        trace = tmp_path / f"{spelling[0]}.jsonl"
+        code = main(spelling + arguments + ["--out", str(trace)])
+        out = capsys.readouterr().out.replace(str(trace), "TRACE")
+        outputs.append((code, out, trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    code, out, _ = outputs[0]
+    assert code == 0
+    assert "scenario=controlplane backend=sim seed=0" in out
+    assert "control plane: shard_route=" in out
+    assert "all recovery invariants hold" in out
+    assert "not a sharded control plane" not in out
+
+
+def test_both_chaos_spellings_fail_on_a_streaming_violation(monkeypatch, capsys):
+    """``report.ok`` only covers the end state; a violation in the trace
+    fails the run under either spelling (``repro controlplane`` used to
+    exit 0 on it)."""
+    from repro.faults import scenarios
+    from repro.verify import Violation
+
+    violation = Violation("seq_monotonic", "went backwards", 3, 10.0, "user-01")
+
+    def violating_run(scenario, **kwargs):
+        report = scenarios.ChaosReport(scenario.name, kwargs["backend"], kwargs["seed"])
+        report.violations = [violation]
+        assert report.ok
+        return report, []
+
+    monkeypatch.setattr(scenarios, "run_chaos", violating_run)
+    for spelling in (["controlplane"], ["chaos", "--plan", "controlplane"], ["chaos"]):
+        assert main(spelling + ["--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "STREAMING VIOLATIONS" in captured.out
+        assert "seq_monotonic" in captured.err
+
+
+def test_chaos_refusal_is_a_clean_exit(capsys):
+    with pytest.raises(SystemExit, match="sim backend only"):
+        main(["chaos", "--plan", "controlplane", "--run", "live"])
 
 
 def test_chaos_check_passes_on_canonical_trace(tmp_path, capsys):

@@ -19,7 +19,8 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.manager import CentralManager
 from repro.core.system import EdgeSystem
-from repro.faults.scenarios import run_sim_controlplane_chaos
+from repro.faults import FaultInjector, FaultPlan, ManagerOutage, Window
+from repro.faults.scenarios import CANONICAL, controlplane, run_chaos
 from repro.geo.point import GeoPoint
 from repro.messages import DiscoveryQuery
 from repro.net.topology import EndpointSpec
@@ -79,6 +80,19 @@ def test_default_config_uses_the_seed_manager():
 def test_shards_or_replicas_select_the_control_plane():
     assert isinstance(build_system(shards=2).manager, ShardedCentralManager)
     assert isinstance(build_system(replicas=2).manager, ShardedCentralManager)
+
+
+def test_a_shard_targeted_plan_selects_the_control_plane_at_1x1():
+    """Only the sharded manager has a shard to lose: a plan that takes
+    one down gets it even at shards=1, replicas=1; a whole-manager
+    outage (enforced per message) keeps the seed manager."""
+    window = Window(1_000.0, 2_000.0)
+    whole = FaultPlan(outages=(ManagerOutage("m", window),))
+    targeted = FaultPlan(outages=(ManagerOutage("s", window, shard=0),))
+    config = SystemConfig(seed=3)
+    for plan, manager_type in ((whole, CentralManager), (targeted, ShardedCentralManager)):
+        system = EdgeSystem(config, faults=FaultInjector(plan, seed=3))
+        assert type(system.manager) is manager_type
 
 
 def test_scenario_builder_control_plane_knob():
@@ -178,14 +192,15 @@ def test_unreplicated_shard_outage_degrades_then_resumes():
     system.run_for(2_000.0)
     manager = system.manager
     before = [manager.discover(q).node_ids for q in queries_at_each_node()]
-    manager.on_shard_outage_start(0)
-    manager.on_shard_outage_end(1)  # no-op: shard 1 has no outage
+    assert manager.on_shard_outage_start(0)
+    assert not manager.on_shard_outage_start(0)  # overlapping rule: no-op
+    assert not manager.on_shard_outage_end(1)  # no-op: shard 1 has no outage
     system.run_for(2 * manager.promotion_delay_ms)
     assert manager.promotions == 0
     with pytest.raises(ControlPlaneUnavailable):
         for query in queries_at_each_node():
             manager.discover(query)
-    manager.on_shard_outage_end(0)
+    assert manager.on_shard_outage_end(0)
     after = [manager.discover(q).node_ids for q in queries_at_each_node()]
     assert after == before
 
@@ -238,14 +253,48 @@ def test_apply_shard_map_rejects_stale_epoch():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 3])
 def test_controlplane_chaos_recovers(seed):
-    report, events = run_sim_controlplane_chaos(seed)
+    report, events = run_chaos(controlplane(), seed=seed)
     assert report.ok, report.problems
     kinds = [e.to_dict()["type"] for e in events]
     assert "manager_promote" in kinds
     assert "registry_handoff" in kinds
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_unreplicated_controlplane_chaos_degrades_and_recovers(shards):
+    """replicas=1, and 1x1 like 2x1: the targeted shard is unavailable
+    for the outage window, nothing is promoted, clients ride the
+    degraded fallback, and only outages that happened are counted."""
+    scenario = controlplane(shards, 1)
+    report, events = run_chaos(scenario, seed=0)
+    assert report.ok, report.problems
+    assert report.violations == []
+    assert report.event_counts.get("manager_promote", 0) == 0
+    assert report.event_counts["degraded_fallback"] > 0
+    starts = [
+        e for e in events if e.type == "fault_injected" and e.kind == "outage_start"
+    ]
+    assert [e.dst for e in starts] == [f"shard:{s}" for s in scenario.shard_targets]
+    assert report.injected["outage_start"] == len(starts)
+    assert report.injected["outage_end"] == len(starts)
+
+
+def test_overlapping_shard_outage_is_traced_but_not_counted():
+    """The second rule on a shard that is already down does nothing."""
+    plan = FaultPlan(
+        outages=(
+            ManagerOutage("first", Window(4_000.0, 9_000.0), shard=0),
+            ManagerOutage("second", Window(6_000.0, 12_000.0), shard=0),
+        )
+    )
+    report, events = run_chaos(CANONICAL, seed=0, plan=plan)
+    traced = [e.kind for e in events if e.type == "fault_injected"]
+    assert traced.count("outage_start") == traced.count("outage_end") == 2
+    assert report.injected == {"outage_start": 1, "outage_end": 1}
+    assert report.ok, report.problems
+
+
 def test_controlplane_chaos_is_seed_deterministic():
-    _, events_a = run_sim_controlplane_chaos(5)
-    _, events_b = run_sim_controlplane_chaos(5)
+    _, events_a = run_chaos(controlplane(), seed=5)
+    _, events_b = run_chaos(controlplane(), seed=5)
     assert [e.to_dict() for e in events_a] == [e.to_dict() for e in events_b]

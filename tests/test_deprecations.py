@@ -60,6 +60,21 @@ def test_construction_and_config_shims_are_removed():
         SystemConfig(use_global_overhead=True)
 
 
+def test_the_three_chaos_runners_are_removed():
+    """One ``run_chaos(scenario, backend=...)`` replaced them outright —
+    no wrappers: a deprecation from ``repro`` is a tier-1 error anyway."""
+    from repro.faults import scenarios
+
+    for name in (
+        "run_sim_chaos",
+        "run_sim_controlplane_chaos",
+        "run_live_chaos",
+        "_controlplane_layout",
+    ):
+        assert not hasattr(scenarios, name), name
+    assert callable(scenarios.run_chaos)
+
+
 def test_metrics_record_shims_are_removed():
     collector = MetricsCollector()
     for name in (

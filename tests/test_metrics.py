@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import format_cdf, format_table
+from repro.metrics.report import cdf_quantiles, format_table, render
 from repro.obs.events import (
     CoveredFailover,
     FrameDone,
@@ -235,13 +235,17 @@ def test_format_table_rejects_ragged_rows():
         format_table(["a", "b"], [["only-one"]])
 
 
-def test_format_cdf_picks_quantiles():
+def test_render_is_format_table_of_a_table_triple():
+    table = ("T", ["name", "ms"], [["V1", 24.0], ["D6", 30.0]])
+    assert render(table) == format_table(table[1], table[2], title="T")
+
+
+def test_cdf_quantiles_picks_quantiles():
     points = cdf_points(list(range(1, 101)))
-    text = format_cdf(points)
-    assert "p50" in text
-    assert "50.0" in text
+    assert cdf_quantiles(points) == [10, 25, 50, 75, 90, 99]
+    assert cdf_quantiles(points, fractions=(0.5,)) == [50]
 
 
-def test_format_cdf_empty_raises():
+def test_cdf_quantiles_empty_raises():
     with pytest.raises(ValueError):
-        format_cdf([])
+        cdf_quantiles([])

@@ -366,9 +366,9 @@ def test_default_suite_has_every_invariant():
 
 
 def test_canonical_sim_chaos_trace_is_invariant_clean():
-    from repro.faults.scenarios import run_sim_chaos
+    from repro.faults.scenarios import CANONICAL, run_chaos
 
-    report, events = run_sim_chaos(seed=0)
+    report, events = run_chaos(CANONICAL, seed=0)
     assert report.ok, (report.problems, report.task_errors)
     assert check_events(events) == []
     # the wire-format path must agree with the typed path
@@ -377,9 +377,9 @@ def test_canonical_sim_chaos_trace_is_invariant_clean():
 
 
 def test_canonical_controlplane_trace_is_invariant_clean():
-    from repro.faults.scenarios import run_sim_controlplane_chaos
+    from repro.faults.scenarios import controlplane, run_chaos
 
-    report, events = run_sim_controlplane_chaos(seed=0)
+    report, events = run_chaos(controlplane(), seed=0)
     assert report.ok, (report.problems, report.task_errors)
     assert check_events(events, expect_promotion=True) == []
 
@@ -387,10 +387,10 @@ def test_canonical_controlplane_trace_is_invariant_clean():
 def test_weakened_detection_budget_trips_the_suite():
     """The CI smoke scenario: a 4 s detection window cannot meet the
     nominal 250 ms promotion budget — the suite must see it."""
-    from repro.faults.scenarios import run_sim_controlplane_chaos
+    from repro.faults.scenarios import controlplane, run_chaos
 
-    _, events = run_sim_controlplane_chaos(
-        seed=0, config_overrides={"failure_detection_ms": 4_000.0}
+    _, events = run_chaos(
+        controlplane(), seed=0, config_overrides={"failure_detection_ms": 4_000.0}
     )
     violations = check_events(events, expect_promotion=True)
     assert any(v.invariant == "promotion_budget" for v in violations)

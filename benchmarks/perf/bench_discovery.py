@@ -13,6 +13,14 @@ Every query's TopN answer is asserted bit-identical between the two
 paths before timing, then both are timed and the speedup is written to
 ``BENCH_perf.json``.
 
+The index remembers the geo cut of a query it has seen twice, so what a
+timing means depends on whether its points are new. The
+linear-vs-indexed ``speedup`` (and ``indexed_queries_per_s``) is **cold**:
+every repeat draws fresh points, which the index has never cut.
+``standing_queries_per_s`` is its own field: the parity batch asked again
+and again, the way a stationary user re-discovers every probing period,
+with the share of cuts answered from memory beside it.
+
 Run:  PYTHONPATH=src python benchmarks/perf/bench_discovery.py --nodes 5000
 """
 
@@ -125,21 +133,35 @@ def main(argv: List[str] | None = None) -> int:
         print(f"FAILED: {mismatches}/{len(queries)} queries disagree")
         return 1
 
-    def timed(run) -> float:
-        best = float("inf")
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed(run, batch: List[DiscoveryQuery]) -> float:
+        t0 = time.perf_counter()
+        for query in batch:
+            run(query)
+        return time.perf_counter() - t0
 
-    linear_s = timed(
-        lambda: [policy.select(q, nodes=manager.alive_statuses()) for q in queries]
-    )
-    indexed_s = timed(lambda: [policy.select(q, index=index) for q in queries])
+    def by_scan(query: DiscoveryQuery):
+        return policy.select(query, nodes=manager.alive_statuses())
+
+    def by_index(query: DiscoveryQuery):
+        return policy.select(query, index=index)
+
+    # Cold: fresh points per repeat, the same batch down both paths.
+    linear_s = indexed_s = float("inf")
+    for _ in range(args.repeat):
+        fresh = make_queries(args.queries, args.region_km, args.top_n, rng)
+        linear_s = min(linear_s, timed(by_scan, fresh))
+        indexed_s = min(indexed_s, timed(by_index, fresh))
+    # Standing: the parity pass was the first sight of `queries`, this
+    # pass is the second (the cut is kept), the timed ones re-discover.
+    timed(by_index, queries)
+    remembered, computed = index.cuts_remembered, index.cuts_computed
+    standing_s = min(timed(by_index, queries) for _ in range(args.repeat))
+    remembered = index.cuts_remembered - remembered
+    computed = index.cuts_computed - computed
 
     linear_qps = len(queries) / linear_s
     indexed_qps = len(queries) / indexed_s
+    standing_qps = len(queries) / standing_s
     speedup = indexed_qps / linear_qps
 
     result = {
@@ -152,6 +174,8 @@ def main(argv: List[str] | None = None) -> int:
         "linear_queries_per_s": round(linear_qps, 1),
         "indexed_queries_per_s": round(indexed_qps, 1),
         "speedup": round(speedup, 2),
+        "standing_queries_per_s": round(standing_qps, 1),
+        "standing_cut_hit_rate": round(remembered / max(1, remembered + computed), 3),
         "parity": "identical",
     }
     record_bench_section(args.output, "discovery", result)
@@ -159,8 +183,10 @@ def main(argv: List[str] | None = None) -> int:
     print(f"nodes={args.nodes}  queries={len(queries)}  "
           f"radius={args.radius_km}km over {args.region_km}km region")
     print(f"  linear scan : {linear_qps:10.1f} queries/s")
-    print(f"  spatial idx : {indexed_qps:10.1f} queries/s")
+    print(f"  spatial idx : {indexed_qps:10.1f} queries/s   (cold: points never seen)")
     print(f"  speedup     : {speedup:10.2f}x   (parity: identical)")
+    print(f"  standing    : {standing_qps:10.1f} queries/s   "
+          f"({remembered}/{remembered + computed} cuts from memory)")
     print(f"wrote {args.output}")
     return 0
 

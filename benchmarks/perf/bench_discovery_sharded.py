@@ -9,7 +9,11 @@ Before timing, every routed answer is asserted bit-identical to a
 single-manager reference (the control plane's determinism contract).
 The timed phase records, per shard count:
 
-- ``queries_per_s`` — full routed selections (plan, fan-out, merge);
+- ``queries_per_s`` — full routed selections (plan, fan-out, merge).
+  The repeats re-ask the parity batch and the best is kept, so since the
+  shards' indexes remember a geo cut seen twice this is the
+  *standing-query* rate (stationary users re-discovering); the cold
+  rate is ``bench_discovery.py``'s ``indexed_queries_per_s``;
 - ``cross_shard_fraction`` — queries whose covering cells straddled a
   shard boundary (fan-out > 1);
 - ``merge_overhead_fraction`` — time spent outside the per-shard

@@ -129,14 +129,8 @@ class CentralManager:
         self._run_effects(self._machine.handle(NodeForgotten(node_id)))
 
     def prune_stale(self) -> None:
-        """Expire registry entries older than the heartbeat timeout.
-
-        A dead node silently ages out after ``heartbeat_timeout_ms``,
-        which is exactly the window in which discovery can still hand out
-        a dead candidate (the client tolerates this: probes to it fail
-        and it is skipped). The machine's expiry heap keeps this
-        amortized O(1).
-        """
+        """Expire registry entries older than ``heartbeat_timeout_ms``
+        (the machine's ``_prune``: amortized O(1) off its expiry heap)."""
         self._run_effects(self._machine.handle(PruneTick(self.system.sim.now)))
 
     def alive_statuses(self) -> List[NodeStatus]:
@@ -151,13 +145,8 @@ class CentralManager:
     # Edge discovery (global edge selection)
     # ------------------------------------------------------------------
     def discover(self, query: DiscoveryQuery) -> CandidateList:
-        """Answer an edge discovery query with the TopN candidate list.
-
-        The fast path: stale entries are expired from the heap (amortized
-        O(1)), then selection runs against the spatial index — per-cell
-        candidate lookups instead of a full-registry scan, so query cost
-        scales with local density rather than metro population.
-        """
+        """Answer an edge discovery query with the TopN candidate list
+        (the machine's ``_on_discovery``: prune, then the spatial index)."""
         self.queries_served += 1
         now = self.system.sim.now
         reply = self._run_effects(
@@ -177,15 +166,8 @@ class CentralManager:
     # Resource-aware weighted round robin (baseline support)
     # ------------------------------------------------------------------
     def wrr_assign(self, query: DiscoveryQuery) -> Optional[str]:
-        """Assign a user to a node by smooth weighted round robin.
-
-        Weights are the availability scores from the latest heartbeats —
-        "the weight applied for each edge node is determined by the
-        resource availability and utilization" (§V-B). Smooth WRR
-        (nginx-style) spreads assignments proportionally without bursts:
-        each round every node gains its weight, the richest is picked and
-        pays back the total weight.
-        """
+        """Assign a user to a node by smooth weighted round robin over
+        the latest availability scores (the machine's ``_on_wrr_assign``)."""
         reply = self._run_effects(
             self._machine.handle(
                 WrrAssignRequested(
@@ -195,6 +177,17 @@ class CentralManager:
         )
         assert isinstance(reply, ReplyAssignment)
         return reply.node_id
+
+    def status(self) -> Dict[str, int]:
+        """The live ``status`` op's counters, for the simulated manager."""
+        index = self._machine.spatial_index
+        return {
+            "nodes": len(self._machine.registry),
+            "queries_served": self.queries_served,
+            "heartbeats_received": self.heartbeats_received,
+            "cuts_remembered": index.cuts_remembered,
+            "cuts_computed": index.cuts_computed,
+        }
 
     def __repr__(self) -> str:
         return (

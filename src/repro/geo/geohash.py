@@ -326,8 +326,11 @@ _MAX_COVER_COLUMNS = 16
 _COVER_PAD = 1.0 + 1e-9
 
 
-def cover(lat: float, lon: float, radius_km: float) -> Tuple[int, List[int]]:
-    """``(precision, cell ids)`` of the cells covering a disc, centre first.
+@lru_cache(maxsize=4096)
+def cover(lat: float, lon: float, radius_km: float) -> Tuple[int, Tuple[int, ...]]:
+    """``(precision, cell ids)`` of the cells covering a disc, centre first
+    (memoised: users re-discover from where they stand, and the router's
+    plan and the index's cut of one query share the evaluation).
 
     Every point within ``radius_km`` (haversine) of ``(lat, lon)`` lies
     in one of the returned same-precision cells. They are the cells that
@@ -379,7 +382,7 @@ def cover(lat: float, lon: float, radius_km: float) -> Tuple[int, List[int]]:
     lat_part, lon_part = _axis_parts(lat_q, lon_q, precision)
     row = _walk(lon_part, east, west, lat_mask, lon_mask)
     rows = _walk(lat_part, north, south, lon_mask, lat_mask)
-    return precision, [above | cell for above in rows for cell in row]
+    return precision, tuple([above | cell for above in rows for cell in row])
 
 
 def _walk(centre: int, ahead: int, back: int, fill: int, mask: int) -> List[int]:
@@ -408,16 +411,6 @@ def covering_cells(point: GeoPoint, radius_km: float) -> List[str]:
     order): what the linear reference filter matches prefixes against."""
     precision, cells = cover(point.lat, point.lon, radius_km)
     return [cell_to_geohash(cell, precision) for cell in cells]
-
-
-def common_prefix_length(a: str, b: str) -> int:
-    """Length of the shared geohash prefix — a crude proximity proxy."""
-    length = 0
-    for ca, cb in zip(a.lower(), b.lower()):
-        if ca != cb:
-            break
-        length += 1
-    return length
 
 
 def cell_size_km(precision: int) -> Tuple[float, float]:

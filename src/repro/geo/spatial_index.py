@@ -1,31 +1,26 @@
 """Columnar geohash-bucketed spatial index for the Central Manager's registry.
 
 The paper's global selection geo-filters candidates by GeoHash cell
-prefix (§IV-B). The seed implementation re-derived that filter from a
-full registry scan on every discovery query — O(N) per query, which is
-the gating cost of client-centric selection at metro scale (cf. the
-candidate-filtering bottlenecks discussed by Renau & Ullah,
+prefix (§IV-B); as a registry scan that is O(N) per query, the gating
+cost of client-centric selection at metro scale (cf. Renau & Ullah,
 arXiv:2510.08228, and Burbano et al., arXiv:2511.10146).
-
-:class:`GeohashSpatialIndex` replaces the scan with cell-prefix buckets:
-every indexed node is registered under each prefix of its geohash up to
-``max_precision``, so a proximity query — a handful of same-precision
-covering cells — is a handful of dict lookups touching only the nodes
-inside those cells. Inserts, updates and removals are
-O(``max_precision``), so the index is maintained incrementally on every
-heartbeat and expiry instead of being rebuilt.
+:class:`GeohashSpatialIndex` registers every node under each prefix of
+its geohash up to ``max_precision`` instead, so a proximity query — a
+handful of same-precision covering cells — is a handful of dict lookups
+touching only the nodes inside those cells, and an insert, update or
+removal is O(``max_precision``): the index is maintained on every
+heartbeat and expiry, never rebuilt.
 
 Buckets are keyed by integer: the cell id of :mod:`repro.geo.geohash`
 under a sentinel bit that carries the depth, ``(1 << 5*depth) | cell``,
 so a parent's key is ``key >> 5`` and the cover of a query disc
 (:func:`~repro.geo.geohash.cover`, integer cell ids) reaches its buckets
 by a shift and an OR. Geohash *strings* are parsed where they enter:
-once per :meth:`insert` that changes a node's hash, and in the string
-renderings of the query API (:meth:`query_cells`, :meth:`within`).
+once per :meth:`insert` that changes a node's hash.
 
 Storage is columnar. Every node owns a *slot*; ``slot -> status`` is a
 list, each bucket caches its members' slots as an integer array
-(dropped only when that bucket's membership changes — a same-cell
+(dropped only when a member joins, leaves or moves — a same-place
 heartbeat refresh touches no bucket), and per-slot float64 columns hold
 the haversine operands (``lat_rad``, ``lon_rad``, ``cos_lat``) plus any
 status attribute a ranking policy asks for through :meth:`column`.
@@ -35,24 +30,31 @@ one numpy pass instead of one Python ``haversine`` call per candidate.
 **Propose / decide.** numpy's ``sin``/``arcsin`` may differ from
 ``math``'s by an ulp, so a vector distance never decides membership on
 its own: :meth:`within_cover` trusts it only outside a guard band
-around the radius and re-decides everything inside the band with the scalar
-:func:`~repro.geo.point.haversine_km_coords`. The returned set is
-therefore exactly the set a linear scan with the scalar cut returns (a
-property the test suite checks on randomized registries and on nodes
-placed ulps from the radius).
+around the radius and re-decides everything inside the band with the
+scalar :func:`~repro.geo.point.haversine_km_coords`. The returned set is
+therefore exactly the set a linear scan with the scalar cut returns.
+
+**Static / dynamic.** Which nodes lie inside a disc, and how far, changes
+only when a node of a covered cell joins, leaves or moves; what a
+heartbeat changes is read by the ranking, not by the cut. So
+:meth:`within_cover` remembers its answer per ``(lat, lon, radius_km)``
+next to the bucket arrays it was cut from, and a user re-discovering
+from where it stands gets the same arrays back while each of those
+buckets still holds that very array. Every membership or position
+change drops the arrays of the cell's whole bucket chain, so identity
+*is* validity: no clock, no generation counter (DESIGN.md §5a).
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import (
     Dict,
     Generic,
-    Iterable,
     List,
     Optional,
     Protocol,
-    Sequence,
     Set,
     Tuple,
     TypeVar,
@@ -94,8 +96,8 @@ SlotArray = npt.NDArray[np.intp]
 FloatArray = npt.NDArray[np.float64]
 
 #: Bucket depth. Precision 6 cells are ~0.6 km — deeper than any
-#: realistic discovery radius; queries at deeper precisions degrade
-#: gracefully (see :meth:`GeohashSpatialIndex.query_cells`).
+#: realistic discovery radius; a cover at a deeper precision is
+#: truncated to it (see :meth:`GeohashSpatialIndex.within_cover`).
 DEFAULT_MAX_PRECISION = 6
 
 #: Half-width of the band around the radius, relative to
@@ -108,8 +110,25 @@ DEFAULT_MAX_PRECISION = 6
 #: node lands in it about once per thousand metro-density queries.
 DISTANCE_GUARD = 1e-6
 
+#: What one index's cut memo may hold, in elements: an in-radius node of
+#: a remembered cut is one (a slot and a distance, 16 bytes) and every
+#: remembered query ``_MEMO_KEY`` more, for its key and object headers —
+#: 4 MiB of arrays at most, 4 096 queries at most, one-off queries
+#: bounded like any other. A cut longer than 1/64 of the budget (a wide
+#: fallback over a dense registry) is answered and not kept.
+MEMO_ELEMENTS = 1 << 18
+_MEMO_KEY = 64
+
 _NO_SLOTS: SlotArray = np.empty(0, dtype=np.intp)
 _NO_DISTANCES: FloatArray = np.empty(0, dtype=np.float64)
+_NO_SLOTS.flags.writeable = _NO_DISTANCES.flags.writeable = False
+
+#: A remembered cut: each covered bucket with the slot array it was cut
+#: from (``None``: the cell was empty), then the answer.
+_Cut = Tuple[Tuple[Tuple[int, Optional[SlotArray]], ...], SlotArray, FloatArray]
+#: A query seen once stores its key, not its arrays: it holds this cut,
+#: which is never valid (no bucket has key 0).
+_SEEN_ONCE: _Cut = (((0, _NO_SLOTS),), _NO_SLOTS, _NO_DISTANCES)
 
 
 def distance_guard_km(radius_km: float) -> float:
@@ -140,6 +159,10 @@ class GeohashSpatialIndex(Generic[S]):
         "_lon_rad",
         "_cos_lat",
         "_columns",
+        "_memo",
+        "_memo_held",
+        "cuts_remembered",
+        "cuts_computed",
     )
 
     def __init__(self, max_precision: int = DEFAULT_MAX_PRECISION) -> None:
@@ -159,7 +182,7 @@ class GeohashSpatialIndex(Generic[S]):
         #: set of strings would not be, under hash randomization).
         self._buckets: Dict[int, Dict[str, None]] = {}
         #: key -> its bucket's slots as an array, built by the first
-        #: query after the bucket's membership changed.
+        #: query after a member joined, left or moved.
         self._bucket_slots: Dict[int, SlotArray] = {}
         #: Column bookkeeping. ``insert`` does no numeric work (filling
         #: a registry costs what it did without columns); the next query
@@ -173,6 +196,14 @@ class GeohashSpatialIndex(Generic[S]):
         self._cos_lat: FloatArray = _NO_DISTANCES
         #: status attribute name -> per-slot float64 column of it.
         self._columns: Dict[str, FloatArray] = {}
+        #: ``(lat, lon, radius_km)`` -> the cut made for it, first seen
+        #: first out (ordered: popping a plain dict's first key scans
+        #: its predecessors' holes); each holds ``_MEMO_KEY + len(slots)``.
+        self._memo: OrderedDict[Tuple[float, float, float], _Cut] = OrderedDict()
+        self._memo_held = 0
+        #: :meth:`within_cover` calls answered from the memo / by a cut.
+        self.cuts_remembered = 0
+        self.cuts_computed = 0
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -214,13 +245,18 @@ class GeohashSpatialIndex(Generic[S]):
         if slot is not None:
             old = self._status_at[slot]
             assert old is not None
-            # The usual refresh repeats the hash: nothing to parse.
-            if old.geohash != status.geohash:
+            # The usual refresh repeats the position: nothing to parse,
+            # no bucket touched. A move is a re-bucket even inside its
+            # cell — same members, other distances — so that no array a
+            # remembered cut was made from outlives it.
+            if (
+                old.geohash != status.geohash
+                or old.lat != status.lat
+                or old.lon != status.lon
+            ):
                 key = self._position_key(status)
-                old_key = self._bucket_key(old.geohash)
-                if key != old_key:
-                    self._unbucket(node_id, old_key)
-                    self._bucket(node_id, key)
+                self._unbucket(node_id, self._bucket_key(old.geohash))
+                self._bucket(node_id, key)
             self._status_at[slot] = status
             self._stale.add(slot)
             return
@@ -242,10 +278,9 @@ class GeohashSpatialIndex(Generic[S]):
         while key > 1:
             members = buckets.get(key)
             if members is None:
-                buckets[key] = {node_id: None}
-            else:
-                members[node_id] = None
-                cached.pop(key, None)
+                members = buckets[key] = {}
+            members[node_id] = None
+            cached.pop(key, None)
             key >>= 5
 
     def remove(self, node_id: str) -> None:
@@ -280,6 +315,8 @@ class GeohashSpatialIndex(Generic[S]):
         self._stale.clear()
         self._lat_rad = self._lon_rad = self._cos_lat = _NO_DISTANCES
         self._columns.clear()
+        self._memo.clear()
+        self._memo_held = 0
 
     # ------------------------------------------------------------------
     # Columns
@@ -336,76 +373,83 @@ class GeohashSpatialIndex(Generic[S]):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _occupied(self, keys: Iterable[int]) -> List[int]:
-        """The distinct occupied buckets among ``keys``, in their order."""
-        buckets = self._buckets
-        seen: Set[int] = set()
-        out: List[int] = []
-        for key in keys:
-            if key not in seen:
-                seen.add(key)
-                if key in buckets:
-                    out.append(key)
-        return out
-
-    def query_cells(self, cells: Sequence[str]) -> List[S]:
-        """Statuses of every node inside the given geohash cells.
-
-        Cells deeper than ``max_precision`` are truncated to it; since a
-        parent cell contains all its children this only widens the
-        candidate set, never narrows it. Duplicate cells (possible after
-        truncation, or near the poles) are collapsed.
-        """
-        slot_of = self._slot_of
-        status_at = self._status_at
-        out: List[S] = []
-        for key in self._occupied(map(self._bucket_key, cells)):
-            for node_id in self._buckets[key]:
-                status = status_at[slot_of[node_id]]
-                assert status is not None
-                out.append(status)
-        return out
-
     def within_cover(
-        self,
-        lat: float,
-        lon: float,
-        radius_km: float,
-        precision: int,
-        cells: Iterable[int],
+        self, lat: float, lon: float, radius_km: float
     ) -> Tuple[SlotArray, FloatArray]:
-        """Slots (and distances) of the nodes in ``cells`` within the disc.
+        """Slots (and distances) of the nodes within the disc.
 
-        ``cells`` are integer cell ids at ``precision``, as
-        :func:`repro.geo.geohash.cover` returns them; deeper than
-        ``max_precision`` they are truncated to it (a superset).
-        Membership is exactly ``haversine_km_coords(lat, lon, node.lat,
-        node.lon) <= radius_km`` for every node in ``cells`` (which must
-        cover the disc for the answer to be the whole disc): one numpy
-        haversine over all cell candidates proposes, and candidates
-        closer to the radius than :func:`distance_guard_km` are decided
-        by the scalar function. The returned ``dist_km`` are the vector
-        distances — within the guard of the scalar ones, good for
-        shortlisting, never for a final order.
+        Candidates are the members of the cells of
+        :func:`repro.geo.geohash.cover` (deeper than ``max_precision``
+        they are truncated to it: a superset). Membership is exactly
+        ``haversine_km_coords(lat, lon, node.lat, node.lon) <=
+        radius_km``: one numpy haversine over all cell candidates
+        proposes, and candidates closer to the radius than
+        :func:`distance_guard_km` are decided by the scalar function.
+        The returned ``dist_km`` are the vector distances — within the
+        guard of the scalar ones, good for shortlisting, never for a
+        final order. Never write to either: from a query's second
+        sight on they are kept (and flagged read-only), the same objects
+        on every call until a covered cell changes.
         """
+        memo = self._memo
+        memo_key = (lat, lon, radius_km)
+        known = memo.get(memo_key)
+        if known is not None:
+            buckets = self._buckets
+            cached = self._bucket_slots
+            for key, part in known[0]:
+                if cached.get(key) is not part or (part is None and key in buckets):
+                    break
+            else:
+                self.cuts_remembered += 1
+                return known[1], known[2]
+        cut_from, slots, dist = self._cut(lat, lon, radius_km)
+        self.cuts_computed += 1
+        cut = _SEEN_ONCE
+        if known is None:
+            held = self._memo_held + _MEMO_KEY
+        else:
+            if slots.size <= MEMO_ELEMENTS >> 6:
+                slots.setflags(write=False)
+                dist.setflags(write=False)
+                cut = (tuple(cut_from.items()), slots, dist)
+            held = self._memo_held + cut[1].size - known[1].size
+        memo[memo_key] = cut
+        while held > MEMO_ELEMENTS:
+            held -= _MEMO_KEY + memo.popitem(last=False)[1][1].size
+        self._memo_held = held
+        return slots, dist
+
+    def _cut(
+        self, lat: float, lon: float, radius_km: float
+    ) -> Tuple[Dict[int, Optional[SlotArray]], SlotArray, FloatArray]:
+        """The covered buckets' slot arrays and the exact cut of them."""
+        precision, cells = gh.cover(lat, lon, radius_km)
         depth = min(precision, self.max_precision)
         shift = 5 * (precision - depth)
         tag = 1 << 5 * depth
         self._sync()
+        buckets = self._buckets
         cached = self._bucket_slots
+        cut_from: Dict[int, Optional[SlotArray]] = {}
         parts: List[SlotArray] = []
-        for key in self._occupied([tag | cell >> shift for cell in cells]):
+        for cell in cells:
+            key = tag | cell >> shift
+            if key in cut_from:
+                continue
             part = cached.get(key)
-            if part is None:
-                members = self._buckets[key]
+            if part is None and key in buckets:
+                members = buckets[key]
                 part = cached[key] = np.fromiter(
                     map(self._slot_of.__getitem__, members),
                     dtype=np.intp,
                     count=len(members),
                 )
-            parts.append(part)
+            cut_from[key] = part
+            if part is not None:
+                parts.append(part)
         if not parts:
-            return _NO_SLOTS, _NO_DISTANCES
+            return cut_from, _NO_SLOTS, _NO_DISTANCES
         slots = parts[0] if len(parts) == 1 else np.concatenate(parts)
         # Operation for operation the scalar formula, on the same doubles.
         lat1, lon1 = math.radians(lat), math.radians(lon)
@@ -432,7 +476,7 @@ class GeohashSpatialIndex(Generic[S]):
                     <= radius_km
                 )
             slots, dist = slots[inside], dist[inside]
-        return slots, dist
+        return cut_from, slots, dist
 
     def status_at(self, slot: int) -> S:
         """The status occupying ``slot`` (as returned by :meth:`within_cover`)."""
@@ -443,13 +487,6 @@ class GeohashSpatialIndex(Generic[S]):
     def slot_of(self, node_id: str) -> Optional[int]:
         """The slot ``node_id`` occupies, or ``None`` if it is not indexed."""
         return self._slot_of.get(node_id)
-
-    def statuses(self) -> Iterable[S]:
-        """All indexed statuses (no particular order)."""
-        return [status for status in self._status_at if status is not None]
-
-    def node_ids(self) -> List[str]:
-        return list(self._slot_of)
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._slot_of

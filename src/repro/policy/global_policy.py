@@ -74,37 +74,6 @@ class GeoProximityFilter:
             return wide, True
         return local, False
 
-    def apply_indexed(
-        self,
-        user_point: GeoPoint,
-        index: GeohashSpatialIndex[NodeStatus],
-        min_candidates: Optional[int] = None,
-        *,
-        exclude: Sequence[str] = (),
-        predicate: Optional[Callable[[NodeStatus], bool]] = None,
-    ) -> Tuple[SlotArray, FloatArray, bool]:
-        """Index-backed :meth:`apply`: cell-prefix lookups, no registry scan.
-
-        Returns ``(slots, dist_km, widened?)``: the index slots of
-        exactly the nodes :meth:`apply` would return for the same
-        registry contents, with their (vector, approximate) distances.
-        ``exclude``/``predicate`` are applied here (rather than by the
-        caller pre-filtering a node list) because with an index there is
-        no materialized pool to pre-filter.
-        """
-        needed = self.min_candidates if min_candidates is None else min_candidates
-        local = self.within_indexed(
-            user_point, index, self.radius_km, exclude=exclude, predicate=predicate
-        )
-        if len(local[0]) >= needed:
-            return (*local, False)
-        wide = self.within_indexed(
-            user_point, index, self.wide_radius_km, exclude=exclude, predicate=predicate
-        )
-        if len(wide[0]) > len(local[0]):
-            return (*wide, True)
-        return (*local, False)
-
     def within_indexed(
         self,
         user_point: GeoPoint,
@@ -114,18 +83,18 @@ class GeoProximityFilter:
         exclude: Sequence[str] = (),
         predicate: Optional[Callable[[NodeStatus], bool]] = None,
     ) -> Tuple[SlotArray, FloatArray]:
-        """One fixed-radius phase of :meth:`apply_indexed` (no widening).
+        """One fixed-radius phase of :meth:`apply` against an index:
+        ``(slots, dist_km)`` of exactly the nodes ``_within`` would keep,
+        with their (vector, approximate) distances.
 
-        The control-plane router composes this shard-locally: each shard
-        evaluates one radius against its own index and the router makes
-        the widening decision from the summed counts. The exact
-        haversine cut is the index's
-        (:meth:`GeohashSpatialIndex.within_cover`).
+        The widening rule is the caller's: ``select`` replays it over two
+        phases of one index, the control-plane router over the summed
+        counts of its shards' phases. ``exclude``/``predicate`` are
+        applied here (with an index there is no pool to pre-filter), by
+        copy: the cut and its arrays are the index's, shared between
+        calls (:meth:`GeohashSpatialIndex.within_cover`).
         """
-        lat, lon = user_point.lat, user_point.lon
-        slots, dist_km = index.within_cover(
-            lat, lon, radius_km, *gh.cover(lat, lon, radius_km)
-        )
+        slots, dist_km = index.within_cover(user_point.lat, user_point.lon, radius_km)
         if exclude or predicate is not None:
             keep = np.ones(slots.size, dtype=np.bool_)
             for node_id in exclude:
@@ -244,20 +213,14 @@ class GlobalSelectionPolicy:
             raise TypeError("select() needs exactly one of `nodes` or `index`")
         if index is not None:
             geo = self.geo_filter
-            slots, dist_km, widened = geo.apply_indexed(
-                query.point,
-                index,
-                min_candidates=query.top_n,
-                exclude=query.exclude,
-                predicate=self.node_predicate,
-            )
-            best = self._rank(
-                query,
-                index,
-                slots,
-                dist_km,
-                geo.wide_radius_km if widened else geo.radius_km,
-            )
+            radius_km, widened = geo.radius_km, False
+            slots, dist_km = self._in_radius(query, index, radius_km)
+            if slots.size < query.top_n:  # GeoProximityFilter.apply's rule
+                wide = self._in_radius(query, index, geo.wide_radius_km)
+                if wide[0].size > slots.size:
+                    slots, dist_km = wide
+                    radius_km, widened = geo.wide_radius_km, True
+            best = self._rank(query, index, slots, dist_km, radius_km)
             return [n.node_id for n in best], widened
         assert nodes is not None
         pool = [n for n in nodes if n.node_id not in query.exclude]
@@ -292,14 +255,17 @@ class GlobalSelectionPolicy:
         fewer than TopN candidates globally — hence by fewer than TopN
         within its own shard — so it appears in its shard's local TopN.
         """
-        slots, dist_km = self.geo_filter.within_indexed(
-            query.point,
-            index,
-            radius_km,
-            exclude=query.exclude,
-            predicate=self.node_predicate,
-        )
+        slots, dist_km = self._in_radius(query, index, radius_km)
         return len(slots), self._rank(query, index, slots, dist_km, radius_km)
+
+    def _in_radius(
+        self, query: DiscoveryQuery, index: GeohashSpatialIndex[NodeStatus], radius_km: float
+    ) -> Tuple[SlotArray, FloatArray]:
+        """The query's candidates (and distances) at one fixed radius."""
+        return self.geo_filter.within_indexed(
+            query.point, index, radius_km,
+            exclude=query.exclude, predicate=self.node_predicate,
+        )
 
     def _rank(
         self,

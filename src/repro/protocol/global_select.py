@@ -127,7 +127,8 @@ class GlobalSelectionMachine:
         #: Min-heap of (stamp, node_id): the oldest heartbeat is always
         #: on top, so expiring stale nodes pops only actually-stale
         #: entries (amortized O(1) per query) instead of scanning all N.
-        #: Entries superseded by fresher heartbeats are lazily discarded.
+        #: Entries superseded by fresher heartbeats are lazily discarded,
+        #: and compacted away once they outnumber the live ones.
         self._expiry_heap: List[Tuple[float, str]] = []
         #: node_id -> newest heartbeat stamp (the lazy-deletion check).
         self._stamps: Dict[str, float] = {}
@@ -172,7 +173,16 @@ class GlobalSelectionMachine:
         self.registry[node_id] = event.status
         self._stamps[node_id] = event.stamp
         heapq.heappush(self._expiry_heap, (event.stamp, node_id))
+        if len(self._expiry_heap) > 2 * len(self._stamps) + 8:
+            # With a long timeout nothing is ever old enough to pop:
+            # one superseded tuple per heartbeat, for ever.
+            self._rebuild_expiry_heap()
         return [NodeOnline(node_id, new=new)]
+
+    def _rebuild_expiry_heap(self) -> None:
+        """One entry per live node: its newest stamp."""
+        self._expiry_heap[:] = [(stamp, node_id) for node_id, stamp in self._stamps.items()]
+        heapq.heapify(self._expiry_heap)
 
     def _prune(self, stamp: float) -> List[Effect]:
         """Expire registry entries older than the heartbeat timeout.
@@ -279,16 +289,12 @@ class GlobalSelectionMachine:
         self.spatial_index.clear()
         self._stamps.clear()
         self._wrr_current.clear()
-        self._expiry_heap.clear()
         for status in snapshot.statuses:
             self.spatial_index.insert(status)
             self.registry[status.node_id] = status
         self._stamps.update(snapshot.stamps)
         self._wrr_current.update(snapshot.wrr_current)
-        self._expiry_heap.extend(
-            (stamp, node_id) for node_id, stamp in snapshot.stamps.items()
-        )
-        heapq.heapify(self._expiry_heap)
+        self._rebuild_expiry_heap()
 
     # ------------------------------------------------------------------
     # Resource-aware weighted round robin (baseline support)

@@ -326,5 +326,7 @@ class ManagerServer:
                 "queries_served": self.queries_served,
                 "heartbeats_received": self.heartbeats_received,
                 "connections_accepted": self.connections_accepted,
+                "cuts_remembered": self._machine.spatial_index.cuts_remembered,
+                "cuts_computed": self._machine.spatial_index.cuts_computed,
             }
         return {"ok": False, "error": f"unknown op: {op!r}"}

@@ -100,6 +100,20 @@ def test_the_stop_race_test_runs_under_the_leak_flags():
     assert strict, f"tests/{home.name} is in no -W error::ResourceWarning step"
 
 
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_discovery_memo_differential_runs_with_every_warning_an_error():
+    """The stateful differential between a long-lived index, a fresh one
+    and the brute-force oracle runs in a ``-X dev -W error`` step of a
+    job that installs hypothesis: a warning out of numpy or hypothesis
+    on that path is a failure, not a line in a log."""
+    home = ROOT / "tests" / "test_discovery_memo.py"
+    assert "RuleBasedStateMachine" in home.read_text() and imports_hypothesis(home)
+    (job,) = [job for job in jobs().values() if f"tests/{home.name}" in job]
+    steps = re.split(r"(?m)^      - name: ", job)
+    assert [s for s in steps if f"python -X dev -W error -m pytest -x -q tests/{home.name}" in s]
+    (install,) = re.findall(r"pip install (.*)", job)
+    assert {"numpy", "pytest", "hypothesis"} <= set(install.split())
+
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_controlplane_smoke_gates_the_sweep_on_invariant_violations():

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.geo import geohash as gh
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint, haversine_km_coords
 from repro.geo.region import MSP_CENTER
@@ -198,7 +197,7 @@ def test_direct_clear_and_slot_reuse_keep_columns_consistent():
         index.insert(status)
     assert policy.select(query, index=index) == policy.select(query, nodes=second)
     index.clear()
-    assert len(index) == 0 and index.query_cells([first[0].geohash[:4]]) == []
+    assert len(index) == 0 and index.within_cover(query.lat, query.lon, 60.0)[0].size == 0
     assert policy.select(query, index=index) == ([], False)
     for status in first[:5]:
         index.insert(status)
@@ -298,9 +297,7 @@ def test_guard_band_hands_the_decision_to_the_scalar_cut(vector_sin):
         lat = latitude_north_at(user, radius_km + offset * guard)
         nodes.append(status_at(f"g{i}", lat, user.lon))
         index.insert(nodes[-1])
-    slots, _ = index.within_cover(
-        user.lat, user.lon, radius_km, *gh.cover(user.lat, user.lon, radius_km)
-    )
+    slots, _ = index.within_cover(user.lat, user.lon, radius_km)
     got = {index.status_at(slot).node_id for slot in slots.tolist()}
     want = {
         n.node_id
@@ -433,11 +430,12 @@ def test_insert_rejects_a_geohash_coarser_than_the_index():
     # A refused *move* leaves the node where it was.
     with pytest.raises(ValueError, match="coarser"):
         index.insert(replace(ok, geohash=ok.geohash[:4]))
-    assert index.node_ids() == ["ok"]
-    assert [s.node_id for s in index.query_cells([ok.geohash[:5]])] == ["ok"]
+    assert len(index) == 1 and "ok" in index
+    (slot,) = index.within_cover(ok.lat, ok.lon, 4.0)[0]
+    assert index.status_at(slot) is ok
     # Exactly max_precision characters is a position at index resolution.
     index.insert(replace(ok, node_id="six", geohash=ok.geohash[:6]))
-    assert len(index.query_cells([ok.geohash[:6]])) == 2
+    assert index.within_cover(ok.lat, ok.lon, 0.5)[0].size == 2
 
 
 # ----------------------------------------------------------------------

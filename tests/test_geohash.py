@@ -255,13 +255,6 @@ def test_cell_size_rejects_bad_precision():
         gh.cell_size_km(13)
 
 
-def test_common_prefix_length():
-    assert gh.common_prefix_length("9zvxg", "9zvxg") == 5
-    assert gh.common_prefix_length("9zvxg", "9zabc") == 2
-    assert gh.common_prefix_length("abc", "xyz") == 0
-    assert gh.common_prefix_length("ABC", "abc") == 3  # case-insensitive
-
-
 # ----------------------------------------------------------------------
 # Vectorized integer cells (the metro kernel's fast path)
 # ----------------------------------------------------------------------

@@ -59,13 +59,14 @@ def test_forget_node(system):
 
 
 def test_spatial_index_tracks_registry_through_expiry(system):
-    assert sorted(system.manager.spatial_index.node_ids()) == ["V1", "V2", "V5"]
+    index = system.manager.spatial_index
+    assert len(index) == 3 and all(v in index for v in ("V1", "V2", "V5"))
     system.nodes["V2"].fail()
     system.run_for(system.config.heartbeat_timeout_ms + 1_500.0)
     system.manager.prune_stale()
     assert "V2" not in system.manager.spatial_index
     # survivors keep heartbeating and stay indexed
-    assert sorted(system.manager.spatial_index.node_ids()) == ["V1", "V5"]
+    assert len(index) == 2 and "V1" in index and "V5" in index
 
 
 def test_expiry_heap_keeps_fresh_nodes(system):

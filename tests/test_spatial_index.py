@@ -17,6 +17,7 @@ from repro.policy.global_policy import (
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )
+from repro.geo import geohash as gh
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
 from repro.geo.spatial_index import GeohashSpatialIndex
@@ -55,77 +56,88 @@ def random_registry(rng: random.Random, n: int):
 # ----------------------------------------------------------------------
 # Index mechanics
 # ----------------------------------------------------------------------
+HOME = GeoPoint(44.97, -93.25)
+#: Radii whose covers sit at bucket depths 6, 5, 4, 3, 2 and 1.
+RADII_BY_DEPTH = (0.5, 4.0, 19.0, 80.0, 600.0, 2000.0)
+
+
+def found(index: GeohashSpatialIndex, point: GeoPoint, radius_km: float):
+    """Node ids ``within_cover`` returns around ``point``, in its order."""
+    slots, _ = index.within_cover(point.lat, point.lon, radius_km)
+    return [index.status_at(slot).node_id for slot in slots.tolist()]
+
+
 def test_insert_and_query_by_prefix():
     rng = random.Random(1)
     index = GeohashSpatialIndex()
-    status = make_status("a", GeoPoint(44.97, -93.25), rng)
-    index.insert(status)
+    index.insert(make_status("a", HOME, rng))
     assert "a" in index
     assert len(index) == 1
-    # Queryable through every prefix depth up to max_precision.
-    for depth in range(1, index.max_precision + 1):
-        assert [s.node_id for s in index.query_cells([status.geohash[:depth]])] == ["a"]
+    # Found through a cover at every bucket depth up to max_precision.
+    depths = {gh.cover(HOME.lat, HOME.lon, radius_km)[0] for radius_km in RADII_BY_DEPTH}
+    assert depths == set(range(1, index.max_precision + 1))
+    for radius_km in RADII_BY_DEPTH:
+        assert found(index, HOME, radius_km) == ["a"]
 
 
 def test_query_deeper_than_max_precision_truncates():
     rng = random.Random(2)
     index = GeohashSpatialIndex()
-    status = make_status("a", GeoPoint(44.97, -93.25), rng)
-    index.insert(status)
-    # A precision-9 cell is deeper than the index keeps buckets for; the
-    # lookup truncates to max_precision and still finds the node.
-    assert [s.node_id for s in index.query_cells([status.geohash])] == ["a"]
+    index.insert(make_status("a", HOME, rng))
+    # A 100 m disc is covered at precision 7, deeper than the index keeps
+    # buckets for; the lookup truncates to max_precision and still finds
+    # the node.
+    assert gh.cover(HOME.lat, HOME.lon, 0.1)[0] > index.max_precision
+    assert found(index, HOME, 0.1) == ["a"]
 
 
 def test_reinsert_same_cell_updates_status():
     rng = random.Random(3)
     index = GeohashSpatialIndex()
-    point = GeoPoint(44.97, -93.25)
-    index.insert(make_status("a", point, rng))
-    fresher = make_status("a", point, rng, reported_at=999.0)
+    index.insert(make_status("a", HOME, rng))
+    fresher = make_status("a", HOME, rng, reported_at=999.0)
     index.insert(fresher)
     assert len(index) == 1
-    (got,) = index.query_cells([fresher.geohash[:4]])
-    assert got.reported_at_ms == 999.0
+    ((slot,), _) = index.within_cover(HOME.lat, HOME.lon, 19.0)
+    assert index.status_at(slot).reported_at_ms == 999.0
 
 
 def test_move_between_cells_reindexes():
     rng = random.Random(4)
     index = GeohashSpatialIndex()
-    old = make_status("a", GeoPoint(44.97, -93.25), rng)
+    old = make_status("a", HOME, rng)
     new = make_status("a", GeoPoint(45.40, -92.50), rng)  # different cell
     assert old.geohash[:4] != new.geohash[:4]
     index.insert(old)
     index.insert(new)
-    assert index.query_cells([old.geohash[:6]]) == []
-    assert [s.node_id for s in index.query_cells([new.geohash[:6]])] == ["a"]
+    assert found(index, old.point, 0.5) == []
+    assert found(index, new.point, 0.5) == ["a"]
     assert len(index) == 1
 
 
 def test_remove_clears_all_buckets():
     rng = random.Random(5)
     index = GeohashSpatialIndex()
-    status = make_status("a", GeoPoint(44.97, -93.25), rng)
-    index.insert(status)
+    index.insert(make_status("a", HOME, rng))
     index.remove("a")
     assert "a" not in index
     assert len(index) == 0
-    for depth in range(1, index.max_precision + 1):
-        assert index.query_cells([status.geohash[:depth]]) == []
+    for radius_km in RADII_BY_DEPTH:
+        assert found(index, HOME, radius_km) == []
     index.remove("a")  # idempotent
 
 
-def test_query_cells_deduplicates_across_cells():
+def test_cover_cells_truncating_to_one_bucket_yield_the_node_once():
     rng = random.Random(6)
     index = GeohashSpatialIndex()
-    status = make_status("a", GeoPoint(44.97, -93.25), rng)
-    index.insert(status)
-    # Two distinct deep cells truncating to the same max_precision
-    # prefix must yield the node once, not once per cell.
-    deep_a = status.geohash[: index.max_precision] + "0"
-    deep_b = status.geohash[: index.max_precision] + "1"
-    got = index.query_cells([deep_a, deep_b])
-    assert [s.node_id for s in got] == ["a"]
+    index.insert(make_status("a", HOME, rng))
+    # Several distinct precision-7 cells of the cover truncate to the
+    # node's max_precision bucket: the node comes back once, not once
+    # per cell.
+    precision, cells = gh.cover(HOME.lat, HOME.lon, 0.1)
+    shift = 5 * (precision - index.max_precision)
+    assert len(cells) > len({cell >> shift for cell in cells})
+    assert found(index, HOME, 0.1) == ["a"]
 
 
 # ----------------------------------------------------------------------

@@ -450,8 +450,8 @@ class ChaosController:
             if kind == "crash":
                 await self.cluster.kill_edge(action.node_id)  # type: ignore[attr-defined]
             elif kind == "restart":
-                edge = await self.cluster.restart_edge(action.node_id)  # type: ignore[attr-defined]
-                self._wire(edge)
+                # The new incarnation inherits its predecessor's wiring.
+                await self.cluster.restart_edge(action.node_id)  # type: ignore[attr-defined]
             elif kind == "gray_start":
                 self.cluster.edge_by_id(action.node_id).set_slowdown(  # type: ignore[attr-defined]
                     action.factor

@@ -177,6 +177,15 @@ class LiveEdgeServer:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        """Listen, prime the what-if cache and, given a manager, register.
+
+        The first heartbeat is sent inline: when a manager (or a
+        :class:`~repro.controlplane.live_driver.RouterServer`) answers
+        it, this returns with the node in the registry. A refused,
+        dropped or timed-out first heartbeat is a ``HeartbeatMissed``
+        with backoff, as any later one is, and this still returns —
+        within the request's own timeout; the loop keeps retrying.
+        """
         self._open_writers.stopped = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
@@ -187,7 +196,8 @@ class LiveEdgeServer:
             self.tracer.emit(CacheMiss(self.tracer.now(), self.node_id, "prime"))
         await self._invoke_test_workload()
         if self.manager_host is not None and self.manager_port is not None:
-            self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
+            delay_s = await self._heartbeat()
+            self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop(delay_s))
         if self.monitor_period_s is not None:
             self._monitor_task = asyncio.ensure_future(self._monitor_loop())
         if self.attachment_lease_s is not None:
@@ -393,8 +403,8 @@ class LiveEdgeServer:
             dedicated=self.dedicated,
         )
 
-    async def _heartbeat_loop(self) -> None:
-        """Heartbeat with bounded exponential backoff on failure.
+    async def _heartbeat(self) -> float:
+        """Send one heartbeat; return the delay until the next.
 
         A flat retry-next-period loop hammers an unreachable manager at
         full rate forever (and every node in lockstep). Consecutive
@@ -403,45 +413,50 @@ class LiveEdgeServer:
         synchronized thundering herd; one success resets the cadence.
         """
         assert self.manager_host is not None and self.manager_port is not None
+        try:
+            if self.faults is not None:
+                verdict = self.faults.decide(
+                    self.node_id, "central-manager", "heartbeat",
+                    self.fault_clock(),
+                )
+                if not verdict.deliver:
+                    raise asyncio.TimeoutError(
+                        f"injected {verdict.kind} ({verdict.rule_id})"
+                    )
+            await protocol.request(
+                self.manager_host,
+                self.manager_port,
+                "heartbeat",
+                {
+                    "status": to_wire(self.status()),
+                    "host": self.host,
+                    "port": self.port,
+                },
+            )
+        except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
+            self.heartbeat_failures += 1
+            backoff = min(
+                self.heartbeat_period_s * (2.0 ** min(self.heartbeat_failures, 6)),
+                self.max_heartbeat_backoff_s,
+            )
+            delay_s = backoff * (0.5 + self._backoff_rng.random())
+            self.tracer.emit(
+                HeartbeatMissed(
+                    self.tracer.now(),
+                    self.node_id,
+                    self.heartbeat_failures,
+                    delay_s * 1000.0,
+                )
+            )
+            return delay_s
+        self.heartbeat_failures = 0
+        return self.heartbeat_period_s
+
+    async def _heartbeat_loop(self, delay_s: float) -> None:
+        """Every heartbeat after :meth:`start`'s inline first one."""
         while True:
-            delay_s = self.heartbeat_period_s
-            try:
-                if self.faults is not None:
-                    verdict = self.faults.decide(
-                        self.node_id, "central-manager", "heartbeat",
-                        self.fault_clock(),
-                    )
-                    if not verdict.deliver:
-                        raise asyncio.TimeoutError(
-                            f"injected {verdict.kind} ({verdict.rule_id})"
-                        )
-                await protocol.request(
-                    self.manager_host,
-                    self.manager_port,
-                    "heartbeat",
-                    {
-                        "status": to_wire(self.status()),
-                        "host": self.host,
-                        "port": self.port,
-                    },
-                )
-                self.heartbeat_failures = 0
-            except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
-                self.heartbeat_failures += 1
-                backoff = min(
-                    self.heartbeat_period_s * (2.0 ** min(self.heartbeat_failures, 6)),
-                    self.max_heartbeat_backoff_s,
-                )
-                delay_s = backoff * (0.5 + self._backoff_rng.random())
-                self.tracer.emit(
-                    HeartbeatMissed(
-                        self.tracer.now(),
-                        self.node_id,
-                        self.heartbeat_failures,
-                        delay_s * 1000.0,
-                    )
-                )
             await asyncio.sleep(delay_s)
+            delay_s = await self._heartbeat()
 
     # ------------------------------------------------------------------
     # Connection handling / dispatch

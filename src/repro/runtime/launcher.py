@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +28,11 @@ class LocalCluster:
                 await client.offload_frame()
         finally:
             await cluster.stop()
+
+    Bring-up is the registration handshake, not a timer: every edge's
+    :meth:`LiveEdgeServer.start` returns once the manager has answered
+    its first heartbeat, so when :meth:`start` returns the registry
+    holds every edge and the first ``select_and_join`` can find them.
 
     Below a ``time_scale`` of about 0.03 a frame's service sleep is
     shorter than the selector's 1 ms resolution: an idle loop stretches
@@ -69,7 +73,9 @@ class LocalCluster:
         self.attachment_lease_s = attachment_lease_s
 
     async def start(self) -> None:
-        """Start the manager, all edges, and build (unattached) clients."""
+        """Start the manager, then each edge — registered in the
+        manager's registry by the time its ``start()`` returns — and
+        build (unattached) clients."""
         await self.manager.start()
         for index, (profile, point) in enumerate(self._edge_specs):
             edge = self._build_edge(
@@ -77,8 +83,6 @@ class LocalCluster:
             )
             await edge.start()
             self.edges.append(edge)
-        # one heartbeat round so discovery has a registry to work with
-        await asyncio.sleep(self.heartbeat_period_s * 1.5)
         for index, point in enumerate(self._client_points):
             self.clients.append(
                 LiveClient(
@@ -130,9 +134,15 @@ class LocalCluster:
 
         A brand-new :class:`LiveEdgeServer` process on the same
         hardware/placement, listening on a fresh port: seqNum restarts
-        at 0, the what-if cache re-primes, and the first heartbeat
-        re-registers the new address at the manager — no pre-crash
-        state survives the identity.
+        at 0 and the what-if cache re-primes — no pre-crash state
+        survives the identity. The returned edge has already sent its
+        first heartbeat, so (unless that heartbeat failed) the manager
+        hands out the new address from now on.
+
+        The new incarnation inherits the old one's fault wiring
+        (``faults`` / ``fault_clock``) before it starts, so that first
+        heartbeat meets the injector too, and ``NodeRestart`` is traced
+        before any event of the new incarnation.
         """
         index = next(
             (i for i, e in enumerate(self.edges) if e.node_id == node_id), None
@@ -144,9 +154,10 @@ class LocalCluster:
             raise ValueError(f"edge {node_id!r} is still running; kill it first")
         profile, point = self._edge_specs[index]
         edge = self._build_edge(node_id, profile, point)
-        await edge.start()
+        edge.faults, edge.fault_clock = old.faults, old.fault_clock
         self.edges[index] = edge
         self.tracer.emit(NodeRestart(self.tracer.now(), node_id))
+        await edge.start()
         return edge
 
     async def stop_manager(self) -> None:
@@ -158,8 +169,10 @@ class LocalCluster:
         await self.manager.stop()
 
     async def restart_manager(self) -> None:
-        """Bring the manager back on its original port; heartbeats
-        repopulate the registry within one period."""
+        """Bring the manager back on its original port, empty. Unlike
+        :meth:`start` this does not wait for the edges: each re-registers
+        with its next heartbeat, up to ``max_heartbeat_backoff_s`` away
+        when the outage made it back off."""
         await self.manager.start()
 
     def manager_address(self) -> Dict[str, object]:

@@ -101,6 +101,25 @@ def test_the_stop_race_test_runs_under_the_leak_flags():
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_live_bringup_runs_under_the_leak_flags_and_bringup_has_no_timer():
+    """The bring-up tests start and stop clusters, routers and an edge
+    facing a refused port: chaos-smoke runs them with a leaked socket or
+    an unraisable exception an error. A step beside the ``wait_for``
+    grep fails on any ``asyncio.sleep`` back in the launcher."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    (strict,) = [s for s in steps if "tests/test_live_bringup.py" in s]
+    assert "python -X dev -m pytest" in strict
+    assert "-W error::ResourceWarning" in strict
+    assert "-W error::pytest.PytestUnraisableExceptionWarning" in strict
+    (grep,) = [s for s in steps if "src/repro/runtime/launcher.py" in s]
+    assert "run: \"! grep -n 'asyncio.sleep' src/repro/runtime/launcher.py\"" in grep
+    assert steps.index(grep) == 1 + next(
+        i for i, s in enumerate(steps) if "wait_for|asyncio" in s
+    )
+    assert "asyncio.sleep" not in (ROOT / "src/repro/runtime/launcher.py").read_text()
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_discovery_memo_differential_runs_with_every_warning_an_error():
     """The stateful differential between a long-lived index, a fresh one
     and the brute-force oracle runs in a ``-X dev -W error`` step of a

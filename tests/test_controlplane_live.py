@@ -20,6 +20,7 @@ from repro.geo.point import GeoPoint
 from repro.messages import DiscoveryQuery, NodeStatus, to_wire
 from repro.obs.tracer import Tracer
 from repro.runtime import ManagerServer, protocol
+from tests.test_runtime_protocol_edge import hung_up
 
 CENTER = GeoPoint(44.97, -93.25)
 NODE_OFFSETS = [(-24.0, -18.0), (-10.0, 6.0), (0.0, 0.0), (12.0, -8.0), (24.0, 16.0)]
@@ -172,8 +173,9 @@ def test_routed_requests_ride_standing_links():
             assert accepted(cluster) == warm
             assert cluster.router is not None
             await cluster.router.stop()
-            await asyncio.sleep(0.05)  # let the managers see the hang-ups
-            return [len(m._open_writers) for ms in cluster.managers for m in ms if m]
+            managers = [m for ms in cluster.managers for m in ms if m]
+            await hung_up(*(m._open_writers for m in managers))
+            return [len(m._open_writers) for m in managers]
         finally:
             await cluster.stop()
 

@@ -127,7 +127,8 @@ async def run_live() -> DecisionTrace:
             )
             await edge.start()
             edges.append(edge)
-        await asyncio.sleep(0.12)  # one heartbeat round
+        # every edge's start() returned registered
+        assert sorted(manager._registry) == sorted(node_id for node_id, _ in NODES)
 
         client = LiveClient(
             "u1",

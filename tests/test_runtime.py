@@ -53,7 +53,8 @@ def test_manager_heartbeat_and_status():
             time_scale=0.01,
         )
         await edge.start()
-        await asyncio.sleep(0.15)
+        # start() returns registered: no heartbeat round to wait for
+        assert "e1" in manager._registry
         status = await protocol.request(manager.host, manager.port, "status")
         await edge.stop()
         await manager.stop()

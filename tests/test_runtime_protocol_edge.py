@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import time
 import warnings
 
 import pytest
@@ -16,6 +17,24 @@ from repro.runtime.protocol import ConnectionPool, PersistentConnection
 
 def run(coro):
     return asyncio.run(coro)
+
+
+async def until(condition, what: str, timeout_s: float = 2.0) -> None:
+    """Poll ``condition()`` until it holds; fail after ``timeout_s``.
+
+    For state another task changes when the loop gets to it (a server
+    seeing a hang-up, a retried heartbeat landing): the wait ends with
+    the event, not after a guessed sleep.
+    """
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, f"not within {timeout_s} s: {what}"
+        await asyncio.sleep(0.001)
+
+
+async def hung_up(*open_writers: protocol.OpenConnections) -> None:
+    """Wait until every listed server has seen its peers hang up."""
+    await until(lambda: not any(open_writers), "servers saw every hang-up")
 
 
 def test_oversized_frame_rejected():
@@ -77,8 +96,7 @@ def test_frames_up_to_the_cap_pass_and_beyond_it_are_protocol_errors(caplog):
                 assert not link.connected
                 assert (await link.request("status"))["ok"]
                 await link.close()
-            await asyncio.sleep(0.05)  # let the servers see the hang-ups
-            assert not edge._open_writers and not manager._open_writers
+            await hung_up(edge._open_writers, manager._open_writers)
         finally:
             await protocol.stop_serving(server, writers)
             await edge.stop()
@@ -191,8 +209,7 @@ def test_request_rides_the_pool_link_when_given_one():
         # a closed pool keeps nothing: the exchange works, its link is closed
         assert (await protocol.request(*address, "status", pool=pool))["ok"]
         assert not pool.link(*address).connected
-        await asyncio.sleep(0.05)  # let the server see the hang-ups
-        assert not manager._open_writers
+        await hung_up(manager._open_writers)
         await manager.stop()
 
     run(scenario())

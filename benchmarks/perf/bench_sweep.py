@@ -1,8 +1,8 @@
 """Sweep-engine throughput: per-platform wall-clock and bit-identity.
 
-Runs the ``fig9_topn`` sweep (TopN 1-5 x 5 seeds = 25 independent
-simulation runs by default) once per execution platform through
-``repro.sweep.run_sweep``:
+Runs a paper-artifact sweep (``fig8``, the ~1 s churn trace, x 9 seeds
+= 9 independent simulation runs by default) once per execution platform
+through ``repro.sweep.run_sweep``:
 
 - **inline**     — the serial in-process reference loop.
 - **pool**       — a ``ProcessPoolExecutor`` with ``--workers`` processes.
@@ -36,7 +36,13 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.metrics.bench import record_bench_section
-from repro.sweep import RunStore, SweepSpec, aggregates_digest, run_sweep
+from repro.sweep import (
+    RunStore,
+    SweepSpec,
+    aggregates_digest,
+    get_experiment,
+    run_sweep,
+)
 
 #: Platforms measured, inline (the bit-identity reference) first.
 BENCH_PLATFORMS = ["inline", "pool", "subprocess"]
@@ -52,10 +58,9 @@ def usable_cpus() -> int:
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--experiment", default="fig9_topn")
-    parser.add_argument("--top-n-max", type=int, default=5,
-                        help="grid is top_n=1..top_n_max")
-    parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--experiment", default="fig8",
+                        help="any sweepable experiment, run on its default grid")
+    parser.add_argument("--seeds", type=int, default=9)
     parser.add_argument("--base-seed", type=int, default=42)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--require-speedup", action="store_true",
@@ -67,15 +72,14 @@ def main(argv: List[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    top_ns = list(range(1, args.top_n_max + 1))
     spec = SweepSpec.build(
-        args.experiment, {"top_n": top_ns},
+        args.experiment, get_experiment(args.experiment).default_grid,
         n_seeds=args.seeds, base_seed=args.base_seed,
     )
     total_runs = spec.total_runs()
     cpus = usable_cpus()
-    print(f"sweep: {total_runs} runs "
-          f"({len(top_ns)} cells x {args.seeds} seeds), "
+    print(f"sweep {args.experiment}: {total_runs} runs "
+          f"({len(spec.cells())} cells x {args.seeds} seeds), "
           f"{args.workers} workers on {cpus} usable cpus")
 
     wall: Dict[str, float] = {}
@@ -120,7 +124,6 @@ def main(argv: List[str] | None = None) -> int:
         "experiment": args.experiment,
         "runs": total_runs,
         "seeds": args.seeds,
-        "top_ns": top_ns,
         "workers": args.workers,
         "cpu_count": cpus,
         "serial_s": round(serial_s, 3),

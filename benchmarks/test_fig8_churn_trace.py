@@ -15,8 +15,7 @@ from repro.experiments.churn_experiment import run_churn_trace
 def test_fig8_churn_trace(benchmark, bench_config):
     result = run_once(benchmark, run_churn_trace, bench_config)
 
-    show(result.population_table())
-    show(result.latency_table())
+    rows = show(result.table())
 
     assert result.total_nodes == 18  # the paper's selected configuration
 
@@ -27,17 +26,12 @@ def test_fig8_churn_trace(benchmark, bench_config):
     assert max(steady.values()) < 400.0
     assert min(steady.values()) < 100.0
 
-    # Population/latency anti-correlation: windows with more alive nodes
-    # average lower latency than windows with fewer.
-    def population_at(t_ms):
-        count = 0
-        for step_t, step_c in result.population_steps:
-            if step_t > t_ms:
-                break
-            count = step_c
-        return count
+    # One row per 5-s window over the 3 minutes, whatever the seed.
+    assert [row[0] for row in rows] == [f"{t}s" for t in range(0, 180, 5)]
 
-    rich = [v for t, v in steady.items() if population_at(t) >= 6]
-    poor = [v for t, v in steady.items() if population_at(t) <= 3]
+    # Population/latency anti-correlation: windows with more alive nodes
+    # (at the window start) average lower latency than windows with fewer.
+    rich = [ms for _, alive, ms in rows[6:] if alive >= 6 and ms is not None]
+    poor = [ms for _, alive, ms in rows[6:] if alive <= 3 and ms is not None]
     if rich and poor:
         assert sum(rich) / len(rich) < sum(poor) / len(poor)

@@ -1,11 +1,14 @@
-"""Fig. 9 — influence of TopN (1..5) over the node-churn experiment.
+"""Fig. 9 — influence of TopN (1..5) over the node-churn experiment,
+and Fig. 10(b), the failures those same runs suffer.
 
 Paper:
   (a) probing requests increase linearly with TopN;
   (b) test-workload invocations grow much more slowly (cache effect);
   (c) latency is fairly close across TopN with diminishing returns
       beyond TopN=3;
-  (d) larger TopN improves fairness (lower std-dev across users).
+  (d) larger TopN improves fairness (lower std-dev across users);
+  Fig. 10(b): "TopN=2 can dramatically reduce the number of failures
+  ... Starting at TopN=3, the number of failures can be reduced to 0."
 """
 
 from conftest import run_once, show
@@ -41,3 +44,11 @@ def test_fig9_topn_sweep(benchmark, bench_config):
 
     # (d) fairness improves from TopN=1 to TopN>=3.
     assert result.fairness_std_ms[1] > result.fairness_std_ms[3]
+
+    # Fig. 10(b): failures drop dramatically at TopN=2 and (near-)vanish
+    # by 3+.
+    failures = result.uncovered_failures
+    assert failures[1] > 0
+    assert failures[2] <= failures[1] / 2
+    assert failures[3] <= 1
+    assert failures[4] <= 1 and failures[5] <= 1

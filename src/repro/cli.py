@@ -13,15 +13,16 @@ Usage::
     python -m repro chaos hunt --scenario controlplane --config failure_detection_ms=4000 --out repro.json
     python -m repro chaos replay repro.json
     python -m repro chaos check chaos.jsonl
-    python -m repro sweep run --experiment fig9_topn --seeds 5 --workers 4
-    python -m repro sweep status --store .sweeps/fig9_topn
-    python -m repro sweep report --store .sweeps/fig9_topn
+    python -m repro sweep run --experiment fig9 --seeds 5 --workers 4
+    python -m repro sweep status --store .sweeps/fig9
+    python -m repro sweep report --store .sweeps/fig9
 
 The paper-artifact commands are one handler over
-:data:`repro.experiments.ARTIFACTS`: each prints the tables its result
-type defines, the same ones the benchmark harness prints; seeds make
-runs reproducible. This is deliberately thin plumbing — anything the
-CLI prints, library users can compute programmatically.
+:data:`repro.experiments.ARTIFACTS`: each prints the table its result
+type defines, the same one the benchmark harness prints and, swept over
+seeds, the one EXPERIMENTS.md renders; seeds make runs reproducible.
+This is deliberately thin plumbing — anything the CLI prints, library
+users can compute programmatically.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def cmd_artifact(args: argparse.Namespace) -> None:
         SystemConfig(seed=args.seed),
         **{keyword: getattr(args, keyword) for _, keyword, _ in artifact.options},
     )
-    tables = artifact.tables + tuple(
+    tables = [artifact.table] + [
         table for name, _, table in artifact.switches if getattr(args, name)
-    )
+    ]
     for table in tables:
         print(render(table(result)))
 

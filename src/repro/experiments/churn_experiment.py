@@ -139,24 +139,33 @@ def run_churn_once(
 # ----------------------------------------------------------------------
 @dataclass
 class ChurnTraceResult:
-    """Fig. 8: average latency trace and the alive-node stair line."""
+    """Fig. 8: average latency per window beside the alive-node count."""
 
     latency_trace: List[Tuple[float, float]]  # (bin_start_ms, avg ms)
-    population_steps: List[Tuple[float, int]]  # (time_ms, alive count)
-    total_nodes: int
+    trace: ChurnTrace
+    bin_ms: float
 
-    def population_table(self) -> Table:
+    @property
+    def population_steps(self) -> List[Tuple[float, int]]:
+        """(time_ms, alive count) at every join/fail — the stair line."""
+        return [(t, int(c)) for t, c in self.trace.population_steps()]
+
+    @property
+    def total_nodes(self) -> int:
+        return len(self.trace)
+
+    def table(self) -> Table:
+        """One row per window over the whole horizon, so every seed has
+        the same rows; a window without a completed frame has no latency."""
+        latency = dict(self.latency_trace)
+        starts = range(0, int(self.trace.horizon_ms), int(self.bin_ms))
         return (
             f"Fig. 8 — {self.total_nodes} volunteer episodes over 3 minutes",
-            ["t", "alive nodes"],
-            [[f"{t / 1000:.0f}s", count] for t, count in self.population_steps],
-        )
-
-    def latency_table(self) -> Table:
-        return (
-            "Fig. 8 — average latency per window",
-            ["window start", "avg latency ms"],
-            [[f"{t / 1000:.0f}s", value] for t, value in self.latency_trace],
+            ["window start", "alive nodes", "avg latency ms"],
+            [
+                [f"{t / 1000:.0f}s", self.trace.alive_count_at(t), latency.get(t)]
+                for t in starts
+            ],
         )
 
 
@@ -176,8 +185,8 @@ def run_churn_trace(
             values.append(record.latency_ms)
     return ChurnTraceResult(
         latency_trace=bin_series(times, values, bin_ms),
-        population_steps=[(t, int(c)) for t, c in result.trace.population_steps()],
-        total_nodes=len(result.trace),
+        trace=result.trace,
+        bin_ms=bin_ms,
     )
 
 
@@ -186,7 +195,7 @@ def run_churn_trace(
 # ----------------------------------------------------------------------
 @dataclass
 class TopNSweepResult:
-    """Fig. 9 (and Fig. 10b): per-TopN measurements over the same trace."""
+    """Fig. 9 and Fig. 10(b): per-TopN measurements over the same trace."""
 
     top_ns: List[int]
     probes: Dict[int, int] = field(default_factory=dict)  # (a)
@@ -238,13 +247,16 @@ def run_topn_sweep(
 # ----------------------------------------------------------------------
 @dataclass
 class FaultToleranceResult:
-    """Fig. 10: failover downtime comparison + failures per TopN."""
+    """Fig. 10(a): failover downtime, proactive vs reactive.
 
-    proactive_recovery_ms: float  # (a) mean service downtime per failover
+    Fig. 10(b), failures per TopN, is the ``failures`` column of the
+    Fig. 9 sweep (:class:`TopNSweepResult`): the same runs.
+    """
+
+    proactive_recovery_ms: float  # mean service downtime per failover
     reactive_recovery_ms: float
     proactive_events: int
     reactive_events: int
-    failures_by_topn: Dict[int, int]  # (b)
 
     @property
     def downtime_ratio(self) -> float:
@@ -253,7 +265,7 @@ class FaultToleranceResult:
             return float("inf")
         return self.reactive_recovery_ms / self.proactive_recovery_ms
 
-    def downtime_table(self) -> Table:
+    def table(self) -> Table:
         return (
             "Fig. 10(a) — service downtime per failover",
             ["approach", "mean recovery downtime ms", "events"],
@@ -263,13 +275,6 @@ class FaultToleranceResult:
                 ["reactive re-connect", self.reactive_recovery_ms,
                  self.reactive_events],
             ],
-        )
-
-    def failures_table(self) -> Table:
-        return (
-            "Fig. 10(b) — failures experienced by all users",
-            ["TopN", "uncovered failures"],
-            [[n, self.failures_by_topn[n]] for n in sorted(self.failures_by_topn)],
         )
 
 
@@ -301,18 +306,12 @@ def _recovery_downtimes(metrics: MetricsCollector) -> List[float]:
     return downtimes
 
 
-def run_fault_tolerance(
-    config: Optional[SystemConfig] = None,
-    *,
-    top_ns: Tuple[int, ...] = (1, 2, 3, 4, 5),
-) -> FaultToleranceResult:
-    """Reproduce Fig. 10.
+def run_fault_tolerance(config: Optional[SystemConfig] = None) -> FaultToleranceResult:
+    """Reproduce Fig. 10(a).
 
-    (a) contrasts recovery spikes between the proactive approach
-    (TopN=3, standing backup connections) and the reactive re-connect
-    approach (TopN=1, cold reconnection) over the same churn trace.
-    (b) counts uncovered failures per TopN (from the Fig. 9 sweep
-    configuration).
+    Contrasts recovery spikes between the proactive approach (TopN=3,
+    standing backup connections) and the reactive re-connect approach
+    (TopN=1, cold reconnection) over the same churn trace.
     """
     config = config or SystemConfig()
     trace = make_churn_trace(config)
@@ -323,16 +322,9 @@ def run_fault_tolerance(
     )
     pro_spikes = _recovery_downtimes(proactive.metrics)
     rea_spikes = _recovery_downtimes(reactive.metrics)
-
-    failures: Dict[int, int] = {}
-    for top_n in top_ns:
-        run = run_churn_once(config.with_(top_n=top_n), trace=trace)
-        failures[top_n] = run.metrics.total_failures()
-
     return FaultToleranceResult(
         proactive_recovery_ms=mean(pro_spikes) if pro_spikes else 0.0,
         reactive_recovery_ms=mean(rea_spikes) if rea_spikes else 0.0,
         proactive_events=len(pro_spikes),
         reactive_events=len(rea_spikes),
-        failures_by_topn=failures,
     )

@@ -135,7 +135,7 @@ class VsOptimalResult:
 
     def table(self) -> Table:
         rows: List[List[object]] = [
-            ["optimal (offline solver)", self.optimal_ms, "0%", "0%"]
+            ["optimal (offline solver)", self.optimal_ms, 0.0, 0.0]
         ]
         for method, paper_pct in PAPER_OVERHEAD_PCT.items():
             if method in self.averages_ms:
@@ -143,13 +143,13 @@ class VsOptimalResult:
                     [
                         method,
                         self.averages_ms[method],
-                        f"{self.overhead_pct(method):+.0f}%",
-                        f"+{paper_pct:.0f}%",
+                        self.overhead_pct(method),
+                        paper_pct,
                     ]
                 )
         return (
             "Fig. 7 — average latency after all 15 users joined",
-            ["method", "avg latency ms", "vs optimal", "paper"],
+            ["method", "avg latency ms", "vs optimal %", "paper %"],
             rows,
         )
 

@@ -48,12 +48,9 @@ class QosAdmissionResult:
     def table(self) -> Table:
         rows = []
         for n in self.user_counts:
-            row: List[object] = [n, f"{self.with_qos[n].admitted}/{n}"]
+            row: List[object] = [n, self.with_qos[n].admitted]
             for cell in (self.with_qos[n], self.without_qos[n]):
-                row.append(f"{cell.violation_rate:.1%}")
-                row.append(
-                    f"{cell.admitted_mean_ms:.0f}" if cell.admitted_mean_ms else "-"
-                )
+                row += [cell.violation_rate, cell.admitted_mean_ms]
             rows.append(row)
         return (
             f"Extension — admission control at QoS = {self.qos_latency_ms:.0f} ms",

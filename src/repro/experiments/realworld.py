@@ -9,7 +9,7 @@ separate simulations per (user, node) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.baselines.dedicated_only import dedicated_only_policy
 from repro.baselines.geo_proximity import GeoProximityClient
@@ -118,14 +118,14 @@ class PairwiseSelectionResult:
 
     def table(self) -> Table:
         return (
-            "Table III — pairwise e2e latency (ms); * = selected",
-            ["user"] + list(self.node_ids),
+            "Table III — pairwise e2e latency (ms) and the node selected",
+            ["user", *self.node_ids, "selected", "selected ms"],
             [
-                [user]
-                + [
-                    f"{self.pairwise_ms[(user, node)]:5.0f}"
-                    + ("*" if self.selected[user] == node else " ")
-                    for node in self.node_ids
+                [
+                    user,
+                    *self.row(user),
+                    self.selected[user],
+                    self.pairwise_ms[(user, self.selected[user])],
                 ]
                 for user in self.user_ids
             ],
@@ -288,10 +288,7 @@ class ElasticityResult:
         return (
             "Fig. 5 — average e2e latency (ms) by user count",
             ["strategy"] + [str(n) for n in self.user_counts],
-            [
-                [strategy] + [f"{v:.0f}" for v in series]
-                for strategy, series in self.averages_ms.items()
-            ],
+            [[strategy, *series] for strategy, series in self.averages_ms.items()],
         )
 
 
@@ -325,8 +322,7 @@ def _build_for_strategy(
 def run_elasticity_sweep(
     config: Optional[SystemConfig] = None,
     *,
-    max_users: int = 15,
-    user_counts: Optional[List[int]] = None,
+    user_counts: Sequence[int] = (1, 3, 5, 7, 9, 11, 13, 15),
     join_stagger_ms: float = 2_000.0,
     settle_ms: float = 15_000.0,
     measure_ms: float = 15_000.0,
@@ -339,7 +335,7 @@ def run_elasticity_sweep(
     completed-frame latency over the measurement window is reported.
     """
     config = config or SystemConfig()
-    counts = user_counts or list(range(1, max_users + 1))
+    counts = list(user_counts)
     result = ElasticityResult(user_counts=counts)
 
     for strategy in strategies:

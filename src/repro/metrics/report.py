@@ -27,14 +27,18 @@ def format_table(
 ) -> str:
     """Render an aligned ASCII table.
 
-    Floats are shown with one decimal; everything else via ``str``.
+    Floats are shown with one decimal (three significant digits below
+    1, so a fraction stays readable), ``None`` as ``-``, everything else
+    via ``str``.
     """
     rendered_rows: List[List[str]] = []
     for row in rows:
         rendered: List[str] = []
         for cell in row:
             if isinstance(cell, float):
-                rendered.append(f"{cell:.1f}")
+                rendered.append(f"{cell:.3g}" if 0 < abs(cell) < 1 else f"{cell:.1f}")
+            elif cell is None:
+                rendered.append("-")
             else:
                 rendered.append(str(cell))
         rendered_rows.append(rendered)

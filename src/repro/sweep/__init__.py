@@ -9,9 +9,12 @@ bounded retry, deterministic aggregation, automated reporting:
 - :mod:`repro.sweep.spec` — :class:`SweepSpec` (declarative grid) and
   :class:`RunSpec` (one run, with a content-hashed ``run_key`` and an
   order-independent ``root_seed``).
-- :mod:`repro.sweep.registry` — named sweepable experiments
-  (``fig9_topn``, ``chaos_matrix``, ``policy_matrix``,
-  ``controlplane_chaos``, ...), each with a parameter schema shown by
+- :mod:`repro.sweep.registry` — named sweepable experiments: every
+  paper artifact under its own name (``fig1`` ... ``fig10``, ``table2``,
+  ``table3``, ``qos``, derived from :data:`repro.experiments.ARTIFACTS`,
+  one metric per numeric cell of its table) plus ``chaos_matrix``,
+  ``policy_matrix``, ``controlplane_chaos``, ``chaos_hunt`` and
+  ``selftest``, each with a parameter schema shown by
   ``repro sweep list``.
 - :mod:`repro.sweep.store` — crash-safe on-disk run store (atomic
   JSONL records keyed by ``run_key``); interrupted sweeps resume by
@@ -26,8 +29,10 @@ bounded retry, deterministic aggregation, automated reporting:
   requeue.
 - :mod:`repro.sweep.aggregate` — cross-seed mean/p50/p95/CI reduction
   and comparison tables.
-- :mod:`repro.sweep.report` — store -> Markdown tables and tagged-
-  section refresh of EXPERIMENTS.md (byte-reproducible; CI diffs it).
+- :mod:`repro.sweep.report` — store -> Markdown tables (a paper
+  artifact's in its own table's shape) and tagged-section refresh of
+  EXPERIMENTS.md, every measured table of which is generated
+  (byte-reproducible; CI diffs it).
 
 Results are bit-identical across platforms: a run's metrics are a pure
 function of its content-derived ``root_seed``, so serial, pooled,

@@ -11,12 +11,17 @@ name and look the callable up in their own registry, so built-ins must
 be registered at import time (spawn-safe); ad-hoc experiments registered
 at runtime work with the serial executor and with fork-started pools.
 
-Built-ins wrap the repo's paper experiments:
+Every paper artifact is an experiment under its own name, derived from
+:data:`repro.experiments.ARTIFACTS` on first lookup (``fig1`` ... ``fig10``,
+``table2``, ``table3``, ``qos``): a run is ``artifact.run(SystemConfig(
+seed=root_seed), **params)``, and each numeric cell of the artifact's
+table becomes the metric ``"<row label> | <column header>"`` — so a sweep
+reports exactly what ``python -m repro <name>`` prints, and
+:mod:`repro.sweep.report` renders it back in the table's shape. Its
+parameters are the artifact's scalar command-line options.
 
-- ``fig9_topn``   — one churn run at a given ``top_n`` (Fig. 9 cell).
-- ``churn_trace`` — the Fig. 8 trace reduced to scalars.
-- ``network_study`` — Fig. 1 RTT study per target class.
-- ``qos_admission`` — one (population, QoS bound) admission cell.
+The registered built-ins are the experiments that are not paper tables:
+
 - ``chaos_matrix`` — one fault family of the canonical chaos plan run
   through the simulator (recovery metrics per seed x family cell).
 - ``policy_matrix`` — one selection policy under the trap scenario of
@@ -39,6 +44,7 @@ Built-ins wrap the repo's paper experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - experiment imports stay lazy
@@ -91,103 +97,56 @@ def register(experiment: SweepableExperiment, *, replace: bool = False) -> None:
     _REGISTRY[experiment.name] = experiment
 
 
+def _artifacts() -> Mapping[str, Any]:
+    # Imported on lookup, not with the package: `import repro.sweep`
+    # stays cheap, and a worker still resolves every artifact by name.
+    from repro.experiments import ARTIFACTS
+
+    return ARTIFACTS
+
+
 def get_experiment(name: str) -> SweepableExperiment:
-    try:
+    if name in _REGISTRY:
         return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "(none)"
+    artifact = _artifacts().get(name)
+    if artifact is None:
+        known = ", ".join(experiment_names())
         raise KeyError(
             f"unknown sweepable experiment {name!r}; registered: {known}"
-        ) from None
+        )
+    return SweepableExperiment(
+        name=name,
+        fn=partial(_artifact_metrics, name),
+        description=f"{artifact.help}: every numeric cell of its table",
+        param_help={
+            keyword: f"`repro {name} {flag}` (default {kwargs['default']})"
+            for flag, keyword, kwargs in artifact.options
+            if "nargs" not in kwargs
+        },
+    )
 
 
 def experiment_names() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted({*_REGISTRY, *_artifacts()})
 
 
 # ----------------------------------------------------------------------
 # Built-in entry points (lazy experiment imports keep `import repro.sweep`
 # cheap; the registry itself must import at worker start)
 # ----------------------------------------------------------------------
-def _fig9_topn(params: Dict[str, Any], root_seed: int) -> MetricsDict:
+def _artifact_metrics(name: str, params: Dict[str, Any], root_seed: int) -> MetricsDict:
+    """Run one paper artifact; its table's numeric cells are the metrics."""
     from repro.core.config import SystemConfig
-    from repro.experiments.churn_experiment import (
-        HORIZON_MS,
-        make_churn_trace,
-        run_churn_once,
-    )
 
-    top_n = int(params.get("top_n", 3))
-    n_users = int(params.get("n_users", 10))
-    duration_ms = float(params.get("duration_ms", HORIZON_MS))
-    config = SystemConfig(seed=root_seed, top_n=top_n)
-    trace = make_churn_trace(config, horizon_ms=duration_ms)
-    run = run_churn_once(
-        config, n_users=n_users, trace=trace, duration_ms=duration_ms
+    artifact = _artifacts()[name]
+    _, headers, rows = artifact.table(
+        artifact.run(SystemConfig(seed=root_seed), **params)
     )
-    # The paper's Fig. 9(c) window is the middle third of the timeline
-    # (60-120 s of the 3-minute horizon).
-    window = (duration_ms / 3.0, 2.0 * duration_ms / 3.0)
     return {
-        "probes": float(run.metrics.total_probes()),
-        "test_invocations": float(run.metrics.total_test_invocations()),
-        "avg_latency_ms": run.average_latency_ms(*window),
-        "fairness_std_ms": run.fairness_std_ms(*window),
-        "uncovered_failures": float(run.metrics.total_failures()),
-    }
-
-
-def _churn_trace(params: Dict[str, Any], root_seed: int) -> MetricsDict:
-    from repro.core.config import SystemConfig
-    from repro.experiments.churn_experiment import run_churn_trace
-    from repro.metrics.stats import mean
-
-    config = SystemConfig(seed=root_seed, top_n=int(params.get("top_n", 3)))
-    result = run_churn_trace(config, bin_ms=float(params.get("bin_ms", 5_000.0)))
-    values = [v for _, v in result.latency_trace]
-    return {
-        "trace_mean_ms": mean(values),
-        "trace_peak_ms": max(values),
-        "total_nodes": float(result.total_nodes),
-        "windows": float(len(result.latency_trace)),
-    }
-
-
-def _network_study(params: Dict[str, Any], root_seed: int) -> MetricsDict:
-    from repro.core.config import SystemConfig
-    from repro.experiments.network_study import run_network_study
-
-    config = SystemConfig(seed=root_seed)
-    result = run_network_study(
-        config,
-        n_users=int(params.get("n_users", 15)),
-        probes_per_pair=int(params.get("probes_per_pair", 20)),
-    )
-    metrics: MetricsDict = {}
-    for group, summary in result.summaries().items():
-        metrics[f"{group}_mean_ms"] = summary.mean_ms
-        metrics[f"{group}_p50_ms"] = summary.p50_ms
-        metrics[f"{group}_p90_ms"] = summary.p90_ms
-    return metrics
-
-
-def _qos_admission(params: Dict[str, Any], root_seed: int) -> MetricsDict:
-    from repro.core.config import SystemConfig
-    from repro.experiments.qos_admission import run_qos_admission
-
-    n_users = int(params.get("n_users", 15))
-    qos_ms = float(params.get("qos_ms", 90.0))
-    config = SystemConfig(seed=root_seed)
-    result = run_qos_admission(
-        config, qos_latency_ms=qos_ms, user_counts=[n_users]
-    )
-    with_qos = result.with_qos[n_users]
-    without = result.without_qos[n_users]
-    return {
-        "admitted": float(with_qos.admitted),
-        "rejected": float(with_qos.rejected),
-        "violation_rate_on": with_qos.violation_rate,
-        "violation_rate_off": without.violation_rate,
+        f"{row[0]} | {header}": float(cell)
+        for row in rows
+        for header, cell in zip(headers[1:], row[1:])
+        if isinstance(cell, (int, float)) and not isinstance(cell, bool)
     }
 
 
@@ -340,55 +299,6 @@ def _selftest(params: Dict[str, Any], root_seed: int) -> MetricsDict:
     }
 
 
-register(
-    SweepableExperiment(
-        name="fig9_topn",
-        fn=_fig9_topn,
-        description="Fig. 9 churn cell: probes/invocations/latency/fairness at one TopN",
-        default_grid={"top_n": [1, 2, 3, 4, 5]},
-        param_help={
-            "top_n": "size of the maintained candidate set (paper's TopN axis)",
-            "n_users": "concurrent users in the churn run (default 10)",
-            "duration_ms": "run horizon in ms (default: the Fig. 9 3-minute horizon)",
-        },
-    )
-)
-register(
-    SweepableExperiment(
-        name="churn_trace",
-        fn=_churn_trace,
-        description="Fig. 8 churn trace reduced to scalar latency statistics",
-        default_grid={"top_n": [3]},
-        param_help={
-            "top_n": "size of the maintained candidate set (default 3)",
-            "bin_ms": "latency-trace window width in ms (default 5000)",
-        },
-    )
-)
-register(
-    SweepableExperiment(
-        name="network_study",
-        fn=_network_study,
-        description="Fig. 1 RTT study: volunteer vs Local Zone vs cloud",
-        default_grid={"probes_per_pair": [20]},
-        param_help={
-            "n_users": "probing vantage points (default 15)",
-            "probes_per_pair": "RTT samples per (user, target) pair (default 20)",
-        },
-    )
-)
-register(
-    SweepableExperiment(
-        name="qos_admission",
-        fn=_qos_admission,
-        description="QoS admission cell: admitted/violations at one population",
-        default_grid={"n_users": [5, 10, 15, 20]},
-        param_help={
-            "n_users": "user population size for the admission cell",
-            "qos_ms": "QoS latency bound in ms (default 90)",
-        },
-    )
-)
 register(
     SweepableExperiment(
         name="chaos_matrix",

@@ -4,7 +4,11 @@ The third layer of the sweep engine. The store holds bit-reproducible
 per-run records, the aggregator reduces them canonically, and this
 module renders the result as Markdown tables (one table per experiment;
 rows are parameter cells in sorted cell-key order; values are
-``mean ± ci95``) and splices them into tagged sections of a document::
+``mean ± ci95``) and splices them into tagged sections of a document.
+An experiment whose metrics are all named ``"<row> | <column>"`` — every
+paper artifact (:mod:`repro.sweep.registry`) — renders instead as its
+own table, one per parameter cell, rows and columns in numeric-aware
+order (``2`` before ``10``, ``5s`` before ``10s``)::
 
     <!-- sweep-report:fig9 -->
     ...generated — do not edit by hand...
@@ -23,12 +27,14 @@ property ``bench_sweep`` asserts on the digest itself.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.fsutil import atomic_write_text
 from repro.sweep.aggregate import (
     CellAggregate,
+    MetricAggregate,
     aggregate_records,
     aggregates_digest,
 )
@@ -59,25 +65,72 @@ def _escape(text: str) -> str:
     return text.replace("|", "\\|")
 
 
+#: Separates the row label from the column header in a metric name.
+PIVOT = " | "
+
+
+def _value(agg: Optional[MetricAggregate]) -> str:
+    if agg is None:
+        return "—"
+    if agg.n > 1:
+        return f"{_fmt(agg.mean)} ± {_fmt(agg.ci_half_width)}"
+    return _fmt(agg.mean)
+
+
+def _markdown(header: List[str], rows: List[List[str]]) -> List[str]:
+    return [
+        "| " + " | ".join(header) + " |",
+        "|" + "|".join(["---"] * len(header)) + "|",
+        *("| " + " | ".join(row) + " |" for row in rows),
+    ]
+
+
+def _numeric_order(label: str) -> Tuple[object, ...]:
+    """Sort key that compares digit runs as numbers: ``5s`` < ``10s``."""
+    return tuple(
+        int(part) if i % 2 else part
+        for i, part in enumerate(re.split(r"(\d+)", label))
+    )
+
+
 def _experiment_table(cells: List[CellAggregate]) -> List[str]:
     """One GitHub-flavored Markdown table: cells x metrics, mean ± ci95."""
     metrics: List[str] = sorted({m for c in cells for m in c.metrics})
-    header = ["cell", "seeds"] + metrics
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(["---"] * len(header)) + "|",
-    ]
+    return _markdown(
+        ["cell", "seeds"] + metrics,
+        [
+            [_escape(_cell_label(cell)), str(cell.n_seeds)]
+            + [_value(cell.metrics.get(name)) for name in metrics]
+            for cell in cells
+        ],
+    )
+
+
+def _pivot_tables(cells: List[CellAggregate]) -> List[str]:
+    """Per cell, ``row | column`` metrics back in their table's shape.
+
+    The first header names the cell. A value aggregated over fewer seeds
+    than the cell ran (that row had no number on some seeds) says so."""
+    lines: List[str] = []
     for cell in cells:
-        row = [_escape(_cell_label(cell)), str(cell.n_seeds)]
-        for name in metrics:
-            agg = cell.metrics.get(name)
-            if agg is None:
-                row.append("—")
-            elif agg.n > 1:
-                row.append(f"{_fmt(agg.mean)} ± {_fmt(agg.ci_half_width)}")
-            else:
-                row.append(_fmt(agg.mean))
-        lines.append("| " + " | ".join(row) + " |")
+        split = {
+            tuple(name.split(PIVOT, 1)): agg for name, agg in cell.metrics.items()
+        }
+        rows = sorted({row for row, _ in split}, key=_numeric_order)
+        columns = sorted({column for _, column in split}, key=_numeric_order)
+        body = []
+        for row in rows:
+            values = [_escape(row)]
+            for column in columns:
+                agg = split.get((row, column))
+                short = agg is not None and agg.n < cell.n_seeds
+                values.append(_value(agg) + (f" (n={agg.n})" if short else ""))
+            body.append(values)
+        if lines:
+            lines.append("")
+        lines += _markdown(
+            [_escape(_cell_label(cell))] + [_escape(c) for c in columns], body
+        )
     return lines
 
 
@@ -108,11 +161,13 @@ def render_markdown(
         seeds_note = (
             f"{seeds[0]}" if len(seeds) == 1 else f"{seeds[0]}–{seeds[-1]}"
         )
+        pivot = all(PIVOT in m for c in cells for m in c.metrics)
+        table = _pivot_tables(cells) if pivot else _experiment_table(cells)
         blocks.append(
             f"{mark} `{experiment}` — {len(cells)} cell"
             f"{'s' if len(cells) != 1 else ''}, {seeds_note} seed"
             f"{'s' if seeds != [1] else ''} per cell\n\n"
-            + "\n".join(_experiment_table(cells))
+            + "\n".join(table)
         )
     return "\n\n".join(blocks) + "\n"
 

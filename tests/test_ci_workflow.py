@@ -88,6 +88,22 @@ def test_a_job_runs_the_paper_figure_harness():
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_paper_figures_regenerates_every_generated_table_in_experiments_md():
+    """Each ``sweep-report`` section of EXPERIMENTS.md but the selftest
+    one is checked from a fresh 5-seed store of the experiment it is
+    named after: a new section without a CI step, or a step for a
+    section that is gone, fails here."""
+    tags = re.findall(r"<!-- sweep-report:([\w-]+) -->", (ROOT / "EXPERIMENTS.md").read_text())
+    job = jobs()["paper-figures"]
+    (step,) = [s for s in re.split(r"(?m)^      - name: ", job) if "for tag in" in s]
+    (listed,) = re.findall(r"for tag in ([\w -]+); do", step)
+    assert listed.split() == [t for t in tags if t != "sweep-selftest"]
+    assert '--experiment "$tag" --seeds 5 --base-seed 42' in step
+    assert '--update EXPERIMENTS.md --tag "$tag" --check' in step
+    assert "git diff --exit-code EXPERIMENTS.md" in step
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_stop_race_test_runs_under_the_leak_flags():
     """A connection that outlives ``stop_serving`` shows as an unclosed
     socket at collection time: the file holding its regression test must

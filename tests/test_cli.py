@@ -133,11 +133,15 @@ def test_sweep_cli_roundtrip(tmp_path, capsys):
 
 
 def test_sweep_list_names_builtin_experiments(capsys):
+    from repro.experiments import ARTIFACTS
+
     assert main(["sweep", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("fig9_topn", "churn_trace", "network_study",
-                 "qos_admission", "selftest", "policy_matrix"):
-        assert name in out
+    table = capsys.readouterr().out.split("\nparameters")[0].splitlines()[3:]
+    listed = {line.split("|")[0].strip() for line in table}
+    builtins = {"chaos_matrix", "policy_matrix", "controlplane_chaos",
+                "chaos_hunt", "selftest"}
+    # The paper artifacts are listed under their own names only.
+    assert listed == set(ARTIFACTS) | builtins
 
 
 def test_policy_list_command(capsys):
@@ -432,5 +436,6 @@ def test_sweep_list_shows_param_schema(capsys):
     out = capsys.readouterr().out
     assert "controlplane_chaos" in out
     assert "parameters (pass as --param" in out
-    for param in ("fault_family", "crash_marker", "shards", "qos_ms"):
+    for param in ("fault_family", "crash_marker", "shards", "qos_latency_ms",
+                  "probes_per_pair"):
         assert param in out

@@ -89,6 +89,72 @@ def test_markdown_empty_store(tmp_path):
     )
 
 
+def test_plain_metrics_render_one_cells_by_metrics_table(tmp_path):
+    """No ``row | column`` names: one cells x metrics table, byte for
+    byte (EXPERIMENTS.md's ``sweep-selftest`` section depends on it)."""
+    assert render_store_markdown(_filled_store(tmp_path)) == (
+        "#### `selftest` — 2 cells, 3 seeds per cell\n\n"
+        "| cell | seeds | draws | value |\n"
+        "|---|---|---|---|\n"
+        "| scale=1.0 | 3 | 1 ± 0 | 0.514715 ± 0.460781 |\n"
+        "| scale=2.0 | 3 | 1 ± 0 | 0.939636 ± 1.67136 |\n"
+    )
+
+
+def _records(experiment, params, per_seed):
+    return [
+        RunRecord(
+            run_key=f"{experiment}-{params}-{seed}",
+            experiment=experiment,
+            params=params,
+            seed_index=seed,
+            root_seed=seed,
+            status="ok",
+            metrics=metrics,
+        )
+        for seed, metrics in enumerate(per_seed)
+    ]
+
+
+def test_row_column_metrics_pivot_into_the_tables_shape():
+    records = _records(
+        "fig", {}, [{"a | x": 1.0, "a | y": 2.0, "b | x": 3.0, "b | y": 4.0}] * 2
+    )
+    assert render_markdown(aggregate_records(records)) == (
+        "#### `fig` — 1 cell, 2 seeds per cell\n\n"
+        "| (default) | x | y |\n"
+        "|---|---|---|\n"
+        "| a | 1 ± 0 | 2 ± 0 |\n"
+        "| b | 3 ± 0 | 4 ± 0 |\n"
+    )
+
+
+def test_pivot_orders_rows_and_columns_numerically():
+    names = [f"{row} | {column}" for row in ("10s", "5s", "0s") for column in ("10", "2")]
+    records = _records("fig", {}, [{name: 1.0 for name in names}])
+    lines = render_markdown(aggregate_records(records)).splitlines()
+    assert lines[2] == "| (default) | 2 | 10 |"
+    assert [line.split(" | ")[0] for line in lines[4:]] == ["| 0s", "| 5s", "| 10s"]
+
+
+def test_pivot_renders_a_missing_cell_as_a_dash_and_a_short_one_with_its_n():
+    records = _records(
+        "fig", {}, [{"a | x": 1.0, "b | y": 2.0}, {"a | x": 3.0}]
+    )
+    text = render_markdown(aggregate_records(records))
+    assert "| a | 2 ± 12.706 | — |" in text
+    assert "| b | — | 2 (n=1) |" in text
+
+
+def test_pivot_renders_one_table_per_parameter_cell():
+    records = _records("fig", {"k": 1}, [{"a | x": 1.0}]) + _records(
+        "fig", {"k": 2}, [{"a | x": 2.0}]
+    )
+    text = render_markdown(aggregate_records(records))
+    assert "| k=1 | x |" in text and "| k=2 | x |" in text
+    assert text.count("#### `fig`") == 1
+
+
 def test_markdown_escapes_pipes_in_cell_labels():
     records = [
         RunRecord(

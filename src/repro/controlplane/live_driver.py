@@ -38,17 +38,14 @@ from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.replication import ReplicaSet
 from repro.controlplane.router import PartialSelection, ShardRouter, emit_routing
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
-from repro.messages import CandidateList, DiscoveryQuery, from_wire, to_wire
+from repro.messages import Address, CandidateList, DiscoveryQuery, NodeStatus, from_wire, read_field, to_wire
 from repro.obs.events import ManagerPromote, RegistryHandoff
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.runtime import protocol
-from repro.runtime.manager_server import ManagerServer, heartbeat_from_wire, query_from_wire
+from repro.runtime.manager_server import ManagerServer, heartbeat_from_wire
 
 __all__ = ["RouterServer", "ControlPlaneCluster"]
-
-#: An ``(host, port)`` pair of one manager replica.
-Address = Tuple[str, int]
 
 
 class RouterServer:
@@ -170,12 +167,10 @@ class RouterServer:
             except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
                 self.mark_down(shard, replica)
                 continue
-            statuses = tuple(from_wire(s) for s in reply["statuses"])
-            for node_id, address in reply.get("addresses", {}).items():
-                self._addresses[node_id] = (address[0], address[1])
-            return PartialSelection(
-                shard=shard, count=int(reply["count"]), statuses=statuses
-            )
+            statuses = read_field(reply, "statuses", Tuple[NodeStatus, ...])
+            selection = PartialSelection(shard, read_field(reply, "count", int), statuses)
+            self._addresses.update(read_field(reply, "addresses", Dict[str, Address], {}))
+            return selection
 
     # ------------------------------------------------------------------
     # Wire surface (manager-compatible)
@@ -233,7 +228,7 @@ class RouterServer:
         return {"ok": True, "delivered": delivered}
 
     async def _on_discover(self, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        query = query_from_wire(payload)
+        query = from_wire(payload.get("query"), DiscoveryQuery)
         self.queries_served += 1
         geo = self.router.policy.geo_filter
         try:

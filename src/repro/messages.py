@@ -6,6 +6,12 @@ JSON with the helpers at the bottom. Keeping one message vocabulary for
 both backends is what makes the live runtime a faithful port rather than
 a second implementation.
 
+The annotations are the wire schema too: each type that crosses a socket
+resolves once into a per-field table (type, optional, required, a rule),
+and :func:`from_wire` holds every payload to it. A refusal is a
+``ValueError``: a server answers it ``ok: false``, a client counts a
+failed probe or discovery.
+
 :class:`ProbeOutcome` — what a client holds about one candidate after
 probing it (§IV-D) — lives here too: it is assembled from a
 :class:`ProbeReply` and is what the policy layer (:mod:`repro.policy`)
@@ -18,8 +24,11 @@ machines can all sit above it (``tests/test_layering.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
+from typing import Any, Callable, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from repro.geo.point import GeoPoint
 
@@ -127,15 +136,6 @@ class JoinReply:
 
 
 @dataclass(frozen=True)
-class LeaveNotice:
-    """Client -> edge ``Leave()`` notification."""
-
-    user_id: str
-    node_id: str
-    reason: str = "switch"  # "switch" | "finish"
-
-
-@dataclass(frozen=True)
 class ProbeOutcome:
     """Everything Algorithm 2 learns about one candidate edge node.
 
@@ -196,52 +196,122 @@ class ProbeOutcome:
 
 
 # ----------------------------------------------------------------------
-# JSON helpers for the live runtime
+# The wire schema: JSON helpers for the live runtime
 # ----------------------------------------------------------------------
-_MESSAGE_TYPES = {
-    "NodeStatus": NodeStatus,
-    "DiscoveryQuery": DiscoveryQuery,
-    "CandidateList": CandidateList,
-    "ProbeReply": ProbeReply,
-    "JoinReply": JoinReply,
-    "LeaveNotice": LeaveNotice,
+#: The messages that cross a socket (a live join answers in plain fields).
+_MESSAGE_TYPES = {cls.__name__: cls for cls in (NodeStatus, DiscoveryQuery, CandidateList, ProbeReply)}
+#: A node's serving address, ``[host, port]`` on the wire.
+Address = Tuple[str, int]
+#: Rules beyond the type, by field name: a minimum, or a check raising
+#: ValueError. Positions are on the globe by GeoPoint's own rule, a TopN
+#: asks for one node or more; counts, delays and rates are never negative.
+_RULES: Dict[str, Any] = {
+    "lat": lambda lat: GeoPoint(lat, 0.0),
+    "lon": lambda lon: GeoPoint(0.0, lon),
+    "top_n": 1,
+    **dict.fromkeys(("cores", "attached_users", "count", "what_if_ms", "current_proc_ms",
+                     "stay_ms", "fps", "radius_km"), 0),
 }
 
 
-#: Messages are flat and frozen: encoding reads each field, where
-#: ``dataclasses.asdict`` would deep-copy it.
-_WIRE_FIELDS = {
-    cls: tuple(f.name for f in fields(cls)) for cls in _MESSAGE_TYPES.values()
+@lru_cache(maxsize=None)
+def _decoder(kind: Any, rule: Any = None) -> Callable[[Any], Any]:
+    """One annotation's decoder, raising ValueError: exact ``str`` / ``int`` /
+    ``bool`` (an int is a float, a bool no number), 64-bit, finite, then
+    ``rule``; ``Optional``, ``Tuple`` (from a list), ``Dict[str, X]``."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X], the wire's one union
+        present = _decoder(args[0], rule)
+        return lambda value: None if value is None else present(value)
+    if kind in _MESSAGE_TYPES.values():
+        return lambda value: from_wire(value, kind)
+    items = [_decoder(arg) for arg in args if arg is not Ellipsis]
+    accepted = (float, int) if kind is float else (list, tuple) if origin is tuple else (origin or kind,)
+    variadic = args[-1:] == (Ellipsis,)
+
+    def decode(value: Any) -> Any:
+        got = type(value)
+        if (got not in accepted or got is int and not -(2**63) <= value < 2**63
+                or got is float and not math.isfinite(value)
+                or origin is tuple and not variadic and len(value) != len(items)):
+            raise ValueError(f"not a {getattr(kind, '__name__', kind)}: {value!r}")
+        if origin is tuple:
+            return tuple([items[0](v) for v in value] if variadic else [d(v) for d, v in zip(items, value)])
+        if origin is dict:
+            return {items[0](k): items[1](v) for k, v in value.items()}
+        if type(rule) is int and value < rule:
+            raise ValueError(f"{value!r} is below {rule}")
+        if callable(rule):
+            rule(value)
+        return float(value) if kind is float else value
+
+    return decode
+
+
+#: A schema row: ``kind`` is the annotation less ``Optional``; required = no default.
+WireField = namedtuple("WireField", "name kind optional required rule decode")
+
+
+def _row(name: str, hint: Any, required: bool) -> WireField:
+    optional, rule = get_origin(hint) is Union, _RULES.get(name)
+    return WireField(name, get_args(hint)[0] if optional else hint, optional, required, rule,
+                     _decoder(hint, rule))
+
+
+#: Per wire type, its fields by name in declaration order.
+_WIRE_FIELDS: Dict[type, Dict[str, WireField]] = {
+    cls: {
+        f.name: _row(f.name, get_type_hints(cls)[f.name],
+                     f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
+    for cls in _MESSAGE_TYPES.values()
 }
 
 
 def to_wire(message: Any) -> Dict[str, Any]:
     """Encode a message dataclass as a JSON-ready dict with a type tag."""
     cls = type(message)
-    names = _WIRE_FIELDS.get(cls)
-    if names is None:
+    if cls not in _WIRE_FIELDS:
         raise TypeError(f"not a wire message type: {cls.__name__}")
     payload = {}
-    for name in names:
+    for name in _WIRE_FIELDS[cls]:  # messages are flat: no ``asdict`` deep copy
         value = getattr(message, name)
         # Tuples JSON-ify to lists; normalise here so round-trips are stable.
         payload[name] = list(value) if isinstance(value, tuple) else value
     return {"type": cls.__name__, "payload": payload}
 
 
-def from_wire(data: Dict[str, Any]) -> Any:
-    """Decode a dict produced by :func:`to_wire` back into a dataclass."""
+def from_wire(data: Any, expected: Optional[type] = None) -> Any:
+    """Decode a dict produced by :func:`to_wire` (of type ``expected``, if
+    given): every required field of its type and no other, each of its
+    declared type and within its rule. Any refusal is a ValueError."""
+    type_name = data.get("type") if type(data) is dict else None
+    cls = _MESSAGE_TYPES.get(type_name) if type(type_name) is str else None
+    if cls is None:
+        raise ValueError(f"unknown wire message type: {type_name!r}")
+    if expected not in (None, cls):
+        raise ValueError(f"expected a {expected.__name__}, got a {type_name}")
+    payload, schema, values = data.get("payload"), _WIRE_FIELDS[cls], {}
+    if type(payload) is not dict:
+        raise ValueError(f"{type_name} payload is not an object: {payload!r}")
     try:
-        type_name = data["type"]
-        payload = dict(data["payload"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed wire message: {data!r}") from exc
+        for name, value in payload.items():
+            values[name] = schema[name].decode(value)
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{type_name}.{name}: {exc}") from None
+    except (KeyError, TypeError):  # a field the type does not have, or one it lacks
+        raise ValueError(f"{type_name} fields {list(payload)} are not {list(schema)}") from None
+
+
+def read_field(payload: Dict[str, Any], name: str, kind: Any, default: Any = ...) -> Any:
+    """An op argument no message declares (a user id, a serving port, a
+    snapshot's stamps), held to the rules of a message field of that name
+    and annotation: ValueError if refused, or absent with no ``default``."""
+    if name not in payload and default is not ...:
+        return default
     try:
-        cls = _MESSAGE_TYPES[type_name]
-    except KeyError:
-        raise ValueError(f"unknown wire message type: {type_name!r}") from None
-    # Restore tuple-typed fields.
-    for key in ("node_ids", "exclude"):
-        if key in payload and isinstance(payload[key], list):
-            payload[key] = tuple(payload[key])
-    return cls(**payload)
+        return _decoder(kind, _RULES.get(name))(payload[name])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc if isinstance(exc, ValueError) else 'missing'}") from None

@@ -22,7 +22,8 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.messages import DiscoveryQuery, ProbeOutcome, from_wire, to_wire
+from repro.messages import Address, CandidateList, DiscoveryQuery, ProbeOutcome, ProbeReply
+from repro.messages import from_wire, read_field, to_wire
 from repro.faults.injector import MANAGER_ID
 from repro.policy import PolicySpec, SelectionPolicy, build_policy
 from repro.sim.random import derive_seed
@@ -220,14 +221,13 @@ class LiveClient:
                     node_ids, widened = await self._discover_io(
                         effect.top_n, effect.exclude
                     )
-                except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
-                    # Manager unreachable after the retry budget:
-                    # degrade gracefully — the machine falls back to the
-                    # last candidate list + adopted backups.
+                except (OSError, protocol.ProtocolError, asyncio.TimeoutError, ValueError) as exc:
+                    # Manager unreachable after the retry budget, or its
+                    # answer refused (ValueError): degrade gracefully — the
+                    # machine falls back to the last candidate list + adopted backups.
+                    reason = "refused" if isinstance(exc, ValueError) else "unreachable"
                     pending.extend(
-                        self._machine.handle(
-                            DiscoveryFailed(self._now(), reason="unreachable")
-                        )
+                        self._machine.handle(DiscoveryFailed(self._now(), reason=reason))
                     )
                 else:
                     pending.extend(
@@ -307,7 +307,8 @@ class LiveClient:
         self, top_n: int, exclude: Tuple[str, ...]
     ) -> Tuple[Tuple[str, ...], bool]:
         """One discovery round trip (retried under the retry policy);
-        refreshes the address book."""
+        refreshes the address book. ValueError: ``ok: false``, or a reply
+        the wire schema refuses."""
         query = DiscoveryQuery(
             user_id=self.user_id,
             lat=self.point.lat,
@@ -337,10 +338,11 @@ class LiveClient:
         reply = await call_with_retry(
             attempt, self.retry_policy, on_retry=on_retry
         )
-        candidates = from_wire(reply["candidates"])
-        for node_id, address in reply.get("addresses", {}).items():
-            self.addresses[node_id] = (address[0], address[1])
-        return tuple(candidates.node_ids), candidates.widened
+        if reply.get("ok") is not True:
+            raise ValueError(f"discover refused: {reply.get('error')!r}")
+        candidates = from_wire(reply.get("candidates"), CandidateList)
+        self.addresses.update(read_field(reply, "addresses", Dict[str, Address], {}))
+        return candidates.node_ids, candidates.widened
 
     async def discover(self) -> List[str]:
         """Edge discovery at the Central Manager (standalone API: emits
@@ -396,7 +398,8 @@ class LiveClient:
             connection.drop()
 
     async def probe(self, node_id: str) -> Optional[ProbeOutcome]:
-        """``RTT_probe`` + ``Process_probe`` one candidate; None if dead."""
+        """``RTT_probe`` + ``Process_probe`` one candidate; None if dead, or
+        if the wire schema refuses its reply (the link is kept)."""
         self.probes_sent += 1
         self.tracer.emit(ProbeSent(self._now(), self.user_id, node_id))
         try:
@@ -409,7 +412,10 @@ class LiveClient:
         except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
             self._forget(node_id)
             return None
-        probe = from_wire(reply["probe"])
+        try:
+            probe = from_wire(reply.get("probe"), ProbeReply)
+        except ValueError:
+            return None
         if self.tracer.enabled:
             self.tracer.emit(
                 ProbeAnswered(

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.geo import geohash as gh
 from repro.geo.point import GeoPoint
-from repro.messages import NodeStatus, ProbeReply, to_wire
+from repro.messages import NodeStatus, ProbeReply, read_field, to_wire
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.processing import analytic_sojourn_ms
 from repro.obs.events import (
@@ -474,6 +474,12 @@ class LiveEdgeServer:
         await protocol.serve_connection(reader, writer, dispatch, self._open_writers)
 
     async def _dispatch(self, frame: dict) -> dict:
+        try:
+            return await self._answer(frame)
+        except ValueError as exc:  # an argument the wire schema refuses
+            return {"ok": False, "error": str(exc)}
+
+    async def _answer(self, frame: dict) -> dict:
         op = frame["op"]
         payload = frame["payload"]
         now = self.tracer.now()
@@ -498,42 +504,33 @@ class LiveEdgeServer:
             )
             return {"ok": True, "probe": to_wire(probe)}
         if op == "join":
+            user_id = read_field(payload, "user_id", str)
+            seq_num = read_field(payload, "seq_num", int)
+            fps = read_field(payload, "fps", float, self.standard_fps)
             reply = self._run_effects(
-                self._machine.handle(
-                    JoinRequested(
-                        now,
-                        payload["user_id"],
-                        payload["seq_num"],
-                        payload.get("fps", self.standard_fps),
-                    )
-                )
+                self._machine.handle(JoinRequested(now, user_id, seq_num, fps))
             )
             assert isinstance(reply, ReplyJoin)
             if reply.accepted:
-                self._last_seen[payload["user_id"]] = time.monotonic()
+                self._last_seen[user_id] = time.monotonic()
             return {"ok": True, "accepted": reply.accepted, "seq_num": reply.seq_num}
         if op == "unexpected_join":
+            user_id = read_field(payload, "user_id", str)
+            fps = read_field(payload, "fps", float, self.standard_fps)
             reply = self._run_effects(
-                self._machine.handle(
-                    UnexpectedJoinRequested(
-                        now,
-                        payload["user_id"],
-                        payload.get("fps", self.standard_fps),
-                    )
-                )
+                self._machine.handle(UnexpectedJoinRequested(now, user_id, fps))
             )
             assert isinstance(reply, ReplyJoin)
             if reply.accepted:
-                self._last_seen[payload["user_id"]] = time.monotonic()
+                self._last_seen[user_id] = time.monotonic()
             return {"ok": True, "accepted": reply.accepted}
         if op == "leave":
-            self._last_seen.pop(payload["user_id"], None)
-            self._run_effects(
-                self._machine.handle(LeaveRequested(now, payload["user_id"]))
-            )
+            user_id = read_field(payload, "user_id", str)
+            self._last_seen.pop(user_id, None)
+            self._run_effects(self._machine.handle(LeaveRequested(now, user_id)))
             return {"ok": True}
         if op == "frame":
-            user_id = payload.get("user_id")
+            user_id = read_field(payload, "user_id", Optional[str], None)
             if user_id is not None:
                 self._last_seen[user_id] = time.monotonic()
             result = await self._process_frame()

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.geo.point import GeoPoint
-from repro.messages import CandidateList, DiscoveryQuery, NodeStatus, from_wire, to_wire
+from repro.messages import Address, CandidateList, DiscoveryQuery, NodeStatus
+from repro.messages import from_wire, read_field, to_wire
 from repro.obs.events import PopulationChanged
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GlobalSelectionPolicy
@@ -29,78 +29,16 @@ from repro.protocol.effects import (
     ReplyCandidates,
     ReplyPartialCandidates,
 )
-from repro.protocol.events import (
-    DiscoveryRequested,
-    HeartbeatReceived,
-    PartialDiscoveryRequested,
-    PruneTick,
-)
+from repro.protocol.events import DiscoveryRequested, HeartbeatReceived, PartialDiscoveryRequested
 from repro.protocol.global_select import GlobalSelectionMachine, RegistrySnapshot
 from repro.runtime import protocol
 
-M = TypeVar("M")
 
-
-def _decoded(payload: Dict[str, Any], key: str, expected: Type[M]) -> M:
-    try:
-        message = from_wire(payload[key])
-    except (KeyError, TypeError) as exc:
-        # No such entry in the request, or fields the message type does
-        # not have (or lacks): ``cls(**fields)`` says so with TypeError.
-        raise ValueError(f"malformed {key}: {exc!r}") from None
-    if not isinstance(message, expected):
-        raise ValueError(
-            f"expected a {expected.__name__}, got {type(message).__name__}"
-        )
-    return message
-
-
-def _on_globe(lat: Any, lon: Any) -> None:
-    try:
-        GeoPoint(lat, lon)
-    except TypeError:
-        raise ValueError(f"coordinates are not numbers: {lat!r}, {lon!r}") from None
-
-
-def heartbeat_from_wire(payload: Dict[str, Any]) -> Tuple[NodeStatus, Tuple[Any, Any]]:
-    """A peer's heartbeat: its status and the address it serves on.
-
-    Raises:
-        ValueError: malformed, some other message type, a geohash that
-            is not a string, or coordinates off the globe (NaN and
-            non-numbers included; a non-number the index would accept
-            now and every later query trip over).
-    """
-    status = _decoded(payload, "status", NodeStatus)
-    if not isinstance(status.geohash, str):
-        raise ValueError(f"geohash is not a string: {status.geohash!r}")
-    _on_globe(status.lat, status.lon)
-    try:
-        return status, (payload["host"], payload["port"])
-    except KeyError as exc:
-        raise ValueError(f"heartbeat without {exc}") from None
-
-
-def query_from_wire(payload: Dict[str, Any]) -> DiscoveryQuery:
-    """A peer's discovery query, refused while nothing has been touched.
-
-    Raises:
-        ValueError: malformed, some other message type, coordinates
-            off the globe (NaN and non-numbers included), a ``top_n``
-            that is not an integer of at least 1, or an ``exclude`` that
-            is not a list of node ids — which selection could only trip
-            over (or answer with an empty list) after the registry has
-            been pruned for it.
-    """
-    query = _decoded(payload, "query", DiscoveryQuery)
-    _on_globe(query.lat, query.lon)
-    top_n = query.top_n
-    if not isinstance(top_n, int) or isinstance(top_n, bool) or top_n < 1:
-        raise ValueError(f"top_n is not an integer >= 1: {top_n!r}")
-    exclude = query.exclude
-    if not isinstance(exclude, tuple) or not all(isinstance(n, str) for n in exclude):
-        raise ValueError(f"exclude is not a list of node ids: {exclude!r}")
-    return query
+def heartbeat_from_wire(payload: Dict[str, Any]) -> Tuple[NodeStatus, Address]:
+    """A peer's heartbeat: its status, and the serving address no message
+    declares. ValueError when the wire schema refuses either."""
+    status = from_wire(payload.get("status"), NodeStatus)
+    return status, (read_field(payload, "host", str), read_field(payload, "port", int))
 
 
 class ManagerServer:
@@ -148,7 +86,7 @@ class ManagerServer:
             policy or GlobalSelectionPolicy(),
             heartbeat_timeout=heartbeat_timeout_s,
         )
-        self._addresses: Dict[str, tuple] = {}
+        self._addresses: Dict[str, Address] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._open_writers = protocol.OpenConnections()
         self.queries_served = 0
@@ -212,11 +150,6 @@ class ManagerServer:
             )
         return reply
 
-    def _alive_statuses(self) -> List[NodeStatus]:
-        """Prune stale entries, then snapshot the registry."""
-        self._run_effects(self._machine.handle(PruneTick(time.monotonic())))
-        return list(self._machine.registry.values())
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -224,6 +157,10 @@ class ManagerServer:
         await protocol.serve_connection(
             reader, writer, self._dispatch, self._open_writers
         )
+
+    def _address_book(self, node_ids: Iterable[str]) -> Dict[str, Address]:
+        """The serving addresses of the known ones among ``node_ids``."""
+        return {n: self._addresses[n] for n in node_ids if n in self._addresses}
 
     async def _dispatch(self, frame: dict) -> dict:
         try:
@@ -245,7 +182,7 @@ class ManagerServer:
             self._addresses[status.node_id] = address
             return {"ok": True}
         if op == "discover":
-            query = query_from_wire(payload)
+            query = from_wire(payload.get("query"), DiscoveryQuery)
             self.queries_served += 1
             reply = self._run_effects(
                 self._machine.handle(
@@ -263,14 +200,11 @@ class ManagerServer:
             return {
                 "ok": True,
                 "candidates": to_wire(candidates),
-                "addresses": {
-                    node_id: list(self._addresses[node_id])
-                    for node_id in reply.node_ids
-                    if node_id in self._addresses
-                },
+                "addresses": self._address_book(reply.node_ids),
             }
         if op == "discover_partial":
-            query = query_from_wire(payload)
+            query = from_wire(payload.get("query"), DiscoveryQuery)
+            radius_km = read_field(payload, "radius_km", float)
             self.queries_served += 1
             reply = self._run_effects(
                 self._machine.handle(
@@ -278,7 +212,7 @@ class ManagerServer:
                         now=self.tracer.now(),
                         stamp=time.monotonic(),
                         query=query,
-                        radius_km=float(payload["radius_km"]),
+                        radius_km=radius_km,
                     )
                 )
             )
@@ -287,11 +221,7 @@ class ManagerServer:
                 "ok": True,
                 "count": reply.count,
                 "statuses": [to_wire(s) for s in reply.statuses],
-                "addresses": {
-                    s.node_id: list(self._addresses[s.node_id])
-                    for s in reply.statuses
-                    if s.node_id in self._addresses
-                },
+                "addresses": self._address_book(s.node_id for s in reply.statuses),
             }
         if op == "snapshot":
             snapshot = self._machine.snapshot_state()
@@ -300,25 +230,18 @@ class ManagerServer:
                 "statuses": [to_wire(s) for s in snapshot.statuses],
                 "stamps": snapshot.stamps,
                 "wrr": snapshot.wrr_current,
-                "addresses": {
-                    node_id: list(addr)
-                    for node_id, addr in self._addresses.items()
-                },
+                "addresses": self._address_book(self._addresses),
             }
         if op == "restore":
-            statuses = tuple(from_wire(s) for s in payload["statuses"])
-            self._machine.restore_state(
-                RegistrySnapshot(
-                    statuses=statuses,
-                    stamps={k: float(v) for k, v in payload["stamps"].items()},
-                    wrr_current={k: float(v) for k, v in payload["wrr"].items()},
-                )
+            snapshot = RegistrySnapshot(
+                statuses=read_field(payload, "statuses", Tuple[NodeStatus, ...]),
+                stamps=read_field(payload, "stamps", Dict[str, float]),
+                wrr_current=read_field(payload, "wrr", Dict[str, float]),
             )
-            self._addresses = {
-                node_id: tuple(addr)
-                for node_id, addr in payload.get("addresses", {}).items()
-            }
-            return {"ok": True, "entries": len(statuses)}
+            addresses = read_field(payload, "addresses", Dict[str, Address], {})
+            self._machine.restore_state(snapshot)
+            self._addresses = addresses
+            return {"ok": True, "entries": len(snapshot.statuses)}
         if op == "status":
             return {
                 "ok": True,

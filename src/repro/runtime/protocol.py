@@ -60,7 +60,7 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Decode one protocol frame.
 
     Raises:
-        ProtocolError: on malformed JSON or a missing ``op`` field.
+        ProtocolError: on malformed JSON, a missing ``op`` or a non-object payload.
     """
     try:
         data = json.loads(line.decode("utf-8"))
@@ -68,7 +68,8 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
         raise ProtocolError(f"malformed frame: {line[:80]!r}") from exc
     if not isinstance(data, dict) or "op" not in data:
         raise ProtocolError(f"frame missing op: {data!r}")
-    data.setdefault("payload", {})
+    if type(data.setdefault("payload", {})) is not dict:
+        raise ProtocolError(f"frame payload is not an object: {line[:80]!r}")
     return data
 
 

@@ -136,6 +136,21 @@ def test_live_bringup_runs_under_the_leak_flags_and_bringup_has_no_timer():
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_wire_schema_tests_run_under_the_leak_flags():
+    """The hostile-input tests boot servers, a router cluster and fake
+    peers, and send frames that used to end in a handler exception:
+    chaos-smoke runs them with a leaked socket or an unraisable exception
+    an error, and installs the hypothesis their strategies need."""
+    job = jobs()["chaos-smoke"]
+    (strict,) = [s for s in re.split(r"(?m)^      - name: ", job) if "tests/test_wire_schema.py" in s]
+    assert "python -X dev -m pytest" in strict
+    assert "-W error::ResourceWarning" in strict
+    assert "-W error::pytest.PytestUnraisableExceptionWarning" in strict
+    (install,) = re.findall(r"pip install (.*)", job)
+    assert "hypothesis" in install.split()
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_discovery_memo_differential_runs_with_every_warning_an_error():
     """The stateful differential between a long-lived index, a fresh one
     and the brute-force oracle runs in a ``-X dev -W error`` step of a

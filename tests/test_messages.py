@@ -9,8 +9,6 @@ from repro.messages import (
     _MESSAGE_TYPES,
     CandidateList,
     DiscoveryQuery,
-    JoinReply,
-    LeaveNotice,
     NodeStatus,
     ProbeReply,
     from_wire,
@@ -63,8 +61,6 @@ WIRE_CASES = [
     DiscoveryQuery("u1", 44.0, -93.0, top_n=3, exclude=("dead-1",)),
     CandidateList("u1", ("a", "b", "c"), generated_at_ms=12.0, widened=True),
     ProbeReply("V1", 35.0, 7, 3, 31.0, stay_ms=33.0),
-    JoinReply("V1", True, 8),
-    LeaveNotice("u1", "V1", reason="finish"),
 ]
 
 

@@ -4,15 +4,14 @@ Runs a paper-artifact sweep (``fig8``, the ~1 s churn trace, x 9 seeds
 = 9 independent simulation runs by default) once per execution platform
 through ``repro.sweep.run_sweep``:
 
-- **inline**     — the serial in-process reference loop.
-- **pool**       — a ``ProcessPoolExecutor`` with ``--workers`` processes.
-- **subprocess** — ``--workers`` long-lived worker subprocesses speaking
-  the JSON-lines protocol of ``repro.sweep.worker``.
+- **inline**  — ``workers=1``: the serial in-process reference loop.
+- **process** — ``workers=--workers``: one forked child per run, at
+  most ``--workers`` alive at once.
 
-Determinism first, speed second: before timing is reported, every
+Determinism first, speed second: before timing is reported, the process
 platform's cross-seed aggregates must be **bit-identical** to the
 inline reference (``aggregates_digest`` over every cell and metric),
-and a resume pass over the pool store must re-execute **zero** runs.
+and a resume pass over the process store must re-execute **zero** runs.
 The checks, per-platform wall-clock, and per-platform throughput
 (runs/s) all go into the ``sweep`` section of ``BENCH_perf.json``.
 
@@ -45,7 +44,7 @@ from repro.sweep import (
 )
 
 #: Platforms measured, inline (the bit-identity reference) first.
-BENCH_PLATFORMS = ["inline", "pool", "subprocess"]
+BENCH_PLATFORMS = ["inline", "process"]
 
 
 def usable_cpus() -> int:
@@ -82,6 +81,7 @@ def main(argv: List[str] | None = None) -> int:
           f"({len(spec.cells())} cells x {args.seeds} seeds), "
           f"{args.workers} workers on {cpus} usable cpus")
 
+    workers = {"inline": 1, "process": args.workers}
     wall: Dict[str, float] = {}
     digests: Dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="bench_sweep.") as tmp:
@@ -90,33 +90,27 @@ def main(argv: List[str] | None = None) -> int:
 
         for name in BENCH_PLATFORMS:
             t0 = time.perf_counter()
-            result = run_sweep(
-                spec, stores[name], platform=name, workers=args.workers
-            )
+            result = run_sweep(spec, stores[name], workers=workers[name])
             wall[name] = time.perf_counter() - t0
             digests[name] = aggregates_digest(result.aggregates())
             if result.failed:
                 print(f"FAILED: {result.failed} {name} runs did not complete")
                 return 1
 
-        # Determinism: every platform bit-identical to the inline
-        # reference, cell by cell, metric by metric.
-        reference = digests["inline"]
-        for name, digest in digests.items():
-            if digest != reference:
-                print(f"FAILED: {name} aggregates differ from inline")
-                return 1
+        # Determinism: bit-identical to the inline reference, cell by
+        # cell, metric by metric.
+        if digests["process"] != digests["inline"]:
+            print("FAILED: process aggregates differ from inline")
+            return 1
 
-        # Resume: a second pass over the pool store executes nothing.
-        resumed = run_sweep(
-            spec, stores["pool"], platform="pool", workers=args.workers
-        )
+        # Resume: a second pass over the process store executes nothing.
+        resumed = run_sweep(spec, stores["process"], workers=args.workers)
         if resumed.executed != 0:
             print(f"FAILED: resume re-executed {resumed.executed} runs")
             return 1
 
     serial_s = wall["inline"]
-    parallel_s = wall["pool"]
+    parallel_s = wall["process"]
     speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
     target_met = speedup >= args.speedup_target
 
@@ -149,7 +143,7 @@ def main(argv: List[str] | None = None) -> int:
         suffix = "" if name == "inline" else f"   ({args.workers} workers)"
         print(f"  {name:<10} : {wall[name]:8.2f} s  "
               f"{rate:8.2f} runs/s{suffix}")
-    print(f"  speedup    : {speedup:8.2f}x pool vs inline  "
+    print(f"  speedup    : {speedup:8.2f}x process vs inline  "
           f"(aggregates: identical, resume re-executed: 0)")
     print(f"wrote {args.output}")
 

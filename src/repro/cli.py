@@ -323,13 +323,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> None:
     )
     store = _sweep_store(args, experiment.name)
     tracer = Tracer(sink=args.trace_out) if args.trace_out else None
-    platform = getattr(args, "platform", None)
-    if platform is not None:
-        where = f"platform={platform}, {args.workers} workers"
-    elif args.serial or args.workers == 1:
-        where = "serial"
-    else:
-        where = f"{args.workers} workers"
+    where = "serial" if args.workers == 1 else f"{args.workers} workers"
     print(
         f"sweep {experiment.name}: {spec.total_runs()} runs "
         f"({where}) -> {store.root}"
@@ -338,9 +332,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> None:
         result = run_sweep(
             spec,
             store,
-            platform=platform,
             workers=args.workers,
-            serial=args.serial,
             timeout_s=args.timeout_s,
             retries=args.retries,
             limit=args.limit,
@@ -595,21 +587,12 @@ def _add_sweep_subparsers(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--store", default=None, metavar="DIR",
                      help="run-store directory (default .sweeps/<experiment>)")
     run.add_argument("--workers", type=int, default=1,
-                     help="process-pool size (1 = in-process)")
-    run.add_argument(
-        "--platform", default=None,
-        choices=["local", "inline", "pool", "subprocess"],
-        help="execution platform: local/inline (serial, in-process), "
-             "pool (process pool), subprocess (long-lived worker "
-             "subprocesses with heartbeats). Default: local when "
-             "--workers 1, else pool",
-    )
-    run.add_argument("--serial", action="store_true",
-                     help="force the serial reference executor")
+                     help="runs at once: 1 = in this process, in order; "
+                          "N > 1 = one forked child per run, N alive")
     run.add_argument("--timeout-s", type=float, default=None,
                      help="coarse per-run wall-clock bound")
     run.add_argument("--retries", type=int, default=1,
-                     help="retries after worker crashes / timeouts")
+                     help="retries after a run's process dies / times out")
     run.add_argument("--limit", type=int, default=None,
                      help="execute at most N runs, then stop (resumable)")
     run.add_argument("--trace-out", default=None, metavar="PATH",

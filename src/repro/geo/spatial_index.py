@@ -230,6 +230,11 @@ class GeohashSpatialIndex(Generic[S]):
             )
         return self._bucket_key(geohash)
 
+    def check(self, status: S) -> None:
+        """Raise the ``ValueError`` :meth:`insert` would raise for
+        ``status`` as a new node; change nothing."""
+        self._position_key(status)
+
     def insert(self, status: S) -> None:
         """Insert or refresh a node's status (handles cell changes).
 

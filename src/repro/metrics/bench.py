@@ -5,8 +5,8 @@ throughput, steady-state event throughput, per-platform sweep
 throughput) and record their section into a single merged report at
 the repo root, so the performance trajectory of the fast path is
 tracked as one file across revisions. The ``sweep`` section carries a
-``platforms`` sub-table — wall-clock and runs/s for each registered
-execution platform (inline/pool/subprocess) at the benchmark grid.
+``platforms`` sub-table — wall-clock and runs/s for each execution
+platform (inline, and process at ``--workers``) at the benchmark grid.
 """
 
 from __future__ import annotations

@@ -57,14 +57,11 @@ from repro.obs.events import (
     ProbeAnswered,
     ProbeSent,
     RetryScheduled,
-    RunRequeued,
     SweepRunFinished,
     SweepRunRetried,
     SweepRunSkipped,
     SweepRunStarted,
     Switch,
-    WorkerDead,
-    WorkerSpawn,
     TestWorkloadInvoked,
     TraceEvent,
     UncoveredFailure,
@@ -116,9 +113,6 @@ __all__ = [
     "SweepRunFinished",
     "SweepRunRetried",
     "SweepRunSkipped",
-    "WorkerSpawn",
-    "WorkerDead",
-    "RunRequeued",
     "HuntAttempt",
     "ShrinkStep",
 ]

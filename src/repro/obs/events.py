@@ -52,9 +52,6 @@ __all__ = [
     "SweepRunFinished",
     "SweepRunRetried",
     "SweepRunSkipped",
-    "WorkerSpawn",
-    "WorkerDead",
-    "RunRequeued",
     "ShardHandoff",
     "ShardRoute",
     "ShardMerge",
@@ -409,7 +406,7 @@ class AttachmentExpired(TraceEvent):
 # ----------------------------------------------------------------------
 @dataclass
 class SweepRunStarted(TraceEvent):
-    """One sweep run was handed to an executor (serial or a worker)."""
+    """One sweep run was handed to a platform (inline or a child process)."""
 
     type: ClassVar[str] = "sweep_run_started"
     run_key: str
@@ -431,7 +428,7 @@ class SweepRunFinished(TraceEvent):
 @dataclass
 class SweepRunRetried(TraceEvent):
     """A run is being re-submitted after an infrastructure failure
-    (worker-pool crash or per-run timeout), not an experiment error."""
+    (its process died or it timed out), not an experiment error."""
 
     type: ClassVar[str] = "sweep_run_retried"
     run_key: str
@@ -447,46 +444,6 @@ class SweepRunSkipped(TraceEvent):
     type: ClassVar[str] = "sweep_run_skipped"
     run_key: str
     experiment: str
-
-
-@dataclass
-class WorkerSpawn(TraceEvent):
-    """An execution platform started a worker (process or subprocess).
-
-    ``worker`` is the platform-local slot label (stable across
-    respawns); ``pid`` the OS process id of this incarnation."""
-
-    type: ClassVar[str] = "worker_spawn"
-    worker: str
-    pid: int
-    platform: str
-
-
-@dataclass
-class WorkerDead(TraceEvent):
-    """A platform worker was declared dead (exit, EOF, stale heartbeat,
-    or per-run timeout). ``run_key`` names the in-flight run it took
-    down, if any — that run is handed back to the scheduler."""
-
-    type: ClassVar[str] = "worker_dead"
-    worker: str
-    pid: int
-    reason: str
-    run_key: Optional[str] = None
-
-
-@dataclass
-class RunRequeued(TraceEvent):
-    """A dead/hung worker's in-flight run was handed back for requeue.
-
-    Emitted by the platform at handback time; whether the run actually
-    re-executes is the scheduler's retry-budget decision (a re-submit
-    shows up as ``sweep_run_retried``)."""
-
-    type: ClassVar[str] = "run_requeued"
-    run_key: str
-    experiment: str
-    reason: str
 
 
 # ----------------------------------------------------------------------
@@ -640,9 +597,6 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         SweepRunFinished,
         SweepRunRetried,
         SweepRunSkipped,
-        WorkerSpawn,
-        WorkerDead,
-        RunRequeued,
         ShardHandoff,
         ShardRoute,
         ShardMerge,

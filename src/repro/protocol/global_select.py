@@ -284,7 +284,15 @@ class GlobalSelectionMachine:
         The expiry heap is rebuilt with exactly one entry per node, so a
         restored standby (or handoff target) can never expire a node off
         a tombstone left by an earlier incarnation of the same id.
+
+        Raises:
+            ValueError: the index cannot key one of the statuses (see
+                :meth:`_on_heartbeat`). Nothing has changed then: every
+                status is checked before anything is cleared, so a
+                restore is all or nothing.
         """
+        for status in snapshot.statuses:
+            self.spatial_index.check(status)
         self.registry.clear()
         self.spatial_index.clear()
         self._stamps.clear()

@@ -1,10 +1,10 @@
-"""``repro.sweep`` — a platform-pluggable, resumable experiment engine.
+"""``repro.sweep`` — a resumable, parallel experiment engine.
 
 The paper's evaluation is a grid: parameter axes x seeds x strategies.
 This subsystem turns any registered experiment into a sweepable unit
 and executes the grid with the job-runner shape production stacks use —
-pluggable execution platforms, content-addressed result caching,
-bounded retry, deterministic aggregation, automated reporting:
+per-run process isolation, content-addressed result caching, bounded
+retry, deterministic aggregation, automated reporting:
 
 - :mod:`repro.sweep.spec` — :class:`SweepSpec` (declarative grid) and
   :class:`RunSpec` (one run, with a content-hashed ``run_key`` and an
@@ -21,12 +21,11 @@ bounded retry, deterministic aggregation, automated reporting:
   skipping completed runs.
 - :mod:`repro.sweep.executor` — :func:`run_sweep`, the sans-execution
   scheduler: ordering, resume-skip, retry budgets, Ctrl-C-safe
-  persistence. Never touches a pool.
+  persistence. Never touches a process.
 - :mod:`repro.sweep.platform` — the :class:`ExecutionPlatform` seam and
-  its implementations: inline (serial reference), process pool, and
-  long-lived worker subprocesses (:mod:`repro.sweep.worker`) speaking a
-  host-agnostic JSON-lines protocol with heartbeats and dead-worker
-  requeue.
+  its two implementations, picked by ``workers``: inline (1; the serial
+  reference) and one forked child per run (more than 1), where a crash
+  or a timeout costs only the run it hit.
 - :mod:`repro.sweep.aggregate` — cross-seed mean/p50/p95/CI reduction
   and comparison tables.
 - :mod:`repro.sweep.report` — store -> Markdown tables (a paper
@@ -35,14 +34,13 @@ bounded retry, deterministic aggregation, automated reporting:
   (byte-reproducible; CI diffs it).
 
 Results are bit-identical across platforms: a run's metrics are a pure
-function of its content-derived ``root_seed``, so serial, pooled,
-subprocess, interrupted-and-resumed executions all converge to the same
+function of its content-derived ``root_seed``, so serial, parallel and
+interrupted-and-resumed executions all converge to the same
 ``aggregates_digest``.
 
 CLI: ``repro sweep run|status|list|report``. Lifecycle trace events
-(``sweep_run_started``/``finished``/``retried``/``skipped``,
-``worker_spawn``/``worker_dead``/``run_requeued``) flow through
-:mod:`repro.obs` like every other subsystem's.
+(``sweep_run_started``/``finished``/``retried``/``skipped``) flow
+through :mod:`repro.obs` like every other subsystem's.
 """
 
 from repro.sweep.aggregate import (
@@ -57,11 +55,8 @@ from repro.sweep.executor import SweepInterrupted, SweepResult, run_sweep
 from repro.sweep.platform import (
     ExecutionPlatform,
     InlinePlatform,
-    ProcessPoolPlatform,
+    ProcessPlatform,
     RunOutcome,
-    SubprocessPlatform,
-    make_platform,
-    platform_names,
 )
 from repro.sweep.registry import (
     SweepableExperiment,
@@ -91,10 +86,7 @@ __all__ = [
     "ExecutionPlatform",
     "RunOutcome",
     "InlinePlatform",
-    "ProcessPoolPlatform",
-    "SubprocessPlatform",
-    "make_platform",
-    "platform_names",
+    "ProcessPlatform",
     "SweepableExperiment",
     "register",
     "get_experiment",

@@ -2,11 +2,11 @@
 
 :func:`run_sweep` drives a :class:`~repro.sweep.spec.SweepSpec` to
 completion over an optional :class:`~repro.sweep.store.RunStore` — but
-it never touches a pool, a pipe, or a process itself. Execution is
-delegated to a pluggable :class:`~repro.sweep.platform.ExecutionPlatform`
-(inline / process pool / worker subprocesses; see
+it never touches a pipe or a process itself. Execution is delegated to
+an :class:`~repro.sweep.platform.ExecutionPlatform` chosen by
+``workers`` (in-process at 1, one forked child per run above; see
 :mod:`repro.sweep.platform`), and the scheduler owns everything that is
-*policy*, identically on every platform:
+*policy*, identically on both platforms:
 
 - **Resume.** Runs whose ``run_key`` already has a successful record in
   the store are skipped (a ``sweep_run_skipped`` trace event each); an
@@ -19,11 +19,10 @@ delegated to a pluggable :class:`~repro.sweep.platform.ExecutionPlatform`
   experiment* is recorded as a failed run (status ``failed``) and the
   sweep continues — deterministic failures would fail again, so they
   are not retried within a sweep, but a later sweep over the same store
-  retries them. Infrastructure losses surfaced by the platform (a
-  crashed worker, a per-run timeout) are re-submitted up to ``retries``
-  times, then recorded (``failed``/``timeout``); losses the platform
-  marks *collateral* (bystanders of someone else's failure) are
-  re-submitted without charging their budget.
+  retries them. Infrastructure losses surfaced by the platform (a run
+  whose process died, a per-run timeout) are re-submitted up to
+  ``retries`` times, then recorded (``failed``/``timeout``). A loss is
+  always the lost run's own: no other run is charged for it.
 - **Crash safety.** Every record is persisted the moment its outcome
   arrives; ``KeyboardInterrupt``/``SystemExit`` propagate only after
   completed runs are on disk — which is what makes Ctrl-C + re-run a
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.events import (
     SweepRunFinished,
@@ -46,8 +45,9 @@ from repro.obs.tracer import Tracer
 from repro.sweep.aggregate import CellAggregate, aggregate_records
 from repro.sweep.platform import (
     ExecutionPlatform,
+    InlinePlatform,
+    ProcessPlatform,
     RunOutcome,
-    make_platform,
 )
 from repro.sweep.spec import RunSpec, SweepSpec
 from repro.sweep.store import (
@@ -125,32 +125,12 @@ def _record_from_outcome(
     )
 
 
-def _resolve_platform(
-    platform: Optional[Union[str, ExecutionPlatform]],
-    *,
-    workers: int,
-    serial: bool,
-    timeout_s: Optional[float],
-    tracer: Tracer,
-) -> ExecutionPlatform:
-    """Pick the platform: explicit object > name > legacy serial/workers."""
-    if platform is None:
-        platform = "inline" if serial or workers == 1 else "pool"
-    if isinstance(platform, str):
-        return make_platform(
-            platform, workers=workers, timeout_s=timeout_s, tracer=tracer
-        )
-    return platform
-
-
 # ----------------------------------------------------------------------
 def run_sweep(
     spec: SweepSpec,
     store: Optional[RunStore] = None,
     *,
-    platform: Optional[Union[str, ExecutionPlatform]] = None,
     workers: int = 1,
-    serial: bool = False,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     limit: Optional[int] = None,
@@ -162,30 +142,22 @@ def run_sweep(
     Args:
         spec: the sweep to run.
         store: persistent run store; None = in-memory only (no resume).
-        platform: where runs execute — a registered platform name
-            (``inline``/``local``, ``pool``, ``subprocess``) or a
-            ready-made :class:`~repro.sweep.platform.ExecutionPlatform`
-            instance (the scheduler shuts it down either way). Default:
-            ``inline`` when ``serial`` or ``workers == 1``, else
-            ``pool`` — the pre-platform behaviour, unchanged.
-        workers: worker count handed to the platform factory (pool size
-            / subprocess count); ignored by the inline platform.
-        serial: legacy alias for ``platform="inline"``.
-        timeout_s: coarse per-run wall bound, enforced by platforms that
-            support one (pool: the ``Future.result`` wait; subprocess:
-            in-flight age). A run that exceeds it is recorded with
-            status ``timeout`` after its retry budget; the inline
-            platform ignores it. The bound is measured from when the
-            platform starts waiting on that run, so it is an upper
-            bound, not a precise stopwatch.
-        retries: how many times an infrastructure loss (worker crash,
-            timeout) re-submits a run before recording it as lost.
+        workers: runs executing at once. 1 runs them in this process,
+            in expansion order (``InlinePlatform``, the bit-identity
+            reference); more runs each in a forked child, at most this
+            many alive (``ProcessPlatform``).
+        timeout_s: per-run wall bound from the start of the run's child;
+            the child is killed and the run recorded with status
+            ``timeout`` after its retry budget. The inline platform
+            ignores it.
+        retries: how many times an infrastructure loss (a run whose
+            process died, a timeout) re-submits a run before recording
+            it as lost.
         limit: execute at most this many runs, then raise
             :class:`SweepInterrupted` (completed work is persisted) —
             the deterministic "interrupt" used by resume tests and CI.
         tracer: optional :class:`~repro.obs.tracer.Tracer` receiving
-            sweep lifecycle events (started/finished/retried/skipped
-            plus the platform's worker_spawn/worker_dead/run_requeued).
+            sweep lifecycle events (started/finished/retried/skipped).
         progress: optional callback invoked with each fresh record.
     """
     if workers < 1:
@@ -230,9 +202,10 @@ def run_sweep(
             progress(record)
 
     budget = len(pending) if limit is None else min(limit, len(pending))
-    engine = _resolve_platform(
-        platform, workers=workers, serial=serial, timeout_s=timeout_s,
-        tracer=tracer,
+    engine: ExecutionPlatform = (
+        InlinePlatform()
+        if workers == 1
+        else ProcessPlatform(workers, timeout_s=timeout_s)
     )
     result.platform = engine.name
     try:
@@ -266,7 +239,7 @@ def _schedule(
     Each wave submits the queue (emitting ``sweep_run_started`` with the
     attempt number), drains the platform, records terminal outcomes, and
     collects infrastructure losses into the next wave — bounded by the
-    per-run ``retries`` budget (collateral losses ride free).
+    per-run ``retries`` budget.
     """
     by_key: Dict[str, RunSpec] = {run.run_key: run for run in pending}
     attempts: Dict[str, int] = {run.run_key: 0 for run in pending}
@@ -296,10 +269,7 @@ def _schedule(
                 _emit_finished(tracer, run, record)
                 continue
             # Infrastructure loss: requeue within budget, else record.
-            if outcome.collateral:
-                attempts[key] -= 1  # not its fault; re-run rides free
-                queue.append(run)
-            elif attempts[key] <= retries:
+            if attempts[key] <= retries:
                 result.retried += 1
                 if tracer.enabled:
                     tracer.emit(

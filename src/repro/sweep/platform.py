@@ -1,4 +1,4 @@
-"""Pluggable execution platforms for the sweep scheduler.
+"""Where sweep runs execute: in this process, or one forked child per run.
 
 The sweep engine is split along one seam: the **scheduler**
 (:func:`repro.sweep.executor.run_sweep`) owns *what* runs — ordering,
@@ -11,65 +11,37 @@ methods:
   not-yet-drained run, in whatever order the platform completes them
   (the scheduler restores expansion order), then returns. ``submit`` /
   ``drain`` may alternate any number of times.
-- ``shutdown()`` releases workers/pools; the platform is done after it.
+- ``shutdown()`` stops whatever still runs; the platform is done after it.
 
 A platform never decides policy. Experiment exceptions come back as
-``failed`` outcomes; infrastructure losses (a crashed worker, a timeout)
-come back as ``lost``/``timeout`` outcomes and the *scheduler* decides
-whether to re-submit them. An outcome with ``collateral=True`` marks a
-run that was a bystander of someone else's failure (e.g. a pool recycled
-because another run timed out): the scheduler requeues it without
-charging its retry budget.
+``failed`` outcomes; infrastructure losses (a child that died, a
+timeout) come back as ``lost``/``timeout`` outcomes and the *scheduler*
+decides whether to re-submit them.
 
-Three implementations:
+Two implementations, chosen by ``run_sweep``'s ``workers``:
 
-- :class:`InlinePlatform` — in-process, serial, expansion order. The
-  bit-identity reference; the only platform where ad-hoc (runtime
-  registered) experiments and debuggers always work. Ignores
-  ``timeout_s``.
-- :class:`ProcessPoolPlatform` — ``ProcessPoolExecutor`` fan-out
-  (fork start method where available), including the
-  ``BrokenProcessPool`` salvage of completed futures and the
-  kill-the-wedged-pool timeout path.
-- :class:`SubprocessPlatform` — long-lived worker subprocesses speaking
-  the JSON-lines protocol of :mod:`repro.sweep.worker` over
-  stdin/stdout, with per-worker heartbeats, dead-worker detection and
-  in-flight run handback. The wire format is host-agnostic — the
-  stepping stone to SSH/container fan-out.
+- :class:`InlinePlatform` (``workers == 1``) — in-process, serial,
+  expansion order. The bit-identity reference; the platform where
+  debuggers work. Ignores ``timeout_s``.
+- :class:`ProcessPlatform` (``workers > 1``) — one forked child per
+  run, at most ``workers`` alive at once. A child shares nothing with
+  another run, so a crash or a timeout costs only the run it was
+  executing.
 
 Results are bit-identical across platforms by construction: a run's
 metrics are a pure function of ``(experiment, params, root_seed)``
-(see :mod:`repro.sweep.spec`), params/metrics are JSON scalars whose
-JSON round-trip is exact, and aggregation sorts canonically.
+(see :mod:`repro.sweep.spec`), and aggregation sorts canonically.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import selectors
-import subprocess
-import sys
+import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from multiprocessing.connection import Connection, wait
+from typing import Deque, Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
 
-from repro.obs.events import RunRequeued, WorkerDead, WorkerSpawn
-from repro.obs.tracer import Tracer
 from repro.sweep.spec import RunSpec
 from repro.sweep.store import STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT
 
@@ -78,16 +50,12 @@ __all__ = [
     "RunOutcome",
     "ExecutionPlatform",
     "InlinePlatform",
-    "ProcessPoolPlatform",
-    "SubprocessPlatform",
-    "PLATFORMS",
-    "make_platform",
-    "platform_names",
+    "ProcessPlatform",
 ]
 
-#: Outcome status for an infrastructure loss (dead worker, broken pool):
-#: never persisted — the scheduler either requeues the run or records it
-#: as ``failed`` once its retry budget is spent.
+#: Outcome status for an infrastructure loss (a child that died before
+#: it answered): never persisted — the scheduler either requeues the run
+#: or records it as ``failed`` once its retry budget is spent.
 OUTCOME_LOST = "lost"
 
 
@@ -97,9 +65,6 @@ class RunOutcome:
 
     ``status`` is ``ok``/``failed`` (terminal, experiment-level) or
     ``timeout``/``lost`` (infrastructure — scheduler decides retry).
-    ``collateral`` marks innocent-bystander losses that must not charge
-    the run's retry budget. ``worker`` names the executing slot where a
-    platform has one (diagnostics only — never part of run identity).
     """
 
     run_key: str
@@ -107,8 +72,6 @@ class RunOutcome:
     metrics: Mapping[str, float] = field(default_factory=dict)
     error: Optional[str] = None
     duration_s: float = 0.0
-    collateral: bool = False
-    worker: Optional[str] = None
 
     @property
     def is_terminal(self) -> bool:
@@ -130,25 +93,17 @@ class ExecutionPlatform(Protocol):
     def shutdown(self) -> None: ...
 
 
-def _invoke(experiment: str, params: Dict[str, object], root_seed: int):
-    """Execute one run in this process: resolve by name, run, time it."""
-    from repro.sweep.registry import get_experiment
-
-    fn = get_experiment(experiment).fn
-    start = time.perf_counter()
-    metrics = fn(dict(params), root_seed)
-    return metrics, time.perf_counter() - start
-
-
 def _execute_outcome(run: RunSpec) -> RunOutcome:
-    """Run in-process with per-run failure containment.
+    """Run in this process with per-run failure containment.
 
     ``Exception`` is an experiment failure (contained); ``BaseException``
     (KeyboardInterrupt/SystemExit) propagates — the scheduler's finally
     blocks make that the Ctrl-C-safe resume path."""
+    from repro.sweep.registry import get_experiment
+
     start = time.perf_counter()
     try:
-        metrics, duration = _invoke(run.experiment, run.params_dict(), run.root_seed)
+        metrics = get_experiment(run.experiment).fn(run.params_dict(), run.root_seed)
     except Exception as exc:  # noqa: BLE001 - contained per-run
         return RunOutcome(
             run_key=run.run_key,
@@ -160,7 +115,7 @@ def _execute_outcome(run: RunSpec) -> RunOutcome:
         run_key=run.run_key,
         status=STATUS_OK,
         metrics=metrics,
-        duration_s=duration,
+        duration_s=time.perf_counter() - start,
     )
 
 
@@ -170,7 +125,7 @@ class InlinePlatform:
 
     name = "inline"
 
-    def __init__(self, **_ignored: object) -> None:
+    def __init__(self) -> None:
         self._queue: Deque[RunSpec] = deque()
 
     def submit(self, run: RunSpec) -> None:
@@ -186,511 +141,111 @@ class InlinePlatform:
 
 # ----------------------------------------------------------------------
 def _mp_context():
-    import multiprocessing
-
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even when a worker is wedged mid-task.
+def _child(run: RunSpec, writer: Connection) -> None:
+    """A child's whole life: one run, its outcome down the pipe."""
+    writer.send(_execute_outcome(run))
+    writer.close()
 
-    ``shutdown`` alone would leave the hung worker alive (and the
-    interpreter's atexit hook would later join it forever); there is no
-    public kill API, so reach for the worker processes directly.
+
+@dataclass
+class _Child:
+    run: RunSpec
+    process: multiprocessing.process.BaseProcess
+    deadline: Optional[float]
+
+
+class ProcessPlatform:
+    """One forked child per run, at most ``workers`` alive at once.
+
+    Each child runs :func:`_execute_outcome` and sends the
+    :class:`RunOutcome` back over a one-way pipe. The parent waits on the
+    live readers, bounded by the oldest run's ``timeout_s`` deadline:
+
+    - a reader at EOF means its child died — only that run comes back
+      ``lost``;
+    - a run past its deadline has its child killed — only that run comes
+      back ``timeout``;
+    - anything else is the run's own ``ok``/``failed`` outcome.
+
+    The fork-first start method lets a child resolve experiments
+    registered at runtime, like the inline platform does.
     """
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, AttributeError):  # pragma: no cover - racing exit
-            pass
 
+    name = "process"
 
-class ProcessPoolPlatform:
-    """``ProcessPoolExecutor`` fan-out (fork-first start method).
-
-    Timeout handling: ``timeout_s`` bounds each ``Future.result`` wait.
-    On overrun the culprit comes back as a ``timeout`` outcome, the
-    wedged pool is killed, completed futures are salvaged as ``ok``, and
-    everything else is handed back as *collateral* ``lost`` outcomes
-    (requeued free of retry-budget charge). A ``BrokenProcessPool``
-    salvages completed futures the same way but its victims are
-    non-collateral — a crashing run must eventually burn its budget.
-    """
-
-    name = "pool"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        *,
-        timeout_s: Optional[float] = None,
-        **_ignored: object,
-    ) -> None:
+    def __init__(self, workers: int = 2, *, timeout_s: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
         self.workers = workers
         self.timeout_s = timeout_s
         self._context = _mp_context()
-        self._queue: List[RunSpec] = []
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def submit(self, run: RunSpec) -> None:
-        self._queue.append(run)
-
-    def _fresh_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._context
-            )
-        return self._pool
-
-    def _discard_pool(self, *, kill: bool) -> None:
-        if self._pool is None:
-            return
-        if kill:
-            _kill_pool(self._pool)
-        else:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = None
-
-    @staticmethod
-    def _salvage(run: RunSpec, future: "Future") -> Optional[RunOutcome]:
-        """An ``ok`` outcome if the future completed cleanly, else None."""
-        if future.done() and not future.cancelled() and not future.exception():
-            metrics, duration = future.result()
-            return RunOutcome(
-                run_key=run.run_key,
-                status=STATUS_OK,
-                metrics=metrics,
-                duration_s=duration,
-            )
-        return None
-
-    def drain(self) -> Iterator[RunOutcome]:
-        wave, self._queue = self._queue, []
-        if not wave:
-            return
-        pool = self._fresh_pool()
-        futures = {
-            run.run_key: pool.submit(
-                _invoke, run.experiment, run.params_dict(), run.root_seed
-            )
-            for run in wave
-        }
-        pool_broken = False
-        for index, run in enumerate(wave):
-            key = run.run_key
-            if pool_broken:
-                # The pool died; results that completed before the crash
-                # are still held by their futures — keep them, hand the
-                # rest back without waiting.
-                salvaged = self._salvage(run, futures[key])
-                yield salvaged or RunOutcome(
-                    run_key=key, status=OUTCOME_LOST, error="worker pool crashed"
-                )
-                continue
-            try:
-                metrics, duration = futures[key].result(timeout=self.timeout_s)
-            except BrokenProcessPool:
-                pool_broken = True
-                self._discard_pool(kill=False)
-                yield RunOutcome(
-                    run_key=key, status=OUTCOME_LOST, error="worker pool crashed"
-                )
-            except FuturesTimeout:
-                # The slot is wedged: report the culprit, salvage what
-                # finished, hand back the rest collaterally, kill the pool.
-                yield RunOutcome(
-                    run_key=key,
-                    status=STATUS_TIMEOUT,
-                    error=f"run exceeded {self.timeout_s}s",
-                )
-                for late in wave[index + 1 :]:
-                    salvaged = self._salvage(late, futures[late.run_key])
-                    yield salvaged or RunOutcome(
-                        run_key=late.run_key,
-                        status=OUTCOME_LOST,
-                        error="pool recycled after a timeout",
-                        collateral=True,
-                    )
-                self._discard_pool(kill=True)
-                return
-            except Exception as exc:  # noqa: BLE001 - experiment error
-                yield RunOutcome(
-                    run_key=key,
-                    status=STATUS_FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            else:
-                yield RunOutcome(
-                    run_key=key,
-                    status=STATUS_OK,
-                    metrics=metrics,
-                    duration_s=duration,
-                )
-
-    def shutdown(self) -> None:
-        self._queue.clear()
-        self._discard_pool(kill=False)
-
-
-# ----------------------------------------------------------------------
-# Subprocess fan-out over the repro.sweep.worker JSON-lines protocol
-# ----------------------------------------------------------------------
-@dataclass
-class _Worker:
-    """Parent-side bookkeeping for one long-lived worker subprocess."""
-
-    slot: int
-    process: subprocess.Popen
-    spawned_at: float
-    last_beat: float
-    current: Optional[RunSpec] = None
-    started_at: float = 0.0
-    buffer: str = ""
-
-    @property
-    def label(self) -> str:
-        return f"w{self.slot}"
-
-    @property
-    def busy(self) -> bool:
-        return self.current is not None
-
-
-class SubprocessPlatform:
-    """Fan runs out to long-lived worker subprocesses.
-
-    Each worker is ``python -m repro.sweep.worker``: jobs go down stdin
-    as JSON lines, results and heartbeats come back up stdout (see
-    :mod:`repro.sweep.worker` for the wire format). One run is in flight
-    per worker; a worker whose process exits, whose stdout reaches EOF,
-    or whose heartbeat goes stale is declared dead — its in-flight run
-    is handed back to the scheduler as a ``lost`` outcome
-    (``run_requeued`` trace event) and the slot respawns on demand
-    (``worker_spawn``/``worker_dead`` events), bounded by
-    ``max_respawns`` per slot so a poisoned host cannot respawn forever.
-
-    Workers resolve experiments by name from a fresh interpreter, so —
-    like spawn-started pools — only import-time-registered experiments
-    are reachable; runtime registrations need :class:`InlinePlatform`
-    or a forked :class:`ProcessPoolPlatform`.
-    """
-
-    name = "subprocess"
-
-    #: Heartbeats a worker may miss before it is declared dead.
-    MISSED_BEATS = 6
-
-    def __init__(
-        self,
-        workers: int = 2,
-        *,
-        timeout_s: Optional[float] = None,
-        heartbeat_s: float = 0.25,
-        tracer: Optional[Tracer] = None,
-        python: Optional[str] = None,
-        max_respawns: int = 3,
-        **_ignored: object,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
-        if heartbeat_s <= 0:
-            raise ValueError(f"heartbeat_s must be > 0: {heartbeat_s}")
-        self.workers = workers
-        self.timeout_s = timeout_s
-        self.heartbeat_s = heartbeat_s
-        self.tracer = tracer or Tracer.disabled()
-        self.python = python or sys.executable
-        self.max_respawns = max_respawns
         self._queue: Deque[RunSpec] = deque()
-        self._alive: Dict[int, _Worker] = {}
-        self._spawns: Dict[int, int] = {}
-        self._selector = selectors.DefaultSelector()
+        #: reader -> its child, in start order (oldest deadline first).
+        self._live: Dict[Connection, _Child] = {}
         self._shutdown = False
 
-    # -- worker lifecycle ----------------------------------------------
-    def _spawn(self, slot: int) -> Optional[_Worker]:
-        if self._spawns.get(slot, 0) >= self.max_respawns:
-            return None
-        self._spawns[slot] = self._spawns.get(slot, 0) + 1
-        env = dict(os.environ)
-        # The worker must import the same repro the parent runs, even
-        # when the parent was launched via PYTHONPATH=src from a checkout.
-        import repro
-
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = env.get("PYTHONPATH", "")
-        if pkg_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                pkg_root + (os.pathsep + existing if existing else "")
-            )
-        process = subprocess.Popen(
-            [
-                self.python,
-                "-u",
-                "-m",
-                "repro.sweep.worker",
-                "--heartbeat-s",
-                str(self.heartbeat_s),
-            ],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-            text=True,
-        )
-        now = time.monotonic()
-        worker = _Worker(
-            slot=slot, process=process, spawned_at=now, last_beat=now
-        )
-        self._alive[slot] = worker
-        self._selector.register(process.stdout, selectors.EVENT_READ, worker)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                WorkerSpawn(
-                    self.tracer.now(), worker.label, process.pid, self.name
-                )
-            )
-        return worker
-
-    def _ensure_workers(self) -> None:
-        for slot in range(self.workers):
-            if slot not in self._alive:
-                self._spawn(slot)
-
-    def _reap(
-        self, worker: _Worker, reason: str, *, quiet: bool = False
-    ) -> Optional[RunOutcome]:
-        """Kill a dead/hung worker; hand back its in-flight run if any.
-
-        ``quiet`` suppresses the ``worker_dead`` event — used for the
-        orderly end-of-sweep shutdown, which is not a failure.
-        """
-        try:
-            self._selector.unregister(worker.process.stdout)
-        except (KeyError, ValueError):  # pragma: no cover - already gone
-            pass
-        self._alive.pop(worker.slot, None)
-        try:
-            worker.process.kill()
-        except OSError:  # pragma: no cover - racing exit
-            pass
-        worker.process.stdout.close()
-        if worker.process.stdin and not worker.process.stdin.closed:
-            try:
-                worker.process.stdin.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        worker.process.wait()
-        run = worker.current
-        worker.current = None
-        if self.tracer.enabled and not quiet:
-            self.tracer.emit(
-                WorkerDead(
-                    self.tracer.now(),
-                    worker.label,
-                    worker.process.pid,
-                    reason,
-                    run_key=run.run_key if run is not None else None,
-                )
-            )
-        if run is None:
-            return None
-        if self.tracer.enabled:
-            self.tracer.emit(
-                RunRequeued(
-                    self.tracer.now(), run.run_key, run.experiment, reason
-                )
-            )
-        status = STATUS_TIMEOUT if reason.startswith("timeout") else OUTCOME_LOST
-        return RunOutcome(
-            run_key=run.run_key,
-            status=status,
-            error=f"worker {worker.label} {reason}",
-            worker=worker.label,
-        )
-
-    def _send(self, worker: _Worker, message: Dict[str, object]) -> bool:
-        try:
-            worker.process.stdin.write(json.dumps(message) + "\n")
-            worker.process.stdin.flush()
-            return True
-        except (BrokenPipeError, OSError):
-            return False
-
-    def _dispatch(self) -> None:
-        """Hand queued runs to idle workers (one in flight per worker)."""
-        for worker in list(self._alive.values()):
-            if not self._queue:
-                return
-            if worker.busy:
-                continue
-            run = self._queue[0]
-            message = {
-                "op": "run",
-                "run_key": run.run_key,
-                "experiment": run.experiment,
-                "params": run.params_dict(),
-                "root_seed": run.root_seed,
-            }
-            if self._send(worker, message):
-                self._queue.popleft()
-                worker.current = run
-                worker.started_at = time.monotonic()
-            # On send failure the read loop will reap the worker; the
-            # run stays queued.
-
-    # -- message handling ----------------------------------------------
-    def _handle_line(self, worker: _Worker, line: str) -> Optional[RunOutcome]:
-        worker.last_beat = time.monotonic()
-        try:
-            message = json.loads(line)
-        except json.JSONDecodeError:
-            return None  # garbage on stdout is not a protocol event
-        op = message.get("op")
-        if op in ("ready", "heartbeat"):
-            return None
-        if op == "result":
-            run = worker.current
-            if run is None or message.get("run_key") != run.run_key:
-                return None  # stale result from a pre-reap run
-            worker.current = None
-            status = str(message.get("status", STATUS_FAILED))
-            if status not in (STATUS_OK, STATUS_FAILED):
-                status = STATUS_FAILED
-            metrics = message.get("metrics") or {}
-            return RunOutcome(
-                run_key=run.run_key,
-                status=status,
-                metrics={str(k): float(v) for k, v in metrics.items()},
-                error=message.get("error"),
-                duration_s=float(message.get("duration_s", 0.0)),
-                worker=worker.label,
-            )
-        return None
-
-    def _read_ready(self, timeout: float) -> List[RunOutcome]:
-        outcomes: List[RunOutcome] = []
-        for key, _ in self._selector.select(timeout=timeout):
-            worker: _Worker = key.data
-            line = worker.process.stdout.readline()
-            if line == "":  # EOF — the worker process died
-                outcome = self._reap(worker, "died (stdout closed)")
-                if outcome is not None:
-                    outcomes.append(outcome)
-                continue
-            outcome = self._handle_line(worker, line)
-            if outcome is not None:
-                outcomes.append(outcome)
-        return outcomes
-
-    def _check_health(self) -> List[RunOutcome]:
-        outcomes: List[RunOutcome] = []
-        now = time.monotonic()
-        stale_after = self.heartbeat_s * self.MISSED_BEATS
-        for worker in list(self._alive.values()):
-            reason = None
-            if worker.process.poll() is not None:
-                reason = f"died (exit {worker.process.returncode})"
-            elif (
-                self.timeout_s is not None
-                and worker.busy
-                and now - worker.started_at > self.timeout_s
-            ):
-                reason = f"timeout after {self.timeout_s}s"
-            elif now - worker.last_beat > stale_after:
-                reason = (
-                    f"heartbeat lost ({self.MISSED_BEATS} beats of "
-                    f"{self.heartbeat_s}s missed)"
-                )
-            if reason is not None:
-                outcome = self._reap(worker, reason)
-                if outcome is not None:
-                    outcomes.append(outcome)
-        return outcomes
-
-    # -- platform protocol ---------------------------------------------
     def submit(self, run: RunSpec) -> None:
         if self._shutdown:
             raise RuntimeError("platform already shut down")
         self._queue.append(run)
 
+    def _start(self, run: RunSpec) -> None:
+        reader, writer = self._context.Pipe(duplex=False)
+        process = self._context.Process(target=_child, args=(run, writer))
+        process.start()
+        # The parent's copy of the writer must go before the next fork,
+        # or a later child would hold it open and hide this one's EOF.
+        writer.close()
+        deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
+        self._live[reader] = _Child(run, process, deadline)
+
+    def _reap(self, reader: Connection, *, kill: bool = False) -> _Child:
+        child = self._live.pop(reader)
+        if kill:
+            child.process.kill()
+        child.process.join()
+        reader.close()
+        return child
+
     def drain(self) -> Iterator[RunOutcome]:
-        pending = len(self._queue) + sum(
-            1 for w in self._alive.values() if w.busy
-        )
-        while pending > 0:
-            self._ensure_workers()
-            if not self._alive:
-                # Every slot exhausted its respawn budget: hand the
-                # whole queue back as lost so the scheduler can decide.
-                while self._queue:
-                    run = self._queue.popleft()
-                    pending -= 1
+        while self._queue or self._live:
+            while self._queue and len(self._live) < self.workers:
+                self._start(self._queue.popleft())
+            oldest = next(iter(self._live.values())).deadline
+            timeout = None if oldest is None else max(0.0, oldest - time.monotonic())
+            for reader in wait(list(self._live), timeout):
+                try:
+                    outcome = reader.recv()
+                except EOFError:
+                    child = self._reap(reader)
                     yield RunOutcome(
-                        run_key=run.run_key,
+                        run_key=child.run.run_key,
                         status=OUTCOME_LOST,
-                        error="no workers left (respawn budget exhausted)",
+                        error=f"run's process died (exit code {child.process.exitcode})",
                     )
-                return
-            self._dispatch()
-            for outcome in self._read_ready(timeout=self.heartbeat_s / 2):
-                pending -= 1
+                    continue
+                self._reap(reader)
                 yield outcome
-            for outcome in self._check_health():
-                pending -= 1
-                yield outcome
+            now = time.monotonic()
+            expired = [
+                reader
+                for reader, child in self._live.items()
+                if child.deadline is not None and child.deadline <= now
+            ]
+            for reader in expired:
+                child = self._reap(reader, kill=True)
+                yield RunOutcome(
+                    run_key=child.run.run_key,
+                    status=STATUS_TIMEOUT,
+                    error=f"run exceeded {self.timeout_s}s",
+                )
 
     def shutdown(self) -> None:
         self._shutdown = True
         self._queue.clear()
-        for worker in list(self._alive.values()):
-            self._send(worker, {"op": "shutdown"})
-        deadline = time.monotonic() + 2.0
-        for worker in list(self._alive.values()):
-            try:
-                worker.process.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                pass
-            self._reap(worker, "shutdown", quiet=True)
-        self._selector.close()
-
-
-# ----------------------------------------------------------------------
-#: Platform registry: CLI/name -> factory. ``local`` is an alias kept in
-#: step with the CLI flag; it is the inline platform.
-PLATFORMS: Dict[str, Callable[..., ExecutionPlatform]] = {
-    "inline": InlinePlatform,
-    "local": InlinePlatform,
-    "pool": ProcessPoolPlatform,
-    "subprocess": SubprocessPlatform,
-}
-
-
-def platform_names() -> List[str]:
-    return sorted(PLATFORMS)
-
-
-def make_platform(
-    name: str,
-    *,
-    workers: int = 2,
-    timeout_s: Optional[float] = None,
-    tracer: Optional[Tracer] = None,
-) -> ExecutionPlatform:
-    """Construct a registered platform by name.
-
-    Every factory accepts (and may ignore) ``workers``/``timeout_s``/
-    ``tracer``, so callers can switch platforms without switching
-    argument lists.
-    """
-    try:
-        factory = PLATFORMS[name]
-    except KeyError:
-        known = ", ".join(platform_names())
-        raise KeyError(f"unknown platform {name!r}; known: {known}") from None
-    return factory(workers=workers, timeout_s=timeout_s, tracer=tracer)
+        for reader in list(self._live):
+            self._reap(reader, kill=True)

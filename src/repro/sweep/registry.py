@@ -6,10 +6,10 @@ where ``params`` is one expanded parameter cell (plain scalars),
 :class:`repro.sweep.spec.RunSpec`), and ``metrics`` is a flat
 ``{name: scalar}`` dict — the unit the aggregator reduces across seeds.
 
-Experiments are resolved *by name*: worker processes receive only the
-name and look the callable up in their own registry, so built-ins must
-be registered at import time (spawn-safe); ad-hoc experiments registered
-at runtime work with the serial executor and with fork-started pools.
+Experiments are resolved *by name* from the registry of the process
+that executes the run. A run's child process is forked from the sweep
+process, so an ad-hoc experiment registered at runtime is found there
+too; where fork is unavailable, only import-time registrations are.
 
 Every paper artifact is an experiment under its own name, derived from
 :data:`repro.experiments.ARTIFACTS` on first lookup (``fig1`` ... ``fig10``,
@@ -32,13 +32,12 @@ The registered built-ins are the experiments that are not paper tables:
   recovery counters per cell).
 - ``chaos_hunt`` — the :mod:`repro.faults.search` schedule search: one
   seeded hunt (sample schedules, check the streaming invariant suite,
-  shrink the first violation) per cell, fanned out across the sweep
-  engine's execution platforms.
+  shrink the first violation) per cell, each cell its own run.
 - ``selftest``    — a microsecond-scale deterministic pseudo-experiment
   for exercising the engine itself (tests, smoke jobs); supports
   ``fail=1`` (raises), ``sleep_s`` (stalls), ``crash=1`` (kills the
   process), and ``crash_marker=<path>`` (kills the process once, then
-  succeeds on retry — the deterministic dead-worker drill).
+  succeeds on retry — the deterministic kill drill).
 """
 
 from __future__ import annotations
@@ -268,21 +267,26 @@ def _selftest(params: Dict[str, Any], root_seed: int) -> MetricsDict:
     """Deterministic pseudo-metrics in microseconds — engine self-checks."""
     if int(params.get("fail", 0)):
         raise RuntimeError("selftest experiment asked to fail")
-    if int(params.get("crash", 0)):  # pragma: no cover - kills the worker
+    if int(params.get("crash", 0)):  # pragma: no cover - kills the process
         import os
 
         os._exit(13)
     marker = str(params.get("crash_marker", "") or "")
     if marker:
-        # Die hard exactly once: first visit leaves the marker and kills
-        # the process (no exception containment possible); the retry sees
-        # the marker and succeeds. Deterministic dead-worker drill for
-        # platform tests and the CI smoke job.
+        # Die hard exactly once: the run that creates the marker kills
+        # its process (no exception containment possible); every later
+        # visit, its own retry included, finds the marker and succeeds.
+        # Creation is exclusive, so runs executing side by side cannot
+        # both take the crash. Deterministic kill drill for platform
+        # tests and the CI smoke job.
         import os
 
-        if not os.path.exists(marker):
-            with open(marker, "w", encoding="utf-8") as fh:
+        try:
+            with open(marker, "x", encoding="utf-8") as fh:
                 fh.write("crashed once\n")
+        except FileExistsError:
+            pass
+        else:
             os._exit(13)
     sleep_s = float(params.get("sleep_s", 0.0))
     if sleep_s > 0.0:
@@ -392,7 +396,7 @@ register(
             "fail": "1 = raise (exercise failure containment)",
             "crash": "1 = kill the executing process (exercise crash salvage)",
             "crash_marker": "path: kill the process once, succeed on retry"
-            " (deterministic dead-worker drill)",
+            " (deterministic kill drill)",
             "sleep_s": "stall this long before returning (exercise timeouts)",
         },
     )

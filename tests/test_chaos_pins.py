@@ -54,7 +54,7 @@ def sweep_records(request, tmp_path_factory):
         experiment.name, dict(experiment.default_grid), n_seeds=3, base_seed=42
     )
     store = RunStore(str(tmp_path_factory.mktemp(experiment.name)))
-    result = run_sweep(spec, store, platform="inline")
+    result = run_sweep(spec, store)
     assert result.failed == 0
     return experiment.name, list(store.records())
 

@@ -169,12 +169,13 @@ def test_the_discovery_memo_differential_runs_with_every_warning_an_error():
 def test_controlplane_smoke_gates_the_sweep_on_invariant_violations():
     """The 1x1 ``controlplane_chaos`` cell reported a violation on every
     seed for as long as nothing looked: one step sweeps the default grid
-    and fails on any non-zero ``invariant_violations``. The job calls the
-    canonical spelling of the chaos run, and the alias exactly once."""
+    and fails on any non-zero ``invariant_violations`` (on the default
+    ``--workers 1``, which is in-process). The job calls the canonical
+    spelling of the chaos run, and the alias exactly once."""
     job = jobs()["controlplane-smoke"]
     sweep = (
         "python -m repro sweep run --experiment controlplane_chaos --seeds 1 \\\n"
-        '            --platform inline --store "$store"'
+        '            --store "$store"'
     )
     assert sweep in job
     (step,) = [s for s in re.split(r"(?m)^      - name: ", job) if sweep in s]
@@ -185,3 +186,24 @@ def test_controlplane_smoke_gates_the_sweep_on_invariant_violations():
     hunt = jobs()["chaos-hunt-smoke"]
     assert "-m repro chaos --plan controlplane" in hunt
     assert not re.search(r"-m repro controlplane\b", hunt)
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_sweep_platform_smoke_drills_the_process_platform():
+    """The kill drill, its resume and the ``sweep-selftest`` check each
+    run with ``--workers 2`` (one forked child per run), and the trace
+    step looks for the scheduler's retry of the killed run. No step
+    names a platform: ``--workers`` is the only switch there is."""
+    job = jobs()["sweep-platform-smoke"]
+    steps = re.split(r"(?m)^      - name: ", job)
+    (drill,) = [s for s in steps if "--limit 2" in s]
+    (resume,) = [s for s in steps if 'grep "executed=2 skipped(cached)=2"' in s]
+    (check,) = [s for s in steps if "--tag sweep-selftest --check" in s]
+    for step in (drill, resume, check):
+        assert "python -m repro sweep run --experiment selftest" in step
+        assert "--workers 2" in step
+    assert "--param crash_marker=smoke-artifacts/crash.marker" in drill
+    assert "--trace-out smoke-artifacts/trace_interrupted.jsonl" in drill
+    (trace,) = [s for s in steps if "trace_interrupted.jsonl" in s and s is not drill]
+    assert "grep '\"sweep_run_retried\"' smoke-artifacts/trace_interrupted.jsonl" in trace
+    assert not re.search(r"--platform|--serial", WORKFLOW.read_text())

@@ -108,7 +108,7 @@ def test_sweep_cli_roundtrip(tmp_path, capsys):
     run_args = [
         "sweep", "run", "--experiment", "selftest",
         "--param", "scale=1.0,2.0", "--seeds", "2",
-        "--store", str(store), "--serial",
+        "--store", str(store)
     ]
     assert main(run_args) == 0
     out = capsys.readouterr().out
@@ -158,7 +158,7 @@ def test_sweep_run_policy_flag_overrides_grid(tmp_path, capsys):
         "--policy", "lo,reliability",
         "--param", "churn_rate=2.0", "--param", "fault_family=node_crash",
         "--param", "horizon_ms=20000.0",
-        "--seeds", "1", "--store", str(store), "--serial",
+        "--seeds", "1", "--store", str(store)
     ]) == 0
     out = capsys.readouterr().out
     assert "executed=2" in out and "failed=0" in out
@@ -170,7 +170,7 @@ def test_sweep_run_unknown_policy_fails_fast(tmp_path):
         main([
             "sweep", "run", "--experiment", "policy_matrix",
             "--policy", "nope",
-            "--seeds", "1", "--store", str(tmp_path / "s"), "--serial",
+            "--seeds", "1", "--store", str(tmp_path / "s"),
         ])
 
 
@@ -359,21 +359,33 @@ def test_bench_run_writes_scratch_not_baseline(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_cli_subprocess_platform_roundtrip(tmp_path, capsys):
+    """``--workers 2`` runs each run in its own subprocess; a serial
+    rerun over the same store finds every run cached."""
     store = tmp_path / "store"
     run_args = [
         "sweep", "run", "--experiment", "selftest",
         "--param", "scale=1.0,2.0", "--seeds", "2",
-        "--store", str(store), "--platform", "subprocess", "--workers", "2",
+        "--store", str(store), "--workers", "2",
     ]
     assert main(run_args) == 0
     out = capsys.readouterr().out
-    assert "platform=subprocess" in out
+    assert "(2 workers)" in out
     assert "executed=4" in out and "failed=0" in out
 
     # Resume is platform-independent: the serial rerun is fully cached.
-    assert main(run_args[:-4] + ["--serial"]) == 0
+    assert main(run_args[:-2]) == 0
     out = capsys.readouterr().out
+    assert "(serial)" in out
     assert "executed=0" in out and "skipped(cached)=4" in out
+
+
+@pytest.mark.parametrize("flag", [["--platform", "subprocess"], ["--serial"]])
+def test_sweep_run_has_no_platform_switch_but_workers(tmp_path, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "run", "--experiment", "selftest",
+              "--store", str(tmp_path / "s"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_sweep_status_summary_line(tmp_path, capsys):
@@ -381,7 +393,7 @@ def test_sweep_status_summary_line(tmp_path, capsys):
     assert main([
         "sweep", "run", "--experiment", "selftest",
         "--param", "scale=1.0", "--param", "fail=0,1", "--seeds", "1",
-        "--store", str(store), "--serial",
+        "--store", str(store)
     ]) == 0
     capsys.readouterr()
     assert main(["sweep", "status", "--store", str(store)]) == 0
@@ -396,7 +408,7 @@ def test_sweep_report_markdown_and_tagged_update(tmp_path, capsys):
     assert main([
         "sweep", "run", "--experiment", "selftest",
         "--param", "scale=1.0,2.0", "--seeds", "2",
-        "--store", str(store), "--serial",
+        "--store", str(store)
     ]) == 0
     capsys.readouterr()
 

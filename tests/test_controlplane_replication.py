@@ -12,6 +12,8 @@ the wrong incarnation's clock. Snapshots therefore carry exactly one
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.controlplane.replication import ReplicatedShard
@@ -111,6 +113,27 @@ class TestSnapshotDedupe:
                 stamps={"a": 1.0},
                 wrr_current={},
             )
+
+    def test_a_refused_restore_changes_nothing(self):
+        """A snapshot the index cannot key is refused whole: the second
+        status's geohash ``"AB"`` is refused before the registry, the
+        index, the stamps or the WRR ledger are cleared."""
+        m = machine()
+        for i in range(3):
+            m.handle(HeartbeatReceived(stamp=float(i), status=status_at(f"n{i}", lat=44.9 + 0.01 * i)))
+        before = m.snapshot_state()
+        answer = partial_ids(m, now=5.0)
+        bad = RegistrySnapshot(
+            statuses=(status_at("n7"), dataclasses.replace(status_at("n8"), geohash="AB")),
+            stamps={"n7": 6.0, "n8": 6.0},
+            wrr_current={},
+        )
+        with pytest.raises(ValueError, match="'AB'"):
+            m.restore_state(bad)
+        assert sorted(m.registry) == ["n0", "n1", "n2"]
+        assert m.snapshot_state() == before
+        assert len(m.spatial_index) == 3
+        assert partial_ids(m, now=5.0) == answer
 
 
 class TestReplicatedShard:

@@ -64,9 +64,9 @@ def test_fig4_metrics_are_its_table_cells():
 def test_derived_experiment_is_bit_identical_across_platforms(tmp_path):
     spec = SweepSpec.build("fig1", {}, n_seeds=2, base_seed=42)
     digests = []
-    for platform in ("inline", "subprocess"):
-        store = RunStore(tmp_path / platform)
-        result = run_sweep(spec, store, platform=platform, workers=2)
+    for workers in (1, 2):  # inline, then one forked child per run
+        store = RunStore(tmp_path / str(workers))
+        result = run_sweep(spec, store, workers=workers)
         assert result.failed == 0
         digests.append(store_digest(store))
     assert digests[0] == digests[1]

@@ -1,7 +1,7 @@
 """Executor tests: serial/parallel parity, caching, failure containment.
 
-The pool tests use the ``selftest`` experiment's ``fail``/``crash``/
-``sleep_s`` knobs; pools are kept tiny (2 workers, a handful of runs)
+The parallel tests use the ``selftest`` experiment's ``fail``/``crash``/
+``sleep_s`` knobs; they are kept tiny (2 workers, a handful of runs)
 so the whole module stays fast.
 """
 
@@ -29,7 +29,7 @@ def _tracer():
 # Basics + determinism
 # ----------------------------------------------------------------------
 def test_serial_runs_everything_in_order(tmp_path):
-    result = run_sweep(SPEC, RunStore(tmp_path / "s"), serial=True)
+    result = run_sweep(SPEC, RunStore(tmp_path / "s"))
     assert result.executed == 6 and result.skipped == 0 and result.failed == 0
     assert [r.run_key for r in result.records] == [
         r.run_key for r in SPEC.expand()
@@ -37,13 +37,13 @@ def test_serial_runs_everything_in_order(tmp_path):
 
 
 def test_store_is_optional():
-    result = run_sweep(SPEC, None, serial=True)
+    result = run_sweep(SPEC, None)
     assert result.executed == 6
     assert all(r.ok for r in result.records)
 
 
 def test_parallel_matches_serial_bit_identically(tmp_path):
-    serial = run_sweep(SPEC, RunStore(tmp_path / "a"), serial=True)
+    serial = run_sweep(SPEC, RunStore(tmp_path / "a"))
     parallel = run_sweep(SPEC, RunStore(tmp_path / "b"), workers=2)
     assert [r.run_key for r in parallel.records] == [
         r.run_key for r in serial.records
@@ -58,8 +58,8 @@ def test_parallel_matches_serial_bit_identically(tmp_path):
 
 def test_resume_skips_completed_runs(tmp_path):
     store = RunStore(tmp_path / "s")
-    first = run_sweep(SPEC, store, serial=True)
-    again = run_sweep(SPEC, store, serial=True)
+    first = run_sweep(SPEC, store)
+    again = run_sweep(SPEC, store)
     assert again.executed == 0
     assert again.skipped == 6
     assert aggregates_digest(again.aggregates()) == aggregates_digest(
@@ -70,9 +70,9 @@ def test_resume_skips_completed_runs(tmp_path):
 def test_limit_interrupts_then_resumes(tmp_path):
     store = RunStore(tmp_path / "s")
     with pytest.raises(SweepInterrupted):
-        run_sweep(SPEC, store, serial=True, limit=2)
+        run_sweep(SPEC, store, limit=2)
     assert len(store.completed_keys()) == 2
-    finish = run_sweep(SPEC, store, serial=True)
+    finish = run_sweep(SPEC, store)
     assert finish.executed == 4 and finish.skipped == 2
 
 
@@ -90,7 +90,7 @@ def test_invalid_arguments_rejected():
 # ----------------------------------------------------------------------
 def test_experiment_exception_recorded_not_raised(tmp_path):
     spec = SweepSpec.build("selftest", {"fail": [0, 1]}, n_seeds=2)
-    result = run_sweep(spec, RunStore(tmp_path / "s"), serial=True)
+    result = run_sweep(spec, RunStore(tmp_path / "s"))
     assert result.executed == 4 and result.failed == 2
     by_status = Counter(r.status for r in result.records)
     assert by_status == {"ok": 2, "failed": 2}
@@ -101,9 +101,9 @@ def test_experiment_exception_recorded_not_raised(tmp_path):
 def test_failed_runs_are_reexecuted_on_resume(tmp_path):
     store = RunStore(tmp_path / "s")
     spec = SweepSpec.build("selftest", {"fail": [0, 1]}, n_seeds=1)
-    run_sweep(spec, store, serial=True)
+    run_sweep(spec, store)
     assert len(store.completed_keys()) == 1
-    again = run_sweep(spec, store, serial=True)
+    again = run_sweep(spec, store)
     assert again.executed == 1  # only the failed one re-ran
     assert again.skipped == 1
 
@@ -132,7 +132,7 @@ def test_timeout_recorded_and_others_survive(tmp_path):
 
 def test_unknown_experiment_fails_runs_not_engine():
     spec = SweepSpec.build("no_such_experiment", {"a": [1]})
-    result = run_sweep(spec, None, serial=True)
+    result = run_sweep(spec, None)
     assert result.failed == 1
     assert "unknown sweepable experiment" in result.records[0].error
 
@@ -143,14 +143,14 @@ def test_unknown_experiment_fails_runs_not_engine():
 def test_lifecycle_events_emitted(tmp_path):
     store = RunStore(tmp_path / "s")
     tracer = _tracer()
-    run_sweep(SPEC, store, serial=True, tracer=tracer)
+    run_sweep(SPEC, store, tracer=tracer)
     counts = Counter(e.type for e in tracer.events())
     assert counts["sweep_run_started"] == 6
     assert counts["sweep_run_finished"] == 6
     assert counts["sweep_run_skipped"] == 0
 
     resume_tracer = _tracer()
-    run_sweep(SPEC, store, serial=True, tracer=resume_tracer)
+    run_sweep(SPEC, store, tracer=resume_tracer)
     resumed = Counter(e.type for e in resume_tracer.events())
     assert resumed == {"sweep_run_skipped": 6}
 
@@ -170,6 +170,6 @@ def test_sweep_events_roundtrip_wire_schema():
 
     tracer = _tracer()
     run_sweep(SweepSpec.build("selftest", {"scale": [1.0]}), None,
-              serial=True, tracer=tracer)
+              tracer=tracer)
     for event in tracer.events():
         assert event_from_dict(event.to_dict()).to_dict() == event.to_dict()

@@ -27,7 +27,7 @@ SPEC = SweepSpec.build("selftest", {"scale": [1.0, 2.0]}, n_seeds=3, base_seed=7
 
 def _filled_store(tmp_path, name="s"):
     store = RunStore(tmp_path / name)
-    run_sweep(SPEC, store, serial=True)
+    run_sweep(SPEC, store)
     return store
 
 
@@ -52,7 +52,7 @@ def test_markdown_is_deterministic_across_stores(tmp_path):
 def test_markdown_single_seed_cell_renders_bare_mean(tmp_path):
     spec = SweepSpec.build("selftest", {"scale": [1.0]}, n_seeds=1, base_seed=7)
     store = RunStore(tmp_path / "s")
-    run_sweep(spec, store, serial=True)
+    run_sweep(spec, store)
     text = render_store_markdown(store)
     assert "±" not in text
     assert "1 seed per cell" in text

@@ -82,13 +82,13 @@ def test_killed_sweep_resumes_with_exactly_the_missing_runs(
     # Phase 1: poison armed — the sweep dies after K completed runs.
     _STATE["poison"].touch()
     with pytest.raises(KeyboardInterrupt):
-        run_sweep(spec, store, serial=True)
+        run_sweep(spec, store)
     assert _executions() == K_BEFORE_KILL
     assert len(store.completed_keys()) == K_BEFORE_KILL
 
     # Phase 2: poison removed — resume executes exactly N-K runs.
     _STATE["poison"].unlink()
-    resumed = run_sweep(spec, store, serial=True)
+    resumed = run_sweep(spec, store)
     assert _executions() == N_TOTAL
     assert resumed.executed == N_TOTAL - K_BEFORE_KILL
     assert resumed.skipped == K_BEFORE_KILL
@@ -98,7 +98,7 @@ def test_killed_sweep_resumes_with_exactly_the_missing_runs(
     # Reference: the same sweep, never interrupted, in a fresh store
     # with a fresh counter — aggregates must match exactly.
     _STATE["counter"] = tmp_path / "counter2.txt"
-    clean = run_sweep(spec, RunStore(tmp_path / "store2"), serial=True)
+    clean = run_sweep(spec, RunStore(tmp_path / "store2"))
     assert clean.executed == N_TOTAL
     assert aggregates_digest(clean.aggregates()) == interrupted_digest
 
@@ -111,7 +111,7 @@ def test_killed_parallel_sweep_resumes_identically(poisoned, tmp_path):
 
     _STATE["poison"].touch()
     with pytest.raises(KeyboardInterrupt):
-        run_sweep(spec, store, serial=True)
+        run_sweep(spec, store)
     _STATE["poison"].unlink()
 
     # Parallel resume (fork start method inherits the registration).
@@ -120,7 +120,7 @@ def test_killed_parallel_sweep_resumes_identically(poisoned, tmp_path):
     assert resumed.executed == N_TOTAL - K_BEFORE_KILL
 
     _STATE["counter"] = tmp_path / "counter2.txt"
-    clean = run_sweep(spec, RunStore(tmp_path / "store2"), serial=True)
+    clean = run_sweep(spec, RunStore(tmp_path / "store2"))
     assert aggregates_digest(resumed.aggregates()) == aggregates_digest(
         clean.aggregates()
     )
@@ -132,7 +132,7 @@ def test_partial_store_survives_on_disk(poisoned, tmp_path):
     store = RunStore(tmp_path / "store")
     _STATE["poison"].touch()
     with pytest.raises(KeyboardInterrupt):
-        run_sweep(spec, store, serial=True)
+        run_sweep(spec, store)
     files = sorted(store.runs_dir.glob("*.json"))
     assert len(files) == K_BEFORE_KILL
     for path in files:

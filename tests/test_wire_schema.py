@@ -22,6 +22,7 @@ list belongs, a payload or a message that is not an object.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import logging
 import math
@@ -310,6 +311,38 @@ def test_manager_raw_field_ops_refuse_and_change_nothing(caplog):
             assert (dict(server._registry), dict(server._machine._stamps), dict(server._addresses)) == before
             partial = await link.request("discover_partial", {"query": to_wire(query()), "radius_km": 8}, 2.0)
             assert partial["count"] == 1 and server.connections_accepted == 1
+        finally:
+            await link.close()
+            await server.stop()
+
+    quiet(caplog, scenario)
+
+
+def test_a_refused_restore_leaves_the_manager_serving_what_it_had(caplog):
+    """A snapshot whose second status the index cannot key (geohash
+    ``"AB"``) passes the wire schema and is refused whole by the
+    registry: ``status`` still lists the old nodes and ``discover``
+    answers as it did before."""
+    snapshot = {
+        "statuses": [to_wire(status("n7")), to_wire(dataclasses.replace(status("n8"), geohash="AB"))],
+        "stamps": {"n7": 1.0, "n8": 1.0},
+        "wrr": {},
+        "addresses": {},
+    }
+
+    async def scenario():
+        server = ManagerServer()
+        await server.start()
+        link = protocol.PersistentConnection(server.host, server.port)
+        try:
+            for i in range(3):
+                assert (await link.request("heartbeat", heartbeat(to_wire(status(f"n{i}"))), 2.0))["ok"]
+            found = await link.request("discover", {"query": to_wire(query())}, 2.0)
+            assert found["candidates"]["payload"]["node_ids"] == ["n0", "n1", "n2"]
+            reply = await link.request("restore", snapshot, 2.0)
+            assert reply["ok"] is False and "'AB'" in reply["error"]
+            assert (await link.request("status", {}, 2.0))["nodes"] == ["n0", "n1", "n2"]
+            assert await link.request("discover", {"query": to_wire(query())}, 2.0) == found
         finally:
             await link.close()
             await server.stop()

@@ -5,8 +5,8 @@ The fast path for population-scale questions (10^5 nodes, 10^6 users):
 - :mod:`repro.metro.spec` — typed :class:`MetroSpec`/:class:`ShardSpec`
   scenario values + deterministic population generation.
 - :mod:`repro.metro.kernel` — the tick-quantized shard kernel with two
-  equivalent stepping modes (cohort-batched arrays vs. one pooled event
-  per frame).
+  equivalent stepping modes (cohort-batched arrays vs. one simulator
+  event per frame).
 - :mod:`repro.metro.shard` — geohash prefix partitioning, ghost/export
   planning.
 - :mod:`repro.metro.runner` — :class:`MetroSimulation`: the epoch loop,

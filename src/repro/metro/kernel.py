@@ -20,8 +20,8 @@ reach:
   attached offered load. Service and propagation reuse the constants of
   :class:`~repro.net.latency.DistanceRttModel` (HOME_WIFI endpoints).
 - **Two stepping modes, one control plane.** ``cohort_batching=True``
-  advances frames with numpy; ``False`` schedules one pooled event per
-  frame through the real :class:`~repro.sim.events.EventQueue`. Both
+  advances frames with numpy; ``False`` schedules one event per frame
+  on a private :class:`~repro.sim.kernel.Simulator`. Both
   modes share every line of control-plane code and emit the same
   trace-event multiset (property-tested) — the per-client mode is the
   reference implementation and the fallback semantics for clients in
@@ -55,7 +55,7 @@ from repro.obs.events import (
     UncoveredFailure,
 )
 from repro.obs.tracer import Tracer
-from repro.sim.events import EventPool, EventQueue
+from repro.sim.kernel import Simulator
 
 __all__ = [
     "MetroKernel",
@@ -160,8 +160,6 @@ class MetroShardReport:
     latency_max_ms: float
     frames_advanced: int
     control_ops: int
-    pool_acquired: int
-    pool_recycled: int
     trace_events: List[TraceEvent] = field(default_factory=list)
 
     @property
@@ -292,10 +290,8 @@ class MetroKernel:
         self._pending_handoffs: List[int] = []
 
         self.batched = config.cohort_batching
-        self._queue = EventQueue()
-        # Sized to hold a full tick window's frame backlog, so after the
-        # first window nearly every frame event is recycled.
-        self._pool = EventPool(max_size=1 << 16)
+        #: Per-client mode's frame events; batched mode schedules none.
+        self._frame_sim = Simulator()
         self._window_wait: Optional[np.ndarray] = None
 
         # --- counters -------------------------------------------------
@@ -775,29 +771,22 @@ class MetroKernel:
                 emit(FrameDone(due + lat, uname, nname, m, due, lat))
 
     def _advance_per_client(self, t0: float, t1: float, wait: np.ndarray) -> None:
-        """The reference path: one pooled kernel event per frame through
-        the real EventQueue (what cohort batching replaces)."""
+        """The reference path: one simulator event per frame (what cohort
+        batching replaces)."""
         m_lo, counts = self._frame_counts(t0, t1)
-        queue = self._queue
-        pool = self._pool
+        schedule_at = self._frame_sim.schedule_at
         for u in np.flatnonzero(self.u_active & (counts > 0)):
             phase = float(self.u_phase[u])
             lo = int(m_lo[u])
             uu = int(u)
             for m in range(lo, lo + int(counts[u])):
                 due = phase + m * self.interval_ms
-                queue.push_pooled(
-                    pool,
+                schedule_at(
                     due,
                     lambda uu=uu, m=m, due=due: self._frame_event(uu, m, due),
                     label="frame",
                 )
-        while True:
-            event = queue.pop_until(t1)
-            if event is None:
-                break
-            event.callback()
-            pool.release(event)
+        self._frame_sim.run_until(t1)
 
     def _frame_event(self, u: int, m: int, due: float) -> None:
         self.frames_advanced += 1
@@ -846,7 +835,5 @@ class MetroKernel:
             else 0.0,
             frames_advanced=self.frames_advanced,
             control_ops=self.control_ops,
-            pool_acquired=self._pool.acquired,
-            pool_recycled=self._pool.recycled,
             trace_events=list(self.trace.events()),
         )

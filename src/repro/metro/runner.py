@@ -61,8 +61,6 @@ class MetroReport:
     latency_max_ms: float
     frames_advanced: int
     control_ops: int
-    pool_acquired: int
-    pool_recycled: int
     wall_s: float
     shard_reports: List[MetroShardReport] = field(default_factory=list)
     trace_events: List[TraceEvent] = field(default_factory=list)
@@ -313,8 +311,6 @@ class MetroSimulation:
             latency_max_ms=max((r.latency_max_ms for r in reports), default=0.0),
             frames_advanced=sum(r.frames_advanced for r in reports),
             control_ops=sum(r.control_ops for r in reports),
-            pool_acquired=sum(r.pool_acquired for r in reports),
-            pool_recycled=sum(r.pool_recycled for r in reports),
             wall_s=wall_s,
             shard_reports=reports,
             trace_events=trace,

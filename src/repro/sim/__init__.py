@@ -4,33 +4,26 @@ This package provides the deterministic, seedable simulation substrate on
 which the edge-selection system runs. It is intentionally small and
 dependency-free:
 
-- :class:`~repro.sim.clock.SimClock` — the virtual clock (milliseconds).
-- :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventQueue`
-  — a stable priority queue of timestamped callbacks.
-- :class:`~repro.sim.kernel.Simulator` — the event loop: ``schedule()``,
+- :class:`~repro.sim.kernel.Simulator` — one loop over one heap: it owns
+  the clock (``sim.now``) and the heap, and offers ``schedule()``,
   ``run_until()``, ``run()``, periodic timers and cancellation handles.
-- :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes that ``yield`` delays, for writing sequential protocol logic.
+- :class:`~repro.sim.events.Event` — a scheduled callback that is its own
+  heap entry, ``[time, seq, callback, label]``, stable at equal times.
 - :class:`~repro.sim.random.RandomStreams` — named, independently seeded
   random streams so adding a new consumer never perturbs existing ones.
 
-All simulation times are floats in **milliseconds** — the natural unit of
-the paper, whose latencies range from a few ms to a few hundred ms.
+All simulation times are finite floats in **milliseconds** — the natural
+unit of the paper, whose latencies range from a few ms to a few hundred
+ms.
 """
 
-from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator, TimerHandle
-from repro.sim.process import Process, sleep
 from repro.sim.random import RandomStreams
 
 __all__ = [
-    "SimClock",
     "Event",
-    "EventQueue",
     "Simulator",
     "TimerHandle",
-    "Process",
-    "sleep",
     "RandomStreams",
 ]

@@ -1,12 +1,19 @@
 """The discrete-event simulator kernel.
 
-:class:`Simulator` owns the clock and the event queue, and exposes the
-scheduling surface used by every other subsystem:
+:class:`Simulator` is one loop over one heap. It owns the clock — a
+plain ``now`` attribute every component reads and only the loop
+advances — and the heap, whose entries are the
+:class:`~repro.sim.events.Event` objects themselves:
 
 - ``schedule(delay, fn)`` / ``schedule_at(time, fn)`` — one-shot events.
 - ``every(period, fn, ...)`` — periodic timers, with optional jitter and
   start offset, returning a :class:`TimerHandle` for cancellation.
 - ``run_until(t)`` / ``run()`` / ``step()`` — drive the loop.
+
+Every time the kernel accepts is finite. A NaN compares false both ways,
+so it would fire out of order or, as a timer, reschedule itself forever:
+a non-finite start, time, delay, period or jitter draw is a
+``ValueError`` at the call that supplies it.
 
 Exceptions raised inside event callbacks propagate out of ``run*`` by
 default (fail fast during development); a scenario may install an
@@ -16,11 +23,14 @@ deployment tolerates a single misbehaving node.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
-from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
+
+_INF = float("inf")
 
 
 class TimerHandle:
@@ -48,7 +58,7 @@ class Simulator:
     """Deterministic discrete-event loop.
 
     Args:
-        start: initial clock value (ms).
+        start: initial clock value (ms); finite and non-negative.
         error_handler: optional callable ``(exception, event) -> None``.
             When provided, exceptions from callbacks are passed to it and
             the loop continues; when absent, exceptions propagate.
@@ -59,37 +69,33 @@ class Simulator:
         start: float = 0.0,
         error_handler: Optional[Callable[[BaseException, Event], None]] = None,
     ) -> None:
-        self.clock = SimClock(start)
-        self.queue = EventQueue()
+        if not 0.0 <= start < _INF:
+            raise ValueError(f"clock must start at a finite time >= 0, got {start}")
+        #: Current simulation time in ms.
+        self.now = float(start)
+        self._heap: List[Event] = []
+        self._seq = count()
         self.error_handler = error_handler
         self.events_processed = 0
-        #: Optional :class:`~repro.obs.profile.KernelProfiler`; when
-        #: installed, every dispatch reports (label, wall-clock handler
-        #: time, remaining queue depth). Uninstalled cost: one ``is
-        #: None`` check per event.
-        self.profiler = None
-        self._running = False
+        #: Optional :class:`~repro.obs.profile.KernelProfiler`: every
+        #: dispatch reports (label, handler wall ms, remaining heap depth).
+        self.profiler: Any = None
         self._stop_requested = False
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in ms."""
-        return self.clock.now
 
     def schedule(
         self, delay: float, callback: Callable[[], Any], label: str = ""
     ) -> Event:
-        """Schedule ``callback`` to run ``delay`` ms from now.
-
-        Negative delays are clamped to zero (fire "immediately", but still
-        through the queue so ordering stays stable).
-        """
-        if delay < 0:
-            delay = 0.0
-        return self.queue.push(self.clock.now + delay, callback, label)
+        """Schedule ``callback`` to run ``delay`` ms from now; a negative
+        delay is clamped to zero (still through the heap, in order)."""
+        now = self.now
+        when = now + delay
+        if not now <= when < _INF:
+            if not -_INF < delay < 0.0:
+                raise ValueError(f"non-finite event time: now={now}, delay={delay}")
+            when = now
+        event = Event((when, next(self._seq), callback, label))
+        heappush(self._heap, event)
+        return event
 
     def schedule_at(
         self, when: float, callback: Callable[[], Any], label: str = ""
@@ -97,13 +103,15 @@ class Simulator:
         """Schedule ``callback`` at absolute time ``when`` (ms).
 
         Raises:
-            ValueError: if ``when`` is in the simulated past.
+            ValueError: if ``when`` is in the simulated past or not finite.
         """
-        if when < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: now={self.clock.now}, when={when}"
-            )
-        return self.queue.push(when, callback, label)
+        if not self.now <= when < _INF:
+            if when < self.now:
+                raise ValueError(f"cannot schedule in the past: now={self.now}, when={when}")
+            raise ValueError(f"non-finite event time: when={when}")
+        event = Event((when, next(self._seq), callback, label))
+        heappush(self._heap, event)
+        return event
 
     def every(
         self,
@@ -117,24 +125,25 @@ class Simulator:
         """Run ``callback`` every ``period`` ms.
 
         Args:
-            period: nominal period in ms; must be positive.
+            period: nominal period in ms; must be positive and finite.
             start_after: delay before the first firing (defaults to one
                 period).
             jitter: optional zero-argument callable returning an additive
                 perturbation (ms) applied independently to each firing —
                 used to de-synchronize client probing loops the way real
-                clients naturally drift.
+                clients naturally drift. A draw that leaves the delay
+                non-positive falls back to the nominal period.
             label: debug label attached to scheduled events.
 
         Returns:
             A :class:`TimerHandle`; call ``cancel()`` to stop the timer.
         """
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        if not 0.0 < period < _INF:
+            raise ValueError(f"period must be positive and finite, got {period}")
         handle = TimerHandle()
         first_delay = period if start_after is None else start_after
-        push = self.queue.push
-        clock = self.clock
+        heap = self._heap
+        seq = self._seq
 
         # Two reschedule variants so the (far more common) unjittered
         # timer pays no per-fire jitter branches; heartbeats and monitor
@@ -142,106 +151,91 @@ class Simulator:
         if jitter is None:
 
             def fire() -> None:
-                if handle.cancelled:
+                if handle._cancelled:
                     return
                 callback()
-                if handle.cancelled:  # callback may have cancelled the timer
+                if handle._cancelled:  # callback may have cancelled the timer
                     return
-                handle._current_event = push(clock.now + period, fire, label)
+                event = Event((self.now + period, next(seq), fire, label))
+                heappush(heap, event)
+                handle._current_event = event
 
         else:
 
             def fire() -> None:
-                if handle.cancelled:
+                if handle._cancelled:
                     return
                 callback()
-                if handle.cancelled:
+                if handle._cancelled:
                     return
                 delay = period + jitter()
-                if delay <= 0:
+                if not 0.0 < delay < _INF:
+                    if not -_INF < delay <= 0.0:
+                        raise ValueError(f"non-finite jitter draw: delay={delay}")
                     delay = period
-                handle._current_event = push(clock.now + delay, fire, label)
+                event = Event((self.now + delay, next(seq), fire, label))
+                heappush(heap, event)
+                handle._current_event = event
 
         handle._current_event = self.schedule(first_delay, fire, label)
         return handle
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the single earliest event. Returns False if queue empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        self._dispatch(event)
-        return True
+        """Execute the single earliest event. Returns False if none is pending."""
+        return self._loop(_INF, 1) == 1
 
     def run_until(self, until: float) -> None:
-        """Run events with ``time <= until``, then set the clock to ``until``.
-
-        Events scheduled exactly at ``until`` are executed.
-        """
-        self._running = True
-        self._stop_requested = False
-        pop_until = self.queue.pop_until
-        advance_to = self.clock.advance_to
-        try:
-            while not self._stop_requested:
-                event = pop_until(until)
-                if event is None:
-                    break
-                advance_to(event.time)
-                self._dispatch(event)
-            if self.clock.now < until and not self._stop_requested:
-                advance_to(until)
-        finally:
-            self._running = False
+        """Run events with ``time <= until``, then set the clock to ``until``
+        (unless ``stop()`` was called). Events exactly at ``until`` run."""
+        if not -_INF < until < _INF:
+            raise ValueError(f"run_until needs a finite time, got {until}")
+        self._loop(until, -1)
+        if self.now < until and not self._stop_requested:
+            self.now = float(until)
 
     def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains (or ``max_events`` is hit)."""
-        self._running = True
-        self._stop_requested = False
-        count = 0
-        try:
-            while not self._stop_requested:
-                if max_events is not None and count >= max_events:
-                    break
-                if not self.step():
-                    break
-                count += 1
-        finally:
-            self._running = False
+        """Run until the heap drains (or ``max_events`` have fired)."""
+        self._loop(_INF, -1 if max_events is None else max(max_events, 0))
 
     def stop(self) -> None:
         """Request the current ``run``/``run_until`` to stop after this event."""
         self._stop_requested = True
 
-    def _dispatch(self, event: Event) -> None:
-        self.events_processed += 1
-        profiler = self.profiler
-        if profiler is None:
+    def _loop(self, until: float, budget: int) -> int:
+        """Fire pending events with ``time <= until`` in (time, seq) order,
+        at most ``budget`` of them (negative: no limit), until the heap
+        drains or ``stop()`` is called. Returns how many fired."""
+        self._stop_requested = False
+        heap = self._heap
+        now = self.now
+        fired = self.events_processed
+        while heap and budget and not self._stop_requested:
+            if heap[0][0] > until:
+                break
+            event = heappop(heap)
+            callback = event[2]
+            if callback is None:  # cancelled
+                continue
+            time = event[0]
+            if time < now:
+                raise ValueError(f"cannot move clock backwards: now={now}, requested={time}")
+            self.now = now = time
+            self.events_processed += 1
+            budget -= 1
+            profiler = self.profiler
+            start = 0.0 if profiler is None else perf_counter()
             try:
-                event.callback()
+                callback()
             except Exception as exc:  # noqa: BLE001 - kernel boundary
                 if self.error_handler is None:
                     raise
                 self.error_handler(exc, event)
-            return
-        start = perf_counter()
-        try:
-            event.callback()
-        except Exception as exc:  # noqa: BLE001 - kernel boundary
-            if self.error_handler is None:
-                raise
-            self.error_handler(exc, event)
-        finally:
-            profiler.record(
-                event.label, (perf_counter() - start) * 1000.0, len(self.queue)
-            )
+            finally:
+                if profiler is not None:
+                    ms = (perf_counter() - start) * 1000.0
+                    profiler.record(event[3], ms, len(heap))
+        return self.events_processed - fired
 
     def __repr__(self) -> str:
-        return (
-            f"Simulator(now={self.clock.now:.3f}ms, pending={len(self.queue)}, "
-            f"processed={self.events_processed})"
-        )
+        return (f"Simulator(now={self.now:.3f}ms, pending={len(self._heap)}, "
+                f"processed={self.events_processed})")

@@ -135,6 +135,29 @@ def test_live_bringup_runs_under_the_leak_flags_and_bringup_has_no_timer():
     assert "asyncio.sleep" not in (ROOT / "src/repro/runtime/launcher.py").read_text()
 
 
+KERNEL_PLUMBING = "SimClock|EventQueue|EventPool|push_pooled|advance_to"
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_kernel_keeps_one_clock_and_one_heap():
+    """The simulator owns its clock and its heap: chaos-smoke, right after
+    the bring-up grep, fails on any of the deleted kernel classes or
+    their methods back under ``src/repro``."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    (grep,) = [s for s in steps if KERNEL_PLUMBING in s]
+    assert grep.startswith("The per-event kernel keeps one clock and one heap\n")
+    assert f"run: \"! grep -rnE '{KERNEL_PLUMBING}' src/repro\"" in grep
+    assert steps.index(grep) == 1 + next(
+        i for i, s in enumerate(steps) if "src/repro/runtime/launcher.py" in s
+    )
+    found = [
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if re.search(KERNEL_PLUMBING, path.read_text())
+    ]
+    assert found == []
+
+
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_wire_schema_tests_run_under_the_leak_flags():
     """The hostile-input tests boot servers, a router cluster and fake

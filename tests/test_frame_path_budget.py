@@ -13,10 +13,12 @@ seeded scenario, after warm-up, this file measures
   the default, 12 users' in-flight frames never come near it and the
   count cannot tell a closure pair from a slotted record.
 
-Both repeat exactly for a given seed and size, so the budgets sit midway
-between the figures before and after the frame path was rebuilt around
-one slotted in-flight record, and fail if the closure pair, the frozen
-records or the second queue scan come back. ``python
+Both repeat exactly for a given seed and size, so each budget sits
+midway between the figures before and after the last change that moved
+it: the gen-0 budget fails if the closure pair or the frozen records come
+back, and the calls budget if the kernel's plumbing does (a clock object,
+a queue object, a separate dispatch call, an event plus a heap tuple per
+scheduled callback). ``python
 tests/test_frame_path_budget.py --nodes 300 --users 60`` prints the same
 counts at the perf ledger's ``sim_frames`` size.
 """
@@ -44,11 +46,17 @@ WARMUP_MS = 2_000.0
 #: Young-generation allocations per collection, per simulated user.
 GEN0_THRESHOLD_PER_USER = 700 / 60
 
-#: Measured at 60 nodes / 12 users, seed 42, 4 + 4 sim-s after warm-up
-#: (parent commit -> this frame path); each budget is the midpoint. At
-#: the ledger's 300 / 60 the same counts read 106.5 -> 84.3 and
-#: 17.7 -> 3.8.
-CALLS_PER_FRAME_BUDGET = 94.0  # 105.2 -> 83.1
+#: Measured at 60 nodes / 12 users, seed 42, 4 + 4 sim-s after warm-up;
+#: each budget is the midpoint of its before -> after.
+#:
+#: - Calls per frame, kernel as one loop over one heap whose entries are
+#:   the events (was: a clock object, a queue object and a dispatch
+#:   method, an event plus a tuple per entry): 82.9 -> 48.9 here, 84.1 -> 50.0 at the ledger's
+#:   300 / 60. Earlier, the slotted in-flight record: 105.2 -> 83.1.
+#: - Gen-0 collections per 1 000 frames, the slotted in-flight record:
+#:   87.4 -> 16.6 here. They read 17.7 here and 3.8 at 300 / 60 both
+#:   before and after the kernel change.
+CALLS_PER_FRAME_BUDGET = 66.0  # 82.9 -> 48.9
 GEN0_PER_1000_FRAMES_BUDGET = 52.0  # 87.4 -> 16.6
 
 

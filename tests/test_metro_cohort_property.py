@@ -1,8 +1,8 @@
 """Property: cohort batching is a pure optimization.
 
 For any (seed, population shape, failure schedule) the cohort-batched
-frame loop must emit exactly the same trace-event multiset as pushing
-one pooled event per frame through the real event queue — same joins,
+frame loop must emit exactly the same trace-event multiset as running
+one event per frame on the per-event ``Simulator`` — same joins,
 same frames at the same times with the same latencies, same failovers.
 This is the load-bearing guarantee that lets the metro kernel default
 to arrays without changing what the simulation *says happened*.

@@ -28,7 +28,7 @@ from repro.metro import MetroSimulation, MetroSpec, ShardSpec
 COUNTERS = (
     "frames_done", "frames_lost", "switches", "covered_failovers",
     "uncovered_failures", "handoffs", "unattached_initial",
-    "frames_advanced", "control_ops", "pool_acquired", "pool_recycled",
+    "frames_advanced", "control_ops",
 )
 
 
@@ -78,7 +78,7 @@ GOLDEN = {
         "frames_done": 36000, "frames_lost": 0, "switches": 0,
         "covered_failovers": 0, "uncovered_failures": 0, "handoffs": 0,
         "unattached_initial": 0, "frames_advanced": 36000,
-        "control_ops": 3000, "pool_acquired": 0, "pool_recycled": 0,
+        "control_ops": 3000,
         "latency_sum_ms": "4670488.293466863",
         "latency_max_ms": "530.7386901995575",
         "mean_latency_ms": "129.73578592963509",
@@ -88,7 +88,7 @@ GOLDEN = {
         "frames_done": 71418, "frames_lost": 582, "switches": 406,
         "covered_failovers": 234, "uncovered_failures": 15, "handoffs": 283,
         "unattached_initial": 3, "frames_advanced": 72000,
-        "control_ops": 3901, "pool_acquired": 0, "pool_recycled": 0,
+        "control_ops": 3901,
         "latency_sum_ms": "5961782.896301106",
         "latency_max_ms": "530.698664937811",
         "mean_latency_ms": "83.47731519086372",

@@ -127,15 +127,19 @@ def test_traced_and_untraced_batched_runs_agree():
     assert traced.latency_max_ms == untraced.latency_max_ms
 
 
-def test_per_client_mode_recycles_pooled_events():
-    report = make_kernel(config_for_tests(cohort_batching=False)).run(5.0)
-    assert report.pool_acquired == report.frames_advanced
-    assert report.pool_recycled > report.pool_acquired // 2
+def test_per_client_mode_runs_one_simulator_event_per_frame():
+    kernel = make_kernel(config_for_tests(cohort_batching=False))
+    report = kernel.run(5.0)
+    assert report.frames_advanced > 0
+    assert kernel._frame_sim.events_processed == report.frames_advanced
+    assert kernel._frame_sim.now == 5_000.0
 
 
 def test_batched_mode_schedules_no_frame_events():
-    report = make_kernel(config_for_tests(cohort_batching=True)).run(5.0)
-    assert report.pool_acquired == 0
+    kernel = make_kernel(config_for_tests(cohort_batching=True))
+    report = kernel.run(5.0)
+    assert report.frames_advanced > 0
+    assert kernel._frame_sim.events_processed == 0
 
 
 def test_run_rejects_nonpositive_horizon():

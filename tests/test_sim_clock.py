@@ -1,66 +1,54 @@
-"""Unit tests for the virtual clock."""
+"""Unit tests for the simulator's clock, ``Simulator.now``."""
 
 import pytest
 
-from repro.sim.clock import SimClock
+from repro.sim.kernel import Simulator
 
 
 def test_starts_at_zero_by_default():
-    assert SimClock().now == 0.0
+    assert Simulator().now == 0.0
 
 
 def test_starts_at_custom_time():
-    assert SimClock(12.5).now == 12.5
+    assert Simulator(12.5).now == 12.5
 
 
 def test_rejects_negative_start():
     with pytest.raises(ValueError):
-        SimClock(-1.0)
+        Simulator(-1.0)
 
 
 def test_advance_moves_forward():
-    clock = SimClock()
-    clock.advance_to(5.0)
-    assert clock.now == 5.0
-    clock.advance_to(7.25)
-    assert clock.now == 7.25
+    sim = Simulator()
+    sim.run_until(5.0)
+    assert sim.now == 5.0
+    sim.run_until(7.25)
+    assert sim.now == 7.25
 
 
 def test_advance_to_same_time_is_allowed():
-    clock = SimClock(3.0)
-    clock.advance_to(3.0)
-    assert clock.now == 3.0
+    sim = Simulator(3.0)
+    sim.run_until(3.0)
+    assert sim.now == 3.0
 
 
 def test_advance_backwards_raises():
-    clock = SimClock(10.0)
+    """The loop refuses an entry earlier than the clock. Scheduling
+    cannot make one, so the entry is rewritten in place."""
+    sim = Simulator(10.0)
+    event = sim.schedule(1.0, lambda: None)
+    event[0] = 9.999
     with pytest.raises(ValueError, match="backwards"):
-        clock.advance_to(9.999)
+        sim.run_until(20.0)
+    assert sim.now == 10.0
 
 
-def test_now_seconds_converts_from_ms():
-    clock = SimClock(1_500.0)
-    assert clock.now_seconds == pytest.approx(1.5)
-
-
-def test_reset_returns_to_start():
-    clock = SimClock()
-    clock.advance_to(100.0)
-    clock.reset()
-    assert clock.now == 0.0
-
-
-def test_reset_to_custom_time():
-    clock = SimClock()
-    clock.advance_to(100.0)
-    clock.reset(50.0)
-    assert clock.now == 50.0
-
-
-def test_reset_rejects_negative():
-    with pytest.raises(ValueError):
-        SimClock().reset(-5.0)
+def test_clock_is_a_float_after_integer_times():
+    sim = Simulator(2)
+    assert type(sim.now) is float
+    sim.run_until(7)
+    assert type(sim.now) is float and sim.now == 7.0
 
 
 def test_repr_mentions_time():
-    assert "12.5" in repr(SimClock(12.5))
+    assert "12.5" in repr(Simulator(12.5))

@@ -1,41 +1,52 @@
-"""Unit and property tests for the event queue."""
+"""Unit and property tests for events: stable order and cancellation,
+observed through the ``Simulator`` that owns the heap."""
 
 import random
 
 from hypothesis import given, strategies as st
 
-from repro.sim.events import EventQueue
+from repro.sim.events import Event
+from repro.sim.kernel import Simulator
+
+
+def timed(times):
+    """A simulator with an event at each of ``times`` that records the
+    clock it fired at; returns the simulator, its events and the record."""
+    sim = Simulator()
+    seen = []
+    events = [sim.schedule_at(t, lambda: seen.append(sim.now)) for t in times]
+    return sim, events, seen
 
 
 def test_pop_returns_none_when_empty():
-    assert EventQueue().pop() is None
+    assert Simulator().step() is False
 
 
 def test_events_pop_in_time_order():
-    queue = EventQueue()
-    queue.push(5.0, lambda: None)
-    queue.push(1.0, lambda: None)
-    queue.push(3.0, lambda: None)
-    times = [queue.pop().time for _ in range(3)]
-    assert times == [1.0, 3.0, 5.0]
+    sim, _, seen = timed([5.0, 1.0, 3.0])
+    sim.run()
+    assert seen == [1.0, 3.0, 5.0]
 
 
 def test_same_time_events_pop_in_insertion_order():
-    queue = EventQueue()
+    sim = Simulator()
     order = []
-    first = queue.push(2.0, lambda: order.append("first"))
-    second = queue.push(2.0, lambda: order.append("second"))
-    assert queue.pop() is first
-    assert queue.pop() is second
+    first = sim.schedule_at(2.0, lambda: order.append("first"))
+    second = sim.schedule_at(2.0, lambda: order.append("second"))
+    sim.run()
+    assert order == ["first", "second"]
+    assert first.seq < second.seq
 
 
 def test_cancelled_events_are_skipped():
-    queue = EventQueue()
-    keep = queue.push(1.0, lambda: None)
-    cancel = queue.push(0.5, lambda: None)
-    cancel.cancel()
-    assert queue.pop() is keep
-    assert queue.pop() is None
+    sim = Simulator()
+    order = []
+    sim.schedule_at(1.0, lambda: order.append("keep"))
+    sim.schedule_at(0.5, lambda: order.append("cancel")).cancel()
+    sim.run()
+    assert order == ["keep"]
+    assert sim.events_processed == 1
+    assert sim.step() is False
 
 
 def test_cancel_drops_callback_reference():
@@ -44,47 +55,44 @@ def test_cancel_drops_callback_reference():
     def callback():
         return holder
 
-    queue = EventQueue()
-    event = queue.push(1.0, callback)
+    event = Simulator().schedule(1.0, callback)
+    assert event.callback is callback and not event.cancelled
     event.cancel()
-    assert event.callback is not callback
-
-
-def test_peek_time_skips_cancelled():
-    queue = EventQueue()
-    early = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    early.cancel()
-    assert queue.peek_time() == 2.0
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
+    assert event.callback is None and event.cancelled
 
 
 def test_len_counts_heap_entries():
-    queue = EventQueue()
-    queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    assert len(queue) == 2
-    assert bool(queue)
-    queue.clear()
-    assert len(queue) == 0
-    assert not queue
+    """The profiler's queue depth counts heap entries, cancelled ones too."""
+    depths = []
+
+    class Depths:
+        def record(self, label, ms, depth):
+            depths.append((label, depth))
+
+    sim = Simulator()
+    sim.profiler = Depths()
+    sim.schedule_at(1.0, lambda: None, label="a")
+    sim.schedule_at(2.0, lambda: None, label="b").cancel()
+    sim.schedule_at(3.0, lambda: None, label="c")
+    assert "pending=3" in repr(sim)
+    sim.run()
+    assert depths == [("a", 2), ("c", 0)]
+    assert "pending=0" in repr(sim)
 
 
-def test_pending_snapshot_sorted_and_excludes_cancelled():
-    queue = EventQueue()
-    a = queue.push(3.0, lambda: None)
-    b = queue.push(1.0, lambda: None)
-    c = queue.push(2.0, lambda: None)
-    c.cancel()
-    assert queue.pending() == (b, a)
+def test_event_is_its_own_heap_entry():
+    sim = Simulator()
+    callback = lambda: None  # noqa: E731
+    event = sim.schedule_at(4.0, callback, label="x")
+    assert type(event) is Event and isinstance(event, list)
+    assert sim._heap == [event] and sim._heap[0] is event
+    assert (event.time, event.label, event.callback) == (4.0, "x", callback)
+    assert event == [4.0, event.seq, callback, "x"]
+    assert not hasattr(event, "__dict__")
 
 
 def test_event_repr_shows_state():
-    queue = EventQueue()
-    event = queue.push(1.0, lambda: None, label="hello")
+    event = Simulator().schedule(1.0, lambda: None, label="hello")
     assert "pending" in repr(event)
     assert "hello" in repr(event)
     event.cancel()
@@ -93,15 +101,8 @@ def test_event_repr_shows_state():
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
 def test_property_pop_order_is_nondecreasing(times):
-    queue = EventQueue()
-    for t in times:
-        queue.push(t, lambda: None)
-    popped = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        popped.append(event.time)
+    sim, _, popped = timed(times)
+    sim.run()
     assert popped == sorted(popped)
     assert len(popped) == len(times)
 
@@ -111,8 +112,7 @@ def test_property_pop_order_is_nondecreasing(times):
     st.data(),
 )
 def test_property_cancellation_removes_exactly_those_events(times, data):
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in times]
+    sim, events, popped = timed(times)
     to_cancel = data.draw(
         st.lists(st.integers(min_value=0, max_value=len(events) - 1), unique=True)
     )
@@ -121,86 +121,13 @@ def test_property_cancellation_removes_exactly_those_events(times, data):
     surviving = sorted(
         t for i, t in enumerate(times) if i not in set(to_cancel)
     )
-    popped = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        popped.append(event.time)
+    sim.run()
     assert popped == surviving
 
 
 def test_large_random_workload_stays_ordered():
     rng = random.Random(7)
-    queue = EventQueue()
-    for _ in range(5_000):
-        queue.push(rng.uniform(0, 1000), lambda: None)
-    previous = -1.0
-    count = 0
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        assert event.time >= previous
-        previous = event.time
-        count += 1
-    assert count == 5_000
-
-
-# ----------------------------------------------------------------------
-# EventPool: recycled events must be indistinguishable from fresh ones.
-# ----------------------------------------------------------------------
-def test_pool_recycles_released_events():
-    from repro.sim.events import EventPool
-
-    pool = EventPool(max_size=8)
-    queue = EventQueue()
-    fired = []
-    first = queue.push_pooled(pool, 1.0, lambda: fired.append("a"), "a")
-    queue.pop().callback()
-    pool.release(first)
-    second = queue.push_pooled(pool, 2.0, lambda: fired.append("b"), "b")
-    assert second is first  # same object, reinitialized
-    assert second.time == 2.0 and second.label == "b"
-    assert not second.cancelled
-    queue.pop().callback()
-    assert fired == ["a", "b"]
-    assert pool.acquired == 2 and pool.recycled == 1
-
-
-def test_pool_respects_max_size():
-    from repro.sim.events import EventPool
-
-    pool = EventPool(max_size=1)
-    queue = EventQueue()
-    events = [queue.push_pooled(pool, float(i), lambda: None) for i in range(3)]
-    while queue.pop() is not None:
-        pass
-    for event in events:
-        pool.release(event)
-    # Only one slot: two of the three releases were dropped.
-    recycled = [queue.push_pooled(pool, 9.0, lambda: None) for _ in range(3)]
-    assert sum(1 for e in recycled if e in events) == 1
-    assert pool.recycled == 1
-
-
-def test_pooled_events_interleave_with_plain_pushes():
-    from repro.sim.events import EventPool
-
-    pool = EventPool()
-    queue = EventQueue()
-    order = []
-    queue.push(2.0, lambda: order.append("plain"))
-    queue.push_pooled(pool, 1.0, lambda: order.append("pooled"))
-    for _ in range(2):
-        queue.pop().callback()
-    assert order == ["pooled", "plain"]
-
-
-def test_pool_rejects_negative_max_size():
-    from repro.sim.events import EventPool
-
-    import pytest
-
-    with pytest.raises(ValueError):
-        EventPool(max_size=-1)
+    sim, _, popped = timed([rng.uniform(0, 1000) for _ in range(5_000)])
+    sim.run()
+    assert popped == sorted(popped)
+    assert len(popped) == 5_000 == sim.events_processed

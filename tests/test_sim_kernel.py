@@ -1,5 +1,8 @@
 """Unit tests for the simulator kernel."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.sim.events import Event
@@ -98,8 +101,8 @@ def test_stop_halts_run_until(sim):
     sim.schedule(1.0, lambda: (log.append("first"), sim.stop()))
     sim.schedule(2.0, lambda: log.append("second"))
     sim.run_until(10.0)
-    assert log == ["first", ("second",)] or log[0] == "first"
-    assert "second" not in log
+    assert log == ["first"]
+    assert sim.now == 1.0
 
 
 def test_exceptions_propagate_without_handler(sim):
@@ -185,3 +188,89 @@ def test_every_negative_jitter_never_goes_nonpositive(sim):
     sim.run_until(30.0)
     # delay would be -10 -> falls back to the nominal period
     assert ticks == [10.0, 20.0, 30.0]
+
+
+# ----------------------------------------------------------------------
+# Non-finite times: a NaN compares false both ways, so it used to slip
+# past every guard (and an infinite time moved the clock to infinity).
+# Each is refused at the call that supplies it.
+# ----------------------------------------------------------------------
+NAN = float("nan")
+INF = float("inf")
+
+
+@contextmanager
+def deadline(seconds=5.0):
+    """Fail, rather than hang, if the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("start", [NAN, INF, -INF])
+def test_non_finite_start_is_refused(start):
+    with pytest.raises(ValueError, match="finite"):
+        Simulator(start=start)
+
+
+@pytest.mark.parametrize("period", [NAN, INF])
+def test_non_finite_period_is_refused(sim, period):
+    ticks = []
+    with deadline():
+        with pytest.raises(ValueError, match="period"):
+            sim.every(period, lambda: ticks.append(sim.now))
+        sim.run_until(10.0)
+    assert ticks == [] and sim.now == 10.0
+
+
+@pytest.mark.parametrize("draw", [NAN, INF, -INF])
+def test_non_finite_jitter_draw_is_refused(sim, draw):
+    ticks = []
+    sim.every(2.0, lambda: ticks.append(sim.now), jitter=lambda: draw)
+    with deadline():
+        with pytest.raises(ValueError, match="jitter"):
+            sim.run_until(10.0)
+    assert ticks == [2.0]
+
+
+@pytest.mark.parametrize("start_after", [NAN, INF])
+def test_non_finite_start_after_is_refused(sim, start_after):
+    with pytest.raises(ValueError, match="finite"):
+        sim.every(2.0, lambda: None, start_after=start_after)
+
+
+@pytest.mark.parametrize("delay", [NAN, INF, -INF])
+def test_non_finite_delay_is_refused(sim, delay):
+    seen = []
+    for t in (1.0, 5.0, 9.0):
+        sim.schedule_at(t, lambda: seen.append(sim.now))
+    with pytest.raises(ValueError, match="finite"):
+        sim.schedule(delay, lambda: seen.append(("bad", sim.now)))
+    sim.run()
+    assert seen == [1.0, 5.0, 9.0] and sim.now == 9.0
+
+
+@pytest.mark.parametrize("when", [NAN, INF])
+def test_non_finite_time_is_refused(sim, when):
+    with pytest.raises(ValueError, match="finite"):
+        sim.schedule_at(when, lambda: None)
+    sim.run()
+    assert sim.events_processed == 0 and sim.now == 0.0
+
+
+@pytest.mark.parametrize("until", [NAN, INF])
+def test_non_finite_run_until_is_refused(sim, until):
+    seen = []
+    sim.schedule(5.0, lambda: seen.append(sim.now))
+    with deadline():
+        with pytest.raises(ValueError, match="finite"):
+            sim.run_until(until)
+    assert seen == [] and sim.now == 0.0

@@ -1,44 +1,89 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the paper-figure harness.
 
-Every benchmark regenerates one table or figure of the paper's
-evaluation, prints the corresponding rows/series, and asserts the
-*shape* of the result (who wins, by roughly what factor, where the
-crossover falls) — absolute numbers depend on the simulated substrate
-and are recorded in EXPERIMENTS.md.
+A test backed by a generated section of EXPERIMENTS.md calls
+``published(name)`` for it. That runs the sweep the section is rendered
+from, fails the calling test if the render differs from the committed
+section by one byte, and returns the runs, on which the test asserts
+the *shape* (who wins, by roughly what factor, where the
+crossover falls): on means where the section's paragraph states a
+direction, on separated 95% intervals where it says a difference holds,
+on every seed where it says "every seed". The files with no section
+call their functions directly.
 
-Run with::
-
-    pytest benchmarks/ --benchmark-only -s
+Run with ``PYTHONPATH=src pytest benchmarks/test_*.py -s``.
 """
 
 from __future__ import annotations
 
-import pytest
+import os
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Dict, List
 
-from repro.core.config import SystemConfig
-from repro.metrics.report import Table, render
+from repro.sweep import (
+    CellAggregate,
+    MetricAggregate,
+    RunRecord,
+    SweepSpec,
+    aggregate_records,
+    get_experiment,
+    render_markdown,
+    run_sweep,
+    update_tagged_section,
+)
 
-#: One seed for the whole harness so EXPERIMENTS.md numbers reproduce.
-BENCH_SEED = 42
-
-
-@pytest.fixture
-def bench_config() -> SystemConfig:
-    return SystemConfig(seed=BENCH_SEED)
-
-
-def show(table: Table):
-    """Print a result's table — the one ``python -m repro <artifact>``
-    prints — and return its rows."""
-    print()
-    print(render(table))
-    return table[2]
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+#: The store every generated section of EXPERIMENTS.md is rendered from.
+SEEDS = 5
+BASE_SEED = 42
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing.
+@dataclass(frozen=True)
+class Published:
+    """One experiment's sweep: its runs in expansion order (cell by cell,
+    seed by seed) and their aggregates. A paper artifact has one cell and
+    names its metrics ``"<row> | <column>"``."""
 
-    The experiments are multi-second simulations; statistical timing
-    repetition would multiply the harness runtime for no insight.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    records: List[RunRecord]
+    cells: Dict[str, CellAggregate]
+
+    def _cell(self, params: Dict[str, object]) -> CellAggregate:
+        (cell,) = [c for c in self.cells.values() if c.params == params]
+        return cell
+
+    def per_seed(self, **params: object) -> List[Dict[str, float]]:
+        """The metric dict of every seed of one cell, in seed order."""
+        seeds = [r.metrics for r in self.records if r.params == params]
+        assert len(seeds) == self._cell(params).n_seeds == SEEDS, params
+        return seeds
+
+    def agg(self, metric: str, **params: object) -> MetricAggregate:
+        """One metric of one cell, reduced across its seeds."""
+        return self._cell(params).metrics[metric]
+
+    def mean(self, metric: str, **params: object) -> float:
+        return self.agg(metric, **params).mean
+
+
+def below(low: MetricAggregate, high: MetricAggregate) -> bool:
+    """``low``'s whole 95% interval lies below ``high``'s."""
+    return low.mean + low.ci_half_width < high.mean - high.ci_half_width
+
+
+def published(name: str) -> Published:
+    """The sweep behind EXPERIMENTS.md's ``name`` section, checked against
+    it. ``workers`` changes only the wall time."""
+    spec = SweepSpec.build(
+        name,
+        get_experiment(name).default_grid,
+        n_seeds=SEEDS,
+        base_seed=BASE_SEED,
+    )
+    result = run_sweep(spec, workers=os.cpu_count() or 1)
+    failed = [(r.params, r.seed_index, r.error) for r in result.records if not r.ok]
+    assert not failed, failed
+    cells = aggregate_records(result.records)
+    body = render_markdown(cells)
+    print(f"\n{body}")
+    update_tagged_section(EXPERIMENTS_MD, name, body, check=True)
+    return Published(result.records, cells)

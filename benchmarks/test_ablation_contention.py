@@ -8,7 +8,6 @@ ordering (ours <= resource-aware < dedicated-only) holds across the
 regime — i.e. the headline is not an artifact of one calibration point.
 """
 
-from conftest import run_once
 from dataclasses import replace
 
 from repro.core.config import SystemConfig
@@ -44,8 +43,8 @@ def run_sweep(seed):
     }
 
 
-def test_ablation_contention(benchmark, bench_config):
-    results = run_once(benchmark, run_sweep, bench_config.seed)
+def test_ablation_contention():
+    results = run_sweep(seed=42)
 
     rows = [
         [regime, values["client_centric"], values["resource_aware"],

@@ -7,8 +7,6 @@ disabled, concurrent joiners all land on the same momentarily-cheap node
 simultaneous-arrival bursts: we start all 15 users at once.
 """
 
-from conftest import run_once
-
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.experiments.scenario import build_real_world_system
@@ -43,8 +41,8 @@ def run_both(seed):
     return synced, unsynced
 
 
-def test_ablation_join_sync(benchmark, bench_config):
-    synced, unsynced = run_once(benchmark, run_both, bench_config.seed)
+def test_ablation_join_sync():
+    synced, unsynced = run_both(seed=42)
 
     print()
     print(

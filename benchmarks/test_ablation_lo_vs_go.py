@@ -7,8 +7,6 @@ runs the crowded real-world scenario under both policies. LO and GO are
 we assert GO is never meaningfully worse and report the margin.
 """
 
-from conftest import run_once
-
 from repro.core.config import SystemConfig
 from repro.experiments.realworld import run_elasticity_sweep
 from repro.metrics.report import format_table
@@ -26,8 +24,8 @@ def run_both(seed):
     return go, lo
 
 
-def test_ablation_lo_vs_go(benchmark, bench_config):
-    go, lo = run_once(benchmark, run_both, bench_config.seed)
+def test_ablation_lo_vs_go():
+    go, lo = run_both(seed=42)
 
     print()
     print(

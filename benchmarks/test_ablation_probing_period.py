@@ -6,8 +6,6 @@ Therefore, smaller T_probing brings higher robustness. As a tradeoff,
 higher TopN and smaller T_probing also bring higher overhead."
 """
 
-from conftest import run_once
-
 from repro.core.config import SystemConfig
 from repro.experiments.churn_experiment import make_churn_trace, run_churn_once
 from repro.metrics.report import format_table
@@ -39,8 +37,8 @@ def run_seeds(base_seed):
     return [run_sweep(base_seed + i) for i in range(SEEDS)]
 
 
-def test_ablation_probing_period(benchmark, bench_config):
-    runs = run_once(benchmark, run_seeds, bench_config.seed)
+def test_ablation_probing_period():
+    runs = run_seeds(base_seed=42)
     stats = {
         period: {
             metric: reduce_metric([rows[period][metric] for rows in runs])

@@ -7,8 +7,6 @@ from the cheap configuration — showing the controller buys back fixed-3
 robustness while idling at the cheap settings whenever churn allows.
 """
 
-from conftest import run_once
-
 from repro.core.adaptive_robustness import AdaptiveRobustness
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
@@ -62,8 +60,8 @@ def run_all(seed):
     }
 
 
-def test_ext_adaptive_robustness(benchmark, bench_config):
-    results = run_once(benchmark, run_all, bench_config.seed)
+def test_ext_adaptive_robustness():
+    results = run_all(seed=42)
 
     rows = [
         [name, values["probes"], values["covered"], values["failures"]]

@@ -6,30 +6,18 @@ and protects the admitted population's latency, whereas open-door
 admission spreads violations across everyone.
 """
 
-from conftest import run_once, show
-
-from repro.experiments.qos_admission import run_qos_admission
-
-USER_COUNTS = [5, 10, 15, 20]
-QOS_MS = 90.0
+from conftest import below, published
 
 
-def test_ext_qos_admission(benchmark, bench_config):
-    result = run_once(
-        benchmark,
-        run_qos_admission,
-        bench_config,
-        qos_latency_ms=QOS_MS,
-        user_counts=USER_COUNTS,
-    )
+def test_ext_qos_admission():
+    qos = published("qos")
 
-    show(result.table())
-
-    # Light load: everyone admitted either way.
-    assert result.with_qos[5].rejected == 0
-    # Overload: admission control engages and protects latency.
-    heavy_with = result.with_qos[20]
-    heavy_without = result.without_qos[20]
-    assert heavy_with.rejected > 0
-    assert heavy_with.violation_rate < heavy_without.violation_rate
-    assert heavy_with.admitted_mean_ms < heavy_without.admitted_mean_ms
+    for metrics in qos.per_seed():
+        # Light load: everyone admitted, on every seed.
+        assert metrics["5 | admitted (QoS)"] == 5
+        # Overload: admission control engages on every seed.
+        assert metrics["20 | admitted (QoS)"] < 20
+    # ...and protects the admitted users' latency, outside both
+    # intervals, and their violation fraction on the means.
+    assert below(qos.agg("20 | mean ms (QoS)"), qos.agg("20 | mean ms (open)"))
+    assert qos.mean("20 | violations (QoS)") < qos.mean("20 | violations (open)")

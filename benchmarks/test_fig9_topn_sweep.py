@@ -11,44 +11,40 @@ Paper:
   ... Starting at TopN=3, the number of failures can be reduced to 0."
 """
 
-from conftest import run_once, show
+from conftest import published
 
-from repro.experiments.churn_experiment import run_topn_sweep
+TOP_NS = (1, 2, 3, 4, 5)
 
 
-def test_fig9_topn_sweep(benchmark, bench_config):
-    result = run_once(benchmark, run_topn_sweep, bench_config)
+def test_fig9_topn_sweep():
+    fig9 = published("fig9")
 
-    show(result.table())
+    def column(name):
+        return {n: fig9.mean(f"{n} | {name}") for n in TOP_NS}
 
-    probes = [result.probes[n] for n in result.top_ns]
-    invocations = [result.test_invocations[n] for n in result.top_ns]
+    probes = column("(a) probes")
+    invocations = column("(b) test invocations")
+    latency = column("(c) avg ms 60-120s")
+    fairness = column("(d) fairness std")
+    failures = column("failures")
 
     # (a) probing grows monotonically and substantially with TopN.
-    assert probes == sorted(probes)
-    assert probes[-1] > 2.0 * probes[0]
+    assert [probes[n] for n in TOP_NS] == sorted(probes.values())
+    assert probes[5] > 2.0 * probes[1]
+    # (b) the cache keeps invocation growth far below probing growth, and
+    # probing never drives invocations: far fewer invocations than probes.
+    assert abs(invocations[5] - invocations[1]) < 0.5 * (probes[5] - probes[1])
+    assert all(invocations[n] < probes[n] for n in TOP_NS)
+    # (c) latency: TopN >= 2 values are fairly close (within a 40% band).
+    close = [latency[n] for n in TOP_NS if n >= 2]
+    assert max(close) < min(close) * 1.4
+    # (d) fairness is worst at TopN=1.
+    assert fairness[1] > fairness[3]
 
-    # (b) the cache keeps invocation growth far below probing growth:
-    # the invocation spread across TopN is a fraction of the probe spread.
-    probe_spread = probes[-1] - probes[0]
-    invocation_spread = abs(invocations[-1] - invocations[0])
-    assert invocation_spread < 0.5 * probe_spread
-    # and probing never drives invocations: far fewer invocations than probes
-    assert all(
-        result.test_invocations[n] < result.probes[n] for n in result.top_ns
-    )
-
-    # (c) latency: TopN>=2 values are fairly close (within 40% band).
-    latencies = [result.avg_latency_ms[n] for n in result.top_ns if n >= 2]
-    assert max(latencies) < min(latencies) * 1.4
-
-    # (d) fairness improves from TopN=1 to TopN>=3.
-    assert result.fairness_std_ms[1] > result.fairness_std_ms[3]
-
-    # Fig. 10(b): failures drop dramatically at TopN=2 and (near-)vanish
-    # by 3+.
-    failures = result.uncovered_failures
-    assert failures[1] > 0
+    # Fig. 10(b): failures drop dramatically at TopN=2, their whole
+    # interval at TopN=1 above zero, and are 0 on every seed from TopN=3.
+    at_one = fig9.agg("1 | failures")
+    assert at_one.mean - at_one.ci_half_width > 0
     assert failures[2] <= failures[1] / 2
-    assert failures[3] <= 1
-    assert failures[4] <= 1 and failures[5] <= 1
+    for metrics in fig9.per_seed():
+        assert [metrics[f"{n} | failures"] for n in TOP_NS[2:]] == [0, 0, 0]

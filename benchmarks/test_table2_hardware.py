@@ -1,13 +1,14 @@
 """Table II — hardware and per-frame processing performance.
 
-The catalog itself encodes Table II; this benchmark *measures* each
-profile's single-frame processing time on an idle simulated node and
-checks it reproduces the table exactly.
+The catalog itself encodes Table II; this benchmark checks the published
+table carries the paper's per-frame times on every seed, and *measures*
+each profile's single-frame processing time on an idle simulated node
+to check the processing model reproduces them exactly.
 """
 
-from conftest import run_once, show
+from conftest import published
 
-from repro.experiments.realworld import TABLE2_PROFILES, hardware_table
+from repro.experiments.realworld import TABLE2_PROFILES
 from repro.nodes.processing import FrameProcessor
 
 PAPER_TABLE2 = {
@@ -24,19 +25,12 @@ PAPER_TABLE2 = {
 }
 
 
-def measure_all():
-    measured = {}
+def test_table2_hardware():
+    for metrics in published("table2").per_seed():
+        assert {
+            name: metrics[f"{name} | frame ms"] for name in PAPER_TABLE2
+        } == PAPER_TABLE2
+
     for profile in TABLE2_PROFILES:
-        processor = FrameProcessor(profile)
-        frame = processor.submit(0.0)
-        measured[profile.name] = (profile, frame.sojourn_ms)
-    return measured
-
-
-def test_table2_hardware(benchmark):
-    measured = run_once(benchmark, measure_all)
-
-    show(hardware_table())
-
-    for name, (_, sojourn) in measured.items():
-        assert sojourn == PAPER_TABLE2[name], f"{name} deviates from Table II"
+        sojourn = FrameProcessor(profile).submit(0.0).sojourn_ms
+        assert sojourn == PAPER_TABLE2[profile.name], f"{profile.name} deviates from Table II"

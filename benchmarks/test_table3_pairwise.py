@@ -1,29 +1,33 @@
 """Table III — pairwise e2e latency between users and all nodes, plus
-which node the client-centric selection picks (TopN large enough to
-probe everyone).
+the latency of the node the client-centric selection picks (TopN large
+enough to probe everyone).
 
 Paper: "Best-performing nodes are accurately selected for 3 users,
 addressing the networking and processing heterogeneity."
 """
 
-from conftest import run_once, show
+from conftest import published
 
-from repro.experiments.realworld import run_pairwise_selection
+USERS = ("u01", "u02", "u03")
+NODES = ("Cloud", "D6", "V1", "V2", "V3", "V4", "V5")
 
 
-def test_table3_pairwise_selection(benchmark, bench_config):
-    result = run_once(benchmark, run_pairwise_selection, bench_config)
+def test_table3_pairwise_selection():
+    table3 = published("table3")
 
-    show(result.table())
+    for metrics in table3.per_seed():
+        for user in USERS:
+            row = {node: metrics[f"{user} | {node}"] for node in NODES}
+            chosen = metrics[f"{user} | selected ms"]
+            # On every seed the pick is within 25% of that seed's best
+            # node (probing measurements carry jitter, as in the paper)...
+            assert chosen <= min(row.values()) * 1.25, (user, chosen, row)
+            # ...and never the cloud, which is no answer for a metro user.
+            assert chosen < row["Cloud"], (user, chosen, row)
 
-    for user in result.user_ids:
-        row = {node: result.pairwise_ms[(user, node)] for node in result.node_ids}
-        chosen = result.selected[user]
-        best = min(row.values())
-        # The selection must land on a near-best node (within 25% —
-        # probing measurements carry jitter, exactly as in the paper).
-        assert row[chosen] <= best * 1.25, (
-            f"{user} picked {chosen} at {row[chosen]:.0f} ms, best was {best:.0f}"
-        )
-        # The cloud is never the right answer for a metro user.
-        assert chosen != "Cloud"
+    for user in USERS:
+        means = {node: table3.mean(f"{user} | {node}") for node in NODES}
+        # The cloud column is every row's maximum, and the pick's mean
+        # sits below every column's.
+        assert means["Cloud"] == max(means.values())
+        assert table3.mean(f"{user} | selected ms") < min(means.values())

@@ -258,13 +258,6 @@ class FaultToleranceResult:
     proactive_events: int
     reactive_events: int
 
-    @property
-    def downtime_ratio(self) -> float:
-        """How many times longer reactive recovery takes."""
-        if self.proactive_recovery_ms <= 0:
-            return float("inf")
-        return self.reactive_recovery_ms / self.proactive_recovery_ms
-
     def table(self) -> Table:
         return (
             "Fig. 10(a) — service downtime per failover",

@@ -10,9 +10,10 @@ parser in the image that job builds).
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 import pytest
 
@@ -72,35 +73,62 @@ def test_metro_smoke_runs_every_metro_test_file():
     assert "tests/test_metro_*.py" in job
 
 
+HARNESS = "run: python -m pytest benchmarks/test_*.py"
+
+
+def harness_files() -> List[Path]:
+    return sorted((ROOT / "benchmarks").glob("test_*.py"))
+
+
+def published_names() -> List[str]:
+    """The experiment of every ``published(...)`` call in the harness;
+    the argument must be a literal name."""
+    names = []
+    for path in harness_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "published":
+                (arg,) = node.args
+                assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), path.name
+                names.append(arg.value)
+    return names
+
+
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_a_job_runs_the_paper_figure_harness():
     """``benchmarks/test_*.py`` regenerates every figure EXPERIMENTS.md
     quotes; tier-1 does not collect it, so a CI job has to name it — by
-    glob, and with the plugin its ``benchmark`` fixture comes from."""
-    harness = sorted((ROOT / "benchmarks").glob("test_*.py"))
-    assert len(harness) >= 17
-    command = "run: python -m pytest benchmarks/test_*.py --benchmark-disable"
-    (job,) = [job for job in jobs().values() if command in job]
+    glob. It needs no pytest plugin: no test takes a fixture."""
+    harness = harness_files()
+    assert len(harness) >= 18
+    (job,) = [job for job in jobs().values() if HARNESS in job]
     (install,) = re.findall(r"pip install (.*)", job)
-    assert {"numpy", "pytest", "pytest-benchmark"} <= set(install.split())
+    assert {"numpy", "pytest"} <= set(install.split())
     assert not any(imports_hypothesis(path) for path in harness) or "hypothesis" in install
     assert 'PYTHONPATH: src' in job
+    for path in harness:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                assert not node.args.args, (path.name, node.name)
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_paper_figures_regenerates_every_generated_table_in_experiments_md():
     """Each ``sweep-report`` section of EXPERIMENTS.md but the selftest
-    one is checked from a fresh 5-seed store of the experiment it is
-    named after: a new section without a CI step, or a step for a
-    section that is gone, fails here."""
+    one is checked from a fresh 5-seed sweep of the experiment it is
+    named after, by exactly one harness test calling ``published`` for
+    it: a new section nobody asks for, a name asked for twice, or a
+    name with no section fails here."""
     tags = re.findall(r"<!-- sweep-report:([\w-]+) -->", (ROOT / "EXPERIMENTS.md").read_text())
-    job = jobs()["paper-figures"]
-    (step,) = [s for s in re.split(r"(?m)^      - name: ", job) if "for tag in" in s]
-    (listed,) = re.findall(r"for tag in ([\w -]+); do", step)
-    assert listed.split() == [t for t in tags if t != "sweep-selftest"]
-    assert '--experiment "$tag" --seeds 5 --base-seed 42' in step
-    assert '--update EXPERIMENTS.md --tag "$tag" --check' in step
-    assert "git diff --exit-code EXPERIMENTS.md" in step
+    asked = published_names()
+    assert sorted(asked) == sorted(t for t in tags if t != "sweep-selftest")
+    assert len(set(asked)) == len(asked)
+    conftest = (ROOT / "benchmarks" / "conftest.py").read_text()
+    assert "SEEDS = 5\nBASE_SEED = 42\n" in conftest
+    assert "update_tagged_section(EXPERIMENTS_MD, name, body, check=True)" in conftest
+    steps = re.split(r"(?m)^      - name: ", jobs()["paper-figures"])
+    assert "for tag in" not in "".join(steps)
+    (harness,) = [i for i, s in enumerate(steps) if HARNESS in s]
+    assert "run: git diff --exit-code EXPERIMENTS.md" in steps[harness + 1]
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")

@@ -96,6 +96,10 @@ def test_fig4_failover_trace():
     # proactive switch avoids the re-discovery latency cliff
     assert result.proactive_peak_ms < result.reactive_peak_ms
     assert result.reactive_peak_ms > 500.0
+    # ...and the proactive service stays continuously usable: its peak
+    # after the failure is under 10x its own pre-failure mean.
+    steady = [v for t, v in result.proactive if t < result.fail_at_ms]
+    assert result.proactive_peak_ms < 10.0 * sum(steady) / len(steady)
 
 
 def test_fig5_elasticity_sweep_small():

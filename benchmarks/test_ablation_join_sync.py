@@ -9,15 +9,16 @@ simultaneous-arrival bursts: we start all 15 users at once.
 
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.experiments.scenario import build_real_world_system
+from repro.core.system import EdgeSystem
+from repro.experiments.scenario import real_world
 from repro.metrics.report import format_table
 from repro.metrics.stats import mean, stddev
 
 
 def run_burst(config):
-    scenario = build_real_world_system(config, n_users=15, include_cloud=False)
-    system = scenario.system
-    for user_id in scenario.user_ids:
+    world = real_world(config.seed, n_users=15, include_cloud=False)
+    system = EdgeSystem(config, world=world)
+    for user_id in world.user_ids:
         client = EdgeClient(system, user_id)
         system.clients[user_id] = client
         client.start()  # everyone joins at t=0: maximal collision

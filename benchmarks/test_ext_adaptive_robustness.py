@@ -10,11 +10,13 @@ robustness while idling at the cheap settings whenever churn allows.
 from repro.core.adaptive_robustness import AdaptiveRobustness
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
+from repro.core.system import EdgeSystem
 from repro.experiments.churn_experiment import make_churn_trace
 from repro.experiments.scenario import (
     CHURN_NODE_MIX,
-    build_emulation_system,
     emulation_node_profiles,
+    emulation_topology,
+    emulation_world,
 )
 from repro.churn.injector import ChurnInjector
 from repro.geo.region import MSP_CENTER
@@ -23,15 +25,15 @@ from repro.metrics.report import format_table
 
 def run_variant(seed, *, top_n, period_ms, adaptive, trace):
     config = SystemConfig(seed=seed, top_n=top_n, probing_period_ms=period_ms)
-    scenario = build_emulation_system(config, n_users=10, spawn_nodes=False)
-    system = scenario.system
+    world = emulation_world(seed, n_users=10, spawn_nodes=False)
+    system = EdgeSystem(config, world=world, topology=emulation_topology())
     ChurnInjector(
         system,
         emulation_node_profiles(CHURN_NODE_MIX),
         center=MSP_CENTER,
         placement_radius_km=80.0,
     ).install(trace)
-    for user_id in scenario.user_ids:
+    for user_id in world.user_ids:
         client = EdgeClient(system, user_id)
         system.clients[user_id] = client
         client.start()

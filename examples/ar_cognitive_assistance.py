@@ -12,18 +12,18 @@ Run:  python examples/ar_cognitive_assistance.py
 
 from collections import Counter
 
-from repro import EdgeClient, SystemConfig
-from repro.experiments.scenario import build_real_world_system
+from repro import EdgeClient, EdgeSystem, SystemConfig
+from repro.experiments.scenario import real_world
 from repro.metrics.stats import summarize
 
 
 def main() -> None:
     config = SystemConfig(top_n=3, seed=42)
-    scenario = build_real_world_system(config, n_users=15)
-    system = scenario.system
+    world = real_world(config.seed, n_users=15)
+    system = EdgeSystem(config, world=world)
 
-    print(f"Edge fleet: {', '.join(scenario.all_node_ids)}")
-    for i, user_id in enumerate(scenario.user_ids):
+    print(f"Edge fleet: {', '.join(world.node_ids)}")
+    for i, user_id in enumerate(world.user_ids):
         client = EdgeClient(system, user_id)
         system.clients[user_id] = client
         system.sim.schedule(i * 2_000.0, client.start)  # staggered joins

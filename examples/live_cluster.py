@@ -12,10 +12,12 @@ import asyncio
 
 from repro.nodes.hardware import VOLUNTEER_PROFILES
 from repro.runtime import LocalCluster
+from repro.world import sampled_world
 
 
 async def main() -> None:
-    cluster = LocalCluster(VOLUNTEER_PROFILES, n_clients=2, time_scale=0.05, seed=3)
+    world = sampled_world(VOLUNTEER_PROFILES, n_clients=2, seed=3)
+    cluster = LocalCluster(world, time_scale=0.05)
     await cluster.start()
     print(f"Manager listening on {cluster.manager_address()}")
     print(f"Edges: {[e.node_id for e in cluster.edges]}\n")

@@ -8,24 +8,28 @@ advancement, which is how the same selection/failover story runs at
 10^5 nodes and 10^6 users (see DESIGN.md §11 for the contract and
 BENCH_perf.json's ``metro`` section for the measured cost).
 
-This example builds a two-shard metro through the same fluent
-:class:`~repro.api.ScenarioBuilder` used everywhere else, kills a node
-mid-run, and prints the aggregate outcome.
+This example describes the metro as a :class:`~repro.metro.MetroSpec`
+(node and user counts, region, frame rate, and — in its ``shard``
+field, the only place a partition is set — two geohash shards), runs it
+with :class:`~repro.metro.MetroSimulation`, kills a node mid-run, and
+prints the aggregate outcome.
 
 Run:  PYTHONPATH=src python examples/metro_scale.py
 """
 
-from repro.api import ScenarioBuilder
 from repro.core.config import SystemConfig
+from repro.metro import MetroSimulation, MetroSpec, ShardSpec
 
 
 def main() -> None:
-    sim = (
-        ScenarioBuilder(SystemConfig(seed=11))
-        .metro(nodes=5_000, users=20_000, region_km=40.0, fps=10.0)
-        .shard(by="geohash", count=2, workers=1)
-        .build_metro()
+    spec = MetroSpec(
+        nodes=5_000,
+        users=20_000,
+        region_km=40.0,
+        fps=10.0,
+        shard=ShardSpec(count=2),
     )
+    sim = MetroSimulation(spec, SystemConfig(seed=11))
 
     # Kill node n17 three seconds in: its users detect the silence and
     # fail over, covered by their cached backup candidates.

@@ -90,15 +90,6 @@ class SystemConfig:
             detections, shard epochs) is quantized to tick boundaries —
             this is what makes batched and per-client stepping
             equivalent.
-        metro_shards: number of independent geohash-sharded metro
-            kernels. 1 (the default) is bit-identical to the unsharded
-            kernel.
-        shard_workers: worker processes stepping shard kernels
-            (forked, sweep-executor style). 1 steps them serially in
-            process; results are identical either way.
-        boundary_epoch_ms: period of the cross-shard boundary channel
-            (ghost-load refresh + user handoffs). Must be a whole
-            multiple of ``cohort_tick_ms``.
         control_plane_shards: number of Central Manager registry shards
             (geohash-range partitioned; ``repro.controlplane``). With
             the default 1 (and 1 replica) the system runs the plain
@@ -133,9 +124,6 @@ class SystemConfig:
     # must never be reachable by positional construction.
     cohort_batching: bool = field(default=True, kw_only=True)
     cohort_tick_ms: float = field(default=250.0, kw_only=True)
-    metro_shards: int = field(default=1, kw_only=True)
-    shard_workers: int = field(default=1, kw_only=True)
-    boundary_epoch_ms: float = field(default=1_000.0, kw_only=True)
     # Control-plane knobs (sharded/replicated Central Manager).
     control_plane_shards: int = field(default=1, kw_only=True)
     control_plane_replicas: int = field(default=1, kw_only=True)
@@ -177,14 +165,6 @@ class SystemConfig:
             raise ValueError("attachment_lease_ms must be positive when set")
         if self.cohort_tick_ms <= 0:
             raise ValueError(f"cohort_tick_ms must be positive: {self.cohort_tick_ms}")
-        if self.metro_shards < 1:
-            raise ValueError(f"metro_shards must be >= 1: {self.metro_shards}")
-        if self.shard_workers < 1:
-            raise ValueError(f"shard_workers must be >= 1: {self.shard_workers}")
-        if self.boundary_epoch_ms <= 0:
-            raise ValueError(
-                f"boundary_epoch_ms must be positive: {self.boundary_epoch_ms}"
-            )
         if self.control_plane_shards < 1:
             raise ValueError(
                 f"control_plane_shards must be >= 1: {self.control_plane_shards}"
@@ -192,12 +172,6 @@ class SystemConfig:
         if self.control_plane_replicas < 1:
             raise ValueError(
                 f"control_plane_replicas must be >= 1: {self.control_plane_replicas}"
-            )
-        ticks_per_epoch = self.boundary_epoch_ms / self.cohort_tick_ms
-        if abs(ticks_per_epoch - round(ticks_per_epoch)) > 1e-9 or ticks_per_epoch < 1:
-            raise ValueError(
-                "boundary_epoch_ms must be a whole multiple of cohort_tick_ms "
-                f"(got {self.boundary_epoch_ms} / {self.cohort_tick_ms})"
             )
 
     @property

@@ -25,7 +25,6 @@ from repro.core.client import ClientLike
 from repro.core.config import SystemConfig
 from repro.core.edge_server import EdgeServer
 from repro.core.manager import CentralManager
-from repro.geo.point import GeoPoint
 from repro.metrics.collector import MetricsCollector
 from repro.net.latency import NetworkTier
 from repro.obs.events import FaultInjected, NodeFail, NodeRestart, PopulationChanged
@@ -37,6 +36,7 @@ from repro.nodes.host_workload import HostWorkloadSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 from repro.workload.ar import ARApplication, DEFAULT_AR_APP
+from repro.world import MANAGER_ID, World
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from typing import Union
@@ -46,20 +46,20 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
     ManagerLike = Union[CentralManager, ShardedCentralManager]
 
-#: Reserved endpoint id of the Central Manager.
-MANAGER_ID = "central-manager"
-
 
 class EdgeSystem:
     """A complete simulated edge-dense environment.
 
     Args:
         config: system tunables.
+        world: the deployment. Its nodes are added (and started), then
+            its user endpoints registered, in tuple order; its
+            ``manager_point`` places the Central Manager's cloud-tier
+            endpoint. Omitted: an empty world, which nodes can join
+            later (:meth:`add_node`, churn).
         topology: pre-built network topology; one is created if omitted
             (the manager endpoint is added automatically either way).
         app: the application profile served by all edge nodes.
-        manager_point: where the Central Manager lives (a cloud-tier
-            endpoint by default — discovery costs a realistic RTT).
         global_policy: manager-side selection policy override.
         selection_policy: client-side policy spec — a
             :mod:`repro.policy` registry name, a policy prototype, or a
@@ -79,9 +79,9 @@ class EdgeSystem:
         self,
         config: Optional[SystemConfig] = None,
         *,
+        world: Optional[World] = None,
         topology: Optional[NetworkTopology] = None,
         app: ARApplication = DEFAULT_AR_APP,
-        manager_point: Optional[GeoPoint] = None,
         global_policy: Optional[GlobalSelectionPolicy] = None,
         selection_policy: Optional[object] = None,
         selection_policy_params: Optional[Dict[str, object]] = None,
@@ -109,10 +109,12 @@ class EdgeSystem:
         self.topology = topology
 
         self.manager_id = MANAGER_ID
+        world = world if world is not None else World()
         if not self.topology.has_endpoint(MANAGER_ID):
-            point = manager_point or GeoPoint(41.0, -87.0)  # regional cloud
             self.topology.add_endpoint(
-                NetworkEndpoint(MANAGER_ID, point, tier=NetworkTier.CLOUD)
+                NetworkEndpoint(
+                    MANAGER_ID, world.manager_point, tier=NetworkTier.CLOUD
+                )
             )
         policy = global_policy or GlobalSelectionPolicy(
             geo_filter=GeoProximityFilter(
@@ -158,6 +160,12 @@ class EdgeSystem:
         if faults is not None:
             faults.tracer = self.trace
             self._install_fault_actions(faults)
+        for node in world.nodes:
+            self.add_node(
+                node.node_id, node.profile, node.spec, dedicated=node.dedicated
+            )
+        for user in world.users:
+            self.add_client_endpoint(user.user_id, user.spec)
 
     # ------------------------------------------------------------------
     # Client selection policy

@@ -20,21 +20,14 @@ from repro.experiments import (
     qos_admission,
     realworld,
 )
-from repro.experiments.scenario import (
-    EmulationScenario,
-    RealWorldScenario,
-    build_emulation_system,
-    build_real_world_system,
-)
+from repro.experiments.scenario import emulation_world, real_world
 from repro.metrics.report import Table
 
 __all__ = [
     "ARTIFACTS",
     "PaperArtifact",
-    "RealWorldScenario",
-    "EmulationScenario",
-    "build_real_world_system",
-    "build_emulation_system",
+    "real_world",
+    "emulation_world",
 ]
 
 TableFn = Callable[[Any], Table]

@@ -17,17 +17,19 @@ from repro.churn.models import PoissonArrivalModel, WeibullLifetimeModel
 from repro.churn.trace import ChurnTrace, generate_trace
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
+from repro.core.system import EdgeSystem
 from repro.experiments.scenario import (
     CHURN_NODE_MIX,
-    EmulationScenario,
-    build_emulation_system,
     emulation_node_profiles,
+    emulation_topology,
+    emulation_world,
 )
 from repro.geo.region import MSP_CENTER
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import Table
 from repro.metrics.stats import mean, stddev
 from repro.metrics.timeseries import bin_series
+from repro.world import World
 
 HORIZON_MS = 180_000.0  # the paper's 3-minute timeline
 TARGET_TOTAL_NODES = 18
@@ -77,7 +79,7 @@ def make_churn_trace(
 class ChurnRunResult:
     """One churn run's artifacts."""
 
-    scenario: EmulationScenario
+    world: World
     trace: ChurnTrace
     metrics: MetricsCollector
     top_n: int
@@ -112,8 +114,8 @@ def run_churn_once(
     values so Fig. 9's sweep varies exactly one parameter.
     """
     config = config or SystemConfig()
-    scenario = build_emulation_system(config, n_users=n_users, spawn_nodes=False)
-    system = scenario.system
+    world = emulation_world(config.seed, n_users=n_users, spawn_nodes=False)
+    system = EdgeSystem(config, world=world, topology=emulation_topology())
     trace = trace or make_churn_trace(config)
     injector = ChurnInjector(
         system,
@@ -122,7 +124,7 @@ def run_churn_once(
         placement_radius_km=80.0,
     )
     injector.install(trace)
-    for user_id in scenario.user_ids:
+    for user_id in world.user_ids:
         client = EdgeClient(
             system, user_id, proactive_connections=proactive_connections
         )
@@ -130,7 +132,7 @@ def run_churn_once(
         client.start()
     system.run_for(duration_ms)
     return ChurnRunResult(
-        scenario=scenario, trace=trace, metrics=system.metrics, top_n=config.top_n
+        world=world, trace=trace, metrics=system.metrics, top_n=config.top_n
     )
 
 

@@ -17,7 +17,8 @@ from repro.baselines.optimal import OptimalInstance, solve_optimal
 from repro.baselines.resource_aware import ResourceAwareWRRClient
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.experiments.scenario import EmulationScenario, build_emulation_system
+from repro.core.system import EdgeSystem
+from repro.experiments.scenario import emulation_topology, emulation_world
 from repro.metrics.report import Table
 from repro.metrics.stats import mean
 from repro.metrics.timeseries import bin_series
@@ -80,16 +81,16 @@ def _run_method(
     *,
     n_users: int = 15,
     duration_ms: float = RUN_DURATION_MS,
-) -> EmulationScenario:
-    scenario = build_emulation_system(config, n_users=n_users)
-    system = scenario.system
+) -> EdgeSystem:
+    world = emulation_world(config.seed, n_users=n_users)
+    system = EdgeSystem(config, world=world, topology=emulation_topology())
     client_cls = EMULATION_METHODS[method]
-    for i, user_id in enumerate(scenario.user_ids):
+    for i, user_id in enumerate(world.user_ids):
         client = client_cls(system, user_id)
         system.clients[user_id] = client
         system.sim.schedule(i * JOIN_INTERVAL_MS, client.start)
     system.run_for(duration_ms)
-    return scenario
+    return system
 
 
 def run_user_traces(
@@ -102,11 +103,11 @@ def run_user_traces(
     config = config or SystemConfig()
     result = UserTraceResult(methods=list(methods))
     for method in methods:
-        scenario = _run_method(method, config)
-        metrics = scenario.system.metrics
+        system = _run_method(method, config)
+        metrics = system.metrics
         per_user: Dict[str, List[Tuple[float, float]]] = {}
         over_150 = 0
-        for user_id in scenario.user_ids:
+        for user_id in system.clients:
             times: List[float] = []
             values: List[float] = []
             for record in metrics.frames:
@@ -170,12 +171,12 @@ def run_vs_optimal(
     """
     config = config or SystemConfig()
     averages: Dict[str, float] = {}
-    reference: Optional[EmulationScenario] = None
+    reference: Optional[EdgeSystem] = None
     for method in methods:
-        scenario = _run_method(method, config)
+        system = _run_method(method, config)
         if reference is None:
-            reference = scenario
-        per_user = scenario.system.metrics.per_user_mean_latency(
+            reference = system
+        per_user = system.metrics.per_user_mean_latency(
             start_ms=measure_start_ms, end_ms=measure_end_ms
         )
         if not per_user:
@@ -183,22 +184,19 @@ def run_vs_optimal(
         averages[method] = mean(list(per_user.values()))
 
     assert reference is not None
-    system = reference.system
-    transfer = {
-        (u, n): system.topology.expected_transfer_ms(
-            u, n, system.app.frame_bytes
-        )
-        for u in reference.user_ids
-        for n in reference.node_ids
-    }
+    topology = reference.topology
+    user_ids, node_ids = list(reference.clients), list(reference.nodes)
     instance = OptimalInstance(
-        user_ids=reference.user_ids,
-        node_ids=reference.node_ids,
-        profiles={n: system.nodes[n].profile for n in reference.node_ids},
+        user_ids=user_ids,
+        node_ids=node_ids,
+        profiles={n: reference.nodes[n].profile for n in node_ids},
         expected_network_ms={
-            pair: rtt + transfer[pair] for pair, rtt in reference.expected_rtt.items()
+            (u, n): topology.expected_rtt_ms(u, n)
+            + topology.expected_transfer_ms(u, n, reference.app.frame_bytes)
+            for u in user_ids
+            for n in node_ids
         },
-        default_fps=system.app.max_fps,
+        default_fps=reference.app.max_fps,
     )
     _, optimal_cost = solve_optimal(instance)
     return VsOptimalResult(optimal_ms=optimal_cost, averages_ms=averages)

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.config import SystemConfig
-from repro.experiments.scenario import build_real_world_system
+from repro.core.system import EdgeSystem
+from repro.experiments.scenario import real_world
 from repro.metrics.report import Table
 from repro.metrics.stats import Summary, summarize
+from repro.net.latency import NetworkTier
 
 
 @dataclass
@@ -53,16 +55,16 @@ def run_network_study(
     """
     if probes_per_pair < 1:
         raise ValueError(f"probes_per_pair must be >= 1: {probes_per_pair}")
-    scenario = build_real_world_system(config, n_users=n_users)
-    topology = scenario.system.topology
+    world = real_world(config.seed, n_users=n_users)
+    topology = EdgeSystem(config, world=world).topology
 
     groups = {
-        "volunteer": scenario.volunteer_ids,
-        "local_zone": scenario.dedicated_ids[:1],
-        "cloud": [scenario.cloud_id] if scenario.cloud_id else [],
+        "volunteer": world.node_ids_on(NetworkTier.HOME_WIFI),
+        "local_zone": world.node_ids_on(NetworkTier.LOCAL_ZONE)[:1],
+        "cloud": world.node_ids_on(NetworkTier.CLOUD),
     }
     samples: Dict[str, List[float]] = {name: [] for name in groups}
-    for user_id in scenario.user_ids:
+    for user_id in world.user_ids:
         for group, node_ids in groups.items():
             for node_id in node_ids:
                 for _ in range(probes_per_pair):

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional
 
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.experiments.realworld import build_real_world_system
+from repro.core.system import EdgeSystem
+from repro.experiments.scenario import real_world
 from repro.metrics.report import Table
 from repro.metrics.stats import mean
 
@@ -71,9 +72,9 @@ def _run_cell(
     join_stagger_ms: float,
 ) -> QosCell:
     cell_config = config.with_(qos_latency_ms=qos_latency_ms if enforce else None)
-    scenario = build_real_world_system(cell_config, n_users=n_users, include_cloud=False)
-    system = scenario.system
-    for i, user_id in enumerate(scenario.user_ids):
+    world = real_world(cell_config.seed, n_users=n_users, include_cloud=False)
+    system = EdgeSystem(cell_config, world=world)
+    for i, user_id in enumerate(world.user_ids):
         client = EdgeClient(system, user_id)
         system.clients[user_id] = client
         system.sim.schedule(i * join_stagger_ms, client.start)

@@ -17,9 +17,11 @@ from repro.baselines.resource_aware import ResourceAwareWRRClient
 from repro.baselines.static_pin import StaticPinClient
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
-from repro.experiments.scenario import RealWorldScenario, build_real_world_system
+from repro.core.system import EdgeSystem
+from repro.experiments.scenario import real_world
 from repro.metrics.report import CDF_FRACTIONS, Table, cdf_quantiles
 from repro.metrics.stats import cdf_points, mean
+from repro.net.latency import NetworkTier
 from repro.nodes.hardware import (
     CLOUD_NODE,
     DEDICATED_PROFILES,
@@ -82,15 +84,14 @@ def run_single_user_cdf(
 ) -> SingleUserCdfResult:
     """Pin one user to each target node in isolated runs (paper Fig. 3).
 
-    The same seed rebuilds the identical world each run, so the only
+    Every run gets a fresh system over the same world, so the only
     variable is the serving node.
     """
     latencies: Dict[str, List[float]] = {}
-    user_id = ""
+    world = real_world(config.seed, n_users=user_index + 1)
+    user_id = world.user_ids[user_index]
     for node_id in target_nodes:
-        scenario = build_real_world_system(config, n_users=user_index + 1)
-        system = scenario.system
-        user_id = scenario.user_ids[user_index]
+        system = EdgeSystem(config, world=world)
         client = StaticPinClient(system, user_id, target_node_id=node_id)
         system.add_client(client)
         system.run_for(duration_ms)
@@ -152,28 +153,29 @@ def run_pairwise_selection(
         top_n=6, discovery_radius_km=2_000.0, wide_radius_km=5_000.0
     )
 
-    template = build_real_world_system(probe_all_config, n_users=n_probe_users)
-    node_ids = template.volunteer_ids + template.dedicated_ids[:1]
-    if template.cloud_id is not None:
-        node_ids.append(template.cloud_id)
-    user_ids = template.user_ids[:n_probe_users]
+    template = real_world(probe_all_config.seed, n_users=n_probe_users)
+    node_ids = [
+        *template.node_ids_on(NetworkTier.HOME_WIFI),
+        *template.node_ids_on(NetworkTier.LOCAL_ZONE)[:1],
+        *template.node_ids_on(NetworkTier.CLOUD),
+    ]
+    user_ids = list(template.user_ids[:n_probe_users])
 
     pairwise: Dict[Tuple[str, str], float] = {}
     selected: Dict[str, str] = {}
     for index, user_id in enumerate(user_ids):
+        world = real_world(probe_all_config.seed, n_users=index + 1)
         for node_id in node_ids:
-            scenario = build_real_world_system(probe_all_config, n_users=index + 1)
-            client = StaticPinClient(
-                scenario.system, user_id, target_node_id=node_id
-            )
-            scenario.system.add_client(client)
-            scenario.system.run_for(measure_duration_ms)
+            system = EdgeSystem(probe_all_config, world=world)
+            client = StaticPinClient(system, user_id, target_node_id=node_id)
+            system.add_client(client)
+            system.run_for(measure_duration_ms)
             pairwise[(user_id, node_id)] = client.stats.mean_latency_ms
 
-        scenario = build_real_world_system(probe_all_config, n_users=index + 1)
-        chooser = EdgeClient(scenario.system, user_id)
-        scenario.system.add_client(chooser)
-        scenario.system.run_for(select_duration_ms)
+        system = EdgeSystem(probe_all_config, world=world)
+        chooser = EdgeClient(system, user_id)
+        system.add_client(chooser)
+        system.run_for(select_duration_ms)
         if chooser.current_edge is None:
             raise RuntimeError(f"{user_id} failed to attach during selection run")
         selected[user_id] = chooser.current_edge
@@ -222,9 +224,9 @@ class FailoverTraceResult:
 def _run_failover_once(
     config: SystemConfig, fail_at_ms: float, duration_ms: float
 ) -> List[Tuple[float, float]]:
-    scenario = build_real_world_system(config, n_users=1)
-    system = scenario.system
-    user_id = scenario.user_ids[0]
+    world = real_world(config.seed, n_users=1)
+    system = EdgeSystem(config, world=world)
+    user_id = world.user_ids[0]
     client = EdgeClient(system, user_id)
     system.add_client(client)
     # Let the client settle, then kill whatever node it chose.
@@ -294,29 +296,33 @@ class ElasticityResult:
 
 def _build_for_strategy(
     strategy: str, config: SystemConfig, n_users: int
-) -> Tuple[RealWorldScenario, Type[EdgeClient], dict]:
+) -> Tuple[EdgeSystem, Tuple[str, ...], Type[EdgeClient], dict]:
+    """The strategy's system, its user ids, client class and client
+    keyword arguments."""
     if strategy == "dedicated_only":
-        scenario = build_real_world_system(
-            config,
-            n_users=n_users,
-            include_cloud=False,
-            global_policy=dedicated_only_policy(
-                config.discovery_radius_km, config.wide_radius_km
-            ),
+        world = real_world(config.seed, n_users=n_users, include_cloud=False)
+        policy = dedicated_only_policy(
+            config.discovery_radius_km, config.wide_radius_km
         )
-        return scenario, EdgeClient, {}
+        system = EdgeSystem(config, world=world, global_policy=policy)
+        return system, world.user_ids, EdgeClient, {}
     if strategy == "closest_cloud":
-        scenario = build_real_world_system(
-            config, n_users=n_users, include_volunteers=False, include_dedicated=False
+        world = real_world(
+            config.seed,
+            n_users=n_users,
+            include_volunteers=False,
+            include_dedicated=False,
         )
-        return scenario, StaticPinClient, {"target_node_id": scenario.cloud_id}
-    scenario = build_real_world_system(config, n_users=n_users, include_cloud=False)
+        extra = {"target_node_id": world.node_ids_on(NetworkTier.CLOUD)[0]}
+        system = EdgeSystem(config, world=world)
+        return system, world.user_ids, StaticPinClient, extra
+    world = real_world(config.seed, n_users=n_users, include_cloud=False)
     client_cls: Type[EdgeClient] = {
         "client_centric": EdgeClient,
         "geo_proximity": GeoProximityClient,
         "resource_aware": ResourceAwareWRRClient,
     }[strategy]
-    return scenario, client_cls, {}
+    return EdgeSystem(config, world=world), world.user_ids, client_cls, {}
 
 
 def run_elasticity_sweep(
@@ -341,13 +347,14 @@ def run_elasticity_sweep(
     for strategy in strategies:
         series: List[float] = []
         for n in counts:
-            scenario, client_cls, extra = _build_for_strategy(strategy, config, n)
-            system = scenario.system
-            for i, user_id in enumerate(scenario.user_ids):
+            system, user_ids, client_cls, extra = _build_for_strategy(
+                strategy, config, n
+            )
+            for i, user_id in enumerate(user_ids):
                 client = client_cls(system, user_id, **extra)
                 system.clients[user_id] = client
                 system.sim.schedule(i * join_stagger_ms, client.start)
-            total_join = len(scenario.user_ids) * join_stagger_ms
+            total_join = len(user_ids) * join_stagger_ms
             start_measure = total_join + settle_ms
             system.run_for(start_measure + measure_ms)
             # The paper's metric P(EA) = (1/n) * sum over users — every

@@ -36,13 +36,9 @@ from repro.faults.plan import FaultPlan, MessageFault
 from repro.obs.events import FaultInjected
 from repro.obs.tracer import Tracer
 from repro.sim.random import RandomStreams
+from repro.world import MANAGER_ID
 
 __all__ = ["MessageDecision", "NodeAction", "FaultInjector", "MANAGER_ID"]
-
-#: The endpoint id both backends use for the Central Manager in fault
-#: matching (the sim's real manager id; the live drivers adopt it for
-#: rule matching so one plan covers both).
-MANAGER_ID = "central-manager"
 
 
 @dataclass(frozen=True)

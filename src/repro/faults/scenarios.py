@@ -51,7 +51,8 @@ from repro.faults.plan import (
 )
 from repro.geo.geohash import encode_point
 from repro.geo.point import GeoPoint
-from repro.nodes.hardware import VOLUNTEER_PROFILES, HardwareProfile
+from repro.net.topology import EndpointSpec
+from repro.nodes.hardware import VOLUNTEER_PROFILES
 from repro.obs.events import FaultInjected, ManagerPromote, TraceEvent
 from repro.verify import (
     AttachmentView,
@@ -59,6 +60,7 @@ from repro.verify import (
     check_attachment_view,
     check_events,
 )
+from repro.world import World, WorldNode, WorldUser
 
 __all__ = [
     "ChaosReport",
@@ -279,33 +281,33 @@ class ChaosScenario:
     def edge_ids(self) -> Tuple[str, ...]:
         return _EDGE_IDS[: len(self.node_offsets_km)]
 
-    def nodes(self) -> List[Tuple[str, HardwareProfile, GeoPoint]]:
-        """``(node id, profile, position)`` per edge node."""
-        return [
-            (
+    def world(self, n_clients: int) -> World:
+        """The edge nodes plus the first ``n_clients`` users (``user-01``
+        ..), every endpoint a bare position — what both backends run."""
+        nodes = [
+            WorldNode(
                 _EDGE_IDS[i],
                 VOLUNTEER_PROFILES[i % len(VOLUNTEER_PROFILES)],
-                _CENTER.offset_km(north, east),
+                EndpointSpec(_CENTER.offset_km(north, east)),
             )
             for i, (north, east) in enumerate(self.node_offsets_km)
         ]
-
-    def clients(self, n_clients: int) -> List[Tuple[str, GeoPoint]]:
-        """``(user id, position)`` of the first ``n_clients`` users."""
-        return [
-            (f"user-{i + 1:02d}", _CENTER.offset_km(-0.5 * i, 0.5 * i))
+        users = [
+            WorldUser(
+                f"user-{i + 1:02d}",
+                EndpointSpec(_CENTER.offset_km(-0.5 * i, 0.5 * i)),
+            )
             for i in range(n_clients)
         ]
+        return World(tuple(nodes), tuple(users))
 
-    def default_plan(
-        self, horizon_ms: float, edge_ids: Optional[Sequence[str]] = None
-    ) -> FaultPlan:
-        """The scenario's canonical schedule (over a backend's own edge
-        ids when it names its nodes itself)."""
-        edge_ids = self.edge_ids if edge_ids is None else edge_ids
+    def default_plan(self, horizon_ms: float) -> FaultPlan:
+        """The scenario's canonical schedule over its own edge ids."""
         if self.shard_targets:
-            return controlplane_chaos_plan(self.shard_targets, edge_ids, horizon_ms)
-        return chaos_plan(edge_ids, horizon_ms)
+            return controlplane_chaos_plan(
+                self.shard_targets, self.edge_ids, horizon_ms
+            )
+        return chaos_plan(self.edge_ids, horizon_ms)
 
 
 CANONICAL = ChaosScenario(
@@ -323,8 +325,10 @@ def controlplane(shards: int = 2, replicas: int = 2) -> ChaosScenario:
     )
     shard_map = ShardMap(count=shards, precision=DEFAULT_SHARD_PRECISION)
     owners = {
-        shard_map.owner_of_geohash(encode_point(p, precision=DEFAULT_SHARD_PRECISION))
-        for _, _, p in scenario.nodes()
+        shard_map.owner_of_geohash(
+            encode_point(node.spec.point, precision=DEFAULT_SHARD_PRECISION)
+        )
+        for node in scenario.world(0).nodes
     }
     return replace(scenario, shard_targets=tuple(sorted(owners)))
 
@@ -500,7 +504,6 @@ def _run_sim(
     from repro.core.client import EdgeClient
     from repro.core.config import SystemConfig
     from repro.core.system import EdgeSystem
-    from repro.net.topology import EndpointSpec
     from repro.obs.tracer import Tracer
 
     injector = FaultInjector(
@@ -519,15 +522,11 @@ def _run_sim(
     )
     if config_overrides:
         config = replace(config, **config_overrides)  # type: ignore[arg-type]
-    system = EdgeSystem(config, trace=tracer, faults=injector)
-    for edge_id, profile, point in scenario.nodes():
-        system.add_node(edge_id, profile, EndpointSpec(point))
-    clients: List[EdgeClient] = []
-    for user_id, point in scenario.clients(n_clients):
-        system.add_client_endpoint(user_id, EndpointSpec(point))
-        client = EdgeClient(system, user_id)
+    world = scenario.world(n_clients)
+    system = EdgeSystem(config, world=world, trace=tracer, faults=injector)
+    clients = [EdgeClient(system, user_id) for user_id in world.user_ids]
+    for client in clients:
         system.add_client(client)
-        clients.append(client)
 
     system.run_for(horizon_ms)
 
@@ -572,9 +571,7 @@ async def _run_live(
 
     tracer = Tracer()
     cluster = LocalCluster(
-        [profile for _, profile, _ in scenario.nodes()],
-        n_clients=n_clients,
-        seed=seed,
+        scenario.world(n_clients),
         time_scale=_LIVE_TIME_SCALE,
         heartbeat_period_s=0.1,
         top_n=top_n,
@@ -593,9 +590,7 @@ async def _run_live(
             )
             client.breaker_reset_s = 0.4
         if plan is None:
-            plan = scenario.default_plan(
-                horizon_ms, [e.node_id for e in cluster.edges]
-            )
+            plan = scenario.default_plan(horizon_ms)
         injector = FaultInjector(plan, seed=seed, tracer=tracer)
         controller = ChaosController(
             cluster, injector, plan_ms_per_s=_LIVE_PLAN_MS_PER_S

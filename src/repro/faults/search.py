@@ -399,9 +399,7 @@ def shrink(
                     break
 
     # Phase 3: concrete targets.
-    concrete_users = [
-        user_id for user_id, _ in config.chaos_scenario().clients(config.n_clients)
-    ]
+    concrete_users = list(config.chaos_scenario().world(config.n_clients).user_ids)
     for rule in list(plan.all_rules()):
         if not budget_left():
             break

@@ -33,7 +33,7 @@ from repro.metro.kernel import (
     ShardOutbox,
 )
 from repro.metro.shard import ShardPlan, plan_shards
-from repro.metro.spec import MetroSpec, ShardSpec, build_population, quantize_ticks
+from repro.metro.spec import MetroSpec, build_population, quantize_ticks
 from repro.obs.events import TraceEvent
 from repro.obs.tracer import Tracer
 
@@ -132,11 +132,9 @@ class MetroSimulation:
     """Build and run a (possibly sharded) metro-scale simulation.
 
     Args:
-        spec: deployment shape. Its ``shard`` field governs the
-            partition; when it is the default single shard but the
-            config asks for more (``metro_shards > 1``), the config's
-            shard shape wins — so ``SystemConfig`` alone can turn on
-            sharding.
+        spec: deployment shape. Its ``shard`` field is the only place
+            the partition is set; ``shard.boundary_epoch_ms`` must be a
+            whole multiple of ``config.cohort_tick_ms``.
         config: system tunables (defaults to ``SystemConfig()``).
         capture_trace: capture the typed trace-event stream per shard
             (sized for tests/smokes, not for million-user runs).
@@ -152,8 +150,6 @@ class MetroSimulation:
         trace_capacity: int = 1 << 20,
     ) -> None:
         self.config = config if config is not None else SystemConfig()
-        if spec.shard.count == 1 and self.config.metro_shards > 1:
-            spec = spec.with_shard(ShardSpec.from_config(self.config))
         self.spec = spec
         self.capture_trace = capture_trace
         self.trace_capacity = trace_capacity

@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import SystemConfig
 from repro.geo import geohash
 from repro.geo.point import GeoPoint
 from repro.geo.region import MSP_CENTER
@@ -77,15 +76,6 @@ class ShardSpec:
             raise ValueError(
                 f"boundary_epoch_ms must be positive: {self.boundary_epoch_ms}"
             )
-
-    @classmethod
-    def from_config(cls, config: SystemConfig) -> "ShardSpec":
-        """The shard shape implied by a :class:`SystemConfig`."""
-        return cls(
-            count=config.metro_shards,
-            workers=config.shard_workers,
-            boundary_epoch_ms=config.boundary_epoch_ms,
-        )
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,31 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
+from repro.geo.point import GeoPoint
+from repro.net.topology import EndpointSpec
+from repro.nodes.hardware import profile_by_name
 from repro.obs.events import TraceEvent
 from repro.obs.tracer import Tracer
+from repro.world import World, WorldNode, WorldUser
+
+#: The story's deployment, run by both backends: three Table II
+#: volunteers (V1, V2, V5) and two AR users at fixed points.
+TRACE_WORLD = World(
+    nodes=tuple(
+        WorldNode(name, profile_by_name(name), EndpointSpec(point))
+        for name, point in (
+            ("V1", GeoPoint(44.980, -93.260)),
+            ("V2", GeoPoint(44.950, -93.200)),
+            ("V5", GeoPoint(44.900, -93.100)),
+        )
+    ),
+    users=(
+        WorldUser("u1", EndpointSpec(GeoPoint(44.970, -93.250))),
+        WorldUser("u2", EndpointSpec(GeoPoint(44.930, -93.180))),
+    ),
+)
 
 
 def run_sim_trace_scenario(
@@ -25,30 +46,22 @@ def run_sim_trace_scenario(
     sink_path: Union[None, str, Path] = None,
     duration_ms: float = 20_000.0,
 ) -> List[TraceEvent]:
-    """The quickstart deployment, traced, with a mid-run node failure.
+    """:data:`TRACE_WORLD` on the simulator, traced, with a mid-run
+    node failure.
 
-    Three Table II volunteers (V1, V2, V5), two AR users; halfway
-    through, the node serving ``u1`` is killed so the trace contains a
-    failover. Returns the captured events (also streamed to
-    ``sink_path`` as JSONL when given).
+    Both users run an AR client; halfway through, the node serving
+    ``u1`` is killed so the trace contains a failover. Returns the
+    captured events (also streamed to ``sink_path`` as JSONL when given).
     """
-    from repro.api import ScenarioBuilder
+    from repro.core.client import EdgeClient
     from repro.core.config import SystemConfig
-    from repro.geo.point import GeoPoint
-    from repro.nodes.hardware import profile_by_name
+    from repro.core.system import EdgeSystem
 
-    scenario = (
-        ScenarioBuilder(SystemConfig(top_n=2, seed=seed))
-        .observe(trace=True, sink=sink_path)
-        .node("V1", profile_by_name("V1"), point=GeoPoint(44.980, -93.260))
-        .node("V2", profile_by_name("V2"), point=GeoPoint(44.950, -93.200))
-        .node("V5", profile_by_name("V5"), point=GeoPoint(44.900, -93.100))
-        .client("u1", point=GeoPoint(44.970, -93.250))
-        .client("u2", point=GeoPoint(44.930, -93.180))
-        .build_scenario()
-    )
-    system, tracer = scenario.system, scenario.tracer
-    assert tracer is not None
+    tracer = Tracer(enabled=True, sink=sink_path)
+    config = SystemConfig(top_n=2, seed=seed)
+    system = EdgeSystem(config, world=TRACE_WORLD, trace=tracer)
+    for user_id in TRACE_WORLD.user_ids:
+        system.add_client(EdgeClient(system, user_id))
     system.run_for(duration_ms / 2)
     victim = system.clients["u1"].current_edge
     if victim is not None:
@@ -62,16 +75,14 @@ async def run_live_trace_scenario(
     sink_path: Union[None, str, Path] = None,
     frames: int = 6,
 ) -> List[TraceEvent]:
-    """The same story on the live runtime: a three-edge loopback cluster,
-    one client offloading real frames, the serving edge hard-killed
-    mid-stream to force a covered failover."""
-    from repro.nodes.hardware import VOLUNTEER_PROFILES
+    """The same story over the same world on the live runtime: a
+    loopback cluster, ``u1`` offloading real frames, the serving edge
+    hard-killed mid-stream to force a covered failover."""
     from repro.runtime.launcher import LocalCluster
 
     tracer = Tracer(enabled=True, sink=sink_path)
     cluster = LocalCluster(
-        VOLUNTEER_PROFILES[:3],
-        n_clients=1,
+        TRACE_WORLD,
         time_scale=0.01,
         heartbeat_period_s=0.05,
         tracer=tracer,

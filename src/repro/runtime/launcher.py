@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.geo.point import GeoPoint
-from repro.geo.region import MSP_CENTER, MetroArea
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import HardwareProfile
 from repro.obs.events import NodeRestart
 from repro.obs.tracer import Tracer
 from repro.runtime.client_runtime import LiveClient
 from repro.runtime.edge_server import LiveEdgeServer
 from repro.runtime.manager_server import ManagerServer
+from repro.world import World, WorldNode, sampled_world
 
 
 class LocalCluster:
@@ -20,7 +19,7 @@ class LocalCluster:
 
     Usage::
 
-        cluster = LocalCluster(profiles, n_clients=3)
+        cluster = LocalCluster(world)
         await cluster.start()
         try:
             for client in cluster.clients:
@@ -28,6 +27,19 @@ class LocalCluster:
                 await client.offload_frame()
         finally:
             await cluster.stop()
+
+    The cluster boots exactly the world's node ids at their points and
+    one :class:`LiveClient` per world user. Loopback has no network
+    model, so an endpoint that carries anything beyond a position (a
+    tier, an ISP, bandwidth caps, ``access_extra_ms``) is refused with a
+    ``ValueError`` at construction, before any socket opens. The
+    world's ``manager_point`` is not modelled either: the manager is a
+    loopback port.
+
+    A sequence of hardware profiles in place of the world is turned into
+    one by :func:`~repro.world.sampled_world` (``n_clients`` users,
+    placed from ``seed``) — the form the perf ledger's live workload
+    still uses; nothing else reads ``n_clients`` or ``seed``.
 
     Bring-up is the registration handshake, not a timer: every edge's
     :meth:`LiveEdgeServer.start` returns once the manager has answered
@@ -41,7 +53,7 @@ class LocalCluster:
 
     def __init__(
         self,
-        profiles: Sequence[HardwareProfile],
+        world: Union[World, Sequence[HardwareProfile]],
         *,
         n_clients: int = 1,
         seed: int = 0,
@@ -52,19 +64,23 @@ class LocalCluster:
         monitor_period_s: Optional[float] = None,
         attachment_lease_s: Optional[float] = None,
     ) -> None:
-        if not profiles:
-            raise ValueError("need at least one edge profile")
-        self._rng = random.Random(seed)
+        if not isinstance(world, World):
+            world = sampled_world(world, n_clients, seed)
+        if not world.nodes:
+            raise ValueError("need at least one edge node")
+        for entity_id, spec in [
+            *((node.node_id, node.spec) for node in world.nodes),
+            *world.users,
+        ]:
+            if spec != EndpointSpec(spec.point):
+                raise ValueError(
+                    f"{entity_id!r}: a loopback cluster models positions only, "
+                    f"not {spec}"
+                )
+        self.world = world
         self.tracer = tracer if tracer is not None else Tracer.disabled()
-        metro = MetroArea(center=MSP_CENTER, radius_km=16.0, rng=self._rng)
         self.manager = ManagerServer(tracer=self.tracer)
         self.edges: List[LiveEdgeServer] = []
-        self._edge_specs: List[Tuple[HardwareProfile, GeoPoint]] = [
-            (profile, metro.sample()) for profile in profiles
-        ]
-        self._client_points: List[GeoPoint] = [
-            metro.sample() for _ in range(n_clients)
-        ]
         self.clients: List[LiveClient] = []
         self.time_scale = time_scale
         self.heartbeat_period_s = heartbeat_period_s
@@ -77,17 +93,15 @@ class LocalCluster:
         manager's registry by the time its ``start()`` returns — and
         build (unattached) clients."""
         await self.manager.start()
-        for index, (profile, point) in enumerate(self._edge_specs):
-            edge = self._build_edge(
-                f"edge-{index + 1:02d}-{profile.name}", profile, point
-            )
+        for node in self.world.nodes:
+            edge = self._build_edge(node)
             await edge.start()
             self.edges.append(edge)
-        for index, point in enumerate(self._client_points):
+        for user_id, spec in self.world.users:
             self.clients.append(
                 LiveClient(
-                    f"user-{index + 1:02d}",
-                    point,
+                    user_id,
+                    spec.point,
                     self.manager.host,
                     self.manager.port,
                     top_n=self.top_n,
@@ -102,17 +116,16 @@ class LocalCluster:
             await edge.stop()
         await self.manager.stop()
 
-    def _build_edge(
-        self, node_id: str, profile: HardwareProfile, point: GeoPoint
-    ) -> LiveEdgeServer:
+    def _build_edge(self, node: WorldNode) -> LiveEdgeServer:
         return LiveEdgeServer(
-            node_id,
-            profile,
-            point,
+            node.node_id,
+            node.profile,
+            node.spec.point,
             manager_host=self.manager.host,
             manager_port=self.manager.port,
             heartbeat_period_s=self.heartbeat_period_s,
             time_scale=self.time_scale,
+            dedicated=node.dedicated,
             tracer=self.tracer,
             monitor_period_s=self.monitor_period_s,
             attachment_lease_s=self.attachment_lease_s,
@@ -152,8 +165,7 @@ class LocalCluster:
         old = self.edges[index]
         if not old._dead:
             raise ValueError(f"edge {node_id!r} is still running; kill it first")
-        profile, point = self._edge_specs[index]
-        edge = self._build_edge(node_id, profile, point)
+        edge = self._build_edge(self.world.nodes[index])
         edge.faults, edge.fault_clock = old.faults, old.fault_clock
         self.edges[index] = edge
         self.tracer.emit(NodeRestart(self.tracer.now(), node_id))

@@ -10,6 +10,7 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
+from repro.metro import MetroSimulation, MetroSpec, ShardSpec
 from repro.net.latency import NetworkTier
 from repro.nodes.hardware import profile_by_name
 
@@ -148,68 +149,36 @@ def test_building_again_reclaims_the_previous_world():
 
 
 # ----------------------------------------------------------------------
-# Metro-scale declarations
+# Metro scale: a MetroSpec is run by MetroSimulation directly. The
+# builder writes per-event worlds only.
 # ----------------------------------------------------------------------
 def test_builder_metro_builds_a_runnable_simulation():
-    from repro.api import MetroSpec
-    from repro.metro.runner import MetroSimulation
-
-    sim = (
-        ScenarioBuilder(SystemConfig(seed=3))
-        .metro(nodes=100, users=300, region_km=10.0)
-        .build_metro()
+    sim = MetroSimulation(
+        MetroSpec(nodes=100, users=300, region_km=10.0), SystemConfig(seed=3)
     )
-    assert isinstance(sim, MetroSimulation)
-    assert isinstance(sim.spec, MetroSpec)
     report = sim.run(2.0)
     assert report.frames_done > 0
 
 
 def test_builder_metro_accepts_full_spec():
-    from repro.api import MetroSpec, ShardSpec
-
     spec = MetroSpec(nodes=50, users=100, shard=ShardSpec(count=2))
-    sim = ScenarioBuilder(SystemConfig(seed=3)).metro(spec=spec).build_metro()
+    sim = MetroSimulation(spec, SystemConfig(seed=3))
     assert sim.spec is spec
 
 
-def test_builder_metro_rejects_spec_and_shape_together():
-    from repro.api import MetroSpec
-
-    with pytest.raises(ValueError, match="not both"):
-        ScenarioBuilder(SystemConfig()).metro(
-            nodes=10, spec=MetroSpec(nodes=1, users=1)
-        )
-
-
-def test_builder_metro_requires_shape():
-    with pytest.raises(ValueError, match="nodes"):
-        ScenarioBuilder(SystemConfig()).metro()
-
-
 def test_builder_shard_overrides_compose_with_metro():
-    sim = (
-        ScenarioBuilder(SystemConfig(seed=3))
-        .metro(nodes=100, users=300, shards=1)
-        .shard(by="geohash", count=2, workers=2, boundary_epoch_ms=500.0)
-        .build_metro()
+    spec = MetroSpec(nodes=100, users=300).with_shard(
+        ShardSpec(by="geohash", count=2, workers=2, boundary_epoch_ms=500.0)
     )
+    sim = MetroSimulation(spec, SystemConfig(seed=3))
     assert sim.spec.shard.count == 2
     assert sim.spec.shard.workers == 2
     assert sim.spec.shard.boundary_epoch_ms == 500.0
 
 
-def test_builder_build_metro_requires_metro_call():
-    with pytest.raises(ValueError, match="metro"):
-        ScenarioBuilder(SystemConfig()).build_metro()
-
-
 def test_builder_observe_trace_flows_into_metro():
-    sim = (
-        ScenarioBuilder(SystemConfig(seed=3))
-        .observe(trace=True)
-        .metro(nodes=50, users=100)
-        .build_metro()
+    sim = MetroSimulation(
+        MetroSpec(nodes=50, users=100), SystemConfig(seed=3), capture_trace=True
     )
     report = sim.run(1.0)
     assert len(report.trace_events) > 0

@@ -115,16 +115,46 @@ def test_chaos_parity_shared_invariants():
 
 
 @pytest.mark.slow
+def test_canonical_plan_names_the_same_nodes_on_both_backends():
+    """Both backends run the scenario's one world: the plan's node-level
+    faults land on the same ids, and no trace names a node the world
+    does not have."""
+    from repro.obs.events import FaultInjected, NodeRestart
+
+    def node_faults(events):
+        return sorted(
+            (e.kind, e.dst)
+            for e in events
+            if isinstance(e, FaultInjected)
+            and e.kind in ("crash", "gray_start", "gray_end")
+        ) + sorted(("restart", e.node_id) for e in events if isinstance(e, NodeRestart))
+
+    def named_nodes(events):
+        return {e.node_id for e in events if getattr(e, "node_id", "")}
+
+    _, sim_events = run_chaos(CANONICAL, seed=2)
+    _, live_events = run_chaos(CANONICAL, backend="live", seed=2)
+    assert node_faults(sim_events) == node_faults(live_events) == [
+        ("crash", "edge-a"),
+        ("gray_end", "edge-c"),
+        ("gray_start", "edge-c"),
+        ("restart", "edge-a"),
+    ]
+    world_ids = set(CANONICAL.world(CANONICAL.n_clients).node_ids)
+    assert named_nodes(sim_events) <= world_ids
+    assert named_nodes(live_events) <= world_ids
+
+
+@pytest.mark.slow
 def test_live_chaos_drains_crash_window_past_horizon():
     """A NodeCrash whose restart lands *beyond* the plan horizon must
     still be executed before teardown: the controller drains the whole
     action script, so the cluster is torn down with the node back up and
     no cancelled-task debris leaking into the loop."""
     from repro.faults import NodeCrash
-    from repro.nodes.hardware import VOLUNTEER_PROFILES
 
     horizon = 2_000.0
-    node_id = f"edge-01-{VOLUNTEER_PROFILES[0].name}"
+    node_id = CANONICAL.edge_ids[0]
     plan = FaultPlan(
         crashes=(
             NodeCrash(

@@ -202,6 +202,18 @@ def test_the_wire_schema_tests_run_under_the_leak_flags():
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_world_tests_run_under_the_leak_flags():
+    """``tests/test_world.py`` boots a loopback cluster from a world and
+    refuses others before a socket opens: chaos-smoke runs it with a
+    leaked socket or an unraisable exception an error."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    (strict,) = [s for s in steps if "tests/test_world.py" in s]
+    assert "python -X dev -m pytest" in strict
+    assert "-W error::ResourceWarning" in strict
+    assert "-W error::pytest.PytestUnraisableExceptionWarning" in strict
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_discovery_memo_differential_runs_with_every_warning_an_error():
     """The stateful differential between a long-lived index, a fresh one
     and the brute-force oracle runs in a ``-X dev -W error`` step of a

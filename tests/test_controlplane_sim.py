@@ -96,9 +96,9 @@ def test_a_shard_targeted_plan_selects_the_control_plane_at_1x1():
 
 
 def test_scenario_builder_control_plane_knob():
+    config = SystemConfig(seed=4, control_plane_shards=2, control_plane_replicas=2)
     scenario = (
-        ScenarioBuilder(SystemConfig(seed=4))
-        .control_plane(shards=2, replicas=2)
+        ScenarioBuilder(config)
         .node("edge-a", profile_by_name("V1"), point=CENTER.offset_km(1.0, 0.0))
         .build_scenario()
     )
@@ -109,8 +109,12 @@ def test_scenario_builder_control_plane_knob():
 
 
 def test_scenario_builder_control_plane_validates():
-    with pytest.raises(ValueError):
-        ScenarioBuilder(SystemConfig()).control_plane(shards=0)
+    """The control plane's shape is set on the config, which refuses an
+    empty one before any builder sees it."""
+    with pytest.raises(ValueError, match="control_plane_shards"):
+        SystemConfig(control_plane_shards=0)
+    with pytest.raises(ValueError, match="control_plane_replicas"):
+        SystemConfig(control_plane_replicas=0)
 
 
 @pytest.mark.parametrize("shards,replicas", [(2, 1), (3, 2), (1, 2)])

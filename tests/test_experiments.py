@@ -16,40 +16,44 @@ from repro.experiments.realworld import (
     run_pairwise_selection,
     run_single_user_cdf,
 )
-from repro.experiments.scenario import (
-    build_emulation_system,
-    build_real_world_system,
-)
+from repro.core.system import EdgeSystem
+from repro.experiments.scenario import emulation_topology, emulation_world, real_world
+from repro.net.latency import NetworkTier
 
 
 CONFIG = SystemConfig(seed=50)
 
 
 def test_real_world_scenario_inventory():
-    scenario = build_real_world_system(CONFIG, n_users=4)
-    assert scenario.volunteer_ids == ["V1", "V2", "V3", "V4", "V5"]
-    assert scenario.dedicated_ids == ["D6", "D7", "D8", "D9"]
-    assert scenario.cloud_id == "Cloud"
-    assert len(scenario.user_ids) == 4
-    assert len(scenario.all_node_ids) == 10
+    world = real_world(CONFIG.seed, n_users=4)
+    assert world.node_ids_on(NetworkTier.HOME_WIFI) == ("V1", "V2", "V3", "V4", "V5")
+    assert world.node_ids_on(NetworkTier.LOCAL_ZONE) == ("D6", "D7", "D8", "D9")
+    assert world.node_ids_on(NetworkTier.CLOUD) == ("Cloud",)
+    assert len(world.user_ids) == 4
+    assert len(world.node_ids) == 10
 
 
 def test_real_world_scenario_restrictions():
-    scenario = build_real_world_system(
-        CONFIG, n_users=1, include_volunteers=False, include_cloud=False
+    world = real_world(
+        CONFIG.seed, n_users=1, include_volunteers=False, include_cloud=False
     )
-    assert scenario.volunteer_ids == []
-    assert scenario.cloud_id is None
-    assert scenario.all_node_ids == ["D6", "D7", "D8", "D9"]
+    assert world.node_ids_on(NetworkTier.HOME_WIFI) == ()
+    assert world.node_ids_on(NetworkTier.CLOUD) == ()
+    assert world.node_ids == ("D6", "D7", "D8", "D9")
 
 
 def test_emulation_scenario_matches_paper_fleet():
-    scenario = build_emulation_system(CONFIG, n_users=3)
-    assert len(scenario.node_ids) == 9
-    mediums = [n for n in scenario.node_ids if "t2.medium" in n]
+    world = emulation_world(CONFIG.seed, n_users=3)
+    assert len(world.node_ids) == 9
+    mediums = [n for n in world.node_ids if "t2.medium" in n]
     assert len(mediums) == 4
-    assert len(scenario.expected_rtt) == 3 * 9
-    rtts = list(scenario.expected_rtt.values())
+    system = EdgeSystem(CONFIG, world=world, topology=emulation_topology())
+    rtts = [
+        system.topology.expected_rtt_ms(u, n)
+        for u in world.user_ids
+        for n in world.node_ids
+    ]
+    assert len(rtts) == 3 * 9
     assert min(rtts) >= 5.0 and max(rtts) <= 70.0
 
 

@@ -6,6 +6,10 @@ they import nothing from ``repro.core``, ``repro.runtime``, ``repro.sim``
 or the two control-plane drivers, ``if TYPE_CHECKING:`` blocks included.
 The check walks the AST rather than ``sys.modules``: ``import repro``
 loads every subpackage, so a runtime check would see nothing.
+
+The executors run a ``repro.world.World`` and import none of the
+builders that write one, and only the perf ledger still feeds
+``LocalCluster`` hardware profiles instead of a world.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ UPPER = (
 #: Two re-export stubs pinned by ``benchmarks/ledger`` (only a benchmark
 #: PR may edit it); nothing else may import through them.
 LEDGER_ONLY = ("repro.core.messages", "repro.core.policies")
+
+#: The executors, which run a ``repro.world.World`` ...
+EXECUTORS = ["repro/core/system.py", "repro/runtime", "repro/metro"]
+#: ... and the builders that write one: an executor imports none of them.
+BUILDERS = ("repro.api", "repro.experiments.scenario", "repro.faults.scenarios")
 
 
 def python_files(path: Path) -> List[Path]:
@@ -103,6 +112,49 @@ def test_only_the_ledger_imports_through_the_two_stubs():
     for stub in ("repro/core/messages.py", "repro/core/policies/global_policies.py"):
         assert len((SRC / stub).read_text().splitlines()) <= 6, stub
     assert ast.parse((SRC / "repro/core/policies/__init__.py").read_text()).body[1:] == []
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_executors_import_no_builder(executor):
+    files = python_files(SRC / executor)
+    assert files, executor
+    assert violations(files, BUILDERS) == []
+
+
+def profile_fed_clusters(path: Path) -> List[str]:
+    """``LocalCluster(...)`` calls in ``path`` that pass the profiles
+    form: ``n_clients=`` / ``seed=``, or a first argument that is not a
+    world (a name, attribute or call whose own name says ``world``)."""
+
+    def head(node: ast.AST) -> str:
+        if isinstance(node, ast.Call):
+            return head(node.func)
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.id if isinstance(node, ast.Name) else ""
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(node, ast.Call) and head(node.func) == "LocalCluster"):
+            continue
+        profiles_form = {k.arg for k in node.keywords} & {"n_clients", "seed"}
+        first = node.args[0] if node.args else None
+        if profiles_form or first is None or "world" not in head(first).lower():
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_only_the_ledger_passes_profiles_to_local_cluster():
+    """Everything else hands ``LocalCluster`` a ``World``; the ledger's
+    live workload keeps the profiles form until a benchmark change
+    re-points it, and then the form goes."""
+    found = [
+        hit
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in python_files(ROOT / top)
+        for hit in profile_fed_clusters(path)
+    ]
+    assert {hit.split(":")[0] for hit in found} == {"benchmarks/ledger/wl_live.py"}
 
 
 @pytest.mark.parametrize(

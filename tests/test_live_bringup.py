@@ -25,6 +25,7 @@ from repro.nodes.hardware import VOLUNTEER_PROFILES, profile_by_name
 from repro.obs.events import FaultInjected, HeartbeatMissed, NodeFail, NodeRestart
 from repro.obs.tracer import Tracer
 from repro.runtime import LiveEdgeServer, LocalCluster, ManagerServer, protocol
+from repro.world import sampled_world
 from tests.test_runtime_protocol_edge import until
 
 HOURLY = 3600.0
@@ -52,7 +53,7 @@ async def booted(cluster: LocalCluster) -> None:
 def test_cluster_start_returns_with_every_edge_registered():
     async def scenario():
         cluster = LocalCluster(
-            VOLUNTEER_PROFILES[:4], n_clients=1, time_scale=0.01,
+            sampled_world(VOLUNTEER_PROFILES[:4], n_clients=1), time_scale=0.01,
             heartbeat_period_s=HOURLY,
         )
         try:
@@ -137,7 +138,8 @@ def test_edge_behind_a_router_is_in_every_alive_replica_of_its_shard():
 def test_restarted_edge_is_discovered_at_its_new_port_at_once():
     async def scenario():
         cluster = LocalCluster(
-            VOLUNTEER_PROFILES[:3], time_scale=0.01, heartbeat_period_s=HOURLY
+            sampled_world(VOLUNTEER_PROFILES[:3]), time_scale=0.01,
+            heartbeat_period_s=HOURLY,
         )
         try:
             await booted(cluster)
@@ -170,7 +172,7 @@ def test_restarted_edge_meets_the_injector_on_its_first_heartbeat():
     async def scenario():
         tracer = Tracer()
         cluster = LocalCluster(
-            VOLUNTEER_PROFILES[:2], time_scale=0.01,
+            sampled_world(VOLUNTEER_PROFILES[:2]), time_scale=0.01,
             heartbeat_period_s=HOURLY, tracer=tracer,
         )
         try:

@@ -214,16 +214,20 @@ def test_forked_workers_match_serial_results():
 # ----------------------------------------------------------------------
 # Config plumbing
 # ----------------------------------------------------------------------
-def test_config_alone_can_turn_on_sharding():
-    config = config_for_tests(metro_shards=2)
-    sim = MetroSimulation(SPEC, config)
-    assert sim.spec.shard.count == 2
+def test_config_cannot_set_the_partition():
+    """``MetroSpec.shard`` is the only place a partition is set: the
+    config has no shard knobs, and a default spec runs one shard."""
+    with pytest.raises(TypeError):
+        config_for_tests(metro_shards=2)
+    sim = MetroSimulation(SPEC, config_for_tests())
+    assert sim.spec.shard == ShardSpec()
 
 
 def test_explicit_shard_spec_wins_over_config():
-    config = config_for_tests(metro_shards=4)
-    sim = MetroSimulation(SPEC.with_shard(ShardSpec(count=2)), config)
-    assert sim.spec.shard.count == 2
+    """Every field of the spec's shard shape reaches the run as given."""
+    shard = ShardSpec(count=2, workers=2, boundary_epoch_ms=500.0)
+    sim = MetroSimulation(SPEC.with_shard(shard), config_for_tests())
+    assert sim.spec.shard is shard
 
 
 def test_epoch_must_align_with_tick():

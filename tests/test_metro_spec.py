@@ -62,13 +62,12 @@ def test_effective_precisions_default_by_region():
     assert campus.effective_cell_precision == 6
 
 
-def test_shard_spec_from_config():
-    config = SystemConfig(metro_shards=4, shard_workers=2,
-                          boundary_epoch_ms=2_000.0)
-    shard = ShardSpec.from_config(config)
-    assert shard.count == 4
-    assert shard.workers == 2
-    assert shard.boundary_epoch_ms == 2_000.0
+def test_shard_spec_is_the_only_partition_setting():
+    shard = ShardSpec(count=4, workers=2, boundary_epoch_ms=2_000.0)
+    assert (shard.count, shard.workers, shard.boundary_epoch_ms) == (4, 2, 2_000.0)
+    assert not hasattr(ShardSpec, "from_config")
+    knobs = {"metro_shards", "shard_workers", "boundary_epoch_ms"}
+    assert knobs.isdisjoint(SystemConfig.__dataclass_fields__)
 
 
 def test_with_shard_returns_new_spec():

@@ -22,6 +22,8 @@ import asyncio
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.api import ScenarioBuilder
+from repro.core.config import SystemConfig
 from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
 from repro.obs.events import CoveredFailover, DiscoveryReturned, JoinAccept
@@ -60,21 +62,21 @@ def _extract(events, backups: List[str]) -> DecisionTrace:
     )
 
 
+def scenario() -> ScenarioBuilder:
+    """The scripted deployment; its :meth:`~ScenarioBuilder.world` is
+    what both backends run."""
+    builder = ScenarioBuilder(SystemConfig(top_n=3, seed=11)).observe(trace=True)
+    for node_id, point in NODES:
+        builder = builder.node(node_id, profile_by_name(node_id), point=point)
+    return builder.client("u1", point=CLIENT_POINT)
+
+
 # ----------------------------------------------------------------------
 # The scenario on the simulated backend
 # ----------------------------------------------------------------------
 def run_sim() -> DecisionTrace:
-    from repro.api import ScenarioBuilder
-    from repro.core.config import SystemConfig
-
-    builder = (
-        ScenarioBuilder(SystemConfig(top_n=3, seed=11))
-        .observe(trace=True)
-    )
-    for node_id, point in NODES:
-        builder = builder.node(node_id, profile_by_name(node_id), point=point)
-    scenario = builder.client("u1", point=CLIENT_POINT).build_scenario()
-    system, tracer = scenario.system, scenario.tracer
+    built = scenario().build_scenario()
+    system, tracer = built.system, built.tracer
     assert tracer is not None
 
     # Run until the client has joined somewhere.
@@ -98,59 +100,35 @@ def run_sim() -> DecisionTrace:
 
 
 # ----------------------------------------------------------------------
-# The same scenario on the live loopback backend
+# The same world on the live loopback backend
 # ----------------------------------------------------------------------
 async def run_live() -> DecisionTrace:
-    from repro.runtime.client_runtime import LiveClient
-    from repro.runtime.edge_server import LiveEdgeServer
-    from repro.runtime.manager_server import ManagerServer
+    from repro.runtime.launcher import LocalCluster
 
     tracer = Tracer(enabled=True)
-    manager = ManagerServer(tracer=tracer)
-    await manager.start()
-    edges = []
-    client = None
+    cluster = LocalCluster(
+        scenario().world(),
+        heartbeat_period_s=0.05,
+        # Mild compression only: sleeping a 24 ms frame for 12 ms keeps
+        # scheduler jitter (<~2 ms wall -> <~4 ms app) far below the 8+ ms
+        # what-if gaps between the profiles.
+        time_scale=0.5,
+        top_n=3,
+        tracer=tracer,
+    )
+    await cluster.start()
     try:
-        for node_id, point in NODES:
-            edge = LiveEdgeServer(
-                node_id,
-                profile_by_name(node_id),
-                point,
-                manager_host=manager.host,
-                manager_port=manager.port,
-                heartbeat_period_s=0.05,
-                # Mild compression only: sleeping a 24 ms frame for 12 ms
-                # keeps scheduler jitter (<~2 ms wall -> <~4 ms app) far
-                # below the 8+ ms what-if gaps between the profiles.
-                time_scale=0.5,
-                tracer=tracer,
-            )
-            await edge.start()
-            edges.append(edge)
         # every edge's start() returned registered
-        assert sorted(manager._registry) == sorted(node_id for node_id, _ in NODES)
-
-        client = LiveClient(
-            "u1",
-            CLIENT_POINT,
-            manager.host,
-            manager.port,
-            top_n=3,
-            tracer=tracer,
-        )
+        assert sorted(cluster.manager._registry) == sorted(n for n, _ in NODES)
+        client = cluster.clients[0]
         await client.select_and_join()
         assert client.current_edge is not None
         backups = list(client.backups)
 
-        serving = next(e for e in edges if e.node_id == client.current_edge)
-        await serving.stop()
+        await cluster.kill_edge(client.current_edge)
         await client.offload_frame()  # lost frame -> covered failover
     finally:
-        if client is not None:
-            await client.close()
-        for edge in edges:
-            await edge.stop()
-        await manager.stop()
+        await cluster.stop()
     tracer.close()
     return _extract(tracer.events(), backups)
 

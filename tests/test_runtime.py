@@ -9,6 +9,7 @@ from repro.geo.point import GeoPoint
 from repro.nodes.hardware import VOLUNTEER_PROFILES, profile_by_name
 from repro.runtime import LiveClient, LiveEdgeServer, LocalCluster, ManagerServer
 from repro.runtime import protocol
+from repro.world import sampled_world
 
 
 def run(coro):
@@ -148,8 +149,7 @@ def test_edge_rejects_bad_time_scale():
 def test_cluster_select_offload_and_failover():
     async def scenario():
         cluster = LocalCluster(
-            VOLUNTEER_PROFILES[:3],
-            n_clients=1,
+            sampled_world(VOLUNTEER_PROFILES[:3], n_clients=1),
             time_scale=0.01,
             heartbeat_period_s=0.05,
         )
@@ -187,8 +187,7 @@ def test_cluster_select_offload_and_failover():
 def test_cluster_two_clients_share_fleet():
     async def scenario():
         cluster = LocalCluster(
-            VOLUNTEER_PROFILES[:2],
-            n_clients=2,
+            sampled_world(VOLUNTEER_PROFILES[:2], n_clients=2),
             time_scale=0.01,
             heartbeat_period_s=0.05,
         )
@@ -214,7 +213,7 @@ def test_cluster_two_clients_share_fleet():
 
 def test_cluster_validates_profiles():
     with pytest.raises(ValueError):
-        LocalCluster([], n_clients=1)
+        LocalCluster(sampled_world([], n_clients=1))
 
 
 def test_cluster_manager_outage_degrades_gracefully():
@@ -229,8 +228,7 @@ def test_cluster_manager_outage_degrades_gracefully():
     async def scenario():
         tracer = Tracer()
         cluster = LocalCluster(
-            VOLUNTEER_PROFILES[:3],
-            n_clients=1,
+            sampled_world(VOLUNTEER_PROFILES[:3], n_clients=1),
             time_scale=0.01,
             heartbeat_period_s=0.05,
             tracer=tracer,

@@ -1,12 +1,13 @@
 """Discovery-query throughput: spatial-index fast path vs linear scan.
 
-Fills a Central Manager's registry with N synthetic metro-scale
-heartbeats, then answers the same batch of discovery queries two ways:
+Fills one ``GlobalSelectionMachine``'s registry (the Central Manager's
+core) with N synthetic metro-scale heartbeats, then answers the same
+batch of discovery queries two ways:
 
-- **indexed** — ``policy.select(query, index=manager.spatial_index)``,
-  the geohash-bucketed fast path ``CentralManager.discover`` uses.
-- **linear** — ``policy.select(query, nodes=manager.alive_statuses())``,
-  the pre-index full-registry scan (haversine against every node per
+- **indexed** — ``policy.select(query, index=machine.spatial_index)``,
+  the geohash-bucketed fast path every manager shard answers from.
+- **linear** — ``policy.select(query, nodes=[...registry...])``, the
+  pre-index full-registry scan (haversine against every node per
   query).
 
 Every query's TopN answer is asserted bit-identical between the two
@@ -34,8 +35,6 @@ import time
 from pathlib import Path
 from typing import List
 
-from repro.core.config import SystemConfig
-from repro.core.system import EdgeSystem
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
 from repro.geo.region import MSP_CENTER
@@ -45,6 +44,8 @@ from repro.policy.global_policy import (
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )
+from repro.protocol.events import HeartbeatReceived
+from repro.protocol.global_select import GlobalSelectionMachine
 
 
 def random_point(rng: random.Random, center: GeoPoint, radius_km: float) -> GeoPoint:
@@ -69,20 +70,21 @@ def synthetic_status(node_id: str, point: GeoPoint, rng: random.Random) -> NodeS
     )
 
 
-def build_manager(n_nodes: int, region_km: float, radius_km: float, seed: int):
-    """A manager over N synthetic heartbeats in a metro-sized disc."""
+def build_machine(n_nodes: int, region_km: float, radius_km: float, seed: int):
+    """A manager machine over N synthetic heartbeats in a metro-sized disc."""
     rng = random.Random(seed)
     # Wide fallback = the whole metro: "remote nodes ... useful as a
     # last resort" never live outside the region the fleet occupies.
     policy = GlobalSelectionPolicy(
         geo_filter=GeoProximityFilter(radius_km=radius_km, wide_radius_km=region_km * 2)
     )
-    system = EdgeSystem(SystemConfig(seed=seed), global_policy=policy)
-    manager = system.manager
+    # Every stamp is 0.0 and nothing prunes: no entry ever expires.
+    machine = GlobalSelectionMachine(policy, heartbeat_timeout=float("inf"))
     for i in range(n_nodes):
         point = random_point(rng, MSP_CENTER, region_km)
-        manager.receive_heartbeat(synthetic_status(f"n{i:05d}", point, rng))
-    return system, manager, rng
+        status = synthetic_status(f"n{i:05d}", point, rng)
+        machine.handle(HeartbeatReceived(stamp=0.0, status=status))
+    return machine, rng
 
 
 def make_queries(
@@ -114,18 +116,19 @@ def main(argv: List[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    system, manager, rng = build_manager(
+    machine, rng = build_machine(
         args.nodes, args.region_km, args.radius_km, args.seed
     )
-    policy = manager.policy
+    policy = machine.policy
     queries = make_queries(args.queries, args.region_km, args.top_n, rng)
-    index = manager.spatial_index
+    index = machine.spatial_index
+    registry = machine.registry
 
     # Parity first: the indexed answer must be bit-identical to the scan.
     mismatches = 0
     for query in queries:
         indexed = policy.select(query, index=index)
-        linear = policy.select(query, nodes=manager.alive_statuses())
+        linear = policy.select(query, nodes=list(registry.values()))
         if indexed != linear:
             mismatches += 1
             print(f"PARITY MISMATCH for {query.user_id}: {indexed} != {linear}")
@@ -140,7 +143,7 @@ def main(argv: List[str] | None = None) -> int:
         return time.perf_counter() - t0
 
     def by_scan(query: DiscoveryQuery):
-        return policy.select(query, nodes=manager.alive_statuses())
+        return policy.select(query, nodes=list(registry.values()))
 
     def by_index(query: DiscoveryQuery):
         return policy.select(query, index=index)

@@ -7,16 +7,17 @@ package partitions the node registry by geohash prefix ranges
 shards and fans discovery out with a deterministic cross-shard TopN
 merge (:mod:`~repro.controlplane.router`), and keeps each shard alive
 through primary/standby replication with promotion on primary loss
-(:mod:`~repro.controlplane.replication`). Drivers exist for both
-backends: :mod:`~repro.controlplane.sim_driver` steps N manager
-machines inside the simulation kernel, and
-:mod:`~repro.controlplane.live_driver` generalizes the loopback
-``ManagerServer`` into a shard fleet behind a routing proxy.
+(:mod:`~repro.controlplane.replication`). In the simulator there is
+one manager, :class:`repro.core.manager.CentralManager`, which steps
+``shards x replicas`` machines inside the kernel at every shape, 1x1
+(the default) included; :mod:`~repro.controlplane.live_driver`
+generalizes the loopback ``ManagerServer`` into a shard fleet behind a
+routing proxy.
 
-The determinism contract: with ``shards=1, replicas=1`` the system is
-bit-identical to the single-manager seed, and for any shard count the
-merged discovery answer is bit-identical to a single manager holding
-the union registry (a parity property test holds this).
+The determinism contract: for any shard count the merged discovery
+answer is bit-identical to a single machine holding the union registry
+(a parity property test holds this), and at 1x1 the run is the seed's
+byte for byte (the LO golden trace and the parity suites hold this).
 """
 
 from repro.controlplane.errors import ControlPlaneUnavailable

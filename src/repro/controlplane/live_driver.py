@@ -386,7 +386,6 @@ class ControlPlaneCluster:
                 {
                     "statuses": snapshot["statuses"],
                     "stamps": snapshot["stamps"],
-                    "wrr": snapshot["wrr"],
                     "addresses": snapshot["addresses"],
                 },
                 timeout=self.request_timeout_s,

@@ -23,8 +23,8 @@ merged order a total order independent of shard interleaving. A
 hypothesis property test holds this bit-for-bit.
 
 Transport-free by design: drivers supply ``fetch(shard, radius_km)``.
-The sim driver calls machines synchronously; the live driver resolves
-the same two phases with awaited socket requests via
+The sim ``CentralManager`` calls machines synchronously; the live
+driver resolves the same two phases with awaited socket requests via
 :meth:`ShardRouter.plan`/:meth:`ShardRouter.merge`.
 """
 
@@ -125,7 +125,10 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def plan(self, query: DiscoveryQuery, radius_km: float) -> Tuple[int, ...]:
         """The shards one phase of ``query`` must ask: those whose
-        ranges the cells covering the ``radius_km`` disc intersect."""
+        ranges the cells covering the ``radius_km`` disc intersect. A
+        one-shard map owns every cell: no cover is computed."""
+        if self.shard_map.count == 1:
+            return (0,)
         return self.shard_map.owners_of_cells(
             *gh.cover(query.lat, query.lon, radius_km)
         )

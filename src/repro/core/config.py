@@ -91,9 +91,9 @@ class SystemConfig:
             this is what makes batched and per-client stepping
             equivalent.
         control_plane_shards: number of Central Manager registry shards
-            (geohash-range partitioned; ``repro.controlplane``). With
-            the default 1 (and 1 replica) the system runs the plain
-            single manager, bit-identical to the seed.
+            (geohash-range partitioned; ``repro.controlplane``). The
+            default 1 (with 1 replica) is the manager's smallest shape,
+            bit-identical to the seed.
         control_plane_replicas: manager replicas per shard (primary +
             standbys). Standbys track the primary via heartbeat deltas
             and are promoted on primary loss.

@@ -19,7 +19,7 @@ dynamics need:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, cast
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.client import ClientLike
 from repro.core.config import SystemConfig
@@ -39,12 +39,7 @@ from repro.workload.ar import ARApplication, DEFAULT_AR_APP
 from repro.world import MANAGER_ID, World
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from typing import Union
-
-    from repro.controlplane.sim_driver import ShardedCentralManager
     from repro.faults.injector import FaultInjector, NodeAction
-
-    ManagerLike = Union[CentralManager, ShardedCentralManager]
 
 
 class EdgeSystem:
@@ -122,28 +117,10 @@ class EdgeSystem:
                 wide_radius_km=self.config.wide_radius_km,
             )
         )
-        self.manager: ManagerLike
-        if (
-            self.config.control_plane_shards > 1
-            or self.config.control_plane_replicas > 1
-            or (faults is not None and faults.plan.shard_targets())
-        ):
-            # Deferred import: the control plane layers on core, not
-            # under it. With shards=1, replicas=1 (the default) the
-            # plain single manager runs — structurally bit-identical to
-            # the seed, not merely behaviourally — unless the fault plan
-            # takes a shard down: only the sharded manager has a shard
-            # to lose.
-            from repro.controlplane.sim_driver import ShardedCentralManager
-
-            self.manager = ShardedCentralManager(
-                self,
-                policy,
-                shards=self.config.control_plane_shards,
-                replicas=self.config.control_plane_replicas,
-            )
-        else:
-            self.manager = CentralManager(self, policy)
+        # The manager reads its shape from the config and checks the
+        # fault plan's shard targets against it.
+        self.faults = faults
+        self.manager = CentralManager(self, policy)
 
         self.nodes: Dict[str, EdgeServer] = {}
         #: Alive entries of ``nodes`` (a recount per add made a build quadratic).
@@ -156,7 +133,6 @@ class EdgeSystem:
             str, Tuple[HardwareProfile, EndpointSpec, bool, Optional[HostWorkloadSchedule]]
         ] = {}
 
-        self.faults = faults
         if faults is not None:
             faults.tracer = self.trace
             self._install_fault_actions(faults)
@@ -360,8 +336,8 @@ class EdgeSystem:
             # A global outage (shard is None) is enforced per message in
             # decide(); the scheduled action only marks the transition
             # in the trace so recovery analysis can bracket the window.
-            # A shard-targeted outage instead drives the sharded
-            # manager's primary-loss/recovery state machine directly.
+            # A shard-targeted outage instead drives the manager's
+            # primary-loss/recovery state machine directly.
             self.trace.emit(
                 FaultInjected(
                     self.sim.now,
@@ -371,12 +347,10 @@ class EdgeSystem:
                 )
             )
             if action.shard is not None:
-                # The constructor built a sharded manager for this plan.
-                manager = cast("ShardedCentralManager", self.manager)
                 if action.kind == "outage_start":
-                    took_effect = manager.on_shard_outage_start(action.shard)
+                    took_effect = self.manager.on_shard_outage_start(action.shard)
                 else:
-                    took_effect = manager.on_shard_outage_end(action.shard)
+                    took_effect = self.manager.on_shard_outage_end(action.shard)
                 if took_effect:
                     injected[action.kind] += 1
 

@@ -205,7 +205,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def manager_down(self, now_ms: float) -> bool:
         """Whole-manager outage in effect? Shard-targeted outages do not
-        black-hole messages — they drive the sharded manager's replica
+        black-hole messages — they drive the manager's shard replica
         state instead (``EdgeSystem._apply_fault_action``)."""
         return any(
             o.shard is None and o.active(now_ms) for o in self.plan.outages

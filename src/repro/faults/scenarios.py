@@ -175,7 +175,11 @@ class ChaosReport:
             ),
         ]
         control = ("shard_route", "shard_merge", "manager_promote", "registry_handoff")
-        if any(k in self.event_counts for k in control):
+        # A shard outage puts the control plane under test even at one
+        # shard, where discovery traces no routing.
+        if "outage_start" in self.injected or any(
+            k in self.event_counts for k in control
+        ):
             lines.append(
                 "control plane: "
                 + ", ".join(f"{k}={self.event_counts.get(k, 0)}" for k in control)
@@ -681,10 +685,11 @@ def run_chaos(
 
     Raises:
         ValueError: before anything boots, for a combination no
-            executor can honour — an unknown backend, an outage of a
-            shard the scenario does not have, the live backend with a
-            shard-targeted outage (its cluster runs one manager) or
-            with ``SystemConfig`` overrides (it has no such config).
+            executor can honour — an unknown backend, the live backend
+            with a shard-targeted outage (its cluster runs one manager)
+            or with ``SystemConfig`` overrides (it has no such config),
+            and (from the sim ``CentralManager``) an outage of a shard
+            the scenario does not have.
     """
     targets = list(scenario.shard_targets) if plan is None else plan.shard_targets()
     if backend not in ("sim", "live"):
@@ -693,10 +698,6 @@ def run_chaos(
         raise ValueError(
             "shard-targeted outages run on the sim backend only: the live "
             "cluster runs one manager, with no shard to take down"
-        )
-    if targets and targets[-1] >= scenario.shards:
-        raise ValueError(
-            f"plan targets shard {targets[-1]} of a {scenario.shards}-shard scenario"
         )
     if backend == "live" and config_overrides:
         raise ValueError("config_overrides patch SystemConfig: sim backend only")

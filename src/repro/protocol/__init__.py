@@ -38,7 +38,6 @@ from repro.protocol.effects import (
     NodeExpired,
     NodeOnline,
     ProbeCandidates,
-    ReplyAssignment,
     ReplyCandidates,
     ReplyJoin,
     ReplyProbe,
@@ -69,7 +68,6 @@ from repro.protocol.events import (
     RoundStarted,
     TestWorkloadCompleted,
     UnexpectedJoinRequested,
-    WrrAssignRequested,
 )
 from repro.protocol.failure_monitor import FailureMonitor
 from repro.protocol.selection import SelectionConfig, SelectionMachine
@@ -101,7 +99,6 @@ __all__ = [
     "NodeFailed",
     "HeartbeatReceived",
     "DiscoveryRequested",
-    "WrrAssignRequested",
     "PruneTick",
     "NodeForgotten",
     # effects
@@ -120,7 +117,6 @@ __all__ = [
     "ReplyJoin",
     "ScheduleTestWorkload",
     "ReplyCandidates",
-    "ReplyAssignment",
     "NodeOnline",
     "NodeExpired",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     # global selection (Central Manager role)
     "ReplyCandidates",
     "ReplyPartialCandidates",
-    "ReplyAssignment",
     "NodeOnline",
     "NodeExpired",
 ]
@@ -211,13 +210,6 @@ class ReplyPartialCandidates(Effect):
     statuses: Tuple[NodeStatus, ...]
     radius_km: float
     generated_at_ms: float
-
-
-@dataclass(slots=True)
-class ReplyAssignment(Effect):
-    """Answer a WRR assignment request (None: no eligible node)."""
-
-    node_id: Optional[str]
 
 
 @dataclass(slots=True)

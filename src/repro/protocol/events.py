@@ -43,7 +43,6 @@ __all__ = [
     "HeartbeatReceived",
     "DiscoveryRequested",
     "PartialDiscoveryRequested",
-    "WrrAssignRequested",
     "PruneTick",
     "NodeForgotten",
 ]
@@ -242,14 +241,6 @@ class PartialDiscoveryRequested(ProtocolEvent):
     stamp: float
     query: DiscoveryQuery
     radius_km: float
-
-
-@dataclass(slots=True)
-class WrrAssignRequested(ProtocolEvent):
-    """The resource-aware baseline asks for a smooth-WRR assignment."""
-
-    stamp: float
-    exclude: Tuple[str, ...] = ()
 
 
 @dataclass(slots=True)

@@ -3,8 +3,9 @@
 Step 1 of the paper's 2-step approach: maintain the registry of alive
 edge nodes from heartbeats, age out silent ones, and answer discovery
 queries with the geo-filtered, availability-ranked TopN candidate list.
-Also hosts the smooth-WRR assignment state the resource-aware baseline
-needs (a manager-side policy by construction).
+The resource-aware baseline's smooth WRR (:func:`smooth_wrr_pick`) runs
+in the sim ``CentralManager`` over all shards, so its ledger is not
+machine state.
 
 The machine owns the registry, the geohash spatial index, and the
 expiry heap; drivers own transports (sim method calls vs. JSON-framed
@@ -28,7 +29,6 @@ from repro.protocol.effects import (
     Effect,
     NodeExpired,
     NodeOnline,
-    ReplyAssignment,
     ReplyCandidates,
     ReplyPartialCandidates,
 )
@@ -39,7 +39,6 @@ from repro.protocol.events import (
     PartialDiscoveryRequested,
     ProtocolEvent,
     PruneTick,
-    WrrAssignRequested,
 )
 
 __all__ = ["GlobalSelectionMachine", "RegistrySnapshot", "smooth_wrr_pick"]
@@ -63,7 +62,6 @@ class RegistrySnapshot:
 
     statuses: Tuple[NodeStatus, ...]
     stamps: Dict[str, float]
-    wrr_current: Dict[str, float]
 
     def __post_init__(self) -> None:
         ids = {s.node_id for s in self.statuses}
@@ -132,8 +130,6 @@ class GlobalSelectionMachine:
         self._expiry_heap: List[Tuple[float, str]] = []
         #: node_id -> newest heartbeat stamp (the lazy-deletion check).
         self._stamps: Dict[str, float] = {}
-        # Smooth-WRR state for the resource-aware baseline.
-        self._wrr_current: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def handle(self, event: ProtocolEvent) -> List[Effect]:
@@ -146,8 +142,6 @@ class GlobalSelectionMachine:
             return self._on_partial_discovery(event)
         if isinstance(event, PruneTick):
             return self._prune(event.stamp)
-        if isinstance(event, WrrAssignRequested):
-            return self._on_wrr_assign(event)
         if isinstance(event, NodeForgotten):
             return self._on_forgotten(event)
         raise TypeError(
@@ -209,7 +203,6 @@ class GlobalSelectionMachine:
         self.registry.pop(node_id, None)
         self.spatial_index.remove(node_id)
         self._stamps.pop(node_id, None)
-        self._wrr_current.pop(node_id, None)
 
     def _on_forgotten(self, event: NodeForgotten) -> List[Effect]:
         """Administrative deregistration (no NodeExpired: it was asked
@@ -275,7 +268,6 @@ class GlobalSelectionMachine:
         return RegistrySnapshot(
             statuses=tuple(self.registry.values()),
             stamps=dict(self._stamps),
-            wrr_current=dict(self._wrr_current),
         )
 
     def restore_state(self, snapshot: RegistrySnapshot) -> None:
@@ -296,37 +288,11 @@ class GlobalSelectionMachine:
         self.registry.clear()
         self.spatial_index.clear()
         self._stamps.clear()
-        self._wrr_current.clear()
         for status in snapshot.statuses:
             self.spatial_index.insert(status)
             self.registry[status.node_id] = status
         self._stamps.update(snapshot.stamps)
-        self._wrr_current.update(snapshot.wrr_current)
         self._rebuild_expiry_heap()
-
-    # ------------------------------------------------------------------
-    # Resource-aware weighted round robin (baseline support)
-    # ------------------------------------------------------------------
-    def _on_wrr_assign(self, event: WrrAssignRequested) -> List[Effect]:
-        """Assign a user to a node by smooth weighted round robin.
-
-        Weights are the availability scores from the latest heartbeats —
-        "the weight applied for each edge node is determined by the
-        resource availability and utilization" (§V-B). Smooth WRR
-        (nginx-style) spreads assignments proportionally without bursts:
-        each round every node gains its weight, the richest is picked
-        and pays back the total weight.
-        """
-        effects = self._prune(event.stamp)
-        statuses = [
-            s
-            for s in self.registry.values()
-            if s.node_id not in event.exclude
-        ]
-        if self.policy.node_predicate is not None:
-            statuses = [s for s in statuses if self.policy.node_predicate(s)]
-        effects.append(ReplyAssignment(smooth_wrr_pick(statuses, self._wrr_current)))
-        return effects
 
     def __repr__(self) -> str:
         return f"GlobalSelectionMachine(nodes={len(self.registry)})"

@@ -229,14 +229,12 @@ class ManagerServer:
                 "ok": True,
                 "statuses": [to_wire(s) for s in snapshot.statuses],
                 "stamps": snapshot.stamps,
-                "wrr": snapshot.wrr_current,
                 "addresses": self._address_book(self._addresses),
             }
         if op == "restore":
             snapshot = RegistrySnapshot(
                 statuses=read_field(payload, "statuses", Tuple[NodeStatus, ...]),
                 stamps=read_field(payload, "stamps", Dict[str, float]),
-                wrr_current=read_field(payload, "wrr", Dict[str, float]),
             )
             addresses = read_field(payload, "addresses", Dict[str, Address], {})
             self._machine.restore_state(snapshot)

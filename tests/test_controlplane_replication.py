@@ -104,20 +104,17 @@ class TestSnapshotDedupe:
 
     def test_snapshot_validates_id_stamp_agreement(self):
         with pytest.raises(ValueError):
-            RegistrySnapshot(
-                statuses=(status_at("a"),), stamps={"b": 1.0}, wrr_current={}
-            )
+            RegistrySnapshot(statuses=(status_at("a"),), stamps={"b": 1.0})
         with pytest.raises(ValueError):
             RegistrySnapshot(
                 statuses=(status_at("a"), status_at("a")),
                 stamps={"a": 1.0},
-                wrr_current={},
             )
 
     def test_a_refused_restore_changes_nothing(self):
         """A snapshot the index cannot key is refused whole: the second
         status's geohash ``"AB"`` is refused before the registry, the
-        index, the stamps or the WRR ledger are cleared."""
+        index or the stamps are cleared."""
         m = machine()
         for i in range(3):
             m.handle(HeartbeatReceived(stamp=float(i), status=status_at(f"n{i}", lat=44.9 + 0.01 * i)))
@@ -126,7 +123,6 @@ class TestSnapshotDedupe:
         bad = RegistrySnapshot(
             statuses=(status_at("n7"), dataclasses.replace(status_at("n8"), geohash="AB")),
             stamps={"n7": 6.0, "n8": 6.0},
-            wrr_current={},
         )
         with pytest.raises(ValueError, match="'AB'"):
             m.restore_state(bad)

@@ -1,11 +1,12 @@
-"""Sim-driver tests for the sharded control plane.
+"""Tests for the sim Central Manager at its sharded, replicated shapes.
 
-Covers the golden parity contract (a sharded/replicated manager answers
-discovery bit-identically to the seed's single manager over a live
-system), the shard-outage failover sequence (down -> detection window ->
-standby promotion -> rejoin handoff), the degraded path when a shard has
-no standby, epoch-change registry handoff, and the chaos scenario family
-wrapping it all.
+Covers the shape (read off the config, 1x1 by default, checked against
+the fault plan), the parity contract (at every shape the manager answers
+discovery bit-identically to one ``GlobalSelectionMachine`` holding the
+same statuses), the shard-outage failover sequence (down -> detection
+window -> standby promotion -> rejoin handoff), the degraded path when a
+shard has no standby, epoch-change registry handoff, and the chaos
+scenario family wrapping it all.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 
 from repro.api import ScenarioBuilder
 from repro.controlplane.errors import ControlPlaneUnavailable
-from repro.controlplane.sim_driver import ShardedCentralManager
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.manager import CentralManager
@@ -26,6 +26,9 @@ from repro.messages import DiscoveryQuery
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 from repro.obs.tracer import Tracer
+from repro.protocol.effects import ReplyCandidates
+from repro.protocol.events import DiscoveryRequested, HeartbeatReceived
+from repro.protocol.global_select import GlobalSelectionMachine
 
 CENTER = GeoPoint(44.97, -93.25)
 #: Offsets tens of km apart: the nodes land in several precision-4
@@ -73,26 +76,39 @@ def queries_at_each_node(top_n: int = 3):
 # ----------------------------------------------------------------------
 # Wiring + golden parity
 # ----------------------------------------------------------------------
-def test_default_config_uses_the_seed_manager():
-    assert isinstance(build_system().manager, CentralManager)
+TARGETED = FaultPlan(outages=(ManagerOutage("s", Window(1_000.0, 2_000.0), shard=0),))
 
 
-def test_shards_or_replicas_select_the_control_plane():
-    assert isinstance(build_system(shards=2).manager, ShardedCentralManager)
-    assert isinstance(build_system(replicas=2).manager, ShardedCentralManager)
+@pytest.mark.parametrize(
+    "shards,replicas,plan",
+    [(1, 1, None), (2, 1, None), (1, 2, None), (1, 1, TARGETED)],
+    ids=["1x1", "2x1", "1x2", "1x1-shard-targeted"],
+)
+def test_the_manager_takes_its_shape_from_the_config(shards, replicas, plan):
+    """One manager class at every shape; a shard-targeted plan needs no
+    other manager, since 1x1 already has a shard to lose."""
+    config = SystemConfig(
+        seed=3, control_plane_shards=shards, control_plane_replicas=replicas
+    )
+    faults = FaultInjector(plan, seed=3) if plan is not None else None
+    manager = EdgeSystem(config, faults=faults).manager
+    assert type(manager) is CentralManager
+    assert len(manager.shards) == shards
+    assert [shard.replicas for shard in manager.shards] == [replicas] * shards
 
 
-def test_a_shard_targeted_plan_selects_the_control_plane_at_1x1():
-    """Only the sharded manager has a shard to lose: a plan that takes
-    one down gets it even at shards=1, replicas=1; a whole-manager
-    outage (enforced per message) keeps the seed manager."""
-    window = Window(1_000.0, 2_000.0)
-    whole = FaultPlan(outages=(ManagerOutage("m", window),))
-    targeted = FaultPlan(outages=(ManagerOutage("s", window, shard=0),))
-    config = SystemConfig(seed=3)
-    for plan, manager_type in ((whole, CentralManager), (targeted, ShardedCentralManager)):
-        system = EdgeSystem(config, faults=FaultInjector(plan, seed=3))
-        assert type(system.manager) is manager_type
+def test_a_plan_naming_a_missing_shard_is_refused_at_construction():
+    """Not an ``IndexError`` when the outage starts mid-run."""
+    plan = FaultPlan(outages=(ManagerOutage("s", Window(1_000.0, 2_000.0), shard=3),))
+    with pytest.raises(ValueError, match="targets shard 3 of a 1-shard"):
+        EdgeSystem(SystemConfig(seed=3), faults=FaultInjector(plan, seed=3))
+    system = EdgeSystem(
+        SystemConfig(seed=3, control_plane_shards=4),
+        faults=FaultInjector(plan, seed=3),
+    )
+    system.run_for(3_000.0)
+    assert system.faults is not None
+    assert system.faults.injected["outage_start"] == 1
 
 
 def test_scenario_builder_control_plane_knob():
@@ -103,7 +119,6 @@ def test_scenario_builder_control_plane_knob():
         .build_scenario()
     )
     manager = scenario.system.manager
-    assert isinstance(manager, ShardedCentralManager)
     assert len(manager.shards) == 2
     assert manager.shards[0].replicas == 2
 
@@ -117,24 +132,33 @@ def test_scenario_builder_control_plane_validates():
         SystemConfig(control_plane_replicas=0)
 
 
-@pytest.mark.parametrize("shards,replicas", [(2, 1), (3, 2), (1, 2)])
+@pytest.mark.parametrize("shards,replicas", [(1, 1), (2, 1), (3, 2), (1, 2)])
 def test_discover_parity_with_single_manager(shards, replicas):
-    """Same seed, same heartbeat traffic: the sharded control plane's
-    merged answers equal the single manager's, id-for-id."""
-    reference = build_system()
-    sharded = build_system(shards=shards, replicas=replicas)
-    reference.run_for(4_000.0)
-    sharded.run_for(4_000.0)
+    """At every shape the manager's merged answers equal, id-for-id,
+    those of one bare machine fed the same statuses at the same stamps."""
+    system = build_system(shards=shards, replicas=replicas)
+    system.run_for(4_000.0)
+    manager = system.manager
+    now = system.sim.now
+    reference = GlobalSelectionMachine(
+        manager.policy, heartbeat_timeout=system.config.heartbeat_timeout_ms
+    )
+    statuses = manager.alive_statuses()
+    assert len(statuses) == len(NODE_OFFSETS)
+    for status in statuses:
+        reference.handle(HeartbeatReceived(stamp=status.reported_at_ms, status=status))
     for query in queries_at_each_node():
-        want = reference.manager.discover(query)
-        got = sharded.manager.discover(query)
+        effects = reference.handle(DiscoveryRequested(now=now, stamp=now, query=query))
+        want = effects[-1]
+        assert isinstance(want, ReplyCandidates)
+        got = manager.discover(query)
         assert got.node_ids == want.node_ids
         assert got.widened == want.widened
 
 
 def test_full_run_client_parity():
     """End-to-end: a client driving a sharded system completes the same
-    frames against the same edges as one driving the seed manager."""
+    frames against the same edges as one driving the default 1x1 manager."""
     reference = build_system(with_client=True)
     sharded = build_system(shards=2, replicas=2, with_client=True)
     reference.run_for(10_000.0)
@@ -152,7 +176,6 @@ def test_shard_outage_promotes_standby_after_detection_window():
     system = build_system(shards=2, replicas=2)
     system.run_for(2_000.0)
     manager = system.manager
-    assert isinstance(manager, ShardedCentralManager)
     manager.on_shard_outage_start(0)
     assert manager.shards[0].serving_index() is None
     # Inside the detection window: not yet promoted.

@@ -142,7 +142,7 @@ def test_indexed_matches_linear_through_index_maintenance(seed):
             beat(random_status(removed.pop(rng.randrange(len(removed))), rng))
         elif roll < 0.93:
             op = "clear"
-            machine.restore_state(RegistrySnapshot((), {}, {}))
+            machine.restore_state(RegistrySnapshot((), {}))
         elif roll < 0.96 or saved is None:
             op = "snapshot"
             saved = machine.snapshot_state()

@@ -40,7 +40,6 @@ UPPER = (
     "repro.core",
     "repro.runtime",
     "repro.sim",
-    "repro.controlplane.sim_driver",
     "repro.controlplane.live_driver",
 )
 #: Two re-export stubs pinned by ``benchmarks/ledger`` (only a benchmark
@@ -163,10 +162,28 @@ def test_only_the_ledger_passes_profiles_to_local_cluster():
         "repro.core.probing",
         "repro.core.policies.local_policies",
         "repro.core.policies.reputation",
+        "repro.controlplane.sim_driver",
     ],
 )
 def test_deleted_modules_stay_deleted(name):
     assert find_spec(name) is None
+
+
+def test_the_sim_manager_imports_only_the_lower_control_plane():
+    """``core/manager.py`` is the sim's one Central Manager at every
+    shape; of the control plane it may use only the transport-free
+    modules, never a driver."""
+    lower = tuple(
+        f"repro.controlplane.{Path(module).stem}"
+        for module in LOWER
+        if module.startswith("repro/controlplane/")
+    )
+    used = [
+        name
+        for _, name in imported_names(SRC / "repro/core/manager.py")
+        if hits(name, ("repro.controlplane",))
+    ]
+    assert used and [name for name in used if not hits(name, lower)] == []
 
 
 def test_the_check_sees_type_checking_blocks_and_relative_imports(tmp_path):

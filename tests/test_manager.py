@@ -24,6 +24,12 @@ def query(top_n=3, exclude=(), lat=44.97, lon=-93.25):
     return DiscoveryQuery("u1", lat, lon, top_n=top_n, exclude=exclude)
 
 
+def primary_index(system):
+    """The spatial index of the default 1x1 manager's one machine."""
+    (shard,) = system.manager.shards
+    return shard.machines[shard.primary].spatial_index
+
+
 def test_heartbeats_populate_registry(system):
     assert sorted(system.manager.known_node_ids()) == ["V1", "V2", "V5"]
 
@@ -55,16 +61,16 @@ def test_stale_nodes_age_out(system):
 def test_forget_node(system):
     system.manager.forget_node("V1")
     assert "V1" not in system.manager.known_node_ids()
-    assert "V1" not in system.manager.spatial_index
+    assert "V1" not in primary_index(system)
 
 
 def test_spatial_index_tracks_registry_through_expiry(system):
-    index = system.manager.spatial_index
+    index = primary_index(system)
     assert len(index) == 3 and all(v in index for v in ("V1", "V2", "V5"))
     system.nodes["V2"].fail()
     system.run_for(system.config.heartbeat_timeout_ms + 1_500.0)
     system.manager.prune_stale()
-    assert "V2" not in system.manager.spatial_index
+    assert "V2" not in index
     # survivors keep heartbeating and stay indexed
     assert len(index) == 2 and "V1" in index and "V5" in index
 

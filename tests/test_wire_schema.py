@@ -285,7 +285,7 @@ def test_manager_raw_field_ops_refuse_and_change_nothing(caplog):
     before the registry is touched."""
     good = to_wire(status())
     broken = {**good, "payload": {**good["payload"], "cores": "4"}}
-    snapshot = {"statuses": [good], "stamps": {"edge-0": 1.0}, "wrr": {}, "addresses": {}}
+    snapshot = {"statuses": [good], "stamps": {"edge-0": 1.0}, "addresses": {}}
     refused = [
         ("discover_partial", {"query": to_wire(query())}),
         *(("discover_partial", {"query": to_wire(query()), "radius_km": r}) for r in ("8", None, -1.0, math.nan)),
@@ -293,7 +293,6 @@ def test_manager_raw_field_ops_refuse_and_change_nothing(caplog):
         ("restore", {**snapshot, "statuses": good}),
         ("restore", {**snapshot, "stamps": {"edge-0": None}}),
         ("restore", {**snapshot, "stamps": [1.0]}),
-        ("restore", {**snapshot, "wrr": {"edge-0": "1"}}),
         ("restore", {**snapshot, "addresses": {"edge-0": ["127.0.0.1"]}}),
         ("restore", {k: v for k, v in snapshot.items() if k != "stamps"}),
     ]
@@ -326,7 +325,6 @@ def test_a_refused_restore_leaves_the_manager_serving_what_it_had(caplog):
     snapshot = {
         "statuses": [to_wire(status("n7")), to_wire(dataclasses.replace(status("n8"), geohash="AB"))],
         "stamps": {"n7": 1.0, "n8": 1.0},
-        "wrr": {},
         "addresses": {},
     }
 

@@ -15,27 +15,16 @@ users onto the closest node until it overloads.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from repro.core.client import EdgeClient
-from repro.obs.events import DiscoveryIssued, UncoveredFailure
+from repro.baselines.reactive import ReactiveClient
 
 
-class GeoProximityClient(EdgeClient):
+class GeoProximityClient(ReactiveClient):
     """Locality-based selection; reactive recovery on failure."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("proactive_connections", False)
-        super().__init__(*args, **kwargs)
-
-    # ------------------------------------------------------------------
-    def _begin_selection_round(self) -> None:
-        """Attach to the geographically closest alive node (once)."""
-        if self._stopped or self._round_in_progress:
-            return
-        if self.attached:
-            return  # locality policy never re-selects while attached
-        self._round_in_progress = True
+    def _select(self) -> None:
         rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
         self.system.sim.schedule(
             rtt, self._attach_closest, label=f"{self.user_id}.geo"
@@ -46,35 +35,15 @@ class GeoProximityClient(EdgeClient):
             return
         target = self._closest_node_id()
         if target is None:
-            self._end_round()
-            self.system.sim.schedule(500.0, self._begin_selection_round)
+            self._retry_round(500.0)
             return
-        node = self.system.nodes.get(target)
-        rtt = self.system.topology.rtt_ms(self.user_id, target)
-
-        def deliver() -> None:
-            if self._stopped:
-                return
-            if node is not None and node.alive and node.unexpected_join(
-                self.user_id, self.controller.fps
-            ):
-                self.current_edge = target
-                self._ensure_link(target, rtt)
-                self._end_round()
-                self._flush_backlog()
-            else:
-                self._end_round()
-                self.system.sim.schedule(500.0, self._begin_selection_round)
-
-        self.system.sim.schedule(rtt, deliver, label=f"{self.user_id}.geojoin")
+        self._attach(
+            target, f"{self.user_id}.geojoin", partial(self._retry_round, 500.0)
+        )
 
     def _closest_node_id(self) -> Optional[str]:
-        self.stats.discovery_queries += 1
-        self.system.trace.emit(DiscoveryIssued(self.system.sim.now, self.user_id))
-        statuses = self.system.manager.alive_statuses()
-        predicate = self.system.manager.policy.node_predicate
-        if predicate is not None:
-            statuses = [s for s in statuses if predicate(s)]
+        self._discovery_issued()
+        statuses = self._alive_candidates()
         if not statuses:
             return None
         user_point = self.system.topology.endpoint(self.user_id).point
@@ -83,16 +52,3 @@ class GeoProximityClient(EdgeClient):
             key=lambda s: (user_point.distance_km(s.point), s.node_id),
         )
         return closest.node_id
-
-    # ------------------------------------------------------------------
-    def on_edge_failure(self, node_id: str) -> None:
-        """Reactive: lose the node, rediscover the (new) closest."""
-        if self._stopped:
-            return
-        self.links.pop(node_id, None)
-        if node_id != self.current_edge:
-            return
-        self.current_edge = None
-        self.stats.uncovered_failures += 1
-        self.system.trace.emit(UncoveredFailure(self.system.sim.now, self.user_id))
-        self._begin_selection_round()

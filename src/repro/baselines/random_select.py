@@ -7,65 +7,32 @@ attaching to a uniformly random alive node.
 
 from __future__ import annotations
 
-from repro.core.client import EdgeClient
-from repro.obs.events import DiscoveryIssued, UncoveredFailure
+from functools import partial
+from typing import Any
+
+from repro.baselines.reactive import ReactiveClient
 
 
-class RandomSelectClient(EdgeClient):
+class RandomSelectClient(ReactiveClient):
     """Attach to a uniformly random alive node; reactive recovery."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("proactive_connections", False)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._choice_rng = self.system.streams.get(f"random-select.{self.user_id}")
 
-    def _begin_selection_round(self) -> None:
-        if self._stopped or self._round_in_progress or self.attached:
-            return
-        self._round_in_progress = True
+    def _select(self) -> None:
         rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
         self.system.sim.schedule(rtt, self._attach_random, label=f"{self.user_id}.rnd")
 
     def _attach_random(self) -> None:
         if self._stopped:
             return
-        self.stats.discovery_queries += 1
-        self.system.trace.emit(DiscoveryIssued(self.system.sim.now, self.user_id))
-        statuses = self.system.manager.alive_statuses()
-        predicate = self.system.manager.policy.node_predicate
-        if predicate is not None:
-            statuses = [s for s in statuses if predicate(s)]
+        self._discovery_issued()
+        statuses = self._alive_candidates()
         if not statuses:
-            self._end_round()
-            self.system.sim.schedule(500.0, self._begin_selection_round)
+            self._retry_round(500.0)
             return
         target = self._choice_rng.choice(sorted(s.node_id for s in statuses))
-        node = self.system.nodes.get(target)
-        rtt = self.system.topology.rtt_ms(self.user_id, target)
-
-        def deliver() -> None:
-            if self._stopped:
-                return
-            if node is not None and node.alive and node.unexpected_join(
-                self.user_id, self.controller.fps
-            ):
-                self.current_edge = target
-                self._ensure_link(target, rtt)
-                self._end_round()
-                self._flush_backlog()
-            else:
-                self._end_round()
-                self.system.sim.schedule(200.0, self._begin_selection_round)
-
-        self.system.sim.schedule(rtt, deliver, label=f"{self.user_id}.rndjoin")
-
-    def on_edge_failure(self, node_id: str) -> None:
-        if self._stopped:
-            return
-        self.links.pop(node_id, None)
-        if node_id != self.current_edge:
-            return
-        self.current_edge = None
-        self.stats.uncovered_failures += 1
-        self.system.trace.emit(UncoveredFailure(self.system.sim.now, self.user_id))
-        self._begin_selection_round()
+        self._attach(
+            target, f"{self.user_id}.rndjoin", partial(self._retry_round, 200.0)
+        )

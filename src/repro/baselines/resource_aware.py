@@ -15,33 +15,24 @@ available but badly-connected node, the gap Figs. 6-7 show.
 
 from __future__ import annotations
 
-from repro.core.client import EdgeClient
+from functools import partial
+from typing import Tuple
+
+from repro.baselines.reactive import ReactiveClient
 from repro.messages import DiscoveryQuery
-from repro.obs.events import DiscoveryIssued, UncoveredFailure
 
 
-class ResourceAwareWRRClient(EdgeClient):
+class ResourceAwareWRRClient(ReactiveClient):
     """Manager-assigned WRR selection; reactive recovery on failure."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("proactive_connections", False)
-        super().__init__(*args, **kwargs)
-
-    # ------------------------------------------------------------------
-    def _begin_selection_round(self) -> None:
-        if self._stopped or self._round_in_progress:
-            return
-        if self.attached:
-            return  # static assignment while the node lives
-        self._round_in_progress = True
+    def _select(self) -> None:
         rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
         self.system.sim.schedule(rtt, self._attach_wrr, label=f"{self.user_id}.wrr")
 
-    def _attach_wrr(self, exclude: tuple = ()) -> None:
+    def _attach_wrr(self, exclude: Tuple[str, ...] = ()) -> None:
         if self._stopped:
             return
-        self.stats.discovery_queries += 1
-        self.system.trace.emit(DiscoveryIssued(self.system.sim.now, self.user_id))
+        self._discovery_issued()
         endpoint = self.system.topology.endpoint(self.user_id)
         query = DiscoveryQuery(
             user_id=self.user_id,
@@ -53,36 +44,11 @@ class ResourceAwareWRRClient(EdgeClient):
         )
         target = self.system.manager.wrr_assign(query)
         if target is None:
-            self._end_round()
-            self.system.sim.schedule(500.0, self._begin_selection_round)
+            self._retry_round(500.0)
             return
-        node = self.system.nodes.get(target)
-        rtt = self.system.topology.rtt_ms(self.user_id, target)
-
-        def deliver() -> None:
-            if self._stopped:
-                return
-            if node is not None and node.alive and node.unexpected_join(
-                self.user_id, self.controller.fps
-            ):
-                self.current_edge = target
-                self._ensure_link(target, rtt)
-                self._end_round()
-                self._flush_backlog()
-            else:
-                # Assignment raced a failure: ask again, excluding it.
-                self._attach_wrr(exclude=exclude + (target,))
-
-        self.system.sim.schedule(rtt, deliver, label=f"{self.user_id}.wrrjoin")
-
-    # ------------------------------------------------------------------
-    def on_edge_failure(self, node_id: str) -> None:
-        if self._stopped:
-            return
-        self.links.pop(node_id, None)
-        if node_id != self.current_edge:
-            return
-        self.current_edge = None
-        self.stats.uncovered_failures += 1
-        self.system.trace.emit(UncoveredFailure(self.system.sim.now, self.user_id))
-        self._begin_selection_round()
+        # An assignment that raced a failure: ask again, excluding it.
+        self._attach(
+            target,
+            f"{self.user_id}.wrrjoin",
+            partial(self._attach_wrr, exclude + (target,)),
+        )

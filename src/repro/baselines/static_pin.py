@@ -9,54 +9,27 @@ probes each server with a pinned client).
 
 from __future__ import annotations
 
-from repro.core.client import EdgeClient
-from repro.obs.events import UncoveredFailure
+from functools import partial
+from typing import Any
+
+from repro.baselines.reactive import ReactiveClient
 
 
-class StaticPinClient(EdgeClient):
+class StaticPinClient(ReactiveClient):
     """Offloads to one fixed node forever.
 
     Args:
         target_node_id: the pinned node (keyword-only, required).
     """
 
-    def __init__(self, *args, target_node_id: str, **kwargs) -> None:
-        kwargs.setdefault("proactive_connections", False)
+    def __init__(self, *args: Any, target_node_id: str, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.target_node_id = target_node_id
 
-    def _begin_selection_round(self) -> None:
-        if self._stopped or self._round_in_progress or self.attached:
-            return
-        self._round_in_progress = True
-        target = self.target_node_id
-        node = self.system.nodes.get(target)
-        rtt = self.system.topology.rtt_ms(self.user_id, target)
-
-        def deliver() -> None:
-            if self._stopped:
-                return
-            if node is not None and node.alive and node.unexpected_join(
-                self.user_id, self.controller.fps
-            ):
-                self.current_edge = target
-                self._ensure_link(target, rtt)
-                self._end_round()
-                self._flush_backlog()
-            else:
-                # Pinned target unavailable: retry until it returns.
-                self._end_round()
-                self.system.sim.schedule(1000.0, self._begin_selection_round)
-
-        self.system.sim.schedule(rtt, deliver, label=f"{self.user_id}.pin")
-
-    def on_edge_failure(self, node_id: str) -> None:
-        if self._stopped:
-            return
-        self.links.pop(node_id, None)
-        if node_id != self.current_edge:
-            return
-        self.current_edge = None
-        self.stats.uncovered_failures += 1
-        self.system.trace.emit(UncoveredFailure(self.system.sim.now, self.user_id))
-        self._begin_selection_round()
+    def _select(self) -> None:
+        # Pinned target unavailable: retry until it returns.
+        self._attach(
+            self.target_node_id,
+            f"{self.user_id}.pin",
+            partial(self._retry_round, 1000.0),
+        )

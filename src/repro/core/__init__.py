@@ -18,10 +18,14 @@ The pieces map one-to-one onto Fig. 2 of the paper:
   network topology, and the live registry of nodes and clients; also the
   hook point for churn injection.
 
-These are simulation *drivers*: the messages they exchange
-(:mod:`repro.messages`), the policies they consult (:mod:`repro.policy`)
-and the protocol machines they execute (:mod:`repro.protocol`) all sit
-below this package and import nothing from it.
+``EdgeClient`` and ``EdgeServer`` are the simulation backends of the
+protocol drivers (:mod:`repro.protocol.driver`), which interpret the
+machines' effects for this package and ``repro.runtime`` alike; they add
+only the kernel clock, RTT sampling, fault verdicts, the frame queue and
+the per-frame path. The messages (:mod:`repro.messages`), the policies
+(:mod:`repro.policy`) and the protocol machines and drivers
+(:mod:`repro.protocol`) all sit below this package and import nothing
+from it.
 """
 
 from repro.core.client import ClientStats, EdgeClient

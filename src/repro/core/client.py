@@ -1,4 +1,4 @@
-"""The application user (client) — simulation driver over the protocol core.
+"""The application user (client) — simulation backend of the client driver.
 
 An :class:`EdgeClient` runs three concurrent activities on the simulator:
 
@@ -12,13 +12,14 @@ An :class:`EdgeClient` runs three concurrent activities on the simulator:
    connection, falling back to reactive re-discovery only when every
    backup is dead too (counted as a *failure*, Fig. 10b).
 
-All the *decisions* in 2 and 3 — ranking, dwell, hysteresis, join
-retry, backup adoption, the failover walk — live in
-:class:`repro.protocol.selection.SelectionMachine`; this class is the
-sim-side **driver**: it translates kernel callbacks into protocol input
-events, executes the returned effects (network sends with sampled RTT
-delays, timers, trace emission), and owns the pure-I/O machinery —
-frames, links, probing measurements, the backlog.
+All the *decisions* in 2 and 3 live in
+:class:`repro.protocol.selection.SelectionMachine`, and its effects are
+dispatched once, for this backend and the live one, by
+:class:`repro.protocol.driver.ClientDriver`. This class supplies only
+transport and physics: RTT sampling, fault verdicts, the kernel
+callbacks that deliver each reply (``sim.schedule``, in the same calls
+and order as ever, so every RNG draw and event lands where it did), and
+the per-frame path — frames, the backlog, :class:`_InFlightFrame`.
 
 Baselines (geo-proximity, resource-aware WRR, ...) subclass this and
 override only the selection round — frames, links, adaptation and
@@ -29,57 +30,32 @@ costs elsewhere.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Deque,
-    Dict,
-    List,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.core.config import SystemConfig
-from repro.messages import CandidateList, DiscoveryQuery, ProbeOutcome
+from repro.messages import DiscoveryQuery, ProbeOutcome
 from repro.policy.base import SelectionPolicy
 from repro.policy.baselines import RankingCallable
 from repro.net.link import CONNECTION_SETUP_RTTS, Link
 from repro.nodes.processing import CompletedFrame
-from repro.obs.events import (
-    FrameDone,
-    FrameStart,
-    PhaseSpan,
-    ProbeAnswered,
-    ProbeSent,
-    UncoveredFailure,
-)
-from repro.protocol.effects import (
-    Attached,
-    Effect,
-    EmitTrace,
-    FlushBacklog,
-    ProbeCandidates,
-    SendDiscovery,
-    SendFailoverJoin,
-    SendJoin,
-    SendLeave,
-    StartTimer,
-    UpdateBackups,
-)
+from repro.obs.events import FrameDone, FrameStart, PhaseSpan
+from repro.protocol.driver import ClientDriver, ClientStats
 from repro.protocol.events import (
     CandidatesReceived,
     DiscoveryFailed,
-    EdgeFailed,
     FailoverResult,
-    JoinResult,
     ProbesCompleted,
-    ProtocolEvent,
-    RoundStarted,
 )
-from repro.protocol.failure_monitor import FailureMonitor
-from repro.protocol.selection import SelectionConfig, SelectionMachine
+from repro.protocol.selection import SelectionConfig
 from repro.sim.kernel import TimerHandle
 from repro.workload.adaptive import AdaptiveRateController
 from repro.workload.ar import ARApplication
@@ -90,28 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import EdgeSystem
     from repro.faults.injector import MessageDecision
 
-
-@dataclass
-class ClientStats:
-    """Per-client counters surfaced to experiments."""
-
-    frames_sent: int = 0
-    frames_completed: int = 0
-    frames_lost: int = 0
-    probes_sent: int = 0
-    discovery_queries: int = 0
-    joins_accepted: int = 0
-    joins_rejected: int = 0
-    switches: int = 0
-    covered_failovers: int = 0
-    uncovered_failures: int = 0
-    latencies_ms: List[float] = field(default_factory=list)
-
-    @property
-    def mean_latency_ms(self) -> float:
-        if not self.latencies_ms:
-            raise ValueError("no completed frames yet")
-        return sum(self.latencies_ms) / len(self.latencies_ms)
+__all__ = ["ClientLike", "ClientStats", "EdgeClient"]
 
 
 @runtime_checkable
@@ -251,7 +206,7 @@ class _InFlightFrame:
         client.controller.observe(latency)
 
 
-class EdgeClient:
+class EdgeClient(ClientDriver):
     """A user device running the client-centric edge selection.
 
     Args:
@@ -279,17 +234,13 @@ class EdgeClient:
         backlog_limit: int = 64,
     ) -> None:
         self.system = system
-        self.user_id = user_id
         self.config: SystemConfig = system.config
         self.app = app or system.app
-        self.proactive_connections = proactive_connections
         self.controller = AdaptiveRateController(self.app)
         rng = system.streams.get(f"client.{user_id}")
         self.frame_source = FrameSource(user_id, self.app, rng)
         self._rng = rng
-
-        #: The sans-IO protocol core this driver executes.
-        self._machine = SelectionMachine(
+        super().__init__(
             user_id,
             local_policy
             if local_policy is not None
@@ -301,26 +252,22 @@ class EdgeClient:
                 switch_penalty_fraction=self.config.switch_penalty_fraction,
                 max_discovery_retries=self.config.max_discovery_retries,
             ),
-            detail_guard=lambda: self.system.trace.enabled,
+            tracer=system.trace,
+            proactive_connections=proactive_connections,
         )
-        self.links: Dict[str, Link] = {}
-        self.stats = ClientStats()
         #: Live robustness knob (§IV-E): an attached AdaptiveRobustness
         #: controller may move it with observed churn (``top_n`` lives on
-        #: the machine and is mirrored below).
+        #: the machine and is mirrored by the driver).
         self.probing_period_ms = self.config.probing_period_ms
         self.robustness_controller: Optional[object] = None
         self._backlog: Deque[Frame] = deque(maxlen=backlog_limit)
         self._probe_event: Optional[TimerHandle] = None
-        self._offload_timer: Optional[TimerHandle] = None
-        self._stopped = False
         # Interned hot-path event labels. The frame loop schedules ~4
         # kernel events per frame; rebuilding the same f-string label on
         # every call was measurable at metro scale, so each label is
         # built once per client here.
         uid = self.user_id
         self._lbl_probe = uid + ".probe"
-        self._lbl_retry = uid + ".retry"
         self._lbl_discover_timeout = uid + ".discover-timeout"
         self._lbl_discover = uid + ".discover"
         self._lbl_probed = uid + ".probed"
@@ -332,67 +279,16 @@ class EdgeClient:
         self._lbl_uplink = uid + ".uplink"
         self._lbl_leave = uid + ".leave"
 
-    # ------------------------------------------------------------------
-    # Protocol-core state, exposed on the driver for experiments,
-    # baselines and the adaptive robustness controller.
-    # ------------------------------------------------------------------
-    @property
-    def local_policy(self) -> SelectionPolicy:
-        return self._machine.policy
+    #: The policy under the name experiments have always read.
+    local_policy = ClientDriver.policy
 
-    @local_policy.setter
-    def local_policy(
-        self, policy: "SelectionPolicy | RankingCallable"
+    def _now(self) -> float:
+        return self.system.sim.now
+
+    def _call_later(
+        self, delay_ms: float, callback: Callable[[], None], label: str
     ) -> None:
-        self._machine.policy = policy
-
-    @property
-    def current_edge(self) -> Optional[str]:
-        return self._machine.current_edge
-
-    @current_edge.setter
-    def current_edge(self, node_id: Optional[str]) -> None:
-        self._machine.current_edge = node_id
-
-    @property
-    def top_n(self) -> int:
-        return self._machine.top_n
-
-    @top_n.setter
-    def top_n(self, value: int) -> None:
-        self._machine.top_n = value
-
-    @property
-    def failure_monitor(self) -> FailureMonitor:
-        return self._machine.monitor
-
-    @failure_monitor.setter
-    def failure_monitor(self, monitor: FailureMonitor) -> None:
-        self._machine.monitor = monitor
-
-    @property
-    def _round_in_progress(self) -> bool:
-        return self._machine.round_in_progress
-
-    @_round_in_progress.setter
-    def _round_in_progress(self, value: bool) -> None:
-        self._machine.round_in_progress = value
-
-    @property
-    def _last_join_ms(self) -> float:
-        return self._machine.last_join_ms
-
-    @_last_join_ms.setter
-    def _last_join_ms(self, value: float) -> None:
-        self._machine.last_join_ms = value
-
-    @property
-    def _retries(self) -> int:
-        return self._machine._retries
-
-    @_retries.setter
-    def _retries(self, value: int) -> None:
-        self._machine._retries = value
+        self.system.sim.schedule(delay_ms, callback, label=label)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -436,70 +332,9 @@ class EdgeClient:
         self._stopped = True
         if self._probe_event is not None:
             self._probe_event.cancel()
-        if self._offload_timer is not None:
-            self._offload_timer.cancel()
         if self.current_edge is not None:
             self._send_leave(self.current_edge, reason="finish")
             self.current_edge = None
-
-    @property
-    def attached(self) -> bool:
-        return self.current_edge is not None
-
-    # ------------------------------------------------------------------
-    # Protocol-event feed + effect execution
-    # ------------------------------------------------------------------
-    def _feed(self, event: ProtocolEvent) -> None:
-        """Advance the protocol machine and execute what it asks for."""
-        if self._stopped:
-            return
-        self._run_effects(self._machine.handle(event))
-
-    def _run_effects(self, effects: List[Effect]) -> None:
-        for effect in effects:
-            if isinstance(effect, EmitTrace):
-                self.system.trace.emit(effect.event)
-                if isinstance(effect.event, UncoveredFailure):
-                    self.stats.uncovered_failures += 1
-            elif isinstance(effect, SendDiscovery):
-                self.stats.discovery_queries += 1
-                self._perform_discovery(effect)
-            elif isinstance(effect, ProbeCandidates):
-                self._probe_candidates(list(effect.node_ids))
-            elif isinstance(effect, SendJoin):
-                self._perform_join(effect.outcome)
-            elif isinstance(effect, SendLeave):
-                self._send_leave(effect.node_id, reason=effect.reason)
-            elif isinstance(effect, SendFailoverJoin):
-                self._perform_failover_join(effect.node_id)
-            elif isinstance(effect, Attached):
-                if effect.via == "failover":
-                    self.stats.covered_failovers += 1
-                elif effect.previous is not None and (
-                    effect.previous != effect.node_id
-                ):
-                    self.stats.switches += 1
-                self._ensure_link(effect.node_id, effect.rtt_ms)
-            elif isinstance(effect, UpdateBackups):
-                if self.proactive_connections:
-                    for outcome in effect.outcomes:
-                        self._ensure_link(outcome.node_id, outcome.d_prop_ms)
-                self._prune_links()
-            elif isinstance(effect, FlushBacklog):
-                self._flush_backlog()
-            elif isinstance(effect, StartTimer):
-                self.system.sim.schedule(
-                    effect.delay_ms,
-                    self._begin_selection_round,
-                    label=self._lbl_retry,
-                )
-            else:  # pragma: no cover - forward-compatibility guard
-                raise TypeError(f"unhandled effect {type(effect).__name__}")
-
-    def _end_round(self) -> None:
-        """Close the current selection round (used by baseline subclasses
-        that bypass the protocol machine)."""
-        self._round_in_progress = False
 
     # ------------------------------------------------------------------
     # Fault interception (repro.faults)
@@ -525,40 +360,36 @@ class EdgeClient:
     # ------------------------------------------------------------------
     # Selection round I/O (Algorithm 2) — overridden by baselines
     # ------------------------------------------------------------------
-    def _begin_selection_round(self) -> None:
-        if self._stopped or self._round_in_progress:
-            return
-        self._feed(RoundStarted(self.system.sim.now))
-
-    def _perform_discovery(self, effect: SendDiscovery) -> None:
+    def _send_discovery(self, top_n: int, exclude: Tuple[str, ...]) -> None:
         """Edge discovery: one round trip to the Central Manager."""
         endpoint = self.system.topology.endpoint(self.user_id)
         query = DiscoveryQuery(
             user_id=self.user_id,
             lat=endpoint.point.lat,
             lon=endpoint.point.lon,
-            top_n=effect.top_n,
+            top_n=top_n,
             isp=endpoint.isp,
-            exclude=effect.exclude,
+            exclude=exclude,
         )
         rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
         verdict = self._decide_fault(self.system.manager_id, "discover")
         if verdict is not None:
             if not verdict.deliver:
                 # Black-holed: the client only learns via its timeout.
-                self.system.sim.schedule(
-                    self.DISCOVERY_TIMEOUT_MS,
-                    lambda: self._feed(
-                        DiscoveryFailed(self.system.sim.now, reason=verdict.kind)
-                    ),
-                    label=self._lbl_discover_timeout,
-                )
+                self._discovery_timeout(verdict.kind)
                 return
             rtt += verdict.extra_delay_ms
         self.system.sim.schedule(
             rtt,
             lambda: self._discover_at_manager(query),
             label=self._lbl_discover,
+        )
+
+    def _discovery_timeout(self, reason: str) -> None:
+        self.system.sim.schedule(
+            self.DISCOVERY_TIMEOUT_MS,
+            lambda: self._feed(DiscoveryFailed(self.system.sim.now, reason=reason)),
+            label=self._lbl_discover_timeout,
         )
 
     def _discover_at_manager(self, query: DiscoveryQuery) -> None:
@@ -573,27 +404,15 @@ class EdgeClient:
         try:
             candidates = self.system.manager.discover(query)
         except ControlPlaneUnavailable as exc:
-            # Bind now: `exc` is unbound once the except block exits,
-            # but the lambda fires a discovery-timeout later.
-            reason = exc.reason
-            self.system.sim.schedule(
-                self.DISCOVERY_TIMEOUT_MS,
-                lambda: self._feed(
-                    DiscoveryFailed(self.system.sim.now, reason=reason)
-                ),
-                label=self._lbl_discover_timeout,
-            )
+            self._discovery_timeout(exc.reason)
             return
-        self._deliver_candidates(candidates)
-
-    def _deliver_candidates(self, candidates: CandidateList) -> None:
         self._feed(
             CandidatesReceived(
                 self.system.sim.now, candidates.node_ids, candidates.widened
             )
         )
 
-    def _probe_candidates(self, node_ids: List[str]) -> None:
+    def _probe_candidates(self, node_ids: Tuple[str, ...]) -> None:
         """Probe all candidates in parallel; collect when the slowest returns.
 
         Each probe measures ``D_prop`` (the sampled RTT *is* the
@@ -603,13 +422,12 @@ class EdgeClient:
         this is how proactive backup connections get established.
         """
         topology = self.system.topology
-        trace = self.system.trace
-        outcomes: List[ProbeOutcome] = []
+        now = self.system.sim.now
+        outcomes = []
         max_rtt = 0.0
         samples = self.config.rtt_probe_samples
         for node_id in node_ids:
-            self.stats.probes_sent += 1
-            trace.emit(ProbeSent(self.system.sim.now, self.user_id, node_id))
+            self._probe_sent(node_id)
             if not topology.has_endpoint(node_id):
                 continue
             verdict = self._decide_fault(node_id, "probe")
@@ -628,28 +446,7 @@ class EdgeClient:
             reply = node.process_probe()
             if reply is None:
                 continue  # dead node: probe times out silently
-            if trace.enabled:
-                trace.emit(
-                    ProbeAnswered(
-                        self.system.sim.now + rtt,
-                        self.user_id,
-                        node_id,
-                        rtt,
-                        reply.what_if_ms,
-                    )
-                )
-            outcomes.append(
-                ProbeOutcome(
-                    node_id=node_id,
-                    d_prop_ms=rtt,
-                    d_proc_ms=reply.what_if_ms,
-                    seq_num=reply.seq_num,
-                    attached_users=reply.attached_users,
-                    current_proc_ms=reply.current_proc_ms,
-                    stay_ms=reply.stay_ms or reply.what_if_ms,
-                    probed_at_ms=self.system.sim.now,
-                )
-            )
+            outcomes.append(self._probe_answered(node_id, rtt, reply, now, now + rtt))
             if self.proactive_connections:
                 self._ensure_link(node_id, rtt)
         self.system.sim.schedule(
@@ -660,7 +457,7 @@ class EdgeClient:
             label=self._lbl_probed,
         )
 
-    def _perform_join(self, best: ProbeOutcome) -> None:
+    def _send_join(self, best: ProbeOutcome) -> None:
         """``Join()`` the chosen candidate, echoing its probed seqNum."""
         node = self.system.nodes.get(best.node_id)
         rtt = self.system.topology.rtt_ms(self.user_id, best.node_id)
@@ -674,30 +471,17 @@ class EdgeClient:
             if dropped or node is None or not node.alive:
                 # A dropped join is indistinguishable from a dead node:
                 # no answer before the timeout.
-                accepted, node_alive = False, False
+                self._join_answered(best.node_id, False, False, now)
             else:
                 reply = node.join(self.user_id, best.seq_num, self.controller.fps)
-                accepted, node_alive = reply.accepted, True
-            if accepted:
-                self.stats.joins_accepted += 1
-            elif node_alive:
-                self.stats.joins_rejected += 1
-            self._feed(
-                JoinResult(
-                    now,
-                    best.node_id,
-                    accepted,
-                    attempted_at=now,
-                    node_alive=node_alive,
-                )
-            )
+                self._join_answered(best.node_id, reply.accepted, True, now)
 
         self.system.sim.schedule(rtt, deliver, label=self._lbl_join)
 
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------
-    def _ensure_link(self, node_id: str, rtt_ms: float) -> Link:
+    def _ensure_link(self, node_id: str, rtt_ms: float) -> None:
         link = self.links.get(node_id)
         if link is None:
             link = Link(self.user_id, node_id, rtt_ms)
@@ -705,38 +489,11 @@ class EdgeClient:
             self.links[node_id] = link
         else:
             link.rtt_ms = rtt_ms
-        return link
-
-    def _prune_links(self) -> None:
-        """Close connections to nodes that are neither current nor backup."""
-        keep = set(self.failure_monitor.backups)
-        if self.current_edge is not None:
-            keep.add(self.current_edge)
-        for node_id in list(self.links):
-            if node_id not in keep:
-                del self.links[node_id]
 
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
-    def observes_node(self, node_id: str) -> bool:
-        """See :meth:`ClientLike.observes_node`: connection, attachment
-        or backup-list membership all make a failure observable."""
-        return (
-            node_id in self.links
-            or node_id == self.current_edge
-            or node_id in self.failure_monitor.backups
-        )
-
-    def on_edge_failure(self, node_id: str) -> None:
-        """A connection to ``node_id`` broke (delivered by the system
-        ``failure_detection_ms`` after the node died)."""
-        if self._stopped:
-            return
-        self.links.pop(node_id, None)
-        self._feed(EdgeFailed(self.system.sim.now, node_id))
-
-    def _perform_failover_join(self, backup_id: str) -> None:
+    def _send_failover_join(self, backup_id: str) -> None:
         """``Unexpected_join()`` one backup after the connection delay."""
         node = self.system.nodes.get(backup_id)
         rtt = (
@@ -756,7 +513,7 @@ class EdgeClient:
                 not dropped
                 and node is not None
                 and node.alive
-                and node.unexpected_join(self.user_id, self.controller.fps)
+                and node.unexpected_join(self.user_id, self.controller.fps).accepted
             )
             self._feed(
                 FailoverResult(

@@ -29,7 +29,7 @@ change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import SystemConfig
@@ -38,6 +38,7 @@ from repro.core.manager import CentralManager
 from repro.geo.point import GeoPoint
 from repro.net.latency import NetworkTier
 from repro.nodes.hardware import HardwareProfile
+from repro.nodes.processing import analytic_sojourn_ms
 from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.workload.ar import ARApplication
 
@@ -73,7 +74,9 @@ class _AppService(EdgeServer):
     Subclasses :class:`EdgeServer` so probing, seqNum, the what-if cache
     and the performance monitor are inherited verbatim, but routes all
     compute through the *shared* node processor with this application's
-    service time, so co-hosted applications contend for the machine.
+    service time, so co-hosted applications contend for the machine —
+    the test workload's synthetic frame and its demand projection
+    included.
     """
 
     def __init__(
@@ -90,90 +93,34 @@ class _AppService(EdgeServer):
         self.spec = spec
         self.processor = shared_processor  # replace the private queue
         self._manager = manager
+        # "One more user" of this application runs at its own rate.
+        self._machine.config = replace(
+            self._machine.config, standard_fps=spec.app.max_fps
+        )
         base = profile.base_frame_ms * spec.service_scale
         self.what_if_ms = base
         self.stay_ms = base
-        self._monitor_baseline_ms = base
+        self._machine.monitor_baseline_ms = base
 
     # The service's compute cost on this hardware.
     @property
-    def service_ms(self) -> float:
+    def service_ms(self) -> float:  # type: ignore[override]
         return self.profile.base_frame_ms * self.spec.service_scale
 
-    def receive_frame(self, frame, arrival_ms):  # type: ignore[override]
-        if not self.alive:
-            return None
-        self.frames_received += 1
-        completed = self.processor.submit(arrival_ms, service_ms=self.service_ms)
-        if completed is None:
-            self.frames_dropped += 1
-            return None
-        return completed
-
-    def _invoke_test_workload(self) -> None:  # type: ignore[override]
-        """Same triggers as the base class, with per-app service time."""
-        if not self.alive or self._test_pending:
-            return
-        now = self.system.sim.now
-        completed = self.processor.submit(
-            now, synthetic=True, service_ms=self.service_ms
-        )
-        if completed is None:
-            return
-        self.test_workload_invocations += 1
-        from repro.obs.events import TestWorkloadInvoked
-
-        self.system.trace.emit(TestWorkloadInvoked(now, self.node_id))
-        self._test_pending = True
-
-        def update_cache() -> None:
-            self._test_pending = False
-            if not self.alive:
-                return
-            from repro.nodes.processing import analytic_sojourn_ms
-
-            measured = completed.sojourn_ms
-            n_attached = len(self.attached)
-            max_fps = self.spec.app.max_fps
-            # Demand projection over the *shared* queue: this service's
-            # own users plus the live cross-application arrival rate.
-            cross_fps = self.processor.arrival_rate_fps(self.system.sim.now)
-            own_scale = self.spec.service_scale
-            equivalent_fps = cross_fps + (n_attached + 1) * max_fps * own_scale
-            projected = analytic_sojourn_ms(
-                self.profile,
-                equivalent_fps,
-                slowdown_factor=self.processor.slowdown_factor,
-            )
-            alpha = 0.6
-            self.what_if_ms = (
-                alpha * max(measured, projected) + (1 - alpha) * self.what_if_ms
-            )
-            stay_projected = analytic_sojourn_ms(
-                self.profile,
-                cross_fps + max(n_attached, 1) * max_fps * own_scale,
-                slowdown_factor=self.processor.slowdown_factor,
-            )
-            self.stay_ms = (
-                alpha * max(measured, stay_projected) + (1 - alpha) * self.stay_ms
-            )
-            self._monitor_baseline_ms = measured
-
-        self.system.sim.schedule_at(
-            completed.completion_ms, update_cache, label=f"{self.node_id}.cache"
+    def _project_sojourn(self, offered_fps: float, slowdown: float) -> float:
+        """Demand projection over the *shared* queue: this service's own
+        users at its compute cost, plus the live cross-application
+        arrival rate."""
+        cross_fps = self.processor.arrival_rate_fps(self.system.sim.now)
+        return analytic_sojourn_ms(
+            self.profile,
+            cross_fps + offered_fps * self.spec.service_scale,
+            slowdown_factor=slowdown,
         )
 
-    def _send_heartbeat(self) -> None:  # type: ignore[override]
-        """Heartbeat to this application's own manager."""
-        if not self.alive:
-            return
-        status = self.status()
-        delay = self.system.topology.one_way_ms(self.node_id, self.system.manager_id)
-        self.system.sim.schedule(
-            delay,
-            lambda: self._manager.receive_heartbeat(status),
-            label=f"{self.node_id}.hb",
-        )
+    def _deliver_heartbeat(self, status) -> None:  # type: ignore[override]
+        """Heartbeats go to this application's own manager."""
+        self._manager.receive_heartbeat(status)
 
 
 class MultiAppEdgeServer:

@@ -16,63 +16,31 @@ local probe/rank/join with backups and instant failover) is implemented
 Each machine consumes typed :mod:`~repro.protocol.events` (every event
 carries an explicit ``now``) and returns typed
 :mod:`~repro.protocol.effects`; it has zero knowledge of clocks,
-sockets, or the simulator kernel. The discrete-event backend
-(``repro.core``) and the live asyncio backend (``repro.runtime``) are
-thin drivers: they translate kernel callbacks / awaited messages into
-input events and execute the returned effects in order.
+sockets, or the simulator kernel.
+
+The client and edge machines' effects are interpreted once, here, by
+:mod:`~repro.protocol.driver`: :class:`~repro.protocol.driver.ClientDriver`
+and :class:`~repro.protocol.driver.EdgeDriver` own dispatch, timers,
+links, stats and the Table I handlers. The discrete-event backend
+(``repro.core``) and the live asyncio backend (``repro.runtime``)
+subclass them and supply only transport and physics; no module outside
+this package names a selection or admission effect (held by
+``tests/test_layering.py``). The Central Manager's effects are still
+interpreted by each backend's manager.
 
 This package is fully typed (checked with ``mypy --strict`` in CI) and
 imports nothing from ``repro.core``, ``repro.runtime`` or ``repro.sim``
 — the messages it carries are :mod:`repro.messages`, the policies it
 consults :mod:`repro.policy`, both below it — so either backend can
-import it freely (held by ``tests/test_layering.py``). See DESIGN.md §8
-for the event/effect tables and a sequence diagram of one selection
-round.
+import it freely. See DESIGN.md §8 for the event/effect tables and a
+sequence diagram of one selection round.
 """
 
-from repro.protocol.effects import (
-    Attached,
-    Effect,
-    EmitTrace,
-    FlushBacklog,
-    NodeExpired,
-    NodeOnline,
-    ProbeCandidates,
-    ReplyCandidates,
-    ReplyJoin,
-    ReplyProbe,
-    ScheduleTestWorkload,
-    SendDiscovery,
-    SendFailoverJoin,
-    SendJoin,
-    SendLeave,
-    StartTimer,
-    UpdateBackups,
-)
-from repro.protocol.events import (
-    CandidatesReceived,
-    DiscoveryRequested,
-    EdgeFailed,
-    FailoverResult,
-    HeartbeatReceived,
-    JoinRequested,
-    JoinResult,
-    LeaveRequested,
-    MonitorSample,
-    NodeFailed,
-    NodeForgotten,
-    ProbeRequested,
-    ProbesCompleted,
-    ProtocolEvent,
-    PruneTick,
-    RoundStarted,
-    TestWorkloadCompleted,
-    UnexpectedJoinRequested,
-)
 from repro.protocol.failure_monitor import FailureMonitor
 from repro.protocol.selection import SelectionConfig, SelectionMachine
 from repro.protocol.admission import AdmissionConfig, AdmissionMachine
 from repro.protocol.global_select import GlobalSelectionMachine
+from repro.protocol.driver import ClientDriver, ClientStats, EdgeDriver
 
 __all__ = [
     # machines
@@ -82,41 +50,8 @@ __all__ = [
     "AdmissionConfig",
     "GlobalSelectionMachine",
     "FailureMonitor",
-    # events
-    "ProtocolEvent",
-    "RoundStarted",
-    "CandidatesReceived",
-    "ProbesCompleted",
-    "JoinResult",
-    "EdgeFailed",
-    "FailoverResult",
-    "ProbeRequested",
-    "JoinRequested",
-    "UnexpectedJoinRequested",
-    "LeaveRequested",
-    "TestWorkloadCompleted",
-    "MonitorSample",
-    "NodeFailed",
-    "HeartbeatReceived",
-    "DiscoveryRequested",
-    "PruneTick",
-    "NodeForgotten",
-    # effects
-    "Effect",
-    "EmitTrace",
-    "SendDiscovery",
-    "ProbeCandidates",
-    "SendJoin",
-    "SendLeave",
-    "SendFailoverJoin",
-    "Attached",
-    "UpdateBackups",
-    "FlushBacklog",
-    "StartTimer",
-    "ReplyProbe",
-    "ReplyJoin",
-    "ScheduleTestWorkload",
-    "ReplyCandidates",
-    "NodeOnline",
-    "NodeExpired",
+    # drivers
+    "ClientDriver",
+    "ClientStats",
+    "EdgeDriver",
 ]

@@ -3,10 +3,13 @@
 The simulation backend answers the paper's *performance* questions; this
 package demonstrates that the protocol itself — discovery, probing with
 ``seqNum`` synchronization, join/leave, what-if caching, heartbeats,
-failover — runs unchanged over a real transport. It is a faithful port,
-not a second implementation: messages are the dataclasses of
-:mod:`repro.messages` serialized with ``to_wire``/``from_wire`` as
-newline-delimited JSON.
+failover — runs unchanged over a real transport. It is not a second
+implementation: :class:`LiveClient` and :class:`LiveEdgeServer`
+subclass the same drivers as the simulated client and node
+(:mod:`repro.protocol.driver`), which interpret the protocol machines'
+effects once for both, and add only sockets, retries, breakers and the
+worker pool; messages are the dataclasses of :mod:`repro.messages`
+serialized with ``to_wire``/``from_wire`` as newline-delimited JSON.
 
 - :mod:`~repro.runtime.protocol` — framing + request/response helpers.
 - :class:`~repro.runtime.manager_server.ManagerServer` — Central

@@ -1,4 +1,4 @@
-"""A live edge node — asyncio driver over the protocol core.
+"""A live edge node — asyncio backend of the edge driver.
 
 Processing is a real ``asyncio`` sleep of the profile's per-frame time
 scaled by ``time_scale`` (default 0.1: a 30 ms frame sleeps 3 ms, so
@@ -8,11 +8,14 @@ the sleep is shorter than the selector's 1 ms resolution: an idle loop
 stretches it and ``proc_ms`` (wall time / ``time_scale``) inflates.
 
 The what-if cache rules, the test-workload triggers and the ``seqNum``
-join protocol are NOT re-implemented here: this driver executes the
-same :class:`repro.protocol.admission.AdmissionMachine` as the
-simulated :class:`repro.core.edge_server.EdgeServer`, so the cache
-semantics are identical by construction — including the EWMA blending
-of successive what-if values, which this backend previously skipped.
+join protocol are NOT re-implemented here, and neither is their
+interpretation: :class:`repro.protocol.driver.EdgeDriver` runs the same
+:class:`repro.protocol.admission.AdmissionMachine` and serves the same
+Table I handlers as the simulated
+:class:`repro.core.edge_server.EdgeServer`, test-workload coalescing
+and the attachment lease included. This class owns the transport — the
+listener, the op dispatch, heartbeats with backoff — and the worker
+pool the frames and the synthetic test frame run through.
 """
 
 from __future__ import annotations
@@ -20,44 +23,22 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from repro.geo import geohash as gh
 from repro.geo.point import GeoPoint
-from repro.messages import NodeStatus, ProbeReply, read_field, to_wire
+from repro.messages import read_field, to_wire
 from repro.nodes.hardware import HardwareProfile
-from repro.nodes.processing import analytic_sojourn_ms
-from repro.obs.events import (
-    AttachmentExpired,
-    CacheMiss,
-    HeartbeatMissed,
-    NodeFail,
-    TestWorkloadInvoked,
-)
+from repro.obs.events import CacheMiss, HeartbeatMissed, NodeFail
 from repro.obs.tracer import Tracer
-from repro.protocol.admission import AdmissionConfig, AdmissionMachine
-from repro.protocol.effects import (
-    Effect,
-    EmitTrace,
-    ReplyJoin,
-    ReplyProbe,
-    ScheduleTestWorkload,
-)
-from repro.protocol.events import (
-    JoinRequested,
-    LeaveRequested,
-    MonitorSample,
-    ProbeRequested,
-    TestWorkloadCompleted,
-    UnexpectedJoinRequested,
-)
+from repro.protocol.admission import AdmissionConfig
+from repro.protocol.driver import EdgeDriver
 from repro.runtime import protocol
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.injector import FaultInjector
 
 
-class LiveEdgeServer:
+class LiveEdgeServer(EdgeDriver):
     """One volunteer/dedicated edge node on a localhost port."""
 
     def __init__(
@@ -81,8 +62,15 @@ class LiveEdgeServer:
     ) -> None:
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive: {time_scale}")
-        self.node_id = node_id
-        self.profile = profile
+        super().__init__(
+            node_id,
+            profile,
+            AdmissionConfig(standard_fps=standard_fps),
+            tracer=tracer if tracer is not None else Tracer.disabled(),
+            dedicated=dedicated,
+            # ~2x a common RTT, scaled like the frame service
+            test_delay_ms=400.0 * time_scale,
+        )
         self.point = point
         self.host = host
         self.port = port
@@ -91,9 +79,6 @@ class LiveEdgeServer:
         self.heartbeat_period_s = heartbeat_period_s
         self.max_heartbeat_backoff_s = max_heartbeat_backoff_s
         self.time_scale = time_scale
-        self.standard_fps = standard_fps
-        self.dedicated = dedicated
-        self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.heartbeat_failures = 0
         self._backoff_rng = random.Random(node_id)
         #: Performance-monitor cadence (trigger type 3). None keeps the
@@ -104,7 +89,6 @@ class LiveEdgeServer:
         #: skipped by a client that believed this node dead). None — the
         #: default — disables expiry.
         self.attachment_lease_s = attachment_lease_s
-        self._last_seen: Dict[str, float] = {}
         #: Gray-node dial: frame service runs ``slowdown``× slower while
         #: heartbeats (and every control-plane reply) stay crisp.
         self.slowdown = 1.0
@@ -113,67 +97,58 @@ class LiveEdgeServer:
         self.faults: Optional["FaultInjector"] = None
         self.fault_clock: Callable[[], float] = lambda: 0.0
 
-        #: The sans-IO admission core this driver executes (shared with
-        #: the simulated backend).
-        self._machine = AdmissionMachine(
-            node_id,
-            AdmissionConfig(standard_fps=standard_fps),
-            initial_ms=profile.base_frame_ms,
-            project=lambda fps, slowdown: analytic_sojourn_ms(
-                self.profile, fps, slowdown_factor=slowdown
-            ),
-            detail_guard=lambda: self.tracer.enabled,
-        )
-        self.test_workload_invocations = 0
         self.frames_processed = 0
         self._completions: List[Tuple[float, float]] = []  # (monotonic, sojourn_ms)
-        #: (point, its geohash): re-encoded when ``point`` is replaced
-        self._geohash: Optional[Tuple[GeoPoint, str]] = None
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._semaphore = asyncio.Semaphore(profile.parallelism)
-        self._heartbeat_task: Optional[asyncio.Task] = None
-        self._monitor_task: Optional[asyncio.Task] = None
-        self._lease_task: Optional[asyncio.Task] = None
+        #: Test frames, delayed test workloads and the periodic loops.
+        self._background = protocol.Background()
         self._queue_depth = 0
         self.max_queue_depth = 64
         self._dead = False
         self._open_writers = protocol.OpenConnections()
 
     # ------------------------------------------------------------------
-    # Protocol-core state, exposed on the driver for tests/status.
+    # Driver hooks: the wall clock, the worker pool, the address
     # ------------------------------------------------------------------
     @property
-    def seq_num(self) -> int:
-        return self._machine.seq_num
+    def alive(self) -> bool:
+        return not self._dead
 
-    @seq_num.setter
-    def seq_num(self, value: int) -> None:
-        self._machine.seq_num = value
+    def _now(self) -> float:
+        return self.tracer.now()
 
-    @property
-    def attached(self) -> Dict[str, float]:
-        return self._machine.attached
+    def _call_later(
+        self, delay_ms: float, callback: Callable[[], None], label: str
+    ) -> None:
+        self._background.call_later(delay_ms / 1000.0, callback)
 
-    @attached.setter
-    def attached(self, value: Dict[str, float]) -> None:
-        self._machine.attached = value
+    def _start_test_frame(self) -> bool:
+        if not self._admit():
+            return False
+        self._background.spawn(self._test_frame())
+        return True
 
-    @property
-    def what_if_ms(self) -> float:
-        return self._machine.what_if_ms
+    async def _test_frame(self) -> None:
+        sojourn_ms, _, _ = await self._serve()
+        self._test_frame_done(sojourn_ms)
 
-    @what_if_ms.setter
-    def what_if_ms(self, value: float) -> None:
-        self._machine.what_if_ms = value
+    def _recent_mean_sojourn_ms(self) -> Optional[float]:
+        cutoff = time.monotonic() - 3.0
+        recent = [s for t, s in self._completions if t >= cutoff]
+        if not recent:
+            return None
+        return sum(recent) / len(recent)
 
-    @property
-    def stay_ms(self) -> float:
-        return self._machine.stay_ms
+    def _idle_floor_ms(self) -> float:
+        return self.profile.base_frame_ms * self.slowdown
 
-    @stay_ms.setter
-    def stay_ms(self, value: float) -> None:
-        self._machine.stay_ms = value
+    def _position(self) -> Tuple[GeoPoint, Optional[str]]:
+        return self.point, None
+
+    def _utilization(self) -> float:
+        return min(1.0, self._queue_depth / self.profile.parallelism)
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -194,14 +169,15 @@ class LiveEdgeServer:
         self.port = self._server.sockets[0].getsockname()[1]
         if self.tracer.enabled:
             self.tracer.emit(CacheMiss(self.tracer.now(), self.node_id, "prime"))
-        await self._invoke_test_workload()
+        self._invoke_test_workload()
+        await self._background.settled()  # the prime has run
         if self.manager_host is not None and self.manager_port is not None:
             delay_s = await self._heartbeat()
-            self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop(delay_s))
+            self._background.spawn(self._heartbeat_loop(delay_s))
         if self.monitor_period_s is not None:
-            self._monitor_task = asyncio.ensure_future(self._monitor_loop())
+            self._background.spawn(self._monitor_loop(self.monitor_period_s))
         if self.attachment_lease_s is not None:
-            self._lease_task = asyncio.ensure_future(self._lease_loop())
+            self._background.spawn(self._lease_loop(self.attachment_lease_s))
 
     async def stop(self) -> None:
         """Hard stop: the node vanishes, including live connections.
@@ -213,58 +189,33 @@ class LiveEdgeServer:
         if not self._dead:
             self.tracer.emit(NodeFail(self.tracer.now(), self.node_id))
         self._dead = True
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            self._heartbeat_task = None
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            self._monitor_task = None
-        if self._lease_task is not None:
-            self._lease_task.cancel()
-            self._lease_task = None
+        await self._background.cancel()
         await protocol.stop_serving(self._server, self._open_writers)
         self._server = None
 
     # ------------------------------------------------------------------
-    # Effect execution
-    # ------------------------------------------------------------------
-    def _run_effects(self, effects: List[Effect]) -> Optional[Effect]:
-        """Execute side effects in order; return the reply effect (if any)."""
-        reply: Optional[Effect] = None
-        for effect in effects:
-            if isinstance(effect, EmitTrace):
-                self.tracer.emit(effect.event)
-            elif isinstance(effect, ScheduleTestWorkload):
-                if effect.delayed:
-                    asyncio.ensure_future(self._delayed_test_workload())
-                else:
-                    asyncio.ensure_future(self._invoke_test_workload())
-            elif isinstance(effect, (ReplyProbe, ReplyJoin)):
-                reply = effect
-            else:  # pragma: no cover - forward-compatibility guard
-                raise TypeError(f"unhandled effect {type(effect).__name__}")
-        return reply
-
-    # ------------------------------------------------------------------
     # Frame processing
     # ------------------------------------------------------------------
-    async def _process_frame(
-        self, synthetic: bool = False
-    ) -> Optional[Tuple[float, float, float]]:
-        """Run one frame through the worker pool.
-
-        Returns ``(sojourn_ms, wait_wall_ms, service_wall_ms)`` or None
-        when the queue sheds the frame. ``sojourn_ms`` is the unscaled
-        application time (wall sojourn divided by ``time_scale``);
-        the wait/service components are *wall-clock* ms — they are what
-        the frame reply carries so clients can decompose their measured
-        end-to-end latency into queue/process/rtt phases exactly.
-        """
+    def _admit(self) -> bool:
+        """Take a queue slot; False when the bounded queue sheds the frame."""
         if self._queue_depth >= self.max_queue_depth:
-            return None
+            return False
         self._queue_depth += 1
-        arrival = time.monotonic()
-        service_start = arrival
+        return True
+
+    async def _serve(self) -> Tuple[float, float, float]:
+        """Run one admitted frame through the worker pool, timed from
+        when it runs (a test frame's task starts a loop hop after its
+        admission; at small ``time_scale`` that hop would dominate).
+
+        Returns ``(sojourn_ms, wait_wall_ms, service_wall_ms)``.
+        ``sojourn_ms`` is the unscaled application time (wall sojourn
+        divided by ``time_scale``); the wait/service components are
+        *wall-clock* ms — they are what the frame reply carries so
+        clients can decompose their measured end-to-end latency into
+        queue/process/rtt phases exactly.
+        """
+        arrival = service_start = time.monotonic()
         try:
             async with self._semaphore:
                 service_start = time.monotonic()
@@ -278,42 +229,18 @@ class LiveEdgeServer:
         wait_wall_ms = (service_start - arrival) * 1000.0
         service_wall_ms = (done - service_start) * 1000.0
         sojourn_ms = (done - arrival) / self.time_scale * 1000.0
-        if not synthetic:
-            self.frames_processed += 1
-            self._completions.append((done, sojourn_ms))
-            if len(self._completions) > 64:
-                del self._completions[:-64]
         return sojourn_ms, wait_wall_ms, service_wall_ms
 
-    def _recent_mean_sojourn_ms(self) -> Optional[float]:
-        cutoff = time.monotonic() - 3.0
-        recent = [s for t, s in self._completions if t >= cutoff]
-        if not recent:
+    async def _process_frame(self) -> Optional[Tuple[float, float, float]]:
+        """One offloaded frame, or None when the queue sheds it."""
+        if not self._admit():
             return None
-        return sum(recent) / len(recent)
-
-    async def _invoke_test_workload(self) -> None:
-        """Run the "what-if" synthetic frame through the real worker
-        pool, then let the machine fold the measured sojourn into the
-        cache (EWMA blend with the demand projection)."""
-        self.test_workload_invocations += 1
-        result = await self._process_frame(synthetic=True)
-        if result is None:
-            return
-        self.tracer.emit(TestWorkloadInvoked(self.tracer.now(), self.node_id))
-        self._run_effects(
-            self._machine.handle(
-                TestWorkloadCompleted(
-                    self.tracer.now(), result[0], slowdown_factor=self.slowdown
-                )
-            )
-        )
-
-    async def _delayed_test_workload(self) -> None:
-        """Join-triggered invocation, delayed by ~2x a common RTT
-        (scaled), so it observes the new user's traffic."""
-        await asyncio.sleep(0.04 * self.time_scale * 10)
-        await self._invoke_test_workload()
+        result = await self._serve()
+        self.frames_processed += 1
+        self._completions.append((time.monotonic(), result[0]))
+        if len(self._completions) > 64:
+            del self._completions[:-64]
+        return result
 
     def set_slowdown(self, factor: float) -> None:
         """Dial frame-service speed (gray-node injection / host load).
@@ -327,82 +254,22 @@ class LiveEdgeServer:
             raise ValueError(f"slowdown factor must be >= 1.0: {factor}")
         self.slowdown = factor
 
-    async def _monitor_loop(self) -> None:
-        """Performance monitor (trigger type 3) on the wall clock.
-
-        Mirrors the simulated node's periodic
-        :class:`~repro.protocol.events.MonitorSample` feed: the machine
-        compares the recently *measured* sojourns against its cached
-        baseline and refreshes the what-if cache on noticeable drift —
-        the only detection path that catches a gray node.
-        """
-        assert self.monitor_period_s is not None
+    async def _monitor_loop(self, period_s: float) -> None:
+        """Performance monitor (trigger type 3) on the wall clock — the
+        only detection path that catches a gray node."""
         while not self._dead:
-            await asyncio.sleep(self.monitor_period_s)
-            if self._dead:
-                return
-            self._run_effects(
-                self._machine.handle(
-                    MonitorSample(
-                        self.tracer.now(),
-                        measured_ms=self._recent_mean_sojourn_ms(),
-                        idle_floor_ms=self.profile.base_frame_ms * self.slowdown,
-                    )
-                )
-            )
+            await asyncio.sleep(period_s)
+            self._performance_monitor_tick()
 
-    async def _lease_loop(self) -> None:
-        """Evict attached users whose frames stopped arriving.
-
-        The live twin of the simulated node's attachment lease: a
-        ``Leave()`` lost to a partition (or skipped by a client that
-        presumed this node dead) would otherwise strand admission state
-        forever. Expiry feeds the machine a plain
-        :class:`~repro.protocol.events.LeaveRequested`, so the usual
-        trigger-type-2 cache refresh happens.
-        """
-        assert self.attachment_lease_s is not None
-        lease_s = self.attachment_lease_s
+    async def _lease_loop(self, lease_s: float) -> None:
+        """The attachment lease on the wall clock."""
         while not self._dead:
             await asyncio.sleep(lease_s / 2.0)
-            if self._dead:
-                return
-            now = time.monotonic()
-            for user_id in list(self._machine.attached):
-                idle_s = now - self._last_seen.get(user_id, now)
-                if idle_s < lease_s:
-                    continue
-                self._last_seen.pop(user_id, None)
-                self.tracer.emit(
-                    AttachmentExpired(
-                        self.tracer.now(), self.node_id, user_id, idle_s * 1000.0
-                    )
-                )
-                self._run_effects(
-                    self._machine.handle(
-                        LeaveRequested(self.tracer.now(), user_id)
-                    )
-                )
+            self._expire_stale_attachments(lease_s * 1000.0)
 
     # ------------------------------------------------------------------
     # Heartbeats
     # ------------------------------------------------------------------
-    def status(self) -> NodeStatus:
-        point = self.point
-        if self._geohash is None or self._geohash[0] is not point:
-            self._geohash = (point, gh.encode_point(point, 9))
-        return NodeStatus(
-            node_id=self.node_id,
-            lat=point.lat,
-            lon=point.lon,
-            geohash=self._geohash[1],
-            cores=self.profile.cores,
-            capacity_fps=self.profile.capacity_fps,
-            attached_users=len(self.attached),
-            utilization=min(1.0, self._queue_depth / self.profile.parallelism),
-            dedicated=self.dedicated,
-        )
-
     async def _heartbeat(self) -> float:
         """Send one heartbeat; return the delay until the next.
 
@@ -482,57 +349,31 @@ class LiveEdgeServer:
     async def _answer(self, frame: dict) -> dict:
         op = frame["op"]
         payload = frame["payload"]
-        now = self.tracer.now()
+        fps = self._machine.config.standard_fps  # a peer that declares none
         if op == "rtt_probe":
             return {"ok": True}  # the measurement is the round trip itself
         if op == "process_probe":
-            reply = self._run_effects(
-                self._machine.handle(
-                    ProbeRequested(
-                        now, recent_mean_ms=self._recent_mean_sojourn_ms()
-                    )
-                )
-            )
-            assert isinstance(reply, ReplyProbe)
-            probe = ProbeReply(
-                node_id=self.node_id,
-                what_if_ms=reply.what_if_ms,
-                seq_num=reply.seq_num,
-                attached_users=reply.attached_users,
-                current_proc_ms=reply.current_proc_ms,
-                stay_ms=reply.stay_ms,
-            )
-            return {"ok": True, "probe": to_wire(probe)}
+            return {"ok": True, "probe": to_wire(self.process_probe())}
         if op == "join":
-            user_id = read_field(payload, "user_id", str)
-            seq_num = read_field(payload, "seq_num", int)
-            fps = read_field(payload, "fps", float, self.standard_fps)
-            reply = self._run_effects(
-                self._machine.handle(JoinRequested(now, user_id, seq_num, fps))
+            reply = self.join(
+                read_field(payload, "user_id", str),
+                read_field(payload, "seq_num", int),
+                read_field(payload, "fps", float, fps),
             )
-            assert isinstance(reply, ReplyJoin)
-            if reply.accepted:
-                self._last_seen[user_id] = time.monotonic()
             return {"ok": True, "accepted": reply.accepted, "seq_num": reply.seq_num}
         if op == "unexpected_join":
-            user_id = read_field(payload, "user_id", str)
-            fps = read_field(payload, "fps", float, self.standard_fps)
-            reply = self._run_effects(
-                self._machine.handle(UnexpectedJoinRequested(now, user_id, fps))
+            reply = self.unexpected_join(
+                read_field(payload, "user_id", str),
+                read_field(payload, "fps", float, fps),
             )
-            assert isinstance(reply, ReplyJoin)
-            if reply.accepted:
-                self._last_seen[user_id] = time.monotonic()
             return {"ok": True, "accepted": reply.accepted}
         if op == "leave":
-            user_id = read_field(payload, "user_id", str)
-            self._last_seen.pop(user_id, None)
-            self._run_effects(self._machine.handle(LeaveRequested(now, user_id)))
+            self.leave(read_field(payload, "user_id", str))
             return {"ok": True}
         if op == "frame":
             user_id = read_field(payload, "user_id", Optional[str], None)
             if user_id is not None:
-                self._last_seen[user_id] = time.monotonic()
+                self._last_seen[user_id] = self._now()
             result = await self._process_frame()
             if result is None:
                 return {"ok": False, "error": "overloaded"}

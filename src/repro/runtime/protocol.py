@@ -28,7 +28,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Coroutine, Dict, Optional, Set, Tuple
 
 #: Maximum accepted frame size — prevents a garbage peer from ballooning
 #: memory with an unterminated line. Every stream's reader ``limit``.
@@ -168,12 +168,23 @@ async def stop_serving(
 ) -> None:
     """Hard stop: sever the open connections, then stop listening. A
     stopped server would otherwise keep answering on them (before 3.12),
-    or ``Server.wait_closed()`` would wait for them (from 3.12)."""
+    or ``Server.wait_closed()`` would wait for them (from 3.12).
+
+    Accepting stops before the server closes: asyncio builds an accepted
+    connection's transport a loop step after taking it from the
+    backlog, and a closed server refuses it half-built, leaking its
+    socket. Two steps let every such connection attach; it then hangs
+    up on seeing ``stopped``."""
     open_writers.stopped = True
     for writer in list(open_writers):
         writer.close()
     open_writers.clear()
     if server is not None:
+        loop = asyncio.get_running_loop()
+        for sock in server.sockets:
+            loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
         server.close()
         await server.wait_closed()
 
@@ -529,3 +540,50 @@ class ConnectionPool:
         links, self._links = list(self._links.values()), {}
         for link in links:
             await link.close()
+
+
+class Background:
+    """The tasks and timers one live driver started: tracked, so that
+    :meth:`cancel` ends them all and :meth:`settled` can wait until no
+    exchange is in flight."""
+
+    def __init__(self) -> None:
+        self.tasks: Set["asyncio.Task[None]"] = set()
+        self.timers: Set[asyncio.TimerHandle] = set()
+
+    def spawn(self, coro: Coroutine[Any, Any, None]) -> None:
+        task = asyncio.ensure_future(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
+
+    def call_later(self, delay_s: float, callback: Callable[[], None]) -> None:
+        def fire() -> None:
+            self.timers.discard(handle)
+            callback()
+
+        handle = asyncio.get_running_loop().call_later(delay_s, fire)
+        self.timers.add(handle)
+
+    async def settled(self) -> None:
+        """Return once no task is in flight (a task may spawn the next);
+        raise an exception a task raised. Cancelling the wait leaves the
+        tasks running: an exchange is never cut off half-fed."""
+        while self.tasks:
+            done, _ = await asyncio.wait(self.tasks)
+            for task in done:
+                error = None if task.cancelled() else task.exception()
+                if error is not None:
+                    raise error
+
+    def cancel_timers(self) -> None:
+        for handle in self.timers:
+            handle.cancel()
+        self.timers.clear()
+
+    async def cancel(self) -> None:
+        """Cancel every pending timer and task, and wait for the tasks."""
+        self.cancel_timers()
+        tasks = list(self.tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)

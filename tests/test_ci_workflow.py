@@ -270,3 +270,16 @@ def test_sweep_platform_smoke_drills_the_process_platform():
     (trace,) = [s for s in steps if "trace_interrupted.jsonl" in s and s is not drill]
     assert "grep '\"sweep_run_retried\"' smoke-artifacts/trace_interrupted.jsonl" in trace
     assert not re.search(r"--platform|--serial", WORKFLOW.read_text())
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_live_client_tests_run_under_the_leak_flags():
+    """The live client runs each exchange as a task it tracks and drops
+    the links it prunes: chaos-smoke runs its tests with a leaked socket
+    or an unraisable exception an error."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    for name in ("tests/test_runtime.py", "tests/test_protocol_parity.py"):
+        (strict,) = [s for s in steps if name in s]
+        assert "python -X dev -m pytest" in strict
+        assert "-W error::ResourceWarning" in strict
+        assert "-W error::pytest.PytestUnraisableExceptionWarning" in strict

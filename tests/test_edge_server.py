@@ -100,7 +100,7 @@ def test_join_schedules_delayed_test_workload(system, node):
 def test_unexpected_join_cannot_be_rejected(system, node):
     system.run_for(100.0)
     seq = node.seq_num
-    assert node.unexpected_join("u1", fps=20.0)
+    assert node.unexpected_join("u1", fps=20.0).accepted
     assert node.seq_num == seq + 1
     assert "u1" in node.attached
 
@@ -168,7 +168,7 @@ def test_failed_node_rejects_everything(system, node):
     assert node.failed_at_ms == system.sim.now
     assert node.process_probe() is None
     assert not node.join("u1", node.seq_num, fps=20.0).accepted
-    assert not node.unexpected_join("u1", fps=20.0)
+    assert not node.unexpected_join("u1", fps=20.0).accepted
     assert node.receive_frame(None, system.sim.now) is None
 
 

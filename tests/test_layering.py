@@ -156,6 +156,39 @@ def test_only_the_ledger_passes_profiles_to_local_cluster():
     assert {hit.split(":")[0] for hit in found} == {"benchmarks/ledger/wl_live.py"}
 
 
+#: The selection and admission effects. ``repro.protocol.driver``
+#: dispatches them, once, for both backends; the Central Manager's
+#: effects are not in this list.
+DRIVER_EFFECTS = {
+    "SendDiscovery", "ProbeCandidates", "SendJoin", "SendLeave",
+    "SendFailoverJoin", "Attached", "UpdateBackups", "FlushBacklog",
+    "StartTimer", "ReplyProbe", "ReplyJoin", "ScheduleTestWorkload",
+}
+
+
+def test_only_the_protocol_package_names_the_driver_effects():
+    """No module outside ``repro/protocol`` imports a selection or
+    admission effect, or reaches one as an attribute: a backend that
+    wants one is interpreting a machine a second time."""
+    protocol = SRC / "repro" / "protocol"
+    found = []
+    for path in python_files(SRC / "repro"):
+        if protocol in path.parents:
+            continue
+        found += [
+            f"{path.relative_to(ROOT)}:{line} imports {name}"
+            for line, name in imported_names(path)
+            if hits(name, ("repro.protocol",))
+            and name.rsplit(".", 1)[-1] in DRIVER_EFFECTS
+        ]
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno} reads .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in DRIVER_EFFECTS
+        ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "name",
     [

@@ -22,6 +22,8 @@ import asyncio
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import pytest
+
 from repro.api import ScenarioBuilder
 from repro.core.config import SystemConfig
 from repro.geo.point import GeoPoint
@@ -148,3 +150,76 @@ def test_sim_and_live_decision_traces_match():
     assert sim.chosen == "V1"
     assert sim.backups == ["V2", "V5"]
     assert sim.failover_target == "V2"
+
+
+# ----------------------------------------------------------------------
+# Test-workload coalescing, the same on both backends
+# ----------------------------------------------------------------------
+def coalesced_invocations_sim() -> tuple:
+    """Three ``Unexpected_join``\\ s at one instant on a sim node."""
+    node_id, point = NODES[0]
+    built = (
+        ScenarioBuilder(SystemConfig(seed=11))
+        .observe(trace=True)
+        .node(node_id, profile_by_name(node_id), point=point)
+        .build_scenario()
+    )
+    system, tracer = built.system, built.tracer
+    node = system.nodes[node_id]
+    service_ms = node.profile.base_frame_ms
+    system.run_for(2 * service_ms)  # the priming run has finished
+    before = node.test_workload_invocations
+    for user_id in ("a", "b", "c"):
+        assert node.unexpected_join(user_id, fps=20.0).accepted
+    started = node.test_workload_invocations
+    invoked = len(tracer.events("test_workload_invoked"))
+    system.run_for(2 * service_ms)  # and the triggered one
+    return before, started, invoked, node.test_workload_invocations
+
+
+async def coalesced_invocations_live() -> tuple:
+    """Three concurrent ``unexpected_join`` requests to a live node, on
+    links opened beforehand so the requests land together."""
+    from repro.runtime import LiveEdgeServer, protocol
+
+    tracer = Tracer(enabled=True)
+    # time_scale 2: the synthetic frame is in service for 48 ms
+    edge = LiveEdgeServer(
+        "V1", profile_by_name("V1"), NODES[0][1], time_scale=2.0, tracer=tracer
+    )
+    await edge.start()  # returns with the priming run finished
+    links = [protocol.PersistentConnection(edge.host, edge.port) for _ in range(3)]
+    try:
+        for link in links:
+            await link.request("rtt_probe")
+        before = edge.test_workload_invocations
+        replies = await asyncio.gather(*(
+            link.request("unexpected_join", {"user_id": user_id})
+            for link, user_id in zip(links, ("a", "b", "c"))
+        ))
+        assert all(reply["accepted"] for reply in replies)
+        started = edge.test_workload_invocations
+        invoked = len(tracer.events("test_workload_invoked"))
+        deadline = asyncio.get_running_loop().time() + 2.0
+        while edge._queue_depth:  # the synthetic frame still in service
+            assert asyncio.get_running_loop().time() < deadline
+            await asyncio.sleep(0.001)
+        return before, started, invoked, edge.test_workload_invocations
+    finally:
+        for link in links:
+            await link.close()
+        await edge.stop()
+
+
+@pytest.mark.parametrize("backend", ["sim", "live"])
+def test_concurrent_triggers_start_one_test_workload(backend):
+    """A trigger that arrives while a test-workload run is in flight is
+    satisfied by that run: three unrejectable joins at once start one
+    synthetic frame, counted and traced when it is admitted."""
+    if backend == "sim":
+        before, started, invoked, after = coalesced_invocations_sim()
+    else:
+        before, started, invoked, after = asyncio.run(coalesced_invocations_live())
+    assert before == 1  # the priming run
+    assert started == after == before + 1
+    assert invoked == started

@@ -169,7 +169,7 @@ def test_cluster_select_offload_and_failover():
                 "lost": lost,
                 "after": client.current_edge,
                 "recovered": recovered,
-                "failovers": client.failovers,
+                "failovers": client.stats.covered_failovers,
             }
         finally:
             await cluster.stop()
@@ -277,3 +277,31 @@ def test_cluster_manager_outage_degrades_gracefully():
     # and fresh discovery works again end to end
     assert result["rejoined_after"].startswith("edge-")
     assert result["after"] is not None
+
+
+def test_links_follow_the_backup_list_as_the_client_moves():
+    """A node that leaves the backup list loses its link, as in the sim:
+    after every round the client holds links only to its current edge
+    and its backups. The client walks from edge to edge, so each round
+    reshuffles the candidates (TopN 2: one backup)."""
+    from repro.nodes.hardware import profile_by_name
+
+    async def scenario():
+        world = sampled_world(
+            [profile_by_name(f"V{i}") for i in range(1, 6)], n_clients=1, seed=3
+        )
+        cluster = LocalCluster(world, top_n=2, time_scale=0.01, heartbeat_period_s=0.05)
+        await cluster.start()
+        try:
+            client = cluster.clients[0]
+            rounds = []
+            for edge in cluster.edges:
+                client.point = edge.point
+                current = await client.select_and_join()
+                rounds.append((set(client.connections), {current, *client.backups}))
+            return rounds
+        finally:
+            await cluster.stop()
+
+    for links, kept in run(scenario()):
+        assert links <= kept

@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import socket
 import time
 import warnings
 
@@ -299,10 +300,12 @@ def test_connection_accepted_while_stopping_is_hung_up_not_served():
         try:
             while not accepted:
                 await asyncio.sleep(0)
+            # A request waits on the line; a server still serving would
+            # answer it.
+            writer.write(protocol.encode_frame("status", {}))
             # No yield from here to the sweep: the handler resumes after it.
             asyncio.get_running_loop().call_soon(held.set)
             await protocol.stop_serving(server, writers)
-            writer.write(protocol.encode_frame("status", {}))
             # EOF with nothing answered; a server still serving would
             # reply and hold the line, and this read would time out.
             assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
@@ -313,3 +316,43 @@ def test_connection_accepted_while_stopping_is_hung_up_not_served():
 
     run(scenario())
     gc.collect()  # under -W error::ResourceWarning a leaked transport fails here
+
+
+def test_connection_taken_from_the_backlog_as_the_server_stops_is_closed():
+    """Regression: asyncio builds an accepted connection's transport one
+    loop step after taking it from the backlog, and from ``close()`` on
+    the server refuses to count it (``Server._attach`` asserts), so the
+    half-built transport and its socket leaked (the remaining leak in
+    ``test_cluster_manager_outage_degrades_gracefully``, whose edges
+    heartbeat into a manager being stopped). ``stop_serving`` stops
+    accepting first and lets such a connection attach; it is then hung
+    up like any other."""
+
+    async def scenario():
+        writers = protocol.OpenConnections()
+
+        async def dispatch(frame):
+            return {"ok": True}
+
+        async def handler(reader, writer):
+            await protocol.serve_connection(reader, writer, dispatch, writers)
+
+        server = await asyncio.start_server(handler, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        peer = socket.create_connection(("127.0.0.1", port))
+        try:
+            # One step for the loop to take the connection from the
+            # backlog, one more so the stop runs before its transport
+            # is built.
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            await protocol.stop_serving(server, writers)
+            await until(lambda: not writers, "the late connection hung up")
+        finally:
+            peer.close()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run(scenario())
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

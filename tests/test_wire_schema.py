@@ -504,7 +504,7 @@ def test_a_refused_or_undecodable_discover_reply_takes_the_discovery_failed_path
                         await client.close()
                     failed = [e for e in fed if isinstance(e, DiscoveryFailed)]
                     assert len(failed) == 4 and {e.reason for e in failed} == {"refused"}, reply
-                    assert client.probes_sent == 0, reply
+                    assert client.stats.probes_sent == 0, reply
 
     quiet(caplog, scenario)
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+import asyncio
+from typing import Awaitable, Dict, List, Optional, Sequence, Union
 
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import HardwareProfile
@@ -12,6 +13,15 @@ from repro.runtime.client_runtime import LiveClient
 from repro.runtime.edge_server import LiveEdgeServer
 from repro.runtime.manager_server import ManagerServer
 from repro.world import World, WorldNode, sampled_world
+
+
+async def _together(awaitables: Sequence[Awaitable[None]]) -> None:
+    """Await every one of ``awaitables`` at once; once all have
+    finished, raise the first error, in order."""
+    results = await asyncio.gather(*awaitables, return_exceptions=True)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
 
 
 class LocalCluster:
@@ -45,6 +55,10 @@ class LocalCluster:
     :meth:`LiveEdgeServer.start` returns once the manager has answered
     its first heartbeat, so when :meth:`start` returns the registry
     holds every edge and the first ``select_and_join`` can find them.
+    The edges start together, as volunteers join on their own: one
+    edge's prime and first heartbeat do not wait for another's. The
+    primes share this one loop, so an edge's first what-if reading
+    depends on how the bring-ups interleave.
 
     Below a ``time_scale`` of about 0.03 a frame's service sleep is
     shorter than the selector's 1 ms resolution: an idle loop stretches
@@ -89,14 +103,16 @@ class LocalCluster:
         self.attachment_lease_s = attachment_lease_s
 
     async def start(self) -> None:
-        """Start the manager, then each edge — registered in the
-        manager's registry by the time its ``start()`` returns — and
-        build (unattached) clients."""
+        """Start the manager, then every edge at once — each registered
+        in the manager's registry by the time its ``start()`` returns —
+        and build (unattached) clients.
+
+        ``edges`` is in world order. An edge whose ``start()`` raises
+        stays in it, so :meth:`stop` cleans it up; the first such error
+        is raised once every other edge has finished starting."""
         await self.manager.start()
-        for node in self.world.nodes:
-            edge = self._build_edge(node)
-            await edge.start()
-            self.edges.append(edge)
+        self.edges = [self._build_edge(node) for node in self.world.nodes]
+        await _together([edge.start() for edge in self.edges])
         for user_id, spec in self.world.users:
             self.clients.append(
                 LiveClient(
@@ -110,10 +126,10 @@ class LocalCluster:
             )
 
     async def stop(self) -> None:
-        for client in self.clients:
-            await client.close()
-        for edge in self.edges:
-            await edge.stop()
+        """Close the clients together, then stop the edges together,
+        then the manager."""
+        await _together([client.close() for client in self.clients])
+        await _together([edge.stop() for edge in self.edges])
         await self.manager.stop()
 
     def _build_edge(self, node: WorldNode) -> LiveEdgeServer:

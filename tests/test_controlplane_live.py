@@ -23,6 +23,10 @@ from repro.runtime import ManagerServer, protocol
 from tests.test_runtime_protocol_edge import hung_up
 
 CENTER = GeoPoint(44.97, -93.25)
+#: On the prime meridian, where a two-shard map's ranges meet: the
+#: nodes around it are owned by both shards, and a discovery here
+#: covers both.
+GREENWICH = GeoPoint(51.48, 0.0)
 NODE_OFFSETS = [(-24.0, -18.0), (-10.0, 6.0), (0.0, 0.0), (12.0, -8.0), (24.0, 16.0)]
 
 
@@ -30,8 +34,8 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def node_status(index: int) -> NodeStatus:
-    point = CENTER.offset_km(*NODE_OFFSETS[index])
+def node_status(index: int, center: GeoPoint = CENTER) -> NodeStatus:
+    point = center.offset_km(*NODE_OFFSETS[index])
     return NodeStatus(
         node_id=f"edge-{index}",
         lat=point.lat,
@@ -44,18 +48,18 @@ def node_status(index: int) -> NodeStatus:
     )
 
 
-async def heartbeat_all(host: str, port: int) -> None:
+def beat(index: int, center: GeoPoint = CENTER) -> dict:
+    """Node ``index``'s heartbeat payload."""
+    return {
+        "status": to_wire(node_status(index, center)),
+        "host": "127.0.0.1",
+        "port": 9000 + index,
+    }
+
+
+async def heartbeat_all(host: str, port: int, center: GeoPoint = CENTER) -> None:
     for index in range(len(NODE_OFFSETS)):
-        await protocol.request(
-            host,
-            port,
-            "heartbeat",
-            {
-                "status": to_wire(node_status(index)),
-                "host": "127.0.0.1",
-                "port": 9000 + index,
-            },
-        )
+        await protocol.request(host, port, "heartbeat", beat(index, center))
 
 
 async def discover(host: str, port: int, user_id: str = "u", point: GeoPoint = CENTER):
@@ -311,3 +315,106 @@ def test_heartbeats_replicate_to_standbys():
             await cluster.stop()
 
     assert run(scenario()) == [len(NODE_OFFSETS)] * 3
+
+
+def promotes(tracer: Tracer) -> list:
+    return [e.to_dict() for e in tracer.events() if e.to_dict()["type"] == "manager_promote"]
+
+
+def test_heartbeat_reaches_the_alive_replicas_when_a_standby_is_dead():
+    async def scenario():
+        tracer = Tracer()
+        cluster = ControlPlaneCluster(shards=1, replicas=3, tracer=tracer)
+        await cluster.start()
+        try:
+            await heartbeat_all(*cluster.address)  # warms every link
+            standby = cluster.managers[0][1]
+            assert standby is not None
+            await standby.stop()
+            cluster.managers[0][1] = None
+            reply = await protocol.request(*cluster.address, "heartbeat", beat(0))
+            status = await protocol.request(*cluster.address, "status")
+            counts = [m.heartbeats_received for m in cluster.managers[0] if m]
+            return reply, status, counts, promotes(tracer)
+        finally:
+            await cluster.stop()
+
+    reply, status, counts, promoted = run(scenario())
+    assert reply == {"ok": True, "delivered": 2}
+    assert counts == [len(NODE_OFFSETS) + 1] * 2
+    assert status["down"] == [[1]]
+    assert status["primaries"] == [0]
+    assert status["promotions"] == 0
+    assert promoted == []
+
+
+def test_concurrent_heartbeats_past_a_dead_primary_promote_once():
+    """Every heartbeat in flight meets the dead primary and marks it
+    down; only the first to finish finds the shard without a primary."""
+
+    async def scenario():
+        tracer = Tracer()
+        cluster = ControlPlaneCluster(shards=1, replicas=3, tracer=tracer)
+        await cluster.start()
+        try:
+            await heartbeat_all(*cluster.address)
+            await cluster.kill_primary(0)
+            replies = await asyncio.gather(
+                *(
+                    protocol.request(*cluster.address, "heartbeat", beat(index))
+                    for index in range(len(NODE_OFFSETS))
+                )
+            )
+            answer = await discover(*cluster.address)
+            status = await protocol.request(*cluster.address, "status")
+            return replies, answer, status, promotes(tracer)
+        finally:
+            await cluster.stop()
+
+    replies, answer, status, promoted = run(scenario())
+    assert all(reply["ok"] and reply["delivered"] == 2 for reply in replies)
+    assert answer["ok"]
+    assert status["primaries"] == [1]
+    assert status["down"] == [[0]]
+    assert status["promotions"] == 1
+    assert [(e["shard"], e["replica"], e["reason"]) for e in promoted] == [(0, 1, "unreachable")]
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_boundary_discover_with_a_dead_primary_answers_like_a_single_manager(victim):
+    """A query on the shards' common boundary fetches both; the one
+    whose primary is dead fails over within the request, and the merged
+    answer is the single manager's."""
+
+    async def scenario():
+        single = ManagerServer(tracer=Tracer.disabled())
+        await single.start()
+        tracer = Tracer()
+        cluster = ControlPlaneCluster(shards=2, replicas=2, tracer=tracer)
+        await cluster.start()
+        try:
+            assert cluster.router is not None
+            owners = {
+                cluster.router.router.owner_of(node_status(i, GREENWICH))
+                for i in range(len(NODE_OFFSETS))
+            }
+            query = DiscoveryQuery(user_id="u", lat=GREENWICH.lat, lon=GREENWICH.lon, top_n=3)
+            radius_km = cluster.router.router.policy.geo_filter.radius_km
+            plan = cluster.router.router.plan(query, radius_km)
+            await heartbeat_all(single.host, single.port, GREENWICH)
+            await heartbeat_all(*cluster.address, GREENWICH)
+            await cluster.kill_primary(victim)
+            want = await discover(single.host, single.port, point=GREENWICH)
+            got = await discover(*cluster.address, point=GREENWICH)
+            status = await protocol.request(*cluster.address, "status")
+            return owners, plan, want, got, status, promotes(tracer)
+        finally:
+            await cluster.stop()
+            await single.stop()
+
+    owners, plan, want, got, status, promoted = run(scenario())
+    assert owners == {0, 1} and plan == (0, 1)
+    assert got == want
+    assert len(want["candidates"]["payload"]["node_ids"]) == 3
+    assert status["down"][victim] == [0]
+    assert [(e["shard"], e["replica"]) for e in promoted] == [(victim, 1)]

@@ -15,6 +15,8 @@ from __future__ import annotations
 import asyncio
 import socket
 
+import pytest
+
 from repro.controlplane.live_driver import ControlPlaneCluster
 from repro.faults import FaultInjector, FaultPlan, MessageFault, NodeCrash, Window
 from repro.faults.injector import MANAGER_ID
@@ -25,11 +27,12 @@ from repro.nodes.hardware import VOLUNTEER_PROFILES, profile_by_name
 from repro.obs.events import FaultInjected, HeartbeatMissed, NodeFail, NodeRestart
 from repro.obs.tracer import Tracer
 from repro.runtime import LiveEdgeServer, LocalCluster, ManagerServer, protocol
-from repro.world import sampled_world
+from repro.world import World, sampled_world
 from tests.test_runtime_protocol_edge import until
 
 HOURLY = 3600.0
 POINT = GeoPoint(44.98, -93.26)
+EIGHT = (VOLUNTEER_PROFILES * 2)[:8]
 
 
 def run(coro):
@@ -71,6 +74,100 @@ def test_cluster_start_returns_with_every_edge_registered():
     assert status["nodes"] == sorted(edges)
     assert status["heartbeats_received"] == 4  # one each, all inside start()
     assert chosen in edges
+
+
+def test_edges_start_together_and_keep_world_order():
+    """The manager holds every heartbeat reply until all eight edges
+    have sent one: edges started one at a time would wait on the first
+    reply forever, and the 1 s bound in ``booted`` would fail. The world
+    lists its nodes in reverse id order, so ``edges`` in world order is
+    not the sorted order either."""
+
+    async def scenario():
+        world = sampled_world(EIGHT)
+        world = World(tuple(reversed(world.nodes)), world.users)
+        cluster = LocalCluster(world, time_scale=0.01, heartbeat_period_s=HOURLY)
+        manager = cluster.manager
+        answer = manager._dispatch
+        everyone = asyncio.Event()
+
+        async def held(frame):
+            reply = await answer(frame)
+            if manager.heartbeats_received == len(world.nodes):
+                everyone.set()
+            await everyone.wait()
+            return reply
+
+        manager._dispatch = held
+        try:
+            await booted(cluster)
+            status = await protocol.request(manager.host, manager.port, "status")
+            return world, [e.node_id for e in cluster.edges], status
+        finally:
+            await cluster.stop()
+
+    world, edges, status = run(scenario())
+    assert len(edges) == 8
+    assert edges == [node.node_id for node in world.nodes] != sorted(edges)
+    assert status["nodes"] == sorted(edges)
+    assert status["heartbeats_received"] == 8
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["bind", "heartbeat"])
+def test_an_edge_that_fails_to_start_is_still_stopped(failure):
+    """One edge's ``start()`` raises — its port is taken, or its first
+    heartbeat raises after it is listening. ``start()`` raises that
+    error once the other seven have registered, and ``stop()`` then
+    leaves no listener and no task behind."""
+
+    async def scenario():
+        cluster = LocalCluster(sampled_world(EIGHT), time_scale=0.01, heartbeat_period_s=HOURLY)
+        build, built = cluster._build_edge, []
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+
+        def build_edge(node):
+            edge = build(node)
+            if len(built) == 3:
+                if failure == "bind":
+                    edge.port = taken.getsockname()[1]
+                else:
+                    async def raising():
+                        raise Boom(edge.node_id)
+
+                    edge._heartbeat = raising
+            built.append(edge)
+            return edge
+
+        cluster._build_edge = build_edge
+        try:
+            with pytest.raises(OSError if failure == "bind" else Boom):
+                await booted(cluster)
+            registered = sorted(cluster.manager._registry)
+            in_cluster = list(cluster.edges)
+        finally:
+            await cluster.stop()
+            taken.close()
+        refused = 0
+        for edge in built:
+            try:
+                await asyncio.open_connection("127.0.0.1", edge.port)
+            except ConnectionRefusedError:
+                refused += 1
+        pending = asyncio.all_tasks() - {asyncio.current_task()}
+        return built, in_cluster, registered, refused, pending
+
+    built, in_cluster, registered, refused, pending = run(scenario())
+    assert in_cluster == built
+    assert registered == sorted(e.node_id for i, e in enumerate(built) if i != 3)
+    assert refused == 8
+    assert pending == set()
+    assert all(edge._server is None for edge in built)
 
 
 def test_edge_facing_a_refused_port_starts_anyway_and_registers_later():

@@ -5,9 +5,12 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.multiapp import ApplicationSpec, MultiAppDeployment
 from repro.core.system import EdgeSystem
+from repro.faults import FaultInjector, FaultPlan, MessageFault
 from repro.geo.point import GeoPoint
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
+from repro.obs.events import AttachmentExpired
+from repro.obs.tracer import Tracer
 from repro.workload.ar import ARApplication
 
 AR = ApplicationSpec(ARApplication(name="ar"), service_scale=1.0)
@@ -134,3 +137,67 @@ def test_cross_app_contention_is_visible_to_probes(deployment):
         node.shared_processor.submit(system.sim.now + t, service_ms=48.0)
     system.run_for(4_000.0)
     assert node.service("ar").what_if_ms > ar_idle
+
+
+# ----------------------------------------------------------------------
+# The attachment lease on a multi-app node: each application server
+# keeps its own lease over its own users, refreshed by their frames.
+# ----------------------------------------------------------------------
+LEASE_MS = 2_000.0
+
+
+def leased_deployment(plan=None):
+    tracer = Tracer()
+    system = EdgeSystem(
+        SystemConfig(seed=7, top_n=2, attachment_lease_ms=LEASE_MS),
+        trace=tracer,
+        faults=None if plan is None else FaultInjector(plan, seed=0, tracer=tracer),
+    )
+    dep = MultiAppDeployment(system, [AR, OCR])
+    dep.spawn_node("V1", profile_by_name("V1"), GeoPoint(44.98, -93.26))
+    dep.spawn_node("V2", profile_by_name("V2"), GeoPoint(44.95, -93.20))
+    system.add_client_endpoint("a1", EndpointSpec(GeoPoint(44.97, -93.25)))
+    system.add_client_endpoint("o1", EndpointSpec(GeoPoint(44.96, -93.24)))
+    return dep, tracer
+
+
+def expiries(tracer):
+    return [e for e in tracer.events() if isinstance(e, AttachmentExpired)]
+
+
+def test_an_offloading_user_keeps_its_lease_on_a_multiapp_node():
+    """Frames reach ``_AppService`` through the inherited
+    ``EdgeServer.receive_frame``, which refreshes the lease: an AR user
+    offloading all along stays attached across six leases."""
+    dep, tracer = leased_deployment()
+    client = dep.make_client("a1", "ar")
+    client.start()
+    dep.system.run_for(6 * LEASE_MS + 1_000.0)
+    assert client.attached
+    service = dep.nodes[client.current_edge].service("ar")
+    assert "a1" in service._machine.attached
+    assert expiries(tracer) == []
+    assert client.stats.frames_completed > 200
+    assert client.stats.frames_lost == 0
+
+
+def test_a_user_that_stops_offloading_is_expired_after_one_lease():
+    """Its goodbye lost, an AR user goes quiet: its own application
+    server evicts it within one lease (checked every half lease), and
+    the OCR user offloading beside it keeps its attachment."""
+    lost_goodbye = MessageFault("lost-goodbye", src="a1", ops=("leave",), drop_p=1.0)
+    dep, tracer = leased_deployment(FaultPlan(message_faults=(lost_goodbye,)))
+    ar_client = dep.make_client("a1", "ar")
+    ocr_client = dep.make_client("o1", "ocr")
+    ar_client.start()
+    ocr_client.start()
+    dep.system.run_for(5_000.0)
+    node_id = ar_client.current_edge
+    assert node_id is not None and expiries(tracer) == []
+    ar_client.stop()
+    dep.system.run_for(1.5 * LEASE_MS + 100.0)
+    (expired,) = expiries(tracer)
+    assert (expired.node_id, expired.user_id) == (node_id, "a1")
+    assert LEASE_MS <= expired.idle_ms <= 1.5 * LEASE_MS
+    assert "a1" not in dep.nodes[node_id].service("ar")._machine.attached
+    assert ocr_client.attached

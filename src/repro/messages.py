@@ -309,9 +309,20 @@ def read_field(payload: Dict[str, Any], name: str, kind: Any, default: Any = ...
     """An op argument no message declares (a user id, a serving port, a
     snapshot's stamps), held to the rules of a message field of that name
     and annotation: ValueError if refused, or absent with no ``default``."""
+    return _read(payload, name, _decoder(kind, _RULES.get(name)), default)
+
+
+def field_reader(name: str, kind: Any, default: Any = ...) -> Callable[[Dict[str, Any]], Any]:
+    """:func:`read_field` of one argument, its decoder looked up once: for
+    an op on a hot path (typing annotations hash slowly)."""
+    decode = _decoder(kind, _RULES.get(name))
+    return lambda payload: _read(payload, name, decode, default)
+
+
+def _read(payload: Dict[str, Any], name: str, decode: Callable[[Any], Any], default: Any) -> Any:
     if name not in payload and default is not ...:
         return default
     try:
-        return _decoder(kind, _RULES.get(name))(payload[name])
+        return decode(payload[name])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{name}: {exc if isinstance(exc, ValueError) else 'missing'}") from None

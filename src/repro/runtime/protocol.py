@@ -16,9 +16,15 @@ that exchange over a connection of its own or, given a
 :class:`ConnectionPool`, over a kept-alive link; no connection outlives
 the object that the caller created to hold it.
 
-An exchange is a write, a read and one timer handle on the caller's own
-task; no task is created per request. A timeout means the socket is
-dead: the timer aborts the transport, which ends the pending read.
+An exchange is a write and a read on the caller's own task; no task is
+created and no timer armed per request. Each link keeps one deadline
+watchdog, a ``loop.call_at`` that follows the exchange in flight (see
+:class:`PersistentConnection`). A timeout means the socket is dead: the
+watchdog aborts the transport, which ends the pending read. With it
+and the pre-encoded envelope of :func:`encode_frame`, a frame on the
+perf ledger's ``live_frames`` cluster (4 edges, 2 clients, loopback)
+costs ~113 µs of CPU, against ~125 µs with one ``call_later`` +
+``cancel()`` per exchange and a whole-frame ``json.dumps`` (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Any, Awaitable, Callable, Coroutine, Dict, Optional, Set, Tuple
 
 #: Maximum accepted frame size — prevents a garbage peer from ballooning
@@ -51,9 +59,31 @@ class EdgeUnreachableError(ProtocolError):
     """
 
 
+_DEFAULT = JSONEncoder().default
+
+
+def _dumps(payload: Dict[str, Any]) -> str:
+    """``json.dumps(payload)`` without its per-call Python layers: the C
+    encoder it builds, with the same arguments and fresh markers."""
+    if c_make_encoder is None:  # pragma: no cover - an interpreter without _json
+        return json.dumps(payload)
+    return "".join(
+        c_make_encoder(
+            {}, _DEFAULT, encode_basestring_ascii, None, ": ", ", ", False, False, True
+        )(payload, 0)
+    )
+
+
+@lru_cache(maxsize=64)
+def _envelope(op: str) -> str:
+    return '{"op": ' + json.dumps(op) + ', "payload": '
+
+
 def encode_frame(op: str, payload: Optional[Dict[str, Any]] = None) -> bytes:
-    """Encode one protocol frame."""
-    return (json.dumps({"op": op, "payload": payload or {}}) + "\n").encode("utf-8")
+    """Encode one protocol frame: byte for byte
+    ``json.dumps({"op": op, "payload": payload or {}}) + "\\n"``, with
+    the op's envelope encoded once."""
+    return (_envelope(op) + _dumps(payload or {}) + "}\n").encode("utf-8")
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
@@ -356,6 +386,16 @@ class PersistentConnection:
     the socket, so a reply is only ever read by the request it answers;
     the next request reconnects.
 
+    The link keeps one deadline watchdog, a ``loop.call_at`` for the
+    exchange in flight. It is re-armed only when it fires before that
+    exchange's deadline (it then follows it there), or when an exchange's
+    deadline is earlier than the armed one (a shorter per-call
+    ``timeout``); one that fires on an idle link rests until the next
+    exchange. So back-to-back exchanges arm about one timer per
+    ``timeout`` seconds instead of one each, and the loop's timer heap
+    holds no cancelled handle per exchange. An exchange that fails, and
+    :meth:`drop` on an idle link, leave nothing armed.
+
     Robustness (opt-in, both default-compatible):
 
     - ``max_reconnect_attempts`` bounds *consecutive* failed
@@ -387,7 +427,13 @@ class PersistentConnection:
         self.max_reconnect_attempts = max_reconnect_attempts
         self.breaker = breaker
         self._connect_failures = 0
-        self._expired = False  # set by the current exchange's timer
+        self._expired = False  # set by the watchdog when it ends an exchange
+        #: The exchange in flight: its deadline on the loop's clock (None
+        #: while idle) and what ends it then.
+        self._deadline: Optional[float] = None
+        self._kill: Callable[[], object] = lambda: None
+        self._watchdog: Optional[asyncio.TimerHandle] = None
+        self._watchdog_at = 0.0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -396,21 +442,48 @@ class PersistentConnection:
     def connected(self) -> bool:
         return self._writer is not None and not self._writer.is_closing()
 
-    def _expire(self, kill: Callable[[], object]) -> None:
-        """Timer callback: ``kill`` ends the caller's pending await; the
-        flag turns the failure that follows into a timeout."""
+    def _arm(
+        self, loop: asyncio.AbstractEventLoop, timeout: float, kill: Callable[[], object]
+    ) -> None:
+        """Start the exchange in flight: ``kill`` ends it at ``timeout``
+        from now. A watchdog armed for no later than that stays as it is."""
+        deadline = loop.time() + timeout
+        self._deadline, self._kill, self._expired = deadline, kill, False
+        if self._watchdog is None or self._watchdog_at > deadline:
+            self._disarm()
+            self._watchdog = loop.call_at(deadline, self._watch, loop)
+            self._watchdog_at = deadline
+
+    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """The watchdog fired: rest on an idle link, follow a later
+        deadline, or end the exchange whose deadline it is. The flag
+        turns the failure ``kill`` causes into a timeout."""
+        self._watchdog = None
+        deadline = self._deadline
+        if deadline is None:
+            return
+        if deadline > self._watchdog_at:
+            self._watchdog = loop.call_at(deadline, self._watch, loop)
+            self._watchdog_at = deadline
+            return
         self._expired = True
-        kill()
+        self._kill()
+
+    def _disarm(self) -> None:
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None
 
     async def connect(self, timeout: Optional[float] = None) -> None:
         """Open the socket (for :meth:`request`, under its lock). There
-        is no transport to abort yet, so the timer cancels this task's
+        is no transport to abort yet, so the watchdog cancels this task's
         own await; a cancellation nobody else asked for is the timeout."""
         task = asyncio.current_task()
         assert task is not None
-        self._expired = False
-        handle = asyncio.get_running_loop().call_later(
-            self.timeout if timeout is None else timeout, self._expire, task.cancel
+        self._arm(
+            asyncio.get_running_loop(),
+            self.timeout if timeout is None else timeout,
+            task.cancel,
         )
         try:
             self._reader, self._writer = await asyncio.open_connection(
@@ -428,7 +501,9 @@ class PersistentConnection:
             self._connect_failures += 1
             raise
         finally:
-            handle.cancel()
+            self._deadline = None
+            if not self.connected:
+                self._disarm()
         self._connect_failures = 0
 
     async def request(
@@ -438,16 +513,17 @@ class PersistentConnection:
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         """One exchange on the standing connection (``timeout``
-        overrides the connection's own for this exchange): a write, a
-        read and one timer handle over both, on the caller's task.
+        overrides the connection's own for this exchange): a write and a
+        read on the caller's task, under the link's watchdog.
 
         Raises:
             EdgeUnreachableError: breaker open or reconnect cap hit —
                 the peer is considered down; fail fast.
             ProtocolError: when the peer vanished mid-exchange.
-            asyncio.TimeoutError: no reply in time — the timer aborted
-                the transport, and the reset/EOF that ended the pending
-                ``drain()``/``readline()`` is reported as this.
+            asyncio.TimeoutError: no whole reply by the deadline — the
+                watchdog aborted the transport, and the reset/EOF that
+                ended the pending ``drain()``/``readline()`` (or a reply
+                read after the deadline) is reported as this.
         """
         if self.breaker is not None and not self.breaker.allow():
             raise EdgeUnreachableError(
@@ -455,7 +531,6 @@ class PersistentConnection:
             )
         if timeout is None:
             timeout = self.timeout
-        loop = asyncio.get_running_loop()
         try:
             async with self._lock:
                 if not self.connected:
@@ -465,23 +540,26 @@ class PersistentConnection:
                             f"{self._connect_failures} connect attempts"
                         )
                     await self.connect(timeout)
-                assert self._writer is not None and self._reader is not None
-                self._expired = False
-                abort = self._writer.transport.abort
-                handle = loop.call_later(timeout, self._expire, abort)
+                writer, reader = self._writer, self._reader
+                assert writer is not None and reader is not None
+                self._arm(asyncio.get_running_loop(), timeout, writer.transport.abort)
                 try:
-                    self._writer.write(encode_frame(op, payload))
-                    await self._writer.drain()
-                    reply = await read_frame(self._reader)
+                    writer.write(encode_frame(op, payload))
+                    await writer.drain()
+                    reply = await read_frame(reader)
                     if reply is None:
                         raise ProtocolError(f"peer closed connection during {op!r}")
+                    if self._expired:  # read after the abort: the line may end there
+                        raise ProtocolError(f"reply to {op!r} after the deadline")
                 except BaseException as exc:
+                    self._deadline = None
                     self.drop()
                     if self._expired and isinstance(exc, (OSError, ProtocolError)):
                         raise asyncio.TimeoutError(f"{op!r} timed out") from exc
                     raise
-                finally:
-                    handle.cancel()
+                self._deadline = None
+                if self._writer is not writer:  # dropped meanwhile by another holder
+                    self._disarm()
         except (OSError, ProtocolError, asyncio.TimeoutError):
             if self.breaker is not None:
                 self.breaker.record_failure()
@@ -492,7 +570,11 @@ class PersistentConnection:
 
     def drop(self) -> Optional[asyncio.StreamWriter]:
         """Close the socket now, without waiting for the close to
-        complete; the next request reconnects."""
+        complete; the next request reconnects. The watchdog goes too,
+        unless an exchange is in flight: closing does not end a blocked
+        ``drain()``, so that exchange keeps its deadline until it fails."""
+        if self._deadline is None:
+            self._disarm()
         writer, self._writer, self._reader = self._writer, None, None
         if writer is not None:
             writer.close()

@@ -290,12 +290,12 @@ def test_the_live_runtime_tests_run_under_the_leak_flags_on_every_python():
     """chaos-smoke and controlplane-smoke run the live runtime's tests
     under the leak flags on 3.12 only; the ``test`` matrix job runs them
     that way on 3.10 and 3.11 as well, a leaked task or socket an
-    error."""
+    error. The hostile-peer tests run under the flags here only."""
     steps = re.split(r"(?m)^      - name: ", jobs()["test"])
     names = (
         "tests/test_live_bringup.py", "tests/test_controlplane_live.py",
         "tests/test_runtime.py", "tests/test_runtime_hardening.py",
-        "tests/test_runtime_protocol_edge.py",
+        "tests/test_runtime_protocol_edge.py", "tests/test_wire_hostile_peers.py",
     )
     (strict,) = [s for s in steps if all(name in s for name in names)]
     assert "python -X dev -W error::ResourceWarning -m pytest -x -q" in strict

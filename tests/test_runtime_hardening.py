@@ -406,8 +406,8 @@ def test_connection_serialises_concurrent_callers():
 
 
 # ----------------------------------------------------------------------
-# The exchange is a write, a read and one timer: no task, and a timeout
-# is a dead socket
+# The exchange is a write and a read under the link's one deadline
+# watchdog: no task, and a timeout is a dead socket
 # ----------------------------------------------------------------------
 #: Tasks the *server* side of a loopback exchange creates per connection.
 _SERVER_TASKS = {"BaseSelectorEventLoop._accept_connection2", "serve_connection"}
@@ -500,7 +500,7 @@ def test_cancelled_caller_sees_cancellation_and_leaves_no_timer():
 
 def test_connection_timeout_covers_a_blocked_drain():
     """The peer stopped reading, so ``drain()`` never returns: the
-    exchange's one timer covers the write as well as the read."""
+    link's watchdog covers the write as well as the read."""
     import socket
 
     async def scenario():
@@ -605,3 +605,135 @@ def test_client_closes_the_link_to_a_node_it_gives_up_on():
             await edge.stop()
 
     assert run(scenario()) == (False, False)
+
+
+# ----------------------------------------------------------------------
+# One deadline watchdog per link, not one timer per exchange
+# ----------------------------------------------------------------------
+def _record_timers(loop):
+    """Every timer ``loop`` arms from now on, each handle once (its
+    ``call_later`` goes through ``call_at``)."""
+    armed = []
+
+    def recording(arm):
+        def wrapper(*args, **kwargs):
+            handle = arm(*args, **kwargs)
+            if all(handle is not seen for seen in armed):
+                armed.append(handle)
+            return handle
+
+        return wrapper
+
+    loop.call_at = recording(loop.call_at)
+    loop.call_later = recording(loop.call_later)
+    return armed
+
+
+def _pending(loop, armed):
+    """The recorded timers that are still due to fire."""
+    now = loop.time()
+    return [h for h in armed if not h.cancelled() and h.when() > now]
+
+
+def test_500_exchanges_on_one_link_arm_at_most_two_timers():
+    """The connect arms the watchdog; the exchanges after it, all within
+    its timeout, arm none (one ``call_later`` each would be 500)."""
+
+    async def scenario():
+        server, writers, port = await _echo_server(lambda i: 0.0)
+        armed = _record_timers(asyncio.get_running_loop())
+        conn = PersistentConnection("127.0.0.1", port, timeout=5.0)
+        for i in range(500):
+            assert (await conn.request("echo", {"i": i}))["echo"] == i
+        count = len(armed)
+        await conn.close()
+        await stop_serving(server, writers)
+        return count
+
+    assert run(scenario()) <= 2
+
+
+def test_a_shorter_timeout_rearms_the_watchdog():
+    """The watchdog is armed for 5 s; an exchange with ``timeout=0.05``
+    still times out after about 0.05 s."""
+
+    async def scenario():
+        server, writers, port = await _echo_server(lambda i: 1.0 if i == 1 else 0.0)
+        conn = PersistentConnection("127.0.0.1", port, timeout=5.0)
+        await conn.request("echo", {"i": 0})
+        start = time.monotonic()
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(conn.request("echo", {"i": 1}, timeout=0.05), 5.0)
+        took = time.monotonic() - start
+        assert (await conn.request("echo", {"i": 2}))["echo"] == 2
+        await conn.close()
+        await stop_serving(server, writers)
+        return took
+
+    assert 0.045 <= run(scenario()) < 0.3
+
+
+def test_a_link_idle_past_its_timeout_times_out_on_schedule():
+    """Used again after the watchdog fired on an idle link (it rests),
+    or before it fires (it then follows the new deadline): either way
+    the exchange times out one timeout after it started."""
+
+    async def scenario():
+        server, writers, port = await _echo_server(
+            lambda i: 0.6 if i in (1, 3) else 0.0
+        )
+        conn = PersistentConnection("127.0.0.1", port, timeout=0.2)
+        took = []
+        for idle_s, (ok, silent) in ((0.35, (0, 1)), (0.1, (2, 3))):
+            assert (await conn.request("echo", {"i": ok}))["echo"] == ok
+            await asyncio.sleep(idle_s)
+            start = time.monotonic()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(conn.request("echo", {"i": silent}), 5.0)
+            took.append(time.monotonic() - start)
+        await conn.close()
+        await stop_serving(server, writers)
+        return took
+
+    for took in run(scenario()):
+        assert 0.19 <= took < 0.35
+
+
+def test_drop_close_and_a_cancelled_exchange_leave_no_armed_timer():
+    async def scenario():
+        never = asyncio.Event()  # the peer holds reply 9 without a timer of its own
+        writers = protocol.OpenConnections()
+
+        async def dispatch(frame):
+            i = frame["payload"]["i"]
+            if i == 9:
+                await never.wait()
+            return {"echo": i}
+
+        server = await asyncio.start_server(
+            lambda r, w: serve_connection(r, w, dispatch, writers), "127.0.0.1", 0
+        )
+        port = server.sockets[0].getsockname()[1]
+        loop = asyncio.get_running_loop()
+        armed = _record_timers(loop)
+        conn = PersistentConnection("127.0.0.1", port, timeout=5.0)
+        left = []
+        for end in ("drop", "close", "cancel"):
+            assert (await conn.request("echo", {"i": 0}))["echo"] == 0
+            assert _pending(loop, armed) != []  # the watchdog, resting
+            if end == "drop":
+                conn.drop()
+            elif end == "close":
+                await conn.close()
+            else:
+                pending = asyncio.ensure_future(conn.request("echo", {"i": 9}))
+                await asyncio.sleep(0.05)
+                pending.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await pending
+            left.append(_pending(loop, armed))
+        await conn.close()
+        await stop_serving(server, writers)
+        return left
+
+    assert run(scenario()) == [[], [], []]

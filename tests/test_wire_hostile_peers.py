@@ -1,0 +1,186 @@
+"""Hostile peers on a pooled link.
+
+A :class:`PersistentConnection` with a 0.2 s timeout talks to a peer
+whose first connection misbehaves: it never replies, it writes a reply
+one byte every 20 ms and never the newline (slow loris), it writes a
+whole reply but no newline, it closes in the middle of a frame, or it
+sends a line that is not UTF-8. The deadline is per exchange, not per
+byte, so the first three are a ``TimeoutError`` on schedule however
+much the peer trickles; the last two are a ``ProtocolError`` at once. Either way the link is dropped, the
+next exchange reconnects to an honest answer, and no task and no armed
+timer are left behind.
+"""
+
+import asyncio
+import random
+import time
+
+import pytest
+
+from repro.runtime import protocol
+from repro.runtime.protocol import PersistentConnection, ProtocolError
+
+SEED = 1729
+TIMEOUT_S = 0.2
+
+
+async def _silent(reader, writer, reply, rng):
+    """Takes the request, never answers; waits for the hang-up."""
+    await reader.read()
+
+
+async def _slow_loris(reader, writer, reply, rng):
+    """One byte of the reply every 20 ms, never the newline."""
+    for byte in reply[:-1]:
+        writer.write(bytes([byte]))
+        await writer.drain()
+        await asyncio.sleep(0.02)
+    await reader.read()
+
+
+async def _no_newline(reader, writer, reply, rng):
+    """The whole reply at once, less its newline: still not a reply."""
+    writer.write(reply[:-1])
+    await reader.read()
+
+
+async def _closes_mid_frame(reader, writer, reply, rng):
+    """A seeded prefix of the reply, then the hang-up."""
+    writer.write(reply[: rng.randrange(1, len(reply) - 1)])
+    await writer.drain()
+
+
+async def _not_utf8(reader, writer, reply, rng):
+    """A whole line, with a byte no UTF-8 text has at a seeded place."""
+    cut = rng.randrange(len(reply) - 1)
+    writer.write(reply[:cut] + b"\xff" + reply[cut:])
+    await reader.read()
+
+
+class _HostilePeer:
+    """A listener whose first connection gets ``behaviour``; every later
+    one is served honestly (``{"echo": i}`` to ``{"i": i}``)."""
+
+    def __init__(self, behaviour, rng):
+        self.behaviour = behaviour
+        self.rng = rng
+        self.accepted = 0
+        self.handlers = set()
+        self.writers = protocol.OpenConnections()
+        self.server = None
+
+    async def start(self):
+        self.server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        return self.server.sockets[0].getsockname()[1]
+
+    async def _echo(self, frame):
+        return {"echo": frame["payload"]["i"]}
+
+    async def _handle(self, reader, writer):
+        self.handlers.add(asyncio.current_task())
+        self.accepted += 1
+        if self.accepted > 1:
+            await protocol.serve_connection(reader, writer, self._echo, self.writers)
+            return
+        try:
+            request = await protocol.read_frame(reader)
+            reply = protocol.encode_frame("reply", {"echo": request["payload"]["i"]})
+            await self.behaviour(reader, writer, reply, self.rng)
+        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+            pass  # the client aborted the link, or the test is tearing down
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    async def stop(self):
+        await protocol.stop_serving(self.server, self.writers)
+        current = asyncio.current_task()
+        for task in self.handlers - {current}:
+            task.cancel()
+        await asyncio.gather(*(self.handlers - {current}), return_exceptions=True)
+
+
+def _track_timers(loop):
+    """Record every timer ``loop`` arms from now on."""
+    armed = []
+    call_at = loop.call_at
+
+    def recording(when, callback, *args, **kwargs):
+        handle = call_at(when, callback, *args, **kwargs)
+        armed.append(handle)
+        return handle
+
+    loop.call_at = recording
+    return armed
+
+
+def _still_armed(loop, armed):
+    now = loop.time()
+    return [h for h in armed if not h.cancelled() and h.when() > now]
+
+
+async def _exchange_with(behaviour, seed):
+    rng = random.Random(seed)
+    loop = asyncio.get_running_loop()
+    armed = _track_timers(loop)
+    peer = _HostilePeer(behaviour, rng)
+    port = await peer.start()
+    conn = PersistentConnection("127.0.0.1", port, timeout=TIMEOUT_S)
+    first = rng.randrange(1 << 30)
+    start = time.monotonic()
+    try:
+        # the outer bounds only keep a regression from hanging the suite
+        await asyncio.wait_for(conn.request("echo", {"i": first}), 5.0)
+    except (asyncio.TimeoutError, ProtocolError) as exc:
+        outcome = exc
+    else:  # pragma: no cover - the assertion below reports it
+        outcome = None
+    took = time.monotonic() - start
+    dropped = not conn.connected
+    second = rng.randrange(1 << 30)
+    reply = await asyncio.wait_for(conn.request("echo", {"i": second}), 5.0)
+    await conn.close()
+    await peer.stop()
+    left = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
+    return {
+        "outcome": outcome,
+        "took": took,
+        "dropped": dropped,
+        "echo": reply["echo"] == second,
+        "accepted": peer.accepted,
+        "tasks_left": left,
+        "timers_left": _still_armed(loop, armed),
+    }
+
+
+def _run(behaviour, seed):
+    return asyncio.run(_exchange_with(behaviour, seed))
+
+
+@pytest.mark.parametrize("seed", [SEED, SEED + 1])
+@pytest.mark.parametrize("behaviour", [_silent, _slow_loris, _no_newline],
+                         ids=["silent", "slow_loris", "no_newline"])
+def test_a_peer_that_withholds_the_reply_times_out_on_the_exchange_deadline(behaviour, seed):
+    result = _run(behaviour, seed)
+    assert isinstance(result["outcome"], asyncio.TimeoutError)
+    assert TIMEOUT_S <= result["took"] <= 0.6
+    assert result["dropped"]
+    assert result["echo"] and result["accepted"] == 2
+    assert result["tasks_left"] == []
+    assert result["timers_left"] == []
+
+
+@pytest.mark.parametrize("seed", [SEED, SEED + 1, SEED + 2])
+@pytest.mark.parametrize("behaviour", [_closes_mid_frame, _not_utf8],
+                         ids=["closes_mid_frame", "not_utf8"])
+def test_a_peer_that_closes_mid_frame_or_sends_no_text_is_a_protocol_error_at_once(behaviour, seed):
+    result = _run(behaviour, seed)
+    assert isinstance(result["outcome"], ProtocolError)
+    assert result["took"] < TIMEOUT_S
+    assert result["dropped"]
+    assert result["echo"] and result["accepted"] == 2
+    assert result["tasks_left"] == []
+    assert result["timers_left"] == []

@@ -27,7 +27,7 @@ import json
 import logging
 import math
 import random
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +43,7 @@ from repro.messages import (
     NodeStatus,
     ProbeReply,
     WireField,
+    field_reader,
     from_wire,
     read_field,
     to_wire,
@@ -194,6 +195,47 @@ def test_read_field_holds_an_op_argument_to_the_same_rules():
     for name, kind in (("user_id", int), ("fps", bool), ("top_n", int), ("seq_num", int)):
         with pytest.raises(ValueError, match=name):
             read_field(payload, name, kind)
+
+
+def test_a_field_reader_answers_and_refuses_as_read_field_does():
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as exc:
+            return f"refused: {exc}"
+
+    cases = [("user_id", Optional[str], None), ("user_id", str, ...), ("fps", float, 20.0)]
+    payloads = [{}, {"user_id": None}, {"user_id": "u"}, {"user_id": 7}, {"user_id": ["u"]},
+                {"user_id": True}, {"fps": 30}, {"fps": -1.0}, {"fps": math.nan}, {"fps": "20"}]
+    for name, kind, default in cases:
+        reader = field_reader(name, kind, default)
+        for payload in payloads:
+            assert outcome(lambda: reader(payload)) == outcome(
+                lambda: read_field(payload, name, kind, default)
+            )
+
+
+# ----------------------------------------------------------------------
+# The frame codec: the bytes on the wire are json.dumps of the envelope
+# ----------------------------------------------------------------------
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, -0.0])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+payloads = st.none() | st.dictionaries(st.text(), json_values, max_size=5)
+
+
+@given(st.text(), payloads)
+def test_encode_frame_is_json_dumps_of_the_envelope_and_decodes_back(op, payload):
+    line = protocol.encode_frame(op, payload)
+    assert line == (json.dumps({"op": op, "payload": payload or {}}) + "\n").encode("utf-8")
+    assert protocol.decode_frame(line) == {"op": op, "payload": payload or {}}
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,4 @@
-"""Sharded Central Manager — live (asyncio) driver over the control plane.
-
-Two pieces:
+"""Sharded Central Manager — live (asyncio) transport over the control plane.
 
 - :class:`RouterServer` — a TCP front speaking the *manager* wire
   protocol (``heartbeat`` / ``discover`` / ``status``), so an unmodified
@@ -8,25 +6,23 @@ Two pieces:
   :class:`~repro.runtime.edge_server.LiveEdgeServer` pointed at it
   cannot tell it from a single :class:`ManagerServer`. Behind the front
   it runs the same sans-IO :class:`~repro.controlplane.router.ShardRouter`
-  as the sim driver: heartbeats forward to every alive replica of the
+  as the sim manager: heartbeats forward to every alive replica of the
   owning shard, discovery fans ``discover_partial`` phases out to the
   covering shards' primaries and merges the global TopN.
-
 - :class:`ControlPlaneCluster` — a loopback harness that boots
   ``shards x replicas`` real :class:`ManagerServer` processes plus one
   RouterServer, with kill/restart primitives for the chaos tests.
 
-Failure model: the router keeps one standing link per replica but no
-heartbeat channel to the managers — failure detection *is* the failed
-RPC on that link. A ``discover_partial`` (or
-forwarded heartbeat) that errors marks the replica down; if it was the
-shard's primary the lowest alive standby is promoted immediately
-(``manager_promote``, reason ``unreachable``) and the fetch retries on
-the new primary within the same client request. A shard with no alive
-replica makes the router *close the connection without replying* — the
-client's discovery errors, feeding ``DiscoveryFailed`` into its
-machine, which rides the existing degraded-fallback path exactly as a
-whole-manager outage would.
+Replica membership, promotion and the rejoin handoff are the shared
+:class:`~repro.protocol.driver.ManagerDriver`'s; the router keeps its
+pooled replica links and the fan-out. It has no heartbeat channel to
+the managers: an RPC that fails reports its replica unreachable, and
+since that failure has already paid for detection the driver promotes
+a standby at once (reason ``unreachable``) and the fetch retries on it
+within the same client request. A shard with no alive replica makes
+the router *hang up without replying* — a discovery's client errors
+into ``DiscoveryFailed`` and the degraded fallback, an edge's heartbeat
+fails and backs off — never an empty answer or a false ``ok``.
 """
 
 from __future__ import annotations
@@ -39,16 +35,16 @@ from repro.controlplane.replication import ReplicaSet
 from repro.controlplane.router import PartialSelection, ShardRouter, emit_routing
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
 from repro.messages import Address, CandidateList, DiscoveryQuery, NodeStatus, from_wire, read_field, to_wire
-from repro.obs.events import ManagerPromote, RegistryHandoff
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GlobalSelectionPolicy
+from repro.protocol.driver import ManagerDriver
 from repro.runtime import protocol
-from repro.runtime.manager_server import ManagerServer, heartbeat_from_wire
+from repro.runtime.manager_server import ManagerServer, address_book, heartbeat_from_wire
 
 __all__ = ["RouterServer", "ControlPlaneCluster"]
 
 
-class RouterServer:
+class RouterServer(ManagerDriver[ReplicaSet]):
     """The control plane's client-facing front: route, fan out, merge."""
 
     def __init__(
@@ -67,19 +63,16 @@ class RouterServer:
                 f"need one replica list per shard: got {len(replica_addresses)} "
                 f"for {shard_map.count} shards"
             )
+        self._replicas: List[List[Address]] = [list(a) for a in replica_addresses]
+        super().__init__(
+            [ReplicaSet(len(addresses)) for addresses in self._replicas],
+            tracer=tracer if tracer is not None else Tracer.disabled(),
+        )
         self.host = host
         self.port = port
         self.shard_map = shard_map
-        self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.request_timeout_s = request_timeout_s
         self.router = ShardRouter(shard_map, policy or GlobalSelectionPolicy())
-        self._replicas: List[List[Address]] = [
-            list(addresses) for addresses in replica_addresses
-        ]
-        #: Per shard: which replicas are up and which one serves.
-        self.members: List[ReplicaSet] = [
-            ReplicaSet(len(addresses)) for addresses in self._replicas
-        ]
         #: node id -> serving address, refreshed from heartbeats.
         self._addresses: Dict[str, Address] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -87,9 +80,6 @@ class RouterServer:
         #: Standing router->replica links: a routed request pays the
         #: client's handshake only.
         self._links = protocol.ConnectionPool()
-        self.queries_served = 0
-        self.heartbeats_received = 0
-        self.promotions = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -109,36 +99,26 @@ class RouterServer:
         self._server = None
         await self._links.close()
 
-    # ------------------------------------------------------------------
-    # Replica bookkeeping
-    # ------------------------------------------------------------------
-    def mark_down(self, shard: int, replica: int) -> None:
-        self.members[shard].mark_down(replica)
+    def _replica_changed(self, shard: int, replica: int) -> None:
+        """A replica that went down, or came back, gets a fresh link: a
+        socket to the process that died on this port would only mark it
+        down again."""
         self._links.discard(*self._replicas[shard][replica])
 
-    def mark_up(self, shard: int, replica: int) -> None:
-        """A rejoined replica gets a fresh link: a socket to the process
-        that died on this port would only mark it down again."""
-        self.members[shard].mark_up(replica)
-        self._links.discard(*self._replicas[shard][replica])
-
-    def _promote(self, shard: int, reason: str) -> Optional[int]:
-        """Promote the lowest alive standby; None when all are down."""
-        replica = self.members[shard].promote()
-        if replica is not None:
-            self.promotions += 1
-            self.tracer.emit(
-                ManagerPromote(
-                    self.tracer.now(), shard=shard, replica=replica, reason=reason
-                )
+    async def _rpc(
+        self, shard: int, replica: int, op: str, payload: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """One exchange with a replica, over its standing link. A failed
+        exchange is the failure detector: the replica is reported
+        unreachable, and the answer is None."""
+        try:
+            return await protocol.request(
+                *self._replicas[shard][replica], op, payload,
+                timeout=self.request_timeout_s, pool=self._links,
             )
-        return replica
-
-    async def _rpc(self, address: Address, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One exchange with a replica, over its standing link."""
-        return await protocol.request(
-            *address, op, payload, timeout=self.request_timeout_s, pool=self._links
-        )
+        except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
+            self.replica_unreachable(shard, replica)
+            return None
 
     async def _fetch_partial(
         self, query: DiscoveryQuery, shard: int, radius_km: float
@@ -146,26 +126,21 @@ class RouterServer:
         """One ``discover_partial`` phase against ``shard``'s primary.
 
         A dead primary is detected by the failed RPC itself: the replica
-        is marked down, a standby promoted, and the fetch retried on the
-        new primary — all within the caller's request.
+        is reported unreachable, the driver promotes a standby, and the
+        fetch retries on the new primary — all within the caller's
+        request.
 
         Raises:
             ControlPlaneUnavailable: every replica of the shard is down.
         """
         while True:
-            replica = self.members[shard].serving_index()
+            replica = self.shards[shard].serving_index()
             if replica is None:
-                replica = self._promote(shard, reason="unreachable")
-                if replica is None:
-                    raise ControlPlaneUnavailable(shard)
-            try:
-                reply = await self._rpc(
-                    self._replicas[shard][replica],
-                    "discover_partial",
-                    {"query": to_wire(query), "radius_km": radius_km},
-                )
-            except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
-                self.mark_down(shard, replica)
+                raise ControlPlaneUnavailable(shard)
+            reply = await self._rpc(
+                shard, replica, "discover_partial", {"query": to_wire(query), "radius_km": radius_km}
+            )
+            if reply is None:
                 continue
             statuses = read_field(reply, "statuses", Tuple[NodeStatus, ...])
             selection = PartialSelection(shard, read_field(reply, "count", int), statuses)
@@ -194,26 +169,25 @@ class RouterServer:
                 "nodes": sorted(self._addresses),
                 "queries_served": self.queries_served,
                 "heartbeats_received": self.heartbeats_received,
+                "heartbeats_dropped": self.heartbeats_dropped,
                 "promotions": self.promotions,
-                "primaries": [m.primary for m in self.members],
+                "primaries": [m.primary for m in self.shards],
                 "down": [
                     [r for r in range(m.replicas) if m.is_down(r)]
-                    for m in self.members
+                    for m in self.shards
                 ],
             }
         return {"ok": False, "error": f"unknown op: {op!r}"}
 
-    async def _on_heartbeat(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    async def _on_heartbeat(self, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         status, node_address = heartbeat_from_wire(payload)
         shard = self.router.owner_of(status)
         delivered = 0
-        for replica, address in enumerate(self._replicas[shard]):
-            if self.members[shard].is_down(replica):
+        for replica in range(self.shards[shard].replicas):
+            if self.shards[shard].is_down(replica):
                 continue
-            try:
-                reply = await self._rpc(address, "heartbeat", payload)
-            except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
-                self.mark_down(shard, replica)
+            reply = await self._rpc(shard, replica, "heartbeat", payload)
+            if reply is None:
                 continue
             if not reply.get("ok"):
                 # The owner refused the status (its index wants a finer
@@ -221,10 +195,13 @@ class RouterServer:
                 # standbys. The node stays unknown here too.
                 return reply
             delivered += 1
+        if not delivered:
+            # No replica stored it: hang up, as for an unavailable
+            # discovery, so the edge's heartbeat fails and backs off.
+            self.heartbeats_dropped += 1
+            return None
         self.heartbeats_received += 1
         self._addresses[status.node_id] = node_address
-        if self.members[shard].serving_index() is None:
-            self._promote(shard, reason="unreachable")
         return {"ok": True, "delivered": delivered}
 
     async def _on_discover(self, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -258,23 +235,16 @@ class RouterServer:
         return {
             "ok": True,
             "candidates": to_wire(candidates),
-            "addresses": {
-                node_id: list(self._addresses[node_id])
-                for node_id in routed.node_ids
-                if node_id in self._addresses
-            },
+            "addresses": address_book(self._addresses, routed.node_ids),
         }
 
 
 class ControlPlaneCluster:
     """``shards x replicas`` real managers behind one router, loopback.
 
-    The chaos harness for the live control plane: :meth:`kill_primary`
-    stops a shard's serving :class:`ManagerServer` outright (the router
-    discovers this the hard way, via a failed RPC) and
-    :meth:`restart_replica` brings the process back on its old port,
-    re-seeded from the current primary's deduplicated snapshot (a
-    ``registry_handoff``).
+    :meth:`kill_primary` stops a shard's serving :class:`ManagerServer`
+    outright (the router finds out by a failed RPC); :meth:`restart_replica`
+    brings it back on its old port, re-seeded as the driver says.
     """
 
     def __init__(
@@ -351,7 +321,7 @@ class ControlPlaneCluster:
     async def kill_primary(self, shard: int) -> int:
         """Stop the shard's serving manager; returns the replica index."""
         assert self.router is not None
-        replica = self.router.members[shard].serving_index()
+        replica = self.router.shards[shard].serving_index()
         if replica is None:
             raise RuntimeError(f"shard {shard} has no serving primary to kill")
         server = self.managers[shard][replica]
@@ -361,44 +331,23 @@ class ControlPlaneCluster:
         return replica
 
     async def restart_replica(self, shard: int, replica: int) -> None:
-        """Restart a killed replica on its old port and re-seed it.
-
-        The returning process is empty; it rejoins as a standby, its
-        registry restored from the current primary's snapshot so no
-        tombstone or stale incarnation can travel (the snapshot is
-        deduplicated at the source).
-        """
+        """Restart a killed replica on its old port. The process is
+        empty: if another replica serves, it is restored from that
+        primary's snapshot (deduplicated at the source, so no tombstone
+        or stale incarnation travels) and rejoins as a standby."""
         assert self.router is not None
         if self.managers[shard][replica] is not None:
             raise RuntimeError(f"shard {shard} replica {replica} is running")
         server = await self._start_manager(shard, replica)
+        source = self.router.rejoin_source(shard, replica)
         entries = 0
-        serving = self.router.members[shard].serving_index()
-        if serving is not None and serving != replica:
-            host, port = ("127.0.0.1", self._ports[shard][serving])
+        if source is not None:
             snapshot = await protocol.request(
-                host, port, "snapshot", {}, timeout=self.request_timeout_s
-            )
-            restored = await protocol.request(
-                "127.0.0.1",
-                server.port,
-                "restore",
-                {
-                    "statuses": snapshot["statuses"],
-                    "stamps": snapshot["stamps"],
-                    "addresses": snapshot["addresses"],
-                },
+                "127.0.0.1", self._ports[shard][source], "snapshot", {},
                 timeout=self.request_timeout_s,
             )
-            entries = int(restored["entries"])
-            self.tracer.emit(
-                RegistryHandoff(
-                    self.tracer.now(),
-                    source=f"shard{shard}/r{serving}",
-                    target=f"shard{shard}/r{replica}",
-                    entries=entries,
-                    epoch=self.shard_map.epoch,
-                    reason="rejoin",
-                )
+            restored = await protocol.request(
+                "127.0.0.1", server.port, "restore", snapshot, timeout=self.request_timeout_s
             )
-        self.router.mark_up(shard, replica)
+            entries = int(restored["entries"])
+        self.router.replica_rejoined(shard, replica, source, entries)

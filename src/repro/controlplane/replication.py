@@ -14,16 +14,10 @@ design of the live driver:
   divergence after a replica was down (a rejoin handoff) and repairing
   any deltas it missed.
 
-Only the primary *serves* (discovery phases, WRR): a standby answers
-nothing until promoted, so a shard whose primary is down is simply
-unavailable for the detection window — clients ride the existing
-``DiscoveryFailed`` → degraded-fallback path, which is the failover
-story the chaos scenarios assert.
-
-Drivers own failure detection and timing: they call
-:meth:`mark_down`/:meth:`promote`/:meth:`mark_up` — the
-:class:`ReplicaSet` half, which the live router holds on its own — when
-their clocks or transports say so.
+Only the primary *serves* (discovery phases, WRR), so a shard whose
+primary is down is unavailable until the shared
+:class:`~repro.protocol.driver.ManagerDriver` — which owns failure
+detection and timing — promotes a standby.
 """
 
 from __future__ import annotations

@@ -17,40 +17,27 @@ shard 0 without a geohash cover and traces no routing, so the default
 run is the seed's byte for byte (the LO golden trace and the parity
 suites hold this).
 
-Failure model (driven by shard-targeted ``ManagerOutage`` rules via
-``EdgeSystem._apply_fault_action``):
-
-- ``on_shard_outage_start`` takes the shard's current primary down.
-  Until promotion the shard serves nothing: a discovery touching it
-  raises :class:`ControlPlaneUnavailable` and the client rides the
-  existing ``DiscoveryFailed`` -> degraded-fallback path.
-- After ``promotion_delay_ms`` (the failure-detection window) a kernel
-  timer promotes the lowest alive standby and emits ``manager_promote``.
-- ``on_shard_outage_end`` revives the downed replica; if a standby was
-  promoted meanwhile, the returnee is re-seeded from the new primary's
-  deduplicated snapshot and rejoins as standby (``registry_handoff``).
-
-Driver-owned extras: query/heartbeat counters and the optional
-reputation tracker fed from ``NodeOnline``/``NodeExpired`` effects.
+The role — effect dispatch, counters, the arrival order WRR reads,
+replica membership, promotion and rejoin — is the shared
+:class:`~repro.protocol.driver.ManagerDriver`; this class steps the
+machines in process and copies snapshots between them. A shard-targeted
+``ManagerOutage`` reports the primary unreachable when it starts, and
+the driver promotes a standby ``failure_detection_ms`` later; meanwhile
+a discovery touching the shard raises :class:`ControlPlaneUnavailable`
+(the client's degraded fallback). Its end rejoins the replica.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.replication import ReplicatedShard
 from repro.controlplane.router import PartialSelection, ShardRouter, emit_routing
 from repro.controlplane.sharding import ShardMap
 from repro.messages import CandidateList, DiscoveryQuery, NodeStatus
-from repro.obs.events import ManagerPromote, RegistryHandoff
 from repro.policy.global_policy import GlobalSelectionPolicy
-from repro.protocol.effects import (
-    Effect,
-    NodeExpired,
-    NodeOnline,
-    ReplyPartialCandidates,
-)
+from repro.protocol.driver import ManagerDriver
 from repro.protocol.events import HeartbeatReceived, NodeForgotten, PartialDiscoveryRequested
 from repro.protocol.global_select import GlobalSelectionMachine, smooth_wrr_pick
 
@@ -63,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SNAPSHOT_SYNC_PERIOD_MS = 5_000.0
 
 
-class CentralManager:
+class CentralManager(ManagerDriver[ReplicatedShard]):
     """Registry of alive edge nodes + the global selection policy.
 
     Args:
@@ -80,6 +67,8 @@ class CentralManager:
             manager does not have.
     """
 
+    _promote_reason = "outage"
+
     def __init__(
         self,
         system: "EdgeSystem",
@@ -95,24 +84,17 @@ class CentralManager:
             )
         self.system = system
         self._policy = policy or GlobalSelectionPolicy()
+        # A dead primary is noticed as fast as a dead edge node.
+        super().__init__(
+            self._empty_shards(shards, config.control_plane_replicas),
+            tracer=system.trace,
+            promotion_delay_ms=config.failure_detection_ms,
+        )
         self.shard_map = ShardMap(count=shards)
         self.router = ShardRouter(self.shard_map, self._policy)
-        self.shards = self._empty_shards(shards, config.control_plane_replicas)
         self.reputation = reputation
-        self.queries_served = 0
-        self.heartbeats_received = 0
-        #: Heartbeats dropped because the owning shard had no alive replica.
-        self.heartbeats_dropped = 0
-        self.promotions = 0
-        #: Primary-loss detection window before a standby is promoted.
-        #: Reuses the system's failure-detection budget: the control
-        #: plane notices a dead primary as fast as clients notice a dead
-        #: edge node.
-        self.promotion_delay_ms = config.failure_detection_ms
-        #: shard -> replica taken down by the active outage rule.
-        self._outage_victim: Dict[int, int] = {}
-        # Smooth-WRR state lives in the driver: the baseline's round
-        # robin is global across shards, so no single machine can own it.
+        # Smooth-WRR state lives here: the baseline's round robin is
+        # global across shards, so no single machine can own it.
         self._wrr_current: Dict[str, float] = {}
         self._last_snapshot_sync = 0.0
 
@@ -133,24 +115,20 @@ class CentralManager:
     def policy(self) -> GlobalSelectionPolicy:
         return self._policy
 
-    def _run_effects(self, effects: List[Effect]) -> Optional[Effect]:
-        """Execute registry effects in order; return the reply (if any)."""
-        reply: Optional[Effect] = None
-        for effect in effects:
-            if isinstance(effect, NodeOnline):
-                if self.reputation is not None:
-                    self.reputation.record_online(effect.node_id, self.system.sim.now)
-            elif isinstance(effect, NodeExpired):
-                self._wrr_current.pop(effect.node_id, None)
-                if self.reputation is not None:
-                    self.reputation.record_departure(
-                        effect.node_id, self.system.sim.now
-                    )
-            elif isinstance(effect, ReplyPartialCandidates):
-                reply = effect
-            else:  # pragma: no cover - forward-compatibility guard
-                raise TypeError(f"unhandled effect {type(effect).__name__}")
-        return reply
+    def _now(self) -> float:
+        return self.system.sim.now
+
+    def _call_later(self, delay_ms: float, callback: Callable[[], None], label: str) -> None:
+        self.system.sim.schedule(delay_ms, callback, label=label)
+
+    def _node_online(self, node_id: str) -> None:
+        if self.reputation is not None:
+            self.reputation.record_online(node_id, self.system.sim.now)
+
+    def _node_expired(self, node_id: str) -> None:
+        self._wrr_current.pop(node_id, None)
+        if self.reputation is not None:
+            self.reputation.record_departure(node_id, self.system.sim.now)
 
     # ------------------------------------------------------------------
     # Registry maintenance
@@ -169,6 +147,7 @@ class CentralManager:
         """Administrative deregistration (ownership unknown without the
         status, so every replica is told; extra calls are no-ops)."""
         self._wrr_current.pop(node_id, None)
+        self._arrivals.pop(node_id, None)
         for shard in self.shards:
             for machine in shard.machines:
                 machine.handle(NodeForgotten(node_id))
@@ -184,9 +163,8 @@ class CentralManager:
         """Statuses from every serving replica, pruned on read.
 
         Order is per-shard insertion order, concatenated shard-by-shard
-        (deterministic, but not a global insertion order once there are
-        several shards — callers ranking statuses must sort, as the
-        policies do).
+        (not a global order once there are several shards: a caller
+        ranking statuses sorts, or follows the driver's arrival order).
         """
         self.prune_stale()
         out: List[NodeStatus] = []
@@ -222,14 +200,10 @@ class CentralManager:
             machine = self.shards[shard_index].serving_machine()
             if machine is None:
                 raise ControlPlaneUnavailable(shard_index)
-            reply = self._run_effects(
-                machine.handle(
-                    PartialDiscoveryRequested(
-                        now=now, stamp=now, query=query, radius_km=radius_km
-                    )
-                )
+            reply = self._step(
+                machine,
+                PartialDiscoveryRequested(now=now, stamp=now, query=query, radius_km=radius_km),
             )
-            assert isinstance(reply, ReplyPartialCandidates)
             return PartialSelection(
                 shard=shard_index, count=reply.count, statuses=reply.statuses
             )
@@ -253,11 +227,14 @@ class CentralManager:
 
         Weights are the availability scores from the latest heartbeats —
         "the weight applied for each edge node is determined by the
-        resource availability and utilization" (§V-B).
+        resource availability and utilization" (§V-B). Candidates are
+        offered in the nodes' global arrival order, so ties break, and
+        weights sum, the same way at any shard count.
         """
-        statuses = [
-            s for s in self.alive_statuses() if s.node_id not in query.exclude
-        ]
+        alive = {s.node_id: s for s in self.alive_statuses() if s.node_id not in query.exclude}
+        statuses = [alive.pop(n) for n in self._arrivals if n in alive]
+        # Last, any node only a standby heard first (its primary was down).
+        statuses += alive.values()
         if self._policy.node_predicate is not None:
             predicate = self._policy.node_predicate
             statuses = [s for s in statuses if predicate(s)]
@@ -267,70 +244,28 @@ class CentralManager:
     # Failover (wired from shard-targeted fault actions)
     # ------------------------------------------------------------------
     def on_shard_outage_start(self, shard_index: int) -> bool:
-        """A shard-targeted outage began: its primary goes dark.
-
-        Promotion is scheduled after the detection window; until then
-        the shard is unavailable and clients degrade gracefully.
-        Returns whether the call took a replica down.
-        """
+        """A shard-targeted outage began: its primary goes dark, which
+        the driver hears as that replica being unreachable. Returns
+        whether the call took a replica down. Only an outage takes a
+        sim replica down, so a shard with one down has an outage."""
         shard = self.shards[shard_index]
-        if shard_index in self._outage_victim:
+        if len(shard.alive_replicas()) < shard.replicas:
             return False  # overlapping outage rules: first victim stands
-        victim = shard.primary
-        shard.mark_down(victim)
-        self._outage_victim[shard_index] = victim
-        if len(shard.alive_replicas()) > 0:
-            self.system.sim.schedule(
-                self.promotion_delay_ms,
-                lambda: self._promote(shard_index),
-                label=f"controlplane.promote.s{shard_index}",
-            )
+        self.replica_unreachable(shard_index, shard.primary)
         return True
 
-    def _promote(self, shard_index: int) -> None:
-        shard = self.shards[shard_index]
-        if shard.serving_index() is not None:
-            return  # primary came back inside the detection window
-        new_primary = shard.promote()
-        if new_primary is None:
-            return  # every replica down; stay unavailable
-        self.promotions += 1
-        self.system.trace.emit(
-            ManagerPromote(
-                self.system.sim.now,
-                shard=shard_index,
-                replica=new_primary,
-                reason="outage",
-            )
-        )
-
     def on_shard_outage_end(self, shard_index: int) -> bool:
-        """The outage lifted: the victim replica comes back.
-
-        If a standby was promoted meanwhile the returnee rejoins as a
-        standby, re-seeded from the new primary's deduped snapshot (a
-        ``registry_handoff``); with no promotion (replicas=1) the old
-        primary simply resumes with its registry intact. Returns whether
-        a replica came back (False: no outage was active on the shard).
-        """
-        victim = self._outage_victim.pop(shard_index, None)
-        if victim is None:
-            return False
+        """The outage lifted: the victim rejoins, re-seeded from the new
+        primary's deduped snapshot if a standby was promoted meanwhile
+        (else it resumes, registry intact). Returns whether a replica
+        came back (False: no outage was active on the shard)."""
         shard = self.shards[shard_index]
-        shard.mark_up(victim)
-        if shard.primary == victim:
-            return True  # no promotion happened; the old primary resumes
-        entries = shard.sync_standby(victim)
-        self.system.trace.emit(
-            RegistryHandoff(
-                self.system.sim.now,
-                source=f"shard{shard_index}/r{shard.primary}",
-                target=f"shard{shard_index}/r{victim}",
-                entries=entries,
-                epoch=self.shard_map.epoch,
-                reason="rejoin",
-            )
-        )
+        down = [r for r in range(shard.replicas) if shard.is_down(r)]
+        if not down:
+            return False
+        source = self.rejoin_source(shard_index, down[0])
+        entries = 0 if source is None else shard.sync_standby(down[0])
+        self.replica_rejoined(shard_index, down[0], source, entries)
         return True
 
     # ------------------------------------------------------------------
@@ -349,7 +284,6 @@ class CentralManager:
                 f"current {self.shard_map.epoch}"
             )
         new_shards = self._empty_shards(new_map.count, self.shards[0].replicas)
-        now = self.system.sim.now
         moved: Dict[Tuple[int, int], int] = {}
         for old_shard in self.shards:
             machine = old_shard.serving_machine() or old_shard.machines[old_shard.primary]
@@ -361,21 +295,11 @@ class CentralManager:
                     replica_machine.handle(HeartbeatReceived(stamp=stamp, status=status))
                 key = (old_shard.shard_index, target)
                 moved[key] = moved.get(key, 0) + 1
-        for (source, target), entries in sorted(moved.items()):
-            self.system.trace.emit(
-                RegistryHandoff(
-                    now,
-                    source=f"shard{source}",
-                    target=f"shard{target}",
-                    entries=entries,
-                    epoch=new_map.epoch,
-                    reason="epoch",
-                )
-            )
         self.shards = new_shards
         self.shard_map = new_map
         self.router = ShardRouter(new_map, self._policy)
-        self._outage_victim.clear()
+        for (source, target), entries in sorted(moved.items()):
+            self._trace_handoff(f"shard{source}", f"shard{target}", entries, "epoch")
 
     # ------------------------------------------------------------------
     def _maybe_snapshot_sync(self) -> None:

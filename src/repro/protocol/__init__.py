@@ -18,15 +18,14 @@ carries an explicit ``now``) and returns typed
 :mod:`~repro.protocol.effects`; it has zero knowledge of clocks,
 sockets, or the simulator kernel.
 
-The client and edge machines' effects are interpreted once, here, by
-:mod:`~repro.protocol.driver`: :class:`~repro.protocol.driver.ClientDriver`
-and :class:`~repro.protocol.driver.EdgeDriver` own dispatch, timers,
-links, stats and the Table I handlers. The discrete-event backend
-(``repro.core``) and the live asyncio backend (``repro.runtime``)
+Every machine's effects are interpreted once, here, by
+:mod:`~repro.protocol.driver`: ``ClientDriver``, ``EdgeDriver`` and
+``ManagerDriver`` own dispatch, timers, links, stats, the Table I
+handlers and the manager's failover. The discrete-event backend
+(``repro.core``) and the live asyncio one (``repro.runtime``)
 subclass them and supply only transport and physics; no module outside
-this package names a selection or admission effect (held by
-``tests/test_layering.py``). The Central Manager's effects are still
-interpreted by each backend's manager.
+this package names one of these effects (held by
+``tests/test_layering.py``).
 
 This package is fully typed (checked with ``mypy --strict`` in CI) and
 imports nothing from ``repro.core``, ``repro.runtime`` or ``repro.sim``
@@ -40,7 +39,7 @@ from repro.protocol.failure_monitor import FailureMonitor
 from repro.protocol.selection import SelectionConfig, SelectionMachine
 from repro.protocol.admission import AdmissionConfig, AdmissionMachine
 from repro.protocol.global_select import GlobalSelectionMachine
-from repro.protocol.driver import ClientDriver, ClientStats, EdgeDriver
+from repro.protocol.driver import ClientDriver, ClientStats, EdgeDriver, ManagerDriver
 
 __all__ = [
     # machines
@@ -54,4 +53,5 @@ __all__ = [
     "ClientDriver",
     "ClientStats",
     "EdgeDriver",
+    "ManagerDriver",
 ]

@@ -2,38 +2,44 @@
 
 A machine decides; a *driver* does what it asks. :class:`ClientDriver`
 interprets a :class:`~repro.protocol.selection.SelectionMachine` (the
-client's Algorithm 2 and §IV-E failover walk) and :class:`EdgeDriver`
+client's Algorithm 2 and §IV-E failover walk), :class:`EdgeDriver`
 an :class:`~repro.protocol.admission.AdmissionMachine` (the Table I
-node APIs and Algorithm 1). Each dispatches its effects in exactly one
-place, for the simulated backend (``repro.core``) and the live one
-(``repro.runtime``) alike; a backend subclasses the driver and supplies
-only transport and physics through a few hooks.
+node APIs and Algorithm 1), and :class:`ManagerDriver` the Central
+Manager's :class:`~repro.protocol.global_select.GlobalSelectionMachine`
+(§IV-A/B). Each dispatches its effects in exactly one place, for the
+simulated backend (``repro.core``) and the live one (``repro.runtime``,
+``repro.controlplane.live_driver``) alike; a backend subclasses the
+driver and supplies only transport and physics through a few hooks.
 
 Every I/O effect is completed by feeding its result
 :class:`~repro.protocol.events.ProtocolEvent` back through
 :meth:`ClientDriver._feed`: the sim does it from the kernel callback it
 scheduled for the reply, the live client from the task that ran the
 exchange. Timers (the retry round, the delayed join-triggered test
-workload) go through one ``_call_later`` hook on both backends.
+workload, the manager's detection window) go through one
+``_call_later`` hook on both backends.
 
 The driver also owns what both backends used to keep in two copies:
 the client's :class:`ClientStats`, the probe outcome and join verdict it
 builds from a reply, the links it prunes when the backup list moves;
 the edge's last-seen times, the coalesced test-workload runs, the
-performance-monitor feed, lease expiry and the memoised status geohash.
+performance-monitor feed, lease expiry and the memoised status geohash;
+the manager's replica sets and its one promote / rejoin path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from repro.geo import geohash as gh
 from repro.messages import JoinReply, NodeStatus, ProbeOutcome, ProbeReply
 from repro.obs.events import (
     AttachmentExpired,
+    ManagerPromote,
     ProbeAnswered,
     ProbeSent,
+    RegistryHandoff,
     TestWorkloadInvoked,
     UncoveredFailure,
 )
@@ -41,10 +47,15 @@ from repro.nodes.processing import analytic_sojourn_ms
 from repro.protocol.admission import AdmissionConfig, AdmissionMachine
 from repro.protocol.effects import (
     Attached,
+    Effect,
     EmitTrace,
     FlushBacklog,
+    NodeExpired,
+    NodeOnline,
     ProbeCandidates,
+    ReplyCandidates,
     ReplyJoin,
+    ReplyPartialCandidates,
     ReplyProbe,
     ScheduleTestWorkload,
     SendDiscovery,
@@ -70,13 +81,16 @@ from repro.protocol.failure_monitor import FailureMonitor
 from repro.protocol.selection import SelectionConfig, SelectionMachine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.controlplane.replication import ReplicaSet
+    from repro.controlplane.sharding import ShardMap
+    from repro.protocol.global_select import GlobalSelectionMachine
     from repro.geo.point import GeoPoint
     from repro.nodes.hardware import HardwareProfile
     from repro.obs.tracer import Tracer
     from repro.policy.base import SelectionPolicy
     from repro.policy.baselines import RankingCallable
 
-__all__ = ["ClientStats", "ClientDriver", "EdgeDriver"]
+__all__ = ["ClientStats", "ClientDriver", "EdgeDriver", "ManagerDriver"]
 
 
 def _machine_state(name: str) -> Any:
@@ -577,4 +591,162 @@ class EdgeDriver:
             dedicated=self.dedicated,
             isp=isp,
             reported_at_ms=self._now(),
+        )
+
+
+#: A shard's membership: a bare ``ReplicaSet`` on the live router, a
+#: ``ReplicatedShard`` (machines included) in the sim.
+_Members = TypeVar("_Members", bound="ReplicaSet")
+
+
+class ManagerDriver(Generic[_Members]):
+    """The Central Manager role: runs a :class:`GlobalSelectionMachine`'s
+    effects and keeps one replica set per shard.
+
+    The sim's ``CentralManager``, the live ``ManagerServer`` (one machine,
+    no replica set) and the live ``RouterServer`` (replica sets whose
+    machines are ``ManagerServer`` processes) subclass it. What a backend
+    keeps beside the machine rides on no-op hooks: ``_node_online`` /
+    ``_node_expired`` (the sim's reputation feed and WRR ledger, the live
+    address book), ``_population_changed`` (the live ``PopulationChanged``
+    trace), ``_replica_changed`` (the router's replica link) and
+    ``_call_later`` (the sim's timer). ``_now`` is the tracer's clock
+    unless a backend says otherwise.
+
+    Args:
+        shards: one replica set per shard (none for a lone manager).
+        tracer: where promote and handoff events go.
+        promotion_delay_ms: how long detection takes after a report
+            (see :meth:`replica_unreachable`).
+    """
+
+    #: The ``manager_promote`` reason: what the backend's report means.
+    _promote_reason = "unreachable"
+    #: Set by the sharded backends; it stamps handoff traces.
+    shard_map: "ShardMap"
+
+    def __init__(
+        self, shards: List[_Members], *, tracer: "Tracer", promotion_delay_ms: float = 0.0
+    ) -> None:
+        self.shards = shards
+        self.tracer = tracer
+        self.promotion_delay_ms = promotion_delay_ms
+        self.queries_served = 0
+        self.heartbeats_received = 0
+        #: Heartbeats no replica stored: the owning shard had none alive.
+        self.heartbeats_dropped = 0
+        self.promotions = 0
+        #: Node ids in the order they entered the registry, across all
+        #: shards (in on a first heartbeat, out on expiry or forget_node).
+        self._arrivals: Dict[str, None] = {}
+
+    def _now(self) -> float:
+        return self.tracer.now()
+
+    def _call_later(self, delay_ms: float, callback: Callable[[], None], label: str) -> None:
+        raise NotImplementedError(f"{type(self).__name__} has no timer")
+
+    def _node_online(self, node_id: str) -> None:
+        pass
+
+    def _node_expired(self, node_id: str) -> None:
+        pass
+
+    def _population_changed(self) -> None:
+        pass
+
+    def _replica_changed(self, shard: int, replica: int) -> None:
+        pass
+
+    # ------------------------------------------------------------------
+    # Effect execution
+    # ------------------------------------------------------------------
+    def _step(self, machine: "GlobalSelectionMachine", event: ProtocolEvent) -> Any:
+        """Advance ``machine`` by ``event``; return its reply (if any)."""
+        return self._run_effects(machine.handle(event))
+
+    def _run_effects(self, effects: List[Effect]) -> Any:
+        """Execute registry effects in order; return the reply (if any)."""
+        reply: Any = None
+        changed = False
+        for effect in effects:
+            if isinstance(effect, NodeOnline):
+                self._arrivals.setdefault(effect.node_id)
+                changed = changed or effect.new
+                self._node_online(effect.node_id)
+            elif isinstance(effect, NodeExpired):
+                self._arrivals.pop(effect.node_id, None)
+                changed = True
+                self._node_expired(effect.node_id)
+            elif isinstance(effect, (ReplyCandidates, ReplyPartialCandidates)):
+                reply = effect
+            else:  # pragma: no cover - forward-compatibility guard
+                raise TypeError(f"unhandled effect {type(effect).__name__}")
+        if changed:
+            self._population_changed()
+        return reply
+
+    # ------------------------------------------------------------------
+    # Failure detection, promotion, rejoin
+    # ------------------------------------------------------------------
+    def replica_unreachable(self, shard: int, replica: int) -> None:
+        """The one failure input: ``replica`` of ``shard`` cannot be
+        reached. It is marked down; if the shard is left without a
+        serving primary, the lowest alive standby is promoted once
+        detection is complete, ``promotion_delay_ms`` after the report.
+        The sim reports an outage when it starts, so its delay is
+        ``failure_detection_ms``; the router reports a failed RPC, which
+        has already paid for detection, so its delay is zero."""
+        members = self.shards[shard]
+        members.mark_down(replica)
+        self._replica_changed(shard, replica)
+        if members.serving_index() is not None or not members.alive_replicas():
+            return
+        if self.promotion_delay_ms > 0:
+            self._call_later(
+                self.promotion_delay_ms,
+                lambda: self._promote(shard),
+                f"controlplane.promote.s{shard}",
+            )
+        else:
+            self._promote(shard)
+
+    def _promote(self, shard: int) -> None:
+        members = self.shards[shard]
+        if members.serving_index() is not None:
+            return  # the primary came back inside the detection window
+        replica = members.promote()
+        if replica is None:
+            return  # every replica down: the shard stays unavailable
+        self.promotions += 1
+        self.tracer.emit(
+            ManagerPromote(self._now(), shard=shard, replica=replica, reason=self._promote_reason)
+        )
+
+    def rejoin_source(self, shard: int, replica: int) -> Optional[int]:
+        """Where a returning ``replica`` is re-seeded from: the serving
+        primary, if another replica serves; None if ``replica`` is itself
+        the primary (it resumes as it was) or none serves."""
+        serving = self.shards[shard].serving_index()
+        return None if serving == replica else serving
+
+    def replica_rejoined(
+        self, shard: int, replica: int, source: Optional[int], entries: int
+    ) -> None:
+        """``replica`` is back, re-seeded with ``entries`` entries from
+        ``source`` (:meth:`rejoin_source`). A shard left with no serving
+        primary promotes again."""
+        members = self.shards[shard]
+        members.mark_up(replica)
+        self._replica_changed(shard, replica)
+        if source is not None:
+            self._trace_handoff(
+                f"shard{shard}/r{source}", f"shard{shard}/r{replica}", entries, "rejoin"
+            )
+        else:
+            self._promote(shard)
+
+    def _trace_handoff(self, source: str, target: str, entries: int, reason: str) -> None:
+        self.tracer.emit(
+            RegistryHandoff(self._now(), source, target, entries, self.shard_map.epoch, reason)
         )

@@ -1,10 +1,10 @@
-"""The live Central Manager — asyncio driver over the protocol core.
+"""The live Central Manager — asyncio transport over the protocol core.
 
-Registry, expiry, geo-filter and TopN ranking all live in
-:class:`repro.protocol.global_select.GlobalSelectionMachine` (shared
-with the simulated :class:`repro.core.manager.CentralManager`); this
-module only owns the TCP surface and the address book — live clients
-need ``(host, port)`` pairs for the candidates, which the sim does not.
+The machine (:class:`repro.protocol.global_select.GlobalSelectionMachine`)
+and its effect interpreter (:class:`repro.protocol.driver.ManagerDriver`)
+are the simulated :class:`repro.core.manager.CentralManager`'s too; this
+module owns the TCP surface and, through the driver's hooks, the address
+book — live clients need ``(host, port)`` pairs, which the sim does not.
 
 Expiry stamps on this backend are ``time.monotonic()`` seconds (the sim
 uses virtual milliseconds); the machine never interprets stamp units, it
@@ -15,20 +15,15 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
+from repro.controlplane.replication import ReplicaSet
 from repro.messages import Address, CandidateList, DiscoveryQuery, NodeStatus
 from repro.messages import from_wire, read_field, to_wire
 from repro.obs.events import PopulationChanged
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GlobalSelectionPolicy
-from repro.protocol.effects import (
-    Effect,
-    NodeExpired,
-    NodeOnline,
-    ReplyCandidates,
-    ReplyPartialCandidates,
-)
+from repro.protocol.driver import ManagerDriver
 from repro.protocol.events import DiscoveryRequested, HeartbeatReceived, PartialDiscoveryRequested
 from repro.protocol.global_select import GlobalSelectionMachine, RegistrySnapshot
 from repro.runtime import protocol
@@ -41,7 +36,12 @@ def heartbeat_from_wire(payload: Dict[str, Any]) -> Tuple[NodeStatus, Address]:
     return status, (read_field(payload, "host", str), read_field(payload, "port", int))
 
 
-class ManagerServer:
+def address_book(addresses: Dict[str, Address], node_ids: Iterable[str]) -> Dict[str, Address]:
+    """The serving addresses of the known ones among ``node_ids``."""
+    return {n: addresses[n] for n in node_ids if n in addresses}
+
+
+class ManagerServer(ManagerDriver[ReplicaSet]):
     """Asyncio TCP server implementing the Central Manager role.
 
     Operations:
@@ -77,10 +77,9 @@ class ManagerServer:
         heartbeat_timeout_s: float = 3.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        super().__init__([], tracer=tracer if tracer is not None else Tracer.disabled())
         self.host = host
         self.port = port
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.tracer = tracer if tracer is not None else Tracer.disabled()
         #: The sans-IO Central Manager core this driver executes.
         self._machine = GlobalSelectionMachine(
             policy or GlobalSelectionPolicy(),
@@ -89,8 +88,6 @@ class ManagerServer:
         self._addresses: Dict[str, Address] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._open_writers = protocol.OpenConnections()
-        self.queries_served = 0
-        self.heartbeats_received = 0
         self.connections_accepted = 0
 
     # ------------------------------------------------------------------
@@ -99,10 +96,6 @@ class ManagerServer:
     @property
     def policy(self) -> GlobalSelectionPolicy:
         return self._machine.policy
-
-    @policy.setter
-    def policy(self, policy: GlobalSelectionPolicy) -> None:
-        self._machine.policy = policy
 
     @property
     def _registry(self) -> Dict[str, NodeStatus]:
@@ -123,32 +116,13 @@ class ManagerServer:
         await protocol.stop_serving(self._server, self._open_writers)
         self._server = None
 
-    # ------------------------------------------------------------------
-    def _run_effects(self, effects: List[Effect]) -> Optional[Effect]:
-        """Execute registry effects in order; return the reply (if any).
+    # Driver hooks. One PopulationChanged per batch of arrivals and
+    # expiries: what an operator watching the registry size would see.
+    def _node_expired(self, node_id: str) -> None:
+        self._addresses.pop(node_id, None)
 
-        Node arrivals and expiries both surface as a single
-        :class:`PopulationChanged` trace per batch (matching what an
-        operator watching the registry size would observe).
-        """
-        reply: Optional[Effect] = None
-        population_changed = False
-        for effect in effects:
-            if isinstance(effect, NodeOnline):
-                if effect.new:
-                    population_changed = True
-            elif isinstance(effect, NodeExpired):
-                self._addresses.pop(effect.node_id, None)
-                population_changed = True
-            elif isinstance(effect, (ReplyCandidates, ReplyPartialCandidates)):
-                reply = effect
-            else:  # pragma: no cover - forward-compatibility guard
-                raise TypeError(f"unhandled effect {type(effect).__name__}")
-        if population_changed:
-            self.tracer.emit(
-                PopulationChanged(self.tracer.now(), len(self._machine.registry))
-            )
-        return reply
+    def _population_changed(self) -> None:
+        self.tracer.emit(PopulationChanged(self.tracer.now(), len(self._machine.registry)))
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -157,10 +131,6 @@ class ManagerServer:
         await protocol.serve_connection(
             reader, writer, self._dispatch, self._open_writers
         )
-
-    def _address_book(self, node_ids: Iterable[str]) -> Dict[str, Address]:
-        """The serving addresses of the known ones among ``node_ids``."""
-        return {n: self._addresses[n] for n in node_ids if n in self._addresses}
 
     async def _dispatch(self, frame: dict) -> dict:
         try:
@@ -173,25 +143,17 @@ class ManagerServer:
         payload = frame["payload"]
         if op == "heartbeat":
             status, address = heartbeat_from_wire(payload)
-            self._run_effects(
-                self._machine.handle(
-                    HeartbeatReceived(stamp=time.monotonic(), status=status)
-                )
-            )
+            self._step(self._machine, HeartbeatReceived(stamp=time.monotonic(), status=status))
             self.heartbeats_received += 1
             self._addresses[status.node_id] = address
             return {"ok": True}
         if op == "discover":
             query = from_wire(payload.get("query"), DiscoveryQuery)
             self.queries_served += 1
-            reply = self._run_effects(
-                self._machine.handle(
-                    DiscoveryRequested(
-                        now=self.tracer.now(), stamp=time.monotonic(), query=query
-                    )
-                )
+            reply = self._step(
+                self._machine,
+                DiscoveryRequested(now=self.tracer.now(), stamp=time.monotonic(), query=query),
             )
-            assert isinstance(reply, ReplyCandidates)
             candidates = CandidateList(
                 user_id=query.user_id,
                 node_ids=reply.node_ids,
@@ -200,28 +162,23 @@ class ManagerServer:
             return {
                 "ok": True,
                 "candidates": to_wire(candidates),
-                "addresses": self._address_book(reply.node_ids),
+                "addresses": address_book(self._addresses, reply.node_ids),
             }
         if op == "discover_partial":
             query = from_wire(payload.get("query"), DiscoveryQuery)
             radius_km = read_field(payload, "radius_km", float)
             self.queries_served += 1
-            reply = self._run_effects(
-                self._machine.handle(
-                    PartialDiscoveryRequested(
-                        now=self.tracer.now(),
-                        stamp=time.monotonic(),
-                        query=query,
-                        radius_km=radius_km,
-                    )
-                )
+            reply = self._step(
+                self._machine,
+                PartialDiscoveryRequested(
+                    now=self.tracer.now(), stamp=time.monotonic(), query=query, radius_km=radius_km
+                ),
             )
-            assert isinstance(reply, ReplyPartialCandidates)
             return {
                 "ok": True,
                 "count": reply.count,
                 "statuses": [to_wire(s) for s in reply.statuses],
-                "addresses": self._address_book(s.node_id for s in reply.statuses),
+                "addresses": address_book(self._addresses, (s.node_id for s in reply.statuses)),
             }
         if op == "snapshot":
             snapshot = self._machine.snapshot_state()
@@ -229,7 +186,7 @@ class ManagerServer:
                 "ok": True,
                 "statuses": [to_wire(s) for s in snapshot.statuses],
                 "stamps": snapshot.stamps,
-                "addresses": self._address_book(self._addresses),
+                "addresses": dict(self._addresses),
             }
         if op == "restore":
             snapshot = RegistrySnapshot(

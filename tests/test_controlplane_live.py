@@ -5,7 +5,9 @@ these tests drive it with plain ``protocol.request`` calls exactly as a
 ``LiveClient``/``LiveEdgeServer`` would: heartbeat a spread of nodes,
 discover, kill a shard's primary :class:`ManagerServer` mid-flight, and
 check that the standby answer is bit-identical and the failover events
-(``manager_promote``, ``registry_handoff``) fire.
+(``manager_promote``, ``registry_handoff``) fire — and that they fire as
+they do on the sim's ``CentralManager``, which shares the router's
+``ManagerDriver``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ import asyncio
 import pytest
 
 from repro.controlplane.live_driver import ControlPlaneCluster
+from repro.core.client import EdgeClient
+from repro.core.config import SystemConfig
+from repro.core.system import EdgeSystem
+from repro.faults import FaultInjector, FaultPlan, ManagerOutage, Window
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
 from repro.messages import DiscoveryQuery, NodeStatus, to_wire
+from repro.net.topology import EndpointSpec
+from repro.nodes.hardware import profile_by_name
 from repro.obs.tracer import Tracer
 from repro.runtime import ManagerServer, protocol
 from tests.test_runtime_protocol_edge import hung_up
@@ -418,3 +426,106 @@ def test_boundary_discover_with_a_dead_primary_answers_like_a_single_manager(vic
     assert len(want["candidates"]["payload"]["node_ids"]) == 3
     assert status["down"][victim] == [0]
     assert [(e["shard"], e["replica"]) for e in promoted] == [(victim, 1)]
+
+
+def test_a_heartbeat_no_replica_stored_is_hung_up_and_counted_dropped():
+    """Every replica of the owning shard down: the router hangs up on
+    the heartbeat, as on a discovery, so the edge's heartbeat fails and
+    backs off. Like the sim's ``receive_heartbeat`` it counts the beat
+    in ``heartbeats_dropped``, not ``heartbeats_received``, and the node
+    stays unknown."""
+
+    async def scenario():
+        cluster = ControlPlaneCluster(shards=1, replicas=2)
+        await cluster.start()
+        try:
+            for index in range(len(NODE_OFFSETS) - 1):
+                await protocol.request(*cluster.address, "heartbeat", beat(index))
+            await cluster.kill_primary(0)
+            await discover(*cluster.address)  # detection: replica 1 promoted
+            await cluster.kill_primary(0)
+            late = len(NODE_OFFSETS) - 1
+            for _ in range(2):  # the first meets the dead replica, the second none
+                with pytest.raises((protocol.ProtocolError, OSError)):
+                    await protocol.request(*cluster.address, "heartbeat", beat(late))
+            return await protocol.request(*cluster.address, "status")
+        finally:
+            await cluster.stop()
+
+    status = run(scenario())
+    assert status["heartbeats_received"] == len(NODE_OFFSETS) - 1
+    assert status["heartbeats_dropped"] == 2
+    assert f"edge-{len(NODE_OFFSETS) - 1}" not in status["nodes"]
+    assert status["down"] == [[0, 1]]
+
+
+#: Shard-primary kills, in order: each shard once, then shard 0 again,
+#: so a re-seeded returnee is itself promoted.
+VICTIMS = (0, 1, 0)
+
+
+def failover_record(events) -> tuple:
+    """The (shard, replica) promote sequence and the rejoin handoffs'
+    entry counts of one run's trace."""
+    rows = [e.to_dict() for e in events]
+    return (
+        [(e["shard"], e["replica"]) for e in rows if e["type"] == "manager_promote"],
+        [e["entries"] for e in rows if e["type"] == "registry_handoff"],
+    )
+
+
+def test_the_sim_and_the_live_router_fail_over_alike():
+    """One schedule, two backends, one ``ManagerDriver``: on a 2x2 sim
+    ``CentralManager`` (shard outages from a fault plan, served by edges
+    and a client) and on a 2x2 live ``ControlPlaneCluster`` (primaries
+    killed, heartbeats and discoveries through the router, then a
+    restart), shard k's primary goes down and comes back for each k in
+    ``VICTIMS``. Both promote the same replicas in the same order and
+    re-seed each returnee with the same number of entries; the sim
+    promotes exactly ``failure_detection_ms`` after each outage starts,
+    the router at once."""
+    config = SystemConfig(seed=3, top_n=3, control_plane_shards=2, control_plane_replicas=2)
+    windows = [Window(2_000.0 * (k + 1), 2_000.0 * (k + 1) + 1_000.0) for k in range(len(VICTIMS))]
+    plan = FaultPlan(
+        outages=tuple(
+            ManagerOutage(f"kill-{k}", window, shard=shard)
+            for k, (window, shard) in enumerate(zip(windows, VICTIMS))
+        )
+    )
+    system = EdgeSystem(config, trace=Tracer(), faults=FaultInjector(plan, seed=3))
+    for index, (dx, dy) in enumerate(NODE_OFFSETS):
+        system.add_node(
+            f"edge-{index}", profile_by_name("V1"), EndpointSpec(GREENWICH.offset_km(dx, dy))
+        )
+    system.add_client_endpoint("alice", EndpointSpec(GREENWICH.offset_km(0.5, 0.5)))
+    system.add_client(EdgeClient(system, "alice"))
+    system.run_for(windows[-1].end_ms + 2_000.0)
+    sim_events = system.trace.events()
+
+    async def live():
+        tracer = Tracer()
+        cluster = ControlPlaneCluster(shards=2, replicas=2, tracer=tracer)
+        await cluster.start()
+        try:
+            await heartbeat_all(*cluster.address, GREENWICH)
+            for shard in VICTIMS:
+                victim = await cluster.kill_primary(shard)
+                await heartbeat_all(*cluster.address, GREENWICH)
+                assert (await discover(*cluster.address, point=GREENWICH))["ok"]
+                await cluster.restart_replica(shard, victim)
+            return tracer.events()
+        finally:
+            await cluster.stop()
+
+    sim_promotes, sim_entries = failover_record(sim_events)
+    live_promotes, live_entries = failover_record(run(live()))
+    assert sim_promotes == live_promotes == [(0, 1), (1, 1), (0, 0)]
+    assert sim_entries == live_entries
+    assert all(sim_entries) and len(set(sim_entries)) == 2  # both shards own nodes
+    started = [
+        e.t_ms for e in sim_events if e.to_dict()["type"] == "fault_injected"
+        and e.to_dict()["kind"] == "outage_start"
+    ]
+    promoted = [e.t_ms for e in sim_events if e.to_dict()["type"] == "manager_promote"]
+    assert started == [w.start_ms for w in windows]
+    assert [t - t0 for t, t0 in zip(promoted, started)] == [config.failure_detection_ms] * 3

@@ -11,6 +11,8 @@ scenario family wrapping it all.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.api import ScenarioBuilder
@@ -21,8 +23,9 @@ from repro.core.manager import CentralManager
 from repro.core.system import EdgeSystem
 from repro.faults import FaultInjector, FaultPlan, ManagerOutage, Window
 from repro.faults.scenarios import CANONICAL, controlplane, run_chaos
+from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
-from repro.messages import DiscoveryQuery
+from repro.messages import DiscoveryQuery, NodeStatus
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 from repro.obs.tracer import Tracer
@@ -167,6 +170,44 @@ def test_full_run_client_parity():
     cp_client = sharded.clients["alice"]
     assert cp_client.stats.frames_completed == ref_client.stats.frames_completed
     assert cp_client.current_edge == ref_client.current_edge
+
+
+def wrr_sequence(shards: int) -> tuple:
+    """Resource-aware WRR picks over one seeded worldwide population —
+    few distinct weights, so ties are common — and the number of shards
+    that hold it."""
+    rng = random.Random(11)
+    system = EdgeSystem(SystemConfig(seed=3, control_plane_shards=shards))
+    manager = system.manager
+    for index in range(48):
+        lat, lon = rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0)
+        manager.receive_heartbeat(
+            NodeStatus(
+                node_id=f"n{index:02d}",
+                lat=lat,
+                lon=lon,
+                geohash=encode(lat, lon, precision=9),
+                cores=rng.choice((2, 4, 8)),
+                capacity_fps=30.0,
+                attached_users=0,
+                utilization=rng.choice((0.0, 0.25, 0.5)),
+            )
+        )
+    query = DiscoveryQuery(user_id="u", lat=0.0, lon=0.0, top_n=3)
+    picks = [manager.wrr_assign(query) for _ in range(300)]
+    owners = {manager.router.owner_of(s) for s in manager.alive_statuses()}
+    return picks, len(owners)
+
+
+@pytest.mark.parametrize("shards", [1, 4, 16])
+def test_wrr_assigns_alike_at_every_shard_count(shards):
+    """WRR offers its candidates in the nodes' global arrival order, so
+    its tie-breaks and its float sum of weights — hence every pick — do
+    not depend on how the registry is sharded."""
+    want, _ = wrr_sequence(1)
+    got, holders = wrr_sequence(shards)
+    assert holders > shards // 2  # the registry really is spread
+    assert got == want
 
 
 # ----------------------------------------------------------------------

@@ -156,20 +156,20 @@ def test_only_the_ledger_passes_profiles_to_local_cluster():
     assert {hit.split(":")[0] for hit in found} == {"benchmarks/ledger/wl_live.py"}
 
 
-#: The selection and admission effects. ``repro.protocol.driver``
-#: dispatches them, once, for both backends; the Central Manager's
-#: effects are not in this list.
+#: The selection, admission and Central Manager effects.
+#: ``repro.protocol.driver`` dispatches them, once, for both backends.
 DRIVER_EFFECTS = {
     "SendDiscovery", "ProbeCandidates", "SendJoin", "SendLeave",
     "SendFailoverJoin", "Attached", "UpdateBackups", "FlushBacklog",
     "StartTimer", "ReplyProbe", "ReplyJoin", "ScheduleTestWorkload",
+    "NodeOnline", "NodeExpired", "ReplyCandidates", "ReplyPartialCandidates",
 }
 
 
 def test_only_the_protocol_package_names_the_driver_effects():
-    """No module outside ``repro/protocol`` imports a selection or
-    admission effect, or reaches one as an attribute: a backend that
-    wants one is interpreting a machine a second time."""
+    """No module outside ``repro/protocol`` imports a selection,
+    admission or manager effect, or reaches one as an attribute: a
+    backend that wants one is interpreting a machine a second time."""
     protocol = SRC / "repro" / "protocol"
     found = []
     for path in python_files(SRC / "repro"):
@@ -187,6 +187,52 @@ def test_only_the_protocol_package_names_the_driver_effects():
             if isinstance(node, ast.Attribute) and node.attr in DRIVER_EFFECTS
         ]
     assert found == []
+
+
+#: The failover traces: only the manager driver's one promote / rejoin /
+#: handoff path builds them.
+FAILOVER_TRACES = {"ManagerPromote", "RegistryHandoff"}
+#: The three manager backends, and what each left to the driver.
+MANAGER_BACKENDS = [
+    "repro/core/manager.py",
+    "repro/runtime/manager_server.py",
+    "repro/controlplane/live_driver.py",
+]
+DRIVER_ONLY_METHODS = {"_run_effects", "_promote", "mark_down", "mark_up"}
+
+
+def test_only_the_manager_driver_builds_failover_traces():
+    """``ManagerPromote(...)`` and ``RegistryHandoff(...)`` are
+    constructed in ``repro/protocol/driver.py`` and nowhere else under
+    ``src/``: a second construction site is a second failover path."""
+    driver = SRC / "repro" / "protocol" / "driver.py"
+    found = []
+    for path in python_files(SRC / "repro"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in FAILOVER_TRACES:
+                found.append((path, name))
+    assert {name for path, name in found if path == driver} == FAILOVER_TRACES
+    assert [f"{path.relative_to(ROOT)}: {name}" for path, name in found if path != driver] == []
+
+
+@pytest.mark.parametrize("backend", MANAGER_BACKENDS)
+def test_manager_backends_keep_only_their_transport(backend):
+    """No manager backend defines its own effect loop, promotion or
+    replica marking: those are ``ManagerDriver``'s."""
+    path = SRC / backend
+    defined = {
+        f"{cls.name}.{item.name}"
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in DRIVER_ONLY_METHODS
+    }
+    assert defined == set()
 
 
 @pytest.mark.parametrize(

@@ -237,7 +237,7 @@ def test_router_server_refuses_unusable_input_and_keeps_serving(caplog):
             for replicas in cluster.managers:
                 for manager in replicas:
                     assert manager._registry.keys() <= {"edge-0"}
-            assert [m.alive_replicas() for m in cluster.router.members] == [[0, 1], [0, 1]]
+            assert [m.alive_replicas() for m in cluster.router.shards] == [[0, 1], [0, 1]]
         finally:
             await cluster.stop()
 

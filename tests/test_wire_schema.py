@@ -314,7 +314,7 @@ def test_router_refuses_every_mutant_on_a_link_that_stays_up(caplog):
         await cluster.start()
         try:
             await refuse_batch(*cluster.address)
-            assert [m.alive_replicas() for m in cluster.router.members] == [[0, 1], [0, 1]]
+            assert [m.alive_replicas() for m in cluster.router.shards] == [[0, 1], [0, 1]]
         finally:
             await cluster.stop()
 

@@ -80,16 +80,11 @@ class SystemConfig:
             entry would otherwise inflate the node's what-if projection
             forever). None (the default) disables expiry.
         seed: root seed for all random streams.
-        cohort_batching: metro kernel only — advance whole cohorts of
-            same-phase clients per tick with array arithmetic instead of
-            one kernel event per frame. Both modes emit the same
-            trace-event multiset (tested); False exists for parity tests
-            and as the reference implementation.
         cohort_tick_ms: width of the metro kernel's cohort tick window.
             All control-plane activity (selection rounds, failures,
             detections, shard epochs) is quantized to tick boundaries —
-            this is what makes batched and per-client stepping
-            equivalent.
+            this is what lets the kernel advance a tick's frames as one
+            cohort, equal to stepping them one by one.
         control_plane_shards: number of Central Manager registry shards
             (geohash-range partitioned; ``repro.controlplane``). The
             default 1 (with 1 replica) is the manager's smallest shape,
@@ -120,9 +115,8 @@ class SystemConfig:
     attachment_lease_ms: Optional[float] = None
     seed: int = 42
     policy_spec: str = "go"
-    # Metro-kernel knobs (PR 7). Keyword-only: they are new surface and
-    # must never be reachable by positional construction.
-    cohort_batching: bool = field(default=True, kw_only=True)
+    # Metro-kernel knob. Keyword-only: it is new surface and must never
+    # be reachable by positional construction.
     cohort_tick_ms: float = field(default=250.0, kw_only=True)
     # Control-plane knobs (sharded/replicated Central Manager).
     control_plane_shards: int = field(default=1, kw_only=True)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean Earth radius
+#: km per degree of latitude (the local-tangent-plane scale).
+KM_PER_DEG_LAT = 111.32
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class GeoPoint:
         well under 1% at metro scale (tens of km) — the scale at which the
         paper's experiments operate (users within 10-50 miles).
         """
-        dlat = north_km / 111.32  # km per degree latitude
-        km_per_deg_lon = 111.32 * math.cos(math.radians(self.lat))
+        dlat = north_km / KM_PER_DEG_LAT
+        km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(self.lat))
         if abs(km_per_deg_lon) < 1e-9:
             raise ValueError("cannot offset east/west at the pole")
         dlon = east_km / km_per_deg_lon

@@ -4,9 +4,11 @@ The fast path for population-scale questions (10^5 nodes, 10^6 users):
 
 - :mod:`repro.metro.spec` — typed :class:`MetroSpec`/:class:`ShardSpec`
   scenario values + deterministic population generation.
-- :mod:`repro.metro.kernel` — the tick-quantized shard kernel with two
-  equivalent stepping modes (cohort-batched arrays vs. one simulator
-  event per frame).
+- :mod:`repro.metro.kernel` — the tick-quantized shard kernel; each
+  tick's frames advance as one numpy cohort.
+- :mod:`repro.metro.reference` — :class:`PerFrameKernel`, one simulator
+  event per frame: the reference the cohort path is tested and timed
+  against, never reached by a config value.
 - :mod:`repro.metro.shard` — geohash prefix partitioning, ghost/export
   planning.
 - :mod:`repro.metro.runner` — :class:`MetroSimulation`: the epoch loop,

@@ -17,15 +17,15 @@ reach:
   so whole cohorts can be advanced with array arithmetic.
 - **Analytic queueing.** Instead of simulating each node's frame queue,
   per-frame wait uses the M/D/1 mean-wait closed form over the node's
-  attached offered load. Service and propagation reuse the constants of
-  :class:`~repro.net.latency.DistanceRttModel` (HOME_WIFI endpoints).
-- **Two stepping modes, one control plane.** ``cohort_batching=True``
-  advances frames with numpy; ``False`` schedules one event per frame
-  on a private :class:`~repro.sim.kernel.Simulator`. Both
-  modes share every line of control-plane code and emit the same
-  trace-event multiset (property-tested) — the per-client mode is the
-  reference implementation and the fallback semantics for clients in
-  failover/re-selection are identical by construction.
+  attached offered load. Propagation is
+  :meth:`~repro.net.latency.DistanceRttModel.distance_rtt_ms`, the sim's
+  own formula, with both endpoints on the HOME_WIFI tier.
+- **One frame path.** Each tick's frames advance as whole-population
+  array arithmetic; with capture on, the same arrays then emit one
+  ``FrameDone`` per frame. The per-frame reference,
+  :class:`~repro.metro.reference.PerFrameKernel`, steps one simulator
+  event per frame under the same control plane and is held to the same
+  trace-event multiset (property-tested).
 
 Entity naming: node ``i`` of the population is ``n{i}`` in every trace
 event and public API; user ``j`` is ``u{j}``. Shard-local arrays map to
@@ -42,8 +42,9 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.geo import geohash
+from repro.geo.point import EARTH_RADIUS_KM
 from repro.metro.spec import MetroPopulation, MetroSpec, quantize_ticks
-from repro.net.latency import TIER_INFLATION_MS, NetworkTier
+from repro.net.latency import TIER_INFLATION_MS, DistanceRttModel, NetworkTier
 from repro.obs.events import (
     CoveredFailover,
     FrameDone,
@@ -55,7 +56,6 @@ from repro.obs.events import (
     UncoveredFailure,
 )
 from repro.obs.tracer import Tracer
-from repro.sim.kernel import Simulator
 
 __all__ = [
     "MetroKernel",
@@ -65,17 +65,14 @@ __all__ = [
     "ShardInbox",
 ]
 
-#: Latency-model constants, mirroring DistanceRttModel defaults with
-#: both endpoints on the HOME_WIFI tier (the volunteer/user last mile).
-_RTT_FLOOR_MS = 1.0
-_MS_PER_KM = 0.0075
-_PATH_STRETCH = 1.6
+#: The sim's latency model at its defaults; both endpoints of every
+#: metro path sit on the HOME_WIFI tier (the volunteer/user last mile).
+_RTT = DistanceRttModel()
 _TIER_MS = 2.0 * TIER_INFLATION_MS[NetworkTier.HOME_WIFI]
 #: M/D/1 utilization cap — matches the EdgeSystem queue's stability
 #: guard: beyond this the analytic wait would explode to infinity.
 _RHO_CAP = 0.95
 
-_EARTH_RADIUS_KM = 6371.0088
 #: Cap on the (user, candidate) pairs whose base latency one flat
 #: ``_base_vec`` pass scores; bounds the scorer's temporaries (~0.1 MB
 #: each) where a 3x3 neighbourhood holds thousands of candidates.
@@ -102,7 +99,7 @@ def _haversine_km(
     dphi = p2 - p1
     dlmb = np.radians(lon2 - lon1)
     a = np.sin(dphi / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dlmb / 2.0) ** 2
-    return 2.0 * _EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
 @dataclass
@@ -176,7 +173,7 @@ class MetroKernel:
         config: system tunables; the metro kernel honours ``top_n``,
             ``probing_period_ms``, ``failure_detection_ms``,
             ``min_dwell_ms``, ``switch_penalty_ms``/``_fraction`` and
-            the metro knobs (``cohort_batching``, ``cohort_tick_ms``).
+            the metro knob ``cohort_tick_ms``.
         spec: the metro deployment shape.
         population: generated entity arrays (shared, never mutated).
         shard_id: name used in handoff trace events.
@@ -288,11 +285,6 @@ class MetroKernel:
         self.u_slot = self.u_gid % self._period_ticks
         self._agenda: Dict[int, List[Tuple[str, int]]] = {}
         self._pending_handoffs: List[int] = []
-
-        self.batched = config.cohort_batching
-        #: Per-client mode's frame events; batched mode schedules none.
-        self._frame_sim = Simulator()
-        self._window_wait: Optional[np.ndarray] = None
 
         # --- counters -------------------------------------------------
         self.frames_advanced = 0
@@ -448,7 +440,7 @@ class MetroKernel:
         return best
 
     # ------------------------------------------------------------------
-    # Control plane (shared by both stepping modes)
+    # Control plane
     # ------------------------------------------------------------------
     def _control(self, k: int) -> None:
         t = k * self.tick_ms
@@ -489,7 +481,7 @@ class MetroKernel:
                 continue
             self.covered_failovers += 1
             if emit:
-                emit(CoveredFailover(t, self._user_name(u), self._node_name(n)))
+                emit(CoveredFailover(t, self._user_name(u), self._node_name(best)))
             # The dead node's bookkeeping load is irrelevant; just move.
             self._attach(u, best, base)
 
@@ -568,13 +560,7 @@ class MetroKernel:
             ends = np.concatenate(([0], np.cumsum(keep)))[offsets]
             live = np.diff(ends)
             rlat, rlon = np.repeat(clat[lo:hi], live), np.repeat(clon[lo:hi], live)
-            dist = _haversine_km(rlat, rlon, self.n_lat[nodes], self.n_lon[nodes])
-            pre = (
-                _RTT_FLOOR_MS
-                + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
-                + _TIER_MS
-                + self.n_service[nodes]
-            )
+            pre = self._rtt_ms(rlat, rlon, nodes) + self.n_service[nodes]
             for (ua, ub), a, b in zip(spans[lo:hi], ends.tolist(), ends[1:].tolist()):
                 if a == b:
                     self.unattached_initial += ub - ua
@@ -612,15 +598,18 @@ class MetroKernel:
         self.n_load[n] += self.fps
         self.u_join_tick[u] = self._tick_index
 
+    def _rtt_ms(
+        self, lat: np.ndarray, lon: np.ndarray, nodes: np.ndarray
+    ) -> np.ndarray:
+        """Expected RTT from ``(lat, lon)`` to ``nodes``: the floor plus
+        propagation, then both endpoints' HOME_WIFI inflation."""
+        dist = _haversine_km(lat, lon, self.n_lat[nodes], self.n_lon[nodes])
+        return _RTT.distance_rtt_ms(dist) + _TIER_MS
+
     def _base_vec(self, users: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Per-frame base latency: expected RTT + transfer + service."""
-        dist = _haversine_km(
-            self.u_lat[users], self.u_lon[users], self.n_lat[nodes], self.n_lon[nodes]
-        )
         return (
-            _RTT_FLOOR_MS
-            + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
-            + _TIER_MS
+            self._rtt_ms(self.u_lat[users], self.u_lon[users], nodes)
             + self.spec.frame_transfer_ms
             + self.n_service[nodes]
         )
@@ -698,7 +687,7 @@ class MetroKernel:
         return service * rho / (2.0 * (1.0 - rho))
 
     # ------------------------------------------------------------------
-    # Frame advancement — the only mode-dependent code
+    # Frame advancement
     # ------------------------------------------------------------------
     def _frame_counts(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
         """Per-user (first frame index, count) of frames due in (t0, t1]."""
@@ -708,22 +697,13 @@ class MetroKernel:
         return m_lo, counts
 
     def _advance_frames(self, k: int) -> None:
+        """Advance tick ``k``'s frames as one cohort: whole-population
+        array arithmetic in mask form — no index arrays, every user's row
+        is touched. With capture on, the same ``good``/``lat`` arrays
+        then emit one ``FrameDone`` per completed frame."""
         t0 = k * self.tick_ms
-        t1 = t0 + self.tick_ms
         wait = self._node_wait()
-        self._window_wait = wait
-        if self.batched:
-            if self.trace.enabled:
-                self._advance_batched_traced(t0, t1, wait)
-            else:
-                self._advance_batched(t0, t1, wait)
-        else:
-            self._advance_per_client(t0, t1, wait)
-
-    def _advance_batched(self, t0: float, t1: float, wait: np.ndarray) -> None:
-        """The cohort fast path: whole-population array arithmetic, in
-        mask form — no index arrays, every user's row is touched."""
-        _, counts = self._frame_counts(t0, t1)
+        m_lo, counts = self._frame_counts(t0, t0 + self.tick_ms)
         counts = np.where(self.u_active, counts, 0)
         self.frames_advanced += int(counts.sum())
         if self.n_gid.size == 0:  # nothing to gather from: all due frames lost
@@ -740,71 +720,18 @@ class MetroKernel:
         np.maximum(self.u_lat_max, lat, out=self.u_lat_max, where=good > 0)
         # Unattached users and users on a dead node lose their due frames.
         self.u_lost += counts - good
-
-    def _advance_batched_traced(
-        self, t0: float, t1: float, wait: np.ndarray
-    ) -> None:
-        """Batched mode with capture on: same stat arithmetic as the
-        array path (cohort-summed), plus one FrameDone per frame."""
-        m_lo, counts = self._frame_counts(t0, t1)
-        emit = self.trace.emit
-        for u in np.flatnonzero(self.u_active & (counts > 0)):
-            kcnt = int(counts[u])
-            self.frames_advanced += kcnt
-            node = int(self.u_node[u])
-            if node < 0:
-                self.u_lost[u] += kcnt
-                continue
-            if not self.n_alive[node]:
-                self.u_lost[u] += kcnt
-                continue
-            lat = float(self.u_base[u]) + float(wait[node])
-            self.u_frames[u] += kcnt
-            self.u_lat_sum[u] += kcnt * lat
-            self.u_lat_max[u] = max(float(self.u_lat_max[u]), lat)
-            uname = self._user_name(int(u))
-            nname = self._node_name(node)
-            lo = int(m_lo[u])
-            phase = float(self.u_phase[u])
-            for m in range(lo, lo + kcnt):
-                due = phase + m * self.interval_ms
-                emit(FrameDone(due + lat, uname, nname, m, due, lat))
-
-    def _advance_per_client(self, t0: float, t1: float, wait: np.ndarray) -> None:
-        """The reference path: one simulator event per frame (what cohort
-        batching replaces)."""
-        m_lo, counts = self._frame_counts(t0, t1)
-        schedule_at = self._frame_sim.schedule_at
-        for u in np.flatnonzero(self.u_active & (counts > 0)):
-            phase = float(self.u_phase[u])
-            lo = int(m_lo[u])
-            uu = int(u)
-            for m in range(lo, lo + int(counts[u])):
-                due = phase + m * self.interval_ms
-                schedule_at(
-                    due,
-                    lambda uu=uu, m=m, due=due: self._frame_event(uu, m, due),
-                    label="frame",
-                )
-        self._frame_sim.run_until(t1)
-
-    def _frame_event(self, u: int, m: int, due: float) -> None:
-        self.frames_advanced += 1
-        node = int(self.u_node[u])
-        if node < 0 or not self.n_alive[node]:
-            self.u_lost[u] += 1
+        if not self.trace.enabled:
             return
-        assert self._window_wait is not None
-        lat = float(self.u_base[u]) + float(self._window_wait[node])
-        self.u_frames[u] += 1
-        self.u_lat_sum[u] += lat
-        self.u_lat_max[u] = max(float(self.u_lat_max[u]), lat)
-        if self.trace.enabled:
-            self.trace.emit(
-                FrameDone(
-                    due + lat, self._user_name(u), self._node_name(node), m, due, lat
-                )
-            )
+        emit, interval = self.trace.emit, self.interval_ms
+        users = np.flatnonzero(good)
+        columns = (m_lo, good, lat, self.u_phase, self.u_node)
+        for u, lo, n, latency, phase, at in zip(
+            users.tolist(), *(column[users].tolist() for column in columns)
+        ):
+            uname, nname = self._user_name(u), self._node_name(at)
+            for m in range(lo, lo + n):
+                due = phase + m * interval
+                emit(FrameDone(due + latency, uname, nname, m, due, latency))
 
     # ------------------------------------------------------------------
     # Naming & reporting

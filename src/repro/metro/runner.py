@@ -49,7 +49,6 @@ class MetroReport:
     sim_seconds: float
     shards: int
     workers: int
-    batched: bool
     frames_done: int
     frames_lost: int
     switches: int
@@ -295,7 +294,6 @@ class MetroSimulation:
             sim_seconds=sim_seconds,
             shards=plan.count,
             workers=self.spec.shard.workers,
-            batched=self.config.cohort_batching,
             frames_done=sum(r.frames_done for r in reports),
             frames_lost=sum(r.frames_lost for r in reports),
             switches=sum(r.switches for r in reports),

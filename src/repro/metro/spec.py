@@ -24,25 +24,22 @@ from typing import Optional
 import numpy as np
 
 from repro.geo import geohash
-from repro.geo.point import GeoPoint
+from repro.geo.point import KM_PER_DEG_LAT, GeoPoint
 from repro.geo.region import MSP_CENTER
 from repro.nodes.hardware import VOLUNTEER_PROFILES
 from repro.sim.random import derive_seed
 
 __all__ = ["MetroSpec", "ShardSpec", "MetroPopulation", "build_population"]
 
-#: km per degree of latitude (matches GeoPoint.offset_km).
-_KM_PER_DEG_LAT = 111.32
-
 
 @dataclass(frozen=True)
 class ShardSpec:
     """How to partition a metro into independent shard kernels.
 
+    A shard owns a deterministic set of geohash prefix cells (sorted
+    cells, round-robin over ``count``).
+
     Attributes:
-        by: partition key; only ``"geohash"`` is defined. A shard owns a
-            deterministic set of geohash prefix cells (sorted cells,
-            round-robin over ``count``).
         count: number of shard kernels. 1 disables sharding (and is
             bit-identical to the unsharded kernel — tested).
         workers: worker processes stepping shards (forked). 1 steps the
@@ -57,15 +54,12 @@ class ShardSpec:
             multiple of the kernel tick; validated at kernel build.
     """
 
-    by: str = "geohash"
     count: int = 1
     workers: int = 1
     precision: Optional[int] = None
     boundary_epoch_ms: float = 1_000.0
 
     def __post_init__(self) -> None:
-        if self.by != "geohash":
-            raise ValueError(f"only by='geohash' sharding is defined, got {self.by!r}")
         if self.count < 1:
             raise ValueError(f"shard count must be >= 1: {self.count}")
         if self.workers < 1:
@@ -201,8 +195,8 @@ def _disc_points(
     theta = rng.random(count) * (2.0 * np.pi)
     north = r * np.cos(theta)
     east = r * np.sin(theta)
-    lat = center.lat + north / _KM_PER_DEG_LAT
-    lon = center.lon + east / (_KM_PER_DEG_LAT * cos(radians(center.lat)))
+    lat = center.lat + north / KM_PER_DEG_LAT
+    lon = center.lon + east / (KM_PER_DEG_LAT * cos(radians(center.lat)))
     return lat, lon
 
 
@@ -246,7 +240,7 @@ def quantize_ticks(duration_ms: float, tick_ms: float) -> int:
 
     The metro kernel quantizes every control-plane delay (failure
     detection, dwell, probing period) to tick boundaries — that
-    quantization is what makes cohort-batched and per-client stepping
+    quantization is what makes cohort advancement and per-frame stepping
     emit identical traces.
     """
     return max(1, ceil(duration_ms / tick_ms - 1e-9))

@@ -20,9 +20,15 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple, TypeVar
 
 from repro.geo.point import GeoPoint
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: A distance in km: one float, or a numpy array of them.
+_Km = TypeVar("_Km", float, "np.ndarray")
 
 
 class NetworkTier(enum.Enum):
@@ -190,11 +196,15 @@ class DistanceRttModel:
         self.tier_inflation_ms = dict(tier_inflation_ms or TIER_INFLATION_MS)
         self.jitter = jitter if jitter is not None else JitterModel()
 
+    def distance_rtt_ms(self, distance_km: _Km) -> _Km:
+        """The floor plus round-trip propagation over ``distance_km``
+        (a float, or a numpy array elementwise): the tier-free part of
+        :meth:`expected_rtt_ms`, which the metro kernel shares."""
+        return self.floor_ms + 2.0 * distance_km * self.ms_per_km * self.path_stretch
+
     def expected_rtt_ms(self, src: EndpointInfo, dst: EndpointInfo) -> float:
-        distance = src.point.distance_km(dst.point)
         rtt = (
-            self.floor_ms
-            + 2.0 * distance * self.ms_per_km * self.path_stretch
+            self.distance_rtt_ms(src.point.distance_km(dst.point))
             + self.tier_inflation_ms[src.tier]
             + self.tier_inflation_ms[dst.tier]
             + 2.0 * (src.access_extra_ms + dst.access_extra_ms)

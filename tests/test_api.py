@@ -168,7 +168,7 @@ def test_builder_metro_accepts_full_spec():
 
 def test_builder_shard_overrides_compose_with_metro():
     spec = MetroSpec(nodes=100, users=300).with_shard(
-        ShardSpec(by="geohash", count=2, workers=2, boundary_epoch_ms=500.0)
+        ShardSpec(count=2, workers=2, boundary_epoch_ms=500.0)
     )
     sim = MetroSimulation(spec, SystemConfig(seed=3))
     assert sim.spec.shard.count == 2

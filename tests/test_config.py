@@ -61,8 +61,7 @@ def test_metro_knobs_are_keyword_only():
 
     kw_only = {f.name for f in fields(SystemConfig) if f.kw_only}
     assert {
-        "cohort_batching", "cohort_tick_ms",
-        "control_plane_shards", "control_plane_replicas",
+        "cohort_tick_ms", "control_plane_shards", "control_plane_replicas",
     } <= kw_only
 
 

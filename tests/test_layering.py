@@ -265,6 +265,14 @@ def test_the_sim_manager_imports_only_the_lower_control_plane():
     assert used and [name for name in used if not hits(name, lower)] == []
 
 
+def test_the_metro_kernel_imports_nothing_from_the_sim():
+    """The cohort path is the metro kernel's one frame path: it schedules
+    no simulator event, so it imports no part of ``repro.sim``. Only its
+    per-frame reference, ``repro/metro/reference.py``, steps a
+    ``Simulator``."""
+    assert violations([SRC / "repro/metro/kernel.py"], ("repro.sim",)) == []
+
+
 def test_the_check_sees_type_checking_blocks_and_relative_imports(tmp_path):
     """The walker is what the guarantees above rest on: show that it
     finds an import inside ``if TYPE_CHECKING:``, inside a function, and

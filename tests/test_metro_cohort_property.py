@@ -1,11 +1,12 @@
 """Property: cohort batching is a pure optimization.
 
 For any (seed, population shape, failure schedule) the cohort-batched
-frame loop must emit exactly the same trace-event multiset as running
-one event per frame on the per-event ``Simulator`` — same joins,
-same frames at the same times with the same latencies, same failovers.
-This is the load-bearing guarantee that lets the metro kernel default
-to arrays without changing what the simulation *says happened*.
+frame loop must emit exactly the same trace-event multiset as
+:class:`PerFrameKernel`, which runs one event per frame on the per-event
+``Simulator`` — same joins, same frames at the same times with the same
+latencies, same failovers. This is the load-bearing guarantee that lets
+the metro kernel advance arrays without changing what the simulation
+*says happened*.
 """
 
 from collections import Counter
@@ -14,18 +15,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SystemConfig
 from repro.metro.kernel import MetroKernel
+from repro.metro.reference import PerFrameKernel
 from repro.metro.spec import MetroSpec, build_population
 from repro.obs.tracer import Tracer
 
 
 def run_mode(*, batched, seed, nodes, users, fail_first_at_ms, sim_seconds):
-    config = SystemConfig(
-        seed=seed, min_dwell_ms=1_000.0, cohort_batching=batched
-    )
+    config = SystemConfig(seed=seed, min_dwell_ms=1_000.0)
     spec = MetroSpec(nodes=nodes, users=users, region_km=15.0, fps=10.0)
     population = build_population(spec, config.seed)
     tracer = Tracer(enabled=True, capacity=1 << 20)
-    kernel = MetroKernel(config, spec, population, tracer=tracer)
+    kernel_cls = MetroKernel if batched else PerFrameKernel
+    kernel = kernel_cls(config, spec, population, tracer=tracer)
     if fail_first_at_ms is not None:
         kernel.schedule_node_fail(int(kernel.n_gid[0]), at_ms=fail_first_at_ms)
     report = kernel.run(sim_seconds)

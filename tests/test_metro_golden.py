@@ -5,13 +5,16 @@ and the determinism tests compare a run with itself; nothing compared
 the metro kernel with *yesterday's* metro kernel. These two scenarios
 pin every ``MetroReport`` counter, the float reprs and a crc32 over the
 ordered trace, so a control-path rewrite that is meant to be
-bit-identical has to prove it. Each runs traced and untraced: capture
-swaps ``_advance_batched`` for ``_advance_batched_traced``, and the
-untraced array path is the one every benchmark times.
+bit-identical has to prove it. Each runs traced and untraced: both run
+the same array path, capture only adds the ``FrameDone`` emit loop after
+it, and the untraced run is the one every benchmark times.
 
 The expected values were recorded on commit d47b25e (before the control
-path went array-form). Re-record them only for a change that is *meant*
-to move results, and say so in CHANGES.md::
+path went array-form), except the traced reselect row's ``trace_crc32``:
+it was re-recorded once when ``covered_failover`` began naming the
+backup the user moved to instead of the node that died. Re-record them
+only for a change that is *meant* to move results, and say so in
+CHANGES.md::
 
     PYTHONPATH=src python tests/test_metro_golden.py
 """
@@ -24,6 +27,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.metro import MetroSimulation, MetroSpec, ShardSpec
+from repro.verify.invariants import check_events
 
 COUNTERS = (
     "frames_done", "frames_lost", "switches", "covered_failovers",
@@ -92,7 +96,7 @@ GOLDEN = {
         "latency_sum_ms": "5961782.896301106",
         "latency_max_ms": "530.698664937811",
         "mean_latency_ms": "83.47731519086372",
-        "trace_events": 74163, "trace_crc32": 2684349117,
+        "trace_events": 74163, "trace_crc32": 4148750121,
     },
 }
 
@@ -123,6 +127,16 @@ def test_reselect_scenario_exercises_every_control_path():
     for counter in ("switches", "covered_failovers", "uncovered_failures",
                     "handoffs", "unattached_initial", "frames_lost"):
         assert golden[counter] > 0, counter
+
+
+def test_reselect_trace_fails_over_only_onto_live_nodes():
+    """``covered_failover`` names the backup the user moved to, as in
+    ``SelectionMachine`` — not the node that died."""
+    report = run_reselect()
+    assert any(e.type == "covered_failover" for e in report.trace_events)
+    onto_dead = [v.message for v in check_events(report.trace_events)
+                 if "failed over to dead node" in v.message]
+    assert onto_dead == []
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""The unsharded metro kernel: determinism, counters, stepping modes."""
+"""The unsharded metro kernel: determinism, counters, the per-frame
+reference."""
 
 import copy
 from collections import Counter
@@ -11,26 +12,23 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SystemConfig
 from repro.geo import geohash
+from repro.geo.point import GeoPoint
 from repro.metro import kernel as kernel_module
-from repro.metro.kernel import (
-    _MS_PER_KM,
-    _PATH_STRETCH,
-    _RTT_FLOOR_MS,
-    _TIER_MS,
-    MetroKernel,
-    _haversine_km,
-)
+from repro.metro.kernel import MetroKernel, _haversine_km
+from repro.metro.reference import PerFrameKernel
 from repro.metro.runner import MetroSimulation
 from repro.metro.spec import MetroPopulation, MetroSpec, ShardSpec, build_population
+from repro.net.latency import DistanceRttModel, EndpointInfo, NetworkTier
 from repro.obs.events import JoinAccept
 from repro.obs.tracer import Tracer
 
 
-def make_kernel(config=None, *, nodes=150, users=600, tracer=None, fps=10.0):
+def make_kernel(config=None, *, nodes=150, users=600, tracer=None, fps=10.0,
+                kernel_cls=MetroKernel):
     config = config if config is not None else SystemConfig(seed=5)
     spec = MetroSpec(nodes=nodes, users=users, region_km=20.0, fps=fps)
     population = build_population(spec, config.seed)
-    return MetroKernel(config, spec, population, tracer=tracer)
+    return kernel_cls(config, spec, population, tracer=tracer)
 
 
 def config_for_tests(**overrides):
@@ -101,9 +99,10 @@ def test_step_to_requires_tick_boundary():
 
 
 def test_batched_and_per_client_counters_match():
-    """The two stepping modes are observably the same simulation."""
-    batched = make_kernel(config_for_tests(cohort_batching=True)).run(5.0)
-    per_client = make_kernel(config_for_tests(cohort_batching=False)).run(5.0)
+    """The cohort path and the per-frame reference are observably the
+    same simulation."""
+    batched = make_kernel(config_for_tests()).run(5.0)
+    per_client = make_kernel(config_for_tests(), kernel_cls=PerFrameKernel).run(5.0)
     assert batched.frames_done == per_client.frames_done
     assert batched.frames_lost == per_client.frames_lost
     assert batched.switches == per_client.switches
@@ -117,7 +116,7 @@ def test_batched_and_per_client_counters_match():
 
 
 def test_traced_and_untraced_batched_runs_agree():
-    """Tracing swaps in a python loop; it must not change the physics."""
+    """Capture adds a python emit loop; it must not change the physics."""
     tracer = Tracer(enabled=True, capacity=1 << 20)
     traced = make_kernel(config_for_tests(), tracer=tracer).run(5.0)
     untraced = make_kernel(config_for_tests()).run(5.0)
@@ -128,18 +127,11 @@ def test_traced_and_untraced_batched_runs_agree():
 
 
 def test_per_client_mode_runs_one_simulator_event_per_frame():
-    kernel = make_kernel(config_for_tests(cohort_batching=False))
+    kernel = make_kernel(config_for_tests(), kernel_cls=PerFrameKernel)
     report = kernel.run(5.0)
     assert report.frames_advanced > 0
     assert kernel._frame_sim.events_processed == report.frames_advanced
     assert kernel._frame_sim.now == 5_000.0
-
-
-def test_batched_mode_schedules_no_frame_events():
-    kernel = make_kernel(config_for_tests(cohort_batching=True))
-    report = kernel.run(5.0)
-    assert report.frames_advanced > 0
-    assert kernel._frame_sim.events_processed == 0
 
 
 def test_run_rejects_nonpositive_horizon():
@@ -182,6 +174,27 @@ def test_base_vec_over_pairs_equals_one_pair_calls_bitwise():
             window = slice(offset, offset + length)
             view = _haversine_km(u_lat[window], u_lon[window], n_lat[window], n_lon[window])
             assert (view == whole[window]).all(), (length, offset)
+
+
+def test_base_vec_is_the_sims_expected_rtt_plus_transfer_and_service():
+    """Metro's base latency is ``DistanceRttModel.expected_rtt_ms`` for
+    two HOME_WIFI endpoints, plus the frame transfer and the service
+    time. The scalar and the numpy haversine order their operations
+    differently, so the two agree to rounding, not to the bit."""
+    kernel = make_kernel()
+    model = DistanceRttModel()
+    rng = np.random.default_rng(7)
+    users = rng.integers(0, kernel.u_gid.size, 64)
+    nodes = rng.integers(0, kernel.n_gid.size, 64)
+    base = kernel._base_vec(users, nodes)
+    for i, (u, n) in enumerate(zip(users.tolist(), nodes.tolist())):
+        user = EndpointInfo(f"u{u}", GeoPoint(kernel.u_lat[u], kernel.u_lon[u]),
+                            NetworkTier.HOME_WIFI)
+        node = EndpointInfo(f"n{n}", GeoPoint(kernel.n_lat[n], kernel.n_lon[n]),
+                            NetworkTier.HOME_WIFI)
+        expected = (model.expected_rtt_ms(user, node)
+                    + kernel.spec.frame_transfer_ms + kernel.n_service[n])
+        assert base[i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_node_wait_of_a_subset_equals_the_whole_fleet_entries():
@@ -318,11 +331,8 @@ def initial_attach_per_cell(self):
             continue
         clat = float(np.mean(self.u_lat[users]))
         clon = float(np.mean(self.u_lon[users]))
-        dist = _haversine_km(clat, clon, self.n_lat[cand], self.n_lon[cand])
         score = (
-            _RTT_FLOOR_MS
-            + 2.0 * dist * _MS_PER_KM * _PATH_STRETCH
-            + _TIER_MS
+            self._rtt_ms(clat, clon, cand)
             + self.n_service[cand]
             + self._node_wait(cand)
         )
@@ -452,7 +462,7 @@ def test_mask_form_advance_equals_the_indexed_reference(
         if nodes:  # the wait moves between ticks, so the max has to be kept
             kernel.n_load[:] = reference.n_load[:] = rng.random(nodes) * 40.0
         wait = kernel._node_wait()
-        kernel._advance_batched(k * 250.0, (k + 1) * 250.0, wait)
+        kernel._advance_frames(k)
         advance_indexed(reference, k * 250.0, (k + 1) * 250.0, wait)
         for column in ("u_frames", "u_lost", "u_lat_sum", "u_lat_max"):
             assert (getattr(kernel, column) == getattr(reference, column)).all(), column

@@ -3,9 +3,9 @@
 ``metro_cohort`` gates ``peak_rss_mb`` at 5 %, and what moves a metro
 run's high-water mark is the largest set of temporaries alive at once on
 top of the resident columns. Before the t=0 attach went to flat passes
-that was ``_advance_batched``: its index arrays and the ten gathered
-columns peaked 8.5 MB over resident on every tick, the per-cell attach
-4.1 MB. Both now have to stay under that figure, so the mark cannot
+that was the cohort advance (``_advance_frames``): its index arrays and
+the ten gathered columns peaked 8.5 MB over resident on every tick, the
+per-cell attach 4.1 MB. Both now have to stay under that figure, so the mark cannot
 rise: the attach because its flat passes hold at most
 ``_SCORE_CHUNK_PAIRS`` pairs and its whole-user temporaries are dropped
 before the first pass (one pass over all 87 000 pairs measured 16.5 MB,
@@ -41,7 +41,7 @@ def peaks_over_resident_mb():
     tracemalloc.start()
     try:
         attach = peak(kernel._initial_attach)
-        advance = peak(kernel._advance_batched, 0.0, 250.0, kernel._node_wait())
+        advance = peak(kernel._advance_frames, 0)
     finally:
         tracemalloc.stop()
     assert kernel.unattached_initial == 0 and kernel.frames_advanced == 100_000

@@ -35,7 +35,6 @@ def test_invalid_metro_specs_rejected(kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"by": "hilbert"},
         {"count": 0},
         {"workers": 0},
         {"precision": 0},

@@ -37,7 +37,7 @@ Quickstart::
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.client import ClientLike, EdgeClient
@@ -232,7 +232,7 @@ class ScenarioBuilder:
         if point is None:
             raise ValueError(f"{entity_id!r}: needs a spec= or a point=")
         if default is not None:
-            return default.moved_to(point)
+            return replace(default, point=point)
         return EndpointSpec(point)
 
     # ------------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.core.config import SystemConfig
 from repro.messages import DiscoveryQuery, ProbeOutcome
 from repro.policy.base import SelectionPolicy
 from repro.policy.baselines import RankingCallable
-from repro.net.link import CONNECTION_SETUP_RTTS, Link
 from repro.nodes.processing import CompletedFrame
 from repro.obs.events import FrameDone, FrameStart, PhaseSpan
 from repro.protocol.driver import ClientDriver, ClientStats
@@ -67,6 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import MessageDecision
 
 __all__ = ["ClientLike", "ClientStats", "EdgeClient"]
+
+#: Round trips to establish a fresh connection: TCP 3-way handshake
+#: (1 RTT to usable) + TLS-less app hello (1 RTT) + margin. Prices the
+#: reactive re-connection a failover pays without standing links.
+CONNECTION_SETUP_RTTS = 2.5
 
 
 @runtime_checkable
@@ -482,13 +486,9 @@ class EdgeClient(ClientDriver):
     # Links
     # ------------------------------------------------------------------
     def _ensure_link(self, node_id: str, rtt_ms: float) -> None:
-        link = self.links.get(node_id)
-        if link is None:
-            link = Link(self.user_id, node_id, rtt_ms)
-            link.mark_up(self.system.sim.now)  # warmed by the probe exchange
-            self.links[node_id] = link
-        else:
-            link.rtt_ms = rtt_ms
+        # A simulated link has no state of its own: ClientDriver only asks
+        # whether one is held (pruning, failure observation).
+        self.links[node_id] = None
 
     # ------------------------------------------------------------------
     # Failure handling

@@ -37,6 +37,7 @@ from repro.core.edge_server import EdgeServer
 from repro.core.manager import CentralManager
 from repro.geo.point import GeoPoint
 from repro.net.latency import NetworkTier
+from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.processing import analytic_sojourn_ms
 from repro.policy.global_policy import GlobalSelectionPolicy
@@ -248,13 +249,12 @@ class MultiAppDeployment:
         **endpoint_kwargs,
     ) -> MultiAppEdgeServer:
         """Register a node hosting the given applications (default: all)."""
-        from repro.net.topology import NetworkEndpoint
-
         existing = self.nodes.get(node_id)
         # A node id may be reused only after its previous holder failed;
         # the endpoint is then replaced explicitly (cache invalidation).
         self.system.topology.add_endpoint(
-            NetworkEndpoint(node_id, point, tier=tier, **endpoint_kwargs),
+            node_id,
+            EndpointSpec(point, tier=tier, **endpoint_kwargs),
             replace=existing is not None and not existing.alive,
         )
         hosted = [self.specs[name] for name in (apps or list(self.specs))]

@@ -30,7 +30,7 @@ from repro.net.latency import NetworkTier
 from repro.obs.events import FaultInjected, NodeFail, NodeRestart, PopulationChanged
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GeoProximityFilter, GlobalSelectionPolicy
-from repro.net.topology import EndpointSpec, NetworkEndpoint, NetworkTopology
+from repro.net.topology import EndpointSpec, NetworkTopology
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.host_workload import HostWorkloadSchedule
 from repro.sim.kernel import Simulator
@@ -92,9 +92,6 @@ class EdgeSystem:
         self.metrics = MetricsCollector()
         self.trace = trace if trace is not None else Tracer.disabled()
         self.trace.subscribe(self.metrics.on_event)
-        # NOTE: explicit None check — NetworkTopology has __len__, so an
-        # empty (not-yet-populated) topology is falsy and `topology or ...`
-        # would silently discard it.
         if topology is None:
             topology = NetworkTopology(rng=self.streams.get("network"))
         else:
@@ -107,9 +104,7 @@ class EdgeSystem:
         world = world if world is not None else World()
         if not self.topology.has_endpoint(MANAGER_ID):
             self.topology.add_endpoint(
-                NetworkEndpoint(
-                    MANAGER_ID, world.manager_point, tier=NetworkTier.CLOUD
-                )
+                MANAGER_ID, EndpointSpec(world.manager_point, tier=NetworkTier.CLOUD)
             )
         policy = global_policy or GlobalSelectionPolicy(
             geo_filter=GeoProximityFilter(
@@ -202,7 +197,7 @@ class EdgeSystem:
                 f"endpoint id {node_id!r} is already taken by a non-node "
                 "endpoint (user or manager)"
             )
-        self.topology.add_endpoint(spec.endpoint(node_id), replace=existing is not None)
+        self.topology.add_endpoint(node_id, spec, replace=existing is not None)
         assert self.topology.has_endpoint(node_id)
         self._node_specs[node_id] = (profile, spec, dedicated, host_schedule)
         node = EdgeServer(
@@ -368,7 +363,7 @@ class EdgeSystem:
     # ------------------------------------------------------------------
     def add_client_endpoint(self, user_id: str, spec: EndpointSpec) -> None:
         """Register a user device's network endpoint from a spec."""
-        self.topology.add_endpoint(spec.endpoint(user_id))
+        self.topology.add_endpoint(user_id, spec)
 
     def add_client(self, client: ClientLike, *, start: bool = True) -> None:
         """Register (and by default start) a client.

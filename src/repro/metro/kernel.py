@@ -516,6 +516,8 @@ class MetroKernel:
             self.switches += 1
             if emit:
                 was, to = self._node_name(cur), self._node_name(best)
+                # JoinAccept then Switch, as SelectionMachine emits them.
+                emit(JoinAccept(t, self._user_name(u), to))
                 emit(Switch(t, self._user_name(u), was, to))
             self.n_load[cur] -= self.fps
             self._attach(u, best, base)

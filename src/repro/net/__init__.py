@@ -1,4 +1,4 @@
-"""Network substrate: RTT, jitter, bandwidth, links and topologies.
+"""Network substrate: RTT, jitter, bandwidth and the topology.
 
 The paper's client-to-edge connectivity is "determined by local ISP
 infrastructures and unpredictable networking conditions" (§III-A). This
@@ -7,41 +7,26 @@ package models exactly the quantities the selection algorithm consumes:
 - :class:`~repro.net.latency.DistanceRttModel` — RTT propagation delay
   (``D_prop``) from great-circle distance plus per-tier ISP inflation and
   lognormal jitter, calibrated against the paper's Fig. 1 measurements.
-- :class:`~repro.net.latency.MatrixRttModel` — explicit pairwise base
-  RTTs (the emulation experiments configure pairwise latency with ``tc``;
-  this is the software equivalent).
+  It is the one RTT model: the per-event sim, the metro kernel and the
+  §V-D1 emulation's pairwise latencies all run it.
 - :mod:`~repro.net.bandwidth` — data transfer delay (``D_trans``) given
   message size and endpoint uplink/downlink caps.
-- :class:`~repro.net.link.Link` — a stateful client-to-edge connection
-  with establishment cost (used to contrast proactive vs reactive
-  connections, Fig. 4/10).
+- :class:`~repro.net.topology.EndpointSpec` — the one endpoint record:
+  position, tier, ISP tag, bandwidth caps and last-mile overhead.
 - :class:`~repro.net.topology.NetworkTopology` — the registry tying
-  endpoints, RTT model and bandwidth model together.
+  endpoint specs, the RTT model and the bandwidth model together.
 """
 
 from repro.net.bandwidth import BandwidthModel, transfer_ms
-from repro.net.latency import (
-    DistanceRttModel,
-    HashedPairRttModel,
-    JitterModel,
-    MatrixRttModel,
-    NetworkTier,
-    RttModel,
-)
-from repro.net.link import Link, LinkState
-from repro.net.topology import NetworkEndpoint, NetworkTopology
+from repro.net.latency import DistanceRttModel, JitterModel, NetworkTier
+from repro.net.topology import EndpointSpec, NetworkTopology
 
 __all__ = [
     "NetworkTier",
-    "RttModel",
     "JitterModel",
     "DistanceRttModel",
-    "MatrixRttModel",
-    "HashedPairRttModel",
     "BandwidthModel",
     "transfer_ms",
-    "Link",
-    "LinkState",
-    "NetworkEndpoint",
+    "EndpointSpec",
     "NetworkTopology",
 ]

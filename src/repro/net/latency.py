@@ -1,11 +1,11 @@
-"""RTT propagation delay (``D_prop``) models.
+"""The RTT propagation delay (``D_prop``) model.
 
 Fig. 1 of the paper measures RTT from 15 home-WiFi participants to
 (1) five volunteer edge nodes in the same metro, (2) an AWS Local Zone,
 and (3) the closest AWS region, and finds volunteers < Local Zone <
 cloud. Physical distance explains little of this at metro scale — the
-dominant terms are routing-hop count and ISP interconnect overhead. The
-models here therefore combine:
+dominant terms are routing-hop count and ISP interconnect overhead.
+:class:`DistanceRttModel` therefore combines:
 
 ``rtt = floor + distance_term + tier_inflation(src) + tier_inflation(dst) + jitter``
 
@@ -19,13 +19,12 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple, TypeVar
-
-from repro.geo.point import GeoPoint
+from typing import TYPE_CHECKING, Dict, Optional, TypeVar
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from repro.net.topology import EndpointSpec
 
 #: A distance in km: one float, or a numpy array of them.
 _Km = TypeVar("_Km", float, "np.ndarray")
@@ -106,57 +105,6 @@ class JitterModel:
         return value
 
 
-class RttModel(Protocol):
-    """Anything that can produce RTT samples between two endpoints.
-
-    Two optional class attributes let :class:`~repro.net.topology.
-    NetworkTopology` put a model on its memoized fast path (both default
-    to False for models that do not declare them):
-
-    - ``jitter_decomposable``: the model guarantees
-      ``sample_rtt_ms(s, d, rng) == jitter.apply(expected_rtt_ms(s, d), rng)``
-      (same RNG consumption), so the topology may sample from a cached
-      expected value. All built-in models satisfy this.
-    - ``cacheable_expected``: ``expected_rtt_ms`` is a pure function of
-      the two endpoint identities for the model's lifetime, so the
-      topology may memoize it per endpoint pair.
-      :class:`MatrixRttModel` does *not* declare this — ``set_rtt`` can
-      change pairs after first use.
-    """
-
-    def expected_rtt_ms(self, src: "EndpointInfo", dst: "EndpointInfo") -> float:
-        """Mean RTT, used by optimal solvers and reports."""
-        ...
-
-    def sample_rtt_ms(
-        self, src: "EndpointInfo", dst: "EndpointInfo", rng: random.Random
-    ) -> float:
-        """One jittered RTT sample, used by live probes and requests."""
-        ...
-
-
-@dataclass(frozen=True)
-class EndpointInfo:
-    """The network-relevant identity of an endpoint.
-
-    Kept separate from higher-level node/user objects so latency models
-    depend only on network facts.
-    """
-
-    endpoint_id: str
-    point: GeoPoint
-    tier: NetworkTier = NetworkTier.HOME_WIFI
-    #: Optional ISP/affiliation tag: endpoints sharing a tag get the
-    #: intra-ISP discount (fewer interconnect hops).
-    isp: Optional[str] = None
-    #: Per-endpoint access-link overhead (ms, one-way): heterogeneous
-    #: last-mile quality (DSL vs cable vs fiber, bad WiFi placement).
-    #: This is the dominant source of the RTT heterogeneity Fig. 1
-    #: measures across "volunteer-based edge nodes ... with
-    #: heterogeneous network access".
-    access_extra_ms: float = 0.0
-
-
 class DistanceRttModel:
     """RTT from distance, endpoint tiers, ISP affiliation and jitter.
 
@@ -174,9 +122,6 @@ class DistanceRttModel:
             "network affiliation" hint).
         jitter: the jitter model, or None for deterministic RTTs.
     """
-
-    jitter_decomposable = True
-    cacheable_expected = True
 
     def __init__(
         self,
@@ -202,7 +147,7 @@ class DistanceRttModel:
         :meth:`expected_rtt_ms`, which the metro kernel shares."""
         return self.floor_ms + 2.0 * distance_km * self.ms_per_km * self.path_stretch
 
-    def expected_rtt_ms(self, src: EndpointInfo, dst: EndpointInfo) -> float:
+    def expected_rtt_ms(self, src: EndpointSpec, dst: EndpointSpec) -> float:
         rtt = (
             self.distance_rtt_ms(src.point.distance_km(dst.point))
             + self.tier_inflation_ms[src.tier]
@@ -214,102 +159,6 @@ class DistanceRttModel:
         return rtt
 
     def sample_rtt_ms(
-        self, src: EndpointInfo, dst: EndpointInfo, rng: random.Random
-    ) -> float:
-        return self.jitter.apply(self.expected_rtt_ms(src, dst), rng)
-
-
-class MatrixRttModel:
-    """Explicit pairwise base RTTs with jitter on top.
-
-    The paper's emulation "configure[s] the pairwise networking
-    performance (latency/bandwidth) using tc with real-world measurement
-    data" — this model is that configuration in software. Pairs are
-    symmetric unless both directions are set explicitly. A ``default_ms``
-    covers unset pairs; self-pairs return ~0.
-    """
-
-    jitter_decomposable = True
-    # NOT cacheable_expected: set_rtt() may reconfigure pairs anytime.
-
-    def __init__(
-        self,
-        default_ms: float = 30.0,
-        jitter: Optional[JitterModel] = None,
-    ) -> None:
-        self.default_ms = default_ms
-        self.jitter = jitter if jitter is not None else JitterModel(sigma=0.08)
-        self._matrix: Dict[Tuple[str, str], float] = {}
-
-    def set_rtt(self, a: str, b: str, rtt_ms: float, symmetric: bool = True) -> None:
-        """Set the base RTT between endpoint ids ``a`` and ``b``."""
-        if rtt_ms < 0:
-            raise ValueError(f"rtt must be >= 0: {rtt_ms}")
-        self._matrix[(a, b)] = rtt_ms
-        if symmetric:
-            self._matrix[(b, a)] = rtt_ms
-
-    def base_rtt_ms(self, a: str, b: str) -> float:
-        if a == b:
-            return 0.1
-        return self._matrix.get((a, b), self.default_ms)
-
-    def expected_rtt_ms(self, src: EndpointInfo, dst: EndpointInfo) -> float:
-        return self.base_rtt_ms(src.endpoint_id, dst.endpoint_id)
-
-    def sample_rtt_ms(
-        self, src: EndpointInfo, dst: EndpointInfo, rng: random.Random
-    ) -> float:
-        return self.jitter.apply(self.expected_rtt_ms(src, dst), rng)
-
-    def configured_pairs(self) -> int:
-        """Number of directed pairs explicitly configured."""
-        return len(self._matrix)
-
-
-class HashedPairRttModel:
-    """Deterministic pseudo-random pairwise base RTTs.
-
-    Like :class:`MatrixRttModel`, but the base RTT of every (unordered)
-    endpoint pair is derived by hashing the pair with a seed, uniform in
-    ``[min_ms, max_ms]``. This covers experiments where endpoints appear
-    dynamically (churned volunteer nodes): any pair that ever comes into
-    existence already has a stable, reproducible base RTT — the software
-    analogue of the paper's ``tc``-configured pairwise latencies drawn
-    from "real-world measurement data" (8-55 ms in §V-D1).
-    """
-
-    jitter_decomposable = True
-    cacheable_expected = True
-
-    def __init__(
-        self,
-        min_ms: float = 8.0,
-        max_ms: float = 55.0,
-        seed: int = 0,
-        jitter: Optional[JitterModel] = None,
-    ) -> None:
-        if not 0 <= min_ms <= max_ms:
-            raise ValueError(f"need 0 <= min_ms <= max_ms: {min_ms}, {max_ms}")
-        self.min_ms = min_ms
-        self.max_ms = max_ms
-        self.seed = seed
-        self.jitter = jitter if jitter is not None else JitterModel(sigma=0.08)
-
-    def base_rtt_ms(self, a: str, b: str) -> float:
-        if a == b:
-            return 0.1
-        import hashlib
-
-        key = "|".join(sorted((a, b)))
-        digest = hashlib.sha256(f"{self.seed}:{key}".encode("utf-8")).digest()
-        fraction = int.from_bytes(digest[:8], "big") / float(2**64)
-        return self.min_ms + fraction * (self.max_ms - self.min_ms)
-
-    def expected_rtt_ms(self, src: EndpointInfo, dst: EndpointInfo) -> float:
-        return self.base_rtt_ms(src.endpoint_id, dst.endpoint_id)
-
-    def sample_rtt_ms(
-        self, src: EndpointInfo, dst: EndpointInfo, rng: random.Random
+        self, src: EndpointSpec, dst: EndpointSpec, rng: random.Random
     ) -> float:
         return self.jitter.apply(self.expected_rtt_ms(src, dst), rng)

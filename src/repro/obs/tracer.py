@@ -179,14 +179,6 @@ class Tracer:
     def sink(self):
         return self._sink
 
-    def attach_sink(
-        self, sink: Union[str, Path, JsonlSink, ListSink, NullSink]
-    ) -> None:
-        """Install (or replace) the sink; an existing one is closed."""
-        if self._sink is not None:
-            self._sink.close()
-        self._sink = as_sink(sink)
-
     def close(self) -> None:
         """Flush and close the sink (the tracer itself stays usable)."""
         if self._sink is not None:

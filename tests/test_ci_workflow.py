@@ -186,6 +186,34 @@ def test_the_kernel_keeps_one_clock_and_one_heap():
     assert found == []
 
 
+NET_PLUMBING = (
+    r"\bRttModel\b|MatrixRttModel|HashedPairRttModel|NetworkEndpoint|EndpointInfo"
+    r"|jitter_decomposable|cacheable_expected|LinkState|repro\.net\.link"
+)
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_network_keeps_one_rtt_model_and_one_endpoint_record():
+    """``repro.net`` holds one RTT model and one endpoint record:
+    chaos-smoke, right after the kernel grep, fails on any of the deleted
+    models, records, capability markers or the link module back under
+    ``src/repro``."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    escaped = NET_PLUMBING.replace("\\", "\\\\")
+    (grep,) = [s for s in steps if escaped in s]
+    assert grep.startswith("The network keeps one RTT model and one endpoint record\n")
+    assert f"run: \"! grep -rnE '{escaped}' src/repro\"" in grep
+    assert steps.index(grep) == 1 + next(
+        i for i, s in enumerate(steps) if KERNEL_PLUMBING in s
+    )
+    found = [
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if re.search(NET_PLUMBING, path.read_text())
+    ]
+    assert found == []
+
+
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_wire_schema_tests_run_under_the_leak_flags():
     """The hostile-input tests boot servers, a router cluster and fake

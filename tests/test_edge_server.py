@@ -219,7 +219,7 @@ def test_status_snapshot_fields(system, node):
     # a replaced endpoint is a moved node: its next status re-encodes
     moved = GeoPoint(44.90, -93.10)
     system.topology.add_endpoint(
-        dataclasses.replace(system.topology.endpoint("V1"), point=moved), replace=True
+        "V1", dataclasses.replace(system.topology.endpoint("V1"), point=moved), replace=True
     )
     status = node.status()
     assert (status.lat, status.lon) == (moved.lat, moved.lon)

@@ -10,9 +10,12 @@ the same array path, capture only adds the ``FrameDone`` emit loop after
 it, and the untraced run is the one every benchmark times.
 
 The expected values were recorded on commit d47b25e (before the control
-path went array-form), except the traced reselect row's ``trace_crc32``:
-it was re-recorded once when ``covered_failover`` began naming the
-backup the user moved to instead of the node that died. Re-record them
+path went array-form), except the traced reselect row's trace fields:
+its ``trace_crc32`` was re-recorded once when ``covered_failover`` began
+naming the backup the user moved to instead of the node that died, and
+its ``trace_events`` (74 163 -> 74 569, one per switch) and
+``trace_crc32`` once more when a re-selection switch began emitting
+``join_accept`` before ``switch``, as ``SelectionMachine`` does. Re-record them
 only for a change that is *meant* to move results, and say so in
 CHANGES.md::
 
@@ -96,7 +99,7 @@ GOLDEN = {
         "latency_sum_ms": "5961782.896301106",
         "latency_max_ms": "530.698664937811",
         "mean_latency_ms": "83.47731519086372",
-        "trace_events": 74163, "trace_crc32": 4148750121,
+        "trace_events": 74569, "trace_crc32": 326158349,
     },
 }
 
@@ -137,6 +140,21 @@ def test_reselect_trace_fails_over_only_onto_live_nodes():
     onto_dead = [v.message for v in check_events(report.trace_events)
                  if "failed over to dead node" in v.message]
     assert onto_dead == []
+
+
+def test_reselect_trace_leaves_only_uncovered_users_on_dead_nodes():
+    """A re-selection switch emits ``join_accept`` before ``switch``, so
+    the checker follows the user to the new node: the only users still
+    attached to a dead node at the end are ones whose failure found no
+    live candidate. The report concatenates the shards' traces, so the
+    checker reads them merged in time order (a stable sort keeps each
+    shard's same-instant order)."""
+    events = sorted(run_reselect().trace_events, key=lambda e: e.t_ms)
+    uncovered = {e.user_id for e in events if e.type == "uncovered_failure"}
+    stranded = [v.subject for v in check_events(events)
+                if "attached to dead node" in v.message]
+    assert stranded
+    assert set(stranded) <= uncovered
 
 
 if __name__ == "__main__":

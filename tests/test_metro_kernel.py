@@ -18,7 +18,8 @@ from repro.metro.kernel import MetroKernel, _haversine_km
 from repro.metro.reference import PerFrameKernel
 from repro.metro.runner import MetroSimulation
 from repro.metro.spec import MetroPopulation, MetroSpec, ShardSpec, build_population
-from repro.net.latency import DistanceRttModel, EndpointInfo, NetworkTier
+from repro.net.latency import DistanceRttModel, NetworkTier
+from repro.net.topology import EndpointSpec
 from repro.obs.events import JoinAccept
 from repro.obs.tracer import Tracer
 
@@ -188,9 +189,9 @@ def test_base_vec_is_the_sims_expected_rtt_plus_transfer_and_service():
     nodes = rng.integers(0, kernel.n_gid.size, 64)
     base = kernel._base_vec(users, nodes)
     for i, (u, n) in enumerate(zip(users.tolist(), nodes.tolist())):
-        user = EndpointInfo(f"u{u}", GeoPoint(kernel.u_lat[u], kernel.u_lon[u]),
+        user = EndpointSpec(GeoPoint(kernel.u_lat[u], kernel.u_lon[u]),
                             NetworkTier.HOME_WIFI)
-        node = EndpointInfo(f"n{n}", GeoPoint(kernel.n_lat[n], kernel.n_lon[n]),
+        node = EndpointSpec(GeoPoint(kernel.n_lat[n], kernel.n_lon[n]),
                             NetworkTier.HOME_WIFI)
         expected = (model.expected_rtt_ms(user, node)
                     + kernel.spec.frame_transfer_ms + kernel.n_service[n])

@@ -1,23 +1,16 @@
-"""Unit tests for RTT models and jitter."""
+"""Unit tests for the RTT model and jitter."""
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.geo.point import GeoPoint
-from repro.net.latency import (
-    DistanceRttModel,
-    EndpointInfo,
-    HashedPairRttModel,
-    JitterModel,
-    MatrixRttModel,
-    NetworkTier,
-)
+from repro.net.latency import DistanceRttModel, JitterModel, NetworkTier
+from repro.net.topology import EndpointSpec
 
 
-def make_endpoint(eid, lat=44.97, lon=-93.26, tier=NetworkTier.HOME_WIFI, **kwargs):
-    return EndpointInfo(endpoint_id=eid, point=GeoPoint(lat, lon), tier=tier, **kwargs)
+def make_endpoint(lat=44.97, lon=-93.26, tier=NetworkTier.HOME_WIFI, **kwargs):
+    return EndpointSpec(GeoPoint(lat, lon), tier=tier, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -91,36 +84,34 @@ def test_jitter_validates_parameters():
 # ----------------------------------------------------------------------
 def test_distance_rtt_grows_with_distance():
     model = DistanceRttModel()
-    near = make_endpoint("near", 44.98, -93.26)
-    far = make_endpoint("far", 41.88, -87.63)  # Chicago
-    user = make_endpoint("user", 44.97, -93.25)
+    near = make_endpoint(44.98, -93.26)
+    far = make_endpoint(41.88, -87.63)  # Chicago
+    user = make_endpoint(44.97, -93.25)
     assert model.expected_rtt_ms(user, far) > model.expected_rtt_ms(user, near)
 
 
 def test_tier_inflation_orders_volunteer_below_cloud():
     model = DistanceRttModel()
-    user = make_endpoint("user")
-    volunteer = make_endpoint("vol", 44.96, -93.24, NetworkTier.HOME_WIFI)
-    cloud = make_endpoint("cloud", 44.96, -93.24, NetworkTier.CLOUD)
+    user = make_endpoint()
+    volunteer = make_endpoint(44.96, -93.24, NetworkTier.HOME_WIFI)
+    cloud = make_endpoint(44.96, -93.24, NetworkTier.CLOUD)
     assert model.expected_rtt_ms(user, volunteer) < model.expected_rtt_ms(user, cloud)
 
 
 def test_access_extra_adds_round_trip_cost():
     model = DistanceRttModel()
-    user = make_endpoint("user")
-    clean = make_endpoint("clean", 44.96, -93.24)
-    noisy = EndpointInfo(
-        "noisy", GeoPoint(44.96, -93.24), NetworkTier.HOME_WIFI, access_extra_ms=10.0
-    )
+    user = make_endpoint()
+    clean = make_endpoint(44.96, -93.24)
+    noisy = make_endpoint(44.96, -93.24, access_extra_ms=10.0)
     delta = model.expected_rtt_ms(user, noisy) - model.expected_rtt_ms(user, clean)
     assert delta == pytest.approx(20.0)  # 10 ms each way
 
 
 def test_same_isp_discount_applies():
     model = DistanceRttModel(same_isp_discount_ms=2.0)
-    a = EndpointInfo("a", GeoPoint(44.97, -93.25), isp="comcast")
-    b_same = EndpointInfo("b", GeoPoint(44.96, -93.24), isp="comcast")
-    b_other = EndpointInfo("c", GeoPoint(44.96, -93.24), isp="usi")
+    a = make_endpoint(44.97, -93.25, isp="comcast")
+    b_same = make_endpoint(44.96, -93.24, isp="comcast")
+    b_other = make_endpoint(44.96, -93.24, isp="usi")
     assert model.expected_rtt_ms(a, b_same) == pytest.approx(
         model.expected_rtt_ms(a, b_other) - 2.0
     )
@@ -135,78 +126,9 @@ def test_distance_model_validates_params():
 
 def test_samples_center_on_expected():
     model = DistanceRttModel(jitter=JitterModel(sigma=0.1, spike_probability=0.0))
-    user = make_endpoint("user")
-    node = make_endpoint("node", 44.9, -93.1)
+    user = make_endpoint()
+    node = make_endpoint(44.9, -93.1)
     rng = random.Random(11)
     expected = model.expected_rtt_ms(user, node)
     samples = [model.sample_rtt_ms(user, node, rng) for _ in range(5_000)]
     assert sum(samples) / len(samples) == pytest.approx(expected, rel=0.03)
-
-
-# ----------------------------------------------------------------------
-# MatrixRttModel
-# ----------------------------------------------------------------------
-def test_matrix_model_set_and_get():
-    model = MatrixRttModel(default_ms=30.0)
-    model.set_rtt("u1", "e1", 12.0)
-    a, b = make_endpoint("u1"), make_endpoint("e1")
-    assert model.expected_rtt_ms(a, b) == 12.0
-    assert model.expected_rtt_ms(b, a) == 12.0  # symmetric by default
-
-
-def test_matrix_model_asymmetric_entry():
-    model = MatrixRttModel()
-    model.set_rtt("u1", "e1", 12.0, symmetric=False)
-    assert model.base_rtt_ms("u1", "e1") == 12.0
-    assert model.base_rtt_ms("e1", "u1") == model.default_ms
-
-
-def test_matrix_model_default_for_unknown_pairs():
-    model = MatrixRttModel(default_ms=33.0)
-    assert model.base_rtt_ms("x", "y") == 33.0
-
-
-def test_matrix_model_self_pair_is_near_zero():
-    assert MatrixRttModel().base_rtt_ms("x", "x") < 1.0
-
-
-def test_matrix_model_rejects_negative():
-    with pytest.raises(ValueError):
-        MatrixRttModel().set_rtt("a", "b", -1.0)
-
-
-def test_matrix_configured_pairs_counts_directed():
-    model = MatrixRttModel()
-    model.set_rtt("a", "b", 10.0)
-    assert model.configured_pairs() == 2
-
-
-# ----------------------------------------------------------------------
-# HashedPairRttModel
-# ----------------------------------------------------------------------
-def test_hashed_model_is_deterministic_and_symmetric():
-    model = HashedPairRttModel(8.0, 55.0, seed=7)
-    assert model.base_rtt_ms("u1", "e1") == model.base_rtt_ms("e1", "u1")
-    again = HashedPairRttModel(8.0, 55.0, seed=7)
-    assert model.base_rtt_ms("u1", "e1") == again.base_rtt_ms("u1", "e1")
-
-
-def test_hashed_model_seed_changes_values():
-    a = HashedPairRttModel(8.0, 55.0, seed=1).base_rtt_ms("u1", "e1")
-    b = HashedPairRttModel(8.0, 55.0, seed=2).base_rtt_ms("u1", "e1")
-    assert a != b
-
-
-def test_hashed_model_validates_range():
-    with pytest.raises(ValueError):
-        HashedPairRttModel(10.0, 5.0)
-
-
-@given(st.text(min_size=1, max_size=10), st.text(min_size=1, max_size=10))
-def test_property_hashed_rtt_in_range(a, b):
-    model = HashedPairRttModel(8.0, 55.0, seed=0)
-    value = model.base_rtt_ms(a, b)
-    if a == b:
-        assert value < 1.0
-    else:
-        assert 8.0 <= value <= 55.0

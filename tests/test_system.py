@@ -6,7 +6,7 @@ from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.core.system import EdgeSystem, MANAGER_ID
 from repro.geo.point import GeoPoint
-from repro.net.latency import HashedPairRttModel
+from repro.net.latency import DistanceRttModel
 from repro.net.topology import EndpointSpec, NetworkTopology
 from repro.nodes.hardware import profile_by_name
 
@@ -17,12 +17,17 @@ def test_manager_endpoint_auto_registered():
 
 
 def test_custom_topology_is_kept_even_when_empty():
-    """Regression: NetworkTopology has __len__, so `topology or default`
-    silently replaced an empty custom topology."""
-    custom = NetworkTopology(rtt_model=HashedPairRttModel(8, 55, seed=7))
+    """A caller's topology, empty at construction, is the one the system
+    registers into and measures with: its own RTT model, not the
+    default."""
+    model = DistanceRttModel(floor_ms=40.0)
+    custom = NetworkTopology(rtt_model=model)
     system = EdgeSystem(SystemConfig(seed=1), topology=custom)
     assert system.topology is custom
-    assert isinstance(system.topology.rtt_model, HashedPairRttModel)
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    pair = (custom.endpoint("V1"), custom.endpoint(MANAGER_ID))
+    assert custom.expected_rtt_ms("V1", MANAGER_ID) == model.expected_rtt_ms(*pair)
+    assert model.expected_rtt_ms(*pair) != DistanceRttModel().expected_rtt_ms(*pair)
 
 
 def test_spawn_registers_endpoint_and_starts_node():

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple, Type
 
@@ -151,8 +152,8 @@ def check_parity(args: argparse.Namespace) -> dict:
         )
 
     # (b) the requested shard count is deterministic for a fixed seed.
-    sharded_spec = spec.with_shard(
-        ShardSpec(count=args.shards, workers=args.workers)
+    sharded_spec = replace(
+        spec, shard=ShardSpec(count=args.shards, workers=args.workers)
     )
     first = _run(sharded_spec, config, sim_seconds, capture_trace=True)
     second = _run(sharded_spec, config, sim_seconds, capture_trace=True)

@@ -10,7 +10,8 @@ The two knobs the paper studies explicitly (§IV-E) are:
   refresh the backup list faster and raise robustness at higher cost.
 
 Everything else is plumbing with defaults chosen to match the paper's
-described behaviour.
+described behaviour. The metro kernel reads the durations here quantized
+to its 250 ms tick, a constant of :mod:`repro.metro.spec`.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ class SystemConfig:
             entry would otherwise inflate the node's what-if projection
             forever). None (the default) disables expiry.
         seed: root seed for all random streams.
-        cohort_tick_ms: width of the metro kernel's cohort tick window.
-            All control-plane activity (selection rounds, failures,
-            detections, shard epochs) is quantized to tick boundaries —
-            this is what lets the kernel advance a tick's frames as one
-            cohort, equal to stepping them one by one.
         control_plane_shards: number of Central Manager registry shards
             (geohash-range partitioned; ``repro.controlplane``). The
             default 1 (with 1 replica) is the manager's smallest shape,
@@ -115,9 +111,6 @@ class SystemConfig:
     attachment_lease_ms: Optional[float] = None
     seed: int = 42
     policy_spec: str = "go"
-    # Metro-kernel knob. Keyword-only: it is new surface and must never
-    # be reachable by positional construction.
-    cohort_tick_ms: float = field(default=250.0, kw_only=True)
     # Control-plane knobs (sharded/replicated Central Manager).
     control_plane_shards: int = field(default=1, kw_only=True)
     control_plane_replicas: int = field(default=1, kw_only=True)
@@ -157,8 +150,6 @@ class SystemConfig:
             raise ValueError("max_discovery_retries must be >= 0")
         if self.attachment_lease_ms is not None and self.attachment_lease_ms <= 0:
             raise ValueError("attachment_lease_ms must be positive when set")
-        if self.cohort_tick_ms <= 0:
-            raise ValueError(f"cohort_tick_ms must be positive: {self.cohort_tick_ms}")
         if self.control_plane_shards < 1:
             raise ValueError(
                 f"control_plane_shards must be >= 1: {self.control_plane_shards}"

@@ -10,11 +10,12 @@ reach:
 
 - **Tick quantization.** All control-plane activity — initial attach,
   periodic re-selection rounds, node failures, failure detections, shard
-  boundary epochs — happens on multiples of ``SystemConfig.
-  cohort_tick_ms``. Within a tick window the world is frozen, which is
-  the load-bearing property behind cohort batching: frame outcomes in a
-  window are a pure function of per-user state at the window's start,
-  so whole cohorts can be advanced with array arithmetic.
+  boundary epochs — happens on multiples of the 250 ms
+  :data:`~repro.metro.spec.TICK_MS`. Within a tick window the world is
+  frozen, which is the load-bearing property behind cohort batching:
+  frame outcomes in a window are a pure function of per-user state at
+  the window's start, so whole cohorts can be advanced with array
+  arithmetic.
 - **Analytic queueing.** Instead of simulating each node's frame queue,
   per-frame wait uses the M/D/1 mean-wait closed form over the node's
   attached offered load. Propagation is
@@ -25,7 +26,8 @@ reach:
   ``FrameDone`` per frame. The per-frame reference,
   :class:`~repro.metro.reference.PerFrameKernel`, steps one simulator
   event per frame under the same control plane and is held to the same
-  trace-event multiset (property-tested).
+  trace-event multiset (property-tested). :meth:`MetroKernel.report`
+  returns the captured trace stable-sorted by time.
 
 Entity naming: node ``i`` of the population is ``n{i}`` in every trace
 event and public API; user ``j`` is ``u{j}``. Shard-local arrays map to
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -43,7 +46,8 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.geo import geohash
 from repro.geo.point import EARTH_RADIUS_KM
-from repro.metro.spec import MetroPopulation, MetroSpec, quantize_ticks
+from repro.metro.spec import FRAME_TRANSFER_MS, TICK_MS, MetroPopulation, MetroSpec
+from repro.metro.spec import quantize_ticks
 from repro.net.latency import TIER_INFLATION_MS, DistanceRttModel, NetworkTier
 from repro.obs.events import (
     CoveredFailover,
@@ -172,10 +176,11 @@ class MetroKernel:
     Args:
         config: system tunables; the metro kernel honours ``top_n``,
             ``probing_period_ms``, ``failure_detection_ms``,
-            ``min_dwell_ms``, ``switch_penalty_ms``/``_fraction`` and
-            the metro knob ``cohort_tick_ms``.
+            ``min_dwell_ms`` and ``switch_penalty_ms``/``_fraction``;
+            its durations are quantized to the 250 ms tick.
         spec: the metro deployment shape.
-        population: generated entity arrays (shared, never mutated).
+        population: generated entity arrays (shared, never mutated),
+            the one source of the cell precision.
         shard_id: name used in handoff trace events.
         node_gids: global indices of nodes this shard *owns* (ascending;
             None = all).
@@ -207,6 +212,7 @@ class MetroKernel:
         self.config = config
         self.spec = spec
         self.shard_id = shard_id
+        self.cell_precision = population.cell_precision
         self.trace = tracer if tracer is not None else Tracer.disabled()
 
         if node_gids is None:
@@ -274,13 +280,12 @@ class MetroKernel:
         self.u_lat_max = np.zeros(ug.size, dtype=np.float64)
 
         # --- time & quantized control parameters ---------------------
-        self.tick_ms = config.cohort_tick_ms
         self.interval_ms = spec.interval_ms
         self.fps = spec.fps
         self._tick_index = 0
-        self._detect_ticks = quantize_ticks(config.failure_detection_ms, self.tick_ms)
-        self._period_ticks = quantize_ticks(config.probing_period_ms, self.tick_ms)
-        self._dwell_ticks = int(ceil(config.min_dwell_ms / self.tick_ms - 1e-9))
+        self._detect_ticks = quantize_ticks(config.failure_detection_ms)
+        self._period_ticks = quantize_ticks(config.probing_period_ms)
+        self._dwell_ticks = int(ceil(config.min_dwell_ms / TICK_MS - 1e-9))
         #: The tick (mod the probing period) each user re-selects on.
         self.u_slot = self.u_gid % self._period_ticks
         self._agenda: Dict[int, List[Tuple[str, int]]] = {}
@@ -301,7 +306,7 @@ class MetroKernel:
     # ------------------------------------------------------------------
     @property
     def now_ms(self) -> float:
-        return self._tick_index * self.tick_ms
+        return self._tick_index * TICK_MS
 
     def schedule_node_fail(self, node_gid: int, at_ms: float) -> None:
         """Kill node ``n{node_gid}`` at the tick boundary covering
@@ -314,7 +319,7 @@ class MetroKernel:
                 f"node n{node_gid} is a ghost on shard {self.shard_id!r}; "
                 "schedule the failure on its owning shard"
             )
-        tick = max(self._tick_index, int(ceil(at_ms / self.tick_ms - 1e-9)))
+        tick = max(self._tick_index, int(ceil(at_ms / TICK_MS - 1e-9)))
         self._agenda.setdefault(tick, []).append(("fail", local))
 
     def run(self, sim_seconds: float) -> MetroShardReport:
@@ -326,10 +331,10 @@ class MetroKernel:
 
     def step_to(self, t_ms: float) -> None:
         """Advance to ``t_ms`` (must be a whole multiple of the tick)."""
-        target = round(t_ms / self.tick_ms)
-        if abs(target * self.tick_ms - t_ms) > 1e-6:
+        target = round(t_ms / TICK_MS)
+        if abs(target * TICK_MS - t_ms) > 1e-6:
             raise ValueError(
-                f"step_to target {t_ms} is not a multiple of tick {self.tick_ms}"
+                f"step_to target {t_ms} is not a multiple of tick {TICK_MS}"
             )
         while self._tick_index < target:
             self._control(self._tick_index)
@@ -406,14 +411,13 @@ class MetroKernel:
             return np.array([getattr(r, name) for r in records], dtype=dtype)
 
         gids, lats, lons = column("user_gid", np.int64), column("lat"), column("lon")
-        precision = self.spec.effective_cell_precision
         rows = {
             "u_gid": gids,
             "u_slot": gids % self._period_ticks,
             "u_lat": lats,
             "u_lon": lons,
             "u_phase": column("phase_ms"),
-            "u_cell": geohash.encode_cells(lats, lons, precision),
+            "u_cell": geohash.encode_cells(lats, lons, self.cell_precision),
             "u_node": np.full_like(gids, -1),
             "u_base": np.zeros_like(lats),
             "u_active": np.ones_like(gids, dtype=bool),
@@ -443,7 +447,7 @@ class MetroKernel:
     # Control plane
     # ------------------------------------------------------------------
     def _control(self, k: int) -> None:
-        t = k * self.tick_ms
+        t = k * TICK_MS
         if k == 0:
             self._initial_attach()
         actions = self._agenda.pop(k, None)
@@ -612,13 +616,13 @@ class MetroKernel:
         """Per-frame base latency: expected RTT + transfer + service."""
         return (
             self._rtt_ms(self.u_lat[users], self.u_lon[users], nodes)
-            + self.spec.frame_transfer_ms
+            + FRAME_TRANSFER_MS
             + self.n_service[nodes]
         )
 
     def _fill_cell_cands(self, cells: np.ndarray) -> None:
         """Resolve the candidates of ``cells`` with one neighborhood call."""
-        blocks = geohash.cell_neighborhood(cells, self.spec.effective_cell_precision)
+        blocks = geohash.cell_neighborhood(cells, self.cell_precision)
         for cell, block in zip(cells.tolist(), blocks.tolist()):
             parts = [self._cell_nodes[c] for c in set(block) if c in self._cell_nodes]
             self._cell_cands[cell] = (
@@ -703,9 +707,9 @@ class MetroKernel:
         array arithmetic in mask form — no index arrays, every user's row
         is touched. With capture on, the same ``good``/``lat`` arrays
         then emit one ``FrameDone`` per completed frame."""
-        t0 = k * self.tick_ms
+        t0 = k * TICK_MS
         wait = self._node_wait()
-        m_lo, counts = self._frame_counts(t0, t0 + self.tick_ms)
+        m_lo, counts = self._frame_counts(t0, t0 + TICK_MS)
         counts = np.where(self.u_active, counts, 0)
         self.frames_advanced += int(counts.sum())
         if self.n_gid.size == 0:  # nothing to gather from: all due frames lost
@@ -764,5 +768,5 @@ class MetroKernel:
             else 0.0,
             frames_advanced=self.frames_advanced,
             control_ops=self.control_ops,
-            trace_events=list(self.trace.events()),
+            trace_events=sorted(self.trace.events(), key=attrgetter("t_ms")),
         )

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from repro.metro.kernel import MetroKernel
+from repro.metro.spec import TICK_MS
 from repro.obs.events import FrameDone
 from repro.sim.kernel import Simulator
 
@@ -30,8 +31,8 @@ class PerFrameKernel(MetroKernel):
         self._frame_sim = Simulator()
 
     def _advance_frames(self, k: int) -> None:
-        t0 = k * self.tick_ms
-        t1 = t0 + self.tick_ms
+        t0 = k * TICK_MS
+        t1 = t0 + TICK_MS
         wait = self._node_wait()
 
         def frame(u: int, m: int, due: float) -> None:

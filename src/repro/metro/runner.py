@@ -13,16 +13,20 @@ optimization, reusing the sweep executor's fork-first discipline.
 Determinism contract (see DESIGN.md §11): for a fixed (spec, config
 seed, shard count) the full trace-event multiset and every counter are
 reproducible; with ``count=1`` the run is bit-identical, event for
-event, to stepping an unsharded :class:`MetroKernel` directly.
+event, to stepping an unsharded :class:`MetroKernel` directly. The
+report's trace is in time order: the shards' time-ordered traces merged
+by ``t_ms``, ties in shard order.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import time
 from dataclasses import dataclass, field
 from math import ceil
 from multiprocessing.connection import Connection
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
@@ -33,11 +37,15 @@ from repro.metro.kernel import (
     ShardOutbox,
 )
 from repro.metro.shard import ShardPlan, plan_shards
-from repro.metro.spec import MetroSpec, build_population, quantize_ticks
+from repro.metro.spec import EPOCH_MS, TICK_MS, MetroSpec, build_population
+from repro.metro.spec import quantize_ticks
 from repro.obs.events import TraceEvent
 from repro.obs.tracer import Tracer
 
 __all__ = ["MetroSimulation", "MetroReport"]
+
+#: Per-shard trace ring size when capturing.
+_TRACE_EVENTS_PER_SHARD = 1 << 20
 
 
 @dataclass
@@ -128,16 +136,16 @@ def _worker_loop(kernel: MetroKernel, conn: "Connection") -> None:
 
 
 class MetroSimulation:
-    """Build and run a (possibly sharded) metro-scale simulation.
+    """Build and run a (possibly sharded) metro-scale simulation; the
+    shards exchange the boundary channel every 1 000 ms (four ticks).
 
     Args:
         spec: deployment shape. Its ``shard`` field is the only place
-            the partition is set; ``shard.boundary_epoch_ms`` must be a
-            whole multiple of ``config.cohort_tick_ms``.
+            the partition is set.
         config: system tunables (defaults to ``SystemConfig()``).
-        capture_trace: capture the typed trace-event stream per shard
+        capture_trace: capture the typed trace-event stream per shard,
+            up to the last ``_TRACE_EVENTS_PER_SHARD`` events of each
             (sized for tests/smokes, not for million-user runs).
-        trace_capacity: per-shard ring-buffer size when capturing.
     """
 
     def __init__(
@@ -146,20 +154,11 @@ class MetroSimulation:
         config: Optional[SystemConfig] = None,
         *,
         capture_trace: bool = False,
-        trace_capacity: int = 1 << 20,
     ) -> None:
         self.config = config if config is not None else SystemConfig()
         self.spec = spec
         self.capture_trace = capture_trace
-        self.trace_capacity = trace_capacity
         self._fail_schedule: List[Tuple[int, float]] = []
-        epoch_ticks = self.spec.shard.boundary_epoch_ms / self.config.cohort_tick_ms
-        if abs(epoch_ticks - round(epoch_ticks)) > 1e-9 or epoch_ticks < 1:
-            raise ValueError(
-                "boundary_epoch_ms must be a whole multiple of cohort_tick_ms "
-                f"(got {self.spec.shard.boundary_epoch_ms} / "
-                f"{self.config.cohort_tick_ms})"
-            )
 
     def schedule_node_fail(self, node_gid: int, at_ms: float) -> None:
         """Kill node ``n{node_gid}`` at (the tick boundary covering)
@@ -174,7 +173,7 @@ class MetroSimulation:
         kernels: List[MetroKernel] = []
         for g in range(plan.count):
             tracer = (
-                Tracer(enabled=True, capacity=self.trace_capacity)
+                Tracer(enabled=True, capacity=_TRACE_EVENTS_PER_SHARD)
                 if self.capture_trace
                 else None
             )
@@ -202,11 +201,9 @@ class MetroSimulation:
             raise ValueError(f"sim_seconds must be positive: {sim_seconds}")
         started = time.perf_counter()
         plan, kernels = self.build_kernels()
-        tick = self.config.cohort_tick_ms
-        end_ms = quantize_ticks(sim_seconds * 1000.0, tick) * tick
-        epoch_ms = self.spec.shard.boundary_epoch_ms
-        epochs = int(ceil(end_ms / epoch_ms - 1e-9))
-        boundaries = [min((e + 1) * epoch_ms, end_ms) for e in range(epochs)]
+        end_ms = quantize_ticks(sim_seconds * 1000.0) * TICK_MS
+        epochs = int(ceil(end_ms / EPOCH_MS - 1e-9))
+        boundaries = [min((e + 1) * EPOCH_MS, end_ms) for e in range(epochs)]
 
         workers = self.spec.shard.workers
         use_workers = (
@@ -285,9 +282,6 @@ class MetroSimulation:
         sim_seconds: float,
         wall_s: float,
     ) -> MetroReport:
-        trace: List[TraceEvent] = []
-        for report in reports:
-            trace.extend(report.trace_events)
         return MetroReport(
             spec_nodes=self.spec.nodes,
             spec_users=self.spec.users,
@@ -307,6 +301,9 @@ class MetroSimulation:
             control_ops=sum(r.control_ops for r in reports),
             wall_s=wall_s,
             shard_reports=reports,
-            trace_events=trace,
+            # Each shard's trace is time-ordered; ties keep shard order.
+            trace_events=list(
+                heapq.merge(*(r.trace_events for r in reports), key=attrgetter("t_ms"))
+            ),
         )
 

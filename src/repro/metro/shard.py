@@ -2,9 +2,9 @@
 
 Ownership model:
 
-- Every geohash **prefix cell** (``ShardSpec.precision`` characters, one
-  coarser than the selection cells by default) is owned by exactly one
-  shard: the sorted list of populated prefixes is dealt round-robin over
+- Every geohash **prefix cell** (``MetroSpec.shard_precision`` characters,
+  one coarser than the selection cells) is owned by exactly one shard:
+  the sorted list of populated prefixes is dealt round-robin over
   ``ShardSpec.count``. Because a selection cell's prefix is a pure
   integer shift of its cell id, every node, user and selection cell has
   exactly one owning shard.
@@ -85,8 +85,7 @@ def plan_shards(spec: MetroSpec, population: MetroPopulation) -> ShardPlan:
         )
 
     cell_precision = population.cell_precision
-    shard_precision = spec.effective_shard_precision
-    shift = np.uint64(5 * (cell_precision - shard_precision))
+    shift = np.uint64(5 * (cell_precision - spec.shard_precision))
     node_prefix = population.node_cell >> shift
     user_prefix = population.user_cell >> shift
 

@@ -1,9 +1,10 @@
 """Typed scenario specs for metro-scale simulation.
 
 :class:`MetroSpec` describes a synthetic metro deployment — how many
-volunteer nodes and AR users, spread over what disc — without naming any
-individual entity; :class:`ShardSpec` describes how to partition it into
-independent geohash-keyed shard kernels. Both are frozen value objects:
+volunteer nodes and AR users, spread over how wide a disc around the
+paper's MSP metro — without naming any individual entity;
+:class:`ShardSpec` describes how to partition it into independent
+geohash-keyed shard kernels. Both are frozen value objects:
 the same spec + seed always generates the same population, which is the
 foundation of every determinism guarantee the metro kernel makes.
 
@@ -12,24 +13,32 @@ uniform over the disc (sqrt-radius sampling, the same distribution as
 :func:`repro.geo.region.random_point` draws one-at-a-time), hardware
 cycles through the paper's Table II volunteer catalog, and per-user
 frame phases are drawn from one seeded generator. A million-endpoint
-population builds in well under a second.
+population builds in well under a second. The tick, the boundary epoch
+and the frame transfer are module constants; both geohash precisions
+follow from ``region_km``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil, cos, radians
-from typing import Optional
 
 import numpy as np
 
 from repro.geo import geohash
-from repro.geo.point import KM_PER_DEG_LAT, GeoPoint
+from repro.geo.point import KM_PER_DEG_LAT
 from repro.geo.region import MSP_CENTER
 from repro.nodes.hardware import VOLUNTEER_PROFILES
 from repro.sim.random import derive_seed
 
 __all__ = ["MetroSpec", "ShardSpec", "MetroPopulation", "build_population"]
+
+#: The kernel's tick: all control-plane activity happens on its boundaries.
+TICK_MS = 250.0
+#: Period of the cross-shard boundary channel (ghost refresh, handoffs).
+EPOCH_MS = 4 * TICK_MS
+#: Uplink+downlink transfer per frame (0.02 MB at ~40 Mbps round trip).
+FRAME_TRANSFER_MS = 8.0
 
 
 @dataclass(frozen=True)
@@ -45,61 +54,37 @@ class ShardSpec:
         workers: worker processes stepping shards (forked). 1 steps the
             shards serially in-process; results are identical either
             way because shards only communicate at epoch boundaries.
-        precision: geohash character length of the shard prefix cells.
-            None derives ``selection cell precision - 1`` (one character
-            coarser than the candidate-lookup cells, so every selection
-            cell has exactly one owning shard).
-        boundary_epoch_ms: period of the cross-shard boundary channel
-            (ghost-load refresh + user handoffs). Must be a whole
-            multiple of the kernel tick; validated at kernel build.
     """
 
     count: int = 1
     workers: int = 1
-    precision: Optional[int] = None
-    boundary_epoch_ms: float = 1_000.0
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"shard count must be >= 1: {self.count}")
         if self.workers < 1:
             raise ValueError(f"shard workers must be >= 1: {self.workers}")
-        if self.precision is not None and not 1 <= self.precision <= 12:
-            raise ValueError(f"shard precision must be in 1..12: {self.precision}")
-        if self.boundary_epoch_ms <= 0:
-            raise ValueError(
-                f"boundary_epoch_ms must be positive: {self.boundary_epoch_ms}"
-            )
 
 
 @dataclass(frozen=True)
 class MetroSpec:
-    """A synthetic metro-scale deployment.
+    """A synthetic metro-scale deployment on a disc around the paper's
+    MSP metro.
 
     Attributes:
         nodes: volunteer edge-node count.
         users: AR user count.
         region_km: radius of the deployment disc.
-        center: disc center (defaults to the paper's MSP metro).
         fps: fixed offloading rate of every user (the metro kernel runs
             the steady full-rate workload; per-user adaptation is the
             high-fidelity kernel's job).
-        frame_transfer_ms: uplink+downlink payload transfer per frame,
-            folded into each frame's base latency (0.02 MB at ~40 Mbps
-            round trip by default).
-        cell_precision: geohash length of the candidate-lookup cells.
-            None picks 5 (~4.9 km cells) for metro-sized regions and 6
-            (~1.2 km) for very small ones.
         shard: the partition shape (:class:`ShardSpec`).
     """
 
     nodes: int
     users: int
     region_km: float = 40.0
-    center: GeoPoint = MSP_CENTER
     fps: float = 10.0
-    frame_transfer_ms: float = 8.0
-    cell_precision: Optional[int] = None
     shard: ShardSpec = field(default_factory=ShardSpec)
 
     def __post_init__(self) -> None:
@@ -111,43 +96,24 @@ class MetroSpec:
             raise ValueError(f"region_km must be positive: {self.region_km}")
         if self.fps <= 0:
             raise ValueError(f"fps must be positive: {self.fps}")
-        if self.frame_transfer_ms < 0:
-            raise ValueError(
-                f"frame_transfer_ms must be >= 0: {self.frame_transfer_ms}"
-            )
-        if self.cell_precision is not None and not 1 <= self.cell_precision <= 12:
-            raise ValueError(
-                f"cell_precision must be in 1..12: {self.cell_precision}"
-            )
 
     @property
-    def effective_cell_precision(self) -> int:
-        """The candidate-lookup cell precision actually used."""
-        if self.cell_precision is not None:
-            return self.cell_precision
+    def cell_precision(self) -> int:
+        """Geohash length of the candidate-lookup cells: 5 (~4.9 km
+        cells) for metro-sized regions, 6 (~1.2 km) for very small ones."""
         return 5 if self.region_km > 3.0 else 6
 
     @property
-    def effective_shard_precision(self) -> int:
-        """The shard prefix precision actually used (>= 1)."""
-        if self.shard.precision is not None:
-            if self.shard.precision > self.effective_cell_precision:
-                raise ValueError(
-                    "shard precision must be coarser than (<=) the selection "
-                    f"cell precision ({self.effective_cell_precision}), got "
-                    f"{self.shard.precision}"
-                )
-            return self.shard.precision
-        return max(1, self.effective_cell_precision - 1)
+    def shard_precision(self) -> int:
+        """Geohash length of the shard prefix cells: one character
+        coarser than the selection cells, so every selection cell has
+        exactly one owning shard."""
+        return self.cell_precision - 1
 
     @property
     def interval_ms(self) -> float:
         """Per-user frame interval."""
         return 1000.0 / self.fps
-
-    def with_shard(self, shard: ShardSpec) -> "MetroSpec":
-        """Copy with a different partition shape."""
-        return replace(self, shard=shard)
 
 
 @dataclass
@@ -183,9 +149,10 @@ class MetroPopulation:
 
 
 def _disc_points(
-    rng: np.random.Generator, count: int, center: GeoPoint, radius_km: float
+    rng: np.random.Generator, count: int, radius_km: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform points over the disc, as (lat, lon) degree arrays.
+    """Uniform points over the disc around ``MSP_CENTER``, as (lat, lon)
+    degree arrays.
 
     Same local-tangent-plane math as ``GeoPoint.offset_km``: sqrt-radius
     times a uniform bearing, converted with the cos-latitude longitude
@@ -195,8 +162,8 @@ def _disc_points(
     theta = rng.random(count) * (2.0 * np.pi)
     north = r * np.cos(theta)
     east = r * np.sin(theta)
-    lat = center.lat + north / KM_PER_DEG_LAT
-    lon = center.lon + east / (KM_PER_DEG_LAT * cos(radians(center.lat)))
+    lat = MSP_CENTER.lat + north / KM_PER_DEG_LAT
+    lon = MSP_CENTER.lon + east / (KM_PER_DEG_LAT * cos(radians(MSP_CENTER.lat)))
     return lat, lon
 
 
@@ -210,17 +177,17 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
     node_rng = np.random.default_rng(derive_seed(seed, "metro.nodes"))
     user_rng = np.random.default_rng(derive_seed(seed, "metro.users"))
 
-    node_lat, node_lon = _disc_points(node_rng, spec.nodes, spec.center, spec.region_km)
+    node_lat, node_lon = _disc_points(node_rng, spec.nodes, spec.region_km)
     base = np.array([p.base_frame_ms for p in VOLUNTEER_PROFILES])
     par = np.array([float(p.parallelism) for p in VOLUNTEER_PROFILES])
     profile_idx = np.arange(spec.nodes) % len(VOLUNTEER_PROFILES)
     node_service = base[profile_idx] / par[profile_idx]
     node_capacity = par[profile_idx] * 1000.0 / base[profile_idx]
 
-    user_lat, user_lon = _disc_points(user_rng, spec.users, spec.center, spec.region_km)
+    user_lat, user_lon = _disc_points(user_rng, spec.users, spec.region_km)
     user_phase = user_rng.random(spec.users) * spec.interval_ms
 
-    precision = spec.effective_cell_precision
+    precision = spec.cell_precision
     return MetroPopulation(
         node_lat=node_lat,
         node_lon=node_lon,
@@ -235,7 +202,7 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
     )
 
 
-def quantize_ticks(duration_ms: float, tick_ms: float) -> int:
+def quantize_ticks(duration_ms: float) -> int:
     """``duration_ms`` rounded *up* to whole ticks (minimum 1).
 
     The metro kernel quantizes every control-plane delay (failure
@@ -243,4 +210,4 @@ def quantize_ticks(duration_ms: float, tick_ms: float) -> int:
     quantization is what makes cohort advancement and per-frame stepping
     emit identical traces.
     """
-    return max(1, ceil(duration_ms / tick_ms - 1e-9))
+    return max(1, ceil(duration_ms / TICK_MS - 1e-9))

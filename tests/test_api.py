@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -167,13 +168,10 @@ def test_builder_metro_accepts_full_spec():
 
 
 def test_builder_shard_overrides_compose_with_metro():
-    spec = MetroSpec(nodes=100, users=300).with_shard(
-        ShardSpec(count=2, workers=2, boundary_epoch_ms=500.0)
-    )
+    spec = replace(MetroSpec(nodes=100, users=300), shard=ShardSpec(count=2, workers=2))
     sim = MetroSimulation(spec, SystemConfig(seed=3))
     assert sim.spec.shard.count == 2
     assert sim.spec.shard.workers == 2
-    assert sim.spec.shard.boundary_epoch_ms == 500.0
 
 
 def test_builder_observe_trace_flows_into_metro():

@@ -214,6 +214,34 @@ def test_the_network_keeps_one_rtt_model_and_one_endpoint_record():
     assert found == []
 
 
+METRO_KNOBS = (
+    r"cohort_tick_ms|boundary_epoch_ms|trace_capacity|frame_transfer_ms"
+    r"|effective_(cell|shard)_precision|with_shard"
+)
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_metro_keeps_only_the_settings_its_callers_set():
+    """The metro's tick, boundary epoch, frame transfer, trace ring size
+    and precision overrides are constants or derived: chaos-smoke, right
+    after the network grep, fails on any of the deleted settings back
+    under ``src/repro``."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    (grep,) = [s for s in steps if METRO_KNOBS in s]
+    assert grep.startswith("Metro keeps only the settings its callers set\n")
+    assert f"run: \"! grep -rnE '{METRO_KNOBS}' src/repro\"" in grep
+    assert steps.index(grep) == 1 + next(
+        i for i, s in enumerate(steps)
+        if NET_PLUMBING.replace("\\", "\\\\") in s
+    )
+    found = [
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if re.search(METRO_KNOBS, path.read_text())
+    ]
+    assert found == []
+
+
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_wire_schema_tests_run_under_the_leak_flags():
     """The hostile-input tests boot servers, a router cluster and fake

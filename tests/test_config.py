@@ -43,12 +43,12 @@ def test_with_arbitrary_changes_validated():
         {"qos_latency_ms": 0.0},
         {"perf_monitor_threshold": 0.0},
         {"max_discovery_retries": -1},
-        {"cohort_tick_ms": 0.0},
         {"control_plane_shards": 0},
         {"control_plane_replicas": 0},
         {"attachment_lease_ms": 0.0},
-        {"cohort_tick_ms": -250.0},
         {"heartbeat_timeout_ms": 1_000.0, "heartbeat_period_ms": 1_000.0},
+        {"wide_radius_km": 0.0},
+        {"switch_penalty_fraction": -0.1},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -60,25 +60,7 @@ def test_metro_knobs_are_keyword_only():
     from dataclasses import fields
 
     kw_only = {f.name for f in fields(SystemConfig) if f.kw_only}
-    assert {
-        "cohort_tick_ms", "control_plane_shards", "control_plane_replicas",
-    } <= kw_only
-
-
-def test_metro_knob_defaults_compose():
-    """The config's cohort tick and the spec's shard shape compose: the
-    boundary epoch must be a whole number of ticks, checked at build."""
-    from repro.metro import MetroSimulation, MetroSpec, ShardSpec
-
-    config = SystemConfig(cohort_tick_ms=125.0)
-    shard = ShardSpec(count=4, workers=2, boundary_epoch_ms=500.0)
-    sim = MetroSimulation(MetroSpec(nodes=10, users=10, shard=shard), config)
-    assert sim.spec.shard.boundary_epoch_ms / sim.config.cohort_tick_ms == 4.0
-    with pytest.raises(ValueError, match="whole multiple"):
-        MetroSimulation(
-            MetroSpec(nodes=10, users=10, shard=ShardSpec(boundary_epoch_ms=300.0)),
-            config,
-        )
+    assert {"control_plane_shards", "control_plane_replicas"} <= kw_only
 
 
 def test_qos_none_is_allowed():

@@ -17,7 +17,13 @@ from repro.metro import kernel as kernel_module
 from repro.metro.kernel import MetroKernel, _haversine_km
 from repro.metro.reference import PerFrameKernel
 from repro.metro.runner import MetroSimulation
-from repro.metro.spec import MetroPopulation, MetroSpec, ShardSpec, build_population
+from repro.metro.spec import (
+    FRAME_TRANSFER_MS,
+    MetroPopulation,
+    MetroSpec,
+    ShardSpec,
+    build_population,
+)
 from repro.net.latency import DistanceRttModel, NetworkTier
 from repro.net.topology import EndpointSpec
 from repro.obs.events import JoinAccept
@@ -96,7 +102,7 @@ def test_schedule_fail_rejects_unknown_node():
 def test_step_to_requires_tick_boundary():
     kernel = make_kernel()
     with pytest.raises(ValueError):
-        kernel.step_to(333.0)  # not a multiple of cohort_tick_ms=250
+        kernel.step_to(333.0)  # not a multiple of TICK_MS=250
 
 
 def test_batched_and_per_client_counters_match():
@@ -194,7 +200,7 @@ def test_base_vec_is_the_sims_expected_rtt_plus_transfer_and_service():
         node = EndpointSpec(GeoPoint(kernel.n_lat[n], kernel.n_lon[n]),
                             NetworkTier.HOME_WIFI)
         expected = (model.expected_rtt_ms(user, node)
-                    + kernel.spec.frame_transfer_ms + kernel.n_service[n])
+                    + FRAME_TRANSFER_MS + kernel.n_service[n])
         assert base[i] == pytest.approx(expected, rel=1e-12)
 
 
@@ -221,7 +227,7 @@ def explicit_kernel(node_points, user_points, precision=5):
         user_cell=geohash.encode_cells(user_lat, user_lon, precision),
         cell_precision=precision,
     )
-    spec = MetroSpec(nodes=node_lat.size, users=user_lat.size, cell_precision=precision)
+    spec = MetroSpec(nodes=node_lat.size, users=user_lat.size)
     return MetroKernel(SystemConfig(seed=5), spec, population)
 
 

@@ -1,6 +1,7 @@
 """Sharded metro runs: partitioning, bit-identity, handoffs, workers."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from repro.core.config import SystemConfig
 from repro.metro.kernel import MetroKernel
 from repro.metro.runner import MetroSimulation
 from repro.metro.shard import plan_shards
-from repro.metro.spec import MetroSpec, ShardSpec, build_population
+from repro.metro.spec import EPOCH_MS, TICK_MS, MetroSpec, ShardSpec, build_population
 from repro.obs.tracer import Tracer
 
 SPEC = MetroSpec(nodes=600, users=2_000, region_km=20.0, fps=10.0)
@@ -39,7 +40,7 @@ def test_plan_single_shard_owns_everything():
 
 
 def test_plan_partitions_are_disjoint_and_complete():
-    spec = SPEC.with_shard(ShardSpec(count=3))
+    spec = replace(SPEC, shard=ShardSpec(count=3))
     population = build_population(spec, seed=5)
     plan = plan_shards(spec, population)
     assert plan.count == 3
@@ -57,7 +58,7 @@ def test_plan_partitions_are_disjoint_and_complete():
 
 
 def test_plan_is_deterministic():
-    spec = SPEC.with_shard(ShardSpec(count=4))
+    spec = replace(SPEC, shard=ShardSpec(count=4))
     population = build_population(spec, seed=5)
     a = plan_shards(spec, population)
     b = plan_shards(spec, population)
@@ -76,15 +77,14 @@ def test_single_shard_is_bit_identical_to_unsharded_kernel():
     sharded = sim.run(6.0)
 
     population = build_population(SPEC, config.seed)
-    tracer = Tracer(enabled=True, capacity=1 << 20)
     kernel = MetroKernel(config, SPEC, population, shard_id="shard0",
-                         tracer=tracer)
+                         tracer=Tracer(enabled=True, capacity=1 << 20))
     kernel.schedule_node_fail(3, at_ms=2_000.0)
     direct = kernel.run(6.0)
 
     # Ordered equality — not just the multiset: same events, same order.
     assert [e.to_dict() for e in sharded.trace_events] == [
-        e.to_dict() for e in tracer.events()
+        e.to_dict() for e in direct.trace_events
     ]
     assert sharded.frames_done == direct.frames_done
     assert sharded.latency_sum_ms == direct.latency_sum_ms
@@ -96,7 +96,7 @@ def test_single_shard_is_bit_identical_to_unsharded_kernel():
 # Sharded determinism + the boundary channel
 # ----------------------------------------------------------------------
 def test_sharded_run_is_deterministic():
-    spec = SPEC.with_shard(ShardSpec(count=2))
+    spec = replace(SPEC, shard=ShardSpec(count=2))
     runs = [
         MetroSimulation(spec, config_for_tests(), capture_trace=True).run(6.0)
         for _ in range(2)
@@ -137,7 +137,7 @@ def test_boundary_handoffs_migrate_users_between_shards():
 def test_failure_under_sharding_is_conservative_and_deterministic():
     """A node death routes to the owning shard; the run keeps every
     frame accounted for and replays identically."""
-    spec = SPEC.with_shard(ShardSpec(count=2))
+    spec = replace(SPEC, shard=ShardSpec(count=2))
     config = config_for_tests()
     population = build_population(spec, config.seed)
     plan = plan_shards(spec, population)
@@ -187,6 +187,26 @@ def test_shard_that_owns_users_but_no_node_builds_and_runs(nodes, capture_trace)
         assert shard.frames_lost == shard.frames_advanced == shard.users * 4 * 3
 
 
+@pytest.mark.parametrize("count, workers", [(1, 1), (4, 1), (4, 2)])
+def test_report_trace_is_in_time_order(count, workers):
+    """Each shard's trace is stable-sorted by time and the shards' traces
+    merged by it, serial or forked: a tick's ``frame_done`` events, and a
+    later shard's events, never come before an earlier event."""
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+    spec = replace(SPEC, shard=ShardSpec(count=count, workers=workers))
+    sim = MetroSimulation(spec, config_for_tests(probing_period_ms=2_000.0),
+                          capture_trace=True)
+    sim.schedule_node_fail(3, at_ms=2_000.0)
+    report = sim.run(4.0)
+    times = [e.t_ms for e in report.trace_events]
+    assert len(times) == sum(len(r.trace_events) for r in report.shard_reports)
+    assert times == sorted(times)
+
+
 # ----------------------------------------------------------------------
 # Worker processes are a pure wall-clock optimization
 # ----------------------------------------------------------------------
@@ -196,9 +216,9 @@ def test_forked_workers_match_serial_results():
 
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
-    spec = SPEC.with_shard(ShardSpec(count=2, workers=1))
+    spec = replace(SPEC, shard=ShardSpec(count=2, workers=1))
     serial = MetroSimulation(spec, config_for_tests(), capture_trace=True).run(5.0)
-    spec_workers = SPEC.with_shard(ShardSpec(count=2, workers=2))
+    spec_workers = replace(SPEC, shard=ShardSpec(count=2, workers=2))
     forked = MetroSimulation(
         spec_workers, config_for_tests(), capture_trace=True
     ).run(5.0)
@@ -225,12 +245,13 @@ def test_config_cannot_set_the_partition():
 
 def test_explicit_shard_spec_wins_over_config():
     """Every field of the spec's shard shape reaches the run as given."""
-    shard = ShardSpec(count=2, workers=2, boundary_epoch_ms=500.0)
-    sim = MetroSimulation(SPEC.with_shard(shard), config_for_tests())
+    shard = ShardSpec(count=2, workers=2)
+    sim = MetroSimulation(replace(SPEC, shard=shard), config_for_tests())
     assert sim.spec.shard is shard
 
 
 def test_epoch_must_align_with_tick():
-    spec = SPEC.with_shard(ShardSpec(count=2, boundary_epoch_ms=300.0))
-    with pytest.raises(ValueError, match="whole multiple"):
-        MetroSimulation(spec, config_for_tests())
+    """The boundary epoch is a whole number of ticks, so every epoch
+    boundary the runner steps the kernels to is a tick boundary."""
+    assert EPOCH_MS >= TICK_MS
+    assert EPOCH_MS % TICK_MS == 0

@@ -1,5 +1,7 @@
 """MetroSpec/ShardSpec validation and deterministic population synthesis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,6 @@ from repro.metro.spec import (
         {"nodes": 10, "users": 0},
         {"nodes": 10, "users": 10, "region_km": 0.0},
         {"nodes": 10, "users": 10, "fps": 0.0},
-        {"nodes": 10, "users": 10, "frame_transfer_ms": -1.0},
-        {"nodes": 10, "users": 10, "cell_precision": 0},
     ],
 )
 def test_invalid_metro_specs_rejected(kwargs):
@@ -37,8 +37,6 @@ def test_invalid_metro_specs_rejected(kwargs):
     [
         {"count": 0},
         {"workers": 0},
-        {"precision": 0},
-        {"boundary_epoch_ms": 0.0},
     ],
 )
 def test_invalid_shard_specs_rejected(kwargs):
@@ -46,32 +44,26 @@ def test_invalid_shard_specs_rejected(kwargs):
         ShardSpec(**kwargs)
 
 
-def test_shard_precision_must_not_exceed_cell_precision():
-    spec = MetroSpec(nodes=10, users=10, cell_precision=5,
-                     shard=ShardSpec(precision=7))
-    with pytest.raises(ValueError, match="precision"):
-        spec.effective_shard_precision
-
-
 def test_effective_precisions_default_by_region():
     metro = MetroSpec(nodes=10, users=10, region_km=40.0)
-    assert metro.effective_cell_precision == 5
-    assert metro.effective_shard_precision == 4
+    assert metro.cell_precision == 5
+    assert metro.shard_precision == 4
     campus = MetroSpec(nodes=10, users=10, region_km=2.0)
-    assert campus.effective_cell_precision == 6
+    assert campus.cell_precision == 6
+    assert campus.shard_precision == 5
 
 
 def test_shard_spec_is_the_only_partition_setting():
-    shard = ShardSpec(count=4, workers=2, boundary_epoch_ms=2_000.0)
-    assert (shard.count, shard.workers, shard.boundary_epoch_ms) == (4, 2, 2_000.0)
+    shard = ShardSpec(count=4, workers=2)
+    assert (shard.count, shard.workers) == (4, 2)
     assert not hasattr(ShardSpec, "from_config")
-    knobs = {"metro_shards", "shard_workers", "boundary_epoch_ms"}
+    knobs = {"metro_shards", "shard_workers"}
     assert knobs.isdisjoint(SystemConfig.__dataclass_fields__)
 
 
-def test_with_shard_returns_new_spec():
+def test_replacing_the_shard_returns_a_new_spec():
     spec = MetroSpec(nodes=10, users=10)
-    sharded = spec.with_shard(ShardSpec(count=3))
+    sharded = replace(spec, shard=ShardSpec(count=3))
     assert sharded.shard.count == 3
     assert spec.shard.count == 1
     assert sharded.nodes == spec.nodes
@@ -131,8 +123,8 @@ def test_user_phases_cover_the_frame_interval():
 # Tick arithmetic
 # ----------------------------------------------------------------------
 def test_quantize_ticks_rounds_up_to_whole_ticks():
-    assert quantize_ticks(1_000.0, 250.0) == 4
-    assert quantize_ticks(1_001.0, 250.0) == 5
-    assert quantize_ticks(1.0, 250.0) == 1
+    assert quantize_ticks(1_000.0) == 4
+    assert quantize_ticks(1_001.0) == 5
+    assert quantize_ticks(1.0) == 1
     # Float noise just above a boundary must not add a spurious tick.
-    assert quantize_ticks(250.0 * 3 + 1e-12, 250.0) == 3
+    assert quantize_ticks(250.0 * 3 + 1e-12) == 3

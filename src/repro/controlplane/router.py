@@ -61,7 +61,6 @@ class RoutedSelection:
 
     node_ids: Tuple[str, ...]
     widened: bool
-    epoch: int
     local_shards: Tuple[int, ...]
     wide_shards: Tuple[int, ...]
     pool: int
@@ -85,7 +84,6 @@ def emit_routing(
             now,
             user_id=user_id,
             shards=routed.shards_queried,
-            epoch=routed.epoch,
             cross_shard=routed.cross_shard,
         )
     )
@@ -175,7 +173,6 @@ class ShardRouter:
         return RoutedSelection(
             node_ids=tuple(n.node_id for n in best),
             widened=widened,
-            epoch=self.shard_map.epoch,
             local_shards=tuple(p.shard for p in local),
             wide_shards=tuple(p.shard for p in wide) if wide is not None else (),
             pool=len(pool),

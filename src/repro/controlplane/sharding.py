@@ -10,12 +10,11 @@ shards whose ranges they intersect.
 
 Range partitioning over the interleaved cell id is deliberately simple:
 ownership is a pure function of the map (no directory service), a map
-is fully described by ``(count, precision, epoch)``, and geohash
-prefix adjacency means a metro's nodes concentrate in few ranges — the
+is fully described by ``(count, precision)``, and geohash prefix
+adjacency means a metro's nodes concentrate in few ranges — the
 cross-shard fraction of discovery queries stays small (measured by
-``bench_discovery_sharded.py``). The ``epoch`` versions the map:
-routers and managers only cooperate on equal epochs, and bumping it
-(via :meth:`ShardMap.derive`) forces an explicit registry handoff.
+``bench_discovery_sharded.py``). A control plane keeps one map for its
+whole life: the partition is fixed when the manager or cluster is built.
 """
 
 from __future__ import annotations
@@ -37,16 +36,15 @@ DEFAULT_SHARD_PRECISION = 4
 
 @dataclass(frozen=True)
 class ShardMap:
-    """Versioned partition of the geohash cell space into shard ranges.
+    """Partition of the geohash cell space into shard ranges.
 
     Shard ``i`` owns cells ``[starts[i], starts[i+1])`` where the
     starts split ``[0, 32**precision)`` as evenly as integer division
-    allows. Frozen: any change is a new map with a higher ``epoch``.
+    allows.
     """
 
     count: int
     precision: int = DEFAULT_SHARD_PRECISION
-    epoch: int = 0
     _starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -54,8 +52,6 @@ class ShardMap:
             raise ValueError(f"shard count must be >= 1, got {self.count}")
         if not 1 <= self.precision <= 12:
             raise ValueError(f"precision must be in 1..12, got {self.precision}")
-        if self.epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {self.epoch}")
         space = self.cell_space
         if self.count > space:
             raise ValueError(
@@ -121,28 +117,3 @@ class ShardMap:
         lo = self._starts[shard]
         hi = self._starts[shard + 1] if shard + 1 < self.count else self.cell_space
         return lo, hi
-
-    # ------------------------------------------------------------------
-    # Versioning
-    # ------------------------------------------------------------------
-    def derive(self, *, count: int | None = None, precision: int | None = None) -> "ShardMap":
-        """A successor map (epoch + 1) with changed geometry.
-
-        Installing a derived map requires a registry handoff — the
-        drivers refuse to mix epochs.
-        """
-        return ShardMap(
-            count=self.count if count is None else count,
-            precision=self.precision if precision is None else precision,
-            epoch=self.epoch + 1,
-        )
-
-    def describe(self) -> str:
-        ranges = ", ".join(
-            f"s{i}=[{self.shard_range(i)[0]:#x},{self.shard_range(i)[1]:#x})"
-            for i in range(self.count)
-        )
-        return (
-            f"ShardMap(epoch={self.epoch}, precision={self.precision}, "
-            f"count={self.count}: {ranges})"
-        )

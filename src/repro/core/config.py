@@ -16,7 +16,8 @@ to its 250 ms tick, a constant of :mod:`repro.metro.spec`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 
@@ -116,6 +117,12 @@ class SystemConfig:
     control_plane_replicas: int = field(default=1, kw_only=True)
 
     def __post_init__(self) -> None:
+        # NaN passes every ``x <= 0`` check below, so refuse it (and inf)
+        # first; ``None`` stays valid for the optional fields.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite: {value}")
         if self.top_n < 1:
             raise ValueError(f"top_n must be >= 1: {self.top_n}")
         if self.probing_period_ms <= 0:
@@ -158,11 +165,6 @@ class SystemConfig:
             raise ValueError(
                 f"control_plane_replicas must be >= 1: {self.control_plane_replicas}"
             )
-
-    @property
-    def backup_count(self) -> int:
-        """Size of the backup edge list (``TopN - 1``)."""
-        return self.top_n - 1
 
     def with_(self, **changes: object) -> "SystemConfig":
         """Copy with arbitrary field changes (validated)."""

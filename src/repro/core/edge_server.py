@@ -76,6 +76,7 @@ class EdgeServer(EdgeDriver):
             ),
             tracer=system.trace,
             dedicated=dedicated,
+            # "two times the common user RTT propagation" (Algorithm 1).
             test_delay_ms=2.0 * self.config.common_rtt_ms,
         )
         self.processor = FrameProcessor(profile)

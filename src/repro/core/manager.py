@@ -29,7 +29,7 @@ a discovery touching the shard raises :class:`ControlPlaneUnavailable`
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.replication import ReplicatedShard
@@ -38,7 +38,7 @@ from repro.controlplane.sharding import ShardMap
 from repro.messages import CandidateList, DiscoveryQuery, NodeStatus
 from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.driver import ManagerDriver
-from repro.protocol.events import HeartbeatReceived, NodeForgotten, PartialDiscoveryRequested
+from repro.protocol.events import PartialDiscoveryRequested
 from repro.protocol.global_select import GlobalSelectionMachine, smooth_wrr_pick
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,9 +84,17 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
             )
         self.system = system
         self._policy = policy or GlobalSelectionPolicy()
+        timeout = config.heartbeat_timeout_ms
+        replicas = config.control_plane_replicas
         # A dead primary is noticed as fast as a dead edge node.
         super().__init__(
-            self._empty_shards(shards, config.control_plane_replicas),
+            [
+                ReplicatedShard(index, [
+                    GlobalSelectionMachine(self._policy, heartbeat_timeout=timeout)
+                    for _ in range(replicas)
+                ])
+                for index in range(shards)
+            ],
             tracer=system.trace,
             promotion_delay_ms=config.failure_detection_ms,
         )
@@ -97,19 +105,6 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
         # global across shards, so no single machine can own it.
         self._wrr_current: Dict[str, float] = {}
         self._last_snapshot_sync = 0.0
-
-    def _empty_shards(self, shards: int, replicas: int) -> List[ReplicatedShard]:
-        timeout = self.system.config.heartbeat_timeout_ms
-        return [
-            ReplicatedShard(
-                index,
-                [
-                    GlobalSelectionMachine(self._policy, heartbeat_timeout=timeout)
-                    for _ in range(replicas)
-                ],
-            )
-            for index in range(shards)
-        ]
 
     @property
     def policy(self) -> GlobalSelectionPolicy:
@@ -142,15 +137,6 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
             return
         self._run_effects(shard.apply_heartbeat(status.reported_at_ms, status))
         self._maybe_snapshot_sync()
-
-    def forget_node(self, node_id: str) -> None:
-        """Administrative deregistration (ownership unknown without the
-        status, so every replica is told; extra calls are no-ops)."""
-        self._wrr_current.pop(node_id, None)
-        self._arrivals.pop(node_id, None)
-        for shard in self.shards:
-            for machine in shard.machines:
-                machine.handle(NodeForgotten(node_id))
 
     def prune_stale(self) -> None:
         """Expire registry entries older than ``heartbeat_timeout_ms``
@@ -267,39 +253,6 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
         entries = 0 if source is None else shard.sync_standby(down[0])
         self.replica_rejoined(shard_index, down[0], source, entries)
         return True
-
-    # ------------------------------------------------------------------
-    # Shard-map epoch change (registry handoff)
-    # ------------------------------------------------------------------
-    def apply_shard_map(self, new_map: ShardMap) -> None:
-        """Install a successor shard map, redistributing the registry.
-
-        Every entry travels via a deduplicated snapshot and is re-applied
-        as a heartbeat at its original stamp, so expiry semantics carry
-        over and no tombstone can resurrect an expired node.
-        """
-        if new_map.epoch <= self.shard_map.epoch:
-            raise ValueError(
-                f"new map epoch {new_map.epoch} must exceed "
-                f"current {self.shard_map.epoch}"
-            )
-        new_shards = self._empty_shards(new_map.count, self.shards[0].replicas)
-        moved: Dict[Tuple[int, int], int] = {}
-        for old_shard in self.shards:
-            machine = old_shard.serving_machine() or old_shard.machines[old_shard.primary]
-            snapshot = machine.snapshot_state()
-            for status in snapshot.statuses:
-                target = new_map.owner_of_geohash(status.geohash)
-                stamp = snapshot.stamps[status.node_id]
-                for replica_machine in new_shards[target].machines:
-                    replica_machine.handle(HeartbeatReceived(stamp=stamp, status=status))
-                key = (old_shard.shard_index, target)
-                moved[key] = moved.get(key, 0) + 1
-        self.shards = new_shards
-        self.shard_map = new_map
-        self.router = ShardRouter(new_map, self._policy)
-        for (source, target), entries in sorted(moved.items()):
-            self._trace_handoff(f"shard{source}", f"shard{target}", entries, "epoch")
 
     # ------------------------------------------------------------------
     def _maybe_snapshot_sync(self) -> None:

@@ -211,16 +211,6 @@ class FaultInjector:
             o.shard is None and o.active(now_ms) for o in self.plan.outages
         )
 
-    def gray_factor(self, node_id: str, now_ms: float) -> float:
-        """The frame-service slowdown in effect for ``node_id`` (1.0 =
-        healthy). Heartbeats are never affected — that blindness is the
-        point of the gray-node fault."""
-        factor = 1.0
-        for gray in self.plan.gray_nodes:
-            if gray.node_id == node_id and gray.window.contains(now_ms):
-                factor = max(factor, gray.slowdown)
-        return factor
-
     def node_actions(self) -> List[NodeAction]:
         """Every scheduled node/manager transition, time-ordered.
 

@@ -221,13 +221,6 @@ def decode(geohash: str) -> GeoPoint:
     return GeoPoint((lat_lo + lat_hi) / 2.0, (lon_lo + lon_hi) / 2.0)
 
 
-def decode_with_error(geohash: str) -> Tuple[GeoPoint, float, float]:
-    """Decode to (centre, lat_error, lon_error) half-widths in degrees."""
-    lat_lo, lat_hi, lon_lo, lon_hi = bounding_box(geohash)
-    centre = GeoPoint((lat_lo + lat_hi) / 2.0, (lon_lo + lon_hi) / 2.0)
-    return centre, (lat_hi - lat_lo) / 2.0, (lon_hi - lon_lo) / 2.0
-
-
 def adjacent(geohash: str, direction: str) -> str:
     """Return the geohash of the adjacent cell in ``direction``.
 
@@ -413,13 +406,6 @@ def covering_cells(point: GeoPoint, radius_km: float) -> List[str]:
     return [cell_to_geohash(cell, precision) for cell in cells]
 
 
-def cell_size_km(precision: int) -> Tuple[float, float]:
-    """(height_km, width_km) of a cell at ``precision`` (equatorial)."""
-    if precision not in _CELL_KM:
-        raise ValueError(f"precision must be in 1..12, got {precision}")
-    return _CELL_KM[precision]
-
-
 def _check_tables() -> None:
     """Sanity check run at import: tables must be permutations."""
     for direction_tables in _NEIGHBOR_TABLE.values():
@@ -585,11 +571,4 @@ def geohash_to_cell(geohash: str) -> int:
         except KeyError:
             raise ValueError(f"invalid geohash character: {char!r}") from None
     return value
-
-
-def cell_parent(cell: int, levels: int = 1) -> int:
-    """Truncate ``levels`` characters off a cell id (prefix widening)."""
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
-    return int(cell) >> (5 * levels)
 

@@ -32,10 +32,6 @@ class GeoPoint:
         """Great-circle distance to ``other`` in kilometres."""
         return haversine_km(self, other)
 
-    def distance_miles(self, other: "GeoPoint") -> float:
-        """Great-circle distance to ``other`` in miles (paper uses miles)."""
-        return haversine_km(self, other) * 0.621371
-
     def offset_km(self, north_km: float, east_km: float) -> "GeoPoint":
         """Return a new point displaced by the given kilometres.
 

@@ -75,14 +75,6 @@ class MetroArea:
             return self._sample_clustered()
         raise ValueError(f"unknown placement style: {style}")
 
-    def sample_many(
-        self, count: int, style: PlacementStyle = PlacementStyle.UNIFORM_DISC
-    ) -> List[GeoPoint]:
-        """Sample ``count`` points."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0: {count}")
-        return [self.sample(style) for _ in range(count)]
-
     def contains(self, point: GeoPoint) -> bool:
         """True if ``point`` lies within the metro disc."""
         return self.center.distance_km(point) <= self.radius_km + 1e-9

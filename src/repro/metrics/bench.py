@@ -91,15 +91,3 @@ def record_bench_section(path: Path, section: str, payload: Dict[str, Any]) -> N
             pass
     report[section] = payload
     atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def read_bench_section(path: Path, section: str) -> Dict[str, Any]:
-    """The recorded section, or {} if the report/section is missing."""
-    if not path.exists():
-        return {}
-    try:
-        loaded = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    value = loaded.get(section) if isinstance(loaded, dict) else None
-    return value if isinstance(value, dict) else {}

@@ -172,13 +172,6 @@ class MetricsCollector:
             counts[record.user_id] += 1
         return {user: sums[user] / counts[user] for user in sums}
 
-    def lost_frames(self, user_id: Optional[str] = None) -> int:
-        return sum(
-            1
-            for record in self.frames
-            if record.lost and (user_id is None or record.user_id == user_id)
-        )
-
     def total_probes(self) -> int:
         return sum(self.probes_sent.values())
 

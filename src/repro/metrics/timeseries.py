@@ -30,23 +30,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times_ms)
 
-    def window(self, start_ms: float, end_ms: float) -> List[float]:
-        """Values with ``start_ms <= t < end_ms``."""
-        return [
-            v
-            for t, v in zip(self.times_ms, self.values)
-            if start_ms <= t < end_ms
-        ]
-
-    def value_at(self, time_ms: float) -> Optional[float]:
-        """Last value at or before ``time_ms`` (step-function semantics)."""
-        result: Optional[float] = None
-        for t, v in zip(self.times_ms, self.values):
-            if t > time_ms:
-                break
-            result = v
-        return result
-
 
 def bin_series(
     times_ms: Sequence[float],

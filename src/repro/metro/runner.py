@@ -24,7 +24,7 @@ import heapq
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, isfinite
 from multiprocessing.connection import Connection
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
@@ -162,8 +162,18 @@ class MetroSimulation:
 
     def schedule_node_fail(self, node_gid: int, at_ms: float) -> None:
         """Kill node ``n{node_gid}`` at (the tick boundary covering)
-        ``at_ms``."""
-        self._fail_schedule.append((int(node_gid), float(at_ms)))
+        ``at_ms``.
+
+        Raises:
+            ValueError: ``node_gid`` is outside ``[0, spec.nodes)``, or
+                ``at_ms`` is negative or not finite.
+        """
+        gid, at = int(node_gid), float(at_ms)
+        if not 0 <= gid < self.spec.nodes:
+            raise ValueError(f"node gid {gid} is outside [0, {self.spec.nodes})")
+        if not (0.0 <= at and isfinite(at)):
+            raise ValueError(f"at_ms must be finite and >= 0: {at}")
+        self._fail_schedule.append((gid, at))
 
     # ------------------------------------------------------------------
     def build_kernels(self) -> Tuple[ShardPlan, List[MetroKernel]]:

@@ -21,7 +21,7 @@ follow from ``region_km``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, cos, radians
+from math import ceil, cos, isfinite, radians
 
 import numpy as np
 
@@ -92,10 +92,10 @@ class MetroSpec:
             raise ValueError(f"nodes must be >= 1: {self.nodes}")
         if self.users < 1:
             raise ValueError(f"users must be >= 1: {self.users}")
-        if self.region_km <= 0:
-            raise ValueError(f"region_km must be positive: {self.region_km}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive: {self.fps}")
+        if not (0 < self.region_km and isfinite(self.region_km)):
+            raise ValueError(f"region_km must be positive and finite: {self.region_km}")
+        if not (0 < self.fps and isfinite(self.fps)):
+            raise ValueError(f"fps must be positive and finite: {self.fps}")
 
     @property
     def cell_precision(self) -> int:

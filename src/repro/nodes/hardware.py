@@ -19,7 +19,7 @@ faster frames) and record the substitution in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List
 
 
@@ -58,16 +58,6 @@ class HardwareProfile:
     def capacity_fps(self) -> float:
         """Maximum sustainable frame rate (frames/second)."""
         return self.parallelism * 1000.0 / self.base_frame_ms
-
-    def scaled(self, factor: float, name: str = "") -> "HardwareProfile":
-        """A copy with ``base_frame_ms`` scaled by ``factor`` (>0)."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive: {factor}")
-        return replace(
-            self,
-            name=name or f"{self.name}x{factor:g}",
-            base_frame_ms=self.base_frame_ms * factor,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +121,3 @@ def profile_by_name(name: str) -> HardwareProfile:
     except KeyError:
         known = ", ".join(sorted(_CATALOG))
         raise KeyError(f"unknown hardware profile {name!r}; known: {known}") from None
-
-
-def catalog_names() -> List[str]:
-    """All profile names in the built-in catalog."""
-    return sorted(_CATALOG)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -100,10 +100,6 @@ class TraceAnalyzer:
         for event in self.events:
             counts[event["type"]] += 1
         return dict(sorted(counts.items()))
-
-    def users(self) -> List[str]:
-        seen = {e["user_id"] for e in self.events if "user_id" in e}
-        return sorted(seen)
 
     # ------------------------------------------------------------------
     # Per-user timeline

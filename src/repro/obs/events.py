@@ -482,7 +482,6 @@ class ShardRoute(TraceEvent):
     type: ClassVar[str] = "shard_route"
     user_id: str
     shards: Tuple[int, ...]
-    epoch: int
     cross_shard: bool
 
 
@@ -513,15 +512,14 @@ class ManagerPromote(TraceEvent):
 
 @dataclass
 class RegistryHandoff(TraceEvent):
-    """Registry entries moved between control-plane machines (a standby
-    rejoin/warm-up, or redistribution on a shard-map epoch change).
-    Always from a deduplicated snapshot — never the raw expiry heap."""
+    """Registry entries copied to a replica rejoining its control-plane
+    shard. Always from a deduplicated snapshot — never the raw expiry
+    heap."""
 
     type: ClassVar[str] = "registry_handoff"
     source: str
     target: str
     entries: int
-    epoch: int
     reason: str
 
 

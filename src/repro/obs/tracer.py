@@ -148,9 +148,6 @@ class Tracer:
         """Register an always-on reducer; called once per emitted event."""
         self._subscribers.append(fn)
 
-    def unsubscribe(self, fn: Callable[[TraceEvent], None]) -> None:
-        self._subscribers.remove(fn)
-
     def emit(self, event: TraceEvent) -> None:
         """Publish one event: reducers always, capture when enabled."""
         for fn in self._subscribers:
@@ -174,10 +171,6 @@ class Tracer:
 
     def clear(self) -> None:
         self._ring.clear()
-
-    @property
-    def sink(self):
-        return self._sink
 
     def close(self) -> None:
         """Flush and close the sink (the tracer itself stays usable)."""

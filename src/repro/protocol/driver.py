@@ -82,7 +82,6 @@ from repro.protocol.selection import SelectionConfig, SelectionMachine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.controlplane.replication import ReplicaSet
-    from repro.controlplane.sharding import ShardMap
     from repro.protocol.global_select import GlobalSelectionMachine
     from repro.geo.point import GeoPoint
     from repro.nodes.hardware import HardwareProfile
@@ -622,8 +621,6 @@ class ManagerDriver(Generic[_Members]):
 
     #: The ``manager_promote`` reason: what the backend's report means.
     _promote_reason = "unreachable"
-    #: Set by the sharded backends; it stamps handoff traces.
-    shard_map: "ShardMap"
 
     def __init__(
         self, shards: List[_Members], *, tracer: "Tracer", promotion_delay_ms: float = 0.0
@@ -637,7 +634,7 @@ class ManagerDriver(Generic[_Members]):
         self.heartbeats_dropped = 0
         self.promotions = 0
         #: Node ids in the order they entered the registry, across all
-        #: shards (in on a first heartbeat, out on expiry or forget_node).
+        #: shards (in on a first heartbeat, out on expiry).
         self._arrivals: Dict[str, None] = {}
 
     def _now(self) -> float:
@@ -740,13 +737,9 @@ class ManagerDriver(Generic[_Members]):
         members.mark_up(replica)
         self._replica_changed(shard, replica)
         if source is not None:
-            self._trace_handoff(
-                f"shard{shard}/r{source}", f"shard{shard}/r{replica}", entries, "rejoin"
-            )
+            self.tracer.emit(RegistryHandoff(
+                self._now(), f"shard{shard}/r{source}", f"shard{shard}/r{replica}",
+                entries, "rejoin",
+            ))
         else:
             self._promote(shard)
-
-    def _trace_handoff(self, source: str, target: str, entries: int, reason: str) -> None:
-        self.tracer.emit(
-            RegistryHandoff(self._now(), source, target, entries, self.shard_map.epoch, reason)
-        )

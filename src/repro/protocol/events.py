@@ -44,7 +44,6 @@ __all__ = [
     "DiscoveryRequested",
     "PartialDiscoveryRequested",
     "PruneTick",
-    "NodeForgotten",
 ]
 
 
@@ -248,10 +247,3 @@ class PruneTick(ProtocolEvent):
     """Expire registry entries older than the heartbeat timeout."""
 
     stamp: float
-
-
-@dataclass(slots=True)
-class NodeForgotten(ProtocolEvent):
-    """Administrative deregistration of one node."""
-
-    node_id: str

@@ -35,7 +35,6 @@ from repro.protocol.effects import (
 from repro.protocol.events import (
     DiscoveryRequested,
     HeartbeatReceived,
-    NodeForgotten,
     PartialDiscoveryRequested,
     ProtocolEvent,
     PruneTick,
@@ -142,8 +141,6 @@ class GlobalSelectionMachine:
             return self._on_partial_discovery(event)
         if isinstance(event, PruneTick):
             return self._prune(event.stamp)
-        if isinstance(event, NodeForgotten):
-            return self._on_forgotten(event)
         raise TypeError(
             f"GlobalSelectionMachine cannot handle {type(event).__name__}"
         )
@@ -194,7 +191,7 @@ class GlobalSelectionMachine:
                 node_id not in self.registry
                 or self._stamps.get(node_id) != entry_stamp
             ):
-                continue  # superseded by a fresher heartbeat (or forgotten)
+                continue  # superseded by a fresher heartbeat (or already expired)
             self._drop(node_id)
             effects.append(NodeExpired(node_id))
         return effects
@@ -203,12 +200,6 @@ class GlobalSelectionMachine:
         self.registry.pop(node_id, None)
         self.spatial_index.remove(node_id)
         self._stamps.pop(node_id, None)
-
-    def _on_forgotten(self, event: NodeForgotten) -> List[Effect]:
-        """Administrative deregistration (no NodeExpired: it was asked
-        for, not observed)."""
-        self._drop(event.node_id)
-        return []
 
     # ------------------------------------------------------------------
     # Edge discovery (global edge selection)

@@ -205,11 +205,3 @@ class LocalCluster:
 
     def manager_address(self) -> Dict[str, object]:
         return {"host": self.manager.host, "port": self.manager.port}
-
-    def statuses(self) -> Optional[dict]:
-        """Convenience snapshot for demos."""
-        return {
-            "manager": self.manager_address(),
-            "edges": [e.node_id for e in self.edges],
-            "clients": [c.user_id for c in self.clients],
-        }

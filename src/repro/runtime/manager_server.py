@@ -94,10 +94,6 @@ class ManagerServer(ManagerDriver[ReplicaSet]):
     # Protocol-core state, exposed on the driver for tests/operators.
     # ------------------------------------------------------------------
     @property
-    def policy(self) -> GlobalSelectionPolicy:
-        return self._machine.policy
-
-    @property
     def _registry(self) -> Dict[str, NodeStatus]:
         return self._machine.registry
 

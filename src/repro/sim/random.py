@@ -47,13 +47,6 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Create a child ``RandomStreams`` rooted under ``name``.
-
-        Useful when a component itself owns multiple sub-streams.
-        """
-        return RandomStreams(derive_seed(self.root_seed, name))
-
     def for_run(self, run_index: int) -> "RandomStreams":
         """Create the child ``RandomStreams`` for the ``run_index``-th run.
 

@@ -117,10 +117,6 @@ class CellAggregate:
     n_seeds: int
     metrics: Dict[str, MetricAggregate] = field(default_factory=dict)
 
-    @property
-    def cell_key(self) -> str:
-        return f"{self.experiment}|{params_token(self.params)}"
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "experiment": self.experiment,
@@ -135,7 +131,7 @@ class CellAggregate:
 def aggregate_records(records: Iterable[RunRecord]) -> Dict[str, CellAggregate]:
     """Group successful records by parameter cell and reduce each metric.
 
-    Returns an insertion-ordered dict keyed by ``cell_key``, cells in
+    Returns an insertion-ordered dict keyed by ``experiment|params``, cells in
     sorted-key order; failed/timeout records are excluded (their metrics
     are empty by construction).
     """

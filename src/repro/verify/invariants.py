@@ -143,26 +143,6 @@ class Budgets:
             degraded_slack_ms=self.degraded_slack_ms * time_scale,
         )
 
-    @classmethod
-    def from_config(cls, config: object, *, slack_ms: float = 50.0) -> "Budgets":
-        """Derive nominal budgets from a :class:`SystemConfig`.
-
-        The promotion budget is the system's failure-detection window
-        plus scheduling slack; the failover budget covers a detection,
-        a full probing round and (if enabled) an attachment lease.
-        """
-        detection = float(getattr(config, "failure_detection_ms", 200.0))
-        probing = float(getattr(config, "probing_period_ms", 2_000.0))
-        lease = getattr(config, "attachment_lease_ms", None)
-        lease_ms = float(lease) if lease else probing
-        return cls(
-            promotion_ms=detection + slack_ms,
-            failover_ms=max(2.0 * probing, detection + lease_ms) + 1_000.0,
-            startup_ms=probing + 1_000.0,
-            dead_grace_ms=max(1_000.0, detection + 500.0),
-            degraded_slack_ms=probing / 2.0 + 500.0,
-        )
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "promotion_ms": self.promotion_ms,

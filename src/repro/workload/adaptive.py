@@ -77,11 +77,6 @@ class AdaptiveRateController:
             self.fps = new_fps
             self.adjustments += 1
 
-    def reset(self) -> None:
-        """Reset to the maximum rate (e.g. after switching edge nodes)."""
-        self.fps = self.app.max_fps
-        self.smoothed_latency_ms = 0.0
-
     @property
     def interval_ms(self) -> float:
         """Current inter-frame interval."""

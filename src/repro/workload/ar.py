@@ -46,21 +46,6 @@ class ARApplication:
                 f"target_latency_ms must be positive: {self.target_latency_ms}"
             )
 
-    @property
-    def frame_interval_ms(self) -> float:
-        """Inter-frame gap at the maximum rate."""
-        return 1000.0 / self.max_fps
-
-    def interval_ms_at(self, fps: float) -> float:
-        """Inter-frame gap at an arbitrary rate.
-
-        Raises:
-            ValueError: for non-positive fps.
-        """
-        if fps <= 0:
-            raise ValueError(f"fps must be positive: {fps}")
-        return 1000.0 / fps
-
 
 #: The paper's exact evaluation application.
 DEFAULT_AR_APP = ARApplication()

@@ -26,26 +26,14 @@ class TestWorkload:
 
     Attributes:
         app: the application whose compute requirements it mirrors.
-        invocation_delay_rtts: the join-triggered invocation is delayed
-            by this many common-user RTTs so the measurement reflects
-            the state *after* the newly accepted user's frames start
-            arriving ("This delay is set to be two times the common user
-            RTT propagation", Algorithm 1 discussion).
     """
 
     #: Not a test case, despite the name (pytest collection hint).
     __test__ = False
 
     app: ARApplication
-    invocation_delay_rtts: float = 2.0
 
     @property
     def frame_bytes(self) -> float:
         """Synthetic frame size: the application's standard frame."""
         return self.app.frame_bytes
-
-    def invocation_delay_ms(self, common_rtt_ms: float) -> float:
-        """Delay before a join-triggered test-workload run."""
-        if common_rtt_ms < 0:
-            raise ValueError(f"rtt must be >= 0: {common_rtt_ms}")
-        return self.invocation_delay_rtts * common_rtt_ms

@@ -33,6 +33,22 @@ DIGEST_SHA256 = {
 }
 #: Cells whose parent-commit numbers were wrong, left out of the digest.
 EXCEPTED_CELLS = {"controlplane_chaos": [{"shards": 1, "replicas": 1}]}
+#: The pinned traces carry ``"epoch": 0`` on every ``shard_route`` and
+#: ``registry_handoff`` line, a field shard maps no longer have. The pins
+#: stay as recorded: the field is put back (before the key named here)
+#: and the rest of the trace must still match byte for byte.
+EPOCH_FIELD_BEFORE = {
+    '"type": "shard_route"': ', "cross_shard": ',
+    '"type": "registry_handoff"': ', "reason": ',
+}
+
+
+def in_pinned_format(line):
+    for tag, before in EPOCH_FIELD_BEFORE.items():
+        if tag in line:
+            assert '"epoch"' not in line
+            return line.replace(before, ', "epoch": 0' + before, 1)
+    return line
 
 
 @pytest.mark.parametrize("name,seed", sorted(TRACE_SHA256))
@@ -44,7 +60,9 @@ def test_trace_is_byte_identical_to_the_parent_runner(name, seed, tmp_path):
     for event in events:
         sink.write(event)
     sink.close()
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[name, seed]
+    lines = path.read_text().splitlines(keepends=True)
+    pinned = "".join(in_pinned_format(line) for line in lines).encode()
+    assert hashlib.sha256(pinned).hexdigest() == TRACE_SHA256[name, seed]
 
 
 @pytest.fixture(scope="module", params=sorted(DIGEST_SHA256))

@@ -242,6 +242,37 @@ def test_metro_keeps_only_the_settings_its_callers_set():
     assert found == []
 
 
+CONTROL_PLANE_EXITS = (
+    r"apply_shard_map|shard_map\.epoch|\.derive\(|NodeForgotten|forget_node"
+    r"|gray_factor|from_config"
+)
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_control_plane_keeps_one_shard_map_and_one_way_out_of_the_registry():
+    """A control plane's partition is fixed for its life and a node
+    leaves the registry only by heartbeat expiry: chaos-smoke, right
+    after the metro grep, fails on the shard-map epoch, the live
+    resharding, the administrative forget or the two unreached helpers
+    back under ``src/repro``."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    escaped = CONTROL_PLANE_EXITS.replace("\\", "\\\\")
+    (grep,) = [s for s in steps if escaped in s]
+    assert grep.startswith(
+        "The control plane keeps one shard map and one way out of the registry\n"
+    )
+    assert f"run: \"! grep -rnE '{escaped}' src/repro\"" in grep
+    assert steps.index(grep) == 1 + next(
+        i for i, s in enumerate(steps) if METRO_KNOBS in s
+    )
+    found = [
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if re.search(CONTROL_PLANE_EXITS, path.read_text())
+    ]
+    assert found == []
+
+
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_wire_schema_tests_run_under_the_leak_flags():
     """The hostile-input tests boot servers, a router cluster and fake

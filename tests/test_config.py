@@ -8,7 +8,6 @@ from repro.core.config import SystemConfig
 def test_defaults_are_paper_shaped():
     config = SystemConfig()
     assert config.top_n == 3
-    assert config.backup_count == 2
     # The paper's default ranking is GO (average-optimizing).
     assert config.policy_spec == "go"
 
@@ -49,6 +48,17 @@ def test_with_arbitrary_changes_validated():
         {"heartbeat_timeout_ms": 1_000.0, "heartbeat_period_ms": 1_000.0},
         {"wide_radius_km": 0.0},
         {"switch_penalty_fraction": -0.1},
+        {"probing_period_ms": float("nan")},
+        {"failure_detection_ms": float("nan")},
+        {"min_dwell_ms": float("nan")},
+        {"switch_penalty_ms": float("nan")},
+        {"heartbeat_timeout_ms": float("nan")},
+        {"discovery_radius_km": float("nan")},
+        {"probing_period_ms": float("inf")},
+        {"heartbeat_timeout_ms": float("inf")},
+        {"qos_latency_ms": float("nan")},
+        {"attachment_lease_ms": float("inf")},
+        {"common_rtt_ms": float("nan")},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -65,11 +75,7 @@ def test_metro_knobs_are_keyword_only():
 
 def test_qos_none_is_allowed():
     assert SystemConfig(qos_latency_ms=None).qos_latency_ms is None
-
-
-def test_backup_count_is_topn_minus_one():
-    assert SystemConfig(top_n=1).backup_count == 0
-    assert SystemConfig(top_n=5).backup_count == 4
+    assert SystemConfig(attachment_lease_ms=None).attachment_lease_ms is None
 
 
 def test_config_is_frozen():

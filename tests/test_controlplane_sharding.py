@@ -126,23 +126,10 @@ class TestShardMap:
             shard_map, strings
         )
 
-    def test_derive_bumps_epoch(self):
-        shard_map = ShardMap(count=2)
-        successor = shard_map.derive(count=4)
-        assert successor.epoch == shard_map.epoch + 1
-        assert successor.count == 4
-        assert successor.precision == shard_map.precision
-
     def test_validations(self):
         with pytest.raises(ValueError):
             ShardMap(count=0)
         with pytest.raises(ValueError):
             ShardMap(count=1, precision=0)
         with pytest.raises(ValueError):
-            ShardMap(count=1, epoch=-1)
-        with pytest.raises(ValueError):
             ShardMap(count=1 << 20, precision=1)  # more shards than cells
-
-    def test_describe_mentions_count_and_epoch(self):
-        text = ShardMap(count=3, epoch=2).describe()
-        assert "3" in text and "2" in text

@@ -5,8 +5,7 @@ the fault plan), the parity contract (at every shape the manager answers
 discovery bit-identically to one ``GlobalSelectionMachine`` holding the
 same statuses), the shard-outage failover sequence (down -> detection
 window -> standby promotion -> rejoin handoff), the degraded path when a
-shard has no standby, epoch-change registry handoff, and the chaos
-scenario family wrapping it all.
+shard has no standby, and the chaos scenario family wrapping it all.
 """
 
 from __future__ import annotations
@@ -285,35 +284,6 @@ def test_heartbeats_keep_standbys_warm_through_outage():
     serving = manager.shards[0].serving_machine()
     assert serving is not None and len(serving.registry) > 0
     assert manager.heartbeats_dropped == 0
-
-
-# ----------------------------------------------------------------------
-# Epoch change
-# ----------------------------------------------------------------------
-def test_apply_shard_map_preserves_answers_and_bumps_epoch():
-    system = build_system(shards=2, replicas=2)
-    system.run_for(4_000.0)
-    manager = system.manager
-    before = [manager.discover(q).node_ids for q in queries_at_each_node()]
-    old_epoch = manager.shard_map.epoch
-    manager.apply_shard_map(manager.shard_map.derive(count=4))
-    assert manager.shard_map.epoch == old_epoch + 1
-    assert len(manager.shards) == 4
-    after = [manager.discover(q).node_ids for q in queries_at_each_node()]
-    assert after == before
-    handoffs = [
-        e.to_dict()
-        for e in system.trace.events()
-        if e.to_dict()["type"] == "registry_handoff"
-    ]
-    assert handoffs and all(h["reason"] == "epoch" for h in handoffs)
-
-
-def test_apply_shard_map_rejects_stale_epoch():
-    system = build_system(shards=2)
-    manager = system.manager
-    with pytest.raises(ValueError):
-        manager.apply_shard_map(manager.shard_map)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.policy.global_policy import (
     GlobalSelectionPolicy,
 )
 from repro.policy.reputation import ReputationTracker, reputation_sort_key
-from repro.protocol.events import HeartbeatReceived, NodeForgotten
+from repro.protocol.events import HeartbeatReceived, PruneTick
 from repro.protocol.global_select import GlobalSelectionMachine, RegistrySnapshot
 
 
@@ -107,7 +107,9 @@ def test_indexed_matches_linear_through_index_maintenance(seed):
         GlobalSelectionPolicy(geo_filter=geo),
         GlobalSelectionPolicy(geo_filter=geo, node_predicate=lambda s: s.cores >= 4),
     ]
-    machine = GlobalSelectionMachine(policies[0], heartbeat_timeout=float("inf"))
+    # Nodes leave the registry only by expiry: every beat is stamped
+    # with its step, and nothing prunes but the "remove" operation.
+    machine = GlobalSelectionMachine(policies[0], heartbeat_timeout=1.0)
     index = machine.spatial_index
     registry = machine.registry  # maintained without the index: the reference
     removed: List[str] = []
@@ -116,7 +118,7 @@ def test_indexed_matches_linear_through_index_maintenance(seed):
     done: Dict[str, int] = {}
 
     def beat(status: NodeStatus) -> None:
-        machine.handle(HeartbeatReceived(stamp=0.0, status=status))
+        machine.handle(HeartbeatReceived(stamp=float(step), status=status))
 
     for step in range(400):
         roll = rng.random()
@@ -133,10 +135,11 @@ def test_indexed_matches_linear_through_index_maintenance(seed):
             op = "move"
             beat(random_status(rng.choice(ids), rng))
         elif roll < 0.80:
-            op = "remove"
-            node_id = rng.choice(ids)
-            machine.handle(NodeForgotten(node_id))
-            removed.append(node_id)
+            op = "remove"  # the stalest one to three nodes (and ties) expire
+            stamps = sorted(machine._stamps.values())
+            cutoff = stamps[min(rng.randrange(3), len(stamps) - 1)]
+            expired = machine.handle(PruneTick(stamp=cutoff + 1.5))
+            removed.extend(effect.node_id for effect in expired)
         elif roll < 0.90 and removed:
             op = "re-add"  # lands in a slot a removed node freed
             beat(random_status(removed.pop(rng.randrange(len(removed))), rng))

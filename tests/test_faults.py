@@ -258,16 +258,6 @@ def test_plan_round_trips_through_dict():
         assert plan_from_dict(wire) == plan
 
 
-def test_injector_gray_factor():
-    plan = FaultPlan(
-        gray_nodes=(GrayNode("g", "edge-a", Window(10.0, 20.0), slowdown=6.0),)
-    )
-    injector = FaultInjector(plan, seed=1)
-    assert injector.gray_factor("edge-a", 15.0) == pytest.approx(6.0)
-    assert injector.gray_factor("edge-a", 25.0) == pytest.approx(1.0)
-    assert injector.gray_factor("edge-b", 15.0) == pytest.approx(1.0)
-
-
 def test_injector_node_actions_sorted_and_complete():
     plan = FaultPlan(
         crashes=(NodeCrash("c", "edge-a", at_ms=300.0, restart_at_ms=900.0),),

@@ -28,11 +28,6 @@ def test_distance_is_symmetric():
     assert MSP.distance_km(CHICAGO) == pytest.approx(CHICAGO.distance_km(MSP))
 
 
-def test_distance_miles_conversion():
-    km = MSP.distance_km(CHICAGO)
-    assert MSP.distance_miles(CHICAGO) == pytest.approx(km * 0.621371)
-
-
 def test_latitude_bounds_validated():
     with pytest.raises(ValueError):
         GeoPoint(91.0, 0.0)

@@ -7,6 +7,10 @@ import pytest
 from repro.geo.region import MSP_CENTER, MetroArea, PlacementStyle
 
 
+def sample(metro, count, style=PlacementStyle.UNIFORM_DISC):
+    return [metro.sample(style) for _ in range(count)]
+
+
 @pytest.fixture
 def metro():
     return MetroArea(center=MSP_CENTER, radius_km=16.0, rng=random.Random(5))
@@ -19,31 +23,21 @@ def test_samples_stay_inside_disc(metro, style):
         assert metro.contains(point)
 
 
-def test_sample_many_count(metro):
-    points = metro.sample_many(25)
-    assert len(points) == 25
-
-
-def test_sample_many_rejects_negative(metro):
-    with pytest.raises(ValueError):
-        metro.sample_many(-1)
-
-
 def test_seeded_layouts_reproduce():
-    a = MetroArea(rng=random.Random(9)).sample_many(10)
-    b = MetroArea(rng=random.Random(9)).sample_many(10)
+    a = sample(MetroArea(rng=random.Random(9)), 10)
+    b = sample(MetroArea(rng=random.Random(9)), 10)
     assert a == b
 
 
 def test_different_seeds_differ():
-    a = MetroArea(rng=random.Random(1)).sample_many(10)
-    b = MetroArea(rng=random.Random(2)).sample_many(10)
+    a = sample(MetroArea(rng=random.Random(1)), 10)
+    b = sample(MetroArea(rng=random.Random(2)), 10)
     assert a != b
 
 
 def test_uniform_disc_spreads_beyond_half_radius(metro):
     # With area-uniform sampling, ~75% of points lie beyond r/2.
-    points = metro.sample_many(400, PlacementStyle.UNIFORM_DISC)
+    points = sample(metro, 400, PlacementStyle.UNIFORM_DISC)
     outer = sum(
         1 for p in points if metro.center.distance_km(p) > metro.radius_km / 2
     )
@@ -51,7 +45,7 @@ def test_uniform_disc_spreads_beyond_half_radius(metro):
 
 
 def test_gaussian_concentrates_toward_center(metro):
-    points = metro.sample_many(400, PlacementStyle.GAUSSIAN)
+    points = sample(metro, 400, PlacementStyle.GAUSSIAN)
     inner = sum(
         1 for p in points if metro.center.distance_km(p) < metro.radius_km / 2
     )

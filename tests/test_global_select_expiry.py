@@ -19,7 +19,7 @@ from repro.geo.geohash import encode
 from repro.messages import NodeStatus
 from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import NodeExpired
-from repro.protocol.events import HeartbeatReceived, NodeForgotten, PruneTick
+from repro.protocol.events import HeartbeatReceived, PruneTick
 from repro.protocol.global_select import GlobalSelectionMachine
 
 
@@ -47,7 +47,7 @@ def test_ten_thousand_refreshes_of_ten_nodes_keep_the_heap_bounded():
 
 
 def test_compaction_changes_neither_what_expires_nor_in_which_order():
-    """Seeded heartbeats, silences, forgets and prunes against a model
+    """Seeded heartbeats, silences and prunes against a model
     that recomputes the expired set from the newest stamps each time."""
     rng = random.Random(24)
     timeout = 50.0
@@ -64,10 +64,6 @@ def test_compaction_changes_neither_what_expires_nor_in_which_order():
             newest[node_id] = now
             compactions += len(machine._expiry_heap) < last_len
             assert len(machine._expiry_heap) <= 2 * len(newest) + 9
-        elif roll < 0.92 and newest:
-            node_id = rng.choice(sorted(newest))
-            machine.handle(NodeForgotten(node_id))
-            del newest[node_id]
         else:
             want: List[str] = [
                 node_id

@@ -8,7 +8,6 @@ from repro.nodes.hardware import (
     EMULATION_PROFILES,
     HardwareProfile,
     VOLUNTEER_PROFILES,
-    catalog_names,
     profile_by_name,
 )
 
@@ -52,12 +51,6 @@ def test_lookup_unknown_raises_with_known_names():
         profile_by_name("not-a-machine")
 
 
-def test_catalog_names_cover_all_groups():
-    names = catalog_names()
-    for expected in ("V1", "V5", "D6", "D9", "Cloud", "t2.medium", "t2.2xlarge"):
-        assert expected in names
-
-
 def test_profile_validation():
     with pytest.raises(ValueError):
         HardwareProfile("bad", "x", 0, 30.0)
@@ -65,19 +58,6 @@ def test_profile_validation():
         HardwareProfile("bad", "x", 4, 0.0)
     with pytest.raises(ValueError):
         HardwareProfile("bad", "x", 4, 30.0, parallelism=0)
-
-
-def test_scaled_profile():
-    v1 = profile_by_name("V1")
-    slow = v1.scaled(2.0)
-    assert slow.base_frame_ms == 48.0
-    assert slow.name == "V1x2"
-    assert v1.base_frame_ms == 24.0  # original untouched
-
-
-def test_scaled_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        profile_by_name("V1").scaled(0.0)
 
 
 def test_profiles_are_frozen():

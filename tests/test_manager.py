@@ -58,12 +58,6 @@ def test_stale_nodes_age_out(system):
     assert "V2" not in [s.node_id for s in system.manager.alive_statuses()]
 
 
-def test_forget_node(system):
-    system.manager.forget_node("V1")
-    assert "V1" not in system.manager.known_node_ids()
-    assert "V1" not in primary_index(system)
-
-
 def test_spatial_index_tracks_registry_through_expiry(system):
     index = primary_index(system)
     assert len(index) == 3 and all(v in index for v in ("V1", "V2", "V5"))

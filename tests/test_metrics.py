@@ -92,13 +92,13 @@ def test_property_mean_between_min_max(values):
 # ----------------------------------------------------------------------
 # time series
 # ----------------------------------------------------------------------
-def test_timeseries_append_and_window():
+def test_timeseries_append():
     series = TimeSeries(name="t")
     series.append(0.0, 1.0)
     series.append(10.0, 2.0)
     series.append(20.0, 3.0)
     assert len(series) == 3
-    assert series.window(5.0, 20.0) == [2.0]
+    assert series.times_ms == [0.0, 10.0, 20.0] and series.values == [1.0, 2.0, 3.0]
 
 
 def test_timeseries_rejects_out_of_order():
@@ -106,16 +106,6 @@ def test_timeseries_rejects_out_of_order():
     series.append(10.0, 1.0)
     with pytest.raises(ValueError):
         series.append(5.0, 2.0)
-
-
-def test_timeseries_value_at_step_semantics():
-    series = TimeSeries()
-    series.append(10.0, 1.0)
-    series.append(20.0, 2.0)
-    assert series.value_at(5.0) is None
-    assert series.value_at(15.0) == 1.0
-    assert series.value_at(20.0) == 2.0
-    assert series.value_at(99.0) == 2.0
 
 
 def test_bin_series_means():
@@ -161,8 +151,7 @@ def test_collector_frame_reductions():
     assert collector.completed_latencies() == [40.0, 60.0, 100.0]
     assert collector.completed_latencies(user_id="u1") == [40.0, 60.0]
     assert collector.completed_latencies(start_ms=50.0, end_ms=150.0) == [60.0, 100.0]
-    assert collector.lost_frames() == 1
-    assert collector.lost_frames("u1") == 0
+    assert [(r.user_id, r.lost) for r in collector.frames if r.lost] == [("u2", True)]
 
 
 def test_collector_per_user_means():

@@ -162,6 +162,23 @@ def test_failure_under_sharding_is_conservative_and_deterministic():
     )
 
 
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize(
+    "gid, at_ms",
+    [(-1, 1_000.0), (50, 1_000.0), (0, float("nan")), (0, float("inf")), (0, -1.0)],
+)
+def test_schedule_node_fail_checks_its_input_at_the_call(count, gid, at_ms):
+    """A gid outside ``[0, nodes)`` or a time that is not a finite,
+    non-negative number is refused when it is scheduled, not later
+    inside ``run()``; the run that follows is not touched."""
+    spec = MetroSpec(nodes=50, users=100, region_km=20.0, shard=ShardSpec(count=count))
+    sim = MetroSimulation(spec, config_for_tests())
+    with pytest.raises(ValueError):
+        sim.schedule_node_fail(gid, at_ms)
+    sim.schedule_node_fail(49, 0.0)  # the edges of the valid range
+    assert sim.run(1.0).frames_done > 0
+
+
 @pytest.mark.parametrize("capture_trace", [False, True])
 @pytest.mark.parametrize("nodes", [1, 2, 3, 5])
 def test_shard_that_owns_users_but_no_node_builds_and_runs(nodes, capture_trace):

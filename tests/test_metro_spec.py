@@ -25,6 +25,10 @@ from repro.metro.spec import (
         {"nodes": 10, "users": 0},
         {"nodes": 10, "users": 10, "region_km": 0.0},
         {"nodes": 10, "users": 10, "fps": 0.0},
+        {"nodes": 10, "users": 10, "fps": float("nan")},
+        {"nodes": 10, "users": 10, "fps": float("inf")},
+        {"nodes": 10, "users": 10, "region_km": float("nan")},
+        {"nodes": 10, "users": 10, "region_km": float("inf")},
     ],
 )
 def test_invalid_metro_specs_rejected(kwargs):

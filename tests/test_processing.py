@@ -134,22 +134,6 @@ def test_offered_utilization_matches_offered_load():
     assert proc.offered_utilization(2000.0) == pytest.approx(0.5, rel=0.1)
 
 
-def test_reset_clears_state():
-    proc = make_processor()
-    proc.submit(0.0)
-    proc.reset()
-    assert proc.queue_depth(0.0) == 0
-    assert proc.recent_mean_sojourn_ms() is None
-    assert proc.arrival_rate_fps(0.0) == 0.0
-
-
-def test_utilization_bounded():
-    proc = make_processor()
-    for _ in range(10):
-        proc.submit(0.0)
-    assert 0.0 <= proc.utilization(0.0) <= 1.0
-
-
 @given(st.lists(st.floats(min_value=0, max_value=10_000), min_size=1, max_size=100))
 @settings(max_examples=50)
 def test_property_sojourn_at_least_service(arrivals):

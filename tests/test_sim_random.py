@@ -41,13 +41,6 @@ def test_contains():
     assert "x" in streams
 
 
-def test_fork_is_deterministic_and_distinct():
-    fork_a = RandomStreams(42).fork("child")
-    fork_b = RandomStreams(42).fork("child")
-    assert fork_a.root_seed == fork_b.root_seed
-    assert fork_a.root_seed != RandomStreams(42).root_seed
-
-
 def test_for_run_reproduces_for_same_index():
     a = RandomStreams(42).for_run(3).get("metric").random()
     b = RandomStreams(42).for_run(3).get("metric").random()

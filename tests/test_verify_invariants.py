@@ -61,17 +61,6 @@ def test_budgets_scaled_multiplies_every_budget():
     assert b.scaled(1.0) is b
 
 
-def test_budgets_from_config_tracks_detection_window():
-    class Cfg:
-        failure_detection_ms = 300.0
-        probing_period_ms = 2_000.0
-        attachment_lease_ms = None
-
-    b = Budgets.from_config(Cfg())
-    assert b.promotion_ms == pytest.approx(350.0)
-    assert b.failover_ms >= 2.0 * Cfg.probing_period_ms
-
-
 def test_budgets_round_trip_and_unknown_keys_ignored():
     b = Budgets(promotion_ms=99.0)
     data = dict(b.to_dict(), bogus=1.0)

@@ -19,16 +19,6 @@ def test_default_app_matches_paper():
     assert DEFAULT_AR_APP.max_fps == 20.0
 
 
-def test_frame_interval():
-    assert DEFAULT_AR_APP.frame_interval_ms == pytest.approx(50.0)
-    assert DEFAULT_AR_APP.interval_ms_at(10.0) == pytest.approx(100.0)
-
-
-def test_interval_rejects_nonpositive_fps():
-    with pytest.raises(ValueError):
-        DEFAULT_AR_APP.interval_ms_at(0.0)
-
-
 def test_app_validation():
     with pytest.raises(ValueError):
         ARApplication(frame_bytes=0.0)
@@ -137,15 +127,6 @@ def test_observe_rejects_negative():
         controller.observe(-1.0)
 
 
-def test_reset_restores_max():
-    controller = AdaptiveRateController(DEFAULT_AR_APP)
-    for _ in range(50):
-        controller.observe(2_000.0)
-    controller.reset()
-    assert controller.fps == DEFAULT_AR_APP.max_fps
-    assert controller.smoothed_latency_ms == 0.0
-
-
 def test_interval_property():
     controller = AdaptiveRateController(DEFAULT_AR_APP)
     assert controller.interval_ms == pytest.approx(50.0)
@@ -175,13 +156,3 @@ def test_adjustments_counter():
 def test_test_workload_uses_standard_frame():
     workload = TestWorkload(DEFAULT_AR_APP)
     assert workload.frame_bytes == DEFAULT_AR_APP.frame_bytes
-
-
-def test_invocation_delay_is_two_rtts():
-    workload = TestWorkload(DEFAULT_AR_APP)
-    assert workload.invocation_delay_ms(20.0) == pytest.approx(40.0)
-
-
-def test_invocation_delay_rejects_negative():
-    with pytest.raises(ValueError):
-        TestWorkload(DEFAULT_AR_APP).invocation_delay_ms(-1.0)

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.controlplane.replication import ReplicaSet
 from repro.controlplane.router import PartialSelection, ShardRouter, emit_routing
-from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
+from repro.controlplane.sharding import ShardMap
 from repro.messages import Address, CandidateList, DiscoveryQuery, NodeStatus, from_wire, read_field, to_wire
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GlobalSelectionPolicy
@@ -42,6 +42,10 @@ from repro.runtime import protocol
 from repro.runtime.manager_server import ManagerServer, address_book, heartbeat_from_wire
 
 __all__ = ["RouterServer", "ControlPlaneCluster"]
+
+#: Seconds one router->replica exchange (and a rejoin's snapshot or
+#: restore) may take before the replica counts as unreachable.
+REQUEST_TIMEOUT_S = 1.0
 
 
 class RouterServer(ManagerDriver[ReplicaSet]):
@@ -56,7 +60,6 @@ class RouterServer(ManagerDriver[ReplicaSet]):
         replica_addresses: Sequence[Sequence[Address]],
         policy: Optional[GlobalSelectionPolicy] = None,
         tracer: Optional[Tracer] = None,
-        request_timeout_s: float = 1.0,
     ) -> None:
         if len(replica_addresses) != shard_map.count:
             raise ValueError(
@@ -71,7 +74,6 @@ class RouterServer(ManagerDriver[ReplicaSet]):
         self.host = host
         self.port = port
         self.shard_map = shard_map
-        self.request_timeout_s = request_timeout_s
         self.router = ShardRouter(shard_map, policy or GlobalSelectionPolicy())
         #: node id -> serving address, refreshed from heartbeats.
         self._addresses: Dict[str, Address] = {}
@@ -114,7 +116,7 @@ class RouterServer(ManagerDriver[ReplicaSet]):
         try:
             return await protocol.request(
                 *self._replicas[shard][replica], op, payload,
-                timeout=self.request_timeout_s, pool=self._links,
+                timeout=REQUEST_TIMEOUT_S, pool=self._links,
             )
         except (OSError, protocol.ProtocolError, asyncio.TimeoutError):
             self.replica_unreachable(shard, replica)
@@ -255,16 +257,13 @@ class ControlPlaneCluster:
         policy: Optional[GlobalSelectionPolicy] = None,
         tracer: Optional[Tracer] = None,
         heartbeat_timeout_s: float = 3.0,
-        request_timeout_s: float = 1.0,
-        shard_precision: int = DEFAULT_SHARD_PRECISION,
     ) -> None:
         if shards < 1 or replicas < 1:
             raise ValueError("shards and replicas must both be >= 1")
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.policy = policy
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self.shard_map = ShardMap(count=shards, precision=shard_precision)
+        self.shard_map = ShardMap(count=shards)
         self.managers: List[List[Optional[ManagerServer]]] = [
             [None] * replicas for _ in range(shards)
         ]
@@ -301,7 +300,6 @@ class ControlPlaneCluster:
             ],
             policy=self.policy,
             tracer=self.tracer,
-            request_timeout_s=self.request_timeout_s,
         )
         await self.router.start()
 
@@ -344,10 +342,10 @@ class ControlPlaneCluster:
         if source is not None:
             snapshot = await protocol.request(
                 "127.0.0.1", self._ports[shard][source], "snapshot", {},
-                timeout=self.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
             restored = await protocol.request(
-                "127.0.0.1", server.port, "restore", snapshot, timeout=self.request_timeout_s
+                "127.0.0.1", server.port, "restore", snapshot, timeout=REQUEST_TIMEOUT_S
             )
             entries = int(restored["entries"])
         self.router.replica_rejoined(shard, replica, source, entries)

@@ -41,12 +41,13 @@ from typing import (
 )
 
 from repro.controlplane.errors import ControlPlaneUnavailable
-from repro.core.config import SystemConfig
+from repro.core.config import RTT_PROBE_SAMPLES, SystemConfig
 from repro.messages import DiscoveryQuery, ProbeOutcome
 from repro.policy.base import SelectionPolicy
 from repro.policy.baselines import RankingCallable
 from repro.nodes.processing import CompletedFrame
 from repro.obs.events import FrameDone, FrameStart, PhaseSpan
+from repro.protocol.admission import COMMON_RTT_MS
 from repro.protocol.driver import ClientDriver, ClientStats
 from repro.protocol.events import (
     CandidatesReceived,
@@ -71,6 +72,8 @@ __all__ = ["ClientLike", "ClientStats", "EdgeClient"]
 #: (1 RTT to usable) + TLS-less app hello (1 RTT) + margin. Prices the
 #: reactive re-connection a failover pays without standing links.
 CONNECTION_SETUP_RTTS = 2.5
+#: Frames a client buffers while unattached; older ones are dropped.
+BACKLOG_LIMIT = 64
 
 
 @runtime_checkable
@@ -224,7 +227,6 @@ class EdgeClient(ClientDriver):
             ``SystemConfig.policy_spec`` including QoS wrapping.
         proactive_connections: keep standing connections to backups
             (False reproduces the reactive "re-connect" baseline).
-        backlog_limit: max frames buffered while unattached.
     """
 
     def __init__(
@@ -235,7 +237,6 @@ class EdgeClient(ClientDriver):
         app: Optional[ARApplication] = None,
         local_policy: "Optional[SelectionPolicy | RankingCallable]" = None,
         proactive_connections: bool = True,
-        backlog_limit: int = 64,
     ) -> None:
         self.system = system
         self.config: SystemConfig = system.config
@@ -250,11 +251,7 @@ class EdgeClient(ClientDriver):
             if local_policy is not None
             else system.make_selection_policy(user_id),
             SelectionConfig(
-                top_n=self.config.top_n,
-                min_dwell_ms=self.config.min_dwell_ms,
-                switch_penalty_ms=self.config.switch_penalty_ms,
-                switch_penalty_fraction=self.config.switch_penalty_fraction,
-                max_discovery_retries=self.config.max_discovery_retries,
+                top_n=self.config.top_n, min_dwell_ms=self.config.min_dwell_ms
             ),
             tracer=system.trace,
             proactive_connections=proactive_connections,
@@ -264,7 +261,7 @@ class EdgeClient(ClientDriver):
         #: the machine and is mirrored by the driver).
         self.probing_period_ms = self.config.probing_period_ms
         self.robustness_controller: Optional[object] = None
-        self._backlog: Deque[Frame] = deque(maxlen=backlog_limit)
+        self._backlog: Deque[Frame] = deque(maxlen=BACKLOG_LIMIT)
         self._probe_event: Optional[TimerHandle] = None
         # Interned hot-path event labels. The frame loop schedules ~4
         # kernel events per frame; rebuilding the same f-string label on
@@ -429,7 +426,6 @@ class EdgeClient(ClientDriver):
         now = self.system.sim.now
         outcomes = []
         max_rtt = 0.0
-        samples = self.config.rtt_probe_samples
         for node_id in node_ids:
             self._probe_sent(node_id)
             if not topology.has_endpoint(node_id):
@@ -438,7 +434,7 @@ class EdgeClient(ClientDriver):
             if verdict is not None and not verdict.deliver:
                 continue  # probe times out silently, like a dead node
             pings = [
-                topology.rtt_ms(self.user_id, node_id) for _ in range(samples)
+                topology.rtt_ms(self.user_id, node_id) for _ in range(RTT_PROBE_SAMPLES)
             ]
             rtt = sum(pings) / len(pings)
             if verdict is not None:
@@ -499,7 +495,7 @@ class EdgeClient(ClientDriver):
         rtt = (
             self.system.topology.rtt_ms(self.user_id, backup_id)
             if self.system.topology.has_endpoint(backup_id)
-            else self.config.common_rtt_ms
+            else COMMON_RTT_MS
         )
         if not self.proactive_connections:
             rtt += CONNECTION_SETUP_RTTS * rtt  # fresh connection first

@@ -12,6 +12,13 @@ The two knobs the paper studies explicitly (§IV-E) are:
 Everything else is plumbing with defaults chosen to match the paper's
 described behaviour. The metro kernel reads the durations here quantized
 to its 250 ms tick, a constant of :mod:`repro.metro.spec`.
+
+Values no run varies are module constants, not fields: the two below,
+the hysteresis margins (:class:`repro.protocol.selection.SelectionConfig`
+defaults), the discovery retry budget
+(:data:`repro.protocol.selection.MAX_DISCOVERY_RETRIES`), and the common
+user RTT and what-if cache constants of :mod:`repro.protocol.admission`,
+which both backends read.
 """
 
 from __future__ import annotations
@@ -19,6 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
+
+#: Pings averaged per sim ``RTT_probe`` (real probes send several
+#: ICMP/UDP pings; averaging tames jitter).
+RTT_PROBE_SAMPLES = 3
+#: How often a sim node's performance monitor compares measured
+#: processing time against the cached value (trigger type 3).
+PERF_MONITOR_PERIOD_MS = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -39,14 +53,6 @@ class SystemConfig:
             much silence.
         failure_detection_ms: time for a client to notice its attached
             edge died (broken connection / keepalive).
-        switch_penalty_ms: hysteresis — a candidate must beat the current
-            node's predicted latency by this margin before the client
-            switches (prevents flapping between near-equal nodes).
-        switch_penalty_fraction: relative hysteresis — the candidate must
-            additionally beat the current node by this fraction of the
-            current predicted latency. Absolute + relative margins
-            together prevent herd reshuffling when many nodes sit near
-            the same predicted latency.
         min_dwell_ms: cooldown after a voluntary join before the client
             will consider another voluntary switch. Greedy re-selection
             every probing round makes the population oscillate (a node
@@ -54,8 +60,6 @@ class SystemConfig:
             dwelling a couple of rounds lets what-if caches catch up.
             Failovers ignore the dwell — a dead node is always left
             immediately.
-        rtt_probe_samples: pings averaged per ``RTT_probe`` (real probes
-            send several ICMP/UDP pings; averaging tames jitter).
         policy_spec: name of the client selection policy in the
             :mod:`repro.policy` registry (``"go"``, ``"lo"``,
             ``"ewma"``, ``"reliability"``, ``"churn"``, ...); the
@@ -66,15 +70,6 @@ class SystemConfig:
             simultaneous selections collide on stale what-if values.
         qos_latency_ms: optional QoS cutoff; candidates whose predicted
             LO exceeds it are filtered out before GO ranking.
-        common_rtt_ms: the "common user RTT propagation" used to delay
-            join-triggered test-workload invocations (2x this value).
-        perf_monitor_period_ms: how often a node's performance monitor
-            compares measured processing time against the cached value.
-        perf_monitor_threshold: relative drift that re-triggers the test
-            workload (trigger type 3).
-        max_discovery_retries: how many times a client repeats the
-            discovery+probing procedure after consecutive Join rejections
-            before backing off for one probing period.
         attachment_lease_ms: optional server-side lease on admission
             state. A node expires any attached user whose frames stop
             arriving for this long — the cleanup path for a ``Leave()``
@@ -99,16 +94,9 @@ class SystemConfig:
     heartbeat_period_ms: float = 1_000.0
     heartbeat_timeout_ms: float = 3_000.0
     failure_detection_ms: float = 200.0
-    switch_penalty_ms: float = 5.0
-    switch_penalty_fraction: float = 0.15
     min_dwell_ms: float = 5_000.0
-    rtt_probe_samples: int = 3
     join_synchronization: bool = True
     qos_latency_ms: Optional[float] = None
-    common_rtt_ms: float = 20.0
-    perf_monitor_period_ms: float = 1_000.0
-    perf_monitor_threshold: float = 0.4
-    max_discovery_retries: int = 3
     attachment_lease_ms: Optional[float] = None
     seed: int = 42
     policy_spec: str = "go"
@@ -137,24 +125,18 @@ class SystemConfig:
             raise ValueError("discovery radii must be positive")
         if self.wide_radius_km < self.discovery_radius_km:
             raise ValueError("wide_radius_km must be >= discovery_radius_km")
+        if self.heartbeat_period_ms <= 0:
+            raise ValueError(
+                f"heartbeat_period_ms must be positive: {self.heartbeat_period_ms}"
+            )
         if self.heartbeat_timeout_ms <= self.heartbeat_period_ms:
             raise ValueError("heartbeat_timeout_ms must exceed heartbeat_period_ms")
         if self.failure_detection_ms < 0:
             raise ValueError("failure_detection_ms must be >= 0")
-        if self.switch_penalty_ms < 0:
-            raise ValueError("switch_penalty_ms must be >= 0")
-        if self.rtt_probe_samples < 1:
-            raise ValueError("rtt_probe_samples must be >= 1")
-        if not 0.0 <= self.switch_penalty_fraction < 1.0:
-            raise ValueError("switch_penalty_fraction must be in [0, 1)")
         if self.min_dwell_ms < 0:
             raise ValueError("min_dwell_ms must be >= 0")
         if self.qos_latency_ms is not None and self.qos_latency_ms <= 0:
             raise ValueError("qos_latency_ms must be positive when set")
-        if not 0.0 < self.perf_monitor_threshold:
-            raise ValueError("perf_monitor_threshold must be positive")
-        if self.max_discovery_retries < 0:
-            raise ValueError("max_discovery_retries must be >= 0")
         if self.attachment_lease_ms is not None and self.attachment_lease_ms <= 0:
             raise ValueError("attachment_lease_ms must be positive when set")
         if self.control_plane_shards < 1:

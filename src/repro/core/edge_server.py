@@ -20,14 +20,14 @@ import enum
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.core.config import SystemConfig
+from repro.core.config import PERF_MONITOR_PERIOD_MS, SystemConfig
 from repro.geo.point import GeoPoint
 from repro.messages import NodeStatus
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.host_workload import HostWorkloadSchedule
 from repro.nodes.processing import CompletedFrame, FrameProcessor
 from repro.obs.events import CacheMiss
-from repro.protocol.admission import AdmissionConfig
+from repro.protocol.admission import COMMON_RTT_MS, AdmissionConfig
 from repro.protocol.driver import EdgeDriver
 from repro.protocol.events import NodeFailed
 from repro.sim.kernel import TimerHandle
@@ -71,13 +71,12 @@ class EdgeServer(EdgeDriver):
             profile,
             AdmissionConfig(
                 join_synchronization=self.config.join_synchronization,
-                perf_monitor_threshold=self.config.perf_monitor_threshold,
                 standard_fps=system.app.max_fps,
             ),
             tracer=system.trace,
             dedicated=dedicated,
             # "two times the common user RTT propagation" (Algorithm 1).
-            test_delay_ms=2.0 * self.config.common_rtt_ms,
+            test_delay_ms=2.0 * COMMON_RTT_MS,
         )
         self.processor = FrameProcessor(profile)
         self.state = NodeState.ALIVE
@@ -153,7 +152,7 @@ class EdgeServer(EdgeDriver):
             label=f"{self.node_id}.heartbeat",
         )
         self._monitor_timer = sim.every(
-            self.config.perf_monitor_period_ms,
+            PERF_MONITOR_PERIOD_MS,
             self._performance_monitor_tick,
             label=f"{self.node_id}.perfmon",
         )

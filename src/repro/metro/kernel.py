@@ -60,6 +60,7 @@ from repro.obs.events import (
     UncoveredFailure,
 )
 from repro.obs.tracer import Tracer
+from repro.protocol.selection import SelectionConfig
 
 __all__ = [
     "MetroKernel",
@@ -175,9 +176,10 @@ class MetroKernel:
 
     Args:
         config: system tunables; the metro kernel honours ``top_n``,
-            ``probing_period_ms``, ``failure_detection_ms``,
-            ``min_dwell_ms`` and ``switch_penalty_ms``/``_fraction``;
-            its durations are quantized to the 250 ms tick.
+            ``probing_period_ms``, ``failure_detection_ms`` and
+            ``min_dwell_ms`` (durations quantized to the 250 ms tick);
+            its hysteresis margins are
+            :class:`~repro.protocol.selection.SelectionConfig`'s defaults.
         spec: the metro deployment shape.
         population: generated entity arrays (shared, never mutated),
             the one source of the cell precision.
@@ -500,8 +502,8 @@ class MetroKernel:
         self.control_ops += due.size
         emit = self.trace.emit if self.trace.listening else None
         node_of, base_of = self.u_node.item, self.u_base.item
-        keep = 1.0 - self.config.switch_penalty_fraction
-        penalty_ms = self.config.switch_penalty_ms
+        keep = 1.0 - SelectionConfig.switch_penalty_fraction
+        penalty_ms = SelectionConfig.switch_penalty_ms
         for u, best, base, wait in self._scored(due, include_ghosts=True):
             cur = node_of(u)
             if best < 0 or best == cur:

@@ -43,6 +43,23 @@ from repro.protocol.events import (
 
 __all__ = ["AdmissionConfig", "AdmissionMachine"]
 
+#: The "common user RTT propagation" of Algorithm 1: a join-triggered
+#: test workload starts two of these after the join, on both edges (the
+#: live one scales it like its frame service).
+COMMON_RTT_MS = 20.0
+#: Relative processing-time drift that re-triggers the test workload
+#: (trigger type 3).
+PERF_MONITOR_THRESHOLD = 0.4
+#: EWMA blend factor for successive what-if cache values: a single
+#: synthetic frame that landed behind a transient burst would otherwise
+#: make the node look terrible for a whole refresh cycle, stampeding its
+#: users away and oscillating the population.
+EWMA_ALPHA = 0.6
+#: Idle win-back trigger: refresh when the cached what-if still reads
+#: more than this multiple of the idle-floor service time on a node with
+#: no attached users.
+IDLE_REFRESH_FACTOR = 1.5
+
 #: Analytic sojourn projection: ``(offered_fps, slowdown_factor) -> ms``.
 #: Injected by the driver (it closes over the hardware profile) so the
 #: machine stays free of queueing-model imports.
@@ -58,16 +75,6 @@ class AdmissionConfig:
     """Protocol constants for one admission machine."""
 
     join_synchronization: bool = True
-    perf_monitor_threshold: float = 0.4
-    #: EWMA blend factor for successive what-if cache values: a single
-    #: synthetic frame that landed behind a transient burst would
-    #: otherwise make the node look terrible for a whole refresh cycle,
-    #: stampeding its users away and oscillating the population.
-    ewma_alpha: float = 0.6
-    #: Idle win-back trigger: refresh when the cached what-if still
-    #: reads more than this multiple of the idle-floor service time on
-    #: a node with no attached users.
-    idle_refresh_factor: float = 1.5
     #: The application's standard per-user rate, used to project the
     #: "one more user joins" scenario from demand.
     standard_fps: float = 20.0
@@ -226,7 +233,7 @@ class AdmissionMachine:
         measured = event.measured_ms
         n_attached = len(self.attached)
         fps = self.config.standard_fps
-        alpha = self.config.ewma_alpha
+        alpha = EWMA_ALPHA
         projected = self.project((n_attached + 1) * fps, event.slowdown_factor)
         self.what_if_ms = (
             alpha * max(measured, projected) + (1.0 - alpha) * self.what_if_ms
@@ -251,7 +258,7 @@ class AdmissionMachine:
             # idle node can win users back.
             if (
                 self.what_if_ms
-                > self.config.idle_refresh_factor * event.idle_floor_ms
+                > IDLE_REFRESH_FACTOR * event.idle_floor_ms
                 and not self.attached
             ):
                 self.seq_num += 1
@@ -263,7 +270,7 @@ class AdmissionMachine:
         if baseline <= 0:
             return []
         drift = abs(event.measured_ms - baseline) / baseline
-        if drift > self.config.perf_monitor_threshold:
+        if drift > PERF_MONITOR_THRESHOLD:
             self.seq_num += 1
             effects = self._stale(event.now, "drift")
             effects.append(ScheduleTestWorkload("drift", delayed=False))

@@ -104,6 +104,13 @@ from repro.protocol.failure_monitor import FailureMonitor
 __all__ = ["SelectionConfig", "SelectionMachine"]
 
 
+#: How many times a round repeats discovery and probing after consecutive
+#: Join rejections before it concludes as failed (a detached client then
+#: retries after ``retry_delay_ms``; an attached one waits for the next
+#: round).
+MAX_DISCOVERY_RETRIES = 3
+
+
 def _never() -> bool:
     return False
 
@@ -119,9 +126,13 @@ class SelectionConfig:
 
     top_n: int = 3
     min_dwell_ms: float = 5_000.0
+    #: Hysteresis: a voluntary switch needs a candidate scoring below the
+    #: current node's score less ``switch_penalty_fraction`` of it less
+    #: ``switch_penalty_ms``. The two margins together stop flapping
+    #: between near-equal nodes and herd reshuffling when many nodes sit
+    #: near the same score.
     switch_penalty_ms: float = 5.0
     switch_penalty_fraction: float = 0.15
-    max_discovery_retries: int = 3
     retry_delay_ms: float = 500.0
 
 
@@ -133,7 +144,7 @@ class SelectionMachine:
         policy: a :class:`~repro.policy.base.SelectionPolicy`, or a
             legacy ranking callable (wrapped in the adapter that
             preserves its exact historical behaviour).
-        config: protocol constants (dwell, hysteresis, retries).
+        config: protocol constants (dwell, hysteresis, retry delay).
         detail_guard: zero-arg callable gating *detail* trace events
             (``JoinAttempt``, ``DiscoveryReturned``,
             ``PolicyDecision``) — drivers pass
@@ -417,7 +428,7 @@ class SelectionMachine:
             )
             # Rejected (state changed): repeat from the discovery step.
             self._retries += 1
-            if self._retries <= self.config.max_discovery_retries:
+            if self._retries <= MAX_DISCOVERY_RETRIES:
                 return effects + self._discover(event.now)
             return effects + self._conclude_round(failed=True)
         effects.append(EmitTrace(JoinAccept(event.now, self.user_id, event.node_id)))

@@ -110,16 +110,13 @@ class LiveClient(ClientDriver):
         policy: Optional[PolicySpec] = None,
         request_timeout: float = 5.0,
         tracer: Optional[Tracer] = None,
-        selection_config: Optional[SelectionConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker_failure_threshold: int = 3,
         breaker_reset_s: float = 2.0,
-        max_reconnect_attempts: int = 3,
     ) -> None:
         super().__init__(
             user_id,
             _live_policy(policy if policy is not None else "go", user_id),
-            selection_config or replace(_LIVE_DEFAULTS, top_n=top_n),
+            replace(_LIVE_DEFAULTS, top_n=top_n),
             tracer=tracer if tracer is not None else Tracer.disabled(),
         )
         self.point = point
@@ -129,9 +126,7 @@ class LiveClient(ClientDriver):
         self._frame_counter = 0
         #: Manager-request retry (bounded attempts + total-latency budget).
         self.retry_policy = retry_policy or RetryPolicy()
-        self.breaker_failure_threshold = breaker_failure_threshold
         self.breaker_reset_s = breaker_reset_s
-        self.max_reconnect_attempts = max_reconnect_attempts
         #: Per-endpoint breakers, persistent across reconnects.
         self.breakers: Dict[str, CircuitBreaker] = {}
         #: Optional chaos hooks, wired by the chaos controller: an
@@ -279,9 +274,7 @@ class LiveClient(ClientDriver):
                 )
 
             breaker = CircuitBreaker(
-                self.breaker_failure_threshold,
-                self.breaker_reset_s,
-                on_transition=on_transition,
+                reset_timeout_s=self.breaker_reset_s, on_transition=on_transition
             )
             self.breakers[node_id] = breaker
         return breaker
@@ -295,7 +288,6 @@ class LiveClient(ClientDriver):
                 host,
                 port,
                 self.request_timeout,
-                max_reconnect_attempts=self.max_reconnect_attempts,
                 breaker=self._breaker(node_id),
             )
             self.links[node_id] = connection

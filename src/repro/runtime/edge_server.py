@@ -30,9 +30,10 @@ from repro.messages import field_reader, read_field, to_wire
 from repro.nodes.hardware import HardwareProfile
 from repro.obs.events import CacheMiss, HeartbeatMissed, NodeFail
 from repro.obs.tracer import Tracer
-from repro.protocol.admission import AdmissionConfig
+from repro.protocol.admission import COMMON_RTT_MS, AdmissionConfig
 from repro.protocol.driver import EdgeDriver
 from repro.runtime import protocol
+from repro.workload.ar import DEFAULT_AR_APP
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.injector import FaultInjector
@@ -57,7 +58,6 @@ class LiveEdgeServer(EdgeDriver):
         heartbeat_period_s: float = 1.0,
         max_heartbeat_backoff_s: float = 8.0,
         time_scale: float = 0.1,
-        standard_fps: float = 20.0,
         dedicated: bool = False,
         tracer: Optional[Tracer] = None,
         monitor_period_s: Optional[float] = None,
@@ -68,11 +68,12 @@ class LiveEdgeServer(EdgeDriver):
         super().__init__(
             node_id,
             profile,
-            AdmissionConfig(standard_fps=standard_fps),
+            AdmissionConfig(standard_fps=DEFAULT_AR_APP.max_fps),
             tracer=tracer if tracer is not None else Tracer.disabled(),
             dedicated=dedicated,
-            # ~2x a common RTT, scaled like the frame service
-            test_delay_ms=400.0 * time_scale,
+            # "two times the common user RTT propagation" (Algorithm 1),
+            # scaled like the frame service
+            test_delay_ms=2.0 * COMMON_RTT_MS * time_scale,
         )
         self.point = point
         self.host = host

@@ -14,14 +14,11 @@ frames have the standard size of 0.02 MB after encoding" (§V-A).
 - :class:`~repro.workload.adaptive.AdaptiveRateController` — AIMD rate
   control that lowers FPS when observed end-to-end latency exceeds the
   target and recovers toward the maximum otherwise.
-- :class:`~repro.workload.synthetic.TestWorkload` — the synthetic
-  single-frame test workload the "what-if" mechanism invokes.
 """
 
 from repro.workload.adaptive import AdaptiveRateController
 from repro.workload.ar import ARApplication, DEFAULT_AR_APP
 from repro.workload.frames import Frame, FrameSource
-from repro.workload.synthetic import TestWorkload
 
 __all__ = [
     "ARApplication",
@@ -29,5 +26,4 @@ __all__ = [
     "Frame",
     "FrameSource",
     "AdaptiveRateController",
-    "TestWorkload",
 ]

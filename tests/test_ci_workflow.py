@@ -273,6 +273,35 @@ def test_the_control_plane_keeps_one_shard_map_and_one_way_out_of_the_registry()
     assert found == []
 
 
+CORE_KNOBS = (
+    r"rtt_probe_samples|common_rtt_ms|perf_monitor_(period_ms|threshold)"
+    r"|max_discovery_retries|idle_refresh_factor|backlog_limit|selection_config"
+    r"|breaker_failure_threshold|request_timeout_s"
+)
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_the_core_keeps_only_the_settings_its_callers_set():
+    """The sim config's, the protocol machines' and the live
+    constructors' settings that no caller varies are module constants:
+    chaos-smoke, right after the control-plane grep, fails on any of the
+    deleted fields or parameters back under ``src/repro``."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    (grep,) = [s for s in steps if CORE_KNOBS in s]
+    assert grep.startswith("The core keeps only the settings its callers set\n")
+    assert f"run: \"! grep -rnE '{CORE_KNOBS}' src/repro\"" in grep
+    assert steps.index(grep) == 1 + next(
+        i for i, s in enumerate(steps)
+        if CONTROL_PLANE_EXITS.replace("\\", "\\\\") in s
+    )
+    found = [
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if re.search(CORE_KNOBS, path.read_text())
+    ]
+    assert found == []
+
+
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_wire_schema_tests_run_under_the_leak_flags():
     """The hostile-input tests boot servers, a router cluster and fake

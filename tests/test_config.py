@@ -35,30 +35,24 @@ def test_with_arbitrary_changes_validated():
         {"wide_radius_km": 10.0, "discovery_radius_km": 50.0},
         {"heartbeat_timeout_ms": 500.0, "heartbeat_period_ms": 1_000.0},
         {"failure_detection_ms": -1.0},
-        {"switch_penalty_ms": -1.0},
-        {"switch_penalty_fraction": 1.0},
         {"min_dwell_ms": -1.0},
-        {"rtt_probe_samples": 0},
         {"qos_latency_ms": 0.0},
-        {"perf_monitor_threshold": 0.0},
-        {"max_discovery_retries": -1},
         {"control_plane_shards": 0},
         {"control_plane_replicas": 0},
         {"attachment_lease_ms": 0.0},
         {"heartbeat_timeout_ms": 1_000.0, "heartbeat_period_ms": 1_000.0},
         {"wide_radius_km": 0.0},
-        {"switch_penalty_fraction": -0.1},
         {"probing_period_ms": float("nan")},
         {"failure_detection_ms": float("nan")},
         {"min_dwell_ms": float("nan")},
-        {"switch_penalty_ms": float("nan")},
         {"heartbeat_timeout_ms": float("nan")},
         {"discovery_radius_km": float("nan")},
         {"probing_period_ms": float("inf")},
         {"heartbeat_timeout_ms": float("inf")},
         {"qos_latency_ms": float("nan")},
         {"attachment_lease_ms": float("inf")},
-        {"common_rtt_ms": float("nan")},
+        {"heartbeat_period_ms": 0.0},
+        {"heartbeat_period_ms": -5.0},
     ],
 )
 def test_invalid_configs_rejected(kwargs):

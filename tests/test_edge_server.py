@@ -12,6 +12,7 @@ from repro.geo.point import GeoPoint
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import profile_by_name
 from repro.nodes.host_workload import HostWorkload, HostWorkloadSchedule
+from repro.protocol.admission import COMMON_RTT_MS
 
 
 @pytest.fixture
@@ -93,7 +94,7 @@ def test_join_schedules_delayed_test_workload(system, node):
     node.join("u1", node.seq_num, fps=20.0)
     # not yet: delayed by 2x common RTT
     assert node.test_workload_invocations == invocations
-    system.run_for(2 * system.config.common_rtt_ms + 1)
+    system.run_for(2 * COMMON_RTT_MS + 1)
     assert node.test_workload_invocations == invocations + 1
 
 

@@ -223,3 +223,27 @@ def test_concurrent_triggers_start_one_test_workload(backend):
     assert before == 1  # the priming run
     assert started == after == before + 1
     assert invoked == started
+
+
+# ----------------------------------------------------------------------
+# The join-triggered test-workload delay, the same on both backends
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("time_scale", [0.01, 0.1, 2.0])
+def test_join_triggered_test_workload_waits_the_same_model_time(time_scale):
+    """Algorithm 1's "two times the common user RTT propagation": the
+    live edge scales the sim edge's delay like its frame service, and
+    nothing else."""
+    from repro.runtime import LiveEdgeServer
+
+    node_id, point = NODES[0]
+    system = (
+        ScenarioBuilder(SystemConfig(seed=11))
+        .node(node_id, profile_by_name(node_id), point=point)
+        .build()
+    )
+    live = LiveEdgeServer(
+        node_id, profile_by_name(node_id), point, time_scale=time_scale
+    )
+    sim_delay_ms = system.nodes[node_id]._test_delay_ms
+    assert sim_delay_ms == 40.0
+    assert live._test_delay_ms / time_scale == pytest.approx(sim_delay_ms)

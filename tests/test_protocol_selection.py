@@ -32,7 +32,11 @@ from repro.protocol.events import (
     ProbesCompleted,
     RoundStarted,
 )
-from repro.protocol.selection import SelectionConfig, SelectionMachine
+from repro.protocol.selection import (
+    MAX_DISCOVERY_RETRIES,
+    SelectionConfig,
+    SelectionMachine,
+)
 
 
 def sort_by_global_overhead(outcomes):
@@ -243,7 +247,7 @@ def test_rejected_join_repeats_from_discovery_then_gives_up():
     machine = fresh_machine()
     outcomes = [outcome_for("a", 1.0, 10.0, 0)]
     run_round(machine, ["a"], outcomes)
-    for attempt in range(machine.config.max_discovery_retries):
+    for attempt in range(MAX_DISCOVERY_RETRIES):
         effects = machine.handle(
             JoinResult(now=3.0, node_id="a", accepted=False, attempted_at=2.5)
         )

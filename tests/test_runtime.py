@@ -6,6 +6,7 @@ import asyncio
 import pytest
 
 from repro.geo.point import GeoPoint
+from repro.messages import DiscoveryQuery, to_wire
 from repro.nodes.hardware import VOLUNTEER_PROFILES, profile_by_name
 from repro.runtime import LiveClient, LiveEdgeServer, LocalCluster, ManagerServer
 from repro.runtime import protocol
@@ -65,6 +66,68 @@ def test_manager_heartbeat_and_status():
     assert status["ok"]
     assert status["nodes"] == ["e1"]
     assert status["heartbeats_received"] >= 1
+
+
+def test_manager_expires_a_node_that_stops_heartbeating():
+    """A node whose heartbeats stop leaves the live registry, the address
+    book and every discovery reply once ``heartbeat_timeout_s`` passes;
+    a node still heartbeating stays."""
+
+    async def discover(manager):
+        query = DiscoveryQuery("u1", 44.97, -93.25, top_n=3)
+        return await protocol.request(
+            manager.host, manager.port, "discover", {"query": to_wire(query)}
+        )
+
+    async def scenario():
+        manager = ManagerServer(heartbeat_timeout_s=1.0)
+        expired = []
+        expire = manager._node_expired
+
+        def spy(node_id):
+            expired.append(node_id)
+            expire(node_id)
+
+        manager._node_expired = spy
+        await manager.start()
+        edges = [
+            LiveEdgeServer(
+                node_id,
+                profile_by_name("V1"),
+                point,
+                manager_host=manager.host,
+                manager_port=manager.port,
+                heartbeat_period_s=0.05,
+                time_scale=0.01,
+            )
+            for node_id, point in (
+                ("e1", GeoPoint(44.98, -93.26)),
+                ("e2", GeoPoint(44.95, -93.20)),
+            )
+        ]
+        for edge in edges:
+            await edge.start()
+        try:
+            before = await discover(manager)
+            await edges[1].stop()  # e2 goes silent
+            deadline = asyncio.get_running_loop().time() + 5.0
+            after = await discover(manager)
+            while "e2" in after["candidates"]["payload"]["node_ids"]:
+                assert asyncio.get_running_loop().time() < deadline, after
+                await asyncio.sleep(0.1)
+                after = await discover(manager)
+            return before, after, dict(manager._addresses), expired
+        finally:
+            await edges[0].stop()
+            await manager.stop()
+
+    before, after, addresses, expired = run(scenario())
+    assert sorted(before["candidates"]["payload"]["node_ids"]) == ["e1", "e2"]
+    assert sorted(before["addresses"]) == ["e1", "e2"]
+    assert expired == ["e2"]
+    assert after["candidates"]["payload"]["node_ids"] == ["e1"]
+    assert list(after["addresses"]) == ["e1"]
+    assert list(addresses) == ["e1"]
 
 
 def test_manager_unknown_op():

@@ -1,5 +1,5 @@
-"""Unit tests for the AR application model, frame source, adaptive rate
-controller and test workload descriptor."""
+"""Unit tests for the AR application model, frame source and adaptive
+rate controller."""
 
 import random
 
@@ -8,7 +8,6 @@ import pytest
 from repro.workload.adaptive import AdaptiveRateController
 from repro.workload.ar import ARApplication, DEFAULT_AR_APP
 from repro.workload.frames import FrameSource
-from repro.workload.synthetic import TestWorkload
 
 
 # ----------------------------------------------------------------------
@@ -148,11 +147,3 @@ def test_adjustments_counter():
     for _ in range(5):
         controller.observe(2_000.0)
     assert controller.adjustments > 0
-
-
-# ----------------------------------------------------------------------
-# TestWorkload
-# ----------------------------------------------------------------------
-def test_test_workload_uses_standard_frame():
-    workload = TestWorkload(DEFAULT_AR_APP)
-    assert workload.frame_bytes == DEFAULT_AR_APP.frame_bytes

@@ -37,6 +37,7 @@ Quickstart::
 from __future__ import annotations
 
 import gc
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -62,6 +63,11 @@ __all__ = [
 #: Builds a client for a system — ``EdgeClient`` itself and every
 #: baseline subclass already match this shape.
 ClientFactory = Callable[[EdgeSystem, str], ClientLike]
+
+#: Every world :meth:`ScenarioBuilder.build_scenario` made that is still
+#: alive. Process-wide on purpose: what it guards is the process's memory,
+#: and a loop of builds often makes a fresh builder for each.
+_built: "weakref.WeakSet[EdgeSystem]" = weakref.WeakSet()
 
 
 @dataclass
@@ -246,11 +252,13 @@ class ScenarioBuilder:
     def build_scenario(self) -> BuiltScenario:
         """Wire everything and return the system plus created ids."""
         world = self.world()
-        # A dropped EdgeSystem is cyclic garbage (clients and nodes point
-        # back at their system) that only a full collection reclaims;
-        # take the previous world down before allocating the next, or a
-        # loop of builds holds several dead ones.
-        gc.collect()
+        # A dropped world frees itself by reference counting. One built
+        # here earlier that is still alive may be held only by a cycle
+        # its caller made (a scheduled callback that captures the
+        # world); collect it before allocating the next, or a loop of
+        # builds holds several dead ones.
+        if _built:
+            gc.collect()
         tracer: Optional[Tracer] = None
         if self._observe_trace or self._observe_sink is not None:
             tracer = Tracer(
@@ -268,6 +276,7 @@ class ScenarioBuilder:
             selection_policy_params=self._policy_params or None,
             trace=tracer,
         )
+        _built.add(system)
         if self._observe_profile_kernel:
             system.sim.profiler = KernelProfiler()
         for user_id, factory, start in self._clients:

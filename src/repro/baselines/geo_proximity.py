@@ -19,14 +19,15 @@ from functools import partial
 from typing import Optional
 
 from repro.baselines.reactive import ReactiveClient
+from repro.world import MANAGER_ID
 
 
 class GeoProximityClient(ReactiveClient):
     """Locality-based selection; reactive recovery on failure."""
 
     def _select(self) -> None:
-        rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
-        self.system.sim.schedule(
+        rtt = self.topology.rtt_ms(self.user_id, MANAGER_ID)
+        self.sim.schedule(
             rtt, self._attach_closest, label=f"{self.user_id}.geo"
         )
 
@@ -46,7 +47,7 @@ class GeoProximityClient(ReactiveClient):
         statuses = self._alive_candidates()
         if not statuses:
             return None
-        user_point = self.system.topology.endpoint(self.user_id).point
+        user_point = self.topology.endpoint(self.user_id).point
         closest = min(
             statuses,
             key=lambda s: (user_point.distance_km(s.point), s.node_id),

@@ -11,6 +11,7 @@ from functools import partial
 from typing import Any
 
 from repro.baselines.reactive import ReactiveClient
+from repro.world import MANAGER_ID
 
 
 class RandomSelectClient(ReactiveClient):
@@ -21,8 +22,8 @@ class RandomSelectClient(ReactiveClient):
         self._choice_rng = self.system.streams.get(f"random-select.{self.user_id}")
 
     def _select(self) -> None:
-        rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
-        self.system.sim.schedule(rtt, self._attach_random, label=f"{self.user_id}.rnd")
+        rtt = self.topology.rtt_ms(self.user_id, MANAGER_ID)
+        self.sim.schedule(rtt, self._attach_random, label=f"{self.user_id}.rnd")
 
     def _attach_random(self) -> None:
         if self._stopped:

@@ -39,7 +39,7 @@ class ReactiveClient(EdgeClient):
 
     def _discovery_issued(self) -> None:
         self.stats.discovery_queries += 1
-        self.system.trace.emit(DiscoveryIssued(self.system.sim.now, self.user_id))
+        self.tracer.emit(DiscoveryIssued(self.sim.now, self.user_id))
 
     def _alive_candidates(self) -> List[NodeStatus]:
         """The manager's alive nodes its node predicate admits."""
@@ -54,8 +54,8 @@ class ReactiveClient(EdgeClient):
     ) -> None:
         """``Unexpected_join`` ``target`` after one RTT; attach, or call
         ``on_refused`` when the node is gone."""
-        node = self.system.nodes.get(target)
-        rtt = self.system.topology.rtt_ms(self.user_id, target)
+        node = self.nodes.get(target)
+        rtt = self.topology.rtt_ms(self.user_id, target)
 
         def deliver() -> None:
             if self._stopped:
@@ -70,12 +70,12 @@ class ReactiveClient(EdgeClient):
             else:
                 on_refused()
 
-        self.system.sim.schedule(rtt, deliver, label=label)
+        self.sim.schedule(rtt, deliver, label=label)
 
     def _retry_round(self, delay_ms: float) -> None:
         """Give up on this round; start another after ``delay_ms``."""
         self._machine.round_in_progress = False
-        self.system.sim.schedule(delay_ms, self._begin_selection_round)
+        self.sim.schedule(delay_ms, self._begin_selection_round)
 
     def on_edge_failure(self, node_id: str) -> None:
         """Reactive: lose the node, count an uncovered failure, pick again."""
@@ -86,5 +86,5 @@ class ReactiveClient(EdgeClient):
             return
         self.current_edge = None
         self.stats.uncovered_failures += 1
-        self.system.trace.emit(UncoveredFailure(self.system.sim.now, self.user_id))
+        self.tracer.emit(UncoveredFailure(self.sim.now, self.user_id))
         self._begin_selection_round()

@@ -20,20 +20,21 @@ from typing import Tuple
 
 from repro.baselines.reactive import ReactiveClient
 from repro.messages import DiscoveryQuery
+from repro.world import MANAGER_ID
 
 
 class ResourceAwareWRRClient(ReactiveClient):
     """Manager-assigned WRR selection; reactive recovery on failure."""
 
     def _select(self) -> None:
-        rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
-        self.system.sim.schedule(rtt, self._attach_wrr, label=f"{self.user_id}.wrr")
+        rtt = self.topology.rtt_ms(self.user_id, MANAGER_ID)
+        self.sim.schedule(rtt, self._attach_wrr, label=f"{self.user_id}.wrr")
 
     def _attach_wrr(self, exclude: Tuple[str, ...] = ()) -> None:
         if self._stopped:
             return
         self._discovery_issued()
-        endpoint = self.system.topology.endpoint(self.user_id)
+        endpoint = self.topology.endpoint(self.user_id)
         query = DiscoveryQuery(
             user_id=self.user_id,
             lat=endpoint.point.lat,

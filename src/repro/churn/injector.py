@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.churn.trace import ChurnTrace, NodeEpisode
@@ -23,7 +24,9 @@ class ChurnInjector:
     ``placement_radius_km`` of ``center``.
 
     Args:
-        system: target system (events go on its simulator).
+        system: target system (events go on its simulator), held
+            weakly: the events this schedules would otherwise tie the
+            system to itself through its own heap.
         profiles: the pool of hardware profiles to match episodes with;
             cycled deterministically after shuffling with ``rng``.
         center / placement_radius_km: default placement disc.
@@ -43,7 +46,7 @@ class ChurnInjector:
     ) -> None:
         if not profiles:
             raise ValueError("need at least one hardware profile")
-        self.system = system
+        self._world = weakref.ref(system)
         self.profiles = list(profiles)
         self.center = center
         self.placement_radius_km = placement_radius_km
@@ -51,6 +54,10 @@ class ChurnInjector:
         self.rng = rng or system.streams.get("churn")
         self.placer = placer
         self.installed: Dict[str, HardwareProfile] = {}
+
+    @property
+    def system(self) -> EdgeSystem:
+        return self._world()  # type: ignore[return-value]
 
     def install(self, trace: ChurnTrace) -> None:
         """Schedule every join and failure of the trace.

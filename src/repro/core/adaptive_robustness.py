@@ -19,6 +19,7 @@ of the policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,27 +69,30 @@ class AdaptiveRobustness:
         client.robustness_controller = self
         state = _ClientState(
             last_events=_failover_count(client),
-            last_event_at_ms=client.system.sim.now,
+            last_event_at_ms=client.sim.now,
+        )
+        client.sim.schedule(
+            1_000.0, partial(self._tick, client, state), label=f"{client.user_id}.adapt"
         )
 
-        def tick() -> None:
-            if client._stopped:  # noqa: SLF001 - intentional lifecycle peek
-                return
-            now = client.system.sim.now
-            events = _failover_count(client)
-            uncovered = client.stats.uncovered_failures
-            if events > state.last_events:
-                hard = uncovered > state.last_uncovered
-                self._escalate(client, hard=hard)
-                state.last_events = events
-                state.last_uncovered = uncovered
-                state.last_event_at_ms = now
-            elif now - state.last_event_at_ms >= self.quiet_window_ms:
-                self._decay(client)
-                state.last_event_at_ms = now
-            client.system.sim.schedule(1_000.0, tick, label=f"{client.user_id}.adapt")
-
-        client.system.sim.schedule(1_000.0, tick, label=f"{client.user_id}.adapt")
+    def _tick(self, client: "EdgeClient", state: "_ClientState") -> None:
+        if client._stopped:  # noqa: SLF001 - intentional lifecycle peek
+            return
+        now = client.sim.now
+        events = _failover_count(client)
+        uncovered = client.stats.uncovered_failures
+        if events > state.last_events:
+            hard = uncovered > state.last_uncovered
+            self._escalate(client, hard=hard)
+            state.last_events = events
+            state.last_uncovered = uncovered
+            state.last_event_at_ms = now
+        elif now - state.last_event_at_ms >= self.quiet_window_ms:
+            self._decay(client)
+            state.last_event_at_ms = now
+        client.sim.schedule(
+            1_000.0, partial(self._tick, client, state), label=f"{client.user_id}.adapt"
+        )
 
     # ------------------------------------------------------------------
     def _escalate(self, client: "EdgeClient", *, hard: bool) -> None:

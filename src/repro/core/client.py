@@ -29,6 +29,7 @@ costs elsewhere.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -60,6 +61,7 @@ from repro.sim.kernel import TimerHandle
 from repro.workload.adaptive import AdaptiveRateController
 from repro.workload.ar import ARApplication
 from repro.workload.frames import Frame, FrameSource
+from repro.world import MANAGER_ID
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.edge_server import EdgeServer
@@ -154,16 +156,16 @@ class _InFlightFrame:
     def arrive(self) -> None:
         """The uplink delivered the frame: queue it, schedule the response."""
         client = self.client
-        system = client.system
-        completed = self.node.receive_frame(self.frame, system.sim.now)
+        sim = client.sim
+        completed = self.node.receive_frame(self.frame, sim.now)
         if completed is None:
             client._record_lost(self.frame, self.edge_id)
             return
         self.completed = completed
-        self.downlink = downlink = system.topology.one_way_ms(
+        self.downlink = downlink = client.topology.one_way_ms(
             self.edge_id, client.user_id
         )
-        system.sim.schedule_at(
+        sim.schedule_at(
             completed.completion_ms + downlink,
             self.respond,
             label=client._lbl_resp,
@@ -171,7 +173,7 @@ class _InFlightFrame:
 
     def arrive_duplicate(self) -> None:
         """An injected duplicate reached the node (no response follows)."""
-        self.node.receive_frame(self.frame, self.client.system.sim.now)
+        self.node.receive_frame(self.frame, self.client.sim.now)
 
     def respond(self) -> None:
         """The downlink delivered the result (unless the node died first)."""
@@ -185,8 +187,8 @@ class _InFlightFrame:
             # The node died while the frame was queued/processing.
             client._record_lost(frame, self.edge_id)
             return
-        trace = client.system.trace
-        now = client.system.sim.now
+        trace = client.tracer
+        now = client.sim.now
         latency = now - frame.created_ms
         stats = client.stats
         stats.frames_completed += 1
@@ -217,7 +219,10 @@ class EdgeClient(ClientDriver):
     """A user device running the client-centric edge selection.
 
     Args:
-        system: owning :class:`~repro.core.system.EdgeSystem`.
+        system: owning :class:`~repro.core.system.EdgeSystem`, held
+            weakly: the client keeps its clock, topology, tracer and the
+            node map, and reaches the world only for what it late-binds
+            (the manager, the fault plan).
         user_id: unique id; must match a registered network endpoint.
         app: application profile (defaults to the system's).
         local_policy: a :class:`~repro.policy.base.SelectionPolicy` or
@@ -238,7 +243,10 @@ class EdgeClient(ClientDriver):
         local_policy: "Optional[SelectionPolicy | RankingCallable]" = None,
         proactive_connections: bool = True,
     ) -> None:
-        self.system = system
+        self._world = weakref.ref(system)
+        self.sim = system.sim
+        self.topology = system.topology
+        self.nodes = system.nodes
         self.config: SystemConfig = system.config
         self.app = app or system.app
         self.controller = AdaptiveRateController(self.app)
@@ -283,13 +291,17 @@ class EdgeClient(ClientDriver):
     #: The policy under the name experiments have always read.
     local_policy = ClientDriver.policy
 
+    @property
+    def system(self) -> "EdgeSystem":
+        return self._world()  # type: ignore[return-value]
+
     def _now(self) -> float:
-        return self.system.sim.now
+        return self.sim.now
 
     def _call_later(
         self, delay_ms: float, callback: Callable[[], None], label: str
     ) -> None:
-        self.system.sim.schedule(delay_ms, callback, label=label)
+        self.sim.schedule(delay_ms, callback, label=label)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -322,7 +334,7 @@ class EdgeClient(ClientDriver):
             self._begin_selection_round()
             self._schedule_probe_round()
 
-        self._probe_event = self.system.sim.schedule(
+        self._probe_event = self.sim.schedule(
             delay, fire, label=self._lbl_probe
         )
 
@@ -353,17 +365,17 @@ class EdgeClient(ClientDriver):
         direction of a link should name the client as ``src``. Manager
         outages and symmetric partitions match regardless.
         """
-        faults = self.system.faults
+        faults = self._world().faults  # per frame: no property call
         if faults is None:
             return None
-        return faults.decide(self.user_id, dst, op, self.system.sim.now)
+        return faults.decide(self.user_id, dst, op, self.sim.now)
 
     # ------------------------------------------------------------------
     # Selection round I/O (Algorithm 2) — overridden by baselines
     # ------------------------------------------------------------------
     def _send_discovery(self, top_n: int, exclude: Tuple[str, ...]) -> None:
         """Edge discovery: one round trip to the Central Manager."""
-        endpoint = self.system.topology.endpoint(self.user_id)
+        endpoint = self.topology.endpoint(self.user_id)
         query = DiscoveryQuery(
             user_id=self.user_id,
             lat=endpoint.point.lat,
@@ -372,24 +384,24 @@ class EdgeClient(ClientDriver):
             isp=endpoint.isp,
             exclude=exclude,
         )
-        rtt = self.system.topology.rtt_ms(self.user_id, self.system.manager_id)
-        verdict = self._decide_fault(self.system.manager_id, "discover")
+        rtt = self.topology.rtt_ms(self.user_id, MANAGER_ID)
+        verdict = self._decide_fault(MANAGER_ID, "discover")
         if verdict is not None:
             if not verdict.deliver:
                 # Black-holed: the client only learns via its timeout.
                 self._discovery_timeout(verdict.kind)
                 return
             rtt += verdict.extra_delay_ms
-        self.system.sim.schedule(
+        self.sim.schedule(
             rtt,
             lambda: self._discover_at_manager(query),
             label=self._lbl_discover,
         )
 
     def _discovery_timeout(self, reason: str) -> None:
-        self.system.sim.schedule(
+        self.sim.schedule(
             self.DISCOVERY_TIMEOUT_MS,
-            lambda: self._feed(DiscoveryFailed(self.system.sim.now, reason=reason)),
+            lambda: self._feed(DiscoveryFailed(self.sim.now, reason=reason)),
             label=self._lbl_discover_timeout,
         )
 
@@ -409,7 +421,7 @@ class EdgeClient(ClientDriver):
             return
         self._feed(
             CandidatesReceived(
-                self.system.sim.now, candidates.node_ids, candidates.widened
+                self.sim.now, candidates.node_ids, candidates.widened
             )
         )
 
@@ -422,8 +434,8 @@ class EdgeClient(ClientDriver):
         closes. Probing a candidate also warms a connection to it —
         this is how proactive backup connections get established.
         """
-        topology = self.system.topology
-        now = self.system.sim.now
+        topology = self.topology
+        now = self.sim.now
         outcomes = []
         max_rtt = 0.0
         for node_id in node_ids:
@@ -440,7 +452,7 @@ class EdgeClient(ClientDriver):
             if verdict is not None:
                 rtt += verdict.extra_delay_ms
             max_rtt = max(max_rtt, rtt)
-            node = self.system.nodes.get(node_id)
+            node = self.nodes.get(node_id)
             if node is None:
                 continue
             reply = node.process_probe()
@@ -449,25 +461,25 @@ class EdgeClient(ClientDriver):
             outcomes.append(self._probe_answered(node_id, rtt, reply, now, now + rtt))
             if self.proactive_connections:
                 self._ensure_link(node_id, rtt)
-        self.system.sim.schedule(
+        self.sim.schedule(
             max_rtt if max_rtt > 0 else 1.0,
             lambda: self._feed(
-                ProbesCompleted(self.system.sim.now, tuple(outcomes))
+                ProbesCompleted(self.sim.now, tuple(outcomes))
             ),
             label=self._lbl_probed,
         )
 
     def _send_join(self, best: ProbeOutcome) -> None:
         """``Join()`` the chosen candidate, echoing its probed seqNum."""
-        node = self.system.nodes.get(best.node_id)
-        rtt = self.system.topology.rtt_ms(self.user_id, best.node_id)
+        node = self.nodes.get(best.node_id)
+        rtt = self.topology.rtt_ms(self.user_id, best.node_id)
         verdict = self._decide_fault(best.node_id, "join")
         dropped = verdict is not None and not verdict.deliver
         if verdict is not None and verdict.deliver:
             rtt += verdict.extra_delay_ms
 
         def deliver() -> None:
-            now = self.system.sim.now
+            now = self.sim.now
             if dropped or node is None or not node.alive:
                 # A dropped join is indistinguishable from a dead node:
                 # no answer before the timeout.
@@ -476,7 +488,7 @@ class EdgeClient(ClientDriver):
                 reply = node.join(self.user_id, best.seq_num, self.controller.fps)
                 self._join_answered(best.node_id, reply.accepted, True, now)
 
-        self.system.sim.schedule(rtt, deliver, label=self._lbl_join)
+        self.sim.schedule(rtt, deliver, label=self._lbl_join)
 
     # ------------------------------------------------------------------
     # Links
@@ -491,10 +503,10 @@ class EdgeClient(ClientDriver):
     # ------------------------------------------------------------------
     def _send_failover_join(self, backup_id: str) -> None:
         """``Unexpected_join()`` one backup after the connection delay."""
-        node = self.system.nodes.get(backup_id)
+        node = self.nodes.get(backup_id)
         rtt = (
-            self.system.topology.rtt_ms(self.user_id, backup_id)
-            if self.system.topology.has_endpoint(backup_id)
+            self.topology.rtt_ms(self.user_id, backup_id)
+            if self.topology.has_endpoint(backup_id)
             else COMMON_RTT_MS
         )
         if not self.proactive_connections:
@@ -513,11 +525,11 @@ class EdgeClient(ClientDriver):
             )
             self._feed(
                 FailoverResult(
-                    self.system.sim.now, backup_id, accepted, rtt_ms=rtt
+                    self.sim.now, backup_id, accepted, rtt_ms=rtt
                 )
             )
 
-        self.system.sim.schedule(rtt, deliver, label=self._lbl_failover)
+        self.sim.schedule(rtt, deliver, label=self._lbl_failover)
 
     # ------------------------------------------------------------------
     # Offloading loop
@@ -525,14 +537,14 @@ class EdgeClient(ClientDriver):
     def _schedule_next_frame(self, delay_ms: float) -> None:
         if self._stopped:
             return
-        self.system.sim.schedule(
+        self.sim.schedule(
             delay_ms, self._offload_tick, label=self._lbl_frame
         )
 
     def _offload_tick(self) -> None:
         if self._stopped:
             return
-        frame = self.frame_source.next_frame(self.system.sim.now)
+        frame = self.frame_source.next_frame(self.sim.now)
         if self._machine.current_edge is not None:
             self._send_frame(frame)
         else:
@@ -550,7 +562,7 @@ class EdgeClient(ClientDriver):
         as lost — replaying seconds-old camera frames after a reconnect
         would only poison the queue and tell the user about the past.
         """
-        now = self.system.sim.now
+        now = self.sim.now
         while self._backlog and self.attached:
             frame = self._backlog.popleft()
             if now - frame.created_ms > self.FRAME_STALENESS_MS:
@@ -561,10 +573,9 @@ class EdgeClient(ClientDriver):
     def _send_frame(self, frame: Frame) -> None:
         edge_id = self._machine.current_edge
         assert edge_id is not None
-        system = self.system
-        node = system.nodes.get(edge_id)
-        topology = system.topology
-        trace = system.trace
+        node = self.nodes.get(edge_id)
+        topology = self.topology
+        trace = self.tracer
         self.stats.frames_sent += 1
         if node is None or not topology.has_endpoint(edge_id):
             self._record_lost(frame, edge_id)
@@ -573,7 +584,8 @@ class EdgeClient(ClientDriver):
         if verdict is not None and not verdict.deliver:
             self._record_lost(frame, edge_id)
             return
-        now = system.sim.now
+        sim = self.sim
+        now = sim.now
         if trace.enabled:
             trace.emit(FrameStart(now, self.user_id, edge_id, frame.frame_id))
         transfer = topology.transfer_ms(self.user_id, edge_id, frame.size_bytes)
@@ -588,34 +600,34 @@ class EdgeClient(ClientDriver):
             for _ in range(verdict.copies - 1):
                 # Duplicated frames still load the server's queue; the
                 # client ignores the redundant response.
-                system.sim.schedule_at(
+                sim.schedule_at(
                     arrival, in_flight.arrive_duplicate, label=self._lbl_dup
                 )
-        system.sim.schedule_at(arrival, in_flight.arrive, label=self._lbl_uplink)
+        sim.schedule_at(arrival, in_flight.arrive, label=self._lbl_uplink)
 
     def _record_lost(self, frame: Frame, edge_id: str) -> None:
         self.stats.frames_lost += 1
-        self.system.trace.emit(
-            FrameDone(self.system.sim.now, self.user_id, edge_id,
+        self.tracer.emit(
+            FrameDone(self.sim.now, self.user_id, edge_id,
                       frame.frame_id, frame.created_ms, None)
         )
 
     # ------------------------------------------------------------------
     def _send_leave(self, node_id: str, reason: str) -> None:
-        node = self.system.nodes.get(node_id)
+        node = self.nodes.get(node_id)
         if node is None:
             return
         verdict = self._decide_fault(node_id, "leave")
         if verdict is not None and not verdict.deliver:
             return  # the node never hears the goodbye
         delay = (
-            self.system.topology.one_way_ms(self.user_id, node_id)
-            if self.system.topology.has_endpoint(node_id)
+            self.topology.one_way_ms(self.user_id, node_id)
+            if self.topology.has_endpoint(node_id)
             else 1.0
         )
         if verdict is not None:
             delay += verdict.extra_delay_ms
-        self.system.sim.schedule(
+        self.sim.schedule(
             delay, lambda: node.leave(self.user_id), label=self._lbl_leave
         )
 

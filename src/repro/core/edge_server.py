@@ -17,6 +17,7 @@ and host-workload replay.
 from __future__ import annotations
 
 import enum
+import weakref
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
@@ -32,6 +33,7 @@ from repro.protocol.driver import EdgeDriver
 from repro.protocol.events import NodeFailed
 from repro.sim.kernel import TimerHandle
 from repro.workload.frames import Frame
+from repro.world import MANAGER_ID
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import EdgeSystem
@@ -46,7 +48,10 @@ class EdgeServer(EdgeDriver):
     """One edge node: application server + probing endpoint.
 
     Args:
-        system: the owning :class:`~repro.core.system.EdgeSystem`.
+        system: the owning :class:`~repro.core.system.EdgeSystem`, held
+            weakly: the node keeps its clock, topology and tracer, and
+            reaches the world only for what it late-binds (the manager,
+            the fault plan).
         node_id: unique id; must match a registered network endpoint.
         profile: hardware profile (Table II entry or custom).
         dedicated: True for Local-Zone-style dedicated infrastructure
@@ -63,7 +68,9 @@ class EdgeServer(EdgeDriver):
         dedicated: bool = False,
         host_schedule: Optional[HostWorkloadSchedule] = None,
     ) -> None:
-        self.system = system
+        self._world = weakref.ref(system)
+        self.sim = system.sim
+        self.topology = system.topology
         self.host_schedule = host_schedule or HostWorkloadSchedule.none()
         self.config: SystemConfig = system.config
         super().__init__(
@@ -91,6 +98,10 @@ class EdgeServer(EdgeDriver):
         self._lbl_hb = node_id + ".hb"
         self._lbl_cache = node_id + ".cache"
 
+    @property
+    def system(self) -> "EdgeSystem":
+        return self._world()  # type: ignore[return-value]
+
     # ------------------------------------------------------------------
     # Driver hooks: the kernel clock, the real queue, the topology
     # ------------------------------------------------------------------
@@ -103,23 +114,23 @@ class EdgeServer(EdgeDriver):
         return self.processor.slowdown_factor
 
     def _now(self) -> float:
-        return self.system.sim.now
+        return self.sim.now
 
     def _call_later(
         self, delay_ms: float, callback: Callable[[], None], label: str
     ) -> None:
-        self.system.sim.schedule(delay_ms, callback, label=label)
+        self.sim.schedule(delay_ms, callback, label=label)
 
     #: Per-frame compute time on this queue; None is the profile's own.
     service_ms: Optional[float] = None
 
     def _start_test_frame(self) -> bool:
         completed = self.processor.submit(
-            self.system.sim.now, synthetic=True, service_ms=self.service_ms
+            self.sim.now, synthetic=True, service_ms=self.service_ms
         )
         if completed is None:
             return False
-        self.system.sim.schedule_at(
+        self.sim.schedule_at(
             completed.completion_ms,
             partial(self._test_frame_done, completed.sojourn_ms),
             label=self._lbl_cache,
@@ -127,24 +138,24 @@ class EdgeServer(EdgeDriver):
         return True
 
     def _recent_mean_sojourn_ms(self) -> Optional[float]:
-        return self.processor.recent_mean_sojourn_ms(self.system.sim.now)
+        return self.processor.recent_mean_sojourn_ms(self.sim.now)
 
     def _idle_floor_ms(self) -> float:
         return self.processor.effective_service_ms
 
     def _position(self) -> Tuple[GeoPoint, Optional[str]]:
-        endpoint = self.system.topology.endpoint(self.node_id)
+        endpoint = self.topology.endpoint(self.node_id)
         return endpoint.point, endpoint.isp
 
     def _utilization(self) -> float:
-        return self.processor.offered_utilization(self.system.sim.now)
+        return self.processor.offered_utilization(self.sim.now)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin heartbeating, performance monitoring and host-workload replay."""
-        sim = self.system.sim
+        sim = self.sim
         self._heartbeat_timer = sim.every(
             self.config.heartbeat_period_ms,
             self._send_heartbeat,
@@ -186,14 +197,14 @@ class EdgeServer(EdgeDriver):
         if self.state is NodeState.FAILED:
             return
         self.state = NodeState.FAILED
-        self.failed_at_ms = self.system.sim.now
+        self.failed_at_ms = self.sim.now
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
         if self._monitor_timer is not None:
             self._monitor_timer.cancel()
         if self._lease_timer is not None:
             self._lease_timer.cancel()
-        self._handle(NodeFailed(self.system.sim.now))
+        self._handle(NodeFailed(self.sim.now))
 
     # ------------------------------------------------------------------
     # Frame processing
@@ -222,7 +233,7 @@ class EdgeServer(EdgeDriver):
         """Apply the host-workload slowdown in effect right now."""
         if not self.alive:
             return
-        factor = self.host_schedule.slowdown_at(self.system.sim.now)
+        factor = self.host_schedule.slowdown_at(self.sim.now)
         if factor != self.processor.slowdown_factor:
             self.processor.set_slowdown(max(1.0, factor))
 
@@ -233,23 +244,23 @@ class EdgeServer(EdgeDriver):
         if not self.alive:
             return
         status = self.status()
-        delay = self.system.topology.one_way_ms(self.node_id, self.system.manager_id)
-        faults = self.system.faults
+        delay = self.topology.one_way_ms(self.node_id, MANAGER_ID)
+        faults = self._world().faults
         if faults is not None:
             verdict = faults.decide(
-                self.node_id, self.system.manager_id, "heartbeat", self.system.sim.now
+                self.node_id, MANAGER_ID, "heartbeat", self.sim.now
             )
             if not verdict.deliver:
                 return  # lost in transit; the manager ages us out
             delay += verdict.extra_delay_ms
-        self.system.sim.schedule(
+        self.sim.schedule(
             delay, partial(self._deliver_heartbeat, status), label=self._lbl_hb
         )
 
     def _deliver_heartbeat(self, status: NodeStatus) -> None:
         # Resolved on delivery, not at send: ``system.manager`` can be
         # replaced while a beat is in flight.
-        self.system.manager.receive_heartbeat(status)
+        self._world().manager.receive_heartbeat(status)
 
     def __repr__(self) -> str:
         return (

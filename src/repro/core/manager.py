@@ -55,7 +55,8 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
 
     Args:
         system: owning system: its clock, tracer, config (the shape)
-            and fault plan.
+            and fault plan. The manager keeps the clock and the tracer,
+            not the system.
         policy: the composed global selection policy (e.g. restricted
             to dedicated nodes).
         reputation: optional tracker fed node appearances and silent
@@ -82,7 +83,7 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
             raise ValueError(
                 f"plan targets shard {targets[-1]} of a {shards}-shard manager"
             )
-        self.system = system
+        self.sim = system.sim
         self._policy = policy or GlobalSelectionPolicy()
         timeout = config.heartbeat_timeout_ms
         replicas = config.control_plane_replicas
@@ -111,19 +112,19 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
         return self._policy
 
     def _now(self) -> float:
-        return self.system.sim.now
+        return self.sim.now
 
     def _call_later(self, delay_ms: float, callback: Callable[[], None], label: str) -> None:
-        self.system.sim.schedule(delay_ms, callback, label=label)
+        self.sim.schedule(delay_ms, callback, label=label)
 
     def _node_online(self, node_id: str) -> None:
         if self.reputation is not None:
-            self.reputation.record_online(node_id, self.system.sim.now)
+            self.reputation.record_online(node_id, self.sim.now)
 
     def _node_expired(self, node_id: str) -> None:
         self._wrr_current.pop(node_id, None)
         if self.reputation is not None:
-            self.reputation.record_departure(node_id, self.system.sim.now)
+            self.reputation.record_departure(node_id, self.sim.now)
 
     # ------------------------------------------------------------------
     # Registry maintenance
@@ -141,7 +142,7 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
     def prune_stale(self) -> None:
         """Expire registry entries older than ``heartbeat_timeout_ms``
         (each machine's ``_prune``: amortized O(1) off its expiry heap)."""
-        now = self.system.sim.now
+        now = self.sim.now
         for shard in self.shards:
             self._run_effects(shard.prune(now))
 
@@ -180,7 +181,7 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
                 candidate list.
         """
         self.queries_served += 1
-        now = self.system.sim.now
+        now = self.sim.now
 
         def fetch(shard_index: int, radius_km: float) -> PartialSelection:
             machine = self.shards[shard_index].serving_machine()
@@ -195,8 +196,8 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
             )
 
         routed = self.router.select(query, fetch)
-        if self.shard_map.count > 1 and self.system.trace.enabled:
-            emit_routing(self.system.trace, now, query.user_id, routed)
+        if self.shard_map.count > 1 and self.tracer.enabled:
+            emit_routing(self.tracer, now, query.user_id, routed)
         return CandidateList(
             user_id=query.user_id,
             node_ids=routed.node_ids,
@@ -259,7 +260,7 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
         """Periodic standby snapshot sync, amortized against heartbeat
         traffic (no standing kernel timer: a self-rescheduling event
         would keep drain-style ``sim.run()`` calls from terminating)."""
-        now = self.system.sim.now
+        now = self.sim.now
         if now - self._last_snapshot_sync < SNAPSHOT_SYNC_PERIOD_MS:
             return
         self._last_snapshot_sync = now

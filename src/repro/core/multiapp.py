@@ -29,8 +29,9 @@ change.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.edge_server import EdgeServer
@@ -112,7 +113,7 @@ class _AppService(EdgeServer):
         """Demand projection over the *shared* queue: this service's own
         users at its compute cost, plus the live cross-application
         arrival rate."""
-        cross_fps = self.processor.arrival_rate_fps(self.system.sim.now)
+        cross_fps = self.processor.arrival_rate_fps(self.sim.now)
         return analytic_sojourn_ms(
             self.profile,
             cross_fps + offered_fps * self.spec.service_scale,
@@ -172,6 +173,28 @@ class MultiAppEdgeServer:
         return self.services[app_name]
 
 
+class _AppNodes(Mapping):
+    """One application's services keyed by node id: a live view of a
+    deployment's nodes, so nodes spawned later appear in it."""
+
+    def __init__(self, nodes: Dict[str, MultiAppEdgeServer], app_name: str) -> None:
+        self._nodes = nodes
+        self._app_name = app_name
+
+    def __getitem__(self, node_id: str) -> _AppService:
+        services = self._nodes[node_id].services
+        if self._app_name not in services:
+            raise KeyError(node_id)
+        return services[self._app_name]
+
+    def __iter__(self) -> Iterator[str]:
+        return (node_id for node_id, node in self._nodes.items()
+                if self._app_name in node.services)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 class AppScopedSystem:
     """A facade giving single-app clients a view onto one application.
 
@@ -187,21 +210,13 @@ class AppScopedSystem:
         deployment: "MultiAppDeployment",
         app_name: str,
     ) -> None:
-        self._deployment = deployment
-        self._app_name = app_name
+        self._system = deployment.system
         self.manager = deployment.managers[app_name]
         self.app = deployment.specs[app_name].app
-
-    @property
-    def nodes(self) -> Dict[str, "_AppService"]:
-        return {
-            node_id: node.service(self._app_name)
-            for node_id, node in self._deployment.nodes.items()
-            if self._app_name in node.services
-        }
+        self.nodes = _AppNodes(deployment.nodes, app_name)
 
     def __getattr__(self, name):
-        return getattr(self._deployment.system, name)
+        return getattr(self._system, name)
 
 
 class MultiAppDeployment:
@@ -236,6 +251,9 @@ class MultiAppDeployment:
             for spec in specs
         }
         self.nodes: Dict[str, MultiAppEdgeServer] = {}
+        #: One view per application, kept here: a client holds its
+        #: system weakly, so the view lives as long as the deployment.
+        self._scoped: Dict[str, AppScopedSystem] = {}
 
     # ------------------------------------------------------------------
     def spawn_node(
@@ -284,7 +302,9 @@ class MultiAppDeployment:
         """The single-app view clients of ``app_name`` operate on."""
         if app_name not in self.specs:
             raise KeyError(f"unknown application: {app_name!r}")
-        return AppScopedSystem(self, app_name)
+        if app_name not in self._scoped:
+            self._scoped[app_name] = AppScopedSystem(self, app_name)
+        return self._scoped[app_name]
 
     def make_client(self, user_id: str, app_name: str, **kwargs):
         """Create (and register) an EdgeClient bound to one application."""

@@ -19,7 +19,9 @@ dynamics need:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import weakref
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.client import ClientLike
 from repro.core.config import SystemConfig
@@ -42,8 +44,22 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.injector import FaultInjector, NodeAction
 
 
+def _apply_fault_action(
+    world: "weakref.ReferenceType[EdgeSystem]", action: "NodeAction"
+) -> None:
+    system = world()
+    if system is not None:
+        system._apply_fault_action(action)
+
+
 class EdgeSystem:
     """A complete simulated edge-dense environment.
+
+    The world owns its actors; they hold its clock, topology and tracer
+    and reach the world itself only through a weak reference. So a
+    dropped world is freed by reference counting: :meth:`__del__`
+    closes the simulator, whose heap is the one place pending callbacks
+    and the actors they run still refer to each other.
 
     Args:
         config: system tunables.
@@ -121,6 +137,10 @@ class EdgeSystem:
         #: Alive entries of ``nodes`` (a recount per add made a build quadratic).
         self._alive_nodes = 0
         self.clients: Dict[str, ClientLike] = {}
+        #: Client classes whose first instance satisfied ``ClientLike``:
+        #: the runtime-checkable Protocol re-walks its members on every
+        #: ``isinstance``, so a class is checked once, not per client.
+        self._client_classes: Set[type] = set()
         #: Construction arguments remembered per node id so a crashed
         #: node can be restarted *as the same identity* (fault plans and
         #: churn restart episodes both need this).
@@ -283,10 +303,11 @@ class EdgeSystem:
         do not exist yet (or died on their own) are skipped at fire
         time, so a plan can safely name churn-spawned nodes.
         """
+        world = weakref.ref(self)
         for action in faults.node_actions():
             self.sim.schedule_at(
                 max(action.t_ms, self.sim.now),
-                lambda a=action: self._apply_fault_action(a),
+                partial(_apply_fault_action, world, action),
                 label=f"fault.{action.rule_id}.{action.kind}",
             )
 
@@ -370,22 +391,24 @@ class EdgeSystem:
 
         Args:
             client: anything satisfying :class:`~repro.core.client.
-                ClientLike` — validated structurally here so a
-                mis-shaped client fails at registration, not at the
-                first node failure.
+                ClientLike` — validated structurally here, once per
+                client class, so a mis-shaped client fails at
+                registration, not at the first node failure.
             start: keyword-only; False registers without starting (the
                 caller will start it later, e.g. staggered arrival).
         """
-        if not isinstance(client, ClientLike):
-            missing = [
-                name
-                for name in ("user_id", "start", "observes_node", "on_edge_failure")
-                if not hasattr(client, name)
-            ]
-            raise TypeError(
-                f"client {client!r} does not satisfy ClientLike "
-                f"(missing: {', '.join(missing) or 'attribute types'})"
-            )
+        if type(client) not in self._client_classes:
+            if not isinstance(client, ClientLike):
+                missing = [
+                    name
+                    for name in ("user_id", "start", "observes_node", "on_edge_failure")
+                    if not hasattr(client, name)
+                ]
+                raise TypeError(
+                    f"client {client!r} does not satisfy ClientLike "
+                    f"(missing: {', '.join(missing) or 'attribute types'})"
+                )
+            self._client_classes.add(type(client))
         user_id = client.user_id
         if user_id in self.clients:
             raise ValueError(f"client id already in use: {user_id!r}")
@@ -401,6 +424,11 @@ class EdgeSystem:
     def run_for(self, duration_ms: float) -> None:
         """Advance the simulation by ``duration_ms``."""
         self.sim.run_until(self.sim.now + duration_ms)
+
+    def __del__(self) -> None:
+        sim = self.__dict__.get("sim")  # absent if __init__ raised first
+        if sim is not None:
+            sim.close()
 
     def __repr__(self) -> str:
         return (

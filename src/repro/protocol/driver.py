@@ -29,6 +29,7 @@ the manager's replica sets and its one promote / rejoin path.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
@@ -173,9 +174,10 @@ class ClientDriver:
         self.user_id = user_id
         self.tracer = tracer
         self.proactive_connections = proactive_connections
-        #: The sans-IO protocol core this driver executes.
+        #: The sans-IO protocol core this driver executes. It keeps its
+        #: guard, so the guard must not hold this driver (a cycle).
         self._machine = SelectionMachine(
-            user_id, policy, config, detail_guard=lambda: self.tracer.enabled
+            user_id, policy, config, detail_guard=lambda: tracer.enabled
         )
         #: node id -> this backend's link to it (current edge and backups).
         self.links: Dict[str, Any] = {}
@@ -390,13 +392,17 @@ class EdgeDriver:
         self.tracer = tracer
         self.dedicated = dedicated
         self._test_delay_ms = test_delay_ms
-        #: The sans-IO admission core this driver executes.
+        #: The sans-IO admission core this driver executes. It keeps its
+        #: callbacks, so they must not hold this driver (a cycle).
+        driver = weakref.ref(self)
         self._machine = AdmissionMachine(
             node_id,
             config,
             initial_ms=profile.base_frame_ms,
-            project=self._project_sojourn,
-            detail_guard=lambda: self.tracer.enabled,
+            project=lambda fps, slowdown: driver()._project_sojourn(  # type: ignore[union-attr]
+                fps, slowdown
+            ),
+            detail_guard=lambda: tracer.enabled,
         )
         # counters surfaced to experiments
         self.test_workload_invocations = 0

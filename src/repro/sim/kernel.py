@@ -9,6 +9,8 @@ advances — and the heap, whose entries are the
 - ``every(period, fn, ...)`` — periodic timers, with optional jitter and
   start offset, returning a :class:`TimerHandle` for cancellation.
 - ``run_until(t)`` / ``run()`` / ``step()`` — drive the loop.
+- ``close()`` — drop everything pending, so an owner that is done with
+  the simulator leaves no callback referring back to it.
 
 Every time the kernel accepts is finite. A NaN compares false both ways,
 so it would fire out of order or, as a timer, reschedule itself forever:
@@ -34,13 +36,33 @@ _INF = float("inf")
 
 
 class TimerHandle:
-    """Cancellation handle for a periodic timer created by ``Simulator.every``."""
+    """A periodic timer created by ``Simulator.every``: its own state and
+    its cancellation handle.
 
-    __slots__ = ("_cancelled", "_current_event")
+    The pending occurrence's callback is the handle itself (calling it
+    fires the timer), so ``Simulator.close()`` finds every live timer in
+    its heap and cancels it; a cancelled timer lets go of its callback,
+    which is usually bound to the actor that holds the handle.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_cancelled", "_current_event", "_sim", "_callback", "_period",
+                 "_jitter", "_label")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        callback: Callable[[], Any],
+        period: float,
+        jitter: Optional[Callable[[], float]],
+        label: str,
+    ) -> None:
         self._cancelled = False
         self._current_event: Optional[Event] = None
+        self._sim = sim
+        self._callback = callback
+        self._period = period
+        self._jitter = jitter
+        self._label = label
 
     @property
     def cancelled(self) -> bool:
@@ -49,9 +71,28 @@ class TimerHandle:
     def cancel(self) -> None:
         """Stop the timer; any in-flight occurrence is cancelled too."""
         self._cancelled = True
+        self._callback = self._jitter = None
         if self._current_event is not None:
             self._current_event.cancel()
             self._current_event = None
+
+    def __call__(self) -> None:
+        if self._cancelled:
+            return
+        self._callback()
+        if self._cancelled:  # callback may have cancelled the timer
+            return
+        delay = self._period
+        if self._jitter is not None:
+            delay += self._jitter()
+            if not 0.0 < delay < _INF:
+                if not -_INF < delay <= 0.0:
+                    raise ValueError(f"non-finite jitter draw: delay={delay}")
+                delay = self._period
+        sim = self._sim
+        event = Event((sim.now + delay, next(sim._seq), self, self._label))
+        heappush(sim._heap, event)
+        self._current_event = event
 
 
 class Simulator:
@@ -140,44 +181,9 @@ class Simulator:
         """
         if not 0.0 < period < _INF:
             raise ValueError(f"period must be positive and finite, got {period}")
-        handle = TimerHandle()
+        handle = TimerHandle(self, callback, period, jitter, label)
         first_delay = period if start_after is None else start_after
-        heap = self._heap
-        seq = self._seq
-
-        # Two reschedule variants so the (far more common) unjittered
-        # timer pays no per-fire jitter branches; heartbeats and monitor
-        # loops fire millions of times in metro-scale runs.
-        if jitter is None:
-
-            def fire() -> None:
-                if handle._cancelled:
-                    return
-                callback()
-                if handle._cancelled:  # callback may have cancelled the timer
-                    return
-                event = Event((self.now + period, next(seq), fire, label))
-                heappush(heap, event)
-                handle._current_event = event
-
-        else:
-
-            def fire() -> None:
-                if handle._cancelled:
-                    return
-                callback()
-                if handle._cancelled:
-                    return
-                delay = period + jitter()
-                if not 0.0 < delay < _INF:
-                    if not -_INF < delay <= 0.0:
-                        raise ValueError(f"non-finite jitter draw: delay={delay}")
-                    delay = period
-                event = Event((self.now + delay, next(seq), fire, label))
-                heappush(heap, event)
-                handle._current_event = event
-
-        handle._current_event = self.schedule(first_delay, fire, label)
+        handle._current_event = self.schedule(first_delay, handle, label)
         return handle
 
     def step(self) -> bool:
@@ -200,6 +206,23 @@ class Simulator:
     def stop(self) -> None:
         """Request the current ``run``/``run_until`` to stop after this event."""
         self._stop_requested = True
+
+    def close(self) -> None:
+        """Drop every pending event unfired, one-shot and periodic alike.
+
+        The heap is the one place a pending callback, the actor it runs
+        and the simulator that actor schedules on meet; emptying it
+        leaves them nothing that refers back, so reference counting
+        frees them. The clock and ``events_processed`` stay as they
+        are; closing again is a no-op.
+        """
+        heap = self._heap
+        for event in heap:
+            callback = event[2]
+            if type(callback) is TimerHandle:
+                callback.cancel()
+            event[2] = None
+        heap.clear()
 
     def _loop(self, until: float, budget: int) -> int:
         """Fire pending events with ``time <= until`` in (time, seq) order,

@@ -127,21 +127,43 @@ def test_builder_run_matches_manual_construction():
     assert manual() == built()
 
 
-def test_building_again_reclaims_the_previous_world():
-    """A dropped system is cyclic garbage; a loop of builds must not
-    pile dead worlds up until a full collection happens to run."""
-    builder = (
+def _one_node_builder() -> ScenarioBuilder:
+    return (
         ScenarioBuilder(SystemConfig(top_n=2, seed=7))
         .node("V1", profile_by_name("V1"), point=GeoPoint(44.98, -93.26))
         .client("alice", point=GeoPoint(44.97, -93.25))
     )
-    gc.disable()  # no lucky automatic pass: only the build's own collect
+
+
+def test_building_again_reclaims_the_previous_world():
+    """A dropped world holds no reference cycle: reference counting
+    frees it the moment it is dropped, with no collection at all."""
+    builder = _one_node_builder()
+    gc.disable()  # no lucky automatic pass
     try:
         first = builder.build()
         first.run_for(1_000.0)
         first_ref = weakref.ref(first)
         del first
-        assert first_ref() is not None  # cyclic: refcounts alone keep it
+        assert first_ref() is None
+        second = builder.build()
+        assert second.alive_node_count() == 1
+    finally:
+        gc.enable()
+
+
+def test_building_again_reclaims_a_world_its_caller_tied_into_a_cycle():
+    """A callback that captures its world ties the two into a cycle the
+    world cannot cut; the next build collects it all the same."""
+    builder = _one_node_builder()
+    gc.disable()
+    try:
+        first = builder.build()
+        first.sim.schedule_at(60_000.0, lambda world=first: world.fail_node("V1"))
+        first.run_for(1_000.0)
+        first_ref = weakref.ref(first)
+        del first
+        assert first_ref() is not None  # the caller's cycle keeps it
         second = builder.build()
         assert first_ref() is None
         assert second.alive_node_count() == 1

@@ -303,6 +303,22 @@ def test_the_core_keeps_only_the_settings_its_callers_set():
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_a_dropped_sim_world_frees_itself():
+    """chaos-smoke, right after the core-settings grep, runs the world
+    lifecycle tests with an exception raised in ``__del__`` an error
+    (otherwise it is only printed)."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    (step,) = [s for s in steps if "tests/test_world_lifecycle.py" in s]
+    assert step.startswith("A dropped sim world frees itself\n")
+    assert "python -m pytest" in step
+    assert "-W error::pytest.PytestUnraisableExceptionWarning" in step
+    assert steps.index(step) == 1 + next(
+        i for i, s in enumerate(steps) if CORE_KNOBS in s
+    )
+    assert (ROOT / "tests" / "test_world_lifecycle.py").exists()
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_wire_schema_tests_run_under_the_leak_flags():
     """The hostile-input tests boot servers, a router cluster and fake
     peers, and send frames that used to end in a handler exception:

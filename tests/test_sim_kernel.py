@@ -1,6 +1,8 @@
 """Unit tests for the simulator kernel."""
 
+import gc
 import signal
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -274,3 +276,43 @@ def test_non_finite_run_until_is_refused(sim, until):
         with pytest.raises(ValueError, match="finite"):
             sim.run_until(until)
     assert seen == [] and sim.now == 0.0
+
+
+def test_close_drops_pending_events_and_timers_unfired(sim):
+    fired = []
+    sim.schedule(3.0, lambda: fired.append("early"))
+    sim.run_until(5.0)
+    one_shot = sim.schedule(10.0, lambda: fired.append("one-shot"))
+    timer = sim.every(2.0, lambda: fired.append("tick"), start_after=10.0)
+    jittered = sim.every(2.0, lambda: fired.append("jitter"), jitter=lambda: 0.5)
+    processed = sim.events_processed
+    sim.close()
+    assert one_shot.cancelled and timer.cancelled and jittered.cancelled
+    assert sim.events_processed == processed and sim.now == 5.0
+    sim.run_until(100.0)
+    assert fired == ["early"]
+    assert sim.events_processed == processed and not sim.step()
+    sim.close()  # again: nothing left to drop
+    assert sim.events_processed == processed and sim.now == 100.0
+
+
+def test_close_frees_an_actor_that_holds_its_own_timer(sim):
+    """An actor keeping the handle of a timer that calls it back is a
+    cycle only while the timer is pending; closing ends it."""
+
+    class Actor:
+        def tick(self) -> None:
+            pass
+
+    actor = Actor()
+    actor.timer = sim.every(1.0, actor.tick)
+    sim.run_until(3.5)
+    alive = weakref.ref(actor)
+    del actor
+    gc.disable()
+    try:
+        assert alive() is not None
+        sim.close()
+        assert alive() is None
+    finally:
+        gc.enable()

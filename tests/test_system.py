@@ -193,6 +193,30 @@ def test_add_client_rejects_mis_shaped_client():
         system.add_client(NotAClient())
 
 
+def test_add_client_checks_each_class_once_and_refuses_a_mis_shaped_one_every_time():
+    """The structural check is made once per client class: a conforming
+    class is remembered, a mis-shaped one never is."""
+    system = EdgeSystem(SystemConfig(seed=1))
+    system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))
+    for user_id in ("alice", "bob"):
+        system.add_client_endpoint(user_id, EndpointSpec(GeoPoint(44.97, -93.25)))
+        system.add_client(EdgeClient(system, user_id))
+
+    class HalfAClient:
+        user_id = "carol"
+
+        def start(self):
+            pass
+
+    for _ in range(2):
+        with pytest.raises(TypeError) as refused:
+            system.add_client(HalfAClient())
+        assert str(refused.value).endswith(
+            "does not satisfy ClientLike (missing: observes_node, on_edge_failure)"
+        )
+    assert sorted(system.clients) == ["alice", "bob"]
+
+
 def test_add_client_rejects_duplicates():
     system = EdgeSystem(SystemConfig(seed=1))
     system.add_node("V1", profile_by_name("V1"), EndpointSpec(GeoPoint(44.98, -93.26)))

@@ -4,11 +4,13 @@ The paper's global selection geo-filters candidates by GeoHash cell
 prefix (§IV-B); as a registry scan that is O(N) per query, the gating
 cost of client-centric selection at metro scale (cf. Renau & Ullah,
 arXiv:2510.08228, and Burbano et al., arXiv:2511.10146).
-:class:`GeohashSpatialIndex` registers every node under each prefix of
-its geohash up to ``max_precision`` instead, so a proximity query — a
-handful of same-precision covering cells — is a handful of dict lookups
+:class:`GeohashSpatialIndex` files every node once, in the bucket of its
+``max_precision`` cell (its *leaf*); each coarser cell lists the
+non-empty leaves under it. A proximity query — a handful of
+same-precision covering cells — is then a handful of dict lookups
 touching only the nodes inside those cells, and an insert, update or
-removal is O(``max_precision``): the index is maintained on every
+removal touches one leaf, plus the ``max_precision - 1`` coarser lists
+when that leaf appears or empties: the index is maintained on every
 heartbeat and expiry, never rebuilt.
 
 Buckets are keyed by integer: the cell id of :mod:`repro.geo.geohash`
@@ -19,13 +21,16 @@ by a shift and an OR. Geohash *strings* are parsed where they enter:
 once per :meth:`insert` that changes a node's hash.
 
 Storage is columnar. Every node owns a *slot*; ``slot -> status`` is a
-list, each bucket caches its members' slots as an integer array
-(dropped only when a member joins, leaves or moves — a same-place
-heartbeat refresh touches no bucket), and per-slot float64 columns hold
-the haversine operands (``lat_rad``, ``lon_rad``, ``cos_lat``) plus any
-status attribute a ranking policy asks for through :meth:`column`.
-:meth:`within_cover` cuts all cell candidates against the query disc in
-one numpy pass instead of one Python ``haversine`` call per candidate.
+list (and :class:`StatusView` reads it as the registry's
+``node_id -> status`` mapping), each queried cell caches its members'
+slots as an integer array (a coarser cell's read off its leaves, leaf
+by leaf), dropped only when a member of the cell joins, leaves or moves
+(a same-place heartbeat refresh touches no bucket), and per-slot
+float64 columns hold the haversine operands (``lat_rad``, ``lon_rad``,
+``cos_lat``) plus any status attribute a ranking policy asks for
+through :meth:`column`. :meth:`within_cover` cuts all cell candidates
+against the query disc in one numpy pass instead of one Python
+``haversine`` call per candidate.
 
 **Propose / decide.** numpy's ``sin``/``arcsin`` may differ from
 ``math``'s by an ulp, so a vector distance never decides membership on
@@ -38,10 +43,10 @@ therefore exactly the set a linear scan with the scalar cut returns.
 only when a node of a covered cell joins, leaves or moves; what a
 heartbeat changes is read by the ranking, not by the cut. So
 :meth:`within_cover` remembers its answer per ``(lat, lon, radius_km)``
-next to the bucket arrays it was cut from, and a user re-discovering
+next to the cell arrays it was cut from, and a user re-discovering
 from where it stands gets the same arrays back while each of those
-buckets still holds that very array. Every membership or position
-change drops the arrays of the cell's whole bucket chain, so identity
+cells still holds that very array. Every membership or position
+change drops the arrays of the leaf's whole ancestor chain, so identity
 *is* validity: no clock, no generation counter (DESIGN.md §5a).
 """
 
@@ -49,15 +54,20 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from itertools import chain
 from typing import (
     Dict,
     Generic,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
     Set,
     Tuple,
     TypeVar,
+    ValuesView,
+    cast,
 )
 
 import numpy as np
@@ -137,7 +147,7 @@ def distance_guard_km(radius_km: float) -> float:
 
 
 class GeohashSpatialIndex(Generic[S]):
-    """Incrementally-maintained geohash prefix buckets over node statuses.
+    """Incrementally-maintained geohash cell buckets over node statuses.
 
     Args:
         max_precision: deepest prefix length bucketed. Queries at coarser
@@ -151,7 +161,8 @@ class GeohashSpatialIndex(Generic[S]):
         "_slot_of",
         "_status_at",
         "_free",
-        "_buckets",
+        "_leaves",
+        "_under",
         "_bucket_slots",
         "_synced",
         "_stale",
@@ -173,16 +184,20 @@ class GeohashSpatialIndex(Generic[S]):
         #: the columns stay as long as the registry's high-water mark.
         self._slot_of: Dict[str, int] = {}
         #: slot -> latest status (``None`` while the slot is free). A
-        #: node's bucketed cell is ``_bucket_key(status.geohash)``.
+        #: node's leaf is ``_bucket_key(status.geohash)``.
         self._status_at: List[Optional[S]] = []
         self._free: List[int] = []
-        #: bucket key (depth 1..max_precision) -> ids inside that cell.
+        #: leaf key (depth ``max_precision``) -> the slots of the nodes
+        #: inside that cell, the only place a node is filed (its slot,
+        #: so an array is built without a lookup per member).
         #: Dict-as-ordered-set: iteration follows insertion order, so
-        #: query results are deterministic across processes (a plain
-        #: set of strings would not be, under hash randomization).
-        self._buckets: Dict[int, Dict[str, None]] = {}
-        #: key -> its bucket's slots as an array, built by the first
-        #: query after a member joined, left or moved.
+        #: query results are deterministic.
+        self._leaves: Dict[int, Dict[int, None]] = {}
+        #: coarser key (depth 1..max_precision-1) -> the non-empty leaf
+        #: keys under it, in order of appearance.
+        self._under: Dict[int, Dict[int, None]] = {}
+        #: key (any depth) -> its cell's slots as an array, built by the
+        #: first query after a member joined, left or moved.
         self._bucket_slots: Dict[int, SlotArray] = {}
         #: Column bookkeeping. ``insert`` does no numeric work (filling
         #: a registry costs what it did without columns); the next query
@@ -260,8 +275,8 @@ class GeohashSpatialIndex(Generic[S]):
                 or old.lon != status.lon
             ):
                 key = self._position_key(status)
-                self._unbucket(node_id, self._bucket_key(old.geohash))
-                self._bucket(node_id, key)
+                self._unbucket(slot, self._bucket_key(old.geohash))
+                self._bucket(slot, key)
             self._status_at[slot] = status
             self._stale.add(slot)
             return
@@ -274,19 +289,24 @@ class GeohashSpatialIndex(Generic[S]):
             self._status_at.append(None)
         self._slot_of[node_id] = slot
         self._status_at[slot] = status
-        self._bucket(node_id, key)
+        self._bucket(slot, key)
 
-    def _bucket(self, node_id: str, key: int) -> None:
-        """Enter ``node_id`` under ``key`` and every ancestor of it."""
-        buckets = self._buckets
-        cached = self._bucket_slots
-        while key > 1:
-            members = buckets.get(key)
-            if members is None:
-                members = buckets[key] = {}
-            members[node_id] = None
-            cached.pop(key, None)
-            key >>= 5
+    def _bucket(self, slot: int, key: int) -> None:
+        """File ``slot`` in leaf ``key``; list a new leaf under its
+        ancestors."""
+        members = self._leaves.get(key)
+        if members is None:
+            members = self._leaves[key] = {}
+            under = self._under
+            parent = key >> 5
+            while parent > 1:
+                leaves = under.get(parent)
+                if leaves is None:
+                    leaves = under[parent] = {}
+                leaves[key] = None
+                parent >>= 5
+        members[slot] = None
+        self._drop_arrays(key)
 
     def remove(self, node_id: str) -> None:
         """Remove a node; a no-op for unknown ids."""
@@ -295,18 +315,30 @@ class GeohashSpatialIndex(Generic[S]):
             return
         status = self._status_at[slot]
         assert status is not None
-        self._unbucket(node_id, self._bucket_key(status.geohash))
+        self._unbucket(slot, self._bucket_key(status.geohash))
         self._status_at[slot] = None
         self._free.append(slot)
 
-    def _unbucket(self, node_id: str, key: int) -> None:
-        buckets = self._buckets
+    def _unbucket(self, slot: int, key: int) -> None:
+        """Take ``slot`` out of leaf ``key``; unlist the leaf if it empties."""
+        members = self._leaves[key]
+        del members[slot]
+        if not members:
+            del self._leaves[key]
+            under = self._under
+            parent = key >> 5
+            while parent > 1:
+                leaves = under[parent]
+                del leaves[key]
+                if not leaves:
+                    del under[parent]
+                parent >>= 5
+        self._drop_arrays(key)
+
+    def _drop_arrays(self, key: int) -> None:
+        """Forget the arrays of leaf ``key`` and of every cell above it."""
         cached = self._bucket_slots
         while key > 1:
-            members = buckets[key]
-            del members[node_id]
-            if not members:
-                del buckets[key]
             cached.pop(key, None)
             key >>= 5
 
@@ -314,7 +346,8 @@ class GeohashSpatialIndex(Generic[S]):
         self._slot_of.clear()
         self._status_at.clear()
         self._free.clear()
-        self._buckets.clear()
+        self._leaves.clear()
+        self._under.clear()
         self._bucket_slots.clear()
         self._synced = 0
         self._stale.clear()
@@ -400,10 +433,12 @@ class GeohashSpatialIndex(Generic[S]):
         memo_key = (lat, lon, radius_km)
         known = memo.get(memo_key)
         if known is not None:
-            buckets = self._buckets
+            leaves, under = self._leaves, self._under
             cached = self._bucket_slots
             for key, part in known[0]:
-                if cached.get(key) is not part or (part is None and key in buckets):
+                if cached.get(key) is not part or (
+                    part is None and (key in leaves or key in under)
+                ):
                     break
             else:
                 self.cuts_remembered += 1
@@ -428,13 +463,15 @@ class GeohashSpatialIndex(Generic[S]):
     def _cut(
         self, lat: float, lon: float, radius_km: float
     ) -> Tuple[Dict[int, Optional[SlotArray]], SlotArray, FloatArray]:
-        """The covered buckets' slot arrays and the exact cut of them."""
+        """The covered cells' slot arrays and the exact cut of them."""
         precision, cells = gh.cover(lat, lon, radius_km)
         depth = min(precision, self.max_precision)
         shift = 5 * (precision - depth)
         tag = 1 << 5 * depth
         self._sync()
-        buckets = self._buckets
+        # A cell's slots are its leaf's, or its leaves' in turn.
+        at_leaf = depth == self.max_precision
+        leaves, under = self._leaves, self._under
         cached = self._bucket_slots
         cut_from: Dict[int, Optional[SlotArray]] = {}
         parts: List[SlotArray] = []
@@ -443,13 +480,17 @@ class GeohashSpatialIndex(Generic[S]):
             if key in cut_from:
                 continue
             part = cached.get(key)
-            if part is None and key in buckets:
-                members = buckets[key]
-                part = cached[key] = np.fromiter(
-                    map(self._slot_of.__getitem__, members),
-                    dtype=np.intp,
-                    count=len(members),
-                )
+            if part is None:
+                if at_leaf:
+                    members = [leaves[key]] if key in leaves else []
+                else:
+                    members = list(map(leaves.__getitem__, under.get(key, ())))
+                if members:
+                    part = cached[key] = np.fromiter(
+                        chain.from_iterable(members),
+                        dtype=np.intp,
+                        count=sum(map(len, members)),
+                    )
             cut_from[key] = part
             if part is not None:
                 parts.append(part)
@@ -502,7 +543,55 @@ class GeohashSpatialIndex(Generic[S]):
     def __repr__(self) -> str:
         return (
             f"GeohashSpatialIndex(nodes={len(self._slot_of)}, "
-            f"buckets={len(self._buckets)}, max_precision={self.max_precision})"
+            f"leaves={len(self._leaves)}, max_precision={self.max_precision})"
+        )
+
+
+class StatusView(Mapping[str, S]):
+    """The index's statuses as a read-only ``node_id -> status`` mapping.
+
+    A view, not a copy: it reads the index's slot table, so it follows
+    every ``insert``/``remove``/``clear``. Iteration is in order of first
+    insertion (a refresh keeps a node's place, a removal forgets it), and
+    :meth:`values` iterates the statuses at C speed, for callers that
+    hand the whole population on.
+    """
+
+    __slots__ = ("_slot_of", "_status_at")
+
+    def __init__(self, index: GeohashSpatialIndex[S]) -> None:
+        self._slot_of = index._slot_of
+        self._status_at = index._status_at
+
+    def __getitem__(self, node_id: str) -> S:
+        return cast(S, self._status_at[self._slot_of[node_id]])
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._slot_of
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._slot_of)
+
+    def __len__(self) -> int:
+        return len(self._slot_of)
+
+    def values(self) -> ValuesView[S]:
+        return _Statuses(self)
+
+
+class _Statuses(ValuesView[S]):
+    """:meth:`StatusView.values`: one ``map`` over the slot table."""
+
+    __slots__ = ("_slot_of", "_status_at")
+
+    def __init__(self, view: StatusView[S]) -> None:
+        super().__init__(view)
+        self._slot_of = view._slot_of
+        self._status_at = view._status_at
+
+    def __iter__(self) -> Iterator[S]:
+        return cast(
+            Iterator[S], map(self._status_at.__getitem__, self._slot_of.values())
         )
 
 

@@ -1,6 +1,7 @@
 """Protocol message types exchanged between clients, edges and the manager.
 
-These are plain frozen dataclasses: the simulation passes them by
+These are plain frozen, slotted dataclasses (a manager keeps one
+:class:`NodeStatus` per registered node): the simulation passes them by
 reference, and the live runtime (:mod:`repro.runtime`) serializes them to
 JSON with the helpers at the bottom. Keeping one message vocabulary for
 both backends is what makes the live runtime a faithful port rather than
@@ -33,7 +34,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union, get_args, get_or
 from repro.geo.point import GeoPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeStatus:
     """Heartbeat snapshot an edge node reports to the Central Manager.
 
@@ -73,7 +74,7 @@ class NodeStatus:
         return max(0.0, self.cores * (1.0 - self.utilization))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryQuery:
     """A client's edge-discovery request to the Central Manager."""
 
@@ -90,7 +91,7 @@ class DiscoveryQuery:
         return GeoPoint(self.lat, self.lon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateList:
     """The manager's reply: the TopN candidate edge list, best first."""
 
@@ -103,7 +104,7 @@ class CandidateList:
         return len(self.node_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeReply:
     """Reply to ``Process_probe()`` (Table I).
 
@@ -126,7 +127,7 @@ class ProbeReply:
     stay_ms: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinReply:
     """Reply to ``Join()`` — accepted iff the seqNum still matched."""
 
@@ -135,7 +136,7 @@ class JoinReply:
     seq_num: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeOutcome:
     """Everything Algorithm 2 learns about one candidate edge node.
 

@@ -19,7 +19,19 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from itertools import starmap
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 from repro.metrics.timeseries import TimeSeries
 
@@ -31,8 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FrameRecord:
     """One completed (or lost) offloading request.
 
-    Slotted, not frozen: one is appended per resolved frame, and a frozen
-    dataclass pays an ``object.__setattr__`` per field.
+    Slotted, not frozen: one is built per frame read from
+    :class:`FrameRecords`, and a frozen dataclass pays an
+    ``object.__setattr__`` per field.
     """
 
     user_id: str
@@ -45,12 +58,62 @@ class FrameRecord:
         return self.latency_ms is None
 
 
+#: How a frame is stored: ``(user_id, edge_id, created_ms, latency_ms)``.
+FrameRow = Tuple[str, str, float, Optional[float]]
+
+
+class FrameRecords(Sequence[FrameRecord]):
+    """A collector's frames, read-only, as :class:`FrameRecord` objects.
+
+    Stored as plain tuples of strings and floats, which CPython's garbage
+    collector stops tracking at their first young collection: a long
+    run's frames neither lengthen a full collection nor bring the next
+    one closer. A record is built when read, and a slice is another such
+    sequence, so reading a run's frames one by one keeps no record alive
+    (equal, like a list slice, to the list of the records it holds).
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[FrameRow]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @overload
+    def __getitem__(self, index: int) -> FrameRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "FrameRecords": ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[FrameRecord, "FrameRecords"]:
+        if isinstance(index, slice):
+            return FrameRecords(self._rows[index])
+        return FrameRecord(*self._rows[index])
+
+    def __iter__(self) -> Iterator[FrameRecord]:
+        return starmap(FrameRecord, self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FrameRecords):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class MetricsCollector:
     """Accumulates every measurable event of a run.
 
     Attributes of interest to the figures:
-        frames: all frame records (Figs. 3-8 derive from these).
+        frames: all frame records (Figs. 3-8 derive from these), a
+            read-only :class:`FrameRecords` sequence.
         probes_sent: per-user count of ``Process_probe`` requests
             (Fig. 9a).
         test_invocations: per-node count of test-workload runs (Fig. 9b).
@@ -64,7 +127,7 @@ class MetricsCollector:
             grey stair line).
     """
 
-    frames: List[FrameRecord] = field(default_factory=list)
+    frames: FrameRecords = field(init=False)
     probes_sent: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     discovery_queries: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     test_invocations: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
@@ -79,6 +142,10 @@ class MetricsCollector:
     alive_nodes: TimeSeries = field(
         default_factory=lambda: TimeSeries(name="alive_nodes")
     )
+
+    def __post_init__(self) -> None:
+        self._frame_rows: List[FrameRow] = []
+        self.frames = FrameRecords(self._frame_rows)
 
     # ------------------------------------------------------------------
     # Trace-event reduction (the metrics-reporting API)
@@ -98,9 +165,8 @@ class MetricsCollector:
             handler(self, event)
 
     def _on_frame_done(self, event) -> None:
-        self.frames.append(
-            FrameRecord(event.user_id, event.node_id, event.created_ms,
-                        event.latency_ms)
+        self._frame_rows.append(
+            (event.user_id, event.node_id, event.created_ms, event.latency_ms)
         )
 
     def _on_probe_sent(self, event) -> None:
@@ -143,16 +209,16 @@ class MetricsCollector:
     ) -> List[float]:
         """Latencies of completed frames in a window (optionally per user)."""
         result: List[float] = []
-        for record in self.frames:
-            if record.latency_ms is None:
+        for user, _, created_ms, latency_ms in self._frame_rows:
+            if latency_ms is None:
                 continue
-            if record.created_ms < start_ms:
+            if created_ms < start_ms:
                 continue
-            if end_ms is not None and record.created_ms >= end_ms:
+            if end_ms is not None and created_ms >= end_ms:
                 continue
-            if user_id is not None and record.user_id != user_id:
+            if user_id is not None and user != user_id:
                 continue
-            result.append(record.latency_ms)
+            result.append(latency_ms)
         return result
 
     def per_user_mean_latency(
@@ -161,15 +227,15 @@ class MetricsCollector:
         """Mean completed-frame latency per user over a window."""
         sums: Dict[str, float] = defaultdict(float)
         counts: Dict[str, int] = defaultdict(int)
-        for record in self.frames:
-            if record.latency_ms is None:
+        for user, _, created_ms, latency_ms in self._frame_rows:
+            if latency_ms is None:
                 continue
-            if record.created_ms < start_ms:
+            if created_ms < start_ms:
                 continue
-            if end_ms is not None and record.created_ms >= end_ms:
+            if end_ms is not None and created_ms >= end_ms:
                 continue
-            sums[record.user_id] += record.latency_ms
-            counts[record.user_id] += 1
+            sums[user] += latency_ms
+            counts[user] += 1
         return {user: sums[user] / counts[user] for user in sums}
 
     def total_probes(self) -> int:

@@ -7,8 +7,10 @@ The resource-aware baseline's smooth WRR (:func:`smooth_wrr_pick`) runs
 in the sim ``CentralManager`` over all shards, so its ledger is not
 machine state.
 
-The machine owns the registry, the geohash spatial index, and the
-expiry heap; drivers own transports (sim method calls vs. JSON-framed
+The machine owns the geohash spatial index — which stores each
+registered status once and is the registry: :attr:`registry` is a
+read-only view of it — and the stamps and expiry heap that age nodes
+out; drivers own transports (sim method calls vs. JSON-framed
 TCP), address books, clocks and reputation wiring. Time enters only as
 opaque ``stamp`` values that the machine compares against each other —
 the sim backend passes simulated milliseconds, the live backend passes
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.geo.spatial_index import GeohashSpatialIndex
+from repro.geo.spatial_index import GeohashSpatialIndex, StatusView
 from repro.messages import NodeStatus
 from repro.policy.global_policy import GlobalSelectionPolicy
 from repro.protocol.effects import (
@@ -116,18 +118,21 @@ class GlobalSelectionMachine:
     ) -> None:
         self.policy = policy
         self.heartbeat_timeout = heartbeat_timeout
-        self.registry: Dict[str, NodeStatus] = {}
-        #: Geohash-bucketed spatial index over the registry, maintained
-        #: incrementally on heartbeat/expiry so discovery never scans the
-        #: full registry (the metro-scale fast path).
+        #: Geohash-bucketed spatial index over the registered statuses,
+        #: maintained incrementally on heartbeat/expiry so discovery
+        #: never scans the full registry (the metro-scale fast path).
         self.spatial_index: GeohashSpatialIndex[NodeStatus] = GeohashSpatialIndex()
+        #: node_id -> newest status, in order of first registration: a
+        #: read-only view of the index, the one place a status is kept.
+        self.registry: Mapping[str, NodeStatus] = StatusView(self.spatial_index)
         #: Min-heap of (stamp, node_id): the oldest heartbeat is always
         #: on top, so expiring stale nodes pops only actually-stale
         #: entries (amortized O(1) per query) instead of scanning all N.
         #: Entries superseded by fresher heartbeats are lazily discarded,
         #: and compacted away once they outnumber the live ones.
         self._expiry_heap: List[Tuple[float, str]] = []
-        #: node_id -> newest heartbeat stamp (the lazy-deletion check).
+        #: node_id -> newest heartbeat stamp (the lazy-deletion check),
+        #: for exactly the ids the index holds.
         self._stamps: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -155,13 +160,12 @@ class GlobalSelectionMachine:
             ValueError: the index cannot key the status's geohash (too
                 short for a position, or not a geohash). Nothing has
                 changed then: the index refuses before it writes, and it
-                goes first — an entry in the registry alone would have
-                no stamp to expire by and no cell to be found in.
+                goes first — a stamp for a node it refused would have
+                no status to expire.
         """
         node_id = event.status.node_id
+        new = node_id not in self._stamps
         self.spatial_index.insert(event.status)
-        new = node_id not in self.registry
-        self.registry[node_id] = event.status
         self._stamps[node_id] = event.stamp
         heapq.heappush(self._expiry_heap, (event.stamp, node_id))
         if len(self._expiry_heap) > 2 * len(self._stamps) + 8:
@@ -187,17 +191,13 @@ class GlobalSelectionMachine:
         heap = self._expiry_heap
         while heap and stamp - heap[0][0] > self.heartbeat_timeout:
             entry_stamp, node_id = heapq.heappop(heap)
-            if (
-                node_id not in self.registry
-                or self._stamps.get(node_id) != entry_stamp
-            ):
+            if self._stamps.get(node_id) != entry_stamp:
                 continue  # superseded by a fresher heartbeat (or already expired)
             self._drop(node_id)
             effects.append(NodeExpired(node_id))
         return effects
 
     def _drop(self, node_id: str) -> None:
-        self.registry.pop(node_id, None)
         self.spatial_index.remove(node_id)
         self._stamps.pop(node_id, None)
 
@@ -276,12 +276,10 @@ class GlobalSelectionMachine:
         """
         for status in snapshot.statuses:
             self.spatial_index.check(status)
-        self.registry.clear()
         self.spatial_index.clear()
         self._stamps.clear()
         for status in snapshot.statuses:
             self.spatial_index.insert(status)
-            self.registry[status.node_id] = status
         self._stamps.update(snapshot.stamps)
         self._rebuild_expiry_heap()
 

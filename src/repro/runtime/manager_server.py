@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.controlplane.replication import ReplicaSet
 from repro.messages import Address, CandidateList, DiscoveryQuery, NodeStatus
@@ -94,7 +94,7 @@ class ManagerServer(ManagerDriver[ReplicaSet]):
     # Protocol-core state, exposed on the driver for tests/operators.
     # ------------------------------------------------------------------
     @property
-    def _registry(self) -> Dict[str, NodeStatus]:
+    def _registry(self) -> Mapping[str, NodeStatus]:
         return self._machine.registry
 
     async def start(self) -> None:

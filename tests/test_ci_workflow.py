@@ -361,6 +361,20 @@ def test_the_discovery_memo_differential_runs_with_every_warning_an_error():
 
 
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_controlplane_smoke_checks_that_the_registry_is_stored_once():
+    """The sim parity step of controlplane-smoke runs the stored-once
+    test beside the oracle: one leaf per node, the registry a view of
+    the index, the slotted messages pickled and deep-copied (on 3.12;
+    the ``test`` matrix runs it on every other Python)."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["controlplane-smoke"])
+    (parity,) = [s for s in steps if s.startswith("Sim parity + sharding + replication tests")]
+    assert "python -m pytest -x -q" in parity
+    assert "tests/test_discovery_oracle.py" in parity
+    assert "tests/test_registry_stored_once.py" in parity
+    assert (ROOT / "tests" / "test_registry_stored_once.py").exists()
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_controlplane_smoke_gates_the_sweep_on_invariant_violations():
     """The 1x1 ``controlplane_chaos`` cell reported a violation on every
     seed for as long as nothing looked: one step sweeps the default grid

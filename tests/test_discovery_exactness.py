@@ -111,14 +111,18 @@ def test_indexed_matches_linear_through_index_maintenance(seed):
     # with its step, and nothing prunes but the "remove" operation.
     machine = GlobalSelectionMachine(policies[0], heartbeat_timeout=1.0)
     index = machine.spatial_index
-    registry = machine.registry  # maintained without the index: the reference
+    # The reference: what was fed, kept here (the machine's registry is
+    # a view of the index under test).
+    registry: Dict[str, NodeStatus] = {}
     removed: List[str] = []
     saved: Optional[RegistrySnapshot] = None
+    saved_registry: Dict[str, NodeStatus] = {}
     next_id = 0
     done: Dict[str, int] = {}
 
     def beat(status: NodeStatus) -> None:
         machine.handle(HeartbeatReceived(stamp=float(step), status=status))
+        registry[status.node_id] = status
 
     for step in range(400):
         roll = rng.random()
@@ -140,20 +144,26 @@ def test_indexed_matches_linear_through_index_maintenance(seed):
             cutoff = stamps[min(rng.randrange(3), len(stamps) - 1)]
             expired = machine.handle(PruneTick(stamp=cutoff + 1.5))
             removed.extend(effect.node_id for effect in expired)
+            for effect in expired:
+                del registry[effect.node_id]
         elif roll < 0.90 and removed:
             op = "re-add"  # lands in a slot a removed node freed
             beat(random_status(removed.pop(rng.randrange(len(removed))), rng))
         elif roll < 0.93:
             op = "clear"
             machine.restore_state(RegistrySnapshot((), {}))
+            registry.clear()
         elif roll < 0.96 or saved is None:
             op = "snapshot"
             saved = machine.snapshot_state()
+            saved_registry = dict(registry)
         else:
             op = "restore"
             machine.restore_state(saved)
+            registry.clear()
+            registry.update(saved_registry)
         done[op] = done.get(op, 0) + 1
-        assert len(index) == len(registry)
+        assert len(index) == len(registry) and machine.registry == registry
 
         nodes = list(registry.values())
         point = random_point(rng)

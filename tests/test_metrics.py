@@ -1,11 +1,15 @@
 """Unit tests for stats, time series, the collector and report rendering."""
 
-from typing import Optional
+import gc
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.collector import MetricsCollector
+from repro import EndpointSpec, ScenarioBuilder, SystemConfig
+from repro.geo.region import MSP_CENTER
+from repro.metrics.collector import FrameRecord, MetricsCollector
+from repro.nodes.hardware import VOLUNTEER_PROFILES
 from repro.metrics.report import cdf_quantiles, format_table, render
 from repro.obs.events import (
     CoveredFailover,
@@ -161,6 +165,39 @@ def test_collector_per_user_means():
     collector.on_event(frame_done("u2", "V2", 2.0, 10.0))
     means = collector.per_user_mean_latency()
     assert means == {"u1": 50.0, "u2": 10.0}
+
+
+def test_stored_frames_leave_the_gc_and_read_back_as_records():
+    """Frames are kept as untracked tuples; ``frames`` reads them back as
+    the ``FrameRecord`` s the collector used to append, field by field."""
+    builder = ScenarioBuilder(SystemConfig(seed=3)).default_node_spec(EndpointSpec(MSP_CENTER))
+    for i in range(6):
+        builder.node(f"n{i}", VOLUNTEER_PROFILES[i % len(VOLUNTEER_PROFILES)],
+                     point=MSP_CENTER.offset_km(i - 3.0, 1.0))
+    for i in range(3):
+        builder.client(f"u{i}", point=MSP_CENTER.offset_km(0.5 * i, -1.0))
+    system = builder.build()
+    seen: List[FrameRecord] = []  # what the collector appended before
+    system.trace.subscribe(
+        lambda event: seen.append(
+            FrameRecord(event.user_id, event.node_id, event.created_ms, event.latency_ms)
+        ) if event.type == "frame_done" else None
+    )
+    system.run_for(3_000.0)
+    gc.collect()
+    frames = system.metrics.frames
+    assert len(frames) == len(seen) > 100
+    assert not any(gc.is_tracked(row) for row in system.metrics._frame_rows)
+    n = len(seen)
+    for window in (slice(None), slice(0, 1), slice(5, 40), slice(n - 7, None),
+                   slice(-3, None), slice(10, 5), slice(None, None, 3)):
+        assert frames[window] == seen[window]
+    assert [frames[i] for i in (0, n // 2, -1)] == [seen[0], seen[n // 2], seen[-1]]
+    assert list(frames) == seen and type(frames[0]) is FrameRecord
+    with pytest.raises(IndexError):
+        frames[n]
+    with pytest.raises(TypeError):
+        frames[0] = seen[0]  # type: ignore[index]
 
 
 def test_collector_counters():

@@ -107,8 +107,6 @@ class ScenarioBuilder:
         self._app = app
         self._manager_point = manager_point
         self._global_policy = global_policy
-        self._policy_spec: Optional[object] = None
-        self._policy_params: dict = {}
         self._node_default: Optional[EndpointSpec] = None
         self._nodes: List[WorldNode] = []
         self._users: List[WorldUser] = []
@@ -125,24 +123,6 @@ class ScenarioBuilder:
     def default_node_spec(self, spec: EndpointSpec) -> "ScenarioBuilder":
         """Network spec template for nodes declared with only a point."""
         self._node_default = spec
-        return self
-
-    def policy(self, spec: object, **params: object) -> "ScenarioBuilder":
-        """Select the client ranking policy for every built client.
-
-        ``spec`` is a :mod:`repro.policy` registry name (``"ewma"``,
-        ``"reliability"``, ...), a :class:`~repro.policy.SelectionPolicy`
-        prototype (deep-copied per client, so per-node state is never
-        shared), or a legacy ranking callable; keyword ``params`` are
-        constructor arguments when ``spec`` is a name::
-
-            ScenarioBuilder(config).policy("ewma", alpha=0.5)
-
-        Overrides ``SystemConfig.policy_spec``. QoS admission from
-        ``qos_latency_ms`` still wraps the chosen policy.
-        """
-        self._policy_spec = spec
-        self._policy_params = dict(params)
         return self
 
     def observe(
@@ -272,8 +252,6 @@ class ScenarioBuilder:
             topology=self._topology,
             app=self._app,
             global_policy=self._global_policy,
-            selection_policy=self._policy_spec,
-            selection_policy_params=self._policy_params or None,
             trace=tracer,
         )
         _built.add(system)

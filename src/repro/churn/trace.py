@@ -63,23 +63,6 @@ class ChurnTrace:
     def alive_count_at(self, now_ms: float) -> int:
         return sum(1 for e in self.episodes if e.alive_at(now_ms))
 
-    def population_steps(self) -> List[tuple]:
-        """(time, alive count) at every join/fail instant — Fig. 8's stairs."""
-        events: List[tuple] = []
-        for episode in self.episodes:
-            events.append((episode.join_ms, 1))
-            if episode.fail_ms < self.horizon_ms:
-                events.append((episode.fail_ms, -1))
-            if episode.restart_ms is not None and episode.restart_ms < self.horizon_ms:
-                events.append((episode.restart_ms, 1))
-        events.sort()
-        steps: List[tuple] = []
-        count = 0
-        for time_ms, delta in events:
-            count += delta
-            steps.append((time_ms, count))
-        return steps
-
 
 def generate_trace(
     rng: random.Random,

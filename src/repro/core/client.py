@@ -44,8 +44,6 @@ from typing import (
 from repro.controlplane.errors import ControlPlaneUnavailable
 from repro.core.config import RTT_PROBE_SAMPLES, SystemConfig
 from repro.messages import DiscoveryQuery, ProbeOutcome
-from repro.policy.base import SelectionPolicy
-from repro.policy.baselines import RankingCallable
 from repro.nodes.processing import CompletedFrame
 from repro.obs.events import FrameDone, FrameStart, PhaseSpan
 from repro.protocol.admission import COMMON_RTT_MS
@@ -218,6 +216,9 @@ class _InFlightFrame:
 class EdgeClient(ClientDriver):
     """A user device running the client-centric edge selection.
 
+    Its selection policy is the one ``config.policy_spec`` names, built
+    for this client alone (:meth:`EdgeSystem.make_selection_policy`).
+
     Args:
         system: owning :class:`~repro.core.system.EdgeSystem`, held
             weakly: the client keeps its clock, topology, tracer and the
@@ -225,11 +226,6 @@ class EdgeClient(ClientDriver):
             (the manager, the fault plan).
         user_id: unique id; must match a registered network endpoint.
         app: application profile (defaults to the system's).
-        local_policy: a :class:`~repro.policy.base.SelectionPolicy` or
-            legacy ranking callable; defaults to the system/config
-            resolved policy (``EdgeSystem.make_selection_policy``),
-            which honours ``ScenarioBuilder.policy(...)`` and
-            ``SystemConfig.policy_spec`` including QoS wrapping.
         proactive_connections: keep standing connections to backups
             (False reproduces the reactive "re-connect" baseline).
     """
@@ -240,7 +236,6 @@ class EdgeClient(ClientDriver):
         user_id: str,
         *,
         app: Optional[ARApplication] = None,
-        local_policy: "Optional[SelectionPolicy | RankingCallable]" = None,
         proactive_connections: bool = True,
     ) -> None:
         self._world = weakref.ref(system)
@@ -255,9 +250,7 @@ class EdgeClient(ClientDriver):
         self._rng = rng
         super().__init__(
             user_id,
-            local_policy
-            if local_policy is not None
-            else system.make_selection_policy(user_id),
+            system.make_selection_policy(user_id),
             SelectionConfig(
                 top_n=self.config.top_n, min_dwell_ms=self.config.min_dwell_ms
             ),
@@ -287,9 +280,6 @@ class EdgeClient(ClientDriver):
         self._lbl_resp = uid + ".resp"
         self._lbl_uplink = uid + ".uplink"
         self._lbl_leave = uid + ".leave"
-
-    #: The policy under the name experiments have always read.
-    local_policy = ClientDriver.policy
 
     @property
     def system(self) -> "EdgeSystem":

@@ -72,13 +72,6 @@ class EdgeSystem:
             (the manager endpoint is added automatically either way).
         app: the application profile served by all edge nodes.
         global_policy: manager-side selection policy override.
-        selection_policy: client-side policy spec — a
-            :mod:`repro.policy` registry name, a policy prototype, or a
-            legacy ranking callable. Overrides
-            ``config.policy_spec``; each client gets its own seeded
-            instance via :meth:`make_selection_policy`.
-        selection_policy_params: constructor keywords when
-            ``selection_policy`` (or the config spec) is a name.
         trace: a :class:`~repro.obs.tracer.Tracer` to publish trace
             events on; a capture-disabled one is created if omitted.
             Either way the system's :class:`MetricsCollector` is
@@ -94,15 +87,11 @@ class EdgeSystem:
         topology: Optional[NetworkTopology] = None,
         app: ARApplication = DEFAULT_AR_APP,
         global_policy: Optional[GlobalSelectionPolicy] = None,
-        selection_policy: Optional[object] = None,
-        selection_policy_params: Optional[Dict[str, object]] = None,
         trace: Optional[Tracer] = None,
         faults: Optional["FaultInjector"] = None,
     ) -> None:
         self.config = config or SystemConfig()
         self.app = app
-        self.selection_policy = selection_policy
-        self.selection_policy_params = dict(selection_policy_params or {})
         self.streams = RandomStreams(self.config.seed)
         self.sim = Simulator()
         self.metrics = MetricsCollector()
@@ -162,25 +151,16 @@ class EdgeSystem:
     # Client selection policy
     # ------------------------------------------------------------------
     def make_selection_policy(self, user_id: str):
-        """A fresh, per-client selection policy instance.
-
-        Resolution order: the system's ``selection_policy`` argument,
-        else ``config.policy_spec``. QoS admission
-        (``config.qos_latency_ms``) wraps whatever was resolved, and the
-        policy's private randomness is seeded deterministically from the
-        config seed and the user id.
+        """A fresh selection policy for one client: the one
+        ``config.policy_spec`` names, wrapped in QoS admission when
+        ``config.qos_latency_ms`` is set, its private randomness seeded
+        from the config seed and the user id.
         """
         from repro.policy import build_policy
         from repro.sim.random import derive_seed
 
-        spec = (
-            self.selection_policy
-            if self.selection_policy is not None
-            else self.config.policy_spec
-        )
         return build_policy(
-            spec,  # type: ignore[arg-type]
-            params=self.selection_policy_params or None,
+            self.config.policy_spec,
             qos_latency_ms=self.config.qos_latency_ms,
             seed=derive_seed(self.config.seed, f"policy.{user_id}"),
         )

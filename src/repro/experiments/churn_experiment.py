@@ -148,11 +148,6 @@ class ChurnTraceResult:
     bin_ms: float
 
     @property
-    def population_steps(self) -> List[Tuple[float, int]]:
-        """(time_ms, alive count) at every join/fail — the stair line."""
-        return [(t, int(c)) for t, c in self.trace.population_steps()]
-
-    @property
     def total_nodes(self) -> int:
         return len(self.trace)
 

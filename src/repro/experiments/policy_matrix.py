@@ -28,7 +28,7 @@ in the failover-gap p95.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
@@ -127,7 +127,6 @@ def run_policy_matrix(
     n_users: int = 3,
     seed: int = 0,
     warmup_ms: float = 10_000.0,
-    policy_params: Optional[Dict[str, object]] = None,
 ) -> PolicyMatrixResult:
     """Run one cell of the policy matrix and reduce it to scalars.
 
@@ -146,11 +145,10 @@ def run_policy_matrix(
             top_n=3,
             probing_period_ms=2_000.0,
             attachment_lease_ms=6_000.0,
+            policy_spec=policy,
         ),
         trace=tracer,
         faults=injector,
-        selection_policy=policy,
-        selection_policy_params=policy_params,
     )
     center = GeoPoint(44.97, -93.25)
     # The trap failure domain: best hardware, right on top of the users.

@@ -13,8 +13,6 @@ Styles:
 - ``GAUSSIAN`` — 2-D normal around the centre, truncated at the radius;
   denser downtown, sparser suburbs, which matches residential volunteer
   distributions.
-- ``CLUSTERED`` — a few Gaussian neighbourhood clusters; models
-  suburb-level clumping of volunteers sharing an ISP.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
 
 from repro.geo.point import GeoPoint
 
@@ -37,7 +34,6 @@ class PlacementStyle(enum.Enum):
 
     UNIFORM_DISC = "uniform_disc"
     GAUSSIAN = "gaussian"
-    CLUSTERED = "clustered"
 
 
 @dataclass
@@ -49,20 +45,15 @@ class MetroArea:
         radius_km: maximum distance of any placed entity from the centre.
         rng: random source; pass a seeded ``random.Random`` for
             reproducible layouts.
-        n_clusters: number of neighbourhood clusters for ``CLUSTERED``.
     """
 
     center: GeoPoint = MSP_CENTER
     radius_km: float = 16.0  # ~10 miles
     rng: random.Random = field(default_factory=random.Random)
-    n_clusters: int = 4
-    _clusters: Optional[List[GeoPoint]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.radius_km <= 0:
             raise ValueError(f"radius_km must be positive: {self.radius_km}")
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be >= 1: {self.n_clusters}")
 
     # ------------------------------------------------------------------
     def sample(self, style: PlacementStyle = PlacementStyle.UNIFORM_DISC) -> GeoPoint:
@@ -71,8 +62,6 @@ class MetroArea:
             return self._sample_uniform()
         if style is PlacementStyle.GAUSSIAN:
             return self._sample_gaussian()
-        if style is PlacementStyle.CLUSTERED:
-            return self._sample_clustered()
         raise ValueError(f"unknown placement style: {style}")
 
     def contains(self, point: GeoPoint) -> bool:
@@ -99,16 +88,3 @@ class MetroArea:
             if math.hypot(north, east) <= self.radius_km:
                 return self.center.offset_km(north, east)
         return self.center  # vanishingly unlikely fallback
-
-    def _sample_clustered(self) -> GeoPoint:
-        if self._clusters is None:
-            self._clusters = [self._sample_uniform() for _ in range(self.n_clusters)]
-        cluster = self.rng.choice(self._clusters)
-        sigma = self.radius_km / 8.0
-        for _ in range(64):
-            candidate = GeoPoint(
-                cluster.lat, cluster.lon
-            ).offset_km(self.rng.gauss(0.0, sigma), self.rng.gauss(0.0, sigma))
-            if self.contains(candidate):
-                return candidate
-        return cluster

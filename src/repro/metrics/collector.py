@@ -17,9 +17,10 @@ call :meth:`MetricsCollector.on_event` directly in tests).
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import starmap
+from math import isnan, nan
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -58,28 +59,45 @@ class FrameRecord:
         return self.latency_ms is None
 
 
-#: How a frame is stored: ``(user_id, edge_id, created_ms, latency_ms)``.
-FrameRow = Tuple[str, str, float, Optional[float]]
+def _record(
+    user_id: str, edge_id: str, created_ms: float, latency_ms: float
+) -> FrameRecord:
+    """One stored frame as a record (a NaN latency is a lost frame)."""
+    return FrameRecord(
+        user_id, edge_id, created_ms, None if isnan(latency_ms) else latency_ms
+    )
 
 
 class FrameRecords(Sequence[FrameRecord]):
     """A collector's frames, read-only, as :class:`FrameRecord` objects.
 
-    Stored as plain tuples of strings and floats, which CPython's garbage
-    collector stops tracking at their first young collection: a long
-    run's frames neither lengthen a full collection nor bring the next
-    one closer. A record is built when read, and a slice is another such
-    sequence, so reading a run's frames one by one keeps no record alive
-    (equal, like a list slice, to the list of the records it holds).
+    Stored as four columns — the user and edge ids as lists of the
+    emitters' own strings, the creation time and the latency as
+    ``array('d')`` with NaN for a lost frame — so a frame costs four
+    slots and no object of its own, and a long run's frames neither
+    lengthen a full collection nor bring the next one closer. The view
+    reads the collector's columns, so it sees frames resolved after it
+    was taken. A record is built when read, and a slice is another such
+    sequence over copied columns (equal, like a list slice, to the list
+    of the records it holds).
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_users", "_edges", "_created", "_latency")
 
-    def __init__(self, rows: List[FrameRow]) -> None:
-        self._rows = rows
+    def __init__(
+        self,
+        users: List[str],
+        edges: List[str],
+        created: "array[float]",
+        latency: "array[float]",
+    ) -> None:
+        self._users = users
+        self._edges = edges
+        self._created = created
+        self._latency = latency
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._users)
 
     @overload
     def __getitem__(self, index: int) -> FrameRecord: ...
@@ -91,17 +109,25 @@ class FrameRecords(Sequence[FrameRecord]):
         self, index: Union[int, slice]
     ) -> Union[FrameRecord, "FrameRecords"]:
         if isinstance(index, slice):
-            return FrameRecords(self._rows[index])
-        return FrameRecord(*self._rows[index])
+            return FrameRecords(
+                self._users[index],
+                self._edges[index],
+                self._created[index],
+                self._latency[index],
+            )
+        return _record(
+            self._users[index],
+            self._edges[index],
+            self._created[index],
+            self._latency[index],
+        )
 
     def __iter__(self) -> Iterator[FrameRecord]:
-        return starmap(FrameRecord, self._rows)
+        return map(_record, self._users, self._edges, self._created, self._latency)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, FrameRecords):
-            return self._rows == other._rows
-        if isinstance(other, list):
-            return list(self) == other
+        if isinstance(other, (FrameRecords, list)):
+            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -144,8 +170,16 @@ class MetricsCollector:
     )
 
     def __post_init__(self) -> None:
-        self._frame_rows: List[FrameRow] = []
-        self.frames = FrameRecords(self._frame_rows)
+        self._frame_users: List[str] = []
+        self._frame_edges: List[str] = []
+        self._frame_created: "array[float]" = array("d")
+        self._frame_latency: "array[float]" = array("d")
+        self.frames = FrameRecords(
+            self._frame_users,
+            self._frame_edges,
+            self._frame_created,
+            self._frame_latency,
+        )
 
     # ------------------------------------------------------------------
     # Trace-event reduction (the metrics-reporting API)
@@ -165,9 +199,11 @@ class MetricsCollector:
             handler(self, event)
 
     def _on_frame_done(self, event) -> None:
-        self._frame_rows.append(
-            (event.user_id, event.node_id, event.created_ms, event.latency_ms)
-        )
+        latency_ms = event.latency_ms
+        self._frame_users.append(event.user_id)
+        self._frame_edges.append(event.node_id)
+        self._frame_created.append(event.created_ms)
+        self._frame_latency.append(nan if latency_ms is None else latency_ms)
 
     def _on_probe_sent(self, event) -> None:
         self.probes_sent[event.user_id] += 1
@@ -209,8 +245,10 @@ class MetricsCollector:
     ) -> List[float]:
         """Latencies of completed frames in a window (optionally per user)."""
         result: List[float] = []
-        for user, _, created_ms, latency_ms in self._frame_rows:
-            if latency_ms is None:
+        for user, created_ms, latency_ms in zip(
+            self._frame_users, self._frame_created, self._frame_latency
+        ):
+            if isnan(latency_ms):
                 continue
             if created_ms < start_ms:
                 continue
@@ -227,8 +265,10 @@ class MetricsCollector:
         """Mean completed-frame latency per user over a window."""
         sums: Dict[str, float] = defaultdict(float)
         counts: Dict[str, int] = defaultdict(int)
-        for user, _, created_ms, latency_ms in self._frame_rows:
-            if latency_ms is None:
+        for user, created_ms, latency_ms in zip(
+            self._frame_users, self._frame_created, self._frame_latency
+        ):
+            if isnan(latency_ms):
                 continue
             if created_ms < start_ms:
                 continue

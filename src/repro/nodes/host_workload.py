@@ -7,7 +7,7 @@ competing with existing edge services that are out of our control"
 job consuming fraction ``f`` of the machine leaves ``1-f`` for the edge
 service, inflating frame times by ``1/(1-f)``.
 
-:class:`HostWorkloadSchedule` generates random on/off interference
+:class:`HostWorkloadSchedule` holds a node's on/off interference
 episodes; the simulated edge server samples the factor and lets its
 performance monitor notice the drift (which re-triggers the test
 workload and bumps ``seqNum``, exactly trigger type 3).
@@ -15,9 +15,8 @@ workload and bumps ``seqNum``, exactly trigger type 3).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,8 @@ class HostWorkload:
 class HostWorkloadSchedule:
     """A node's full interference timeline.
 
-    Episodes are generated with exponential inter-arrival gaps and
-    exponential durations; intensities are uniform over a configured
-    range. Episodes may not overlap (a machine runs one disruptive host
-    job at a time, the heavier wins).
+    Episodes may not overlap (a machine runs one disruptive host job at
+    a time).
     """
 
     def __init__(self, episodes: List[HostWorkload]) -> None:
@@ -70,31 +67,6 @@ class HostWorkloadSchedule:
     def none(cls) -> "HostWorkloadSchedule":
         """An empty schedule (dedicated nodes)."""
         return cls([])
-
-    @classmethod
-    def generate(
-        cls,
-        rng: random.Random,
-        horizon_ms: float,
-        mean_gap_ms: float = 60_000.0,
-        mean_duration_ms: float = 15_000.0,
-        cpu_fraction_range: Tuple[float, float] = (0.2, 0.7),
-    ) -> "HostWorkloadSchedule":
-        """Generate a random non-overlapping schedule over ``horizon_ms``."""
-        if horizon_ms <= 0:
-            raise ValueError("horizon must be positive")
-        low, high = cpu_fraction_range
-        if not 0.0 <= low <= high <= 0.95:
-            raise ValueError(f"bad cpu_fraction_range: {cpu_fraction_range}")
-        episodes: List[HostWorkload] = []
-        t = rng.expovariate(1.0 / mean_gap_ms)
-        while t < horizon_ms:
-            duration = max(100.0, rng.expovariate(1.0 / mean_duration_ms))
-            end = min(t + duration, horizon_ms)
-            if end > t:
-                episodes.append(HostWorkload(t, end, rng.uniform(low, high)))
-            t = end + rng.expovariate(1.0 / mean_gap_ms)
-        return cls(episodes)
 
     def slowdown_at(self, now_ms: float) -> float:
         """Slowdown factor in effect at ``now_ms`` (1.0 when idle)."""

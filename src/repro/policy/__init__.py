@@ -8,16 +8,19 @@ the :class:`~repro.protocol.selection.SelectionMachine`'s ranking and
 backup-ordering decisions. See :mod:`repro.policy.base` for their
 contract, :mod:`repro.policy.baselines` for the paper's LO/GO/QoS,
 :mod:`repro.policy.predictive` for the history-aware policies, and
-:mod:`repro.policy.registry` for resolving string specs
-(``SystemConfig.policy_spec``, sweeps, the CLI).
+:mod:`repro.policy.registry` for the names a client chooses its policy
+by (``SystemConfig.policy_spec``, ``LiveClient(policy=...)``, sweeps,
+the CLI).
 
 Quickstart::
 
-    from repro.policy import build_policy, get, policy_names
+    from repro.policy import EwmaRttPolicy, get, make, policy_names, register
 
     policy_names()                 # ['churn', 'ewma', 'go', 'lo', 'reliability']
     get("reliability")             # the factory class
-    build_policy("ewma", params={"alpha": 0.5})   # a configured instance
+    make("ewma", alpha=0.5)        # a configured instance
+    register("ewma-fast", lambda: EwmaRttPolicy(alpha=0.5))
+    # ... then SystemConfig(policy_spec="ewma-fast")
 """
 
 from repro.policy.base import (
@@ -34,11 +37,9 @@ from repro.policy.base import (
     SelectionPolicy,
 )
 from repro.policy.baselines import (
-    CallableRankingPolicy,
     GlobalOverheadPolicy,
     LocalOverheadPolicy,
     QosGatedPolicy,
-    as_policy,
 )
 from repro.policy.global_policy import (
     GeoProximityFilter,
@@ -51,7 +52,6 @@ from repro.policy.predictive import (
     ReliabilityPolicy,
 )
 from repro.policy.registry import (
-    PolicySpec,
     build_policy,
     describe,
     get,
@@ -63,7 +63,6 @@ from repro.policy.reputation import ReputationTracker
 
 __all__ = [
     "AttachmentObserved",
-    "CallableRankingPolicy",
     "CandidateChurn",
     "ChurnAwarePolicy",
     "DegradedDiscovery",
@@ -75,7 +74,6 @@ __all__ = [
     "LocalOverheadPolicy",
     "NodeFailureObserved",
     "PolicyObservation",
-    "PolicySpec",
     "ProbeObserved",
     "ProbeTimeout",
     "QosGatedPolicy",
@@ -84,7 +82,6 @@ __all__ = [
     "ReliabilityPolicy",
     "ReputationTracker",
     "SelectionPolicy",
-    "as_policy",
     "availability_sort_key",
     "build_policy",
     "describe",

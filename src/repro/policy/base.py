@@ -26,13 +26,12 @@ Contract:
 - **Deterministic tie-break.** :meth:`SelectionPolicy.rank` orders by
   ``(score, node_id)`` so equal scores cannot make two runs diverge.
 - **Picklable.** Per-node policy state rides inside the machine's
-  picklable state (sweep resumability, cloned scenarios); policies must
-  therefore hold only plain data — no lambdas, no open handles.
+  picklable state (sweep resumability); policies must therefore hold
+  only plain data — no lambdas, no open handles.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -222,10 +221,6 @@ class SelectionPolicy:
     def params(self) -> Dict[str, object]:
         """The tunables this instance runs with (for docs/CLI listing)."""
         return {}
-
-    def clone(self) -> "SelectionPolicy":
-        """A fresh, state-independent copy (per-client instantiation)."""
-        return copy.deepcopy(self)
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params().items()))

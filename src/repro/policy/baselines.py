@@ -3,31 +3,24 @@
 LO and GO rank by ``(score, node_id)`` — the paper's sorts with a
 deterministic tie-break — and the QoS gate filters on LO first, so a
 policy object ranks exactly as the plain ``sorted(...)`` reference does
-(pinned by the golden-trace parity test, which hands the machine that
-reference through :class:`CallableRankingPolicy`). They carry no state:
+(pinned by the golden-trace parity test, which keeps that reference as
+a policy of its own under ``tests/``). They carry no state:
 :meth:`~repro.policy.base.SelectionPolicy.observe` is a no-op, which
 also keeps the hot path free when history is not wanted.
 """
 
 from __future__ import annotations
 
-from typing import Callable, ClassVar, Dict, List, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 from repro.messages import ProbeOutcome
-from repro.policy.base import RankingContext, Ranking, SelectionPolicy
+from repro.policy.base import RankingContext, SelectionPolicy
 
 __all__ = [
-    "CallableRankingPolicy",
     "GlobalOverheadPolicy",
     "LocalOverheadPolicy",
     "QosGatedPolicy",
-    "RankingCallable",
-    "as_policy",
 ]
-
-#: A ranking as a plain function: probe outcomes in, best-first list out
-#: (possibly filtered, e.g. a QoS cut).
-RankingCallable = Callable[[Sequence[ProbeOutcome]], List[ProbeOutcome]]
 
 
 class LocalOverheadPolicy(SelectionPolicy):
@@ -92,47 +85,3 @@ class QosGatedPolicy(SelectionPolicy):
 
     def params(self) -> Dict[str, object]:
         return {"base": self.base.name, "qos_latency_ms": self.qos_latency_ms}
-
-
-class CallableRankingPolicy(SelectionPolicy):
-    """Adapter wrapping a legacy ranking callable.
-
-    The callable keeps full authority over the order (it may implement
-    any custom sort or filter); scores are reported as each candidate's
-    ``LO`` — exactly the quantity the pre-policy machine compared in its
-    dwell/hysteresis check, so wrapped legacy policies keep their exact
-    historical switching behaviour.
-    """
-
-    name: ClassVar[str] = "callable"
-
-    def __init__(self, fn: RankingCallable) -> None:
-        self.fn = fn
-
-    def rank(
-        self, outcomes: Sequence[ProbeOutcome], ctx: RankingContext
-    ) -> Ranking:
-        ranked = tuple(self.fn(outcomes))
-        return Ranking(
-            ranked=ranked,
-            scores={o.node_id: o.local_overhead_ms for o in ranked},
-        )
-
-    def score(self, outcome: ProbeOutcome, ctx: RankingContext) -> float:
-        return outcome.local_overhead_ms
-
-    def params(self) -> Dict[str, object]:
-        return {"fn": getattr(self.fn, "__name__", repr(self.fn))}
-
-
-def as_policy(
-    policy: "SelectionPolicy | RankingCallable",
-) -> SelectionPolicy:
-    """Coerce a policy object or legacy ranking callable to a policy."""
-    if isinstance(policy, SelectionPolicy):
-        return policy
-    if callable(policy):
-        return CallableRankingPolicy(policy)
-    raise TypeError(
-        f"not a SelectionPolicy or ranking callable: {policy!r}"
-    )

@@ -1,24 +1,27 @@
-"""String-keyed policy registry.
+"""String-keyed policy registry: the one way a client's policy is chosen.
 
-Sweeps, the CLI and ``SystemConfig.policy_spec`` name policies by
-string (``"reliability"``); this registry maps those names to factories
-and builds configured instances. Built-ins register at import time so
-worker processes resolve the same names (spawn-safe, like the sweep
-experiment registry).
+A client names its selection policy (``SystemConfig.policy_spec`` on the
+sim, ``LiveClient(policy=...)`` live; sweeps and the CLI pass the same
+strings), and :func:`build_policy` resolves that name once per client
+into a fresh, seeded instance, so policy state is never shared. A custom
+or re-tuned policy is registered under a name of its own::
+
+    register("ewma-fast", lambda: EwmaRttPolicy(alpha=0.6))
+    SystemConfig(policy_spec="ewma-fast")
+
+Built-ins register at import time so worker processes resolve the same
+names (spawn-safe, like the sweep experiment registry).
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.policy.base import SelectionPolicy
 from repro.policy.baselines import (
     GlobalOverheadPolicy,
     LocalOverheadPolicy,
     QosGatedPolicy,
-    RankingCallable,
-    as_policy,
 )
 from repro.policy.predictive import (
     ChurnAwarePolicy,
@@ -28,18 +31,12 @@ from repro.policy.predictive import (
 
 __all__ = [
     "PolicyFactory",
-    "PolicySpec",
     "build_policy",
     "get",
     "make",
     "policy_names",
     "register",
 ]
-
-#: Anything :func:`build_policy` accepts: a registry name, a policy
-#: instance (used as a prototype — cloned, never shared), or a legacy
-#: ranking callable.
-PolicySpec = Union[str, SelectionPolicy, RankingCallable]
 
 PolicyFactory = Callable[..., SelectionPolicy]
 
@@ -92,41 +89,24 @@ def policy_names() -> List[str]:
 
 
 def build_policy(
-    spec: PolicySpec,
+    name: str,
     *,
-    params: Optional[Dict[str, object]] = None,
     qos_latency_ms: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> SelectionPolicy:
-    """Resolve any policy spec into a ready per-client instance.
+    """A fresh instance of the policy registered under ``name``, ready
+    for one client.
 
-    - A **name** builds a fresh instance from the registry with
-      ``params`` as constructor keywords.
-    - A **policy object** is treated as a prototype and deep-copied, so
-      per-node state is never shared between clients.
-    - A **legacy ranking callable** is wrapped in the adapter that
-      preserves its exact historical ranking and hysteresis behaviour.
-
-    ``qos_latency_ms`` wraps the result in QoS admission (the
+    ``qos_latency_ms`` wraps it in QoS admission (the
     ``SystemConfig.qos_latency_ms`` semantics); ``seed`` hands the
     policy its private random universe.
     """
-    policy: SelectionPolicy
-    if isinstance(spec, str):
-        policy = make(spec, **(params or {}))
-    elif isinstance(spec, SelectionPolicy):
-        if params:
-            raise ValueError(
-                "params only apply to registry names; configure the "
-                "policy instance directly instead"
-            )
-        policy = copy.deepcopy(spec)
-    elif callable(spec):
-        if params:
-            raise ValueError("params only apply to registry names")
-        policy = as_policy(spec)
-    else:
-        raise TypeError(f"not a policy spec: {spec!r}")
+    if not isinstance(name, str):
+        raise TypeError(
+            f"a selection policy is chosen by registry name, not {name!r}; "
+            "register a factory with repro.policy.register(name, factory)"
+        )
+    policy = make(name)
     if qos_latency_ms is not None:
         policy = QosGatedPolicy(policy, qos_latency_ms)
     if seed is not None:

@@ -88,7 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.nodes.hardware import HardwareProfile
     from repro.obs.tracer import Tracer
     from repro.policy.base import SelectionPolicy
-    from repro.policy.baselines import RankingCallable
 
 __all__ = ["ClientStats", "ClientDriver", "EdgeDriver", "ManagerDriver"]
 
@@ -145,7 +144,7 @@ class ClientDriver:
 
     Args:
         user_id: the client's id.
-        policy: the local selection policy (or a legacy ranking callable).
+        policy: this client's own local selection policy.
         config: the machine's protocol constants.
         tracer: where decision and probe events go.
         proactive_connections: keep standing links to the backups
@@ -165,7 +164,7 @@ class ClientDriver:
     def __init__(
         self,
         user_id: str,
-        policy: "SelectionPolicy | RankingCallable",
+        policy: "SelectionPolicy",
         config: SelectionConfig,
         *,
         tracer: "Tracer",
@@ -194,10 +193,6 @@ class ClientDriver:
     @property
     def policy(self) -> "SelectionPolicy":
         return self._machine.policy
-
-    @policy.setter
-    def policy(self, policy: "SelectionPolicy | RankingCallable") -> None:
-        self._machine.policy = policy
 
     @property
     def failure_monitor(self) -> FailureMonitor:

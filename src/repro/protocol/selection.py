@@ -75,7 +75,6 @@ from repro.policy.base import (
     RankingContext,
     SelectionPolicy,
 )
-from repro.policy.baselines import RankingCallable, as_policy
 from repro.protocol.effects import (
     Attached,
     Effect,
@@ -141,9 +140,8 @@ class SelectionMachine:
 
     Args:
         user_id: the client's id (stamped into trace events).
-        policy: a :class:`~repro.policy.base.SelectionPolicy`, or a
-            legacy ranking callable (wrapped in the adapter that
-            preserves its exact historical behaviour).
+        policy: this client's own
+            :class:`~repro.policy.base.SelectionPolicy` instance.
         config: protocol constants (dwell, hysteresis, retry delay).
         detail_guard: zero-arg callable gating *detail* trace events
             (``JoinAttempt``, ``DiscoveryReturned``,
@@ -155,13 +153,13 @@ class SelectionMachine:
     def __init__(
         self,
         user_id: str,
-        policy: "SelectionPolicy | RankingCallable",
+        policy: SelectionPolicy,
         config: SelectionConfig,
         *,
         detail_guard: Callable[[], bool] = _never,
     ) -> None:
         self.user_id = user_id
-        self._policy = as_policy(policy)
+        self._policy = policy
         self.config = config
         #: Live robustness knob (§IV-E): adaptive controllers may move it.
         self.top_n = config.top_n
@@ -183,16 +181,9 @@ class SelectionMachine:
     def attached(self) -> bool:
         return self.current_edge is not None
 
-    # ------------------------------------------------------------------
-    # Policy access (drivers accept legacy callables through here too)
-    # ------------------------------------------------------------------
     @property
     def policy(self) -> SelectionPolicy:
         return self._policy
-
-    @policy.setter
-    def policy(self, policy: "SelectionPolicy | RankingCallable") -> None:
-        self._policy = as_policy(policy)
 
     # ------------------------------------------------------------------
     # Pickling: per-node policy state is part of the machine's state;

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 from repro.messages import Address, CandidateList, DiscoveryQuery, ProbeOutcome, ProbeReply
 from repro.messages import from_wire, read_field, to_wire
 from repro.faults.injector import MANAGER_ID
-from repro.policy import PolicySpec, build_policy
+from repro.policy import build_policy
 from repro.sim.random import derive_seed
 from repro.geo.point import GeoPoint
 from repro.obs.events import (
@@ -78,13 +78,6 @@ _LIVE_DEFAULTS = SelectionConfig(
 _LINK_ERRORS = (OSError, protocol.ProtocolError, asyncio.TimeoutError)
 
 
-def _live_policy(policy: PolicySpec, user_id: str) -> PolicySpec:
-    """A registry name, built with randomness seeded from the user id."""
-    if isinstance(policy, str):
-        return build_policy(policy, seed=derive_seed(0, f"live-policy.{user_id}"))
-    return policy
-
-
 class LiveClient(ClientDriver):
     """An application user against a live manager + edge fleet.
 
@@ -107,7 +100,7 @@ class LiveClient(ClientDriver):
         manager_port: int,
         *,
         top_n: int = 3,
-        policy: Optional[PolicySpec] = None,
+        policy: str = "go",
         request_timeout: float = 5.0,
         tracer: Optional[Tracer] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -115,7 +108,7 @@ class LiveClient(ClientDriver):
     ) -> None:
         super().__init__(
             user_id,
-            _live_policy(policy if policy is not None else "go", user_id),
+            build_policy(policy, seed=derive_seed(0, f"live-policy.{user_id}")),
             replace(_LIVE_DEFAULTS, top_n=top_n),
             tracer=tracer if tracer is not None else Tracer.disabled(),
         )
@@ -140,10 +133,6 @@ class LiveClient(ClientDriver):
         self.connections: Dict[str, PersistentConnection] = self.links
         #: The exchanges in flight and the machine's pending timers.
         self._background = protocol.Background()
-
-    @ClientDriver.policy.setter
-    def policy(self, policy: PolicySpec) -> None:
-        self._machine.policy = _live_policy(policy, self.user_id)
 
     # ------------------------------------------------------------------
     # Driver hooks: each I/O effect is one tracked exchange task

@@ -122,13 +122,6 @@ def test_generate_trace_impossible_target_raises():
         )
 
 
-def test_population_steps_match_alive_count():
-    rng = random.Random(9)
-    trace = generate_trace(rng, horizon_ms=180_000.0)
-    for t, count in trace.population_steps():
-        assert count == trace.alive_count_at(t)
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20)
 def test_property_alive_count_nonnegative(seed):
@@ -241,19 +234,6 @@ def test_restart_episode_alive_interval():
     assert not episode.alive_at(8_999.0)  # still down
     assert episode.alive_at(9_000.0)  # back under the same id
     assert episode.alive_at(1e9)  # stays up to the horizon
-
-
-def test_restart_episode_population_steps():
-    trace = ChurnTrace(
-        episodes=[NodeEpisode("vol-a", 1_000.0, 5_000.0, restart_ms=9_000.0)],
-        horizon_ms=20_000.0,
-    )
-    assert trace.population_steps() == [
-        (1_000.0, 1),
-        (5_000.0, 0),
-        (9_000.0, 1),
-    ]
-    assert trace.alive_count_at(9_500.0) == 1
 
 
 def test_injector_restart_reuses_node_id_with_fresh_state():

@@ -302,9 +302,38 @@ def test_the_core_keeps_only_the_settings_its_callers_set():
     assert found == []
 
 
+POLICY_WAYS_IN = (
+    r"CallableRankingPolicy|\bas_policy\b|RankingCallable|PolicySpec"
+    r"|local_policy|selection_policy_params|self\.selection_policy\b"
+    r"|_live_policy|policy_params"
+)
+
+
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_a_client_policy_is_chosen_by_name():
+    """A client's selection policy is a registry name, resolved once per
+    client: chaos-smoke, right after the core-settings grep, fails on
+    the ranking-callable adapter, the prototype and params ways in, or
+    the runtime setters back under ``src/repro``."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
+    escaped = POLICY_WAYS_IN.replace("\\", "\\\\")
+    (grep,) = [s for s in steps if escaped in s]
+    assert grep.startswith("A client policy is chosen by name\n")
+    assert f"run: \"! grep -rnE '{escaped}' src/repro\"" in grep
+    assert steps.index(grep) == 1 + next(
+        i for i, s in enumerate(steps) if CORE_KNOBS in s
+    )
+    found = [
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if re.search(POLICY_WAYS_IN, path.read_text())
+    ]
+    assert found == []
+
+
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_a_dropped_sim_world_frees_itself():
-    """chaos-smoke, right after the core-settings grep, runs the world
+    """chaos-smoke, right after the client-policy grep, runs the world
     lifecycle tests with an exception raised in ``__del__`` an error
     (otherwise it is only printed)."""
     steps = re.split(r"(?m)^      - name: ", jobs()["chaos-smoke"])
@@ -313,7 +342,8 @@ def test_a_dropped_sim_world_frees_itself():
     assert "python -m pytest" in step
     assert "-W error::pytest.PytestUnraisableExceptionWarning" in step
     assert steps.index(step) == 1 + next(
-        i for i, s in enumerate(steps) if CORE_KNOBS in s
+        i for i, s in enumerate(steps)
+        if POLICY_WAYS_IN.replace("\\", "\\\\") in s
     )
     assert (ROOT / "tests" / "test_world_lifecycle.py").exists()
 

@@ -52,20 +52,9 @@ def test_gaussian_concentrates_toward_center(metro):
     assert inner / len(points) > 0.5
 
 
-def test_clustered_style_reuses_cluster_centers(metro):
-    first = metro.sample(PlacementStyle.CLUSTERED)
-    assert metro._clusters is not None
-    centers = list(metro._clusters)
-    metro.sample(PlacementStyle.CLUSTERED)
-    assert metro._clusters == centers
-    assert metro.contains(first)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         MetroArea(radius_km=0.0)
-    with pytest.raises(ValueError):
-        MetroArea(n_clusters=0)
 
 
 def test_contains_boundary():

@@ -1,7 +1,5 @@
 """Unit tests for host-workload interference."""
 
-import random
-
 import pytest
 
 from repro.nodes.host_workload import HostWorkload, HostWorkloadSchedule
@@ -61,37 +59,3 @@ def test_schedule_sorts_episodes():
 def test_change_points_cover_starts_and_ends():
     schedule = HostWorkloadSchedule([HostWorkload(100.0, 200.0, 0.5)])
     assert schedule.change_points() == [100.0, 200.0]
-
-
-def test_generate_respects_horizon_and_no_overlap():
-    rng = random.Random(4)
-    schedule = HostWorkloadSchedule.generate(rng, horizon_ms=300_000.0)
-    for episode in schedule.episodes:
-        assert 0.0 <= episode.start_ms < episode.end_ms <= 300_000.0
-    for earlier, later in zip(schedule.episodes, schedule.episodes[1:]):
-        assert later.start_ms >= earlier.end_ms
-
-
-def test_generate_is_seeded():
-    a = HostWorkloadSchedule.generate(random.Random(7), 100_000.0)
-    b = HostWorkloadSchedule.generate(random.Random(7), 100_000.0)
-    assert [e.start_ms for e in a.episodes] == [e.start_ms for e in b.episodes]
-
-
-def test_generate_validates():
-    with pytest.raises(ValueError):
-        HostWorkloadSchedule.generate(random.Random(0), horizon_ms=0.0)
-    with pytest.raises(ValueError):
-        HostWorkloadSchedule.generate(
-            random.Random(0), 1000.0, cpu_fraction_range=(0.8, 0.5)
-        )
-
-
-def test_generate_fraction_range_respected():
-    rng = random.Random(9)
-    schedule = HostWorkloadSchedule.generate(
-        rng, 600_000.0, mean_gap_ms=5_000.0, cpu_fraction_range=(0.3, 0.4)
-    )
-    assert len(schedule) > 0
-    for episode in schedule.episodes:
-        assert 0.3 <= episode.cpu_fraction <= 0.4

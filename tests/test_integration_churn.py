@@ -58,7 +58,6 @@ def test_latency_recovers_after_population_growth(trace):
     result = run_churn_trace(SystemConfig(seed=5))
     assert result.total_nodes == 18
     assert len(result.latency_trace) > 20
-    assert result.population_steps  # the grey stair line exists
     # steady-state average (after warmup) is application-usable
     steady = [v for t, v in result.latency_trace if t >= 30_000.0]
     assert sum(steady) / len(steady) < 250.0

@@ -15,7 +15,6 @@ from repro.geo.point import GeoPoint
 from repro.net.topology import EndpointSpec
 from repro.nodes.hardware import HardwareProfile, profile_by_name
 from repro.nodes.host_workload import HostWorkload, HostWorkloadSchedule
-from repro.policy import GlobalOverheadPolicy, QosGatedPolicy
 
 
 def test_selection_accounts_for_network_and_processing():
@@ -97,7 +96,7 @@ def test_rebalancing_when_a_better_node_joins():
 def test_qos_policy_rejects_when_no_node_qualifies():
     """QoS-constrained selection refuses to attach instead of violating
     the bound (§IV-D's admission control)."""
-    system = EdgeSystem(SystemConfig(seed=34, top_n=2))
+    system = EdgeSystem(SystemConfig(seed=34, top_n=2, qos_latency_ms=60.0))
     system.add_node(
         "distant",
         profile_by_name("V1"),
@@ -105,7 +104,7 @@ def test_qos_policy_rejects_when_no_node_qualifies():
         EndpointSpec(GeoPoint(44.96, -93.24), access_extra_ms=100.0),
     )
     system.add_client_endpoint("alice", EndpointSpec(GeoPoint(44.97, -93.25)))
-    client = EdgeClient(system, "alice", local_policy=QosGatedPolicy(GlobalOverheadPolicy(), 60.0))
+    client = EdgeClient(system, "alice")
     system.add_client(client)
     system.run_for(10_000.0)
     assert not client.attached

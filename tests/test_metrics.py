@@ -1,6 +1,7 @@
 """Unit tests for stats, time series, the collector and report rendering."""
 
 import gc
+from array import array
 from typing import List, Optional
 
 import pytest
@@ -168,8 +169,9 @@ def test_collector_per_user_means():
 
 
 def test_stored_frames_leave_the_gc_and_read_back_as_records():
-    """Frames are kept as untracked tuples; ``frames`` reads them back as
-    the ``FrameRecord`` s the collector used to append, field by field."""
+    """Frames are kept as four columns, none an object per frame;
+    ``frames`` reads them back as the ``FrameRecord`` s the collector
+    used to append, field by field, lost frames with ``latency_ms=None``."""
     builder = ScenarioBuilder(SystemConfig(seed=3)).default_node_spec(EndpointSpec(MSP_CENTER))
     for i in range(6):
         builder.node(f"n{i}", VOLUNTEER_PROFILES[i % len(VOLUNTEER_PROFILES)],
@@ -183,11 +185,14 @@ def test_stored_frames_leave_the_gc_and_read_back_as_records():
             FrameRecord(event.user_id, event.node_id, event.created_ms, event.latency_ms)
         ) if event.type == "frame_done" else None
     )
+    frames = system.metrics.frames  # a live view, taken before the run
     system.run_for(3_000.0)
     gc.collect()
-    frames = system.metrics.frames
     assert len(frames) == len(seen) > 100
-    assert not any(gc.is_tracked(row) for row in system.metrics._frame_rows)
+    metrics = system.metrics
+    assert all(type(column) is array for column in (metrics._frame_created, metrics._frame_latency))
+    assert all(type(column) is list and not any(gc.is_tracked(i) for i in column)
+               for column in (metrics._frame_users, metrics._frame_edges))
     n = len(seen)
     for window in (slice(None), slice(0, 1), slice(5, 40), slice(n - 7, None),
                    slice(-3, None), slice(10, 5), slice(None, None, 3)):

@@ -9,21 +9,26 @@ reproduce that trace byte-for-byte — the only new output allowed is the
 (and separately assert is present).
 
 A second family of tests pins policy objects against the ranking
-callables they replaced: wiring ``LocalOverheadPolicy`` /
-``GlobalOverheadPolicy`` must produce the same trace as wiring the two
-reference sorts below — the paper's §IV-D definitions, ``LO_j`` / ``GO_j``
-ascending with the node id as tie-break — directly.
+functions they replaced: choosing ``"lo"`` / ``"go"`` must produce the
+same trace as choosing the two reference sorts of
+:mod:`tests.sort_reference` — the paper's §IV-D definitions, ``LO_j`` /
+``GO_j`` ascending with the node id as tie-break — registered under a
+test name.
 """
 
 import json
 from pathlib import Path
 
 from repro.api import ScenarioBuilder
-from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
 from repro.geo.point import GeoPoint
 from repro.nodes.hardware import profile_by_name
-from repro.policy import GlobalOverheadPolicy, LocalOverheadPolicy
+from tests.sort_reference import (
+    SortReference,
+    register_for_test,
+    sort_by_global_overhead,
+    sort_by_local_overhead,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "lo_policy_trace.jsonl"
 
@@ -41,19 +46,9 @@ CLIENTS = [
 ]
 
 
-def sort_by_local_overhead(outcomes):
-    return sorted(outcomes, key=lambda o: (o.local_overhead_ms, o.node_id))
-
-
-def sort_by_global_overhead(outcomes):
-    return sorted(outcomes, key=lambda o: (o.global_overhead_ms, o.node_id))
-
-
-def _run_scenario(config, policy=None):
+def _run_scenario(config):
     """The exact scenario the golden trace was recorded from."""
     builder = ScenarioBuilder(config).observe(trace=True)
-    if policy is not None:
-        builder = builder.policy(policy)
     for node_id, point in NODES:
         builder = builder.node(node_id, profile_by_name(node_id), point=point)
     for user_id, point in CLIENTS:
@@ -86,22 +81,26 @@ def test_lo_policy_replays_pre_refactor_golden_trace():
     assert replay == golden
 
 
-def _trace_with(policy):
-    config = SystemConfig(seed=77, top_n=3, probing_period_ms=2_000.0)
-    lines = _run_scenario(config, policy=policy)
+def _trace_with(policy_spec):
+    config = SystemConfig(
+        seed=77, top_n=3, probing_period_ms=2_000.0, policy_spec=policy_spec
+    )
+    lines = _run_scenario(config)
     return [l for l in lines if '"type": "policy_decision"' not in l]
 
 
-def test_lo_policy_object_matches_legacy_callable():
-    assert _trace_with(LocalOverheadPolicy()) == _trace_with(
-        sort_by_local_overhead
+def test_lo_policy_object_matches_legacy_callable(monkeypatch):
+    register_for_test(
+        monkeypatch, "test-sort-lo", lambda: SortReference(sort_by_local_overhead)
     )
+    assert _trace_with("lo") == _trace_with("test-sort-lo")
 
 
-def test_go_policy_object_matches_legacy_callable():
-    assert _trace_with(GlobalOverheadPolicy()) == _trace_with(
-        sort_by_global_overhead
+def test_go_policy_object_matches_legacy_callable(monkeypatch):
+    register_for_test(
+        monkeypatch, "test-sort-go", lambda: SortReference(sort_by_global_overhead)
     )
+    assert _trace_with("go") == _trace_with("test-sort-go")
 
 
 def test_policy_decisions_cover_every_probe_round():

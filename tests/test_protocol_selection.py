@@ -37,11 +37,7 @@ from repro.protocol.selection import (
     SelectionConfig,
     SelectionMachine,
 )
-
-
-def sort_by_global_overhead(outcomes):
-    """The paper's GO ranking as a plain function (the reference)."""
-    return sorted(outcomes, key=lambda o: (o.global_overhead_ms, o.node_id))
+from tests.sort_reference import SortReference, sort_by_global_overhead
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +82,7 @@ def probe_rounds(draw):
 def fresh_machine(top_n: int = 3) -> SelectionMachine:
     return SelectionMachine(
         "u-prop",
-        sort_by_global_overhead,
+        SortReference(sort_by_global_overhead),
         SelectionConfig(top_n=top_n, min_dwell_ms=0.0),
     )
 

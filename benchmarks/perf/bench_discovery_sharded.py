@@ -5,9 +5,11 @@ with N synthetic metro-scale heartbeats (ownership by geohash range,
 exactly the control plane's shard map), then answers the same batch of
 discovery queries through the :class:`ShardRouter` at each shard count.
 
-Before timing, every routed answer is asserted bit-identical to a
-single-manager reference (the control plane's determinism contract).
-The timed phase records, per shard count:
+Every routed answer is held bit-identical to a single-manager
+reference (the control plane's determinism contract): the parity batch
+before timing (cold cuts), and the timed repeats' answers after timing
+(stored and memo-served cuts, memoised plans and key distances). A
+mismatch exits 1. The timed phase records, per shard count:
 
 - ``queries_per_s`` — full routed selections (plan, fan-out, merge).
   The repeats re-ask the parity batch and the best is kept, so since the
@@ -33,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.controlplane.router import PartialSelection, ShardRouter
+from repro.controlplane.router import PartialSelection, RoutedSelection, ShardRouter
 from repro.controlplane.sharding import DEFAULT_SHARD_PRECISION, ShardMap
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint
@@ -172,36 +174,47 @@ def main(argv: List[str] | None = None) -> int:
                 shard=shard, count=reply.count, statuses=reply.statuses
             )
 
+        def mismatches(answers: List[RoutedSelection], ask: str) -> int:
+            """Answers that differ from the single manager's, printed."""
+            wrong = 0
+            for query, routed, (want_ids, want_widened) in zip(queries, answers, expected):
+                if routed.node_ids != want_ids or routed.widened != want_widened:
+                    wrong += 1
+                    print(
+                        f"PARITY MISMATCH shards={shards} {ask} {query.user_id}: "
+                        f"{routed.node_ids} != {want_ids}"
+                    )
+            if wrong:
+                print(f"FAILED: {wrong}/{len(queries)} queries disagree ({ask})")
+            return wrong
+
         # Parity first: bit-identical to the single manager, per query.
-        mismatches = 0
-        cross_shard = 0
-        for query, (want_ids, want_widened) in zip(queries, expected):
+        answers = []
+        for query in queries:
             current[0] = query
-            routed = router.select(query, fetch)
-            if routed.node_ids != want_ids or routed.widened != want_widened:
-                mismatches += 1
-                print(
-                    f"PARITY MISMATCH shards={shards} {query.user_id}: "
-                    f"{routed.node_ids} != {want_ids}"
-                )
-            if routed.cross_shard:
-                cross_shard += 1
-        if mismatches:
-            print(f"FAILED: {mismatches}/{len(queries)} queries disagree")
+            answers.append(router.select(query, fetch))
+        if mismatches(answers, "cold"):
             return 1
+        cross_shard = sum(routed.cross_shard for routed in answers)
 
         best_s = float("inf")
         best_fetch_s = 0.0
+        repeats: List[List[RoutedSelection]] = []
         for _ in range(args.repeat):
             fetch_clock[0] = 0.0
+            answers = []
             t0 = time.perf_counter()
             for query in queries:
                 current[0] = query
-                router.select(query, fetch)
+                answers.append(router.select(query, fetch))
             elapsed = time.perf_counter() - t0
+            repeats.append(answers)
             if elapsed < best_s:
                 best_s = elapsed
                 best_fetch_s = fetch_clock[0]
+        # ... and the timed answers after timing, repeat by repeat.
+        if any(mismatches(answers, f"repeat {i + 1}") for i, answers in enumerate(repeats)):
+            return 1
 
         qps = len(queries) / best_s
         overhead = max(0.0, (best_s - best_fetch_s) / best_s)

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence, Tuple, cast
 
-from repro.controlplane.sharding import ShardMap
-from repro.geo import geohash as gh
+from repro.controlplane.sharding import ShardMap, disc_owners, owner_of_prefix
 from repro.messages import DiscoveryQuery, NodeStatus
 from repro.obs.events import ShardMerge, ShardRoute
 from repro.obs.tracer import Tracer
@@ -44,7 +44,7 @@ from repro.policy.global_policy import GlobalSelectionPolicy
 __all__ = ["PartialSelection", "RoutedSelection", "ShardRouter", "emit_routing"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialSelection:
     """One shard's answer to one fixed-radius phase: its exact in-radius
     count plus its local TopN statuses, best first (in the order of the
@@ -55,7 +55,7 @@ class PartialSelection:
     statuses: Tuple[NodeStatus, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutedSelection:
     """The merged discovery answer plus routing metadata for obs/bench."""
 
@@ -99,6 +99,10 @@ def emit_routing(
         )
 
 
+_count = attrgetter("count")
+_shard = attrgetter("shard")
+_node_id = attrgetter("node_id")
+
 #: Driver-supplied transport: answer one (shard, radius) phase. Raises
 #: (typically ``ControlPlaneUnavailable``) when the shard cannot serve.
 Fetch = Callable[[int, float], PartialSelection]
@@ -110,13 +114,17 @@ class ShardRouter:
     def __init__(self, shard_map: ShardMap, policy: GlobalSelectionPolicy) -> None:
         self.shard_map = shard_map
         self.policy = policy
+        self._count = shard_map.count
+        self._precision = shard_map.precision
 
     # ------------------------------------------------------------------
     # Heartbeat / registration routing
     # ------------------------------------------------------------------
     def owner_of(self, status: NodeStatus) -> int:
-        """The shard owning a node's registry entry (by its geohash)."""
-        return self.shard_map.owner_of_geohash(status.geohash)
+        """The shard owning a node's registry entry (by its geohash).
+        Memoised per shard-precision prefix (:func:`owner_of_prefix`)."""
+        precision = self._precision
+        return owner_of_prefix(self._count, precision, status.geohash[:precision])
 
     # ------------------------------------------------------------------
     # Discovery fan-out
@@ -124,16 +132,16 @@ class ShardRouter:
     def plan(self, query: DiscoveryQuery, radius_km: float) -> Tuple[int, ...]:
         """The shards one phase of ``query`` must ask: those whose
         ranges the cells covering the ``radius_km`` disc intersect. A
-        one-shard map owns every cell: no cover is computed."""
-        if self.shard_map.count == 1:
+        one-shard map owns every cell: no cover is computed. Memoised
+        per (map, point, radius) (:func:`disc_owners`): a map is fixed
+        for its life, so the owners of a disc are too."""
+        if self._count == 1:
             return (0,)
-        return self.shard_map.owners_of_cells(
-            *gh.cover(query.lat, query.lon, radius_km)
-        )
+        return disc_owners(self._count, self._precision, query.lat, query.lon, radius_km)
 
     def needs_widening(self, query: DiscoveryQuery, local: Sequence[PartialSelection]) -> bool:
         """Whether the single-manager rule would try the wide radius."""
-        return sum(p.count for p in local) < query.top_n
+        return sum(map(_count, local)) < query.top_n
 
     def merge(
         self,
@@ -146,14 +154,11 @@ class ShardRouter:
         ``wide`` is None when the local phase already satisfied
         ``top_n`` (the driver never fetched phase 2).
         """
-        local_total = sum(p.count for p in local)
         widened = False
         chosen: Sequence[PartialSelection] = local
-        if wide is not None:
-            wide_total = sum(p.count for p in wide)
-            if wide_total > local_total:
-                widened = True
-                chosen = wide
+        if wide is not None and sum(map(_count, wide)) > sum(map(_count, local)):
+            widened = True
+            chosen = wide
         # A lone partial is its shard's TopN, already in key order: the
         # answer as it stands, nothing scored again.
         pool: Sequence[NodeStatus]
@@ -171,11 +176,11 @@ class ShardRouter:
             )
             best = heapq.nsmallest(query.top_n, pool, key=sort_key)
         return RoutedSelection(
-            node_ids=tuple(n.node_id for n in best),
-            widened=widened,
-            local_shards=tuple(p.shard for p in local),
-            wide_shards=tuple(p.shard for p in wide) if wide is not None else (),
-            pool=len(pool),
+            tuple(map(_node_id, best)),
+            widened,
+            tuple(map(_shard, local)),
+            () if wide is None else tuple(map(_shard, wide)),
+            len(pool),
         )
 
     def select(self, query: DiscoveryQuery, fetch: Fetch) -> RoutedSelection:

@@ -15,17 +15,24 @@ adjacency means a metro's nodes concentrate in few ranges — the
 cross-shard fraction of discovery queries stays small (measured by
 ``bench_discovery_sharded.py``). A control plane keeps one map for its
 whole life: the partition is fixed when the manager or cluster is built.
+
+Because a map is just ``(count, precision)``, the two answers a router
+needs per message are pure functions of plain values, and memoised as
+such: :func:`owner_of_prefix` (a heartbeat's owner) and
+:func:`disc_owners` (a discovery phase's plan). Nodes re-report from
+where they stand and users re-discover from where they stand, so both
+see the same few inputs again and again; the same ints come back.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Tuple
 
 from repro.geo import geohash as gh
 
-__all__ = ["DEFAULT_SHARD_PRECISION", "ShardMap"]
+__all__ = ["DEFAULT_SHARD_PRECISION", "ShardMap", "disc_owners", "owner_of_prefix"]
 
 #: Prefix length (geohash characters) at which ownership is decided.
 #: Precision 4 cells are ~39x20 km: a metro region spans several, so
@@ -34,18 +41,78 @@ __all__ = ["DEFAULT_SHARD_PRECISION", "ShardMap"]
 DEFAULT_SHARD_PRECISION = 4
 
 
+#: Plans :func:`disc_owners` remembers: one per remembered query's (map,
+#: point, radius), as many as :func:`repro.geo.geohash.cover` remembers
+#: covers — a plan is the owners of one cover. ~230 bytes an entry by
+#: tracemalloc (key, link, a tuple of a few ints): ~1 MB when full.
+PLAN_MEMO = 4096
+#: Owners :func:`owner_of_prefix` remembers: one per (map, shard-precision
+#: cell holding a node). 1 024 cells of ~39x20 km at the default
+#: precision outsize any metro's registry; ~0.2 MB when full.
+OWNER_MEMO = 1024
+
+
+def _owner_of_cell(count: int, precision: int, cell: int) -> int:
+    """The shard whose range holds ``cell``: the largest ``i`` with
+    ``i * space // count <= cell``, which is ``((cell + 1) * count - 1)
+    // space`` in closed form (``space = 32**precision``)."""
+    if not 0 <= cell < 1 << 5 * precision:
+        raise ValueError(f"cell {cell} out of range for precision {precision}")
+    return ((cell + 1) * count - 1) >> 5 * precision
+
+
+def _owner_of_geohash(count: int, precision: int, geohash: str) -> int:
+    if len(geohash) < precision:
+        raise ValueError(
+            f"geohash {geohash!r} is coarser than shard precision "
+            f"{precision}; it has no single owner"
+        )
+    return _owner_of_cell(count, precision, gh.geohash_to_cell(geohash[:precision]))
+
+
+def _owners_of_cells(
+    count: int, shard_precision: int, precision: int, cells: Iterable[int]
+) -> Tuple[int, ...]:
+    shift = 5 * (precision - shard_precision)
+    if shift >= 0:
+        return tuple(sorted({
+            _owner_of_cell(count, shard_precision, ancestor)
+            for ancestor in {cell >> shift for cell in cells}
+        }))
+    owners = set()
+    for cell in cells:
+        first = _owner_of_cell(count, shard_precision, cell << -shift)
+        last = _owner_of_cell(count, shard_precision, ((cell + 1) << -shift) - 1)
+        owners.update(range(first, last + 1))
+    return tuple(sorted(owners))
+
+
+#: ``ShardMap(count, precision).owner_of_geohash(prefix)``, memoised: a
+#: router passes a node's geohash cut to the shard precision, so one
+#: entry serves every node of a cell. Errors are raised, not remembered.
+owner_of_prefix = lru_cache(maxsize=OWNER_MEMO)(_owner_of_geohash)
+
+
+@lru_cache(maxsize=PLAN_MEMO)
+def disc_owners(
+    count: int, precision: int, lat: float, lon: float, radius_km: float
+) -> Tuple[int, ...]:
+    """``ShardMap(count, precision).owners_of_cells(*cover(lat, lon,
+    radius_km))``, memoised: the shards one discovery phase must ask."""
+    return _owners_of_cells(count, precision, *gh.cover(lat, lon, radius_km))
+
+
 @dataclass(frozen=True)
 class ShardMap:
     """Partition of the geohash cell space into shard ranges.
 
     Shard ``i`` owns cells ``[starts[i], starts[i+1])`` where the
     starts split ``[0, 32**precision)`` as evenly as integer division
-    allows.
+    allows: ``starts[i] = i * 32**precision // count``.
     """
 
     count: int
     precision: int = DEFAULT_SHARD_PRECISION
-    _starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -57,8 +124,6 @@ class ShardMap:
             raise ValueError(
                 f"cannot split {space} cells into {self.count} shards"
             )
-        starts = tuple((i * space) // self.count for i in range(self.count))
-        object.__setattr__(self, "_starts", starts)
 
     @property
     def cell_space(self) -> int:
@@ -70,9 +135,7 @@ class ShardMap:
     # ------------------------------------------------------------------
     def owner_of_cell(self, cell: int) -> int:
         """Shard index owning an integer cell id at this precision."""
-        if not 0 <= cell < self.cell_space:
-            raise ValueError(f"cell {cell} out of range for precision {self.precision}")
-        return bisect_right(self._starts, cell) - 1
+        return _owner_of_cell(self.count, self.precision, cell)
 
     def owner_of_geohash(self, geohash: str) -> int:
         """Shard index owning a geohash at least ``precision`` chars long.
@@ -81,12 +144,7 @@ class ShardMap:
         satisfy the length requirement; a coarser hash spans several
         shards and has no single owner.
         """
-        if len(geohash) < self.precision:
-            raise ValueError(
-                f"geohash {geohash!r} is coarser than shard precision "
-                f"{self.precision}; it has no single owner"
-            )
-        return self.owner_of_cell(gh.geohash_to_cell(geohash[: self.precision]))
+        return _owner_of_geohash(self.count, self.precision, geohash)
 
     def owners_of_cells(self, precision: int, cells: Iterable[int]) -> Tuple[int, ...]:
         """Sorted, deduplicated shard fan-out for covering cells.
@@ -97,23 +155,11 @@ class ShardMap:
         ancestor ``cell >> 5 * levels``; a coarser cell spans the
         contiguous range of its descendants and may touch several shards.
         """
-        shift = 5 * (precision - self.precision)
-        if shift >= 0:
-            return tuple(sorted({
-                self.owner_of_cell(ancestor)
-                for ancestor in {cell >> shift for cell in cells}
-            }))
-        owners = set()
-        for cell in cells:
-            first = self.owner_of_cell(cell << -shift)
-            last = self.owner_of_cell(((cell + 1) << -shift) - 1)
-            owners.update(range(first, last + 1))
-        return tuple(sorted(owners))
+        return _owners_of_cells(self.count, self.precision, precision, cells)
 
     def shard_range(self, shard: int) -> Tuple[int, int]:
         """Half-open ``[lo, hi)`` cell range owned by ``shard``."""
         if not 0 <= shard < self.count:
             raise ValueError(f"shard {shard} out of range 0..{self.count - 1}")
-        lo = self._starts[shard]
-        hi = self._starts[shard + 1] if shard + 1 < self.count else self.cell_space
-        return lo, hi
+        space = self.cell_space
+        return shard * space // self.count, (shard + 1) * space // self.count

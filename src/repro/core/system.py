@@ -32,6 +32,7 @@ from repro.net.latency import NetworkTier
 from repro.obs.events import FaultInjected, NodeFail, NodeRestart, PopulationChanged
 from repro.obs.tracer import Tracer
 from repro.policy.global_policy import GeoProximityFilter, GlobalSelectionPolicy
+from repro.policy.registry import get as policy_factory
 from repro.net.topology import EndpointSpec, NetworkTopology
 from repro.nodes.hardware import HardwareProfile
 from repro.nodes.host_workload import HostWorkloadSchedule
@@ -91,6 +92,11 @@ class EdgeSystem:
         faults: Optional["FaultInjector"] = None,
     ) -> None:
         self.config = config or SystemConfig()
+        # Every client builds the policy the config names: refuse a name
+        # nothing is registered under now, before a node is up. Checked
+        # here, not by the config, so a name registered after the config
+        # was made is good.
+        policy_factory(self.config.policy_spec)
         self.app = app
         self.streams = RandomStreams(self.config.seed)
         self.sim = Simulator()

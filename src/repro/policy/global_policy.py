@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -133,6 +134,20 @@ DISTANCE_PENALTY_PER_KM = 0.02
 #: Relative bound on the rounding error of an approximate score (a few
 #: float64 operations: ~1e-15; nine digits of slack).
 SCORE_ROUNDING = 1e-9
+#: Distances :func:`key_distance_km` remembers. A remembered query
+#: needs one per member of its shortlist (TopN plus the few candidates
+#: inside the shortlist's slack, under 8 at metro density), and an index
+#: remembers at most 4 096 queries (``MEMO_ELEMENTS >> 6``): 8 x 4 096.
+#: ~210 bytes an entry by tracemalloc: ~7 MB when full.
+DISTANCE_MEMO = 1 << 15
+
+#: The exact sort key's haversine, memoised by its four doubles: the
+#: same float comes back, so a remembered distance ranks exactly as a
+#: fresh one. Users re-discover from where they stand and nodes report
+#: from where they stand, so a standing query scores the same (user,
+#: node) pairs every time, and a cross-shard merge re-scores the pairs
+#: its shards just scored.
+key_distance_km = lru_cache(maxsize=DISTANCE_MEMO)(haversine_km_coords)
 
 
 def availability_sort_key(
@@ -162,7 +177,7 @@ def availability_sort_key(
         score = node.availability_score
         if user_isp is not None and node.isp == user_isp:
             score += AFFILIATION_BONUS
-        score -= DISTANCE_PENALTY_PER_KM * haversine_km_coords(
+        score -= DISTANCE_PENALTY_PER_KM * key_distance_km(
             ulat, ulon, node.lat, node.lon
         )
         return (-score, node.node_id)

@@ -6,7 +6,9 @@ points (including points whose covering cells straddle shard
 boundaries), the :class:`ShardRouter`'s merged TopN — fetched from
 machines that each hold only their shard's partition of the registry —
 equals the answer one machine holding the whole registry gives, same
-ids, same order, same ``widened`` flag.
+ids, same order, same ``widened`` flag — on the query's first, second
+and third ask, so cold cuts, stored cuts and memo-served cuts are all
+held to it.
 """
 
 from __future__ import annotations
@@ -114,7 +116,10 @@ def test_routed_select_is_bit_identical(population, query, shards, radius_km):
         if isinstance(e, ReplyCandidates)
     ]
 
+    fetches = []
+
     def fetch(shard: int, phase_radius_km: float) -> PartialSelection:
+        fetches.append(shard)
         (reply,) = [
             e
             for e in machines[shard].handle(
@@ -128,6 +133,16 @@ def test_routed_select_is_bit_identical(population, query, shards, radius_km):
             shard=shard, count=reply.count, statuses=reply.statuses
         )
 
-    routed = router.select(query, fetch)
-    assert routed.node_ids == want.node_ids
-    assert routed.widened == want.widened
+    def remembered() -> int:
+        return sum(m.spatial_index.cuts_remembered for m in machines)
+
+    # A standing query: its shards cut it (cold), cut and keep it
+    # (stored), then answer from their memos (remembered). The plan and
+    # the key's distances are memo hits from the second ask on.
+    for sight in ("cold", "stored", "remembered"):
+        fetches.clear()
+        before = remembered()
+        routed = router.select(query, fetch)
+        assert routed.node_ids == want.node_ids, sight
+        assert routed.widened == want.widened, sight
+        assert remembered() - before == (len(fetches) if sight == "remembered" else 0)

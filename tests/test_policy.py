@@ -13,6 +13,7 @@ import pytest
 from repro.api import ScenarioBuilder
 from repro.core.client import EdgeClient
 from repro.core.config import SystemConfig
+from repro.core.system import EdgeSystem
 from repro.geo.point import GeoPoint
 from repro.messages import ProbeOutcome
 from repro.nodes.hardware import profile_by_name
@@ -313,6 +314,32 @@ def test_registered_factory_gives_each_client_its_own_seeded_instance(
     ]
     with pytest.raises(AttributeError):
         system.clients["u1"].policy = ReliabilityPolicy()
+
+
+def test_an_unregistered_policy_spec_is_refused_before_any_node_is_up(monkeypatch):
+    """A config names a policy nothing is registered under: the world
+    refuses to build, naming what is registered, before a node joins
+    (with no client to build it, it used to run on)."""
+    joined = []
+    monkeypatch.setattr(EdgeSystem, "add_node", lambda self, *a, **k: joined.append(a))
+    builder = ScenarioBuilder(SystemConfig(policy_spec="nope")).node(
+        "V1", profile_by_name("V1"), point=GeoPoint(44.98, -93.26)
+    )
+    with pytest.raises(KeyError, match=r"'nope'; registered: .*go.*reliability"):
+        builder.build()
+    assert joined == []
+
+
+def test_a_policy_registered_after_its_config_was_made_is_good(monkeypatch):
+    config = SystemConfig(seed=3, policy_spec="test-late")
+    register_for_test(monkeypatch, "test-late", LocalOverheadPolicy)
+    system = (
+        ScenarioBuilder(config)
+        .node("V1", profile_by_name("V1"), point=GeoPoint(44.98, -93.26))
+        .client("u1", EdgeClient, point=GeoPoint(44.97, -93.25))
+        .build()
+    )
+    assert isinstance(system.clients["u1"].policy, LocalOverheadPolicy)
 
 
 def test_config_policy_spec_reaches_clients():

@@ -39,15 +39,16 @@ around the radius and re-decides everything inside the band with the
 scalar :func:`~repro.geo.point.haversine_km_coords`. The returned set is
 therefore exactly the set a linear scan with the scalar cut returns.
 
-**Static / dynamic.** Which nodes lie inside a disc, and how far, changes
-only when a node of a covered cell joins, leaves or moves; what a
-heartbeat changes is read by the ranking, not by the cut. So
+**Static / dynamic.** Which nodes lie inside a disc changes only when a
+node of a covered cell joins, leaves or moves; what a heartbeat changes
+is read by the ranking, not by the cut. So
 :meth:`within_cover` remembers its answer per ``(lat, lon, radius_km)``
 next to the cell arrays it was cut from, and a user re-discovering
-from where it stands gets the same arrays back while each of those
-cells still holds that very array. Every membership or position
-change drops the arrays of the leaf's whole ancestor chain, so identity
-*is* validity: no clock, no generation counter (DESIGN.md §5a).
+from where it stands gets the same slot array back while each of
+those cells still holds the very array it was cut from. Every
+membership or position change drops the arrays of the leaf's whole
+ancestor chain, so identity *is* validity: no clock, no generation
+counter (DESIGN.md §5a).
 """
 
 from __future__ import annotations
@@ -121,24 +122,24 @@ DEFAULT_MAX_PRECISION = 6
 DISTANCE_GUARD = 1e-6
 
 #: What one index's cut memo may hold, in elements: an in-radius node of
-#: a remembered cut is one (a slot and a distance, 16 bytes) and every
-#: remembered query ``_MEMO_KEY`` more, for its key and object headers —
-#: 4 MiB of arrays at most, 4 096 queries at most, one-off queries
-#: bounded like any other. A cut longer than 1/64 of the budget (a wide
-#: fallback over a dense registry) is answered and not kept.
+#: a remembered cut is one (its slot, 8 bytes) and every remembered
+#: query ``_MEMO_KEY`` more, for its key and object headers — 2 MiB of
+#: arrays at most, 4 096 queries at most, one-off queries bounded like
+#: any other. A cut longer than 1/64 of the budget (a wide fallback over
+#: a dense registry) is answered and not kept.
 MEMO_ELEMENTS = 1 << 18
 _MEMO_KEY = 64
 
 _NO_SLOTS: SlotArray = np.empty(0, dtype=np.intp)
-_NO_DISTANCES: FloatArray = np.empty(0, dtype=np.float64)
-_NO_SLOTS.flags.writeable = _NO_DISTANCES.flags.writeable = False
+_NO_FLOATS: FloatArray = np.empty(0, dtype=np.float64)
+_NO_SLOTS.flags.writeable = _NO_FLOATS.flags.writeable = False
 
 #: A remembered cut: each covered bucket with the slot array it was cut
 #: from (``None``: the cell was empty), then the answer.
-_Cut = Tuple[Tuple[Tuple[int, Optional[SlotArray]], ...], SlotArray, FloatArray]
-#: A query seen once stores its key, not its arrays: it holds this cut,
+_Cut = Tuple[Tuple[Tuple[int, Optional[SlotArray]], ...], SlotArray]
+#: A query seen once stores its key, not its array: it holds this cut,
 #: which is never valid (no bucket has key 0).
-_SEEN_ONCE: _Cut = (((0, _NO_SLOTS),), _NO_SLOTS, _NO_DISTANCES)
+_SEEN_ONCE: _Cut = (((0, _NO_SLOTS),), _NO_SLOTS)
 
 
 def distance_guard_km(radius_km: float) -> float:
@@ -206,9 +207,9 @@ class GeohashSpatialIndex(Generic[S]):
         #: written ones whose status changed since.
         self._synced = 0
         self._stale: Set[int] = set()
-        self._lat_rad: FloatArray = _NO_DISTANCES
-        self._lon_rad: FloatArray = _NO_DISTANCES
-        self._cos_lat: FloatArray = _NO_DISTANCES
+        self._lat_rad: FloatArray = _NO_FLOATS
+        self._lon_rad: FloatArray = _NO_FLOATS
+        self._cos_lat: FloatArray = _NO_FLOATS
         #: status attribute name -> per-slot float64 column of it.
         self._columns: Dict[str, FloatArray] = {}
         #: ``(lat, lon, radius_km)`` -> the cut made for it, first seen
@@ -351,7 +352,7 @@ class GeohashSpatialIndex(Generic[S]):
         self._bucket_slots.clear()
         self._synced = 0
         self._stale.clear()
-        self._lat_rad = self._lon_rad = self._cos_lat = _NO_DISTANCES
+        self._lat_rad = self._lon_rad = self._cos_lat = _NO_FLOATS
         self._columns.clear()
         self._memo.clear()
         self._memo_held = 0
@@ -411,10 +412,8 @@ class GeohashSpatialIndex(Generic[S]):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def within_cover(
-        self, lat: float, lon: float, radius_km: float
-    ) -> Tuple[SlotArray, FloatArray]:
-        """Slots (and distances) of the nodes within the disc.
+    def within_cover(self, lat: float, lon: float, radius_km: float) -> SlotArray:
+        """Slots of the nodes within the disc.
 
         Candidates are the members of the cells of
         :func:`repro.geo.geohash.cover` (deeper than ``max_precision``
@@ -423,11 +422,9 @@ class GeohashSpatialIndex(Generic[S]):
         radius_km``: one numpy haversine over all cell candidates
         proposes, and candidates closer to the radius than
         :func:`distance_guard_km` are decided by the scalar function.
-        The returned ``dist_km`` are the vector distances — within the
-        guard of the scalar ones, good for shortlisting, never for a
-        final order. Never write to either: from a query's second
-        sight on they are kept (and flagged read-only), the same objects
-        on every call until a covered cell changes.
+        Never write to the array: from a query's second sight on it is
+        kept (and flagged read-only), the same object on every call
+        until a covered cell changes.
         """
         memo = self._memo
         memo_key = (lat, lon, radius_km)
@@ -442,8 +439,8 @@ class GeohashSpatialIndex(Generic[S]):
                     break
             else:
                 self.cuts_remembered += 1
-                return known[1], known[2]
-        cut_from, slots, dist = self._cut(lat, lon, radius_km)
+                return known[1]
+        cut_from, slots = self._cut(lat, lon, radius_km)
         self.cuts_computed += 1
         cut = _SEEN_ONCE
         if known is None:
@@ -451,18 +448,17 @@ class GeohashSpatialIndex(Generic[S]):
         else:
             if slots.size <= MEMO_ELEMENTS >> 6:
                 slots.setflags(write=False)
-                dist.setflags(write=False)
-                cut = (tuple(cut_from.items()), slots, dist)
+                cut = (tuple(cut_from.items()), slots)
             held = self._memo_held + cut[1].size - known[1].size
         memo[memo_key] = cut
         while held > MEMO_ELEMENTS:
             held -= _MEMO_KEY + memo.popitem(last=False)[1][1].size
         self._memo_held = held
-        return slots, dist
+        return slots
 
     def _cut(
         self, lat: float, lon: float, radius_km: float
-    ) -> Tuple[Dict[int, Optional[SlotArray]], SlotArray, FloatArray]:
+    ) -> Tuple[Dict[int, Optional[SlotArray]], SlotArray]:
         """The covered cells' slot arrays and the exact cut of them."""
         precision, cells = gh.cover(lat, lon, radius_km)
         depth = min(precision, self.max_precision)
@@ -495,7 +491,7 @@ class GeohashSpatialIndex(Generic[S]):
             if part is not None:
                 parts.append(part)
         if not parts:
-            return cut_from, _NO_SLOTS, _NO_DISTANCES
+            return cut_from, _NO_SLOTS
         slots = parts[0] if len(parts) == 1 else np.concatenate(parts)
         # Operation for operation the scalar formula, on the same doubles.
         lat1, lon1 = math.radians(lat), math.radians(lon)
@@ -509,20 +505,17 @@ class GeohashSpatialIndex(Generic[S]):
         guard = distance_guard_km(radius_km)
         # NaN coordinates compare False here exactly as in the scalar cut.
         keep = dist <= radius_km + guard
-        slots, dist = slots[keep], dist[keep]
-        unsure = np.flatnonzero(dist > radius_km - guard)
+        unsure = np.flatnonzero(keep & (dist > radius_km - guard))
         if unsure.size:
             status_at = self._status_at
-            inside = np.ones(slots.size, dtype=np.bool_)
             for i in unsure.tolist():
                 status = status_at[slots[i]]
                 assert status is not None
-                inside[i] = (
+                keep[i] = (
                     haversine_km_coords(lat, lon, status.lat, status.lon)
                     <= radius_km
                 )
-            slots, dist = slots[inside], dist[inside]
-        return cut_from, slots, dist
+        return cut_from, slots[keep]
 
     def status_at(self, slot: int) -> S:
         """The status occupying ``slot`` (as returned by :meth:`within_cover`)."""

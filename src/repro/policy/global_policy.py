@@ -14,6 +14,7 @@ inaccuracy and mismatch" — final accuracy comes from client probing.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -22,12 +23,7 @@ import numpy as np
 
 from repro.geo import geohash as gh
 from repro.geo.point import GeoPoint, haversine_km_coords
-from repro.geo.spatial_index import (
-    FloatArray,
-    GeohashSpatialIndex,
-    SlotArray,
-    distance_guard_km,
-)
+from repro.geo.spatial_index import GeohashSpatialIndex, SlotArray
 from repro.messages import DiscoveryQuery, NodeStatus
 
 
@@ -83,19 +79,18 @@ class GeoProximityFilter:
         *,
         exclude: Sequence[str] = (),
         predicate: Optional[Callable[[NodeStatus], bool]] = None,
-    ) -> Tuple[SlotArray, FloatArray]:
-        """One fixed-radius phase of :meth:`apply` against an index:
-        ``(slots, dist_km)`` of exactly the nodes ``_within`` would keep,
-        with their (vector, approximate) distances.
+    ) -> SlotArray:
+        """One fixed-radius phase of :meth:`apply` against an index: the
+        slots of exactly the nodes ``_within`` would keep.
 
         The widening rule is the caller's: ``select`` replays it over two
         phases of one index, the control-plane router over the summed
         counts of its shards' phases. ``exclude``/``predicate`` are
         applied here (with an index there is no pool to pre-filter), by
-        copy: the cut and its arrays are the index's, shared between
-        calls (:meth:`GeohashSpatialIndex.within_cover`).
+        copy: the cut is the index's, shared between calls
+        (:meth:`GeohashSpatialIndex.within_cover`).
         """
-        slots, dist_km = index.within_cover(user_point.lat, user_point.lon, radius_km)
+        slots = index.within_cover(user_point.lat, user_point.lon, radius_km)
         if exclude or predicate is not None:
             keep = np.ones(slots.size, dtype=np.bool_)
             for node_id in exclude:
@@ -105,8 +100,8 @@ class GeoProximityFilter:
             if predicate is not None:
                 for i in np.flatnonzero(keep).tolist():
                     keep[i] = predicate(index.status_at(int(slots[i])))
-            slots, dist_km = slots[keep], dist_km[keep]
-        return slots, dist_km
+            slots = slots[keep]
+        return slots
 
     def _within(
         self, user_point: GeoPoint, nodes: Sequence[NodeStatus], radius_km: float
@@ -131,12 +126,12 @@ AFFILIATION_BONUS = 2.0
 #: Score penalty per km of distance (free-core units). Small by design:
 #: the manager nudges toward nearby nodes but lets availability dominate.
 DISTANCE_PENALTY_PER_KM = 0.02
-#: Relative bound on the rounding error of an approximate score (a few
-#: float64 operations: ~1e-15; nine digits of slack).
+#: Relative bound on the rounding error of an exact score (two float64
+#: operations: ~1e-16; six orders of magnitude of slack).
 SCORE_ROUNDING = 1e-9
 #: Distances :func:`key_distance_km` remembers. A remembered query
 #: needs one per member of its shortlist (TopN plus the few candidates
-#: inside the shortlist's slack, under 8 at metro density), and an index
+#: inside the shortlist's reach, under 8 at metro density), and an index
 #: remembers at most 4 096 queries (``MEMO_ELEMENTS >> 6``): 8 x 4 096.
 #: ~210 bytes an entry by tracemalloc: ~7 MB when full.
 DISTANCE_MEMO = 1 << 15
@@ -229,13 +224,13 @@ class GlobalSelectionPolicy:
         if index is not None:
             geo = self.geo_filter
             radius_km, widened = geo.radius_km, False
-            slots, dist_km = self._in_radius(query, index, radius_km)
+            slots = self._in_radius(query, index, radius_km)
             if slots.size < query.top_n:  # GeoProximityFilter.apply's rule
                 wide = self._in_radius(query, index, geo.wide_radius_km)
-                if wide[0].size > slots.size:
-                    slots, dist_km = wide
+                if wide.size > slots.size:
+                    slots = wide
                     radius_km, widened = geo.wide_radius_km, True
-            best = self._rank(query, index, slots, dist_km, radius_km)
+            best = self._rank(query, index, slots, radius_km)
             return [n.node_id for n in best], widened
         assert nodes is not None
         pool = [n for n in nodes if n.node_id not in query.exclude]
@@ -270,13 +265,13 @@ class GlobalSelectionPolicy:
         fewer than TopN candidates globally — hence by fewer than TopN
         within its own shard — so it appears in its shard's local TopN.
         """
-        slots, dist_km = self._in_radius(query, index, radius_km)
-        return len(slots), self._rank(query, index, slots, dist_km, radius_km)
+        slots = self._in_radius(query, index, radius_km)
+        return len(slots), self._rank(query, index, slots, radius_km)
 
     def _in_radius(
         self, query: DiscoveryQuery, index: GeohashSpatialIndex[NodeStatus], radius_km: float
-    ) -> Tuple[SlotArray, FloatArray]:
-        """The query's candidates (and distances) at one fixed radius."""
+    ) -> SlotArray:
+        """The query's candidates at one fixed radius."""
         return self.geo_filter.within_indexed(
             query.point, index, radius_km,
             exclude=query.exclude, predicate=self.node_predicate,
@@ -287,43 +282,48 @@ class GlobalSelectionPolicy:
         query: DiscoveryQuery,
         index: GeohashSpatialIndex[NodeStatus],
         slots: SlotArray,
-        dist_km: FloatArray,
         radius_km: float,
     ) -> List[NodeStatus]:
         """The TopN of the in-radius ``slots``, by the exact sort key.
 
         The order is whatever ``sort_key_factory(query)`` and
-        ``heapq.nsmallest`` say; vector arithmetic only shrinks the set
-        they look at. For :func:`availability_sort_key` the approximate
-        score is ``a = availability − DISTANCE_PENALTY_PER_KM·dist_km``
-        (same-ISP bonus left out), so the exact score ``e`` lies in
-        ``[a − δ, a + bonus + δ]``, and the shortlist is every candidate
-        with ``a ≥ A − 2δ − bonus``, ``A`` being the N-th largest ``a``.
-        It contains the exact TopN:
+        ``heapq.nsmallest`` say; the availability column only shrinks
+        the set they look at. For :func:`availability_sort_key` a
+        candidate's exact score ``e`` is its availability ``a`` (never
+        negative), plus the bonus if it shares the user's ISP, minus a
+        distance penalty of at most ``P = DISTANCE_PENALTY_PER_KM·radius_km``:
+        the slots were cut by the very haversine the key reads. The
+        shortlist is every candidate with ``a ≥ V − P − bonus − 2ρ``,
+        ``V`` being the N-th largest ``a`` and
+        ``ρ = SCORE_ROUNDING·max(1, |V| + bonus + P)`` a bound on the
+        rounding of a score no larger than ``V + bonus``. It contains
+        the exact TopN:
 
-        1. at least N candidates have ``a ≥ A``, hence ``e ≥ A − δ``, so
-           the N-th largest exact score ``E`` is at least ``A − δ``;
+        1. at least N candidates have ``a ≥ V``; the score arithmetic
+           is monotone in ``a``, so each has ``e ≥ V − P − ρ``, and the
+           N-th largest exact score ``E`` is at least ``V − P − ρ``;
         2. a TopN member has ``e ≥ E`` (ties are broken by id, below it);
-        3. so its ``a ≥ e − δ − bonus ≥ A − 2δ − bonus``.
+        3. so one with ``a < V`` has ``a ≥ e − bonus − ρ ≥
+           V − P − bonus − 2ρ``.
 
-        ``δ`` covers the vector/scalar distance difference (bounded by
-        the index's guard band) plus rounding in the score arithmetic.
-        ``bonus`` is 0 for a query without an ISP. Any other key factory
-        has no vector form and ranks the full in-radius set.
+        ``bonus`` is 0 for a query without an ISP. A floor that is not
+        finite (``V`` infinite) shortlists nothing away, and any other
+        key factory has no column form: both rank the full in-radius set.
         """
         top_n = query.top_n
         if self.sort_key_factory is availability_sort_key and slots.size > top_n > 0:
-            approx = (
-                index.column("availability_score")[slots]
-                - DISTANCE_PENALTY_PER_KM * dist_km
+            available = index.column("availability_score")[slots]
+            nth_best = float(
+                np.partition(available, slots.size - top_n)[slots.size - top_n]
             )
-            delta = (
-                DISTANCE_PENALTY_PER_KM * distance_guard_km(radius_km)
-                + SCORE_ROUNDING * max(1.0, float(np.abs(approx).max()))
+            reach = DISTANCE_PENALTY_PER_KM * radius_km + (
+                AFFILIATION_BONUS if query.isp is not None else 0.0
             )
-            slack = 2.0 * delta + (AFFILIATION_BONUS if query.isp is not None else 0.0)
-            nth_best = np.partition(approx, slots.size - top_n)[slots.size - top_n]
-            slots = slots[approx >= nth_best - slack]
+            floor = nth_best - reach - 2.0 * SCORE_ROUNDING * max(
+                1.0, abs(nth_best) + reach
+            )
+            if math.isfinite(floor):
+                slots = slots[available >= floor]
         return heapq.nsmallest(
             top_n,
             [index.status_at(slot) for slot in slots.tolist()],

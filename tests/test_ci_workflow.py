@@ -378,14 +378,20 @@ def test_the_world_tests_run_under_the_leak_flags():
 @pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
 def test_the_discovery_memo_differential_runs_with_every_warning_an_error():
     """The stateful differential between a long-lived index, a fresh one
-    and the brute-force oracle runs in a ``-X dev -W error`` step of a
-    job that installs hypothesis: a warning out of numpy or hypothesis
-    on that path is a failure, not a line in a log."""
+    and the brute-force oracle, and the availability shortlist's
+    property, run in a ``-X dev -W error`` step of a job that installs
+    hypothesis: a warning out of numpy or hypothesis on that path (a NaN
+    or an overflow in the shortlist's floor) is a failure, not a line in
+    a log."""
     home = ROOT / "tests" / "test_discovery_memo.py"
+    shortlist = ROOT / "tests" / "test_discovery_exactness.py"
     assert "RuleBasedStateMachine" in home.read_text() and imports_hypothesis(home)
+    assert "def test_the_shortlisted_top_n_is_" in shortlist.read_text()
+    assert imports_hypothesis(shortlist)
     (job,) = [job for job in jobs().values() if f"tests/{home.name}" in job]
     steps = re.split(r"(?m)^      - name: ", job)
-    assert [s for s in steps if f"python -X dev -W error -m pytest -x -q tests/{home.name}" in s]
+    command = f"python -X dev -W error -m pytest -x -q tests/{home.name} tests/{shortlist.name}"
+    assert [s for s in steps if command in s]
     (install,) = re.findall(r"pip install (.*)", job)
     assert {"numpy", "pytest", "hypothesis"} <= set(install.split())
 

@@ -11,7 +11,10 @@ but never *decide*. These tests hold that contract where it is thinnest:
 - nodes an ulp inside / outside the radius, exact score ties and
   near-ties an ulp apart;
 - a sort key with no vector form (reputation) still ranking the whole
-  in-radius set.
+  in-radius set;
+- the availability shortlist against ``heapq.nsmallest`` over the whole
+  in-radius set, on one index and through the router, with ties exactly
+  at its floor, zeros and infinities.
 """
 
 from __future__ import annotations
@@ -19,17 +22,24 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.controlplane.router import PartialSelection, ShardRouter
+from repro.controlplane.sharding import ShardMap
 from repro.geo.geohash import encode
 from repro.geo.point import GeoPoint, haversine_km_coords
 from repro.geo.region import MSP_CENTER
 from repro.geo.spatial_index import GeohashSpatialIndex, distance_guard_km
 from repro.messages import DiscoveryQuery, NodeStatus
 from repro.policy.global_policy import (
+    AFFILIATION_BONUS,
+    DISTANCE_PENALTY_PER_KM,
     GeoProximityFilter,
     GlobalSelectionPolicy,
 )
@@ -210,7 +220,7 @@ def test_direct_clear_and_slot_reuse_keep_columns_consistent():
         index.insert(status)
     assert policy.select(query, index=index) == policy.select(query, nodes=second)
     index.clear()
-    assert len(index) == 0 and index.within_cover(query.lat, query.lon, 60.0)[0].size == 0
+    assert len(index) == 0 and index.within_cover(query.lat, query.lon, 60.0).size == 0
     assert policy.select(query, index=index) == ([], False)
     for status in first[:5]:
         index.insert(status)
@@ -310,7 +320,7 @@ def test_guard_band_hands_the_decision_to_the_scalar_cut(vector_sin):
         lat = latitude_north_at(user, radius_km + offset * guard)
         nodes.append(status_at(f"g{i}", lat, user.lon))
         index.insert(nodes[-1])
-    slots, _ = index.within_cover(user.lat, user.lon, radius_km)
+    slots = index.within_cover(user.lat, user.lon, radius_km)
     got = {index.status_at(slot).node_id for slot in slots.tolist()}
     want = {
         n.node_id
@@ -444,11 +454,11 @@ def test_insert_rejects_a_geohash_coarser_than_the_index():
     with pytest.raises(ValueError, match="coarser"):
         index.insert(replace(ok, geohash=ok.geohash[:4]))
     assert len(index) == 1 and "ok" in index
-    (slot,) = index.within_cover(ok.lat, ok.lon, 4.0)[0]
+    (slot,) = index.within_cover(ok.lat, ok.lon, 4.0)
     assert index.status_at(slot) is ok
     # Exactly max_precision characters is a position at index resolution.
     index.insert(replace(ok, node_id="six", geohash=ok.geohash[:6]))
-    assert index.within_cover(ok.lat, ok.lon, 0.5)[0].size == 2
+    assert index.within_cover(ok.lat, ok.lon, 0.5).size == 2
 
 
 # ----------------------------------------------------------------------
@@ -473,3 +483,167 @@ def test_every_path_counts_the_whole_disc_at_mid_latitude():
             query, index=index, radius_km=geo.radius_km
         ) == (count, best)
         assert len(geo.apply(query.point, nodes, min_candidates=0)[0]) == count
+
+
+# ----------------------------------------------------------------------
+# (d) the availability shortlist
+# ----------------------------------------------------------------------
+def test_top_n_infinitely_available_nodes_are_all_answered():
+    """Regression: with at least TopN in-radius nodes of infinite
+    availability (``utilization=-inf`` is accepted in process) the
+    shortlist's floor was ``inf − inf``, NaN, so it kept no candidate and
+    ``select(index=)`` answered ``([], False)``."""
+    user = MSP_CENTER
+    spots = [user.offset_km(0.5 * i, 0.0) for i in range(4)]
+    nodes = [
+        status_at(f"n{i}", spot.lat, spot.lon, utilization=-math.inf)
+        for i, spot in enumerate(spots[:3])
+    ]
+    nodes.append(status_at("plain", spots[3].lat, spots[3].lon))
+    index: GeohashSpatialIndex[NodeStatus] = GeohashSpatialIndex()
+    for status in nodes:
+        index.insert(status)
+    policy = GlobalSelectionPolicy(
+        geo_filter=GeoProximityFilter(radius_km=4.0, wide_radius_km=40.0)
+    )
+    query = DiscoveryQuery(user_id="u", lat=user.lat, lon=user.lon, top_n=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN arithmetic on the way
+        got = policy.select(query, index=index)
+        partial = policy.select_partial(query, index=index, radius_km=4.0)
+    assert got == policy.select(query, nodes=nodes) == (["n0", "n1", "n2"], False)
+    assert partial == linear_partial(policy, query, nodes, 4.0)
+
+
+SHORTLIST_GEO = GeoProximityFilter(radius_km=4.0, wide_radius_km=40.0)
+#: Where a node stands, as a fraction of a radius due north of the user
+#: (``1.0``: on the radius, to the ulp of latitude) or at a bearing.
+PLACEMENTS = (0.0, 0.3, 0.9, 1.0, 1.5)
+#: 3.9375 and 4.0 are closer than a 4 km radius's whole penalty (0.08).
+AVAILABILITIES = (0.0, 0.0, 1.0, 2.5, 3.75, 3.9375, 4.0, 6.0, 8.0, math.inf)
+
+
+def on_radius(user: GeoPoint, radius_km: float) -> float:
+    """A latitude due north of ``user`` at the largest scalar distance
+    that is still ``<= radius_km``."""
+    lat = latitude_north_at(user, radius_km)
+    while haversine_km_coords(user.lat, user.lon, lat, user.lon) > radius_km:
+        lat = math.nextafter(lat, -math.inf)
+    return lat
+
+
+def with_availability(
+    node_id: str, lat: float, lon: float, availability: float, isp: Optional[str]
+) -> NodeStatus:
+    """A status whose ``availability_score`` is exactly ``availability``
+    (0, infinite, or ≥ 0.5: ``cores`` is the power of two that puts
+    ``availability / cores`` in (0.5, 1], where ``1 − (1 − x)`` is exact)."""
+    if availability == 0.0:
+        cores, utilization = 4, 1.0
+    elif availability == math.inf:
+        cores, utilization = 4, -math.inf
+    else:
+        cores = 1 << max(0, math.ceil(math.log2(availability)))
+        utilization = 1.0 - availability / cores
+    status = status_at(node_id, lat, lon, cores=cores, utilization=utilization, isp=isp)
+    assert status.availability_score == availability
+    return status
+
+
+@st.composite
+def shortlist_cases(draw):
+    user = MSP_CENTER
+    wide = draw(st.booleans())
+    radius_km = SHORTLIST_GEO.wide_radius_km if wide else SHORTLIST_GEO.radius_km
+    edge = on_radius(user, radius_km)
+
+    def place(node_id: str, availability: float, where: float, isp: Optional[str]):
+        if where == 1.0:
+            return with_availability(node_id, edge, user.lon, availability, isp)
+        bearing = draw(st.floats(0.0, 2.0 * math.pi))
+        point = user.offset_km(
+            where * radius_km * math.cos(bearing), where * radius_km * math.sin(bearing)
+        )
+        return with_availability(node_id, point.lat, point.lon, availability, isp)
+
+    count = draw(st.integers(1, 12))
+    nodes = [
+        place(
+            f"n{i:02d}",
+            draw(st.sampled_from(AVAILABILITIES)),
+            draw(st.sampled_from(PLACEMENTS)),
+            draw(st.sampled_from((None, "isp-a", "isp-b"))),
+        )
+        for i in range(count)
+    ]
+    isp = draw(st.sampled_from((None, "isp-a")))
+    exclude = tuple(draw(st.sets(st.sampled_from([n.node_id for n in nodes]), max_size=2)))
+    top_n = draw(st.integers(1, count + 3))
+    # Ties exactly at the floor V − P − bonus of the radius drawn: one
+    # same-ISP node on the user, scoring V − P like the node of
+    # availability V added on the radius, and one on the radius itself.
+    pool = [
+        n
+        for n in nodes
+        if n.node_id not in exclude
+        and haversine_km_coords(user.lat, user.lon, n.lat, n.lon) <= radius_km
+    ]
+    if len(pool) > top_n:
+        nth_best = sorted((n.availability_score for n in pool), reverse=True)[top_n - 1]
+        bonus = AFFILIATION_BONUS if isp is not None else 0.0
+        floor = nth_best - (DISTANCE_PENALTY_PER_KM * radius_km + bonus)
+        if math.isfinite(floor) and floor >= 0.5 and draw(st.booleans()):
+            prefix = draw(st.sampled_from(("a", "z")))  # either side of "n.." in a tie
+            nodes.append(with_availability(f"{prefix}0", user.lat, user.lon, floor, "isp-a"))
+            nodes.append(with_availability(f"{prefix}1", edge, user.lon, floor, None))
+            nodes.append(with_availability(f"{prefix}2", edge, user.lon, nth_best, None))
+    query = DiscoveryQuery(
+        user_id="u", lat=user.lat, lon=user.lon, top_n=top_n, isp=isp, exclude=exclude
+    )
+    return query, nodes
+
+
+def floor_tie_case():
+    """The floor as close to binding as doubles allow: with TopN 2 and
+    V = 4.0, a same-ISP node of availability exactly V − P − bonus on
+    the user scores V − P, ~1e-14 below the node of availability V a
+    hair inside the radius."""
+    user = MSP_CENTER
+    edge = on_radius(user, 4.0)
+    floor = 4.0 - (DISTANCE_PENALTY_PER_KM * 4.0 + AFFILIATION_BONUS)
+    near = user.offset_km(1.0, 0.0)
+    nodes = [
+        with_availability("a0", user.lat, user.lon, floor, "isp-a"),
+        with_availability("n00", edge, user.lon, 4.0, None),
+        with_availability("n01", near.lat, near.lon, 8.0, None),
+        with_availability("n02", near.lat, near.lon, 1.0, "isp-a"),
+    ]
+    query = DiscoveryQuery(user_id="u", lat=user.lat, lon=user.lon, top_n=2, isp="isp-a")
+    return query, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shortlist_cases())
+@example(case=floor_tie_case())
+def test_the_shortlisted_top_n_is_the_top_n_of_the_whole_disc(case):
+    query, nodes = case
+    policy = GlobalSelectionPolicy(geo_filter=SHORTLIST_GEO)
+    router = ShardRouter(ShardMap(count=4), policy)
+    single: GeohashSpatialIndex[NodeStatus] = GeohashSpatialIndex()
+    shards: List[GeohashSpatialIndex[NodeStatus]] = [GeohashSpatialIndex() for _ in range(4)]
+    for status in nodes:
+        single.insert(status)
+        shards[router.owner_of(status)].insert(status)
+    for radius_km in (SHORTLIST_GEO.radius_km, SHORTLIST_GEO.wide_radius_km):
+        assert policy.select_partial(
+            query, index=single, radius_km=radius_km
+        ) == linear_partial(policy, query, nodes, radius_km)
+    want = policy.select(query, nodes=nodes)
+    assert policy.select(query, index=single) == want
+
+    def fetch(shard: int, radius_km: float) -> PartialSelection:
+        count, best = policy.select_partial(query, index=shards[shard], radius_km=radius_km)
+        return PartialSelection(shard=shard, count=count, statuses=tuple(best))
+
+    routed = router.select(query, fetch)
+    assert (list(routed.node_ids), routed.widened) == want

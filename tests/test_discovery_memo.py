@@ -1,13 +1,13 @@
 """Discovery's static half remembered: the geo cut's memo and its validity.
 
-``GeohashSpatialIndex.within_cover`` hands back the arrays it cut for
-the same ``(lat, lon, radius_km)`` for as long as every covered bucket
-still holds the slot array the cut was made from. Nothing here times
-anything. The first part counts with object identity — the same arrays
-or new ones — which is the mechanism itself; the second part bounds what
-the memo may hold; the third is a stateful differential: under random
-interleavings of joins, refreshes, moves, removals, slot reuse and
-``clear``, a long-lived index, an index built afresh from the same
+``GeohashSpatialIndex.within_cover`` hands back the slot array it cut
+for the same ``(lat, lon, radius_km)`` for as long as every covered
+bucket still holds the slot array the cut was made from. Nothing here
+times anything. The first part counts with object identity — the same
+array or a new one — which is the mechanism itself; the second part
+bounds what the memo may hold; the third is a stateful differential:
+under random interleavings of joins, refreshes, moves, removals, slot
+reuse and ``clear``, a long-lived index, an index built afresh from the same
 statuses and the brute-force oracle of ``tests/test_discovery_oracle.py``
 give one answer, through ``select`` and through ``select_partial`` +
 ``ShardRouter``. A test that wants the unmemoised answer builds a fresh
@@ -61,7 +61,7 @@ def north_of(point: GeoPoint, km: float, node_id: str, precision: int = 9) -> No
 
 
 def ids(index: GeohashSpatialIndex, cut) -> List[str]:
-    return sorted(index.status_at(slot).node_id for slot in cut[0].tolist())
+    return sorted(index.status_at(slot).node_id for slot in cut.tolist())
 
 
 def filled(count: int = 30) -> Tuple[GeohashSpatialIndex, List[NodeStatus]]:
@@ -82,7 +82,7 @@ def ask(index: GeohashSpatialIndex, radius_km: float = 4.0, at: GeoPoint = HOME)
 
 
 def same(first, second) -> bool:
-    return first[0] is second[0] and first[1] is second[1]
+    return first is second
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +91,7 @@ def same(first, second) -> bool:
 def test_a_move_inside_its_cell_across_the_radius_is_seen():
     """Same geohash, same bucket, new coordinates: membership of every
     bucket is what it was, so only the position itself can tell the
-    memo that the remembered distances are stale."""
+    memo that the remembered membership is stale."""
     index: GeohashSpatialIndex = GeohashSpatialIndex()
     inside = north_of(HOME, 3.9, "mover", precision=6)
     outside = north_of(HOME, 4.1, "mover", precision=6)
@@ -102,10 +102,7 @@ def test_a_move_inside_its_cell_across_the_radius_is_seen():
     index.insert(outside)
     assert ids(index, index.within_cover(HOME.lat, HOME.lon, 4.0)) == ["anchor"]
     index.insert(inside)
-    cut = index.within_cover(HOME.lat, HOME.lon, 4.0)
-    assert ids(index, cut) == ["anchor", "mover"]
-    (at,) = np.flatnonzero(cut[0] == index.slot_of("mover"))
-    assert cut[1][at] == pytest.approx(3.9, abs=1e-6)
+    assert ids(index, index.within_cover(HOME.lat, HOME.lon, 4.0)) == ["anchor", "mover"]
 
 
 # ----------------------------------------------------------------------
@@ -121,10 +118,9 @@ def test_a_repeated_query_returns_the_same_read_only_arrays():
     assert (index.cuts_computed, index.cuts_remembered) == (2, 3)
     # What is shared cannot be written to (a first sight is the caller's own).
     for cut in (second, index.within_cover(0.0, 0.0, 4.0)):  # the last: empty
-        for array in cut:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[:1] = 0
+        assert not cut.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cut[:1] = 0
 
 
 def test_a_same_place_refresh_invalidates_nothing():
@@ -182,7 +178,7 @@ def test_a_join_in_a_cell_that_was_empty_makes_a_new_cut():
     index.insert(south)
     assert ids(index, index.within_cover(HOME.lat, HOME.lon, 4.0)) == ["north", "south"]
     empty = ask(index, at=FAR)
-    assert empty[0].size == 0 and same(index.within_cover(FAR.lat, FAR.lon, 4.0), empty)
+    assert empty.size == 0 and same(index.within_cover(FAR.lat, FAR.lon, 4.0), empty)
     index.insert(north_of(FAR, 1.0, "far"))
     assert ids(index, index.within_cover(FAR.lat, FAR.lon, 4.0)) == ["far"]
 
@@ -190,21 +186,21 @@ def test_a_join_in_a_cell_that_was_empty_makes_a_new_cut():
 def test_filtering_never_writes_to_the_remembered_arrays():
     index, nodes = filled()
     cut = ask(index)
-    slots, dist = cut[0].copy(), cut[1].copy()
+    slots = cut.copy()
     geo = GeoProximityFilter(radius_km=4.0, wide_radius_km=12.0)
-    got, _ = geo.within_indexed(HOME, index, 4.0)
-    assert got is cut[0]  # no filter: the remembered arrays themselves
+    got = geo.within_indexed(HOME, index, 4.0)
+    assert got is cut  # no filter: the remembered array itself
     excluded = tuple(n.node_id for n in nodes[::3])
-    got, got_dist = geo.within_indexed(
+    got = geo.within_indexed(
         HOME, index, 4.0, exclude=excluded, predicate=lambda s: s.node_id != "n01"
     )
-    assert 0 < got.size < slots.size and got.size == got_dist.size
-    assert not set(ids(index, (got,))) & ({"n01"} | set(excluded))
+    assert 0 < got.size < slots.size
+    assert not set(ids(index, got)) & ({"n01"} | set(excluded))
     policy = GlobalSelectionPolicy(geo_filter=geo)
     query = DiscoveryQuery(user_id="u", lat=HOME.lat, lon=HOME.lon, top_n=3, exclude=excluded)
     assert policy.select(query, index=index) == policy.select(query, nodes=nodes)
     assert same(index.within_cover(HOME.lat, HOME.lon, 4.0), cut)
-    assert np.array_equal(cut[0], slots) and np.array_equal(cut[1], dist)
+    assert np.array_equal(cut, slots)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +208,7 @@ def test_filtering_never_writes_to_the_remembered_arrays():
 # ----------------------------------------------------------------------
 def held(index: GeohashSpatialIndex) -> int:
     """What the memo holds, recounted from its entries."""
-    total = sum(spatial_index._MEMO_KEY + slots.size for _, slots, _ in index._memo.values())
+    total = sum(spatial_index._MEMO_KEY + slots.size for _, slots in index._memo.values())
     assert total == index._memo_held
     return total
 
@@ -259,11 +255,11 @@ def test_an_oversize_cut_is_answered_and_not_kept(monkeypatch):
     assert index._memo[(HOME.lat, HOME.lon, 12.0)] is spatial_index._SEEN_ONCE
     assert index.cuts_remembered == 0
     small = ask(index, radius_km=1.0)
-    assert 0 < small[0].size <= 20 and same(index.within_cover(HOME.lat, HOME.lon, 1.0), small)
+    assert 0 < small.size <= 20 and same(index.within_cover(HOME.lat, HOME.lon, 1.0), small)
     # A kept cut that outgrows the limit is dropped, not kept stale.
     for i in range(25):
         index.insert(north_of(HOME, 0.03 * (i + 1), f"x{i:02d}"))
-    assert index.within_cover(HOME.lat, HOME.lon, 1.0)[0].size > 20
+    assert index.within_cover(HOME.lat, HOME.lon, 1.0).size > 20
     assert index._memo[(HOME.lat, HOME.lon, 1.0)] is spatial_index._SEEN_ONCE
     held(index)
 
@@ -407,11 +403,6 @@ class MemoDifferential(RuleBasedStateMachine):
             for index in (self.single, fresh):
                 cut = index.within_cover(query.lat, query.lon, radius_km)
                 assert ids(index, cut) == members, f"members within {radius_km} km"
-                for slot, km in zip(cut[0].tolist(), cut[1].tolist()):
-                    there = index.status_at(slot)
-                    assert km == pytest.approx(
-                        haversine_km_coords(query.lat, query.lon, there.lat, there.lon), abs=1e-6
-                    )
         for name, index in (("long-lived", self.single), ("fresh", fresh)):
             got, widened = self.policy.select(query, index=index)
             assert (tuple(got), widened) == want, f"{name} select"

@@ -63,7 +63,7 @@ RADII_BY_DEPTH = (0.5, 4.0, 19.0, 80.0, 600.0, 2000.0)
 
 def found(index: GeohashSpatialIndex, point: GeoPoint, radius_km: float):
     """Node ids ``within_cover`` returns around ``point``, in its order."""
-    slots, _ = index.within_cover(point.lat, point.lon, radius_km)
+    slots = index.within_cover(point.lat, point.lon, radius_km)
     return [index.status_at(slot).node_id for slot in slots.tolist()]
 
 
@@ -98,7 +98,7 @@ def test_reinsert_same_cell_updates_status():
     fresher = make_status("a", HOME, rng, reported_at=999.0)
     index.insert(fresher)
     assert len(index) == 1
-    ((slot,), _) = index.within_cover(HOME.lat, HOME.lon, 19.0)
+    (slot,) = index.within_cover(HOME.lat, HOME.lon, 19.0)
     assert index.status_at(slot).reported_at_ms == 999.0
 
 

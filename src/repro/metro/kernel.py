@@ -108,6 +108,25 @@ def _haversine_km(
 
 
 @dataclass
+class _Cohort:
+    """Per user, whether its due frames complete (``ok``: attached to a
+    live node) and at what latency (``lat``: base plus that node's wait),
+    with the fleet's wait and liveness they were read from."""
+
+    ok: np.ndarray
+    lat: np.ndarray
+    wait: np.ndarray
+    alive: np.ndarray
+
+    def read_from(self, wait: np.ndarray, alive: np.ndarray) -> bool:
+        """Whether ``wait`` and ``alive`` are what this cohort was read
+        from: the wait as float64 bits, so -0.0 and NaN cannot alias."""
+        return np.array_equal(
+            self.wait.view(np.uint64), wait.view(np.uint64)
+        ) and np.array_equal(self.alive, alive)
+
+
+@dataclass
 class MigrationRecord:
     """One user crossing the shard boundary channel (picklable)."""
 
@@ -261,7 +280,8 @@ class MetroKernel:
         hosting, starts = np.unique(sorted_cells, return_index=True)
         bounds = np.r_[starts, sorted_cells.size].tolist()
         for i, cell in enumerate(hosting.tolist()):
-            self._cell_nodes[cell] = np.sort(order[bounds[i] : bounds[i + 1]])
+            # A stable argsort keeps equal cells in index order: ascending.
+            self._cell_nodes[cell] = order[bounds[i] : bounds[i + 1]]
         self._cell_cands: Dict[int, np.ndarray] = {}
 
         # --- user table ----------------------------------------------
@@ -292,6 +312,14 @@ class MetroKernel:
         self.u_slot = self.u_gid % self._period_ticks
         self._agenda: Dict[int, List[Tuple[str, int]]] = {}
         self._pending_handoffs: List[int] = []
+        #: What a quiet tick reuses (``_advance_frames``); every write to
+        #: ``u_node``, ``u_base`` or ``u_active`` drops it.
+        self._cohort: Optional[_Cohort] = None
+        #: Each user's floored frame index at the end of the last advanced
+        #: tick: the next tick's lower bound minus one, while
+        #: ``_floor_key`` (that next tick, the user count) still holds.
+        self._floor_hi = np.empty(0, dtype=np.int64)
+        self._floor_key = (-1, -1)
 
         # --- counters -------------------------------------------------
         self.frames_advanced = 0
@@ -367,6 +395,8 @@ class MetroKernel:
         # zero them here to avoid double counting in reports.
         cur = self.u_node[users]
         np.subtract.at(self.n_load, cur[cur >= 0], self.fps)
+        if users.size:
+            self._cohort = None
         self.u_node[users] = self.u_pending[users] = -1
         self.u_active[users] = False
         for column in stats:
@@ -430,6 +460,8 @@ class MetroKernel:
             "u_lat_sum": column("latency_sum_ms"),
             "u_lat_max": column("latency_max_ms"),
         }
+        # Every user column grows, and the caller attaches the arrivals.
+        self._cohort = None
         for name, tail in rows.items():
             setattr(self, name, np.concatenate([getattr(self, name), tail]))
 
@@ -480,6 +512,7 @@ class MetroKernel:
         emit = self.trace.emit if self.trace.listening else None
         for u, best, base, _ in self._scored(orphans, include_ghosts=False):
             if best < 0:
+                self._cohort = None
                 self.u_node[u] = -1
                 self.uncovered_failures += 1
                 if emit:
@@ -542,6 +575,7 @@ class MetroKernel:
         ``u_base`` read no load: they are flat passes around the cell loop."""
         if self.u_gid.size == 0:
             return
+        self._cohort = None
         cells, inverse = np.unique(self.u_cell, return_inverse=True)
         self._fill_cell_cands(cells)
         # The narrowest dtype: a stable sort of <= 16-bit keys is a radix sort.
@@ -591,16 +625,20 @@ class MetroKernel:
                 self.u_node[order[ua:ub]] = chosen
                 # Before the next cell ranks: it may share these nodes.
                 np.add.at(self.n_load, chosen, self.fps)
-        users = order[self.u_node[order] >= 0]
-        for lo in range(0, users.size, _SCORE_CHUNK_PAIRS):
-            part = users[lo : lo + _SCORE_CHUNK_PAIRS]
+        # ``_base_vec`` is elementwise: index order gives the same bits as
+        # cell order, and gathers the user columns in memory order.
+        attached = np.flatnonzero(self.u_node >= 0)
+        for lo in range(0, attached.size, _SCORE_CHUNK_PAIRS):
+            part = attached[lo : lo + _SCORE_CHUNK_PAIRS]
             self.u_base[part] = self._base_vec(part, self.u_node[part])
         if self.trace.enabled:
+            users = order[self.u_node[order] >= 0]  # JoinAccepts go in cell order
             for u, n in zip(users.tolist(), self.u_node[users].tolist()):
                 self.trace.emit(JoinAccept(0.0, self._user_name(u), self._node_name(n)))
 
     def _attach(self, u: int, n: int, base: float) -> None:
         """Attach ``u`` to ``n``; ``base`` is the latency it was scored with."""
+        self._cohort = None
         self.u_node[u] = n
         self.u_base[u] = base
         self.n_load[n] += self.fps
@@ -704,34 +742,64 @@ class MetroKernel:
         counts = np.maximum(m_hi - m_lo + 1, 0)
         return m_lo, counts
 
+    def _floor_index(self, t: float) -> np.ndarray:
+        """Per user, the floored frame index at ``t``: ``_frame_counts``'
+        formula, its operations in place on one temporary."""
+        index = np.subtract(t, self.u_phase)
+        np.divide(index, self.interval_ms, out=index)
+        np.floor(index, out=index)
+        return index.astype(np.int64)
+
+    def _build_cohort(self, wait: np.ndarray) -> _Cohort:
+        """Read every user's ``ok``/``lat`` at ``wait`` and the current
+        liveness: unattached users read row 0, masked."""
+        node = np.maximum(self.u_node, 0)
+        ok = (self.u_node >= 0) & self.n_alive[node]
+        lat = self.u_base + wait[node]
+        return _Cohort(ok, lat, wait, self.n_alive.copy())
+
     def _advance_frames(self, k: int) -> None:
         """Advance tick ``k``'s frames as one cohort: whole-population
         array arithmetic in mask form — no index arrays, every user's row
         is touched. With capture on, the same ``good``/``lat`` arrays
-        then emit one ``FrameDone`` per completed frame."""
+        then emit one ``FrameDone`` per completed frame.
+
+        A quiet tick pays only for the frames: ``ok``/``lat`` are kept
+        while no user was moved and the fleet's wait and liveness read
+        the same, and the frame index the last tick floored at its end is
+        this tick's start."""
         t0 = k * TICK_MS
         wait = self._node_wait()
-        m_lo, counts = self._frame_counts(t0, t0 + TICK_MS)
-        counts = np.where(self.u_active, counts, 0)
+        size = self.u_gid.size
+        below = self._floor_hi if self._floor_key == (k, size) else self._floor_index(t0)
+        self._floor_hi, self._floor_key = self._floor_index(t0 + TICK_MS), (k + 1, size)
+        # Frames due in (t0, t0 + TICK_MS], in the buffer ``below`` held.
+        counts = np.subtract(self._floor_hi, below, out=below)
+        np.maximum(counts, 0, out=counts)
+        np.multiply(counts, self.u_active, out=counts)
         self.frames_advanced += int(counts.sum())
         if self.n_gid.size == 0:  # nothing to gather from: all due frames lost
             self.u_lost += counts
             return
-        node = np.maximum(self.u_node, 0)  # unattached users read row 0, masked
-        ok = (self.u_node >= 0) & self.n_alive[node]
-        lat = self.u_base + wait[node]
-        good = np.where(ok, counts, 0)
+        cohort = self._cohort
+        if cohort is None or not cohort.read_from(wait, self.n_alive):
+            cohort = self._cohort = self._build_cohort(wait)
+        lat = cohort.lat
+        # Unattached users and users on a dead node lose their due frames.
+        self.u_lost += counts
+        good = np.multiply(counts, cohort.ok, out=counts)
+        self.u_lost -= good
         self.u_frames += good
         # ``lat`` is finite (rho is capped), so ``0 * lat`` adds exactly 0.0.
         self.u_lat_sum += good * lat
         # A user who completed nothing must not have ``lat`` reach its max.
         np.maximum(self.u_lat_max, lat, out=self.u_lat_max, where=good > 0)
-        # Unattached users and users on a dead node lose their due frames.
-        self.u_lost += counts - good
         if not self.trace.enabled:
             return
         emit, interval = self.trace.emit, self.interval_ms
         users = np.flatnonzero(good)
+        # A user with frames done did them all: its first is the top less the count.
+        m_lo = self._floor_hi - good + 1
         columns = (m_lo, good, lat, self.u_phase, self.u_node)
         for u, lo, n, latency, phase, at in zip(
             users.tolist(), *(column[users].tolist() for column in columns)

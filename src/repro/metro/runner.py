@@ -107,10 +107,10 @@ def _route_outboxes(
         all_exports.update(out.exports)
     inboxes = [ShardInbox() for _ in range(plan.count)]
     for g in range(plan.count):
-        for gid in plan.ghost_gids[g]:
-            value = all_exports.get(int(gid))
+        for gid in plan.ghost_gids[g].tolist():
+            value = all_exports.get(gid)
             if value is not None:
-                inboxes[g].ghost_updates[int(gid)] = value
+                inboxes[g].ghost_updates[gid] = value
     for out in outboxes:
         for record in out.migrations:
             dest = int(plan.node_shard[record.target_gid])

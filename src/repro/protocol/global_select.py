@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import isfinite
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.geo.spatial_index import GeohashSpatialIndex, StatusView
@@ -43,6 +44,10 @@ from repro.protocol.events import (
 )
 
 __all__ = ["GlobalSelectionMachine", "RegistrySnapshot", "smooth_wrr_pick"]
+
+#: The float fields of a heartbeat the wire holds finite, in declaration
+#: order: the first one that is not names the refusal, as on the wire.
+_FINITE_FIELDS = ("lat", "lon", "capacity_fps", "utilization", "reported_at_ms")
 
 
 @dataclass(frozen=True)
@@ -157,15 +162,23 @@ class GlobalSelectionMachine:
         """Register or refresh a node.
 
         Raises:
-            ValueError: the index cannot key the status's geohash (too
-                short for a position, or not a geohash). Nothing has
-                changed then: the index refuses before it writes, and it
-                goes first — a stamp for a node it refused would have
-                no status to expire.
+            ValueError: a position, capacity, utilization or report time
+                is not finite (as ``from_wire`` words it), or the index
+                cannot key the status's geohash (too short for a
+                position, or not a geohash). Nothing has changed then:
+                both refuse before the index writes, and it goes first —
+                a stamp for a node it refused would have no status to
+                expire.
         """
-        node_id = event.status.node_id
+        status = event.status
+        if not (isfinite(status.lat) and isfinite(status.lon)
+                and isfinite(status.capacity_fps) and isfinite(status.utilization)
+                and isfinite(status.reported_at_ms)):
+            name = next(n for n in _FINITE_FIELDS if not isfinite(getattr(status, n)))
+            raise ValueError(f"NodeStatus.{name}: not a float: {getattr(status, name)!r}")
+        node_id = status.node_id
         new = node_id not in self._stamps
-        self.spatial_index.insert(event.status)
+        self.spatial_index.insert(status)
         self._stamps[node_id] = event.stamp
         heapq.heappush(self._expiry_heap, (event.stamp, node_id))
         if len(self._expiry_heap) > 2 * len(self._stamps) + 8:

@@ -73,6 +73,15 @@ def test_metro_smoke_runs_every_metro_test_file():
     assert "tests/test_metro_*.py" in job
 
 
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_metro_suite_fails_on_a_runtime_warning():
+    """The cohort path keeps arrays between ticks and compares floats by
+    their bits: a NaN or an overflow in that arithmetic warns, and the
+    metro suite makes the warning a failure."""
+    job = jobs()["metro-smoke"]
+    assert "run: python -m pytest -x -q -W error::RuntimeWarning tests/test_metro_*.py\n" in job
+
+
 HARNESS = "run: python -m pytest benchmarks/test_*.py"
 
 

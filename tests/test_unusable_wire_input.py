@@ -23,7 +23,7 @@ import pytest
 
 from repro.controlplane.live_driver import ControlPlaneCluster
 from repro.geo.geohash import encode
-from repro.messages import DiscoveryQuery, NodeStatus, to_wire
+from repro.messages import DiscoveryQuery, NodeStatus, from_wire, to_wire
 from repro.policy.global_policy import GeoProximityFilter, GlobalSelectionPolicy
 from repro.protocol.events import DiscoveryRequested, HeartbeatReceived, PruneTick
 from repro.protocol.global_select import GlobalSelectionMachine
@@ -106,6 +106,48 @@ def test_upper_case_geohash_is_discoverable_on_neither_path():
     indexed = m.policy.select(query(), index=m.spatial_index)
     linear = m.policy.select(query(), nodes=[*m.registry.values(), shouting])
     assert indexed == linear == (["quiet"], False)
+
+
+#: The float fields the wire holds finite, in declaration order.
+FINITE_FIELDS = ("lat", "lon", "capacity_fps", "utilization", "reported_at_ms")
+NOT_FINITE = (math.nan, math.inf, -math.inf)
+#: One field or two not finite (the first in declaration order is named),
+#: and the all-finite status both take.
+CHANGES = [{}] + [
+    {name: value} for name in FINITE_FIELDS for value in NOT_FINITE
+] + [
+    {a: math.nan, b: -math.inf}
+    for i, a in enumerate(FINITE_FIELDS) for b in FINITE_FIELDS[i + 1 :]
+]
+
+
+def refusal(call, *args):
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("changes", CHANGES, ids=repr)
+def test_the_machine_refuses_the_statuses_the_wire_refuses_alike(changes):
+    """A status with a position, capacity, utilization or report time
+    that is not finite ranks or expires as no status the wire lets in
+    (``utilization=-inf`` is infinite availability). The machine refuses
+    it with the wire's own words, and a refused refresh changes nothing."""
+    m = machine()
+    good = status()
+    m.handle(HeartbeatReceived(stamp=1.0, status=good))
+    changed = replace(good, **changes)
+    on_wire = refusal(from_wire, to_wire(changed), NodeStatus)
+    in_machine = refusal(m.handle, HeartbeatReceived(stamp=2.0, status=changed))
+    assert in_machine == on_wire
+    assert (on_wire is None) == (not changes)
+    if on_wire is not None:
+        assert m.registry == {"edge-0": good} and m._stamps == {"edge-0": 1.0}
+        assert len(m.spatial_index) == 1 and len(m._expiry_heap) == 1
+    new = refusal(machine().handle, HeartbeatReceived(stamp=0.0, status=changed))
+    assert new == on_wire
 
 
 # ----------------------------------------------------------------------

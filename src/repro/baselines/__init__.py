@@ -18,8 +18,6 @@ latency comparisons isolate the selection policy:
 - :mod:`~repro.baselines.optimal` — the offline optimal Edge Assignment
   used as the reference line in Fig. 7 (exhaustive for tiny instances,
   greedy + local search with restarts beyond that).
-- :class:`~repro.baselines.random_select.RandomSelectClient` — uniform
-  random attach, a sanity floor for tests.
 """
 
 from repro.baselines.dedicated_only import dedicated_only_policy
@@ -30,7 +28,6 @@ from repro.baselines.optimal import (
     evaluate_assignment,
     solve_optimal,
 )
-from repro.baselines.random_select import RandomSelectClient
 from repro.baselines.resource_aware import ResourceAwareWRRClient
 from repro.baselines.static_pin import StaticPinClient
 
@@ -38,7 +35,6 @@ __all__ = [
     "GeoProximityClient",
     "ResourceAwareWRRClient",
     "StaticPinClient",
-    "RandomSelectClient",
     "dedicated_only_policy",
     "OptimalInstance",
     "Assignment",

@@ -39,11 +39,6 @@ class NodeEpisode:
     def lifetime_ms(self) -> float:
         return self.fail_ms - self.join_ms
 
-    @property
-    def kind(self) -> str:
-        """``"restart"`` for crash-and-return episodes, else ``"fail"``."""
-        return "restart" if self.restart_ms is not None else "fail"
-
     def alive_at(self, now_ms: float) -> bool:
         if self.join_ms <= now_ms < self.fail_ms:
             return True

@@ -33,7 +33,7 @@ Contract:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.messages import ProbeOutcome
 
@@ -217,11 +217,3 @@ class SelectionPolicy:
         use randomness must derive it *only* from this seed so equal
         seeds replay identical decisions.
         """
-
-    def params(self) -> Dict[str, object]:
-        """The tunables this instance runs with (for docs/CLI listing)."""
-        return {}
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params().items()))
-        return f"{type(self).__name__}({args})"

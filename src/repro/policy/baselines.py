@@ -11,7 +11,7 @@ also keeps the hot path free when history is not wanted.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, List, Sequence, Tuple
+from typing import ClassVar, List, Sequence, Tuple
 
 from repro.messages import ProbeOutcome
 from repro.policy.base import RankingContext, SelectionPolicy
@@ -82,6 +82,3 @@ class QosGatedPolicy(SelectionPolicy):
 
     def bind_seed(self, seed: int) -> None:
         self.base.bind_seed(seed)
-
-    def params(self) -> Dict[str, object]:
-        return {"base": self.base.name, "qos_latency_ms": self.qos_latency_ms}

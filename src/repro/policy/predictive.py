@@ -133,13 +133,6 @@ class EwmaRttPolicy(SelectionPolicy):
         rtt = self.forecast_rtt_ms(outcome.node_id, outcome.d_prop_ms)
         return rtt + outcome.d_proc_ms
 
-    def params(self) -> Dict[str, object]:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "horizon": self.horizon,
-        }
-
 
 # ----------------------------------------------------------------------
 # Reliability-discounted ranking
@@ -201,20 +194,21 @@ class ReliabilityPolicy(SelectionPolicy):
         self._marks = _DecayedMarks(half_life_ms)
         #: Smoothed what-if per node (gray-jump reference).
         self._what_if_ewma: Dict[str, float] = {}
-        self._seed = seed
+        #: Exploration's seed: the constructor's, else the first one bound.
+        self.seed = seed
         self._rng_state: Optional[object] = None
 
     # -- state ---------------------------------------------------------
     def bind_seed(self, seed: int) -> None:
-        if self._seed is None:
-            self._seed = seed
+        if self.seed is None:
+            self.seed = seed
 
     def _rng_draw(self) -> float:
         import random
 
         rng = random.Random()
         if self._rng_state is None:
-            rng.seed(self._seed if self._seed is not None else 0)
+            rng.seed(self.seed if self.seed is not None else 0)
         else:
             rng.setstate(self._rng_state)  # type: ignore[arg-type]
         value = rng.random()
@@ -274,18 +268,6 @@ class ReliabilityPolicy(SelectionPolicy):
         return outcome.global_overhead_ms * self.penalty_factor(
             outcome.node_id, ctx.now
         )
-
-    def params(self) -> Dict[str, object]:
-        return {
-            "failure_weight": self.failure_weight,
-            "timeout_weight": self.timeout_weight,
-            "gray_weight": self.gray_weight,
-            "gray_ratio": self.gray_ratio,
-            "half_life_ms": self._marks.half_life_ms,
-            "max_penalty": self.max_penalty,
-            "explore_epsilon": self.explore_epsilon,
-            "seed": self._seed,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -350,11 +332,3 @@ class ChurnAwarePolicy(SelectionPolicy):
         ]
         indexed.sort(key=lambda item: (item[0], item[1]))
         return tuple(o for _, _, o in indexed)
-
-    def params(self) -> Dict[str, object]:
-        return {
-            "vanish_weight": self.vanish_weight,
-            "failure_weight": self.failure_weight,
-            "timeout_weight": self.timeout_weight,
-            "half_life_ms": self._marks.half_life_ms,
-        }

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines.dedicated_only import dedicated_only_policy, is_dedicated
 from repro.baselines.geo_proximity import GeoProximityClient
-from repro.baselines.random_select import RandomSelectClient
 from repro.baselines.resource_aware import ResourceAwareWRRClient
 from repro.baselines.static_pin import StaticPinClient
 from repro.core.client import EdgeClient
@@ -131,28 +130,6 @@ def test_pin_client_retries_until_target_exists():
     )
     system.run_for(3_000.0)
     assert client.current_edge == "far-fast"
-
-
-# ----------------------------------------------------------------------
-# Random
-# ----------------------------------------------------------------------
-def test_random_client_attaches_somewhere():
-    system = build_system()
-    client = RandomSelectClient(system, "alice")
-    system.add_client(client)
-    system.run_for(3_000.0)
-    assert client.current_edge in ("near-slow", "far-fast", "dedicated")
-
-
-def test_random_client_seeded_choice_reproduces():
-    def run():
-        system = build_system()
-        client = RandomSelectClient(system, "alice")
-        system.add_client(client)
-        system.run_for(3_000.0)
-        return client.current_edge
-
-    assert run() == run()
 
 
 # ----------------------------------------------------------------------

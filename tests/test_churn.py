@@ -217,11 +217,7 @@ def test_injector_custom_placer():
 # ----------------------------------------------------------------------
 # Crash-and-return episodes (restart under the same node id)
 # ----------------------------------------------------------------------
-def test_restart_episode_validation_and_kind():
-    plain = NodeEpisode("vol-a", 1_000.0, 5_000.0)
-    assert plain.kind == "fail"
-    restart = NodeEpisode("vol-a", 1_000.0, 5_000.0, restart_ms=9_000.0)
-    assert restart.kind == "restart"
+def test_restart_episode_validation():
     with pytest.raises(ValueError, match="restart"):
         NodeEpisode("vol-a", 1_000.0, 5_000.0, restart_ms=4_000.0)
 

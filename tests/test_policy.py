@@ -121,11 +121,11 @@ def test_build_policy_qos_gate_wraps():
 
 def test_build_policy_binds_seed():
     policy = build_policy("reliability", seed=99)
-    assert policy.params()["seed"] == 99
+    assert policy.seed == 99
     # An explicit constructor seed wins over a bound one.
     pinned = ReliabilityPolicy(seed=7)
     pinned.bind_seed(99)
-    assert pinned.params()["seed"] == 7
+    assert pinned.seed == 7
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_registered_factory_gives_each_client_its_own_seeded_instance(
         assert all(p.qos_latency_ms == qos_latency_ms for p in policies)
         policies = [p.base for p in policies]
     assert policies == built and policies[0] is not policies[1]
-    assert [p.params()["seed"] for p in policies] == [
+    assert [p.seed for p in policies] == [
         derive_seed(3, f"policy.{u}") for u in ("u1", "u2")
     ]
     with pytest.raises(AttributeError):
@@ -359,7 +359,7 @@ def test_config_qos_still_wraps_named_policies():
 def test_per_client_reliability_seeds_differ():
     system = _two_client_system(policy_spec="reliability")
     seeds = {
-        system.clients[u].policy.params()["seed"] for u in ("u1", "u2")
+        system.clients[u].policy.seed for u in ("u1", "u2")
     }
     assert len(seeds) == 2 and None not in seeds
 
@@ -373,14 +373,14 @@ def _live_client(user_id, **kwargs):
 def test_live_client_accepts_policy():
     client = _live_client("u1", policy="reliability")
     assert isinstance(client.policy, ReliabilityPolicy)
-    assert client.policy.params()["seed"] is not None
+    assert client.policy.seed is not None
     assert isinstance(_live_client("u1").policy, GlobalOverheadPolicy)
 
 
 def test_live_clients_hold_distinct_seeded_policies():
     a, b = (_live_client(u, policy="reliability") for u in ("u1", "u2"))
     assert a.policy is not b.policy
-    assert [c.policy.params()["seed"] for c in (a, b)] == [
+    assert [c.policy.seed for c in (a, b)] == [
         derive_seed(0, f"live-policy.{u}") for u in ("u1", "u2")
     ]
     with pytest.raises(AttributeError):

@@ -197,8 +197,9 @@ class MetroKernel:
         config: system tunables; the metro kernel honours ``top_n``,
             ``probing_period_ms``, ``failure_detection_ms`` and
             ``min_dwell_ms`` (durations quantized to the 250 ms tick);
-            its hysteresis margins are
-            :class:`~repro.protocol.selection.SelectionConfig`'s defaults.
+            its switch gate is
+            :meth:`~repro.protocol.selection.SelectionConfig.switch_threshold`
+            on the defaults.
         spec: the metro deployment shape.
         population: generated entity arrays (shared, never mutated),
             the one source of the cell precision.
@@ -535,15 +536,13 @@ class MetroKernel:
         self.control_ops += due.size
         emit = self.trace.emit if self.trace.listening else None
         node_of, base_of = self.u_node.item, self.u_base.item
-        keep = 1.0 - SelectionConfig.switch_penalty_fraction
-        penalty_ms = SelectionConfig.switch_penalty_ms
+        threshold = SelectionConfig().switch_threshold
         for u, best, base, wait in self._scored(due, include_ghosts=True):
             cur = node_of(u)
             if best < 0 or best == cur:
                 continue
-            # Hysteresis: absolute + relative margin, as in SelectionMachine.
-            cur_score = base_of(u) + wait.item(cur)
-            if base + wait.item(best) >= min(cur_score * keep, cur_score - penalty_ms):
+            # Hysteresis: SelectionMachine's gate, both margins at once.
+            if base + wait.item(best) >= threshold(base_of(u) + wait.item(cur)):
                 continue
             if self.n_ghost[best]:
                 self.u_pending[u] = best

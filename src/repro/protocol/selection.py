@@ -134,6 +134,14 @@ class SelectionConfig:
     switch_penalty_fraction: float = 0.15
     retry_delay_ms: float = 500.0
 
+    def switch_threshold(self, current_score: float) -> float:
+        """The score a candidate must beat (``<``) to take a user off a
+        node scoring ``current_score``: both margins at once."""
+        return (
+            current_score * (1.0 - self.switch_penalty_fraction)
+            - self.switch_penalty_ms
+        )
+
 
 class SelectionMachine:
     """Sans-IO client selection: events in, effects out.
@@ -386,11 +394,7 @@ class SelectionMachine:
             # with its own switch gate.
             current_score = ranking.score_of(self.current_edge)
             if current_score is not None:
-                threshold = (
-                    current_score
-                    * (1.0 - self.config.switch_penalty_fraction)
-                    - self.config.switch_penalty_ms
-                )
+                threshold = self.config.switch_threshold(current_score)
                 best_score = ranking.scores.get(
                     best.node_id, best.local_overhead_ms
                 )

@@ -28,6 +28,7 @@ from repro.net.latency import DistanceRttModel, NetworkTier
 from repro.net.topology import EndpointSpec
 from repro.obs.events import JoinAccept
 from repro.obs.tracer import Tracer
+from repro.protocol.selection import SelectionConfig
 
 
 def make_kernel(config=None, *, nodes=150, users=600, tracer=None, fps=10.0,
@@ -213,13 +214,14 @@ def test_node_wait_of_a_subset_equals_the_whole_fleet_entries():
         assert (kernel._node_wait(subset) == whole[subset]).all()
 
 
-def explicit_kernel(node_points, user_points, precision=5):
-    """A kernel over hand-placed endpoints (lat, lon)."""
+def explicit_kernel(node_points, user_points, precision=5, service_ms=25.0):
+    """A kernel over hand-placed endpoints (lat, lon); ``service_ms`` is
+    every node's, or one per node."""
     node_lat, node_lon = (np.array(x, dtype=float) for x in zip(*node_points))
     user_lat, user_lon = (np.array(x, dtype=float) for x in zip(*user_points))
     population = MetroPopulation(
         node_lat=node_lat, node_lon=node_lon,
-        node_service_ms=np.full(node_lat.size, 25.0),
+        node_service_ms=np.broadcast_to(np.asarray(service_ms, dtype=float), node_lat.shape).copy(),
         node_capacity_fps=np.full(node_lat.size, 40.0),
         user_lat=user_lat, user_lon=user_lon,
         user_phase_ms=np.zeros(user_lat.size),
@@ -229,6 +231,28 @@ def explicit_kernel(node_points, user_points, precision=5):
     )
     spec = MetroSpec(nodes=node_lat.size, users=user_lat.size)
     return MetroKernel(SystemConfig(seed=5), spec, population)
+
+
+@pytest.mark.parametrize("slow_ms, switches", [(32.0, 0), (40.0, 1)])
+def test_a_switch_needs_both_margins_as_in_the_selection_machine(slow_ms, switches):
+    """The t=0 attach deals two users over two nodes, so one starts on
+    the slow node. At 32 ms the fast node beats it by 15 % but not by
+    15 % + 5 ms, and SelectionMachine's gate keeps the user where it is;
+    at 40 ms it beats both margins and the user moves."""
+    kernel = explicit_kernel(
+        [(44.970, -93.250), (44.971, -93.250)], [(44.9701, -93.2501)] * 2,
+        service_ms=[25.0, slow_ms],
+    )
+    kernel.step_to(250.0)
+    assert kernel.u_node.tolist() == [0, 1]
+    wait = kernel._node_wait()
+    fast, slow = kernel._base_vec(np.array([1, 1]), np.array([0, 1])) + wait
+    gate = SelectionConfig()
+    assert fast < slow * (1.0 - gate.switch_penalty_fraction)
+    assert (fast < gate.switch_threshold(slow)) == bool(switches)
+    kernel.step_to(12_000.0)
+    assert kernel.switches == switches
+    assert kernel.u_node.tolist() == [0, 1 - switches]
 
 
 def test_table_filled_candidates_equal_per_cell_lookups():

@@ -90,14 +90,17 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Decode one protocol frame.
 
     Raises:
-        ProtocolError: on malformed JSON, a missing ``op`` or a non-object payload.
+        ProtocolError: on malformed JSON, a missing ``op`` or a non-object
+            payload; also on JSON that is well formed but that ``json``
+            refuses to build (nested past the recursion limit, an integer
+            past the digit limit).
     """
     try:
         data = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: decode and JSON errors too
         raise ProtocolError(f"malformed frame: {line[:80]!r}") from exc
     if not isinstance(data, dict) or "op" not in data:
-        raise ProtocolError(f"frame missing op: {data!r}")
+        raise ProtocolError(f"frame missing op: {line[:80]!r}")
     if type(data.setdefault("payload", {})) is not dict:
         raise ProtocolError(f"frame payload is not an object: {line[:80]!r}")
     return data

@@ -36,7 +36,6 @@ from repro.core.system import EdgeSystem
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import EndpointSpec
 from repro.obs import TraceAnalyzer, Tracer
-from repro.policy.reputation import ReputationTracker
 
 __version__ = "1.0.0"
 
@@ -56,6 +55,5 @@ __all__ = [
     "AdaptiveRobustness",
     "MultiAppDeployment",
     "ApplicationSpec",
-    "ReputationTracker",
     "__version__",
 ]

@@ -115,9 +115,9 @@ class ReplicatedShard(ReplicaSet):
     def apply_heartbeat(self, stamp: float, status: NodeStatus) -> List[Effect]:
         """Apply one heartbeat to every alive replica (delta replication).
 
-        Returns the serving replica's effects (for reputation/obs
-        wiring); standby effects are identical by construction and
-        dropped. With the primary down the deltas still warm the
+        Returns the serving replica's effects (for the driver's arrival
+        order and hooks); standby effects are identical by construction
+        and dropped. With the primary down the deltas still warm the
         standbys, but nothing is reported — the shard is not serving.
         """
         return self._replicate(HeartbeatReceived(stamp=stamp, status=status))

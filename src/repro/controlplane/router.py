@@ -33,13 +33,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Optional, Sequence, Tuple, cast
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.controlplane.sharding import ShardMap, disc_owners, owner_of_prefix
 from repro.messages import DiscoveryQuery, NodeStatus
 from repro.obs.events import ShardMerge, ShardRoute
 from repro.obs.tracer import Tracer
-from repro.policy.global_policy import GlobalSelectionPolicy
+from repro.policy.global_policy import GlobalSelectionPolicy, availability_sort_key
 
 __all__ = ["PartialSelection", "RoutedSelection", "ShardRouter", "emit_routing"]
 
@@ -48,7 +48,7 @@ __all__ = ["PartialSelection", "RoutedSelection", "ShardRouter", "emit_routing"]
 class PartialSelection:
     """One shard's answer to one fixed-radius phase: its exact in-radius
     count plus its local TopN statuses, best first (in the order of the
-    policy's sort key, which is how ``select_partial`` returns them)."""
+    availability sort key, which is how ``select_partial`` returns them)."""
 
     shard: int
     count: int
@@ -168,13 +168,7 @@ class ShardRouter:
             best = pool[: max(query.top_n, 0)]
         else:
             pool = [s for p in chosen for s in p.statuses]
-            # The factory is declared as returning an opaque ``object``
-            # key (policies compose tuples of mixed comparables); cast
-            # for the nsmallest stub, which wants SupportsRichComparison.
-            sort_key = cast(
-                "Callable[[NodeStatus], Any]", self.policy.sort_key_factory(query)
-            )
-            best = heapq.nsmallest(query.top_n, pool, key=sort_key)
+            best = heapq.nsmallest(query.top_n, pool, key=availability_sort_key(query))
         return RoutedSelection(
             tuple(map(_node_id, best)),
             widened,

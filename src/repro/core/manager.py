@@ -42,7 +42,6 @@ from repro.protocol.events import PartialDiscoveryRequested
 from repro.protocol.global_select import GlobalSelectionMachine, smooth_wrr_pick
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.policy.reputation import ReputationTracker
     from repro.core.system import EdgeSystem
 
 #: Period of the standby snapshot-sync timer (bounds divergence when a
@@ -59,9 +58,6 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
             not the system.
         policy: the composed global selection policy (e.g. restricted
             to dedicated nodes).
-        reputation: optional tracker fed node appearances and silent
-            departures (install its sort key on the policy to act on
-            the scores; see policies/reputation.py).
 
     Raises:
         ValueError: the system's fault plan takes down a shard this
@@ -74,7 +70,6 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
         self,
         system: "EdgeSystem",
         policy: Optional[GlobalSelectionPolicy] = None,
-        reputation: Optional["ReputationTracker"] = None,
     ) -> None:
         config = system.config
         shards = config.control_plane_shards
@@ -101,7 +96,6 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
         )
         self.shard_map = ShardMap(count=shards)
         self.router = ShardRouter(self.shard_map, self._policy)
-        self.reputation = reputation
         # Smooth-WRR state lives here: the baseline's round robin is
         # global across shards, so no single machine can own it.
         self._wrr_current: Dict[str, float] = {}
@@ -117,14 +111,8 @@ class CentralManager(ManagerDriver[ReplicatedShard]):
     def _call_later(self, delay_ms: float, callback: Callable[[], None], label: str) -> None:
         self.sim.schedule(delay_ms, callback, label=label)
 
-    def _node_online(self, node_id: str) -> None:
-        if self.reputation is not None:
-            self.reputation.record_online(node_id, self.sim.now)
-
     def _node_expired(self, node_id: str) -> None:
         self._wrr_current.pop(node_id, None)
-        if self.reputation is not None:
-            self.reputation.record_departure(node_id, self.sim.now)
 
     # ------------------------------------------------------------------
     # Registry maintenance

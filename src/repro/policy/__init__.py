@@ -1,10 +1,9 @@
 """Both steps of the paper's 2-step edge selection (``repro.policy``).
 
 Step 1, manager side: :mod:`repro.policy.global_policy` filters by
-geo-proximity and sorts by availability into the TopN candidate list
-(:mod:`repro.policy.reputation` is a drop-in sort key that discounts
-flaky volunteers). Step 2, client side: the pluggable policies behind
-the :class:`~repro.protocol.selection.SelectionMachine`'s ranking and
+geo-proximity and sorts by availability into the TopN candidate list.
+Step 2, client side: the pluggable policies behind the
+:class:`~repro.protocol.selection.SelectionMachine`'s ranking and
 backup-ordering decisions. See :mod:`repro.policy.base` for their
 contract, :mod:`repro.policy.baselines` for the paper's LO/GO/QoS,
 :mod:`repro.policy.predictive` for the history-aware policies, and
@@ -59,7 +58,6 @@ from repro.policy.registry import (
     policy_names,
     register,
 )
-from repro.policy.reputation import ReputationTracker
 
 __all__ = [
     "AttachmentObserved",
@@ -80,7 +78,6 @@ __all__ = [
     "Ranking",
     "RankingContext",
     "ReliabilityPolicy",
-    "ReputationTracker",
     "SelectionPolicy",
     "availability_sort_key",
     "build_policy",

@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,38 +33,30 @@ class GeoProximityFilter:
 
     Nodes are first matched against the GeoHash cells covering the disc
     of ``radius_km`` around the user (:func:`repro.geo.geohash.cover`),
-    then cut exactly by haversine distance. If fewer than ``min_candidates``
-    survive, the search widens to ``wide_radius_km`` — the paper's
+    then cut exactly by haversine distance. If fewer than the query's
+    TopN survive, the search widens to ``wide_radius_km`` — the paper's
     "remote nodes ... useful as a last resort".
     """
 
     radius_km: float = 80.0
     wide_radius_km: float = 400.0
-    min_candidates: int = 1
 
     def __post_init__(self) -> None:
-        if self.radius_km <= 0 or self.wide_radius_km < self.radius_km:
+        # Written so that NaN fails too: every comparison with it is false.
+        if not 0 < self.radius_km <= self.wide_radius_km:
             raise ValueError("need 0 < radius_km <= wide_radius_km")
-        if self.min_candidates < 0:
-            raise ValueError("min_candidates must be >= 0")
 
     def apply(
-        self,
-        user_point: GeoPoint,
-        nodes: Sequence[NodeStatus],
-        min_candidates: Optional[int] = None,
+        self, user_point: GeoPoint, nodes: Sequence[NodeStatus], top_n: int
     ) -> Tuple[List[NodeStatus], bool]:
         """Return (surviving nodes, widened?).
 
-        ``min_candidates`` (defaulting to the filter's own) is normally
-        the query's TopN: a candidate list shorter than TopN silently
-        strips the user of backup nodes, so remote nodes — "useful as a
-        last resort" — are pulled in whenever the local area cannot
-        fill the list.
+        A candidate list shorter than ``top_n`` silently strips the user
+        of backup nodes, so remote nodes — "useful as a last resort" —
+        are pulled in whenever the local area cannot fill the list.
         """
-        needed = self.min_candidates if min_candidates is None else min_candidates
         local = self._within(user_point, nodes, self.radius_km)
-        if len(local) >= needed:
+        if len(local) >= top_n:
             return local, False
         wide = self._within(user_point, nodes, self.wide_radius_km)
         if len(wide) > len(local):
@@ -184,15 +176,14 @@ def availability_sort_key(
 class GlobalSelectionPolicy:
     """The composed manager-side policy: filter, sort, truncate to TopN.
 
-    Filters and the sort key are injectable so applications can "flexibly
+    The filters are injectable so applications can "flexibly
     combine/modify [policies] to prioritize available edge nodes towards
-    different application requirements" (§IV-B).
+    different application requirements" (§IV-B). The order is always
+    :func:`availability_sort_key`'s: step 1 is coarse, and accuracy is
+    left to client probing.
     """
 
     geo_filter: GeoProximityFilter = GeoProximityFilter()
-    sort_key_factory: Callable[
-        [DiscoveryQuery], Callable[[NodeStatus], Any]
-    ] = availability_sort_key
     #: Optional extra predicate, e.g. "dedicated nodes only".
     node_predicate: Optional[Callable[[NodeStatus], bool]] = None
 
@@ -206,9 +197,10 @@ class GlobalSelectionPolicy:
         """Produce the TopN candidate node ids for ``query``.
 
         Candidates come either from ``nodes`` (a materialized status
-        list, linearly scanned — the seed behaviour, still used by
-        baselines and as the parity reference) or from ``index`` (the
-        manager's spatial index; the metro-scale fast path). Exactly one
+        list, linearly scanned — the seed behaviour, kept as the parity
+        tests' reference and as the linear baseline
+        ``benchmarks/perf/bench_discovery.py`` times) or from ``index``
+        (the manager's spatial index; the metro-scale fast path). Exactly one
         source must be given. Both sources produce bit-identical results
         for the same registry contents: the indexed path only *proposes*
         with vector arithmetic — membership and order are decided by the
@@ -236,15 +228,13 @@ class GlobalSelectionPolicy:
         pool = [n for n in nodes if n.node_id not in query.exclude]
         if self.node_predicate is not None:
             pool = [n for n in pool if self.node_predicate(n)]
-        candidates, widened = self.geo_filter.apply(
-            query.point, pool, min_candidates=query.top_n
-        )
+        candidates, widened = self.geo_filter.apply(query.point, pool, query.top_n)
         # nsmallest(k) is documented to equal sorted(...)[:k]; with the
         # node-id tie-breaker in the key the TopN is deterministic and
         # independent of candidate order, at O(C log k) instead of a
         # full O(C log C) sort.
         best = heapq.nsmallest(
-            query.top_n, candidates, key=self.sort_key_factory(query)
+            query.top_n, candidates, key=availability_sort_key(query)
         )
         return [n.node_id for n in best], widened
 
@@ -286,10 +276,10 @@ class GlobalSelectionPolicy:
     ) -> List[NodeStatus]:
         """The TopN of the in-radius ``slots``, by the exact sort key.
 
-        The order is whatever ``sort_key_factory(query)`` and
+        The order is whatever :func:`availability_sort_key` and
         ``heapq.nsmallest`` say; the availability column only shrinks
-        the set they look at. For :func:`availability_sort_key` a
-        candidate's exact score ``e`` is its availability ``a`` (never
+        the set they look at. A candidate's exact score ``e`` is its
+        availability ``a`` (never
         negative), plus the bonus if it shares the user's ISP, minus a
         distance penalty of at most ``P = DISTANCE_PENALTY_PER_KM·radius_km``:
         the slots were cut by the very haversine the key reads. The
@@ -307,11 +297,11 @@ class GlobalSelectionPolicy:
            V − P − bonus − 2ρ``.
 
         ``bonus`` is 0 for a query without an ISP. A floor that is not
-        finite (``V`` infinite) shortlists nothing away, and any other
-        key factory has no column form: both rank the full in-radius set.
+        finite (``V`` infinite) shortlists nothing away: the full
+        in-radius set is ranked.
         """
         top_n = query.top_n
-        if self.sort_key_factory is availability_sort_key and slots.size > top_n > 0:
+        if slots.size > top_n > 0:
             available = index.column("availability_score")[slots]
             nth_best = float(
                 np.partition(available, slots.size - top_n)[slots.size - top_n]
@@ -327,5 +317,5 @@ class GlobalSelectionPolicy:
         return heapq.nsmallest(
             top_n,
             [index.status_at(slot) for slot in slots.tolist()],
-            key=self.sort_key_factory(query),
+            key=availability_sort_key(query),
         )

@@ -606,12 +606,11 @@ class ManagerDriver(Generic[_Members]):
     The sim's ``CentralManager``, the live ``ManagerServer`` (one machine,
     no replica set) and the live ``RouterServer`` (replica sets whose
     machines are ``ManagerServer`` processes) subclass it. What a backend
-    keeps beside the machine rides on no-op hooks: ``_node_online`` /
-    ``_node_expired`` (the sim's reputation feed and WRR ledger, the live
-    address book), ``_population_changed`` (the live ``PopulationChanged``
-    trace), ``_replica_changed`` (the router's replica link) and
-    ``_call_later`` (the sim's timer). ``_now`` is the tracer's clock
-    unless a backend says otherwise.
+    keeps beside the machine rides on no-op hooks: ``_node_expired``
+    (the sim's WRR ledger, the live address book), ``_population_changed``
+    (the live ``PopulationChanged`` trace), ``_replica_changed`` (the
+    router's replica link) and ``_call_later`` (the sim's timer).
+    ``_now`` is the tracer's clock unless a backend says otherwise.
 
     Args:
         shards: one replica set per shard (none for a lone manager).
@@ -644,9 +643,6 @@ class ManagerDriver(Generic[_Members]):
     def _call_later(self, delay_ms: float, callback: Callable[[], None], label: str) -> None:
         raise NotImplementedError(f"{type(self).__name__} has no timer")
 
-    def _node_online(self, node_id: str) -> None:
-        pass
-
     def _node_expired(self, node_id: str) -> None:
         pass
 
@@ -671,7 +667,6 @@ class ManagerDriver(Generic[_Members]):
             if isinstance(effect, NodeOnline):
                 self._arrivals.setdefault(effect.node_id)
                 changed = changed or effect.new
-                self._node_online(effect.node_id)
             elif isinstance(effect, NodeExpired):
                 self._arrivals.pop(effect.node_id, None)
                 changed = True

@@ -215,7 +215,7 @@ class ReplyPartialCandidates(Effect):
 @dataclass(slots=True)
 class NodeOnline(Effect):
     """A heartbeat refreshed ``node_id``; ``new`` marks a first sighting
-    (drivers use it for population traces / reputation tracking)."""
+    (drivers use it for their arrival order and population traces)."""
 
     node_id: str
     new: bool

@@ -11,7 +11,7 @@ The machine owns the geohash spatial index — which stores each
 registered status once and is the registry: :attr:`registry` is a
 read-only view of it — and the stamps and expiry heap that age nodes
 out; drivers own transports (sim method calls vs. JSON-framed
-TCP), address books, clocks and reputation wiring. Time enters only as
+TCP), address books and clocks. Time enters only as
 opaque ``stamp`` values that the machine compares against each other —
 the sim backend passes simulated milliseconds, the live backend passes
 ``time.monotonic()`` seconds, and the machine cannot tell the

@@ -10,8 +10,6 @@ but never *decide*. These tests hold that contract where it is thinnest:
   reference after every step;
 - nodes an ulp inside / outside the radius, exact score ties and
   near-ties an ulp apart;
-- a sort key with no vector form (reputation) still ranking the whole
-  in-radius set;
 - the availability shortlist against ``heapq.nsmallest`` over the whole
   in-radius set, on one index and through the router, with ties exactly
   at its floor, zeros and infinities.
@@ -42,8 +40,8 @@ from repro.policy.global_policy import (
     DISTANCE_PENALTY_PER_KM,
     GeoProximityFilter,
     GlobalSelectionPolicy,
+    availability_sort_key,
 )
-from repro.policy.reputation import ReputationTracker, reputation_sort_key
 from repro.protocol.events import HeartbeatReceived, PruneTick
 from repro.protocol.global_select import GlobalSelectionMachine, RegistrySnapshot
 
@@ -101,7 +99,7 @@ def linear_partial(policy, query, nodes, radius_km):
         if haversine_km_coords(query.lat, query.lon, n.lat, n.lon) <= radius_km
     ]
     best = heapq.nsmallest(
-        query.top_n, inside, key=policy.sort_key_factory(query)
+        query.top_n, inside, key=availability_sort_key(query)
     )
     return len(inside), best
 
@@ -403,41 +401,6 @@ def test_affiliation_bonus_can_lift_a_node_past_the_vector_shortlist():
 
 
 # ----------------------------------------------------------------------
-# (c) a key factory without a vector form ranks the full in-radius set
-# ----------------------------------------------------------------------
-def test_reputation_sort_key_ranks_the_whole_disc_and_matches_linear():
-    rng = random.Random(31)
-    tracker = ReputationTracker(target_session_ms=1_000.0)
-    nodes = [random_status(f"n{i:03d}", rng) for i in range(300)]
-    index: GeohashSpatialIndex[NodeStatus] = GeohashSpatialIndex()
-    for status in nodes:
-        index.insert(status)
-        tracker.record_online(status.node_id, 0.0)
-        # The best-provisioned nodes are the flakiest: an availability
-        # shortlist would keep exactly the nodes reputation ranks last.
-        if status.cores == 8:
-            for flap in range(6):
-                tracker.record_departure(status.node_id, flap + 0.5)
-                tracker.record_online(status.node_id, flap + 1.0)
-    geo = GeoProximityFilter(radius_km=15.0, wide_radius_km=80.0)
-    by_reputation = GlobalSelectionPolicy(
-        geo_filter=geo, sort_key_factory=reputation_sort_key(tracker, lambda: 10.0)
-    )
-    by_availability = GlobalSelectionPolicy(geo_filter=geo)
-    differed = 0
-    for i in range(40):
-        point = random_point(rng, 20.0)
-        query = DiscoveryQuery(user_id=f"u{i}", lat=point.lat, lon=point.lon, top_n=3)
-        got = by_reputation.select(query, index=index)
-        assert got == by_reputation.select(query, nodes=nodes)
-        assert by_reputation.select_partial(
-            query, index=index, radius_km=geo.radius_km
-        ) == linear_partial(by_reputation, query, nodes, geo.radius_km)
-        differed += got != by_availability.select(query, index=index)
-    assert differed > 30
-
-
-# ----------------------------------------------------------------------
 # Short geohashes
 # ----------------------------------------------------------------------
 def test_insert_rejects_a_geohash_coarser_than_the_index():
@@ -482,11 +445,11 @@ def test_every_path_counts_the_whole_disc_at_mid_latitude():
         assert policy.select_partial(
             query, index=index, radius_km=geo.radius_km
         ) == (count, best)
-        assert len(geo.apply(query.point, nodes, min_candidates=0)[0]) == count
+        assert len(geo.apply(query.point, nodes, top_n=0)[0]) == count
 
 
 # ----------------------------------------------------------------------
-# (d) the availability shortlist
+# (c) the availability shortlist
 # ----------------------------------------------------------------------
 def test_top_n_infinitely_available_nodes_are_all_answered():
     """Regression: with at least TopN in-radius nodes of infinite

@@ -4,6 +4,7 @@ import pytest
 
 from repro.geo import geohash as gh
 from repro.geo.point import GeoPoint
+from repro.geo.spatial_index import GeohashSpatialIndex
 from repro.messages import DiscoveryQuery, NodeStatus
 from repro.policy.global_policy import (
     GeoProximityFilter,
@@ -44,21 +45,21 @@ FAR = status("far", 41.88, -87.63)  # Chicago, ~570 km
 # ----------------------------------------------------------------------
 def test_filter_keeps_local_nodes():
     geo = GeoProximityFilter(radius_km=80.0, wide_radius_km=1_000.0)
-    kept, widened = geo.apply(USER_POINT, [NEAR, FAR], min_candidates=1)
+    kept, widened = geo.apply(USER_POINT, [NEAR, FAR], top_n=1)
     assert [n.node_id for n in kept] == ["near"]
     assert not widened
 
 
 def test_filter_widens_when_below_min_candidates():
     geo = GeoProximityFilter(radius_km=80.0, wide_radius_km=1_000.0)
-    kept, widened = geo.apply(USER_POINT, [NEAR, FAR], min_candidates=2)
+    kept, widened = geo.apply(USER_POINT, [NEAR, FAR], top_n=2)
     assert {n.node_id for n in kept} == {"near", "far"}
     assert widened
 
 
 def test_filter_does_not_report_widened_when_nothing_gained():
     geo = GeoProximityFilter(radius_km=80.0, wide_radius_km=1_000.0)
-    kept, widened = geo.apply(USER_POINT, [NEAR], min_candidates=3)
+    kept, widened = geo.apply(USER_POINT, [NEAR], top_n=3)
     assert [n.node_id for n in kept] == ["near"]
     assert not widened
 
@@ -67,7 +68,25 @@ def test_filter_validates():
     with pytest.raises(ValueError):
         GeoProximityFilter(radius_km=100.0, wide_radius_km=50.0)
     with pytest.raises(ValueError):
-        GeoProximityFilter(min_candidates=-1)
+        GeoProximityFilter(radius_km=0.0)
+    # NaN passes a `<=`/`<` check; it used to fail only at the first select.
+    with pytest.raises(ValueError):
+        GeoProximityFilter(radius_km=float("nan"))
+    with pytest.raises(ValueError):
+        GeoProximityFilter(radius_km=5.0, wide_radius_km=float("nan"))
+
+
+def test_filter_accepts_infinite_radii():
+    """An infinite radius is "the whole registry" on both paths."""
+    geo = GeoProximityFilter(radius_km=5.0, wide_radius_km=float("inf"))
+    kept, widened = geo.apply(USER_POINT, [NEAR, FAR], top_n=2)
+    assert {n.node_id for n in kept} == {"near", "far"} and widened
+    index = GeohashSpatialIndex()
+    for node in (NEAR, FAR):
+        index.insert(node)
+    policy = GlobalSelectionPolicy(geo_filter=geo)
+    assert policy.select(query(top_n=2), [NEAR, FAR]) == (["near", "far"], True)
+    assert policy.select(query(top_n=2), index=index) == (["near", "far"], True)
 
 
 # ----------------------------------------------------------------------

@@ -241,6 +241,7 @@ def test_manager_backends_keep_only_their_transport(backend):
         "repro.core.probing",
         "repro.core.policies.local_policies",
         "repro.core.policies.reputation",
+        "repro.policy.reputation",
         "repro.controlplane.sim_driver",
     ],
 )

@@ -89,6 +89,18 @@ REMOVED_NAMES = (
         r"def params\(|__repr__", "src/repro/policy", "*.py", 49,
         "a policy's params() fed only its __repr__, and nothing printed one",
     ),
+    Removed(
+        r"ReputationTracker|reputation_sort_key|sort_key_factory", "src/repro", None, 50,
+        "the manager ranks by availability_sort_key alone; no run set another key",
+    ),
+    Removed(
+        r"_node_online", "src/repro", None, 50,
+        "the manager driver's node-online hook fed only the reputation tracker",
+    ),
+    Removed(
+        r"min_candidates", "src/repro", None, 50,
+        "the geo filter widens below the query's TopN, which every caller passes",
+    ),
 )
 
 

@@ -28,6 +28,10 @@ reach:
   event per frame under the same control plane and is held to the same
   trace-event multiset (property-tested). :meth:`MetroKernel.report`
   returns the captured trace stable-sorted by time.
+- **One selection rule.** A due user's round, an uncovered user's
+  re-discovery and a stranded arrival all run :func:`reselect_row`,
+  ``SelectionMachine``'s join-or-stay choice and backup adoption; a
+  detected failure first walks the adopted ``u_backup`` row (DESIGN §11).
 
 Entity naming: node ``i`` of the population is ``n{i}`` in every trace
 event and public API; user ``j`` is ``u{j}``. Shard-local arrays map to
@@ -68,6 +72,7 @@ __all__ = [
     "MigrationRecord",
     "ShardOutbox",
     "ShardInbox",
+    "reselect_row",
 ]
 
 #: The sim's latency model at its defaults; both endpoints of every
@@ -77,6 +82,8 @@ _TIER_MS = 2.0 * TIER_INFLATION_MS[NetworkTier.HOME_WIFI]
 #: M/D/1 utilization cap — matches the EdgeSystem queue's stability
 #: guard: beyond this the analytic wait would explode to infinity.
 _RHO_CAP = 0.95
+
+_NO_NODES = np.empty(0, dtype=np.int64)
 
 #: Cap on the (user, candidate) pairs whose base latency one flat
 #: ``_base_vec`` pass scores; bounds the scorer's temporaries (~0.1 MB
@@ -93,6 +100,32 @@ def _pair_chunks(starts: np.ndarray) -> Iterator[Tuple[int, int]]:
         hi = max(lo + 1, int(np.searchsorted(starts, cap, side="right")) - 1)
         yield lo, hi
         lo = hi
+
+
+def reselect_row(
+    selection: SelectionConfig, nodes: List[int], scores: np.ndarray,
+    current: int, settled: bool,
+) -> Tuple[int, List[int]]:
+    """``SelectionMachine``'s round over one user's candidates ``nodes``
+    ranked by a stable sort of ``scores``: the row index the user joins
+    (-1: it stays) and the backups it adopts, the ranking less the node it
+    ends on cut to ``top_n - 1``. A detached user (``current`` -1) joins;
+    an attached one stays unless ``settled`` (past its dwell) and the best
+    clears the hysteresis of its node's score in the row. A node in no
+    row is dead, and no hysteresis reads it."""
+    top: List[int] = scores.argsort(kind="stable")[: selection.top_n].tolist()
+    j, end = top[0], nodes[top[0]]
+    if current >= 0 and end != current and (
+        not settled
+        or current in nodes
+        and scores.item(j)
+        >= selection.switch_threshold(scores.item(nodes.index(current)))
+    ):
+        end = current
+    ranked = list(map(nodes.__getitem__, top))
+    if end in ranked:
+        ranked.remove(end)
+    return (j if end != current else -1), ranked[: selection.top_n - 1]
 
 
 def _haversine_km(
@@ -195,11 +228,10 @@ class MetroKernel:
 
     Args:
         config: system tunables; the metro kernel honours ``top_n``,
-            ``probing_period_ms``, ``failure_detection_ms`` and
-            ``min_dwell_ms`` (durations quantized to the 250 ms tick);
-            its switch gate is
-            :meth:`~repro.protocol.selection.SelectionConfig.switch_threshold`
-            on the defaults.
+            ``probing_period_ms``, ``failure_detection_ms`` (both
+            quantized to the 250 ms tick) and ``min_dwell_ms``, through
+            the :class:`~repro.protocol.selection.SelectionConfig` a
+            client builds from them.
         spec: the metro deployment shape.
         population: generated entity arrays (shared, never mutated),
             the one source of the cell precision.
@@ -232,9 +264,15 @@ class MetroKernel:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config
+        self.selection = SelectionConfig(
+            top_n=config.top_n, min_dwell_ms=config.min_dwell_ms
+        )
         self.spec = spec
         self.shard_id = shard_id
         self.cell_precision = population.cell_precision
+        #: Every user's cell, read for arrivals: a copy of the one
+        #: population column needed, so the rest is freed after the build.
+        self._user_cell = population.user_cell.copy()
         self.trace = tracer if tracer is not None else Tracer.disabled()
 
         if node_gids is None:
@@ -247,9 +285,7 @@ class MetroKernel:
         if len(ghost_shards) != ghost_gids.size:
             raise ValueError("ghost_shards must parallel ghost_gids")
         self._export_gids: List[int] = (
-            np.asarray(export_gids, dtype=np.int64).tolist()
-            if export_gids is not None
-            else []
+            [] if export_gids is None else np.asarray(export_gids, np.int64).tolist()
         )
 
         # --- node table: owned nodes first, then ghosts --------------
@@ -263,9 +299,8 @@ class MetroKernel:
         self.n_load = np.zeros(self.n_gid.size, dtype=np.float64)
         self.n_ghost = np.zeros(self.n_gid.size, dtype=bool)
         self.n_ghost[own.size :] = True
-        self._ghost_shard: Dict[int, str] = {
-            int(own.size + i): ghost_shards[i] for i in range(gho.size)
-        }
+        #: local index -> owning shard id, for every ghost.
+        self._ghost_shard = dict(zip(range(own.size, self.n_gid.size), ghost_shards))
         self._node_local: Dict[int, int] = dict(
             zip(self.n_gid.tolist(), range(self.n_gid.size))
         )
@@ -295,7 +330,10 @@ class MetroKernel:
         self.u_node = np.full(ug.size, -1, dtype=np.int64)
         self.u_base = np.zeros(ug.size, dtype=np.float64)
         self.u_active = np.ones(ug.size, dtype=bool)
-        self.u_join_tick = np.zeros(ug.size, dtype=np.int64)
+        #: Last join; ``-inf`` while detached (always past the dwell).
+        self.u_join_ms = np.full(ug.size, -np.inf)
+        #: Adopted backups, best first: local node indices, -1 padded.
+        self.u_backup = np.full((ug.size, config.top_n - 1), -1, dtype=np.int32)
         self.u_pending = np.full(ug.size, -1, dtype=np.int64)
         self.u_frames = np.zeros(ug.size, dtype=np.int64)
         self.u_lost = np.zeros(ug.size, dtype=np.int64)
@@ -308,7 +346,6 @@ class MetroKernel:
         self._tick_index = 0
         self._detect_ticks = quantize_ticks(config.failure_detection_ms)
         self._period_ticks = quantize_ticks(config.probing_period_ms)
-        self._dwell_ticks = int(ceil(config.min_dwell_ms / TICK_MS - 1e-9))
         #: The tick (mod the probing period) each user re-selects on.
         self.u_slot = self.u_gid % self._period_ticks
         self._agenda: Dict[int, List[Tuple[str, int]]] = {}
@@ -421,21 +458,20 @@ class MetroKernel:
         self.control_ops += len(arrivals)
         # An arrival whose handoff target is alive and local attaches to
         # it; that base reads no load, so one flat pass scores them all.
-        # Loads go up in gid order: a fallback in between must see them.
+        # The others arrive detached and re-select, seeing those loads.
         target = np.array([self._node_local.get(r.target_gid, -1) for r in arrivals])
         direct = (target >= 0) & self.n_alive[target] & ~self.n_ghost[target]
         users, nodes = first + np.flatnonzero(direct), target[direct]
         self.u_node[users] = nodes
         self.u_base[users] = self._base_vec(users, nodes)
-        for u, n in enumerate(np.where(direct, target, -1).tolist(), first):
-            if n < 0:
-                n = self._admit_migrant(u)
-            else:
-                self.n_load[n] += self.fps
-            if n >= 0 and self.trace.enabled:
+        self.u_join_ms[users] = self.now_ms
+        np.add.at(self.n_load, nodes, self.fps)
+        if self.trace.enabled:
+            for u, n in zip(users.tolist(), nodes.tolist()):
                 self.trace.emit(
                     JoinAccept(self.now_ms, self._user_name(u), self._node_name(n))
                 )
+        self._reselect(first + np.flatnonzero(~direct), self.now_ms)
 
     def _append_users(self, records: List[MigrationRecord]) -> None:
         """Grow every user column by one row per record."""
@@ -450,11 +486,12 @@ class MetroKernel:
             "u_lat": lats,
             "u_lon": lons,
             "u_phase": column("phase_ms"),
-            "u_cell": geohash.encode_cells(lats, lons, self.cell_precision),
+            "u_cell": self._user_cell[gids],
             "u_node": np.full_like(gids, -1),
             "u_base": np.zeros_like(lats),
             "u_active": np.ones_like(gids, dtype=bool),
-            "u_join_tick": np.full_like(gids, self._tick_index),
+            "u_join_ms": np.full_like(lats, -np.inf),
+            "u_backup": np.full((gids.size, self.u_backup.shape[1]), -1, np.int32),
             "u_pending": np.full_like(gids, -1),
             "u_frames": column("frames_done", np.int64),
             "u_lost": column("frames_lost", np.int64),
@@ -466,18 +503,6 @@ class MetroKernel:
         for name, tail in rows.items():
             setattr(self, name, np.concatenate([getattr(self, name), tail]))
 
-    def _admit_migrant(self, u: int) -> int:
-        """An arrival whose handoff target died in transit re-selects
-        locally; the node it attached to, -1 if none is left."""
-        _, best, base, _ = next(self._scored(np.array([u]), include_ghosts=False))
-        if best < 0:
-            self.uncovered_failures += 1
-            if self.trace.listening:
-                self.trace.emit(UncoveredFailure(self.now_ms, self._user_name(u)))
-        else:
-            self._attach(u, best, base)
-        return best
-
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
@@ -485,13 +510,11 @@ class MetroKernel:
         t = k * TICK_MS
         if k == 0:
             self._initial_attach()
-        actions = self._agenda.pop(k, None)
-        if actions:
-            fails = sorted(n for kind, n in actions if kind == "fail")
-            detects = sorted(n for kind, n in actions if kind == "detect")
-            for n in fails:
+        actions = sorted(self._agenda.pop(k, []), key=lambda a: (a[0] != "fail", a[1]))
+        for kind, n in actions:  # failures before detections, each in node order
+            if kind == "fail":
                 self._fail_node(n, k, t)
-            for n in detects:
+            else:
                 self._detect_failure(n, t)
         if k > 0:
             self._selection_round(k, t)
@@ -507,58 +530,46 @@ class MetroKernel:
 
     def _detect_failure(self, n: int, t: float) -> None:
         """Clients of a dead node notice at the quantized detection tick
-        and walk to a live candidate (the per-client fallback path)."""
+        and walk their backups to the first live one this shard owns
+        (covered); the rest are uncovered and re-discover at once. The
+        row is not popped: what a walk passed over stays dead or a ghost."""
         orphans = np.flatnonzero(self.u_node == n)
+        if orphans.size == 0:
+            return
         self.control_ops += orphans.size
-        emit = self.trace.emit if self.trace.listening else None
-        for u, best, base, _ in self._scored(orphans, include_ghosts=False):
-            if best < 0:
-                self._cohort = None
-                self.u_node[u] = -1
-                self.uncovered_failures += 1
-                if emit:
-                    emit(UncoveredFailure(t, self._user_name(u)))
-                continue
-            self.covered_failovers += 1
-            if emit:
-                emit(CoveredFailover(t, self._user_name(u), self._node_name(best)))
-            # The dead node's bookkeeping load is irrelevant; just move.
-            self._attach(u, best, base)
+        self._cohort = None
+        usable = np.append(self.n_alive & ~self.n_ghost, False).item  # -1 reads False
+        rows = self.u_backup[orphans].tolist()
+        walk = np.array([next((b for b in r if usable(b)), -1) for r in rows], np.int64)
+        users, nodes, lost = orphans[walk >= 0], walk[walk >= 0], orphans[walk < 0]
+        # The dead node's bookkeeping load is irrelevant; just move.
+        self.u_node[users] = nodes
+        self.u_base[users] = self._base_vec(users, nodes)
+        self.u_join_ms[users] = t
+        np.add.at(self.n_load, nodes, self.fps)
+        self.u_node[lost], self.u_join_ms[lost] = -1, -np.inf
+        self.covered_failovers += users.size
+        self.uncovered_failures += lost.size
+        if self.trace.listening:
+            for u, to in zip(orphans.tolist(), walk.tolist()):
+                user = self._user_name(u)
+                self.trace.emit(
+                    CoveredFailover(t, user, self._node_name(to))
+                    if to >= 0
+                    else UncoveredFailure(t, user)
+                )
+        # A user already handed off re-selects on the shard it moves to.
+        self._reselect(lost[self.u_pending[lost] < 0], t)
 
     def _selection_round(self, k: int, t: float) -> None:
         due = np.flatnonzero(self.u_slot == k % self._period_ticks)
         due = due[
             self.u_active[due]
-            & (self.u_node[due] >= 0)
             & (self.u_pending[due] < 0)
-            & (k - self.u_join_tick[due] >= self._dwell_ticks)
+            & self.selection.settled(t, self.u_join_ms[due])
         ]
         self.control_ops += due.size
-        emit = self.trace.emit if self.trace.listening else None
-        node_of, base_of = self.u_node.item, self.u_base.item
-        threshold = SelectionConfig().switch_threshold
-        for u, best, base, wait in self._scored(due, include_ghosts=True):
-            cur = node_of(u)
-            if best < 0 or best == cur:
-                continue
-            # Hysteresis: SelectionMachine's gate, both margins at once.
-            if base + wait.item(best) >= threshold(base_of(u) + wait.item(cur)):
-                continue
-            if self.n_ghost[best]:
-                self.u_pending[u] = best
-                self._pending_handoffs.append(u)
-                if emit:
-                    owner, to = self._ghost_shard[best], self._node_name(best)
-                    emit(ShardHandoff(t, self._user_name(u), self.shard_id, owner, to))
-                continue
-            self.switches += 1
-            if emit:
-                was, to = self._node_name(cur), self._node_name(best)
-                # JoinAccept then Switch, as SelectionMachine emits them.
-                emit(JoinAccept(t, self._user_name(u), to))
-                emit(Switch(t, self._user_name(u), was, to))
-            self.n_load[cur] -= self.fps
-            self._attach(u, best, base)
+        self._reselect(due, t)
 
     # ------------------------------------------------------------------
     # Attachment & candidate machinery
@@ -566,7 +577,8 @@ class MetroKernel:
     def _initial_attach(self) -> None:
         """Vectorized t=0 attach: per selection cell, rank the local
         candidates once and deal the cell's users across the TopN
-        round-robin (a WRR-flavoured spread).
+        round-robin (a WRR-flavoured spread). Each user adopts the
+        cell's ranking less the node it was dealt as its backups.
 
         Only the deal is sequential: neighbouring cells share candidates
         through the 3x3 block, so the load one cell deals is the wait the
@@ -583,14 +595,19 @@ class MetroKernel:
         bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse)))).tolist()
         spans = list(zip(bounds, bounds[1:]))
         self.control_ops += order.size
-        # A cohort's centroid is np.mean of its users exactly: a segmented
-        # sum (np.add.reduceat) adds in another order and moves the last bit.
-        lat, lon = self.u_lat[order], self.u_lon[order]
-        clat = np.array([np.mean(lat[a:b]) for a, b in spans])
-        clon = np.array([np.mean(lon[a:b]) for a, b in spans])
+        # A cohort's centroid is np.mean of its users exactly — the pairwise
+        # np.add.reduce np.mean runs, over the count, without its wrapper. A
+        # segmented sum (np.add.reduceat) adds in another order: the last bit moves.
+        lat, lon, add = self.u_lat[order], self.u_lon[order], np.add.reduce
+        clat = np.array([add(lat[a:b]) / (b - a) for a, b in spans])
+        clon = np.array([add(lon[a:b]) / (b - a) for a, b in spans])
         del inverse, lat, lon  # whole-user temporaries, before the flat passes
         usable = self.n_alive & ~self.n_ghost
         capacity = 1000.0 / self.n_service
+        spare = self.u_backup.shape[1]
+        # Row p: positions 0..spare less p; the last is a user dealt past them.
+        column = np.arange(spare)
+        drop = column + (column >= np.arange(spare + 1)[:, None])
         cands = [self._cell_cands[cell] for cell in cells.tolist()]
         starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
         for lo, hi in _pair_chunks(starts):
@@ -619,14 +636,20 @@ class MetroKernel:
                 supply = np.cumsum(capacity[ranked_all])
                 need = int(np.searchsorted(supply, (ub - ua) * self.fps * 1.25)) + 1
                 width = max(self.config.top_n, min(need, ranked_all.size))
-                ranked = ranked_all[: min(width, ranked_all.size)]
-                chosen = ranked[np.arange(ub - ua) % ranked.size]
-                self.u_node[order[ua:ub]] = chosen
+                ranked = ranked_all[:width]
+                members, dealt = order[ua:ub], np.arange(ub - ua) % ranked.size
+                chosen = ranked[dealt]
+                self.u_node[members] = chosen
+                head = ranked_all[: spare + 1]
+                if head.size <= spare:
+                    head = np.append(head, [-1] * spare)
+                self.u_backup[members] = head[drop[np.minimum(dealt, spare)]]
                 # Before the next cell ranks: it may share these nodes.
                 np.add.at(self.n_load, chosen, self.fps)
         # ``_base_vec`` is elementwise: index order gives the same bits as
         # cell order, and gathers the user columns in memory order.
         attached = np.flatnonzero(self.u_node >= 0)
+        self.u_join_ms[attached] = 0.0
         for lo in range(0, attached.size, _SCORE_CHUNK_PAIRS):
             part = attached[lo : lo + _SCORE_CHUNK_PAIRS]
             self.u_base[part] = self._base_vec(part, self.u_node[part])
@@ -641,11 +664,9 @@ class MetroKernel:
         self.u_node[u] = n
         self.u_base[u] = base
         self.n_load[n] += self.fps
-        self.u_join_tick[u] = self._tick_index
+        self.u_join_ms[u] = self.now_ms
 
-    def _rtt_ms(
-        self, lat: np.ndarray, lon: np.ndarray, nodes: np.ndarray
-    ) -> np.ndarray:
+    def _rtt_ms(self, lat: np.ndarray, lon: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Expected RTT from ``(lat, lon)`` to ``nodes``: the floor plus
         propagation, then both endpoints' HOME_WIFI inflation."""
         dist = _haversine_km(lat, lon, self.n_lat[nodes], self.n_lon[nodes])
@@ -653,67 +674,80 @@ class MetroKernel:
 
     def _base_vec(self, users: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Per-frame base latency: expected RTT + transfer + service."""
-        return (
-            self._rtt_ms(self.u_lat[users], self.u_lon[users], nodes)
-            + FRAME_TRANSFER_MS
-            + self.n_service[nodes]
-        )
+        rtt = self._rtt_ms(self.u_lat[users], self.u_lon[users], nodes)
+        return rtt + FRAME_TRANSFER_MS + self.n_service[nodes]
 
     def _fill_cell_cands(self, cells: np.ndarray) -> None:
         """Resolve the candidates of ``cells`` with one neighborhood call."""
         blocks = geohash.cell_neighborhood(cells, self.cell_precision)
         for cell, block in zip(cells.tolist(), blocks.tolist()):
             parts = [self._cell_nodes[c] for c in set(block) if c in self._cell_nodes]
-            self._cell_cands[cell] = (
-                np.sort(np.concatenate(parts))
-                if parts
-                else np.empty(0, dtype=np.int64)
-            )
+            self._cell_cands[cell] = np.sort(np.concatenate(parts or [_NO_NODES]))
 
-    def _scored(
-        self, users: np.ndarray, include_ghosts: bool
-    ) -> Iterator[Tuple[int, int, float, np.ndarray]]:
-        """Yield ``(u, best, base, wait)`` for each of ``users`` in order:
-        its lowest-predicted-latency live candidate (ties go to the lower
-        local index; -1 if there is none), the base latency that candidate
-        was scored with, and the whole-fleet wait the scores were read from.
-
-        The load-independent base of every (user, candidate) pair comes
-        from flat ``_base_vec`` passes; the load-dependent wait is added
-        per user, in order, and refreshed when the caller moved the user
-        it was handed — so each user sees the load its predecessors left.
-        """
-        if users.size == 0:
-            return
-        usable = self.n_alive if include_ghosts else self.n_alive & ~self.n_ghost
-        wait = self._node_wait()
+    def _reselect(self, users: np.ndarray, t: float) -> None:
+        """Run :func:`reselect_row` for each of ``users`` in order over its
+        live candidates, ghosts included, and carry out the verdict: adopt
+        the backups, then stay, join (a switch when attached) or hand off.
+        Bases come from flat ``_base_vec`` passes; the wait is added per
+        user and refreshed when one moves, so each sees the load its
+        predecessors left."""
         cells = self.u_cell[users].tolist()
         unseen = set(cells).difference(self._cell_cands)  # arrivals' cells
         if unseen:
             self._fill_cell_cands(np.array(sorted(unseen), dtype=np.uint64))
         cands = [self._cell_cands[c] for c in cells]
-        starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
-        node_of = self.u_node.item
+        starts = np.cumsum([0] + [c.size for c in cands])
+        if starts[-1] == 0:  # nobody has a candidate, even a dead one
+            return
+        wait = self._node_wait()
+        emit = self.trace.emit if self.trace.listening else None
+        node_of, selection = self.u_node.item, self.selection
+        spare = self.u_backup.shape[1]
+        pad = [-1] * spare
         for lo, hi in _pair_chunks(starts):
             nodes = np.concatenate(cands[lo:hi])
             owners = np.repeat(users[lo:hi], np.diff(starts[lo : hi + 1]))
-            keep = usable[nodes]
+            keep = self.n_alive[nodes]
             nodes = nodes[keep]
             base = self._base_vec(owners[keep], nodes)
             offsets = starts[lo : hi + 1] - starts[lo]
             ends = np.concatenate(([0], np.cumsum(keep)))[offsets].tolist()
+            row_of, adopters, adopted = nodes.tolist(), [], []
             for i, u in enumerate(users[lo:hi].tolist()):
                 a, b = ends[i], ends[i + 1]
                 if a == b:
-                    yield u, -1, 0.0, wait
                     continue
-                j = a + int((base[a:b] + wait[nodes[a:b]]).argmin())
-                cur, best = node_of(u), nodes.item(j)
-                yield u, best, base.item(j), wait
-                if node_of(u) != cur:
-                    wait[best] = self._wait_at(best)
+                cur, row = node_of(u), row_of[a:b]
+                # Past the dwell: a due user by the round's filter, or detached.
+                j, backups = reselect_row(
+                    selection, row, base[a:b] + wait[nodes[a:b]], cur, True
+                )
+                adopters.append(u)
+                adopted += backups + pad[len(backups) :]
+                if j < 0:
+                    continue
+                best = row[j]
+                owner = self._ghost_shard.get(best)
+                if owner is not None:
+                    self.u_pending[u] = best
+                    self._pending_handoffs.append(u)
+                    if emit:
+                        user, to = self._user_name(u), self._node_name(best)
+                        emit(ShardHandoff(t, user, self.shard_id, owner, to))
+                    continue
+                if emit:  # JoinAccept then Switch, as SelectionMachine emits them.
+                    user, to = self._user_name(u), self._node_name(best)
+                    emit(JoinAccept(t, user, to))
                     if cur >= 0:
-                        wait[cur] = self._wait_at(cur)
+                        emit(Switch(t, user, self._node_name(cur), to))
+                if cur >= 0:
+                    self.switches += 1
+                    self.n_load[cur] -= self.fps
+                    wait[cur] = self._wait_at(cur)
+                self._attach(u, best, base.item(a + j))
+                wait[best] = self._wait_at(best)
+            # One write per chunk: a row at a time costs three times more.
+            self.u_backup[adopters] = np.reshape(adopted, (len(adopters), spare))
 
     def _node_wait(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
         """Analytic M/D/1 mean queue wait at current load, of ``nodes``
@@ -832,9 +866,7 @@ class MetroKernel:
             handoffs_in=self.handoffs_in,
             unattached_initial=self.unattached_initial,
             latency_sum_ms=float(self.u_lat_sum[active].sum()),
-            latency_max_ms=float(self.u_lat_max[active].max())
-            if active.any()
-            else 0.0,
+            latency_max_ms=float(self.u_lat_max[active].max(initial=0.0)),
             frames_advanced=self.frames_advanced,
             control_ops=self.control_ops,
             trace_events=sorted(self.trace.events(), key=attrgetter("t_ms")),

@@ -128,8 +128,6 @@ class MetroPopulation:
     node_lon: np.ndarray
     #: Effective single-server service time (base_frame_ms / parallelism).
     node_service_ms: np.ndarray
-    #: Sustainable frames/second per node.
-    node_capacity_fps: np.ndarray
     user_lat: np.ndarray
     user_lon: np.ndarray
     #: First-frame offset within the frame interval, in [0, interval).
@@ -182,7 +180,6 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
     par = np.array([float(p.parallelism) for p in VOLUNTEER_PROFILES])
     profile_idx = np.arange(spec.nodes) % len(VOLUNTEER_PROFILES)
     node_service = base[profile_idx] / par[profile_idx]
-    node_capacity = par[profile_idx] * 1000.0 / base[profile_idx]
 
     user_lat, user_lon = _disc_points(user_rng, spec.users, spec.region_km)
     user_phase = user_rng.random(spec.users) * spec.interval_ms
@@ -192,7 +189,6 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
         node_lat=node_lat,
         node_lon=node_lon,
         node_service_ms=node_service,
-        node_capacity_fps=node_capacity,
         user_lat=user_lat,
         user_lon=user_lon,
         user_phase_ms=user_phase,
@@ -205,8 +201,8 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
 def quantize_ticks(duration_ms: float) -> int:
     """``duration_ms`` rounded *up* to whole ticks (minimum 1).
 
-    The metro kernel quantizes every control-plane delay (failure
-    detection, dwell, probing period) to tick boundaries — that
+    The metro kernel quantizes its control-plane delays (failure
+    detection, probing period) to tick boundaries — that
     quantization is what makes cohort advancement and per-frame stepping
     emit identical traces.
     """

@@ -142,6 +142,11 @@ class SelectionConfig:
             - self.switch_penalty_ms
         )
 
+    def settled(self, now_ms: Any, joined_ms: Any) -> Any:
+        """The dwell gate: a join at ``joined_ms`` has settled by ``now_ms``.
+        Plain arithmetic, so it broadcasts; a detached ``-inf`` is settled."""
+        return now_ms - joined_ms >= self.min_dwell_ms
+
 
 class SelectionMachine:
     """Sans-IO client selection: events in, effects out.
@@ -379,33 +384,23 @@ class SelectionMachine:
                 + self._adopt_backups(ranked[1:], ctx)
                 + self._conclude_round(failed=False)
             )
-        if self.attached:
-            # Dwell: a voluntary switch is only considered once the
-            # previous join has had time to settle.
-            if event.now - self.last_join_ms < self.config.min_dwell_ms:
-                return (
-                    effects
-                    + self._adopt_non_current(ranked, ctx)
-                    + self._conclude_round(failed=False)
-                )
-            # Hysteresis compares *policy scores* — the same currency
-            # the ranking sorted by — so a policy whose score is not
-            # raw LO (GO, a predictive forecast, ...) cannot disagree
-            # with its own switch gate.
-            current_score = ranking.score_of(self.current_edge)
-            if current_score is not None:
-                threshold = self.config.switch_threshold(current_score)
-                best_score = ranking.scores.get(
-                    best.node_id, best.local_overhead_ms
-                )
-                if best_score >= threshold:
-                    # Hysteresis: not enough improvement to justify a
-                    # switch.
-                    return (
-                        effects
-                        + self._adopt_non_current(ranked, ctx)
-                        + self._conclude_round(failed=False)
-                    )
+        current_score = ranking.score_of(self.current_edge)
+        # A voluntary switch waits out the dwell after the last join, then
+        # must clear hysteresis on *policy scores* — the currency the
+        # ranking sorted by — so a policy whose score is not raw LO (GO, a
+        # predictive forecast, ...) cannot disagree with its own gate.
+        if self.attached and (
+            not self.config.settled(event.now, self.last_join_ms)
+            or current_score is not None
+            and ranking.scores.get(best.node_id, best.local_overhead_ms)
+            >= self.config.switch_threshold(current_score)
+        ):
+            rest = [o for o in ranked if o.node_id != self.current_edge]
+            return (
+                effects
+                + self._adopt_backups(rest, ctx)
+                + self._conclude_round(failed=False)
+            )
         self._ranked = ranked
         return effects + [SendJoin(best)]
 
@@ -479,13 +474,6 @@ class SelectionMachine:
         adopted = list(ordered[:backup_count])
         self.monitor.update_backups([o.node_id for o in adopted])
         return [UpdateBackups(tuple(adopted))]
-
-    def _adopt_non_current(
-        self, ranked: Sequence[ProbeOutcome], ctx: RankingContext
-    ) -> List[Effect]:
-        return self._adopt_backups(
-            [o for o in ranked if o.node_id != self.current_edge], ctx
-        )
 
     # ------------------------------------------------------------------
     # Failure handling (§IV-E)

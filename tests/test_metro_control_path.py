@@ -2,7 +2,8 @@
 
 A control operation that touches one user or two nodes is scalar
 arithmetic (``_wait_at``); one that touches a batch is one numpy pass
-(``apply_inbox``'s direct arrivals, ``finish_epoch``'s export). Each is
+(``apply_inbox``'s direct arrivals, ``finish_epoch``'s export, a
+detection's covered failovers). Each is
 held here with ``==`` to the form it replaced, kept below as the
 reference, and the numpy entry points of a ``metro_reselect``-shaped run
 are counted — counts repeat exactly where timings do not.
@@ -23,13 +24,13 @@ from repro.metro.kernel import (
 )
 from repro.metro.runner import MetroSimulation, _route_outboxes
 from repro.metro.spec import MetroSpec, ShardSpec, build_population
-from repro.obs.events import JoinAccept, UncoveredFailure
+from repro.obs.events import JoinAccept
 from repro.obs.tracer import Tracer
 
 USER_COLUMNS = (
     "u_gid", "u_slot", "u_lat", "u_lon", "u_phase", "u_cell", "u_node", "u_base",
-    "u_active", "u_join_tick", "u_pending", "u_frames", "u_lost", "u_lat_sum",
-    "u_lat_max",
+    "u_active", "u_join_ms", "u_backup", "u_pending", "u_frames", "u_lost",
+    "u_lat_sum", "u_lat_max",
 )
 
 
@@ -119,7 +120,8 @@ def finish_epoch_per_user(self):
 
 def apply_inbox_one_at_a_time(self, inbox):
     """Reference: arrivals admitted one by one, each scoring its handoff
-    target with a ``_base_vec`` pass over one (user, node) pair."""
+    target with a ``_base_vec`` pass over one (user, node) pair; then each
+    arrival that could not attach re-selected on its own."""
     for gid in sorted(inbox.ghost_updates):
         local = self._node_local.get(gid)
         if local is None or not self.n_ghost[local]:
@@ -130,24 +132,22 @@ def apply_inbox_one_at_a_time(self, inbox):
     arrivals = sorted(inbox.migrations, key=lambda r: r.user_gid)
     first = self.u_gid.size
     self._append_users(arrivals)
+    detached = []
     for u, record in enumerate(arrivals, first):
         self.handoffs_in += 1
         self.control_ops += 1
         me = np.array([u], dtype=np.int64)
         target = self._node_local.get(record.target_gid)
-        if target is not None and self.n_alive[target] and not self.n_ghost[target]:
-            best = target
-            base = self._base_vec(me, np.array([target], dtype=np.int64))[0]
-        else:
-            _, best, base, _ = next(self._scored(me, include_ghosts=False))
-            if best < 0:
-                self.uncovered_failures += 1
-                self.trace.emit(UncoveredFailure(self.now_ms, self._user_name(u)))
-                continue
-        self._attach(u, best, base)
+        if target is None or not self.n_alive[target] or self.n_ghost[target]:
+            detached.append(me)
+            continue
+        base = self._base_vec(me, np.array([target], dtype=np.int64))[0]
+        self._attach(u, target, base)
         self.trace.emit(
-            JoinAccept(self.now_ms, self._user_name(u), self._node_name(best))
+            JoinAccept(self.now_ms, self._user_name(u), self._node_name(target))
         )
+    for me in detached:
+        self._reselect(me, self.now_ms)
 
 
 def shards_with_migrants_waiting(seed, fps, shards=4):
@@ -224,11 +224,11 @@ def test_whole_batch_export_equals_the_per_user_reference(seed, fps, orphaned):
     astray=st.sampled_from([0.0, 0.3]),
 )
 def test_batched_inbox_equals_one_migrant_at_a_time(seed, fps, dead, astray):
-    """Same ``u_node``, ``u_base``, ``n_load``, counters and the same
-    ordered JoinAccept / UncoveredFailure trace — with targets that died
+    """Same user columns, ``n_load``, counters, pending handoffs and the
+    same ordered JoinAccept / ShardHandoff trace — with targets that died
     in transit, targets that are only a ghost here and targets this shard
-    never heard of re-selecting in between, at the loads the arrivals
-    before them left."""
+    never heard of re-selecting after the direct arrivals, each at the
+    loads the arrivals before it left, in one pass."""
     plan, kernels = shards_with_migrants_waiting(seed, fps)
     outboxes = [kernel.finish_epoch() for kernel in kernels]
     rng = np.random.default_rng(seed)
@@ -255,7 +255,8 @@ def test_batched_inbox_equals_one_migrant_at_a_time(seed, fps, dead, astray):
         if inbox.migrations:
             direct = scored[0]  # the one flat pass: every direct arrival
             fallbacks += len(inbox.migrations) - direct
-            assert len(scored) <= 1 + len(inbox.migrations) - direct
+            # ...and one re-selection pass for the rest.
+            assert len(scored) == 1 + (len(inbox.migrations) > direct)
         admitted += len(inbox.migrations)
     assert admitted >= 8
     if dead == 1.0:
@@ -273,11 +274,13 @@ def test_control_path_call_budget_on_a_reselect_shaped_run(monkeypatch):
       cell — a moved user refreshes its one or two nodes in scalar
       arithmetic, where it used to make a vector call over two elements;
     - for the whole fleet once per tick per shard by frame advancement,
-      and once per ``_scored`` pass: at most one selection round per tick
-      per shard, one per detected failure, one per fallback migrant.
+      and at most once per ``_reselect`` pass: at most one selection
+      round per tick per shard, one per detection that left a user
+      uncovered, one per inbox with an arrival that could not attach. A
+      covered failover walks its backups and scores nothing.
 
-    And an inbox scores its arrivals with one ``_base_vec`` pass plus one
-    per fallback, not one per arrival."""
+    And an inbox scores its direct arrivals with one ``_base_vec`` pass
+    and the rest with one re-selection pass, not one per arrival."""
     nodes, users, shards, sim_s, seed = 150, 1_500, 4, 10.0, 42
     spec = MetroSpec(nodes=nodes, users=users, fps=4.0,
                      shard=ShardSpec(count=shards, workers=1))
@@ -287,10 +290,13 @@ def test_control_path_call_budget_on_a_reselect_shaped_run(monkeypatch):
     for gid in failing:
         sim.schedule_node_fail(gid, rng.uniform(1_000.0, sim_s * 1000.0 - 1_000.0))
 
-    calls = {"subset": 0, "fleet": 0, "scalar": 0, "fallbacks": 0}
-    inbox_passes = []
-    real = {name: getattr(MetroKernel, name) for name in
-            ("_node_wait", "_wait_at", "_base_vec", "_admit_migrant", "apply_inbox")}
+    calls = {"subset": 0, "fleet": 0, "scalar": 0, "attach": 0}
+    #: Non-empty ``_reselect`` passes and the users they scored, per caller.
+    passes = {"_selection_round": 0, "_detect_failure": 0, "apply_inbox": 0}
+    rescored = dict.fromkeys(passes, 0)
+    inbox_passes, caller = [], []
+    names = ("_node_wait", "_wait_at", "_attach", "_base_vec", "_reselect", *passes)
+    real = {name: getattr(MetroKernel, name) for name in names}
 
     def node_wait(self, nodes=None):
         calls["fleet" if nodes is None else "subset"] += 1
@@ -300,26 +306,39 @@ def test_control_path_call_budget_on_a_reselect_shaped_run(monkeypatch):
         calls["scalar"] += 1
         return real["_wait_at"](self, n)
 
+    def attach(self, u, n, base):
+        calls["attach"] += 1
+        return real["_attach"](self, u, n, base)
+
     def base_vec(self, users, nodes):
         if inbox_passes and inbox_passes[-1]["open"]:
             inbox_passes[-1]["base_vec"] += 1
         return real["_base_vec"](self, users, nodes)
 
-    def admit_migrant(self, u):
-        calls["fallbacks"] += 1
-        inbox_passes[-1]["fallbacks"] += 1
-        return real["_admit_migrant"](self, u)
+    def reselect(self, users, t):
+        if users.size:
+            passes[caller[-1]] += 1
+            rescored[caller[-1]] += users.size
+            if caller[-1] == "apply_inbox":
+                inbox_passes[-1]["fallbacks"] += users.size
+        return real["_reselect"](self, users, t)
 
-    def apply_inbox(self, inbox):
-        inbox_passes.append({"open": True, "base_vec": 0, "fallbacks": 0,
-                             "arrivals": len(inbox.migrations)})
-        real["apply_inbox"](self, inbox)
-        inbox_passes[-1]["open"] = False
+    def called_from(name):
+        def run(self, *args):
+            if name == "apply_inbox":
+                inbox_passes.append({"open": True, "base_vec": 0, "fallbacks": 0,
+                                     "arrivals": len(args[0].migrations)})
+            caller.append(name)
+            real[name](self, *args)
+            caller.pop()
+            if name == "apply_inbox":
+                inbox_passes[-1]["open"] = False
+        return run
 
-    for name, fn in (("_node_wait", node_wait), ("_wait_at", wait_at),
-                     ("_base_vec", base_vec), ("_admit_migrant", admit_migrant),
-                     ("apply_inbox", apply_inbox)):
-        monkeypatch.setattr(MetroKernel, name, fn)
+    patched = {"_node_wait": node_wait, "_wait_at": wait_at, "_attach": attach,
+               "_base_vec": base_vec, "_reselect": reselect}
+    for name in names:
+        monkeypatch.setattr(MetroKernel, name, patched.get(name) or called_from(name))
 
     plan, kernels = sim.build_kernels()
     cells = sum(np.unique(kernel.u_cell).size for kernel in kernels)
@@ -328,14 +347,21 @@ def test_control_path_call_budget_on_a_reselect_shaped_run(monkeypatch):
 
     ticks = int(sim_s * 1000.0 / 250.0)
     assert report.switches > 100 and report.handoffs > 20  # the round did run
+    assert report.covered_failovers > 0
     assert 0 < calls["subset"] <= cells
-    assert calls["fleet"] <= 2 * ticks * shards + len(failing) + calls["fallbacks"]
-    # Two nodes per switch, one per covered failover's new node and its dead one.
-    assert calls["scalar"] == 2 * (report.switches + report.covered_failovers)
+    # A pass in which no user has a candidate returns before the wait.
+    assert ticks * shards < calls["fleet"] <= ticks * shards + sum(passes.values())
+    assert passes["_selection_round"] <= (ticks - 1) * shards
+    assert passes["_detect_failure"] <= len(failing)
+    assert rescored["_detect_failure"] <= report.uncovered_failures
+    # Two nodes per switch, one per detached user's join; none per failover.
+    assert calls["scalar"] == calls["attach"] + report.switches
+    assert calls["attach"] - report.switches <= sum(rescored.values())
     busy = [p for p in inbox_passes if p["arrivals"]]
+    assert passes["apply_inbox"] <= len(busy)
     assert sum(p["arrivals"] for p in busy) == report.handoffs
     for p in inbox_passes:
-        assert p["base_vec"] <= (1 if p["arrivals"] else 0) + p["fallbacks"]
+        assert p["base_vec"] == (1 if p["arrivals"] else 0) + (p["fallbacks"] > 0)
     assert sum(p["base_vec"] for p in busy) < report.handoffs / 4
 
 

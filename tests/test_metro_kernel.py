@@ -94,6 +94,35 @@ def test_scheduled_failure_is_detected_and_covered():
     assert not kernel.n_alive[0]
 
 
+def test_a_detection_walks_each_users_adopted_backups():
+    """Rows from the t=0 attach, no round after it: each user of a dead
+    node moves to the first entry of its backup row that is alive and
+    owned, skipping a backup that died with it — no scoring — and a user
+    whose row holds none is uncovered and re-discovers at once."""
+    config = config_for_tests(probing_period_ms=3.6e6, min_dwell_ms=5_000.0)
+    kernel = make_kernel(config, tracer=Tracer(enabled=True, capacity=1 << 20))
+    kernel.step_to(3_000.0)
+    victim = int(np.bincount(kernel.u_node[kernel.u_node >= 0]).argmax())
+    orphans = np.flatnonzero(kernel.u_node == victim)
+    rows = kernel.u_backup[orphans].tolist()
+    full = next(i for i, row in enumerate(rows) if row[-1] >= 0)
+    for dead in (victim, rows[full][0]):
+        kernel.schedule_node_fail(int(kernel.n_gid[dead]), 3_000.0)
+    kernel.step_to(3_500.0)
+    usable = kernel.n_alive & ~kernel.n_ghost
+    walked = [next((b for b in row if b >= 0 and usable[b]), -1) for row in rows]
+    assert walked[full] == rows[full][1] >= 0  # its first backup died too
+    moved = {e.user_id: e.node_id for e in kernel.trace.events("covered_failover")}
+    lost = {e.user_id for e in kernel.trace.events("uncovered_failure")}
+    for u, to in zip(orphans.tolist(), walked):
+        name = kernel._user_name(u)
+        if to >= 0:
+            assert kernel.u_node[u] == to and moved[name] == kernel._node_name(to)
+        else:
+            assert name in lost and name not in moved
+    assert all(usable[kernel.u_node[orphans]])
+
+
 def test_schedule_fail_rejects_unknown_node():
     kernel = make_kernel()
     with pytest.raises(KeyError):
@@ -222,7 +251,6 @@ def explicit_kernel(node_points, user_points, precision=5, service_ms=25.0):
     population = MetroPopulation(
         node_lat=node_lat, node_lon=node_lon,
         node_service_ms=np.broadcast_to(np.asarray(service_ms, dtype=float), node_lat.shape).copy(),
-        node_capacity_fps=np.full(node_lat.size, 40.0),
         user_lat=user_lat, user_lon=user_lon,
         user_phase_ms=np.zeros(user_lat.size),
         node_cell=geohash.encode_cells(node_lat, node_lon, precision),
@@ -345,7 +373,8 @@ def test_kernel_columns_share_no_memory_with_the_population():
 def initial_attach_per_cell(self):
     """Reference: the t=0 attach one occupied cell at a time — filter,
     centroid, distance, score, deal and ``u_base`` all inside the loop
-    (the kernel's form until the load-independent work was hoisted)."""
+    (the kernel's form until the load-independent work was hoisted) —
+    and each user's backups as a list: the cell's ranking less its node."""
     if self.u_gid.size == 0:
         return
     cells, inverse = np.unique(self.u_cell, return_inverse=True)
@@ -376,6 +405,11 @@ def initial_attach_per_cell(self):
         chosen = ranked[np.arange(users.size) % ranked.size]
         self.u_node[users] = chosen
         self.u_base[users] = self._base_vec(users, chosen)
+        self.u_join_ms[users] = 0.0
+        spare = self.config.top_n - 1
+        for u, node in zip(users.tolist(), chosen.tolist()):
+            row = [n for n in ranked_all.tolist() if n != node][:spare]
+            self.u_backup[u] = row + [-1] * (spare - len(row))
         np.add.at(self.n_load, chosen, self.fps)
         if self.trace.enabled:
             for idx, u in enumerate(users):
@@ -440,8 +474,9 @@ def joins(kernel):
 def test_initial_attach_equals_the_per_cell_reference(
     seed, nodes, users, region_km, top_n, shards, dead_share, pair_cap
 ):
-    """Same attachments, same base latencies, same loads, same counters
-    and the same JoinAccept sequence — with ``==``, chunked however."""
+    """Same attachments, base latencies, join times, backups, loads,
+    counters and the same JoinAccept sequence — with ``==``, chunked
+    however."""
     args = (seed, nodes, users, region_km, top_n, shards)
     kill = np.random.default_rng(seed)
     for kernel, reference in zip(shard_kernels(*args), shard_kernels(*args)):
@@ -452,6 +487,8 @@ def test_initial_attach_equals_the_per_cell_reference(
         initial_attach_per_cell(reference)
         assert (kernel.u_node == reference.u_node).all()
         assert (kernel.u_base == reference.u_base).all()
+        assert (kernel.u_join_ms == reference.u_join_ms).all()
+        assert (kernel.u_backup == reference.u_backup).all()
         assert (kernel.n_load == reference.n_load).all()
         assert kernel.control_ops == reference.control_ops == kernel.u_gid.size
         assert kernel.unattached_initial == reference.unattached_initial

@@ -183,8 +183,10 @@ def test_schedule_node_fail_checks_its_input_at_the_call(count, gid, at_ms):
 @pytest.mark.parametrize("nodes", [1, 2, 3, 5])
 def test_shard_that_owns_users_but_no_node_builds_and_runs(nodes, capture_trace):
     """Fewer nodes than shards: some shard gets users and an empty node
-    table (nodes=5: one holding a ghost only). It must build; its users
-    stay unattached and lose every due frame, and the report adds up."""
+    table (nodes=5: one holding a ghost only). It must build and its
+    users start unattached. Detached, they re-select at every slot: with
+    a ghost they hand off to its shard, and with nothing they stay and
+    lose every due frame. The report adds up."""
     spec = MetroSpec(nodes=nodes, users=400, region_km=40.0, fps=4.0,
                      shard=ShardSpec(count=4))
     sim = MetroSimulation(spec, SystemConfig(seed=3), capture_trace=capture_trace)
@@ -197,11 +199,15 @@ def test_shard_that_owns_users_but_no_node_builds_and_runs(nodes, capture_trace)
     assert report.frames_done + report.frames_lost == 400 * 4 * 3
     assert report.frames_done > 0
     for g in nodeless:
-        shard = report.shard_reports[g]
-        assert shard.users == kernels[g].u_gid.size
-        assert shard.unattached_initial == shard.users
-        assert shard.frames_done == 0
-        assert shard.frames_lost == shard.frames_advanced == shard.users * 4 * 3
+        shard, users = report.shard_reports[g], kernels[g].u_gid.size
+        assert shard.unattached_initial == users
+        assert shard.frames_done == shard.handoffs_in == 0
+        assert shard.users + shard.handoffs_out == users
+        if kernels[g].n_gid.size == 0:
+            assert shard.handoffs_out == 0
+            assert shard.frames_lost == shard.frames_advanced == users * 4 * 3
+        else:
+            assert shard.handoffs_out > 0
 
 
 @pytest.mark.parametrize("count, workers", [(1, 1), (4, 1), (4, 2)])

@@ -101,6 +101,14 @@ REMOVED_NAMES = (
         r"min_candidates", "src/repro", None, 50,
         "the geo filter widens below the query's TopN, which every caller passes",
     ),
+    Removed(
+        r"_admit_migrant|include_ghosts", "src/repro/metro", None, 51,
+        "every metro re-selection, a migrant's included, is one routine over ghosts too",
+    ),
+    Removed(
+        r"_dwell_ticks|u_join_tick", "src/repro/metro", None, 51,
+        "metro's dwell is SelectionConfig.settled over join times in ms",
+    ),
 )
 
 

@@ -30,8 +30,9 @@ reach:
   returns the captured trace stable-sorted by time.
 - **One selection rule.** A due user's round, an uncovered user's
   re-discovery and a stranded arrival all run :func:`reselect_row`,
-  ``SelectionMachine``'s join-or-stay choice and backup adoption; a
-  detected failure first walks the adopted ``u_backup`` row (DESIGN §11).
+  which decides with ``SelectionMachine``'s own
+  :func:`~repro.protocol.selection.join_or_stay`; a detected failure
+  first walks the adopted ``u_backup`` row (DESIGN §11).
 
 Entity naming: node ``i`` of the population is ``n{i}`` in every trace
 event and public API; user ``j`` is ``u{j}``. Shard-local arrays map to
@@ -64,7 +65,7 @@ from repro.obs.events import (
     UncoveredFailure,
 )
 from repro.obs.tracer import Tracer
-from repro.protocol.selection import SelectionConfig
+from repro.protocol.selection import SelectionConfig, join_or_stay
 
 __all__ = [
     "MetroKernel",
@@ -82,8 +83,6 @@ _TIER_MS = 2.0 * TIER_INFLATION_MS[NetworkTier.HOME_WIFI]
 #: M/D/1 utilization cap — matches the EdgeSystem queue's stability
 #: guard: beyond this the analytic wait would explode to infinity.
 _RHO_CAP = 0.95
-
-_NO_NODES = np.empty(0, dtype=np.int64)
 
 #: Cap on the (user, candidate) pairs whose base latency one flat
 #: ``_base_vec`` pass scores; bounds the scorer's temporaries (~0.1 MB
@@ -103,29 +102,24 @@ def _pair_chunks(starts: np.ndarray) -> Iterator[Tuple[int, int]]:
 
 
 def reselect_row(
-    selection: SelectionConfig, nodes: List[int], scores: np.ndarray,
-    current: int, settled: bool,
+    selection: SelectionConfig, nodes: List[int], scores: np.ndarray, current: int
 ) -> Tuple[int, List[int]]:
-    """``SelectionMachine``'s round over one user's candidates ``nodes``
-    ranked by a stable sort of ``scores``: the row index the user joins
-    (-1: it stays) and the backups it adopts, the ranking less the node it
-    ends on cut to ``top_n - 1``. A detached user (``current`` -1) joins;
-    an attached one stays unless ``settled`` (past its dwell) and the best
-    clears the hysteresis of its node's score in the row. A node in no
-    row is dead, and no hysteresis reads it."""
+    """One metro user's round past its dwell (due by the round's filter,
+    or detached): :func:`~repro.protocol.selection.join_or_stay` over its
+    live candidates ``nodes``, ranked by a stable sort of ``scores``. The
+    row index it joins (-1: it stays) and the backups it adopts, cut to
+    ``top_n - 1``. A dead ``current`` is in no row: no hysteresis reads it.
+    """
+    try:
+        at = nodes.index(current)
+    except ValueError:  # detached, or its node died
+        at = -1
+    # The rest of the top ``top_n`` less any one entry is the rest of the
+    # whole ranking less it, cut to ``top_n - 1``.
     top: List[int] = scores.argsort(kind="stable")[: selection.top_n].tolist()
-    j, end = top[0], nodes[top[0]]
-    if current >= 0 and end != current and (
-        not settled
-        or current in nodes
-        and scores.item(j)
-        >= selection.switch_threshold(scores.item(nodes.index(current)))
-    ):
-        end = current
-    ranked = list(map(nodes.__getitem__, top))
-    if end in ranked:
-        ranked.remove(end)
-    return (j if end != current else -1), ranked[: selection.top_n - 1]
+    end, rest = join_or_stay(selection, top, scores, at, True)
+    backups = [nodes[i] for i in rest[: selection.top_n - 1]]
+    return (-1 if end == at else end), backups
 
 
 def _haversine_km(
@@ -169,6 +163,8 @@ class MigrationRecord:
     lat: float
     lon: float
     phase_ms: float
+    #: Its selection cell, carried so the new shard need not geohash it.
+    cell: int
     frames_done: int
     frames_lost: int
     latency_sum_ms: float
@@ -270,9 +266,6 @@ class MetroKernel:
         self.spec = spec
         self.shard_id = shard_id
         self.cell_precision = population.cell_precision
-        #: Every user's cell, read for arrivals: a copy of the one
-        #: population column needed, so the rest is freed after the build.
-        self._user_cell = population.user_cell.copy()
         self.trace = tracer if tracer is not None else Tracer.disabled()
 
         if node_gids is None:
@@ -285,7 +278,9 @@ class MetroKernel:
         if len(ghost_shards) != ghost_gids.size:
             raise ValueError("ghost_shards must parallel ghost_gids")
         self._export_gids: List[int] = (
-            [] if export_gids is None else np.asarray(export_gids, np.int64).tolist()
+            np.asarray(export_gids, dtype=np.int64).tolist()
+            if export_gids is not None
+            else []
         )
 
         # --- node table: owned nodes first, then ghosts --------------
@@ -299,8 +294,9 @@ class MetroKernel:
         self.n_load = np.zeros(self.n_gid.size, dtype=np.float64)
         self.n_ghost = np.zeros(self.n_gid.size, dtype=bool)
         self.n_ghost[own.size :] = True
-        #: local index -> owning shard id, for every ghost.
-        self._ghost_shard = dict(zip(range(own.size, self.n_gid.size), ghost_shards))
+        self._ghost_shard: Dict[int, str] = {
+            int(own.size + i): ghost_shards[i] for i in range(gho.size)
+        }
         self._node_local: Dict[int, int] = dict(
             zip(self.n_gid.tolist(), range(self.n_gid.size))
         )
@@ -420,7 +416,7 @@ class MetroKernel:
         pending = np.array(self._pending_handoffs, dtype=np.int64)
         users = pending[np.argsort(self.u_gid[pending])]
         stats = (self.u_frames, self.u_lost, self.u_lat_sum, self.u_lat_max)
-        carried = (self.u_lat, self.u_lon, self.u_phase, *stats)
+        carried = (self.u_lat, self.u_lon, self.u_phase, self.u_cell, *stats)
         migrations = [
             MigrationRecord(user, target, self.shard_id, *rest)
             for user, target, *rest in zip(
@@ -486,7 +482,7 @@ class MetroKernel:
             "u_lat": lats,
             "u_lon": lons,
             "u_phase": column("phase_ms"),
-            "u_cell": self._user_cell[gids],
+            "u_cell": column("cell", np.uint64),
             "u_node": np.full_like(gids, -1),
             "u_base": np.zeros_like(lats),
             "u_active": np.ones_like(gids, dtype=bool),
@@ -510,11 +506,13 @@ class MetroKernel:
         t = k * TICK_MS
         if k == 0:
             self._initial_attach()
-        actions = sorted(self._agenda.pop(k, []), key=lambda a: (a[0] != "fail", a[1]))
-        for kind, n in actions:  # failures before detections, each in node order
-            if kind == "fail":
+        actions = self._agenda.pop(k, None)
+        if actions:
+            fails = sorted(n for kind, n in actions if kind == "fail")
+            detects = sorted(n for kind, n in actions if kind == "detect")
+            for n in fails:
                 self._fail_node(n, k, t)
-            else:
+            for n in detects:
                 self._detect_failure(n, t)
         if k > 0:
             self._selection_round(k, t)
@@ -595,12 +593,11 @@ class MetroKernel:
         bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse)))).tolist()
         spans = list(zip(bounds, bounds[1:]))
         self.control_ops += order.size
-        # A cohort's centroid is np.mean of its users exactly — the pairwise
-        # np.add.reduce np.mean runs, over the count, without its wrapper. A
-        # segmented sum (np.add.reduceat) adds in another order: the last bit moves.
-        lat, lon, add = self.u_lat[order], self.u_lon[order], np.add.reduce
-        clat = np.array([add(lat[a:b]) / (b - a) for a, b in spans])
-        clon = np.array([add(lon[a:b]) / (b - a) for a, b in spans])
+        # A cohort's centroid is np.mean of its users exactly: a segmented
+        # sum (np.add.reduceat) adds in another order and moves the last bit.
+        lat, lon = self.u_lat[order], self.u_lon[order]
+        clat = np.array([np.mean(lat[a:b]) for a, b in spans])
+        clon = np.array([np.mean(lon[a:b]) for a, b in spans])
         del inverse, lat, lon  # whole-user temporaries, before the flat passes
         usable = self.n_alive & ~self.n_ghost
         capacity = 1000.0 / self.n_service
@@ -611,6 +608,7 @@ class MetroKernel:
         cands = [self._cell_cands[cell] for cell in cells.tolist()]
         starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
         for lo, hi in _pair_chunks(starts):
+            dealt_cells = []  # (members, deal width, ranking head) per cell
             nodes = np.concatenate(cands[lo:hi])
             keep = usable[nodes]
             nodes = nodes[keep]
@@ -640,12 +638,20 @@ class MetroKernel:
                 members, dealt = order[ua:ub], np.arange(ub - ua) % ranked.size
                 chosen = ranked[dealt]
                 self.u_node[members] = chosen
-                head = ranked_all[: spare + 1]
-                if head.size <= spare:
-                    head = np.append(head, [-1] * spare)
-                self.u_backup[members] = head[drop[np.minimum(dealt, spare)]]
+                dealt_cells.append((members, ranked.size, ranked_all[: spare + 1]))
                 # Before the next cell ranks: it may share these nodes.
                 np.add.at(self.n_load, chosen, self.fps)
+            if dealt_cells:  # the chunk's backup rows at once; -1 pads a short head
+                members, width, heads = zip(*dealt_cells)
+                count = [m.size for m in members]
+                size = np.array([h.size for h in heads])
+                head = np.full((size.size, spare + 1), -1, dtype=np.int32)
+                head[np.arange(spare + 1) < size[:, None]] = np.concatenate(heads)
+                cell = np.repeat(np.arange(size.size), count)
+                place = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+                place %= np.repeat(width, count)  # each member's deal position
+                np.minimum(place, spare, out=place)
+                self.u_backup[np.concatenate(members)] = head[cell[:, None], drop[place]]
         # ``_base_vec`` is elementwise: index order gives the same bits as
         # cell order, and gathers the user columns in memory order.
         attached = np.flatnonzero(self.u_node >= 0)
@@ -666,7 +672,9 @@ class MetroKernel:
         self.n_load[n] += self.fps
         self.u_join_ms[u] = self.now_ms
 
-    def _rtt_ms(self, lat: np.ndarray, lon: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    def _rtt_ms(
+        self, lat: np.ndarray, lon: np.ndarray, nodes: np.ndarray
+    ) -> np.ndarray:
         """Expected RTT from ``(lat, lon)`` to ``nodes``: the floor plus
         propagation, then both endpoints' HOME_WIFI inflation."""
         dist = _haversine_km(lat, lon, self.n_lat[nodes], self.n_lon[nodes])
@@ -674,15 +682,22 @@ class MetroKernel:
 
     def _base_vec(self, users: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Per-frame base latency: expected RTT + transfer + service."""
-        rtt = self._rtt_ms(self.u_lat[users], self.u_lon[users], nodes)
-        return rtt + FRAME_TRANSFER_MS + self.n_service[nodes]
+        return (
+            self._rtt_ms(self.u_lat[users], self.u_lon[users], nodes)
+            + FRAME_TRANSFER_MS
+            + self.n_service[nodes]
+        )
 
     def _fill_cell_cands(self, cells: np.ndarray) -> None:
         """Resolve the candidates of ``cells`` with one neighborhood call."""
         blocks = geohash.cell_neighborhood(cells, self.cell_precision)
         for cell, block in zip(cells.tolist(), blocks.tolist()):
             parts = [self._cell_nodes[c] for c in set(block) if c in self._cell_nodes]
-            self._cell_cands[cell] = np.sort(np.concatenate(parts or [_NO_NODES]))
+            self._cell_cands[cell] = (
+                np.sort(np.concatenate(parts))
+                if parts
+                else np.empty(0, dtype=np.int64)
+            )
 
     def _reselect(self, users: np.ndarray, t: float) -> None:
         """Run :func:`reselect_row` for each of ``users`` in order over its
@@ -696,7 +711,7 @@ class MetroKernel:
         if unseen:
             self._fill_cell_cands(np.array(sorted(unseen), dtype=np.uint64))
         cands = [self._cell_cands[c] for c in cells]
-        starts = np.cumsum([0] + [c.size for c in cands])
+        starts = np.concatenate(([0], np.cumsum([c.size for c in cands])))
         if starts[-1] == 0:  # nobody has a candidate, even a dead one
             return
         wait = self._node_wait()
@@ -718,12 +733,12 @@ class MetroKernel:
                 if a == b:
                     continue
                 cur, row = node_of(u), row_of[a:b]
-                # Past the dwell: a due user by the round's filter, or detached.
-                j, backups = reselect_row(
-                    selection, row, base[a:b] + wait[nodes[a:b]], cur, True
-                )
+                scores = base[a:b] + wait[nodes[a:b]]
+                j, backups = reselect_row(selection, row, scores, cur)
                 adopters.append(u)
-                adopted += backups + pad[len(backups) :]
+                adopted += backups
+                if len(backups) < spare:
+                    adopted += pad[len(backups) :]
                 if j < 0:
                     continue
                 best = row[j]
@@ -866,7 +881,9 @@ class MetroKernel:
             handoffs_in=self.handoffs_in,
             unattached_initial=self.unattached_initial,
             latency_sum_ms=float(self.u_lat_sum[active].sum()),
-            latency_max_ms=float(self.u_lat_max[active].max(initial=0.0)),
+            latency_max_ms=float(self.u_lat_max[active].max())
+            if active.any()
+            else 0.0,
             frames_advanced=self.frames_advanced,
             control_ops=self.control_ops,
             trace_events=sorted(self.trace.events(), key=attrgetter("t_ms")),

@@ -46,11 +46,6 @@ __all__ = ["MetroSimulation", "MetroReport"]
 
 #: Per-shard trace ring size when capturing.
 _TRACE_EVENTS_PER_SHARD = 1 << 20
-#: Shard report fields a metro report sums, in shard order.
-_SUMMED = (
-    "frames_done", "frames_lost", "switches", "covered_failovers", "uncovered_failures",
-    "unattached_initial", "latency_sum_ms", "frames_advanced", "control_ops",
-)
 
 
 @dataclass
@@ -220,13 +215,16 @@ class MetroSimulation:
         epochs = int(ceil(end_ms / EPOCH_MS - 1e-9))
         boundaries = [min((e + 1) * EPOCH_MS, end_ms) for e in range(epochs)]
 
-        forked = (
-            self.spec.shard.workers > 1
+        workers = self.spec.shard.workers
+        use_workers = (
+            workers > 1
             and plan.count > 1
             and "fork" in multiprocessing.get_all_start_methods()
         )
-        run = self._run_workers if forked else self._run_serial
-        reports = run(plan, kernels, boundaries)
+        if use_workers:
+            reports = self._run_workers(plan, kernels, boundaries)
+        else:
+            reports = self._run_serial(plan, kernels, boundaries)
 
         wall = time.perf_counter() - started
         return self._merge(plan, reports, sim_seconds, wall)
@@ -300,9 +298,17 @@ class MetroSimulation:
             sim_seconds=sim_seconds,
             shards=plan.count,
             workers=self.spec.shard.workers,
-            **{name: sum(getattr(r, name) for r in reports) for name in _SUMMED},
+            frames_done=sum(r.frames_done for r in reports),
+            frames_lost=sum(r.frames_lost for r in reports),
+            switches=sum(r.switches for r in reports),
+            covered_failovers=sum(r.covered_failovers for r in reports),
+            uncovered_failures=sum(r.uncovered_failures for r in reports),
             handoffs=sum(r.handoffs_out for r in reports),
+            unattached_initial=sum(r.unattached_initial for r in reports),
+            latency_sum_ms=sum(r.latency_sum_ms for r in reports),
             latency_max_ms=max((r.latency_max_ms for r in reports), default=0.0),
+            frames_advanced=sum(r.frames_advanced for r in reports),
+            control_ops=sum(r.control_ops for r in reports),
             wall_s=wall_s,
             shard_reports=reports,
             # Each shard's trace is time-ordered; ties keep shard order.

@@ -25,7 +25,7 @@ by luck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,6 +57,14 @@ class ShardPlan:
         return len(self.shard_ids)
 
 
+def _prefix_groups(
+    prefixes: np.ndarray, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique prefixes and their round-robin shard assignment."""
+    unique = np.unique(prefixes)
+    return unique, np.arange(unique.size, dtype=np.int64) % count
+
+
 def plan_shards(spec: MetroSpec, population: MetroPopulation) -> ShardPlan:
     """Compute the ownership tables for ``spec.shard`` over a population."""
     count = spec.shard.count
@@ -81,11 +89,16 @@ def plan_shards(spec: MetroSpec, population: MetroPopulation) -> ShardPlan:
     node_prefix = population.node_cell >> shift
     user_prefix = population.user_cell >> shift
 
-    # Sorted populated prefixes, dealt round-robin over the shards.
-    unique = np.unique(np.concatenate([node_prefix, user_prefix]))
-    groups = np.arange(unique.size, dtype=np.int64) % count
-    node_shard = groups[np.searchsorted(unique, node_prefix)]
-    user_shard = groups[np.searchsorted(unique, user_prefix)]
+    unique, groups = _prefix_groups(
+        np.concatenate([node_prefix, user_prefix]), count
+    )
+
+    def to_group(prefix: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(unique, prefix)
+        return groups[idx]
+
+    node_shard = to_group(node_prefix)
+    user_shard = to_group(user_prefix)
 
     # Ghost discovery: a node is exported to every *other* shard owning
     # a cell of its 3x3 selection-cell neighborhood.
@@ -96,11 +109,21 @@ def plan_shards(spec: MetroSpec, population: MetroPopulation) -> ShardPlan:
     valid = unique[idx_clipped] == block_prefix.reshape(-1)
     block_group = np.where(valid, groups[idx_clipped], -1).reshape(block.shape)
 
-    # (dest shard, node gid) pairs, unique, sorted by shard then gid.
-    gid, column = np.nonzero((block_group >= 0) & (block_group != node_shard[:, None]))
-    dest, ghosted = np.unique(np.stack([block_group[gid, column], gid]), axis=1)
-    ghost_gids = [ghosted[dest == g] for g in range(count)]
-    exported = np.unique(ghosted)  # each ghosted node, exported by its owner
+    ghost_pairs: set[Tuple[int, int]] = set()  # (dest shard, node gid)
+    own = node_shard[:, None]
+    foreign = (block_group >= 0) & (block_group != own)
+    for gid, dest in zip(*np.nonzero(foreign)):
+        ghost_pairs.add((int(block_group[gid, dest]), int(gid)))
+
+    ghost_gids: List[np.ndarray] = []
+    ghost_owners: List[List[int]] = []
+    export_sets: List[set] = [set() for _ in range(count)]
+    for g in range(count):
+        gids = sorted(gid for dest, gid in ghost_pairs if dest == g)
+        ghost_gids.append(np.array(gids, dtype=np.int64))
+        ghost_owners.append([int(node_shard[gid]) for gid in gids])
+        for gid in gids:
+            export_sets[int(node_shard[gid])].add(gid)
 
     return ShardPlan(
         shard_ids=shard_ids,
@@ -113,6 +136,8 @@ def plan_shards(spec: MetroSpec, population: MetroPopulation) -> ShardPlan:
             np.flatnonzero(user_shard == g).astype(np.int64) for g in range(count)
         ],
         ghost_gids=ghost_gids,
-        ghost_owners=[node_shard[gids].tolist() for gids in ghost_gids],
-        export_gids=[exported[node_shard[exported] == g] for g in range(count)],
+        ghost_owners=ghost_owners,
+        export_gids=[
+            np.array(sorted(export_sets[g]), dtype=np.int64) for g in range(count)
+        ],
     )

@@ -128,6 +128,8 @@ class MetroPopulation:
     node_lon: np.ndarray
     #: Effective single-server service time (base_frame_ms / parallelism).
     node_service_ms: np.ndarray
+    #: Sustainable frames/second per node.
+    node_capacity_fps: np.ndarray
     user_lat: np.ndarray
     user_lon: np.ndarray
     #: First-frame offset within the frame interval, in [0, interval).
@@ -180,6 +182,7 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
     par = np.array([float(p.parallelism) for p in VOLUNTEER_PROFILES])
     profile_idx = np.arange(spec.nodes) % len(VOLUNTEER_PROFILES)
     node_service = base[profile_idx] / par[profile_idx]
+    node_capacity = par[profile_idx] * 1000.0 / base[profile_idx]
 
     user_lat, user_lon = _disc_points(user_rng, spec.users, spec.region_km)
     user_phase = user_rng.random(spec.users) * spec.interval_ms
@@ -189,6 +192,7 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
         node_lat=node_lat,
         node_lon=node_lon,
         node_service_ms=node_service,
+        node_capacity_fps=node_capacity,
         user_lat=user_lat,
         user_lon=user_lon,
         user_phase_ms=user_phase,

@@ -100,7 +100,7 @@ from repro.protocol.events import (
 )
 from repro.protocol.failure_monitor import FailureMonitor
 
-__all__ = ["SelectionConfig", "SelectionMachine"]
+__all__ = ["SelectionConfig", "SelectionMachine", "join_or_stay"]
 
 
 #: How many times a round repeats discovery and probing after consecutive
@@ -146,6 +146,36 @@ class SelectionConfig:
         """The dwell gate: a join at ``joined_ms`` has settled by ``now_ms``.
         Plain arithmetic, so it broadcasts; a detached ``-inf`` is settled."""
         return now_ms - joined_ms >= self.min_dwell_ms
+
+
+def join_or_stay(
+    config: SelectionConfig,
+    ranked: Sequence[int],
+    scores: Sequence[float],
+    current: int,
+    settled: bool,
+) -> Tuple[int, Sequence[int]]:
+    """One round's verdict over a non-empty ranking: the candidate the
+    client ends on, and the rest of ``ranked`` (best first) it adopts its
+    backups from. ``SelectionMachine`` and the metro kernel both decide
+    with it.
+
+    ``ranked`` holds candidate indices best first and ``scores[i]`` is
+    candidate ``i``'s policy score; ``current`` is the client's node among
+    them, -1 when it is detached or its node is no candidate. It joins
+    ``ranked[0]`` unless it stays on ``current``: its join has not
+    ``settled`` (the dwell; a detached client always has), or the best is
+    its node already or misses the hysteresis of its node's score.
+    """
+    best = ranked[0]
+    if not settled or current >= 0 and (
+        best == current
+        or scores[best] >= config.switch_threshold(scores[current])
+    ):
+        best = current
+    if best == ranked[0]:
+        return best, ranked[1:]
+    return best, [i for i in ranked if i != best]
 
 
 class SelectionMachine:
@@ -377,32 +407,27 @@ class SelectionMachine:
         if not ranked:
             # No candidate satisfies QoS / all candidates dead.
             return self._conclude_round(failed=True)
-        best = ranked[0]
-        if self.attached and best.node_id == self.current_edge:
-            return (
-                effects
-                + self._adopt_backups(ranked[1:], ctx)
-                + self._conclude_round(failed=False)
-            )
-        current_score = ranking.score_of(self.current_edge)
         # A voluntary switch waits out the dwell after the last join, then
         # must clear hysteresis on *policy scores* — the currency the
         # ranking sorted by — so a policy whose score is not raw LO (GO, a
         # predictive forecast, ...) cannot disagree with its own gate.
-        if self.attached and (
-            not self.config.settled(event.now, self.last_join_ms)
-            or current_score is not None
-            and ranking.scores.get(best.node_id, best.local_overhead_ms)
-            >= self.config.switch_threshold(current_score)
-        ):
-            rest = [o for o in ranked if o.node_id != self.current_edge]
+        ids = [o.node_id for o in ranked]
+        current = ids.index(self.current_edge) if self.current_edge in ids else -1
+        end, rest = join_or_stay(
+            self.config,
+            range(len(ranked)),
+            [ranking.scores.get(o.node_id, o.local_overhead_ms) for o in ranked],
+            current,
+            not self.attached or self.config.settled(event.now, self.last_join_ms),
+        )
+        if end == current:
             return (
                 effects
-                + self._adopt_backups(rest, ctx)
+                + self._adopt_backups([ranked[i] for i in rest], ctx)
                 + self._conclude_round(failed=False)
             )
         self._ranked = ranked
-        return effects + [SendJoin(best)]
+        return effects + [SendJoin(ranked[end])]
 
     def _on_join_result(self, event: JoinResult) -> List[Effect]:
         ranked = self._ranked

@@ -24,7 +24,7 @@ from repro.metro.kernel import (
 )
 from repro.metro.runner import MetroSimulation, _route_outboxes
 from repro.metro.spec import MetroSpec, ShardSpec, build_population
-from repro.obs.events import JoinAccept
+from repro.obs.events import JoinAccept, ShardHandoff
 from repro.obs.tracer import Tracer
 
 USER_COLUMNS = (
@@ -97,6 +97,7 @@ def finish_epoch_per_user(self):
                 lat=float(self.u_lat[u]),
                 lon=float(self.u_lon[u]),
                 phase_ms=float(self.u_phase[u]),
+                cell=int(self.u_cell[u]),
                 frames_done=int(self.u_frames[u]),
                 frames_lost=int(self.u_lost[u]),
                 latency_sum_ms=float(self.u_lat_sum[u]),
@@ -121,7 +122,9 @@ def finish_epoch_per_user(self):
 def apply_inbox_one_at_a_time(self, inbox):
     """Reference: arrivals admitted one by one, each scoring its handoff
     target with a ``_base_vec`` pass over one (user, node) pair; then each
-    arrival that could not attach re-selected on its own."""
+    arrival that could not attach, detached, joins its best live candidate
+    (the first minimum of its own base plus a fresh fleet wait; a ghost is
+    a handoff) and adopts the rest of that ranking as backups."""
     for gid in sorted(inbox.ghost_updates):
         local = self._node_local.get(gid)
         if local is None or not self.n_ghost[local]:
@@ -146,8 +149,28 @@ def apply_inbox_one_at_a_time(self, inbox):
         self.trace.emit(
             JoinAccept(self.now_ms, self._user_name(u), self._node_name(target))
         )
+    spare = self.u_backup.shape[1]
     for me in detached:
-        self._reselect(me, self.now_ms)
+        u, cell = int(me[0]), self.u_cell.item(me[0])
+        if cell not in self._cell_cands:
+            self._fill_cell_cands(np.array([cell], dtype=np.uint64))
+        live = self._cell_cands[cell][self.n_alive[self._cell_cands[cell]]]
+        if live.size == 0:
+            continue
+        base = self._base_vec(np.repeat(me, live.size), live)
+        order = np.argsort(base + self._node_wait()[live], kind="stable")
+        best = int(live[order[0]])
+        backups = live[order[1 : spare + 1]].tolist()
+        self.u_backup[u] = backups + [-1] * (spare - len(backups))
+        user, to = self._user_name(u), self._node_name(best)
+        if self.n_ghost[best]:
+            self.u_pending[u] = best
+            self._pending_handoffs.append(u)
+            owner = self._ghost_shard[best]
+            self.trace.emit(ShardHandoff(self.now_ms, user, self.shard_id, owner, to))
+        else:
+            self._attach(u, best, base[order[0]])
+            self.trace.emit(JoinAccept(self.now_ms, user, to))
 
 
 def shards_with_migrants_waiting(seed, fps, shards=4):
@@ -206,7 +229,7 @@ def test_whole_batch_export_equals_the_per_user_reference(seed, fps, orphaned):
             r.user_gid for r in out.migrations)
         for record in out.migrations:
             kinds = [type(value) for value in vars(record).values()]
-            assert kinds == [int, int, str, float, float, float, int, int, float, float]
+            assert kinds == [int, int, str, float, float, float, int, int, int, float, float]
         assert_same_kernel_state(kernel, reference)
         assert not kernel.u_active[waiting].any()
         exported += len(out.migrations)

@@ -251,6 +251,7 @@ def explicit_kernel(node_points, user_points, precision=5, service_ms=25.0):
     population = MetroPopulation(
         node_lat=node_lat, node_lon=node_lon,
         node_service_ms=np.broadcast_to(np.asarray(service_ms, dtype=float), node_lat.shape).copy(),
+        node_capacity_fps=np.full(node_lat.size, 40.0),
         user_lat=user_lat, user_lon=user_lon,
         user_phase_ms=np.zeros(user_lat.size),
         node_cell=geohash.encode_cells(node_lat, node_lon, precision),

@@ -51,8 +51,8 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.geo import geohash
 from repro.geo.point import EARTH_RADIUS_KM
-from repro.metro.spec import FRAME_TRANSFER_MS, TICK_MS, MetroPopulation, MetroSpec
-from repro.metro.spec import quantize_ticks
+from repro.metro.spec import FRAME_TRANSFER_MS, INT32_LIMIT, TICK_MS, MetroPopulation
+from repro.metro.spec import MetroSpec, quantize_ticks
 from repro.net.latency import TIER_INFLATION_MS, DistanceRttModel, NetworkTier
 from repro.obs.events import (
     CoveredFailover,
@@ -271,7 +271,7 @@ class MetroKernel:
         if node_gids is None:
             node_gids = np.arange(population.nodes, dtype=np.int64)
         if user_gids is None:
-            user_gids = np.arange(population.users, dtype=np.int64)
+            user_gids = np.arange(population.users, dtype=np.int32)
         if ghost_gids is None:
             ghost_gids = np.empty(0, dtype=np.int64)
         ghost_shards = list(ghost_shards or [])
@@ -317,22 +317,26 @@ class MetroKernel:
         self._cell_cands: Dict[int, np.ndarray] = {}
 
         # --- user table ----------------------------------------------
-        ug = np.asarray(user_gids, dtype=np.int64)
-        self.u_gid = ug.copy()
+        # Each column at the narrowest width that holds its values: the
+        # int32 ones hold gids, frame indices and counts, which
+        # ``MetroSpec`` and ``step_to`` keep below 2**31. ``u_node``
+        # stays intp: a narrower index array is cast on every gather.
+        ug = np.asarray(user_gids, dtype=np.int32)
+        self.u_gid = ug  # never written: the plan's array is not copied
         self.u_lat = population.user_lat[ug]
         self.u_lon = population.user_lon[ug]
         self.u_phase = population.user_phase_ms[ug]
         self.u_cell = population.user_cell[ug]
-        self.u_node = np.full(ug.size, -1, dtype=np.int64)
+        self.u_node = np.full(ug.size, -1, dtype=np.intp)
         self.u_base = np.zeros(ug.size, dtype=np.float64)
         self.u_active = np.ones(ug.size, dtype=bool)
         #: Last join; ``-inf`` while detached (always past the dwell).
         self.u_join_ms = np.full(ug.size, -np.inf)
         #: Adopted backups, best first: local node indices, -1 padded.
         self.u_backup = np.full((ug.size, config.top_n - 1), -1, dtype=np.int32)
-        self.u_pending = np.full(ug.size, -1, dtype=np.int64)
-        self.u_frames = np.zeros(ug.size, dtype=np.int64)
-        self.u_lost = np.zeros(ug.size, dtype=np.int64)
+        self.u_pending = np.full(ug.size, -1, dtype=np.int32)
+        self.u_frames = np.zeros(ug.size, dtype=np.int32)
+        self.u_lost = np.zeros(ug.size, dtype=np.int32)
         self.u_lat_sum = np.zeros(ug.size, dtype=np.float64)
         self.u_lat_max = np.zeros(ug.size, dtype=np.float64)
 
@@ -342,8 +346,7 @@ class MetroKernel:
         self._tick_index = 0
         self._detect_ticks = quantize_ticks(config.failure_detection_ms)
         self._period_ticks = quantize_ticks(config.probing_period_ms)
-        #: The tick (mod the probing period) each user re-selects on.
-        self.u_slot = self.u_gid % self._period_ticks
+        self.u_slot = self._slots(self.u_gid)
         self._agenda: Dict[int, List[Tuple[str, int]]] = {}
         self._pending_handoffs: List[int] = []
         #: What a quiet tick reuses (``_advance_frames``); every write to
@@ -352,7 +355,7 @@ class MetroKernel:
         #: Each user's floored frame index at the end of the last advanced
         #: tick: the next tick's lower bound minus one, while
         #: ``_floor_key`` (that next tick, the user count) still holds.
-        self._floor_hi = np.empty(0, dtype=np.int64)
+        self._floor_hi = np.empty(0, dtype=np.int32)
         self._floor_key = (-1, -1)
 
         # --- counters -------------------------------------------------
@@ -394,11 +397,18 @@ class MetroKernel:
         return self.report()
 
     def step_to(self, t_ms: float) -> None:
-        """Advance to ``t_ms`` (must be a whole multiple of the tick)."""
+        """Advance to ``t_ms`` (must be a whole multiple of the tick, and
+        keep every frame index and count in int32)."""
         target = round(t_ms / TICK_MS)
         if abs(target * TICK_MS - t_ms) > 1e-6:
             raise ValueError(
                 f"step_to target {t_ms} is not a multiple of tick {TICK_MS}"
+            )
+        # A user's frame count is at most its floored frame index plus one.
+        if t_ms / self.interval_ms >= INT32_LIMIT - 1:
+            raise ValueError(
+                f"step_to target {t_ms} ms puts frame indices past int32 "
+                f"at a {self.interval_ms} ms frame interval"
             )
         while self._tick_index < target:
             self._control(self._tick_index)
@@ -475,22 +485,22 @@ class MetroKernel:
         def column(name: str, dtype: type = np.float64) -> np.ndarray:
             return np.array([getattr(r, name) for r in records], dtype=dtype)
 
-        gids, lats, lons = column("user_gid", np.int64), column("lat"), column("lon")
+        gids, lats, lons = column("user_gid", np.int32), column("lat"), column("lon")
         rows = {
             "u_gid": gids,
-            "u_slot": gids % self._period_ticks,
+            "u_slot": self._slots(gids),
             "u_lat": lats,
             "u_lon": lons,
             "u_phase": column("phase_ms"),
             "u_cell": column("cell", np.uint64),
-            "u_node": np.full_like(gids, -1),
+            "u_node": np.full(gids.size, -1, dtype=np.intp),
             "u_base": np.zeros_like(lats),
             "u_active": np.ones_like(gids, dtype=bool),
             "u_join_ms": np.full_like(lats, -np.inf),
             "u_backup": np.full((gids.size, self.u_backup.shape[1]), -1, np.int32),
             "u_pending": np.full_like(gids, -1),
-            "u_frames": column("frames_done", np.int64),
-            "u_lost": column("frames_lost", np.int64),
+            "u_frames": column("frames_done", np.int32),
+            "u_lost": column("frames_lost", np.int32),
             "u_lat_sum": column("latency_sum_ms"),
             "u_lat_max": column("latency_max_ms"),
         }
@@ -559,6 +569,13 @@ class MetroKernel:
         # A user already handed off re-selects on the shard it moves to.
         self._reselect(lost[self.u_pending[lost] < 0], t)
 
+    def _slots(self, gids: np.ndarray) -> np.ndarray:
+        """The tick (mod the probing period) each of ``gids`` re-selects
+        on. int32 gids cannot take a period past int32 as a divisor, and
+        need not: each is below ``INT32_LIMIT - 1``, so either leaves it
+        its own slot."""
+        return gids % min(self._period_ticks, INT32_LIMIT - 1)
+
     def _selection_round(self, k: int, t: float) -> None:
         due = np.flatnonzero(self.u_slot == k % self._period_ticks)
         due = due[
@@ -567,7 +584,8 @@ class MetroKernel:
             & self.selection.settled(t, self.u_join_ms[due])
         ]
         self.control_ops += due.size
-        self._reselect(due, t)
+        if due.size:
+            self._reselect(due, t)
 
     # ------------------------------------------------------------------
     # Attachment & candidate machinery
@@ -706,6 +724,8 @@ class MetroKernel:
         Bases come from flat ``_base_vec`` passes; the wait is added per
         user and refreshed when one moves, so each sees the load its
         predecessors left."""
+        if users.size == 0:
+            return
         cells = self.u_cell[users].tolist()
         unseen = set(cells).difference(self._cell_cands)  # arrivals' cells
         if unseen:
@@ -770,7 +790,9 @@ class MetroKernel:
         load, service = self.n_load, self.n_service
         if nodes is not None:
             load, service = load[nodes], service[nodes]
-        rho = np.clip(load * service / 1000.0, 0.0, _RHO_CAP)
+        # Not np.clip, which costs about twice as much a call on a shard's
+        # fleet: the two differ only on -0.0, which no load holds.
+        rho = np.minimum(np.maximum(load * service / 1000.0, 0.0), _RHO_CAP)
         return service * rho / (2.0 * (1.0 - rho))
 
     def _wait_at(self, n: int) -> float:
@@ -796,14 +818,17 @@ class MetroKernel:
         index = np.subtract(t, self.u_phase)
         np.divide(index, self.interval_ms, out=index)
         np.floor(index, out=index)
-        return index.astype(np.int64)
+        return index.astype(np.int32)
 
     def _build_cohort(self, wait: np.ndarray) -> _Cohort:
         """Read every user's ``ok``/``lat`` at ``wait`` and the current
-        liveness: unattached users read row 0, masked."""
-        node = np.maximum(self.u_node, 0)
-        ok = (self.u_node >= 0) & self.n_alive[node]
-        lat = self.u_base + wait[node]
+        liveness: an unattached user's -1 reads the last node, and ``ok``
+        masks it."""
+        node = self.u_node
+        ok = self.n_alive[node]
+        ok &= node >= 0
+        lat = wait[node]
+        lat += self.u_base
         return _Cohort(ok, lat, wait, self.n_alive.copy())
 
     def _advance_frames(self, k: int) -> None:

@@ -40,10 +40,10 @@ class ShardPlan:
     """The deterministic ownership tables of one partition."""
 
     shard_ids: List[str]
-    #: Owning shard index per global node / user.
+    #: Owning shard index per global node.
     node_shard: np.ndarray
-    user_shard: np.ndarray
-    #: Per shard: ascending owned node gids / starting user gids.
+    #: Per shard: ascending owned node gids / starting user gids (int32,
+    #: the kernel's own gid column).
     node_gids: List[np.ndarray] = field(default_factory=list)
     user_gids: List[np.ndarray] = field(default_factory=list)
     #: Per shard: ascending ghost node gids + the owning shard of each.
@@ -76,9 +76,8 @@ def plan_shards(spec: MetroSpec, population: MetroPopulation) -> ShardPlan:
         return ShardPlan(
             shard_ids=shard_ids,
             node_shard=np.zeros(nodes, dtype=np.int64),
-            user_shard=np.zeros(users, dtype=np.int64),
             node_gids=[np.arange(nodes, dtype=np.int64)],
-            user_gids=[np.arange(users, dtype=np.int64)],
+            user_gids=[np.arange(users, dtype=np.int32)],
             ghost_gids=[np.empty(0, dtype=np.int64)],
             ghost_owners=[[]],
             export_gids=[np.empty(0, dtype=np.int64)],
@@ -128,12 +127,11 @@ def plan_shards(spec: MetroSpec, population: MetroPopulation) -> ShardPlan:
     return ShardPlan(
         shard_ids=shard_ids,
         node_shard=node_shard,
-        user_shard=user_shard,
         node_gids=[
             np.flatnonzero(node_shard == g).astype(np.int64) for g in range(count)
         ],
         user_gids=[
-            np.flatnonzero(user_shard == g).astype(np.int64) for g in range(count)
+            np.flatnonzero(user_shard == g).astype(np.int32) for g in range(count)
         ],
         ghost_gids=ghost_gids,
         ghost_owners=ghost_owners,

@@ -39,6 +39,9 @@ TICK_MS = 250.0
 EPOCH_MS = 4 * TICK_MS
 #: Uplink+downlink transfer per frame (0.02 MB at ~40 Mbps round trip).
 FRAME_TRANSFER_MS = 8.0
+#: Every value an int32 kernel column holds — user gids, frame indices
+#: and counts — stays below this; ``MetroSpec`` and ``step_to`` check.
+INT32_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ class MetroSpec:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError(f"nodes must be >= 1: {self.nodes}")
-        if self.users < 1:
-            raise ValueError(f"users must be >= 1: {self.users}")
+        if not 1 <= self.users < INT32_LIMIT:
+            raise ValueError(f"users must be in [1, 2**31): {self.users}")
         if not (0 < self.region_km and isfinite(self.region_km)):
             raise ValueError(f"region_km must be positive and finite: {self.region_km}")
         if not (0 < self.fps and isfinite(self.fps)):
@@ -128,8 +131,6 @@ class MetroPopulation:
     node_lon: np.ndarray
     #: Effective single-server service time (base_frame_ms / parallelism).
     node_service_ms: np.ndarray
-    #: Sustainable frames/second per node.
-    node_capacity_fps: np.ndarray
     user_lat: np.ndarray
     user_lon: np.ndarray
     #: First-frame offset within the frame interval, in [0, interval).
@@ -182,7 +183,6 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
     par = np.array([float(p.parallelism) for p in VOLUNTEER_PROFILES])
     profile_idx = np.arange(spec.nodes) % len(VOLUNTEER_PROFILES)
     node_service = base[profile_idx] / par[profile_idx]
-    node_capacity = par[profile_idx] * 1000.0 / base[profile_idx]
 
     user_lat, user_lon = _disc_points(user_rng, spec.users, spec.region_km)
     user_phase = user_rng.random(spec.users) * spec.interval_ms
@@ -192,7 +192,6 @@ def build_population(spec: MetroSpec, seed: int) -> MetroPopulation:
         node_lat=node_lat,
         node_lon=node_lon,
         node_service_ms=node_service,
-        node_capacity_fps=node_capacity,
         user_lat=user_lat,
         user_lon=user_lon,
         user_phase_ms=user_phase,

@@ -89,6 +89,18 @@ def test_metro_suite_fails_on_a_runtime_warning():
     assert "run: python -m pytest -x -q -W error::RuntimeWarning tests/test_metro_*.py\n" in job
 
 
+@pytest.mark.skipif(not WORKFLOW.exists(), reason="no workflow in this checkout")
+def test_metro_smoke_uploads_the_memory_figures():
+    """Each commit's metro artifact carries the attach and advance
+    transients and the resident bytes per user; a failing script fails
+    the step rather than vanishing into ``tee``."""
+    steps = re.split(r"(?m)^      - name: ", jobs()["metro-smoke"])
+    (memory,) = [s for s in steps if "tests/test_metro_memory_budget.py |" in s]
+    assert "set -o pipefail" in memory
+    assert "| tee metro-artifacts/memory_budget.txt" in memory
+    assert steps.index(memory) < [i for i, s in enumerate(steps) if "upload-artifact" in s][0]
+
+
 HARNESS = "run: python -m pytest benchmarks/test_*.py"
 
 

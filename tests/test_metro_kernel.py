@@ -243,6 +243,42 @@ def test_node_wait_of_a_subset_equals_the_whole_fleet_entries():
         assert (kernel._node_wait(subset) == whole[subset]).all()
 
 
+def node_wait_clipped(kernel, nodes=None):
+    """Reference: ``_node_wait`` with ``rho`` through ``np.clip``, the
+    form it replaced."""
+    load, service = kernel.n_load, kernel.n_service
+    if nodes is not None:
+        load, service = load[nodes], service[nodes]
+    rho = np.clip(load * service / 1000.0, 0.0, kernel_module._RHO_CAP)
+    return service * rho / (2.0 * (1.0 - rho))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fps=st.one_of(st.sampled_from([4.0, 10.0, 0.1, 1.0 / 3.0]),
+                  st.floats(min_value=1e-3, max_value=60.0)),
+    moves=st.lists(st.tuples(st.integers(0, 149), st.booleans()), max_size=400),
+    past=st.floats(min_value=1.0, max_value=50.0),
+)
+def test_node_wait_is_bit_equal_to_the_clipped_form_on_loads_a_kernel_holds(fps, moves, past):
+    """``n_load`` starts at +0.0 and only gains or loses ``fps``, so it
+    never holds -0.0, the one input on which ``np.minimum(np.maximum())``
+    and ``np.clip`` differ. Loads built that way — a difference may
+    round below zero — and loads at and past the cap give the same bits."""
+    kernel = make_kernel(fps=fps)
+    load = np.zeros(kernel.n_gid.size)
+    for node, join in moves:
+        load[node] += fps if join else -fps
+    cap = kernel_module._RHO_CAP * 1000.0 / kernel.n_service
+    load[100:110] = cap[100:110]
+    load[110:120] = cap[110:120] * past
+    load[120:130] = np.nextafter(cap[120:130], np.inf)
+    kernel.n_load[:] = load
+    for nodes in (None, np.arange(100, 130), np.array([0, 149, 3])):
+        expected = node_wait_clipped(kernel, nodes).view(np.uint64)
+        assert np.array_equal(kernel._node_wait(nodes).view(np.uint64), expected)
+
+
 def explicit_kernel(node_points, user_points, precision=5, service_ms=25.0):
     """A kernel over hand-placed endpoints (lat, lon); ``service_ms`` is
     every node's, or one per node."""
@@ -251,7 +287,6 @@ def explicit_kernel(node_points, user_points, precision=5, service_ms=25.0):
     population = MetroPopulation(
         node_lat=node_lat, node_lon=node_lon,
         node_service_ms=np.broadcast_to(np.asarray(service_ms, dtype=float), node_lat.shape).copy(),
-        node_capacity_fps=np.full(node_lat.size, 40.0),
         user_lat=user_lat, user_lon=user_lon,
         user_phase_ms=np.zeros(user_lat.size),
         node_cell=geohash.encode_cells(node_lat, node_lon, precision),

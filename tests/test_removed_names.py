@@ -109,6 +109,14 @@ REMOVED_NAMES = (
         r"_dwell_ticks|u_join_tick", "src/repro/metro", None, 51,
         "metro's dwell is SelectionConfig.settled over join times in ms",
     ),
+    Removed(
+        r"node_capacity_fps", "src/repro/metro", None, 52,
+        "the attach reads capacity as 1000 / service; nothing read the population's copy",
+    ),
+    Removed(
+        r"\.user_shard\b|\buser_shard[:=]", "src/repro/metro", None, 52,
+        "nothing read a plan's per-user shard; each shard's user gids are its list",
+    ),
 )
 
 

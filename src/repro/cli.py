@@ -188,7 +188,8 @@ def _cmd_chaos_check(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> None:
-    from repro.obs.analyze import TraceAnalyzer, load_trace, validate_event_order
+    from repro.obs.analyze import TraceAnalyzer, load_trace
+    from repro.verify import check_events, lifecycle_invariants
 
     if args.summary is not None:
         events = load_trace(args.summary)
@@ -251,11 +252,10 @@ def cmd_trace(args: argparse.Namespace) -> None:
                 k: v for k, v in event.items() if k not in ("type", "t_ms")
             }
             print(f"  {event['t_ms']:10.2f} ms  {event['type']:<20s} {fields}")
-    errors = analyzer.reconciliation_errors()
-    violations = validate_event_order(events)
-    for problem in [*errors, *violations]:
-        print(f"WARNING: {problem}")
-    if not errors and not violations:
+    violations = check_events(events, invariants=lifecycle_invariants())
+    for violation in violations:
+        print(f"WARNING: {violation}")
+    if not violations:
         print("phase reconciliation + event ordering: OK")
 
 

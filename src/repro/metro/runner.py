@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil, isfinite
 from multiprocessing.connection import Connection
 from operator import attrgetter
@@ -90,6 +90,16 @@ class MetroReport:
     @property
     def events_per_wall_s(self) -> float:
         return self.events_processed / self.wall_s if self.wall_s > 0 else 0.0
+
+
+#: The counters a run report shares with its shard reports, each the sum
+#: over shards in shard order (``latency_max_ms`` is a max instead).
+_SUMMED = tuple(
+    f.name
+    for f in fields(MetroShardReport)
+    if f.name in MetroReport.__dataclass_fields__
+    and f.name not in ("latency_max_ms", "trace_events")
+)
 
 
 def _route_outboxes(
@@ -298,17 +308,9 @@ class MetroSimulation:
             sim_seconds=sim_seconds,
             shards=plan.count,
             workers=self.spec.shard.workers,
-            frames_done=sum(r.frames_done for r in reports),
-            frames_lost=sum(r.frames_lost for r in reports),
-            switches=sum(r.switches for r in reports),
-            covered_failovers=sum(r.covered_failovers for r in reports),
-            uncovered_failures=sum(r.uncovered_failures for r in reports),
+            **{name: sum(getattr(r, name) for r in reports) for name in _SUMMED},
             handoffs=sum(r.handoffs_out for r in reports),
-            unattached_initial=sum(r.unattached_initial for r in reports),
-            latency_sum_ms=sum(r.latency_sum_ms for r in reports),
             latency_max_ms=max((r.latency_max_ms for r in reports), default=0.0),
-            frames_advanced=sum(r.frames_advanced for r in reports),
-            control_ops=sum(r.control_ops for r in reports),
             wall_s=wall_s,
             shard_reports=reports,
             # Each shard's trace is time-ordered; ties keep shard order.

@@ -16,8 +16,9 @@ Layers:
   JSONL sink + always-on subscriber fan-out, near-zero cost when
   capture is disabled) and the sink implementations.
 - :mod:`repro.obs.analyze` — :class:`TraceAnalyzer`: per-user
-  timelines, latency-phase breakdowns, failover-gap histograms, and
-  the event-order validator used by the golden-schema tests.
+  timelines, latency-phase breakdowns, failover-gap histograms. Verdicts
+  over a trace (event order, phase reconciliation, the recovery
+  invariants) are :mod:`repro.verify`'s.
 - :mod:`repro.obs.profile` — :class:`KernelProfiler`, the simulator
   event-loop profiling hook (per-handler time, queue depth).
 - :mod:`repro.obs.scenarios` — seeded demo scenarios (sim and live
@@ -25,50 +26,13 @@ Layers:
 
 The metrics-reporting API is built on top: components *emit* trace
 events and :class:`~repro.metrics.collector.MetricsCollector`
-subscribes and reduces them — nothing mutates the collector directly
-anymore (the old ``record_*`` entry points survive one release as
-``DeprecationWarning`` shims).
+subscribes and reduces them — nothing mutates the collector directly.
 """
 
-from repro.obs.events import (
-    EVENT_TYPES,
-    GOLDEN_LIFECYCLE_TYPES,
-    BreakerTransition,
-    CacheHit,
-    CacheMiss,
-    CoveredFailover,
-    AttachmentExpired,
-    DegradedFallback,
-    DiscoveryIssued,
-    DiscoveryReturned,
-    FaultInjected,
-    FrameDone,
-    FrameStart,
-    HeartbeatMissed,
-    HuntAttempt,
-    ShrinkStep,
-    JoinAccept,
-    JoinAttempt,
-    JoinReject,
-    NodeFail,
-    NodeRestart,
-    PhaseSpan,
-    PopulationChanged,
-    ProbeAnswered,
-    ProbeSent,
-    RetryScheduled,
-    SweepRunFinished,
-    SweepRunRetried,
-    SweepRunSkipped,
-    SweepRunStarted,
-    Switch,
-    TestWorkloadInvoked,
-    TraceEvent,
-    UncoveredFailure,
-    event_from_dict,
-)
+from repro.obs import events
+from repro.obs.events import *  # noqa: F401,F403 -- the catalog is events.__all__
 from repro.obs.tracer import JsonlSink, ListSink, NullSink, Tracer
-from repro.obs.analyze import TraceAnalyzer, load_trace, validate_event_order
+from repro.obs.analyze import TraceAnalyzer, load_trace
 from repro.obs.profile import KernelProfiler
 
 __all__ = [
@@ -79,40 +43,5 @@ __all__ = [
     "TraceAnalyzer",
     "KernelProfiler",
     "load_trace",
-    "validate_event_order",
-    "event_from_dict",
-    "EVENT_TYPES",
-    "GOLDEN_LIFECYCLE_TYPES",
-    "TraceEvent",
-    "DiscoveryIssued",
-    "DiscoveryReturned",
-    "ProbeSent",
-    "ProbeAnswered",
-    "JoinAttempt",
-    "JoinAccept",
-    "JoinReject",
-    "Switch",
-    "FrameStart",
-    "PhaseSpan",
-    "FrameDone",
-    "NodeFail",
-    "CoveredFailover",
-    "UncoveredFailure",
-    "TestWorkloadInvoked",
-    "CacheHit",
-    "CacheMiss",
-    "HeartbeatMissed",
-    "PopulationChanged",
-    "FaultInjected",
-    "NodeRestart",
-    "BreakerTransition",
-    "RetryScheduled",
-    "DegradedFallback",
-    "AttachmentExpired",
-    "SweepRunStarted",
-    "SweepRunFinished",
-    "SweepRunRetried",
-    "SweepRunSkipped",
-    "HuntAttempt",
-    "ShrinkStep",
+    *events.__all__,
 ]

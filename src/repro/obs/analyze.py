@@ -8,15 +8,13 @@ latency-accounting views the paper's evaluation is built on:
 - **per-user timelines** — the ordered discovery → probe → join →
   serve → failover story of a single user;
 - **latency-phase breakdowns** — how much of each user's end-to-end
-  latency was network RTT vs. queueing vs. processing, with a
-  reconciliation check that the three phases sum to the recorded
-  frame latency (float tolerance);
+  latency was network RTT vs. queueing vs. processing;
 - **failover-gap histograms** — the time between a node failure and
   the affected user serving frames again.
 
-:func:`validate_event_order` is the schema sanity-checker shared by the
-golden tests: joins before serving, failovers only after failures,
-answers only after questions.
+These are views, not verdicts: that the three phases sum to the recorded
+latency, and that events come in causal order, are
+:mod:`repro.verify` invariants (``PhaseReconciliation``, ``EventOrder``).
 """
 
 from __future__ import annotations
@@ -27,13 +25,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.events import PHASES, TraceEvent
+from repro.obs.events import TraceEvent
 
 __all__ = [
     "TraceAnalyzer",
     "PhaseBreakdown",
     "load_trace",
-    "validate_event_order",
 ]
 
 EventLike = Union[TraceEvent, Dict[str, Any]]
@@ -163,38 +160,6 @@ class TraceAnalyzer:
             total.latency_ms += entry.latency_ms
         return total
 
-    def reconciliation_errors(self, tolerance_ms: float = 1e-6) -> List[str]:
-        """Frames whose phase spans do not sum to the recorded latency.
-
-        The emission sites construct phases so the identity is exact up
-        to float association; anything beyond ``tolerance_ms`` means an
-        instrumentation bug, and the returned strings say which frame.
-        """
-        spans: Dict[Any, float] = defaultdict(float)
-        span_phases: Dict[Any, set] = defaultdict(set)
-        for event in self.events:
-            if event["type"] == "phase_span":
-                key = (event["user_id"], event["frame_id"])
-                spans[key] += event["duration_ms"]
-                span_phases[key].add(event["phase"])
-        errors: List[str] = []
-        for event in self.events:
-            if event["type"] != "frame_done" or event.get("latency_ms") is None:
-                continue
-            key = (event["user_id"], event["frame_id"])
-            if key not in spans:
-                continue  # detail capture may have started mid-run
-            if span_phases[key] != set(PHASES):
-                errors.append(f"frame {key}: phases {sorted(span_phases[key])}")
-                continue
-            delta = abs(spans[key] - event["latency_ms"])
-            if delta > tolerance_ms:
-                errors.append(
-                    f"frame {key}: phases sum {spans[key]:.6f} != "
-                    f"latency {event['latency_ms']:.6f} (delta {delta:.6f})"
-                )
-        return errors
-
     # ------------------------------------------------------------------
     # Failover gaps
     # ------------------------------------------------------------------
@@ -263,91 +228,3 @@ class TraceAnalyzer:
             counts[(gap // bin_ms) * bin_ms] += 1
         return sorted(counts.items())
 
-
-# ----------------------------------------------------------------------
-# Order validation (golden-schema tests)
-# ----------------------------------------------------------------------
-def validate_event_order(events: Iterable[EventLike]) -> List[str]:
-    """Check lifecycle causality over a trace; return violations.
-
-    Rules (each per user unless noted):
-
-    - a completed ``frame_done`` only after a ``join_accept`` or
-      ``covered_failover`` (you cannot be served before attaching);
-    - ``covered_failover``/``uncovered_failure`` only after some
-      ``node_fail`` (global);
-    - ``discovery_returned`` never outnumbers ``discovery_issued``;
-    - ``probe_answered`` never outnumbers ``probe_sent`` per (user,
-      node) pair;
-    - ``join_accept``/``join_reject`` never outnumber ``join_attempt``;
-    - ``phase_span``/``frame_done`` only after that frame's
-      ``frame_start`` (when frame starts are present at all).
-    """
-    violations: List[str] = []
-    attached: set = set()
-    any_node_fail = False
-    discoveries: Dict[str, int] = defaultdict(int)
-    probes: Dict[Tuple[str, str], int] = defaultdict(int)
-    join_attempts: Dict[str, int] = defaultdict(int)
-    frames_started: set = set()
-    saw_frame_start = False
-
-    for index, raw in enumerate(events):
-        event = _as_dict(raw)
-        kind = event["type"]
-        user = event.get("user_id")
-        if kind == "discovery_issued":
-            discoveries[user] += 1
-        elif kind == "discovery_returned":
-            discoveries[user] -= 1
-            if discoveries[user] < 0:
-                violations.append(
-                    f"[{index}] discovery_returned without issue for {user}"
-                )
-        elif kind == "probe_sent":
-            probes[(user, event["node_id"])] += 1
-        elif kind == "probe_answered":
-            key = (user, event["node_id"])
-            probes[key] -= 1
-            if probes[key] < 0:
-                violations.append(f"[{index}] probe_answered without send {key}")
-        elif kind == "join_attempt":
-            join_attempts[user] += 1
-        elif kind in ("join_accept", "join_reject"):
-            join_attempts[user] -= 1
-            if join_attempts[user] < 0:
-                violations.append(f"[{index}] {kind} without join_attempt ({user})")
-            if kind == "join_accept":
-                attached.add(user)
-        elif kind == "node_fail":
-            any_node_fail = True
-        elif kind == "covered_failover":
-            if not any_node_fail:
-                violations.append(f"[{index}] covered_failover before any node_fail")
-            attached.add(user)
-        elif kind == "uncovered_failure":
-            if not any_node_fail:
-                violations.append(f"[{index}] uncovered_failure before any node_fail")
-        elif kind == "frame_start":
-            saw_frame_start = True
-            frames_started.add((user, event["frame_id"]))
-        elif kind == "phase_span":
-            if saw_frame_start and (user, event["frame_id"]) not in frames_started:
-                violations.append(
-                    f"[{index}] phase_span before frame_start "
-                    f"({user}, {event['frame_id']})"
-                )
-        elif kind == "frame_done":
-            if event.get("latency_ms") is not None and user not in attached:
-                violations.append(
-                    f"[{index}] completed frame_done before any attach ({user})"
-                )
-            if saw_frame_start and (user, event["frame_id"]) not in frames_started:
-                # lost frames may legitimately never have started (e.g.
-                # dropped from a stale backlog while unattached)
-                if event.get("latency_ms") is not None:
-                    violations.append(
-                        f"[{index}] frame_done before frame_start "
-                        f"({user}, {event['frame_id']})"
-                    )
-    return violations

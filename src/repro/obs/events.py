@@ -10,9 +10,10 @@ emits one ``FrameDone``), and a frozen dataclass pays an
 
 Wire schema: :meth:`TraceEvent.to_dict` flattens an event to a JSON
 object ``{"type": <type tag>, "t_ms": ..., <fields>}``;
-:func:`event_from_dict` is the inverse. The JSONL sink writes one such
-object per line, which is what ``repro trace --summary`` and the
-golden-schema tests consume.
+:func:`event_from_dict` is the inverse, through :data:`EVENT_TYPES`,
+where each class files itself under its tag as it is defined. The JSONL
+sink writes one such object per line, which is what ``repro trace
+--summary`` and the golden-schema tests consume.
 """
 
 from __future__ import annotations
@@ -20,54 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
-__all__ = [
-    "TraceEvent",
-    "DiscoveryIssued",
-    "DiscoveryReturned",
-    "ProbeSent",
-    "ProbeAnswered",
-    "JoinAttempt",
-    "JoinAccept",
-    "JoinReject",
-    "PolicyDecision",
-    "Switch",
-    "FrameStart",
-    "PhaseSpan",
-    "FrameDone",
-    "NodeFail",
-    "CoveredFailover",
-    "UncoveredFailure",
-    "TestWorkloadInvoked",
-    "CacheHit",
-    "CacheMiss",
-    "HeartbeatMissed",
-    "PopulationChanged",
-    "FaultInjected",
-    "NodeRestart",
-    "BreakerTransition",
-    "RetryScheduled",
-    "DegradedFallback",
-    "AttachmentExpired",
-    "SweepRunStarted",
-    "SweepRunFinished",
-    "SweepRunRetried",
-    "SweepRunSkipped",
-    "ShardHandoff",
-    "ShardRoute",
-    "ShardMerge",
-    "ManagerPromote",
-    "RegistryHandoff",
-    "HuntAttempt",
-    "ShrinkStep",
-    "EVENT_TYPES",
-    "GOLDEN_LIFECYCLE_TYPES",
-    "PHASES",
-    "event_from_dict",
-]
+#: Type tag -> event class, filled as each class is defined.
+EVENT_TYPES: Dict[str, Type["TraceEvent"]] = {}
 
 #: The three latency phases a completed frame decomposes into. Their
-#: spans sum exactly to the frame's end-to-end latency (the
-#: reconciliation invariant the analyzer and the tests check).
+#: spans sum exactly to the frame's end-to-end latency (the identity
+#: ``repro.verify.PhaseReconciliation`` checks).
 PHASES = ("rtt", "queue", "process")
 
 
@@ -81,7 +40,22 @@ class TraceEvent:
     """
 
     type: ClassVar[str] = "trace"
+    #: Fields annotated ``Tuple[...]``: JSON brings them back as lists.
+    _tuple_fields: ClassVar[Tuple[str, ...]] = ()
     t_ms: float
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Register the class under its ``type`` tag; a tag is one class's."""
+        super().__init_subclass__(**kwargs)
+        taken = EVENT_TYPES.get(cls.type)
+        if taken is not None:
+            raise ValueError(f"trace event type {cls.type!r} is {taken.__name__}'s")
+        EVENT_TYPES[cls.type] = cls
+        cls._tuple_fields = tuple(
+            name
+            for name, hint in cls.__dict__.get("__annotations__", {}).items()
+            if str(hint).startswith("Tuple[")
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """Flatten to the JSONL wire object (tuples become lists)."""
@@ -559,51 +533,15 @@ class ShrinkStep(TraceEvent):
     detail: str = ""
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
-    cls.type: cls
-    for cls in (
-        DiscoveryIssued,
-        DiscoveryReturned,
-        ProbeSent,
-        ProbeAnswered,
-        JoinAttempt,
-        JoinAccept,
-        JoinReject,
-        PolicyDecision,
-        Switch,
-        FrameStart,
-        PhaseSpan,
-        FrameDone,
-        NodeFail,
-        CoveredFailover,
-        UncoveredFailure,
-        TestWorkloadInvoked,
-        CacheHit,
-        CacheMiss,
-        HeartbeatMissed,
-        PopulationChanged,
-        FaultInjected,
-        NodeRestart,
-        BreakerTransition,
-        RetryScheduled,
-        DegradedFallback,
-        AttachmentExpired,
-        SweepRunStarted,
-        SweepRunFinished,
-        SweepRunRetried,
-        SweepRunSkipped,
-        ShardHandoff,
-        ShardRoute,
-        ShardMerge,
-        ManagerPromote,
-        RegistryHandoff,
-        HuntAttempt,
-        ShrinkStep,
-    )
-}
+#: Every registered class, so ``repro.obs`` re-exports the whole catalog.
+__all__ = [
+    "TraceEvent",
+    *(cls.__name__ for cls in EVENT_TYPES.values()),
+    "EVENT_TYPES",
+    "GOLDEN_LIFECYCLE_TYPES",
+    "PHASES",
+    "event_from_dict",
+]
 
 #: The event types every traced end-to-end scenario — simulated or live
 #: loopback — must produce when it exercises the full lifecycle
@@ -642,14 +580,7 @@ def event_from_dict(data: Dict[str, Any]) -> TraceEvent:
     """
     payload = dict(data)
     cls = EVENT_TYPES[payload.pop("type")]
-    if cls in (DiscoveryReturned, DegradedFallback) and isinstance(
-        payload.get("candidates"), list
-    ):
-        payload["candidates"] = tuple(payload["candidates"])
-    if cls is PolicyDecision:
-        for key in ("ranked", "scores"):
-            if isinstance(payload.get(key), list):
-                payload[key] = tuple(payload[key])
-    if cls is ShardRoute and isinstance(payload.get("shards"), list):
-        payload["shards"] = tuple(payload["shards"])
+    for key in cls._tuple_fields:
+        if isinstance(payload.get(key), list):
+            payload[key] = tuple(payload[key])
     return cls(**payload)

@@ -214,7 +214,9 @@ class SelectionMachine:
         self.round_in_progress = False
         self.last_join_ms = float("-inf")
         self._retries = 0
-        self._ranked: List[ProbeOutcome] = []
+        #: The join in flight: the outcome sent, and the rest of the
+        #: ranking its backups come from once it is accepted.
+        self._joining: Tuple[Optional[ProbeOutcome], List[ProbeOutcome]] = (None, [])
         #: Nodes the current round asked to probe — whoever does not
         #: answer is reported to the policy as a probe timeout.
         self._probe_targets: Tuple[str, ...] = ()
@@ -426,12 +428,12 @@ class SelectionMachine:
                 + self._adopt_backups([ranked[i] for i in rest], ctx)
                 + self._conclude_round(failed=False)
             )
-        self._ranked = ranked
+        self._joining = (ranked[end], [ranked[i] for i in rest])
         return effects + [SendJoin(ranked[end])]
 
     def _on_join_result(self, event: JoinResult) -> List[Effect]:
-        ranked = self._ranked
-        self._ranked = []
+        joined, rest = self._joining
+        self._joining = (None, [])
         effects: List[Effect] = []
         if self._detail_guard():
             effects.append(
@@ -465,11 +467,10 @@ class SelectionMachine:
             )
         self.current_edge = event.node_id
         self.last_join_ms = event.now
-        chosen = next((o for o in ranked if o.node_id == event.node_id), None)
         effects.append(
             Attached(
                 event.node_id,
-                chosen.d_prop_ms if chosen is not None else 0.0,
+                joined.d_prop_ms if joined is not None else 0.0,
                 previous,
                 via="join",
             )
@@ -479,8 +480,7 @@ class SelectionMachine:
         # module docstring).
         effects.extend(
             self._adopt_backups(
-                [o for o in ranked if o.node_id != event.node_id],
-                RankingContext(now=event.now, current_edge=self.current_edge),
+                rest, RankingContext(now=event.now, current_edge=self.current_edge)
             )
         )
         effects.extend(self._conclude_round(failed=False))

@@ -12,6 +12,9 @@ either backend:
 - :func:`check_events` runs the full suite over a trace (event objects
   or wire dicts) and returns a list of typed :class:`Violation`\\ s,
   each pinned to the event index and timestamp that tripped it;
+- :func:`lifecycle_invariants` is the budget-free pair outside that
+  suite — event order and phase reconciliation, which ``repro trace``
+  reports: the one place a trace is judged is this package;
 - :class:`Budgets` carries the timing budgets the invariants enforce
   (plan-time milliseconds, scaled by ``time_scale`` for wall-clock
   traces from the live runtime);
@@ -31,13 +34,16 @@ from repro.verify.invariants import (
     Budgets,
     ClientStall,
     DegradedFallbackCorrect,
+    EventOrder,
     Invariant,
     NoSplitBrain,
+    PhaseReconciliation,
     PromotionBudget,
     SeqMonotonic,
     Violation,
     check_events,
     default_invariants,
+    lifecycle_invariants,
 )
 
 __all__ = [
@@ -46,12 +52,15 @@ __all__ = [
     "Budgets",
     "ClientStall",
     "DegradedFallbackCorrect",
+    "EventOrder",
     "Invariant",
     "NoSplitBrain",
+    "PhaseReconciliation",
     "PromotionBudget",
     "SeqMonotonic",
     "Violation",
     "check_attachment_view",
     "check_events",
     "default_invariants",
+    "lifecycle_invariants",
 ]

@@ -33,14 +33,22 @@ Invariants enforced:
   attaches to a dead node.
 - :class:`DegradedFallbackCorrect` — ``degraded_fallback`` fires only
   when there is actual evidence of manager unavailability.
+
+Outside the default suite, :func:`lifecycle_invariants`:
+
+- :class:`EventOrder` — answers after questions, serving after
+  attaching, failover after some failure.
+- :class:`PhaseReconciliation` — a completed frame's rtt, queue and
+  process spans sum to its latency.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.obs.events import EVENT_TYPES, TraceEvent, event_from_dict
+from repro.obs.events import EVENT_TYPES, PHASES, TraceEvent, event_from_dict
 
 __all__ = [
     "Violation",
@@ -52,7 +60,10 @@ __all__ = [
     "SeqMonotonic",
     "AttachmentConsistency",
     "DegradedFallbackCorrect",
+    "EventOrder",
+    "PhaseReconciliation",
     "default_invariants",
+    "lifecycle_invariants",
     "check_events",
 ]
 
@@ -610,6 +621,134 @@ class DegradedFallbackCorrect(Invariant):
 
 
 # ----------------------------------------------------------------------
+# The lifecycle story: event order and phase reconciliation
+# ----------------------------------------------------------------------
+class EventOrder(Invariant):
+    """Lifecycle causality: answers after questions, serving after
+    attaching, failover after failure. Per user unless noted:
+
+    - ``discovery_returned`` never outnumbers ``discovery_issued``;
+    - ``probe_answered`` never outnumbers ``probe_sent`` per (user, node);
+    - ``join_accept``/``join_reject`` never outnumber ``join_attempt``;
+    - ``covered_failover``/``uncovered_failure`` only after some
+      ``node_fail`` (global);
+    - a completed ``frame_done`` only after a ``join_accept`` or
+      ``covered_failover``;
+    - ``phase_span`` and a completed ``frame_done`` only after that
+      frame's ``frame_start``, once the trace has any frame start (a
+      lost frame may never have started: dropped from a stale backlog).
+
+    Not in :func:`default_invariants`: under a chaos plan, drop and
+    delay faults break links before any node crashes, so a live chaos
+    trace fails over "before any node_fail" by design of the plan.
+    """
+
+    name = "event_order"
+
+    def __init__(self, budgets: Budgets) -> None:
+        super().__init__(budgets)
+        self._outstanding: Dict[Tuple[str, Any], int] = defaultdict(int)
+        self._attached: Set[str] = set()
+        self._started: Set[Tuple[str, int]] = set()
+        self._any_node_fail = False
+        self._any_frame_start = False
+
+    def _answer(self, key: Tuple[str, Any]) -> bool:
+        """Count one answer against its question; False if none was open."""
+        self._outstanding[key] -= 1
+        return self._outstanding[key] >= 0
+
+    def observe(self, index: int, event: TraceEvent) -> Iterator[Violation]:
+        kind = event.type
+        user = getattr(event, "user_id", None)
+        messages: List[str] = []
+        if kind == "discovery_issued":
+            self._outstanding["discovery", user] += 1
+        elif kind == "discovery_returned":
+            if not self._answer(("discovery", user)):
+                messages.append(f"discovery_returned without issue for {user}")
+        elif kind == "probe_sent":
+            self._outstanding["probe", (user, event.node_id)] += 1  # type: ignore[attr-defined]
+        elif kind == "probe_answered":
+            pair = (user, event.node_id)  # type: ignore[attr-defined]
+            if not self._answer(("probe", pair)):
+                messages.append(f"probe_answered without send {pair}")
+        elif kind == "join_attempt":
+            self._outstanding["join", user] += 1
+        elif kind in ("join_accept", "join_reject"):
+            if not self._answer(("join", user)):
+                messages.append(f"{kind} without join_attempt ({user})")
+            if kind == "join_accept":
+                self._attached.add(user)  # type: ignore[arg-type]
+        elif kind == "node_fail":
+            self._any_node_fail = True
+        elif kind in ("covered_failover", "uncovered_failure"):
+            if not self._any_node_fail:
+                messages.append(f"{kind} before any node_fail")
+            if kind == "covered_failover":
+                self._attached.add(user)  # type: ignore[arg-type]
+        elif kind == "frame_start":
+            self._any_frame_start = True
+            self._started.add((user, event.frame_id))  # type: ignore[arg-type, attr-defined]
+        elif kind == "phase_span" or (
+            kind == "frame_done" and event.latency_ms is not None  # type: ignore[attr-defined]
+        ):
+            frame = (user, event.frame_id)  # type: ignore[attr-defined]
+            if kind == "frame_done" and user not in self._attached:
+                messages.append(f"completed frame_done before any attach ({user})")
+            if self._any_frame_start and frame not in self._started:
+                messages.append(f"{kind} before frame_start ({user}, {frame[1]})")
+        for message in messages:
+            yield self._violation(message, index, event.t_ms, subject=user or "")
+
+
+class PhaseReconciliation(Invariant):
+    """A completed frame's phase spans are exactly :data:`PHASES` and sum
+    to its ``frame_done`` latency within ``tolerance_ms`` (float
+    association: the emission sites build the phases so the identity is
+    exact). Judged at the end of the trace over all of a frame's spans;
+    a frame with none is skipped (detail capture may have started
+    mid-run). A violation points at the frame's ``frame_done``.
+    """
+
+    name = "phase_reconciliation"
+    tolerance_ms = 1e-6
+
+    def __init__(self, budgets: Budgets) -> None:
+        super().__init__(budgets)
+        self._sums: Dict[Tuple[str, int], float] = defaultdict(float)
+        self._phases: Dict[Tuple[str, int], Set[str]] = defaultdict(set)
+        #: ``(index, t_ms, frame, latency_ms)`` per completed frame.
+        self._done: List[Tuple[int, float, Tuple[str, int], float]] = []
+
+    def observe(self, index: int, event: TraceEvent) -> Iterable[Violation]:
+        if event.type == "phase_span":
+            frame = (event.user_id, event.frame_id)  # type: ignore[attr-defined]
+            self._sums[frame] += event.duration_ms  # type: ignore[attr-defined]
+            self._phases[frame].add(event.phase)  # type: ignore[attr-defined]
+        elif event.type == "frame_done" and event.latency_ms is not None:  # type: ignore[attr-defined]
+            frame = (event.user_id, event.frame_id)  # type: ignore[attr-defined]
+            self._done.append((index, event.t_ms, frame, event.latency_ms))  # type: ignore[attr-defined]
+        return ()
+
+    def finish(self, end_ms: float) -> Iterator[Violation]:
+        for index, t_ms, frame, latency in self._done:
+            if frame not in self._sums:
+                continue
+            if self._phases[frame] != set(PHASES):
+                message = f"frame {frame}: phases {sorted(self._phases[frame])}"
+            elif abs(self._sums[frame] - latency) > self.tolerance_ms:
+                message = (
+                    f"frame {frame}: phases sum {self._sums[frame]:.6f} != "
+                    f"latency {latency:.6f} "
+                    f"(delta {abs(self._sums[frame] - latency):.6f})"
+                )
+            else:
+                continue
+            yield self._violation(message, index, t_ms, subject=frame[0])
+
+
+# ----------------------------------------------------------------------
 # The suite
 # ----------------------------------------------------------------------
 def default_invariants(
@@ -624,6 +763,13 @@ def default_invariants(
         AttachmentConsistency(budgets),
         DegradedFallbackCorrect(budgets),
     ]
+
+
+def lifecycle_invariants() -> List[Invariant]:
+    """:class:`EventOrder` and :class:`PhaseReconciliation`, the pair
+    ``repro trace`` and the golden-schema tests check. Neither reads a
+    budget."""
+    return [EventOrder(Budgets()), PhaseReconciliation(Budgets())]
 
 
 def _as_event(item: EventSource) -> Optional[TraceEvent]:

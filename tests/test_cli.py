@@ -331,6 +331,30 @@ def test_trace_summary_of_existing_file(tmp_path, capsys):
     assert "timeline for u1" in out
 
 
+def test_trace_summary_warns_once_per_violation(tmp_path, capsys):
+    from repro.obs import FrameDone, FrameStart, PhaseSpan, Tracer
+
+    path = tmp_path / "trace.jsonl"
+    tracer = Tracer(sink=path)
+    tracer.emit(FrameStart(1.0, "u1", "V1", 1))  # never joined
+    tracer.emit(PhaseSpan(41.0, "u1", 1, "rtt", 10.0))
+    tracer.emit(PhaseSpan(41.0, "u1", 1, "process", 28.0))  # no queue span
+    tracer.emit(FrameDone(41.0, "u1", "V1", 1, 1.0, 40.0))
+    tracer.close()
+
+    assert main(["trace", "--summary", str(path)]) == 0
+    warnings = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("WARNING")
+    ]
+    assert warnings == [
+        "WARNING: [event_order] completed frame_done before any attach (u1) "
+        "(event #3 @ 41ms)",
+        "WARNING: [phase_reconciliation] frame ('u1', 1): phases "
+        "['process', 'rtt'] (event #3 @ 41ms)",
+    ]
+
+
 def test_bench_list_names_registered_benchmarks(capsys):
     assert main(["bench", "list"]) == 0
     out = capsys.readouterr().out

@@ -11,8 +11,17 @@ frame latencies."""
 
 import pytest
 
-from repro.obs import GOLDEN_LIFECYCLE_TYPES, TraceAnalyzer, event_from_dict, load_trace, validate_event_order
+from repro.obs import GOLDEN_LIFECYCLE_TYPES, TraceAnalyzer, event_from_dict, load_trace
 from repro.obs.scenarios import run_live_trace_scenario_sync, run_sim_trace_scenario
+from repro.verify import Budgets, EventOrder, PhaseReconciliation, check_events
+
+
+def order_violations(events):
+    return check_events(events, invariants=[EventOrder(Budgets())])
+
+
+def reconciliation_violations(events):
+    return check_events(events, invariants=[PhaseReconciliation(Budgets())])
 
 
 @pytest.fixture(scope="module")
@@ -51,27 +60,27 @@ def test_backends_share_one_schema(sim_events, live_events):
 # Ordering rules
 # ----------------------------------------------------------------------
 def test_sim_trace_event_order(sim_events):
-    assert validate_event_order(sim_events) == []
+    assert order_violations(sim_events) == []
 
 
 def test_live_trace_event_order(live_events):
-    assert validate_event_order(live_events) == []
+    assert order_violations(live_events) == []
 
 
 # ----------------------------------------------------------------------
 # Phase reconciliation: rtt + queue + process == latency
 # ----------------------------------------------------------------------
 def test_sim_phases_reconcile_exactly(sim_events):
+    assert reconciliation_violations(sim_events) == []
     analyzer = TraceAnalyzer(sim_events)
-    assert analyzer.reconciliation_errors(tolerance_ms=1e-6) == []
     total = analyzer.total_breakdown()
     assert total.frames > 0
     assert total.phase_sum_ms == pytest.approx(total.latency_ms)
 
 
 def test_live_phases_reconcile_exactly(live_events):
+    assert reconciliation_violations(live_events) == []
     analyzer = TraceAnalyzer(live_events)
-    assert analyzer.reconciliation_errors(tolerance_ms=1e-6) == []
     total = analyzer.total_breakdown()
     assert total.frames > 0
     assert total.phase_sum_ms == pytest.approx(total.latency_ms)
@@ -100,7 +109,7 @@ def test_sim_jsonl_sink_matches_ring(tmp_path):
     events = run_sim_trace_scenario(seed=11, sink_path=path, duration_ms=4_000.0)
     loaded = load_trace(path)
     assert loaded == [e.to_dict() for e in events]
-    assert TraceAnalyzer(loaded).reconciliation_errors() == []
+    assert reconciliation_violations(loaded) == []
 
 
 def test_live_jsonl_sink_matches_ring(tmp_path):
@@ -108,4 +117,4 @@ def test_live_jsonl_sink_matches_ring(tmp_path):
     events = run_live_trace_scenario_sync(sink_path=path, frames=4)
     loaded = load_trace(path)
     assert loaded == [e.to_dict() for e in events]
-    assert validate_event_order(loaded) == []
+    assert order_violations(loaded) == []

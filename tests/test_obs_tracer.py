@@ -1,6 +1,7 @@
 """Unit tests for the observability layer: events, tracer, sinks,
 analyzer, kernel profiler, and the deprecated metrics shims."""
 
+import dataclasses
 import json
 import warnings
 
@@ -21,12 +22,20 @@ from repro.obs import (
     PhaseSpan,
     ProbeSent,
     TraceAnalyzer,
+    TraceEvent,
     Tracer,
     event_from_dict,
     load_trace,
-    validate_event_order,
 )
+from repro.obs import events as catalog
 from repro.sim.kernel import Simulator
+from repro.verify import (
+    Budgets,
+    EventOrder,
+    PhaseReconciliation,
+    check_events,
+    lifecycle_invariants,
+)
 
 
 # ----------------------------------------------------------------------
@@ -44,6 +53,54 @@ def test_event_wire_roundtrip():
 def test_event_registry_covers_all_tags():
     for tag, cls in EVENT_TYPES.items():
         assert cls.type == tag
+
+
+#: A sample value per field annotation in the catalog.
+SAMPLES = {
+    "str": "n1",
+    "int": 3,
+    "float": 2.5,
+    "bool": True,
+    "Optional[str]": "n2",
+    "Optional[float]": 7.25,
+    "Tuple[str, ...]": ("n1", "n2"),
+    "Tuple[int, ...]": (0, 2),
+    "Tuple[float, ...]": (1.5, 4.0),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(EVENT_TYPES))
+def test_every_event_type_round_trips_through_json(tag):
+    cls = EVENT_TYPES[tag]
+    event = cls(*(SAMPLES[str(f.type)] for f in dataclasses.fields(cls)))
+    wire = json.loads(json.dumps(event.to_dict()))
+    restored = event_from_dict(wire)
+    assert restored == event  # a list left where a tuple was fails here
+    assert restored.to_dict() == wire
+
+
+def test_every_event_class_in_the_catalog_is_registered_and_exported():
+    import repro.obs
+
+    classes = {
+        obj
+        for obj in vars(catalog).values()
+        if isinstance(obj, type) and issubclass(obj, TraceEvent) and obj is not TraceEvent
+    }
+    assert len(classes) == len(EVENT_TYPES) == 37
+    assert classes == set(EVENT_TYPES.values())
+    assert {cls.__name__ for cls in classes} <= set(repro.obs.__all__)
+
+
+def test_a_taken_type_tag_is_refused():
+    before = dict(EVENT_TYPES)
+    with pytest.raises(ValueError, match="FrameDone"):
+
+        @dataclasses.dataclass
+        class Impostor(TraceEvent):
+            type = "frame_done"
+
+    assert EVENT_TYPES == before
 
 
 def test_event_from_dict_rejects_unknown_type():
@@ -157,8 +214,7 @@ def test_phase_breakdown_reconciles():
         *_served_frame("u1", 2, 60.0, 12.0, 0.0, 28.0),
     ]
     analyzer = TraceAnalyzer(events)
-    assert analyzer.reconciliation_errors() == []
-    assert validate_event_order(events) == []
+    assert check_events(events, invariants=lifecycle_invariants()) == []
     breakdown = analyzer.phase_breakdown()["u1"]
     assert breakdown.frames == 2
     assert breakdown.rtt_ms == pytest.approx(22.0)
@@ -172,13 +228,17 @@ def test_reconciliation_catches_bad_spans():
         *_served_frame("u1", 1, 1.0, 10.0, 2.0, 30.0),
     ]
     events[3].duration_ms += 5.0  # corrupt the rtt span
-    assert TraceAnalyzer(events).reconciliation_errors()
+    (violation,) = check_events(events, invariants=[PhaseReconciliation(Budgets())])
+    assert violation.invariant == "phase_reconciliation"
+    assert violation.event_index == 6  # the frame's frame_done
 
 
 def test_order_validator_flags_serve_before_attach():
     events = _served_frame("u1", 1, 1.0, 10.0, 2.0, 30.0)
-    violations = validate_event_order(events)
-    assert any("before any attach" in v for v in violations)
+    violations = check_events(events, invariants=[EventOrder(Budgets())])
+    assert [(v.event_index, v.message) for v in violations] == [
+        (4, "completed frame_done before any attach (u1)")
+    ]
 
 
 def test_order_validator_flags_failover_before_failure():
@@ -187,8 +247,10 @@ def test_order_validator_flags_failover_before_failure():
         JoinAccept(0.0, "u1", "V1"),
         CoveredFailover(5.0, "u1", "V2"),
     ]
-    violations = validate_event_order(events)
-    assert any("before any node_fail" in v for v in violations)
+    violations = check_events(events, invariants=[EventOrder(Budgets())])
+    assert [(v.event_index, v.message) for v in violations] == [
+        (2, "covered_failover before any node_fail")
+    ]
 
 
 def test_failover_gap_histogram():

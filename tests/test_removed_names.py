@@ -117,6 +117,14 @@ REMOVED_NAMES = (
         r"\.user_shard\b|\buser_shard[:=]", "src/repro/metro", None, 52,
         "nothing read a plan's per-user shard; each shard's user gids are its list",
     ),
+    Removed(
+        r"validate_event_order|reconciliation_errors", "src", None, 53,
+        "event order and the phase identity are repro.verify invariants",
+    ),
+    Removed(
+        r"_check_controlplane_invariants|promotion_budget_ms", "src", None, 53,
+        "PromotionBudget is the one promotion rule over a chaos trace",
+    ),
 )
 
 

@@ -12,20 +12,30 @@ from repro.obs.events import (
     AttachmentExpired,
     CoveredFailover,
     DegradedFallback,
+    DiscoveryIssued,
+    DiscoveryReturned,
     FaultInjected,
     FrameDone,
     FrameStart,
     JoinAccept,
+    JoinAttempt,
+    JoinReject,
     ManagerPromote,
     NodeFail,
     NodeRestart,
+    PhaseSpan,
+    ProbeAnswered,
+    ProbeSent,
+    UncoveredFailure,
 )
 from repro.verify import (
     AttachmentConsistency,
     Budgets,
     ClientStall,
     DegradedFallbackCorrect,
+    EventOrder,
     NoSplitBrain,
+    PhaseReconciliation,
     PromotionBudget,
     SeqMonotonic,
     Violation,
@@ -337,6 +347,134 @@ def test_degraded_fallback_long_after_window_closes_is_flagged():
     ]
     (violation,) = _check(events, DegradedFallbackCorrect(Budgets()))
     assert "after the last outage evidence" in violation.message
+
+
+# ----------------------------------------------------------------------
+# EventOrder: one failing trace per rule
+# ----------------------------------------------------------------------
+def _order(events):
+    return [
+        (v.event_index, v.message)
+        for v in _check(events, EventOrder(Budgets()))
+    ]
+
+
+def test_event_order_flags_a_discovery_answer_without_a_question():
+    events = [
+        DiscoveryIssued(0.0, "u1"),
+        DiscoveryReturned(1.0, "u1", ("V1",)),
+        DiscoveryReturned(2.0, "u1", ("V1",)),
+        DiscoveryIssued(3.0, "u1"),
+        DiscoveryReturned(4.0, "u1", ("V1",)),
+    ]
+    # the count stays negative: the next question pays the debt first
+    assert _order(events) == [
+        (2, "discovery_returned without issue for u1"),
+        (4, "discovery_returned without issue for u1"),
+    ]
+
+
+def test_event_order_counts_probes_per_user_and_node():
+    events = [
+        ProbeSent(0.0, "u1", "V1"),
+        ProbeAnswered(1.0, "u1", "V1", 5.0, 9.0),
+        ProbeAnswered(1.0, "u1", "V2", 5.0, 9.0),
+        ProbeAnswered(1.0, "u2", "V1", 5.0, 9.0),
+    ]
+    assert _order(events) == [
+        (2, "probe_answered without send ('u1', 'V2')"),
+        (3, "probe_answered without send ('u2', 'V1')"),
+    ]
+
+
+def test_event_order_flags_join_verdicts_without_an_attempt():
+    events = [
+        JoinAttempt(0.0, "u1", "V1"),
+        JoinReject(1.0, "u1", "V1"),
+        JoinAccept(2.0, "u1", "V1"),
+    ]
+    assert _order(events) == [(2, "join_accept without join_attempt (u1)")]
+    assert _order(events[1:2]) == [(0, "join_reject without join_attempt (u1)")]
+
+
+def test_event_order_flags_failover_before_any_failure_of_any_node():
+    events = [
+        UncoveredFailure(1.0, "u1"),
+        CoveredFailover(2.0, "u2", "V2"),
+        NodeFail(3.0, "V9"),  # global: any node's failure will do
+        UncoveredFailure(4.0, "u1"),
+    ]
+    assert _order(events) == [
+        (0, "uncovered_failure before any node_fail"),
+        (1, "covered_failover before any node_fail"),
+    ]
+
+
+def test_event_order_flags_serving_before_attaching():
+    served = [
+        FrameStart(1.0, "u1", "V1", 1),
+        FrameDone(2.0, "u1", "V1", 1, 1.0, 1.0),
+    ]
+    assert _order(served) == [(1, "completed frame_done before any attach (u1)")]
+    # a covered failover attaches too; a lost frame is no serving
+    assert _order([NodeFail(0.0, "V0"), CoveredFailover(0.5, "u1", "V1"), *served]) == []
+    assert _order([FrameDone(2.0, "u1", "V1", 1, 1.0, None)]) == []
+
+
+def test_event_order_flags_frame_events_before_their_start():
+    events = [
+        JoinAttempt(0.0, "u1", "V1"),
+        JoinAccept(0.0, "u1", "V1"),
+        FrameStart(1.0, "u1", "V1", 1),
+        PhaseSpan(2.0, "u1", 2, "rtt", 1.0),
+        FrameDone(2.0, "u1", "V1", 2, 1.0, 1.0),
+        FrameDone(2.0, "u1", "V1", 3, 1.0, None),  # lost: may never start
+    ]
+    assert _order(events) == [
+        (3, "phase_span before frame_start (u1, 2)"),
+        (4, "frame_done before frame_start (u1, 2)"),
+    ]
+    # a trace with no frame start at all (capture began mid-run) is exempt
+    assert _order([events[0], events[1], *events[3:]]) == []
+
+
+# ----------------------------------------------------------------------
+# PhaseReconciliation: the phase identity
+# ----------------------------------------------------------------------
+def _frame(rtt, queue, process, latency, phases=("rtt", "queue", "process")):
+    durations = {"rtt": rtt, "queue": queue, "process": process}
+    return [
+        *(PhaseSpan(9.0, "u1", 1, phase, durations[phase]) for phase in phases),
+        FrameDone(9.0, "u1", "V1", 1, 0.0, latency),
+    ]
+
+
+def _reconcile(events):
+    return [
+        (v.event_index, v.message)
+        for v in _check(events, PhaseReconciliation(Budgets()))
+    ]
+
+
+def test_phase_identity_holds_within_the_float_tolerance():
+    assert _reconcile(_frame(1.0, 2.0, 3.0, 6.0 + 5e-7)) == []
+    assert _reconcile(_frame(1.0, 2.0, 3.0, 6.0 + 2e-6)) == [
+        (3, "frame ('u1', 1): phases sum 6.000000 != latency 6.000002 "
+         "(delta 0.000002)")
+    ]
+
+
+def test_phase_identity_needs_all_three_phases():
+    events = _frame(1.0, 2.0, 3.0, 3.0, phases=("rtt", "queue"))
+    assert _reconcile(events) == [(2, "frame ('u1', 1): phases ['queue', 'rtt']")]
+
+
+def test_phase_identity_counts_spans_anywhere_in_the_trace():
+    done, *spans = reversed(_frame(1.0, 2.0, 3.0, 6.0))
+    assert _reconcile([done, *spans]) == []  # spans after the frame_done
+    assert _reconcile([done]) == []  # no spans: capture started mid-run
+    lost = FrameDone(9.0, "u1", "V1", 1, 0.0, None)
+    assert _reconcile([*_frame(1.0, 2.0, 3.0, 60.0)[:3], lost]) == []
 
 
 # ----------------------------------------------------------------------
